@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -75,12 +76,23 @@ def build_parser():
 
 
 def _parse_order(text):
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    if "." in text or "e" in text or "E" in text:
-        return float(text)
-    return int(text)
+    """Order text as an integer, a fraction p/q or a finite decimal."""
+    try:
+        if "/" in text:
+            num, den = text.split("/", 1)
+            num, den = int(num), int(den)
+            if den:
+                return Fraction(num, den)
+        elif "." in text or "e" in text or "E" in text:
+            value = float(text)
+            if math.isfinite(value):
+                return value
+        else:
+            return int(text)
+    except ValueError:
+        pass
+    raise ValueError(f"order {text!r} must be an integer, a fraction p/q "
+                     "with q != 0, or a finite decimal")
 
 
 def _render(result, fmt):

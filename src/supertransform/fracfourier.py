@@ -1,10 +1,15 @@
-"""Fractional Fourier transform: spectral definition on the psi family,
-the exact 0|2 integral kernel, the general numeric kernel and the
-fractional calculus rules.
+"""Fractional Fourier transform: Mehler's closed form of the sl2
+exponential, the exact 0|2 integral kernel, the general numeric kernel
+and the fractional calculus rules.
 
-The spectral route is primary.  Angles a in {-1, 0, 1} stay on the exact
-lane (phases are Gaussian rationals and the transform coincides with the
-ordinary one); any other angle runs on the complex float backend.
+On the Gaussian class the exponential of the sl2 triple (Delta, x^2, E)
+has a closed form: F^a(P G) = (e^(i alpha E) exp(gamma Delta) P) G with
+alpha = a pi/2 and gamma = (e^(2 i alpha) - 1)/4.  The series in Delta
+stops after deg(P)/2 terms.  Angles a in {-1, 0, 1} stay on the exact
+lane (the transform coincides with the ordinary one); any other angle
+runs on the complex float backend.  The psi-family expansion
+(hermite.psi_span with fourier.operator_exponential_fourier), the 0|2
+kernel and the quadrature check remain as independent oracles.
 """
 
 from __future__ import annotations
@@ -13,15 +18,16 @@ import cmath
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .fourier import berezin, super_fourier
-from .hermite import psi_span
-from .operators import bosonic_derivative, fermionic_derivative
-from .scalars import ExactScalar, QQi
+from .operators import bosonic_derivative, fermionic_derivative, laplace
+from .scalars import ExactScalar, QQi, to_float
 from .superalg import (GaussianFunction, SuperPolynomial, VariableUniverse,
                        fermionic_envelope_poly, is_float_lane, sp_mul,
                        sp_rename)
+
+# i^k as exact complex values; -1j would carry a negative zero.
+_QUARTER_TURNS = (complex(1, 0), complex(0, 1), complex(-1, 0),
+                  complex(0, -1))
 
 
 class Angle:
@@ -36,16 +42,13 @@ class Angle:
     def __init__(self, a):
         if isinstance(a, Angle):
             a = a.a
-        if isinstance(a, float) and a == int(a):
-            a = int(a)
-        if isinstance(a, (int, Fraction)):
+        if isinstance(a, (int, Fraction, float)):
             if not -1 <= a <= 1:
-                raise ValueError("order must lie in [-1, 1]")
-        elif isinstance(a, float):
-            if not -1.0 <= a <= 1.0:
                 raise ValueError("order must lie in [-1, 1]")
         else:
             raise TypeError("order must be rational or float")
+        if isinstance(a, float) and a.is_integer():
+            a = int(a)
         self.a = a
 
     @property
@@ -58,9 +61,13 @@ class Angle:
         return float(self.a) * math.pi / 2.0
 
     def phase(self, power):
-        """e^(i * alpha * power) on the matching lane."""
+        """e^(i * alpha * power) on the matching lane; a quarter turn
+        (a * power integral) is exact on either lane."""
+        turns = self.a * power
         if self.exact:
-            return ExactScalar.i_power(int(self.a) * power)
+            return ExactScalar.i_power(int(turns))
+        if turns == int(turns):
+            return _QUARTER_TURNS[int(turns) % 4]
         return cmath.exp(1j * self.alpha * power)
 
     def __repr__(self):
@@ -68,8 +75,7 @@ class Angle:
 
 
 def to_float_poly(p):
-    return p.map_coefficients(lambda c: c.to_complex()
-                              if isinstance(c, ExactScalar) else complex(c))
+    return p.map_coefficients(to_float)
 
 
 def to_float_gaussian(f):
@@ -77,31 +83,28 @@ def to_float_gaussian(f):
 
 
 def max_coeff_deviation(p, q):
-    keys = set(p.terms) | set(q.terms)
-    dev = 0.0
-    for k in keys:
-        a = p.terms.get(k, 0)
-        b = q.terms.get(k, 0)
-        a = a.to_complex() if isinstance(a, ExactScalar) else complex(a)
-        b = b.to_complex() if isinstance(b, ExactScalar) else complex(b)
-        dev = max(dev, abs(a - b))
-    return dev
+    return max((abs(to_float(p.terms.get(k, 0)) - to_float(q.terms.get(k, 0)))
+                for k in set(p.terms) | set(q.terms)), default=0.0)
 
 
 def relative_deviation(p, q):
     """Coefficient deviation normalized by the coefficient scale, so a
     tolerance reads as a precision level independent of input size."""
-    scale = 1.0
-    for poly in (p, q):
-        for v in poly.terms.values():
-            x = v.to_complex() if isinstance(v, ExactScalar) else complex(v)
-            scale = max(scale, abs(x))
-    return max_coeff_deviation(p, q) / scale
+    scale = max((abs(to_float(v)) for poly in (p, q)
+                 for v in poly.terms.values()), default=1.0)
+    return max_coeff_deviation(p, q) / max(scale, 1.0)
 
 
-def frac_fourier(f, a, cap=8):
-    """Spectral fractional transform: psi expansion, per-component phase
-    e^(i a (2j+k) pi/2), reassembly."""
+def frac_fourier(f, a):
+    """Fractional transform by the closed form
+    F^a(P G) = (e^(i alpha E) exp(gamma Delta) P) G; integral a gives
+    the exact transform.
+
+    exp(gamma Delta) = sum_k gamma^k Delta^k / k! stops at k = deg(P)/2.
+    Delta^k P stays on P's lane, so an exact input is differentiated
+    exactly; gamma and the Euler phase e^(i alpha d) on each term of
+    degree d are floats, exact at quarter turns.
+    """
     a = Angle(a)
     if not f.envelope:
         raise ValueError("envelope missing")
@@ -110,55 +113,27 @@ def frac_fourier(f, a, cap=8):
         if k == 0:
             return f
         return super_fourier(f, "+" if k > 0 else "-")
-    u = f.universe
-    span = psi_span(u, cap)
-    coeffs = _solve_float(f, span, cap)
-    out = SuperPolynomial.zero(u)
-    for (j, k, _, psi), c in zip(span, coeffs):
-        if abs(c) < 1e-15:
-            continue
-        out = out + to_float_poly(psi.poly).scale(c * a.phase(2 * j + k))
-    return GaussianFunction(out, True)
+    gamma = (a.phase(2) - 1) / 4
+    term = f.poly
+    series = to_float_poly(term)
+    for k in range(1, term.degree() // 2 + 1):
+        term = laplace(term, "full")
+        series = series + to_float_poly(term).scale(
+            gamma ** k / math.factorial(k))
+    phases = [a.phase(d) for d in range(f.poly.degree() + 1)]
+    # + 0j turns the negative zeros of a quarter turn into plain zeros
+    return GaussianFunction(SuperPolynomial(f.universe, {
+        key: c * phases[sum(key[0]) + key[1].bit_count()] + 0j
+        for key, c in series.terms.items()}), True)
 
 
-def _solve_float(f, span, cap):
-    """Least-squares psi expansion on the float lane, with a residual
-    guard standing in for the exact consistency check.
-
-    Columns are norm-scaled and one step of iterative refinement is
-    applied; the raw Hermite columns are badly scaled otherwise.
-    """
-    keys = sorted({k for (_, _, _, psi) in span for k in psi.poly.terms}
-                  | set(f.poly.terms))
-    index = {k: i for i, k in enumerate(keys)}
-    mat = np.zeros((len(keys), len(span)), dtype=complex)
-    for col, (_, _, _, psi) in enumerate(span):
-        for k, c in psi.poly.terms.items():
-            mat[index[k], col] = c.to_complex() \
-                if isinstance(c, ExactScalar) else complex(c)
-    rhs = np.zeros(len(keys), dtype=complex)
-    for k, c in f.poly.terms.items():
-        rhs[index[k]] = c.to_complex() \
-            if isinstance(c, ExactScalar) else complex(c)
-    norms = np.linalg.norm(mat, axis=0)
-    norms[norms == 0] = 1.0
-    scaled = mat / norms
-    sol, *_ = np.linalg.lstsq(scaled, rhs, rcond=None)
-    corr, *_ = np.linalg.lstsq(scaled, rhs - scaled @ sol, rcond=None)
-    sol = (sol + corr) / norms
-    resid = np.linalg.norm(mat @ sol - rhs)
-    if resid > 1e-8 * max(1.0, np.linalg.norm(rhs)):
-        raise ValueError("degree cap exceeded")
-    return sol
-
-
-def frac_fourier_cvalued(f, a, cap=8):
+def frac_fourier_cvalued(f, a):
     """Componentwise fractional transform of a Clifford-Weyl-valued
     Gaussian function."""
     from .cliffweyl import CValued
     parts = {}
     for key, p in f.parts.items():
-        img = frac_fourier(GaussianFunction(p, True), a, cap)
+        img = frac_fourier(GaussianFunction(p, True), a)
         if img.poly:
             parts[key] = img.poly
     return CValued(f.universe, parts, True)
@@ -180,9 +155,9 @@ def frac02_table(f, a):
         half = ExactScalar.rational(1, 2)
         quarter = ExactScalar.rational(1, 4)
     else:
-        alpha = a.alpha
-        e1, e2 = cmath.exp(1j * alpha), cmath.exp(2j * alpha)
+        e1, e2 = to_float(a.phase(1)), to_float(a.phase(2))
         one, half, quarter = 1.0 + 0j, 0.5 + 0j, 0.25 + 0j
+        f = to_float_poly(f)
     images = {
         0b00: {0b00: half * (one + e2), 0b11: quarter * (one - e2)},
         0b01: {0b01: e1},
@@ -191,8 +166,6 @@ def frac02_table(f, a):
     }
     out = {}
     for (bos, mask), c in f.terms.items():
-        if not exact_lane and isinstance(c, ExactScalar):
-            c = c.to_complex()
         for omask, w in images[mask].items():
             key = (bos, omask)
             add = c * w
@@ -275,19 +248,15 @@ def _rules(u, a):
         cos = complex(math.cos(a.alpha))
         isin = 1j * math.sin(a.alpha)
 
+    def lane(p):
+        return p if a.exact else to_float_poly(p)
+
     def var_b(i):
-        return lambda g: g.mul_poly(
-            SuperPolynomial.bosonic_var(u, i, ExactScalar.one())
-            if a.exact else
-            SuperPolynomial.bosonic_var(u, i).map_coefficients(
-                lambda c: c.to_complex()))
+        return lambda g: g.mul_poly(lane(SuperPolynomial.bosonic_var(u, i)))
 
     def var_f(j):
         return lambda g: g.mul_poly(
-            SuperPolynomial.fermionic_var(u, j, ExactScalar.one())
-            if a.exact else
-            SuperPolynomial.fermionic_var(u, j).map_coefficients(
-                lambda c: c.to_complex()))
+            lane(SuperPolynomial.fermionic_var(u, j)))
 
     half = Fraction(1, 2)
     rules = []
@@ -325,7 +294,7 @@ def _rules(u, a):
     return rules
 
 
-def frac_calculus_check(a, samples, cap=8, tol=1e-10):
+def frac_calculus_check(a, samples, tol=1e-10):
     """Verify the six exchange rules on the given exact Gaussian-class
     samples; exact equality on the exact lane, max deviation otherwise.
 
@@ -337,9 +306,9 @@ def frac_calculus_check(a, samples, cap=8, tol=1e-10):
     for g in samples:
         u = g.universe
         g_lane = g if a.exact else to_float_gaussian(g)
-        fg = frac_fourier(g_lane, a, cap)
+        fg = frac_fourier(g_lane, a)
         for _, op_in, op_out in _rules(u, a):
-            lhs = frac_fourier(op_in(g_lane), a, cap)
+            lhs = frac_fourier(op_in(g_lane), a)
             rhs = op_out(fg)
             if a.exact:
                 if lhs != rhs:
@@ -352,7 +321,7 @@ def frac_calculus_check(a, samples, cap=8, tol=1e-10):
     return ok, worst
 
 
-def frac_dirac_consequence_check(a, samples, cap=8, tol=1e-10):
+def frac_dirac_consequence_check(a, samples, tol=1e-10):
     """The consequence rule F^a((d_x + x) g) = e^(i alpha) (d_x + x)
     F^a(g), checked through the Clifford-Weyl layer."""
     from .cliffweyl import CValued, dirac_apply, vector_mul
@@ -363,8 +332,8 @@ def frac_dirac_consequence_check(a, samples, cap=8, tol=1e-10):
         g_lane = g if a.exact else to_float_gaussian(g)
         lifted = CValued.from_scalar(g_lane)
         lhs = frac_fourier_cvalued(
-            dirac_apply(lifted) + vector_mul(lifted), a, cap)
-        fg = CValued.from_scalar(frac_fourier(g_lane, a, cap))
+            dirac_apply(lifted) + vector_mul(lifted), a)
+        fg = CValued.from_scalar(frac_fourier(g_lane, a))
         rhs = (dirac_apply(fg) + vector_mul(fg))
         phase = a.phase(1)
         keys = set(lhs.parts) | set(rhs.parts)
@@ -389,16 +358,14 @@ def _eval_components(poly, xval):
     """Complex value per fermionic mask at bosonic point xval (m=1)."""
     out = {}
     for ((p,), mask), c in poly.terms.items():
-        v = (c.to_complex() if isinstance(c, ExactScalar) else complex(c)) \
-            * xval ** p
-        out[mask] = out.get(mask, 0j) + v
+        out[mask] = out.get(mask, 0j) + to_float(c) * xval ** p
     return out
 
 
 def general_kernel_check(a, samples, ygrid=None):
     """Quadrature oracle at (m,n)=(1,1): the bosonic fractional kernel is
     integrated numerically, the fermionic factor applied exactly via the
-    0|2 kernel, and the result compared with the spectral transform.
+    0|2 kernel, and the result compared with the closed-form transform.
 
     Returns the maximum absolute deviation over samples and grid points.
     """
@@ -415,9 +382,9 @@ def general_kernel_check(a, samples, ygrid=None):
         u = f.universe
         if (u.m, u.pairs) != (1, 1):
             raise ValueError("numeric check is wired for (m,n)=(1,1)")
-        spectral = frac_fourier(f, a)
-        spec_expanded = sp_mul(to_float_poly(spectral.poly),
-                               to_float_poly(fermionic_envelope_poly(u)))
+        closed = frac_fourier(f, a)
+        closed_expanded = sp_mul(to_float_poly(closed.poly),
+                                 to_float_poly(fermionic_envelope_poly(u)))
         src_expanded = sp_mul(to_float_poly(f.poly),
                               to_float_poly(fermionic_envelope_poly(u)))
         # fermionic transform of each mask component
@@ -426,9 +393,8 @@ def general_kernel_check(a, samples, ygrid=None):
         for mask in (0b00, 0b01, 0b10, 0b11):
             img = frac02_kernel_apply(
                 SuperPolynomial(uf, {((), mask): ExactScalar.one()}), a)
-            fer_images[mask] = {mk: c.to_complex() if isinstance(
-                c, ExactScalar) else complex(c)
-                for ((), mk), c in img.terms.items()}
+            fer_images[mask] = {mk: to_float(c)
+                                for ((), mk), c in img.terms.items()}
         pref = 1.0 if degenerate \
             else 1.0 / cmath.sqrt(math.pi * (1.0 - e2))
         for y in ygrid:
@@ -455,8 +421,8 @@ def general_kernel_check(a, samples, ygrid=None):
                     val = pref * complex(re, im)
                 for omask, w in fer_images[mask].items():
                     numeric[omask] = numeric.get(omask, 0j) + val * w
-            spec_vals = _eval_components(spec_expanded, y)
+            closed_vals = _eval_components(closed_expanded, y)
             for mask in (0b00, 0b01, 0b10, 0b11):
-                s = spec_vals.get(mask, 0j) * env_y
+                s = closed_vals.get(mask, 0j) * env_y
                 worst = max(worst, abs(s - numeric.get(mask, 0j)))
     return worst

@@ -386,5 +386,6 @@ FloatScalar = complex
 
 
 def to_float(a):
-    """Total conversion ExactScalar -> complex backend value."""
-    return a.to_complex()
+    """Total conversion of an ExactScalar or a number to the complex
+    backend value."""
+    return a.to_complex() if isinstance(a, ExactScalar) else complex(a)

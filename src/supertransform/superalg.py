@@ -32,6 +32,8 @@ class VariableUniverse:
 
     @staticmethod
     def standard(m, n, bos_prefix="x", fer_prefix="q"):
+        if m < 0 or n < 0:
+            raise ValueError("universe sizes m and n must be non-negative")
         return VariableUniverse(
             [f"{bos_prefix}{i + 1}" for i in range(m)],
             [f"{fer_prefix}{j + 1}" for j in range(2 * n)],

@@ -264,6 +264,40 @@ def test_cli_fracfourier_order_out_of_range(capsys):
     assert code == 1 and "[-1, 1]" in err
 
 
+def test_cli_fracfourier_quarter_turn_has_no_noise_terms(capsys):
+    code, out, _ = _run_cli(capsys, "--m", "2", "--n", "1",
+                            "fracfourier", "--a", "1/2", "x1*x2*G")
+    assert code == 0 and out == "(1j)*x1*x2*G"
+
+
+def test_cli_fracfourier_at_zero_superdimension(capsys):
+    # M = 0: the psi family does not span these inputs; the closed form
+    # F^a(P G) = (e^(i alpha E) exp(gamma Delta) P) G still applies
+    code, out, _ = _run_cli(capsys, "--m", "2", "--n", "1",
+                            "fracfourier", "--a", "1/2", "x1^2*G")
+    assert code == 0 and out == "(1j)*x1^2*G + (0.5-0.5j)*G"
+    code, out, _ = _run_cli(capsys, "--m", "2", "--n", "1",
+                            "fracfourier", "--a", "1/2", "q1q2*G")
+    assert code == 0 and out == "(1j)*q1q2*G + (1-1j)*G"
+
+
+@pytest.mark.parametrize("order, rule", [("nan", "finite decimal"),
+                                         ("inf", "finite decimal"),
+                                         ("1e400", "finite decimal"),
+                                         ("1/0", "q != 0")])
+def test_cli_fracfourier_rejects_invalid_order(capsys, order, rule):
+    code, _, err = _run_cli(capsys, "--m", "1", "--n", "1",
+                            "fracfourier", "--a", order, "G")
+    assert code == 1 and rule in err
+    assert "int()" not in err and "Fraction(" not in err
+
+
+@pytest.mark.parametrize("m, n", [("-1", "1"), ("1", "-1")])
+def test_cli_rejects_negative_universe_sizes(capsys, m, n):
+    code, _, err = _run_cli(capsys, "--m", m, "--n", n, "fourier", "G")
+    assert code == 1 and "non-negative" in err
+
+
 def test_cli_fracfourier_float_backend(capsys):
     code, out, _ = _run_cli(capsys, "--m", "1", "--n", "1", "--backend",
                             "float", "fracfourier", "--a", "1", "G")

@@ -12,10 +12,14 @@ from supertransform.fracfourier import (Angle, frac02_kernel,
                                         max_coeff_deviation,
                                         relative_deviation,
                                         to_float_gaussian)
+from supertransform.harmonics import express_in_basis
 from supertransform.hermite import psi_span
-from supertransform.scalars import ExactScalar
+from supertransform.scalars import ExactScalar, to_float
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse, sp_rename)
+from tests.conftest import random_gaussian, random_poly
+
+ORDERS = (Fraction(1, 3), Fraction(1, 2), Fraction(-1, 4), Fraction(2, 3))
 
 
 def span_sample(u, rng, cap=4):
@@ -36,6 +40,9 @@ def test_angle_validation():
         Angle(Fraction(-9, 8))
     with pytest.raises(TypeError):
         Angle("x")
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            Angle(bad)
     assert Angle(1.0).exact and Angle(0).exact and Angle(-1).exact
     assert not Angle(0.5).exact and not Angle(Fraction(1, 3)).exact
     assert Angle(1).phase(3) == ExactScalar.i_power(3)
@@ -173,3 +180,72 @@ def test_general_kernel_on_hermite_inputs(rng):
     samples = [span[1][3], span[-1][3]]
     for a in (0.5, -0.25):
         assert general_kernel_check(a, samples) <= 1e-8
+
+
+def test_quarter_turn_phases_are_exact():
+    half = Angle(Fraction(1, 2))
+    assert half.phase(2) == 1j and half.phase(4) == -1
+    assert half.phase(6) == complex(0, -1)
+    assert Angle(0.5).phase(2) == 1j and Angle(-0.25).phase(4) == -1j
+    assert Angle(Fraction(1, 3)).phase(3) == 1j
+    assert abs(half.phase(1) - (1 + 1j) / 2 ** 0.5) <= 1e-15
+
+
+def _spectral(f, a):
+    """Exact psi expansion of f, each component rotated by
+    e^(i alpha (2j+k)) in floating point."""
+    span = psi_span(f.universe, f.poly.degree())
+    coeffs = express_in_basis(f.poly, [psi.poly for (_, _, _, psi) in span])
+    out = SuperPolynomial.zero(f.universe)
+    for (j, k, _, psi), c in zip(span, coeffs):
+        if c:
+            out = out + to_float_gaussian(psi).poly.scale(
+                to_float(c) * Angle(a).phase(2 * j + k))
+    return out
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (3, 1), (1, 2)])
+def test_closed_form_matches_psi_expansion(m, n):
+    # M = m - 2n outside -2N, where the psi family spans the class
+    rng = random.Random(7000 + 10 * m + n)
+    u = VariableUniverse.standard(m, n)
+    for a in ORDERS:
+        f = random_gaussian(u, rng, degree=4, nterms=5)
+        got = frac_fourier(f, a)
+        assert relative_deviation(got.poly, _spectral(f, a)) <= 1e-12
+
+
+def _off_span_inputs(u, seed, count=3):
+    """Gaussian-class inputs of degree <= 6 with ring coefficients,
+    drawn monomial by monomial rather than from the psi span."""
+    rng = random.Random(seed)
+    return [GaussianFunction(random_poly(u, rng, degree=6, nterms=5,
+                                         rational=False))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (2, 2), (1, 3)])
+def test_index_law_against_peel_and_kernel(m, n):
+    """F^(s-a) F^a f = F^s f with s = sign(a) (so s - a = 1 - a for
+    a > 0), against the exact transform; covers M = 0 and M = -2."""
+    u = VariableUniverse.standard(m, n)
+    for f in _off_span_inputs(u, 8000 + 10 * m + n):
+        for a in ORDERS:
+            s = 1 if a > 0 else -1
+            want = super_fourier(f, "+" if s > 0 else "-")
+            got = frac_fourier(frac_fourier(f, a), s - a)
+            assert relative_deviation(got.poly, want.poly) <= 1e-12, a
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (2, 2), (1, 3)])
+def test_semigroup_off_the_psi_span(m, n):
+    u = VariableUniverse.standard(m, n)
+    for f in _off_span_inputs(u, 9000 + 10 * m + n):
+        for a in ORDERS:
+            for b in ORDERS:
+                if abs(a + b) > 1:
+                    continue
+                direct = frac_fourier(f, a + b)
+                composed = frac_fourier(frac_fourier(f, b), a)
+                assert relative_deviation(composed.poly,
+                                          direct.poly) <= 1e-12, (a, b)

@@ -31,6 +31,13 @@ def test_universe_validation():
     assert u.m == 2 and u.pairs == 1 and u.superdim == 0
 
 
+def test_standard_universe_rejects_negative_sizes():
+    for m, n in ((-1, 1), (1, -1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            VariableUniverse.standard(m, n)
+    assert VariableUniverse.standard(0, 0).superdim == 0
+
+
 def test_nilpotency_and_anticommutation():
     u = VariableUniverse.standard(0, 1)
     q1, q2 = fv(u, 0), fv(u, 1)
