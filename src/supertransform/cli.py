@@ -185,7 +185,11 @@ def run(args, source):
         return "true" if ok else "false"
 
     if source.lstrip().startswith("{"):
-        f = poly_from_json(json.loads(source), u)
+        try:
+            js = json.loads(source)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from None
+        f = poly_from_json(js, u)
     else:
         f = parse(source, u)
     if cmd == "normalize":
@@ -224,8 +228,21 @@ def run(args, source):
     raise ValueError(f"unknown command {cmd}")
 
 
+def _glue_order(argv):
+    """Join `--a TEXT` into `--a=TEXT`, so an order text that starts with
+    a minus sign (-1/2, -inf) reaches _parse_order instead of reading as
+    an option."""
+    out = []
+    it = iter(argv)
+    for tok in it:
+        nxt = next(it, None) if tok == "--a" else None
+        out.append(tok if nxt is None else f"--a={nxt}")
+    return out
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_glue_order(argv))
     try:
         if args.command == "parseval":
             print(run(args, args.expr))

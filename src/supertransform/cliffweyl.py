@@ -11,28 +11,14 @@ symplectic exponent vectors.
 
 from __future__ import annotations
 
+import math
+
 from . import operators
 from .scalars import ExactScalar
 from .superalg import (GaussianFunction, SuperPolynomial,
                        homogeneous_monomials, mask_bits,
                        neutral_bosonic_var, neutral_fermionic_var,
                        scale_exact, sp_mul)
-
-
-def _binom(a, b):
-    if b < 0 or b > a:
-        return 0
-    out = 1
-    for i in range(b):
-        out = out * (a - i) // (i + 1)
-    return out
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def _mul_keys(key1, key2, npairs):
@@ -64,7 +50,7 @@ def _mul_keys(key1, key2, npairs):
         a2, b2 = w2[2 * p], w2[2 * p + 1]
         nxt = []
         for k in range(min(b1, a2) + 1):
-            c = _binom(a2, k) * _binom(b1, k) * _factorial(k)
+            c = math.comb(a2, k) * math.comb(b1, k) * math.factorial(k)
             if k & 1:
                 c = -c
             for coeff, exps in combos:

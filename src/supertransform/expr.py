@@ -372,29 +372,63 @@ def poly_to_json(f):
     }
 
 
+def _json_int(v, what):
+    if type(v) is not int:
+        raise ParseError(f"JSON {what} must be an integer", 0)
+    return v
+
+
+def _json_scalar(coeff):
+    """Exact coefficient from its list of {"q", "b", "eps"} terms."""
+    if not isinstance(coeff, list):
+        raise ParseError("JSON input needs exact-lane coefficients (lists "
+                         "of {q, b, eps} terms); float-lane output cannot "
+                         "be read back", 0)
+    out = ExactScalar.zero()
+    for t in coeff:
+        if not isinstance(t, dict) or not isinstance(t.get("q"), list) \
+                or len(t["q"]) != 4:
+            raise ParseError("JSON coefficient term needs q = [re num, "
+                             "re den, im num, im den], b and eps", 0)
+        rn, rd, im_n, im_d = (_json_int(v, "q entry") for v in t["q"])
+        if not rd or not im_d:
+            raise ParseError("JSON coefficient denominator is zero", 0)
+        key = (_json_int(t.get("b"), "b"), _json_int(t.get("eps"), "eps"))
+        out = out + ExactScalar(
+            {key: QQi(Fraction(rn, rd), Fraction(im_n, im_d))})
+    return out
+
+
 def poly_from_json(js, universe):
-    """Inverse of poly_to_json for exact-coefficient payloads."""
-    if js.get("schema") != "supertransform/1":
+    """Inverse of poly_to_json for exact-coefficient payloads; any other
+    shape raises ParseError."""
+    if not isinstance(js, dict) or js.get("schema") != "supertransform/1":
         raise ParseError("unknown JSON schema", 0)
     if js.get("m", universe.m) != universe.m \
             or js.get("n", universe.pairs) != universe.pairs:
         raise ParseError("JSON shape disagrees with --m/--n", 0)
     u = universe
     terms = {}
-    for entry in js.get("terms", []):
-        bos = tuple(entry.get("bos", [0] * u.m))
-        if len(bos) != u.m:
+    entries = js.get("terms", [])
+    if not isinstance(entries, list) \
+            or not all(isinstance(e, dict) for e in entries):
+        raise ParseError("JSON terms must be a list of objects", 0)
+    for entry in entries:
+        bos = entry.get("bos", [0] * u.m)
+        if not isinstance(bos, list) or len(bos) != u.m \
+                or any(_json_int(e, "exponent") < 0 for e in bos):
             raise ParseError("bad bosonic exponent vector", 0)
+        fer = entry.get("fer", [])
+        if not isinstance(fer, list):
+            raise ParseError("bad fermionic index list", 0)
         mask = 0
-        for j in entry.get("fer", []):
-            if not 1 <= j <= len(u.fermionic) or mask >> (j - 1) & 1:
+        for j in fer:
+            if not 1 <= _json_int(j, "fermionic index") <= len(u.fermionic) \
+                    or mask >> (j - 1) & 1:
                 raise ParseError("bad fermionic index list", 0)
             mask |= 1 << (j - 1)
-        coeff = ExactScalar({
-            (t["b"], t["eps"]): QQi(Fraction(t["q"][0], t["q"][1]),
-                                    Fraction(t["q"][2], t["q"][3]))
-            for t in entry["coeff"]})
-        key = (bos, mask)
+        coeff = _json_scalar(entry.get("coeff"))
+        key = (tuple(bos), mask)
         terms[key] = terms[key] + coeff if key in terms else coeff
     poly = SuperPolynomial(u, terms)
     if js.get("envelope"):

@@ -2,16 +2,25 @@
 class, with Berezin integration, Parseval, fermionic convolution, the
 delta constant and the operator-exponential (spectral) route.
 
-The fermionic transform expands the symplectic kernel
-exp(-/+ (i/2) sum (x`_{2j-1} y`_{2j} - x`_{2j} y`_{2j-1})) as its finite
-nilpotent sum and Berezin-integrates; the bosonic transform acts
+The symplectic kernel exp(-/+ (i/2) sum (x`_{2j-1} y`_{2j} - x`_{2j}
+y`_{2j-1})) is a product of one even factor per symbol pair, so the
+fermionic transform acts on each term as one 4x4 table per pair, applied
+to that pair's two-bit sub-mask.  The tables (plain, and on the Gaussian
+class with the envelope multiplied in and stripped out) are built once
+per sign by the defining kernel route at 0|2: the kernel expanded as its
+finite nilpotent sum in a doubled universe, then Berezin-integrated.  That
+route, `fermionic_kernel` and `berezin` stay as the oracles the tables are
+tested against.  The Gaussian-class integral likewise weighs each pair's
+sub-mask by a row of four Berezin weights.  The bosonic transform acts
 algebraically on the Gaussian class through the peel rule
 F(x_i g) = -/+ i d_{y_i} F(g) from the invariant Gaussian.  No analytic
-integration happens anywhere on the exact lane.
+integration happens anywhere on the exact lane, and the exact transforms
+refuse float-lane input.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .harmonics import express_in_basis
@@ -69,10 +78,10 @@ def fermionic_kernel(u, sign):
     return dbl, kernel
 
 
-def fermionic_fourier(f, sign):
-    """(2 pi)^n Berezin_x of K^sign(x,y) f(x); input a plain polynomial
-    whose fermionic content is in the x symbols, output over y symbols
-    mapped back to the input universe."""
+def _kernel_route(f, sign):
+    """(2 pi)^n Berezin_x of K^sign(x,y) f(x): the defining kernel route
+    in the doubled universe, kept as the oracle the pair tables are built
+    from and tested against."""
     u = f.universe
     n2 = len(u.fermionic)
     dbl, kernel = fermionic_kernel(u, sign)
@@ -86,16 +95,86 @@ def fermionic_fourier(f, sign):
                      {j: j for j in range(n2)})
 
 
+_PAIR = VariableUniverse((), ("q1", "q2"))
+_PAIR_BASIS = tuple(SuperPolynomial(_PAIR, {((), sub): ExactScalar.one()})
+                    for sub in range(4))
+_UNIT = QQi(1)
+
+
+def _pair_table(image):
+    """Rows (sub-mask, complex rational) of a parity-preserving map on one
+    pair, read off its images of the four basis monomials at 0|2."""
+    rows = []
+    for sub, mono in enumerate(_PAIR_BASIS):
+        img = image(mono)
+        if any((sub ^ out).bit_count() & 1 for (_, out) in img.terms):
+            raise AssertionError("pair map does not keep parity")
+        rows.append(tuple((out, c.qqi_value())
+                          for (_, out), c in sorted(img.terms.items())))
+    return tuple(rows)
+
+
+@functools.cache
+def _plain_table(sign):
+    return _pair_table(lambda mono: _kernel_route(mono, sign))
+
+
+@functools.cache
+def _gaussian_table(sign):
+    """Pair table of the transform on the Gaussian class: the envelope
+    exp(q1q2/2) multiplied in before and stripped after."""
+    env = fermionic_envelope_poly(_PAIR)
+    strip = fermionic_envelope_poly(_PAIR, sign=-1)
+    return _pair_table(
+        lambda mono: sp_mul(_kernel_route(sp_mul(mono, env), sign), strip))
+
+
+def _require_exact(poly):
+    for c in poly.terms.values():
+        if not isinstance(c, ExactScalar):
+            raise ValueError("exact transform or integral requires "
+                             "exact-lane input")
+
+
+def _apply_pair_tables(poly, table):
+    """Apply one pair table to every pair's two-bit sub-mask of each
+    term; parity is kept per pair, so no reordering sign arises."""
+    _require_exact(poly)
+    out = {}
+    for (bos, mask), c in poly.terms.items():
+        images = [(0, _UNIT)]
+        for shift in range(0, len(poly.universe.fermionic), 2):
+            row = table[(mask >> shift) & 3]
+            images = [(acc | (sub << shift), f * t)
+                      for acc, f in images for sub, t in row]
+        for acc, f in images:
+            a = c * f
+            key = (bos, acc)
+            s = out.get(key)
+            s = a if s is None else s + a
+            if s:
+                out[key] = s
+            elif key in out:
+                del out[key]
+    res = SuperPolynomial.__new__(SuperPolynomial)
+    res.universe = poly.universe
+    res.terms = out
+    return res
+
+
+def fermionic_fourier(f, sign):
+    """Fermionic transform of a plain polynomial, applied pair by pair:
+    1 -> q1q2/2, q_j -> +/- i q_j, q1q2 -> 2 on each pair."""
+    return _apply_pair_tables(f, _plain_table(sign))
+
+
 def fermionic_fourier_gaussian(f, sign):
-    """Envelope-aware fermionic transform: the fermionic exponential is
-    expanded, transformed, and the invariant Gaussian re-extracted."""
+    """Envelope-aware fermionic transform, pair by pair: 1 -> 1,
+    q_j -> +/- i q_j, q1q2 -> 2 - q1q2 on each pair."""
     if not f.envelope:
         raise ValueError("envelope missing")
-    u = f.universe
-    expanded = sp_mul(f.poly, fermionic_envelope_poly(u))
-    image = fermionic_fourier(expanded, sign)
-    stripped = sp_mul(image, fermionic_envelope_poly(u, sign=-1))
-    return GaussianFunction(stripped, True)
+    return GaussianFunction(
+        _apply_pair_tables(f.poly, _gaussian_table(sign)), True)
 
 
 def bosonic_fourier(f, sign):
@@ -104,6 +183,7 @@ def bosonic_fourier(f, sign):
         raise ValueError("sign must be '+' or '-'")
     if not f.envelope:
         raise ValueError("envelope missing")
+    _require_exact(f.poly)
     u = f.universe
     c_sign = ExactScalar.i_power(3 if sign == "+" else 1)   # -/+ i
     out = GaussianFunction(SuperPolynomial.zero(u), True)
@@ -148,19 +228,28 @@ def gaussian_moment(p, width):
     raise ValueError("unsupported Gaussian width")
 
 
+@functools.cache
+def _berezin_row(width):
+    """Berezin weights of the four pair sub-masks against the pair's
+    envelope factor exp(width q1q2), read off `berezin` at 0|2."""
+    env = fermionic_envelope_poly(_PAIR, width=width)
+    return tuple(berezin(sp_mul(mono, env)).constant_term()
+                 for mono in _PAIR_BASIS)
+
+
 def gaussian_class_integral(poly, width):
     """Integral over the full superspace of poly * exp(width * x^2-type
-    envelope): Berezin part exact, bosonic moments in Q*sqrt(pi)."""
-    u = poly.universe
-    expanded = sp_mul(poly, fermionic_envelope_poly(u, width=width))
-    b = berezin(expanded)
+    envelope): Berezin part pair by pair, bosonic moments in Q*sqrt(pi)."""
+    _require_exact(poly)
+    row = _berezin_row(width)
+    nf = len(poly.universe.fermionic)
     total = ExactScalar.zero()
-    for (bos, _), c in b.terms.items():
+    for (bos, mask), c in poly.terms.items():
         piece = c
+        for shift in range(0, nf, 2):
+            piece = piece * row[(mask >> shift) & 3]
         for p in bos:
             piece = piece * gaussian_moment(p, width)
-            if not piece:
-                break
         total = total + piece
     return total
 

@@ -10,6 +10,8 @@ in the result, never patched.
 
 from __future__ import annotations
 
+import math
+
 from ._linalg import nullspace, solve_rational
 from .operators import laplace
 from .scalars import ExactScalar, gamma_half_integer
@@ -86,24 +88,6 @@ def fermionic_square_power(u, j):
     return out
 
 
-def _factorial(k):
-    if k < 0:
-        raise ValueError("factorial argument negative")
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
-def _binom(a, b):
-    if b < 0 or b > a:
-        return 0
-    out = 1
-    for i in range(b):
-        out = out * (a - i) // (i + 1)
-    return out
-
-
 def f_poly(k, p, q, universe):
     """Coupling polynomial sum_i C(k,i) (n-q-i)!/Gamma(m/2+p+k-i)
     * xbos^(2k-2i) * xfer^(2i)."""
@@ -112,7 +96,8 @@ def f_poly(k, p, q, universe):
     out = SuperPolynomial.zero(u)
     for i in range(k + 1):
         gamma = gamma_half_integer(u.m + 2 * (p + k - i))
-        coeff = (ExactScalar.rational(_binom(k, i) * _factorial(n - q - i))
+        coeff = (ExactScalar.rational(math.comb(k, i)
+                                      * math.factorial(n - q - i))
                  * gamma.inverse())
         piece = sp_mul(bosonic_square_power(u, k - i),
                        fermionic_square_power(u, i)).scale(coeff)

@@ -9,9 +9,10 @@ two disagree by 2^(t-i) per coefficient (see tests), and both are kept.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .harmonics import _binom, _factorial, harmonic_basis
+from .harmonics import harmonic_basis
 from .operators import (bosonic_derivative, fermionic_derivative, laplace,
                         scalar_square)
 from .scalars import ExactScalar, rising_factorial
@@ -60,8 +61,9 @@ def ch_explicit(t, m_value, k):
         if n - k - t < 0:
             raise ValueError("gamma pole")
         for i in range(t + 1):
-            c = Fraction(4 ** (t - i) * _binom(t, i)
-                         * _factorial(n - k - i), _factorial(n - k - t))
+            c = Fraction(4 ** (t - i) * math.comb(t, i)
+                         * math.factorial(n - k - i),
+                         math.factorial(n - k - t))
             if (t - i) % 2:
                 c = -c
             coeffs.append(ExactScalar.rational(c))
@@ -69,7 +71,7 @@ def ch_explicit(t, m_value, k):
     base = Fraction(2 * k + m_value, 2)
     for i in range(t + 1):
         ratio = rising_factorial(base + i, t - i)
-        c = 4 ** (t - i) * _binom(t, i) * ratio
+        c = 4 ** (t - i) * math.comb(t, i) * ratio
         coeffs.append(ExactScalar.rational(c))
     return coeffs
 
@@ -175,7 +177,7 @@ def substhermite_check(k, l, j, m, n):
     for i in range(k + 1):
         gamma_inv = _inv_gamma_half(m + 2 * (l - k - j - i))
         outer = ExactScalar.rational(
-            _binom(k, i) * _factorial(n - j - i)) * gamma_inv
+            math.comb(k, i) * math.factorial(n - j - i)) * gamma_inv
         bos = ch_explicit(k - i, m, l - 2 * k - j)
         fer = ch_explicit(i, -2 * n, j)
         for pu, cu in enumerate(bos):
@@ -187,7 +189,7 @@ def substhermite_check(k, l, j, m, n):
     for i in range(k + 1):
         gamma_inv = _inv_gamma_half(m + 2 * (p + k - i))
         rhs[(k - i, i)] = ExactScalar.rational(
-            _binom(k, i) * _factorial(n - j - i)) * gamma_inv
+            math.comb(k, i) * math.factorial(n - j - i)) * gamma_inv
     keys = set(lhs) | set(rhs)
     return all(lhs.get(key, ExactScalar.zero())
                == rhs.get(key, ExactScalar.zero()) for key in keys)

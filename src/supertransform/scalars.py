@@ -12,6 +12,7 @@ gives decidable exact equality.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -359,17 +360,10 @@ def gamma_half_integer(numerator):
         raise ValueError("gamma argument <= 0")
     if numerator % 2 == 0:
         k = numerator // 2
-        return ExactScalar.rational(_factorial(k - 1))
+        return ExactScalar.rational(math.factorial(k - 1))
     k = numerator // 2          # Gamma(k + 1/2)
-    val = Fraction(_factorial(2 * k), 4 ** k * _factorial(k))
+    val = Fraction(math.factorial(2 * k), 4 ** k * math.factorial(k))
     return ExactScalar({(1, 0): QQi(val)})
-
-
-def _factorial(k):
-    out = 1
-    for j in range(2, k + 1):
-        out *= j
-    return out
 
 
 def rising_factorial(base, count):

@@ -309,3 +309,48 @@ def test_cli_dirac_on_gaussian(capsys):
     code, out, _ = _run_cli(capsys, "--m", "1", "--n", "1", "dirac", "G")
     assert code == 0
     assert "e1" in out and "f1" in out and "f2" in out
+
+
+def test_cli_fracfourier_negative_order_as_separate_argument(capsys):
+    from fractions import Fraction
+    from supertransform.fracfourier import frac_fourier
+    u = VariableUniverse.standard(2, 1)
+    want = render_poly_text(frac_fourier(parse("x1*q1*G", u),
+                                         Fraction(-1, 2)))
+    for order in (["--a", "-1/2"], ["--a=-1/2"]):
+        code, out, _ = _run_cli(capsys, "--m", "2", "--n", "1",
+                                "fracfourier", *order, "x1*q1*G")
+        assert code == 0 and out == want
+
+
+def test_cli_fracfourier_negative_infinity_gets_the_order_rule(capsys):
+    code, _, err = _run_cli(capsys, "--m", "1", "--n", "1",
+                            "fracfourier", "--a", "-inf", "G")
+    assert code == 1 and "finite decimal" in err
+    assert "expected one argument" not in err
+
+
+def test_cli_float_lane_json_input_is_a_parse_error(capsys):
+    code, out, _ = _run_cli(capsys, "--m", "1", "--n", "1", "--format",
+                            "json", "fracfourier", "--a", "1/3", "x1*G")
+    assert code == 0
+    code, _, err = _run_cli(capsys, "--m", "1", "--n", "1", "fourier", out)
+    assert code == 2 and "exact-lane coefficients" in err
+
+
+@pytest.mark.parametrize("payload, rule", [
+    ('{"schema": "supertransform/1", "terms": ', "invalid JSON"),
+    ('{"schema": "supertransform/1", "terms": 3}', "list of objects"),
+    ('{"schema": "supertransform/1", "terms": [{"bos": [1]}]}',
+     "exact-lane coefficients"),
+    ('{"schema": "supertransform/1", "terms": [{"bos": ["x"], '
+     '"coeff": []}]}', "must be an integer"),
+    ('{"schema": "supertransform/1", "terms": [{"coeff": '
+     '[{"q": [1, 0, 0, 1], "b": 0, "eps": 0}]}]}', "denominator"),
+    ('{"schema": "supertransform/1", "terms": [{"coeff": [{"q": [1]}]}]}',
+     "q = ["),
+])
+def test_cli_malformed_json_input_names_the_rule(capsys, payload, rule):
+    code, _, err = _run_cli(capsys, "--m", "1", "--n", "1", "fourier",
+                            payload)
+    assert code == 2 and rule in err

@@ -19,7 +19,7 @@ from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse,
                                      fermionic_envelope_poly, sp_mul,
                                      sp_rename)
-from tests.conftest import random_poly
+from tests.conftest import random_poly, random_scalar
 
 
 def _factorial(k):
@@ -476,3 +476,69 @@ def test_super_fourier_matches_defining_integral(rng):
                 for mask in (0, 1, 2, 3):
                     assert abs(spec.get(mask, 0j) * envy
                                - numeric.get(mask, 0j)) < 1e-9
+
+
+def _pair_mixed_poly(u, rng, nterms):
+    # every pair gets an independent sub-mask in 0..3, so odd sub-masks
+    # sit in several pairs of one term; radical complex coefficients
+    terms = {}
+    for _ in range(nterms):
+        bos = tuple(rng.randint(0, 2) for _ in range(u.m))
+        mask = 0
+        for p in range(u.pairs):
+            mask |= rng.randrange(4) << (2 * p)
+        terms[(bos, mask)] = random_scalar(rng)
+    return SuperPolynomial(u, terms)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pair_tables_equal_kernel_route(rng, m, n):
+    # the pair tables against the defining route: fermionic_kernel in the
+    # doubled universe, then berezin; on the Gaussian class the envelope
+    # is multiplied in before and stripped after
+    from supertransform.fourier import _kernel_route
+    u = VariableUniverse.standard(m, n)
+    env = fermionic_envelope_poly(u)
+    strip = fermionic_envelope_poly(u, sign=-1)
+    for _ in range(3):
+        f = _pair_mixed_poly(u, rng, nterms=5)
+        for sign in ("+", "-"):
+            assert fermionic_fourier(f, sign) == _kernel_route(f, sign)
+            want = sp_mul(_kernel_route(sp_mul(f, env), sign), strip)
+            got = fermionic_fourier_gaussian(GaussianFunction(f), sign)
+            assert got == GaussianFunction(want), (m, n, sign)
+
+
+@pytest.mark.parametrize("width", [Fraction(1, 2), Fraction(1)])
+def test_gaussian_class_integral_equals_berezin_route(rng, width):
+    # per-pair Berezin weights against berezin(poly * envelope) followed
+    # by the bosonic Gaussian moments
+    from supertransform.fourier import (gaussian_class_integral,
+                                        gaussian_moment)
+    for m, n in ((0, 1), (1, 1), (0, 2), (2, 1), (1, 2), (1, 3)):
+        u = VariableUniverse.standard(m, n)
+        env = fermionic_envelope_poly(u, width=width)
+        for _ in range(4):
+            poly = _pair_mixed_poly(u, rng, nterms=6)
+            want = ExactScalar.zero()
+            for (bos, _), c in berezin(sp_mul(poly, env)).terms.items():
+                for p in bos:
+                    c = c * gaussian_moment(p, width)
+                want = want + c
+            assert gaussian_class_integral(poly, width) == want, (m, n)
+
+
+def test_exact_transforms_and_integrals_refuse_float_lane():
+    from supertransform.fracfourier import to_float_gaussian
+    u = VariableUniverse.standard(1, 1)
+    for f in (GaussianFunction(SuperPolynomial.fermionic_var(u, 0)),
+              GaussianFunction(SuperPolynomial.bosonic_var(u, 0))):
+        g = to_float_gaussian(f)
+        for sign in ("+", "-"):
+            with pytest.raises(ValueError, match="exact-lane input"):
+                super_fourier(g, sign)
+            with pytest.raises(ValueError, match="exact-lane input"):
+                fermionic_fourier(g.poly, sign)
+        with pytest.raises(ValueError, match="exact-lane input"):
+            super_integral(g)
