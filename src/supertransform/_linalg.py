@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ._terms import add_into
 from .scalars import QQi
 
 
@@ -29,12 +30,7 @@ class SparseRREF:
                     continue
                 factor = row[col]
                 for c, v in piv.items():
-                    cur = row.get(c)
-                    nv = (-factor * v) if cur is None else cur - factor * v
-                    if nv:
-                        row[c] = nv
-                    elif c in row:
-                        del row[c]
+                    add_into(row, c, -factor * v)
                 changed = True
         return row
 
@@ -55,12 +51,7 @@ class SparseRREF:
             if f is None:
                 continue
             for c, v in row.items():
-                cur = prow.get(c)
-                nv = (-f * v) if cur is None else cur - f * v
-                if nv:
-                    prow[c] = nv
-                elif c in prow:
-                    del prow[c]
+                add_into(prow, c, -f * v)
         self.pivots[col] = row
         return col
 

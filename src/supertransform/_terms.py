@@ -1,0 +1,65 @@
+"""Canonical sparse term maps: key -> coefficient, never a zero coefficient.
+
+Every object of the engine is a finite linear combination stored as a
+dict from a key (monomial, unit word, radical exponents, ...) to a
+coefficient.  Exact equality of two objects is equality of their dicts,
+which holds only while no dict keeps a zero coefficient; this module is
+the one place that policy is written.
+"""
+
+from __future__ import annotations
+
+
+def add_into(acc, key, value):
+    """acc[key] += value, removing the key when the sum is zero."""
+    cur = acc.get(key)
+    s = value if cur is None else cur + value
+    if s:
+        acc[key] = s
+    elif cur is not None:
+        del acc[key]
+
+
+def canonical(terms):
+    """Constructor normal form of a key -> coefficient dict: the keys of
+    a dict are distinct, so only zero coefficients need dropping."""
+    return {key: c for key, c in terms.items() if c} if terms else {}
+
+
+class TermMap:
+    """Linear structure over `self.terms`, kept canonical.
+
+    A subclass rebuilds itself through `_like(terms)` (canonical terms,
+    same universe, shape or envelope) and refuses an operand it cannot
+    be added to in `_check(other)`.
+    """
+
+    __slots__ = ()
+
+    def _like(self, terms):
+        raise NotImplementedError
+
+    def _check(self, other):
+        pass
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        merged = dict(self.terms)
+        for key, c in other.terms.items():
+            add_into(merged, key, c)
+        return self._like(merged)
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        return self._like({key: s for key, v in self.terms.items()
+                           if (s := v * c)})
+
+    def __bool__(self):
+        return bool(self.terms)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 
 from . import operators
+from ._terms import TermMap, add_into, canonical
 from .scalars import ExactScalar
 from .superalg import (GaussianFunction, SuperPolynomial,
                        homogeneous_monomials, mask_bits,
@@ -60,7 +61,7 @@ def _mul_keys(key1, key2, npairs):
         yield coeff, (emask, tuple(exps))
 
 
-class CWElement:
+class CWElement(TermMap):
     """Element of the Clifford-Weyl algebra in normal-ordered form."""
 
     __slots__ = ("m", "npairs", "terms")
@@ -68,14 +69,10 @@ class CWElement:
     def __init__(self, m, npairs, terms=None):
         self.m = m
         self.npairs = npairs
-        canon = {}
-        if terms:
-            for key, c in terms.items():
-                if c:
-                    canon[key] = canon[key] + c if key in canon else c
-                    if not canon[key]:
-                        del canon[key]
-        self.terms = canon
+        self.terms = canonical(terms)
+
+    def _like(self, terms):
+        return CWElement(self.m, self.npairs, terms)
 
     @staticmethod
     def zero(m, npairs):
@@ -105,37 +102,11 @@ class CWElement:
         if (self.m, self.npairs) != (other.m, other.npairs):
             raise ValueError("shape mismatch")
 
-    def __add__(self, other):
-        self._check(other)
-        merged = dict(self.terms)
-        for key, c in other.terms.items():
-            s = merged.get(key)
-            s = c if s is None else s + c
-            if s:
-                merged[key] = s
-            elif key in merged:
-                del merged[key]
-        return CWElement(self.m, self.npairs, merged)
-
-    def __neg__(self):
-        return CWElement(self.m, self.npairs,
-                         {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return CWElement(self.m, self.npairs,
-                         {k: v * c for k, v in self.terms.items()})
-
     def __eq__(self, other):
         if not isinstance(other, CWElement):
             return NotImplemented
         return ((self.m, self.npairs) == (other.m, other.npairs)
                 and self.terms == other.terms)
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def scalar_part(self):
         return self.terms.get((0, (0,) * (2 * self.npairs)),
@@ -172,38 +143,35 @@ def cw_mul(a, b):
         for k2, c2 in b.terms.items():
             c12 = c1 * c2
             for coeff, key in _mul_keys(k1, k2, a.npairs):
-                if not coeff:
-                    continue
-                c = c12 * coeff
-                s = out.get(key)
-                s = c if s is None else s + c
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-    return CWElement(a.m, a.npairs, out)
+                add_into(out, key, c12 * coeff)
+    return a._like(out)
 
 
-class CValued:
+class CValued(TermMap):
     """Polynomial (or Gaussian-class function) with Clifford-Weyl values.
 
     Stored as unit-word -> scalar part; generators commute with all
     variables so the split is canonical.
     """
 
-    __slots__ = ("universe", "parts", "envelope")
+    __slots__ = ("universe", "terms", "envelope")
 
     def __init__(self, universe, parts=None, envelope=False):
         self.universe = universe
         self.envelope = envelope
-        canon = {}
-        if parts:
-            for key, p in parts.items():
-                if p:
-                    canon[key] = canon[key] + p if key in canon else p
-                    if not canon[key]:
-                        del canon[key]
-        self.parts = canon
+        self.terms = canonical(parts)
+
+    def _like(self, terms):
+        return CValued(self.universe, terms, self.envelope)
+
+    def _check(self, other):
+        if self.envelope != other.envelope:
+            raise ValueError("cannot add different envelopes")
+
+    @property
+    def parts(self):
+        """Unit word -> scalar-part polynomial."""
+        return self.terms
 
     @staticmethod
     def from_scalar(f):
@@ -224,40 +192,12 @@ class CValued:
     def npairs(self):
         return self.universe.pairs
 
-    def __add__(self, other):
-        if self.envelope != other.envelope:
-            raise ValueError("cannot add different envelopes")
-        merged = dict(self.parts)
-        for key, p in other.parts.items():
-            s = merged.get(key)
-            s = p if s is None else s + p
-            if s:
-                merged[key] = s
-            elif key in merged:
-                del merged[key]
-        return CValued(self.universe, merged, self.envelope)
-
-    def __neg__(self):
-        return CValued(self.universe, {k: -p for k, p in self.parts.items()},
-                       self.envelope)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return CValued(self.universe,
-                       {k: p.scale(c) for k, p in self.parts.items()},
-                       self.envelope)
-
     def __eq__(self, other):
         if not isinstance(other, CValued):
             return NotImplemented
         return (self.universe == other.universe
                 and self.envelope == other.envelope
                 and self.parts == other.parts)
-
-    def __bool__(self):
-        return bool(self.parts)
 
     def scalar_function(self):
         """The identity-word component (fails if other words survive)."""
@@ -293,18 +233,8 @@ def mul_generator_left(f, gen):
     for key, p in f.parts.items():
         for (gkey, gc) in gen.terms.items():
             for coeff, nkey in _mul_keys(gkey, key, f.npairs):
-                if not coeff:
-                    continue
-                q = scale_exact(p, gc * coeff)
-                if not q:
-                    continue
-                s = out.get(nkey)
-                s = q if s is None else s + q
-                if s:
-                    out[nkey] = s
-                elif nkey in out:
-                    del out[nkey]
-    return CValued(f.universe, out, f.envelope)
+                add_into(out, nkey, scale_exact(p, gc * coeff))
+    return f._like(out)
 
 
 def _lift(f):
@@ -374,22 +304,16 @@ def vector_pow_mul(f, j):
 def laplace_cvalued(f):
     """Scalar Laplacian applied componentwise to a CValued function."""
     f = _lift(f)
-    out = {}
-    for key, p in f.parts.items():
-        lp = CValued._unwrap(operators.laplace(f._wrap(p), "full"))
-        if lp:
-            out[key] = lp
-    return CValued(f.universe, out, f.envelope)
+    return CValued(f.universe, {
+        key: CValued._unwrap(operators.laplace(f._wrap(p), "full"))
+        for key, p in f.parts.items()}, f.envelope)
 
 
 def euler_cvalued(f):
     f = _lift(f)
-    out = {}
-    for key, p in f.parts.items():
-        ep = CValued._unwrap(operators.euler(f._wrap(p)))
-        if ep:
-            out[key] = ep
-    return CValued(f.universe, out, f.envelope)
+    return CValued(f.universe, {
+        key: CValued._unwrap(operators.euler(f._wrap(p)))
+        for key, p in f.parts.items()}, f.envelope)
 
 
 def power_rule_check(s, r_k, variant):
@@ -437,7 +361,6 @@ def monogenic_basis(k, universe, weyl_cap=None):
     monos = homogeneous_monomials(u, k)
     keys = _cw_keys(u.m, u.pairs, cap)
     columns = [(mono, key) for mono in monos for key in keys]
-    col_index = {c: i for i, c in enumerate(columns)}
 
     def image(col):
         mono, key = col
@@ -456,11 +379,10 @@ def monogenic_basis(k, universe, weyl_cap=None):
         parts = {}
         for ci, val in vec.items():
             mono, key = columns[ci]
-            poly = SuperPolynomial(u, {mono: ExactScalar.rational(val)})
-            parts[key] = parts[key] + poly if key in parts else poly
+            add_into(parts, key,
+                     SuperPolynomial(u, {mono: ExactScalar.rational(val)}))
         basis.append(CValued(u, parts))
     assert all(not dirac_apply(b) for b in basis)
-    del col_index
     return basis
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from ._terms import add_into
 from .scalars import ExactScalar, QQi
 from .superalg import (GaussianFunction, SuperPolynomial, mask_bits, sp_mul)
 
@@ -162,6 +163,8 @@ class Parser:
                 kind, val, pos = self.next()
                 if kind != "num":
                     raise ParseError("expected exponent denominator", pos)
+                if not val:
+                    raise ParseError("denominator must be non-zero", pos)
                 den = val
             self.expect_op(")")
             return Fraction(sign * num, den)
@@ -215,6 +218,8 @@ class Parser:
                 kind3, val3, pos3 = self.next()
                 if kind3 != "num":
                     raise ParseError("expected denominator", pos3)
+                if not val3:
+                    raise ParseError("denominator must be non-zero", pos3)
                 return _Value(SuperPolynomial.scalar(
                     u, ExactScalar.rational(num, val3)))
             return _Value(SuperPolynomial.scalar(u, ExactScalar.rational(num)))
@@ -427,9 +432,7 @@ def poly_from_json(js, universe):
                     or mask >> (j - 1) & 1:
                 raise ParseError("bad fermionic index list", 0)
             mask |= 1 << (j - 1)
-        coeff = _json_scalar(entry.get("coeff"))
-        key = (tuple(bos), mask)
-        terms[key] = terms[key] + coeff if key in terms else coeff
+        add_into(terms, (tuple(bos), mask), _json_scalar(entry.get("coeff")))
     poly = SuperPolynomial(u, terms)
     if js.get("envelope"):
         return GaussianFunction(poly, True)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
+from ._terms import add_into
 from .harmonics import express_in_basis
 from .hermite import psi_span
 from .operators import bosonic_derivative
@@ -148,18 +149,8 @@ def _apply_pair_tables(poly, table):
             images = [(acc | (sub << shift), f * t)
                       for acc, f in images for sub, t in row]
         for acc, f in images:
-            a = c * f
-            key = (bos, acc)
-            s = out.get(key)
-            s = a if s is None else s + a
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    res = SuperPolynomial.__new__(SuperPolynomial)
-    res.universe = poly.universe
-    res.terms = out
-    return res
+            add_into(out, (bos, acc), c * f)
+    return poly._like(out)
 
 
 def fermionic_fourier(f, sign):
@@ -207,12 +198,9 @@ def super_fourier_cvalued(f, sign):
     """Componentwise transform of a Clifford-Weyl-valued Gaussian
     function (the generators pass through the integral)."""
     from .cliffweyl import CValued
-    parts = {}
-    for key, p in f.parts.items():
-        img = super_fourier(GaussianFunction(p, True), sign)
-        if img.poly:
-            parts[key] = img.poly
-    return CValued(f.universe, parts, True)
+    return CValued(f.universe, {
+        key: super_fourier(GaussianFunction(p, True), sign).poly
+        for key, p in f.parts.items()}, True)
 
 
 def gaussian_moment(p, width):

@@ -18,6 +18,7 @@ import cmath
 import math
 from fractions import Fraction
 
+from ._terms import add_into
 from .fourier import berezin, super_fourier
 from .operators import bosonic_derivative, fermionic_derivative, laplace
 from .scalars import ExactScalar, QQi, to_float
@@ -131,12 +132,9 @@ def frac_fourier_cvalued(f, a):
     """Componentwise fractional transform of a Clifford-Weyl-valued
     Gaussian function."""
     from .cliffweyl import CValued
-    parts = {}
-    for key, p in f.parts.items():
-        img = frac_fourier(GaussianFunction(p, True), a)
-        if img.poly:
-            parts[key] = img.poly
-    return CValued(f.universe, parts, True)
+    return CValued(f.universe, {
+        key: frac_fourier(GaussianFunction(p, True), a).poly
+        for key, p in f.parts.items()}, True)
 
 
 # -- 0|2 integral kernel ------------------------------------------------
@@ -167,9 +165,7 @@ def frac02_table(f, a):
     out = {}
     for (bos, mask), c in f.terms.items():
         for omask, w in images[mask].items():
-            key = (bos, omask)
-            add = c * w
-            out[key] = out[key] + add if key in out else add
+            add_into(out, (bos, omask), c * w)
     return SuperPolynomial(u, out)
 
 

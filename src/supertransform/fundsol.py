@@ -10,26 +10,24 @@ telescope to zero away from the origin.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
+from ._terms import TermMap, add_into, canonical
 from .scalars import ExactScalar, gamma_half_integer
 from .superalg import SuperPolynomial, VariableUniverse, sp_mul
 
 
-class RadialFunction:
+class RadialFunction(TermMap):
     """Finite sum of c * r^alpha * log(r)^s on r > 0."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        canon = {}
-        if terms:
-            for key, c in terms.items():
-                if c:
-                    canon[key] = canon[key] + c if key in canon else c
-                    if not canon[key]:
-                        del canon[key]
-        self.terms = canon
+        self.terms = canonical(terms)
+
+    def _like(self, terms):
+        return RadialFunction(terms)
 
     @staticmethod
     def monomial(alpha, s, c):
@@ -37,33 +35,10 @@ class RadialFunction:
             c = ExactScalar.rational(c)
         return RadialFunction({(alpha, s): c})
 
-    def __add__(self, other):
-        merged = dict(self.terms)
-        for key, c in other.terms.items():
-            v = merged.get(key)
-            v = c if v is None else v + c
-            if v:
-                merged[key] = v
-            elif key in merged:
-                del merged[key]
-        return RadialFunction(merged)
-
-    def __neg__(self):
-        return RadialFunction({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return RadialFunction({k: v * c for k, v in self.terms.items()})
-
     def __eq__(self, other):
         if not isinstance(other, RadialFunction):
             return NotImplemented
         return self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def render(self):
         if not self.terms:
@@ -88,20 +63,12 @@ def radial_laplace(f, m):
     if m < 1:
         raise ValueError("dimension must be at least 1")
     out = {}
-
-    def add(key, c):
-        if not c:
-            return
-        out[key] = out[key] + c if key in out else c
-        if not out[key]:
-            del out[key]
-
     for (alpha, s), c in f.terms.items():
-        add((alpha - 2, s), c * (alpha * (alpha + m - 2)))
+        add_into(out, (alpha - 2, s), c * (alpha * (alpha + m - 2)))
         if s:
-            add((alpha - 2, s - 1), c * (s * (2 * alpha + m - 2)))
+            add_into(out, (alpha - 2, s - 1), c * (s * (2 * alpha + m - 2)))
         if s > 1:
-            add((alpha - 2, s - 2), c * (s * (s - 1)))
+            add_into(out, (alpha - 2, s - 2), c * (s * (s - 1)))
     return RadialFunction(out)
 
 
@@ -160,14 +127,8 @@ def nu_poly_laplace(l, m):
 
 def fundsol_prefactor(k, n):
     """The constant pi^n 2^(2k) k!/(n-k)! weighting the k-th term."""
-    fact_k = 1
-    for i in range(2, k + 1):
-        fact_k *= i
-    fact_nk = 1
-    for i in range(2, n - k + 1):
-        fact_nk *= i
-    return ExactScalar.pi_half_power(2 * n) \
-        * ExactScalar.rational(Fraction(4 ** k * fact_k, fact_nk))
+    return ExactScalar.pi_half_power(2 * n) * ExactScalar.rational(
+        Fraction(4 ** k * math.factorial(k), math.factorial(n - k)))
 
 
 class SuperRadial:
@@ -177,7 +138,7 @@ class SuperRadial:
 
     def __init__(self, n, parts):
         self.n = n
-        self.parts = {j: r for j, r in parts.items() if r}
+        self.parts = canonical(parts)
 
     def __eq__(self, other):
         if not isinstance(other, SuperRadial):
@@ -244,12 +205,6 @@ def geometric_inverse_check(n):
         power = sp_mul(power, fsq)
     product = {}
     for tpow, poly in series.items():
-        fer = sp_mul(fsq, poly)              # yfer^2 * term
-        if fer:
-            product[tpow] = product.get(
-                tpow, SuperPolynomial.zero(u)) + fer
-        bos = poly                           # ybos^2 * ybos^(-2k) shifts
-        product[tpow - 1] = product.get(
-            tpow - 1, SuperPolynomial.zero(u)) + bos
-    product = {k: v for k, v in product.items() if v}
+        add_into(product, tpow, sp_mul(fsq, poly))     # yfer^2 * term
+        add_into(product, tpow - 1, poly)    # ybos^2 * ybos^(-2k) shifts
     return product == {0: SuperPolynomial.one(u)}

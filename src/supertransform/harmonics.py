@@ -10,9 +10,11 @@ in the result, never patched.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from ._linalg import nullspace, solve_rational
+from ._terms import add_into
 from .operators import laplace
 from .scalars import ExactScalar, gamma_half_integer
 from .superalg import (SuperPolynomial, fermionic_square,
@@ -105,20 +107,25 @@ def f_poly(k, p, q, universe):
     return out
 
 
-def harmonic_dimension(k, sector, universe, _cache={}):
-    key = (k, sector, universe.bosonic, universe.fermionic)
-    if key not in _cache:
-        _cache[key] = harmonic_basis(k, sector, universe).dimension
-    return _cache[key]
+@functools.cache
+def harmonic_dimension(k, sector, universe):
+    """Dimension of the degree-k sector harmonics, memoized."""
+    return harmonic_basis(k, sector, universe).dimension
 
 
 def decomposition_check(k, universe):
     """Verify the degree-k decomposition: dimension identity plus
     Laplace-annihilation of every f * H_bos * H_fer product.
 
-    Returns a report dict; failures are recorded, not corrected.
+    Returns a report dict; failures are recorded, not corrected.  The
+    statement needs m >= 1: at m = 0 the factors 1/Gamma(m/2+p+k-i) of
+    f_poly hit poles and the dimensions disagree; fischer_fermionic
+    covers the purely fermionic case.
     """
     u = universe
+    if u.m < 1:
+        raise ValueError("harmonic decomposition needs m >= 1 (its Gamma "
+                         "factors have poles at m = 0)")
     n = u.pairs
     dim_nullspace = harmonic_basis(k, "full", u).dimension
 
@@ -186,9 +193,7 @@ def fischer_decompose(f, k=None):
         raise ValueError("element is not in the degree-k component")
     harmonics_by_j = {}
     for (j, h, _), c in zip(family, coeffs):
-        if c:
-            cur = harmonics_by_j.get(j, SuperPolynomial.zero(u))
-            harmonics_by_j[j] = cur + h.scale(c)
+        add_into(harmonics_by_j, j, h.scale(c))
     return sorted(harmonics_by_j.items())
 
 

@@ -9,9 +9,11 @@ two disagree by 2^(t-i) per coefficient (see tests), and both are kept.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
+from ._terms import add_into
 from .harmonics import harmonic_basis
 from .operators import (bosonic_derivative, fermionic_derivative, laplace,
                         scalar_square)
@@ -19,11 +21,17 @@ from .scalars import ExactScalar, rising_factorial
 from .superalg import GaussianFunction, SuperPolynomial, mask_bits
 
 
+def _check_order(order, name):
+    if order < 0:
+        raise ValueError(f"Hermite order {name} must be non-negative")
+
+
 def ch_rodrigues(t, h_k):
     """exp(-x^2/2) (d_x+x)^t exp(x^2/2) h_k for even t and harmonic h_k.
 
     Returns the polynomial CH_{t,M,k} * h_k (envelope stripped).
     """
+    _check_order(t, "t")
     if t % 2:
         raise ValueError("scalar pathway needs even t")
     if laplace(h_k, "full"):
@@ -37,6 +45,7 @@ def ch_rodrigues(t, h_k):
 def ch_rodrigues_rescaled(t, h_k):
     """exp(-x^2/2) (d_x)^t exp(x^2/2) h_k = Delta^(t/2) through the
     envelope; the rescaled variant used by the Radon eigenbasis."""
+    _check_order(t, "t")
     if t % 2:
         raise ValueError("scalar pathway needs even t")
     if laplace(h_k, "full"):
@@ -78,6 +87,7 @@ def ch_explicit(t, m_value, k):
 
 def psi_element(j, h_k):
     """psi_{j,k,l} = (d_x+x)^(2j) H_k^(l) exp(x^2/2) as a Gaussian function."""
+    _check_order(j, "j")
     g = GaussianFunction(h_k)
     for _ in range(j):
         g = scalar_square(g)
@@ -86,6 +96,7 @@ def psi_element(j, h_k):
 
 def psi_tilde_element(j, h_k):
     """psi~_{j,k,l} = (d_x)^(2j) H_k^(l) exp(x^2/2) via the Laplacian."""
+    _check_order(j, "j")
     g = GaussianFunction(h_k)
     for _ in range(j):
         g = laplace(g, "full")
@@ -119,22 +130,21 @@ def phi_basis(j, k, universe, weyl_cap=None):
             for mk in monogenic_basis(k, universe, weyl_cap)]
 
 
-def psi_span(universe, cap, _cache={}):
-    """Indexed psi family for 2j+k <= cap: list of (j, k, l, function).
+@functools.cache
+def psi_span(universe, cap):
+    """Indexed psi family for 2j+k <= cap: tuple of (j, k, l, function).
 
-    Memoized per universe: transforms expand against it repeatedly.
+    Memoized per universe and cap (`psi_span.cache_info()` gives size,
+    hits and misses): transforms expand against it repeatedly, and every
+    caller shares the one immutable tuple.
     """
-    key = (universe.bosonic, universe.fermionic, cap)
-    if key in _cache:
-        return _cache[key]
     out = []
     for k in range(cap + 1):
         basis = harmonic_basis(k, "full", universe)
         for j in range((cap - k) // 2 + 1):
             for l, h in enumerate(basis):
                 out.append((j, k, l, psi_element(j, h)))
-    _cache[key] = out
-    return out
+    return tuple(out)
 
 
 def substitute_derivatives(h, target):
@@ -182,17 +192,13 @@ def substhermite_check(k, l, j, m, n):
         fer = ch_explicit(i, -2 * n, j)
         for pu, cu in enumerate(bos):
             for pv, cv in enumerate(fer):
-                key = (pu, pv)
-                add = outer * cu * cv
-                lhs[key] = lhs.get(key, ExactScalar.zero()) + add
+                add_into(lhs, (pu, pv), outer * cu * cv)
     rhs = {}
     for i in range(k + 1):
         gamma_inv = _inv_gamma_half(m + 2 * (p + k - i))
         rhs[(k - i, i)] = ExactScalar.rational(
             math.comb(k, i) * math.factorial(n - j - i)) * gamma_inv
-    keys = set(lhs) | set(rhs)
-    return all(lhs.get(key, ExactScalar.zero())
-               == rhs.get(key, ExactScalar.zero()) for key in keys)
+    return lhs == rhs
 
 
 def _inv_gamma_half(numerator):

@@ -46,25 +46,17 @@ def fermionic_derivative(f, j):
 
 
 def multiply_bosonic_var(f, i):
-    return _mul_left(neutral_bosonic_var(_u(f), i), f)
+    return _mul_left(neutral_bosonic_var(f.universe, i), f)
 
 
 def multiply_fermionic_var(f, j):
-    return _mul_left(neutral_fermionic_var(_u(f), j), f)
-
-
-def _u(f):
-    return f.universe
+    return _mul_left(neutral_fermionic_var(f.universe, j), f)
 
 
 def _mul_left(g, f):
     if isinstance(f, SuperPolynomial):
         return sp_mul(g, f)
     return GaussianFunction(sp_mul(g, f.poly), f.envelope)
-
-
-def _add(a, b):
-    return a + b
 
 
 def _zero_like(f):
@@ -75,12 +67,12 @@ def _zero_like(f):
 
 def euler(f):
     """E = sum x_i d/dx_i + sum q_j d/dq_j."""
-    u = _u(f)
+    u = f.universe
     out = _zero_like(f)
     for i in range(u.m):
-        out = _add(out, multiply_bosonic_var(bosonic_derivative(f, i), i))
+        out = out + multiply_bosonic_var(bosonic_derivative(f, i), i)
     for j in range(len(u.fermionic)):
-        out = _add(out, multiply_fermionic_var(fermionic_derivative(f, j), j))
+        out = out + multiply_fermionic_var(fermionic_derivative(f, j), j)
     return out
 
 
@@ -90,35 +82,35 @@ def laplace(f, sector="full"):
     Delta = 4 sum d/dq_{2j-1} d/dq_{2j} - sum d/dx_i^2, the fermionic
     composition applying d/dq_{2j} first.
     """
-    u = _u(f)
+    u = f.universe
     out = _zero_like(f)
     if sector in ("bosonic", "full"):
         for i in range(u.m):
             dd = bosonic_derivative(bosonic_derivative(f, i), i)
-            out = _add(out, dd.scale(-1))
+            out = out + dd.scale(-1)
     if sector in ("fermionic", "full"):
         for p in range(u.pairs):
             dd = fermionic_derivative(
                 fermionic_derivative(f, 2 * p + 1), 2 * p)
-            out = _add(out, dd.scale(4))
+            out = out + dd.scale(4)
     if sector not in ("bosonic", "fermionic", "full"):
         raise ValueError(f"unknown sector {sector!r}")
     return out
 
 
 def multiply_vector_square(f):
-    vs = vector_square(_u(f))
+    vs = vector_square(f.universe)
     return _mul_left(vs, f)
 
 
 def scalar_square(f):
     """(d_x + x)^2 = Delta + x^2 + 2E + M as a scalar operator."""
-    u = _u(f)
+    u = f.universe
     out = laplace(f, "full")
-    out = _add(out, multiply_vector_square(f))
-    out = _add(out, euler(f).scale(2))
+    out = out + multiply_vector_square(f)
+    out = out + euler(f).scale(2)
     if u.superdim:
-        out = _add(out, f.scale(u.superdim))
+        out = out + f.scale(u.superdim)
     return out
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ._terms import TermMap, add_into
 from .fourier import super_fourier
 from .scalars import ExactScalar
 from .superalg import (SuperPolynomial, VariableUniverse, sp_mul,
@@ -26,10 +27,10 @@ def hermite_1d(k):
     for _ in range(k):
         nxt = {}
         for e, c in cur.items():           # H_{k+1} = p H_k - H_k'
-            nxt[e + 1] = nxt.get(e + 1, Fraction(0)) + c
+            add_into(nxt, e + 1, c)
             if e:
-                nxt[e - 1] = nxt.get(e - 1, Fraction(0)) - e * c
-        cur = {e: c for e, c in nxt.items() if c}
+                add_into(nxt, e - 1, -e * c)
+        cur = nxt
     return cur
 
 
@@ -41,9 +42,8 @@ def one_dim_fourier(rpoly):
     for k, c in rpoly.items():
         w = c * root * ExactScalar.i_power(k)
         for e, h in hermite_1d(k).items():
-            add = w * h
-            out[e] = out[e] + add if e in out else add
-    return {e: c for e, c in out.items() if c}
+            add_into(out, e, w * h)
+    return out
 
 
 def omega_universe(m, n):
@@ -92,38 +92,23 @@ def reduce_mod_sphere(f):
     return out
 
 
-class RadonResult:
-    """Map omega-monomial -> p-polynomial, with envelope exp(-p^2/2).
+class RadonResult(TermMap):
+    """Map omega-monomial -> p-polynomial {power: coefficient}, with
+    envelope exp(-p^2/2).
 
     Omega monomials are kept in sphere-reduced normal form, so equality
-    of results is equality mod the sphere relation.
+    of results is equality mod the sphere relation.  Both levels of the
+    nested map stay canonical: no zero coefficient, no empty p-polynomial.
     """
 
     __slots__ = ("universe", "terms")
 
     def __init__(self, universe, terms=None):
         self.universe = universe
-        canon = {}
-        if terms:
-            for key, ppoly in terms.items():
-                cleaned = {e: c for e, c in ppoly.items() if c}
-                if not cleaned:
-                    continue
-                if key in canon:
-                    merged = dict(canon[key])
-                    for e, c in cleaned.items():
-                        s = merged.get(e, ExactScalar.zero()) + c
-                        if s:
-                            merged[e] = s
-                        elif e in merged:
-                            del merged[e]
-                    if merged:
-                        canon[key] = merged
-                    else:
-                        del canon[key]
-                else:
-                    canon[key] = cleaned
-        self.terms = canon
+        self.terms = _merge_terms({}, terms or {})
+
+    def _like(self, terms):
+        return RadonResult(self.universe, terms)
 
     @staticmethod
     def from_omega_poly(omega_poly, ppoly):
@@ -135,41 +120,33 @@ class RadonResult:
         return RadonResult(reduced.universe, terms)
 
     def __add__(self, other):
-        return RadonResult(self.universe, _merge_terms(
-            {k: dict(v) for k, v in self.terms.items()}, other.terms))
+        if not isinstance(other, RadonResult):
+            return NotImplemented
+        return self._like(_merge_terms(_merge_terms({}, self.terms),
+                                       other.terms))
 
-    def __sub__(self, other):
-        neg = {k: {e: -c for e, c in v.items()}
-               for k, v in other.terms.items()}
-        return RadonResult(self.universe, _merge_terms(
-            {k: dict(v) for k, v in self.terms.items()}, neg))
+    def __neg__(self):
+        return self.scale(-1)
 
     def scale(self, c):
-        return RadonResult(self.universe,
-                           {k: {e: v * c for e, v in p.items()}
-                            for k, p in self.terms.items()})
+        return self._like({k: {e: v * c for e, v in p.items()}
+                           for k, p in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, RadonResult):
             return NotImplemented
         return self.universe == other.universe and self.terms == other.terms
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def p_derivative(self):
         """d/dp through the envelope: p^e -> e p^(e-1) - p^(e+1)."""
         out = {}
         for key, ppoly in self.terms.items():
-            npoly = {}
+            npoly = out[key] = {}
             for e, c in ppoly.items():
                 if e:
-                    npoly[e - 1] = npoly.get(e - 1, ExactScalar.zero()) \
-                        + c * e
-                cur = npoly.get(e + 1, ExactScalar.zero())
-                npoly[e + 1] = cur - c
-            out[key] = npoly
-        return RadonResult(self.universe, out)
+                    add_into(npoly, e - 1, c * e)
+                add_into(npoly, e + 1, -c)
+        return self._like(out)
 
     def mul_omega(self, h):
         """Multiply by an omega polynomial from the left, re-reducing."""
@@ -180,12 +157,8 @@ class RadonResult:
             for nkey, c in prod.terms.items():
                 tgt = out.setdefault(nkey, {})
                 for e, v in ppoly.items():
-                    s = tgt.get(e, ExactScalar.zero()) + v * c
-                    if s:
-                        tgt[e] = s
-                    elif e in tgt:
-                        del tgt[e]
-        return RadonResult(self.universe, out)
+                    add_into(tgt, e, v * c)
+        return self._like(out)
 
     def to_json(self):
         entries = []
@@ -203,16 +176,16 @@ class RadonResult:
         return f"RadonResult({len(self.terms)} omega terms)"
 
 
-def _merge_terms(a, b):
-    for key, ppoly in b.items():
-        tgt = a.setdefault(key, {})
+def _merge_terms(acc, terms):
+    """Add the nested terms into `acc` (whose p-polynomials it owns),
+    removing an omega key whose p-polynomial cancels."""
+    for key, ppoly in terms.items():
+        tgt = acc.setdefault(key, {})
         for e, c in ppoly.items():
-            s = tgt.get(e, ExactScalar.zero()) + c
-            if s:
-                tgt[e] = s
-            elif e in tgt:
-                del tgt[e]
-    return a
+            add_into(tgt, e, c)
+        if not tgt:
+            del acc[key]
+    return acc
 
 
 def radon(f):
@@ -230,8 +203,7 @@ def radon(f):
         rpow = bos[0]
         omono = SuperPolynomial(uo, {(bos[1:], mask): c})
         for key, rc in reduce_mod_sphere(omono).terms.items():
-            tgt = by_omega.setdefault(key, {})
-            tgt[rpow] = tgt.get(rpow, ExactScalar.zero()) + rc
+            add_into(by_omega.setdefault(key, {}), rpow, rc)
     prefactor = ExactScalar.two_pi_half_power(u.superdim - 2)
     terms = {}
     for key, rpoly in by_omega.items():

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from ._terms import TermMap, add_into
+
 
 class QQi:
     """Complex rational a + b*i with exact Fraction components."""
@@ -81,7 +83,7 @@ def _as_qqi(v):
     raise TypeError(f"cannot interpret {v!r} as complex rational")
 
 
-class ExactScalar:
+class ExactScalar(TermMap):
     """Element of the ring sum_j q_j * sqrt2^eps_j * pi^(b_j/2).
 
     Immutable; term map keyed by (b, eps) in canonical form (no zero q,
@@ -96,19 +98,16 @@ class ExactScalar:
         if terms:
             for (b, eps), q in terms.items():
                 q = _as_qqi(q)
-                if not q:
-                    continue
                 if eps not in (0, 1):
                     q = q * (Fraction(2) ** (eps // 2))
                     eps %= 2
-                key = (b, eps)
-                acc = canon.get(key)
-                q = q if acc is None else acc + q
-                if q:
-                    canon[key] = q
-                elif key in canon:
-                    del canon[key]
+                add_into(canon, (b, eps), q)
         self.terms = canon
+
+    def _like(self, terms):
+        out = ExactScalar.__new__(ExactScalar)
+        out.terms = terms
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -161,37 +160,9 @@ class ExactScalar:
 
     # -- ring operations ----------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, ExactScalar):
-            return NotImplemented
-        merged = dict(self.terms)
-        for key, q in other.terms.items():
-            acc = merged.get(key)
-            s = q if acc is None else acc + q
-            if s:
-                merged[key] = s
-            elif key in merged:
-                del merged[key]
-        out = ExactScalar.__new__(ExactScalar)
-        out.terms = merged
-        return out
-
-    def __neg__(self):
-        out = ExactScalar.__new__(ExactScalar)
-        out.terms = {k: -q for k, q in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QQi)):
-            other = _as_qqi(other)
-            if not other:
-                return ExactScalar.zero()
-            out = ExactScalar.__new__(ExactScalar)
-            out.terms = {k: q * other for k, q in self.terms.items()}
-            return out
+            return self.scale(_as_qqi(other))
         if not isinstance(other, ExactScalar):
             return NotImplemented
         acc = {}
@@ -202,16 +173,8 @@ class ExactScalar:
                 if e == 2:          # sqrt2 * sqrt2 folds to 2
                     e = 0
                     q = q * 2
-                key = (b1 + b2, e)
-                cur = acc.get(key)
-                q = q if cur is None else cur + q
-                if q:
-                    acc[key] = q
-                elif key in acc:
-                    del acc[key]
-        out = ExactScalar.__new__(ExactScalar)
-        out.terms = acc
-        return out
+                add_into(acc, (b1 + b2, e), q)
+        return self._like(acc)
 
     __rmul__ = __mul__
 
@@ -240,14 +203,9 @@ class ExactScalar:
         return ExactScalar({(-b, eps): qinv})
 
     def conjugate(self):
-        out = ExactScalar.__new__(ExactScalar)
-        out.terms = {k: q.conjugate() for k, q in self.terms.items()}
-        return out
+        return self._like({k: q.conjugate() for k, q in self.terms.items()})
 
     # -- predicates and conversions -----------------------------------
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

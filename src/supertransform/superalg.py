@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ._terms import TermMap, add_into, canonical
 from .scalars import ExactScalar
 
 
@@ -139,7 +140,7 @@ def homogeneous_monomials(u, k, sector="full"):
     return out
 
 
-class SuperPolynomial:
+class SuperPolynomial(TermMap):
     """Finite linear combination of super monomials.
 
     Coefficients are ExactScalar on the exact lane or complex on the
@@ -150,14 +151,13 @@ class SuperPolynomial:
 
     def __init__(self, universe, terms=None):
         self.universe = universe
-        canon = {}
-        if terms:
-            for key, c in terms.items():
-                if c:
-                    canon[key] = canon[key] + c if key in canon else c
-                    if not canon[key]:
-                        del canon[key]
-        self.terms = canon
+        self.terms = canonical(terms)
+
+    def _like(self, terms):
+        out = SuperPolynomial.__new__(SuperPolynomial)
+        out.universe = self.universe
+        out.terms = terms
+        return out
 
     # -- constructors ---------------------------------------------------
 
@@ -202,30 +202,6 @@ class SuperPolynomial:
         if self.universe != other.universe:
             raise ValueError("universe mismatch")
 
-    def __add__(self, other):
-        self._check(other)
-        merged = dict(self.terms)
-        for key, c in other.terms.items():
-            s = merged.get(key)
-            s = c if s is None else s + c
-            if s:
-                merged[key] = s
-            elif key in merged:
-                del merged[key]
-        out = SuperPolynomial.__new__(SuperPolynomial)
-        out.universe = self.universe
-        out.terms = merged
-        return out
-
-    def __neg__(self):
-        out = SuperPolynomial.__new__(SuperPolynomial)
-        out.universe = self.universe
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, SuperPolynomial):
             return sp_mul(self, other)
@@ -234,35 +210,14 @@ class SuperPolynomial:
     def __rmul__(self, other):
         return self.scale(other)
 
-    def scale(self, c):
-        if not c:
-            return SuperPolynomial.zero(self.universe)
-        out = SuperPolynomial.__new__(SuperPolynomial)
-        out.universe = self.universe
-        out.terms = {}
-        for k, v in self.terms.items():
-            s = v * c
-            if s:
-                out.terms[k] = s
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, SuperPolynomial):
             return NotImplemented
         return self.universe == other.universe and self.terms == other.terms
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def map_coefficients(self, fn):
-        out = SuperPolynomial.__new__(SuperPolynomial)
-        out.universe = self.universe
-        out.terms = {}
-        for k, v in self.terms.items():
-            s = fn(v)
-            if s:
-                out.terms[k] = s
-        return out
+        return self._like({k: s for k, v in self.terms.items()
+                           if (s := fn(v))})
 
     def conjugate(self):
         """Complex conjugation: fixes variables, conjugates scalars."""
@@ -272,11 +227,8 @@ class SuperPolynomial:
 
     def parity_signed(self):
         """Multiply every term by (-1)^(fermionic degree)."""
-        out = SuperPolynomial.__new__(SuperPolynomial)
-        out.universe = self.universe
-        out.terms = {k: (-c if k[1].bit_count() & 1 else c)
-                     for k, c in self.terms.items()}
-        return out
+        return self._like({k: (-c if k[1].bit_count() & 1 else c)
+                           for k, c in self.terms.items()})
 
     # -- calculus ---------------------------------------------------------
 
@@ -289,11 +241,8 @@ class SuperPolynomial:
             e = bos[i]
             if e == 0:
                 continue
-            nb = bos[:i] + (e - 1,) + bos[i + 1:]
-            key = (nb, mask)
-            s = c * e
-            out[key] = out[key] + s if key in out else s
-        return SuperPolynomial(u, out)
+            add_into(out, (bos[:i] + (e - 1,) + bos[i + 1:], mask), c * e)
+        return self._like(out)
 
     def fermionic_derivative(self, j):
         """Left derivative: sign (-1)^(# set bits below j)."""
@@ -306,10 +255,8 @@ class SuperPolynomial:
             if not mask & bit:
                 continue
             sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
-            key = (bos, mask ^ bit)
-            s = c * sign
-            out[key] = out[key] + s if key in out else s
-        return SuperPolynomial(u, out)
+            add_into(out, (bos, mask ^ bit), c * sign)
+        return self._like(out)
 
     # -- structure info ----------------------------------------------------
 
@@ -373,18 +320,8 @@ def sp_mul(f, g):
             sign, mask = merged
             key = (tuple(e1 + e2 for e1, e2 in zip(b1, b2)), mask)
             c = c1 * c2
-            if sign < 0:
-                c = -c
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    res = SuperPolynomial.__new__(SuperPolynomial)
-    res.universe = f.universe
-    res.terms = out
-    return res
+            add_into(out, key, -c if sign < 0 else c)
+    return f._like(out)
 
 
 def sp_rename(f, target, bos_map, fer_map):
@@ -412,9 +349,7 @@ def sp_rename(f, target, bos_map, fer_map):
             if nmask & (1 << j):
                 raise ValueError("fermionic rename collision")
             nmask |= 1 << j
-        key = (tuple(nb), nmask)
-        s = c if not inv & 1 else -c
-        out[key] = out[key] + s if key in out else s
+        add_into(out, (tuple(nb), nmask), -c if inv & 1 else c)
     return SuperPolynomial(target, out)
 
 
@@ -575,8 +510,7 @@ def substitute_ray(f, ray_universe=None):
     out = {}
     for (bos, mask), c in f.poly.terms.items():
         deg = sum(bos) + mask.bit_count()
-        key = ((deg,) + bos, mask)
-        out[key] = out[key] + c if key in out else c
+        add_into(out, ((deg,) + bos, mask), c)
     return RaySubstituted(SuperPolynomial(t, out))
 
 

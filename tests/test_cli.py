@@ -354,3 +354,25 @@ def test_cli_malformed_json_input_names_the_rule(capsys, payload, rule):
     code, _, err = _run_cli(capsys, "--m", "1", "--n", "1", "fourier",
                             payload)
     assert code == 2 and rule in err
+
+
+@pytest.mark.parametrize("text", ["1/0", "pi^(1/0)", "x1^(2/0)"])
+def test_cli_zero_denominator_is_a_parse_error(capsys, text):
+    code, _, err = _run_cli(capsys, "--m", "1", "--n", "1", "normalize",
+                            text)
+    assert code == 2 and "denominator must be non-zero" in err
+    assert "Fraction(" not in err
+
+
+def test_cli_hermite_negative_order(capsys):
+    code, out, err = _run_cli(capsys, "--m", "1", "--n", "1", "hermite",
+                              "--j", "-1", "--k", "2")
+    assert code == 1 and not out
+    assert "order j must be non-negative" in err
+
+
+def test_cli_decompose_refuses_m_zero(capsys):
+    code, _, err = _run_cli(capsys, "--m", "0", "--n", "2", "decompose",
+                            "--k", "2")
+    assert code == 1 and "m >= 1" in err
+    assert "gamma argument" not in err

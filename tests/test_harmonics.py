@@ -2,7 +2,8 @@ import pytest
 
 from supertransform.harmonics import (decomposition_check, express_in_basis,
                                       f_poly, fischer_decompose,
-                                      fischer_fermionic, harmonic_basis)
+                                      fischer_fermionic, harmonic_basis,
+                                      harmonic_dimension)
 from supertransform.operators import euler, laplace
 from supertransform.scalars import ExactScalar
 from supertransform.superalg import (SuperPolynomial, VariableUniverse,
@@ -164,3 +165,19 @@ def test_express_in_basis_with_radical_coefficients():
     assert coeffs[1] == ExactScalar.i() * ExactScalar.pi_half_power(1)
     outside = SuperPolynomial(u, {((2,), 0): ExactScalar.one()})
     assert express_in_basis(outside, [b1, b2]) is None
+
+
+def test_decomposition_check_refuses_m_zero():
+    with pytest.raises(ValueError, match="m >= 1"):
+        decomposition_check(2, VariableUniverse.standard(0, 2))
+
+
+def test_harmonic_dimension_cache_hits_and_rebuilds_equal_output():
+    u = VariableUniverse.standard(2, 1)
+    first = harmonic_dimension(2, "full", u)
+    hits = harmonic_dimension.cache_info().hits
+    assert harmonic_dimension(2, "full", u) == first == 7
+    assert harmonic_dimension.cache_info().hits == hits + 1
+    harmonic_dimension.cache_clear()
+    assert harmonic_dimension.cache_info().currsize == 0
+    assert harmonic_dimension(2, "full", u) == first

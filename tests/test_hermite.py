@@ -222,3 +222,27 @@ def test_explicit_fermionic_variant_same_ratio():
                 claim = claim + sp_mul(fermionic_square_power(u, i),
                                        h).scale(w)
             assert rod == claim, (t, k)
+
+
+@pytest.mark.parametrize("fn, order", [(psi_element, -1),
+                                       (psi_element, -2),
+                                       (psi_tilde_element, -1),
+                                       (ch_rodrigues, -2),
+                                       (ch_rodrigues_rescaled, -2)])
+def test_negative_hermite_order_is_refused(fn, order):
+    u = VariableUniverse.standard(2, 1)
+    h = SuperPolynomial.bosonic_var(u, 0)
+    with pytest.raises(ValueError, match="must be non-negative"):
+        fn(order, h)
+
+
+def test_psi_span_cache_hits_and_rebuilds_equal_output():
+    u = VariableUniverse.standard(1, 1)
+    first = psi_span(u, 2)
+    hits = psi_span.cache_info().hits
+    assert psi_span(u, 2) is first
+    assert psi_span.cache_info().hits == hits + 1
+    psi_span.cache_clear()
+    assert psi_span.cache_info().currsize == 0
+    rebuilt = psi_span(u, 2)
+    assert rebuilt is not first and rebuilt == first
