@@ -2,8 +2,8 @@
 superspace, with Berezin integration, Clifford-Weyl operators,
 Clifford-Hermite eigenbases and the super Laplace fundamental solution."""
 
-from .scalars import (ExactScalar, FloatScalar, QQi, gamma_half_integer,
-                      to_float)
+from .scalars import (Angle, ExactScalar, FloatScalar, QQi,
+                      gamma_half_integer, to_float)
 from .superalg import (GaussianFunction, SuperPolynomial, VariableUniverse,
                        pairing, sp_mul, substitute_ray, vector_square)
 from .operators import euler, laplace, scalar_square
@@ -12,13 +12,12 @@ from .cliffweyl import (CValued, CWElement, cw_mul, dirac_apply,
 from .harmonics import (HarmonicBasis, decomposition_check, f_poly,
                         fischer_decompose, fischer_fermionic, harmonic_basis)
 from .hermite import (ch_explicit, ch_rodrigues, ch_rodrigues_rescaled,
-                      phi_basis, psi_basis, psi_element, psi_tilde_element,
-                      substhermite_check)
+                      psi_element, psi_tilde_element, substhermite_check)
 from .fourier import (berezin, bosonic_fourier, convolution_fermionic,
-                      delta_fourier, fermionic_fourier,
+                      delta_fourier, fermionic_fourier, kernel_route,
                       operator_exponential_fourier, parseval_check,
                       super_fourier, super_integral)
-from .fracfourier import (Angle, frac02_kernel_apply, frac_calculus_check,
+from .fracfourier import (frac_calculus_check, frac_fermionic_table,
                           frac_fourier, general_kernel_check)
 from .radon import (RadonResult, hermite_1d, one_dim_fourier, radon,
                     reduce_mod_sphere)
@@ -28,7 +27,8 @@ from .fundsol import (RadialFunction, nu_poly_laplace, radial_laplace,
 from .expr import parse, poly_to_json, render_poly_text
 
 __all__ = [
-    "ExactScalar", "FloatScalar", "QQi", "gamma_half_integer", "to_float",
+    "Angle", "ExactScalar", "FloatScalar", "QQi", "gamma_half_integer",
+    "to_float",
     "GaussianFunction", "SuperPolynomial", "VariableUniverse",
     "pairing", "sp_mul", "substitute_ray", "vector_square",
     "euler", "laplace", "scalar_square",
@@ -36,12 +36,12 @@ __all__ = [
     "monogenic_basis", "vector_mul",
     "HarmonicBasis", "decomposition_check", "f_poly", "fischer_decompose",
     "fischer_fermionic", "harmonic_basis",
-    "ch_explicit", "ch_rodrigues", "ch_rodrigues_rescaled", "phi_basis",
-    "psi_basis", "psi_element", "psi_tilde_element", "substhermite_check",
+    "ch_explicit", "ch_rodrigues", "ch_rodrigues_rescaled", "psi_element",
+    "psi_tilde_element", "substhermite_check",
     "berezin", "bosonic_fourier", "convolution_fermionic", "delta_fourier",
-    "fermionic_fourier", "operator_exponential_fourier", "parseval_check",
-    "super_fourier", "super_integral",
-    "Angle", "frac02_kernel_apply", "frac_calculus_check", "frac_fourier",
+    "fermionic_fourier", "kernel_route", "operator_exponential_fourier",
+    "parseval_check", "super_fourier", "super_integral",
+    "frac_calculus_check", "frac_fermionic_table", "frac_fourier",
     "general_kernel_check",
     "RadonResult", "hermite_1d", "one_dim_fourier", "radon",
     "reduce_mod_sphere",

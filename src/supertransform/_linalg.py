@@ -55,10 +55,6 @@ class SparseRREF:
         self.pivots[col] = row
         return col
 
-    @property
-    def rank(self):
-        return len(self.pivots)
-
 
 def nullspace(columns, rows_of):
     """Nullspace of a linear map given column-wise.

@@ -13,18 +13,17 @@ import sys
 from fractions import Fraction
 
 from . import expr as exprmod
-from .expr import ParseError, parse, poly_from_json, poly_to_json, \
+from .expr import ParseError, parse, poly_to_json, read_json, \
     render_poly_latex, render_poly_text
 from .fourier import berezin, fermionic_fourier, parseval_check, super_fourier
-from .fracfourier import frac_fourier, to_float_gaussian
+from .fracfourier import frac_fourier
 from .harmonics import decomposition_check, harmonic_basis
 from .hermite import psi_element
 from .operators import euler, laplace, scalar_square
 from .radon import radon
 from .fundsol import super_fundamental_solution, \
     verify_harmonic_away_from_origin
-from .superalg import (GaussianFunction, SuperPolynomial, VariableUniverse,
-                       is_float_lane)
+from .superalg import GaussianFunction, SuperPolynomial, VariableUniverse
 
 
 def build_parser():
@@ -38,7 +37,6 @@ def build_parser():
                    help="number of anticommuting pairs (variables q1..q2n)")
     p.add_argument("--format", choices=("text", "json", "latex"),
                    default="text")
-    p.add_argument("--backend", choices=("exact", "float"), default="exact")
     sub = p.add_subparsers(dest="command", required=True)
 
     def with_expr(sp):
@@ -185,11 +183,7 @@ def run(args, source):
         return "true" if ok else "false"
 
     if source.lstrip().startswith("{"):
-        try:
-            js = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from None
-        f = poly_from_json(js, u)
+        f = read_json(source, u)
     else:
         f = parse(source, u)
     if cmd == "normalize":
@@ -217,10 +211,7 @@ def run(args, source):
         order = _parse_order(args.a)
         if not isinstance(f, GaussianFunction):
             raise ValueError("fractional transform requires the marker G")
-        res = frac_fourier(f, order)
-        if args.backend == "float" and not is_float_lane(res.poly):
-            res = to_float_gaussian(res)
-        return _render(res, args.format)
+        return _render(frac_fourier(f, order), args.format)
     if cmd == "radon":
         if not isinstance(f, GaussianFunction):
             raise ValueError("Radon transform requires the marker G")

@@ -108,14 +108,6 @@ class CWElement(TermMap):
         return ((self.m, self.npairs) == (other.m, other.npairs)
                 and self.terms == other.terms)
 
-    def scalar_part(self):
-        return self.terms.get((0, (0,) * (2 * self.npairs)),
-                              ExactScalar.zero())
-
-    def is_scalar(self):
-        ident = (0, (0,) * (2 * self.npairs))
-        return all(k == ident for k in self.terms)
-
     def render(self):
         if not self.terms:
             return "0"

@@ -7,17 +7,57 @@ Grammar:  expr := ('-')? term (('+'|'-') term)*
                   | '(' expr ')'
 Juxtaposed factors multiply in written order, so fermionic products like
 q1q2 keep their sign semantics; fermionic squares are rejected at parse
-time, as are mixed Gaussian/non-Gaussian sums.
+time, as are mixed Gaussian/non-Gaussian sums.  Oversized input is
+refused before any arithmetic with a ValueError naming the budget below.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import re
 from fractions import Fraction
 
 from ._terms import add_into
 from .scalars import ExactScalar, QQi
 from .superalg import (GaussianFunction, SuperPolynomial, mask_bits, sp_mul)
+
+
+# Input budgets of the expression and JSON readers.
+MAX_EXPONENT = 1000        # |exponent| of '^' and of a JSON bosonic entry
+MAX_DIGITS = 1000          # digits of one integer literal
+MAX_POWER_DIGITS = 4300    # digits of a scalar power (Python's int str limit)
+
+
+def _literal_int(text):
+    digits = len(text.lstrip("-"))
+    if digits > MAX_DIGITS:
+        raise ValueError(f"integer literal of {digits} digits exceeds "
+                         f"MAX_DIGITS = {MAX_DIGITS}")
+    return int(text)
+
+
+def _check_exponent(e):
+    if abs(e.numerator) > MAX_EXPONENT * e.denominator:
+        raise ValueError(f"exponent {e} exceeds MAX_EXPONENT = "
+                         f"{MAX_EXPONENT}")
+
+
+def _scalar_power(c, k):
+    """c ** k, refused before the arithmetic when a numerator or
+    denominator of the result could pass MAX_POWER_DIGITS digits.  Over a
+    common denominator den, (sum of |numerators|, sqrt2 counted twice)^k
+    bounds every numerator of c^k, and den^k every denominator."""
+    if k < 0:
+        c, k = c.inverse(), -k
+    parts = [(x, eps) for (_, eps), q in c.terms.items() for x in (q.re, q.im)]
+    den = math.lcm(*(x.denominator for x, _ in parts))
+    num = sum(abs(x.numerator) * (den // x.denominator) * (1 + eps)
+              for x, eps in parts)
+    if k * math.log10(max(num, den)) > MAX_POWER_DIGITS:
+        raise ValueError(f"scalar power would exceed MAX_POWER_DIGITS = "
+                         f"{MAX_POWER_DIGITS} digits")
+    return c ** k
 
 
 class ParseError(Exception):
@@ -44,7 +84,7 @@ def _tokenize(src):
         if not mo:
             raise ParseError(f"unexpected character {src[pos]!r}", pos)
         if mo.lastgroup == "num":
-            out.append(("num", int(mo.group()), pos))
+            out.append(("num", _literal_int(mo.group()), pos))
         elif mo.lastgroup == "name":
             out.append(("name", mo.group(), pos))
         elif mo.lastgroup == "op":
@@ -135,6 +175,7 @@ class Parser:
         if kind == "op" and val == "^":
             self.next()
             exponent = self.exponent()
+            _check_exponent(exponent)
             value = self.power(value, exponent, pos)
         return value
 
@@ -191,7 +232,7 @@ class Parser:
                 # scalar power; pi admits half-integer exponents
                 if exponent.denominator == 1:
                     return _Value(SuperPolynomial.scalar(
-                        u, c ** int(exponent)))
+                        u, _scalar_power(c, int(exponent))))
                 if exponent.denominator == 2 \
                         and c == ExactScalar.pi_half_power(2):
                     return _Value(SuperPolynomial.scalar(
@@ -404,6 +445,16 @@ def _json_scalar(coeff):
     return out
 
 
+def read_json(text, universe):
+    """poly_from_json over JSON text; integers pass the MAX_DIGITS budget
+    before conversion."""
+    try:
+        js = json.loads(text, parse_int=_literal_int)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from None
+    return poly_from_json(js, universe)
+
+
 def poly_from_json(js, universe):
     """Inverse of poly_to_json for exact-coefficient payloads; any other
     shape raises ParseError."""
@@ -423,6 +474,8 @@ def poly_from_json(js, universe):
         if not isinstance(bos, list) or len(bos) != u.m \
                 or any(_json_int(e, "exponent") < 0 for e in bos):
             raise ParseError("bad bosonic exponent vector", 0)
+        for e in bos:
+            _check_exponent(e)
         fer = entry.get("fer", [])
         if not isinstance(fer, list):
             raise ParseError("bad fermionic index list", 0)

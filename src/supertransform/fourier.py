@@ -2,14 +2,15 @@
 class, with Berezin integration, Parseval, fermionic convolution, the
 delta constant and the operator-exponential (spectral) route.
 
-The symplectic kernel exp(-/+ (i/2) sum (x`_{2j-1} y`_{2j} - x`_{2j}
-y`_{2j-1})) is a product of one even factor per symbol pair, so the
-fermionic transform acts on each term as one 4x4 table per pair, applied
-to that pair's two-bit sub-mask.  The tables (plain, and on the Gaussian
+The fermionic kernel of every order a is a product of one even factor
+per symbol pair; at a = +/-1 it is the symplectic kernel
+exp(-/+ i <x,y>_f).  `kernel_route`, the kernel expanded as its finite
+nilpotent sum in the doubled universe and then Berezin-integrated, is the
+definition.  Since the kernel factors, the transform acts on each term as
+one 4x4 table per pair, applied to that pair's two-bit sub-mask by one
+helper on either lane.  The exact tables (plain, and on the Gaussian
 class with the envelope multiplied in and stripped out) are built once
-per sign by the defining kernel route at 0|2: the kernel expanded as its
-finite nilpotent sum in a doubled universe, then Berezin-integrated.  That
-route, `fermionic_kernel` and `berezin` stay as the oracles the tables are
+per sign from the kernel route at 0|2, which stays the oracle they are
 tested against.  The Gaussian-class integral likewise weighs each pair's
 sub-mask by a row of four Berezin weights.  The bosonic transform acts
 algebraically on the Gaussian class through the peel rule
@@ -21,15 +22,17 @@ refuse float-lane input.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 from ._terms import add_into
 from .harmonics import express_in_basis
 from .hermite import psi_span
 from .operators import bosonic_derivative
-from .scalars import ExactScalar, QQi
+from .scalars import Angle, ExactScalar, to_float
 from .superalg import (GaussianFunction, SuperPolynomial, VariableUniverse,
-                       fermionic_envelope_poly, scale_exact, sp_mul,
+                       doubled_universe, fermionic_envelope_poly,
+                       neutral_fermionic_var, scale_exact, sp_mul,
                        sp_rename, sp_substitute_fermionic)
 
 
@@ -55,79 +58,88 @@ def berezin(f, over=None):
     return sp_rename(g, target, {i: i for i in range(u.m)}, fer_map)
 
 
-def fermionic_kernel(u, sign):
-    """Kernel exp(-/+ (i/2) <x`,y`>-type sum) expanded in the universe
-    doubled by a y fermionic block at indices 2n..4n-1."""
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
+def fermionic_kernel(u, a):
+    """Fermionic kernel of order a (a in [-1, 1], a != 0) in the doubled
+    universe, y block at fermionic indices 2n..4n-1: prod_p exp(s_p) with
+    s_p = c (x_2p y_2p+1 - x_2p+1 y_2p) + d (x_2p x_2p+1 + y_2p y_2p+1),
+    c = -2e/(2 - 2e^2), d = (1 + e^2)/(2 - 2e^2) and e = e^(i alpha).
+
+    Returns (doubled universe, kernel, prefactor (pi (1 - e^2))^n).  At
+    a = +/-1, d = 0 and c = -/+ i/2, the Fourier kernel
+    exp(-/+ i <x,y>_f), exact; other orders are float.
+    """
+    a = Angle(a)
+    if a.a == 0:
+        raise ValueError("kernel degenerates at a = 0")
+    if a.exact:                      # e^2 = -1
+        one = ExactScalar.one()
+        c, d = a.phase(1).scale(Fraction(-1, 2)), ExactScalar.zero()
+        prefactor = ExactScalar.two_pi_half_power(2 * u.pairs)
+    else:
+        one = 1 + 0j
+        e, e2 = a.phase(1), a.phase(2)
+        c, d = -2 * e / (2 - 2 * e2), (1 + e2) / (2 - 2 * e2)
+        prefactor = (math.pi * (1 - e2)) ** u.pairs
+    dbl = doubled_universe(u)
     n2 = len(u.fermionic)
-    dbl = VariableUniverse(
-        u.bosonic, u.fermionic + tuple(f"yf{j + 1}" for j in range(n2)))
-    half_i = ExactScalar({(0, 0): QQi(0, Fraction(1, 2))})
-    if sign == "+":
-        half_i = -half_i
-    kernel = SuperPolynomial.one(dbl)
+    kernel = SuperPolynomial.scalar(dbl, one)
     for p in range(u.pairs):
-        x_odd = SuperPolynomial.fermionic_var(dbl, 2 * p)
-        x_even = SuperPolynomial.fermionic_var(dbl, 2 * p + 1)
-        y_odd = SuperPolynomial.fermionic_var(dbl, n2 + 2 * p)
-        y_even = SuperPolynomial.fermionic_var(dbl, n2 + 2 * p + 1)
-        a_p = (sp_mul(x_odd, y_even) - sp_mul(x_even, y_odd)).scale(half_i)
-        factor = SuperPolynomial.one(dbl) + a_p \
-            + sp_mul(a_p, a_p).scale(Fraction(1, 2))
-        kernel = sp_mul(kernel, factor)
-    return dbl, kernel
+        x0, x1, y0, y1 = (neutral_fermionic_var(dbl, j) for j in
+                          (2 * p, 2 * p + 1, n2 + 2 * p, n2 + 2 * p + 1))
+        s = (sp_mul(x0, y1) - sp_mul(x1, y0)).scale(c) \
+            + (sp_mul(x0, x1) + sp_mul(y0, y1)).scale(d)
+        kernel = sp_mul(kernel, SuperPolynomial.scalar(dbl, one) + s
+                        + sp_mul(s, s).scale(Fraction(1, 2)))
+    return dbl, kernel, prefactor
 
 
-def _kernel_route(f, sign):
-    """(2 pi)^n Berezin_x of K^sign(x,y) f(x): the defining kernel route
-    in the doubled universe, kept as the oracle the pair tables are built
-    from and tested against."""
+def kernel_route(f, a):
+    """prefactor * Berezin_x of K_a(x,y) f(x): the defining fermionic
+    transform of order a on any universe (bosonic factors pass through),
+    the identity at a = 0.  The pair tables are built from it at a = +/-1
+    and tested against it."""
+    a = Angle(a)
+    if a.a == 0:
+        return f
     u = f.universe
-    n2 = len(u.fermionic)
-    dbl, kernel = fermionic_kernel(u, sign)
-    f_emb = sp_rename(f, dbl, {i: i for i in range(u.m)},
-                      {j: j for j in range(n2)})
-    prod = sp_mul(kernel, f_emb)
-    integrated = berezin(prod, over=range(n2))
-    integrated = scale_exact(integrated,
-                             ExactScalar.two_pi_half_power(n2))
-    return sp_rename(integrated, u, {i: i for i in range(u.m)},
-                     {j: j for j in range(n2)})
+    dbl, kernel, prefactor = fermionic_kernel(u, a)
+    if not a.exact:
+        f = f.map_coefficients(to_float)
+    bos = {i: i for i in range(u.m)}
+    fer = {j: j for j in range(len(u.fermionic))}
+    integrated = berezin(sp_mul(kernel, sp_rename(f, dbl, bos, fer)),
+                         over=fer)
+    return sp_rename(integrated.scale(prefactor), u, bos, fer)
 
 
 _PAIR = VariableUniverse((), ("q1", "q2"))
 _PAIR_BASIS = tuple(SuperPolynomial(_PAIR, {((), sub): ExactScalar.one()})
                     for sub in range(4))
-_UNIT = QQi(1)
 
 
-def _pair_table(image):
-    """Rows (sub-mask, complex rational) of a parity-preserving map on one
-    pair, read off its images of the four basis monomials at 0|2."""
+def _order(sign):
+    """The order +/-1 of the transform with sign '+' or '-'."""
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
+    return 1 if sign == "+" else -1
+
+
+@functools.cache
+def _fourier_table(sign, gaussian):
+    """Rows (sub-mask, complex rational) of the transform on one pair, read
+    off the kernel route at 0|2 on the four basis monomials, on the
+    Gaussian class times the envelope exp(q1q2/2), stripped after."""
+    width = Fraction(1, 2) if gaussian else 0
+    env = fermionic_envelope_poly(_PAIR, width=width)
+    strip = fermionic_envelope_poly(_PAIR, width=width, sign=-1)
     rows = []
     for sub, mono in enumerate(_PAIR_BASIS):
-        img = image(mono)
+        img = sp_mul(kernel_route(sp_mul(mono, env), _order(sign)), strip)
         if any((sub ^ out).bit_count() & 1 for (_, out) in img.terms):
             raise AssertionError("pair map does not keep parity")
         rows.append(tuple((out, c.qqi_value())
                           for (_, out), c in sorted(img.terms.items())))
     return tuple(rows)
-
-
-@functools.cache
-def _plain_table(sign):
-    return _pair_table(lambda mono: _kernel_route(mono, sign))
-
-
-@functools.cache
-def _gaussian_table(sign):
-    """Pair table of the transform on the Gaussian class: the envelope
-    exp(q1q2/2) multiplied in before and stripped after."""
-    env = fermionic_envelope_poly(_PAIR)
-    strip = fermionic_envelope_poly(_PAIR, sign=-1)
-    return _pair_table(
-        lambda mono: sp_mul(_kernel_route(sp_mul(mono, env), sign), strip))
 
 
 def _require_exact(poly):
@@ -139,24 +151,26 @@ def _require_exact(poly):
 
 def _apply_pair_tables(poly, table):
     """Apply one pair table to every pair's two-bit sub-mask of each
-    term; parity is kept per pair, so no reordering sign arises."""
-    _require_exact(poly)
+    term; parity is kept per pair, so no reordering sign arises.  Each
+    product starts from the term's own coefficient, so either lane
+    works."""
     out = {}
     for (bos, mask), c in poly.terms.items():
-        images = [(0, _UNIT)]
+        images = [(0, c)]
         for shift in range(0, len(poly.universe.fermionic), 2):
             row = table[(mask >> shift) & 3]
             images = [(acc | (sub << shift), f * t)
                       for acc, f in images for sub, t in row]
         for acc, f in images:
-            add_into(out, (bos, acc), c * f)
+            add_into(out, (bos, acc), f)
     return poly._like(out)
 
 
 def fermionic_fourier(f, sign):
     """Fermionic transform of a plain polynomial, applied pair by pair:
     1 -> q1q2/2, q_j -> +/- i q_j, q1q2 -> 2 on each pair."""
-    return _apply_pair_tables(f, _plain_table(sign))
+    _require_exact(f)
+    return _apply_pair_tables(f, _fourier_table(sign, False))
 
 
 def fermionic_fourier_gaussian(f, sign):
@@ -164,19 +178,18 @@ def fermionic_fourier_gaussian(f, sign):
     q_j -> +/- i q_j, q1q2 -> 2 - q1q2 on each pair."""
     if not f.envelope:
         raise ValueError("envelope missing")
+    _require_exact(f.poly)
     return GaussianFunction(
-        _apply_pair_tables(f.poly, _gaussian_table(sign)), True)
+        _apply_pair_tables(f.poly, _fourier_table(sign, True)), True)
 
 
 def bosonic_fourier(f, sign):
     """Peel rule F(x_i g) = -/+ i d_{y_i} F(g) from F(exp) = exp; exact."""
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
+    c_sign = ExactScalar.i_power(-_order(sign))   # -/+ i
     if not f.envelope:
         raise ValueError("envelope missing")
     _require_exact(f.poly)
     u = f.universe
-    c_sign = ExactScalar.i_power(3 if sign == "+" else 1)   # -/+ i
     out = GaussianFunction(SuperPolynomial.zero(u), True)
     for (bos, mask), coeff in f.poly.terms.items():
         g = GaussianFunction(
@@ -308,8 +321,7 @@ def convolution_fermionic(f, g):
     if u.m:
         raise ValueError("convolution implemented fermionically only")
     n2 = len(u.fermionic)
-    dbl = VariableUniverse(
-        (), u.fermionic + tuple(f"xc{j + 1}" for j in range(n2)))
+    dbl = doubled_universe(u)
     f_shift = grassmann_shift(f, dbl, block_out=0, block_in=n2)
     g_emb = sp_rename(g, dbl, {}, {j: n2 + j for j in range(n2)})
     prod = sp_mul(f_shift, g_emb)
@@ -327,13 +339,11 @@ def fermionic_delta(u):
 def delta_fourier(universe, sign):
     """F(delta) = (2 pi)^(-M/2): fermionic factor transformed exactly,
     bosonic delta contributing the classical constant symbolically."""
-    u = universe
-    uf = VariableUniverse((), u.fermionic)
-    ferm = fermionic_fourier(fermionic_delta(uf), sign)
-    const = ferm.terms.get(((), 0), ExactScalar.zero())
+    ferm = fermionic_fourier(fermionic_delta(universe), sign)
+    const = ferm.constant_term()
     if len(ferm.terms) > (1 if const else 0):
         raise AssertionError("fermionic delta transform is not constant")
-    return const * ExactScalar.two_pi_half_power(-u.m)
+    return const * ExactScalar.two_pi_half_power(-universe.m)
 
 
 def operator_exponential_fourier(f, sign, cap=8):

@@ -1,6 +1,6 @@
 """Fractional Fourier transform: Mehler's closed form of the sl2
-exponential, the exact 0|2 integral kernel, the general numeric kernel
-and the fractional calculus rules.
+exponential, the fermionic pair table, the general numeric kernel and the
+fractional calculus rules.
 
 On the Gaussian class the exponential of the sl2 triple (Delta, x^2, E)
 has a closed form: F^a(P G) = (e^(i alpha E) exp(gamma Delta) P) G with
@@ -8,8 +8,9 @@ alpha = a pi/2 and gamma = (e^(2 i alpha) - 1)/4.  The series in Delta
 stops after deg(P)/2 terms.  Angles a in {-1, 0, 1} stay on the exact
 lane (the transform coincides with the ordinary one); any other angle
 runs on the complex float backend.  The psi-family expansion
-(hermite.psi_span with fourier.operator_exponential_fourier), the 0|2
-kernel and the quadrature check remain as independent oracles.
+(hermite.psi_span with fourier.operator_exponential_fourier), the
+fermionic kernel of every order (fourier.kernel_route), the pair table
+and the quadrature check remain as independent oracles.
 """
 
 from __future__ import annotations
@@ -18,61 +19,11 @@ import cmath
 import math
 from fractions import Fraction
 
-from ._terms import add_into
-from .fourier import berezin, super_fourier
+from .fourier import _apply_pair_tables, kernel_route, super_fourier
 from .operators import bosonic_derivative, fermionic_derivative, laplace
-from .scalars import ExactScalar, QQi, to_float
-from .superalg import (GaussianFunction, SuperPolynomial, VariableUniverse,
-                       fermionic_envelope_poly, is_float_lane, sp_mul,
-                       sp_rename)
-
-# i^k as exact complex values; -1j would carry a negative zero.
-_QUARTER_TURNS = (complex(1, 0), complex(0, 1), complex(-1, 0),
-                  complex(0, -1))
-
-
-class Angle:
-    """Fractional order a in [-1, 1]; alpha = a*pi/2.
-
-    Integral a keeps the exact backend (phases in {1, i, -1, -i});
-    anything else is handled in floating point.
-    """
-
-    __slots__ = ("a",)
-
-    def __init__(self, a):
-        if isinstance(a, Angle):
-            a = a.a
-        if isinstance(a, (int, Fraction, float)):
-            if not -1 <= a <= 1:
-                raise ValueError("order must lie in [-1, 1]")
-        else:
-            raise TypeError("order must be rational or float")
-        if isinstance(a, float) and a.is_integer():
-            a = int(a)
-        self.a = a
-
-    @property
-    def exact(self):
-        return isinstance(self.a, int) or (
-            isinstance(self.a, Fraction) and self.a.denominator == 1)
-
-    @property
-    def alpha(self):
-        return float(self.a) * math.pi / 2.0
-
-    def phase(self, power):
-        """e^(i * alpha * power) on the matching lane; a quarter turn
-        (a * power integral) is exact on either lane."""
-        turns = self.a * power
-        if self.exact:
-            return ExactScalar.i_power(int(turns))
-        if turns == int(turns):
-            return _QUARTER_TURNS[int(turns) % 4]
-        return cmath.exp(1j * self.alpha * power)
-
-    def __repr__(self):
-        return f"Angle({self.a!r})"
+from .scalars import Angle, ExactScalar, QQi, to_float
+from .superalg import (GaussianFunction, SuperPolynomial,
+                       fermionic_envelope_poly, is_float_lane, sp_mul)
 
 
 def to_float_poly(p):
@@ -137,96 +88,27 @@ def frac_fourier_cvalued(f, a):
         for key, p in f.parts.items()}, True)
 
 
-# -- 0|2 integral kernel ------------------------------------------------
+# -- pair table ---------------------------------------------------------
 
-def frac02_table(f, a):
-    """The defining four-entry action of the 0|2 fractional transform
-    on the Grassmann basis, extended linearly."""
+def frac_fermionic_table(f, a):
+    """The fractional transform's closed-form action on each pair's
+    Grassmann basis, extended linearly; bosonic factors pass through.
+
+    With e = e^(i alpha): 1 -> (1 + e^2)/2 + (1 - e^2)/4 q1q2,
+    q_j -> e q_j, q1q2 -> 1 - e^2 + (1 + e^2)/2 q1q2.  Exact at integral
+    a on exact input, float otherwise.
+    """
     a = Angle(a)
-    u = f.universe
-    if u.pairs != 1 or u.m != 0:
-        raise ValueError("table requires the 0|2 universe")
-    exact_lane = a.exact and not is_float_lane(f)
-    if exact_lane:
-        e1, e2 = a.phase(1), a.phase(2)
-        one = ExactScalar.one()
-        half = ExactScalar.rational(1, 2)
-        quarter = ExactScalar.rational(1, 4)
+    if a.exact and not is_float_lane(f):
+        e, e2, one = a.phase(1), a.phase(2), ExactScalar.one()
     else:
-        e1, e2 = to_float(a.phase(1)), to_float(a.phase(2))
-        one, half, quarter = 1.0 + 0j, 0.5 + 0j, 0.25 + 0j
+        e, e2, one = to_float(a.phase(1)), to_float(a.phase(2)), 1 + 0j
         f = to_float_poly(f)
-    images = {
-        0b00: {0b00: half * (one + e2), 0b11: quarter * (one - e2)},
-        0b01: {0b01: e1},
-        0b10: {0b10: e1},
-        0b11: {0b00: one - e2, 0b11: half * (one + e2)},
-    }
-    out = {}
-    for (bos, mask), c in f.terms.items():
-        for omask, w in images[mask].items():
-            add_into(out, (bos, omask), c * w)
-    return SuperPolynomial(u, out)
-
-
-def frac02_kernel(fermionic_names, a):
-    """Expanded 0|2 fractional kernel and its prefactor.
-
-    Returns (doubled universe, kernel polynomial, prefactor); x block at
-    fermionic indices 0-1, y block at 2-3.  Exact at a = +/-1 where the
-    coefficients are Gaussian rational; float elsewhere; degenerate at
-    a = 0 (the caller routes that to exact code).
-    """
-    a = Angle(a)
-    dbl = VariableUniverse((), tuple(fermionic_names) + ("yk1", "yk2"))
-    if a.exact:
-        if int(a.a) == 0:
-            raise ValueError("kernel degenerates at a = 0")
-        e1 = a.phase(1)                      # +/- i
-        e2 = a.phase(2)                      # -1
-        denom_inv = ExactScalar.rational(1, 4)
-        c_cross = ExactScalar.rational(2) * e1 * denom_inv
-        c_pair = (ExactScalar.one() + e2) * denom_inv
-        prefactor = ExactScalar.pi_half_power(2) * (ExactScalar.one() - e2)
-        one = ExactScalar.one()
-        half = ExactScalar.rational(1, 2)
-    else:
-        e1, e2 = a.phase(1), a.phase(2)
-        denom_inv = 1.0 / (2.0 - 2.0 * e2)
-        c_cross = 2.0 * e1 * denom_inv
-        c_pair = (1.0 + e2) * denom_inv
-        prefactor = math.pi * (1.0 - e2)
-        one, half = 1.0 + 0j, 0.5 + 0j
-    x1 = SuperPolynomial.fermionic_var(dbl, 0, one)
-    x2 = SuperPolynomial.fermionic_var(dbl, 1, one)
-    y1 = SuperPolynomial.fermionic_var(dbl, 2, one)
-    y2 = SuperPolynomial.fermionic_var(dbl, 3, one)
-    s = (sp_mul(y2, x1) - sp_mul(y1, x2)).scale(c_cross) \
-        + (sp_mul(x1, x2) + sp_mul(y1, y2)).scale(c_pair)
-    kernel = SuperPolynomial.monomial(dbl, (), 0, one) + s \
-        + sp_mul(s, s).scale(half)
-    return dbl, kernel, prefactor
-
-
-def frac02_kernel_apply(f, a):
-    """Berezin integral against the expanded 0|2 fractional kernel.
-
-    Exact at a = +/-1; a = 0 routes to the identity since the kernel
-    degenerates there; other angles run in floating point.
-    """
-    a = Angle(a)
-    u = f.universe
-    if u.pairs != 1 or u.m != 0:
-        raise ValueError("kernel requires the 0|2 universe")
-    if a.exact and int(a.a) == 0:
-        return f
-    dbl, kernel, prefactor = frac02_kernel(u.fermionic, a)
-    f_emb = sp_rename(f if a.exact else to_float_poly(f), dbl, {},
-                      {0: 0, 1: 1})
-    prod = sp_mul(kernel, f_emb)
-    integ = berezin(prod, over=[0, 1])
-    integ = integ.scale(prefactor)
-    return sp_rename(integ, u, {}, {0: 0, 1: 1})
+    plus, minus = (one + e2) * Fraction(1, 2), one - e2
+    rows = ({0b00: plus, 0b11: minus * Fraction(1, 4)}, {0b01: e},
+            {0b10: e}, {0b00: minus, 0b11: plus})
+    return _apply_pair_tables(f, tuple(
+        tuple((sub, w) for sub, w in row.items() if w) for row in rows))
 
 
 # -- fractional calculus rules ------------------------------------------
@@ -360,8 +242,8 @@ def _eval_components(poly, xval):
 
 def general_kernel_check(a, samples, ygrid=None):
     """Quadrature oracle at (m,n)=(1,1): the bosonic fractional kernel is
-    integrated numerically, the fermionic factor applied exactly via the
-    0|2 kernel, and the result compared with the closed-form transform.
+    integrated numerically, the fermionic factor applied through the kernel
+    route, and the result compared with the closed-form transform.
 
     Returns the maximum absolute deviation over samples and grid points.
     """
@@ -385,12 +267,11 @@ def general_kernel_check(a, samples, ygrid=None):
                               to_float_poly(fermionic_envelope_poly(u)))
         # fermionic transform of each mask component
         fer_images = {}
-        uf = VariableUniverse((), u.fermionic)
         for mask in (0b00, 0b01, 0b10, 0b11):
-            img = frac02_kernel_apply(
-                SuperPolynomial(uf, {((), mask): ExactScalar.one()}), a)
+            img = kernel_route(
+                SuperPolynomial(u, {((0,), mask): ExactScalar.one()}), a)
             fer_images[mask] = {mk: to_float(c)
-                                for ((), mk), c in img.terms.items()}
+                                for (_, mk), c in img.terms.items()}
         pref = 1.0 if degenerate \
             else 1.0 / cmath.sqrt(math.pi * (1.0 - e2))
         for y in ygrid:

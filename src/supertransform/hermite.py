@@ -36,10 +36,7 @@ def ch_rodrigues(t, h_k):
         raise ValueError("scalar pathway needs even t")
     if laplace(h_k, "full"):
         raise ValueError("input is not harmonic")
-    g = GaussianFunction(h_k)
-    for _ in range(t // 2):
-        g = scalar_square(g)
-    return g.poly
+    return psi_element(t // 2, h_k).poly
 
 
 def ch_rodrigues_rescaled(t, h_k):
@@ -50,10 +47,7 @@ def ch_rodrigues_rescaled(t, h_k):
         raise ValueError("scalar pathway needs even t")
     if laplace(h_k, "full"):
         raise ValueError("input is not harmonic")
-    g = GaussianFunction(h_k)
-    for _ in range(t // 2):
-        g = laplace(g, "full")
-    return g.poly
+    return psi_tilde_element(t // 2, h_k).poly
 
 
 def ch_explicit(t, m_value, k):
@@ -103,12 +97,6 @@ def psi_tilde_element(j, h_k):
     return g
 
 
-def psi_basis(j, k, universe):
-    """All psi_{j,k,l} over the echelon harmonic basis of degree k."""
-    return [psi_element(j, h)
-            for h in harmonic_basis(k, "full", universe)]
-
-
 def phi_element(j, m_k):
     """phi_{j,k,l} = (d_x + x)^j M_k^(l) exp(x^2/2) for a spherical
     monogenic; Clifford-Weyl-valued, the odd-order pathway."""
@@ -120,14 +108,6 @@ def phi_element(j, m_k):
     for _ in range(j):
         g = dirac_apply(g) + vector_mul(g)
     return g
-
-
-def phi_basis(j, k, universe, weyl_cap=None):
-    """phi family over the capped monogenic basis; exercised only at
-    small (m, n) and k."""
-    from .cliffweyl import monogenic_basis
-    return [phi_element(j, mk)
-            for mk in monogenic_basis(k, universe, weyl_cap)]
 
 
 @functools.cache

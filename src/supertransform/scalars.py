@@ -12,6 +12,7 @@ gives decidable exact equality.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -341,3 +342,52 @@ def to_float(a):
     """Total conversion of an ExactScalar or a number to the complex
     backend value."""
     return a.to_complex() if isinstance(a, ExactScalar) else complex(a)
+
+
+# i^k as exact complex values; -1j would carry a negative zero.
+_QUARTER_TURNS = (complex(1, 0), complex(0, 1), complex(-1, 0),
+                  complex(0, -1))
+
+
+class Angle:
+    """Fractional order a in [-1, 1]; alpha = a*pi/2.
+
+    Integral a keeps the exact backend (phases in {1, i, -1, -i});
+    anything else is handled in floating point.
+    """
+
+    __slots__ = ("a",)
+
+    def __init__(self, a):
+        if isinstance(a, Angle):
+            a = a.a
+        if isinstance(a, (int, Fraction, float)):
+            if not -1 <= a <= 1:
+                raise ValueError("order must lie in [-1, 1]")
+        else:
+            raise TypeError("order must be rational or float")
+        if isinstance(a, float) and a.is_integer():
+            a = int(a)
+        self.a = a
+
+    @property
+    def exact(self):
+        return isinstance(self.a, int) or (
+            isinstance(self.a, Fraction) and self.a.denominator == 1)
+
+    @property
+    def alpha(self):
+        return float(self.a) * math.pi / 2.0
+
+    def phase(self, power):
+        """e^(i * alpha * power) on the matching lane; a quarter turn
+        (a * power integral) is exact on either lane."""
+        turns = self.a * power
+        if self.exact:
+            return ExactScalar.i_power(int(turns))
+        if turns == int(turns):
+            return _QUARTER_TURNS[int(turns) % 4]
+        return cmath.exp(1j * self.alpha * power)
+
+    def __repr__(self):
+        return f"Angle({self.a!r})"

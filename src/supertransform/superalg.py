@@ -221,9 +221,7 @@ class SuperPolynomial(TermMap):
 
     def conjugate(self):
         """Complex conjugation: fixes variables, conjugates scalars."""
-        return self.map_coefficients(lambda c: c.conjugate()
-                                     if isinstance(c, ExactScalar)
-                                     else c.conjugate())
+        return self.map_coefficients(lambda c: c.conjugate())
 
     def parity_signed(self):
         """Multiply every term by (-1)^(fermionic degree)."""
@@ -457,9 +455,6 @@ class GaussianFunction:
     def mul_poly(self, g):
         """Multiply by a plain polynomial from the left."""
         return GaussianFunction(sp_mul(g, self.poly), self.envelope)
-
-    def mul_poly_right(self, g):
-        return GaussianFunction(sp_mul(self.poly, g), self.envelope)
 
     def __eq__(self, other):
         if not isinstance(other, GaussianFunction):

@@ -12,10 +12,11 @@ from supertransform.cliffweyl import (CValued, dirac_apply, euler_cvalued,
                                       power_rule_check, vector_mul)
 from supertransform.fourier import (convolution_fermionic, delta_fourier,
                                     fermionic_fourier, fermionic_kernel,
+                                    kernel_route,
                                     operator_exponential_fourier,
                                     parseval_check, super_fourier)
-from supertransform.fracfourier import (frac02_kernel_apply, frac02_table,
-                                        frac_calculus_check,
+from supertransform.fracfourier import (frac_calculus_check,
+                                        frac_fermionic_table,
                                         frac_dirac_consequence_check,
                                         frac_fourier, general_kernel_check,
                                         max_coeff_deviation,
@@ -228,18 +229,18 @@ def test_criterion_09_fractional_02_kernel():
                  for mask in range(4)]
     for a in (-1, 0, 1):
         for f in monomials:
-            assert frac02_kernel_apply(f, a) == frac02_table(f, a)
+            assert kernel_route(f, a) == frac_fermionic_table(f, a)
     for _ in range(10):
         a = rng.uniform(-0.95, 0.95)
         if abs(a) < 1e-2:
             a += 0.25
         for f in monomials:
-            assert max_coeff_deviation(frac02_kernel_apply(f, a),
-                                       frac02_table(f, a)) <= 1e-12
+            assert max_coeff_deviation(kernel_route(f, a),
+                                       frac_fermionic_table(f, a)) <= 1e-12
     # a = +/-1 reduction to the exact transform
     for f in monomials:
-        assert frac02_kernel_apply(f, 1) == fermionic_fourier(f, "+")
-        assert frac02_kernel_apply(f, -1) == fermionic_fourier(f, "-")
+        assert kernel_route(f, 1) == fermionic_fourier(f, "+")
+        assert kernel_route(f, -1) == fermionic_fourier(f, "-")
     # semigroup and inverse on the psi span
     u11 = VariableUniverse.standard(1, 1)
     for _ in range(5):
@@ -387,8 +388,8 @@ def test_criterion_15_structural_identities():
     # kernel symmetry
     for n in (1, 2, 3):
         uu = VariableUniverse.standard(0, n)
-        for sign in ("+", "-"):
-            dbl, kernel = fermionic_kernel(uu, sign)
+        for a in (1, -1):
+            dbl, kernel, _ = fermionic_kernel(uu, a)
             swap = {j: (j + 2 * n) % (4 * n) for j in range(4 * n)}
             assert sp_rename(kernel, dbl, {}, swap) == kernel
     # symplectic invariance of the pairing

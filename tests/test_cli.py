@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -298,12 +299,6 @@ def test_cli_rejects_negative_universe_sizes(capsys, m, n):
     assert code == 1 and "non-negative" in err
 
 
-def test_cli_fracfourier_float_backend(capsys):
-    code, out, _ = _run_cli(capsys, "--m", "1", "--n", "1", "--backend",
-                            "float", "fracfourier", "--a", "1", "G")
-    assert code == 0 and "j)" in out   # float-lane rendering forced
-
-
 def test_cli_dirac_on_gaussian(capsys):
     # d_x(G) = x G: one orthogonal and two symplectic components
     code, out, _ = _run_cli(capsys, "--m", "1", "--n", "1", "dirac", "G")
@@ -376,3 +371,27 @@ def test_cli_decompose_refuses_m_zero(capsys):
                             "--k", "2")
     assert code == 1 and "m >= 1" in err
     assert "gamma argument" not in err
+
+
+_BIG_LITERAL = "7" * 5000
+_ONE = '[{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]'
+
+
+@pytest.mark.parametrize("text, limit", [
+    ("x1^99999999", "MAX_EXPONENT = 1000"),
+    ("2^99999999", "MAX_EXPONENT = 1000"),
+    ("123456789^1000", "MAX_POWER_DIGITS = 4300"),
+    (_BIG_LITERAL, "MAX_DIGITS = 1000"),
+    ('{"schema": "supertransform/1", "terms": [{"bos": [%s], "coeff": %s}]}'
+     % (_BIG_LITERAL, _ONE), "MAX_DIGITS = 1000"),
+    ('{"schema": "supertransform/1", "terms": [{"bos": [99999999], '
+     '"coeff": %s}]}' % _ONE, "MAX_EXPONENT = 1000"),
+], ids=["x1-power", "scalar-power", "power-digits", "literal",
+        "json-literal", "json-exponent"])
+def test_cli_input_budgets_refuse_fast(capsys, text, limit):
+    start = time.perf_counter()
+    code, out, err = _run_cli(capsys, "--m", "1", "--n", "1", "normalize",
+                              text)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and not out and limit in err
+    assert "set_int_max_str_digits" not in err

@@ -7,18 +7,19 @@ from supertransform.fourier import (berezin, convolution_fermionic,
                                     fermionic_fourier,
                                     fermionic_fourier_gaussian,
                                     fermionic_kernel, bosonic_fourier,
-                                    grassmann_shift,
+                                    grassmann_shift, kernel_route,
                                     operator_exponential_fourier,
                                     parseval_check, super_fourier,
                                     super_integral, super_integral_pair)
+from supertransform.fracfourier import max_coeff_deviation
 from supertransform.harmonics import (fermionic_square_power, harmonic_basis)
 from supertransform.hermite import psi_span
 from supertransform.operators import laplace
 from supertransform.scalars import ExactScalar
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse,
-                                     fermionic_envelope_poly, sp_mul,
-                                     sp_rename)
+                                     fermionic_envelope_poly, pairing,
+                                     sp_mul, sp_rename)
 from tests.conftest import random_poly, random_scalar
 
 
@@ -94,14 +95,35 @@ def test_gaussian_invariance_fermionic():
 
 
 def test_kernel_symmetry():
-    # K(x,y) = K(y,x) under block exchange
+    # K_a(x,y) = K_a(y,x) under block exchange, exactly at a = +/-1
     for n in (1, 2, 3):
         u = VariableUniverse.standard(0, n)
-        for sign in ("+", "-"):
-            dbl, kernel = fermionic_kernel(u, sign)
+        for a in (1, -1, 0.43, -0.77):
+            dbl, kernel, _ = fermionic_kernel(u, a)
             n2 = 2 * n
             swap = {j: (j + n2) % (2 * n2) for j in range(2 * n2)}
-            assert sp_rename(kernel, dbl, {}, swap) == kernel
+            swapped = sp_rename(kernel, dbl, {}, swap)
+            if a in (1, -1):
+                assert swapped == kernel
+            else:
+                assert max_coeff_deviation(swapped, kernel) <= 1e-15
+
+
+def test_kernel_is_pairing_exponential():
+    # K_{+/-1} = exp(-/+ i <x,y>_f), the nilpotent series of the
+    # separately built symplectic pairing
+    for n in (1, 2, 3):
+        u = VariableUniverse.standard(0, n)
+        for a in (1, -1):
+            dbl, kernel, _ = fermionic_kernel(u, a)
+            uy = VariableUniverse((), dbl.fermionic[2 * n:])
+            exponent = pairing(u, uy).scale(ExactScalar.i_power(-a))
+            assert exponent.universe == dbl
+            term = want = SuperPolynomial.one(dbl)
+            for k in range(1, 2 * n + 1):
+                term = sp_mul(term, exponent).scale(Fraction(1, k))
+                want = want + term
+            assert kernel == want, (n, a)
 
 
 def test_homogeneity_flip():
@@ -497,15 +519,14 @@ def test_pair_tables_equal_kernel_route(rng, m, n):
     # the pair tables against the defining route: fermionic_kernel in the
     # doubled universe, then berezin; on the Gaussian class the envelope
     # is multiplied in before and stripped after
-    from supertransform.fourier import _kernel_route
     u = VariableUniverse.standard(m, n)
     env = fermionic_envelope_poly(u)
     strip = fermionic_envelope_poly(u, sign=-1)
     for _ in range(3):
         f = _pair_mixed_poly(u, rng, nterms=5)
-        for sign in ("+", "-"):
-            assert fermionic_fourier(f, sign) == _kernel_route(f, sign)
-            want = sp_mul(_kernel_route(sp_mul(f, env), sign), strip)
+        for sign, a in (("+", 1), ("-", -1)):
+            assert fermionic_fourier(f, sign) == kernel_route(f, a)
+            want = sp_mul(kernel_route(sp_mul(f, env), a), strip)
             got = fermionic_fourier_gaussian(GaussianFunction(f), sign)
             assert got == GaussianFunction(want), (m, n, sign)
 

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from supertransform.fourier import fermionic_fourier, super_fourier
-from supertransform.fracfourier import (Angle, frac02_kernel,
-                                        frac02_kernel_apply, frac02_table,
-                                        frac_calculus_check,
+from supertransform.fourier import (fermionic_fourier, kernel_route,
+                                    super_fourier)
+from supertransform.fracfourier import (Angle, frac_calculus_check,
                                         frac_dirac_consequence_check,
-                                        frac_fourier, general_kernel_check,
+                                        frac_fermionic_table, frac_fourier,
+                                        general_kernel_check,
                                         max_coeff_deviation,
                                         relative_deviation,
                                         to_float_gaussian)
@@ -16,10 +16,12 @@ from supertransform.harmonics import express_in_basis
 from supertransform.hermite import psi_span
 from supertransform.scalars import ExactScalar, to_float
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
-                                     VariableUniverse, sp_rename)
+                                     VariableUniverse)
 from tests.conftest import random_gaussian, random_poly
 
 ORDERS = (Fraction(1, 3), Fraction(1, 2), Fraction(-1, 4), Fraction(2, 3))
+# universe shapes (m, n) of the kernel-against-table checks; 0|2 first
+TABLE_SHAPES = ((0, 1), (0, 2), (1, 2), (0, 3), (2, 2))
 
 
 def span_sample(u, rng, cap=4):
@@ -85,59 +87,51 @@ def test_frac02_table_values():
     one = SuperPolynomial.one(u)
     q1 = SuperPolynomial.fermionic_var(u, 0)
     # a = 1: e^(i alpha) = i, e^(2 i alpha) = -1
-    got = frac02_table(one, 1)
+    got = frac_fermionic_table(one, 1)
     want = SuperPolynomial(u, {((), 0b11): ExactScalar.rational(1, 2)})
     assert got == want
-    assert frac02_table(q1, 1) == q1.scale(ExactScalar.i())
+    assert frac_fermionic_table(q1, 1) == q1.scale(ExactScalar.i())
     # a = 0 is the identity column of the table
-    assert frac02_table(one, 0) == one
+    assert frac_fermionic_table(one, 0) == one
     top = SuperPolynomial(u, {((), 0b11): ExactScalar.one()})
-    assert frac02_table(top, 0) == top
-    assert frac02_table(top, 1) == SuperPolynomial.scalar(u, 2)
+    assert frac_fermionic_table(top, 0) == top
+    assert frac_fermionic_table(top, 1) == SuperPolynomial.scalar(u, 2)
+
+
+def basis_monomials(m, n):
+    # every fermionic mask once, with bosonic factors that vary by mask
+    u = VariableUniverse.standard(m, n)
+    return [SuperPolynomial(u, {(tuple((mask + i) % 3 for i in range(m)),
+                                 mask): ExactScalar.one()})
+            for mask in range(1 << (2 * n))]
 
 
 def test_frac02_kernel_matches_table_exact_points():
-    u = VariableUniverse.standard(0, 1)
-    monomials = [SuperPolynomial(u, {((), mask): ExactScalar.one()})
-                 for mask in range(4)]
-    for a in (-1, 0, 1):
-        for f in monomials:
-            assert frac02_kernel_apply(f, a) == frac02_table(f, a)
+    for m, n in TABLE_SHAPES:
+        for a in (-1, 0, 1):
+            for f in basis_monomials(m, n):
+                assert kernel_route(f, a) == frac_fermionic_table(f, a)
 
 
 def test_frac02_kernel_matches_table_random_angles(rng):
-    u = VariableUniverse.standard(0, 1)
-    monomials = [SuperPolynomial(u, {((), mask): ExactScalar.one()})
-                 for mask in range(4)]
-    for _ in range(10):
-        a = rng.uniform(-1, 1)
-        if abs(a) < 1e-3:
-            a = 0.37
-        for f in monomials:
-            dev = max_coeff_deviation(frac02_kernel_apply(f, a),
-                                      frac02_table(f, a))
-            assert dev <= 1e-12
+    for m, n in TABLE_SHAPES:
+        monomials = basis_monomials(m, n)
+        for _ in range(10):
+            a = rng.uniform(-1, 1)
+            if abs(a) < 1e-3:
+                a = 0.37
+            for f in monomials:
+                dev = max_coeff_deviation(kernel_route(f, a),
+                                          frac_fermionic_table(f, a))
+                assert dev <= 1e-12, (m, n, a)
 
 
 def test_frac02_a1_reproduces_fermionic_fourier():
     u = VariableUniverse.standard(0, 1)
     for mask in range(4):
         f = SuperPolynomial(u, {((), mask): ExactScalar.one()})
-        assert frac02_kernel_apply(f, 1) == fermionic_fourier(f, "+")
-        assert frac02_kernel_apply(f, -1) == fermionic_fourier(f, "-")
-
-
-def test_frac02_kernel_symmetric_in_x_and_y(rng):
-    for a in (1, -1, 0.43, -0.77):
-        if Angle(a).exact and int(Angle(a).a) == 0:
-            continue
-        dbl, kernel, _ = frac02_kernel(("q1", "q2"), a)
-        swap = {0: 2, 1: 3, 2: 0, 3: 1}
-        swapped = sp_rename(kernel, dbl, {}, swap)
-        if Angle(a).exact:
-            assert swapped == kernel
-        else:
-            assert max_coeff_deviation(swapped, kernel) <= 1e-15
+        assert kernel_route(f, 1) == fermionic_fourier(f, "+")
+        assert kernel_route(f, -1) == fermionic_fourier(f, "-")
 
 
 def test_frac_calculus_rules_exact_points(rng):
