@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from supertransform.fourier import (fermionic_fourier, kernel_route,
-                                    super_fourier)
+from supertransform.fourier import (fermionic_fourier, fermionic_kernel,
+                                    kernel_route, super_fourier)
 from supertransform.fracfourier import (Angle, frac_calculus_check,
                                         frac_dirac_consequence_check,
                                         frac_fermionic_table, frac_fourier,
@@ -16,7 +16,7 @@ from supertransform.harmonics import express_in_basis
 from supertransform.hermite import psi_span
 from supertransform.scalars import ExactScalar, to_float
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
-                                     VariableUniverse)
+                                     VariableUniverse, sp_rename)
 from tests.conftest import random_gaussian, random_poly
 
 ORDERS = (Fraction(1, 3), Fraction(1, 2), Fraction(-1, 4), Fraction(2, 3))
@@ -132,6 +132,18 @@ def test_frac02_a1_reproduces_fermionic_fourier():
         f = SuperPolynomial(u, {((), mask): ExactScalar.one()})
         assert kernel_route(f, 1) == fermionic_fourier(f, "+")
         assert kernel_route(f, -1) == fermionic_fourier(f, "-")
+
+
+def test_frac02_kernel_symmetric_in_x_and_y(rng):
+    u = VariableUniverse.standard(0, 1)
+    for a in (1, -1, 0.43, -0.77):
+        dbl, kernel, _ = fermionic_kernel(u, a)
+        swap = {0: 2, 1: 3, 2: 0, 3: 1}
+        swapped = sp_rename(kernel, dbl, {}, swap)
+        if Angle(a).exact:
+            assert swapped == kernel
+        else:
+            assert max_coeff_deviation(swapped, kernel) <= 1e-15
 
 
 def test_frac_calculus_rules_exact_points(rng):
