@@ -104,6 +104,8 @@ def _render(result, fmt):
 
 
 def _render_radon(res, fmt):
+    exprmod.check_render_digits(c for ppoly in res.terms.values()
+                                for c in ppoly.values())
     if fmt == "json":
         js = res.to_json()
         js["schema"] = "supertransform/1"

@@ -8,7 +8,8 @@ Grammar:  expr := ('-')? term (('+'|'-') term)*
 Juxtaposed factors multiply in written order, so fermionic products like
 q1q2 keep their sign semantics; fermionic squares are rejected at parse
 time, as are mixed Gaussian/non-Gaussian sums.  Oversized input is
-refused before any arithmetic with a ValueError naming the budget below.
+refused before any arithmetic, and oversized output before rendering,
+with a ValueError naming the budget below.
 """
 
 from __future__ import annotations
@@ -23,10 +24,12 @@ from .scalars import ExactScalar, QQi
 from .superalg import (GaussianFunction, SuperPolynomial, mask_bits, sp_mul)
 
 
-# Input budgets of the expression and JSON readers.
+# Input budgets of the expression and JSON readers, and the renderers'
+# output budget.
 MAX_EXPONENT = 1000        # |exponent| of '^' and of a JSON bosonic entry
 MAX_DIGITS = 1000          # digits of one integer literal
 MAX_POWER_DIGITS = 4300    # digits of a scalar power (Python's int str limit)
+MAX_RENDER_DIGITS = 4300   # digits of one rendered integer (output budget)
 
 
 def _literal_int(text):
@@ -58,6 +61,24 @@ def _scalar_power(c, k):
         raise ValueError(f"scalar power would exceed MAX_POWER_DIGITS = "
                          f"{MAX_POWER_DIGITS} digits")
     return c ** k
+
+
+def check_render_digits(coeffs):
+    """Refuse, before any text is built, exact coefficients holding an
+    integer of more than MAX_RENDER_DIGITS digits: sums and products of
+    in-budget input can outgrow it."""
+    for c in coeffs:
+        if not isinstance(c, ExactScalar):
+            continue
+        for q in c.terms.values():
+            for x in (q.re, q.im):
+                if max(abs(x.numerator), x.denominator) >= _RENDER_BOUND:
+                    raise ValueError(
+                        f"a coefficient exceeds MAX_RENDER_DIGITS = "
+                        f"{MAX_RENDER_DIGITS} digits")
+
+
+_RENDER_BOUND = 10 ** MAX_RENDER_DIGITS
 
 
 class ParseError(Exception):
@@ -332,6 +353,7 @@ def _monomial_text(u, bos, mask, bos_names=None, fer_names=None):
 def render_poly_text(f, bos_names=None, fer_names=None):
     gaussian = isinstance(f, GaussianFunction)
     poly = f.poly if gaussian else f
+    check_render_digits(poly.terms.values())
     u = poly.universe
     if not poly.terms:
         return "0"
@@ -379,6 +401,7 @@ def _coeff_latex(c):
 def render_poly_latex(f, bos_names=None, fer_names=None):
     gaussian = isinstance(f, GaussianFunction)
     poly = f.poly if gaussian else f
+    check_render_digits(poly.terms.values())
     u = poly.universe
     if not poly.terms:
         return "0"
@@ -401,6 +424,7 @@ def render_poly_latex(f, bos_names=None, fer_names=None):
 def poly_to_json(f):
     gaussian = isinstance(f, GaussianFunction)
     poly = f.poly if gaussian else f
+    check_render_digits(poly.terms.values())
     u = poly.universe
     terms = []
     for (bos, mask), c in poly.sorted_terms():

@@ -97,13 +97,16 @@ def kernel_route(f, a):
     """prefactor * Berezin_x of K_a(x,y) f(x): the defining fermionic
     transform of order a on any universe (bosonic factors pass through),
     the identity at a = 0.  The pair tables are built from it at a = +/-1
-    and tested against it."""
+    and tested against it; there, as in the exact transforms, float-lane
+    input is refused."""
     a = Angle(a)
     if a.a == 0:
         return f
     u = f.universe
     dbl, kernel, prefactor = fermionic_kernel(u, a)
-    if not a.exact:
+    if a.exact:
+        _require_exact(f)
+    else:
         f = f.map_coefficients(to_float)
     bos = {i: i for i in range(u.m)}
     fer = {j: j for j in range(len(u.fermionic))}

@@ -55,9 +55,8 @@ def harmonic_basis(k, sector, universe):
         return HarmonicBasis(k, sector, [])
 
     def image(mono):
-        f = SuperPolynomial(universe, {mono: ExactScalar.one()})
-        lf = laplace(f, sector)
-        return {key: c.rational_value() for key, c in lf.terms.items()}
+        # a lane-neutral integer coefficient keeps the image integral
+        return laplace(SuperPolynomial(universe, {mono: 1}), sector).terms
 
     vecs = nullspace(monos, image)
     elements = []

@@ -1,10 +1,20 @@
 """Clifford-Hermite polynomials and the scalar eigenfunction bases.
 
-The operator (Rodrigues) definitions are authoritative: CH_{2t} comes
-from t applications of the scalar (d_x+x)^2 and the rescaled CH~_{2t}
-from t applications of the Gaussian-aware Laplacian.  ch_explicit
-implements the closed coefficient formula as stated; the
-two disagree by 2^(t-i) per coefficient (see tests), and both are kept.
+On a homogeneous harmonic h of degree k, the eigenfunctions of the
+Fourier transform are Clifford-Hermite polynomials in t = x^2 times h
+(De Bie and Sommen, J. Phys. A 40 (2007) 10441):
+
+    psi~_{j,k} = Delta^j (h G)          = sum_i c~_i t^i h G,
+    psi_{j,k}  = (d_x+x)^(2j) (h G)     = sum_i 2^(j+i) c~_i t^i h G,
+
+with G = exp(x^2/2) and integers c~_i from the three-term recursion of
+ch_coefficients.  It follows from Delta(t^i h) = 2i(2k+M+2i-2) t^(i-1) h
+and E(t^i h) = (2i+k) t^i h, since Delta through the envelope is
+Delta + 2E + M + x^2.  The recursion is how the family is computed; the
+Rodrigues route (j applications of operators.laplace or
+operators.scalar_square) is its test oracle.  ch_explicit is the
+displayed closed coefficient formula, whose i-th coefficient is
+2^(t-i) c~_i (tested).
 """
 
 from __future__ import annotations
@@ -15,10 +25,10 @@ from fractions import Fraction
 
 from ._terms import add_into
 from .harmonics import harmonic_basis
-from .operators import (bosonic_derivative, fermionic_derivative, laplace,
-                        scalar_square)
+from .operators import bosonic_derivative, fermionic_derivative, laplace
 from .scalars import ExactScalar, rising_factorial
-from .superalg import GaussianFunction, SuperPolynomial, mask_bits
+from .superalg import (GaussianFunction, SuperPolynomial, mask_bits,
+                       neutral_vector_square, sp_mul)
 
 
 def _check_order(order, name):
@@ -34,8 +44,6 @@ def ch_rodrigues(t, h_k):
     _check_order(t, "t")
     if t % 2:
         raise ValueError("scalar pathway needs even t")
-    if laplace(h_k, "full"):
-        raise ValueError("input is not harmonic")
     return psi_element(t // 2, h_k).poly
 
 
@@ -45,9 +53,23 @@ def ch_rodrigues_rescaled(t, h_k):
     _check_order(t, "t")
     if t % 2:
         raise ValueError("scalar pathway needs even t")
-    if laplace(h_k, "full"):
-        raise ValueError("input is not harmonic")
     return psi_tilde_element(t // 2, h_k).poly
+
+
+@functools.cache
+def ch_coefficients(j, m_value, k):
+    """Integers c~_0..c~_j with Delta^j (h G) = sum_i c~_i t^i h G for a
+    harmonic h of degree k at superdimension M = m_value."""
+    c = [1]
+    for _ in range(j):
+        nxt = [0] * (len(c) + 1)
+        for i, ci in enumerate(c):
+            if i:
+                nxt[i - 1] += 2 * i * (2 * k + m_value + 2 * i - 2) * ci
+            nxt[i] += (2 * (2 * i + k) + m_value) * ci
+            nxt[i + 1] += ci
+        c = nxt
+    return tuple(c)
 
 
 def ch_explicit(t, m_value, k):
@@ -81,20 +103,32 @@ def ch_explicit(t, m_value, k):
 
 def psi_element(j, h_k):
     """psi_{j,k,l} = (d_x+x)^(2j) H_k^(l) exp(x^2/2) as a Gaussian function."""
-    _check_order(j, "j")
-    g = GaussianFunction(h_k)
-    for _ in range(j):
-        g = scalar_square(g)
-    return g
+    return _hermite_series(j, h_k, rescaled=False)
 
 
 def psi_tilde_element(j, h_k):
     """psi~_{j,k,l} = (d_x)^(2j) H_k^(l) exp(x^2/2) via the Laplacian."""
+    return _hermite_series(j, h_k, rescaled=True)
+
+
+def _hermite_series(j, h_k, rescaled):
+    """sum_i c_i t^i h_k G with the ch_coefficients, times 2^(j+i) for
+    psi; h_k must be a homogeneous harmonic, as the recursion assumes."""
     _check_order(j, "j")
-    g = GaussianFunction(h_k)
-    for _ in range(j):
-        g = laplace(g, "full")
-    return g
+    if not h_k.is_homogeneous() or laplace(h_k, "full"):
+        raise ValueError("input is not a homogeneous harmonic")
+    u = h_k.universe
+    square = neutral_vector_square(u)
+    terms = {}
+    power = h_k
+    for i, c in enumerate(ch_coefficients(j, u.superdim, h_k.degree())):
+        if i:
+            power = sp_mul(square, power)
+        if not rescaled:
+            c <<= j + i
+        if c:       # the t^i h_k have distinct degrees: no keys collide
+            terms.update((key, v * c) for key, v in power.terms.items())
+    return GaussianFunction(h_k._like(terms))
 
 
 def phi_element(j, m_k):

@@ -16,8 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .superalg import (GaussianFunction, SuperPolynomial,
-                       neutral_bosonic_var, neutral_fermionic_var, sp_mul,
-                       vector_square)
+                       neutral_bosonic_var, neutral_fermionic_var,
+                       neutral_vector_square, sp_mul, vector_square)
 
 
 def bosonic_derivative(f, i):
@@ -66,14 +66,17 @@ def _zero_like(f):
 
 
 def euler(f):
-    """E = sum x_i d/dx_i + sum q_j d/dq_j."""
-    u = f.universe
-    out = _zero_like(f)
-    for i in range(u.m):
-        out = out + multiply_bosonic_var(bosonic_derivative(f, i), i)
-    for j in range(len(u.fermionic)):
-        out = out + multiply_fermionic_var(fermionic_derivative(f, j), j)
-    return out
+    """E = sum x_i d/dx_i + sum q_j d/dq_j, diagonal on monomials: each
+    term is scaled by its degree.  Through the envelope E exp(x^2/2) =
+    x^2 exp(x^2/2) adds x^2 times the polynomial."""
+    p = f if isinstance(f, SuperPolynomial) else f.poly
+    out = p._like({(bos, mask): c * d for (bos, mask), c in p.terms.items()
+                   if (d := sum(bos) + mask.bit_count())})
+    if isinstance(f, SuperPolynomial):
+        return out
+    if f.envelope:
+        out = out + sp_mul(neutral_vector_square(f.universe), p)
+    return GaussianFunction(out, f.envelope)
 
 
 def laplace(f, sector="full"):

@@ -19,14 +19,22 @@ from fractions import Fraction
 from ._terms import TermMap, add_into
 
 
+_ZERO = Fraction(0)
+
+
 class QQi:
-    """Complex rational a + b*i with exact Fraction components."""
+    """Complex rational a + b*i with exact Fraction components.
+
+    Most coefficients of the engine are real rationals: a Fraction
+    argument is kept as it is, and a product with an int, a Fraction or
+    another real value skips the complex formula.
+    """
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+    def __init__(self, re=_ZERO, im=_ZERO):
+        self.re = re if isinstance(re, Fraction) else Fraction(re)
+        self.im = im if isinstance(im, Fraction) else Fraction(im)
 
     def __add__(self, other):
         other = _as_qqi(other)
@@ -41,7 +49,11 @@ class QQi:
         return self + (-_as_qqi(other))
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return QQi(self.re * other, self.im * other)
         other = _as_qqi(other)
+        if not self.im and not other.im:
+            return QQi(self.re * other.re)
         return QQi(self.re * other.re - self.im * other.im,
                    self.re * other.im + self.im * other.re)
 
@@ -163,7 +175,7 @@ class ExactScalar(TermMap):
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QQi)):
-            return self.scale(_as_qqi(other))
+            return self.scale(other)
         if not isinstance(other, ExactScalar):
             return NotImplemented
         acc = {}

@@ -305,6 +305,16 @@ def neutral_fermionic_var(u, j, c=Fraction(1)):
     return SuperPolynomial(u, {((0,) * u.m, 1 << j): c})
 
 
+def neutral_vector_square(u):
+    """x^2 with lane-neutral integer coefficients, for operators that
+    must work on either scalar backend (see vector_square)."""
+    zero_b = (0,) * u.m
+    terms = {(zero_b, 3 << (2 * p)): 1 for p in range(u.pairs)}
+    for i in range(u.m):
+        terms[(zero_b[:i] + (2,) + zero_b[i + 1:], 0)] = -1
+    return SuperPolynomial(u, terms)
+
+
 def sp_mul(f, g):
     """Product with the Koszul sign convention on fermionic merges."""
     if f.universe != g.universe:
@@ -371,15 +381,7 @@ def sp_substitute_fermionic(f, images):
 
 def vector_square(u):
     """The polynomial x^2 = sum q_{2j-1} q_{2j} - sum x_i^2."""
-    terms = {}
-    zero_b = (0,) * u.m
-    for p in range(u.pairs):
-        terms[(zero_b, (1 << (2 * p)) | (1 << (2 * p + 1)))] = \
-            ExactScalar.one()
-    for i in range(u.m):
-        exp = tuple(2 if j == i else 0 for j in range(u.m))
-        terms[(exp, 0)] = ExactScalar.rational(-1)
-    return SuperPolynomial(u, terms)
+    return neutral_vector_square(u).map_coefficients(ExactScalar.rational)
 
 
 def fermionic_square(u):

@@ -395,3 +395,23 @@ def test_cli_input_budgets_refuse_fast(capsys, text, limit):
     assert time.perf_counter() - start < 1.0
     assert code == 1 and not out and limit in err
     assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+@pytest.mark.parametrize("command, text", [
+    ("normalize", "9^1000*9^1000*9^1000*9^1000*9^1000"),
+    ("normalize", "(1/9)^1000*(1/9)^1000*(1/9)^1000*(1/9)^1000*(1/9)^1000*G"),
+    ("radon", "9^1000*9^1000*9^1000*9^1000*9^1000*x1*G"),
+])
+def test_cli_render_budget_refuses_fast(capsys, fmt, command, text):
+    # every factor is within the input budgets; the 4772-digit product
+    # would pass Python's int printing limit at render time
+    start = time.perf_counter()
+    code, out, err = _run_cli(capsys, "--m", "1", "--n", "1", "--format",
+                              fmt, command, text)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and not out and "MAX_RENDER_DIGITS = 4300" in err
+    assert "set_int_max_str_digits" not in err
+    code, out, _ = _run_cli(capsys, "--m", "1", "--n", "1", "--format", fmt,
+                            "normalize", "9^1000*9^1000*9^1000*9^1000")
+    assert code == 0 and out

@@ -563,3 +563,19 @@ def test_exact_transforms_and_integrals_refuse_float_lane():
                 fermionic_fourier(g.poly, sign)
         with pytest.raises(ValueError, match="exact-lane input"):
             super_integral(g)
+
+
+def test_kernel_route_at_exact_orders_refuses_float_lane():
+    # the +/-1 kernel is exact, so float-lane input gets the exact
+    # transforms' refusal; other orders run on floats and accept it
+    from supertransform.fracfourier import frac_fermionic_table, to_float_poly
+    for m, n in [(0, 1), (1, 2)]:
+        u = VariableUniverse.standard(m, n)
+        g = to_float_poly(SuperPolynomial.fermionic_var(u, 0)
+                          + SuperPolynomial.one(u))
+        for a in (1, -1, Fraction(1), Fraction(-1)):
+            with pytest.raises(ValueError, match="exact-lane input"):
+                kernel_route(g, a)
+        assert kernel_route(g, 0) is g
+        assert max_coeff_deviation(kernel_route(g, 0.5),
+                                   frac_fermionic_table(g, 0.5)) < 1e-12

@@ -4,12 +4,12 @@ import pytest
 
 from supertransform._linalg import SparseRREF
 from supertransform.harmonics import harmonic_basis
-from supertransform.hermite import (ch_explicit, ch_rodrigues,
-                                    ch_rodrigues_rescaled, psi_element,
-                                    psi_span, psi_tilde_element,
-                                    substhermite_check,
+from supertransform.hermite import (ch_coefficients, ch_explicit,
+                                    ch_rodrigues, ch_rodrigues_rescaled,
+                                    psi_element, psi_span,
+                                    psi_tilde_element, substhermite_check,
                                     substitute_derivatives)
-from supertransform.operators import laplace
+from supertransform.operators import laplace, scalar_square
 from supertransform.scalars import ExactScalar
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse, sp_mul, vector_square)
@@ -60,7 +60,8 @@ def test_ch_explicit_values():
 def test_explicit_vs_rodrigues_normalization_discrepancy():
     # The closed-form coefficients and the operator definition disagree:
     # explicit coeff_i = 2^(t-i) * operator-route coeff_i.  Recorded, not
-    # patched; the operator route is authoritative everywhere else.
+    # patched; the operator route (computed by hermite.ch_coefficients)
+    # is authoritative everywhere else.
     u = VariableUniverse.standard(1, 0)
     rod = ch_rodrigues_rescaled(2, SuperPolynomial.one(u))
     # as a polynomial in x^2 = -x1^2: [M, 1]
@@ -75,6 +76,59 @@ def test_explicit_vs_rodrigues_normalization_discrepancy():
             assert len(explicit) == len(rodpoly)
             for i, (e, r) in enumerate(zip(explicit, rodpoly)):
                 assert e == ExactScalar.rational(2 ** (t - i)) * r
+
+
+def test_ch_explicit_is_the_recursion_times_powers_of_two():
+    # explicit coeff_i = 2^(t-i) c~_i wherever ch_explicit is defined,
+    # its factorial branch at M in -2N included
+    factorial_cases = 0
+    for m_val in range(-8, 6):
+        for k in range(5):
+            for t in range(5):
+                try:
+                    explicit = ch_explicit(t, m_val, k)
+                except ValueError:
+                    continue
+                factorial_cases += m_val <= -2 and m_val % 2 == 0
+                want = [ExactScalar.rational(2 ** (t - i) * c)
+                        for i, c in enumerate(ch_coefficients(t, m_val, k))]
+                assert explicit == want, (t, m_val, k)
+    assert factorial_cases == 34
+
+
+# (m, n) shapes with M in {-5, -4, -2, -1, 0}; M = -2 and -4 are in -2N
+_RECURSION_SHAPES = [(0, 1), (1, 1), (2, 1), (0, 2), (2, 2), (1, 3)]
+
+
+def test_psi_recursion_matches_rodrigues_route():
+    # the recursion against j applications of (d_x+x)^2 and of Delta
+    # through the envelope, for every harmonic with k <= 3 and j <= 2
+    cases = 0
+    for m, n in _RECURSION_SHAPES:
+        u = VariableUniverse.standard(m, n)
+        for k in range(4):
+            for h in harmonic_basis(k, "full", u):
+                psi = psi_tilde = GaussianFunction(h)
+                for j in range(3):
+                    assert psi_element(j, h) == psi, (m, n, k, j)
+                    assert psi_tilde_element(j, h) == psi_tilde, (m, n, k, j)
+                    psi = scalar_square(psi)
+                    psi_tilde = laplace(psi_tilde, "full")
+                    cases += 1
+    assert cases == 462
+
+
+def test_psi_refuses_inhomogeneous_or_non_harmonic_input():
+    u = VariableUniverse.standard(2, 1)
+    x1 = SuperPolynomial.bosonic_var(u, 0)
+    not_harmonic = sp_mul(x1, x1)
+    inhomogeneous = x1 + SuperPolynomial.one(u)     # a sum of harmonics
+    for fn, order in [(psi_element, 1), (psi_tilde_element, 1),
+                      (psi_element, 0), (ch_rodrigues, 2),
+                      (ch_rodrigues_rescaled, 0)]:
+        for h in (not_harmonic, inhomogeneous):
+            with pytest.raises(ValueError, match="homogeneous harmonic"):
+                fn(order, h)
 
 
 def _rescaled_univariate(t, k):

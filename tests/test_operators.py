@@ -3,7 +3,8 @@ import pytest
 from supertransform.operators import (bosonic_derivative, euler,
                                       fermionic_derivative,
                                       gaussian_expand_fermionic, laplace,
-                                      scalar_square)
+                                      multiply_bosonic_var,
+                                      multiply_fermionic_var, scalar_square)
 from supertransform.scalars import ExactScalar
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse,
@@ -30,6 +31,28 @@ def test_euler_on_homogeneous(rng):
             mono = SuperPolynomial(u, {(bos, mask): c})
             k = sum(bos) + mask.bit_count()
             assert euler(mono) == mono.scale(k)
+
+
+def _euler_derivative_sum(f):
+    """E as its definition, sum x_i d/dx_i + sum q_j d/dq_j, with the
+    derivatives acting through the envelope when there is one."""
+    u = f.universe
+    out = f.scale(0)
+    for i in range(u.m):
+        out = out + multiply_bosonic_var(bosonic_derivative(f, i), i)
+    for j in range(len(u.fermionic)):
+        out = out + multiply_fermionic_var(fermionic_derivative(f, j), j)
+    return out
+
+
+def test_euler_matches_derivative_sum(rng):
+    for m, n in [(1, 0), (0, 1), (1, 1), (2, 1), (0, 2), (2, 2), (1, 3)]:
+        u = VariableUniverse.standard(m, n)
+        for _ in range(6):
+            p = random_poly(u, rng, degree=4, nterms=5, rational=False)
+            for f in (p, GaussianFunction(p),
+                      GaussianFunction(p, envelope=False)):
+                assert euler(f) == _euler_derivative_sum(f), (m, n)
 
 
 def test_laplace_vector_square_is_twice_superdim():

@@ -8,8 +8,12 @@ from hypothesis import strategies as st
 from supertransform.fourier import kernel_route
 from supertransform.fracfourier import frac_fermionic_table, \
     relative_deviation
+from supertransform.harmonics import harmonic_basis
+from supertransform.hermite import psi_element
+from supertransform.operators import scalar_square
 from supertransform.scalars import ExactScalar, QQi
-from supertransform.superalg import SuperPolynomial, VariableUniverse
+from supertransform.superalg import (GaussianFunction, SuperPolynomial,
+                                     VariableUniverse)
 
 _rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 _scalars = st.builds(
@@ -41,3 +45,23 @@ def test_kernel_route_equals_pair_table(f, a):
         assert route == table
     else:
         assert relative_deviation(route, table) <= 1e-12
+
+
+@st.composite
+def _harmonic_combinations(draw):
+    m, n = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    u = VariableUniverse.standard(m, n)
+    basis = harmonic_basis(draw(st.integers(0, 3)), "full", u)
+    h = SuperPolynomial.zero(u)
+    for element in basis:
+        h = h + element.scale(draw(st.integers(-3, 3)))
+    return h
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_harmonic_combinations(), st.integers(0, 2))
+def test_psi_recursion_equals_scalar_square_powers(h, j):
+    want = GaussianFunction(h)
+    for _ in range(j):
+        want = scalar_square(want)
+    assert psi_element(j, h) == want
