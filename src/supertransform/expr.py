@@ -8,8 +8,8 @@ Grammar:  expr := ('-')? term (('+'|'-') term)*
 Juxtaposed factors multiply in written order, so fermionic products like
 q1q2 keep their sign semantics; fermionic squares are rejected at parse
 time, as are mixed Gaussian/non-Gaussian sums.  Oversized input is
-refused before any arithmetic, and oversized output before rendering,
-with a ValueError naming the budget below.
+refused before the arithmetic that would pass a budget below, and
+oversized output before rendering, with a ValueError naming the budget.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ MAX_EXPONENT = 1000        # |exponent| of '^' and of a JSON bosonic entry
 MAX_DIGITS = 1000          # digits of one integer literal
 MAX_POWER_DIGITS = 4300    # digits of a scalar power (Python's int str limit)
 MAX_RENDER_DIGITS = 4300   # digits of one rendered integer (output budget)
+MAX_TERM_PAIRS = 50000     # term pairs multiplied in one parse
 
 
 def _literal_int(text):
@@ -130,6 +131,14 @@ class Parser:
         self.tokens = _tokenize(src)
         self.universe = universe
         self.k = 0
+        self.pairs = 0
+
+    def spend(self, pairs):
+        """Count term pairs against MAX_TERM_PAIRS before multiplying."""
+        self.pairs += pairs
+        if self.pairs > MAX_TERM_PAIRS:
+            raise ValueError(f"expression would multiply more than "
+                             f"MAX_TERM_PAIRS = {MAX_TERM_PAIRS} term pairs")
 
     def peek(self):
         return self.tokens[self.k]
@@ -187,6 +196,7 @@ class Parser:
                 return value
             if value.gaussian and rhs.gaussian:
                 raise ParseError("duplicate Gaussian marker", pos)
+            self.spend(len(value.poly.terms) * len(rhs.poly.terms))
             value = _Value(sp_mul(value.poly, rhs.poly),
                            value.gaussian or rhs.gaussian)
 
@@ -261,9 +271,12 @@ class Parser:
                 raise ParseError("unsupported fractional power", pos)
         if exponent.denominator != 1 or exponent < 0:
             raise ParseError("exponent must be a nonnegative integer", pos)
-        fermionic_content = any(mask for (_, mask) in value.poly.terms)
+        # P^i * P for i < k makes t*|P^i| <= t*C(i+t-1, t-1) pairs
+        t, k = len(terms), int(exponent)
+        self.spend(t * math.comb(k + t - 1, t))
+        fermionic_content = any(mask for (_, mask) in terms)
         out = SuperPolynomial.one(u)
-        for _ in range(int(exponent)):
+        for _ in range(k):
             out = sp_mul(out, value.poly)
         if not out and exponent >= 2 and fermionic_content:
             raise ParseError("fermionic square", pos)

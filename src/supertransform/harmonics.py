@@ -15,10 +15,9 @@ import math
 
 from ._linalg import nullspace, solve_rational
 from ._terms import add_into
-from .operators import laplace
+from .operators import laplace, multiply_vector_square
 from .scalars import ExactScalar, gamma_half_integer
-from .superalg import (SuperPolynomial, fermionic_square,
-                       homogeneous_monomials, sp_mul)
+from .superalg import SuperPolynomial, homogeneous_monomials, sp_mul
 
 
 class HarmonicBasis:
@@ -70,22 +69,16 @@ def harmonic_basis(k, sector, universe):
 def bosonic_square_power(u, j):
     """(x_bos^2)^j = (-sum x_i^2)^j."""
     out = SuperPolynomial.one(u)
-    if j == 0:
-        return out
-    sq = SuperPolynomial(u, {})
-    for i in range(u.m):
-        exp = tuple(2 if t == i else 0 for t in range(u.m))
-        sq = sq + SuperPolynomial(u, {(exp, 0): ExactScalar.rational(-1)})
     for _ in range(j):
-        out = sp_mul(out, sq)
+        out = multiply_vector_square(out, "bosonic")
     return out
 
 
 def fermionic_square_power(u, j):
+    """(x_fer^2)^j = (sum q_{2i-1} q_{2i})^j."""
     out = SuperPolynomial.one(u)
-    sq = fermionic_square(u)
     for _ in range(j):
-        out = sp_mul(out, sq)
+        out = multiply_vector_square(out, "fermionic")
     return out
 
 

@@ -10,11 +10,11 @@ Fourier transform are Clifford-Hermite polynomials in t = x^2 times h
 with G = exp(x^2/2) and integers c~_i from the three-term recursion of
 ch_coefficients.  It follows from Delta(t^i h) = 2i(2k+M+2i-2) t^(i-1) h
 and E(t^i h) = (2i+k) t^i h, since Delta through the envelope is
-Delta + 2E + M + x^2.  The recursion is how the family is computed; the
-Rodrigues route (j applications of operators.laplace or
-operators.scalar_square) is its test oracle.  ch_explicit is the
-displayed closed coefficient formula, whose i-th coefficient is
-2^(t-i) c~_i (tested).
+Delta + 2E + M + x^2 (the conjugation relations stated in operators).
+The recursion is how the family is computed; the Rodrigues route (j
+applications of operators.laplace or operators.scalar_square) is its
+test oracle.  ch_explicit is the displayed closed coefficient formula,
+whose i-th coefficient is 2^(t-i) c~_i (tested).
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ from fractions import Fraction
 
 from ._terms import add_into
 from .harmonics import harmonic_basis
-from .operators import bosonic_derivative, fermionic_derivative, laplace
+from .operators import (bosonic_derivative, fermionic_derivative, laplace,
+                        multiply_vector_square)
 from .scalars import ExactScalar, rising_factorial
-from .superalg import (GaussianFunction, SuperPolynomial, mask_bits,
-                       neutral_vector_square, sp_mul)
+from .superalg import GaussianFunction, SuperPolynomial, mask_bits
 
 
 def _check_order(order, name):
@@ -117,13 +117,12 @@ def _hermite_series(j, h_k, rescaled):
     _check_order(j, "j")
     if not h_k.is_homogeneous() or laplace(h_k, "full"):
         raise ValueError("input is not a homogeneous harmonic")
-    u = h_k.universe
-    square = neutral_vector_square(u)
     terms = {}
     power = h_k
-    for i, c in enumerate(ch_coefficients(j, u.superdim, h_k.degree())):
+    for i, c in enumerate(ch_coefficients(j, h_k.universe.superdim,
+                                          h_k.degree())):
         if i:
-            power = sp_mul(square, power)
+            power = multiply_vector_square(power)
         if not rescaled:
             c <<= j + i
         if c:       # the t^i h_k have distinct degrees: no keys collide

@@ -305,16 +305,6 @@ def neutral_fermionic_var(u, j, c=Fraction(1)):
     return SuperPolynomial(u, {((0,) * u.m, 1 << j): c})
 
 
-def neutral_vector_square(u):
-    """x^2 with lane-neutral integer coefficients, for operators that
-    must work on either scalar backend (see vector_square)."""
-    zero_b = (0,) * u.m
-    terms = {(zero_b, 3 << (2 * p)): 1 for p in range(u.pairs)}
-    for i in range(u.m):
-        terms[(zero_b[:i] + (2,) + zero_b[i + 1:], 0)] = -1
-    return SuperPolynomial(u, terms)
-
-
 def sp_mul(f, g):
     """Product with the Koszul sign convention on fermionic merges."""
     if f.universe != g.universe:
@@ -381,7 +371,12 @@ def sp_substitute_fermionic(f, images):
 
 def vector_square(u):
     """The polynomial x^2 = sum q_{2j-1} q_{2j} - sum x_i^2."""
-    return neutral_vector_square(u).map_coefficients(ExactScalar.rational)
+    zero_b = (0,) * u.m
+    terms = {(zero_b, 3 << (2 * p)): ExactScalar.one()
+             for p in range(u.pairs)}
+    for i in range(u.m):
+        terms[(zero_b[:i] + (2,) + zero_b[i + 1:], 0)] = -ExactScalar.one()
+    return SuperPolynomial(u, terms)
 
 
 def fermionic_square(u):

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from supertransform import expr as exprmod
 from supertransform.cli import main, run, build_parser
 from supertransform.expr import (ParseError, parse, poly_to_json,
                                  render_poly_latex, render_poly_text)
@@ -415,3 +416,117 @@ def test_cli_render_budget_refuses_fast(capsys, fmt, command, text):
     code, out, _ = _run_cli(capsys, "--m", "1", "--n", "1", "--format", fmt,
                             "normalize", "9^1000*9^1000*9^1000*9^1000")
     assert code == 0 and out
+
+
+@pytest.mark.parametrize("text", [
+    "(x1+x2+x3)^200",
+    "(1+x1)^1000*(1+x2)^1000",
+    "(1+x1)^300*(1+x2)^300",
+    "(x1+x2+x3)^60",
+], ids=["trinomial-200", "binomials-1000", "binomials-300", "trinomial-60"])
+def test_cli_term_pair_budget_refuses_fast(capsys, text):
+    # each factor is within the input budgets; the expansion would take
+    # from seconds to minutes
+    start = time.perf_counter()
+    code, out, err = _run_cli(capsys, "--m", "3", "--n", "1", "normalize",
+                              text)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and not out and "MAX_TERM_PAIRS = 50000" in err
+
+
+def test_term_pair_budget_counts_products_and_powers(monkeypatch):
+    # a product counts |a|*|b| term pairs and a power P^k of t terms
+    # t*C(k+t-1, t), which is exact for (x1+x2+x3)^k: 30 at k = 3, 60 at
+    # k = 4 and 105 at k = 5; the count runs over the whole parse
+    monkeypatch.setattr(exprmod, "MAX_TERM_PAIRS", 60)
+    u = VariableUniverse.standard(3, 1)
+    assert len(parse("(x1+x2+x3)^4", u).terms) == 15
+    assert parse("(x1+x2+x3)^3*(x1+x2+x3)", u) == parse("(x1+x2+x3)^4", u)
+    for text in ("(x1+x2+x3)^5", "(x1+x2+x3)^3*(x1+x2+x3)*x1",
+                 "(x1+x2+x3)^3 + (x1+x2+x3)^3 + x1*x2"):
+        with pytest.raises(ValueError, match="MAX_TERM_PAIRS = 60"):
+            parse(text, u)
+
+
+# Output of the operators as they were composed from derivatives: an operator
+# change must keep these bytes.  Per input, in the order of
+# _OPERATOR_COMMANDS.
+_OPERATOR_COMMANDS = (("laplace", "--sector", "bosonic"),
+                      ("laplace", "--sector", "fermionic"),
+                      ("laplace", "--sector", "full"), ("euler",), ("d2",))
+_OPERATOR_GOLDEN = {
+    (2, 1, "G"): (
+        "-x1^2*G - x2^2*G + 2*G",
+        "q1q2*G - 2*G",
+        "-x1^2*G - x2^2*G + q1q2*G",
+        "-x1^2*G - x2^2*G + q1q2*G",
+        "-4*x1^2*G - 4*x2^2*G + 4*q1q2*G",
+    ),
+    (2, 1, "x1*q1*G"): (
+        "-x1^3*q1*G - x1*x2^2*q1*G + 4*x1*q1*G",
+        "0",
+        "-x1^3*q1*G - x1*x2^2*q1*G + 4*x1*q1*G",
+        "-x1^3*q1*G - x1*x2^2*q1*G + 2*x1*q1*G",
+        "-4*x1^3*q1*G - 4*x1*x2^2*q1*G + 8*x1*q1*G",
+    ),
+    (2, 1, "(x1^2 + 1/2*x2*q1q2 - 3)*G"): (
+        "-1/2*x1^2*x2*q1q2*G - 1/2*x2^3*q1q2*G - x1^4*G - x1^2*x2^2*G"
+        " + 2*x2*q1q2*G + 9*x1^2*G + 3*x2^2*G - 8*G",
+        "x1^2*q1q2*G + x2*q1q2*G - 2*x1^2*G - 3*q1q2*G - 2*x2*G + 6*G",
+        "-1/2*x1^2*x2*q1q2*G - 1/2*x2^3*q1q2*G - x1^4*G - x1^2*x2^2*G"
+        " + x1^2*q1q2*G + 3*x2*q1q2*G + 7*x1^2*G + 3*x2^2*G"
+        " - 3*q1q2*G - 2*x2*G - 2*G",
+        "-1/2*x1^2*x2*q1q2*G - 1/2*x2^3*q1q2*G - x1^4*G - x1^2*x2^2*G"
+        " + x1^2*q1q2*G + 3/2*x2*q1q2*G + 5*x1^2*G + 3*x2^2*G"
+        " - 3*q1q2*G",
+        "-2*x1^2*x2*q1q2*G - 2*x2^3*q1q2*G - 4*x1^4*G - 4*x1^2*x2^2*G"
+        " + 4*x1^2*q1q2*G + 6*x2*q1q2*G + 20*x1^2*G + 12*x2^2*G"
+        " - 12*q1q2*G - 2*x2*G - 2*G",
+    ),
+    (2, 1, "x1^3*x2 + i*q1q2"): (
+        "-6*x1*x2",
+        "-4*i",
+        "-6*x1*x2 - 4*i",
+        "4*x1^3*x2 + 2*i*q1q2",
+        "-x1^5*x2 - x1^3*x2^3 + x1^3*x2*q1q2 + 8*x1^3*x2"
+        " - i*x1^2*q1q2 - i*x2^2*q1q2 - 6*x1*x2 + 4*i*q1q2 - 4*i",
+    ),
+    (0, 2, "G"): (
+        "0",
+        "q1q2*G + q3q4*G - 4*G",
+        "q1q2*G + q3q4*G - 4*G",
+        "q1q2*G + q3q4*G",
+        "4*q1q2*G + 4*q3q4*G - 8*G",
+    ),
+    (0, 2, "q1q2*G"): (
+        "0",
+        "q1q2q3q4*G - 4*G",
+        "q1q2q3q4*G - 4*G",
+        "q1q2q3q4*G + 2*q1q2*G",
+        "4*q1q2q3q4*G - 4*G",
+    ),
+    (0, 2, "(q1 + 2*q3q4 - q1q2q3)*G"): (
+        "0",
+        "2*q1q2q3q4*G - 2*q1q2q3*G + q1q3q4*G - 2*q1*G + 4*q3*G - 8*G",
+        "2*q1q2q3q4*G - 2*q1q2q3*G + q1q3q4*G - 2*q1*G + 4*q3*G - 8*G",
+        "2*q1q2q3q4*G - 3*q1q2q3*G + q1q3q4*G + 4*q3q4*G + q1*G",
+        "8*q1q2q3q4*G - 4*q1q2q3*G + 4*q1q3q4*G - 4*q1*G + 4*q3*G"
+        " - 8*G",
+    ),
+    (0, 2, "q1q2q3q4 + 1/3*q2q3"): (
+        "0",
+        "-4*q1q2 - 4*q3q4",
+        "-4*q1q2 - 4*q3q4",
+        "4*q1q2q3q4 + 2/3*q2q3",
+        "4*q1q2q3q4 - 4*q1q2 - 4*q3q4",
+    ),
+}
+
+
+@pytest.mark.parametrize("cmd", range(len(_OPERATOR_COMMANDS)),
+                         ids=[" ".join(c) for c in _OPERATOR_COMMANDS])
+@pytest.mark.parametrize("m, n, text", list(_OPERATOR_GOLDEN))
+def test_cli_operator_golden_outputs(capsys, m, n, text, cmd):
+    code, out, err = _run_cli(capsys, "--m", str(m), "--n", str(n),
+                              *_OPERATOR_COMMANDS[cmd], text)
+    assert (code, out, err) == (0, _OPERATOR_GOLDEN[m, n, text][cmd], "")

@@ -1,14 +1,18 @@
 import pytest
 
+from supertransform.fracfourier import (relative_deviation,
+                                        to_float_gaussian, to_float_poly)
 from supertransform.operators import (bosonic_derivative, euler,
                                       fermionic_derivative,
                                       gaussian_expand_fermionic, laplace,
                                       multiply_bosonic_var,
-                                      multiply_fermionic_var, scalar_square)
+                                      multiply_fermionic_var,
+                                      multiply_vector_square, scalar_square)
 from supertransform.scalars import ExactScalar
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse,
-                                     fermionic_envelope_poly, sp_mul,
+                                     fermionic_envelope_poly,
+                                     fermionic_square, sp_mul,
                                      vector_square)
 from tests.conftest import random_poly
 
@@ -80,6 +84,67 @@ def test_laplace_sectors_sum_and_commute(rng):
             laplace(laplace(f, "fermionic"), "bosonic")
     with pytest.raises(ValueError):
         laplace(f, "sideways")
+
+
+def _laplace_sector_derivatives(f, sector):
+    """Delta_s as its definition, -sum d/dx_i^2 and 4 sum
+    d/dq_{2j-1} d/dq_{2j} restricted to the sector, with the derivatives
+    acting through the envelope when there is one."""
+    u = f.universe
+    out = f.scale(0)
+    if sector != "fermionic":
+        for i in range(u.m):
+            out = out - bosonic_derivative(bosonic_derivative(f, i), i)
+    if sector != "bosonic":
+        for p in range(u.pairs):
+            out = out + fermionic_derivative(
+                fermionic_derivative(f, 2 * p + 1), 2 * p).scale(4)
+    return out
+
+
+@pytest.mark.parametrize("sector", ["bosonic", "fermionic", "full"])
+def test_sector_laplace_matches_derivatives(rng, sector):
+    for m, n in [(1, 0), (0, 1), (0, 2), (1, 1), (2, 2), (1, 3), (3, 2)]:
+        u = VariableUniverse.standard(m, n)
+        for _ in range(5):
+            p = random_poly(u, rng, degree=4, nterms=5, rational=False)
+            for f in (GaussianFunction(p), p,
+                      GaussianFunction(p, envelope=False)):
+                assert laplace(f, sector) == \
+                    _laplace_sector_derivatives(f, sector), (m, n)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (0, 2)])
+def test_operators_on_the_float_lane(rng, m, n):
+    # the float lane gives the exact result up to rounding, d2 and x^2
+    # included
+    u = VariableUniverse.standard(m, n)
+    for _ in range(4):
+        p = random_poly(u, rng, degree=3, nterms=5, rational=False)
+        for f, lift in ((p, to_float_poly),
+                        (GaussianFunction(p), to_float_gaussian)):
+            for op in (laplace, euler, scalar_square,
+                       multiply_vector_square):
+                got, want = op(lift(f)), lift(op(f))
+                if isinstance(f, GaussianFunction):
+                    assert got.envelope
+                    got, want = got.poly, want.poly
+                assert relative_deviation(got, want) <= 1e-12, op
+
+
+def test_multiply_vector_square_sectors(rng):
+    u = VariableUniverse.standard(2, 2)
+    bos = SuperPolynomial(u, {((2, 0), 0): ExactScalar.rational(-1),
+                              ((0, 2), 0): ExactScalar.rational(-1)})
+    fer = fermionic_square(u)
+    assert bos + fer == vector_square(u)
+    for _ in range(5):
+        p = random_poly(u, rng, degree=3, nterms=4, rational=False)
+        for sector, square in (("bosonic", bos), ("fermionic", fer),
+                               ("full", bos + fer)):
+            assert multiply_vector_square(p, sector) == sp_mul(square, p)
+            assert multiply_vector_square(GaussianFunction(p), sector) \
+                == GaussianFunction(sp_mul(square, p))
 
 
 def test_laplace_of_envelope():

@@ -10,7 +10,8 @@ from supertransform.fracfourier import frac_fermionic_table, \
     relative_deviation
 from supertransform.harmonics import harmonic_basis
 from supertransform.hermite import psi_element
-from supertransform.operators import scalar_square
+from supertransform.operators import (euler, laplace, multiply_vector_square,
+                                      scalar_square)
 from supertransform.scalars import ExactScalar, QQi
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse)
@@ -28,10 +29,10 @@ _orders = st.one_of(
 
 
 @st.composite
-def _polys(draw):
-    m, n = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+def _polys(draw, max_m=2, max_n=3, max_exponent=2):
+    m, n = draw(st.integers(0, max_m)), draw(st.integers(0, max_n))
     u = VariableUniverse.standard(m, n)
-    keys = st.tuples(st.tuples(*[st.integers(0, 2)] * m),
+    keys = st.tuples(st.tuples(*[st.integers(0, max_exponent)] * m),
                      st.integers(0, (1 << 2 * n) - 1))
     return SuperPolynomial(u, draw(st.dictionaries(keys, _scalars,
                                                    max_size=4)))
@@ -65,3 +66,14 @@ def test_psi_recursion_equals_scalar_square_powers(h, j):
     for _ in range(j):
         want = scalar_square(want)
     assert psi_element(j, h) == want
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_polys(max_m=3, max_n=2, max_exponent=3))
+def test_sl2_commutators(p):
+    # [Delta, x^2] = 4E + 2M, [E, Delta] = -2 Delta, [E, x^2] = 2 x^2
+    square, superdim = multiply_vector_square, p.universe.superdim
+    assert laplace(square(p)) - square(laplace(p)) == \
+        euler(p).scale(4) + p.scale(2 * superdim)
+    assert euler(laplace(p)) - laplace(euler(p)) == laplace(p).scale(-2)
+    assert euler(square(p)) - square(euler(p)) == square(p).scale(2)
