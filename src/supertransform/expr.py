@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 
 from ._terms import add_into
-from .scalars import ExactScalar, QQi
+from .scalars import ExactScalar, QQi, rational_text
 from .superalg import (GaussianFunction, SuperPolynomial, mask_bits, sp_mul)
 
 
@@ -51,13 +51,14 @@ def _scalar_power(c, k):
     """c ** k, refused before the arithmetic when a numerator or
     denominator of the result could pass MAX_POWER_DIGITS digits.  Over a
     common denominator den, (sum of |numerators|, sqrt2 counted twice)^k
-    bounds every numerator of c^k, and den^k every denominator."""
+    bounds every numerator of c^k, and den^k every denominator.  A
+    complex rational (a + b*i)/d in lowest terms has parts whose
+    denominators have lcm d, so den is the lcm of the d fields."""
     if k < 0:
         c, k = c.inverse(), -k
-    parts = [(x, eps) for (_, eps), q in c.terms.items() for x in (q.re, q.im)]
-    den = math.lcm(*(x.denominator for x, _ in parts))
-    num = sum(abs(x.numerator) * (den // x.denominator) * (1 + eps)
-              for x, eps in parts)
+    den = math.lcm(*(q.d for q in c.terms.values()))
+    num = sum((abs(q.a) + abs(q.b)) * (den // q.d) * (1 + eps)
+              for (_, eps), q in c.terms.items())
     if k * math.log10(max(num, den)) > MAX_POWER_DIGITS:
         raise ValueError(f"scalar power would exceed MAX_POWER_DIGITS = "
                          f"{MAX_POWER_DIGITS} digits")
@@ -67,11 +68,15 @@ def _scalar_power(c, k):
 def check_render_digits(coeffs):
     """Refuse, before any text is built, exact coefficients holding an
     integer of more than MAX_RENDER_DIGITS digits: sums and products of
-    in-budget input can outgrow it."""
+    in-budget input can outgrow it.  The printed parts a/d and b/d in
+    lowest terms are no larger than the fields of (a + b*i)/d, so the
+    parts are reduced only when a field reaches the bound."""
     for c in coeffs:
         if not isinstance(c, ExactScalar):
             continue
         for q in c.terms.values():
+            if max(abs(q.a), abs(q.b), q.d) < _RENDER_BOUND:
+                continue
             for x in (q.re, q.im):
                 if max(abs(x.numerator), x.denominator) >= _RENDER_BOUND:
                     raise ValueError(
@@ -394,11 +399,13 @@ def _coeff_latex(c):
         return str(c)
     bits = []
     for (b, eps), q in sorted(c.terms.items()):
-        if q.im:
-            piece = f"({q.re}+{q.im}i)" if q.re else (
-                "i" if q.im == 1 else f"{q.im}i")
+        re = rational_text(q.a, q.d)
+        if q.b:
+            im = rational_text(q.b, q.d)
+            piece = f"({re}+{im}i)" if q.a else (
+                "i" if im == "1" else f"{im}i")
         else:
-            piece = str(q.re)
+            piece = re
         if (eps or b) and piece == "1":
             piece = ""
         elif (eps or b) and piece == "-1":

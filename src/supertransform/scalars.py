@@ -19,80 +19,135 @@ from fractions import Fraction
 from ._terms import TermMap, add_into
 
 
-_ZERO = Fraction(0)
-
-
 class QQi:
-    """Complex rational a + b*i with exact Fraction components.
+    """Complex rational (a + b*i)/d, stored as three ints.
 
-    Most coefficients of the engine are real rationals: a Fraction
-    argument is kept as it is, and a product with an int, a Fraction or
-    another real value skips the complex formula.
+    Invariant: d > 0 and gcd(a, b, d) == 1, so zero is (0, 0, 1) and
+    equal values have equal fields; equality and hashing read the fields
+    alone.  Every operation does integer arithmetic and one three-way gcd
+    in `_qqi`.  `re` and `im` are the parts as Fractions, built on each
+    read; `a`, `b` and `d` are read-only by convention.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
-    def __init__(self, re=_ZERO, im=_ZERO):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+    def __init__(self, re=0, im=0):
+        rn, rd = _ratio(re)
+        in_, id_ = _ratio(im)
+        # both parts in lowest terms: over d = lcm(rd, id_) no prime of d
+        # divides both numerators, so (a, b, d) is already canonical
+        d = math.lcm(rd, id_)
+        self.a, self.b, self.d = rn * (d // rd), in_ * (d // id_), d
+
+    @property
+    def re(self):
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self):
+        return Fraction(self.b, self.d)
 
     def __add__(self, other):
         other = _as_qqi(other)
-        return QQi(self.re + other.re, self.im + other.im)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _qqi(self.a + other.a, self.b + other.b, d1)
+        return _qqi(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1,
+                    d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QQi(-self.re, -self.im)
+        return _new(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         return self + (-_as_qqi(other))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QQi(self.re * other, self.im * other)
-        other = _as_qqi(other)
-        if not self.im and not other.im:
-            return QQi(self.re * other.re)
-        return QQi(self.re * other.re - self.im * other.im,
-                   self.re * other.im + self.im * other.re)
+        if isinstance(other, QQi):
+            a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+            return _qqi(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
+                        self.d * other.d)
+        if isinstance(other, int):
+            return _qqi(self.a * other, self.b * other, self.d)
+        if isinstance(other, Fraction):
+            n = other.numerator
+            return _qqi(self.a * n, self.b * n, self.d * other.denominator)
+        return self * _as_qqi(other)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        d = self.re * self.re + self.im * self.im
-        if d == 0:
+        a, b, d = self.a, self.b, self.d
+        if not a and not b:
             raise ZeroDivisionError("division by zero")
-        return QQi(self.re / d, -self.im / d)
+        return _qqi(a * d, -b * d, a * a + b * b)
 
     def conjugate(self):
-        return QQi(self.re, -self.im)
+        return _new(self.a, -self.b, self.d)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.a) or bool(self.b)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QQi(other)
-        if not isinstance(other, QQi):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, QQi):
+            return (self.a == other.a and self.b == other.b
+                    and self.d == other.d)
+        if isinstance(other, int):
+            return not self.b and self.d == 1 and self.a == other
+        if isinstance(other, Fraction):
+            return (not self.b and self.d == other.denominator
+                    and self.a == other.numerator)
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as the equal int or Fraction
+        if not self.b:
+            return hash(self.re)
+        return hash((self.a, self.b, self.d))
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, as float(Fraction) is
+        return complex(self.a / self.d, self.b / self.d)
 
     def __repr__(self):
         return f"QQi({self.re!r}, {self.im!r})"
 
 
+def _ratio(x):
+    """(numerator, denominator) of an int, a Fraction or any value
+    Fraction accepts."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+_object_new = object.__new__
+
+
+def _new(a, b, d):
+    """QQi from fields already canonical; skips __init__."""
+    out = _object_new(QQi)
+    out.a, out.b, out.d = a, b, d
+    return out
+
+
+def _qqi(a, b, d):
+    """QQi (a + b*i)/d brought to the canonical fields; d > 0, as every
+    caller passes a product of denominators or a sum of squares."""
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _new(a, b, d)
+
+
 def _as_qqi(v):
     if isinstance(v, QQi):
         return v
-    if isinstance(v, (int, Fraction)):
-        return QQi(v)
+    if isinstance(v, int):
+        return _new(v, 0, 1)
+    if isinstance(v, Fraction):
+        return _new(v.numerator, 0, v.denominator)
     raise TypeError(f"cannot interpret {v!r} as complex rational")
 
 
@@ -134,7 +189,8 @@ class ExactScalar(TermMap):
 
     @staticmethod
     def rational(p, q=1):
-        return ExactScalar({(0, 0): QQi(Fraction(p, q))})
+        r = Fraction(p, q)
+        return ExactScalar({(0, 0): _new(r.numerator, 0, r.denominator)})
 
     @staticmethod
     def from_qqi(q):
@@ -228,10 +284,13 @@ class ExactScalar(TermMap):
         return self.terms == other.terms
 
     def __hash__(self):
+        # a rational value (zero too) hashes as the equal int or Fraction
+        if self.is_rational():
+            return hash(self.rational_value())
         return hash(frozenset(self.terms.items()))
 
     def is_rational(self):
-        return all(k == (0, 0) and not q.im for k, q in self.terms.items())
+        return all(k == (0, 0) and not q.b for k, q in self.terms.items())
 
     def rational_value(self):
         if not self.terms:
@@ -275,8 +334,7 @@ class ExactScalar(TermMap):
         return out
 
     def to_json(self):
-        return [{"q": [t.re.numerator, t.re.denominator,
-                       t.im.numerator, t.im.denominator],
+        return [{"q": [*_lowest(t.a, t.d), *_lowest(t.b, t.d)],
                  "b": b, "eps": eps}
                 for (b, eps), t in sorted(self.terms.items())]
 
@@ -284,19 +342,29 @@ class ExactScalar(TermMap):
         return f"ExactScalar<{self.render()}>"
 
 
+def _lowest(n, d):
+    """n/d (d > 0) in lowest terms, as (numerator, denominator)."""
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
+def rational_text(n, d):
+    """str(Fraction(n, d)) for d > 0, with one gcd."""
+    n, d = _lowest(n, d)
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 def _render_qqi(q):
     """Render a complex rational; parenthesize genuine sums."""
-    if not q.im:
-        return str(q.re)
-    if not q.re:
-        if q.im == 1:
-            return "i"
-        if q.im == -1:
-            return "-i"
-        return f"{q.im}*i"
-    im = "i" if q.im == 1 else ("-i" if q.im == -1 else f"{q.im}*i")
+    a, b, d = q.a, q.b, q.d
+    if not b:
+        return rational_text(a, d)
+    im = "i" if b == d else ("-i" if b == -d
+                             else f"{rational_text(b, d)}*i")
+    if not a:
+        return im
     sep = "+" if not im.startswith("-") else ""
-    return f"({q.re}{sep}{im})"
+    return f"({rational_text(a, d)}{sep}{im})"
 
 
 def _render_term(b, eps, q):

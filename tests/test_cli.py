@@ -1,5 +1,6 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -8,7 +9,7 @@ from supertransform.cli import main, run, build_parser
 from supertransform.expr import (ParseError, parse, poly_to_json,
                                  render_poly_latex, render_poly_text)
 from supertransform.fourier import super_fourier
-from supertransform.scalars import ExactScalar
+from supertransform.scalars import ExactScalar, QQi
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse)
 from tests.conftest import random_poly
@@ -418,6 +419,25 @@ def test_cli_render_budget_refuses_fast(capsys, fmt, command, text):
     assert code == 0 and out
 
 
+def test_render_budget_reads_the_printed_parts():
+    # 1/rd + i/id at coprime rd, id near 10^2200 shares the denominator
+    # rd*id of 4401 digits, but no printed integer has more than 2201
+    # digits: accepted; a printed part that reaches the budget is refused
+    rd, id_ = 10 ** 2200 + 1, 10 ** 2200 + 3
+    q = QQi(Fraction(1, rd), Fraction(1, id_))
+    assert q.d >= 10 ** exprmod.MAX_RENDER_DIGITS
+    u = u11()
+    f = SuperPolynomial.scalar(u, ExactScalar.from_qqi(q))
+    assert render_poly_text(f) == f"(1/{rd}+1/{id_}*i)"
+    assert render_poly_latex(f) == f"(1/{rd}+1/{id_}i)"
+    assert poly_to_json(f)["terms"][0]["coeff"][0]["q"] == [1, rd, 1, id_]
+    big = SuperPolynomial.scalar(
+        u, ExactScalar.from_qqi(QQi(Fraction(1, rd * id_), 1)))
+    for render in (render_poly_text, render_poly_latex, poly_to_json):
+        with pytest.raises(ValueError, match="MAX_RENDER_DIGITS = 4300"):
+            render(big)
+
+
 @pytest.mark.parametrize("text", [
     "(x1+x2+x3)^200",
     "(1+x1)^1000*(1+x2)^1000",
@@ -530,3 +550,162 @@ def test_cli_operator_golden_outputs(capsys, m, n, text, cmd):
     code, out, err = _run_cli(capsys, "--m", str(m), "--n", str(n),
                               *_OPERATOR_COMMANDS[cmd], text)
     assert (code, out, err) == (0, _OPERATOR_GOLDEN[m, n, text][cmd], "")
+
+
+# Output of normalize, fourier and radon while QQi held two Fractions:
+# coefficients with non-trivial denominators, imaginary parts, sqrt2 and
+# half-integer powers of pi.  A change to the scalar representation must
+# keep these bytes.  Per input, in the order of _SCALAR_COMMANDS.
+_SCALAR_COMMANDS = [(command, fmt) for command in ("normalize", "fourier",
+                                                   "radon")
+                    for fmt in ("text", "json", "latex")]
+_SCALAR_GOLDEN = {
+    (1, 1,
+     '(3/4 - 5/6*i)*sqrt2*pi^(-1/2)*x1*q1*G'): (
+        '(3/4-5/6*i)*sqrt2*pi^(-1/2)*x1*q1*G',
+        '{"schema": "supertransform/1", "m": 1, "n": 1, "envelope": true, '
+        '"terms": [{"bos": [1], "fer": [1], "coeff": [{"q": [3, 4, -5, 6], '
+        '"b": -1, "eps": 1}]}]}',
+        '(3/4+-5/6i)\\sqrt{2}\\pi^{-1/2} x_{1}q_{1} e^{x^2/2}',
+        '(-3/4+5/6*i)*sqrt2*pi^(-1/2)*x1*q1*G',
+        '{"schema": "supertransform/1", "m": 1, "n": 1, "envelope": true, '
+        '"terms": [{"bos": [1], "fer": [1], "coeff": [{"q": [-3, 4, 5, 6], '
+        '"b": -1, "eps": 1}]}]}',
+        '(-3/4+5/6i)\\sqrt{2}\\pi^{-1/2} x_{1}q_{1} e^{x^2/2}',
+        '[((-3/8+5/12*i)*sqrt2*pi^(-3/2)) + '
+        '((3/8-5/12*i)*sqrt2*pi^(-3/2))*p^2]*exp(-p^2/2) (x) w1*wf1',
+        '{"envelope": "exp(-p^2/2)", "terms": [{"omega_bos": [1], '
+        '"omega_fer": [1], "p_poly": [[0, [{"q": [-3, 8, 5, 12], "b": -3, '
+        '"eps": 1}]], [2, [{"q": [3, 8, -5, 12], "b": -3, "eps": 1}]]]}], '
+        '"schema": "supertransform/1"}',
+        '[((-3/8+5/12*i)*sqrt2*pi^(-3/2)) + '
+        '((3/8-5/12*i)*sqrt2*pi^(-3/2))*p^2]*exp(-p^2/2) (x) w1*wf1',
+    ),
+    (2, 2,
+     '(3/4 - 5/6*i)*sqrt2*pi^(-1/2)*x1*q1*G'): (
+        '(3/4-5/6*i)*sqrt2*pi^(-1/2)*x1*q1*G',
+        '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": true, '
+        '"terms": [{"bos": [1, 0], "fer": [1], "coeff": [{"q": [3, 4, -5, '
+        '6], "b": -1, "eps": 1}]}]}',
+        '(3/4+-5/6i)\\sqrt{2}\\pi^{-1/2} x_{1}q_{1} e^{x^2/2}',
+        '(-3/4+5/6*i)*sqrt2*pi^(-1/2)*x1*q1*G',
+        '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": true, '
+        '"terms": [{"bos": [1, 0], "fer": [1], "coeff": [{"q": [-3, 4, 5, '
+        '6], "b": -1, "eps": 1}]}]}',
+        '(-3/4+5/6i)\\sqrt{2}\\pi^{-1/2} x_{1}q_{1} e^{x^2/2}',
+        '[((-3/8+5/12*i)*pi^-2) + ((3/8-5/12*i)*pi^-2)*p^2]*exp(-p^2/2) (x) '
+        'w1*wf1',
+        '{"envelope": "exp(-p^2/2)", "terms": [{"omega_bos": [1, 0], '
+        '"omega_fer": [1], "p_poly": [[0, [{"q": [-3, 8, 5, 12], "b": -4, '
+        '"eps": 0}]], [2, [{"q": [3, 8, -5, 12], "b": -4, "eps": 0}]]]}], '
+        '"schema": "supertransform/1"}',
+        '[((-3/8+5/12*i)*pi^-2) + ((3/8-5/12*i)*pi^-2)*p^2]*exp(-p^2/2) (x) '
+        'w1*wf1',
+    ),
+    (1, 1,
+     '(2/3 - i)*x1^2*q1q2*G + (1/6*i + 1/5*sqrt2)*x1*G - 9/4*sqrtpi*G'): (
+        '(2/3-i)*x1^2*q1q2*G + (1/6*i + 1/5*sqrt2)*x1*G - 9/4*sqrtpi*G',
+        '{"schema": "supertransform/1", "m": 1, "n": 1, "envelope": true, '
+        '"terms": [{"bos": [2], "fer": [1, 2], "coeff": [{"q": [2, 3, -1, '
+        '1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [], "coeff": [{"q": '
+        '[0, 1, 1, 6], "b": 0, "eps": 0}, {"q": [1, 5, 0, 1], "b": 0, "eps": '
+        '1}]}, {"bos": [0], "fer": [], "coeff": [{"q": [-9, 4, 0, 1], "b": '
+        '1, "eps": 0}]}]}',
+        '(2/3+-1i) x_{1}^{2}q_{1}q_{2} e^{x^2/2} + 1/6i+1/5\\sqrt{2} x_{1} '
+        'e^{x^2/2} + -9/4\\pi^{1/2}  e^{x^2/2}',
+        '(2/3-i)*x1^2*q1q2*G + (-4/3+2*i)*x1^2*G + (-2/3+i)*q1q2*G + (-1/6 + '
+        '1/5*i*sqrt2)*x1*G + ((4/3-2*i) - 9/4*sqrtpi)*G',
+        '{"schema": "supertransform/1", "m": 1, "n": 1, "envelope": true, '
+        '"terms": [{"bos": [2], "fer": [1, 2], "coeff": [{"q": [2, 3, -1, '
+        '1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [], "coeff": [{"q": '
+        '[-4, 3, 2, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 2], '
+        '"coeff": [{"q": [-2, 3, 1, 1], "b": 0, "eps": 0}]}, {"bos": [1], '
+        '"fer": [], "coeff": [{"q": [-1, 6, 0, 1], "b": 0, "eps": 0}, {"q": '
+        '[0, 1, 1, 5], "b": 0, "eps": 1}]}, {"bos": [0], "fer": [], "coeff": '
+        '[{"q": [4, 3, -2, 1], "b": 0, "eps": 0}, {"q": [-9, 4, 0, 1], "b": '
+        '1, "eps": 0}]}]}',
+        '(2/3+-1i) x_{1}^{2}q_{1}q_{2} e^{x^2/2} + (-4/3+2i) x_{1}^{2} '
+        'e^{x^2/2} + (-2/3+1i) q_{1}q_{2} e^{x^2/2} + -1/6+1/5i\\sqrt{2} '
+        'x_{1} e^{x^2/2} + (4/3+-2i)+-9/4\\pi^{1/2}  e^{x^2/2}',
+        '[(-9/8*pi^(-1/2)) + ((2/3-i)*pi^-1)*p^2]*exp(-p^2/2) + '
+        '[((-1+3/2*i)*pi^-1)*p^2 + ((1/3-1/2*i)*pi^-1)*p^4]*exp(-p^2/2) (x) '
+        'wf1wf2 + [(1/12*i*pi^-1 + 1/10*sqrt2*pi^-1)*p]*exp(-p^2/2) (x) w1',
+        '{"envelope": "exp(-p^2/2)", "terms": [{"omega_bos": [0], '
+        '"omega_fer": [], "p_poly": [[0, [{"q": [-9, 8, 0, 1], "b": -1, '
+        '"eps": 0}]], [2, [{"q": [2, 3, -1, 1], "b": -2, "eps": 0}]]]}, '
+        '{"omega_bos": [0], "omega_fer": [1, 2], "p_poly": [[2, [{"q": [-1, '
+        '1, 3, 2], "b": -2, "eps": 0}]], [4, [{"q": [1, 3, -1, 2], "b": -2, '
+        '"eps": 0}]]]}, {"omega_bos": [1], "omega_fer": [], "p_poly": [[1, '
+        '[{"q": [0, 1, 1, 12], "b": -2, "eps": 0}, {"q": [1, 10, 0, 1], "b": '
+        '-2, "eps": 1}]]]}], "schema": "supertransform/1"}',
+        '[(-9/8*pi^(-1/2)) + ((2/3-i)*pi^-1)*p^2]*exp(-p^2/2) + '
+        '[((-1+3/2*i)*pi^-1)*p^2 + ((1/3-1/2*i)*pi^-1)*p^4]*exp(-p^2/2) (x) '
+        'wf1wf2 + [(1/12*i*pi^-1 + 1/10*sqrt2*pi^-1)*p]*exp(-p^2/2) (x) w1',
+    ),
+    (2, 2,
+     '(5/7*i*x2^2 - 1/3*sqrt2*pi^(-3/2)*q1q3 - i*x1*q2q4)*G'): (
+        '-i*x1*q2q4*G + 5/7*i*x2^2*G - 1/3*sqrt2*pi^(-3/2)*q1q3*G',
+        '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": true, '
+        '"terms": [{"bos": [1, 0], "fer": [2, 4], "coeff": [{"q": [0, 1, -1, '
+        '1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [], "coeff": [{"q": '
+        '[0, 1, 5, 7], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [1, 3], '
+        '"coeff": [{"q": [-1, 3, 0, 1], "b": -3, "eps": 1}]}]}',
+        '-1i x_{1}q_{2}q_{4} e^{x^2/2} + 5/7i x_{2}^{2} e^{x^2/2} + '
+        '-1/3\\sqrt{2}\\pi^{-3/2} q_{1}q_{3} e^{x^2/2}',
+        '-x1*q2q4*G - 5/7*i*x2^2*G + 1/3*sqrt2*pi^(-3/2)*q1q3*G + 5/7*i*G',
+        '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": true, '
+        '"terms": [{"bos": [1, 0], "fer": [2, 4], "coeff": [{"q": [-1, 1, 0, '
+        '1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [], "coeff": [{"q": '
+        '[0, 1, -5, 7], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [1, 3], '
+        '"coeff": [{"q": [1, 3, 0, 1], "b": -3, "eps": 1}]}, {"bos": [0, 0], '
+        '"fer": [], "coeff": [{"q": [0, 1, 5, 7], "b": 0, "eps": 0}]}]}',
+        '-1 x_{1}q_{2}q_{4} e^{x^2/2} + -5/7i x_{2}^{2} e^{x^2/2} + '
+        '1/3\\sqrt{2}\\pi^{-3/2} q_{1}q_{3} e^{x^2/2} + 5/7i  e^{x^2/2}',
+        '[(5/28*i*sqrt2*pi^(-3/2))*p^2]*exp(-p^2/2) + '
+        '[(-5/28*i*sqrt2*pi^(-3/2)) + '
+        '(5/28*i*sqrt2*pi^(-3/2))*p^2]*exp(-p^2/2) (x) wf1wf2 + [(1/6*pi^-3) '
+        '+ (-1/6*pi^-3)*p^2]*exp(-p^2/2) (x) wf1wf3 + '
+        '[(-5/28*i*sqrt2*pi^(-3/2)) + '
+        '(5/28*i*sqrt2*pi^(-3/2))*p^2]*exp(-p^2/2) (x) wf3wf4 + '
+        '[(3/4*i*sqrt2*pi^(-3/2))*p + '
+        '(-1/4*i*sqrt2*pi^(-3/2))*p^3]*exp(-p^2/2) (x) w1*wf2wf4 + '
+        '[(5/28*i*sqrt2*pi^(-3/2)) + '
+        '(-5/28*i*sqrt2*pi^(-3/2))*p^2]*exp(-p^2/2) (x) w1^2',
+        '{"envelope": "exp(-p^2/2)", "terms": [{"omega_bos": [0, 0], '
+        '"omega_fer": [], "p_poly": [[2, [{"q": [0, 1, 5, 28], "b": -3, '
+        '"eps": 1}]]]}, {"omega_bos": [0, 0], "omega_fer": [1, 2], "p_poly": '
+        '[[0, [{"q": [0, 1, -5, 28], "b": -3, "eps": 1}]], [2, [{"q": [0, 1, '
+        '5, 28], "b": -3, "eps": 1}]]]}, {"omega_bos": [0, 0], "omega_fer": '
+        '[1, 3], "p_poly": [[0, [{"q": [1, 6, 0, 1], "b": -6, "eps": 0}]], '
+        '[2, [{"q": [-1, 6, 0, 1], "b": -6, "eps": 0}]]]}, {"omega_bos": [0, '
+        '0], "omega_fer": [3, 4], "p_poly": [[0, [{"q": [0, 1, -5, 28], "b": '
+        '-3, "eps": 1}]], [2, [{"q": [0, 1, 5, 28], "b": -3, "eps": 1}]]]}, '
+        '{"omega_bos": [1, 0], "omega_fer": [2, 4], "p_poly": [[1, [{"q": '
+        '[0, 1, 3, 4], "b": -3, "eps": 1}]], [3, [{"q": [0, 1, -1, 4], "b": '
+        '-3, "eps": 1}]]]}, {"omega_bos": [2, 0], "omega_fer": [], "p_poly": '
+        '[[0, [{"q": [0, 1, 5, 28], "b": -3, "eps": 1}]], [2, [{"q": [0, 1, '
+        '-5, 28], "b": -3, "eps": 1}]]]}], "schema": "supertransform/1"}',
+        '[(5/28*i*sqrt2*pi^(-3/2))*p^2]*exp(-p^2/2) + '
+        '[(-5/28*i*sqrt2*pi^(-3/2)) + '
+        '(5/28*i*sqrt2*pi^(-3/2))*p^2]*exp(-p^2/2) (x) wf1wf2 + [(1/6*pi^-3) '
+        '+ (-1/6*pi^-3)*p^2]*exp(-p^2/2) (x) wf1wf3 + '
+        '[(-5/28*i*sqrt2*pi^(-3/2)) + '
+        '(5/28*i*sqrt2*pi^(-3/2))*p^2]*exp(-p^2/2) (x) wf3wf4 + '
+        '[(3/4*i*sqrt2*pi^(-3/2))*p + '
+        '(-1/4*i*sqrt2*pi^(-3/2))*p^3]*exp(-p^2/2) (x) w1*wf2wf4 + '
+        '[(5/28*i*sqrt2*pi^(-3/2)) + '
+        '(-5/28*i*sqrt2*pi^(-3/2))*p^2]*exp(-p^2/2) (x) w1^2',
+    ),
+}
+
+
+@pytest.mark.parametrize("cmd", range(len(_SCALAR_COMMANDS)),
+                         ids=[" ".join(c) for c in _SCALAR_COMMANDS])
+@pytest.mark.parametrize("m, n, text", list(_SCALAR_GOLDEN))
+def test_cli_scalar_golden_outputs(capsys, m, n, text, cmd):
+    command, fmt = _SCALAR_COMMANDS[cmd]
+    code = main(["--m", str(m), "--n", str(n), "--format", fmt, command,
+                 text])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == \
+        (0, _SCALAR_GOLDEN[m, n, text][cmd] + "\n", "")

@@ -1,11 +1,13 @@
 """Property tests over random universes, orders and inputs (hypothesis)."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supertransform.fourier import kernel_route
+from supertransform.fourier import kernel_route, parseval_check, \
+    super_fourier
 from supertransform.fracfourier import frac_fermionic_table, \
     relative_deviation
 from supertransform.harmonics import harmonic_basis
@@ -77,3 +79,79 @@ def test_sl2_commutators(p):
         euler(p).scale(4) + p.scale(2 * superdim)
     assert euler(laplace(p)) - laplace(euler(p)) == laplace(p).scale(-2)
     assert euler(square(p)) - square(euler(p)) == square(p).scale(2)
+
+
+# -- the complex rationals against a Fraction-pair oracle ---------------
+
+_big = st.integers(-10 ** 40, 10 ** 40)
+_parts = st.one_of(
+    _rationals,
+    st.builds(Fraction, _big, st.integers(1, 10 ** 40)),
+    st.builds(Fraction, _big, st.integers(-10 ** 40, -1)))
+
+
+def _check_qqi(q, want):
+    """q holds the canonical fields of the value want = (re, im)."""
+    assert q.d > 0 and math.gcd(q.a, q.b, q.d) == 1
+    if not q:
+        assert (q.a, q.b, q.d) == (0, 0, 1)
+    assert (q.re, q.im) == want
+    same = QQi(*want)
+    assert q == same and hash(q) == hash(same)
+    if not want[1]:
+        assert q == want[0] and hash(q) == hash(want[0])
+
+
+def _pair_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.tuples(_parts, _parts), st.tuples(_parts, _parts),
+       st.one_of(_big, _parts))
+def test_qqi_matches_the_fraction_pair_oracle(x, y, k):
+    p, q = QQi(*x), QQi(*y)
+    _check_qqi(p, x)
+    _check_qqi(p + q, (x[0] + y[0], x[1] + y[1]))
+    _check_qqi(p + p.conjugate(), (2 * x[0], Fraction(0)))
+    _check_qqi(p + k, (x[0] + k, x[1]))
+    _check_qqi(k + p, (x[0] + k, x[1]))
+    _check_qqi(p - q, (x[0] - y[0], x[1] - y[1]))
+    _check_qqi(p - p, (Fraction(0), Fraction(0)))
+    _check_qqi(p - k, (x[0] - k, x[1]))
+    _check_qqi(-p, (-x[0], -x[1]))
+    _check_qqi(p * q, _pair_mul(x, y))
+    _check_qqi(p * k, (x[0] * k, x[1] * k))
+    _check_qqi(k * p, (x[0] * k, x[1] * k))
+    _check_qqi(p.conjugate(), (x[0], -x[1]))
+    if p:
+        norm = x[0] * x[0] + x[1] * x[1]
+        _check_qqi(p.inverse(), (x[0] / norm, -x[1] / norm))
+        _check_qqi(p * p.inverse(), (Fraction(1), Fraction(0)))
+
+
+# -- transform identities on the scalar ring -----------------------------
+
+# nine universe shapes; M = m - 2n lies in -2N at (0,1), (0,2), (2,2), (4,2)
+_SHAPES = [(1, 0), (2, 0), (0, 1), (0, 2), (1, 1), (2, 1), (2, 2), (4, 2),
+           (1, 2)]
+
+
+@st.composite
+def _gaussian_pairs(draw):
+    m, n = draw(st.sampled_from(_SHAPES))
+    u = VariableUniverse.standard(m, n)
+    keys = st.tuples(st.tuples(*[st.integers(0, 2)] * m),
+                     st.integers(0, (1 << 2 * n) - 1))
+    f, g = (GaussianFunction(SuperPolynomial(
+        u, draw(st.dictionaries(keys, _scalars, min_size=1, max_size=2))))
+        for _ in range(2))
+    return f, g
+
+
+@settings(max_examples=45, deadline=None, derandomize=True, database=None)
+@given(_gaussian_pairs())
+def test_fourier_inversion_and_parseval(fg):
+    f, g = fg
+    assert super_fourier(super_fourier(f, "+"), "-") == f
+    assert parseval_check(f, g, "full")

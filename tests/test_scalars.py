@@ -131,3 +131,30 @@ def test_conjugate():
     a = ExactScalar.i() * ExactScalar.sqrt2() + ExactScalar.rational(2)
     c = a.conjugate()
     assert c == ExactScalar.rational(2) - ExactScalar.i() * ExactScalar.sqrt2()
+
+
+def test_equal_values_hash_alike():
+    # QQi(2) == 2 and ExactScalar.rational(3, 2) == Fraction(3, 2), so a
+    # set or dict must see one value, not two
+    assert len({QQi(2), 2}) == 1
+    assert len({QQi(Fraction(-7, 3)), Fraction(-7, 3)}) == 1
+    assert len({ExactScalar.rational(3, 2), Fraction(3, 2)}) == 1
+    assert len({ExactScalar.rational(1), 1, Fraction(1)}) == 1
+    assert hash(ExactScalar.zero()) == hash(QQi(0)) == hash(0) == 0
+    assert hash(QQi(5, 0)) == hash(QQi(Fraction(10, 2))) == hash(5)
+    assert QQi(1, 2) == QQi(Fraction(2, 2), Fraction(4, 2))
+    assert hash(QQi(1, 2)) == hash(QQi(Fraction(2, 2), Fraction(4, 2)))
+    assert ExactScalar.i() != 0 and QQi(0, 1) != 0
+
+
+def test_qqi_fields_are_canonical():
+    q = QQi(Fraction(3, 4), Fraction(-5, 6))
+    assert (q.a, q.b, q.d) == (9, -10, 12)
+    assert (q.re, q.im) == (Fraction(3, 4), Fraction(-5, 6))
+    z = q - q
+    assert (z.a, z.b, z.d) == (0, 0, 1) and z == 0 and not z
+    inv = QQi(0, -2).inverse()
+    assert (inv.a, inv.b, inv.d) == (0, 1, 2)
+    assert q * Fraction(4, 3) == QQi(1, Fraction(-10, 9))
+    with pytest.raises(ZeroDivisionError):
+        QQi(0).inverse()
