@@ -10,6 +10,12 @@ q1q2 keep their sign semantics; fermionic squares are rejected at parse
 time, as are mixed Gaussian/non-Gaussian sums.  Oversized input is
 refused before the arithmetic that would pass a budget below, and
 oversized output before rendering, with a ValueError naming the budget.
+
+The text is tokenised by one regular-expression pass and parsed in one
+pass.  Each term is built as one monomial: a scalar atom multiplies its
+coefficient, x<k>^e adds to its exponent vector and q<k> merges into its
+fermionic mask with the Koszul sign.  sp_mul runs only from the first
+factor with two or more terms, a parenthesised sum or a power of one.
 """
 
 from __future__ import annotations
@@ -21,7 +27,8 @@ from fractions import Fraction
 
 from ._terms import add_into
 from .scalars import ExactScalar, QQi, rational_text
-from .superalg import (GaussianFunction, SuperPolynomial, mask_bits, sp_mul)
+from .superalg import (GaussianFunction, SuperPolynomial, mask_bits,
+                       merge_masks, sp_mul)
 
 
 # Input budgets of the expression and JSON readers, and the renderers'
@@ -47,22 +54,31 @@ def _check_exponent(e):
                          f"{MAX_EXPONENT}")
 
 
-def _scalar_power(c, k):
-    """c ** k, refused before the arithmetic when a numerator or
-    denominator of the result could pass MAX_POWER_DIGITS digits.  Over a
-    common denominator den, (sum of |numerators|, sqrt2 counted twice)^k
-    bounds every numerator of c^k, and den^k every denominator.  A
-    complex rational (a + b*i)/d in lowest terms has parts whose
-    denominators have lcm d, so den is the lcm of the d fields."""
-    if k < 0:
-        c, k = c.inverse(), -k
-    den = math.lcm(*(q.d for q in c.terms.values()))
-    num = sum((abs(q.a) + abs(q.b)) * (den // q.d) * (1 + eps)
-              for (_, eps), q in c.terms.items())
-    if k * math.log10(max(num, den)) > MAX_POWER_DIGITS:
-        raise ValueError(f"scalar power would exceed MAX_POWER_DIGITS = "
-                         f"{MAX_POWER_DIGITS} digits")
-    return c ** k
+def _power_pairs(c, k):
+    """An upper bound, read from c alone, on the term pairs
+    ExactScalar.__pow__ multiplies for c ** k (k >= 0).  A product x * y
+    multiplies |x|*|y| pairs.  c^j has at most C(j+t-1, t-1) terms, the
+    multisets of c's t terms; its pi exponents lie on a grid of
+    j*span/step + 1 points, each with at most two sqrt2 exponents."""
+    t = len(c.terms)
+    bs = [b for b, _ in c.terms]
+    low = min(bs)
+    span, step = max(bs) - low, math.gcd(*(b - low for b in bs)) or 1
+    roots = 2 if any(eps for _, eps in c.terms) else 1
+
+    def size(j):
+        return min(math.comb(j + t - 1, t - 1), (j * span // step + 1) * roots)
+
+    pairs, out, base = 0, 0, 1
+    while k:
+        if k & 1:
+            pairs += size(out) * size(base)
+            out += base
+        k >>= 1
+        if k:
+            pairs += size(base) ** 2
+            base *= 2
+    return pairs
 
 
 def check_render_digits(coeffs):
@@ -95,40 +111,79 @@ class ParseError(Exception):
         self.pos = pos
 
 
-_TOKEN = re.compile(r"""
-    (?P<num>\d+)
-  | (?P<name>sqrtpi|sqrt2|pi|i|G|x\d+|q\d+)
-  | (?P<op>[-+*/^()])
-  | (?P<ws>\s+)
-""", re.VERBOSE)
+# One pattern matches every token, whitespace and, last, any other
+# character, so the matches tile the text.
+_TOKEN = re.compile(r"\d+|sqrtpi|sqrt2|pi|i|G|[xq]\d+|[-+*/^()]|\s+|.",
+                    re.DOTALL)
+
+# A factor is a tuple tagged by its first entry:
+#   ("scalar", a, b, d, h, s)  (a + b*i)/d * pi^(h/2) * sqrt2^s
+#   ("x", index, exponent)     a power of one bosonic variable
+#   ("q", bit)                 one fermionic variable, as its mask bit
+#   ("G",)                     the Gaussian marker
+#   ("terms", terms, gaussian) a term map: a parenthesised value or a power
+_ONE = ("scalar", 1, 0, 1, 0, 0)
+_CONSTANTS = {"i": ("scalar", 0, 1, 1, 0, 0), "pi": ("scalar", 1, 0, 1, 2, 0),
+              "sqrtpi": ("scalar", 1, 0, 1, 1, 0),
+              "sqrt2": ("scalar", 1, 0, 1, 0, 1), "G": ("G",)}
+_KINDS = {**{op: op for op in "-+*/^()"}, **dict.fromkeys(_CONSTANTS, "const")}
+_PI = ExactScalar.pi_half_power(2)
+_UNIT = ExactScalar.one()
+_FACTOR_START = frozenset(("num", "const", "x", "q", "("))
 
 
 def _tokenize(src):
+    """(kind, value, position) triples.  kind is "num" (value the int),
+    "const" (value the factor), "x" or "q" (value the symbol text), an
+    operator character, or "end"."""
     out = []
     pos = 0
-    while pos < len(src):
-        mo = _TOKEN.match(src, pos)
-        if not mo:
-            raise ParseError(f"unexpected character {src[pos]!r}", pos)
-        if mo.lastgroup == "num":
-            out.append(("num", _literal_int(mo.group()), pos))
-        elif mo.lastgroup == "name":
-            out.append(("name", mo.group(), pos))
-        elif mo.lastgroup == "op":
-            out.append(("op", mo.group(), pos))
-        pos = mo.end()
+    for text in _TOKEN.findall(src):
+        kind = _KINDS.get(text)
+        if kind == "const":
+            out.append((kind, _CONSTANTS[text], pos))
+        elif kind is not None:
+            out.append((kind, None, pos))
+        elif text[0].isdecimal():      # what \d matches
+            out.append(("num", _literal_int(text), pos))
+        elif len(text) > 1 and text[0] in "xq":
+            out.append((text[0], text, pos))
+        elif not text.isspace():       # what \s matches
+            raise ParseError(f"unexpected character {text!r}", pos)
+        pos += len(text)
     out.append(("end", None, len(src)))
     return out
 
 
-class _Value:
-    """Parsed value: polynomial plus a Gaussian-envelope flag."""
+def _scalar(a, b, d, h, s):
+    """(a + b*i)/d * pi^(h/2) * sqrt2^s as an ExactScalar."""
+    half, eps = divmod(s, 2)
+    if half >= 0:
+        a, b = a << half, b << half
+    else:
+        d <<= -half
+    if not a and not b:
+        return ExactScalar.zero()
+    return ExactScalar.monomial(QQi.reduced(a, b, d), h, eps)
 
-    __slots__ = ("poly", "gaussian")
 
-    def __init__(self, poly, gaussian=False):
-        self.poly = poly
-        self.gaussian = gaussian
+def _monomial(live, a, b, d, h, s, scalar, bos, mask):
+    """The term map of the product a term's accumulator holds."""
+    if not live:
+        return {}
+    c = _scalar(a, b, d, h, s)
+    if scalar is not None:
+        c = scalar * c
+    return {(tuple(bos), mask): c}
+
+
+def _fermionic_exponent(e, pos):
+    """The exponent 0 or 1 a fermionic variable admits."""
+    if e >= 2:
+        raise ParseError("fermionic square", pos)
+    if e < 0 or e.denominator != 1:
+        raise ParseError("invalid fermionic power", pos)
+    return int(e)
 
 
 class Parser:
@@ -145,98 +200,178 @@ class Parser:
             raise ValueError(f"expression would multiply more than "
                              f"MAX_TERM_PAIRS = {MAX_TERM_PAIRS} term pairs")
 
-    def peek(self):
-        return self.tokens[self.k]
-
     def next(self):
         tok = self.tokens[self.k]
         self.k += 1
         return tok
 
     def expect_op(self, op):
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
+        kind, _, pos = self.next()
+        if kind != op:
             raise ParseError(f"expected {op!r}", pos)
 
     def parse(self):
         value = self.expr()
-        kind, _, pos = self.peek()
+        kind, _, pos = self.tokens[self.k]
         if kind != "end":
             raise ParseError("trailing input", pos)
         return value
 
     def expr(self):
-        negate = False
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.next()
-            negate = True
-        value = self.term()
-        if negate:
-            value = _Value(-value.poly, value.gaussian)
+        """A sum of terms, as (term map, Gaussian flag)."""
+        tokens = self.tokens
+        sign = 1
+        if tokens[self.k][0] == "-":
+            self.k += 1
+            sign = -1
+        terms = {}
+        gaussian = self.term(sign, terms)
         while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                if rhs.gaussian != value.gaussian:
-                    raise ParseError("cannot add Gaussian and plain terms",
-                                     pos)
-                poly = value.poly + rhs.poly if val == "+" \
-                    else value.poly - rhs.poly
-                value = _Value(poly, value.gaussian)
-            else:
-                return value
+            kind, _, pos = tokens[self.k]
+            if kind != "+" and kind != "-":
+                return terms, gaussian
+            self.k += 1
+            if self.term(1 if kind == "+" else -1, terms) != gaussian:
+                raise ParseError("cannot add Gaussian and plain terms", pos)
 
-    def term(self):
-        value = self.factor()
+    def term(self, sign, terms):
+        """Add sign times one product of factors into `terms` and return
+        its Gaussian flag.  Single-term factors multiply into one monomial
+        (a + b*i)/d * pi^(h/2) * sqrt2^s * scalar * x^bos * q^mask;
+        sp_mul runs only from the first factor with two or more terms.
+        Each product of the written order spends |value|*|factor| pairs."""
+        tokens, u = self.tokens, self.universe
+        a, b, d, h, s = sign, 0, 1, 0, 0
+        scalar = None           # product of the multi-term scalar factors
+        bos = [0] * u.m
+        mask = 0
+        live = True             # False once the product is zero
+        gaussian = False
+        poly = None             # the whole product, from the first sum on
+        f = self.factor()
+        first = True
         while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val == "*":
-                self.next()
-                rhs = self.factor()
-            elif kind in ("num", "name") or (kind == "op" and val == "("):
-                rhs = self.factor()
+            tag = f[0]
+            if tag == "terms":
+                size, marked = len(f[1]), f[2]
             else:
-                return value
-            if value.gaussian and rhs.gaussian:
-                raise ParseError("duplicate Gaussian marker", pos)
-            self.spend(len(value.poly.terms) * len(rhs.poly.terms))
-            value = _Value(sp_mul(value.poly, rhs.poly),
-                           value.gaussian or rhs.gaussian)
+                size = 0 if tag == "scalar" and not f[1] and not f[2] else 1
+                marked = tag == "G"
+            if not first:
+                if gaussian and marked:
+                    raise ParseError("duplicate Gaussian marker", pos)
+                if poly is not None:
+                    self.spend(len(poly.terms) * size)
+                elif live:
+                    self.spend(size)
+            gaussian = gaussian or marked
+
+            if tag == "G":
+                pass
+            elif poly is not None or size > 1:
+                rhs = SuperPolynomial(u, self.factor_terms(f))
+                if first:
+                    poly = rhs if sign > 0 else -rhs
+                else:
+                    if poly is None:
+                        poly = SuperPolynomial(u, _monomial(
+                            live, a, b, d, h, s, scalar, bos, mask))
+                    poly = sp_mul(poly, rhs)
+            elif not size:
+                live = False
+            elif tag == "scalar":
+                _, fa, fb, fd, fh, fs = f
+                if fb:
+                    a, b = a * fa - b * fb, a * fb + b * fa
+                else:
+                    a, b = a * fa, b * fa
+                d, h, s = d * fd, h + fh, s + fs
+            elif tag == "x":
+                bos[f[1]] += f[2]
+            else:
+                if tag == "q":
+                    fmask = f[1]
+                else:
+                    ((fbos, fmask), c), = f[1].items()
+                    if any(fbos):
+                        bos = [x + y for x, y in zip(bos, fbos)]
+                    if len(c.terms) == 1:
+                        ((fh, fs), q), = c.terms.items()
+                        a, b = a * q.a - b * q.b, a * q.b + b * q.a
+                        d, h, s = d * q.d, h + fh, s + fs
+                    else:
+                        scalar = c if scalar is None else scalar * c
+                # the Koszul sign of sorting the factor's q into the mask
+                merged = merge_masks(mask, fmask)
+                if merged is None:
+                    live = False
+                elif merged[0] < 0:
+                    a, b, mask = -a, -b, merged[1]
+                else:
+                    mask = merged[1]
+            first = False
+
+            kind, _, pos = tokens[self.k]
+            if kind == "*":
+                self.k += 1
+            elif kind not in _FACTOR_START:
+                break
+            f = self.factor()
+        if poly is None:
+            poly_terms = _monomial(live, a, b, d, h, s, scalar, bos, mask)
+        else:
+            poly_terms = poly.terms
+        for key, c in poly_terms.items():
+            add_into(terms, key, c)
+        return gaussian
+
+    def factor_terms(self, f):
+        """The term map of one factor."""
+        tag = f[0]
+        if tag == "terms":
+            return f[1]
+        u = self.universe
+        zero = (0,) * u.m
+        if tag == "x":
+            bos = [0] * u.m
+            bos[f[1]] = f[2]
+            return {(tuple(bos), 0): _UNIT}
+        if tag == "q":
+            return {(zero, f[1]): _UNIT}
+        c = _scalar(*f[1:])
+        return {(zero, 0): c} if c else {}
 
     def factor(self):
-        value = self.atom()
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            exponent = self.exponent()
-            _check_exponent(exponent)
-            value = self.power(value, exponent, pos)
-        return value
+        f = self.atom()
+        kind, _, pos = self.tokens[self.k]
+        if kind != "^":
+            return f
+        self.k += 1
+        exponent = self.exponent()
+        _check_exponent(exponent)
+        return self.power(f, exponent, pos)
 
     def exponent(self):
         kind, val, pos = self.next()
         if kind == "num":
             return Fraction(val)
-        if kind == "op" and val == "-":
+        if kind == "-":
             kind, val, pos = self.next()
             if kind != "num":
                 raise ParseError("expected integer exponent", pos)
             return Fraction(-val)
-        if kind == "op" and val == "(":
+        if kind == "(":
             sign = 1
             kind, val, pos = self.next()
-            if kind == "op" and val == "-":
+            if kind == "-":
                 sign = -1
                 kind, val, pos = self.next()
             if kind != "num":
                 raise ParseError("expected rational exponent", pos)
             num = val
             den = 1
-            kind, val, pos = self.peek()
-            if kind == "op" and val == "/":
-                self.next()
+            if self.tokens[self.k][0] == "/":
+                self.k += 1
                 kind, val, pos = self.next()
                 if kind != "num":
                     raise ParseError("expected exponent denominator", pos)
@@ -247,97 +382,121 @@ class Parser:
             return Fraction(sign * num, den)
         raise ParseError("expected exponent", pos)
 
-    def power(self, value, exponent, pos):
-        u = self.universe
-        if value.gaussian:
+    def power(self, f, exponent, pos):
+        tag = f[0]
+        if tag == "G" or (tag == "terms" and f[2]):
             raise ParseError("Gaussian marker cannot be raised to a power",
                              pos)
-        terms = value.poly.terms
+        if tag == "q":
+            return f if _fermionic_exponent(exponent, pos) else _ONE
+        if tag == "x" and exponent.denominator == 1 and exponent >= 0:
+            k = int(exponent)
+            self.spend(k)
+            return ("x", f[1], k) if k else _ONE
+        if tag == "scalar" and f[1:4] == (1, 0, 1):
+            # pi^(h/2) * sqrt2^s; pi admits half-integer exponents
+            h, s = f[4], f[5]
+            if exponent.denominator == 1:
+                k = int(exponent)
+                return ("scalar", 1, 0, 1, h * k, s * k)
+            if exponent.denominator == 2 and (h, s) == (2, 0):
+                return ("scalar", 1, 0, 1, exponent.numerator, 0)
+            raise ParseError("unsupported fractional power", pos)
+        return ("terms", self.power_terms(self.factor_terms(f), exponent,
+                                          pos), False)
+
+    def power_terms(self, terms, exponent, pos):
+        """The term map of terms ** exponent."""
+        u = self.universe
+        zero = (0,) * u.m
         if len(terms) == 1:
             ((bos, mask), c), = terms.items()
-            if mask and bos == (0,) * u.m and len(mask_bits(mask)) == 1 \
-                    and c == ExactScalar.one():
-                if exponent >= 2:
-                    raise ParseError("fermionic square", pos)
-                if exponent < 0 or exponent.denominator != 1:
-                    raise ParseError("invalid fermionic power", pos)
-                if exponent == 0:
-                    return _Value(SuperPolynomial.one(u))
-                return value
-            if not mask and bos == (0,) * u.m:
-                # scalar power; pi admits half-integer exponents
+            if bos == zero and mask and not mask & (mask - 1) and c == _UNIT:
+                return terms if _fermionic_exponent(exponent, pos) \
+                    else {(zero, 0): _UNIT}
+            if bos == zero and not mask:
                 if exponent.denominator == 1:
-                    return _Value(SuperPolynomial.scalar(
-                        u, _scalar_power(c, int(exponent))))
-                if exponent.denominator == 2 \
-                        and c == ExactScalar.pi_half_power(2):
-                    return _Value(SuperPolynomial.scalar(
-                        u, ExactScalar.pi_half_power(exponent.numerator)))
+                    return {(zero, 0): self.scalar_power(c, int(exponent))}
+                if exponent.denominator == 2 and c == _PI:
+                    return {(zero, 0): ExactScalar.pi_half_power(
+                        exponent.numerator)}
                 raise ParseError("unsupported fractional power", pos)
         if exponent.denominator != 1 or exponent < 0:
             raise ParseError("exponent must be a nonnegative integer", pos)
         # P^i * P for i < k makes t*|P^i| <= t*C(i+t-1, t-1) pairs
         t, k = len(terms), int(exponent)
-        self.spend(t * math.comb(k + t - 1, t))
-        fermionic_content = any(mask for (_, mask) in terms)
-        out = SuperPolynomial.one(u)
-        for _ in range(k):
-            out = sp_mul(out, value.poly)
-        if not out and exponent >= 2 and fermionic_content:
+        if t:
+            self.spend(t * math.comb(k + t - 1, t))
+        if not k:
+            return {(zero, 0): _UNIT}
+        if t == 1:
+            ((bos, mask), c), = terms.items()
+            if mask and k >= 2:
+                raise ParseError("fermionic square", pos)
+            if len(c.terms) > 1:
+                self.spend(_power_pairs(c, k))
+            return {(tuple(e * k for e in bos), mask): c ** k}
+        base = SuperPolynomial(u, terms)
+        out = base
+        for _ in range(k - 1):
+            out = sp_mul(out, base)
+        if not out and k >= 2 and any(mask for (_, mask) in terms):
             raise ParseError("fermionic square", pos)
-        return _Value(out)
+        return out.terms
+
+    def scalar_power(self, c, k):
+        """c ** k, refused before the arithmetic when a numerator or
+        denominator of the result could pass MAX_POWER_DIGITS digits, or
+        when a multi-term c would multiply more term pairs than
+        MAX_TERM_PAIRS allows.  Over a common denominator den, (sum of
+        |numerators|, sqrt2 counted twice)^k bounds every numerator of
+        c^k, and den^k every denominator.  A complex rational
+        (a + b*i)/d in lowest terms has parts whose denominators have lcm
+        d, so den is the lcm of the d fields."""
+        if k < 0:
+            c, k = c.inverse(), -k
+        den = math.lcm(*(q.d for q in c.terms.values()))
+        num = sum((abs(q.a) + abs(q.b)) * (den // q.d) * (1 + eps)
+                  for (_, eps), q in c.terms.items())
+        if k * math.log10(max(num, den)) > MAX_POWER_DIGITS:
+            raise ValueError(f"scalar power would exceed MAX_POWER_DIGITS = "
+                             f"{MAX_POWER_DIGITS} digits")
+        if len(c.terms) > 1:
+            self.spend(_power_pairs(c, k))
+        return c ** k
 
     def atom(self):
-        u = self.universe
         kind, val, pos = self.next()
+        if kind == "const":
+            return val
         if kind == "num":
-            num = val
-            kind2, val2, _ = self.peek()
-            if kind2 == "op" and val2 == "/":
-                self.next()
-                kind3, val3, pos3 = self.next()
-                if kind3 != "num":
-                    raise ParseError("expected denominator", pos3)
-                if not val3:
-                    raise ParseError("denominator must be non-zero", pos3)
-                return _Value(SuperPolynomial.scalar(
-                    u, ExactScalar.rational(num, val3)))
-            return _Value(SuperPolynomial.scalar(u, ExactScalar.rational(num)))
-        if kind == "name":
-            if val == "i":
-                return _Value(SuperPolynomial.scalar(u, ExactScalar.i()))
-            if val == "pi":
-                return _Value(SuperPolynomial.scalar(
-                    u, ExactScalar.pi_half_power(2)))
-            if val == "sqrtpi":
-                return _Value(SuperPolynomial.scalar(
-                    u, ExactScalar.pi_half_power(1)))
-            if val == "sqrt2":
-                return _Value(SuperPolynomial.scalar(u, ExactScalar.sqrt2()))
-            if val == "G":
-                return _Value(SuperPolynomial.one(u), gaussian=True)
-            if val.startswith("x"):
-                idx = int(val[1:]) - 1
-                if not 0 <= idx < u.m:
-                    raise ParseError(f"unknown symbol {val}", pos)
-                return _Value(SuperPolynomial.bosonic_var(u, idx))
+            if self.tokens[self.k][0] != "/":
+                return ("scalar", val, 0, 1, 0, 0)
+            self.k += 1
+            kind, den, pos = self.next()
+            if kind != "num":
+                raise ParseError("expected denominator", pos)
+            if not den:
+                raise ParseError("denominator must be non-zero", pos)
+            return ("scalar", val, 0, den, 0, 0)
+        if kind == "x" or kind == "q":
+            u = self.universe
             idx = int(val[1:]) - 1
-            if not 0 <= idx < len(u.fermionic):
+            if not 0 <= idx < (u.m if kind == "x" else len(u.fermionic)):
                 raise ParseError(f"unknown symbol {val}", pos)
-            return _Value(SuperPolynomial.fermionic_var(u, idx))
-        if kind == "op" and val == "(":
-            value = self.expr()
+            return ("x", idx, 1) if kind == "x" else ("q", 1 << idx)
+        if kind == "(":
+            terms, gaussian = self.expr()
             self.expect_op(")")
-            return value
+            return ("terms", terms, gaussian)
         raise ParseError("expected a value", pos)
 
 
 def parse(src, universe):
     """Parse to a SuperPolynomial or (with the G marker) GaussianFunction."""
-    value = Parser(src, universe).parse()
-    if value.gaussian:
-        return GaussianFunction(value.poly, True)
-    return value.poly
+    terms, gaussian = Parser(src, universe).parse()
+    poly = SuperPolynomial(universe, terms)
+    return GaussianFunction(poly, True) if gaussian else poly
 
 
 # -- rendering ----------------------------------------------------------

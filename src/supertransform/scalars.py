@@ -39,6 +39,11 @@ class QQi:
         d = math.lcm(rd, id_)
         self.a, self.b, self.d = rn * (d // rd), in_ * (d // id_), d
 
+    @staticmethod
+    def reduced(a, b, d):
+        """(a + b*i)/d for ints a, b and d > 0, in canonical fields."""
+        return _qqi(a, b, d)
+
     @property
     def re(self):
         return Fraction(self.a, self.d)
@@ -98,6 +103,7 @@ class QQi:
         if isinstance(other, Fraction):
             return (not self.b and self.d == other.denominator
                     and self.a == other.numerator)
+        # an ExactScalar compares through its own __eq__
         return NotImplemented
 
     def __hash__(self):
@@ -197,6 +203,13 @@ class ExactScalar(TermMap):
         return ExactScalar({(0, 0): _as_qqi(q)})
 
     @staticmethod
+    def monomial(q, b=0, eps=0):
+        """q * pi^(b/2) * sqrt2^eps for a non-zero QQi q and eps in {0, 1}."""
+        out = _object_new(ExactScalar)
+        out.terms = {(b, eps): q}
+        return out
+
+    @staticmethod
     def i():
         return ExactScalar({(0, 0): QQi(0, 1)})
 
@@ -255,8 +268,9 @@ class ExactScalar(TermMap):
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def inverse(self):
@@ -277,16 +291,17 @@ class ExactScalar(TermMap):
     # -- predicates and conversions -----------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ExactScalar.rational(other)
+        if isinstance(other, (int, Fraction, QQi)):
+            other = ExactScalar.from_qqi(other)
         if not isinstance(other, ExactScalar):
             return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):
-        # a rational value (zero too) hashes as the equal int or Fraction
-        if self.is_rational():
-            return hash(self.rational_value())
+        # a complex rational value (zero too) hashes as the equal QQi, so
+        # as the equal int or Fraction when it is real
+        if self.is_gaussian_rational():
+            return hash(self.qqi_value())
         return hash(frozenset(self.terms.items()))
 
     def is_rational(self):

@@ -39,6 +39,35 @@ def test_parse_gaussian_marker():
     assert got.poly == SuperPolynomial(u11(), {((2,), 0): ExactScalar.one()})
 
 
+def test_parse_gaussian_marker_inside_parentheses():
+    # the marker of a parenthesised factor counts whether the factor is
+    # zero, one term or a sum
+    u = u11()
+    x1, q1 = SuperPolynomial.bosonic_var(u, 0), \
+        SuperPolynomial.fermionic_var(u, 0)
+    assert parse("(0*G)*x1 + x1*G", u) == GaussianFunction(x1)
+    assert parse("(x1*G)*q1", u) == GaussianFunction(x1 * q1)
+    assert parse("q2(q1*G)", u) == GaussianFunction(
+        -SuperPolynomial.monomial(u, (0,), 0b11, ExactScalar.one()))
+    assert parse("(x1*G + G)q1", u) == GaussianFunction(x1 * q1 + q1)
+    for text, pos in (("(0*G)*G", 5), ("(0*G) + 1", 6)):
+        with pytest.raises(ParseError, match="Gaussian") as err:
+            parse(text, u)
+        assert err.value.pos == pos
+
+
+def test_parse_zero_to_the_zero_is_one():
+    # a zero factor to the power 0 is 1, as every other base is; 0^k for
+    # k >= 1 stays 0 and a negative or fractional power stays refused
+    u = u11()
+    for text in ("0^0", "(x1 - x1)^0", "(0*x1 + 0*q1)^0"):
+        assert parse(text, u) == SuperPolynomial.one(u)
+    assert parse("(x1 - x1)^3", u) == SuperPolynomial.zero(u)
+    for text in ("0^-1", "0^(1/2)"):
+        with pytest.raises(ParseError, match="nonnegative integer"):
+            parse(text, u)
+
+
 def test_parse_fermionic_square_rejected():
     with pytest.raises(ParseError, match="fermionic square"):
         parse("q1^2", u11())
@@ -466,6 +495,118 @@ def test_term_pair_budget_counts_products_and_powers(monkeypatch):
                  "(x1+x2+x3)^3 + (x1+x2+x3)^3 + x1*x2"):
         with pytest.raises(ValueError, match="MAX_TERM_PAIRS = 60"):
             parse(text, u)
+
+
+_PAIRS = ("expression would multiply more than MAX_TERM_PAIRS = 50000 term "
+          "pairs")
+
+
+def test_cli_scalar_power_budget_counts_term_pairs(capsys, monkeypatch):
+    # c^k of a t-term scalar c has about 2k terms here, and binary
+    # powering squares them: the term pairs it will multiply are charged
+    # before the arithmetic; k = 174 is the largest k accepted
+    c = "(1/3 + 2/5*i*sqrt2 + pi)"
+    value = parse(c, u11()).constant_term()
+    assert exprmod._power_pairs(value, 174) <= exprmod.MAX_TERM_PAIRS \
+        < exprmod._power_pairs(value, 175)
+    for text in (f"{c}^300", f"{c}^175", f"({c}*x1)^300"):
+        start = time.perf_counter()
+        code, out, err = _run_cli(capsys, "--m", "1", "--n", "1",
+                                  "normalize", text)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and not out and err == f"error: {_PAIRS}"
+    want = ExactScalar.one()
+    for _ in range(20):
+        want = want * value
+    assert parse(f"{c}^20", u11()) == SuperPolynomial.scalar(u11(), want)
+    code, _, err = _run_cli(capsys, "--m", "1", "--n", "1", "normalize",
+                            "123456789^1000")
+    assert code == 1 and "MAX_POWER_DIGITS = 4300" in err
+    # a single-term scalar power charges no term pairs: here only the
+    # three products inside the parentheses spend one pair each
+    monkeypatch.setattr(exprmod, "MAX_TERM_PAIRS", 3)
+    assert parse("2^1000", u11()) == SuperPolynomial.scalar(
+        u11(), ExactScalar.rational(2 ** 1000))
+    assert parse("(2/3*i*sqrt2*pi)^-7", u11()) == SuperPolynomial.scalar(
+        u11(), (ExactScalar.rational(2, 3) * ExactScalar.i()
+                * ExactScalar.sqrt2() * ExactScalar.pi_half_power(2)) ** -7)
+
+
+# Refused input and the exact stderr the command line prints for it:
+# (m, n, text, message, position).  A position marks a parse error
+# (exit 2); None marks a budget or domain error (exit 1).
+_REFUSALS = [
+    (1, 1, "x1 $ 2", "unexpected character '$'", 3),
+    (1, 1, "x1 )", "trailing input", 3),
+    (1, 1, "x5", "unknown symbol x5", 0),
+    (1, 1, "q3", "unknown symbol q3", 0),
+    (1, 1, "x0*q1", "unknown symbol x0", 0),
+    (1, 1, "G*G", "duplicate Gaussian marker", 1),
+    (1, 1, "x1*G q1 G", "duplicate Gaussian marker", 8),
+    (1, 1, "1 + G", "cannot add Gaussian and plain terms", 2),
+    (1, 1, "G - x1*G + 1", "cannot add Gaussian and plain terms", 9),
+    (1, 1, "G^2", "Gaussian marker cannot be raised to a power", 1),
+    (1, 1, "(x1*G)^2", "Gaussian marker cannot be raised to a power", 6),
+    (1, 1, "q1^2", "fermionic square", 2),
+    (1, 1, "x1*q2^2", "fermionic square", 5),
+    (0, 1, "(q1+q2)^2", "fermionic square", 7),
+    (1, 1, "(x1*q1)^3", "fermionic square", 7),
+    (1, 1, "q1^-1", "invalid fermionic power", 2),
+    (1, 1, "q1^(1/2)", "invalid fermionic power", 2),
+    (1, 1, "x1^-1", "exponent must be a nonnegative integer", 2),
+    (1, 1, "(x1+1)^(1/2)", "exponent must be a nonnegative integer", 6),
+    (1, 1, "1/x1", "expected denominator", 2),
+    (1, 1, "2/", "expected denominator", 2),
+    (1, 1, "1/0", "denominator must be non-zero", 2),
+    (1, 1, "x1^(2/0)", "denominator must be non-zero", 6),
+    (1, 1, "pi^(1/0)", "denominator must be non-zero", 6),
+    (1, 1, "pi^(1/3)", "unsupported fractional power", 2),
+    (1, 1, "sqrtpi^(1/2)", "unsupported fractional power", 6),
+    (1, 1, "2^(1/2)", "unsupported fractional power", 1),
+    (1, 1, "x1^(1/2)", "exponent must be a nonnegative integer", 2),
+    (1, 1, "(x1 + 1", "expected ')'", 7),
+    (1, 1, "((x1)", "expected ')'", 5),
+    (1, 1, "x1 +", "expected a value", 4),
+    (1, 1, "x1^", "expected exponent", 3),
+    (1, 1, "x1^-x1", "expected integer exponent", 4),
+    (1, 1, "x1^(x1)", "expected rational exponent", 4),
+    (1, 1, "x1^(1/x1)", "expected exponent denominator", 6),
+    (1, 1, "x1^(1 2)", "expected ')'", 6),
+    (1, 1, ")", "expected a value", 0),
+    (1, 1, "", "expected a value", 0),
+    (1, 1, "x1^99999999",
+     "exponent 99999999 exceeds MAX_EXPONENT = 1000", None),
+    (1, 1, "2^99999999",
+     "exponent 99999999 exceeds MAX_EXPONENT = 1000", None),
+    (1, 1, "x1^(-2001/2)",
+     "exponent -2001/2 exceeds MAX_EXPONENT = 1000", None),
+    (1, 1, "7" * 1001,
+     "integer literal of 1001 digits exceeds MAX_DIGITS = 1000", None),
+    (1, 1, "x5 + " + "7" * 1001,
+     "integer literal of 1001 digits exceeds MAX_DIGITS = 1000", None),
+    (1, 1, "123456789^1000",
+     "scalar power would exceed MAX_POWER_DIGITS = 4300 digits", None),
+    (1, 1, "(1/123456789)^-1000",
+     "scalar power would exceed MAX_POWER_DIGITS = 4300 digits", None),
+    (3, 1, "(x1+x2+x3)^200",
+     _PAIRS, None),
+    (3, 1, "(1+x1)^300*(1+x2)^300",
+     _PAIRS, None),
+    (1, 1, "(1+pi)^-1", "non-monomial scalar not invertible", None),
+]
+
+
+@pytest.mark.parametrize("m, n, text, message, pos", _REFUSALS,
+                         ids=[row[2][:24] for row in _REFUSALS])
+def test_cli_refusal_bytes(capsys, m, n, text, message, pos):
+    code = main(["--m", str(m), "--n", str(n), "normalize", text])
+    out = capsys.readouterr()
+    if pos is None:
+        assert (code, out.err) == (1, f"error: {message}\n")
+    else:
+        assert (code, out.err) == (
+            2, f"parse error: {message} (at position {pos})\n")
+    assert out.out == ""
 
 
 # Output of the operators as they were composed from derivatives: an operator

@@ -3,8 +3,12 @@
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from supertransform.expr import ParseError, _power_pairs, parse, \
+    render_poly_text
 
 from supertransform.fourier import kernel_route, parseval_check, \
     super_fourier
@@ -16,7 +20,7 @@ from supertransform.operators import (euler, laplace, multiply_vector_square,
                                       scalar_square)
 from supertransform.scalars import ExactScalar, QQi
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
-                                     VariableUniverse)
+                                     VariableUniverse, sp_mul)
 
 _rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 _scalars = st.builds(
@@ -155,3 +159,171 @@ def test_fourier_inversion_and_parseval(fg):
     f, g = fg
     assert super_fourier(super_fourier(f, "+"), "-") == f
     assert parseval_check(f, g, "full")
+
+
+# -- the parser against a tree oracle ------------------------------------
+#
+# A sum is a list of (sign, product) terms, and a product a list of
+# (separator, factor) pairs.  A factor is ("rat", p, q), ("i",),
+# ("pi", b) for pi^(b/2), ("sqrt2",), ("x", k, e), ("q", k), ("G",),
+# ("paren", sum) or ("pow", sum, e).  The oracle multiplies the factors
+# out as polynomials with sp_mul, the parser's old per-atom semantics.
+
+class _Refused(Exception):
+    pass
+
+
+@st.composite
+def _factors(draw, u, depth):
+    kinds = ["rat", "i", "pi", "sqrt2"] + ["x"] * bool(u.m) \
+        + ["q", "q"] * bool(u.fermionic) + ["paren", "pow"] * bool(depth)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "rat":
+        return kind, draw(st.integers(-5, 5)), draw(st.integers(1, 4))
+    if kind == "pi":
+        return kind, draw(st.integers(-3, 3))
+    if kind == "x":
+        return kind, draw(st.integers(1, u.m)), draw(st.integers(0, 3))
+    if kind == "q":
+        return kind, draw(st.integers(1, len(u.fermionic)))
+    if kind == "paren":
+        return kind, draw(_sums(u, depth - 1))
+    if kind == "pow":
+        return kind, draw(_sums(u, depth - 1)), draw(st.integers(0, 3))
+    return (kind,)
+
+
+@st.composite
+def _sums(draw, u, depth, gaussian=False):
+    terms = []
+    for _ in range(draw(st.sampled_from([1, 1, 2, 3]))):
+        factors = draw(st.lists(_factors(u, depth), min_size=1, max_size=4))
+        if gaussian:
+            factors.insert(draw(st.integers(0, len(factors))), ("G",))
+        product = []
+        for i, f in enumerate(factors):
+            seps = ["*", " "]
+            if i and f[0] == "q" and factors[i - 1][0] == "q":
+                seps.append("")
+            product.append((draw(st.sampled_from(seps)) if i else "", f))
+        terms.append((draw(st.sampled_from([1, -1])), product))
+    return terms
+
+
+def _sum_text(terms):
+    out = ""
+    for i, (sign, product) in enumerate(terms):
+        out += ("-" if sign < 0 else "") if not i \
+            else (" - " if sign < 0 else " + ")
+        out += "".join(sep + _factor_text(f) for sep, f in product)
+    return out
+
+
+def _factor_text(f):
+    kind = f[0]
+    if kind == "rat":
+        return f"{f[1]}/{f[2]}" if f[1] >= 0 else f"({f[1]}/{f[2]})"
+    if kind == "pi":
+        return {1: "sqrtpi", 2: "pi"}.get(f[1], f"pi^({f[1]}/2)")
+    if kind == "x":
+        return f"x{f[1]}" if f[2] == 1 else f"x{f[1]}^{f[2]}"
+    if kind == "q":
+        return f"q{f[1]}"
+    if kind == "paren":
+        return f"({_sum_text(f[1])})"
+    if kind == "pow":
+        return f"({_sum_text(f[1])})^{f[2]}"
+    return kind
+
+
+def _oracle_sum(u, terms):
+    total = SuperPolynomial.zero(u)
+    for sign, product in terms:
+        value = SuperPolynomial.one(u)
+        for _, f in product:
+            value = sp_mul(value, _oracle_factor(u, f))
+        total = total + value if sign > 0 else total - value
+    return total
+
+
+def _oracle_factor(u, f):
+    kind = f[0]
+    if kind == "rat":
+        return SuperPolynomial.scalar(u, ExactScalar.rational(f[1], f[2]))
+    if kind in ("i", "sqrt2"):
+        return SuperPolynomial.scalar(u, getattr(ExactScalar, kind)())
+    if kind == "pi":
+        return SuperPolynomial.scalar(u, ExactScalar.pi_half_power(f[1]))
+    if kind == "x":
+        out = SuperPolynomial.one(u)
+        for _ in range(f[2]):
+            out = sp_mul(out, SuperPolynomial.bosonic_var(u, f[1] - 1))
+        return out
+    if kind == "q":
+        return SuperPolynomial.fermionic_var(u, f[1] - 1)
+    if kind == "G":
+        return SuperPolynomial.one(u)
+    base = _oracle_sum(u, f[1])
+    if kind == "paren":
+        return base
+    out = SuperPolynomial.one(u)
+    for _ in range(f[2]):
+        out = sp_mul(out, base)
+    if f[2] >= 2 and not out and any(mask for _, mask in base.terms):
+        raise _Refused("fermionic square")
+    return out
+
+
+@st.composite
+def _expressions(draw):
+    m, n = draw(st.sampled_from([(0, 1), (0, 2), (2, 2), (1, 1), (2, 1)]))
+    u = VariableUniverse.standard(m, n)
+    gaussian = draw(st.booleans())
+    return u, draw(_sums(u, draw(st.integers(0, 2)), gaussian)), gaussian
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_expressions())
+def test_parse_matches_the_tree_oracle(case):
+    u, tree, gaussian = case
+    text = _sum_text(tree)
+    try:
+        want = _oracle_sum(u, tree)
+    except _Refused:
+        with pytest.raises(ParseError, match="fermionic square"):
+            parse(text, u)
+        return
+    if gaussian:
+        want = GaussianFunction(want)
+    assert parse(text, u) == want, text
+    if want:    # a zero Gaussian function renders as plain "0"
+        assert parse(render_poly_text(want), u) == want
+
+
+_multi_scalars = st.builds(
+    lambda terms: sum(terms, ExactScalar.zero()),
+    st.lists(_scalars, min_size=2, max_size=4)).filter(
+        lambda c: len(c.terms) > 1)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_multi_scalars, st.integers(0, 24))
+def test_scalar_power_charge_bounds_the_pairs_multiplied(c, k):
+    pairs = [0]
+    mul = ExactScalar.__mul__
+
+    def counting(x, y):
+        if isinstance(y, ExactScalar):
+            pairs[0] += len(x.terms) * len(y.terms)
+        return mul(x, y)
+
+    ExactScalar.__mul__ = counting
+    try:
+        power = c ** k
+    finally:
+        ExactScalar.__mul__ = mul
+    assert pairs[0] <= _power_pairs(c, k)
+    want = ExactScalar.one()
+    for _ in range(k):
+        want = want * c
+    assert power == want

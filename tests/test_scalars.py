@@ -158,3 +158,31 @@ def test_qqi_fields_are_canonical():
     assert q * Fraction(4, 3) == QQi(1, Fraction(-10, 9))
     with pytest.raises(ZeroDivisionError):
         QQi(0).inverse()
+
+
+def test_equality_across_coefficient_types_is_transitive():
+    # one value in each coefficient type: every pair compares equal, in
+    # either order, and hashes alike; a sqrt2 or pi term keeps a value
+    # apart from every complex rational
+    values = [
+        [1, Fraction(1), QQi(1), ExactScalar.from_qqi(QQi(1))],
+        [Fraction(-7, 3), QQi(Fraction(-7, 3)), ExactScalar.rational(-7, 3)],
+        [0, Fraction(0), QQi(0), ExactScalar.zero()],
+        [QQi(1, 1), ExactScalar.from_qqi(QQi(1, 1)),
+         ExactScalar.one() + ExactScalar.i()],
+        [QQi(Fraction(1, 2), -3),
+         ExactScalar.from_qqi(QQi(Fraction(1, 2), -3))],
+    ]
+    for group in values:
+        for x in group:
+            for y in group:
+                assert x == y and y == x and hash(x) == hash(y)
+    flat = [x for group in values for x in group]
+    for i, group in enumerate(values):
+        for j, other in enumerate(values):
+            if i != j:
+                assert all(x != y for x in group for y in other)
+    apart = [ExactScalar.sqrt2(), ExactScalar.pi_half_power(2),
+             ExactScalar.one() + ExactScalar.sqrt2()]
+    assert all(x != y and y != x for x in apart for y in flat)
+    assert len(set(flat)) == len(values)
