@@ -3,9 +3,11 @@ of the full harmonic space into SO(m) x Sp(2n) pieces.
 
 Bases come from rational row reduction of the sector Laplacian on the
 homogeneous component, so representatives are deterministic echelon
-forms.  The f_{k,p,q} coupling polynomials and the dimension identity of
-the decomposition are evaluated as stated; a failed check is reported
-in the result, never patched.
+forms.  Each basis is memoized per (degree, sector, universe) and
+shared as an immutable tuple; `harmonic_basis.cache_info()` gives the
+cache's size, hits and misses.  The f_{k,p,q} coupling polynomials and
+the dimension identity of the decomposition are evaluated as stated; a
+failed check is reported in the result, never patched.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from .superalg import SuperPolynomial, homogeneous_monomials, sp_mul
 
 
 class HarmonicBasis:
-    """Degree-k sector harmonics; elements are echelon representatives."""
+    """Degree-k sector harmonics; `elements` is a tuple of echelon
+    representatives."""
 
     __slots__ = ("degree", "sector", "elements")
 
@@ -42,27 +45,31 @@ class HarmonicBasis:
                 f"sector={self.sector!r}, dim={self.dimension})")
 
 
+@functools.cache
 def harmonic_basis(k, sector, universe):
     """Exact nullspace of the sector Laplacian on degree-k homogeneous
-    polynomials of that sector."""
+    polynomials of that sector.
+
+    Memoized per (degree, sector, universe) (`harmonic_basis.cache_info()`
+    gives size, hits and misses): every caller shares the one basis and
+    its tuple of elements.  A refusal raises on every call.
+    """
     if k < 0:
         raise ValueError("degree must be nonnegative")
     if sector not in ("bosonic", "fermionic", "full"):
         raise ValueError(f"unknown sector {sector!r}")
     monos = homogeneous_monomials(universe, k, sector)
     if not monos:
-        return HarmonicBasis(k, sector, [])
+        return HarmonicBasis(k, sector, ())
 
     def image(mono):
         # a lane-neutral integer coefficient keeps the image integral
         return laplace(SuperPolynomial(universe, {mono: 1}), sector).terms
 
-    vecs = nullspace(monos, image)
-    elements = []
-    for vec in vecs:
-        terms = {monos[ci]: ExactScalar.rational(val)
-                 for ci, val in vec.items()}
-        elements.append(SuperPolynomial(universe, terms))
+    elements = tuple(
+        SuperPolynomial(universe, {monos[ci]: ExactScalar.rational(val)
+                                   for ci, val in vec.items()})
+        for vec in nullspace(monos, image))
     return HarmonicBasis(k, sector, elements)
 
 

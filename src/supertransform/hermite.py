@@ -28,7 +28,11 @@ from .harmonics import harmonic_basis
 from .operators import (bosonic_derivative, fermionic_derivative, laplace,
                         multiply_vector_square)
 from .scalars import ExactScalar, rising_factorial
-from .superalg import GaussianFunction, SuperPolynomial, mask_bits
+from .superalg import (GaussianFunction, SuperPolynomial,
+                       homogeneous_monomial_count, mask_bits)
+
+# monomials of the top degree 2j+k of one psi element (output budget)
+MAX_MONOMIALS = 50000
 
 
 def _check_order(order, name):
@@ -113,10 +117,18 @@ def psi_tilde_element(j, h_k):
 
 def _hermite_series(j, h_k, rescaled):
     """sum_i c_i t^i h_k G with the ch_coefficients, times 2^(j+i) for
-    psi; h_k must be a homogeneous harmonic, as the recursion assumes."""
+    psi; h_k must be a homogeneous harmonic, as the recursion assumes.
+
+    Refused before any product when degree 2j+k has more than
+    MAX_MONOMIALS monomials: the output grows with that count."""
     _check_order(j, "j")
     if not h_k.is_homogeneous() or laplace(h_k, "full"):
         raise ValueError("input is not a homogeneous harmonic")
+    degree = 2 * j + h_k.degree()
+    count = homogeneous_monomial_count(h_k.universe, degree)
+    if count > MAX_MONOMIALS:
+        raise ValueError(f"degree 2j+k = {degree} spans {count} monomials,"
+                         f" over MAX_MONOMIALS = {MAX_MONOMIALS}")
     terms = {}
     power = h_k
     for i, c in enumerate(ch_coefficients(j, h_k.universe.superdim,

@@ -9,6 +9,7 @@ j (1-based in rendered names) occupies internal indices (2j-2, 2j-1).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from ._terms import TermMap, add_into, canonical
@@ -138,6 +139,18 @@ def homogeneous_monomials(u, k, sector="full"):
             for bos in compositions(k - fdeg, u.m):
                 out.append((bos, mask))
     return out
+
+
+def homogeneous_monomial_count(u, k):
+    """len(homogeneous_monomials(u, k)) from binomials, without listing
+    them: C(2n, f) masks times C(k-f+m-1, m-1) compositions per f."""
+    nf = len(u.fermionic)
+    if k < 0:
+        return 0
+    if not u.m:
+        return math.comb(nf, k)
+    return sum(math.comb(nf, f) * math.comb(k - f + u.m - 1, u.m - 1)
+               for f in range(min(k, nf) + 1))
 
 
 class SuperPolynomial(TermMap):

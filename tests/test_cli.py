@@ -9,6 +9,7 @@ from supertransform.cli import main, run, build_parser
 from supertransform.expr import (ParseError, parse, poly_to_json,
                                  render_poly_latex, render_poly_text)
 from supertransform.fourier import super_fourier
+from supertransform.harmonics import harmonic_basis
 from supertransform.scalars import ExactScalar, QQi
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse)
@@ -395,6 +396,41 @@ def test_cli_hermite_negative_order(capsys):
                               "--j", "-1", "--k", "2")
     assert code == 1 and not out
     assert "order j must be non-negative" in err
+
+
+@pytest.mark.parametrize("j", ["100", "200"])
+def test_cli_hermite_order_budget_refuses_fast(capsys, j):
+    start = time.perf_counter()
+    code, out, err = _run_cli(capsys, "--m", "3", "--n", "2", "hermite",
+                              "--k", "1", "--l", "0", "--j", j)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and not out and "MAX_MONOMIALS = 50000" in err
+
+
+def test_cli_hermite_order_budget_accepts_j20(capsys):
+    # degree 41 spans 13128 monomials at (3,2), within the budget
+    code, out, _ = _run_cli(capsys, "--m", "3", "--n", "2", "hermite",
+                            "--k", "1", "--l", "0", "--j", "20")
+    assert code == 0 and out.endswith("G")
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (3, 2)])
+def test_cli_warm_output_equals_cold_output(capsys, m, n):
+    # a caller that aliased or changed a shared basis would show here
+    commands = [("hermite", "--j", "1", "--k", "3"),
+                ("--format", "json", "decompose", "--k", "4")]
+
+    def outputs():
+        runs = []
+        for c in commands:
+            assert main(["--m", str(m), "--n", str(n), *c]) == 0
+            runs.append(capsys.readouterr().out)
+        return runs
+
+    harmonic_basis.cache_clear()
+    cold = outputs()
+    assert harmonic_basis.cache_info().currsize > 0
+    assert outputs() == cold
 
 
 def test_cli_decompose_refuses_m_zero(capsys):

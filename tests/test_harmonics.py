@@ -1,5 +1,6 @@
 import pytest
 
+from supertransform import harmonics
 from supertransform.harmonics import (decomposition_check, express_in_basis,
                                       f_poly, fischer_decompose,
                                       fischer_fermionic, harmonic_basis,
@@ -181,3 +182,42 @@ def test_harmonic_dimension_cache_hits_and_rebuilds_equal_output():
     harmonic_dimension.cache_clear()
     assert harmonic_dimension.cache_info().currsize == 0
     assert harmonic_dimension(2, "full", u) == first
+
+
+def test_harmonic_basis_cache_hits_and_rebuilds_equal_output():
+    u = VariableUniverse.standard(2, 1)
+    first = harmonic_basis(3, "full", u)
+    hits = harmonic_basis.cache_info().hits
+    assert harmonic_basis(3, "full", u) is first
+    assert harmonic_basis.cache_info().hits == hits + 1
+    assert isinstance(first.elements, tuple)
+    harmonic_basis.cache_clear()
+    assert harmonic_basis.cache_info().currsize == 0
+    rebuilt = harmonic_basis(3, "full", u)
+    assert rebuilt is not first and rebuilt.elements == first.elements
+
+
+@pytest.mark.parametrize("k, sector", [(-1, "full"), (2, "mixed")])
+def test_harmonic_basis_refusals_raise_on_every_call(k, sector):
+    u = VariableUniverse.standard(2, 1)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            harmonic_basis(k, sector, u)
+
+
+def test_decomposition_check_runs_each_nullspace_once(monkeypatch):
+    calls = []
+    real = harmonics.nullspace
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(harmonics, "nullspace", counting)
+    harmonic_basis.cache_clear()
+    harmonic_dimension.cache_clear()
+    u = VariableUniverse.standard(3, 2)
+    first = decomposition_check(6, u)
+    assert len(calls) == 9
+    assert decomposition_check(6, u) == first
+    assert len(calls) == 9

@@ -15,9 +15,11 @@ from supertransform.fourier import kernel_route, parseval_check, \
 from supertransform.fracfourier import frac_fermionic_table, \
     relative_deviation
 from supertransform.harmonics import harmonic_basis
-from supertransform.hermite import psi_element
+from supertransform.hermite import psi_element, psi_tilde_element
 from supertransform.operators import (euler, laplace, multiply_vector_square,
                                       scalar_square)
+from supertransform.radon import RadonResult, omega_universe, radon, \
+    radon_expected_eigenbasis
 from supertransform.scalars import ExactScalar, QQi
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse, sp_mul)
@@ -55,10 +57,10 @@ def test_kernel_route_equals_pair_table(f, a):
 
 
 @st.composite
-def _harmonic_combinations(draw):
-    m, n = draw(st.integers(0, 3)), draw(st.integers(0, 2))
-    u = VariableUniverse.standard(m, n)
-    basis = harmonic_basis(draw(st.integers(0, 3)), "full", u)
+def _harmonic_combinations(draw, ms=st.integers(0, 3), ns=st.integers(0, 2),
+                           ks=st.integers(0, 3)):
+    u = VariableUniverse.standard(draw(ms), draw(ns))
+    basis = harmonic_basis(draw(ks), "full", u)
     h = SuperPolynomial.zero(u)
     for element in basis:
         h = h + element.scale(draw(st.integers(-3, 3)))
@@ -72,6 +74,26 @@ def test_psi_recursion_equals_scalar_square_powers(h, j):
     for _ in range(j):
         want = scalar_square(want)
     assert psi_element(j, h) == want
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (2, 2), (1, 2), (3, 2),
+                                  (1, 3), (3, 1)])
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_radon_closed_form_on_psi_tilde_combinations(m, n, data):
+    # (2,1) has M = 0 and (2,2) has M = -2
+    u = VariableUniverse.standard(m, n)
+    got = GaussianFunction(SuperPolynomial.zero(u))
+    want = RadonResult(omega_universe(m, n))
+    for _ in range(data.draw(st.integers(1, 3))):
+        h = data.draw(_harmonic_combinations(st.just(m), st.just(n))
+                      .filter(bool))
+        k = h.degree()
+        j = data.draw(st.integers(0, (4 - k) // 2))
+        c = data.draw(_scalars)
+        got = got + psi_tilde_element(j, h).scale(c)
+        want = want + radon_expected_eigenbasis(j, k, h, u).scale(c)
+    assert radon(got) == want
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

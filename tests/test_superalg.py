@@ -5,7 +5,10 @@ import pytest
 from supertransform.scalars import ExactScalar
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse, doubled_universe,
-                                     fermionic_square, merge_masks, pairing,
+                                     fermionic_square,
+                                     homogeneous_monomial_count,
+                                     homogeneous_monomials, merge_masks,
+                                     pairing,
                                      sp_mul, sp_rename,
                                      sp_substitute_fermionic, substitute_ray,
                                      vector_square)
@@ -260,3 +263,16 @@ def test_universe_mismatch_raises():
     u2 = VariableUniverse.standard(2, 1)
     with pytest.raises(ValueError, match="universe"):
         sp_mul(SuperPolynomial.one(u1), SuperPolynomial.one(u2))
+
+
+def test_homogeneous_monomial_count_matches_the_listing():
+    for m in range(4):
+        for n in range(3):
+            u = VariableUniverse.standard(m, n)
+            assert homogeneous_monomial_count(u, -1) == 0
+            for k in range(7):
+                assert homogeneous_monomial_count(u, k) == \
+                    len(homogeneous_monomials(u, k))
+    u = VariableUniverse.standard(3, 2)
+    assert homogeneous_monomial_count(u, 41) == 13128
+    assert homogeneous_monomial_count(u, 101) == 80808
