@@ -188,6 +188,13 @@ def run(args, source):
         f = read_json(source, u)
     else:
         f = parse(source, u)
+        if cmd in ("fourier", "fracfourier", "radon") and not f \
+                and isinstance(f, SuperPolynomial) \
+                and (args.m or cmd != "fourier"):
+            # "0*G" renders as 0 in text, so a plain zero reads back as
+            # 0*G (JSON keeps its envelope flag); at m = 0 a plain fourier
+            # input is a fermionic transform and stays one
+            f = GaussianFunction(f, True)
     if cmd == "normalize":
         return _render(f, args.format)
     if cmd == "berezin":

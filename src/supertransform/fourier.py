@@ -12,11 +12,16 @@ helper on either lane.  The exact tables (plain, and on the Gaussian
 class with the envelope multiplied in and stripped out) are built once
 per sign from the kernel route at 0|2, which stays the oracle they are
 tested against.  The Gaussian-class integral likewise weighs each pair's
-sub-mask by a row of four Berezin weights.  The bosonic transform acts
-algebraically on the Gaussian class through the peel rule
-F(x_i g) = -/+ i d_{y_i} F(g) from the invariant Gaussian.  No analytic
-integration happens anywhere on the exact lane, and the exact transforms
-refuse float-lane input.
+sub-mask by a row of four Berezin weights.  The bosonic kernel factors
+by coordinate too: on the Gaussian class it sends x_i^e G to
+(+/- i)^e He_e(y_i) G, with He_e the probabilists' Hermite polynomial,
+read from one cached integer row per degree.  The full transform is one
+pass over the terms that multiplies, per term, those Hermite rows, the
+phase and the pair rows as Gaussian integers and scales the term's
+coefficient once.  The peel rule F(x_i g) = -/+ i d_{y_i} F(g), from
+which the Hermite rows follow, is the test oracle of that pass.  No
+analytic integration happens anywhere on the exact lane, and the exact
+transforms refuse float-lane input.
 """
 
 from __future__ import annotations
@@ -28,8 +33,7 @@ from fractions import Fraction
 from ._terms import add_into
 from .harmonics import express_in_basis
 from .hermite import psi_span
-from .operators import bosonic_derivative
-from .scalars import Angle, ExactScalar, to_float
+from .scalars import Angle, ExactScalar, QQi, to_float
 from .superalg import (GaussianFunction, SuperPolynomial, VariableUniverse,
                        doubled_universe, fermionic_envelope_poly,
                        neutral_fermionic_var, scale_exact, sp_mul,
@@ -135,7 +139,9 @@ def _order(sign):
 def _fourier_table(sign, gaussian):
     """Rows (sub-mask, complex rational) of the transform on one pair, read
     off the kernel route at 0|2 on the four basis monomials, on the
-    Gaussian class times the envelope exp(q1q2/2), stripped after."""
+    Gaussian class times the envelope exp(q1q2/2), stripped after.  The
+    Gaussian rows hold Gaussian integers, which `super_fourier`
+    multiplies as int pairs."""
     width = Fraction(1, 2) if gaussian else 0
     env = fermionic_envelope_poly(_PAIR, width=width)
     strip = fermionic_envelope_poly(_PAIR, width=width, sign=-1)
@@ -146,7 +152,68 @@ def _fourier_table(sign, gaussian):
             raise AssertionError("pair map does not keep parity")
         rows.append(tuple((out, c.qqi_value())
                           for (_, out), c in sorted(img.terms.items())))
+    if gaussian and any(q.d != 1 for row in rows for _, q in row):
+        raise AssertionError("Gaussian pair table is not integral")
     return tuple(rows)
+
+
+@functools.cache
+def hermite_row(k):
+    """Probabilists' Hermite polynomial He_k, under the generating
+    convention (d/dp)^k e^(-p^2/2) = (-1)^k He_k(p) e^(-p^2/2), as a
+    tuple of (power, int coefficient) pairs, highest power first.  The
+    coefficient of p^(k-2j) is (-1)^j k! / (j! (k-2j)! 2^j), each from
+    the one before."""
+    if k < 0:
+        raise ValueError("degree must be nonnegative")
+    row, c = [], 1
+    for j in range(k // 2 + 1):
+        row.append((k - 2 * j, c))
+        c = -c * (k - 2 * j) * (k - 2 * j - 1) // (2 * (j + 1))
+    return tuple(row)
+
+
+# i^k as a Gaussian integer (re, im), k mod 4
+_UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+_IDENTITY_ROWS = tuple(((sub, 1, 0),) for sub in range(4))
+
+
+@functools.cache
+def _integer_rows(sign):
+    """The Gaussian pair table of `sign` as (sub-mask, re, im) ints."""
+    return tuple(tuple((sub, q.a, q.b) for sub, q in row)
+                 for row in _fourier_table(sign, True))
+
+
+def _gaussian_pass(f, sign, pair_rows):
+    """One pass over the terms of a Gaussian-class f: x^e q^mask G goes to
+    i^(+/-|e|) prod_i He_(e_i)(y_i) times the pair rows' images of the
+    mask, all multiplied as Gaussian integers, and the term's coefficient
+    is scaled once per image."""
+    if not f.envelope:
+        raise ValueError("envelope missing")
+    _require_exact(f.poly)
+    turn = _order(sign)
+    nf = len(f.universe.fermionic)
+    out = {}
+    for (bos, mask), c in f.poly.terms.items():
+        re, im = _UNITS[turn * sum(bos) % 4]
+        fer_images = [(0, re, im)]
+        for shift in range(0, nf, 2):
+            row = pair_rows[(mask >> shift) & 3]
+            fer_images = [(acc | (sub << shift), x * a - y * b,
+                           x * b + y * a)
+                          for acc, x, y in fer_images for sub, a, b in row]
+        bos_images = [((), 1)]
+        for e in bos:
+            row = hermite_row(e)
+            bos_images = [(acc + (p,), h * t)
+                          for acc, h in bos_images for p, t in row]
+        for omask, x, y in fer_images:
+            for obos, h in bos_images:
+                add_into(out, (obos, omask),
+                         c.scale(QQi.reduced(x * h, y * h, 1)))
+    return GaussianFunction(f.poly._like(out), True)
 
 
 def _require_exact(poly):
@@ -191,27 +258,15 @@ def fermionic_fourier_gaussian(f, sign):
 
 
 def bosonic_fourier(f, sign):
-    """Peel rule F(x_i g) = -/+ i d_{y_i} F(g) from F(exp) = exp; exact."""
-    c_sign = ExactScalar.i_power(-_order(sign))   # -/+ i
-    if not f.envelope:
-        raise ValueError("envelope missing")
-    _require_exact(f.poly)
-    u = f.universe
-    out = GaussianFunction(SuperPolynomial.zero(u), True)
-    for (bos, mask), coeff in f.poly.terms.items():
-        g = GaussianFunction(
-            SuperPolynomial(u, {((0,) * u.m, mask): coeff}), True)
-        for i, e in enumerate(bos):
-            for _ in range(e):
-                g = bosonic_derivative(g, i).scale(c_sign)
-        out = out + g
-    return out
+    """Bosonic transform of a Gaussian-class function, coordinate by
+    coordinate: x_i^e G -> (+/- i)^e He_e(y_i) G; exact."""
+    return _gaussian_pass(f, sign, _IDENTITY_ROWS)
 
 
 def super_fourier(f, sign):
-    """Full transform as the (order-independent) composition of the
-    bosonic and fermionic factors."""
-    return fermionic_fourier_gaussian(bosonic_fourier(f, sign), sign)
+    """Full transform: the bosonic Hermite rows and the fermionic pair
+    rows in one pass (their composition in either order)."""
+    return _gaussian_pass(f, sign, _integer_rows(sign))
 
 
 def super_fourier_cvalued(f, sign):
@@ -223,8 +278,10 @@ def super_fourier_cvalued(f, sign):
         for key, p in f.parts.items()}, True)
 
 
+@functools.cache
 def gaussian_moment(p, width):
-    """Integral of x^p exp(-width x^2) over the line, exact in the ring."""
+    """Integral of x^p exp(-width x^2) over the line, exact in the ring;
+    memoized."""
     if p % 2:
         return ExactScalar.zero()
     from .scalars import gamma_half_integer
@@ -251,15 +308,18 @@ def gaussian_class_integral(poly, width):
     _require_exact(poly)
     row = _berezin_row(width)
     nf = len(poly.universe.fermionic)
-    total = ExactScalar.zero()
+    total = {}
     for (bos, mask), c in poly.terms.items():
+        if any(p & 1 for p in bos):
+            continue                       # an odd moment vanishes
         piece = c
         for shift in range(0, nf, 2):
             piece = piece * row[(mask >> shift) & 3]
         for p in bos:
             piece = piece * gaussian_moment(p, width)
-        total = total + piece
-    return total
+        for key, q in piece.terms.items():
+            add_into(total, key, q)
+    return ExactScalar(total)
 
 
 def super_integral(f):

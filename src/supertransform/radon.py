@@ -4,46 +4,44 @@ and an exact one-dimensional Fourier step in the radius.
 
 Results live in (omega-polynomial mod the sphere relation) tensor
 (p-polynomial times exp(-p^2/2)); the last omega appears at most to the
-first power after reduction.
+first power after reduction.  The ray terms are grouped by radius power
+and each group is reduced once; the powers of the sphere relation are
+built once per `radon` call and shared by its groups.  The radius step
+sends r^k to i^k He_k(p), read from the same cached Hermite rows as the
+bosonic Fourier factor, and the constants (2 pi)^(1/2) of that step and
+(2 pi)^(M/2-1) of the slice are applied as one (2 pi)^((M-1)/2).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ._terms import TermMap, add_into
-from .fourier import super_fourier
-from .scalars import ExactScalar
+from .fourier import _UNITS, hermite_row, super_fourier
+from .scalars import ExactScalar, QQi
 from .superalg import (SuperPolynomial, VariableUniverse, sp_mul,
                        sp_rename, substitute_ray)
 
 
 def hermite_1d(k):
     """Probabilists' Hermite polynomial under the generating convention
-    (d/dp)^k e^(-p^2/2) = (-1)^k H~_k(p) e^(-p^2/2); dict power -> Fraction."""
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    cur = {0: Fraction(1)}
-    for _ in range(k):
-        nxt = {}
-        for e, c in cur.items():           # H_{k+1} = p H_k - H_k'
-            add_into(nxt, e + 1, c)
-            if e:
-                add_into(nxt, e - 1, -e * c)
-        cur = nxt
-    return cur
+    (d/dp)^k e^(-p^2/2) = (-1)^k H~_k(p) e^(-p^2/2), as a fresh dict
+    power -> int read from the cached `hermite_row`."""
+    return dict(hermite_row(k))
+
+
+def _line_fourier(rpoly, weight):
+    """weight * sum_k c_k i^k H~_k(p) over the r-polynomial {k: c_k}."""
+    out = {}
+    for k, c in rpoly.items():
+        re, im = _UNITS[k % 4]
+        for e, h in hermite_row(k):
+            add_into(out, e, c.scale(QQi.reduced(re * h, im * h, 1)))
+    return {e: c * weight for e, c in out.items()}
 
 
 def one_dim_fourier(rpoly):
     """Integral of e^(ipr) r^k e^(-r^2/2) dr summed over the given
     r-polynomial: sqrt(2 pi) i^k H~_k(p) per power, exact in the ring."""
-    out = {}
-    root = ExactScalar.two_pi_half_power(1)
-    for k, c in rpoly.items():
-        w = c * root * ExactScalar.i_power(k)
-        for e, h in hermite_1d(k).items():
-            add_into(out, e, w * h)
-    return out
+    return _line_fourier(rpoly, ExactScalar.two_pi_half_power(1))
 
 
 def omega_universe(m, n):
@@ -64,32 +62,33 @@ def _sphere_substitution(u):
     return SuperPolynomial(u, terms)
 
 
-def reduce_mod_sphere(f):
-    """Normal form mod (omega^2 + 1): rewrite w_m^2 by the relation until
-    the last omega's degree is at most one; confluent because the
-    substituted polynomial is w_m-free."""
+def reduce_mod_sphere(f, powers=None):
+    """Normal form mod (omega^2 + 1): write each term's w_m^e as
+    (w_m^2)^q w_m^s with s < 2, rewrite w_m^2 by the relation, and sum
+    the products into one dict; the last omega's degree is then at most
+    one, since the substituted polynomial is w_m-free.  `powers` is the
+    list [1, s, s^2, ...] of the rewrite image s of w_m^2, extended in
+    place, so calls on one universe can share it."""
     u = f.universe
     if u.m < 1:
         raise ValueError("no purely fermionic sphere relation")
     last = u.m - 1
-    sub = _sphere_substitution(u)
-    powers = {0: SuperPolynomial.one(u)}
-
-    def sub_power(q):
-        if q not in powers:
-            powers[q] = sp_mul(sub_power(q - 1), sub)
-        return powers[q]
-
-    out = SuperPolynomial.zero(u)
+    if powers is None:
+        powers = [SuperPolynomial.one(u)]
+    by_q = {}
     for (bos, mask), c in f.terms.items():
-        e = bos[last]
-        q, s = divmod(e, 2)
-        rest = bos[:last] + (s,)
-        piece = SuperPolynomial(u, {(rest, mask): c})
-        out = out + sp_mul(sub_power(q), piece)
-    # the substituted image is w_m-free, so one pass leaves degree <= 1
-    assert all(key[0][last] < 2 for key in out.terms)
-    return out
+        q, s = divmod(bos[last], 2)
+        by_q.setdefault(q, {})[(bos[:last] + (s,), mask)] = c
+    out = {}
+    for q, piece in by_q.items():
+        if q:
+            while len(powers) <= q:
+                powers.append(sp_mul(powers[-1], _sphere_substitution(u)))
+            piece = sp_mul(powers[q],
+                           SuperPolynomial(u, piece)).terms
+        for key, c in piece.items():
+            add_into(out, key, c)
+    return f._like(out)
 
 
 class RadonResult(TermMap):
@@ -194,22 +193,20 @@ def radon(f):
     u = f.universe
     if u.m < 1:
         raise ValueError("no purely fermionic Radon transform")
-    transformed = super_fourier(f, "-")
-    ray = substitute_ray(transformed)
+    ray = substitute_ray(super_fourier(f, "-"))
     uo = omega_universe(u.m, u.pairs)
-    # split off the radius power, reduce the omega part
-    by_omega = {}
+    # one omega polynomial per radius power, each reduced once
+    by_power = {}
     for (bos, mask), c in ray.poly.terms.items():
-        rpow = bos[0]
-        omono = SuperPolynomial(uo, {(bos[1:], mask): c})
-        for key, rc in reduce_mod_sphere(omono).terms.items():
-            add_into(by_omega.setdefault(key, {}), rpow, rc)
-    prefactor = ExactScalar.two_pi_half_power(u.superdim - 2)
-    terms = {}
-    for key, rpoly in by_omega.items():
-        ppoly = one_dim_fourier(rpoly)
-        terms[key] = {e: c * prefactor for e, c in ppoly.items()}
-    return RadonResult(uo, terms)
+        by_power.setdefault(bos[0], {})[(bos[1:], mask)] = c
+    by_omega, powers = {}, [SuperPolynomial.one(uo)]
+    for rpow, omega in by_power.items():
+        reduced = reduce_mod_sphere(SuperPolynomial(uo, omega), powers)
+        for key, c in reduced.terms.items():
+            by_omega.setdefault(key, {})[rpow] = c
+    weight = ExactScalar.two_pi_half_power(u.superdim - 1)
+    return RadonResult(uo, {key: _line_fourier(rpoly, weight)
+                            for key, rpoly in by_omega.items()})
 
 
 def radon_expected_eigenbasis(j, k, h, universe):

@@ -291,6 +291,43 @@ def test_cli_radon_requires_gaussian_and_bosonic(capsys):
     assert code == 1 and "fermionic" in err
 
 
+
+@pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+@pytest.mark.parametrize("cmd", [("fourier",), ("radon",),
+                                 ("fracfourier", "--a", "1/2")])
+def test_cli_plain_zero_reads_as_zero_gaussian(capsys, cmd, fmt):
+    # "0*G" renders as 0 in text and LaTeX, so 0 reads back as 0*G
+    argv = ["--m", "1", "--n", "1", "--format", fmt, *cmd]
+    assert main(argv + ["0*G"]) == 0
+    want = capsys.readouterr()
+    assert main(argv + ["0"]) == 0
+    got = capsys.readouterr()
+    assert (got.out, got.err) == (want.out, want.err)
+    if fmt == "text":
+        assert got.out == "0\n"
+
+
+def test_cli_plain_zero_fourier_at_m_zero_stays_fermionic(capsys):
+    code, out, _ = _run_cli(capsys, "--m", "0", "--n", "1", "--format",
+                            "json", "fourier", "0")
+    assert code == 0 and not json.loads(out)["envelope"]
+
+
+@pytest.mark.parametrize("cmd", [("fourier",), ("radon",),
+                                 ("fracfourier", "--a", "1/2")])
+def test_cli_json_zero_without_envelope_is_refused(capsys, cmd):
+    # only text input reads a plain zero as 0*G; JSON states its envelope
+    one = '{"q": [%d, 1, 0, 1], "b": 0, "eps": 0}'
+    for terms in ("[]", '[{"bos": [1], "fer": [], "coeff": [%s]}, '
+                        '{"bos": [1], "fer": [], "coeff": [%s]}]'
+                  % (one % 1, one % -1)):
+        payload = ('{"schema": "supertransform/1", "m": 1, "n": 1, '
+                   f'"envelope": false, "terms": {terms}}}')
+        code, _, err = _run_cli(capsys, "--m", "1", "--n", "1", *cmd,
+                                payload)
+        assert code == 1 and "marker" in err
+
+
 def test_cli_fracfourier_order_out_of_range(capsys):
     code, _, err = _run_cli(capsys, "--m", "1", "--n", "1",
                             "fracfourier", "--a", "3/2", "G")

@@ -203,6 +203,25 @@ def test_bosonic_fourier_basics():
         bosonic_fourier(GaussianFunction(SuperPolynomial.one(u), False), "+")
 
 
+
+def test_gaussian_pair_tables_are_integral():
+    from supertransform.fourier import _fourier_table
+    for sign in ("+", "-"):
+        for row in _fourier_table(sign, True):
+            assert row and all(q.d == 1 for _, q in row)
+
+
+def test_gaussian_pair_table_refuses_a_fractional_entry(monkeypatch):
+    # super_fourier multiplies the Gaussian rows as int pairs, so their
+    # builder must refuse a non-integral entry; the plain table has halves
+    from supertransform import fourier
+    route = fourier.kernel_route
+    monkeypatch.setattr(fourier, "kernel_route",
+                        lambda f, a: route(f, a).scale(Fraction(1, 2)))
+    with pytest.raises(AssertionError, match="integral"):
+        fourier._fourier_table.__wrapped__("+", True)
+    fourier._fourier_table.__wrapped__("+", False)
+
 def test_super_fourier_composition_orders_agree(rng):
     for m, n in [(1, 1), (2, 1)]:
         u = VariableUniverse.standard(m, n)
@@ -548,6 +567,15 @@ def test_gaussian_class_integral_equals_berezin_route(rng, width):
                     c = c * gaussian_moment(p, width)
                 want = want + c
             assert gaussian_class_integral(poly, width) == want, (m, n)
+
+
+
+def test_super_integral_pair_keeps_the_fermionic_sign():
+    # q2 * conj(q1) = -q1 q2, so the pairing is odd under the swap
+    u = VariableUniverse.standard(0, 1)
+    q1, q2 = (GaussianFunction(SuperPolynomial.fermionic_var(u, j))
+              for j in (0, 1))
+    assert super_integral_pair(q2, q1) == -super_integral_pair(q1, q2) != 0
 
 
 def test_exact_transforms_and_integrals_refuse_float_lane():

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from supertransform.expr import ParseError, _power_pairs, parse, \
     render_poly_text
 
-from supertransform.fourier import kernel_route, parseval_check, \
-    super_fourier
+from supertransform.fourier import bosonic_fourier, \
+    fermionic_fourier_gaussian, kernel_route, parseval_check, super_fourier
 from supertransform.fracfourier import frac_fermionic_table, \
     relative_deviation
 from supertransform.harmonics import harmonic_basis
@@ -19,10 +19,12 @@ from supertransform.hermite import psi_element, psi_tilde_element
 from supertransform.operators import (euler, laplace, multiply_vector_square,
                                       scalar_square)
 from supertransform.radon import RadonResult, omega_universe, radon, \
-    radon_expected_eigenbasis
+    radon_expected_eigenbasis, reduce_mod_sphere
 from supertransform.scalars import ExactScalar, QQi
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse, sp_mul)
+from tests.oracles import peel_bosonic_fourier, \
+    reduce_mod_sphere_per_monomial
 
 _rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 _scalars = st.builds(
@@ -181,6 +183,49 @@ def test_fourier_inversion_and_parseval(fg):
     f, g = fg
     assert super_fourier(super_fourier(f, "+"), "-") == f
     assert parseval_check(f, g, "full")
+
+
+@st.composite
+def _gaussian_inputs(draw, m, n):
+    # bosonic degree up to 8 per variable
+    u = VariableUniverse.standard(m, n)
+    keys = st.tuples(st.tuples(*[st.integers(0, 8)] * m),
+                     st.integers(0, (1 << 2 * n) - 1))
+    return GaussianFunction(SuperPolynomial(
+        u, draw(st.dictionaries(keys, _scalars, min_size=1, max_size=3))))
+
+
+# M = m - 2n is -4 at (0,2), -2 at (2,2) and 0 at (4,2)
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("m, n", [(0, 2), (1, 1), (2, 1), (2, 2), (3, 2),
+                                  (4, 2)])
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_hermite_pass_equals_peel_rule(m, n, sign, data):
+    f = data.draw(_gaussian_inputs(m, n))
+    peeled = peel_bosonic_fourier(f, sign)
+    assert bosonic_fourier(f, sign) == peeled
+    assert super_fourier(f, sign) == fermionic_fourier_gaussian(peeled, sign)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (2, 2), (3, 2)])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_batched_sphere_reduction_equals_per_monomial(m, n, data):
+    uo = omega_universe(m, n)
+    keys = st.tuples(st.tuples(*[st.integers(0, 6)] * m),
+                     st.integers(0, (1 << 2 * n) - 1))
+    f = SuperPolynomial(uo, data.draw(st.dictionaries(keys, _scalars,
+                                                      max_size=6)))
+    got = reduce_mod_sphere(f)
+    assert got == reduce_mod_sphere_per_monomial(f)
+    assert all(bos[-1] < 2 for bos, _ in got.terms)
+    # a powers list shared across calls, as radon shares it, changes nothing
+    powers = [SuperPolynomial.one(uo)]
+    g = SuperPolynomial(uo, data.draw(st.dictionaries(keys, _scalars,
+                                                      max_size=6)))
+    assert reduce_mod_sphere(g, powers) == reduce_mod_sphere_per_monomial(g)
+    assert reduce_mod_sphere(f, powers) == got
 
 
 # -- the parser against a tree oracle ------------------------------------

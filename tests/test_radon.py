@@ -3,6 +3,7 @@ import math
 import pytest
 from scipy.integrate import quad
 
+from supertransform.fourier import hermite_row
 from supertransform.harmonics import harmonic_basis
 from supertransform.hermite import psi_tilde_element
 from supertransform.operators import bosonic_derivative, fermionic_derivative
@@ -24,6 +25,36 @@ def test_hermite_1d_small():
     with pytest.raises(ValueError):
         hermite_1d(-1)
 
+
+
+def _hermite_by_recursion(k):
+    cur = {0: 1}
+    for _ in range(k):                     # H_{k+1} = p H_k - H_k'
+        nxt = {}
+        for e, c in cur.items():
+            nxt[e + 1] = nxt.get(e + 1, 0) + c
+            if e:
+                nxt[e - 1] = nxt.get(e - 1, 0) - e * c
+        cur = {e: c for e, c in nxt.items() if c}
+    return cur
+
+
+def test_hermite_1d_against_recursion():
+    for k in range(13):
+        want = _hermite_by_recursion(k)
+        assert hermite_1d(k) == want, k
+        assert hermite_1d(k) == hermite_1d(k) == want, k
+    assert hermite_1d(40) == _hermite_by_recursion(40)
+
+
+def test_hermite_rows_are_cached_tuples():
+    row = hermite_row(7)
+    assert row is hermite_row(7)
+    assert isinstance(row, tuple)
+    assert all(isinstance(entry, tuple) for entry in row)
+    view = hermite_1d(7)
+    view[7] = 99                            # a fresh dict per call
+    assert hermite_1d(7)[7] == 1 and dict(hermite_row(7))[7] == 1
 
 def test_one_dim_fourier_against_quadrature():
     # oracle: numeric integral of e^{ipr} r^k e^{-r^2/2} at p in {0, 1}
