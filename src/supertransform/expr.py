@@ -5,17 +5,34 @@ Grammar:  expr := ('-')? term (('+'|'-') term)*
           factor := atom ('^' exponent)?
           atom := rational | i | pi | sqrt2 | sqrtpi | G | x<k> | q<k>
                   | '(' expr ')'
+          exponent := integer | '-' integer
+                      | '(' ('-')? integer ('/' integer)? ')'
 Juxtaposed factors multiply in written order, so fermionic products like
 q1q2 keep their sign semantics; fermionic squares are rejected at parse
 time, as are mixed Gaussian/non-Gaussian sums.  Oversized input is
 refused before the arithmetic that would pass a budget below, and
 oversized output before rendering, with a ValueError naming the budget.
 
-The text is tokenised by one regular-expression pass and parsed in one
-pass.  Each term is built as one monomial: a scalar atom multiplies its
-coefficient, x<k>^e adds to its exponent vector and q<k> merges into its
-fermionic mask with the Koszul sign.  sp_mul runs only from the first
-factor with two or more terms, a parenthesised sum or a power of one.
+One regular expression, read by findall, cuts the text into lexemes, one
+per leaf: an integer or rational p/q, a constant, a symbol x<k> or q<k>,
+an exponent ^e or ^-e, and the renderer's coefficient (p/q+r/s*i) or
+(p/q), spaces allowed, so that reading printed output back takes one
+match per coefficient; (p/q) after a '^' is the exponent of ^(p/q).
+Every other character is a lexeme of its own: operators, and anything
+unexpected.  The parser walks factors, not characters; where the
+lexemes do not form leaves (a '^' with no exponent, a '/' with no
+denominator) it reads on lexeme by lexeme and gives the refusal a
+token-by-token reading would give.  Each term is built as one monomial:
+a scalar factor multiplies its coefficient, x<k>^e adds to its exponent
+vector and q<k> merges into its fermionic mask with the Koszul sign.
+sp_mul runs only from the first factor with two or more terms, a
+parenthesised sum or a power of one.
+
+Errors are positioned only on failure: the walk names the lexeme (and
+the part of it) at fault, and the position is found by running the
+pattern again with finditer.  The first unexpected character or
+over-long digit run (an integer literal or a symbol index of more than
+MAX_DIGITS digits) in reading order is refused before any parse error.
 """
 
 from __future__ import annotations
@@ -34,7 +51,7 @@ from .superalg import (GaussianFunction, SuperPolynomial, mask_bits,
 # Input budgets of the expression and JSON readers, and the renderers'
 # output budget.
 MAX_EXPONENT = 1000        # |exponent| of '^' and of a JSON bosonic entry
-MAX_DIGITS = 1000          # digits of one integer literal
+MAX_DIGITS = 1000          # digits of one integer literal or symbol index
 MAX_POWER_DIGITS = 4300    # digits of a scalar power (Python's int str limit)
 MAX_RENDER_DIGITS = 4300   # digits of one rendered integer (output budget)
 MAX_TERM_PAIRS = 50000     # term pairs multiplied in one parse
@@ -111,10 +128,30 @@ class ParseError(Exception):
         self.pos = pos
 
 
-# One pattern matches every token, whitespace and, last, any other
-# character, so the matches tile the text.
-_TOKEN = re.compile(r"\d+|sqrtpi|sqrt2|pi|i|G|[xq]\d+|[-+*/^()]|\s+|.",
-                    re.DOTALL)
+# One pattern reads each leaf of the grammar as one match, after any
+# whitespace: the renderer's coefficient (p/q+r/s*i) or (p/q), which is
+# also the exponent of ^(p/q), an integer or rational p/q, a constant, a
+# symbol, an exponent ^e or ^-e, an operator and, last, any other
+# character.  findall gives one tuple of the groups below per match; the
+# empty string marks an absent group.
+_LEXEME = re.compile(r"""\s*(?:
+    \( \s* (-?) \s* (\d+) (?: \s*/\s* (\d+) )?
+       (?: \s* ([-+]) \s* (?: (\d+) (?: \s*/\s* (\d+) )? \s* \*? \s* )? i )?
+       \s* \)
+  | (\d+) (?: \s*/\s* (\d+) )?
+  | (sqrtpi|sqrt2|pi|i|G)
+  | ([xq]) (\d+)
+  | \^ \s* (-?) \s* (\d+)
+  | ([-+*/^()])
+  | (\S)
+)""", re.VERBOSE)
+(C_SIGN, C_RE, C_RED, C_ISIGN, C_IM, C_IMD, NUM, DEN, CONST, SYM, INDEX,
+ E_SIGN, E_INT, OP, OTHER) = range(15)
+_END = ("",) * 15              # the lexeme after the last, at len(src)
+_DIGIT_GROUPS = (C_RE, C_RED, C_IM, C_IMD, NUM, DEN, INDEX, E_INT)
+# A digit run too long for MAX_DIGITS (as set at import); finding one
+# sends the text to the scan check, which reads whose run it is.
+_LONG_RUN = re.compile(r"(?<!\d)\d{%d}" % (MAX_DIGITS + 1))
 
 # A factor is a tuple tagged by its first entry:
 #   ("scalar", a, b, d, h, s)  (a + b*i)/d * pi^(h/2) * sqrt2^s
@@ -126,33 +163,44 @@ _ONE = ("scalar", 1, 0, 1, 0, 0)
 _CONSTANTS = {"i": ("scalar", 0, 1, 1, 0, 0), "pi": ("scalar", 1, 0, 1, 2, 0),
               "sqrtpi": ("scalar", 1, 0, 1, 1, 0),
               "sqrt2": ("scalar", 1, 0, 1, 0, 1), "G": ("G",)}
-_KINDS = {**{op: op for op in "-+*/^()"}, **dict.fromkeys(_CONSTANTS, "const")}
 _PI = ExactScalar.pi_half_power(2)
 _UNIT = ExactScalar.one()
-_FACTOR_START = frozenset(("num", "const", "x", "q", "("))
 
 
-def _tokenize(src):
-    """(kind, value, position) triples.  kind is "num" (value the int),
-    "const" (value the factor), "x" or "q" (value the symbol text), an
-    operator character, or "end"."""
-    out = []
-    pos = 0
-    for text in _TOKEN.findall(src):
-        kind = _KINDS.get(text)
-        if kind == "const":
-            out.append((kind, _CONSTANTS[text], pos))
-        elif kind is not None:
-            out.append((kind, None, pos))
-        elif text[0].isdecimal():      # what \d matches
-            out.append(("num", _literal_int(text), pos))
-        elif len(text) > 1 and text[0] in "xq":
-            out.append((text[0], text, pos))
-        elif not text.isspace():       # what \s matches
-            raise ParseError(f"unexpected character {text!r}", pos)
-        pos += len(text)
-    out.append(("end", None, len(src)))
-    return out
+class _Refusal(Exception):
+    """A parse error at lexeme `index`: at the start of its group `group`,
+    else at the lexeme's start.  parse positions it in the text."""
+
+    def __init__(self, message, index, group=None):
+        super().__init__(message)
+        self.message, self.index, self.group = message, index, group
+
+
+def _position(src, index, group):
+    """The text position of a lexeme (or of one of its groups), found by
+    running the pattern again; the lexeme after the last is at len(src)."""
+    for k, match in enumerate(_LEXEME.finditer(src)):
+        if k == index:
+            if group is not None:
+                return match.start(group + 1)
+            return match.end() - len(match.group().lstrip())
+    return len(src)
+
+
+def _scan_error(src):
+    """Raise the first unexpected character or over-long digit run of the
+    text, in reading order, if it has one."""
+    for match in _LEXEME.finditer(src):
+        other = match.group(OTHER + 1)
+        if other:
+            raise ParseError(f"unexpected character {other!r}",
+                             match.start(OTHER + 1))
+        for g in _DIGIT_GROUPS:
+            digits = len(match.group(g + 1) or "")
+            if digits > MAX_DIGITS:
+                what = "symbol index" if g == INDEX else "integer literal"
+                raise ValueError(f"{what} of {digits} digits exceeds "
+                                 f"MAX_DIGITS = {MAX_DIGITS}")
 
 
 def _scalar(a, b, d, h, s):
@@ -177,18 +225,33 @@ def _monomial(live, a, b, d, h, s, scalar, bos, mask):
     return {(tuple(bos), mask): c}
 
 
-def _fermionic_exponent(e, pos):
+def _fermionic_exponent(e, at):
     """The exponent 0 or 1 a fermionic variable admits."""
     if e >= 2:
-        raise ParseError("fermionic square", pos)
+        raise _Refusal("fermionic square", at)
     if e < 0 or e.denominator != 1:
-        raise ParseError("invalid fermionic power", pos)
+        raise _Refusal("invalid fermionic power", at)
     return int(e)
 
 
-class Parser:
-    def __init__(self, src, universe):
-        self.tokens = _tokenize(src)
+def _ratio(sign, num, den, at, group):
+    """The exponent -num/den (sign set) or num/den of lexeme `at`, an int
+    when integral; a zero den is refused at its group."""
+    n = -int(num) if sign else int(num)
+    if not den:
+        return n
+    d = int(den)
+    if not d:
+        raise _Refusal("denominator must be non-zero", at, group)
+    return n // d if n % d == 0 else Fraction(n, d)
+
+
+class _Reader:
+    """Recursive descent over the lexemes of one text.  Exponents are ints
+    or Fractions, which share numerator, denominator and comparisons."""
+
+    def __init__(self, lexemes, universe):
+        self.lex = lexemes          # ends with _END
         self.universe = universe
         self.k = 0
         self.pairs = 0
@@ -200,39 +263,34 @@ class Parser:
             raise ValueError(f"expression would multiply more than "
                              f"MAX_TERM_PAIRS = {MAX_TERM_PAIRS} term pairs")
 
-    def next(self):
-        tok = self.tokens[self.k]
+    def expect_close(self):
+        if self.lex[self.k][OP] != ")":
+            raise _Refusal("expected ')'", self.k)
         self.k += 1
-        return tok
 
-    def expect_op(self, op):
-        kind, _, pos = self.next()
-        if kind != op:
-            raise ParseError(f"expected {op!r}", pos)
-
-    def parse(self):
+    def read(self):
         value = self.expr()
-        kind, _, pos = self.tokens[self.k]
-        if kind != "end":
-            raise ParseError("trailing input", pos)
+        if self.k != len(self.lex) - 1:
+            raise _Refusal("trailing input", self.k)
         return value
 
     def expr(self):
         """A sum of terms, as (term map, Gaussian flag)."""
-        tokens = self.tokens
+        lex = self.lex
         sign = 1
-        if tokens[self.k][0] == "-":
+        if lex[self.k][OP] == "-":
             self.k += 1
             sign = -1
         terms = {}
         gaussian = self.term(sign, terms)
         while True:
-            kind, _, pos = tokens[self.k]
-            if kind != "+" and kind != "-":
+            op = lex[self.k][OP]
+            if op != "+" and op != "-":
                 return terms, gaussian
+            at = self.k
             self.k += 1
-            if self.term(1 if kind == "+" else -1, terms) != gaussian:
-                raise ParseError("cannot add Gaussian and plain terms", pos)
+            if self.term(1 if op == "+" else -1, terms) != gaussian:
+                raise _Refusal("cannot add Gaussian and plain terms", at)
 
     def term(self, sign, terms):
         """Add sign times one product of factors into `terms` and return
@@ -240,7 +298,7 @@ class Parser:
         (a + b*i)/d * pi^(h/2) * sqrt2^s * scalar * x^bos * q^mask;
         sp_mul runs only from the first factor with two or more terms.
         Each product of the written order spends |value|*|factor| pairs."""
-        tokens, u = self.tokens, self.universe
+        lex, u = self.lex, self.universe
         a, b, d, h, s = sign, 0, 1, 0, 0
         scalar = None           # product of the multi-term scalar factors
         bos = [0] * u.m
@@ -259,7 +317,7 @@ class Parser:
                 marked = tag == "G"
             if not first:
                 if gaussian and marked:
-                    raise ParseError("duplicate Gaussian marker", pos)
+                    raise _Refusal("duplicate Gaussian marker", sep)
                 if poly is not None:
                     self.spend(len(poly.terms) * size)
                 elif live:
@@ -311,10 +369,14 @@ class Parser:
                     mask = merged[1]
             first = False
 
-            kind, _, pos = tokens[self.k]
-            if kind == "*":
+            # '*' or the start of a juxtaposed factor continues the product
+            sep = self.k
+            t = lex[sep]
+            op = t[OP]
+            if op == "*":
                 self.k += 1
-            elif kind not in _FACTOR_START:
+            elif op != "(" and not (t[C_RE] or t[NUM] or t[CONST]
+                                    or t[SYM]):
                 break
             f = self.factor()
         if poly is None:
@@ -343,52 +405,60 @@ class Parser:
 
     def factor(self):
         f = self.atom()
-        kind, _, pos = self.tokens[self.k]
-        if kind != "^":
+        at = self.k
+        t = self.lex[at]
+        if t[E_INT]:
+            e = -int(t[E_INT]) if t[E_SIGN] else int(t[E_INT])
+            self.k += 1
+        elif t[OP] == "^":
+            self.k += 1
+            e = self.exponent()
+        else:
             return f
-        self.k += 1
-        exponent = self.exponent()
-        _check_exponent(exponent)
-        return self.power(f, exponent, pos)
+        _check_exponent(e)
+        return self.power(f, e, at)
 
     def exponent(self):
-        kind, val, pos = self.next()
-        if kind == "num":
-            return Fraction(val)
-        if kind == "-":
-            kind, val, pos = self.next()
-            if kind != "num":
-                raise ParseError("expected integer exponent", pos)
-            return Fraction(-val)
-        if kind == "(":
-            sign = 1
-            kind, val, pos = self.next()
-            if kind == "-":
-                sign = -1
-                kind, val, pos = self.next()
-            if kind != "num":
-                raise ParseError("expected rational exponent", pos)
-            num = val
-            den = 1
-            if self.tokens[self.k][0] == "/":
-                self.k += 1
-                kind, val, pos = self.next()
-                if kind != "num":
-                    raise ParseError("expected exponent denominator", pos)
-                if not val:
-                    raise ParseError("denominator must be non-zero", pos)
-                den = val
-            self.expect_op(")")
-            return Fraction(sign * num, den)
-        raise ParseError("expected exponent", pos)
+        """The exponent after a '^' lexeme: (p/q) arrives as a coefficient
+        lexeme.  A digit run right after '^' or '^-' would have made one
+        lexeme ^e, and a whole (p/q) a coefficient, so the rest is read
+        lexeme by lexeme only to be refused."""
+        lex = self.lex
+        at = self.k
+        t = lex[at]
+        self.k += 1
+        if t[C_RE]:
+            # '(' [-] p [/q], then ')' or the sign of an imaginary part
+            e = _ratio(t[C_SIGN], t[C_RE], t[C_RED], at, C_RED)
+            if t[C_ISIGN]:
+                raise _Refusal("expected ')'", at, C_ISIGN)
+            return e
+        if t[OP] == "-":
+            raise _Refusal("expected integer exponent", self.k)
+        if t[OP] != "(":
+            raise _Refusal("expected exponent", at)
+        at = self.k
+        t = lex[at]
+        self.k += 1
+        sign = t[OP] == "-"
+        if sign:
+            at = self.k
+            t = lex[at]
+            self.k += 1
+        if not t[NUM]:
+            raise _Refusal("expected rational exponent", at)
+        if not t[DEN] and lex[self.k][OP] == "/":
+            raise _Refusal("expected exponent denominator", self.k + 1)
+        e = _ratio(sign, t[NUM], t[DEN], at, DEN)
+        self.expect_close()
+        return e
 
-    def power(self, f, exponent, pos):
+    def power(self, f, exponent, at):
         tag = f[0]
         if tag == "G" or (tag == "terms" and f[2]):
-            raise ParseError("Gaussian marker cannot be raised to a power",
-                             pos)
+            raise _Refusal("Gaussian marker cannot be raised to a power", at)
         if tag == "q":
-            return f if _fermionic_exponent(exponent, pos) else _ONE
+            return f if _fermionic_exponent(exponent, at) else _ONE
         if tag == "x" and exponent.denominator == 1 and exponent >= 0:
             k = int(exponent)
             self.spend(k)
@@ -401,18 +471,18 @@ class Parser:
                 return ("scalar", 1, 0, 1, h * k, s * k)
             if exponent.denominator == 2 and (h, s) == (2, 0):
                 return ("scalar", 1, 0, 1, exponent.numerator, 0)
-            raise ParseError("unsupported fractional power", pos)
+            raise _Refusal("unsupported fractional power", at)
         return ("terms", self.power_terms(self.factor_terms(f), exponent,
-                                          pos), False)
+                                          at), False)
 
-    def power_terms(self, terms, exponent, pos):
+    def power_terms(self, terms, exponent, at):
         """The term map of terms ** exponent."""
         u = self.universe
         zero = (0,) * u.m
         if len(terms) == 1:
             ((bos, mask), c), = terms.items()
             if bos == zero and mask and not mask & (mask - 1) and c == _UNIT:
-                return terms if _fermionic_exponent(exponent, pos) \
+                return terms if _fermionic_exponent(exponent, at) \
                     else {(zero, 0): _UNIT}
             if bos == zero and not mask:
                 if exponent.denominator == 1:
@@ -420,9 +490,9 @@ class Parser:
                 if exponent.denominator == 2 and c == _PI:
                     return {(zero, 0): ExactScalar.pi_half_power(
                         exponent.numerator)}
-                raise ParseError("unsupported fractional power", pos)
+                raise _Refusal("unsupported fractional power", at)
         if exponent.denominator != 1 or exponent < 0:
-            raise ParseError("exponent must be a nonnegative integer", pos)
+            raise _Refusal("exponent must be a nonnegative integer", at)
         # P^i * P for i < k makes t*|P^i| <= t*C(i+t-1, t-1) pairs
         t, k = len(terms), int(exponent)
         if t:
@@ -432,7 +502,7 @@ class Parser:
         if t == 1:
             ((bos, mask), c), = terms.items()
             if mask and k >= 2:
-                raise ParseError("fermionic square", pos)
+                raise _Refusal("fermionic square", at)
             if len(c.terms) > 1:
                 self.spend(_power_pairs(c, k))
             return {(tuple(e * k for e in bos), mask): c ** k}
@@ -441,7 +511,7 @@ class Parser:
         for _ in range(k - 1):
             out = sp_mul(out, base)
         if not out and k >= 2 and any(mask for (_, mask) in terms):
-            raise ParseError("fermionic square", pos)
+            raise _Refusal("fermionic square", at)
         return out.terms
 
     def scalar_power(self, c, k):
@@ -466,35 +536,80 @@ class Parser:
         return c ** k
 
     def atom(self):
-        kind, val, pos = self.next()
-        if kind == "const":
-            return val
-        if kind == "num":
-            if self.tokens[self.k][0] != "/":
-                return ("scalar", val, 0, 1, 0, 0)
-            self.k += 1
-            kind, den, pos = self.next()
-            if kind != "num":
-                raise ParseError("expected denominator", pos)
-            if not den:
-                raise ParseError("denominator must be non-zero", pos)
-            return ("scalar", val, 0, den, 0, 0)
-        if kind == "x" or kind == "q":
+        at = self.k
+        t = self.lex[at]
+        self.k += 1
+        if t[C_RE]:
+            return self.coefficient(t, at)
+        if t[NUM]:
+            if t[DEN]:
+                d = int(t[DEN])
+                if not d:
+                    raise _Refusal("denominator must be non-zero", at, DEN)
+                return ("scalar", int(t[NUM]), 0, d, 0, 0)
+            if self.lex[self.k][OP] == "/":
+                # a digit run after the '/' would have made one lexeme p/q
+                raise _Refusal("expected denominator", self.k + 1)
+            return ("scalar", int(t[NUM]), 0, 1, 0, 0)
+        if t[CONST]:
+            return _CONSTANTS[t[CONST]]
+        if t[SYM]:
             u = self.universe
-            idx = int(val[1:]) - 1
-            if not 0 <= idx < (u.m if kind == "x" else len(u.fermionic)):
-                raise ParseError(f"unknown symbol {val}", pos)
-            return ("x", idx, 1) if kind == "x" else ("q", 1 << idx)
-        if kind == "(":
+            idx = int(t[INDEX]) - 1
+            if t[SYM] == "x":
+                if 0 <= idx < u.m:
+                    return ("x", idx, 1)
+            elif 0 <= idx < len(u.fermionic):
+                return ("q", 1 << idx)
+            raise _Refusal(f"unknown symbol {t[SYM]}{t[INDEX]}", at)
+        if t[OP] == "(":
             terms, gaussian = self.expr()
-            self.expect_op(")")
+            self.expect_close()
             return ("terms", terms, gaussian)
-        raise ParseError("expected a value", pos)
+        raise _Refusal("expected a value", at)
+
+    def coefficient(self, t, at):
+        """The scalar factor of a lexeme (p/q), (p/q+r/s*i) or (p/q-r/s*i),
+        refused and charged as its tokens would be: r/s*i multiplies two
+        factors, so a non-zero r spends one term pair."""
+        re_d = im_d = 1
+        if t[C_RED]:
+            re_d = int(t[C_RED])
+            if not re_d:
+                raise _Refusal("denominator must be non-zero", at, C_RED)
+        re_n = -int(t[C_RE]) if t[C_SIGN] else int(t[C_RE])
+        if not t[C_ISIGN]:
+            return ("scalar", re_n, 0, re_d, 0, 0)
+        if t[C_IMD]:
+            im_d = int(t[C_IMD])
+            if not im_d:
+                raise _Refusal("denominator must be non-zero", at, C_IMD)
+        im_n = int(t[C_IM]) if t[C_IM] else 1
+        if t[C_IM] and im_n:
+            self.spend(1)
+        if t[C_ISIGN] == "-":
+            im_n = -im_n
+        return ("scalar", re_n * im_d, im_n * re_d, re_d * im_d, 0, 0)
 
 
 def parse(src, universe):
-    """Parse to a SuperPolynomial or (with the G marker) GaussianFunction."""
-    terms, gaussian = Parser(src, universe).parse()
+    """Parse to a SuperPolynomial or (with the G marker) GaussianFunction.
+    The first unexpected character or over-long digit run in reading
+    order is refused before any parse error, and a parse error's position
+    is found only once the text is refused."""
+    if _LONG_RUN.search(src):
+        _scan_error(src)
+    lexemes = _LEXEME.findall(src)
+    lexemes.append(_END)
+    try:
+        terms, gaussian = _Reader(lexemes, universe).read()
+    except _Refusal as exc:
+        _scan_error(src)
+        raise ParseError(exc.message,
+                         _position(src, exc.index, exc.group)) from None
+    except (ValueError, ArithmeticError):
+        _scan_error(src)
+        raise
     poly = SuperPolynomial(universe, terms)
     return GaussianFunction(poly, True) if gaussian else poly
 

@@ -19,7 +19,12 @@ from ._linalg import nullspace, solve_rational
 from ._terms import add_into
 from .operators import laplace, multiply_vector_square
 from .scalars import ExactScalar, gamma_half_integer
-from .superalg import SuperPolynomial, homogeneous_monomials, sp_mul
+from .superalg import (SuperPolynomial, homogeneous_monomial_count,
+                       homogeneous_monomials, sp_mul)
+
+# monomials of degree k in the whole universe that one basis's row
+# reduction may run over (its time grows about like their square)
+MAX_BASIS_MONOMIALS = 1500
 
 
 class HarmonicBasis:
@@ -52,12 +57,19 @@ def harmonic_basis(k, sector, universe):
 
     Memoized per (degree, sector, universe) (`harmonic_basis.cache_info()`
     gives size, hits and misses): every caller shares the one basis and
-    its tuple of elements.  A refusal raises on every call.
+    its tuple of elements.  A refusal raises on every call; a degree
+    whose monomials in the whole universe (a bound on the sector's)
+    number more than MAX_BASIS_MONOMIALS is refused before any row
+    reduction.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
     if sector not in ("bosonic", "fermionic", "full"):
         raise ValueError(f"unknown sector {sector!r}")
+    count = homogeneous_monomial_count(universe, k)
+    if count > MAX_BASIS_MONOMIALS:
+        raise ValueError(f"degree k = {k} spans {count} monomials, over "
+                         f"MAX_BASIS_MONOMIALS = {MAX_BASIS_MONOMIALS}")
     monos = homogeneous_monomials(universe, k, sector)
     if not monos:
         return HarmonicBasis(k, sector, ())

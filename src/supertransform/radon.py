@@ -17,8 +17,13 @@ from __future__ import annotations
 from ._terms import TermMap, add_into
 from .fourier import _UNITS, hermite_row, super_fourier
 from .scalars import ExactScalar, QQi
-from .superalg import (SuperPolynomial, VariableUniverse, sp_mul,
-                       sp_rename, substitute_ray)
+from .superalg import (SuperPolynomial, VariableUniverse,
+                       homogeneous_monomial_count, sp_mul, sp_rename,
+                       substitute_ray)
+
+# result entries (omega monomial, power of p) the terms of one input may
+# make, counted before the transform (output budget)
+MAX_RESULT_ENTRIES = 2_000_000
 
 
 def hermite_1d(k):
@@ -187,12 +192,29 @@ def _merge_terms(acc, terms):
     return acc
 
 
+def check_result_size(f):
+    """Refuse f before the transform when its terms could make more than
+    MAX_RESULT_ENTRIES result entries.  A term of degree at most d, the
+    top degree of f, makes at most one entry per omega monomial of degree
+    at most d (the degree-d monomials with one more bosonic variable) and
+    power p^e, e <= d."""
+    u, poly = f.universe, f.poly
+    d = poly.degree()
+    wider = VariableUniverse.standard(u.m + 1, u.pairs)
+    total = len(poly.terms) * homogeneous_monomial_count(wider, d) * (d + 1)
+    if total > MAX_RESULT_ENTRIES:
+        raise ValueError(f"radon could make {total} result entries, over "
+                         f"MAX_RESULT_ENTRIES = {MAX_RESULT_ENTRIES}")
+
+
 def radon(f):
     """Central-slice Radon transform of a Gaussian-class function:
-    (2 pi)^(M/2-1) integral e^(ipr) [F^-(f)(r omega) mod omega^2+1] dr."""
+    (2 pi)^(M/2-1) integral e^(ipr) [F^-(f)(r omega) mod omega^2+1] dr.
+    check_result_size runs before the transform."""
     u = f.universe
     if u.m < 1:
         raise ValueError("no purely fermionic Radon transform")
+    check_result_size(f)
     ray = substitute_ray(super_fourier(f, "-"))
     uo = omega_universe(u.m, u.pairs)
     # one omega polynomial per radius power, each reduced once

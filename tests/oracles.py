@@ -5,12 +5,26 @@ from F(G) = G, one derivative per unit of degree; the package reads the
 same transform off cached Hermite rows.  `reduce_mod_sphere_per_monomial`
 rewrites w_m^2 monomial by monomial with fresh sphere powers; the package
 groups the terms by power and builds each power once per call.
+`TokenParser` reads an expression one character-class token at a time
+and builds each term as one monomial accumulator; the package reads the
+same grammar one lexeme per leaf, with the renderer's complex coefficient
+as one lexeme.
 """
 
+import math
+import re
+from fractions import Fraction
+
+from supertransform import expr
+from supertransform.expr import (_CONSTANTS, _ONE, _PI, _UNIT, ParseError,
+                                 _check_exponent, _literal_int, _monomial,
+                                 _power_pairs, _scalar)
 from supertransform.operators import bosonic_derivative
 from supertransform.radon import _sphere_substitution
 from supertransform.scalars import ExactScalar
-from supertransform.superalg import GaussianFunction, SuperPolynomial, sp_mul
+from supertransform.superalg import (GaussianFunction, SuperPolynomial,
+                                     merge_masks, sp_mul)
+from supertransform._terms import add_into
 
 
 def peel_bosonic_fourier(f, sign):
@@ -46,3 +60,364 @@ def reduce_mod_sphere_per_monomial(f):
         piece = SuperPolynomial(u, {(bos[:last] + (s,), mask): c})
         out = out + sp_mul(sub_power(q), piece)
     return out
+
+
+# One pattern matches every token, whitespace and, last, any other
+# character, so the matches tile the text.
+_TOKEN = re.compile(r"\d+|sqrtpi|sqrt2|pi|i|G|[xq]\d+|[-+*/^()]|\s+|.",
+                    re.DOTALL)
+
+_KINDS = {**{op: op for op in "-+*/^()"}, **dict.fromkeys(_CONSTANTS, "const")}
+_FACTOR_START = frozenset(("num", "const", "x", "q", "("))
+
+
+def _tokenize(src):
+    """(kind, value, position) triples.  kind is "num" (value the int),
+    "const" (value the factor), "x" or "q" (value the symbol text), an
+    operator character, or "end"."""
+    out = []
+    pos = 0
+    for text in _TOKEN.findall(src):
+        kind = _KINDS.get(text)
+        if kind == "const":
+            out.append((kind, _CONSTANTS[text], pos))
+        elif kind is not None:
+            out.append((kind, None, pos))
+        elif text[0].isdecimal():      # what \d matches
+            out.append(("num", _literal_int(text), pos))
+        elif len(text) > 1 and text[0] in "xq":
+            if len(text) - 1 > expr.MAX_DIGITS:
+                raise ValueError(f"symbol index of {len(text) - 1} digits "
+                                 f"exceeds MAX_DIGITS = {expr.MAX_DIGITS}")
+            out.append((text[0], text, pos))
+        elif not text.isspace():       # what \s matches
+            raise ParseError(f"unexpected character {text!r}", pos)
+        pos += len(text)
+    out.append(("end", None, len(src)))
+    return out
+
+
+def _fermionic_exponent(e, pos):
+    """The exponent 0 or 1 a fermionic variable admits."""
+    if e >= 2:
+        raise ParseError("fermionic square", pos)
+    if e < 0 or e.denominator != 1:
+        raise ParseError("invalid fermionic power", pos)
+    return int(e)
+
+
+class TokenParser:
+    """The grammar read one character-class token at a time, each token
+    with its position."""
+
+    def __init__(self, src, universe):
+        self.tokens = _tokenize(src)
+        self.universe = universe
+        self.k = 0
+        self.pairs = 0
+
+    def spend(self, pairs):
+        """Count term pairs against MAX_TERM_PAIRS before multiplying."""
+        self.pairs += pairs
+        if self.pairs > expr.MAX_TERM_PAIRS:
+            raise ValueError(f"expression would multiply more than "
+                             f"MAX_TERM_PAIRS = {expr.MAX_TERM_PAIRS} "
+                             f"term pairs")
+
+    def next(self):
+        tok = self.tokens[self.k]
+        self.k += 1
+        return tok
+
+    def expect_op(self, op):
+        kind, _, pos = self.next()
+        if kind != op:
+            raise ParseError(f"expected {op!r}", pos)
+
+    def parse(self):
+        value = self.expr()
+        kind, _, pos = self.tokens[self.k]
+        if kind != "end":
+            raise ParseError("trailing input", pos)
+        return value
+
+    def expr(self):
+        """A sum of terms, as (term map, Gaussian flag)."""
+        tokens = self.tokens
+        sign = 1
+        if tokens[self.k][0] == "-":
+            self.k += 1
+            sign = -1
+        terms = {}
+        gaussian = self.term(sign, terms)
+        while True:
+            kind, _, pos = tokens[self.k]
+            if kind != "+" and kind != "-":
+                return terms, gaussian
+            self.k += 1
+            if self.term(1 if kind == "+" else -1, terms) != gaussian:
+                raise ParseError("cannot add Gaussian and plain terms", pos)
+
+    def term(self, sign, terms):
+        """Add sign times one product of factors into `terms` and return
+        its Gaussian flag.  Single-term factors multiply into one monomial
+        (a + b*i)/d * pi^(h/2) * sqrt2^s * scalar * x^bos * q^mask;
+        sp_mul runs only from the first factor with two or more terms.
+        Each product of the written order spends |value|*|factor| pairs."""
+        tokens, u = self.tokens, self.universe
+        a, b, d, h, s = sign, 0, 1, 0, 0
+        scalar = None           # product of the multi-term scalar factors
+        bos = [0] * u.m
+        mask = 0
+        live = True             # False once the product is zero
+        gaussian = False
+        poly = None             # the whole product, from the first sum on
+        f = self.factor()
+        first = True
+        while True:
+            tag = f[0]
+            if tag == "terms":
+                size, marked = len(f[1]), f[2]
+            else:
+                size = 0 if tag == "scalar" and not f[1] and not f[2] else 1
+                marked = tag == "G"
+            if not first:
+                if gaussian and marked:
+                    raise ParseError("duplicate Gaussian marker", pos)
+                if poly is not None:
+                    self.spend(len(poly.terms) * size)
+                elif live:
+                    self.spend(size)
+            gaussian = gaussian or marked
+
+            if tag == "G":
+                pass
+            elif poly is not None or size > 1:
+                rhs = SuperPolynomial(u, self.factor_terms(f))
+                if first:
+                    poly = rhs if sign > 0 else -rhs
+                else:
+                    if poly is None:
+                        poly = SuperPolynomial(u, _monomial(
+                            live, a, b, d, h, s, scalar, bos, mask))
+                    poly = sp_mul(poly, rhs)
+            elif not size:
+                live = False
+            elif tag == "scalar":
+                _, fa, fb, fd, fh, fs = f
+                if fb:
+                    a, b = a * fa - b * fb, a * fb + b * fa
+                else:
+                    a, b = a * fa, b * fa
+                d, h, s = d * fd, h + fh, s + fs
+            elif tag == "x":
+                bos[f[1]] += f[2]
+            else:
+                if tag == "q":
+                    fmask = f[1]
+                else:
+                    ((fbos, fmask), c), = f[1].items()
+                    if any(fbos):
+                        bos = [x + y for x, y in zip(bos, fbos)]
+                    if len(c.terms) == 1:
+                        ((fh, fs), q), = c.terms.items()
+                        a, b = a * q.a - b * q.b, a * q.b + b * q.a
+                        d, h, s = d * q.d, h + fh, s + fs
+                    else:
+                        scalar = c if scalar is None else scalar * c
+                # the Koszul sign of sorting the factor's q into the mask
+                merged = merge_masks(mask, fmask)
+                if merged is None:
+                    live = False
+                elif merged[0] < 0:
+                    a, b, mask = -a, -b, merged[1]
+                else:
+                    mask = merged[1]
+            first = False
+
+            kind, _, pos = tokens[self.k]
+            if kind == "*":
+                self.k += 1
+            elif kind not in _FACTOR_START:
+                break
+            f = self.factor()
+        if poly is None:
+            poly_terms = _monomial(live, a, b, d, h, s, scalar, bos, mask)
+        else:
+            poly_terms = poly.terms
+        for key, c in poly_terms.items():
+            add_into(terms, key, c)
+        return gaussian
+
+    def factor_terms(self, f):
+        """The term map of one factor."""
+        tag = f[0]
+        if tag == "terms":
+            return f[1]
+        u = self.universe
+        zero = (0,) * u.m
+        if tag == "x":
+            bos = [0] * u.m
+            bos[f[1]] = f[2]
+            return {(tuple(bos), 0): _UNIT}
+        if tag == "q":
+            return {(zero, f[1]): _UNIT}
+        c = _scalar(*f[1:])
+        return {(zero, 0): c} if c else {}
+
+    def factor(self):
+        f = self.atom()
+        kind, _, pos = self.tokens[self.k]
+        if kind != "^":
+            return f
+        self.k += 1
+        exponent = self.exponent()
+        _check_exponent(exponent)
+        return self.power(f, exponent, pos)
+
+    def exponent(self):
+        kind, val, pos = self.next()
+        if kind == "num":
+            return Fraction(val)
+        if kind == "-":
+            kind, val, pos = self.next()
+            if kind != "num":
+                raise ParseError("expected integer exponent", pos)
+            return Fraction(-val)
+        if kind == "(":
+            sign = 1
+            kind, val, pos = self.next()
+            if kind == "-":
+                sign = -1
+                kind, val, pos = self.next()
+            if kind != "num":
+                raise ParseError("expected rational exponent", pos)
+            num = val
+            den = 1
+            if self.tokens[self.k][0] == "/":
+                self.k += 1
+                kind, val, pos = self.next()
+                if kind != "num":
+                    raise ParseError("expected exponent denominator", pos)
+                if not val:
+                    raise ParseError("denominator must be non-zero", pos)
+                den = val
+            self.expect_op(")")
+            return Fraction(sign * num, den)
+        raise ParseError("expected exponent", pos)
+
+    def power(self, f, exponent, pos):
+        tag = f[0]
+        if tag == "G" or (tag == "terms" and f[2]):
+            raise ParseError("Gaussian marker cannot be raised to a power",
+                             pos)
+        if tag == "q":
+            return f if _fermionic_exponent(exponent, pos) else _ONE
+        if tag == "x" and exponent.denominator == 1 and exponent >= 0:
+            k = int(exponent)
+            self.spend(k)
+            return ("x", f[1], k) if k else _ONE
+        if tag == "scalar" and f[1:4] == (1, 0, 1):
+            # pi^(h/2) * sqrt2^s; pi admits half-integer exponents
+            h, s = f[4], f[5]
+            if exponent.denominator == 1:
+                k = int(exponent)
+                return ("scalar", 1, 0, 1, h * k, s * k)
+            if exponent.denominator == 2 and (h, s) == (2, 0):
+                return ("scalar", 1, 0, 1, exponent.numerator, 0)
+            raise ParseError("unsupported fractional power", pos)
+        return ("terms", self.power_terms(self.factor_terms(f), exponent,
+                                          pos), False)
+
+    def power_terms(self, terms, exponent, pos):
+        """The term map of terms ** exponent."""
+        u = self.universe
+        zero = (0,) * u.m
+        if len(terms) == 1:
+            ((bos, mask), c), = terms.items()
+            if bos == zero and mask and not mask & (mask - 1) and c == _UNIT:
+                return terms if _fermionic_exponent(exponent, pos) \
+                    else {(zero, 0): _UNIT}
+            if bos == zero and not mask:
+                if exponent.denominator == 1:
+                    return {(zero, 0): self.scalar_power(c, int(exponent))}
+                if exponent.denominator == 2 and c == _PI:
+                    return {(zero, 0): ExactScalar.pi_half_power(
+                        exponent.numerator)}
+                raise ParseError("unsupported fractional power", pos)
+        if exponent.denominator != 1 or exponent < 0:
+            raise ParseError("exponent must be a nonnegative integer", pos)
+        # P^i * P for i < k makes t*|P^i| <= t*C(i+t-1, t-1) pairs
+        t, k = len(terms), int(exponent)
+        if t:
+            self.spend(t * math.comb(k + t - 1, t))
+        if not k:
+            return {(zero, 0): _UNIT}
+        if t == 1:
+            ((bos, mask), c), = terms.items()
+            if mask and k >= 2:
+                raise ParseError("fermionic square", pos)
+            if len(c.terms) > 1:
+                self.spend(_power_pairs(c, k))
+            return {(tuple(e * k for e in bos), mask): c ** k}
+        base = SuperPolynomial(u, terms)
+        out = base
+        for _ in range(k - 1):
+            out = sp_mul(out, base)
+        if not out and k >= 2 and any(mask for (_, mask) in terms):
+            raise ParseError("fermionic square", pos)
+        return out.terms
+
+    def scalar_power(self, c, k):
+        """c ** k, refused before the arithmetic when a numerator or
+        denominator of the result could pass MAX_POWER_DIGITS digits, or
+        when a multi-term c would multiply more term pairs than
+        MAX_TERM_PAIRS allows.  Over a common denominator den, (sum of
+        |numerators|, sqrt2 counted twice)^k bounds every numerator of
+        c^k, and den^k every denominator.  A complex rational
+        (a + b*i)/d in lowest terms has parts whose denominators have lcm
+        d, so den is the lcm of the d fields."""
+        if k < 0:
+            c, k = c.inverse(), -k
+        den = math.lcm(*(q.d for q in c.terms.values()))
+        num = sum((abs(q.a) + abs(q.b)) * (den // q.d) * (1 + eps)
+                  for (_, eps), q in c.terms.items())
+        if k * math.log10(max(num, den)) > expr.MAX_POWER_DIGITS:
+            raise ValueError(f"scalar power would exceed MAX_POWER_DIGITS = "
+                             f"{expr.MAX_POWER_DIGITS} digits")
+        if len(c.terms) > 1:
+            self.spend(_power_pairs(c, k))
+        return c ** k
+
+    def atom(self):
+        kind, val, pos = self.next()
+        if kind == "const":
+            return val
+        if kind == "num":
+            if self.tokens[self.k][0] != "/":
+                return ("scalar", val, 0, 1, 0, 0)
+            self.k += 1
+            kind, den, pos = self.next()
+            if kind != "num":
+                raise ParseError("expected denominator", pos)
+            if not den:
+                raise ParseError("denominator must be non-zero", pos)
+            return ("scalar", val, 0, den, 0, 0)
+        if kind == "x" or kind == "q":
+            u = self.universe
+            idx = int(val[1:]) - 1
+            if not 0 <= idx < (u.m if kind == "x" else len(u.fermionic)):
+                raise ParseError(f"unknown symbol {val}", pos)
+            return ("x", idx, 1) if kind == "x" else ("q", 1 << idx)
+        if kind == "(":
+            terms, gaussian = self.expr()
+            self.expect_op(")")
+            return ("terms", terms, gaussian)
+        raise ParseError("expected a value", pos)
+
+
+def parse_by_tokens(src, universe):
+    """expr.parse through TokenParser."""
+    terms, gaussian = TokenParser(src, universe).parse()
+    poly = SuperPolynomial(universe, terms)
+    return GaussianFunction(poly, True) if gaussian else poly

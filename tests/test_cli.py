@@ -1,4 +1,7 @@
+import io
 import json
+import os
+import shlex
 import time
 from fractions import Fraction
 
@@ -10,6 +13,7 @@ from supertransform.expr import (ParseError, parse, poly_to_json,
                                  render_poly_latex, render_poly_text)
 from supertransform.fourier import super_fourier
 from supertransform.harmonics import harmonic_basis
+from supertransform.radon import check_result_size
 from supertransform.scalars import ExactScalar, QQi
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse)
@@ -451,6 +455,88 @@ def test_cli_hermite_order_budget_accepts_j20(capsys):
     assert code == 0 and out.endswith("G")
 
 
+@pytest.mark.parametrize("argv, limit", [
+    (("hermite", "--j", "0", "--k", "80"), "MAX_BASIS_MONOMIALS = 1500"),
+    (("hermite", "--j", "0", "--k", "30"), "MAX_BASIS_MONOMIALS = 1500"),
+    (("decompose", "--k", "80"), "MAX_BASIS_MONOMIALS = 1500"),
+    (("decompose", "--k", "30"), "MAX_BASIS_MONOMIALS = 1500"),
+], ids=["hermite-k80", "hermite-k30", "decompose-k80", "decompose-k30"])
+def test_cli_degree_budget_refuses_before_the_basis(capsys, argv, limit):
+    # at (3,2) degree 30 spans 6968 monomials, whose row reduction took
+    # about 10 s, and degree 80 spans 50568
+    harmonic_basis.cache_clear()
+    start = time.perf_counter()
+    code, out, err = _run_cli(capsys, "--m", "3", "--n", "2", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and not out and limit in err
+    assert harmonic_basis.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("command", ["hermite", "decompose"])
+def test_cli_degree_budget_accepts_k6(capsys, command):
+    extra = ("--j", "0", "--l", "0") if command == "hermite" else ()
+    code, out, _ = _run_cli(capsys, "--m", "3", "--n", "2", command,
+                            "--k", "6", *extra)
+    assert code == 0 and out
+
+
+def test_cli_radon_result_budget_refuses_fast(capsys):
+    # x3^80*G took 12.7 s and 117 MB at (3,2) before the budget
+    start = time.perf_counter()
+    code, out, err = _run_cli(capsys, "--m", "3", "--n", "2", "radon",
+                              "x3^80*G")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and not out
+    assert err == ("error: radon could make 110626560 result entries, "
+                   "over MAX_RESULT_ENTRIES = 2000000")
+
+
+def test_radon_result_budget_boundary():
+    # at (3,2) a degree-29 term may make 1955760 entries, degree 30 more
+    # than 2000000; the count is per term, at the top degree
+    u = VariableUniverse.standard(3, 2)
+    check_result_size(parse("x3^29*G", u))
+    check_result_size(parse("0*G", u))
+    for text in ("x3^30*G", "x3^29*G + x1*G"):
+        with pytest.raises(ValueError, match="MAX_RESULT_ENTRIES"):
+            check_result_size(parse(text, u))
+
+
+def _readme_commands():
+    """(argv, stdin, shown output) per line of the README's sh block
+    under "Command line"."""
+    text = open(os.path.join(os.path.dirname(__file__), os.pardir,
+                             "README.md"), encoding="utf-8").read()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    rows = []
+    for line in block.split("```", 1)[0].splitlines():
+        shown = line.split("# -> ", 1)[1].strip() if "# -> " in line \
+            else None
+        stdin = None
+        words = shlex.split(line, comments=True)
+        if words[0] == "echo":
+            bar = words.index("|")
+            stdin, words = " ".join(words[1:bar]) + "\n", words[bar + 1:]
+        assert words[0] == "supertransform", line
+        rows.append((words[1:], stdin, shown))
+    return rows
+
+
+_README_COMMANDS = _readme_commands()
+
+
+@pytest.mark.parametrize("argv, stdin, shown", _README_COMMANDS,
+                         ids=[" ".join(argv) + (" < stdin" if stdin else "")
+                              for argv, stdin, _ in _README_COMMANDS])
+def test_readme_commands_run(capsys, monkeypatch, argv, stdin, shown):
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = _run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and out
+    if shown is not None:
+        assert out == shown
+
+
 @pytest.mark.parametrize("m, n", [(2, 2), (3, 2)])
 def test_cli_warm_output_equals_cold_output(capsys, m, n):
     # a caller that aliased or changed a shared basis would show here
@@ -666,6 +752,10 @@ _REFUSALS = [
     (3, 1, "(1+x1)^300*(1+x2)^300",
      _PAIRS, None),
     (1, 1, "(1+pi)^-1", "non-monomial scalar not invertible", None),
+    (1, 1, "x" + "1" * 5000,
+     "symbol index of 5000 digits exceeds MAX_DIGITS = 1000", None),
+    (1, 1, "q" + "1" * 5000,
+     "symbol index of 5000 digits exceeds MAX_DIGITS = 1000", None),
 ]
 
 

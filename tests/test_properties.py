@@ -2,11 +2,13 @@
 
 import math
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supertransform import expr as exprmod
 from supertransform.expr import ParseError, _power_pairs, parse, \
     render_poly_text
 
@@ -23,7 +25,7 @@ from supertransform.radon import RadonResult, omega_universe, radon, \
 from supertransform.scalars import ExactScalar, QQi
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse, sp_mul)
-from tests.oracles import peel_bosonic_fourier, \
+from tests.oracles import parse_by_tokens, peel_bosonic_fourier, \
     reduce_mod_sphere_per_monomial
 
 _rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -394,3 +396,119 @@ def test_scalar_power_charge_bounds_the_pairs_multiplied(c, k):
     for _ in range(k):
         want = want * c
     assert power == want
+
+
+# -- the lexeme reader against the token-by-token parser ----------------
+#
+# Texts in the benchmark's shape (ring coefficients written as the
+# renderer prints them, with and without spaces, monomials and G) and
+# texts glued from fragments, many of them malformed.  Both parsers must
+# return equal values or raise the same exception type with the same
+# message (a parse error's message carries its position), also under a
+# budget of 3 term pairs, where the order of the charges decides whether
+# a budget or a parse error comes first.
+
+_UNIVERSES = [(0, 1), (0, 2), (1, 1), (2, 1), (2, 2), (3, 1)]
+# a zero denominator in about one coefficient text of fifty
+_denominators = st.sampled_from([1, 2, 3, 4] * 25 + [0])
+
+
+@st.composite
+def _coefficient_texts(draw):
+    space = draw(st.sampled_from(["", " "]))
+    re = f"{draw(st.integers(-5, 5))}/{draw(_denominators)}"
+    im = draw(st.integers(-3, 3))
+    if im:
+        op = "+" if im > 0 else "-"
+        im_text = draw(st.sampled_from(
+            [f"{abs(im)}/{draw(_denominators)}*i", f"{abs(im)}*i",
+             f"{abs(im)} i", "i", f"{abs(im)}/{draw(_denominators)}i"]))
+        q = f"({re}{space}{op}{space}{im_text})"
+    else:
+        q = f"({re})"
+    factors = [q]
+    if draw(st.booleans()):
+        factors.append("sqrt2")
+    b = draw(st.integers(-2, 2))
+    if b:
+        factors.append(draw(st.sampled_from(
+            [f"pi^({b}/2)", f"pi^({b} / 2)", f"pi ^ ({b}/2)"])))
+    return "*".join(factors)
+
+
+@st.composite
+def _benchmark_texts(draw, m, n):
+    gaussian = draw(st.booleans())
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        parts = draw(st.lists(_coefficient_texts(), min_size=1, max_size=2))
+        factors = [parts[0] if len(parts) == 1
+                   else "(" + " + ".join(parts) + ")"]
+        factors += [f"x{draw(st.integers(1, m))}^{draw(st.integers(1, 3))}"
+                    for _ in range(draw(st.integers(0, 2)) if m else 0)]
+        factors += [f"q{draw(st.integers(1, 2 * n))}"
+                    for _ in range(draw(st.integers(0, 2)))]
+        if gaussian or draw(st.integers(0, 9)) == 0:
+            factors.append("G")
+        terms.append(draw(st.sampled_from(["*", " * ", " "])).join(factors))
+    return draw(st.sampled_from([" + ", " - ", "+"])).join(terms)
+
+
+# Texts are glued from pairs (value, tail): a value can stand as a
+# factor, and a tail is what may follow one, malformed or not.
+_VALUES = [
+    "(1/2 + 3/2*i)", "(-1/2-i)", "(0/3)", "(2/3)", "(1/0 + 2/3*i)",
+    "(1/2 + 3/0*i)", "(1/2 - 0*i)", "(5 - 3/2 i)", "(1/2", "sqrt2",
+    "sqrtpi", "pi", "i", "x1", "x2", "q1", "q2", "q3", "G", "2", "7/3",
+    "0", "1/x1", "2/", "(x1+1)", "(q1+q2)", ")", "(", "$", "y", "x",
+    "7" * 1001, "x" + "1" * 1001, "q" + "2" * 1001,
+]
+_TAILS = [
+    "", "", "", "*", " ", " + ", " - ", "^2", "^-1", "^(1/2)", "^(-3/2)",
+    "^(1/0)", "^ ( -1 / 2 )", "^(1/x1)", "^(1 2)", "^(1/2 3)",
+    "^(-1/2 + i)", "^(1/0 + i)", "^-(1/2)", "^((1/2))", "^(-x1)", "^",
+    "^-", "^x1", "/", "/3", "/(1/2)", ")", "(", "+", "$",
+]
+
+
+@st.composite
+def _cases(draw):
+    m, n = draw(st.sampled_from(_UNIVERSES))
+    u = VariableUniverse.standard(m, n)
+    if draw(st.booleans()):
+        return u, draw(_benchmark_texts(m, n))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(_VALUES),
+                                    st.sampled_from(_TAILS)),
+                          min_size=1, max_size=4))
+    return u, "".join(value + tail for value, tail in pairs)
+
+
+def _outcome(read, text, u):
+    try:
+        return read(text, u)
+    except (ParseError, ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_cases())
+def test_lexeme_reader_matches_the_token_parser(case):
+    u, text = case
+    assert _outcome(parse, text, u) == _outcome(parse_by_tokens, text, u), \
+        text
+    with patch.object(exprmod, "MAX_TERM_PAIRS", 3):
+        assert _outcome(parse, text, u) == \
+            _outcome(parse_by_tokens, text, u), text
+
+
+def test_lexeme_reader_matches_the_token_parser_on_every_pair():
+    # every (value, tail) pair once, so that each refusal path is reached
+    u = VariableUniverse.standard(2, 1)
+    for value in _VALUES:
+        for tail in _TAILS:
+            text = value + tail + value
+            assert _outcome(parse, text, u) == \
+                _outcome(parse_by_tokens, text, u), text
+            with patch.object(exprmod, "MAX_TERM_PAIRS", 3):
+                assert _outcome(parse, text, u) == \
+                    _outcome(parse_by_tokens, text, u), text
