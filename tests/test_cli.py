@@ -1013,3 +1013,740 @@ def test_cli_scalar_golden_outputs(capsys, m, n, text, cmd):
     out = capsys.readouterr()
     assert (code, out.out, out.err) == \
         (0, _SCALAR_GOLDEN[m, n, text][cmd] + "\n", "")
+
+
+# Output of the exact transforms while super_fourier read its pair rows off
+# the kernel route and frac_fourier sent integral orders to super_fourier:
+# a change to either route must keep these bytes.  Per input (m, n, text
+# and the second Parseval operand), in the order of _TRANSFORM_COMMANDS,
+# one output per format of _TRANSFORM_FORMATS; a refusal is its stderr
+# line.
+_TRANSFORM_COMMANDS = (("fourier", "--sign", "+"),
+                       ("fourier", "--sign", "-"),
+                       ("fracfourier", "--a", "1"),
+                       ("fracfourier", "--a", "-1"),
+                       ("radon",), ("parseval",))
+_TRANSFORM_FORMATS = ("text", "json", "latex")
+_TRANSFORM_GOLDEN = {
+    (0, 1, 'G',
+     '(1 + q1q2)*G'): (
+        (
+            'G',
+            '{"schema": "supertransform/1", "m": 0, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [], "fer": [], "coeff": [{"q": [1, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}',
+            '1  e^{x^2/2}',
+        ),
+        (
+            'G',
+            '{"schema": "supertransform/1", "m": 0, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [], "fer": [], "coeff": [{"q": [1, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}',
+            '1  e^{x^2/2}',
+        ),
+        (
+            'G',
+            '{"schema": "supertransform/1", "m": 0, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [], "fer": [], "coeff": [{"q": [1, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}',
+            '1  e^{x^2/2}',
+        ),
+        (
+            'G',
+            '{"schema": "supertransform/1", "m": 0, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [], "fer": [], "coeff": [{"q": [1, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}',
+            '1  e^{x^2/2}',
+        ),
+        (
+            'error: no purely fermionic Radon transform',
+            'error: no purely fermionic Radon transform',
+            'error: no purely fermionic Radon transform',
+        ),
+        (
+            'true',
+            'true',
+            'true',
+        ),
+    ),
+    (0, 1, '(q1 + 2/3*i*q1q2)*G',
+     '(1 + q1q2)*G'): (
+        (
+            '-2/3*i*q1q2*G + i*q1*G + 4/3*i*G',
+            '{"schema": "supertransform/1", "m": 0, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [], "fer": [1, 2], "coeff": [{"q": [0, '
+            '1, -2, 3], "b": 0, "eps": 0}]}, {"bos": [], "fer": [1], '
+            '"coeff": [{"q": [0, 1, 1, 1], "b": 0, "eps": 0}]}, {"bos": [], '
+            '"fer": [], "coeff": [{"q": [0, 1, 4, 3], "b": 0, "eps": 0}]}]}',
+            '-2/3i q_{1}q_{2} e^{x^2/2} + i q_{1} e^{x^2/2} + 4/3i  '
+            'e^{x^2/2}',
+        ),
+        (
+            '-2/3*i*q1q2*G - i*q1*G + 4/3*i*G',
+            '{"schema": "supertransform/1", "m": 0, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [], "fer": [1, 2], "coeff": [{"q": [0, '
+            '1, -2, 3], "b": 0, "eps": 0}]}, {"bos": [], "fer": [1], '
+            '"coeff": [{"q": [0, 1, -1, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[], "fer": [], "coeff": [{"q": [0, 1, 4, 3], "b": 0, "eps": '
+            '0}]}]}',
+            '-2/3i q_{1}q_{2} e^{x^2/2} + -1i q_{1} e^{x^2/2} + 4/3i  '
+            'e^{x^2/2}',
+        ),
+        (
+            '-2/3*i*q1q2*G + i*q1*G + 4/3*i*G',
+            '{"schema": "supertransform/1", "m": 0, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [], "fer": [1, 2], "coeff": [{"q": [0, '
+            '1, -2, 3], "b": 0, "eps": 0}]}, {"bos": [], "fer": [1], '
+            '"coeff": [{"q": [0, 1, 1, 1], "b": 0, "eps": 0}]}, {"bos": [], '
+            '"fer": [], "coeff": [{"q": [0, 1, 4, 3], "b": 0, "eps": 0}]}]}',
+            '-2/3i q_{1}q_{2} e^{x^2/2} + i q_{1} e^{x^2/2} + 4/3i  '
+            'e^{x^2/2}',
+        ),
+        (
+            '-2/3*i*q1q2*G - i*q1*G + 4/3*i*G',
+            '{"schema": "supertransform/1", "m": 0, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [], "fer": [1, 2], "coeff": [{"q": [0, '
+            '1, -2, 3], "b": 0, "eps": 0}]}, {"bos": [], "fer": [1], '
+            '"coeff": [{"q": [0, 1, -1, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[], "fer": [], "coeff": [{"q": [0, 1, 4, 3], "b": 0, "eps": '
+            '0}]}]}',
+            '-2/3i q_{1}q_{2} e^{x^2/2} + -1i q_{1} e^{x^2/2} + 4/3i  '
+            'e^{x^2/2}',
+        ),
+        (
+            'error: no purely fermionic Radon transform',
+            'error: no purely fermionic Radon transform',
+            'error: no purely fermionic Radon transform',
+        ),
+        (
+            'true',
+            'true',
+            'true',
+        ),
+    ),
+    (0, 1, '1 + q1 - 1/2*q1q2',
+     'q2 + 3*q1q2'): (
+        (
+            '1/2*q1q2 + i*q1 - 1',
+            '{"schema": "supertransform/1", "m": 0, "n": 1, "envelope": '
+            'false, "terms": [{"bos": [], "fer": [1, 2], "coeff": [{"q": '
+            '[1, 2, 0, 1], "b": 0, "eps": 0}]}, {"bos": [], "fer": [1], '
+            '"coeff": [{"q": [0, 1, 1, 1], "b": 0, "eps": 0}]}, {"bos": [], '
+            '"fer": [], "coeff": [{"q": [-1, 1, 0, 1], "b": 0, "eps": 0}]}]}',
+            '1/2 q_{1}q_{2} + i q_{1} + -1',
+        ),
+        (
+            '1/2*q1q2 - i*q1 - 1',
+            '{"schema": "supertransform/1", "m": 0, "n": 1, "envelope": '
+            'false, "terms": [{"bos": [], "fer": [1, 2], "coeff": [{"q": '
+            '[1, 2, 0, 1], "b": 0, "eps": 0}]}, {"bos": [], "fer": [1], '
+            '"coeff": [{"q": [0, 1, -1, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[], "fer": [], "coeff": [{"q": [-1, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}',
+            '1/2 q_{1}q_{2} + -1i q_{1} + -1',
+        ),
+        (
+            'error: fractional transform requires the marker G',
+            'error: fractional transform requires the marker G',
+            'error: fractional transform requires the marker G',
+        ),
+        (
+            'error: fractional transform requires the marker G',
+            'error: fractional transform requires the marker G',
+            'error: fractional transform requires the marker G',
+        ),
+        (
+            'error: Radon transform requires the marker G',
+            'error: Radon transform requires the marker G',
+            'error: Radon transform requires the marker G',
+        ),
+        (
+            'true',
+            'true',
+            'true',
+        ),
+    ),
+    (1, 1, 'x1^3*q1*G',
+     '(x1 - q1)*G'): (
+        (
+            'x1^3*q1*G - 3*x1*q1*G',
+            '{"schema": "supertransform/1", "m": 1, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [3], "fer": [1], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [1], '
+            '"coeff": [{"q": [-3, 1, 0, 1], "b": 0, "eps": 0}]}]}',
+            '1 x_{1}^{3}q_{1} e^{x^2/2} + -3 x_{1}q_{1} e^{x^2/2}',
+        ),
+        (
+            'x1^3*q1*G - 3*x1*q1*G',
+            '{"schema": "supertransform/1", "m": 1, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [3], "fer": [1], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [1], '
+            '"coeff": [{"q": [-3, 1, 0, 1], "b": 0, "eps": 0}]}]}',
+            '1 x_{1}^{3}q_{1} e^{x^2/2} + -3 x_{1}q_{1} e^{x^2/2}',
+        ),
+        (
+            'x1^3*q1*G - 3*x1*q1*G',
+            '{"schema": "supertransform/1", "m": 1, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [3], "fer": [1], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [1], '
+            '"coeff": [{"q": [-3, 1, 0, 1], "b": 0, "eps": 0}]}]}',
+            '1 x_{1}^{3}q_{1} e^{x^2/2} + -3 x_{1}q_{1} e^{x^2/2}',
+        ),
+        (
+            'x1^3*q1*G - 3*x1*q1*G',
+            '{"schema": "supertransform/1", "m": 1, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [3], "fer": [1], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [1], '
+            '"coeff": [{"q": [-3, 1, 0, 1], "b": 0, "eps": 0}]}]}',
+            '1 x_{1}^{3}q_{1} e^{x^2/2} + -3 x_{1}q_{1} e^{x^2/2}',
+        ),
+        (
+            '[(-3/2*pi^-1)*p^2 + (1/2*pi^-1)*p^4]*exp(-p^2/2) (x) w1*wf1',
+            '{"envelope": "exp(-p^2/2)", "terms": [{"omega_bos": [1], '
+            '"omega_fer": [1], "p_poly": [[2, [{"q": [-3, 2, 0, 1], "b": '
+            '-2, "eps": 0}]], [4, [{"q": [1, 2, 0, 1], "b": -2, "eps": '
+            '0}]]]}], "schema": "supertransform/1"}',
+            '[(-3/2*pi^-1)*p^2 + (1/2*pi^-1)*p^4]*exp(-p^2/2) (x) w1*wf1',
+        ),
+        (
+            'true',
+            'true',
+            'true',
+        ),
+    ),
+    (1, 1, '(3/4 - 5/6*i)*sqrt2*x1^2*q1q2*G + 1/3*q2*G',
+     '(x1 - q1)*G'): (
+        (
+            '(3/4-5/6*i)*sqrt2*x1^2*q1q2*G + (-3/2+5/3*i)*sqrt2*x1^2*G + '
+            '(-3/4+5/6*i)*sqrt2*q1q2*G + 1/3*i*q2*G + (3/2-5/3*i)*sqrt2*G',
+            '{"schema": "supertransform/1", "m": 1, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [1, 2], "coeff": [{"q": '
+            '[3, 4, -5, 6], "b": 0, "eps": 1}]}, {"bos": [2], "fer": [], '
+            '"coeff": [{"q": [-3, 2, 5, 3], "b": 0, "eps": 1}]}, {"bos": '
+            '[0], "fer": [1, 2], "coeff": [{"q": [-3, 4, 5, 6], "b": 0, '
+            '"eps": 1}]}, {"bos": [0], "fer": [2], "coeff": [{"q": [0, 1, '
+            '1, 3], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [], "coeff": '
+            '[{"q": [3, 2, -5, 3], "b": 0, "eps": 1}]}]}',
+            '(3/4+-5/6i)\\sqrt{2} x_{1}^{2}q_{1}q_{2} e^{x^2/2} + '
+            '(-3/2+5/3i)\\sqrt{2} x_{1}^{2} e^{x^2/2} + '
+            '(-3/4+5/6i)\\sqrt{2} q_{1}q_{2} e^{x^2/2} + 1/3i q_{2} '
+            'e^{x^2/2} + (3/2+-5/3i)\\sqrt{2}  e^{x^2/2}',
+        ),
+        (
+            '(3/4-5/6*i)*sqrt2*x1^2*q1q2*G + (-3/2+5/3*i)*sqrt2*x1^2*G + '
+            '(-3/4+5/6*i)*sqrt2*q1q2*G - 1/3*i*q2*G + (3/2-5/3*i)*sqrt2*G',
+            '{"schema": "supertransform/1", "m": 1, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [1, 2], "coeff": [{"q": '
+            '[3, 4, -5, 6], "b": 0, "eps": 1}]}, {"bos": [2], "fer": [], '
+            '"coeff": [{"q": [-3, 2, 5, 3], "b": 0, "eps": 1}]}, {"bos": '
+            '[0], "fer": [1, 2], "coeff": [{"q": [-3, 4, 5, 6], "b": 0, '
+            '"eps": 1}]}, {"bos": [0], "fer": [2], "coeff": [{"q": [0, 1, '
+            '-1, 3], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [], "coeff": '
+            '[{"q": [3, 2, -5, 3], "b": 0, "eps": 1}]}]}',
+            '(3/4+-5/6i)\\sqrt{2} x_{1}^{2}q_{1}q_{2} e^{x^2/2} + '
+            '(-3/2+5/3i)\\sqrt{2} x_{1}^{2} e^{x^2/2} + '
+            '(-3/4+5/6i)\\sqrt{2} q_{1}q_{2} e^{x^2/2} + -1/3i q_{2} '
+            'e^{x^2/2} + (3/2+-5/3i)\\sqrt{2}  e^{x^2/2}',
+        ),
+        (
+            '(3/4-5/6*i)*sqrt2*x1^2*q1q2*G + (-3/2+5/3*i)*sqrt2*x1^2*G + '
+            '(-3/4+5/6*i)*sqrt2*q1q2*G + 1/3*i*q2*G + (3/2-5/3*i)*sqrt2*G',
+            '{"schema": "supertransform/1", "m": 1, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [1, 2], "coeff": [{"q": '
+            '[3, 4, -5, 6], "b": 0, "eps": 1}]}, {"bos": [2], "fer": [], '
+            '"coeff": [{"q": [-3, 2, 5, 3], "b": 0, "eps": 1}]}, {"bos": '
+            '[0], "fer": [1, 2], "coeff": [{"q": [-3, 4, 5, 6], "b": 0, '
+            '"eps": 1}]}, {"bos": [0], "fer": [2], "coeff": [{"q": [0, 1, '
+            '1, 3], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [], "coeff": '
+            '[{"q": [3, 2, -5, 3], "b": 0, "eps": 1}]}]}',
+            '(3/4+-5/6i)\\sqrt{2} x_{1}^{2}q_{1}q_{2} e^{x^2/2} + '
+            '(-3/2+5/3i)\\sqrt{2} x_{1}^{2} e^{x^2/2} + '
+            '(-3/4+5/6i)\\sqrt{2} q_{1}q_{2} e^{x^2/2} + 1/3i q_{2} '
+            'e^{x^2/2} + (3/2+-5/3i)\\sqrt{2}  e^{x^2/2}',
+        ),
+        (
+            '(3/4-5/6*i)*sqrt2*x1^2*q1q2*G + (-3/2+5/3*i)*sqrt2*x1^2*G + '
+            '(-3/4+5/6*i)*sqrt2*q1q2*G - 1/3*i*q2*G + (3/2-5/3*i)*sqrt2*G',
+            '{"schema": "supertransform/1", "m": 1, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [1, 2], "coeff": [{"q": '
+            '[3, 4, -5, 6], "b": 0, "eps": 1}]}, {"bos": [2], "fer": [], '
+            '"coeff": [{"q": [-3, 2, 5, 3], "b": 0, "eps": 1}]}, {"bos": '
+            '[0], "fer": [1, 2], "coeff": [{"q": [-3, 4, 5, 6], "b": 0, '
+            '"eps": 1}]}, {"bos": [0], "fer": [2], "coeff": [{"q": [0, 1, '
+            '-1, 3], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [], "coeff": '
+            '[{"q": [3, 2, -5, 3], "b": 0, "eps": 1}]}]}',
+            '(3/4+-5/6i)\\sqrt{2} x_{1}^{2}q_{1}q_{2} e^{x^2/2} + '
+            '(-3/2+5/3i)\\sqrt{2} x_{1}^{2} e^{x^2/2} + '
+            '(-3/4+5/6i)\\sqrt{2} q_{1}q_{2} e^{x^2/2} + -1/3i q_{2} '
+            'e^{x^2/2} + (3/2+-5/3i)\\sqrt{2}  e^{x^2/2}',
+        ),
+        (
+            '[((3/4-5/6*i)*sqrt2*pi^-1)*p^2]*exp(-p^2/2) + '
+            '[(1/6*pi^-1)*p]*exp(-p^2/2) (x) wf2 + '
+            '[((-9/8+5/4*i)*sqrt2*pi^-1)*p^2 + '
+            '((3/8-5/12*i)*sqrt2*pi^-1)*p^4]*exp(-p^2/2) (x) wf1wf2',
+            '{"envelope": "exp(-p^2/2)", "terms": [{"omega_bos": [0], '
+            '"omega_fer": [], "p_poly": [[2, [{"q": [3, 4, -5, 6], "b": -2, '
+            '"eps": 1}]]]}, {"omega_bos": [0], "omega_fer": [2], "p_poly": '
+            '[[1, [{"q": [1, 6, 0, 1], "b": -2, "eps": 0}]]]}, '
+            '{"omega_bos": [0], "omega_fer": [1, 2], "p_poly": [[2, [{"q": '
+            '[-9, 8, 5, 4], "b": -2, "eps": 1}]], [4, [{"q": [3, 8, -5, '
+            '12], "b": -2, "eps": 1}]]]}], "schema": "supertransform/1"}',
+            '[((3/4-5/6*i)*sqrt2*pi^-1)*p^2]*exp(-p^2/2) + '
+            '[(1/6*pi^-1)*p]*exp(-p^2/2) (x) wf2 + '
+            '[((-9/8+5/4*i)*sqrt2*pi^-1)*p^2 + '
+            '((3/8-5/12*i)*sqrt2*pi^-1)*p^4]*exp(-p^2/2) (x) wf1wf2',
+        ),
+        (
+            'true',
+            'true',
+            'true',
+        ),
+    ),
+    (2, 1, '(x1*x2 - q1q2 + 2)*G',
+     '(x1^2 + q1q2)*G'): (
+        (
+            '-x1*x2*G + q1q2*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [1, 1], "fer": [], "coeff": [{"q": '
+            '[-1, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [1, '
+            '2], "coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}',
+            '-1 x_{1}x_{2} e^{x^2/2} + 1 q_{1}q_{2} e^{x^2/2}',
+        ),
+        (
+            '-x1*x2*G + q1q2*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [1, 1], "fer": [], "coeff": [{"q": '
+            '[-1, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [1, '
+            '2], "coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}',
+            '-1 x_{1}x_{2} e^{x^2/2} + 1 q_{1}q_{2} e^{x^2/2}',
+        ),
+        (
+            '-x1*x2*G + q1q2*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [1, 1], "fer": [], "coeff": [{"q": '
+            '[-1, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [1, '
+            '2], "coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}',
+            '-1 x_{1}x_{2} e^{x^2/2} + 1 q_{1}q_{2} e^{x^2/2}',
+        ),
+        (
+            '-x1*x2*G + q1q2*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [1, 1], "fer": [], "coeff": [{"q": '
+            '[-1, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [1, '
+            '2], "coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}',
+            '-1 x_{1}x_{2} e^{x^2/2} + 1 q_{1}q_{2} e^{x^2/2}',
+        ),
+        (
+            '[(1/2*sqrt2*pi^(-1/2)) + '
+            '(-1/2*sqrt2*pi^(-1/2))*p^2]*exp(-p^2/2) (x) wf1wf2 + '
+            '[(-1/2*sqrt2*pi^(-1/2)) + '
+            '(1/2*sqrt2*pi^(-1/2))*p^2]*exp(-p^2/2) (x) w1*w2',
+            '{"envelope": "exp(-p^2/2)", "terms": [{"omega_bos": [0, 0], '
+            '"omega_fer": [1, 2], "p_poly": [[0, [{"q": [1, 2, 0, 1], "b": '
+            '-1, "eps": 1}]], [2, [{"q": [-1, 2, 0, 1], "b": -1, "eps": '
+            '1}]]]}, {"omega_bos": [1, 1], "omega_fer": [], "p_poly": [[0, '
+            '[{"q": [-1, 2, 0, 1], "b": -1, "eps": 1}]], [2, [{"q": [1, 2, '
+            '0, 1], "b": -1, "eps": 1}]]]}], "schema": "supertransform/1"}',
+            '[(1/2*sqrt2*pi^(-1/2)) + '
+            '(-1/2*sqrt2*pi^(-1/2))*p^2]*exp(-p^2/2) (x) wf1wf2 + '
+            '[(-1/2*sqrt2*pi^(-1/2)) + '
+            '(1/2*sqrt2*pi^(-1/2))*p^2]*exp(-p^2/2) (x) w1*w2',
+        ),
+        (
+            'true',
+            'true',
+            'true',
+        ),
+    ),
+    (2, 1, 'x2^2*q2*G',
+     '(x1^2 + q1q2)*G'): (
+        (
+            '-i*x2^2*q2*G + i*q2*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [0, 2], "fer": [2], "coeff": [{"q": '
+            '[0, 1, -1, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": '
+            '[2], "coeff": [{"q": [0, 1, 1, 1], "b": 0, "eps": 0}]}]}',
+            '-1i x_{2}^{2}q_{2} e^{x^2/2} + i q_{2} e^{x^2/2}',
+        ),
+        (
+            'i*x2^2*q2*G - i*q2*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [0, 2], "fer": [2], "coeff": [{"q": '
+            '[0, 1, 1, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [2], '
+            '"coeff": [{"q": [0, 1, -1, 1], "b": 0, "eps": 0}]}]}',
+            'i x_{2}^{2}q_{2} e^{x^2/2} + -1i q_{2} e^{x^2/2}',
+        ),
+        (
+            '-i*x2^2*q2*G + i*q2*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [0, 2], "fer": [2], "coeff": [{"q": '
+            '[0, 1, -1, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": '
+            '[2], "coeff": [{"q": [0, 1, 1, 1], "b": 0, "eps": 0}]}]}',
+            '-1i x_{2}^{2}q_{2} e^{x^2/2} + i q_{2} e^{x^2/2}',
+        ),
+        (
+            'i*x2^2*q2*G - i*q2*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [0, 2], "fer": [2], "coeff": [{"q": '
+            '[0, 1, 1, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [2], '
+            '"coeff": [{"q": [0, 1, -1, 1], "b": 0, "eps": 0}]}]}',
+            'i x_{2}^{2}q_{2} e^{x^2/2} + -1i q_{2} e^{x^2/2}',
+        ),
+        (
+            '[(-sqrt2*pi^(-1/2))*p + (1/2*sqrt2*pi^(-1/2))*p^3]*exp(-p^2/2) '
+            '(x) wf2 + [(3/2*sqrt2*pi^(-1/2))*p + '
+            '(-1/2*sqrt2*pi^(-1/2))*p^3]*exp(-p^2/2) (x) w1^2*wf2',
+            '{"envelope": "exp(-p^2/2)", "terms": [{"omega_bos": [0, 0], '
+            '"omega_fer": [2], "p_poly": [[1, [{"q": [-1, 1, 0, 1], "b": '
+            '-1, "eps": 1}]], [3, [{"q": [1, 2, 0, 1], "b": -1, "eps": '
+            '1}]]]}, {"omega_bos": [2, 0], "omega_fer": [2], "p_poly": [[1, '
+            '[{"q": [3, 2, 0, 1], "b": -1, "eps": 1}]], [3, [{"q": [-1, 2, '
+            '0, 1], "b": -1, "eps": 1}]]]}], "schema": "supertransform/1"}',
+            '[(-sqrt2*pi^(-1/2))*p + (1/2*sqrt2*pi^(-1/2))*p^3]*exp(-p^2/2) '
+            '(x) wf2 + [(3/2*sqrt2*pi^(-1/2))*p + '
+            '(-1/2*sqrt2*pi^(-1/2))*p^3]*exp(-p^2/2) (x) w1^2*wf2',
+        ),
+        (
+            'true',
+            'true',
+            'true',
+        ),
+    ),
+    (0, 2, '(q1q2q3q4 - i*q2q3)*G',
+     '(q1q2 + q3q4)*G'): (
+        (
+            'q1q2q3q4*G - 2*q1q2*G + i*q2q3*G - 2*q3q4*G + 4*G',
+            '{"schema": "supertransform/1", "m": 0, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [], "fer": [1, 2, 3, 4], "coeff": '
+            '[{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [], "fer": '
+            '[1, 2], "coeff": [{"q": [-2, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [], "fer": [2, 3], "coeff": [{"q": [0, 1, 1, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [], "fer": [3, 4], "coeff": [{"q": '
+            '[-2, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [], "fer": [], '
+            '"coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}]}',
+            '1 q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -2 q_{1}q_{2} e^{x^2/2} + i '
+            'q_{2}q_{3} e^{x^2/2} + -2 q_{3}q_{4} e^{x^2/2} + 4  e^{x^2/2}',
+        ),
+        (
+            'q1q2q3q4*G - 2*q1q2*G + i*q2q3*G - 2*q3q4*G + 4*G',
+            '{"schema": "supertransform/1", "m": 0, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [], "fer": [1, 2, 3, 4], "coeff": '
+            '[{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [], "fer": '
+            '[1, 2], "coeff": [{"q": [-2, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [], "fer": [2, 3], "coeff": [{"q": [0, 1, 1, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [], "fer": [3, 4], "coeff": [{"q": '
+            '[-2, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [], "fer": [], '
+            '"coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}]}',
+            '1 q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -2 q_{1}q_{2} e^{x^2/2} + i '
+            'q_{2}q_{3} e^{x^2/2} + -2 q_{3}q_{4} e^{x^2/2} + 4  e^{x^2/2}',
+        ),
+        (
+            'q1q2q3q4*G - 2*q1q2*G + i*q2q3*G - 2*q3q4*G + 4*G',
+            '{"schema": "supertransform/1", "m": 0, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [], "fer": [1, 2, 3, 4], "coeff": '
+            '[{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [], "fer": '
+            '[1, 2], "coeff": [{"q": [-2, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [], "fer": [2, 3], "coeff": [{"q": [0, 1, 1, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [], "fer": [3, 4], "coeff": [{"q": '
+            '[-2, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [], "fer": [], '
+            '"coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}]}',
+            '1 q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -2 q_{1}q_{2} e^{x^2/2} + i '
+            'q_{2}q_{3} e^{x^2/2} + -2 q_{3}q_{4} e^{x^2/2} + 4  e^{x^2/2}',
+        ),
+        (
+            'q1q2q3q4*G - 2*q1q2*G + i*q2q3*G - 2*q3q4*G + 4*G',
+            '{"schema": "supertransform/1", "m": 0, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [], "fer": [1, 2, 3, 4], "coeff": '
+            '[{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [], "fer": '
+            '[1, 2], "coeff": [{"q": [-2, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [], "fer": [2, 3], "coeff": [{"q": [0, 1, 1, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [], "fer": [3, 4], "coeff": [{"q": '
+            '[-2, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [], "fer": [], '
+            '"coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}]}',
+            '1 q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -2 q_{1}q_{2} e^{x^2/2} + i '
+            'q_{2}q_{3} e^{x^2/2} + -2 q_{3}q_{4} e^{x^2/2} + 4  e^{x^2/2}',
+        ),
+        (
+            'error: no purely fermionic Radon transform',
+            'error: no purely fermionic Radon transform',
+            'error: no purely fermionic Radon transform',
+        ),
+        (
+            'true',
+            'true',
+            'true',
+        ),
+    ),
+    (0, 2, 'q1q2q3q4 + 1/3*q2q3 - 5',
+     'q1q2 - i*q3'): (
+        (
+            '-5/4*q1q2q3q4 - 1/3*q2q3 + 4',
+            '{"schema": "supertransform/1", "m": 0, "n": 2, "envelope": '
+            'false, "terms": [{"bos": [], "fer": [1, 2, 3, 4], "coeff": '
+            '[{"q": [-5, 4, 0, 1], "b": 0, "eps": 0}]}, {"bos": [], "fer": '
+            '[2, 3], "coeff": [{"q": [-1, 3, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [], "fer": [], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}',
+            '-5/4 q_{1}q_{2}q_{3}q_{4} + -1/3 q_{2}q_{3} + 4',
+        ),
+        (
+            '-5/4*q1q2q3q4 - 1/3*q2q3 + 4',
+            '{"schema": "supertransform/1", "m": 0, "n": 2, "envelope": '
+            'false, "terms": [{"bos": [], "fer": [1, 2, 3, 4], "coeff": '
+            '[{"q": [-5, 4, 0, 1], "b": 0, "eps": 0}]}, {"bos": [], "fer": '
+            '[2, 3], "coeff": [{"q": [-1, 3, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [], "fer": [], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}',
+            '-5/4 q_{1}q_{2}q_{3}q_{4} + -1/3 q_{2}q_{3} + 4',
+        ),
+        (
+            'error: fractional transform requires the marker G',
+            'error: fractional transform requires the marker G',
+            'error: fractional transform requires the marker G',
+        ),
+        (
+            'error: fractional transform requires the marker G',
+            'error: fractional transform requires the marker G',
+            'error: fractional transform requires the marker G',
+        ),
+        (
+            'error: Radon transform requires the marker G',
+            'error: Radon transform requires the marker G',
+            'error: Radon transform requires the marker G',
+        ),
+        (
+            'true',
+            'true',
+            'true',
+        ),
+    ),
+    (0, 2, 'sqrt2*pi^(-1/2)*q4',
+     'q1q2 - i*q3'): (
+        (
+            '1/2*i*sqrt2*pi^(-1/2)*q1q2q4',
+            '{"schema": "supertransform/1", "m": 0, "n": 2, "envelope": '
+            'false, "terms": [{"bos": [], "fer": [1, 2, 4], "coeff": [{"q": '
+            '[0, 1, 1, 2], "b": -1, "eps": 1}]}]}',
+            '1/2i\\sqrt{2}\\pi^{-1/2} q_{1}q_{2}q_{4}',
+        ),
+        (
+            '-1/2*i*sqrt2*pi^(-1/2)*q1q2q4',
+            '{"schema": "supertransform/1", "m": 0, "n": 2, "envelope": '
+            'false, "terms": [{"bos": [], "fer": [1, 2, 4], "coeff": [{"q": '
+            '[0, 1, -1, 2], "b": -1, "eps": 1}]}]}',
+            '-1/2i\\sqrt{2}\\pi^{-1/2} q_{1}q_{2}q_{4}',
+        ),
+        (
+            'error: fractional transform requires the marker G',
+            'error: fractional transform requires the marker G',
+            'error: fractional transform requires the marker G',
+        ),
+        (
+            'error: fractional transform requires the marker G',
+            'error: fractional transform requires the marker G',
+            'error: fractional transform requires the marker G',
+        ),
+        (
+            'error: Radon transform requires the marker G',
+            'error: Radon transform requires the marker G',
+            'error: Radon transform requires the marker G',
+        ),
+        (
+            'true',
+            'true',
+            'true',
+        ),
+    ),
+    (2, 2, '(x1*q1q3 - 1/2*x2^2*q2q4)*G',
+     '(x2*q1q2 - q3)*G'): (
+        (
+            '-1/2*x2^2*q2q4*G - i*x1*q1q3*G + 1/2*q2q4*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [0, 2], "fer": [2, 4], "coeff": [{"q": '
+            '[-1, 2, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 0], "fer": [1, '
+            '3], "coeff": [{"q": [0, 1, -1, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 0], "fer": [2, 4], "coeff": [{"q": [1, 2, 0, 1], '
+            '"b": 0, "eps": 0}]}]}',
+            '-1/2 x_{2}^{2}q_{2}q_{4} e^{x^2/2} + -1i x_{1}q_{1}q_{3} '
+            'e^{x^2/2} + 1/2 q_{2}q_{4} e^{x^2/2}',
+        ),
+        (
+            '-1/2*x2^2*q2q4*G + i*x1*q1q3*G + 1/2*q2q4*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [0, 2], "fer": [2, 4], "coeff": [{"q": '
+            '[-1, 2, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 0], "fer": [1, '
+            '3], "coeff": [{"q": [0, 1, 1, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 0], "fer": [2, 4], "coeff": [{"q": [1, 2, 0, 1], "b": 0, '
+            '"eps": 0}]}]}',
+            '-1/2 x_{2}^{2}q_{2}q_{4} e^{x^2/2} + i x_{1}q_{1}q_{3} '
+            'e^{x^2/2} + 1/2 q_{2}q_{4} e^{x^2/2}',
+        ),
+        (
+            '-1/2*x2^2*q2q4*G - i*x1*q1q3*G + 1/2*q2q4*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [0, 2], "fer": [2, 4], "coeff": [{"q": '
+            '[-1, 2, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 0], "fer": [1, '
+            '3], "coeff": [{"q": [0, 1, -1, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 0], "fer": [2, 4], "coeff": [{"q": [1, 2, 0, 1], '
+            '"b": 0, "eps": 0}]}]}',
+            '-1/2 x_{2}^{2}q_{2}q_{4} e^{x^2/2} + -1i x_{1}q_{1}q_{3} '
+            'e^{x^2/2} + 1/2 q_{2}q_{4} e^{x^2/2}',
+        ),
+        (
+            '-1/2*x2^2*q2q4*G + i*x1*q1q3*G + 1/2*q2q4*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [0, 2], "fer": [2, 4], "coeff": [{"q": '
+            '[-1, 2, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 0], "fer": [1, '
+            '3], "coeff": [{"q": [0, 1, 1, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 0], "fer": [2, 4], "coeff": [{"q": [1, 2, 0, 1], "b": 0, '
+            '"eps": 0}]}]}',
+            '-1/2 x_{2}^{2}q_{2}q_{4} e^{x^2/2} + i x_{1}q_{1}q_{3} '
+            'e^{x^2/2} + 1/2 q_{2}q_{4} e^{x^2/2}',
+        ),
+        (
+            '[(-1/4*sqrt2*pi^(-3/2)) + (5/8*sqrt2*pi^(-3/2))*p^2 + '
+            '(-1/8*sqrt2*pi^(-3/2))*p^4]*exp(-p^2/2) (x) wf2wf4 + '
+            '[(-3/4*sqrt2*pi^(-3/2))*p + '
+            '(1/4*sqrt2*pi^(-3/2))*p^3]*exp(-p^2/2) (x) w1*wf1wf3 + '
+            '[(3/8*sqrt2*pi^(-3/2)) + (-3/4*sqrt2*pi^(-3/2))*p^2 + '
+            '(1/8*sqrt2*pi^(-3/2))*p^4]*exp(-p^2/2) (x) w1^2*wf2wf4',
+            '{"envelope": "exp(-p^2/2)", "terms": [{"omega_bos": [0, 0], '
+            '"omega_fer": [2, 4], "p_poly": [[0, [{"q": [-1, 4, 0, 1], "b": '
+            '-3, "eps": 1}]], [2, [{"q": [5, 8, 0, 1], "b": -3, "eps": '
+            '1}]], [4, [{"q": [-1, 8, 0, 1], "b": -3, "eps": 1}]]]}, '
+            '{"omega_bos": [1, 0], "omega_fer": [1, 3], "p_poly": [[1, '
+            '[{"q": [-3, 4, 0, 1], "b": -3, "eps": 1}]], [3, [{"q": [1, 4, '
+            '0, 1], "b": -3, "eps": 1}]]]}, {"omega_bos": [2, 0], '
+            '"omega_fer": [2, 4], "p_poly": [[0, [{"q": [3, 8, 0, 1], "b": '
+            '-3, "eps": 1}]], [2, [{"q": [-3, 4, 0, 1], "b": -3, "eps": '
+            '1}]], [4, [{"q": [1, 8, 0, 1], "b": -3, "eps": 1}]]]}], '
+            '"schema": "supertransform/1"}',
+            '[(-1/4*sqrt2*pi^(-3/2)) + (5/8*sqrt2*pi^(-3/2))*p^2 + '
+            '(-1/8*sqrt2*pi^(-3/2))*p^4]*exp(-p^2/2) (x) wf2wf4 + '
+            '[(-3/4*sqrt2*pi^(-3/2))*p + '
+            '(1/4*sqrt2*pi^(-3/2))*p^3]*exp(-p^2/2) (x) w1*wf1wf3 + '
+            '[(3/8*sqrt2*pi^(-3/2)) + (-3/4*sqrt2*pi^(-3/2))*p^2 + '
+            '(1/8*sqrt2*pi^(-3/2))*p^4]*exp(-p^2/2) (x) w1^2*wf2wf4',
+        ),
+        (
+            'true',
+            'true',
+            'true',
+        ),
+    ),
+    (2, 2, '(sqrtpi*x1 + q1q2q3q4)*G',
+     '(x2*q1q2 - q3)*G'): (
+        (
+            'q1q2q3q4*G - 2*q1q2*G - 2*q3q4*G + i*sqrtpi*x1*G + 4*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [0, 0], "fer": [1, 2, 3, 4], "coeff": '
+            '[{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], '
+            '"fer": [1, 2], "coeff": [{"q": [-2, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0, 0], "fer": [3, 4], "coeff": [{"q": [-2, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 0], "fer": [], '
+            '"coeff": [{"q": [0, 1, 1, 1], "b": 1, "eps": 0}]}, {"bos": [0, '
+            '0], "fer": [], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}',
+            '1 q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -2 q_{1}q_{2} e^{x^2/2} + '
+            '-2 q_{3}q_{4} e^{x^2/2} + i\\pi^{1/2} x_{1} e^{x^2/2} + 4  '
+            'e^{x^2/2}',
+        ),
+        (
+            'q1q2q3q4*G - 2*q1q2*G - 2*q3q4*G - i*sqrtpi*x1*G + 4*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [0, 0], "fer": [1, 2, 3, 4], "coeff": '
+            '[{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], '
+            '"fer": [1, 2], "coeff": [{"q": [-2, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0, 0], "fer": [3, 4], "coeff": [{"q": [-2, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 0], "fer": [], '
+            '"coeff": [{"q": [0, 1, -1, 1], "b": 1, "eps": 0}]}, {"bos": '
+            '[0, 0], "fer": [], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}',
+            '1 q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -2 q_{1}q_{2} e^{x^2/2} + '
+            '-2 q_{3}q_{4} e^{x^2/2} + -1i\\pi^{1/2} x_{1} e^{x^2/2} + 4  '
+            'e^{x^2/2}',
+        ),
+        (
+            'q1q2q3q4*G - 2*q1q2*G - 2*q3q4*G + i*sqrtpi*x1*G + 4*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [0, 0], "fer": [1, 2, 3, 4], "coeff": '
+            '[{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], '
+            '"fer": [1, 2], "coeff": [{"q": [-2, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0, 0], "fer": [3, 4], "coeff": [{"q": [-2, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 0], "fer": [], '
+            '"coeff": [{"q": [0, 1, 1, 1], "b": 1, "eps": 0}]}, {"bos": [0, '
+            '0], "fer": [], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}',
+            '1 q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -2 q_{1}q_{2} e^{x^2/2} + '
+            '-2 q_{3}q_{4} e^{x^2/2} + i\\pi^{1/2} x_{1} e^{x^2/2} + 4  '
+            'e^{x^2/2}',
+        ),
+        (
+            'q1q2q3q4*G - 2*q1q2*G - 2*q3q4*G - i*sqrtpi*x1*G + 4*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [0, 0], "fer": [1, 2, 3, 4], "coeff": '
+            '[{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], '
+            '"fer": [1, 2], "coeff": [{"q": [-2, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0, 0], "fer": [3, 4], "coeff": [{"q": [-2, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 0], "fer": [], '
+            '"coeff": [{"q": [0, 1, -1, 1], "b": 1, "eps": 0}]}, {"bos": '
+            '[0, 0], "fer": [], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}',
+            '1 q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -2 q_{1}q_{2} e^{x^2/2} + '
+            '-2 q_{3}q_{4} e^{x^2/2} + -1i\\pi^{1/2} x_{1} e^{x^2/2} + 4  '
+            'e^{x^2/2}',
+        ),
+        (
+            '[(sqrt2*pi^(-3/2))]*exp(-p^2/2) + [(-1/2*sqrt2*pi^(-3/2)) + '
+            '(1/2*sqrt2*pi^(-3/2))*p^2]*exp(-p^2/2) (x) wf1wf2 + '
+            '[(-1/2*sqrt2*pi^(-3/2)) + '
+            '(1/2*sqrt2*pi^(-3/2))*p^2]*exp(-p^2/2) (x) wf3wf4 + '
+            '[(3/4*sqrt2*pi^(-3/2)) + (-3/2*sqrt2*pi^(-3/2))*p^2 + '
+            '(1/4*sqrt2*pi^(-3/2))*p^4]*exp(-p^2/2) (x) wf1wf2wf3wf4 + '
+            '[(1/4*sqrt2*pi^-1)*p]*exp(-p^2/2) (x) w1',
+            '{"envelope": "exp(-p^2/2)", "terms": [{"omega_bos": [0, 0], '
+            '"omega_fer": [], "p_poly": [[0, [{"q": [1, 1, 0, 1], "b": -3, '
+            '"eps": 1}]]]}, {"omega_bos": [0, 0], "omega_fer": [1, 2], '
+            '"p_poly": [[0, [{"q": [-1, 2, 0, 1], "b": -3, "eps": 1}]], [2, '
+            '[{"q": [1, 2, 0, 1], "b": -3, "eps": 1}]]]}, {"omega_bos": [0, '
+            '0], "omega_fer": [3, 4], "p_poly": [[0, [{"q": [-1, 2, 0, 1], '
+            '"b": -3, "eps": 1}]], [2, [{"q": [1, 2, 0, 1], "b": -3, "eps": '
+            '1}]]]}, {"omega_bos": [0, 0], "omega_fer": [1, 2, 3, 4], '
+            '"p_poly": [[0, [{"q": [3, 4, 0, 1], "b": -3, "eps": 1}]], [2, '
+            '[{"q": [-3, 2, 0, 1], "b": -3, "eps": 1}]], [4, [{"q": [1, 4, '
+            '0, 1], "b": -3, "eps": 1}]]]}, {"omega_bos": [1, 0], '
+            '"omega_fer": [], "p_poly": [[1, [{"q": [1, 4, 0, 1], "b": -2, '
+            '"eps": 1}]]]}], "schema": "supertransform/1"}',
+            '[(sqrt2*pi^(-3/2))]*exp(-p^2/2) + [(-1/2*sqrt2*pi^(-3/2)) + '
+            '(1/2*sqrt2*pi^(-3/2))*p^2]*exp(-p^2/2) (x) wf1wf2 + '
+            '[(-1/2*sqrt2*pi^(-3/2)) + '
+            '(1/2*sqrt2*pi^(-3/2))*p^2]*exp(-p^2/2) (x) wf3wf4 + '
+            '[(3/4*sqrt2*pi^(-3/2)) + (-3/2*sqrt2*pi^(-3/2))*p^2 + '
+            '(1/4*sqrt2*pi^(-3/2))*p^4]*exp(-p^2/2) (x) wf1wf2wf3wf4 + '
+            '[(1/4*sqrt2*pi^-1)*p]*exp(-p^2/2) (x) w1',
+        ),
+        (
+            'true',
+            'true',
+            'true',
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("cmd", range(len(_TRANSFORM_COMMANDS)),
+                         ids=[" ".join(c) for c in _TRANSFORM_COMMANDS])
+@pytest.mark.parametrize("m, n, text, partner", list(_TRANSFORM_GOLDEN))
+def test_cli_transform_golden_outputs(capsys, m, n, text, partner, cmd):
+    command = _TRANSFORM_COMMANDS[cmd]
+    operands = (text, partner) if command == ("parseval",) else (text,)
+    for fmt, want in zip(_TRANSFORM_FORMATS,
+                         _TRANSFORM_GOLDEN[m, n, text, partner][cmd]):
+        code = main(["--m", str(m), "--n", str(n), "--format", fmt,
+                     *command, *operands])
+        out = capsys.readouterr()
+        if want.startswith("error: "):
+            assert (code, out.out, out.err) == (1, "", want + "\n")
+        else:
+            assert (code, out.out, out.err) == (0, want + "\n", "")
