@@ -55,6 +55,7 @@ MAX_DIGITS = 1000          # digits of one integer literal or symbol index
 MAX_POWER_DIGITS = 4300    # digits of a scalar power (Python's int str limit)
 MAX_RENDER_DIGITS = 4300   # digits of one rendered integer (output budget)
 MAX_TERM_PAIRS = 50000     # term pairs multiplied in one parse
+MAX_NESTING = 150          # parentheses open at once (the reader recurses)
 
 
 def _literal_int(text):
@@ -255,6 +256,7 @@ class _Reader:
         self.universe = universe
         self.k = 0
         self.pairs = 0
+        self.depth = 0
 
     def spend(self, pairs):
         """Count term pairs against MAX_TERM_PAIRS before multiplying."""
@@ -563,8 +565,13 @@ class _Reader:
                 return ("q", 1 << idx)
             raise _Refusal(f"unknown symbol {t[SYM]}{t[INDEX]}", at)
         if t[OP] == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ValueError(f"parentheses nest deeper than "
+                                 f"MAX_NESTING = {MAX_NESTING}")
             terms, gaussian = self.expr()
             self.expect_close()
+            self.depth -= 1
             return ("terms", terms, gaussian)
         raise _Refusal("expected a value", at)
 

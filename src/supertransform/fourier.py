@@ -1,31 +1,26 @@
-"""Fermionic, bosonic and full super Fourier transforms on the Gaussian
-class, with Berezin integration, Parseval, fermionic convolution, the
-delta constant and the operator-exponential (spectral) route.
+"""The super Fourier transform of every order on the Gaussian class, the
+plain-class fermionic transform, Berezin integration, Parseval, fermionic
+convolution, the delta constant and the operator-exponential route.
 
-The fermionic kernel of every order a is a product of one even factor
-per symbol pair; at a = +/-1 it is the symplectic kernel
-exp(-/+ i <x,y>_f).  `kernel_route`, the kernel expanded as its finite
-nilpotent sum in the doubled universe and then Berezin-integrated, is the
-definition.  Since the kernel factors, the transform acts on each term as
-one 4x4 table per pair, applied to that pair's two-bit sub-mask by one
-helper on either lane.  The exact tables (plain, and on the Gaussian
-class with the envelope multiplied in and stripped out) are built once
-per sign from the kernel route at 0|2, which stays the oracle they are
-tested against.  The Gaussian-class integral likewise weighs each pair's
-sub-mask by a row of four Berezin weights.  The bosonic kernel factors
-by coordinate too: on the Gaussian class it sends x_i^e G to
-(+/- i)^e He_e(y_i) G, with He_e the probabilists' Hermite polynomial,
-read from one cached integer row per degree.  The full transform is one
-pass over the terms that multiplies, per term, those Hermite rows, the
-phase and the pair rows as Gaussian integers and scales the term's
-coefficient once.  The peel rule F(x_i g) = -/+ i d_{y_i} F(g), from
-which the Hermite rows follow, is the test oracle of that pass.  No
-analytic integration happens anywhere on the exact lane, and the exact
-transforms refuse float-lane input.
+Every order a is one pass over the terms by Mehler's closed form
+F^a(P G) = (zeta^E exp(gamma Delta) P) G, zeta = e^(i a pi/2) and
+2 gamma = (zeta^2 - 1)/2, which factors by coordinate and by symbol
+pair: x_i^e goes to the integer Hermite row of He_e (one cached row per
+degree) and each pair's sub-mask to the integer row 1 -> 1, q_j -> q_j,
+q1q2 -> q1q2 - 2.  An image of a degree-d term that lost 2k degrees
+weighs zeta^(d-2k) (2 gamma)^k, which at a = +/-1 is (+/- i)^d, so the
+exact transforms multiply ints only; other orders run on floats.  On
+the plain class the transform of order a is one closed-form 4x4 table
+per pair.  The fermionic kernel of every order, whose expansion followed
+by the Berezin integral (`kernel_route`) defines the fermionic transform,
+and the peel rule F(x_i g) = -/+ i d_{y_i} F(g) stay as oracles that no
+transform calls.  No analytic integration happens on the exact lane, and
+the exact transforms refuse float-lane input.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from fractions import Fraction
@@ -36,8 +31,8 @@ from .hermite import psi_span
 from .scalars import Angle, ExactScalar, QQi, to_float
 from .superalg import (GaussianFunction, SuperPolynomial, VariableUniverse,
                        doubled_universe, fermionic_envelope_poly,
-                       neutral_fermionic_var, scale_exact, sp_mul,
-                       sp_rename, sp_substitute_fermionic)
+                       is_float_lane, neutral_fermionic_var, scale_exact,
+                       sp_mul, sp_rename, sp_substitute_fermionic)
 
 
 def berezin(f, over=None):
@@ -100,13 +95,12 @@ def fermionic_kernel(u, a):
 def kernel_route(f, a):
     """prefactor * Berezin_x of K_a(x,y) f(x): the defining fermionic
     transform of order a on any universe (bosonic factors pass through),
-    the identity at a = 0.  The pair tables are built from it at a = +/-1
-    and tested against it; there, as in the exact transforms, float-lane
-    input is refused.  At non-integral a the kernel's coefficients grow
-    like 1/a while the prefactor shrinks like a, so the float result loses
-    precision like 1/a near a = 0: against frac_fermionic_table on a
-    16-term (0,2) input, the relative deviation is 3.8e-15 at a = 0.01
-    and 6.2e-13 at 1e-4."""
+    the identity at a = 0 and the oracle of the closed forms.  At a = +/-1,
+    as in the exact transforms, float-lane input is refused.  At
+    non-integral a the kernel's coefficients grow like 1/a while the
+    prefactor shrinks like a, so the float result loses precision like
+    1/a near a = 0: against frac_fermionic_table on a 16-term (0,2) input,
+    the relative deviation is 3.8e-15 at a = 0.01 and 6.2e-13 at 1e-4."""
     a = Angle(a)
     if a.a == 0:
         return f
@@ -136,28 +130,6 @@ def _order(sign):
 
 
 @functools.cache
-def _fourier_table(sign, gaussian):
-    """Rows (sub-mask, complex rational) of the transform on one pair, read
-    off the kernel route at 0|2 on the four basis monomials, on the
-    Gaussian class times the envelope exp(q1q2/2), stripped after.  The
-    Gaussian rows hold Gaussian integers, which `super_fourier`
-    multiplies as int pairs."""
-    width = Fraction(1, 2) if gaussian else 0
-    env = fermionic_envelope_poly(_PAIR, width=width)
-    strip = fermionic_envelope_poly(_PAIR, width=width, sign=-1)
-    rows = []
-    for sub, mono in enumerate(_PAIR_BASIS):
-        img = sp_mul(kernel_route(sp_mul(mono, env), _order(sign)), strip)
-        if any((sub ^ out).bit_count() & 1 for (_, out) in img.terms):
-            raise AssertionError("pair map does not keep parity")
-        rows.append(tuple((out, c.qqi_value())
-                          for (_, out), c in sorted(img.terms.items())))
-    if gaussian and any(q.d != 1 for row in rows for _, q in row):
-        raise AssertionError("Gaussian pair table is not integral")
-    return tuple(rows)
-
-
-@functools.cache
 def hermite_row(k):
     """Probabilists' Hermite polynomial He_k, under the generating
     convention (d/dp)^k e^(-p^2/2) = (-1)^k He_k(p) e^(-p^2/2), as a
@@ -175,45 +147,96 @@ def hermite_row(k):
 
 # i^k as a Gaussian integer (re, im), k mod 4
 _UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
-_IDENTITY_ROWS = tuple(((sub, 1, 0),) for sub in range(4))
+# exp(gamma Delta) on one pair's sub-mask as (sub-mask, int, k) images, k
+# the power of 2 gamma: q1q2 -> q1q2 - 2 (2 gamma)
+_PAIR_ROWS = (((0, 1, 0),), ((1, 1, 0),), ((2, 1, 0),),
+              ((3, 1, 0), (0, -2, 1)))
+
+_FLOAT_RANGE = ("float lane: every coefficient must convert to a finite "
+                "complex float")
 
 
-@functools.cache
-def _integer_rows(sign):
-    """The Gaussian pair table of `sign` as (sub-mask, re, im) ints."""
-    return tuple(tuple((sub, q.a, q.b) for sub, q in row)
-                 for row in _fourier_table(sign, True))
+@functools.lru_cache(maxsize=256)
+def _float_weights(a, d):
+    """zeta^(d-2k) (2 gamma)^k for k <= d/2 at the non-integral order a,
+    with zeta^j = Angle.phase(j), so a quarter turn stays exact."""
+    a = Angle(a)
+    two_gamma = (a.phase(2) - 1) / 2
+    return tuple(a.phase(d - 2 * k) * two_gamma ** k
+                 for k in range(d // 2 + 1))
 
 
-def _gaussian_pass(f, sign, pair_rows):
-    """One pass over the terms of a Gaussian-class f: x^e q^mask G goes to
-    i^(+/-|e|) prod_i He_(e_i)(y_i) times the pair rows' images of the
-    mask, all multiplied as Gaussian integers, and the term's coefficient
-    is scaled once per image."""
+def _images(bos, mask, bos_on, nf):
+    """The images of x^bos q^mask under the sector's order-free rows: a
+    list of (sub-mask, int, k) from one pair row per symbol pair, k the
+    factors 2 gamma, and a list of (exponents, int) from one Hermite row
+    per coordinate, which lowers the degree by 2 per factor 2 gamma."""
+    fer = [(0, 1, 0)] if nf else [(mask, 1, 0)]
+    for shift in range(0, nf, 2):
+        row = _PAIR_ROWS[(mask >> shift) & 3]
+        fer = [(acc | (sub << shift), n * t, k + j) for acc, n, k in fer
+               for sub, t, j in row]
+    if not bos_on:
+        return fer, [(bos, 1)]
+    out = [((), 1)]
+    for e in bos:
+        row = hermite_row(e)
+        out = [(acc + (p,), h * t) for acc, h in out for p, t in row]
+    return fer, out
+
+
+def _mehler_pass(f, a, sector):
+    """F^a of a Gaussian-class f on a sector (bosonic, fermionic or full,
+    as in `laplace`) by Mehler's closed form
+    F^a(P G) = (zeta^E exp(gamma Delta) P) G, zeta = e^(i a pi/2) and
+    2 gamma = (zeta^2 - 1)/2, one pass over the terms.  A term of sector
+    degree d goes to the products of its `_images`; one that lost 2k
+    degrees is weighted zeta^(d-2k) (2 gamma)^k.  At a = +/-1 that
+    weight is (+/- i)^d for every image, so the exact lane folds it into
+    the ints and scales the term's coefficient once per image; other
+    orders run on floats, with zeta^j exact at quarter turns.  a = 0
+    returns f."""
+    if sector not in ("bosonic", "fermionic", "full"):
+        raise ValueError(f"unknown sector {sector!r}")
+    a = Angle(a)
     if not f.envelope:
         raise ValueError("envelope missing")
-    _require_exact(f.poly)
-    turn = _order(sign)
-    nf = len(f.universe.fermionic)
+    if a.a == 0:
+        return f
+    bos_on = sector != "fermionic"
+    nf = len(f.universe.fermionic) if sector != "bosonic" else 0
     out = {}
-    for (bos, mask), c in f.poly.terms.items():
-        re, im = _UNITS[turn * sum(bos) % 4]
-        fer_images = [(0, re, im)]
-        for shift in range(0, nf, 2):
-            row = pair_rows[(mask >> shift) & 3]
-            fer_images = [(acc | (sub << shift), x * a - y * b,
-                           x * b + y * a)
-                          for acc, x, y in fer_images for sub, a, b in row]
-        bos_images = [((), 1)]
-        for e in bos:
-            row = hermite_row(e)
-            bos_images = [(acc + (p,), h * t)
-                          for acc, h in bos_images for p, t in row]
-        for omask, x, y in fer_images:
-            for obos, h in bos_images:
-                add_into(out, (obos, omask),
-                         c.scale(QQi.reduced(x * h, y * h, 1)))
-    return GaussianFunction(f.poly._like(out), True)
+    if a.exact:
+        _require_exact(f.poly)
+        turn = int(a.a)
+        for (bos, mask), c in f.poly.terms.items():
+            d = (sum(bos) if bos_on else 0) + (mask.bit_count() if nf else 0)
+            re, im = _UNITS[turn * d % 4]
+            fer, bos_images = _images(bos, mask, bos_on, nf)
+            for omask, n, _ in fer:
+                x, y = re * n, im * n
+                for obos, h in bos_images:
+                    add_into(out, (obos, omask),
+                             c.scale(QQi.reduced(x * h, y * h, 1)))
+        return GaussianFunction(f.poly._like(out), True)
+    try:
+        for (bos, mask), c in f.poly.terms.items():
+            e = sum(bos)
+            d = (e if bos_on else 0) + (mask.bit_count() if nf else 0)
+            c = to_float(c)
+            weights = [c * w for w in _float_weights(a.a, d)]
+            fer, bos_images = _images(bos, mask, bos_on, nf)
+            for omask, x, k in fer:
+                for obos, h in bos_images:
+                    add_into(out, (obos, omask),
+                             x * h * weights[k + ((e - sum(obos)) >> 1)])
+    except OverflowError:
+        raise ValueError(_FLOAT_RANGE) from None
+    if not all(map(cmath.isfinite, out.values())):
+        raise ValueError(_FLOAT_RANGE)
+    # + 0j turns the negative zeros of a quarter turn into plain zeros
+    return GaussianFunction(f.poly._like(
+        {key: c + 0j for key, c in out.items()}), True)
 
 
 def _require_exact(poly):
@@ -223,50 +246,60 @@ def _require_exact(poly):
                              "exact-lane input")
 
 
-def _apply_pair_tables(poly, table):
-    """Apply one pair table to every pair's two-bit sub-mask of each
-    term; parity is kept per pair, so no reordering sign arises.  Each
-    product starts from the term's own coefficient, so either lane
-    works."""
+def frac_fermionic_table(f, a):
+    """The order-a transform of a plain polynomial, one closed-form table
+    per pair with zeta = e^(i a pi/2): 1 -> (1 + zeta^2)/2
+    + (1 - zeta^2)/4 q1q2, q_j -> zeta q_j, q1q2 -> 1 - zeta^2
+    + (1 + zeta^2)/2 q1q2; bosonic factors pass through.  Exact (QQi
+    entries) at integral a on exact input, float otherwise."""
+    a = Angle(a)
+    zeta, zeta2 = a.phase(1), a.phase(2)
+    if a.exact and not is_float_lane(f):
+        zeta, zeta2, one = zeta.qqi_value(), zeta2.qqi_value(), QQi(1)
+    else:
+        zeta, zeta2, one = to_float(zeta), to_float(zeta2), 1 + 0j
+        f = f.map_coefficients(to_float)
+    plus, minus = (one + zeta2) * Fraction(1, 2), one - zeta2
+    rows = tuple(tuple((sub, w) for sub, w in row.items() if w) for row in (
+        {0b00: plus, 0b11: minus * Fraction(1, 4)}, {0b01: zeta},
+        {0b10: zeta}, {0b00: minus, 0b11: plus}))
+    # parity is kept per pair, so applying the rows sub-mask by sub-mask
+    # gives no reordering sign
     out = {}
-    for (bos, mask), c in poly.terms.items():
+    for (bos, mask), c in f.terms.items():
         images = [(0, c)]
-        for shift in range(0, len(poly.universe.fermionic), 2):
-            row = table[(mask >> shift) & 3]
-            images = [(acc | (sub << shift), f * t)
-                      for acc, f in images for sub, t in row]
-        for acc, f in images:
-            add_into(out, (bos, acc), f)
-    return poly._like(out)
+        for shift in range(0, len(f.universe.fermionic), 2):
+            row = rows[(mask >> shift) & 3]
+            images = [(acc | (sub << shift), v * w)
+                      for acc, v in images for sub, w in row]
+        for acc, v in images:
+            add_into(out, (bos, acc), v)
+    return f._like(out)
 
 
 def fermionic_fourier(f, sign):
     """Fermionic transform of a plain polynomial, applied pair by pair:
     1 -> q1q2/2, q_j -> +/- i q_j, q1q2 -> 2 on each pair."""
     _require_exact(f)
-    return _apply_pair_tables(f, _fourier_table(sign, False))
+    return frac_fermionic_table(f, _order(sign))
 
 
 def fermionic_fourier_gaussian(f, sign):
     """Envelope-aware fermionic transform, pair by pair: 1 -> 1,
     q_j -> +/- i q_j, q1q2 -> 2 - q1q2 on each pair."""
-    if not f.envelope:
-        raise ValueError("envelope missing")
-    _require_exact(f.poly)
-    return GaussianFunction(
-        _apply_pair_tables(f.poly, _fourier_table(sign, True)), True)
+    return _mehler_pass(f, _order(sign), "fermionic")
 
 
 def bosonic_fourier(f, sign):
     """Bosonic transform of a Gaussian-class function, coordinate by
     coordinate: x_i^e G -> (+/- i)^e He_e(y_i) G; exact."""
-    return _gaussian_pass(f, sign, _IDENTITY_ROWS)
+    return _mehler_pass(f, _order(sign), "bosonic")
 
 
 def super_fourier(f, sign):
     """Full transform: the bosonic Hermite rows and the fermionic pair
     rows in one pass (their composition in either order)."""
-    return _gaussian_pass(f, sign, _integer_rows(sign))
+    return _mehler_pass(f, _order(sign), "full")
 
 
 def super_fourier_cvalued(f, sign):

@@ -1,16 +1,14 @@
-"""Fractional Fourier transform: Mehler's closed form of the sl2
-exponential, the fermionic pair table, the general numeric kernel and the
-fractional calculus rules.
+"""Fractional Fourier transform, the fermionic pair table of every order,
+the fractional calculus rules and the quadrature oracle.
 
-On the Gaussian class the exponential of the sl2 triple (Delta, x^2, E)
-has a closed form: F^a(P G) = (e^(i alpha E) exp(gamma Delta) P) G with
-alpha = a pi/2 and gamma = (e^(2 i alpha) - 1)/4.  The series in Delta
-stops after deg(P)/2 terms.  Angles a in {-1, 0, 1} stay on the exact
-lane (the transform coincides with the ordinary one); any other angle
-runs on the complex float backend.  The psi-family expansion
-(hermite.psi_span with fourier.operator_exponential_fourier), the
-fermionic kernel of every order (fourier.kernel_route), the pair table
-and the quadrature check remain as independent oracles.
+F^a is the sl2 exponential of (Delta, x^2, E); on the Gaussian class it
+is Mehler's closed form F^a(P G) = (e^(i alpha E) exp(gamma Delta) P) G,
+alpha = a pi/2 and gamma = (e^(2 i alpha) - 1)/4, computed by the one
+pass of `fourier` (exact at a = +/-1, the identity at 0, floats at any
+other order).  The plain-class pair table `frac_fermionic_table` lives
+beside it there.  The psi-family expansion, the fermionic kernel of
+every order (fourier.kernel_route) and the quadrature check remain as
+independent oracles.
 """
 
 from __future__ import annotations
@@ -19,11 +17,12 @@ import cmath
 import math
 from fractions import Fraction
 
-from .fourier import _apply_pair_tables, kernel_route, super_fourier
-from .operators import bosonic_derivative, fermionic_derivative, laplace
+from .fourier import (_mehler_pass, kernel_route,
+                      frac_fermionic_table)  # noqa: F401  (re-exported)
+from .operators import bosonic_derivative, fermionic_derivative
 from .scalars import Angle, ExactScalar, QQi, to_float
 from .superalg import (GaussianFunction, SuperPolynomial,
-                       fermionic_envelope_poly, is_float_lane, sp_mul)
+                       fermionic_envelope_poly, sp_mul)
 
 
 def to_float_poly(p):
@@ -48,35 +47,11 @@ def relative_deviation(p, q):
 
 
 def frac_fourier(f, a):
-    """Fractional transform by the closed form
-    F^a(P G) = (e^(i alpha E) exp(gamma Delta) P) G; integral a gives
-    the exact transform.
-
-    exp(gamma Delta) = sum_k gamma^k Delta^k / k! stops at k = deg(P)/2.
-    Delta^k P stays on P's lane, so an exact input is differentiated
-    exactly; gamma and the Euler phase e^(i alpha d) on each term of
-    degree d are floats, exact at quarter turns.
-    """
-    a = Angle(a)
-    if not f.envelope:
-        raise ValueError("envelope missing")
-    if a.exact:
-        k = int(a.a)
-        if k == 0:
-            return f
-        return super_fourier(f, "+" if k > 0 else "-")
-    gamma = (a.phase(2) - 1) / 4
-    term = f.poly
-    series = to_float_poly(term)
-    for k in range(1, term.degree() // 2 + 1):
-        term = laplace(term, "full")
-        series = series + to_float_poly(term).scale(
-            gamma ** k / math.factorial(k))
-    phases = [a.phase(d) for d in range(f.poly.degree() + 1)]
-    # + 0j turns the negative zeros of a quarter turn into plain zeros
-    return GaussianFunction(SuperPolynomial(f.universe, {
-        key: c * phases[sum(key[0]) + key[1].bit_count()] + 0j
-        for key, c in series.terms.items()}), True)
+    """Fractional transform of a Gaussian-class f by Mehler's closed form
+    F^a(P G) = (e^(i alpha E) exp(gamma Delta) P) G: the one pass of
+    `fourier`, exact at a = +/-1 (the transform itself), the identity at
+    a = 0 and on floats at any other order."""
+    return _mehler_pass(f, a, "full")
 
 
 def frac_fourier_cvalued(f, a):
@@ -86,29 +61,6 @@ def frac_fourier_cvalued(f, a):
     return CValued(f.universe, {
         key: frac_fourier(GaussianFunction(p, True), a).poly
         for key, p in f.parts.items()}, True)
-
-
-# -- pair table ---------------------------------------------------------
-
-def frac_fermionic_table(f, a):
-    """The fractional transform's closed-form action on each pair's
-    Grassmann basis, extended linearly; bosonic factors pass through.
-
-    With e = e^(i alpha): 1 -> (1 + e^2)/2 + (1 - e^2)/4 q1q2,
-    q_j -> e q_j, q1q2 -> 1 - e^2 + (1 + e^2)/2 q1q2.  Exact at integral
-    a on exact input, float otherwise.
-    """
-    a = Angle(a)
-    if a.exact and not is_float_lane(f):
-        e, e2, one = a.phase(1), a.phase(2), ExactScalar.one()
-    else:
-        e, e2, one = to_float(a.phase(1)), to_float(a.phase(2)), 1 + 0j
-        f = to_float_poly(f)
-    plus, minus = (one + e2) * Fraction(1, 2), one - e2
-    rows = ({0b00: plus, 0b11: minus * Fraction(1, 4)}, {0b01: e},
-            {0b10: e}, {0b00: minus, 0b11: plus})
-    return _apply_pair_tables(f, tuple(
-        tuple((sub, w) for sub, w in row.items() if w) for row in rows))
 
 
 # -- fractional calculus rules ------------------------------------------

@@ -2,7 +2,9 @@
 
 `peel_bosonic_fourier` is the peel rule F(x_i g) = -/+ i d_{y_i} F(g)
 from F(G) = G, one derivative per unit of degree; the package reads the
-same transform off cached Hermite rows.  `reduce_mod_sphere_per_monomial`
+same transform off cached Hermite rows.  `mehler_series` sums Mehler's
+closed form of F^a as its series in the Laplacian; the package weighs
+the images of one pass of Hermite and pair rows instead.  `reduce_mod_sphere_per_monomial`
 rewrites w_m^2 monomial by monomial with fresh sphere powers; the package
 groups the terms by power and builds each power once per call.
 `TokenParser` reads an expression one character-class token at a time
@@ -19,9 +21,9 @@ from supertransform import expr
 from supertransform.expr import (_CONSTANTS, _ONE, _PI, _UNIT, ParseError,
                                  _check_exponent, _literal_int, _monomial,
                                  _power_pairs, _scalar)
-from supertransform.operators import bosonic_derivative
+from supertransform.operators import bosonic_derivative, laplace
 from supertransform.radon import _sphere_substitution
-from supertransform.scalars import ExactScalar
+from supertransform.scalars import Angle, ExactScalar, to_float
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      merge_masks, sp_mul)
 from supertransform._terms import add_into
@@ -40,6 +42,37 @@ def peel_bosonic_fourier(f, sign):
                 g = bosonic_derivative(g, i).scale(c_sign)
         out = out + g
     return out
+
+
+def mehler_series(f, a):
+    """F^a(P G) = (e^(i alpha E) exp(gamma Delta) P) G, alpha = a pi/2 and
+    gamma = (e^(2 i alpha) - 1)/4, with exp(gamma Delta) summed as
+    sum_k gamma^k Delta^k P / k!, which stops at k = deg(P)/2.  Delta^k P
+    is exact; gamma and the phase e^(i alpha d) of a term of degree d are
+    exact at integral a and floats otherwise (exact at quarter turns)."""
+    a = Angle(a)
+    if a.exact:
+        gamma = (a.phase(2) - ExactScalar.one()).scale(Fraction(1, 4))
+        zero = ExactScalar.zero()
+
+        def lane(p):
+            return p
+    else:
+        gamma, zero = (a.phase(2) - 1) / 4, 0j
+
+        def lane(p):
+            return p.map_coefficients(to_float)
+    term = f.poly
+    series = lane(term)
+    for k in range(1, term.degree() // 2 + 1):
+        term = laplace(term, "full")
+        series = series + lane(term).scale(gamma ** k
+                                           * Fraction(1, math.factorial(k)))
+    phases = [a.phase(d) for d in range(f.poly.degree() + 1)]
+    # + 0j turns the negative zeros of a quarter turn into plain zeros
+    return GaussianFunction(SuperPolynomial(f.universe, {
+        key: c * phases[sum(key[0]) + key[1].bit_count()] + zero
+        for key, c in series.terms.items()}), True)
 
 
 def reduce_mod_sphere_per_monomial(f):

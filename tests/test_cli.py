@@ -398,6 +398,27 @@ def test_cli_fracfourier_negative_infinity_gets_the_order_rule(capsys):
     assert "expected one argument" not in err
 
 
+@pytest.mark.parametrize("text", ["x1^1000*G", "(10^300)*x1^150*G"])
+def test_cli_fracfourier_refuses_coefficients_past_the_float_range(capsys,
+                                                                   text):
+    # He_1000 has integer coefficients past 1e308; 10^300 times those of
+    # He_150 overflows to inf
+    code, out, err = _run_cli(capsys, "--m", "1", "--n", "1",
+                              "fracfourier", "--a", "1/3", text)
+    assert (code, out) == (1, "")
+    assert err == ("error: float lane: every coefficient must convert to a "
+                   "finite complex float")
+
+
+def test_cli_fracfourier_keeps_a_large_finite_result(capsys):
+    # Delta^k x1^200 passes the float range, but every image of the one
+    # pass (He_200's coefficients, below 1e187, times a weight) fits
+    code, out, err = _run_cli(capsys, "--m", "1", "--n", "1",
+                              "fracfourier", "--a", "1/3", "x1^200*G")
+    assert (code, err) == (0, "") and out.count("*x1^") == 100
+    assert "inf" not in out and "nan" not in out
+
+
 def test_cli_float_lane_json_input_is_a_parse_error(capsys):
     code, out, _ = _run_cli(capsys, "--m", "1", "--n", "1", "--format",
                             "json", "fracfourier", "--a", "1/3", "x1*G")
@@ -756,6 +777,10 @@ _REFUSALS = [
      "symbol index of 5000 digits exceeds MAX_DIGITS = 1000", None),
     (1, 1, "q" + "1" * 5000,
      "symbol index of 5000 digits exceeds MAX_DIGITS = 1000", None),
+    (1, 1, "(" * 250 + "x1" + ")" * 250,
+     "parentheses nest deeper than MAX_NESTING = 150", None),
+    (1, 1, "(" * 1000 + "x1" + ")" * 1000,
+     "parentheses nest deeper than MAX_NESTING = 150", None),
 ]
 
 
@@ -770,6 +795,15 @@ def test_cli_refusal_bytes(capsys, m, n, text, message, pos):
         assert (code, out.err) == (
             2, f"parse error: {message} (at position {pos})\n")
     assert out.out == ""
+
+
+def test_parser_nesting_budget_boundary():
+    u = u11()
+    for depth in (1, 150):
+        text = "(" * depth + "x1" + ")" * depth
+        assert parse(text, u) == SuperPolynomial.bosonic_var(u, 0)
+    with pytest.raises(ValueError, match="MAX_NESTING = 150"):
+        parse("(" * 151 + "x1" + ")" * 151, u)
 
 
 # Output of the operators as they were composed from derivatives: an operator

@@ -203,24 +203,23 @@ def test_bosonic_fourier_basics():
         bosonic_fourier(GaussianFunction(SuperPolynomial.one(u), False), "+")
 
 
+def test_closed_form_pair_rows_equal_kernel_route():
+    # the closed forms' rows on the four 0|2 basis monomials against the
+    # defining route at a = +/-1: plain, and on the Gaussian class with
+    # the envelope multiplied in before and stripped after
+    u = VariableUniverse.standard(0, 1)
+    env = fermionic_envelope_poly(u)
+    strip = fermionic_envelope_poly(u, sign=-1)
+    for sub in range(4):
+        mono = SuperPolynomial(u, {((), sub): ExactScalar.one()})
+        for sign, a in (("+", 1), ("-", -1)):
+            assert fermionic_fourier(mono, sign) == kernel_route(mono, a)
+            want = GaussianFunction(
+                sp_mul(kernel_route(sp_mul(mono, env), a), strip))
+            assert fermionic_fourier_gaussian(GaussianFunction(mono),
+                                              sign) == want, (sub, sign)
+            assert super_fourier(GaussianFunction(mono), sign) == want
 
-def test_gaussian_pair_tables_are_integral():
-    from supertransform.fourier import _fourier_table
-    for sign in ("+", "-"):
-        for row in _fourier_table(sign, True):
-            assert row and all(q.d == 1 for _, q in row)
-
-
-def test_gaussian_pair_table_refuses_a_fractional_entry(monkeypatch):
-    # super_fourier multiplies the Gaussian rows as int pairs, so their
-    # builder must refuse a non-integral entry; the plain table has halves
-    from supertransform import fourier
-    route = fourier.kernel_route
-    monkeypatch.setattr(fourier, "kernel_route",
-                        lambda f, a: route(f, a).scale(Fraction(1, 2)))
-    with pytest.raises(AssertionError, match="integral"):
-        fourier._fourier_table.__wrapped__("+", True)
-    fourier._fourier_table.__wrapped__("+", False)
 
 def test_super_fourier_composition_orders_agree(rng):
     for m, n in [(1, 1), (2, 1)]:

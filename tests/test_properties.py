@@ -14,7 +14,7 @@ from supertransform.expr import ParseError, _power_pairs, parse, \
 
 from supertransform.fourier import bosonic_fourier, \
     fermionic_fourier_gaussian, kernel_route, parseval_check, super_fourier
-from supertransform.fracfourier import frac_fermionic_table, \
+from supertransform.fracfourier import frac_fermionic_table, frac_fourier, \
     relative_deviation
 from supertransform.harmonics import harmonic_basis
 from supertransform.hermite import psi_element, psi_tilde_element
@@ -25,8 +25,8 @@ from supertransform.radon import RadonResult, omega_universe, radon, \
 from supertransform.scalars import ExactScalar, QQi
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse, sp_mul)
-from tests.oracles import parse_by_tokens, peel_bosonic_fourier, \
-    reduce_mod_sphere_per_monomial
+from tests.oracles import mehler_series, parse_by_tokens, \
+    peel_bosonic_fourier, reduce_mod_sphere_per_monomial
 
 _rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 _scalars = st.builds(
@@ -208,6 +208,37 @@ def test_hermite_pass_equals_peel_rule(m, n, sign, data):
     peeled = peel_bosonic_fourier(f, sign)
     assert bosonic_fourier(f, sign) == peeled
     assert super_fourier(f, sign) == fermionic_fourier_gaussian(peeled, sign)
+
+
+# M = m - 2n is 0 at (2,1) and (4,2), -2 at (0,1) and (2,2), -4 at (0,2)
+_MEHLER_SHAPES = [(2, 1), (0, 1), (2, 2), (4, 2), (0, 2)]
+_mehler_orders = st.one_of(
+    st.sampled_from([1, -1, Fraction(1), Fraction(-1)]),
+    st.builds(Fraction, st.integers(-11, 11), st.integers(2, 12)).filter(
+        lambda a: a.denominator > 1 and abs(a) <= 1),
+    st.builds(lambda sign, a: sign * a, st.sampled_from([-1, 1]),
+              st.floats(1e-3, 0.999)))
+
+
+@st.composite
+def _mehler_inputs(draw):
+    m, n = draw(st.sampled_from(_MEHLER_SHAPES))
+    u = VariableUniverse.standard(m, n)
+    keys = st.tuples(st.tuples(*[st.integers(0, 4)] * m),
+                     st.integers(0, (1 << 2 * n) - 1))
+    return GaussianFunction(SuperPolynomial(
+        u, draw(st.dictionaries(keys, _scalars, max_size=4))))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_mehler_inputs(), _mehler_orders)
+def test_mehler_pass_equals_laplacian_series(f, a):
+    got, want = frac_fourier(f, a), mehler_series(f, a)
+    if a in (1, -1):
+        assert got == want
+        assert got == super_fourier(f, "+" if a > 0 else "-")
+    else:
+        assert relative_deviation(got.poly, want.poly) <= 1e-12
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (2, 2), (3, 2)])
