@@ -297,8 +297,9 @@ def bosonic_fourier(f, sign):
 
 
 def super_fourier(f, sign):
-    """Full transform: the bosonic Hermite rows and the fermionic pair
-    rows in one pass (their composition in either order)."""
+    """Full transform: the Hermite rows and the pair rows in one pass, the
+    Mehler pass at a = +/-1 (the composition of the bosonic and the
+    fermionic transform in either order)."""
     return _mehler_pass(f, _order(sign), "full")
 
 

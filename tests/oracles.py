@@ -4,9 +4,10 @@
 from F(G) = G, one derivative per unit of degree; the package reads the
 same transform off cached Hermite rows.  `mehler_series` sums Mehler's
 closed form of F^a as its series in the Laplacian; the package weighs
-the images of one pass of Hermite and pair rows instead.  `reduce_mod_sphere_per_monomial`
-rewrites w_m^2 monomial by monomial with fresh sphere powers; the package
-groups the terms by power and builds each power once per call.
+the images of one pass of Hermite and pair rows instead.
+`reduce_mod_sphere_per_monomial` rewrites w_m^2 monomial by monomial with
+fresh sphere powers; the package groups the terms by power and builds
+each power once per call.
 `TokenParser` reads an expression one character-class token at a time
 and builds each term as one monomial accumulator; the package reads the
 same grammar one lexeme per leaf, with the renderer's complex coefficient
