@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -1784,3 +1785,5919 @@ def test_cli_transform_golden_outputs(capsys, m, n, text, partner, cmd):
             assert (code, out.out, out.err) == (1, "", want + "\n")
         else:
             assert (code, out.out, out.err) == (0, want + "\n", "")
+
+
+# Output of hermite and decompose while psi_element summed the
+# Clifford-Hermite series and decomposition_check formed its products in
+# ExactScalar arithmetic: a change to either must keep these bytes.  Per
+# (m, n, k), in the order of _BASES_COMMANDS, one output per format of
+# _TRANSFORM_FORMATS.  _BASES_SHA256 pins the benchmark-sized degree
+# k = 6 at (3, 2) by the sha256 of stdout, per command and format.
+_BASES_COMMANDS = (("hermite", "--j", "0"), ("hermite", "--j", "1"),
+                   ("hermite", "--j", "2"), ("decompose",))
+_BASES_GOLDEN = {
+    (2, 1, 0): (
+        (
+            'G',
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [0, 0], "fer": [], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}',
+            '1  e^{x^2/2}',
+        ),
+        (
+            '-4*x1^2*G - 4*x2^2*G + 4*q1q2*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [2, 0], "fer": [], "coeff": [{"q": [-4, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '0], "fer": [1, 2], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}',
+            '-4 x_{1}^{2} e^{x^2/2} + -4 x_{2}^{2} e^{x^2/2} + 4 q_{1}q_{2} '
+            'e^{x^2/2}',
+        ),
+        (
+            '16*x1^4*G + 32*x1^2*x2^2*G - 32*x1^2*q1q2*G + 16*x2^4*G - '
+            '32*x2^2*q1q2*G - 32*x1^2*G - 32*x2^2*G + 32*q1q2*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [4, 0], "fer": [], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 2], "fer": [], '
+            '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, '
+            '0], "fer": [1, 2], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0, 4], "fer": [], "coeff": [{"q": [16, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [1, 2], '
+            '"coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2, 0], "fer": [], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0, 2], "fer": [], "coeff": [{"q": [-32, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [1, 2], '
+            '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}]}',
+            '16 x_{1}^{4} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{2} e^{x^2/2} + -32 '
+            'x_{1}^{2}q_{1}q_{2} e^{x^2/2} + 16 x_{2}^{4} e^{x^2/2} + -32 '
+            'x_{2}^{2}q_{1}q_{2} e^{x^2/2} + -32 x_{1}^{2} e^{x^2/2} + -32 '
+            'x_{2}^{2} e^{x^2/2} + 32 q_{1}q_{2} e^{x^2/2}',
+        ),
+        (
+            'degree 0: dim nullspace 1, dim formula 1 [ok]',
+            '{"k": 0, "dim_nullspace": 1, "dim_formula": 1, "dims_match": '
+            'true, "product_failures": [], "products_harmonic": true, '
+            '"schema": "supertransform/1", "basis": [{"schema": '
+            '"supertransform/1", "m": 2, "n": 1, "envelope": false, "terms": '
+            '[{"bos": [0, 0], "fer": [], "coeff": [{"q": [1, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}]}',
+            'degree 0: dim nullspace 1, dim formula 1 [ok]',
+        ),
+    ),
+    (2, 1, 1): (
+        (
+            'x2*G\nx1*G\nq1*G\nq2*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [0, 1], "fer": [], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [1, 0], "fer": [], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [0, 0], "fer": [1], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [0, 0], "fer": [2], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}',
+            '1 x_{2} e^{x^2/2}\n'
+            '1 x_{1} e^{x^2/2}\n1 q_{1} e^{x^2/2}\n1 q_{2} e^{x^2/2}',
+        ),
+        (
+            '-4*x1^2*x2*G - 4*x2^3*G + 4*x2*q1q2*G + 4*x2*G\n'
+            '-4*x1^3*G - 4*x1*x2^2*G + 4*x1*q1q2*G + 4*x1*G\n'
+            '-4*x1^2*q1*G - 4*x2^2*q1*G + 4*q1*G\n'
+            '-4*x1^2*q2*G - 4*x2^2*q2*G + 4*q2*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [2, 1], "fer": [], "coeff": [{"q": [-4, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '1], "fer": [1, 2], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0, 1], "fer": [], "coeff": [{"q": [4, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [3, 0], "fer": [], "coeff": [{"q": [-4, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, '
+            '0], "fer": [1, 2], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [1, 0], "fer": [], "coeff": [{"q": [4, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [2, 0], "fer": [1], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [1], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '0], "fer": [1], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [2, 0], "fer": [2], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [2], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '0], "fer": [2], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}',
+            '-4 x_{1}^{2}x_{2} e^{x^2/2} + -4 x_{2}^{3} e^{x^2/2} + 4 '
+            'x_{2}q_{1}q_{2} e^{x^2/2} + 4 x_{2} e^{x^2/2}\n'
+            '-4 x_{1}^{3} e^{x^2/2} + -4 x_{1}x_{2}^{2} e^{x^2/2} + 4 '
+            'x_{1}q_{1}q_{2} e^{x^2/2} + 4 x_{1} e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{1} e^{x^2/2} + -4 x_{2}^{2}q_{1} e^{x^2/2} + 4 '
+            'q_{1} e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{2} e^{x^2/2} + -4 x_{2}^{2}q_{2} e^{x^2/2} + 4 '
+            'q_{2} e^{x^2/2}',
+        ),
+        (
+            '16*x1^4*x2*G + 32*x1^2*x2^3*G - 32*x1^2*x2*q1q2*G + 16*x2^5*G - '
+            '32*x2^3*q1q2*G - 64*x1^2*x2*G - 64*x2^3*G + 64*x2*q1q2*G + '
+            '32*x2*G\n'
+            '16*x1^5*G + 32*x1^3*x2^2*G - 32*x1^3*q1q2*G + 16*x1*x2^4*G - '
+            '32*x1*x2^2*q1q2*G - 64*x1^3*G - 64*x1*x2^2*G + 64*x1*q1q2*G + '
+            '32*x1*G\n'
+            '16*x1^4*q1*G + 32*x1^2*x2^2*q1*G + 16*x2^4*q1*G - 64*x1^2*q1*G '
+            '- 64*x2^2*q1*G + 32*q1*G\n'
+            '16*x1^4*q2*G + 32*x1^2*x2^2*q2*G + 16*x2^4*q2*G - 64*x1^2*q2*G '
+            '- 64*x2^2*q2*G + 32*q2*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [4, 1], "fer": [], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 3], "fer": [], '
+            '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, '
+            '1], "fer": [1, 2], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0, 5], "fer": [], "coeff": [{"q": [16, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [1, 2], '
+            '"coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2, 1], "fer": [], "coeff": [{"q": [-64, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0, 3], "fer": [], "coeff": [{"q": [-64, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 1], "fer": [1, 2], '
+            '"coeff": [{"q": [64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '1], "fer": [], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [5, 0], "fer": [], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 2], "fer": [], '
+            '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, '
+            '0], "fer": [1, 2], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1, 4], "fer": [], "coeff": [{"q": [16, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [1, 2], '
+            '"coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[3, 0], "fer": [], "coeff": [{"q": [-64, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1, 2], "fer": [], "coeff": [{"q": [-64, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 0], "fer": [1, 2], '
+            '"coeff": [{"q": [64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, '
+            '0], "fer": [], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [4, 0], "fer": [1], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 2], "fer": [1], '
+            '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '4], "fer": [1], "coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [2, 0], "fer": [1], "coeff": [{"q": [-64, 1, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [1], "coeff": '
+            '[{"q": [-64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], '
+            '"fer": [1], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [4, 0], "fer": [2], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 2], "fer": [2], '
+            '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '4], "fer": [2], "coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [2, 0], "fer": [2], "coeff": [{"q": [-64, 1, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [2], "coeff": '
+            '[{"q": [-64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], '
+            '"fer": [2], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}]}',
+            '16 x_{1}^{4}x_{2} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{3} e^{x^2/2} + '
+            '-32 x_{1}^{2}x_{2}q_{1}q_{2} e^{x^2/2} + 16 x_{2}^{5} e^{x^2/2} '
+            '+ -32 x_{2}^{3}q_{1}q_{2} e^{x^2/2} + -64 x_{1}^{2}x_{2} '
+            'e^{x^2/2} + -64 x_{2}^{3} e^{x^2/2} + 64 x_{2}q_{1}q_{2} '
+            'e^{x^2/2} + 32 x_{2} e^{x^2/2}\n'
+            '16 x_{1}^{5} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{2} e^{x^2/2} + -32 '
+            'x_{1}^{3}q_{1}q_{2} e^{x^2/2} + 16 x_{1}x_{2}^{4} e^{x^2/2} + '
+            '-32 x_{1}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + -64 x_{1}^{3} '
+            'e^{x^2/2} + -64 x_{1}x_{2}^{2} e^{x^2/2} + 64 x_{1}q_{1}q_{2} '
+            'e^{x^2/2} + 32 x_{1} e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{1} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{2}q_{1} '
+            'e^{x^2/2} + 16 x_{2}^{4}q_{1} e^{x^2/2} + -64 x_{1}^{2}q_{1} '
+            'e^{x^2/2} + -64 x_{2}^{2}q_{1} e^{x^2/2} + 32 q_{1} e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{2} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{2}q_{2} '
+            'e^{x^2/2} + 16 x_{2}^{4}q_{2} e^{x^2/2} + -64 x_{1}^{2}q_{2} '
+            'e^{x^2/2} + -64 x_{2}^{2}q_{2} e^{x^2/2} + 32 q_{2} e^{x^2/2}',
+        ),
+        (
+            'degree 1: dim nullspace 4, dim formula 4 [ok]',
+            '{"k": 1, "dim_nullspace": 4, "dim_formula": 4, "dims_match": '
+            'true, "product_failures": [], "products_harmonic": true, '
+            '"schema": "supertransform/1", "basis": [{"schema": '
+            '"supertransform/1", "m": 2, "n": 1, "envelope": false, "terms": '
+            '[{"bos": [0, 1], "fer": [], "coeff": [{"q": [1, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}, {"schema": "supertransform/1", "m": 2, "n": '
+            '1, "envelope": false, "terms": [{"bos": [1, 0], "fer": [], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 2, "n": 1, "envelope": false, "terms": '
+            '[{"bos": [0, 0], "fer": [1], "coeff": [{"q": [1, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}, {"schema": "supertransform/1", "m": 2, "n": '
+            '1, "envelope": false, "terms": [{"bos": [0, 0], "fer": [2], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}]}',
+            'degree 1: dim nullspace 4, dim formula 4 [ok]',
+        ),
+    ),
+    (2, 1, 2): (
+        (
+            'x1*x2*G\n'
+            'x1^2*G - x2^2*G\n'
+            'x2*q1*G\nx1*q1*G\nx2*q2*G\nx1*q2*G\n-2*x2^2*G + q1q2*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [1, 1], "fer": [], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [2, 0], "fer": [], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [], '
+            '"coeff": [{"q": [-1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [0, 1], "fer": [1], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [1, 0], "fer": [1], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [0, 1], "fer": [2], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [1, 0], "fer": [2], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [0, 2], "fer": [], "coeff": [{"q": [-2, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [1, 2], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}',
+            '1 x_{1}x_{2} e^{x^2/2}\n'
+            '1 x_{1}^{2} e^{x^2/2} + -1 x_{2}^{2} e^{x^2/2}\n'
+            '1 x_{2}q_{1} e^{x^2/2}\n'
+            '1 x_{1}q_{1} e^{x^2/2}\n'
+            '1 x_{2}q_{2} e^{x^2/2}\n'
+            '1 x_{1}q_{2} e^{x^2/2}\n'
+            '-2 x_{2}^{2} e^{x^2/2} + 1 q_{1}q_{2} e^{x^2/2}',
+        ),
+        (
+            '-4*x1^3*x2*G - 4*x1*x2^3*G + 4*x1*x2*q1q2*G + 8*x1*x2*G\n'
+            '-4*x1^4*G + 4*x1^2*q1q2*G + 4*x2^4*G - 4*x2^2*q1q2*G + 8*x1^2*G '
+            '- 8*x2^2*G\n'
+            '-4*x1^2*x2*q1*G - 4*x2^3*q1*G + 8*x2*q1*G\n'
+            '-4*x1^3*q1*G - 4*x1*x2^2*q1*G + 8*x1*q1*G\n'
+            '-4*x1^2*x2*q2*G - 4*x2^3*q2*G + 8*x2*q2*G\n'
+            '-4*x1^3*q2*G - 4*x1*x2^2*q2*G + 8*x1*q2*G\n'
+            '8*x1^2*x2^2*G - 4*x1^2*q1q2*G + 8*x2^4*G - 12*x2^2*q1q2*G - '
+            '16*x2^2*G + 8*q1q2*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [3, 1], "fer": [], "coeff": [{"q": [-4, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 3], "fer": [], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, '
+            '1], "fer": [1, 2], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [1, 1], "fer": [], "coeff": [{"q": [8, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [4, 0], "fer": [], "coeff": [{"q": [-4, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 0], "fer": [1, 2], '
+            '"coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '4], "fer": [], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0, 2], "fer": [1, 2], "coeff": [{"q": [-4, 1, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [2, 0], "fer": [], "coeff": '
+            '[{"q": [8, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], '
+            '"fer": [], "coeff": [{"q": [-8, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [2, 1], "fer": [1], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [1], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '1], "fer": [1], "coeff": [{"q": [8, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [3, 0], "fer": [1], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [1], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, '
+            '0], "fer": [1], "coeff": [{"q": [8, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [2, 1], "fer": [2], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [2], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '1], "fer": [2], "coeff": [{"q": [8, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [3, 0], "fer": [2], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [2], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, '
+            '0], "fer": [2], "coeff": [{"q": [8, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [2, 2], "fer": [], "coeff": [{"q": [8, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 0], "fer": [1, 2], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '4], "fer": [], "coeff": [{"q": [8, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0, 2], "fer": [1, 2], "coeff": [{"q": [-12, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [], "coeff": '
+            '[{"q": [-16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], '
+            '"fer": [1, 2], "coeff": [{"q": [8, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}',
+            '-4 x_{1}^{3}x_{2} e^{x^2/2} + -4 x_{1}x_{2}^{3} e^{x^2/2} + 4 '
+            'x_{1}x_{2}q_{1}q_{2} e^{x^2/2} + 8 x_{1}x_{2} e^{x^2/2}\n'
+            '-4 x_{1}^{4} e^{x^2/2} + 4 x_{1}^{2}q_{1}q_{2} e^{x^2/2} + 4 '
+            'x_{2}^{4} e^{x^2/2} + -4 x_{2}^{2}q_{1}q_{2} e^{x^2/2} + 8 '
+            'x_{1}^{2} e^{x^2/2} + -8 x_{2}^{2} e^{x^2/2}\n'
+            '-4 x_{1}^{2}x_{2}q_{1} e^{x^2/2} + -4 x_{2}^{3}q_{1} e^{x^2/2} '
+            '+ 8 x_{2}q_{1} e^{x^2/2}\n'
+            '-4 x_{1}^{3}q_{1} e^{x^2/2} + -4 x_{1}x_{2}^{2}q_{1} e^{x^2/2} '
+            '+ 8 x_{1}q_{1} e^{x^2/2}\n'
+            '-4 x_{1}^{2}x_{2}q_{2} e^{x^2/2} + -4 x_{2}^{3}q_{2} e^{x^2/2} '
+            '+ 8 x_{2}q_{2} e^{x^2/2}\n'
+            '-4 x_{1}^{3}q_{2} e^{x^2/2} + -4 x_{1}x_{2}^{2}q_{2} e^{x^2/2} '
+            '+ 8 x_{1}q_{2} e^{x^2/2}\n'
+            '8 x_{1}^{2}x_{2}^{2} e^{x^2/2} + -4 x_{1}^{2}q_{1}q_{2} '
+            'e^{x^2/2} + 8 x_{2}^{4} e^{x^2/2} + -12 x_{2}^{2}q_{1}q_{2} '
+            'e^{x^2/2} + -16 x_{2}^{2} e^{x^2/2} + 8 q_{1}q_{2} e^{x^2/2}',
+        ),
+        (
+            '16*x1^5*x2*G + 32*x1^3*x2^3*G - 32*x1^3*x2*q1q2*G + '
+            '16*x1*x2^5*G - 32*x1*x2^3*q1q2*G - 96*x1^3*x2*G - 96*x1*x2^3*G '
+            '+ 96*x1*x2*q1q2*G + 96*x1*x2*G\n'
+            '16*x1^6*G + 16*x1^4*x2^2*G - 32*x1^4*q1q2*G - 16*x1^2*x2^4*G - '
+            '16*x2^6*G + 32*x2^4*q1q2*G - 96*x1^4*G + 96*x1^2*q1q2*G + '
+            '96*x2^4*G - 96*x2^2*q1q2*G + 96*x1^2*G - 96*x2^2*G\n'
+            '16*x1^4*x2*q1*G + 32*x1^2*x2^3*q1*G + 16*x2^5*q1*G - '
+            '96*x1^2*x2*q1*G - 96*x2^3*q1*G + 96*x2*q1*G\n'
+            '16*x1^5*q1*G + 32*x1^3*x2^2*q1*G + 16*x1*x2^4*q1*G - '
+            '96*x1^3*q1*G - 96*x1*x2^2*q1*G + 96*x1*q1*G\n'
+            '16*x1^4*x2*q2*G + 32*x1^2*x2^3*q2*G + 16*x2^5*q2*G - '
+            '96*x1^2*x2*q2*G - 96*x2^3*q2*G + 96*x2*q2*G\n'
+            '16*x1^5*q2*G + 32*x1^3*x2^2*q2*G + 16*x1*x2^4*q2*G - '
+            '96*x1^3*q2*G - 96*x1*x2^2*q2*G + 96*x1*q2*G\n'
+            '-32*x1^4*x2^2*G + 16*x1^4*q1q2*G - 64*x1^2*x2^4*G + '
+            '96*x1^2*x2^2*q1q2*G - 32*x2^6*G + 80*x2^4*q1q2*G + '
+            '192*x1^2*x2^2*G - 96*x1^2*q1q2*G + 192*x2^4*G - 288*x2^2*q1q2*G '
+            '- 192*x2^2*G + 96*q1q2*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [5, 1], "fer": [], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 3], "fer": [], '
+            '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, '
+            '1], "fer": [1, 2], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1, 5], "fer": [], "coeff": [{"q": [16, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 3], "fer": [1, 2], '
+            '"coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[3, 1], "fer": [], "coeff": [{"q": [-96, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1, 3], "fer": [], "coeff": [{"q": [-96, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 1], "fer": [1, 2], '
+            '"coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, '
+            '1], "fer": [], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [6, 0], "fer": [], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4, 2], "fer": [], '
+            '"coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4, '
+            '0], "fer": [1, 2], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2, 4], "fer": [], "coeff": [{"q": [-16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 6], "fer": [], '
+            '"coeff": [{"q": [-16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 4], "fer": [1, 2], "coeff": [{"q": [32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [4, 0], "fer": [], "coeff": [{"q": [-96, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 0], "fer": [1, 2], '
+            '"coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '4], "fer": [], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0, 2], "fer": [1, 2], "coeff": [{"q": [-96, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 0], "fer": [], "coeff": '
+            '[{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], '
+            '"fer": [], "coeff": [{"q": [-96, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [4, 1], "fer": [1], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 3], "fer": [1], '
+            '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '5], "fer": [1], "coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [2, 1], "fer": [1], "coeff": [{"q": [-96, 1, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [1], "coeff": '
+            '[{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 1], '
+            '"fer": [1], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [5, 0], "fer": [1], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 2], "fer": [1], '
+            '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, '
+            '4], "fer": [1], "coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [3, 0], "fer": [1], "coeff": [{"q": [-96, 1, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [1], "coeff": '
+            '[{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 0], '
+            '"fer": [1], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [4, 1], "fer": [2], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 3], "fer": [2], '
+            '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '5], "fer": [2], "coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [2, 1], "fer": [2], "coeff": [{"q": [-96, 1, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [2], "coeff": '
+            '[{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 1], '
+            '"fer": [2], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [5, 0], "fer": [2], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 2], "fer": [2], '
+            '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, '
+            '4], "fer": [2], "coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [3, 0], "fer": [2], "coeff": [{"q": [-96, 1, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [2], "coeff": '
+            '[{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 0], '
+            '"fer": [2], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [4, 2], "fer": [], "coeff": [{"q": '
+            '[-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4, 0], "fer": [1, '
+            '2], "coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2, 4], "fer": [], "coeff": [{"q": [-64, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2, 2], "fer": [1, 2], "coeff": [{"q": '
+            '[96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 6], "fer": [], '
+            '"coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 4], "fer": [1, 2], "coeff": [{"q": [80, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2, 2], "fer": [], "coeff": [{"q": [192, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 0], "fer": [1, 2], '
+            '"coeff": [{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 4], "fer": [], "coeff": [{"q": [192, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0, 2], "fer": [1, 2], "coeff": [{"q": '
+            '[-288, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": '
+            '[], "coeff": [{"q": [-192, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 0], "fer": [1, 2], "coeff": [{"q": [96, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}',
+            '16 x_{1}^{5}x_{2} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{3} e^{x^2/2} + '
+            '-32 x_{1}^{3}x_{2}q_{1}q_{2} e^{x^2/2} + 16 x_{1}x_{2}^{5} '
+            'e^{x^2/2} + -32 x_{1}x_{2}^{3}q_{1}q_{2} e^{x^2/2} + -96 '
+            'x_{1}^{3}x_{2} e^{x^2/2} + -96 x_{1}x_{2}^{3} e^{x^2/2} + 96 '
+            'x_{1}x_{2}q_{1}q_{2} e^{x^2/2} + 96 x_{1}x_{2} e^{x^2/2}\n'
+            '16 x_{1}^{6} e^{x^2/2} + 16 x_{1}^{4}x_{2}^{2} e^{x^2/2} + -32 '
+            'x_{1}^{4}q_{1}q_{2} e^{x^2/2} + -16 x_{1}^{2}x_{2}^{4} '
+            'e^{x^2/2} + -16 x_{2}^{6} e^{x^2/2} + 32 x_{2}^{4}q_{1}q_{2} '
+            'e^{x^2/2} + -96 x_{1}^{4} e^{x^2/2} + 96 x_{1}^{2}q_{1}q_{2} '
+            'e^{x^2/2} + 96 x_{2}^{4} e^{x^2/2} + -96 x_{2}^{2}q_{1}q_{2} '
+            'e^{x^2/2} + 96 x_{1}^{2} e^{x^2/2} + -96 x_{2}^{2} e^{x^2/2}\n'
+            '16 x_{1}^{4}x_{2}q_{1} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{3}q_{1} '
+            'e^{x^2/2} + 16 x_{2}^{5}q_{1} e^{x^2/2} + -96 '
+            'x_{1}^{2}x_{2}q_{1} e^{x^2/2} + -96 x_{2}^{3}q_{1} e^{x^2/2} + '
+            '96 x_{2}q_{1} e^{x^2/2}\n'
+            '16 x_{1}^{5}q_{1} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{2}q_{1} '
+            'e^{x^2/2} + 16 x_{1}x_{2}^{4}q_{1} e^{x^2/2} + -96 '
+            'x_{1}^{3}q_{1} e^{x^2/2} + -96 x_{1}x_{2}^{2}q_{1} e^{x^2/2} + '
+            '96 x_{1}q_{1} e^{x^2/2}\n'
+            '16 x_{1}^{4}x_{2}q_{2} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{3}q_{2} '
+            'e^{x^2/2} + 16 x_{2}^{5}q_{2} e^{x^2/2} + -96 '
+            'x_{1}^{2}x_{2}q_{2} e^{x^2/2} + -96 x_{2}^{3}q_{2} e^{x^2/2} + '
+            '96 x_{2}q_{2} e^{x^2/2}\n'
+            '16 x_{1}^{5}q_{2} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{2}q_{2} '
+            'e^{x^2/2} + 16 x_{1}x_{2}^{4}q_{2} e^{x^2/2} + -96 '
+            'x_{1}^{3}q_{2} e^{x^2/2} + -96 x_{1}x_{2}^{2}q_{2} e^{x^2/2} + '
+            '96 x_{1}q_{2} e^{x^2/2}\n'
+            '-32 x_{1}^{4}x_{2}^{2} e^{x^2/2} + 16 x_{1}^{4}q_{1}q_{2} '
+            'e^{x^2/2} + -64 x_{1}^{2}x_{2}^{4} e^{x^2/2} + 96 '
+            'x_{1}^{2}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + -32 x_{2}^{6} '
+            'e^{x^2/2} + 80 x_{2}^{4}q_{1}q_{2} e^{x^2/2} + 192 '
+            'x_{1}^{2}x_{2}^{2} e^{x^2/2} + -96 x_{1}^{2}q_{1}q_{2} '
+            'e^{x^2/2} + 192 x_{2}^{4} e^{x^2/2} + -288 x_{2}^{2}q_{1}q_{2} '
+            'e^{x^2/2} + -192 x_{2}^{2} e^{x^2/2} + 96 q_{1}q_{2} e^{x^2/2}',
+        ),
+        (
+            'degree 2: dim nullspace 7, dim formula 7 [ok]',
+            '{"k": 2, "dim_nullspace": 7, "dim_formula": 7, "dims_match": '
+            'true, "product_failures": [], "products_harmonic": true, '
+            '"schema": "supertransform/1", "basis": [{"schema": '
+            '"supertransform/1", "m": 2, "n": 1, "envelope": false, "terms": '
+            '[{"bos": [1, 1], "fer": [], "coeff": [{"q": [1, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}, {"schema": "supertransform/1", "m": 2, "n": '
+            '1, "envelope": false, "terms": [{"bos": [2, 0], "fer": [], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '2], "fer": [], "coeff": [{"q": [-1, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}, {"schema": "supertransform/1", "m": 2, "n": 1, '
+            '"envelope": false, "terms": [{"bos": [0, 1], "fer": [1], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 2, "n": 1, "envelope": false, "terms": '
+            '[{"bos": [1, 0], "fer": [1], "coeff": [{"q": [1, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}, {"schema": "supertransform/1", "m": 2, "n": '
+            '1, "envelope": false, "terms": [{"bos": [0, 1], "fer": [2], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 2, "n": 1, "envelope": false, "terms": '
+            '[{"bos": [1, 0], "fer": [2], "coeff": [{"q": [1, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}, {"schema": "supertransform/1", "m": 2, "n": '
+            '1, "envelope": false, "terms": [{"bos": [0, 2], "fer": [], '
+            '"coeff": [{"q": [-2, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '0], "fer": [1, 2], "coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}]}',
+            'degree 2: dim nullspace 7, dim formula 7 [ok]',
+        ),
+    ),
+    (2, 1, 3): (
+        (
+            'x1^2*x2*G - 1/3*x2^3*G\n'
+            'x1^3*G - 3*x1*x2^2*G\n'
+            'x1*x2*q1*G\n'
+            'x1^2*q1*G - x2^2*q1*G\n'
+            'x1*x2*q2*G\n'
+            'x1^2*q2*G - x2^2*q2*G\n'
+            '-2/3*x2^3*G + x2*q1q2*G\n-2*x1*x2^2*G + x1*q1q2*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [2, 1], "fer": [], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [], '
+            '"coeff": [{"q": [-1, 3, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [3, 0], "fer": [], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [], '
+            '"coeff": [{"q": [-3, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [1, 1], "fer": [1], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [2, 0], "fer": [1], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [1], '
+            '"coeff": [{"q": [-1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [1, 1], "fer": [2], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [2, 0], "fer": [2], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [2], '
+            '"coeff": [{"q": [-1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [0, 3], "fer": [], "coeff": [{"q": [-2, '
+            '3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 1], "fer": [1, 2], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [1, 2], "fer": [], "coeff": [{"q": [-2, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 0], "fer": [1, 2], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}',
+            '1 x_{1}^{2}x_{2} e^{x^2/2} + -1/3 x_{2}^{3} e^{x^2/2}\n'
+            '1 x_{1}^{3} e^{x^2/2} + -3 x_{1}x_{2}^{2} e^{x^2/2}\n'
+            '1 x_{1}x_{2}q_{1} e^{x^2/2}\n'
+            '1 x_{1}^{2}q_{1} e^{x^2/2} + -1 x_{2}^{2}q_{1} e^{x^2/2}\n'
+            '1 x_{1}x_{2}q_{2} e^{x^2/2}\n'
+            '1 x_{1}^{2}q_{2} e^{x^2/2} + -1 x_{2}^{2}q_{2} e^{x^2/2}\n'
+            '-2/3 x_{2}^{3} e^{x^2/2} + 1 x_{2}q_{1}q_{2} e^{x^2/2}\n'
+            '-2 x_{1}x_{2}^{2} e^{x^2/2} + 1 x_{1}q_{1}q_{2} e^{x^2/2}',
+        ),
+        (
+            '-4*x1^4*x2*G - 8/3*x1^2*x2^3*G + 4*x1^2*x2*q1q2*G + 4/3*x2^5*G '
+            '- 4/3*x2^3*q1q2*G + 12*x1^2*x2*G - 4*x2^3*G\n'
+            '-4*x1^5*G + 8*x1^3*x2^2*G + 4*x1^3*q1q2*G + 12*x1*x2^4*G - '
+            '12*x1*x2^2*q1q2*G + 12*x1^3*G - 36*x1*x2^2*G\n'
+            '-4*x1^3*x2*q1*G - 4*x1*x2^3*q1*G + 12*x1*x2*q1*G\n'
+            '-4*x1^4*q1*G + 4*x2^4*q1*G + 12*x1^2*q1*G - 12*x2^2*q1*G\n'
+            '-4*x1^3*x2*q2*G - 4*x1*x2^3*q2*G + 12*x1*x2*q2*G\n'
+            '-4*x1^4*q2*G + 4*x2^4*q2*G + 12*x1^2*q2*G - 12*x2^2*q2*G\n'
+            '8/3*x1^2*x2^3*G - 4*x1^2*x2*q1q2*G + 8/3*x2^5*G - '
+            '20/3*x2^3*q1q2*G - 8*x2^3*G + 12*x2*q1q2*G\n'
+            '8*x1^3*x2^2*G - 4*x1^3*q1q2*G + 8*x1*x2^4*G - 12*x1*x2^2*q1q2*G '
+            '- 24*x1*x2^2*G + 12*x1*q1q2*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [4, 1], "fer": [], "coeff": [{"q": [-4, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 3], "fer": [], '
+            '"coeff": [{"q": [-8, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, '
+            '1], "fer": [1, 2], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0, 5], "fer": [], "coeff": [{"q": [4, 3, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [1, 2], "coeff": '
+            '[{"q": [-4, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 1], '
+            '"fer": [], "coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 3], "fer": [], "coeff": [{"q": [-4, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [5, 0], "fer": [], "coeff": [{"q": [-4, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 2], "fer": [], '
+            '"coeff": [{"q": [8, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, '
+            '0], "fer": [1, 2], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [1, 4], "fer": [], "coeff": [{"q": [12, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [1, 2], "coeff": '
+            '[{"q": [-12, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 0], '
+            '"fer": [], "coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [1, 2], "fer": [], "coeff": [{"q": [-36, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [3, 1], "fer": [1], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 3], "fer": [1], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, '
+            '1], "fer": [1], "coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [4, 0], "fer": [1], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 4], "fer": [1], '
+            '"coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, '
+            '0], "fer": [1], "coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0, 2], "fer": [1], "coeff": [{"q": [-12, 1, 0, '
+            '1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [3, 1], "fer": [2], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 3], "fer": [2], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, '
+            '1], "fer": [2], "coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [4, 0], "fer": [2], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 4], "fer": [2], '
+            '"coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, '
+            '0], "fer": [2], "coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0, 2], "fer": [2], "coeff": [{"q": [-12, 1, 0, '
+            '1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [2, 3], "fer": [], "coeff": [{"q": [8, '
+            '3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 1], "fer": [1, 2], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '5], "fer": [], "coeff": [{"q": [8, 3, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0, 3], "fer": [1, 2], "coeff": [{"q": [-20, 3, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [], "coeff": '
+            '[{"q": [-8, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 1], '
+            '"fer": [1, 2], "coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [3, 2], "fer": [], "coeff": [{"q": [8, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 0], "fer": [1, 2], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, '
+            '4], "fer": [], "coeff": [{"q": [8, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [1, 2], "fer": [1, 2], "coeff": [{"q": [-12, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [], "coeff": '
+            '[{"q": [-24, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 0], '
+            '"fer": [1, 2], "coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}',
+            '-4 x_{1}^{4}x_{2} e^{x^2/2} + -8/3 x_{1}^{2}x_{2}^{3} e^{x^2/2} '
+            '+ 4 x_{1}^{2}x_{2}q_{1}q_{2} e^{x^2/2} + 4/3 x_{2}^{5} '
+            'e^{x^2/2} + -4/3 x_{2}^{3}q_{1}q_{2} e^{x^2/2} + 12 '
+            'x_{1}^{2}x_{2} e^{x^2/2} + -4 x_{2}^{3} e^{x^2/2}\n'
+            '-4 x_{1}^{5} e^{x^2/2} + 8 x_{1}^{3}x_{2}^{2} e^{x^2/2} + 4 '
+            'x_{1}^{3}q_{1}q_{2} e^{x^2/2} + 12 x_{1}x_{2}^{4} e^{x^2/2} + '
+            '-12 x_{1}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + 12 x_{1}^{3} e^{x^2/2} '
+            '+ -36 x_{1}x_{2}^{2} e^{x^2/2}\n'
+            '-4 x_{1}^{3}x_{2}q_{1} e^{x^2/2} + -4 x_{1}x_{2}^{3}q_{1} '
+            'e^{x^2/2} + 12 x_{1}x_{2}q_{1} e^{x^2/2}\n'
+            '-4 x_{1}^{4}q_{1} e^{x^2/2} + 4 x_{2}^{4}q_{1} e^{x^2/2} + 12 '
+            'x_{1}^{2}q_{1} e^{x^2/2} + -12 x_{2}^{2}q_{1} e^{x^2/2}\n'
+            '-4 x_{1}^{3}x_{2}q_{2} e^{x^2/2} + -4 x_{1}x_{2}^{3}q_{2} '
+            'e^{x^2/2} + 12 x_{1}x_{2}q_{2} e^{x^2/2}\n'
+            '-4 x_{1}^{4}q_{2} e^{x^2/2} + 4 x_{2}^{4}q_{2} e^{x^2/2} + 12 '
+            'x_{1}^{2}q_{2} e^{x^2/2} + -12 x_{2}^{2}q_{2} e^{x^2/2}\n'
+            '8/3 x_{1}^{2}x_{2}^{3} e^{x^2/2} + -4 x_{1}^{2}x_{2}q_{1}q_{2} '
+            'e^{x^2/2} + 8/3 x_{2}^{5} e^{x^2/2} + -20/3 x_{2}^{3}q_{1}q_{2} '
+            'e^{x^2/2} + -8 x_{2}^{3} e^{x^2/2} + 12 x_{2}q_{1}q_{2} '
+            'e^{x^2/2}\n'
+            '8 x_{1}^{3}x_{2}^{2} e^{x^2/2} + -4 x_{1}^{3}q_{1}q_{2} '
+            'e^{x^2/2} + 8 x_{1}x_{2}^{4} e^{x^2/2} + -12 '
+            'x_{1}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + -24 x_{1}x_{2}^{2} '
+            'e^{x^2/2} + 12 x_{1}q_{1}q_{2} e^{x^2/2}',
+        ),
+        (
+            '16*x1^6*x2*G + 80/3*x1^4*x2^3*G - 32*x1^4*x2*q1q2*G + '
+            '16/3*x1^2*x2^5*G - 64/3*x1^2*x2^3*q1q2*G - 16/3*x2^7*G + '
+            '32/3*x2^5*q1q2*G - 128*x1^4*x2*G - 256/3*x1^2*x2^3*G + '
+            '128*x1^2*x2*q1q2*G + 128/3*x2^5*G - 128/3*x2^3*q1q2*G + '
+            '192*x1^2*x2*G - 64*x2^3*G\n'
+            '16*x1^7*G - 16*x1^5*x2^2*G - 32*x1^5*q1q2*G - 80*x1^3*x2^4*G + '
+            '64*x1^3*x2^2*q1q2*G - 48*x1*x2^6*G + 96*x1*x2^4*q1q2*G - '
+            '128*x1^5*G + 256*x1^3*x2^2*G + 128*x1^3*q1q2*G + 384*x1*x2^4*G '
+            '- 384*x1*x2^2*q1q2*G + 192*x1^3*G - 576*x1*x2^2*G\n'
+            '16*x1^5*x2*q1*G + 32*x1^3*x2^3*q1*G + 16*x1*x2^5*q1*G - '
+            '128*x1^3*x2*q1*G - 128*x1*x2^3*q1*G + 192*x1*x2*q1*G\n'
+            '16*x1^6*q1*G + 16*x1^4*x2^2*q1*G - 16*x1^2*x2^4*q1*G - '
+            '16*x2^6*q1*G - 128*x1^4*q1*G + 128*x2^4*q1*G + 192*x1^2*q1*G - '
+            '192*x2^2*q1*G\n'
+            '16*x1^5*x2*q2*G + 32*x1^3*x2^3*q2*G + 16*x1*x2^5*q2*G - '
+            '128*x1^3*x2*q2*G - 128*x1*x2^3*q2*G + 192*x1*x2*q2*G\n'
+            '16*x1^6*q2*G + 16*x1^4*x2^2*q2*G - 16*x1^2*x2^4*q2*G - '
+            '16*x2^6*q2*G - 128*x1^4*q2*G + 128*x2^4*q2*G + 192*x1^2*q2*G - '
+            '192*x2^2*q2*G\n'
+            '-32/3*x1^4*x2^3*G + 16*x1^4*x2*q1q2*G - 64/3*x1^2*x2^5*G + '
+            '160/3*x1^2*x2^3*q1q2*G - 32/3*x2^7*G + 112/3*x2^5*q1q2*G + '
+            '256/3*x1^2*x2^3*G - 128*x1^2*x2*q1q2*G + 256/3*x2^5*G - '
+            '640/3*x2^3*q1q2*G - 128*x2^3*G + 192*x2*q1q2*G\n'
+            '-32*x1^5*x2^2*G + 16*x1^5*q1q2*G - 64*x1^3*x2^4*G + '
+            '96*x1^3*x2^2*q1q2*G - 32*x1*x2^6*G + 80*x1*x2^4*q1q2*G + '
+            '256*x1^3*x2^2*G - 128*x1^3*q1q2*G + 256*x1*x2^4*G - '
+            '384*x1*x2^2*q1q2*G - 384*x1*x2^2*G + 192*x1*q1q2*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [6, 1], "fer": [], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4, 3], "fer": [], '
+            '"coeff": [{"q": [80, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4, '
+            '1], "fer": [1, 2], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2, 5], "fer": [], "coeff": [{"q": [16, 3, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 3], "fer": [1, 2], '
+            '"coeff": [{"q": [-64, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 7], "fer": [], "coeff": [{"q": [-16, 3, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0, 5], "fer": [1, 2], "coeff": [{"q": '
+            '[32, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4, 1], "fer": [], '
+            '"coeff": [{"q": [-128, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2, 3], "fer": [], "coeff": [{"q": [-256, 3, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2, 1], "fer": [1, 2], "coeff": [{"q": '
+            '[128, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 5], "fer": [], '
+            '"coeff": [{"q": [128, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 3], "fer": [1, 2], "coeff": [{"q": [-128, 3, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2, 1], "fer": [], "coeff": [{"q": [192, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [], '
+            '"coeff": [{"q": [-64, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [7, 0], "fer": [], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [5, 2], "fer": [], '
+            '"coeff": [{"q": [-16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[5, 0], "fer": [1, 2], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [3, 4], "fer": [], "coeff": [{"q": [-80, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 2], "fer": [1, 2], '
+            '"coeff": [{"q": [64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, '
+            '6], "fer": [], "coeff": [{"q": [-48, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [1, 4], "fer": [1, 2], "coeff": [{"q": [96, 1, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [5, 0], "fer": [], "coeff": '
+            '[{"q": [-128, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 2], '
+            '"fer": [], "coeff": [{"q": [256, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [3, 0], "fer": [1, 2], "coeff": [{"q": [128, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1, 4], "fer": [], "coeff": [{"q": '
+            '[384, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [1, '
+            '2], "coeff": [{"q": [-384, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [3, 0], "fer": [], "coeff": [{"q": [192, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [1, 2], "fer": [], "coeff": [{"q": '
+            '[-576, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [5, 1], "fer": [1], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 3], "fer": [1], '
+            '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, '
+            '5], "fer": [1], "coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [3, 1], "fer": [1], "coeff": [{"q": [-128, 1, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [1, 3], "fer": [1], "coeff": '
+            '[{"q": [-128, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 1], '
+            '"fer": [1], "coeff": [{"q": [192, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [6, 0], "fer": [1], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4, 2], "fer": [1], '
+            '"coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, '
+            '4], "fer": [1], "coeff": [{"q": [-16, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0, 6], "fer": [1], "coeff": [{"q": [-16, 1, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [4, 0], "fer": [1], "coeff": '
+            '[{"q": [-128, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 4], '
+            '"fer": [1], "coeff": [{"q": [128, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [2, 0], "fer": [1], "coeff": [{"q": [192, 1, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [1], "coeff": '
+            '[{"q": [-192, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [5, 1], "fer": [2], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 3], "fer": [2], '
+            '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, '
+            '5], "fer": [2], "coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [3, 1], "fer": [2], "coeff": [{"q": [-128, 1, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [1, 3], "fer": [2], "coeff": '
+            '[{"q": [-128, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 1], '
+            '"fer": [2], "coeff": [{"q": [192, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [6, 0], "fer": [2], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4, 2], "fer": [2], '
+            '"coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, '
+            '4], "fer": [2], "coeff": [{"q": [-16, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0, 6], "fer": [2], "coeff": [{"q": [-16, 1, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [4, 0], "fer": [2], "coeff": '
+            '[{"q": [-128, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 4], '
+            '"fer": [2], "coeff": [{"q": [128, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [2, 0], "fer": [2], "coeff": [{"q": [192, 1, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [2], "coeff": '
+            '[{"q": [-192, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [4, 3], "fer": [], "coeff": [{"q": '
+            '[-32, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4, 1], "fer": [1, '
+            '2], "coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2, 5], "fer": [], "coeff": [{"q": [-64, 3, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2, 3], "fer": [1, 2], "coeff": [{"q": '
+            '[160, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 7], "fer": [], '
+            '"coeff": [{"q": [-32, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 5], "fer": [1, 2], "coeff": [{"q": [112, 3, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2, 3], "fer": [], "coeff": [{"q": [256, '
+            '3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 1], "fer": [1, 2], '
+            '"coeff": [{"q": [-128, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 5], "fer": [], "coeff": [{"q": [256, 3, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0, 3], "fer": [1, 2], "coeff": [{"q": '
+            '[-640, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": '
+            '[], "coeff": [{"q": [-128, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 1], "fer": [1, 2], "coeff": [{"q": [192, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
+            'true, "terms": [{"bos": [5, 2], "fer": [], "coeff": [{"q": '
+            '[-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [5, 0], "fer": [1, '
+            '2], "coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[3, 4], "fer": [], "coeff": [{"q": [-64, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [3, 2], "fer": [1, 2], "coeff": [{"q": '
+            '[96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 6], "fer": [], '
+            '"coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[1, 4], "fer": [1, 2], "coeff": [{"q": [80, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [3, 2], "fer": [], "coeff": [{"q": [256, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 0], "fer": [1, 2], '
+            '"coeff": [{"q": [-128, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[1, 4], "fer": [], "coeff": [{"q": [256, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1, 2], "fer": [1, 2], "coeff": [{"q": '
+            '[-384, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": '
+            '[], "coeff": [{"q": [-384, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [1, 0], "fer": [1, 2], "coeff": [{"q": [192, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}',
+            '16 x_{1}^{6}x_{2} e^{x^2/2} + 80/3 x_{1}^{4}x_{2}^{3} e^{x^2/2} '
+            '+ -32 x_{1}^{4}x_{2}q_{1}q_{2} e^{x^2/2} + 16/3 '
+            'x_{1}^{2}x_{2}^{5} e^{x^2/2} + -64/3 '
+            'x_{1}^{2}x_{2}^{3}q_{1}q_{2} e^{x^2/2} + -16/3 x_{2}^{7} '
+            'e^{x^2/2} + 32/3 x_{2}^{5}q_{1}q_{2} e^{x^2/2} + -128 '
+            'x_{1}^{4}x_{2} e^{x^2/2} + -256/3 x_{1}^{2}x_{2}^{3} e^{x^2/2} '
+            '+ 128 x_{1}^{2}x_{2}q_{1}q_{2} e^{x^2/2} + 128/3 x_{2}^{5} '
+            'e^{x^2/2} + -128/3 x_{2}^{3}q_{1}q_{2} e^{x^2/2} + 192 '
+            'x_{1}^{2}x_{2} e^{x^2/2} + -64 x_{2}^{3} e^{x^2/2}\n'
+            '16 x_{1}^{7} e^{x^2/2} + -16 x_{1}^{5}x_{2}^{2} e^{x^2/2} + -32 '
+            'x_{1}^{5}q_{1}q_{2} e^{x^2/2} + -80 x_{1}^{3}x_{2}^{4} '
+            'e^{x^2/2} + 64 x_{1}^{3}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + -48 '
+            'x_{1}x_{2}^{6} e^{x^2/2} + 96 x_{1}x_{2}^{4}q_{1}q_{2} '
+            'e^{x^2/2} + -128 x_{1}^{5} e^{x^2/2} + 256 x_{1}^{3}x_{2}^{2} '
+            'e^{x^2/2} + 128 x_{1}^{3}q_{1}q_{2} e^{x^2/2} + 384 '
+            'x_{1}x_{2}^{4} e^{x^2/2} + -384 x_{1}x_{2}^{2}q_{1}q_{2} '
+            'e^{x^2/2} + 192 x_{1}^{3} e^{x^2/2} + -576 x_{1}x_{2}^{2} '
+            'e^{x^2/2}\n'
+            '16 x_{1}^{5}x_{2}q_{1} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{3}q_{1} '
+            'e^{x^2/2} + 16 x_{1}x_{2}^{5}q_{1} e^{x^2/2} + -128 '
+            'x_{1}^{3}x_{2}q_{1} e^{x^2/2} + -128 x_{1}x_{2}^{3}q_{1} '
+            'e^{x^2/2} + 192 x_{1}x_{2}q_{1} e^{x^2/2}\n'
+            '16 x_{1}^{6}q_{1} e^{x^2/2} + 16 x_{1}^{4}x_{2}^{2}q_{1} '
+            'e^{x^2/2} + -16 x_{1}^{2}x_{2}^{4}q_{1} e^{x^2/2} + -16 '
+            'x_{2}^{6}q_{1} e^{x^2/2} + -128 x_{1}^{4}q_{1} e^{x^2/2} + 128 '
+            'x_{2}^{4}q_{1} e^{x^2/2} + 192 x_{1}^{2}q_{1} e^{x^2/2} + -192 '
+            'x_{2}^{2}q_{1} e^{x^2/2}\n'
+            '16 x_{1}^{5}x_{2}q_{2} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{3}q_{2} '
+            'e^{x^2/2} + 16 x_{1}x_{2}^{5}q_{2} e^{x^2/2} + -128 '
+            'x_{1}^{3}x_{2}q_{2} e^{x^2/2} + -128 x_{1}x_{2}^{3}q_{2} '
+            'e^{x^2/2} + 192 x_{1}x_{2}q_{2} e^{x^2/2}\n'
+            '16 x_{1}^{6}q_{2} e^{x^2/2} + 16 x_{1}^{4}x_{2}^{2}q_{2} '
+            'e^{x^2/2} + -16 x_{1}^{2}x_{2}^{4}q_{2} e^{x^2/2} + -16 '
+            'x_{2}^{6}q_{2} e^{x^2/2} + -128 x_{1}^{4}q_{2} e^{x^2/2} + 128 '
+            'x_{2}^{4}q_{2} e^{x^2/2} + 192 x_{1}^{2}q_{2} e^{x^2/2} + -192 '
+            'x_{2}^{2}q_{2} e^{x^2/2}\n'
+            '-32/3 x_{1}^{4}x_{2}^{3} e^{x^2/2} + 16 '
+            'x_{1}^{4}x_{2}q_{1}q_{2} e^{x^2/2} + -64/3 x_{1}^{2}x_{2}^{5} '
+            'e^{x^2/2} + 160/3 x_{1}^{2}x_{2}^{3}q_{1}q_{2} e^{x^2/2} + '
+            '-32/3 x_{2}^{7} e^{x^2/2} + 112/3 x_{2}^{5}q_{1}q_{2} e^{x^2/2} '
+            '+ 256/3 x_{1}^{2}x_{2}^{3} e^{x^2/2} + -128 '
+            'x_{1}^{2}x_{2}q_{1}q_{2} e^{x^2/2} + 256/3 x_{2}^{5} e^{x^2/2} '
+            '+ -640/3 x_{2}^{3}q_{1}q_{2} e^{x^2/2} + -128 x_{2}^{3} '
+            'e^{x^2/2} + 192 x_{2}q_{1}q_{2} e^{x^2/2}\n'
+            '-32 x_{1}^{5}x_{2}^{2} e^{x^2/2} + 16 x_{1}^{5}q_{1}q_{2} '
+            'e^{x^2/2} + -64 x_{1}^{3}x_{2}^{4} e^{x^2/2} + 96 '
+            'x_{1}^{3}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + -32 x_{1}x_{2}^{6} '
+            'e^{x^2/2} + 80 x_{1}x_{2}^{4}q_{1}q_{2} e^{x^2/2} + 256 '
+            'x_{1}^{3}x_{2}^{2} e^{x^2/2} + -128 x_{1}^{3}q_{1}q_{2} '
+            'e^{x^2/2} + 256 x_{1}x_{2}^{4} e^{x^2/2} + -384 '
+            'x_{1}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + -384 x_{1}x_{2}^{2} '
+            'e^{x^2/2} + 192 x_{1}q_{1}q_{2} e^{x^2/2}',
+        ),
+        (
+            'degree 3: dim nullspace 8, dim formula 8 [ok]',
+            '{"k": 3, "dim_nullspace": 8, "dim_formula": 8, "dims_match": '
+            'true, "product_failures": [], "products_harmonic": true, '
+            '"schema": "supertransform/1", "basis": [{"schema": '
+            '"supertransform/1", "m": 2, "n": 1, "envelope": false, "terms": '
+            '[{"bos": [2, 1], "fer": [], "coeff": [{"q": [1, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [0, 3], "fer": [], "coeff": [{"q": [-1, '
+            '3, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": "supertransform/1", '
+            '"m": 2, "n": 1, "envelope": false, "terms": [{"bos": [3, 0], '
+            '"fer": [], "coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [1, 2], "fer": [], "coeff": [{"q": [-3, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}, {"schema": "supertransform/1", "m": 2, "n": '
+            '1, "envelope": false, "terms": [{"bos": [1, 1], "fer": [1], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 2, "n": 1, "envelope": false, "terms": '
+            '[{"bos": [2, 0], "fer": [1], "coeff": [{"q": [1, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [0, 2], "fer": [1], "coeff": [{"q": '
+            '[-1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 2, "n": 1, "envelope": false, "terms": '
+            '[{"bos": [1, 1], "fer": [2], "coeff": [{"q": [1, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}, {"schema": "supertransform/1", "m": 2, "n": '
+            '1, "envelope": false, "terms": [{"bos": [2, 0], "fer": [2], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '2], "fer": [2], "coeff": [{"q": [-1, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}, {"schema": "supertransform/1", "m": 2, "n": 1, '
+            '"envelope": false, "terms": [{"bos": [0, 3], "fer": [], '
+            '"coeff": [{"q": [-2, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '1], "fer": [1, 2], "coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}, {"schema": "supertransform/1", "m": 2, "n": 1, '
+            '"envelope": false, "terms": [{"bos": [1, 2], "fer": [], '
+            '"coeff": [{"q": [-2, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, '
+            '0], "fer": [1, 2], "coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}]}',
+            'degree 3: dim nullspace 8, dim formula 8 [ok]',
+        ),
+    ),
+    (2, 2, 0): (
+        (
+            'G',
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [0, 0], "fer": [], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}',
+            '1  e^{x^2/2}',
+        ),
+        (
+            '-4*x1^2*G - 4*x2^2*G + 4*q1q2*G + 4*q3q4*G - 4*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [2, 0], "fer": [], "coeff": [{"q": [-4, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '0], "fer": [1, 2], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0, 0], "fer": [3, 4], "coeff": [{"q": [4, 1, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [], "coeff": '
+            '[{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}]}',
+            '-4 x_{1}^{2} e^{x^2/2} + -4 x_{2}^{2} e^{x^2/2} + 4 q_{1}q_{2} '
+            'e^{x^2/2} + 4 q_{3}q_{4} e^{x^2/2} + -4  e^{x^2/2}',
+        ),
+        (
+            '16*x1^4*G + 32*x1^2*x2^2*G - 32*x1^2*q1q2*G - 32*x1^2*q3q4*G + '
+            '16*x2^4*G - 32*x2^2*q1q2*G - 32*x2^2*q3q4*G + 32*q1q2q3q4*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [4, 0], "fer": [], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 2], "fer": [], '
+            '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, '
+            '0], "fer": [1, 2], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2, 0], "fer": [3, 4], "coeff": [{"q": '
+            '[-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 4], "fer": [], '
+            '"coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '2], "fer": [1, 2], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0, 2], "fer": [3, 4], "coeff": [{"q": '
+            '[-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [1, '
+            '2, 3, 4], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}]}',
+            '16 x_{1}^{4} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{2} e^{x^2/2} + -32 '
+            'x_{1}^{2}q_{1}q_{2} e^{x^2/2} + -32 x_{1}^{2}q_{3}q_{4} '
+            'e^{x^2/2} + 16 x_{2}^{4} e^{x^2/2} + -32 x_{2}^{2}q_{1}q_{2} '
+            'e^{x^2/2} + -32 x_{2}^{2}q_{3}q_{4} e^{x^2/2} + 32 '
+            'q_{1}q_{2}q_{3}q_{4} e^{x^2/2}',
+        ),
+        (
+            'degree 0: dim nullspace 1, dim formula 1 [ok]',
+            '{"k": 0, "dim_nullspace": 1, "dim_formula": 1, "dims_match": '
+            'true, "product_failures": [], "products_harmonic": true, '
+            '"schema": "supertransform/1", "basis": [{"schema": '
+            '"supertransform/1", "m": 2, "n": 2, "envelope": false, "terms": '
+            '[{"bos": [0, 0], "fer": [], "coeff": [{"q": [1, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}]}',
+            'degree 0: dim nullspace 1, dim formula 1 [ok]',
+        ),
+    ),
+    (2, 2, 1): (
+        (
+            'x2*G\nx1*G\nq1*G\nq2*G\nq3*G\nq4*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [0, 1], "fer": [], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [1, 0], "fer": [], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [0, 0], "fer": [1], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [0, 0], "fer": [2], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [0, 0], "fer": [3], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [0, 0], "fer": [4], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}',
+            '1 x_{2} e^{x^2/2}\n'
+            '1 x_{1} e^{x^2/2}\n'
+            '1 q_{1} e^{x^2/2}\n'
+            '1 q_{2} e^{x^2/2}\n1 q_{3} e^{x^2/2}\n1 q_{4} e^{x^2/2}',
+        ),
+        (
+            '-4*x1^2*x2*G - 4*x2^3*G + 4*x2*q1q2*G + 4*x2*q3q4*G\n'
+            '-4*x1^3*G - 4*x1*x2^2*G + 4*x1*q1q2*G + 4*x1*q3q4*G\n'
+            '-4*x1^2*q1*G - 4*x2^2*q1*G + 4*q1q3q4*G\n'
+            '-4*x1^2*q2*G - 4*x2^2*q2*G + 4*q2q3q4*G\n'
+            '-4*x1^2*q3*G - 4*x2^2*q3*G + 4*q1q2q3*G\n'
+            '-4*x1^2*q4*G - 4*x2^2*q4*G + 4*q1q2q4*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [2, 1], "fer": [], "coeff": [{"q": [-4, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '1], "fer": [1, 2], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0, 1], "fer": [3, 4], "coeff": [{"q": [4, 1, 0, '
+            '1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [3, 0], "fer": [], "coeff": [{"q": [-4, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, '
+            '0], "fer": [1, 2], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [1, 0], "fer": [3, 4], "coeff": [{"q": [4, 1, 0, '
+            '1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [2, 0], "fer": [1], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [1], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '0], "fer": [1, 3, 4], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [2, 0], "fer": [2], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [2], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '0], "fer": [2, 3, 4], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [2, 0], "fer": [3], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [3], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '0], "fer": [1, 2, 3], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [2, 0], "fer": [4], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [4], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '0], "fer": [1, 2, 4], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}',
+            '-4 x_{1}^{2}x_{2} e^{x^2/2} + -4 x_{2}^{3} e^{x^2/2} + 4 '
+            'x_{2}q_{1}q_{2} e^{x^2/2} + 4 x_{2}q_{3}q_{4} e^{x^2/2}\n'
+            '-4 x_{1}^{3} e^{x^2/2} + -4 x_{1}x_{2}^{2} e^{x^2/2} + 4 '
+            'x_{1}q_{1}q_{2} e^{x^2/2} + 4 x_{1}q_{3}q_{4} e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{1} e^{x^2/2} + -4 x_{2}^{2}q_{1} e^{x^2/2} + 4 '
+            'q_{1}q_{3}q_{4} e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{2} e^{x^2/2} + -4 x_{2}^{2}q_{2} e^{x^2/2} + 4 '
+            'q_{2}q_{3}q_{4} e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{3} e^{x^2/2} + -4 x_{2}^{2}q_{3} e^{x^2/2} + 4 '
+            'q_{1}q_{2}q_{3} e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{4} e^{x^2/2} + -4 x_{2}^{2}q_{4} e^{x^2/2} + 4 '
+            'q_{1}q_{2}q_{4} e^{x^2/2}',
+        ),
+        (
+            '16*x1^4*x2*G + 32*x1^2*x2^3*G - 32*x1^2*x2*q1q2*G - '
+            '32*x1^2*x2*q3q4*G + 16*x2^5*G - 32*x2^3*q1q2*G - 32*x2^3*q3q4*G '
+            '+ 32*x2*q1q2q3q4*G - 32*x1^2*x2*G - 32*x2^3*G + 32*x2*q1q2*G + '
+            '32*x2*q3q4*G\n'
+            '16*x1^5*G + 32*x1^3*x2^2*G - 32*x1^3*q1q2*G - 32*x1^3*q3q4*G + '
+            '16*x1*x2^4*G - 32*x1*x2^2*q1q2*G - 32*x1*x2^2*q3q4*G + '
+            '32*x1*q1q2q3q4*G - 32*x1^3*G - 32*x1*x2^2*G + 32*x1*q1q2*G + '
+            '32*x1*q3q4*G\n'
+            '16*x1^4*q1*G + 32*x1^2*x2^2*q1*G - 32*x1^2*q1q3q4*G + '
+            '16*x2^4*q1*G - 32*x2^2*q1q3q4*G - 32*x1^2*q1*G - 32*x2^2*q1*G + '
+            '32*q1q3q4*G\n'
+            '16*x1^4*q2*G + 32*x1^2*x2^2*q2*G - 32*x1^2*q2q3q4*G + '
+            '16*x2^4*q2*G - 32*x2^2*q2q3q4*G - 32*x1^2*q2*G - 32*x2^2*q2*G + '
+            '32*q2q3q4*G\n'
+            '16*x1^4*q3*G + 32*x1^2*x2^2*q3*G - 32*x1^2*q1q2q3*G + '
+            '16*x2^4*q3*G - 32*x2^2*q1q2q3*G - 32*x1^2*q3*G - 32*x2^2*q3*G + '
+            '32*q1q2q3*G\n'
+            '16*x1^4*q4*G + 32*x1^2*x2^2*q4*G - 32*x1^2*q1q2q4*G + '
+            '16*x2^4*q4*G - 32*x2^2*q1q2q4*G - 32*x1^2*q4*G - 32*x2^2*q4*G + '
+            '32*q1q2q4*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [4, 1], "fer": [], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 3], "fer": [], '
+            '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, '
+            '1], "fer": [1, 2], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2, 1], "fer": [3, 4], "coeff": [{"q": '
+            '[-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 5], "fer": [], '
+            '"coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '3], "fer": [1, 2], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0, 3], "fer": [3, 4], "coeff": [{"q": '
+            '[-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 1], "fer": [1, '
+            '2, 3, 4], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2, 1], "fer": [], "coeff": [{"q": [-32, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [0, 3], "fer": [], "coeff": [{"q": '
+            '[-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 1], "fer": [1, '
+            '2], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 1], "fer": [3, 4], "coeff": [{"q": [32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [5, 0], "fer": [], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 2], "fer": [], '
+            '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, '
+            '0], "fer": [1, 2], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [3, 0], "fer": [3, 4], "coeff": [{"q": '
+            '[-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 4], "fer": [], '
+            '"coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, '
+            '2], "fer": [1, 2], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1, 2], "fer": [3, 4], "coeff": [{"q": '
+            '[-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 0], "fer": [1, '
+            '2, 3, 4], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [3, 0], "fer": [], "coeff": [{"q": [-32, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [1, 2], "fer": [], "coeff": [{"q": '
+            '[-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 0], "fer": [1, '
+            '2], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[1, 0], "fer": [3, 4], "coeff": [{"q": [32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [4, 0], "fer": [1], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 2], "fer": [1], '
+            '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, '
+            '0], "fer": [1, 3, 4], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0, 4], "fer": [1], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [1, 3, '
+            '4], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2, 0], "fer": [1], "coeff": [{"q": [-32, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [1], "coeff": '
+            '[{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], '
+            '"fer": [1, 3, 4], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [4, 0], "fer": [2], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 2], "fer": [2], '
+            '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, '
+            '0], "fer": [2, 3, 4], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0, 4], "fer": [2], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [2, 3, '
+            '4], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2, 0], "fer": [2], "coeff": [{"q": [-32, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [2], "coeff": '
+            '[{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], '
+            '"fer": [2, 3, 4], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [4, 0], "fer": [3], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 2], "fer": [3], '
+            '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, '
+            '0], "fer": [1, 2, 3], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0, 4], "fer": [3], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [1, 2, '
+            '3], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2, 0], "fer": [3], "coeff": [{"q": [-32, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [3], "coeff": '
+            '[{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], '
+            '"fer": [1, 2, 3], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [4, 0], "fer": [4], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 2], "fer": [4], '
+            '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, '
+            '0], "fer": [1, 2, 4], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0, 4], "fer": [4], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [1, 2, '
+            '4], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2, 0], "fer": [4], "coeff": [{"q": [-32, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [4], "coeff": '
+            '[{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], '
+            '"fer": [1, 2, 4], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}',
+            '16 x_{1}^{4}x_{2} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{3} e^{x^2/2} + '
+            '-32 x_{1}^{2}x_{2}q_{1}q_{2} e^{x^2/2} + -32 '
+            'x_{1}^{2}x_{2}q_{3}q_{4} e^{x^2/2} + 16 x_{2}^{5} e^{x^2/2} + '
+            '-32 x_{2}^{3}q_{1}q_{2} e^{x^2/2} + -32 x_{2}^{3}q_{3}q_{4} '
+            'e^{x^2/2} + 32 x_{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -32 '
+            'x_{1}^{2}x_{2} e^{x^2/2} + -32 x_{2}^{3} e^{x^2/2} + 32 '
+            'x_{2}q_{1}q_{2} e^{x^2/2} + 32 x_{2}q_{3}q_{4} e^{x^2/2}\n'
+            '16 x_{1}^{5} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{2} e^{x^2/2} + -32 '
+            'x_{1}^{3}q_{1}q_{2} e^{x^2/2} + -32 x_{1}^{3}q_{3}q_{4} '
+            'e^{x^2/2} + 16 x_{1}x_{2}^{4} e^{x^2/2} + -32 '
+            'x_{1}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + -32 '
+            'x_{1}x_{2}^{2}q_{3}q_{4} e^{x^2/2} + 32 '
+            'x_{1}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -32 x_{1}^{3} e^{x^2/2} + '
+            '-32 x_{1}x_{2}^{2} e^{x^2/2} + 32 x_{1}q_{1}q_{2} e^{x^2/2} + '
+            '32 x_{1}q_{3}q_{4} e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{1} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{2}q_{1} '
+            'e^{x^2/2} + -32 x_{1}^{2}q_{1}q_{3}q_{4} e^{x^2/2} + 16 '
+            'x_{2}^{4}q_{1} e^{x^2/2} + -32 x_{2}^{2}q_{1}q_{3}q_{4} '
+            'e^{x^2/2} + -32 x_{1}^{2}q_{1} e^{x^2/2} + -32 x_{2}^{2}q_{1} '
+            'e^{x^2/2} + 32 q_{1}q_{3}q_{4} e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{2} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{2}q_{2} '
+            'e^{x^2/2} + -32 x_{1}^{2}q_{2}q_{3}q_{4} e^{x^2/2} + 16 '
+            'x_{2}^{4}q_{2} e^{x^2/2} + -32 x_{2}^{2}q_{2}q_{3}q_{4} '
+            'e^{x^2/2} + -32 x_{1}^{2}q_{2} e^{x^2/2} + -32 x_{2}^{2}q_{2} '
+            'e^{x^2/2} + 32 q_{2}q_{3}q_{4} e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{3} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{2}q_{3} '
+            'e^{x^2/2} + -32 x_{1}^{2}q_{1}q_{2}q_{3} e^{x^2/2} + 16 '
+            'x_{2}^{4}q_{3} e^{x^2/2} + -32 x_{2}^{2}q_{1}q_{2}q_{3} '
+            'e^{x^2/2} + -32 x_{1}^{2}q_{3} e^{x^2/2} + -32 x_{2}^{2}q_{3} '
+            'e^{x^2/2} + 32 q_{1}q_{2}q_{3} e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{4} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{2}q_{4} '
+            'e^{x^2/2} + -32 x_{1}^{2}q_{1}q_{2}q_{4} e^{x^2/2} + 16 '
+            'x_{2}^{4}q_{4} e^{x^2/2} + -32 x_{2}^{2}q_{1}q_{2}q_{4} '
+            'e^{x^2/2} + -32 x_{1}^{2}q_{4} e^{x^2/2} + -32 x_{2}^{2}q_{4} '
+            'e^{x^2/2} + 32 q_{1}q_{2}q_{4} e^{x^2/2}',
+        ),
+        (
+            'degree 1: dim nullspace 6, dim formula 6 [ok]',
+            '{"k": 1, "dim_nullspace": 6, "dim_formula": 6, "dims_match": '
+            'true, "product_failures": [], "products_harmonic": true, '
+            '"schema": "supertransform/1", "basis": [{"schema": '
+            '"supertransform/1", "m": 2, "n": 2, "envelope": false, "terms": '
+            '[{"bos": [0, 1], "fer": [], "coeff": [{"q": [1, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}, {"schema": "supertransform/1", "m": 2, "n": '
+            '2, "envelope": false, "terms": [{"bos": [1, 0], "fer": [], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 2, "n": 2, "envelope": false, "terms": '
+            '[{"bos": [0, 0], "fer": [1], "coeff": [{"q": [1, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}, {"schema": "supertransform/1", "m": 2, "n": '
+            '2, "envelope": false, "terms": [{"bos": [0, 0], "fer": [2], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 2, "n": 2, "envelope": false, "terms": '
+            '[{"bos": [0, 0], "fer": [3], "coeff": [{"q": [1, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}, {"schema": "supertransform/1", "m": 2, "n": '
+            '2, "envelope": false, "terms": [{"bos": [0, 0], "fer": [4], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}]}',
+            'degree 1: dim nullspace 6, dim formula 6 [ok]',
+        ),
+    ),
+    (2, 2, 2): (
+        (
+            'x1*x2*G\n'
+            'x1^2*G - x2^2*G\n'
+            'x2*q1*G\n'
+            'x1*q1*G\n'
+            'x2*q2*G\n'
+            'x1*q2*G\n'
+            'x2*q3*G\n'
+            'x1*q3*G\n'
+            'x2*q4*G\n'
+            'x1*q4*G\n'
+            '-2*x2^2*G + q1q2*G\n'
+            'q1q3*G\nq2q3*G\nq1q4*G\nq2q4*G\n-2*x2^2*G + q3q4*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [1, 1], "fer": [], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [2, 0], "fer": [], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [], '
+            '"coeff": [{"q": [-1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [0, 1], "fer": [1], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [1, 0], "fer": [1], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [0, 1], "fer": [2], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [1, 0], "fer": [2], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [0, 1], "fer": [3], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [1, 0], "fer": [3], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [0, 1], "fer": [4], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [1, 0], "fer": [4], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [0, 2], "fer": [], "coeff": [{"q": [-2, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [1, 2], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [0, 0], "fer": [1, 3], "coeff": [{"q": '
+            '[1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [0, 0], "fer": [2, 3], "coeff": [{"q": '
+            '[1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [0, 0], "fer": [1, 4], "coeff": [{"q": '
+            '[1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [0, 0], "fer": [2, 4], "coeff": [{"q": '
+            '[1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [0, 2], "fer": [], "coeff": [{"q": [-2, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [3, 4], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}',
+            '1 x_{1}x_{2} e^{x^2/2}\n'
+            '1 x_{1}^{2} e^{x^2/2} + -1 x_{2}^{2} e^{x^2/2}\n'
+            '1 x_{2}q_{1} e^{x^2/2}\n'
+            '1 x_{1}q_{1} e^{x^2/2}\n'
+            '1 x_{2}q_{2} e^{x^2/2}\n'
+            '1 x_{1}q_{2} e^{x^2/2}\n'
+            '1 x_{2}q_{3} e^{x^2/2}\n'
+            '1 x_{1}q_{3} e^{x^2/2}\n'
+            '1 x_{2}q_{4} e^{x^2/2}\n'
+            '1 x_{1}q_{4} e^{x^2/2}\n'
+            '-2 x_{2}^{2} e^{x^2/2} + 1 q_{1}q_{2} e^{x^2/2}\n'
+            '1 q_{1}q_{3} e^{x^2/2}\n'
+            '1 q_{2}q_{3} e^{x^2/2}\n'
+            '1 q_{1}q_{4} e^{x^2/2}\n'
+            '1 q_{2}q_{4} e^{x^2/2}\n'
+            '-2 x_{2}^{2} e^{x^2/2} + 1 q_{3}q_{4} e^{x^2/2}',
+        ),
+        (
+            '-4*x1^3*x2*G - 4*x1*x2^3*G + 4*x1*x2*q1q2*G + 4*x1*x2*q3q4*G + '
+            '4*x1*x2*G\n'
+            '-4*x1^4*G + 4*x1^2*q1q2*G + 4*x1^2*q3q4*G + 4*x2^4*G - '
+            '4*x2^2*q1q2*G - 4*x2^2*q3q4*G + 4*x1^2*G - 4*x2^2*G\n'
+            '-4*x1^2*x2*q1*G - 4*x2^3*q1*G + 4*x2*q1q3q4*G + 4*x2*q1*G\n'
+            '-4*x1^3*q1*G - 4*x1*x2^2*q1*G + 4*x1*q1q3q4*G + 4*x1*q1*G\n'
+            '-4*x1^2*x2*q2*G - 4*x2^3*q2*G + 4*x2*q2q3q4*G + 4*x2*q2*G\n'
+            '-4*x1^3*q2*G - 4*x1*x2^2*q2*G + 4*x1*q2q3q4*G + 4*x1*q2*G\n'
+            '-4*x1^2*x2*q3*G - 4*x2^3*q3*G + 4*x2*q1q2q3*G + 4*x2*q3*G\n'
+            '-4*x1^3*q3*G - 4*x1*x2^2*q3*G + 4*x1*q1q2q3*G + 4*x1*q3*G\n'
+            '-4*x1^2*x2*q4*G - 4*x2^3*q4*G + 4*x2*q1q2q4*G + 4*x2*q4*G\n'
+            '-4*x1^3*q4*G - 4*x1*x2^2*q4*G + 4*x1*q1q2q4*G + 4*x1*q4*G\n'
+            '8*x1^2*x2^2*G - 4*x1^2*q1q2*G + 8*x2^4*G - 12*x2^2*q1q2*G - '
+            '8*x2^2*q3q4*G + 4*q1q2q3q4*G - 8*x2^2*G + 4*q1q2*G\n'
+            '-4*x1^2*q1q3*G - 4*x2^2*q1q3*G + 4*q1q3*G\n'
+            '-4*x1^2*q2q3*G - 4*x2^2*q2q3*G + 4*q2q3*G\n'
+            '-4*x1^2*q1q4*G - 4*x2^2*q1q4*G + 4*q1q4*G\n'
+            '-4*x1^2*q2q4*G - 4*x2^2*q2q4*G + 4*q2q4*G\n'
+            '8*x1^2*x2^2*G - 4*x1^2*q3q4*G + 8*x2^4*G - 8*x2^2*q1q2*G - '
+            '12*x2^2*q3q4*G + 4*q1q2q3q4*G - 8*x2^2*G + 4*q3q4*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [3, 1], "fer": [], "coeff": [{"q": [-4, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 3], "fer": [], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, '
+            '1], "fer": [1, 2], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [1, 1], "fer": [3, 4], "coeff": [{"q": [4, 1, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [1, 1], "fer": [], "coeff": '
+            '[{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [4, 0], "fer": [], "coeff": [{"q": [-4, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 0], "fer": [1, 2], '
+            '"coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, '
+            '0], "fer": [3, 4], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0, 4], "fer": [], "coeff": [{"q": [4, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [1, 2], "coeff": '
+            '[{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], '
+            '"fer": [3, 4], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [2, 0], "fer": [], "coeff": [{"q": [4, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [2, 1], "fer": [1], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [1], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '1], "fer": [1, 3, 4], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0, 1], "fer": [1], "coeff": [{"q": [4, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [3, 0], "fer": [1], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [1], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, '
+            '0], "fer": [1, 3, 4], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1, 0], "fer": [1], "coeff": [{"q": [4, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [2, 1], "fer": [2], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [2], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '1], "fer": [2, 3, 4], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0, 1], "fer": [2], "coeff": [{"q": [4, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [3, 0], "fer": [2], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [2], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, '
+            '0], "fer": [2, 3, 4], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1, 0], "fer": [2], "coeff": [{"q": [4, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [2, 1], "fer": [3], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [3], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '1], "fer": [1, 2, 3], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0, 1], "fer": [3], "coeff": [{"q": [4, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [3, 0], "fer": [3], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [3], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, '
+            '0], "fer": [1, 2, 3], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1, 0], "fer": [3], "coeff": [{"q": [4, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [2, 1], "fer": [4], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [4], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '1], "fer": [1, 2, 4], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0, 1], "fer": [4], "coeff": [{"q": [4, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [3, 0], "fer": [4], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [4], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, '
+            '0], "fer": [1, 2, 4], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1, 0], "fer": [4], "coeff": [{"q": [4, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [2, 2], "fer": [], "coeff": [{"q": [8, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 0], "fer": [1, 2], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '4], "fer": [], "coeff": [{"q": [8, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0, 2], "fer": [1, 2], "coeff": [{"q": [-12, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [3, 4], '
+            '"coeff": [{"q": [-8, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '0], "fer": [1, 2, 3, 4], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0, 2], "fer": [], "coeff": [{"q": [-8, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [1, 2], '
+            '"coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [2, 0], "fer": [1, 3], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [1, '
+            '3], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 0], "fer": [1, 3], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [2, 0], "fer": [2, 3], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [2, '
+            '3], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 0], "fer": [2, 3], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [2, 0], "fer": [1, 4], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [1, '
+            '4], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 0], "fer": [1, 4], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [2, 0], "fer": [2, 4], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [2, '
+            '4], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 0], "fer": [2, 4], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [2, 2], "fer": [], "coeff": [{"q": [8, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 0], "fer": [3, 4], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '4], "fer": [], "coeff": [{"q": [8, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0, 2], "fer": [1, 2], "coeff": [{"q": [-8, 1, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [3, 4], '
+            '"coeff": [{"q": [-12, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 0], "fer": [1, 2, 3, 4], "coeff": [{"q": [4, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [0, 2], "fer": [], "coeff": [{"q": [-8, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [3, 4], '
+            '"coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}]}',
+            '-4 x_{1}^{3}x_{2} e^{x^2/2} + -4 x_{1}x_{2}^{3} e^{x^2/2} + 4 '
+            'x_{1}x_{2}q_{1}q_{2} e^{x^2/2} + 4 x_{1}x_{2}q_{3}q_{4} '
+            'e^{x^2/2} + 4 x_{1}x_{2} e^{x^2/2}\n'
+            '-4 x_{1}^{4} e^{x^2/2} + 4 x_{1}^{2}q_{1}q_{2} e^{x^2/2} + 4 '
+            'x_{1}^{2}q_{3}q_{4} e^{x^2/2} + 4 x_{2}^{4} e^{x^2/2} + -4 '
+            'x_{2}^{2}q_{1}q_{2} e^{x^2/2} + -4 x_{2}^{2}q_{3}q_{4} '
+            'e^{x^2/2} + 4 x_{1}^{2} e^{x^2/2} + -4 x_{2}^{2} e^{x^2/2}\n'
+            '-4 x_{1}^{2}x_{2}q_{1} e^{x^2/2} + -4 x_{2}^{3}q_{1} e^{x^2/2} '
+            '+ 4 x_{2}q_{1}q_{3}q_{4} e^{x^2/2} + 4 x_{2}q_{1} e^{x^2/2}\n'
+            '-4 x_{1}^{3}q_{1} e^{x^2/2} + -4 x_{1}x_{2}^{2}q_{1} e^{x^2/2} '
+            '+ 4 x_{1}q_{1}q_{3}q_{4} e^{x^2/2} + 4 x_{1}q_{1} e^{x^2/2}\n'
+            '-4 x_{1}^{2}x_{2}q_{2} e^{x^2/2} + -4 x_{2}^{3}q_{2} e^{x^2/2} '
+            '+ 4 x_{2}q_{2}q_{3}q_{4} e^{x^2/2} + 4 x_{2}q_{2} e^{x^2/2}\n'
+            '-4 x_{1}^{3}q_{2} e^{x^2/2} + -4 x_{1}x_{2}^{2}q_{2} e^{x^2/2} '
+            '+ 4 x_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 4 x_{1}q_{2} e^{x^2/2}\n'
+            '-4 x_{1}^{2}x_{2}q_{3} e^{x^2/2} + -4 x_{2}^{3}q_{3} e^{x^2/2} '
+            '+ 4 x_{2}q_{1}q_{2}q_{3} e^{x^2/2} + 4 x_{2}q_{3} e^{x^2/2}\n'
+            '-4 x_{1}^{3}q_{3} e^{x^2/2} + -4 x_{1}x_{2}^{2}q_{3} e^{x^2/2} '
+            '+ 4 x_{1}q_{1}q_{2}q_{3} e^{x^2/2} + 4 x_{1}q_{3} e^{x^2/2}\n'
+            '-4 x_{1}^{2}x_{2}q_{4} e^{x^2/2} + -4 x_{2}^{3}q_{4} e^{x^2/2} '
+            '+ 4 x_{2}q_{1}q_{2}q_{4} e^{x^2/2} + 4 x_{2}q_{4} e^{x^2/2}\n'
+            '-4 x_{1}^{3}q_{4} e^{x^2/2} + -4 x_{1}x_{2}^{2}q_{4} e^{x^2/2} '
+            '+ 4 x_{1}q_{1}q_{2}q_{4} e^{x^2/2} + 4 x_{1}q_{4} e^{x^2/2}\n'
+            '8 x_{1}^{2}x_{2}^{2} e^{x^2/2} + -4 x_{1}^{2}q_{1}q_{2} '
+            'e^{x^2/2} + 8 x_{2}^{4} e^{x^2/2} + -12 x_{2}^{2}q_{1}q_{2} '
+            'e^{x^2/2} + -8 x_{2}^{2}q_{3}q_{4} e^{x^2/2} + 4 '
+            'q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -8 x_{2}^{2} e^{x^2/2} + 4 '
+            'q_{1}q_{2} e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{1}q_{3} e^{x^2/2} + -4 x_{2}^{2}q_{1}q_{3} '
+            'e^{x^2/2} + 4 q_{1}q_{3} e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{2}q_{3} e^{x^2/2} + -4 x_{2}^{2}q_{2}q_{3} '
+            'e^{x^2/2} + 4 q_{2}q_{3} e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{1}q_{4} e^{x^2/2} + -4 x_{2}^{2}q_{1}q_{4} '
+            'e^{x^2/2} + 4 q_{1}q_{4} e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{2}q_{4} e^{x^2/2} + -4 x_{2}^{2}q_{2}q_{4} '
+            'e^{x^2/2} + 4 q_{2}q_{4} e^{x^2/2}\n'
+            '8 x_{1}^{2}x_{2}^{2} e^{x^2/2} + -4 x_{1}^{2}q_{3}q_{4} '
+            'e^{x^2/2} + 8 x_{2}^{4} e^{x^2/2} + -8 x_{2}^{2}q_{1}q_{2} '
+            'e^{x^2/2} + -12 x_{2}^{2}q_{3}q_{4} e^{x^2/2} + 4 '
+            'q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -8 x_{2}^{2} e^{x^2/2} + 4 '
+            'q_{3}q_{4} e^{x^2/2}',
+        ),
+        (
+            '16*x1^5*x2*G + 32*x1^3*x2^3*G - 32*x1^3*x2*q1q2*G - '
+            '32*x1^3*x2*q3q4*G + 16*x1*x2^5*G - 32*x1*x2^3*q1q2*G - '
+            '32*x1*x2^3*q3q4*G + 32*x1*x2*q1q2q3q4*G - 64*x1^3*x2*G - '
+            '64*x1*x2^3*G + 64*x1*x2*q1q2*G + 64*x1*x2*q3q4*G + 32*x1*x2*G\n'
+            '16*x1^6*G + 16*x1^4*x2^2*G - 32*x1^4*q1q2*G - 32*x1^4*q3q4*G - '
+            '16*x1^2*x2^4*G + 32*x1^2*q1q2q3q4*G - 16*x2^6*G + '
+            '32*x2^4*q1q2*G + 32*x2^4*q3q4*G - 32*x2^2*q1q2q3q4*G - '
+            '64*x1^4*G + 64*x1^2*q1q2*G + 64*x1^2*q3q4*G + 64*x2^4*G - '
+            '64*x2^2*q1q2*G - 64*x2^2*q3q4*G + 32*x1^2*G - 32*x2^2*G\n'
+            '16*x1^4*x2*q1*G + 32*x1^2*x2^3*q1*G - 32*x1^2*x2*q1q3q4*G + '
+            '16*x2^5*q1*G - 32*x2^3*q1q3q4*G - 64*x1^2*x2*q1*G - '
+            '64*x2^3*q1*G + 64*x2*q1q3q4*G + 32*x2*q1*G\n'
+            '16*x1^5*q1*G + 32*x1^3*x2^2*q1*G - 32*x1^3*q1q3q4*G + '
+            '16*x1*x2^4*q1*G - 32*x1*x2^2*q1q3q4*G - 64*x1^3*q1*G - '
+            '64*x1*x2^2*q1*G + 64*x1*q1q3q4*G + 32*x1*q1*G\n'
+            '16*x1^4*x2*q2*G + 32*x1^2*x2^3*q2*G - 32*x1^2*x2*q2q3q4*G + '
+            '16*x2^5*q2*G - 32*x2^3*q2q3q4*G - 64*x1^2*x2*q2*G - '
+            '64*x2^3*q2*G + 64*x2*q2q3q4*G + 32*x2*q2*G\n'
+            '16*x1^5*q2*G + 32*x1^3*x2^2*q2*G - 32*x1^3*q2q3q4*G + '
+            '16*x1*x2^4*q2*G - 32*x1*x2^2*q2q3q4*G - 64*x1^3*q2*G - '
+            '64*x1*x2^2*q2*G + 64*x1*q2q3q4*G + 32*x1*q2*G\n'
+            '16*x1^4*x2*q3*G + 32*x1^2*x2^3*q3*G - 32*x1^2*x2*q1q2q3*G + '
+            '16*x2^5*q3*G - 32*x2^3*q1q2q3*G - 64*x1^2*x2*q3*G - '
+            '64*x2^3*q3*G + 64*x2*q1q2q3*G + 32*x2*q3*G\n'
+            '16*x1^5*q3*G + 32*x1^3*x2^2*q3*G - 32*x1^3*q1q2q3*G + '
+            '16*x1*x2^4*q3*G - 32*x1*x2^2*q1q2q3*G - 64*x1^3*q3*G - '
+            '64*x1*x2^2*q3*G + 64*x1*q1q2q3*G + 32*x1*q3*G\n'
+            '16*x1^4*x2*q4*G + 32*x1^2*x2^3*q4*G - 32*x1^2*x2*q1q2q4*G + '
+            '16*x2^5*q4*G - 32*x2^3*q1q2q4*G - 64*x1^2*x2*q4*G - '
+            '64*x2^3*q4*G + 64*x2*q1q2q4*G + 32*x2*q4*G\n'
+            '16*x1^5*q4*G + 32*x1^3*x2^2*q4*G - 32*x1^3*q1q2q4*G + '
+            '16*x1*x2^4*q4*G - 32*x1*x2^2*q1q2q4*G - 64*x1^3*q4*G - '
+            '64*x1*x2^2*q4*G + 64*x1*q1q2q4*G + 32*x1*q4*G\n'
+            '-32*x1^4*x2^2*G + 16*x1^4*q1q2*G - 64*x1^2*x2^4*G + '
+            '96*x1^2*x2^2*q1q2*G + 64*x1^2*x2^2*q3q4*G - 32*x1^2*q1q2q3q4*G '
+            '- 32*x2^6*G + 80*x2^4*q1q2*G + 64*x2^4*q3q4*G - '
+            '96*x2^2*q1q2q3q4*G + 128*x1^2*x2^2*G - 64*x1^2*q1q2*G + '
+            '128*x2^4*G - 192*x2^2*q1q2*G - 128*x2^2*q3q4*G + 64*q1q2q3q4*G '
+            '- 64*x2^2*G + 32*q1q2*G\n'
+            '16*x1^4*q1q3*G + 32*x1^2*x2^2*q1q3*G + 16*x2^4*q1q3*G - '
+            '64*x1^2*q1q3*G - 64*x2^2*q1q3*G + 32*q1q3*G\n'
+            '16*x1^4*q2q3*G + 32*x1^2*x2^2*q2q3*G + 16*x2^4*q2q3*G - '
+            '64*x1^2*q2q3*G - 64*x2^2*q2q3*G + 32*q2q3*G\n'
+            '16*x1^4*q1q4*G + 32*x1^2*x2^2*q1q4*G + 16*x2^4*q1q4*G - '
+            '64*x1^2*q1q4*G - 64*x2^2*q1q4*G + 32*q1q4*G\n'
+            '16*x1^4*q2q4*G + 32*x1^2*x2^2*q2q4*G + 16*x2^4*q2q4*G - '
+            '64*x1^2*q2q4*G - 64*x2^2*q2q4*G + 32*q2q4*G\n'
+            '-32*x1^4*x2^2*G + 16*x1^4*q3q4*G - 64*x1^2*x2^4*G + '
+            '64*x1^2*x2^2*q1q2*G + 96*x1^2*x2^2*q3q4*G - 32*x1^2*q1q2q3q4*G '
+            '- 32*x2^6*G + 64*x2^4*q1q2*G + 80*x2^4*q3q4*G - '
+            '96*x2^2*q1q2q3q4*G + 128*x1^2*x2^2*G - 64*x1^2*q3q4*G + '
+            '128*x2^4*G - 128*x2^2*q1q2*G - 192*x2^2*q3q4*G + 64*q1q2q3q4*G '
+            '- 64*x2^2*G + 32*q3q4*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [5, 1], "fer": [], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 3], "fer": [], '
+            '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, '
+            '1], "fer": [1, 2], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [3, 1], "fer": [3, 4], "coeff": [{"q": '
+            '[-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 5], "fer": [], '
+            '"coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, '
+            '3], "fer": [1, 2], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1, 3], "fer": [3, 4], "coeff": [{"q": '
+            '[-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 1], "fer": [1, '
+            '2, 3, 4], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [3, 1], "fer": [], "coeff": [{"q": [-64, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [1, 3], "fer": [], "coeff": [{"q": '
+            '[-64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 1], "fer": [1, '
+            '2], "coeff": [{"q": [64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[1, 1], "fer": [3, 4], "coeff": [{"q": [64, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1, 1], "fer": [], "coeff": [{"q": [32, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [6, 0], "fer": [], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4, 2], "fer": [], '
+            '"coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4, '
+            '0], "fer": [1, 2], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [4, 0], "fer": [3, 4], "coeff": [{"q": '
+            '[-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 4], "fer": [], '
+            '"coeff": [{"q": [-16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2, 0], "fer": [1, 2, 3, 4], "coeff": [{"q": [32, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0, 6], "fer": [], "coeff": [{"q": '
+            '[-16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 4], "fer": [1, '
+            '2], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 4], "fer": [3, 4], "coeff": [{"q": [32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0, 2], "fer": [1, 2, 3, 4], "coeff": '
+            '[{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4, 0], '
+            '"fer": [], "coeff": [{"q": [-64, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2, 0], "fer": [1, 2], "coeff": [{"q": [64, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [2, 0], "fer": [3, 4], "coeff": '
+            '[{"q": [64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 4], '
+            '"fer": [], "coeff": [{"q": [64, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 2], "fer": [1, 2], "coeff": [{"q": [-64, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [3, 4], "coeff": '
+            '[{"q": [-64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 0], '
+            '"fer": [], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 2], "fer": [], "coeff": [{"q": [-32, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [4, 1], "fer": [1], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 3], "fer": [1], '
+            '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, '
+            '1], "fer": [1, 3, 4], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0, 5], "fer": [1], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [1, 3, '
+            '4], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2, 1], "fer": [1], "coeff": [{"q": [-64, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [1], "coeff": '
+            '[{"q": [-64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 1], '
+            '"fer": [1, 3, 4], "coeff": [{"q": [64, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0, 1], "fer": [1], "coeff": [{"q": [32, 1, 0, '
+            '1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [5, 0], "fer": [1], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 2], "fer": [1], '
+            '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, '
+            '0], "fer": [1, 3, 4], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1, 4], "fer": [1], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [1, 3, '
+            '4], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [3, 0], "fer": [1], "coeff": [{"q": [-64, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [1], "coeff": '
+            '[{"q": [-64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 0], '
+            '"fer": [1, 3, 4], "coeff": [{"q": [64, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [1, 0], "fer": [1], "coeff": [{"q": [32, 1, 0, '
+            '1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [4, 1], "fer": [2], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 3], "fer": [2], '
+            '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, '
+            '1], "fer": [2, 3, 4], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0, 5], "fer": [2], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [2, 3, '
+            '4], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2, 1], "fer": [2], "coeff": [{"q": [-64, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [2], "coeff": '
+            '[{"q": [-64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 1], '
+            '"fer": [2, 3, 4], "coeff": [{"q": [64, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0, 1], "fer": [2], "coeff": [{"q": [32, 1, 0, '
+            '1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [5, 0], "fer": [2], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 2], "fer": [2], '
+            '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, '
+            '0], "fer": [2, 3, 4], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1, 4], "fer": [2], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [2, 3, '
+            '4], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [3, 0], "fer": [2], "coeff": [{"q": [-64, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [2], "coeff": '
+            '[{"q": [-64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 0], '
+            '"fer": [2, 3, 4], "coeff": [{"q": [64, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [1, 0], "fer": [2], "coeff": [{"q": [32, 1, 0, '
+            '1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [4, 1], "fer": [3], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 3], "fer": [3], '
+            '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, '
+            '1], "fer": [1, 2, 3], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0, 5], "fer": [3], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [1, 2, '
+            '3], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2, 1], "fer": [3], "coeff": [{"q": [-64, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [3], "coeff": '
+            '[{"q": [-64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 1], '
+            '"fer": [1, 2, 3], "coeff": [{"q": [64, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0, 1], "fer": [3], "coeff": [{"q": [32, 1, 0, '
+            '1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [5, 0], "fer": [3], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 2], "fer": [3], '
+            '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, '
+            '0], "fer": [1, 2, 3], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1, 4], "fer": [3], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [1, 2, '
+            '3], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [3, 0], "fer": [3], "coeff": [{"q": [-64, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [3], "coeff": '
+            '[{"q": [-64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 0], '
+            '"fer": [1, 2, 3], "coeff": [{"q": [64, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [1, 0], "fer": [3], "coeff": [{"q": [32, 1, 0, '
+            '1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [4, 1], "fer": [4], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 3], "fer": [4], '
+            '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, '
+            '1], "fer": [1, 2, 4], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0, 5], "fer": [4], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [1, 2, '
+            '4], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2, 1], "fer": [4], "coeff": [{"q": [-64, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [4], "coeff": '
+            '[{"q": [-64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 1], '
+            '"fer": [1, 2, 4], "coeff": [{"q": [64, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0, 1], "fer": [4], "coeff": [{"q": [32, 1, 0, '
+            '1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [5, 0], "fer": [4], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 2], "fer": [4], '
+            '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, '
+            '0], "fer": [1, 2, 4], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1, 4], "fer": [4], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [1, 2, '
+            '4], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [3, 0], "fer": [4], "coeff": [{"q": [-64, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [4], "coeff": '
+            '[{"q": [-64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 0], '
+            '"fer": [1, 2, 4], "coeff": [{"q": [64, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [1, 0], "fer": [4], "coeff": [{"q": [32, 1, 0, '
+            '1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [4, 2], "fer": [], "coeff": [{"q": '
+            '[-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4, 0], "fer": [1, '
+            '2], "coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2, 4], "fer": [], "coeff": [{"q": [-64, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2, 2], "fer": [1, 2], "coeff": [{"q": '
+            '[96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 2], "fer": [3, '
+            '4], "coeff": [{"q": [64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2, 0], "fer": [1, 2, 3, 4], "coeff": [{"q": [-32, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0, 6], "fer": [], "coeff": [{"q": '
+            '[-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 4], "fer": [1, '
+            '2], "coeff": [{"q": [80, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 4], "fer": [3, 4], "coeff": [{"q": [64, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0, 2], "fer": [1, 2, 3, 4], "coeff": '
+            '[{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 2], '
+            '"fer": [], "coeff": [{"q": [128, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2, 0], "fer": [1, 2], "coeff": [{"q": [-64, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0, 4], "fer": [], "coeff": [{"q": '
+            '[128, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [1, '
+            '2], "coeff": [{"q": [-192, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 2], "fer": [3, 4], "coeff": [{"q": [-128, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [1, 2, 3, 4], '
+            '"coeff": [{"q": [64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '2], "fer": [], "coeff": [{"q": [-64, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0, 0], "fer": [1, 2], "coeff": [{"q": [32, 1, 0, '
+            '1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [4, 0], "fer": [1, 3], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 2], "fer": [1, '
+            '3], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 4], "fer": [1, 3], "coeff": [{"q": [16, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2, 0], "fer": [1, 3], "coeff": [{"q": '
+            '[-64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [1, '
+            '3], "coeff": [{"q": [-64, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 0], "fer": [1, 3], "coeff": [{"q": [32, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [4, 0], "fer": [2, 3], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 2], "fer": [2, '
+            '3], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 4], "fer": [2, 3], "coeff": [{"q": [16, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2, 0], "fer": [2, 3], "coeff": [{"q": '
+            '[-64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [2, '
+            '3], "coeff": [{"q": [-64, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 0], "fer": [2, 3], "coeff": [{"q": [32, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [4, 0], "fer": [1, 4], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 2], "fer": [1, '
+            '4], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 4], "fer": [1, 4], "coeff": [{"q": [16, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2, 0], "fer": [1, 4], "coeff": [{"q": '
+            '[-64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [1, '
+            '4], "coeff": [{"q": [-64, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 0], "fer": [1, 4], "coeff": [{"q": [32, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [4, 0], "fer": [2, 4], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 2], "fer": [2, '
+            '4], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 4], "fer": [2, 4], "coeff": [{"q": [16, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2, 0], "fer": [2, 4], "coeff": [{"q": '
+            '[-64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [2, '
+            '4], "coeff": [{"q": [-64, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 0], "fer": [2, 4], "coeff": [{"q": [32, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [4, 2], "fer": [], "coeff": [{"q": '
+            '[-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4, 0], "fer": [3, '
+            '4], "coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2, 4], "fer": [], "coeff": [{"q": [-64, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2, 2], "fer": [1, 2], "coeff": [{"q": '
+            '[64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 2], "fer": [3, '
+            '4], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2, 0], "fer": [1, 2, 3, 4], "coeff": [{"q": [-32, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0, 6], "fer": [], "coeff": [{"q": '
+            '[-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 4], "fer": [1, '
+            '2], "coeff": [{"q": [64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 4], "fer": [3, 4], "coeff": [{"q": [80, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0, 2], "fer": [1, 2, 3, 4], "coeff": '
+            '[{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 2], '
+            '"fer": [], "coeff": [{"q": [128, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2, 0], "fer": [3, 4], "coeff": [{"q": [-64, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0, 4], "fer": [], "coeff": [{"q": '
+            '[128, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [1, '
+            '2], "coeff": [{"q": [-128, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 2], "fer": [3, 4], "coeff": [{"q": [-192, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [1, 2, 3, 4], '
+            '"coeff": [{"q": [64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '2], "fer": [], "coeff": [{"q": [-64, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0, 0], "fer": [3, 4], "coeff": [{"q": [32, 1, 0, '
+            '1], "b": 0, "eps": 0}]}]}',
+            '16 x_{1}^{5}x_{2} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{3} e^{x^2/2} + '
+            '-32 x_{1}^{3}x_{2}q_{1}q_{2} e^{x^2/2} + -32 '
+            'x_{1}^{3}x_{2}q_{3}q_{4} e^{x^2/2} + 16 x_{1}x_{2}^{5} '
+            'e^{x^2/2} + -32 x_{1}x_{2}^{3}q_{1}q_{2} e^{x^2/2} + -32 '
+            'x_{1}x_{2}^{3}q_{3}q_{4} e^{x^2/2} + 32 '
+            'x_{1}x_{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -64 x_{1}^{3}x_{2} '
+            'e^{x^2/2} + -64 x_{1}x_{2}^{3} e^{x^2/2} + 64 '
+            'x_{1}x_{2}q_{1}q_{2} e^{x^2/2} + 64 x_{1}x_{2}q_{3}q_{4} '
+            'e^{x^2/2} + 32 x_{1}x_{2} e^{x^2/2}\n'
+            '16 x_{1}^{6} e^{x^2/2} + 16 x_{1}^{4}x_{2}^{2} e^{x^2/2} + -32 '
+            'x_{1}^{4}q_{1}q_{2} e^{x^2/2} + -32 x_{1}^{4}q_{3}q_{4} '
+            'e^{x^2/2} + -16 x_{1}^{2}x_{2}^{4} e^{x^2/2} + 32 '
+            'x_{1}^{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -16 x_{2}^{6} '
+            'e^{x^2/2} + 32 x_{2}^{4}q_{1}q_{2} e^{x^2/2} + 32 '
+            'x_{2}^{4}q_{3}q_{4} e^{x^2/2} + -32 '
+            'x_{2}^{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -64 x_{1}^{4} '
+            'e^{x^2/2} + 64 x_{1}^{2}q_{1}q_{2} e^{x^2/2} + 64 '
+            'x_{1}^{2}q_{3}q_{4} e^{x^2/2} + 64 x_{2}^{4} e^{x^2/2} + -64 '
+            'x_{2}^{2}q_{1}q_{2} e^{x^2/2} + -64 x_{2}^{2}q_{3}q_{4} '
+            'e^{x^2/2} + 32 x_{1}^{2} e^{x^2/2} + -32 x_{2}^{2} e^{x^2/2}\n'
+            '16 x_{1}^{4}x_{2}q_{1} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{3}q_{1} '
+            'e^{x^2/2} + -32 x_{1}^{2}x_{2}q_{1}q_{3}q_{4} e^{x^2/2} + 16 '
+            'x_{2}^{5}q_{1} e^{x^2/2} + -32 x_{2}^{3}q_{1}q_{3}q_{4} '
+            'e^{x^2/2} + -64 x_{1}^{2}x_{2}q_{1} e^{x^2/2} + -64 '
+            'x_{2}^{3}q_{1} e^{x^2/2} + 64 x_{2}q_{1}q_{3}q_{4} e^{x^2/2} + '
+            '32 x_{2}q_{1} e^{x^2/2}\n'
+            '16 x_{1}^{5}q_{1} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{2}q_{1} '
+            'e^{x^2/2} + -32 x_{1}^{3}q_{1}q_{3}q_{4} e^{x^2/2} + 16 '
+            'x_{1}x_{2}^{4}q_{1} e^{x^2/2} + -32 '
+            'x_{1}x_{2}^{2}q_{1}q_{3}q_{4} e^{x^2/2} + -64 x_{1}^{3}q_{1} '
+            'e^{x^2/2} + -64 x_{1}x_{2}^{2}q_{1} e^{x^2/2} + 64 '
+            'x_{1}q_{1}q_{3}q_{4} e^{x^2/2} + 32 x_{1}q_{1} e^{x^2/2}\n'
+            '16 x_{1}^{4}x_{2}q_{2} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{3}q_{2} '
+            'e^{x^2/2} + -32 x_{1}^{2}x_{2}q_{2}q_{3}q_{4} e^{x^2/2} + 16 '
+            'x_{2}^{5}q_{2} e^{x^2/2} + -32 x_{2}^{3}q_{2}q_{3}q_{4} '
+            'e^{x^2/2} + -64 x_{1}^{2}x_{2}q_{2} e^{x^2/2} + -64 '
+            'x_{2}^{3}q_{2} e^{x^2/2} + 64 x_{2}q_{2}q_{3}q_{4} e^{x^2/2} + '
+            '32 x_{2}q_{2} e^{x^2/2}\n'
+            '16 x_{1}^{5}q_{2} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{2}q_{2} '
+            'e^{x^2/2} + -32 x_{1}^{3}q_{2}q_{3}q_{4} e^{x^2/2} + 16 '
+            'x_{1}x_{2}^{4}q_{2} e^{x^2/2} + -32 '
+            'x_{1}x_{2}^{2}q_{2}q_{3}q_{4} e^{x^2/2} + -64 x_{1}^{3}q_{2} '
+            'e^{x^2/2} + -64 x_{1}x_{2}^{2}q_{2} e^{x^2/2} + 64 '
+            'x_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 32 x_{1}q_{2} e^{x^2/2}\n'
+            '16 x_{1}^{4}x_{2}q_{3} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{3}q_{3} '
+            'e^{x^2/2} + -32 x_{1}^{2}x_{2}q_{1}q_{2}q_{3} e^{x^2/2} + 16 '
+            'x_{2}^{5}q_{3} e^{x^2/2} + -32 x_{2}^{3}q_{1}q_{2}q_{3} '
+            'e^{x^2/2} + -64 x_{1}^{2}x_{2}q_{3} e^{x^2/2} + -64 '
+            'x_{2}^{3}q_{3} e^{x^2/2} + 64 x_{2}q_{1}q_{2}q_{3} e^{x^2/2} + '
+            '32 x_{2}q_{3} e^{x^2/2}\n'
+            '16 x_{1}^{5}q_{3} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{2}q_{3} '
+            'e^{x^2/2} + -32 x_{1}^{3}q_{1}q_{2}q_{3} e^{x^2/2} + 16 '
+            'x_{1}x_{2}^{4}q_{3} e^{x^2/2} + -32 '
+            'x_{1}x_{2}^{2}q_{1}q_{2}q_{3} e^{x^2/2} + -64 x_{1}^{3}q_{3} '
+            'e^{x^2/2} + -64 x_{1}x_{2}^{2}q_{3} e^{x^2/2} + 64 '
+            'x_{1}q_{1}q_{2}q_{3} e^{x^2/2} + 32 x_{1}q_{3} e^{x^2/2}\n'
+            '16 x_{1}^{4}x_{2}q_{4} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{3}q_{4} '
+            'e^{x^2/2} + -32 x_{1}^{2}x_{2}q_{1}q_{2}q_{4} e^{x^2/2} + 16 '
+            'x_{2}^{5}q_{4} e^{x^2/2} + -32 x_{2}^{3}q_{1}q_{2}q_{4} '
+            'e^{x^2/2} + -64 x_{1}^{2}x_{2}q_{4} e^{x^2/2} + -64 '
+            'x_{2}^{3}q_{4} e^{x^2/2} + 64 x_{2}q_{1}q_{2}q_{4} e^{x^2/2} + '
+            '32 x_{2}q_{4} e^{x^2/2}\n'
+            '16 x_{1}^{5}q_{4} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{2}q_{4} '
+            'e^{x^2/2} + -32 x_{1}^{3}q_{1}q_{2}q_{4} e^{x^2/2} + 16 '
+            'x_{1}x_{2}^{4}q_{4} e^{x^2/2} + -32 '
+            'x_{1}x_{2}^{2}q_{1}q_{2}q_{4} e^{x^2/2} + -64 x_{1}^{3}q_{4} '
+            'e^{x^2/2} + -64 x_{1}x_{2}^{2}q_{4} e^{x^2/2} + 64 '
+            'x_{1}q_{1}q_{2}q_{4} e^{x^2/2} + 32 x_{1}q_{4} e^{x^2/2}\n'
+            '-32 x_{1}^{4}x_{2}^{2} e^{x^2/2} + 16 x_{1}^{4}q_{1}q_{2} '
+            'e^{x^2/2} + -64 x_{1}^{2}x_{2}^{4} e^{x^2/2} + 96 '
+            'x_{1}^{2}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + 64 '
+            'x_{1}^{2}x_{2}^{2}q_{3}q_{4} e^{x^2/2} + -32 '
+            'x_{1}^{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -32 x_{2}^{6} '
+            'e^{x^2/2} + 80 x_{2}^{4}q_{1}q_{2} e^{x^2/2} + 64 '
+            'x_{2}^{4}q_{3}q_{4} e^{x^2/2} + -96 '
+            'x_{2}^{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 128 '
+            'x_{1}^{2}x_{2}^{2} e^{x^2/2} + -64 x_{1}^{2}q_{1}q_{2} '
+            'e^{x^2/2} + 128 x_{2}^{4} e^{x^2/2} + -192 x_{2}^{2}q_{1}q_{2} '
+            'e^{x^2/2} + -128 x_{2}^{2}q_{3}q_{4} e^{x^2/2} + 64 '
+            'q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -64 x_{2}^{2} e^{x^2/2} + 32 '
+            'q_{1}q_{2} e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{1}q_{3} e^{x^2/2} + 32 '
+            'x_{1}^{2}x_{2}^{2}q_{1}q_{3} e^{x^2/2} + 16 x_{2}^{4}q_{1}q_{3} '
+            'e^{x^2/2} + -64 x_{1}^{2}q_{1}q_{3} e^{x^2/2} + -64 '
+            'x_{2}^{2}q_{1}q_{3} e^{x^2/2} + 32 q_{1}q_{3} e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{2}q_{3} e^{x^2/2} + 32 '
+            'x_{1}^{2}x_{2}^{2}q_{2}q_{3} e^{x^2/2} + 16 x_{2}^{4}q_{2}q_{3} '
+            'e^{x^2/2} + -64 x_{1}^{2}q_{2}q_{3} e^{x^2/2} + -64 '
+            'x_{2}^{2}q_{2}q_{3} e^{x^2/2} + 32 q_{2}q_{3} e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{1}q_{4} e^{x^2/2} + 32 '
+            'x_{1}^{2}x_{2}^{2}q_{1}q_{4} e^{x^2/2} + 16 x_{2}^{4}q_{1}q_{4} '
+            'e^{x^2/2} + -64 x_{1}^{2}q_{1}q_{4} e^{x^2/2} + -64 '
+            'x_{2}^{2}q_{1}q_{4} e^{x^2/2} + 32 q_{1}q_{4} e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{2}q_{4} e^{x^2/2} + 32 '
+            'x_{1}^{2}x_{2}^{2}q_{2}q_{4} e^{x^2/2} + 16 x_{2}^{4}q_{2}q_{4} '
+            'e^{x^2/2} + -64 x_{1}^{2}q_{2}q_{4} e^{x^2/2} + -64 '
+            'x_{2}^{2}q_{2}q_{4} e^{x^2/2} + 32 q_{2}q_{4} e^{x^2/2}\n'
+            '-32 x_{1}^{4}x_{2}^{2} e^{x^2/2} + 16 x_{1}^{4}q_{3}q_{4} '
+            'e^{x^2/2} + -64 x_{1}^{2}x_{2}^{4} e^{x^2/2} + 64 '
+            'x_{1}^{2}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + 96 '
+            'x_{1}^{2}x_{2}^{2}q_{3}q_{4} e^{x^2/2} + -32 '
+            'x_{1}^{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -32 x_{2}^{6} '
+            'e^{x^2/2} + 64 x_{2}^{4}q_{1}q_{2} e^{x^2/2} + 80 '
+            'x_{2}^{4}q_{3}q_{4} e^{x^2/2} + -96 '
+            'x_{2}^{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 128 '
+            'x_{1}^{2}x_{2}^{2} e^{x^2/2} + -64 x_{1}^{2}q_{3}q_{4} '
+            'e^{x^2/2} + 128 x_{2}^{4} e^{x^2/2} + -128 x_{2}^{2}q_{1}q_{2} '
+            'e^{x^2/2} + -192 x_{2}^{2}q_{3}q_{4} e^{x^2/2} + 64 '
+            'q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -64 x_{2}^{2} e^{x^2/2} + 32 '
+            'q_{3}q_{4} e^{x^2/2}',
+        ),
+        (
+            'degree 2: dim nullspace 16, dim formula 16 [ok]',
+            '{"k": 2, "dim_nullspace": 16, "dim_formula": 16, "dims_match": '
+            'true, "product_failures": [], "products_harmonic": true, '
+            '"schema": "supertransform/1", "basis": [{"schema": '
+            '"supertransform/1", "m": 2, "n": 2, "envelope": false, "terms": '
+            '[{"bos": [1, 1], "fer": [], "coeff": [{"q": [1, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}, {"schema": "supertransform/1", "m": 2, "n": '
+            '2, "envelope": false, "terms": [{"bos": [2, 0], "fer": [], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '2], "fer": [], "coeff": [{"q": [-1, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}, {"schema": "supertransform/1", "m": 2, "n": 2, '
+            '"envelope": false, "terms": [{"bos": [0, 1], "fer": [1], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 2, "n": 2, "envelope": false, "terms": '
+            '[{"bos": [1, 0], "fer": [1], "coeff": [{"q": [1, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}, {"schema": "supertransform/1", "m": 2, "n": '
+            '2, "envelope": false, "terms": [{"bos": [0, 1], "fer": [2], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 2, "n": 2, "envelope": false, "terms": '
+            '[{"bos": [1, 0], "fer": [2], "coeff": [{"q": [1, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}, {"schema": "supertransform/1", "m": 2, "n": '
+            '2, "envelope": false, "terms": [{"bos": [0, 1], "fer": [3], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 2, "n": 2, "envelope": false, "terms": '
+            '[{"bos": [1, 0], "fer": [3], "coeff": [{"q": [1, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}, {"schema": "supertransform/1", "m": 2, "n": '
+            '2, "envelope": false, "terms": [{"bos": [0, 1], "fer": [4], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 2, "n": 2, "envelope": false, "terms": '
+            '[{"bos": [1, 0], "fer": [4], "coeff": [{"q": [1, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}, {"schema": "supertransform/1", "m": 2, "n": '
+            '2, "envelope": false, "terms": [{"bos": [0, 2], "fer": [], '
+            '"coeff": [{"q": [-2, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '0], "fer": [1, 2], "coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}, {"schema": "supertransform/1", "m": 2, "n": 2, '
+            '"envelope": false, "terms": [{"bos": [0, 0], "fer": [1, 3], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 2, "n": 2, "envelope": false, "terms": '
+            '[{"bos": [0, 0], "fer": [2, 3], "coeff": [{"q": [1, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}, {"schema": "supertransform/1", "m": 2, '
+            '"n": 2, "envelope": false, "terms": [{"bos": [0, 0], "fer": [1, '
+            '4], "coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, '
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'false, "terms": [{"bos": [0, 0], "fer": [2, 4], "coeff": [{"q": '
+            '[1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 2, "n": 2, "envelope": false, "terms": '
+            '[{"bos": [0, 2], "fer": [], "coeff": [{"q": [-2, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [0, 0], "fer": [3, 4], "coeff": [{"q": '
+            '[1, 1, 0, 1], "b": 0, "eps": 0}]}]}]}',
+            'degree 2: dim nullspace 16, dim formula 16 [ok]',
+        ),
+    ),
+    (2, 2, 3): (
+        (
+            'x1^2*x2*G - 1/3*x2^3*G\n'
+            'x1^3*G - 3*x1*x2^2*G\n'
+            'x1*x2*q1*G\n'
+            'x1^2*q1*G - x2^2*q1*G\n'
+            'x1*x2*q2*G\n'
+            'x1^2*q2*G - x2^2*q2*G\n'
+            'x1*x2*q3*G\n'
+            'x1^2*q3*G - x2^2*q3*G\n'
+            'x1*x2*q4*G\n'
+            'x1^2*q4*G - x2^2*q4*G\n'
+            '-2/3*x2^3*G + x2*q1q2*G\n'
+            '-2*x1*x2^2*G + x1*q1q2*G\n'
+            'x2*q1q3*G\n'
+            'x1*q1q3*G\n'
+            'x2*q2q3*G\n'
+            'x1*q2q3*G\n'
+            'x2*q1q4*G\n'
+            'x1*q1q4*G\n'
+            'x2*q2q4*G\n'
+            'x1*q2q4*G\n'
+            '-2/3*x2^3*G + x2*q3q4*G\n'
+            '-2*x1*x2^2*G + x1*q3q4*G\n'
+            '-2*x2^2*q3*G + q1q2q3*G\n'
+            '-2*x2^2*q4*G + q1q2q4*G\n'
+            '-2*x2^2*q1*G + q1q3q4*G\n-2*x2^2*q2*G + q2q3q4*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [2, 1], "fer": [], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [], '
+            '"coeff": [{"q": [-1, 3, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [3, 0], "fer": [], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [], '
+            '"coeff": [{"q": [-3, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [1, 1], "fer": [1], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [2, 0], "fer": [1], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [1], '
+            '"coeff": [{"q": [-1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [1, 1], "fer": [2], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [2, 0], "fer": [2], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [2], '
+            '"coeff": [{"q": [-1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [1, 1], "fer": [3], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [2, 0], "fer": [3], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [3], '
+            '"coeff": [{"q": [-1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [1, 1], "fer": [4], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [2, 0], "fer": [4], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [4], '
+            '"coeff": [{"q": [-1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [0, 3], "fer": [], "coeff": [{"q": [-2, '
+            '3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 1], "fer": [1, 2], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [1, 2], "fer": [], "coeff": [{"q": [-2, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 0], "fer": [1, 2], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [0, 1], "fer": [1, 3], "coeff": [{"q": '
+            '[1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [1, 0], "fer": [1, 3], "coeff": [{"q": '
+            '[1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [0, 1], "fer": [2, 3], "coeff": [{"q": '
+            '[1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [1, 0], "fer": [2, 3], "coeff": [{"q": '
+            '[1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [0, 1], "fer": [1, 4], "coeff": [{"q": '
+            '[1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [1, 0], "fer": [1, 4], "coeff": [{"q": '
+            '[1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [0, 1], "fer": [2, 4], "coeff": [{"q": '
+            '[1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [1, 0], "fer": [2, 4], "coeff": [{"q": '
+            '[1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [0, 3], "fer": [], "coeff": [{"q": [-2, '
+            '3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 1], "fer": [3, 4], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [1, 2], "fer": [], "coeff": [{"q": [-2, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 0], "fer": [3, 4], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [0, 2], "fer": [3], "coeff": [{"q": '
+            '[-2, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [1, '
+            '2, 3], "coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [0, 2], "fer": [4], "coeff": [{"q": '
+            '[-2, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [1, '
+            '2, 4], "coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [0, 2], "fer": [1], "coeff": [{"q": '
+            '[-2, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [1, '
+            '3, 4], "coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [0, 2], "fer": [2], "coeff": [{"q": '
+            '[-2, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [2, '
+            '3, 4], "coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}',
+            '1 x_{1}^{2}x_{2} e^{x^2/2} + -1/3 x_{2}^{3} e^{x^2/2}\n'
+            '1 x_{1}^{3} e^{x^2/2} + -3 x_{1}x_{2}^{2} e^{x^2/2}\n'
+            '1 x_{1}x_{2}q_{1} e^{x^2/2}\n'
+            '1 x_{1}^{2}q_{1} e^{x^2/2} + -1 x_{2}^{2}q_{1} e^{x^2/2}\n'
+            '1 x_{1}x_{2}q_{2} e^{x^2/2}\n'
+            '1 x_{1}^{2}q_{2} e^{x^2/2} + -1 x_{2}^{2}q_{2} e^{x^2/2}\n'
+            '1 x_{1}x_{2}q_{3} e^{x^2/2}\n'
+            '1 x_{1}^{2}q_{3} e^{x^2/2} + -1 x_{2}^{2}q_{3} e^{x^2/2}\n'
+            '1 x_{1}x_{2}q_{4} e^{x^2/2}\n'
+            '1 x_{1}^{2}q_{4} e^{x^2/2} + -1 x_{2}^{2}q_{4} e^{x^2/2}\n'
+            '-2/3 x_{2}^{3} e^{x^2/2} + 1 x_{2}q_{1}q_{2} e^{x^2/2}\n'
+            '-2 x_{1}x_{2}^{2} e^{x^2/2} + 1 x_{1}q_{1}q_{2} e^{x^2/2}\n'
+            '1 x_{2}q_{1}q_{3} e^{x^2/2}\n'
+            '1 x_{1}q_{1}q_{3} e^{x^2/2}\n'
+            '1 x_{2}q_{2}q_{3} e^{x^2/2}\n'
+            '1 x_{1}q_{2}q_{3} e^{x^2/2}\n'
+            '1 x_{2}q_{1}q_{4} e^{x^2/2}\n'
+            '1 x_{1}q_{1}q_{4} e^{x^2/2}\n'
+            '1 x_{2}q_{2}q_{4} e^{x^2/2}\n'
+            '1 x_{1}q_{2}q_{4} e^{x^2/2}\n'
+            '-2/3 x_{2}^{3} e^{x^2/2} + 1 x_{2}q_{3}q_{4} e^{x^2/2}\n'
+            '-2 x_{1}x_{2}^{2} e^{x^2/2} + 1 x_{1}q_{3}q_{4} e^{x^2/2}\n'
+            '-2 x_{2}^{2}q_{3} e^{x^2/2} + 1 q_{1}q_{2}q_{3} e^{x^2/2}\n'
+            '-2 x_{2}^{2}q_{4} e^{x^2/2} + 1 q_{1}q_{2}q_{4} e^{x^2/2}\n'
+            '-2 x_{2}^{2}q_{1} e^{x^2/2} + 1 q_{1}q_{3}q_{4} e^{x^2/2}\n'
+            '-2 x_{2}^{2}q_{2} e^{x^2/2} + 1 q_{2}q_{3}q_{4} e^{x^2/2}',
+        ),
+        (
+            '-4*x1^4*x2*G - 8/3*x1^2*x2^3*G + 4*x1^2*x2*q1q2*G + '
+            '4*x1^2*x2*q3q4*G + 4/3*x2^5*G - 4/3*x2^3*q1q2*G - '
+            '4/3*x2^3*q3q4*G + 8*x1^2*x2*G - 8/3*x2^3*G\n'
+            '-4*x1^5*G + 8*x1^3*x2^2*G + 4*x1^3*q1q2*G + 4*x1^3*q3q4*G + '
+            '12*x1*x2^4*G - 12*x1*x2^2*q1q2*G - 12*x1*x2^2*q3q4*G + 8*x1^3*G '
+            '- 24*x1*x2^2*G\n'
+            '-4*x1^3*x2*q1*G - 4*x1*x2^3*q1*G + 4*x1*x2*q1q3q4*G + '
+            '8*x1*x2*q1*G\n'
+            '-4*x1^4*q1*G + 4*x1^2*q1q3q4*G + 4*x2^4*q1*G - 4*x2^2*q1q3q4*G '
+            '+ 8*x1^2*q1*G - 8*x2^2*q1*G\n'
+            '-4*x1^3*x2*q2*G - 4*x1*x2^3*q2*G + 4*x1*x2*q2q3q4*G + '
+            '8*x1*x2*q2*G\n'
+            '-4*x1^4*q2*G + 4*x1^2*q2q3q4*G + 4*x2^4*q2*G - 4*x2^2*q2q3q4*G '
+            '+ 8*x1^2*q2*G - 8*x2^2*q2*G\n'
+            '-4*x1^3*x2*q3*G - 4*x1*x2^3*q3*G + 4*x1*x2*q1q2q3*G + '
+            '8*x1*x2*q3*G\n'
+            '-4*x1^4*q3*G + 4*x1^2*q1q2q3*G + 4*x2^4*q3*G - 4*x2^2*q1q2q3*G '
+            '+ 8*x1^2*q3*G - 8*x2^2*q3*G\n'
+            '-4*x1^3*x2*q4*G - 4*x1*x2^3*q4*G + 4*x1*x2*q1q2q4*G + '
+            '8*x1*x2*q4*G\n'
+            '-4*x1^4*q4*G + 4*x1^2*q1q2q4*G + 4*x2^4*q4*G - 4*x2^2*q1q2q4*G '
+            '+ 8*x1^2*q4*G - 8*x2^2*q4*G\n'
+            '8/3*x1^2*x2^3*G - 4*x1^2*x2*q1q2*G + 8/3*x2^5*G - '
+            '20/3*x2^3*q1q2*G - 8/3*x2^3*q3q4*G + 4*x2*q1q2q3q4*G - '
+            '16/3*x2^3*G + 8*x2*q1q2*G\n'
+            '8*x1^3*x2^2*G - 4*x1^3*q1q2*G + 8*x1*x2^4*G - 12*x1*x2^2*q1q2*G '
+            '- 8*x1*x2^2*q3q4*G + 4*x1*q1q2q3q4*G - 16*x1*x2^2*G + '
+            '8*x1*q1q2*G\n'
+            '-4*x1^2*x2*q1q3*G - 4*x2^3*q1q3*G + 8*x2*q1q3*G\n'
+            '-4*x1^3*q1q3*G - 4*x1*x2^2*q1q3*G + 8*x1*q1q3*G\n'
+            '-4*x1^2*x2*q2q3*G - 4*x2^3*q2q3*G + 8*x2*q2q3*G\n'
+            '-4*x1^3*q2q3*G - 4*x1*x2^2*q2q3*G + 8*x1*q2q3*G\n'
+            '-4*x1^2*x2*q1q4*G - 4*x2^3*q1q4*G + 8*x2*q1q4*G\n'
+            '-4*x1^3*q1q4*G - 4*x1*x2^2*q1q4*G + 8*x1*q1q4*G\n'
+            '-4*x1^2*x2*q2q4*G - 4*x2^3*q2q4*G + 8*x2*q2q4*G\n'
+            '-4*x1^3*q2q4*G - 4*x1*x2^2*q2q4*G + 8*x1*q2q4*G\n'
+            '8/3*x1^2*x2^3*G - 4*x1^2*x2*q3q4*G + 8/3*x2^5*G - '
+            '8/3*x2^3*q1q2*G - 20/3*x2^3*q3q4*G + 4*x2*q1q2q3q4*G - '
+            '16/3*x2^3*G + 8*x2*q3q4*G\n'
+            '8*x1^3*x2^2*G - 4*x1^3*q3q4*G + 8*x1*x2^4*G - 8*x1*x2^2*q1q2*G '
+            '- 12*x1*x2^2*q3q4*G + 4*x1*q1q2q3q4*G - 16*x1*x2^2*G + '
+            '8*x1*q3q4*G\n'
+            '8*x1^2*x2^2*q3*G - 4*x1^2*q1q2q3*G + 8*x2^4*q3*G - '
+            '12*x2^2*q1q2q3*G - 16*x2^2*q3*G + 8*q1q2q3*G\n'
+            '8*x1^2*x2^2*q4*G - 4*x1^2*q1q2q4*G + 8*x2^4*q4*G - '
+            '12*x2^2*q1q2q4*G - 16*x2^2*q4*G + 8*q1q2q4*G\n'
+            '8*x1^2*x2^2*q1*G - 4*x1^2*q1q3q4*G + 8*x2^4*q1*G - '
+            '12*x2^2*q1q3q4*G - 16*x2^2*q1*G + 8*q1q3q4*G\n'
+            '8*x1^2*x2^2*q2*G - 4*x1^2*q2q3q4*G + 8*x2^4*q2*G - '
+            '12*x2^2*q2q3q4*G - 16*x2^2*q2*G + 8*q2q3q4*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [4, 1], "fer": [], "coeff": [{"q": [-4, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 3], "fer": [], '
+            '"coeff": [{"q": [-8, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, '
+            '1], "fer": [1, 2], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [2, 1], "fer": [3, 4], "coeff": [{"q": [4, 1, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [0, 5], "fer": [], "coeff": '
+            '[{"q": [4, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 3], '
+            '"fer": [1, 2], "coeff": [{"q": [-4, 3, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0, 3], "fer": [3, 4], "coeff": [{"q": [-4, 3, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [2, 1], "fer": [], "coeff": '
+            '[{"q": [8, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 3], '
+            '"fer": [], "coeff": [{"q": [-8, 3, 0, 1], "b": 0, "eps": '
+            '0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [5, 0], "fer": [], "coeff": [{"q": [-4, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 2], "fer": [], '
+            '"coeff": [{"q": [8, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, '
+            '0], "fer": [1, 2], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [3, 0], "fer": [3, 4], "coeff": [{"q": [4, 1, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [1, 4], "fer": [], "coeff": '
+            '[{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 2], '
+            '"fer": [1, 2], "coeff": [{"q": [-12, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [1, 2], "fer": [3, 4], "coeff": [{"q": [-12, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 0], "fer": [], "coeff": '
+            '[{"q": [8, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 2], '
+            '"fer": [], "coeff": [{"q": [-24, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [3, 1], "fer": [1], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 3], "fer": [1], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, '
+            '1], "fer": [1, 3, 4], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1, 1], "fer": [1], "coeff": [{"q": [8, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [4, 0], "fer": [1], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 0], "fer": [1, '
+            '3, 4], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 4], "fer": [1], "coeff": [{"q": [4, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [0, 2], "fer": [1, 3, 4], "coeff": '
+            '[{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 0], '
+            '"fer": [1], "coeff": [{"q": [8, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 2], "fer": [1], "coeff": [{"q": [-8, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [3, 1], "fer": [2], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 3], "fer": [2], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, '
+            '1], "fer": [2, 3, 4], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1, 1], "fer": [2], "coeff": [{"q": [8, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [4, 0], "fer": [2], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 0], "fer": [2, '
+            '3, 4], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 4], "fer": [2], "coeff": [{"q": [4, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [0, 2], "fer": [2, 3, 4], "coeff": '
+            '[{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 0], '
+            '"fer": [2], "coeff": [{"q": [8, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 2], "fer": [2], "coeff": [{"q": [-8, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [3, 1], "fer": [3], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 3], "fer": [3], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, '
+            '1], "fer": [1, 2, 3], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1, 1], "fer": [3], "coeff": [{"q": [8, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [4, 0], "fer": [3], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 0], "fer": [1, '
+            '2, 3], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 4], "fer": [3], "coeff": [{"q": [4, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [0, 2], "fer": [1, 2, 3], "coeff": '
+            '[{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 0], '
+            '"fer": [3], "coeff": [{"q": [8, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 2], "fer": [3], "coeff": [{"q": [-8, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [3, 1], "fer": [4], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 3], "fer": [4], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, '
+            '1], "fer": [1, 2, 4], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1, 1], "fer": [4], "coeff": [{"q": [8, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [4, 0], "fer": [4], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 0], "fer": [1, '
+            '2, 4], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 4], "fer": [4], "coeff": [{"q": [4, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [0, 2], "fer": [1, 2, 4], "coeff": '
+            '[{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 0], '
+            '"fer": [4], "coeff": [{"q": [8, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 2], "fer": [4], "coeff": [{"q": [-8, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [2, 3], "fer": [], "coeff": [{"q": [8, '
+            '3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 1], "fer": [1, 2], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '5], "fer": [], "coeff": [{"q": [8, 3, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0, 3], "fer": [1, 2], "coeff": [{"q": [-20, 3, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [3, 4], '
+            '"coeff": [{"q": [-8, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '1], "fer": [1, 2, 3, 4], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0, 3], "fer": [], "coeff": [{"q": [-16, '
+            '3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 1], "fer": [1, 2], '
+            '"coeff": [{"q": [8, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [3, 2], "fer": [], "coeff": [{"q": [8, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 0], "fer": [1, 2], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, '
+            '4], "fer": [], "coeff": [{"q": [8, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [1, 2], "fer": [1, 2], "coeff": [{"q": [-12, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [3, 4], '
+            '"coeff": [{"q": [-8, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, '
+            '0], "fer": [1, 2, 3, 4], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1, 2], "fer": [], "coeff": [{"q": [-16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 0], "fer": [1, 2], '
+            '"coeff": [{"q": [8, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [2, 1], "fer": [1, 3], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [1, '
+            '3], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 1], "fer": [1, 3], "coeff": [{"q": [8, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [3, 0], "fer": [1, 3], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [1, '
+            '3], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[1, 0], "fer": [1, 3], "coeff": [{"q": [8, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [2, 1], "fer": [2, 3], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [2, '
+            '3], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 1], "fer": [2, 3], "coeff": [{"q": [8, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [3, 0], "fer": [2, 3], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [2, '
+            '3], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[1, 0], "fer": [2, 3], "coeff": [{"q": [8, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [2, 1], "fer": [1, 4], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [1, '
+            '4], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 1], "fer": [1, 4], "coeff": [{"q": [8, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [3, 0], "fer": [1, 4], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [1, '
+            '4], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[1, 0], "fer": [1, 4], "coeff": [{"q": [8, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [2, 1], "fer": [2, 4], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [2, '
+            '4], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 1], "fer": [2, 4], "coeff": [{"q": [8, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [3, 0], "fer": [2, 4], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [2, '
+            '4], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[1, 0], "fer": [2, 4], "coeff": [{"q": [8, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [2, 3], "fer": [], "coeff": [{"q": [8, '
+            '3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 1], "fer": [3, 4], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '5], "fer": [], "coeff": [{"q": [8, 3, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0, 3], "fer": [1, 2], "coeff": [{"q": [-8, 3, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [3, 4], '
+            '"coeff": [{"q": [-20, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 1], "fer": [1, 2, 3, 4], "coeff": [{"q": [4, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [0, 3], "fer": [], "coeff": [{"q": '
+            '[-16, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 1], "fer": [3, '
+            '4], "coeff": [{"q": [8, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [3, 2], "fer": [], "coeff": [{"q": [8, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 0], "fer": [3, 4], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, '
+            '4], "fer": [], "coeff": [{"q": [8, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [1, 2], "fer": [1, 2], "coeff": [{"q": [-8, 1, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [3, 4], '
+            '"coeff": [{"q": [-12, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[1, 0], "fer": [1, 2, 3, 4], "coeff": [{"q": [4, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [1, 2], "fer": [], "coeff": [{"q": '
+            '[-16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 0], "fer": [3, '
+            '4], "coeff": [{"q": [8, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [2, 2], "fer": [3], "coeff": [{"q": [8, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 0], "fer": [1, 2, '
+            '3], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 4], "fer": [3], "coeff": [{"q": [8, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0, 2], "fer": [1, 2, 3], "coeff": [{"q": '
+            '[-12, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": '
+            '[3], "coeff": [{"q": [-16, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 0], "fer": [1, 2, 3], "coeff": [{"q": [8, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [2, 2], "fer": [4], "coeff": [{"q": [8, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 0], "fer": [1, 2, '
+            '4], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 4], "fer": [4], "coeff": [{"q": [8, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0, 2], "fer": [1, 2, 4], "coeff": [{"q": '
+            '[-12, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": '
+            '[4], "coeff": [{"q": [-16, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 0], "fer": [1, 2, 4], "coeff": [{"q": [8, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [2, 2], "fer": [1], "coeff": [{"q": [8, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 0], "fer": [1, 3, '
+            '4], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 4], "fer": [1], "coeff": [{"q": [8, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0, 2], "fer": [1, 3, 4], "coeff": [{"q": '
+            '[-12, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": '
+            '[1], "coeff": [{"q": [-16, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 0], "fer": [1, 3, 4], "coeff": [{"q": [8, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [2, 2], "fer": [2], "coeff": [{"q": [8, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 0], "fer": [2, 3, '
+            '4], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 4], "fer": [2], "coeff": [{"q": [8, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0, 2], "fer": [2, 3, 4], "coeff": [{"q": '
+            '[-12, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": '
+            '[2], "coeff": [{"q": [-16, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 0], "fer": [2, 3, 4], "coeff": [{"q": [8, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}',
+            '-4 x_{1}^{4}x_{2} e^{x^2/2} + -8/3 x_{1}^{2}x_{2}^{3} e^{x^2/2} '
+            '+ 4 x_{1}^{2}x_{2}q_{1}q_{2} e^{x^2/2} + 4 '
+            'x_{1}^{2}x_{2}q_{3}q_{4} e^{x^2/2} + 4/3 x_{2}^{5} e^{x^2/2} + '
+            '-4/3 x_{2}^{3}q_{1}q_{2} e^{x^2/2} + -4/3 x_{2}^{3}q_{3}q_{4} '
+            'e^{x^2/2} + 8 x_{1}^{2}x_{2} e^{x^2/2} + -8/3 x_{2}^{3} '
+            'e^{x^2/2}\n'
+            '-4 x_{1}^{5} e^{x^2/2} + 8 x_{1}^{3}x_{2}^{2} e^{x^2/2} + 4 '
+            'x_{1}^{3}q_{1}q_{2} e^{x^2/2} + 4 x_{1}^{3}q_{3}q_{4} e^{x^2/2} '
+            '+ 12 x_{1}x_{2}^{4} e^{x^2/2} + -12 x_{1}x_{2}^{2}q_{1}q_{2} '
+            'e^{x^2/2} + -12 x_{1}x_{2}^{2}q_{3}q_{4} e^{x^2/2} + 8 '
+            'x_{1}^{3} e^{x^2/2} + -24 x_{1}x_{2}^{2} e^{x^2/2}\n'
+            '-4 x_{1}^{3}x_{2}q_{1} e^{x^2/2} + -4 x_{1}x_{2}^{3}q_{1} '
+            'e^{x^2/2} + 4 x_{1}x_{2}q_{1}q_{3}q_{4} e^{x^2/2} + 8 '
+            'x_{1}x_{2}q_{1} e^{x^2/2}\n'
+            '-4 x_{1}^{4}q_{1} e^{x^2/2} + 4 x_{1}^{2}q_{1}q_{3}q_{4} '
+            'e^{x^2/2} + 4 x_{2}^{4}q_{1} e^{x^2/2} + -4 '
+            'x_{2}^{2}q_{1}q_{3}q_{4} e^{x^2/2} + 8 x_{1}^{2}q_{1} e^{x^2/2} '
+            '+ -8 x_{2}^{2}q_{1} e^{x^2/2}\n'
+            '-4 x_{1}^{3}x_{2}q_{2} e^{x^2/2} + -4 x_{1}x_{2}^{3}q_{2} '
+            'e^{x^2/2} + 4 x_{1}x_{2}q_{2}q_{3}q_{4} e^{x^2/2} + 8 '
+            'x_{1}x_{2}q_{2} e^{x^2/2}\n'
+            '-4 x_{1}^{4}q_{2} e^{x^2/2} + 4 x_{1}^{2}q_{2}q_{3}q_{4} '
+            'e^{x^2/2} + 4 x_{2}^{4}q_{2} e^{x^2/2} + -4 '
+            'x_{2}^{2}q_{2}q_{3}q_{4} e^{x^2/2} + 8 x_{1}^{2}q_{2} e^{x^2/2} '
+            '+ -8 x_{2}^{2}q_{2} e^{x^2/2}\n'
+            '-4 x_{1}^{3}x_{2}q_{3} e^{x^2/2} + -4 x_{1}x_{2}^{3}q_{3} '
+            'e^{x^2/2} + 4 x_{1}x_{2}q_{1}q_{2}q_{3} e^{x^2/2} + 8 '
+            'x_{1}x_{2}q_{3} e^{x^2/2}\n'
+            '-4 x_{1}^{4}q_{3} e^{x^2/2} + 4 x_{1}^{2}q_{1}q_{2}q_{3} '
+            'e^{x^2/2} + 4 x_{2}^{4}q_{3} e^{x^2/2} + -4 '
+            'x_{2}^{2}q_{1}q_{2}q_{3} e^{x^2/2} + 8 x_{1}^{2}q_{3} e^{x^2/2} '
+            '+ -8 x_{2}^{2}q_{3} e^{x^2/2}\n'
+            '-4 x_{1}^{3}x_{2}q_{4} e^{x^2/2} + -4 x_{1}x_{2}^{3}q_{4} '
+            'e^{x^2/2} + 4 x_{1}x_{2}q_{1}q_{2}q_{4} e^{x^2/2} + 8 '
+            'x_{1}x_{2}q_{4} e^{x^2/2}\n'
+            '-4 x_{1}^{4}q_{4} e^{x^2/2} + 4 x_{1}^{2}q_{1}q_{2}q_{4} '
+            'e^{x^2/2} + 4 x_{2}^{4}q_{4} e^{x^2/2} + -4 '
+            'x_{2}^{2}q_{1}q_{2}q_{4} e^{x^2/2} + 8 x_{1}^{2}q_{4} e^{x^2/2} '
+            '+ -8 x_{2}^{2}q_{4} e^{x^2/2}\n'
+            '8/3 x_{1}^{2}x_{2}^{3} e^{x^2/2} + -4 x_{1}^{2}x_{2}q_{1}q_{2} '
+            'e^{x^2/2} + 8/3 x_{2}^{5} e^{x^2/2} + -20/3 x_{2}^{3}q_{1}q_{2} '
+            'e^{x^2/2} + -8/3 x_{2}^{3}q_{3}q_{4} e^{x^2/2} + 4 '
+            'x_{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -16/3 x_{2}^{3} e^{x^2/2} '
+            '+ 8 x_{2}q_{1}q_{2} e^{x^2/2}\n'
+            '8 x_{1}^{3}x_{2}^{2} e^{x^2/2} + -4 x_{1}^{3}q_{1}q_{2} '
+            'e^{x^2/2} + 8 x_{1}x_{2}^{4} e^{x^2/2} + -12 '
+            'x_{1}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + -8 '
+            'x_{1}x_{2}^{2}q_{3}q_{4} e^{x^2/2} + 4 '
+            'x_{1}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -16 x_{1}x_{2}^{2} '
+            'e^{x^2/2} + 8 x_{1}q_{1}q_{2} e^{x^2/2}\n'
+            '-4 x_{1}^{2}x_{2}q_{1}q_{3} e^{x^2/2} + -4 x_{2}^{3}q_{1}q_{3} '
+            'e^{x^2/2} + 8 x_{2}q_{1}q_{3} e^{x^2/2}\n'
+            '-4 x_{1}^{3}q_{1}q_{3} e^{x^2/2} + -4 x_{1}x_{2}^{2}q_{1}q_{3} '
+            'e^{x^2/2} + 8 x_{1}q_{1}q_{3} e^{x^2/2}\n'
+            '-4 x_{1}^{2}x_{2}q_{2}q_{3} e^{x^2/2} + -4 x_{2}^{3}q_{2}q_{3} '
+            'e^{x^2/2} + 8 x_{2}q_{2}q_{3} e^{x^2/2}\n'
+            '-4 x_{1}^{3}q_{2}q_{3} e^{x^2/2} + -4 x_{1}x_{2}^{2}q_{2}q_{3} '
+            'e^{x^2/2} + 8 x_{1}q_{2}q_{3} e^{x^2/2}\n'
+            '-4 x_{1}^{2}x_{2}q_{1}q_{4} e^{x^2/2} + -4 x_{2}^{3}q_{1}q_{4} '
+            'e^{x^2/2} + 8 x_{2}q_{1}q_{4} e^{x^2/2}\n'
+            '-4 x_{1}^{3}q_{1}q_{4} e^{x^2/2} + -4 x_{1}x_{2}^{2}q_{1}q_{4} '
+            'e^{x^2/2} + 8 x_{1}q_{1}q_{4} e^{x^2/2}\n'
+            '-4 x_{1}^{2}x_{2}q_{2}q_{4} e^{x^2/2} + -4 x_{2}^{3}q_{2}q_{4} '
+            'e^{x^2/2} + 8 x_{2}q_{2}q_{4} e^{x^2/2}\n'
+            '-4 x_{1}^{3}q_{2}q_{4} e^{x^2/2} + -4 x_{1}x_{2}^{2}q_{2}q_{4} '
+            'e^{x^2/2} + 8 x_{1}q_{2}q_{4} e^{x^2/2}\n'
+            '8/3 x_{1}^{2}x_{2}^{3} e^{x^2/2} + -4 x_{1}^{2}x_{2}q_{3}q_{4} '
+            'e^{x^2/2} + 8/3 x_{2}^{5} e^{x^2/2} + -8/3 x_{2}^{3}q_{1}q_{2} '
+            'e^{x^2/2} + -20/3 x_{2}^{3}q_{3}q_{4} e^{x^2/2} + 4 '
+            'x_{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -16/3 x_{2}^{3} e^{x^2/2} '
+            '+ 8 x_{2}q_{3}q_{4} e^{x^2/2}\n'
+            '8 x_{1}^{3}x_{2}^{2} e^{x^2/2} + -4 x_{1}^{3}q_{3}q_{4} '
+            'e^{x^2/2} + 8 x_{1}x_{2}^{4} e^{x^2/2} + -8 '
+            'x_{1}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + -12 '
+            'x_{1}x_{2}^{2}q_{3}q_{4} e^{x^2/2} + 4 '
+            'x_{1}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -16 x_{1}x_{2}^{2} '
+            'e^{x^2/2} + 8 x_{1}q_{3}q_{4} e^{x^2/2}\n'
+            '8 x_{1}^{2}x_{2}^{2}q_{3} e^{x^2/2} + -4 '
+            'x_{1}^{2}q_{1}q_{2}q_{3} e^{x^2/2} + 8 x_{2}^{4}q_{3} e^{x^2/2} '
+            '+ -12 x_{2}^{2}q_{1}q_{2}q_{3} e^{x^2/2} + -16 x_{2}^{2}q_{3} '
+            'e^{x^2/2} + 8 q_{1}q_{2}q_{3} e^{x^2/2}\n'
+            '8 x_{1}^{2}x_{2}^{2}q_{4} e^{x^2/2} + -4 '
+            'x_{1}^{2}q_{1}q_{2}q_{4} e^{x^2/2} + 8 x_{2}^{4}q_{4} e^{x^2/2} '
+            '+ -12 x_{2}^{2}q_{1}q_{2}q_{4} e^{x^2/2} + -16 x_{2}^{2}q_{4} '
+            'e^{x^2/2} + 8 q_{1}q_{2}q_{4} e^{x^2/2}\n'
+            '8 x_{1}^{2}x_{2}^{2}q_{1} e^{x^2/2} + -4 '
+            'x_{1}^{2}q_{1}q_{3}q_{4} e^{x^2/2} + 8 x_{2}^{4}q_{1} e^{x^2/2} '
+            '+ -12 x_{2}^{2}q_{1}q_{3}q_{4} e^{x^2/2} + -16 x_{2}^{2}q_{1} '
+            'e^{x^2/2} + 8 q_{1}q_{3}q_{4} e^{x^2/2}\n'
+            '8 x_{1}^{2}x_{2}^{2}q_{2} e^{x^2/2} + -4 '
+            'x_{1}^{2}q_{2}q_{3}q_{4} e^{x^2/2} + 8 x_{2}^{4}q_{2} e^{x^2/2} '
+            '+ -12 x_{2}^{2}q_{2}q_{3}q_{4} e^{x^2/2} + -16 x_{2}^{2}q_{2} '
+            'e^{x^2/2} + 8 q_{2}q_{3}q_{4} e^{x^2/2}',
+        ),
+        (
+            '16*x1^6*x2*G + 80/3*x1^4*x2^3*G - 32*x1^4*x2*q1q2*G - '
+            '32*x1^4*x2*q3q4*G + 16/3*x1^2*x2^5*G - 64/3*x1^2*x2^3*q1q2*G - '
+            '64/3*x1^2*x2^3*q3q4*G + 32*x1^2*x2*q1q2q3q4*G - 16/3*x2^7*G + '
+            '32/3*x2^5*q1q2*G + 32/3*x2^5*q3q4*G - 32/3*x2^3*q1q2q3q4*G - '
+            '96*x1^4*x2*G - 64*x1^2*x2^3*G + 96*x1^2*x2*q1q2*G + '
+            '96*x1^2*x2*q3q4*G + 32*x2^5*G - 32*x2^3*q1q2*G - 32*x2^3*q3q4*G '
+            '+ 96*x1^2*x2*G - 32*x2^3*G\n'
+            '16*x1^7*G - 16*x1^5*x2^2*G - 32*x1^5*q1q2*G - 32*x1^5*q3q4*G - '
+            '80*x1^3*x2^4*G + 64*x1^3*x2^2*q1q2*G + 64*x1^3*x2^2*q3q4*G + '
+            '32*x1^3*q1q2q3q4*G - 48*x1*x2^6*G + 96*x1*x2^4*q1q2*G + '
+            '96*x1*x2^4*q3q4*G - 96*x1*x2^2*q1q2q3q4*G - 96*x1^5*G + '
+            '192*x1^3*x2^2*G + 96*x1^3*q1q2*G + 96*x1^3*q3q4*G + '
+            '288*x1*x2^4*G - 288*x1*x2^2*q1q2*G - 288*x1*x2^2*q3q4*G + '
+            '96*x1^3*G - 288*x1*x2^2*G\n'
+            '16*x1^5*x2*q1*G + 32*x1^3*x2^3*q1*G - 32*x1^3*x2*q1q3q4*G + '
+            '16*x1*x2^5*q1*G - 32*x1*x2^3*q1q3q4*G - 96*x1^3*x2*q1*G - '
+            '96*x1*x2^3*q1*G + 96*x1*x2*q1q3q4*G + 96*x1*x2*q1*G\n'
+            '16*x1^6*q1*G + 16*x1^4*x2^2*q1*G - 32*x1^4*q1q3q4*G - '
+            '16*x1^2*x2^4*q1*G - 16*x2^6*q1*G + 32*x2^4*q1q3q4*G - '
+            '96*x1^4*q1*G + 96*x1^2*q1q3q4*G + 96*x2^4*q1*G - '
+            '96*x2^2*q1q3q4*G + 96*x1^2*q1*G - 96*x2^2*q1*G\n'
+            '16*x1^5*x2*q2*G + 32*x1^3*x2^3*q2*G - 32*x1^3*x2*q2q3q4*G + '
+            '16*x1*x2^5*q2*G - 32*x1*x2^3*q2q3q4*G - 96*x1^3*x2*q2*G - '
+            '96*x1*x2^3*q2*G + 96*x1*x2*q2q3q4*G + 96*x1*x2*q2*G\n'
+            '16*x1^6*q2*G + 16*x1^4*x2^2*q2*G - 32*x1^4*q2q3q4*G - '
+            '16*x1^2*x2^4*q2*G - 16*x2^6*q2*G + 32*x2^4*q2q3q4*G - '
+            '96*x1^4*q2*G + 96*x1^2*q2q3q4*G + 96*x2^4*q2*G - '
+            '96*x2^2*q2q3q4*G + 96*x1^2*q2*G - 96*x2^2*q2*G\n'
+            '16*x1^5*x2*q3*G + 32*x1^3*x2^3*q3*G - 32*x1^3*x2*q1q2q3*G + '
+            '16*x1*x2^5*q3*G - 32*x1*x2^3*q1q2q3*G - 96*x1^3*x2*q3*G - '
+            '96*x1*x2^3*q3*G + 96*x1*x2*q1q2q3*G + 96*x1*x2*q3*G\n'
+            '16*x1^6*q3*G + 16*x1^4*x2^2*q3*G - 32*x1^4*q1q2q3*G - '
+            '16*x1^2*x2^4*q3*G - 16*x2^6*q3*G + 32*x2^4*q1q2q3*G - '
+            '96*x1^4*q3*G + 96*x1^2*q1q2q3*G + 96*x2^4*q3*G - '
+            '96*x2^2*q1q2q3*G + 96*x1^2*q3*G - 96*x2^2*q3*G\n'
+            '16*x1^5*x2*q4*G + 32*x1^3*x2^3*q4*G - 32*x1^3*x2*q1q2q4*G + '
+            '16*x1*x2^5*q4*G - 32*x1*x2^3*q1q2q4*G - 96*x1^3*x2*q4*G - '
+            '96*x1*x2^3*q4*G + 96*x1*x2*q1q2q4*G + 96*x1*x2*q4*G\n'
+            '16*x1^6*q4*G + 16*x1^4*x2^2*q4*G - 32*x1^4*q1q2q4*G - '
+            '16*x1^2*x2^4*q4*G - 16*x2^6*q4*G + 32*x2^4*q1q2q4*G - '
+            '96*x1^4*q4*G + 96*x1^2*q1q2q4*G + 96*x2^4*q4*G - '
+            '96*x2^2*q1q2q4*G + 96*x1^2*q4*G - 96*x2^2*q4*G\n'
+            '-32/3*x1^4*x2^3*G + 16*x1^4*x2*q1q2*G - 64/3*x1^2*x2^5*G + '
+            '160/3*x1^2*x2^3*q1q2*G + 64/3*x1^2*x2^3*q3q4*G - '
+            '32*x1^2*x2*q1q2q3q4*G - 32/3*x2^7*G + 112/3*x2^5*q1q2*G + '
+            '64/3*x2^5*q3q4*G - 160/3*x2^3*q1q2q3q4*G + 64*x1^2*x2^3*G - '
+            '96*x1^2*x2*q1q2*G + 64*x2^5*G - 160*x2^3*q1q2*G - '
+            '64*x2^3*q3q4*G + 96*x2*q1q2q3q4*G - 64*x2^3*G + 96*x2*q1q2*G\n'
+            '-32*x1^5*x2^2*G + 16*x1^5*q1q2*G - 64*x1^3*x2^4*G + '
+            '96*x1^3*x2^2*q1q2*G + 64*x1^3*x2^2*q3q4*G - 32*x1^3*q1q2q3q4*G '
+            '- 32*x1*x2^6*G + 80*x1*x2^4*q1q2*G + 64*x1*x2^4*q3q4*G - '
+            '96*x1*x2^2*q1q2q3q4*G + 192*x1^3*x2^2*G - 96*x1^3*q1q2*G + '
+            '192*x1*x2^4*G - 288*x1*x2^2*q1q2*G - 192*x1*x2^2*q3q4*G + '
+            '96*x1*q1q2q3q4*G - 192*x1*x2^2*G + 96*x1*q1q2*G\n'
+            '16*x1^4*x2*q1q3*G + 32*x1^2*x2^3*q1q3*G + 16*x2^5*q1q3*G - '
+            '96*x1^2*x2*q1q3*G - 96*x2^3*q1q3*G + 96*x2*q1q3*G\n'
+            '16*x1^5*q1q3*G + 32*x1^3*x2^2*q1q3*G + 16*x1*x2^4*q1q3*G - '
+            '96*x1^3*q1q3*G - 96*x1*x2^2*q1q3*G + 96*x1*q1q3*G\n'
+            '16*x1^4*x2*q2q3*G + 32*x1^2*x2^3*q2q3*G + 16*x2^5*q2q3*G - '
+            '96*x1^2*x2*q2q3*G - 96*x2^3*q2q3*G + 96*x2*q2q3*G\n'
+            '16*x1^5*q2q3*G + 32*x1^3*x2^2*q2q3*G + 16*x1*x2^4*q2q3*G - '
+            '96*x1^3*q2q3*G - 96*x1*x2^2*q2q3*G + 96*x1*q2q3*G\n'
+            '16*x1^4*x2*q1q4*G + 32*x1^2*x2^3*q1q4*G + 16*x2^5*q1q4*G - '
+            '96*x1^2*x2*q1q4*G - 96*x2^3*q1q4*G + 96*x2*q1q4*G\n'
+            '16*x1^5*q1q4*G + 32*x1^3*x2^2*q1q4*G + 16*x1*x2^4*q1q4*G - '
+            '96*x1^3*q1q4*G - 96*x1*x2^2*q1q4*G + 96*x1*q1q4*G\n'
+            '16*x1^4*x2*q2q4*G + 32*x1^2*x2^3*q2q4*G + 16*x2^5*q2q4*G - '
+            '96*x1^2*x2*q2q4*G - 96*x2^3*q2q4*G + 96*x2*q2q4*G\n'
+            '16*x1^5*q2q4*G + 32*x1^3*x2^2*q2q4*G + 16*x1*x2^4*q2q4*G - '
+            '96*x1^3*q2q4*G - 96*x1*x2^2*q2q4*G + 96*x1*q2q4*G\n'
+            '-32/3*x1^4*x2^3*G + 16*x1^4*x2*q3q4*G - 64/3*x1^2*x2^5*G + '
+            '64/3*x1^2*x2^3*q1q2*G + 160/3*x1^2*x2^3*q3q4*G - '
+            '32*x1^2*x2*q1q2q3q4*G - 32/3*x2^7*G + 64/3*x2^5*q1q2*G + '
+            '112/3*x2^5*q3q4*G - 160/3*x2^3*q1q2q3q4*G + 64*x1^2*x2^3*G - '
+            '96*x1^2*x2*q3q4*G + 64*x2^5*G - 64*x2^3*q1q2*G - '
+            '160*x2^3*q3q4*G + 96*x2*q1q2q3q4*G - 64*x2^3*G + 96*x2*q3q4*G\n'
+            '-32*x1^5*x2^2*G + 16*x1^5*q3q4*G - 64*x1^3*x2^4*G + '
+            '64*x1^3*x2^2*q1q2*G + 96*x1^3*x2^2*q3q4*G - 32*x1^3*q1q2q3q4*G '
+            '- 32*x1*x2^6*G + 64*x1*x2^4*q1q2*G + 80*x1*x2^4*q3q4*G - '
+            '96*x1*x2^2*q1q2q3q4*G + 192*x1^3*x2^2*G - 96*x1^3*q3q4*G + '
+            '192*x1*x2^4*G - 192*x1*x2^2*q1q2*G - 288*x1*x2^2*q3q4*G + '
+            '96*x1*q1q2q3q4*G - 192*x1*x2^2*G + 96*x1*q3q4*G\n'
+            '-32*x1^4*x2^2*q3*G + 16*x1^4*q1q2q3*G - 64*x1^2*x2^4*q3*G + '
+            '96*x1^2*x2^2*q1q2q3*G - 32*x2^6*q3*G + 80*x2^4*q1q2q3*G + '
+            '192*x1^2*x2^2*q3*G - 96*x1^2*q1q2q3*G + 192*x2^4*q3*G - '
+            '288*x2^2*q1q2q3*G - 192*x2^2*q3*G + 96*q1q2q3*G\n'
+            '-32*x1^4*x2^2*q4*G + 16*x1^4*q1q2q4*G - 64*x1^2*x2^4*q4*G + '
+            '96*x1^2*x2^2*q1q2q4*G - 32*x2^6*q4*G + 80*x2^4*q1q2q4*G + '
+            '192*x1^2*x2^2*q4*G - 96*x1^2*q1q2q4*G + 192*x2^4*q4*G - '
+            '288*x2^2*q1q2q4*G - 192*x2^2*q4*G + 96*q1q2q4*G\n'
+            '-32*x1^4*x2^2*q1*G + 16*x1^4*q1q3q4*G - 64*x1^2*x2^4*q1*G + '
+            '96*x1^2*x2^2*q1q3q4*G - 32*x2^6*q1*G + 80*x2^4*q1q3q4*G + '
+            '192*x1^2*x2^2*q1*G - 96*x1^2*q1q3q4*G + 192*x2^4*q1*G - '
+            '288*x2^2*q1q3q4*G - 192*x2^2*q1*G + 96*q1q3q4*G\n'
+            '-32*x1^4*x2^2*q2*G + 16*x1^4*q2q3q4*G - 64*x1^2*x2^4*q2*G + '
+            '96*x1^2*x2^2*q2q3q4*G - 32*x2^6*q2*G + 80*x2^4*q2q3q4*G + '
+            '192*x1^2*x2^2*q2*G - 96*x1^2*q2q3q4*G + 192*x2^4*q2*G - '
+            '288*x2^2*q2q3q4*G - 192*x2^2*q2*G + 96*q2q3q4*G',
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [6, 1], "fer": [], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4, 3], "fer": [], '
+            '"coeff": [{"q": [80, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4, '
+            '1], "fer": [1, 2], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [4, 1], "fer": [3, 4], "coeff": [{"q": '
+            '[-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 5], "fer": [], '
+            '"coeff": [{"q": [16, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, '
+            '3], "fer": [1, 2], "coeff": [{"q": [-64, 3, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2, 3], "fer": [3, 4], "coeff": [{"q": '
+            '[-64, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 1], "fer": [1, '
+            '2, 3, 4], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 7], "fer": [], "coeff": [{"q": [-16, 3, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [0, 5], "fer": [1, 2], "coeff": [{"q": '
+            '[32, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 5], "fer": [3, '
+            '4], "coeff": [{"q": [32, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 3], "fer": [1, 2, 3, 4], "coeff": [{"q": [-32, 3, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [4, 1], "fer": [], "coeff": [{"q": '
+            '[-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 3], "fer": [], '
+            '"coeff": [{"q": [-64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2, 1], "fer": [1, 2], "coeff": [{"q": [96, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2, 1], "fer": [3, 4], "coeff": [{"q": '
+            '[96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 5], "fer": [], '
+            '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '3], "fer": [1, 2], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0, 3], "fer": [3, 4], "coeff": [{"q": '
+            '[-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 1], "fer": [], '
+            '"coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '3], "fer": [], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [7, 0], "fer": [], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [5, 2], "fer": [], '
+            '"coeff": [{"q": [-16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[5, 0], "fer": [1, 2], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [5, 0], "fer": [3, 4], "coeff": [{"q": '
+            '[-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 4], "fer": [], '
+            '"coeff": [{"q": [-80, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[3, 2], "fer": [1, 2], "coeff": [{"q": [64, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [3, 2], "fer": [3, 4], "coeff": [{"q": '
+            '[64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 0], "fer": [1, '
+            '2, 3, 4], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [1, 6], "fer": [], "coeff": [{"q": [-48, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [1, 4], "fer": [1, 2], "coeff": [{"q": '
+            '[96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 4], "fer": [3, '
+            '4], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[1, 2], "fer": [1, 2, 3, 4], "coeff": [{"q": [-96, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [5, 0], "fer": [], "coeff": [{"q": '
+            '[-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 2], "fer": [], '
+            '"coeff": [{"q": [192, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[3, 0], "fer": [1, 2], "coeff": [{"q": [96, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [3, 0], "fer": [3, 4], "coeff": [{"q": '
+            '[96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 4], "fer": [], '
+            '"coeff": [{"q": [288, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[1, 2], "fer": [1, 2], "coeff": [{"q": [-288, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1, 2], "fer": [3, 4], "coeff": [{"q": '
+            '[-288, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 0], "fer": '
+            '[], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[1, 2], "fer": [], "coeff": [{"q": [-288, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [5, 1], "fer": [1], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 3], "fer": [1], '
+            '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, '
+            '1], "fer": [1, 3, 4], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1, 5], "fer": [1], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 3], "fer": [1, 3, '
+            '4], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [3, 1], "fer": [1], "coeff": [{"q": [-96, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1, 3], "fer": [1], "coeff": '
+            '[{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 1], '
+            '"fer": [1, 3, 4], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [1, 1], "fer": [1], "coeff": [{"q": [96, 1, 0, '
+            '1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [6, 0], "fer": [1], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4, 2], "fer": [1], '
+            '"coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4, '
+            '0], "fer": [1, 3, 4], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2, 4], "fer": [1], "coeff": [{"q": [-16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 6], "fer": [1], '
+            '"coeff": [{"q": [-16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 4], "fer": [1, 3, 4], "coeff": [{"q": [32, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [4, 0], "fer": [1], "coeff": [{"q": '
+            '[-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 0], "fer": [1, '
+            '3, 4], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 4], "fer": [1], "coeff": [{"q": [96, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [0, 2], "fer": [1, 3, 4], "coeff": '
+            '[{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 0], '
+            '"fer": [1], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 2], "fer": [1], "coeff": [{"q": [-96, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [5, 1], "fer": [2], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 3], "fer": [2], '
+            '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, '
+            '1], "fer": [2, 3, 4], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1, 5], "fer": [2], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 3], "fer": [2, 3, '
+            '4], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [3, 1], "fer": [2], "coeff": [{"q": [-96, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1, 3], "fer": [2], "coeff": '
+            '[{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 1], '
+            '"fer": [2, 3, 4], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [1, 1], "fer": [2], "coeff": [{"q": [96, 1, 0, '
+            '1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [6, 0], "fer": [2], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4, 2], "fer": [2], '
+            '"coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4, '
+            '0], "fer": [2, 3, 4], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2, 4], "fer": [2], "coeff": [{"q": [-16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 6], "fer": [2], '
+            '"coeff": [{"q": [-16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 4], "fer": [2, 3, 4], "coeff": [{"q": [32, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [4, 0], "fer": [2], "coeff": [{"q": '
+            '[-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 0], "fer": [2, '
+            '3, 4], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 4], "fer": [2], "coeff": [{"q": [96, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [0, 2], "fer": [2, 3, 4], "coeff": '
+            '[{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 0], '
+            '"fer": [2], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 2], "fer": [2], "coeff": [{"q": [-96, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [5, 1], "fer": [3], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 3], "fer": [3], '
+            '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, '
+            '1], "fer": [1, 2, 3], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1, 5], "fer": [3], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 3], "fer": [1, 2, '
+            '3], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [3, 1], "fer": [3], "coeff": [{"q": [-96, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1, 3], "fer": [3], "coeff": '
+            '[{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 1], '
+            '"fer": [1, 2, 3], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [1, 1], "fer": [3], "coeff": [{"q": [96, 1, 0, '
+            '1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [6, 0], "fer": [3], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4, 2], "fer": [3], '
+            '"coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4, '
+            '0], "fer": [1, 2, 3], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2, 4], "fer": [3], "coeff": [{"q": [-16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 6], "fer": [3], '
+            '"coeff": [{"q": [-16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 4], "fer": [1, 2, 3], "coeff": [{"q": [32, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [4, 0], "fer": [3], "coeff": [{"q": '
+            '[-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 0], "fer": [1, '
+            '2, 3], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 4], "fer": [3], "coeff": [{"q": [96, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [0, 2], "fer": [1, 2, 3], "coeff": '
+            '[{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 0], '
+            '"fer": [3], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 2], "fer": [3], "coeff": [{"q": [-96, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [5, 1], "fer": [4], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 3], "fer": [4], '
+            '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, '
+            '1], "fer": [1, 2, 4], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1, 5], "fer": [4], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 3], "fer": [1, 2, '
+            '4], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [3, 1], "fer": [4], "coeff": [{"q": [-96, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1, 3], "fer": [4], "coeff": '
+            '[{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 1], '
+            '"fer": [1, 2, 4], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [1, 1], "fer": [4], "coeff": [{"q": [96, 1, 0, '
+            '1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [6, 0], "fer": [4], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4, 2], "fer": [4], '
+            '"coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4, '
+            '0], "fer": [1, 2, 4], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2, 4], "fer": [4], "coeff": [{"q": [-16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 6], "fer": [4], '
+            '"coeff": [{"q": [-16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 4], "fer": [1, 2, 4], "coeff": [{"q": [32, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [4, 0], "fer": [4], "coeff": [{"q": '
+            '[-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 0], "fer": [1, '
+            '2, 4], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 4], "fer": [4], "coeff": [{"q": [96, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [0, 2], "fer": [1, 2, 4], "coeff": '
+            '[{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 0], '
+            '"fer": [4], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 2], "fer": [4], "coeff": [{"q": [-96, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [4, 3], "fer": [], "coeff": [{"q": '
+            '[-32, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4, 1], "fer": [1, '
+            '2], "coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2, 5], "fer": [], "coeff": [{"q": [-64, 3, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2, 3], "fer": [1, 2], "coeff": [{"q": '
+            '[160, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 3], "fer": [3, '
+            '4], "coeff": [{"q": [64, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2, 1], "fer": [1, 2, 3, 4], "coeff": [{"q": [-32, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0, 7], "fer": [], "coeff": [{"q": '
+            '[-32, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 5], "fer": [1, '
+            '2], "coeff": [{"q": [112, 3, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 5], "fer": [3, 4], "coeff": [{"q": [64, 3, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [1, 2, 3, 4], '
+            '"coeff": [{"q": [-160, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2, 3], "fer": [], "coeff": [{"q": [64, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2, 1], "fer": [1, 2], "coeff": [{"q": '
+            '[-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 5], "fer": [], '
+            '"coeff": [{"q": [64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '3], "fer": [1, 2], "coeff": [{"q": [-160, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0, 3], "fer": [3, 4], "coeff": [{"q": '
+            '[-64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 1], "fer": [1, '
+            '2, 3, 4], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 3], "fer": [], "coeff": [{"q": [-64, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [0, 1], "fer": [1, 2], "coeff": [{"q": '
+            '[96, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [5, 2], "fer": [], "coeff": [{"q": '
+            '[-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [5, 0], "fer": [1, '
+            '2], "coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[3, 4], "fer": [], "coeff": [{"q": [-64, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [3, 2], "fer": [1, 2], "coeff": [{"q": '
+            '[96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 2], "fer": [3, '
+            '4], "coeff": [{"q": [64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[3, 0], "fer": [1, 2, 3, 4], "coeff": [{"q": [-32, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1, 6], "fer": [], "coeff": [{"q": '
+            '[-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 4], "fer": [1, '
+            '2], "coeff": [{"q": [80, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[1, 4], "fer": [3, 4], "coeff": [{"q": [64, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1, 2], "fer": [1, 2, 3, 4], "coeff": '
+            '[{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 2], '
+            '"fer": [], "coeff": [{"q": [192, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [3, 0], "fer": [1, 2], "coeff": [{"q": [-96, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1, 4], "fer": [], "coeff": [{"q": '
+            '[192, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [1, '
+            '2], "coeff": [{"q": [-288, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [1, 2], "fer": [3, 4], "coeff": [{"q": [-192, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1, 0], "fer": [1, 2, 3, 4], '
+            '"coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, '
+            '2], "fer": [], "coeff": [{"q": [-192, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [1, 0], "fer": [1, 2], "coeff": [{"q": [96, 1, 0, '
+            '1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [4, 1], "fer": [1, 3], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 3], "fer": [1, '
+            '3], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 5], "fer": [1, 3], "coeff": [{"q": [16, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2, 1], "fer": [1, 3], "coeff": [{"q": '
+            '[-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [1, '
+            '3], "coeff": [{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 1], "fer": [1, 3], "coeff": [{"q": [96, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [5, 0], "fer": [1, 3], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 2], "fer": [1, '
+            '3], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[1, 4], "fer": [1, 3], "coeff": [{"q": [16, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [3, 0], "fer": [1, 3], "coeff": [{"q": '
+            '[-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [1, '
+            '3], "coeff": [{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [1, 0], "fer": [1, 3], "coeff": [{"q": [96, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [4, 1], "fer": [2, 3], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 3], "fer": [2, '
+            '3], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 5], "fer": [2, 3], "coeff": [{"q": [16, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2, 1], "fer": [2, 3], "coeff": [{"q": '
+            '[-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [2, '
+            '3], "coeff": [{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 1], "fer": [2, 3], "coeff": [{"q": [96, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [5, 0], "fer": [2, 3], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 2], "fer": [2, '
+            '3], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[1, 4], "fer": [2, 3], "coeff": [{"q": [16, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [3, 0], "fer": [2, 3], "coeff": [{"q": '
+            '[-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [2, '
+            '3], "coeff": [{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [1, 0], "fer": [2, 3], "coeff": [{"q": [96, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [4, 1], "fer": [1, 4], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 3], "fer": [1, '
+            '4], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 5], "fer": [1, 4], "coeff": [{"q": [16, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2, 1], "fer": [1, 4], "coeff": [{"q": '
+            '[-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [1, '
+            '4], "coeff": [{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 1], "fer": [1, 4], "coeff": [{"q": [96, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [5, 0], "fer": [1, 4], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 2], "fer": [1, '
+            '4], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[1, 4], "fer": [1, 4], "coeff": [{"q": [16, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [3, 0], "fer": [1, 4], "coeff": [{"q": '
+            '[-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [1, '
+            '4], "coeff": [{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [1, 0], "fer": [1, 4], "coeff": [{"q": [96, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [4, 1], "fer": [2, 4], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 3], "fer": [2, '
+            '4], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0, 5], "fer": [2, 4], "coeff": [{"q": [16, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2, 1], "fer": [2, 4], "coeff": [{"q": '
+            '[-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [2, '
+            '4], "coeff": [{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 1], "fer": [2, 4], "coeff": [{"q": [96, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [5, 0], "fer": [2, 4], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 2], "fer": [2, '
+            '4], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[1, 4], "fer": [2, 4], "coeff": [{"q": [16, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [3, 0], "fer": [2, 4], "coeff": [{"q": '
+            '[-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [2, '
+            '4], "coeff": [{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [1, 0], "fer": [2, 4], "coeff": [{"q": [96, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [4, 3], "fer": [], "coeff": [{"q": '
+            '[-32, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4, 1], "fer": [3, '
+            '4], "coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2, 5], "fer": [], "coeff": [{"q": [-64, 3, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2, 3], "fer": [1, 2], "coeff": [{"q": '
+            '[64, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 3], "fer": [3, '
+            '4], "coeff": [{"q": [160, 3, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2, 1], "fer": [1, 2, 3, 4], "coeff": [{"q": [-32, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 7], "fer": [], "coeff": '
+            '[{"q": [-32, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 5], '
+            '"fer": [1, 2], "coeff": [{"q": [64, 3, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0, 5], "fer": [3, 4], "coeff": [{"q": [112, 3, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 3], "fer": [1, 2, 3, '
+            '4], "coeff": [{"q": [-160, 3, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2, 3], "fer": [], "coeff": [{"q": [64, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [2, 1], "fer": [3, 4], "coeff": [{"q": '
+            '[-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 5], "fer": [], '
+            '"coeff": [{"q": [64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '3], "fer": [1, 2], "coeff": [{"q": [-64, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0, 3], "fer": [3, 4], "coeff": [{"q": '
+            '[-160, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 1], "fer": '
+            '[1, 2, 3, 4], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0, 3], "fer": [], "coeff": [{"q": [-64, 1, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [0, 1], "fer": [3, 4], '
+            '"coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [5, 2], "fer": [], "coeff": [{"q": '
+            '[-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [5, 0], "fer": [3, '
+            '4], "coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[3, 4], "fer": [], "coeff": [{"q": [-64, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [3, 2], "fer": [1, 2], "coeff": [{"q": '
+            '[64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 2], "fer": [3, '
+            '4], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[3, 0], "fer": [1, 2, 3, 4], "coeff": [{"q": [-32, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1, 6], "fer": [], "coeff": [{"q": '
+            '[-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 4], "fer": [1, '
+            '2], "coeff": [{"q": [64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[1, 4], "fer": [3, 4], "coeff": [{"q": [80, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1, 2], "fer": [1, 2, 3, 4], "coeff": '
+            '[{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3, 2], '
+            '"fer": [], "coeff": [{"q": [192, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [3, 0], "fer": [3, 4], "coeff": [{"q": [-96, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1, 4], "fer": [], "coeff": [{"q": '
+            '[192, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 2], "fer": [1, '
+            '2], "coeff": [{"q": [-192, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [1, 2], "fer": [3, 4], "coeff": [{"q": [-288, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1, 0], "fer": [1, 2, 3, 4], '
+            '"coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, '
+            '2], "fer": [], "coeff": [{"q": [-192, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [1, 0], "fer": [3, 4], "coeff": [{"q": [96, 1, 0, '
+            '1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [4, 2], "fer": [3], "coeff": [{"q": '
+            '[-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4, 0], "fer": [1, '
+            '2, 3], "coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2, 4], "fer": [3], "coeff": [{"q": [-64, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [2, 2], "fer": [1, 2, 3], "coeff": '
+            '[{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 6], '
+            '"fer": [3], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0, 4], "fer": [1, 2, 3], "coeff": [{"q": [80, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 2], "fer": [3], '
+            '"coeff": [{"q": [192, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2, 0], "fer": [1, 2, 3], "coeff": [{"q": [-96, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [0, 4], "fer": [3], "coeff": [{"q": '
+            '[192, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [1, '
+            '2, 3], "coeff": [{"q": [-288, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 2], "fer": [3], "coeff": [{"q": [-192, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [1, 2, 3], "coeff": '
+            '[{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [4, 2], "fer": [4], "coeff": [{"q": '
+            '[-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4, 0], "fer": [1, '
+            '2, 4], "coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2, 4], "fer": [4], "coeff": [{"q": [-64, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [2, 2], "fer": [1, 2, 4], "coeff": '
+            '[{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 6], '
+            '"fer": [4], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0, 4], "fer": [1, 2, 4], "coeff": [{"q": [80, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 2], "fer": [4], '
+            '"coeff": [{"q": [192, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2, 0], "fer": [1, 2, 4], "coeff": [{"q": [-96, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [0, 4], "fer": [4], "coeff": [{"q": '
+            '[192, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [1, '
+            '2, 4], "coeff": [{"q": [-288, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 2], "fer": [4], "coeff": [{"q": [-192, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [1, 2, 4], "coeff": '
+            '[{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [4, 2], "fer": [1], "coeff": [{"q": '
+            '[-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4, 0], "fer": [1, '
+            '3, 4], "coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2, 4], "fer": [1], "coeff": [{"q": [-64, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [2, 2], "fer": [1, 3, 4], "coeff": '
+            '[{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 6], '
+            '"fer": [1], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0, 4], "fer": [1, 3, 4], "coeff": [{"q": [80, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 2], "fer": [1], '
+            '"coeff": [{"q": [192, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2, 0], "fer": [1, 3, 4], "coeff": [{"q": [-96, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [0, 4], "fer": [1], "coeff": [{"q": '
+            '[192, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [1, '
+            '3, 4], "coeff": [{"q": [-288, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 2], "fer": [1], "coeff": [{"q": [-192, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [1, 3, 4], "coeff": '
+            '[{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'true, "terms": [{"bos": [4, 2], "fer": [2], "coeff": [{"q": '
+            '[-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4, 0], "fer": [2, '
+            '3, 4], "coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2, 4], "fer": [2], "coeff": [{"q": [-64, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [2, 2], "fer": [2, 3, 4], "coeff": '
+            '[{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 6], '
+            '"fer": [2], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0, 4], "fer": [2, 3, 4], "coeff": [{"q": [80, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [2, 2], "fer": [2], '
+            '"coeff": [{"q": [192, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2, 0], "fer": [2, 3, 4], "coeff": [{"q": [-96, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [0, 4], "fer": [2], "coeff": [{"q": '
+            '[192, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [2, '
+            '3, 4], "coeff": [{"q": [-288, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0, 2], "fer": [2], "coeff": [{"q": [-192, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [2, 3, 4], "coeff": '
+            '[{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}]}',
+            '16 x_{1}^{6}x_{2} e^{x^2/2} + 80/3 x_{1}^{4}x_{2}^{3} e^{x^2/2} '
+            '+ -32 x_{1}^{4}x_{2}q_{1}q_{2} e^{x^2/2} + -32 '
+            'x_{1}^{4}x_{2}q_{3}q_{4} e^{x^2/2} + 16/3 x_{1}^{2}x_{2}^{5} '
+            'e^{x^2/2} + -64/3 x_{1}^{2}x_{2}^{3}q_{1}q_{2} e^{x^2/2} + '
+            '-64/3 x_{1}^{2}x_{2}^{3}q_{3}q_{4} e^{x^2/2} + 32 '
+            'x_{1}^{2}x_{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -16/3 x_{2}^{7} '
+            'e^{x^2/2} + 32/3 x_{2}^{5}q_{1}q_{2} e^{x^2/2} + 32/3 '
+            'x_{2}^{5}q_{3}q_{4} e^{x^2/2} + -32/3 '
+            'x_{2}^{3}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -96 x_{1}^{4}x_{2} '
+            'e^{x^2/2} + -64 x_{1}^{2}x_{2}^{3} e^{x^2/2} + 96 '
+            'x_{1}^{2}x_{2}q_{1}q_{2} e^{x^2/2} + 96 '
+            'x_{1}^{2}x_{2}q_{3}q_{4} e^{x^2/2} + 32 x_{2}^{5} e^{x^2/2} + '
+            '-32 x_{2}^{3}q_{1}q_{2} e^{x^2/2} + -32 x_{2}^{3}q_{3}q_{4} '
+            'e^{x^2/2} + 96 x_{1}^{2}x_{2} e^{x^2/2} + -32 x_{2}^{3} '
+            'e^{x^2/2}\n'
+            '16 x_{1}^{7} e^{x^2/2} + -16 x_{1}^{5}x_{2}^{2} e^{x^2/2} + -32 '
+            'x_{1}^{5}q_{1}q_{2} e^{x^2/2} + -32 x_{1}^{5}q_{3}q_{4} '
+            'e^{x^2/2} + -80 x_{1}^{3}x_{2}^{4} e^{x^2/2} + 64 '
+            'x_{1}^{3}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + 64 '
+            'x_{1}^{3}x_{2}^{2}q_{3}q_{4} e^{x^2/2} + 32 '
+            'x_{1}^{3}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -48 x_{1}x_{2}^{6} '
+            'e^{x^2/2} + 96 x_{1}x_{2}^{4}q_{1}q_{2} e^{x^2/2} + 96 '
+            'x_{1}x_{2}^{4}q_{3}q_{4} e^{x^2/2} + -96 '
+            'x_{1}x_{2}^{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -96 x_{1}^{5} '
+            'e^{x^2/2} + 192 x_{1}^{3}x_{2}^{2} e^{x^2/2} + 96 '
+            'x_{1}^{3}q_{1}q_{2} e^{x^2/2} + 96 x_{1}^{3}q_{3}q_{4} '
+            'e^{x^2/2} + 288 x_{1}x_{2}^{4} e^{x^2/2} + -288 '
+            'x_{1}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + -288 '
+            'x_{1}x_{2}^{2}q_{3}q_{4} e^{x^2/2} + 96 x_{1}^{3} e^{x^2/2} + '
+            '-288 x_{1}x_{2}^{2} e^{x^2/2}\n'
+            '16 x_{1}^{5}x_{2}q_{1} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{3}q_{1} '
+            'e^{x^2/2} + -32 x_{1}^{3}x_{2}q_{1}q_{3}q_{4} e^{x^2/2} + 16 '
+            'x_{1}x_{2}^{5}q_{1} e^{x^2/2} + -32 '
+            'x_{1}x_{2}^{3}q_{1}q_{3}q_{4} e^{x^2/2} + -96 '
+            'x_{1}^{3}x_{2}q_{1} e^{x^2/2} + -96 x_{1}x_{2}^{3}q_{1} '
+            'e^{x^2/2} + 96 x_{1}x_{2}q_{1}q_{3}q_{4} e^{x^2/2} + 96 '
+            'x_{1}x_{2}q_{1} e^{x^2/2}\n'
+            '16 x_{1}^{6}q_{1} e^{x^2/2} + 16 x_{1}^{4}x_{2}^{2}q_{1} '
+            'e^{x^2/2} + -32 x_{1}^{4}q_{1}q_{3}q_{4} e^{x^2/2} + -16 '
+            'x_{1}^{2}x_{2}^{4}q_{1} e^{x^2/2} + -16 x_{2}^{6}q_{1} '
+            'e^{x^2/2} + 32 x_{2}^{4}q_{1}q_{3}q_{4} e^{x^2/2} + -96 '
+            'x_{1}^{4}q_{1} e^{x^2/2} + 96 x_{1}^{2}q_{1}q_{3}q_{4} '
+            'e^{x^2/2} + 96 x_{2}^{4}q_{1} e^{x^2/2} + -96 '
+            'x_{2}^{2}q_{1}q_{3}q_{4} e^{x^2/2} + 96 x_{1}^{2}q_{1} '
+            'e^{x^2/2} + -96 x_{2}^{2}q_{1} e^{x^2/2}\n'
+            '16 x_{1}^{5}x_{2}q_{2} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{3}q_{2} '
+            'e^{x^2/2} + -32 x_{1}^{3}x_{2}q_{2}q_{3}q_{4} e^{x^2/2} + 16 '
+            'x_{1}x_{2}^{5}q_{2} e^{x^2/2} + -32 '
+            'x_{1}x_{2}^{3}q_{2}q_{3}q_{4} e^{x^2/2} + -96 '
+            'x_{1}^{3}x_{2}q_{2} e^{x^2/2} + -96 x_{1}x_{2}^{3}q_{2} '
+            'e^{x^2/2} + 96 x_{1}x_{2}q_{2}q_{3}q_{4} e^{x^2/2} + 96 '
+            'x_{1}x_{2}q_{2} e^{x^2/2}\n'
+            '16 x_{1}^{6}q_{2} e^{x^2/2} + 16 x_{1}^{4}x_{2}^{2}q_{2} '
+            'e^{x^2/2} + -32 x_{1}^{4}q_{2}q_{3}q_{4} e^{x^2/2} + -16 '
+            'x_{1}^{2}x_{2}^{4}q_{2} e^{x^2/2} + -16 x_{2}^{6}q_{2} '
+            'e^{x^2/2} + 32 x_{2}^{4}q_{2}q_{3}q_{4} e^{x^2/2} + -96 '
+            'x_{1}^{4}q_{2} e^{x^2/2} + 96 x_{1}^{2}q_{2}q_{3}q_{4} '
+            'e^{x^2/2} + 96 x_{2}^{4}q_{2} e^{x^2/2} + -96 '
+            'x_{2}^{2}q_{2}q_{3}q_{4} e^{x^2/2} + 96 x_{1}^{2}q_{2} '
+            'e^{x^2/2} + -96 x_{2}^{2}q_{2} e^{x^2/2}\n'
+            '16 x_{1}^{5}x_{2}q_{3} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{3}q_{3} '
+            'e^{x^2/2} + -32 x_{1}^{3}x_{2}q_{1}q_{2}q_{3} e^{x^2/2} + 16 '
+            'x_{1}x_{2}^{5}q_{3} e^{x^2/2} + -32 '
+            'x_{1}x_{2}^{3}q_{1}q_{2}q_{3} e^{x^2/2} + -96 '
+            'x_{1}^{3}x_{2}q_{3} e^{x^2/2} + -96 x_{1}x_{2}^{3}q_{3} '
+            'e^{x^2/2} + 96 x_{1}x_{2}q_{1}q_{2}q_{3} e^{x^2/2} + 96 '
+            'x_{1}x_{2}q_{3} e^{x^2/2}\n'
+            '16 x_{1}^{6}q_{3} e^{x^2/2} + 16 x_{1}^{4}x_{2}^{2}q_{3} '
+            'e^{x^2/2} + -32 x_{1}^{4}q_{1}q_{2}q_{3} e^{x^2/2} + -16 '
+            'x_{1}^{2}x_{2}^{4}q_{3} e^{x^2/2} + -16 x_{2}^{6}q_{3} '
+            'e^{x^2/2} + 32 x_{2}^{4}q_{1}q_{2}q_{3} e^{x^2/2} + -96 '
+            'x_{1}^{4}q_{3} e^{x^2/2} + 96 x_{1}^{2}q_{1}q_{2}q_{3} '
+            'e^{x^2/2} + 96 x_{2}^{4}q_{3} e^{x^2/2} + -96 '
+            'x_{2}^{2}q_{1}q_{2}q_{3} e^{x^2/2} + 96 x_{1}^{2}q_{3} '
+            'e^{x^2/2} + -96 x_{2}^{2}q_{3} e^{x^2/2}\n'
+            '16 x_{1}^{5}x_{2}q_{4} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{3}q_{4} '
+            'e^{x^2/2} + -32 x_{1}^{3}x_{2}q_{1}q_{2}q_{4} e^{x^2/2} + 16 '
+            'x_{1}x_{2}^{5}q_{4} e^{x^2/2} + -32 '
+            'x_{1}x_{2}^{3}q_{1}q_{2}q_{4} e^{x^2/2} + -96 '
+            'x_{1}^{3}x_{2}q_{4} e^{x^2/2} + -96 x_{1}x_{2}^{3}q_{4} '
+            'e^{x^2/2} + 96 x_{1}x_{2}q_{1}q_{2}q_{4} e^{x^2/2} + 96 '
+            'x_{1}x_{2}q_{4} e^{x^2/2}\n'
+            '16 x_{1}^{6}q_{4} e^{x^2/2} + 16 x_{1}^{4}x_{2}^{2}q_{4} '
+            'e^{x^2/2} + -32 x_{1}^{4}q_{1}q_{2}q_{4} e^{x^2/2} + -16 '
+            'x_{1}^{2}x_{2}^{4}q_{4} e^{x^2/2} + -16 x_{2}^{6}q_{4} '
+            'e^{x^2/2} + 32 x_{2}^{4}q_{1}q_{2}q_{4} e^{x^2/2} + -96 '
+            'x_{1}^{4}q_{4} e^{x^2/2} + 96 x_{1}^{2}q_{1}q_{2}q_{4} '
+            'e^{x^2/2} + 96 x_{2}^{4}q_{4} e^{x^2/2} + -96 '
+            'x_{2}^{2}q_{1}q_{2}q_{4} e^{x^2/2} + 96 x_{1}^{2}q_{4} '
+            'e^{x^2/2} + -96 x_{2}^{2}q_{4} e^{x^2/2}\n'
+            '-32/3 x_{1}^{4}x_{2}^{3} e^{x^2/2} + 16 '
+            'x_{1}^{4}x_{2}q_{1}q_{2} e^{x^2/2} + -64/3 x_{1}^{2}x_{2}^{5} '
+            'e^{x^2/2} + 160/3 x_{1}^{2}x_{2}^{3}q_{1}q_{2} e^{x^2/2} + 64/3 '
+            'x_{1}^{2}x_{2}^{3}q_{3}q_{4} e^{x^2/2} + -32 '
+            'x_{1}^{2}x_{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -32/3 x_{2}^{7} '
+            'e^{x^2/2} + 112/3 x_{2}^{5}q_{1}q_{2} e^{x^2/2} + 64/3 '
+            'x_{2}^{5}q_{3}q_{4} e^{x^2/2} + -160/3 '
+            'x_{2}^{3}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 64 x_{1}^{2}x_{2}^{3} '
+            'e^{x^2/2} + -96 x_{1}^{2}x_{2}q_{1}q_{2} e^{x^2/2} + 64 '
+            'x_{2}^{5} e^{x^2/2} + -160 x_{2}^{3}q_{1}q_{2} e^{x^2/2} + -64 '
+            'x_{2}^{3}q_{3}q_{4} e^{x^2/2} + 96 x_{2}q_{1}q_{2}q_{3}q_{4} '
+            'e^{x^2/2} + -64 x_{2}^{3} e^{x^2/2} + 96 x_{2}q_{1}q_{2} '
+            'e^{x^2/2}\n'
+            '-32 x_{1}^{5}x_{2}^{2} e^{x^2/2} + 16 x_{1}^{5}q_{1}q_{2} '
+            'e^{x^2/2} + -64 x_{1}^{3}x_{2}^{4} e^{x^2/2} + 96 '
+            'x_{1}^{3}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + 64 '
+            'x_{1}^{3}x_{2}^{2}q_{3}q_{4} e^{x^2/2} + -32 '
+            'x_{1}^{3}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -32 x_{1}x_{2}^{6} '
+            'e^{x^2/2} + 80 x_{1}x_{2}^{4}q_{1}q_{2} e^{x^2/2} + 64 '
+            'x_{1}x_{2}^{4}q_{3}q_{4} e^{x^2/2} + -96 '
+            'x_{1}x_{2}^{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 192 '
+            'x_{1}^{3}x_{2}^{2} e^{x^2/2} + -96 x_{1}^{3}q_{1}q_{2} '
+            'e^{x^2/2} + 192 x_{1}x_{2}^{4} e^{x^2/2} + -288 '
+            'x_{1}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + -192 '
+            'x_{1}x_{2}^{2}q_{3}q_{4} e^{x^2/2} + 96 '
+            'x_{1}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -192 x_{1}x_{2}^{2} '
+            'e^{x^2/2} + 96 x_{1}q_{1}q_{2} e^{x^2/2}\n'
+            '16 x_{1}^{4}x_{2}q_{1}q_{3} e^{x^2/2} + 32 '
+            'x_{1}^{2}x_{2}^{3}q_{1}q_{3} e^{x^2/2} + 16 x_{2}^{5}q_{1}q_{3} '
+            'e^{x^2/2} + -96 x_{1}^{2}x_{2}q_{1}q_{3} e^{x^2/2} + -96 '
+            'x_{2}^{3}q_{1}q_{3} e^{x^2/2} + 96 x_{2}q_{1}q_{3} e^{x^2/2}\n'
+            '16 x_{1}^{5}q_{1}q_{3} e^{x^2/2} + 32 '
+            'x_{1}^{3}x_{2}^{2}q_{1}q_{3} e^{x^2/2} + 16 '
+            'x_{1}x_{2}^{4}q_{1}q_{3} e^{x^2/2} + -96 x_{1}^{3}q_{1}q_{3} '
+            'e^{x^2/2} + -96 x_{1}x_{2}^{2}q_{1}q_{3} e^{x^2/2} + 96 '
+            'x_{1}q_{1}q_{3} e^{x^2/2}\n'
+            '16 x_{1}^{4}x_{2}q_{2}q_{3} e^{x^2/2} + 32 '
+            'x_{1}^{2}x_{2}^{3}q_{2}q_{3} e^{x^2/2} + 16 x_{2}^{5}q_{2}q_{3} '
+            'e^{x^2/2} + -96 x_{1}^{2}x_{2}q_{2}q_{3} e^{x^2/2} + -96 '
+            'x_{2}^{3}q_{2}q_{3} e^{x^2/2} + 96 x_{2}q_{2}q_{3} e^{x^2/2}\n'
+            '16 x_{1}^{5}q_{2}q_{3} e^{x^2/2} + 32 '
+            'x_{1}^{3}x_{2}^{2}q_{2}q_{3} e^{x^2/2} + 16 '
+            'x_{1}x_{2}^{4}q_{2}q_{3} e^{x^2/2} + -96 x_{1}^{3}q_{2}q_{3} '
+            'e^{x^2/2} + -96 x_{1}x_{2}^{2}q_{2}q_{3} e^{x^2/2} + 96 '
+            'x_{1}q_{2}q_{3} e^{x^2/2}\n'
+            '16 x_{1}^{4}x_{2}q_{1}q_{4} e^{x^2/2} + 32 '
+            'x_{1}^{2}x_{2}^{3}q_{1}q_{4} e^{x^2/2} + 16 x_{2}^{5}q_{1}q_{4} '
+            'e^{x^2/2} + -96 x_{1}^{2}x_{2}q_{1}q_{4} e^{x^2/2} + -96 '
+            'x_{2}^{3}q_{1}q_{4} e^{x^2/2} + 96 x_{2}q_{1}q_{4} e^{x^2/2}\n'
+            '16 x_{1}^{5}q_{1}q_{4} e^{x^2/2} + 32 '
+            'x_{1}^{3}x_{2}^{2}q_{1}q_{4} e^{x^2/2} + 16 '
+            'x_{1}x_{2}^{4}q_{1}q_{4} e^{x^2/2} + -96 x_{1}^{3}q_{1}q_{4} '
+            'e^{x^2/2} + -96 x_{1}x_{2}^{2}q_{1}q_{4} e^{x^2/2} + 96 '
+            'x_{1}q_{1}q_{4} e^{x^2/2}\n'
+            '16 x_{1}^{4}x_{2}q_{2}q_{4} e^{x^2/2} + 32 '
+            'x_{1}^{2}x_{2}^{3}q_{2}q_{4} e^{x^2/2} + 16 x_{2}^{5}q_{2}q_{4} '
+            'e^{x^2/2} + -96 x_{1}^{2}x_{2}q_{2}q_{4} e^{x^2/2} + -96 '
+            'x_{2}^{3}q_{2}q_{4} e^{x^2/2} + 96 x_{2}q_{2}q_{4} e^{x^2/2}\n'
+            '16 x_{1}^{5}q_{2}q_{4} e^{x^2/2} + 32 '
+            'x_{1}^{3}x_{2}^{2}q_{2}q_{4} e^{x^2/2} + 16 '
+            'x_{1}x_{2}^{4}q_{2}q_{4} e^{x^2/2} + -96 x_{1}^{3}q_{2}q_{4} '
+            'e^{x^2/2} + -96 x_{1}x_{2}^{2}q_{2}q_{4} e^{x^2/2} + 96 '
+            'x_{1}q_{2}q_{4} e^{x^2/2}\n'
+            '-32/3 x_{1}^{4}x_{2}^{3} e^{x^2/2} + 16 '
+            'x_{1}^{4}x_{2}q_{3}q_{4} e^{x^2/2} + -64/3 x_{1}^{2}x_{2}^{5} '
+            'e^{x^2/2} + 64/3 x_{1}^{2}x_{2}^{3}q_{1}q_{2} e^{x^2/2} + 160/3 '
+            'x_{1}^{2}x_{2}^{3}q_{3}q_{4} e^{x^2/2} + -32 '
+            'x_{1}^{2}x_{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -32/3 x_{2}^{7} '
+            'e^{x^2/2} + 64/3 x_{2}^{5}q_{1}q_{2} e^{x^2/2} + 112/3 '
+            'x_{2}^{5}q_{3}q_{4} e^{x^2/2} + -160/3 '
+            'x_{2}^{3}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 64 x_{1}^{2}x_{2}^{3} '
+            'e^{x^2/2} + -96 x_{1}^{2}x_{2}q_{3}q_{4} e^{x^2/2} + 64 '
+            'x_{2}^{5} e^{x^2/2} + -64 x_{2}^{3}q_{1}q_{2} e^{x^2/2} + -160 '
+            'x_{2}^{3}q_{3}q_{4} e^{x^2/2} + 96 x_{2}q_{1}q_{2}q_{3}q_{4} '
+            'e^{x^2/2} + -64 x_{2}^{3} e^{x^2/2} + 96 x_{2}q_{3}q_{4} '
+            'e^{x^2/2}\n'
+            '-32 x_{1}^{5}x_{2}^{2} e^{x^2/2} + 16 x_{1}^{5}q_{3}q_{4} '
+            'e^{x^2/2} + -64 x_{1}^{3}x_{2}^{4} e^{x^2/2} + 64 '
+            'x_{1}^{3}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + 96 '
+            'x_{1}^{3}x_{2}^{2}q_{3}q_{4} e^{x^2/2} + -32 '
+            'x_{1}^{3}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -32 x_{1}x_{2}^{6} '
+            'e^{x^2/2} + 64 x_{1}x_{2}^{4}q_{1}q_{2} e^{x^2/2} + 80 '
+            'x_{1}x_{2}^{4}q_{3}q_{4} e^{x^2/2} + -96 '
+            'x_{1}x_{2}^{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 192 '
+            'x_{1}^{3}x_{2}^{2} e^{x^2/2} + -96 x_{1}^{3}q_{3}q_{4} '
+            'e^{x^2/2} + 192 x_{1}x_{2}^{4} e^{x^2/2} + -192 '
+            'x_{1}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + -288 '
+            'x_{1}x_{2}^{2}q_{3}q_{4} e^{x^2/2} + 96 '
+            'x_{1}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -192 x_{1}x_{2}^{2} '
+            'e^{x^2/2} + 96 x_{1}q_{3}q_{4} e^{x^2/2}\n'
+            '-32 x_{1}^{4}x_{2}^{2}q_{3} e^{x^2/2} + 16 '
+            'x_{1}^{4}q_{1}q_{2}q_{3} e^{x^2/2} + -64 '
+            'x_{1}^{2}x_{2}^{4}q_{3} e^{x^2/2} + 96 '
+            'x_{1}^{2}x_{2}^{2}q_{1}q_{2}q_{3} e^{x^2/2} + -32 '
+            'x_{2}^{6}q_{3} e^{x^2/2} + 80 x_{2}^{4}q_{1}q_{2}q_{3} '
+            'e^{x^2/2} + 192 x_{1}^{2}x_{2}^{2}q_{3} e^{x^2/2} + -96 '
+            'x_{1}^{2}q_{1}q_{2}q_{3} e^{x^2/2} + 192 x_{2}^{4}q_{3} '
+            'e^{x^2/2} + -288 x_{2}^{2}q_{1}q_{2}q_{3} e^{x^2/2} + -192 '
+            'x_{2}^{2}q_{3} e^{x^2/2} + 96 q_{1}q_{2}q_{3} e^{x^2/2}\n'
+            '-32 x_{1}^{4}x_{2}^{2}q_{4} e^{x^2/2} + 16 '
+            'x_{1}^{4}q_{1}q_{2}q_{4} e^{x^2/2} + -64 '
+            'x_{1}^{2}x_{2}^{4}q_{4} e^{x^2/2} + 96 '
+            'x_{1}^{2}x_{2}^{2}q_{1}q_{2}q_{4} e^{x^2/2} + -32 '
+            'x_{2}^{6}q_{4} e^{x^2/2} + 80 x_{2}^{4}q_{1}q_{2}q_{4} '
+            'e^{x^2/2} + 192 x_{1}^{2}x_{2}^{2}q_{4} e^{x^2/2} + -96 '
+            'x_{1}^{2}q_{1}q_{2}q_{4} e^{x^2/2} + 192 x_{2}^{4}q_{4} '
+            'e^{x^2/2} + -288 x_{2}^{2}q_{1}q_{2}q_{4} e^{x^2/2} + -192 '
+            'x_{2}^{2}q_{4} e^{x^2/2} + 96 q_{1}q_{2}q_{4} e^{x^2/2}\n'
+            '-32 x_{1}^{4}x_{2}^{2}q_{1} e^{x^2/2} + 16 '
+            'x_{1}^{4}q_{1}q_{3}q_{4} e^{x^2/2} + -64 '
+            'x_{1}^{2}x_{2}^{4}q_{1} e^{x^2/2} + 96 '
+            'x_{1}^{2}x_{2}^{2}q_{1}q_{3}q_{4} e^{x^2/2} + -32 '
+            'x_{2}^{6}q_{1} e^{x^2/2} + 80 x_{2}^{4}q_{1}q_{3}q_{4} '
+            'e^{x^2/2} + 192 x_{1}^{2}x_{2}^{2}q_{1} e^{x^2/2} + -96 '
+            'x_{1}^{2}q_{1}q_{3}q_{4} e^{x^2/2} + 192 x_{2}^{4}q_{1} '
+            'e^{x^2/2} + -288 x_{2}^{2}q_{1}q_{3}q_{4} e^{x^2/2} + -192 '
+            'x_{2}^{2}q_{1} e^{x^2/2} + 96 q_{1}q_{3}q_{4} e^{x^2/2}\n'
+            '-32 x_{1}^{4}x_{2}^{2}q_{2} e^{x^2/2} + 16 '
+            'x_{1}^{4}q_{2}q_{3}q_{4} e^{x^2/2} + -64 '
+            'x_{1}^{2}x_{2}^{4}q_{2} e^{x^2/2} + 96 '
+            'x_{1}^{2}x_{2}^{2}q_{2}q_{3}q_{4} e^{x^2/2} + -32 '
+            'x_{2}^{6}q_{2} e^{x^2/2} + 80 x_{2}^{4}q_{2}q_{3}q_{4} '
+            'e^{x^2/2} + 192 x_{1}^{2}x_{2}^{2}q_{2} e^{x^2/2} + -96 '
+            'x_{1}^{2}q_{2}q_{3}q_{4} e^{x^2/2} + 192 x_{2}^{4}q_{2} '
+            'e^{x^2/2} + -288 x_{2}^{2}q_{2}q_{3}q_{4} e^{x^2/2} + -192 '
+            'x_{2}^{2}q_{2} e^{x^2/2} + 96 q_{2}q_{3}q_{4} e^{x^2/2}',
+        ),
+        (
+            'degree 3: dim nullspace 26, dim formula 26 [ok]',
+            '{"k": 3, "dim_nullspace": 26, "dim_formula": 26, "dims_match": '
+            'true, "product_failures": [], "products_harmonic": true, '
+            '"schema": "supertransform/1", "basis": [{"schema": '
+            '"supertransform/1", "m": 2, "n": 2, "envelope": false, "terms": '
+            '[{"bos": [2, 1], "fer": [], "coeff": [{"q": [1, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [0, 3], "fer": [], "coeff": [{"q": [-1, '
+            '3, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": "supertransform/1", '
+            '"m": 2, "n": 2, "envelope": false, "terms": [{"bos": [3, 0], '
+            '"fer": [], "coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [1, 2], "fer": [], "coeff": [{"q": [-3, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}, {"schema": "supertransform/1", "m": 2, "n": '
+            '2, "envelope": false, "terms": [{"bos": [1, 1], "fer": [1], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 2, "n": 2, "envelope": false, "terms": '
+            '[{"bos": [2, 0], "fer": [1], "coeff": [{"q": [1, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [0, 2], "fer": [1], "coeff": [{"q": '
+            '[-1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 2, "n": 2, "envelope": false, "terms": '
+            '[{"bos": [1, 1], "fer": [2], "coeff": [{"q": [1, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}, {"schema": "supertransform/1", "m": 2, "n": '
+            '2, "envelope": false, "terms": [{"bos": [2, 0], "fer": [2], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '2], "fer": [2], "coeff": [{"q": [-1, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}, {"schema": "supertransform/1", "m": 2, "n": 2, '
+            '"envelope": false, "terms": [{"bos": [1, 1], "fer": [3], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 2, "n": 2, "envelope": false, "terms": '
+            '[{"bos": [2, 0], "fer": [3], "coeff": [{"q": [1, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [0, 2], "fer": [3], "coeff": [{"q": '
+            '[-1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 2, "n": 2, "envelope": false, "terms": '
+            '[{"bos": [1, 1], "fer": [4], "coeff": [{"q": [1, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}, {"schema": "supertransform/1", "m": 2, "n": '
+            '2, "envelope": false, "terms": [{"bos": [2, 0], "fer": [4], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '2], "fer": [4], "coeff": [{"q": [-1, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}, {"schema": "supertransform/1", "m": 2, "n": 2, '
+            '"envelope": false, "terms": [{"bos": [0, 3], "fer": [], '
+            '"coeff": [{"q": [-2, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '1], "fer": [1, 2], "coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}, {"schema": "supertransform/1", "m": 2, "n": 2, '
+            '"envelope": false, "terms": [{"bos": [1, 2], "fer": [], '
+            '"coeff": [{"q": [-2, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, '
+            '0], "fer": [1, 2], "coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}, {"schema": "supertransform/1", "m": 2, "n": 2, '
+            '"envelope": false, "terms": [{"bos": [0, 1], "fer": [1, 3], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 2, "n": 2, "envelope": false, "terms": '
+            '[{"bos": [1, 0], "fer": [1, 3], "coeff": [{"q": [1, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}, {"schema": "supertransform/1", "m": 2, '
+            '"n": 2, "envelope": false, "terms": [{"bos": [0, 1], "fer": [2, '
+            '3], "coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, '
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'false, "terms": [{"bos": [1, 0], "fer": [2, 3], "coeff": [{"q": '
+            '[1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 2, "n": 2, "envelope": false, "terms": '
+            '[{"bos": [0, 1], "fer": [1, 4], "coeff": [{"q": [1, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}, {"schema": "supertransform/1", "m": 2, '
+            '"n": 2, "envelope": false, "terms": [{"bos": [1, 0], "fer": [1, '
+            '4], "coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, '
+            '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
+            'false, "terms": [{"bos": [0, 1], "fer": [2, 4], "coeff": [{"q": '
+            '[1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 2, "n": 2, "envelope": false, "terms": '
+            '[{"bos": [1, 0], "fer": [2, 4], "coeff": [{"q": [1, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}, {"schema": "supertransform/1", "m": 2, '
+            '"n": 2, "envelope": false, "terms": [{"bos": [0, 3], "fer": [], '
+            '"coeff": [{"q": [-2, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '1], "fer": [3, 4], "coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}, {"schema": "supertransform/1", "m": 2, "n": 2, '
+            '"envelope": false, "terms": [{"bos": [1, 2], "fer": [], '
+            '"coeff": [{"q": [-2, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, '
+            '0], "fer": [3, 4], "coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}, {"schema": "supertransform/1", "m": 2, "n": 2, '
+            '"envelope": false, "terms": [{"bos": [0, 2], "fer": [3], '
+            '"coeff": [{"q": [-2, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '0], "fer": [1, 2, 3], "coeff": [{"q": [1, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}, {"schema": "supertransform/1", "m": 2, "n": 2, '
+            '"envelope": false, "terms": [{"bos": [0, 2], "fer": [4], '
+            '"coeff": [{"q": [-2, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '0], "fer": [1, 2, 4], "coeff": [{"q": [1, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}, {"schema": "supertransform/1", "m": 2, "n": 2, '
+            '"envelope": false, "terms": [{"bos": [0, 2], "fer": [1], '
+            '"coeff": [{"q": [-2, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '0], "fer": [1, 3, 4], "coeff": [{"q": [1, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}, {"schema": "supertransform/1", "m": 2, "n": 2, '
+            '"envelope": false, "terms": [{"bos": [0, 2], "fer": [2], '
+            '"coeff": [{"q": [-2, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
+            '0], "fer": [2, 3, 4], "coeff": [{"q": [1, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}]}',
+            'degree 3: dim nullspace 26, dim formula 26 [ok]',
+        ),
+    ),
+    (1, 3, 0): (
+        (
+            'G',
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [0], "fer": [], "coeff": [{"q": [1, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}',
+            '1  e^{x^2/2}',
+        ),
+        (
+            '-4*x1^2*G + 4*q1q2*G + 4*q3q4*G + 4*q5q6*G - 10*G',
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [], "coeff": [{"q": [-4, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 2], '
+            '"coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], '
+            '"fer": [3, 4], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0], "fer": [5, 6], "coeff": [{"q": [4, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0], "fer": [], "coeff": [{"q": '
+            '[-10, 1, 0, 1], "b": 0, "eps": 0}]}]}',
+            '-4 x_{1}^{2} e^{x^2/2} + 4 q_{1}q_{2} e^{x^2/2} + 4 q_{3}q_{4} '
+            'e^{x^2/2} + 4 q_{5}q_{6} e^{x^2/2} + -10  e^{x^2/2}',
+        ),
+        (
+            '16*x1^4*G - 32*x1^2*q1q2*G - 32*x1^2*q3q4*G - 32*x1^2*q5q6*G + '
+            '32*q1q2q3q4*G + 32*q1q2q5q6*G + 32*q3q4q5q6*G + 48*x1^2*G - '
+            '48*q1q2*G - 48*q3q4*G - 48*q5q6*G + 60*G',
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [], "coeff": [{"q": [16, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 2], '
+            '"coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2], "fer": [3, 4], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2], "fer": [5, 6], "coeff": [{"q": [-32, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 2, 3, '
+            '4], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0], "fer": [1, 2, 5, 6], "coeff": [{"q": [32, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [0], "fer": [3, 4, 5, 6], "coeff": '
+            '[{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": '
+            '[], "coeff": [{"q": [48, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0], "fer": [1, 2], "coeff": [{"q": [-48, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0], "fer": [3, 4], "coeff": [{"q": [-48, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [5, 6], '
+            '"coeff": [{"q": [-48, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0], "fer": [], "coeff": [{"q": [60, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}',
+            '16 x_{1}^{4} e^{x^2/2} + -32 x_{1}^{2}q_{1}q_{2} e^{x^2/2} + '
+            '-32 x_{1}^{2}q_{3}q_{4} e^{x^2/2} + -32 x_{1}^{2}q_{5}q_{6} '
+            'e^{x^2/2} + 32 q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 32 '
+            'q_{1}q_{2}q_{5}q_{6} e^{x^2/2} + 32 q_{3}q_{4}q_{5}q_{6} '
+            'e^{x^2/2} + 48 x_{1}^{2} e^{x^2/2} + -48 q_{1}q_{2} e^{x^2/2} + '
+            '-48 q_{3}q_{4} e^{x^2/2} + -48 q_{5}q_{6} e^{x^2/2} + 60  '
+            'e^{x^2/2}',
+        ),
+        (
+            'degree 0: dim nullspace 1, dim formula 1 [ok]',
+            '{"k": 0, "dim_nullspace": 1, "dim_formula": 1, "dims_match": '
+            'true, "product_failures": [], "products_harmonic": true, '
+            '"schema": "supertransform/1", "basis": [{"schema": '
+            '"supertransform/1", "m": 1, "n": 3, "envelope": false, "terms": '
+            '[{"bos": [0], "fer": [], "coeff": [{"q": [1, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}]}',
+            'degree 0: dim nullspace 1, dim formula 1 [ok]',
+        ),
+    ),
+    (1, 3, 1): (
+        (
+            'x1*G\nq1*G\nq2*G\nq3*G\nq4*G\nq5*G\nq6*G',
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [1], "fer": [], "coeff": [{"q": [1, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [0], "fer": [1], "coeff": [{"q": [1, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [0], "fer": [2], "coeff": [{"q": [1, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [0], "fer": [3], "coeff": [{"q": [1, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [0], "fer": [4], "coeff": [{"q": [1, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [0], "fer": [5], "coeff": [{"q": [1, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [0], "fer": [6], "coeff": [{"q": [1, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}',
+            '1 x_{1} e^{x^2/2}\n'
+            '1 q_{1} e^{x^2/2}\n'
+            '1 q_{2} e^{x^2/2}\n'
+            '1 q_{3} e^{x^2/2}\n'
+            '1 q_{4} e^{x^2/2}\n1 q_{5} e^{x^2/2}\n1 q_{6} e^{x^2/2}',
+        ),
+        (
+            '-4*x1^3*G + 4*x1*q1q2*G + 4*x1*q3q4*G + 4*x1*q5q6*G - 6*x1*G\n'
+            '-4*x1^2*q1*G + 4*q1q3q4*G + 4*q1q5q6*G - 6*q1*G\n'
+            '-4*x1^2*q2*G + 4*q2q3q4*G + 4*q2q5q6*G - 6*q2*G\n'
+            '-4*x1^2*q3*G + 4*q1q2q3*G + 4*q3q5q6*G - 6*q3*G\n'
+            '-4*x1^2*q4*G + 4*q1q2q4*G + 4*q4q5q6*G - 6*q4*G\n'
+            '-4*x1^2*q5*G + 4*q1q2q5*G + 4*q3q4q5*G - 6*q5*G\n'
+            '-4*x1^2*q6*G + 4*q1q2q6*G + 4*q3q4q6*G - 6*q6*G',
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [3], "fer": [], "coeff": [{"q": [-4, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [1, 2], '
+            '"coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], '
+            '"fer": [3, 4], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [1], "fer": [5, 6], "coeff": [{"q": [4, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1], "fer": [], "coeff": [{"q": '
+            '[-6, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [1], "coeff": [{"q": [-4, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 3, 4], '
+            '"coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], '
+            '"fer": [1, 5, 6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0], "fer": [1], "coeff": [{"q": [-6, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [2], "coeff": [{"q": [-4, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [2, 3, 4], '
+            '"coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], '
+            '"fer": [2, 5, 6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0], "fer": [2], "coeff": [{"q": [-6, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [3], "coeff": [{"q": [-4, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 2, 3], '
+            '"coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], '
+            '"fer": [3, 5, 6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0], "fer": [3], "coeff": [{"q": [-6, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [4], "coeff": [{"q": [-4, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 2, 4], '
+            '"coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], '
+            '"fer": [4, 5, 6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0], "fer": [4], "coeff": [{"q": [-6, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [5], "coeff": [{"q": [-4, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 2, 5], '
+            '"coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], '
+            '"fer": [3, 4, 5], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0], "fer": [5], "coeff": [{"q": [-6, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [6], "coeff": [{"q": [-4, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 2, 6], '
+            '"coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], '
+            '"fer": [3, 4, 6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [0], "fer": [6], "coeff": [{"q": [-6, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}',
+            '-4 x_{1}^{3} e^{x^2/2} + 4 x_{1}q_{1}q_{2} e^{x^2/2} + 4 '
+            'x_{1}q_{3}q_{4} e^{x^2/2} + 4 x_{1}q_{5}q_{6} e^{x^2/2} + -6 '
+            'x_{1} e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{1} e^{x^2/2} + 4 q_{1}q_{3}q_{4} e^{x^2/2} + 4 '
+            'q_{1}q_{5}q_{6} e^{x^2/2} + -6 q_{1} e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{2} e^{x^2/2} + 4 q_{2}q_{3}q_{4} e^{x^2/2} + 4 '
+            'q_{2}q_{5}q_{6} e^{x^2/2} + -6 q_{2} e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{3} e^{x^2/2} + 4 q_{1}q_{2}q_{3} e^{x^2/2} + 4 '
+            'q_{3}q_{5}q_{6} e^{x^2/2} + -6 q_{3} e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{4} e^{x^2/2} + 4 q_{1}q_{2}q_{4} e^{x^2/2} + 4 '
+            'q_{4}q_{5}q_{6} e^{x^2/2} + -6 q_{4} e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{5} e^{x^2/2} + 4 q_{1}q_{2}q_{5} e^{x^2/2} + 4 '
+            'q_{3}q_{4}q_{5} e^{x^2/2} + -6 q_{5} e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{6} e^{x^2/2} + 4 q_{1}q_{2}q_{6} e^{x^2/2} + 4 '
+            'q_{3}q_{4}q_{6} e^{x^2/2} + -6 q_{6} e^{x^2/2}',
+        ),
+        (
+            '16*x1^5*G - 32*x1^3*q1q2*G - 32*x1^3*q3q4*G - 32*x1^3*q5q6*G + '
+            '32*x1*q1q2q3q4*G + 32*x1*q1q2q5q6*G + 32*x1*q3q4q5q6*G + '
+            '16*x1^3*G - 16*x1*q1q2*G - 16*x1*q3q4*G - 16*x1*q5q6*G + '
+            '12*x1*G\n'
+            '16*x1^4*q1*G - 32*x1^2*q1q3q4*G - 32*x1^2*q1q5q6*G + '
+            '32*q1q3q4q5q6*G + 16*x1^2*q1*G - 16*q1q3q4*G - 16*q1q5q6*G + '
+            '12*q1*G\n'
+            '16*x1^4*q2*G - 32*x1^2*q2q3q4*G - 32*x1^2*q2q5q6*G + '
+            '32*q2q3q4q5q6*G + 16*x1^2*q2*G - 16*q2q3q4*G - 16*q2q5q6*G + '
+            '12*q2*G\n'
+            '16*x1^4*q3*G - 32*x1^2*q1q2q3*G - 32*x1^2*q3q5q6*G + '
+            '32*q1q2q3q5q6*G + 16*x1^2*q3*G - 16*q1q2q3*G - 16*q3q5q6*G + '
+            '12*q3*G\n'
+            '16*x1^4*q4*G - 32*x1^2*q1q2q4*G - 32*x1^2*q4q5q6*G + '
+            '32*q1q2q4q5q6*G + 16*x1^2*q4*G - 16*q1q2q4*G - 16*q4q5q6*G + '
+            '12*q4*G\n'
+            '16*x1^4*q5*G - 32*x1^2*q1q2q5*G - 32*x1^2*q3q4q5*G + '
+            '32*q1q2q3q4q5*G + 16*x1^2*q5*G - 16*q1q2q5*G - 16*q3q4q5*G + '
+            '12*q5*G\n'
+            '16*x1^4*q6*G - 32*x1^2*q1q2q6*G - 32*x1^2*q3q4q6*G + '
+            '32*q1q2q3q4q6*G + 16*x1^2*q6*G - 16*q1q2q6*G - 16*q3q4q6*G + '
+            '12*q6*G',
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [5], "fer": [], "coeff": [{"q": [16, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": [1, 2], '
+            '"coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[3], "fer": [3, 4], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [3], "fer": [5, 6], "coeff": [{"q": [-32, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [1, 2, 3, '
+            '4], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[1], "fer": [1, 2, 5, 6], "coeff": [{"q": [32, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [1], "fer": [3, 4, 5, 6], "coeff": '
+            '[{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": '
+            '[], "coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[1], "fer": [1, 2], "coeff": [{"q": [-16, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1], "fer": [3, 4], "coeff": [{"q": [-16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [5, 6], '
+            '"coeff": [{"q": [-16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[1], "fer": [], "coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [1], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 3, 4], '
+            '"coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2], "fer": [1, 5, 6], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0], "fer": [1, 3, 4, 5, 6], "coeff": '
+            '[{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": '
+            '[1], "coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [1, 3, 4], "coeff": [{"q": [-16, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 5, 6], "coeff": '
+            '[{"q": [-16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": '
+            '[1], "coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [2], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [2, 3, 4], '
+            '"coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2], "fer": [2, 5, 6], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0], "fer": [2, 3, 4, 5, 6], "coeff": '
+            '[{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": '
+            '[2], "coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [2, 3, 4], "coeff": [{"q": [-16, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0], "fer": [2, 5, 6], "coeff": '
+            '[{"q": [-16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": '
+            '[2], "coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [3], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 2, 3], '
+            '"coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2], "fer": [3, 5, 6], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0], "fer": [1, 2, 3, 5, 6], "coeff": '
+            '[{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": '
+            '[3], "coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [1, 2, 3], "coeff": [{"q": [-16, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0], "fer": [3, 5, 6], "coeff": '
+            '[{"q": [-16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": '
+            '[3], "coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [4], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 2, 4], '
+            '"coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2], "fer": [4, 5, 6], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0], "fer": [1, 2, 4, 5, 6], "coeff": '
+            '[{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": '
+            '[4], "coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [1, 2, 4], "coeff": [{"q": [-16, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0], "fer": [4, 5, 6], "coeff": '
+            '[{"q": [-16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": '
+            '[4], "coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [5], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 2, 5], '
+            '"coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2], "fer": [3, 4, 5], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0], "fer": [1, 2, 3, 4, 5], "coeff": '
+            '[{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": '
+            '[5], "coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [1, 2, 5], "coeff": [{"q": [-16, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0], "fer": [3, 4, 5], "coeff": '
+            '[{"q": [-16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": '
+            '[5], "coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [6], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 2, 6], '
+            '"coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2], "fer": [3, 4, 6], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0], "fer": [1, 2, 3, 4, 6], "coeff": '
+            '[{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": '
+            '[6], "coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [1, 2, 6], "coeff": [{"q": [-16, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0], "fer": [3, 4, 6], "coeff": '
+            '[{"q": [-16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": '
+            '[6], "coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}',
+            '16 x_{1}^{5} e^{x^2/2} + -32 x_{1}^{3}q_{1}q_{2} e^{x^2/2} + '
+            '-32 x_{1}^{3}q_{3}q_{4} e^{x^2/2} + -32 x_{1}^{3}q_{5}q_{6} '
+            'e^{x^2/2} + 32 x_{1}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 32 '
+            'x_{1}q_{1}q_{2}q_{5}q_{6} e^{x^2/2} + 32 '
+            'x_{1}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 16 x_{1}^{3} e^{x^2/2} + '
+            '-16 x_{1}q_{1}q_{2} e^{x^2/2} + -16 x_{1}q_{3}q_{4} e^{x^2/2} + '
+            '-16 x_{1}q_{5}q_{6} e^{x^2/2} + 12 x_{1} e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{1} e^{x^2/2} + -32 x_{1}^{2}q_{1}q_{3}q_{4} '
+            'e^{x^2/2} + -32 x_{1}^{2}q_{1}q_{5}q_{6} e^{x^2/2} + 32 '
+            'q_{1}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 16 x_{1}^{2}q_{1} '
+            'e^{x^2/2} + -16 q_{1}q_{3}q_{4} e^{x^2/2} + -16 q_{1}q_{5}q_{6} '
+            'e^{x^2/2} + 12 q_{1} e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{2} e^{x^2/2} + -32 x_{1}^{2}q_{2}q_{3}q_{4} '
+            'e^{x^2/2} + -32 x_{1}^{2}q_{2}q_{5}q_{6} e^{x^2/2} + 32 '
+            'q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 16 x_{1}^{2}q_{2} '
+            'e^{x^2/2} + -16 q_{2}q_{3}q_{4} e^{x^2/2} + -16 q_{2}q_{5}q_{6} '
+            'e^{x^2/2} + 12 q_{2} e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{3} e^{x^2/2} + -32 x_{1}^{2}q_{1}q_{2}q_{3} '
+            'e^{x^2/2} + -32 x_{1}^{2}q_{3}q_{5}q_{6} e^{x^2/2} + 32 '
+            'q_{1}q_{2}q_{3}q_{5}q_{6} e^{x^2/2} + 16 x_{1}^{2}q_{3} '
+            'e^{x^2/2} + -16 q_{1}q_{2}q_{3} e^{x^2/2} + -16 q_{3}q_{5}q_{6} '
+            'e^{x^2/2} + 12 q_{3} e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{4} e^{x^2/2} + -32 x_{1}^{2}q_{1}q_{2}q_{4} '
+            'e^{x^2/2} + -32 x_{1}^{2}q_{4}q_{5}q_{6} e^{x^2/2} + 32 '
+            'q_{1}q_{2}q_{4}q_{5}q_{6} e^{x^2/2} + 16 x_{1}^{2}q_{4} '
+            'e^{x^2/2} + -16 q_{1}q_{2}q_{4} e^{x^2/2} + -16 q_{4}q_{5}q_{6} '
+            'e^{x^2/2} + 12 q_{4} e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{5} e^{x^2/2} + -32 x_{1}^{2}q_{1}q_{2}q_{5} '
+            'e^{x^2/2} + -32 x_{1}^{2}q_{3}q_{4}q_{5} e^{x^2/2} + 32 '
+            'q_{1}q_{2}q_{3}q_{4}q_{5} e^{x^2/2} + 16 x_{1}^{2}q_{5} '
+            'e^{x^2/2} + -16 q_{1}q_{2}q_{5} e^{x^2/2} + -16 q_{3}q_{4}q_{5} '
+            'e^{x^2/2} + 12 q_{5} e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{6} e^{x^2/2} + -32 x_{1}^{2}q_{1}q_{2}q_{6} '
+            'e^{x^2/2} + -32 x_{1}^{2}q_{3}q_{4}q_{6} e^{x^2/2} + 32 '
+            'q_{1}q_{2}q_{3}q_{4}q_{6} e^{x^2/2} + 16 x_{1}^{2}q_{6} '
+            'e^{x^2/2} + -16 q_{1}q_{2}q_{6} e^{x^2/2} + -16 q_{3}q_{4}q_{6} '
+            'e^{x^2/2} + 12 q_{6} e^{x^2/2}',
+        ),
+        (
+            'degree 1: dim nullspace 7, dim formula 7 [ok]',
+            '{"k": 1, "dim_nullspace": 7, "dim_formula": 7, "dims_match": '
+            'true, "product_failures": [], "products_harmonic": true, '
+            '"schema": "supertransform/1", "basis": [{"schema": '
+            '"supertransform/1", "m": 1, "n": 3, "envelope": false, "terms": '
+            '[{"bos": [1], "fer": [], "coeff": [{"q": [1, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}, {"schema": "supertransform/1", "m": 1, "n": 3, '
+            '"envelope": false, "terms": [{"bos": [0], "fer": [1], "coeff": '
+            '[{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 1, "n": 3, "envelope": false, "terms": '
+            '[{"bos": [0], "fer": [2], "coeff": [{"q": [1, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}, {"schema": "supertransform/1", "m": 1, "n": 3, '
+            '"envelope": false, "terms": [{"bos": [0], "fer": [3], "coeff": '
+            '[{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 1, "n": 3, "envelope": false, "terms": '
+            '[{"bos": [0], "fer": [4], "coeff": [{"q": [1, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}, {"schema": "supertransform/1", "m": 1, "n": 3, '
+            '"envelope": false, "terms": [{"bos": [0], "fer": [5], "coeff": '
+            '[{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 1, "n": 3, "envelope": false, "terms": '
+            '[{"bos": [0], "fer": [6], "coeff": [{"q": [1, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}]}',
+            'degree 1: dim nullspace 7, dim formula 7 [ok]',
+        ),
+    ),
+    (1, 3, 2): (
+        (
+            'x1*q1*G\n'
+            'x1*q2*G\n'
+            'x1*q3*G\n'
+            'x1*q4*G\n'
+            'x1*q5*G\n'
+            'x1*q6*G\n'
+            '-2*x1^2*G + q1q2*G\n'
+            'q1q3*G\n'
+            'q2q3*G\n'
+            'q1q4*G\n'
+            'q2q4*G\n'
+            '-2*x1^2*G + q3q4*G\n'
+            'q1q5*G\n'
+            'q2q5*G\n'
+            'q3q5*G\n'
+            'q4q5*G\nq1q6*G\nq2q6*G\nq3q6*G\nq4q6*G\n-2*x1^2*G + q5q6*G',
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [1], "fer": [1], "coeff": [{"q": [1, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [1], "fer": [2], "coeff": [{"q": [1, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [1], "fer": [3], "coeff": [{"q": [1, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [1], "fer": [4], "coeff": [{"q": [1, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [1], "fer": [5], "coeff": [{"q": [1, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [1], "fer": [6], "coeff": [{"q": [1, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [], "coeff": [{"q": [-2, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 2], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [0], "fer": [1, 3], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [0], "fer": [2, 3], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [0], "fer": [1, 4], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [0], "fer": [2, 4], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [], "coeff": [{"q": [-2, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [3, 4], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [0], "fer": [1, 5], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [0], "fer": [2, 5], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [0], "fer": [3, 5], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [0], "fer": [4, 5], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [0], "fer": [1, 6], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [0], "fer": [2, 6], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [0], "fer": [3, 6], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [0], "fer": [4, 6], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [], "coeff": [{"q": [-2, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [5, 6], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}',
+            '1 x_{1}q_{1} e^{x^2/2}\n'
+            '1 x_{1}q_{2} e^{x^2/2}\n'
+            '1 x_{1}q_{3} e^{x^2/2}\n'
+            '1 x_{1}q_{4} e^{x^2/2}\n'
+            '1 x_{1}q_{5} e^{x^2/2}\n'
+            '1 x_{1}q_{6} e^{x^2/2}\n'
+            '-2 x_{1}^{2} e^{x^2/2} + 1 q_{1}q_{2} e^{x^2/2}\n'
+            '1 q_{1}q_{3} e^{x^2/2}\n'
+            '1 q_{2}q_{3} e^{x^2/2}\n'
+            '1 q_{1}q_{4} e^{x^2/2}\n'
+            '1 q_{2}q_{4} e^{x^2/2}\n'
+            '-2 x_{1}^{2} e^{x^2/2} + 1 q_{3}q_{4} e^{x^2/2}\n'
+            '1 q_{1}q_{5} e^{x^2/2}\n'
+            '1 q_{2}q_{5} e^{x^2/2}\n'
+            '1 q_{3}q_{5} e^{x^2/2}\n'
+            '1 q_{4}q_{5} e^{x^2/2}\n'
+            '1 q_{1}q_{6} e^{x^2/2}\n'
+            '1 q_{2}q_{6} e^{x^2/2}\n'
+            '1 q_{3}q_{6} e^{x^2/2}\n'
+            '1 q_{4}q_{6} e^{x^2/2}\n'
+            '-2 x_{1}^{2} e^{x^2/2} + 1 q_{5}q_{6} e^{x^2/2}',
+        ),
+        (
+            '-4*x1^3*q1*G + 4*x1*q1q3q4*G + 4*x1*q1q5q6*G - 2*x1*q1*G\n'
+            '-4*x1^3*q2*G + 4*x1*q2q3q4*G + 4*x1*q2q5q6*G - 2*x1*q2*G\n'
+            '-4*x1^3*q3*G + 4*x1*q1q2q3*G + 4*x1*q3q5q6*G - 2*x1*q3*G\n'
+            '-4*x1^3*q4*G + 4*x1*q1q2q4*G + 4*x1*q4q5q6*G - 2*x1*q4*G\n'
+            '-4*x1^3*q5*G + 4*x1*q1q2q5*G + 4*x1*q3q4q5*G - 2*x1*q5*G\n'
+            '-4*x1^3*q6*G + 4*x1*q1q2q6*G + 4*x1*q3q4q6*G - 2*x1*q6*G\n'
+            '8*x1^4*G - 12*x1^2*q1q2*G - 8*x1^2*q3q4*G - 8*x1^2*q5q6*G + '
+            '4*q1q2q3q4*G + 4*q1q2q5q6*G + 4*x1^2*G - 2*q1q2*G\n'
+            '-4*x1^2*q1q3*G + 4*q1q3q5q6*G - 2*q1q3*G\n'
+            '-4*x1^2*q2q3*G + 4*q2q3q5q6*G - 2*q2q3*G\n'
+            '-4*x1^2*q1q4*G + 4*q1q4q5q6*G - 2*q1q4*G\n'
+            '-4*x1^2*q2q4*G + 4*q2q4q5q6*G - 2*q2q4*G\n'
+            '8*x1^4*G - 8*x1^2*q1q2*G - 12*x1^2*q3q4*G - 8*x1^2*q5q6*G + '
+            '4*q1q2q3q4*G + 4*q3q4q5q6*G + 4*x1^2*G - 2*q3q4*G\n'
+            '-4*x1^2*q1q5*G + 4*q1q3q4q5*G - 2*q1q5*G\n'
+            '-4*x1^2*q2q5*G + 4*q2q3q4q5*G - 2*q2q5*G\n'
+            '-4*x1^2*q3q5*G + 4*q1q2q3q5*G - 2*q3q5*G\n'
+            '-4*x1^2*q4q5*G + 4*q1q2q4q5*G - 2*q4q5*G\n'
+            '-4*x1^2*q1q6*G + 4*q1q3q4q6*G - 2*q1q6*G\n'
+            '-4*x1^2*q2q6*G + 4*q2q3q4q6*G - 2*q2q6*G\n'
+            '-4*x1^2*q3q6*G + 4*q1q2q3q6*G - 2*q3q6*G\n'
+            '-4*x1^2*q4q6*G + 4*q1q2q4q6*G - 2*q4q6*G\n'
+            '8*x1^4*G - 8*x1^2*q1q2*G - 8*x1^2*q3q4*G - 12*x1^2*q5q6*G + '
+            '4*q1q2q5q6*G + 4*q3q4q5q6*G + 4*x1^2*G - 2*q5q6*G',
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [3], "fer": [1], "coeff": [{"q": [-4, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [1, 3, 4], '
+            '"coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], '
+            '"fer": [1, 5, 6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [1], "fer": [1], "coeff": [{"q": [-2, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [3], "fer": [2], "coeff": [{"q": [-4, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [2, 3, 4], '
+            '"coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], '
+            '"fer": [2, 5, 6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [1], "fer": [2], "coeff": [{"q": [-2, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [3], "fer": [3], "coeff": [{"q": [-4, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [1, 2, 3], '
+            '"coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], '
+            '"fer": [3, 5, 6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [1], "fer": [3], "coeff": [{"q": [-2, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [3], "fer": [4], "coeff": [{"q": [-4, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [1, 2, 4], '
+            '"coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], '
+            '"fer": [4, 5, 6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [1], "fer": [4], "coeff": [{"q": [-2, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [3], "fer": [5], "coeff": [{"q": [-4, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [1, 2, 5], '
+            '"coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], '
+            '"fer": [3, 4, 5], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [1], "fer": [5], "coeff": [{"q": [-2, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [3], "fer": [6], "coeff": [{"q": [-4, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [1, 2, 6], '
+            '"coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], '
+            '"fer": [3, 4, 6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [1], "fer": [6], "coeff": [{"q": [-2, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [], "coeff": [{"q": [8, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 2], '
+            '"coeff": [{"q": [-12, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2], "fer": [3, 4], "coeff": [{"q": [-8, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2], "fer": [5, 6], "coeff": [{"q": [-8, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 2, 3, '
+            '4], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0], "fer": [1, 2, 5, 6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2], "fer": [], "coeff": [{"q": [4, 1, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 2], "coeff": '
+            '[{"q": [-2, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [1, 3], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 3, '
+            '5, 6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [1, 3], "coeff": [{"q": [-2, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [2, 3], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [2, 3, '
+            '5, 6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [2, 3], "coeff": [{"q": [-2, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [1, 4], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 4, '
+            '5, 6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [1, 4], "coeff": [{"q": [-2, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [2, 4], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [2, 4, '
+            '5, 6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [2, 4], "coeff": [{"q": [-2, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [], "coeff": [{"q": [8, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 2], '
+            '"coeff": [{"q": [-8, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2], "fer": [3, 4], "coeff": [{"q": [-12, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2], "fer": [5, 6], "coeff": [{"q": [-8, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 2, 3, '
+            '4], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0], "fer": [3, 4, 5, 6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2], "fer": [], "coeff": [{"q": [4, 1, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [3, 4], "coeff": '
+            '[{"q": [-2, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [1, 5], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 3, '
+            '4, 5], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [1, 5], "coeff": [{"q": [-2, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [2, 5], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [2, 3, '
+            '4, 5], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [2, 5], "coeff": [{"q": [-2, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [3, 5], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 2, '
+            '3, 5], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [3, 5], "coeff": [{"q": [-2, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [4, 5], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 2, '
+            '4, 5], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [4, 5], "coeff": [{"q": [-2, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [1, 6], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 3, '
+            '4, 6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [1, 6], "coeff": [{"q": [-2, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [2, 6], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [2, 3, '
+            '4, 6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [2, 6], "coeff": [{"q": [-2, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [3, 6], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 2, '
+            '3, 6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [3, 6], "coeff": [{"q": [-2, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [4, 6], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 2, '
+            '4, 6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [4, 6], "coeff": [{"q": [-2, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [], "coeff": [{"q": [8, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 2], '
+            '"coeff": [{"q": [-8, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2], "fer": [3, 4], "coeff": [{"q": [-8, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2], "fer": [5, 6], "coeff": [{"q": [-12, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 2, 5, '
+            '6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0], "fer": [3, 4, 5, 6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2], "fer": [], "coeff": [{"q": [4, 1, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [5, 6], "coeff": '
+            '[{"q": [-2, 1, 0, 1], "b": 0, "eps": 0}]}]}',
+            '-4 x_{1}^{3}q_{1} e^{x^2/2} + 4 x_{1}q_{1}q_{3}q_{4} e^{x^2/2} '
+            '+ 4 x_{1}q_{1}q_{5}q_{6} e^{x^2/2} + -2 x_{1}q_{1} e^{x^2/2}\n'
+            '-4 x_{1}^{3}q_{2} e^{x^2/2} + 4 x_{1}q_{2}q_{3}q_{4} e^{x^2/2} '
+            '+ 4 x_{1}q_{2}q_{5}q_{6} e^{x^2/2} + -2 x_{1}q_{2} e^{x^2/2}\n'
+            '-4 x_{1}^{3}q_{3} e^{x^2/2} + 4 x_{1}q_{1}q_{2}q_{3} e^{x^2/2} '
+            '+ 4 x_{1}q_{3}q_{5}q_{6} e^{x^2/2} + -2 x_{1}q_{3} e^{x^2/2}\n'
+            '-4 x_{1}^{3}q_{4} e^{x^2/2} + 4 x_{1}q_{1}q_{2}q_{4} e^{x^2/2} '
+            '+ 4 x_{1}q_{4}q_{5}q_{6} e^{x^2/2} + -2 x_{1}q_{4} e^{x^2/2}\n'
+            '-4 x_{1}^{3}q_{5} e^{x^2/2} + 4 x_{1}q_{1}q_{2}q_{5} e^{x^2/2} '
+            '+ 4 x_{1}q_{3}q_{4}q_{5} e^{x^2/2} + -2 x_{1}q_{5} e^{x^2/2}\n'
+            '-4 x_{1}^{3}q_{6} e^{x^2/2} + 4 x_{1}q_{1}q_{2}q_{6} e^{x^2/2} '
+            '+ 4 x_{1}q_{3}q_{4}q_{6} e^{x^2/2} + -2 x_{1}q_{6} e^{x^2/2}\n'
+            '8 x_{1}^{4} e^{x^2/2} + -12 x_{1}^{2}q_{1}q_{2} e^{x^2/2} + -8 '
+            'x_{1}^{2}q_{3}q_{4} e^{x^2/2} + -8 x_{1}^{2}q_{5}q_{6} '
+            'e^{x^2/2} + 4 q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 4 '
+            'q_{1}q_{2}q_{5}q_{6} e^{x^2/2} + 4 x_{1}^{2} e^{x^2/2} + -2 '
+            'q_{1}q_{2} e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{1}q_{3} e^{x^2/2} + 4 q_{1}q_{3}q_{5}q_{6} '
+            'e^{x^2/2} + -2 q_{1}q_{3} e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{2}q_{3} e^{x^2/2} + 4 q_{2}q_{3}q_{5}q_{6} '
+            'e^{x^2/2} + -2 q_{2}q_{3} e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{1}q_{4} e^{x^2/2} + 4 q_{1}q_{4}q_{5}q_{6} '
+            'e^{x^2/2} + -2 q_{1}q_{4} e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{2}q_{4} e^{x^2/2} + 4 q_{2}q_{4}q_{5}q_{6} '
+            'e^{x^2/2} + -2 q_{2}q_{4} e^{x^2/2}\n'
+            '8 x_{1}^{4} e^{x^2/2} + -8 x_{1}^{2}q_{1}q_{2} e^{x^2/2} + -12 '
+            'x_{1}^{2}q_{3}q_{4} e^{x^2/2} + -8 x_{1}^{2}q_{5}q_{6} '
+            'e^{x^2/2} + 4 q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 4 '
+            'q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 4 x_{1}^{2} e^{x^2/2} + -2 '
+            'q_{3}q_{4} e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{1}q_{5} e^{x^2/2} + 4 q_{1}q_{3}q_{4}q_{5} '
+            'e^{x^2/2} + -2 q_{1}q_{5} e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{2}q_{5} e^{x^2/2} + 4 q_{2}q_{3}q_{4}q_{5} '
+            'e^{x^2/2} + -2 q_{2}q_{5} e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{3}q_{5} e^{x^2/2} + 4 q_{1}q_{2}q_{3}q_{5} '
+            'e^{x^2/2} + -2 q_{3}q_{5} e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{4}q_{5} e^{x^2/2} + 4 q_{1}q_{2}q_{4}q_{5} '
+            'e^{x^2/2} + -2 q_{4}q_{5} e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{1}q_{6} e^{x^2/2} + 4 q_{1}q_{3}q_{4}q_{6} '
+            'e^{x^2/2} + -2 q_{1}q_{6} e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{2}q_{6} e^{x^2/2} + 4 q_{2}q_{3}q_{4}q_{6} '
+            'e^{x^2/2} + -2 q_{2}q_{6} e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{3}q_{6} e^{x^2/2} + 4 q_{1}q_{2}q_{3}q_{6} '
+            'e^{x^2/2} + -2 q_{3}q_{6} e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{4}q_{6} e^{x^2/2} + 4 q_{1}q_{2}q_{4}q_{6} '
+            'e^{x^2/2} + -2 q_{4}q_{6} e^{x^2/2}\n'
+            '8 x_{1}^{4} e^{x^2/2} + -8 x_{1}^{2}q_{1}q_{2} e^{x^2/2} + -8 '
+            'x_{1}^{2}q_{3}q_{4} e^{x^2/2} + -12 x_{1}^{2}q_{5}q_{6} '
+            'e^{x^2/2} + 4 q_{1}q_{2}q_{5}q_{6} e^{x^2/2} + 4 '
+            'q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 4 x_{1}^{2} e^{x^2/2} + -2 '
+            'q_{5}q_{6} e^{x^2/2}',
+        ),
+        (
+            '16*x1^5*q1*G - 32*x1^3*q1q3q4*G - 32*x1^3*q1q5q6*G + '
+            '32*x1*q1q3q4q5q6*G - 16*x1^3*q1*G + 16*x1*q1q3q4*G + '
+            '16*x1*q1q5q6*G - 4*x1*q1*G\n'
+            '16*x1^5*q2*G - 32*x1^3*q2q3q4*G - 32*x1^3*q2q5q6*G + '
+            '32*x1*q2q3q4q5q6*G - 16*x1^3*q2*G + 16*x1*q2q3q4*G + '
+            '16*x1*q2q5q6*G - 4*x1*q2*G\n'
+            '16*x1^5*q3*G - 32*x1^3*q1q2q3*G - 32*x1^3*q3q5q6*G + '
+            '32*x1*q1q2q3q5q6*G - 16*x1^3*q3*G + 16*x1*q1q2q3*G + '
+            '16*x1*q3q5q6*G - 4*x1*q3*G\n'
+            '16*x1^5*q4*G - 32*x1^3*q1q2q4*G - 32*x1^3*q4q5q6*G + '
+            '32*x1*q1q2q4q5q6*G - 16*x1^3*q4*G + 16*x1*q1q2q4*G + '
+            '16*x1*q4q5q6*G - 4*x1*q4*G\n'
+            '16*x1^5*q5*G - 32*x1^3*q1q2q5*G - 32*x1^3*q3q4q5*G + '
+            '32*x1*q1q2q3q4q5*G - 16*x1^3*q5*G + 16*x1*q1q2q5*G + '
+            '16*x1*q3q4q5*G - 4*x1*q5*G\n'
+            '16*x1^5*q6*G - 32*x1^3*q1q2q6*G - 32*x1^3*q3q4q6*G + '
+            '32*x1*q1q2q3q4q6*G - 16*x1^3*q6*G + 16*x1*q1q2q6*G + '
+            '16*x1*q3q4q6*G - 4*x1*q6*G\n'
+            '-32*x1^6*G + 80*x1^4*q1q2*G + 64*x1^4*q3q4*G + 64*x1^4*q5q6*G - '
+            '96*x1^2*q1q2q3q4*G - 96*x1^2*q1q2q5q6*G - 64*x1^2*q3q4q5q6*G + '
+            '32*q1q2q3q4q5q6*G + 32*x1^4*G - 48*x1^2*q1q2*G - 32*x1^2*q3q4*G '
+            '- 32*x1^2*q5q6*G + 16*q1q2q3q4*G + 16*q1q2q5q6*G + 8*x1^2*G - '
+            '4*q1q2*G\n'
+            '16*x1^4*q1q3*G - 32*x1^2*q1q3q5q6*G - 16*x1^2*q1q3*G + '
+            '16*q1q3q5q6*G - 4*q1q3*G\n'
+            '16*x1^4*q2q3*G - 32*x1^2*q2q3q5q6*G - 16*x1^2*q2q3*G + '
+            '16*q2q3q5q6*G - 4*q2q3*G\n'
+            '16*x1^4*q1q4*G - 32*x1^2*q1q4q5q6*G - 16*x1^2*q1q4*G + '
+            '16*q1q4q5q6*G - 4*q1q4*G\n'
+            '16*x1^4*q2q4*G - 32*x1^2*q2q4q5q6*G - 16*x1^2*q2q4*G + '
+            '16*q2q4q5q6*G - 4*q2q4*G\n'
+            '-32*x1^6*G + 64*x1^4*q1q2*G + 80*x1^4*q3q4*G + 64*x1^4*q5q6*G - '
+            '96*x1^2*q1q2q3q4*G - 64*x1^2*q1q2q5q6*G - 96*x1^2*q3q4q5q6*G + '
+            '32*q1q2q3q4q5q6*G + 32*x1^4*G - 32*x1^2*q1q2*G - 48*x1^2*q3q4*G '
+            '- 32*x1^2*q5q6*G + 16*q1q2q3q4*G + 16*q3q4q5q6*G + 8*x1^2*G - '
+            '4*q3q4*G\n'
+            '16*x1^4*q1q5*G - 32*x1^2*q1q3q4q5*G - 16*x1^2*q1q5*G + '
+            '16*q1q3q4q5*G - 4*q1q5*G\n'
+            '16*x1^4*q2q5*G - 32*x1^2*q2q3q4q5*G - 16*x1^2*q2q5*G + '
+            '16*q2q3q4q5*G - 4*q2q5*G\n'
+            '16*x1^4*q3q5*G - 32*x1^2*q1q2q3q5*G - 16*x1^2*q3q5*G + '
+            '16*q1q2q3q5*G - 4*q3q5*G\n'
+            '16*x1^4*q4q5*G - 32*x1^2*q1q2q4q5*G - 16*x1^2*q4q5*G + '
+            '16*q1q2q4q5*G - 4*q4q5*G\n'
+            '16*x1^4*q1q6*G - 32*x1^2*q1q3q4q6*G - 16*x1^2*q1q6*G + '
+            '16*q1q3q4q6*G - 4*q1q6*G\n'
+            '16*x1^4*q2q6*G - 32*x1^2*q2q3q4q6*G - 16*x1^2*q2q6*G + '
+            '16*q2q3q4q6*G - 4*q2q6*G\n'
+            '16*x1^4*q3q6*G - 32*x1^2*q1q2q3q6*G - 16*x1^2*q3q6*G + '
+            '16*q1q2q3q6*G - 4*q3q6*G\n'
+            '16*x1^4*q4q6*G - 32*x1^2*q1q2q4q6*G - 16*x1^2*q4q6*G + '
+            '16*q1q2q4q6*G - 4*q4q6*G\n'
+            '-32*x1^6*G + 64*x1^4*q1q2*G + 64*x1^4*q3q4*G + 80*x1^4*q5q6*G - '
+            '64*x1^2*q1q2q3q4*G - 96*x1^2*q1q2q5q6*G - 96*x1^2*q3q4q5q6*G + '
+            '32*q1q2q3q4q5q6*G + 32*x1^4*G - 32*x1^2*q1q2*G - 32*x1^2*q3q4*G '
+            '- 48*x1^2*q5q6*G + 16*q1q2q5q6*G + 16*q3q4q5q6*G + 8*x1^2*G - '
+            '4*q5q6*G',
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [5], "fer": [1], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": [1, 3, 4], '
+            '"coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[3], "fer": [1, 5, 6], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1], "fer": [1, 3, 4, 5, 6], "coeff": '
+            '[{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": '
+            '[1], "coeff": [{"q": [-16, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [1], "fer": [1, 3, 4], "coeff": [{"q": [16, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1], "fer": [1, 5, 6], "coeff": '
+            '[{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": '
+            '[1], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [5], "fer": [2], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": [2, 3, 4], '
+            '"coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[3], "fer": [2, 5, 6], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1], "fer": [2, 3, 4, 5, 6], "coeff": '
+            '[{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": '
+            '[2], "coeff": [{"q": [-16, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [1], "fer": [2, 3, 4], "coeff": [{"q": [16, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1], "fer": [2, 5, 6], "coeff": '
+            '[{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": '
+            '[2], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [5], "fer": [3], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": [1, 2, 3], '
+            '"coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[3], "fer": [3, 5, 6], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1], "fer": [1, 2, 3, 5, 6], "coeff": '
+            '[{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": '
+            '[3], "coeff": [{"q": [-16, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [1], "fer": [1, 2, 3], "coeff": [{"q": [16, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1], "fer": [3, 5, 6], "coeff": '
+            '[{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": '
+            '[3], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [5], "fer": [4], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": [1, 2, 4], '
+            '"coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[3], "fer": [4, 5, 6], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1], "fer": [1, 2, 4, 5, 6], "coeff": '
+            '[{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": '
+            '[4], "coeff": [{"q": [-16, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [1], "fer": [1, 2, 4], "coeff": [{"q": [16, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1], "fer": [4, 5, 6], "coeff": '
+            '[{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": '
+            '[4], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [5], "fer": [5], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": [1, 2, 5], '
+            '"coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[3], "fer": [3, 4, 5], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1], "fer": [1, 2, 3, 4, 5], "coeff": '
+            '[{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": '
+            '[5], "coeff": [{"q": [-16, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [1], "fer": [1, 2, 5], "coeff": [{"q": [16, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1], "fer": [3, 4, 5], "coeff": '
+            '[{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": '
+            '[5], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [5], "fer": [6], "coeff": [{"q": [16, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": [1, 2, 6], '
+            '"coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[3], "fer": [3, 4, 6], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1], "fer": [1, 2, 3, 4, 6], "coeff": '
+            '[{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": '
+            '[6], "coeff": [{"q": [-16, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [1], "fer": [1, 2, 6], "coeff": [{"q": [16, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1], "fer": [3, 4, 6], "coeff": '
+            '[{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": '
+            '[6], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [6], "fer": [], "coeff": [{"q": [-32, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4], "fer": [1, 2], '
+            '"coeff": [{"q": [80, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[4], "fer": [3, 4], "coeff": [{"q": [64, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [4], "fer": [5, 6], "coeff": [{"q": [64, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 2, 3, '
+            '4], "coeff": [{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2], "fer": [1, 2, 5, 6], "coeff": [{"q": [-96, 1, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [3, 4, 5, 6], '
+            '"coeff": [{"q": [-64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0], "fer": [1, 2, 3, 4, 5, 6], "coeff": [{"q": [32, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [4], "fer": [], "coeff": [{"q": '
+            '[32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 2], '
+            '"coeff": [{"q": [-48, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2], "fer": [3, 4], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2], "fer": [5, 6], "coeff": [{"q": [-32, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 2, 3, '
+            '4], "coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0], "fer": [1, 2, 5, 6], "coeff": [{"q": [16, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [2], "fer": [], "coeff": [{"q": [8, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 2], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [1, 3], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 3, '
+            '5, 6], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2], "fer": [1, 3], "coeff": [{"q": [-16, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 3, 5, 6], "coeff": '
+            '[{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": '
+            '[1, 3], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [2, 3], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [2, 3, '
+            '5, 6], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2], "fer": [2, 3], "coeff": [{"q": [-16, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0], "fer": [2, 3, 5, 6], "coeff": '
+            '[{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": '
+            '[2, 3], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [1, 4], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 4, '
+            '5, 6], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2], "fer": [1, 4], "coeff": [{"q": [-16, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 4, 5, 6], "coeff": '
+            '[{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": '
+            '[1, 4], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [2, 4], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [2, 4, '
+            '5, 6], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2], "fer": [2, 4], "coeff": [{"q": [-16, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0], "fer": [2, 4, 5, 6], "coeff": '
+            '[{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": '
+            '[2, 4], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [6], "fer": [], "coeff": [{"q": [-32, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4], "fer": [1, 2], '
+            '"coeff": [{"q": [64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[4], "fer": [3, 4], "coeff": [{"q": [80, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [4], "fer": [5, 6], "coeff": [{"q": [64, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 2, 3, '
+            '4], "coeff": [{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2], "fer": [1, 2, 5, 6], "coeff": [{"q": [-64, 1, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [3, 4, 5, 6], '
+            '"coeff": [{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0], "fer": [1, 2, 3, 4, 5, 6], "coeff": [{"q": [32, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [4], "fer": [], "coeff": [{"q": '
+            '[32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 2], '
+            '"coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2], "fer": [3, 4], "coeff": [{"q": [-48, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2], "fer": [5, 6], "coeff": [{"q": [-32, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 2, 3, '
+            '4], "coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0], "fer": [3, 4, 5, 6], "coeff": [{"q": [16, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [2], "fer": [], "coeff": [{"q": [8, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [3, 4], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [1, 5], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 3, '
+            '4, 5], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2], "fer": [1, 5], "coeff": [{"q": [-16, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 3, 4, 5], "coeff": '
+            '[{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": '
+            '[1, 5], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [2, 5], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [2, 3, '
+            '4, 5], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2], "fer": [2, 5], "coeff": [{"q": [-16, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0], "fer": [2, 3, 4, 5], "coeff": '
+            '[{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": '
+            '[2, 5], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [3, 5], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 2, '
+            '3, 5], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2], "fer": [3, 5], "coeff": [{"q": [-16, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 2, 3, 5], "coeff": '
+            '[{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": '
+            '[3, 5], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [4, 5], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 2, '
+            '4, 5], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2], "fer": [4, 5], "coeff": [{"q": [-16, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 2, 4, 5], "coeff": '
+            '[{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": '
+            '[4, 5], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [1, 6], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 3, '
+            '4, 6], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2], "fer": [1, 6], "coeff": [{"q": [-16, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 3, 4, 6], "coeff": '
+            '[{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": '
+            '[1, 6], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [2, 6], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [2, 3, '
+            '4, 6], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2], "fer": [2, 6], "coeff": [{"q": [-16, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0], "fer": [2, 3, 4, 6], "coeff": '
+            '[{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": '
+            '[2, 6], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [3, 6], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 2, '
+            '3, 6], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2], "fer": [3, 6], "coeff": [{"q": [-16, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 2, 3, 6], "coeff": '
+            '[{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": '
+            '[3, 6], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [4, 6], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 2, '
+            '4, 6], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2], "fer": [4, 6], "coeff": [{"q": [-16, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 2, 4, 6], "coeff": '
+            '[{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": '
+            '[4, 6], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [6], "fer": [], "coeff": [{"q": [-32, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4], "fer": [1, 2], '
+            '"coeff": [{"q": [64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[4], "fer": [3, 4], "coeff": [{"q": [64, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [4], "fer": [5, 6], "coeff": [{"q": [80, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 2, 3, '
+            '4], "coeff": [{"q": [-64, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2], "fer": [1, 2, 5, 6], "coeff": [{"q": [-96, 1, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [3, 4, 5, 6], '
+            '"coeff": [{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0], "fer": [1, 2, 3, 4, 5, 6], "coeff": [{"q": [32, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [4], "fer": [], "coeff": [{"q": '
+            '[32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 2], '
+            '"coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2], "fer": [3, 4], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2], "fer": [5, 6], "coeff": [{"q": [-48, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 2, 5, '
+            '6], "coeff": [{"q": [16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0], "fer": [3, 4, 5, 6], "coeff": [{"q": [16, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [2], "fer": [], "coeff": [{"q": [8, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [5, 6], '
+            '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}]}',
+            '16 x_{1}^{5}q_{1} e^{x^2/2} + -32 x_{1}^{3}q_{1}q_{3}q_{4} '
+            'e^{x^2/2} + -32 x_{1}^{3}q_{1}q_{5}q_{6} e^{x^2/2} + 32 '
+            'x_{1}q_{1}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + -16 x_{1}^{3}q_{1} '
+            'e^{x^2/2} + 16 x_{1}q_{1}q_{3}q_{4} e^{x^2/2} + 16 '
+            'x_{1}q_{1}q_{5}q_{6} e^{x^2/2} + -4 x_{1}q_{1} e^{x^2/2}\n'
+            '16 x_{1}^{5}q_{2} e^{x^2/2} + -32 x_{1}^{3}q_{2}q_{3}q_{4} '
+            'e^{x^2/2} + -32 x_{1}^{3}q_{2}q_{5}q_{6} e^{x^2/2} + 32 '
+            'x_{1}q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + -16 x_{1}^{3}q_{2} '
+            'e^{x^2/2} + 16 x_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 16 '
+            'x_{1}q_{2}q_{5}q_{6} e^{x^2/2} + -4 x_{1}q_{2} e^{x^2/2}\n'
+            '16 x_{1}^{5}q_{3} e^{x^2/2} + -32 x_{1}^{3}q_{1}q_{2}q_{3} '
+            'e^{x^2/2} + -32 x_{1}^{3}q_{3}q_{5}q_{6} e^{x^2/2} + 32 '
+            'x_{1}q_{1}q_{2}q_{3}q_{5}q_{6} e^{x^2/2} + -16 x_{1}^{3}q_{3} '
+            'e^{x^2/2} + 16 x_{1}q_{1}q_{2}q_{3} e^{x^2/2} + 16 '
+            'x_{1}q_{3}q_{5}q_{6} e^{x^2/2} + -4 x_{1}q_{3} e^{x^2/2}\n'
+            '16 x_{1}^{5}q_{4} e^{x^2/2} + -32 x_{1}^{3}q_{1}q_{2}q_{4} '
+            'e^{x^2/2} + -32 x_{1}^{3}q_{4}q_{5}q_{6} e^{x^2/2} + 32 '
+            'x_{1}q_{1}q_{2}q_{4}q_{5}q_{6} e^{x^2/2} + -16 x_{1}^{3}q_{4} '
+            'e^{x^2/2} + 16 x_{1}q_{1}q_{2}q_{4} e^{x^2/2} + 16 '
+            'x_{1}q_{4}q_{5}q_{6} e^{x^2/2} + -4 x_{1}q_{4} e^{x^2/2}\n'
+            '16 x_{1}^{5}q_{5} e^{x^2/2} + -32 x_{1}^{3}q_{1}q_{2}q_{5} '
+            'e^{x^2/2} + -32 x_{1}^{3}q_{3}q_{4}q_{5} e^{x^2/2} + 32 '
+            'x_{1}q_{1}q_{2}q_{3}q_{4}q_{5} e^{x^2/2} + -16 x_{1}^{3}q_{5} '
+            'e^{x^2/2} + 16 x_{1}q_{1}q_{2}q_{5} e^{x^2/2} + 16 '
+            'x_{1}q_{3}q_{4}q_{5} e^{x^2/2} + -4 x_{1}q_{5} e^{x^2/2}\n'
+            '16 x_{1}^{5}q_{6} e^{x^2/2} + -32 x_{1}^{3}q_{1}q_{2}q_{6} '
+            'e^{x^2/2} + -32 x_{1}^{3}q_{3}q_{4}q_{6} e^{x^2/2} + 32 '
+            'x_{1}q_{1}q_{2}q_{3}q_{4}q_{6} e^{x^2/2} + -16 x_{1}^{3}q_{6} '
+            'e^{x^2/2} + 16 x_{1}q_{1}q_{2}q_{6} e^{x^2/2} + 16 '
+            'x_{1}q_{3}q_{4}q_{6} e^{x^2/2} + -4 x_{1}q_{6} e^{x^2/2}\n'
+            '-32 x_{1}^{6} e^{x^2/2} + 80 x_{1}^{4}q_{1}q_{2} e^{x^2/2} + 64 '
+            'x_{1}^{4}q_{3}q_{4} e^{x^2/2} + 64 x_{1}^{4}q_{5}q_{6} '
+            'e^{x^2/2} + -96 x_{1}^{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -96 '
+            'x_{1}^{2}q_{1}q_{2}q_{5}q_{6} e^{x^2/2} + -64 '
+            'x_{1}^{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 32 '
+            'q_{1}q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 32 x_{1}^{4} '
+            'e^{x^2/2} + -48 x_{1}^{2}q_{1}q_{2} e^{x^2/2} + -32 '
+            'x_{1}^{2}q_{3}q_{4} e^{x^2/2} + -32 x_{1}^{2}q_{5}q_{6} '
+            'e^{x^2/2} + 16 q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 16 '
+            'q_{1}q_{2}q_{5}q_{6} e^{x^2/2} + 8 x_{1}^{2} e^{x^2/2} + -4 '
+            'q_{1}q_{2} e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{1}q_{3} e^{x^2/2} + -32 '
+            'x_{1}^{2}q_{1}q_{3}q_{5}q_{6} e^{x^2/2} + -16 '
+            'x_{1}^{2}q_{1}q_{3} e^{x^2/2} + 16 q_{1}q_{3}q_{5}q_{6} '
+            'e^{x^2/2} + -4 q_{1}q_{3} e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{2}q_{3} e^{x^2/2} + -32 '
+            'x_{1}^{2}q_{2}q_{3}q_{5}q_{6} e^{x^2/2} + -16 '
+            'x_{1}^{2}q_{2}q_{3} e^{x^2/2} + 16 q_{2}q_{3}q_{5}q_{6} '
+            'e^{x^2/2} + -4 q_{2}q_{3} e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{1}q_{4} e^{x^2/2} + -32 '
+            'x_{1}^{2}q_{1}q_{4}q_{5}q_{6} e^{x^2/2} + -16 '
+            'x_{1}^{2}q_{1}q_{4} e^{x^2/2} + 16 q_{1}q_{4}q_{5}q_{6} '
+            'e^{x^2/2} + -4 q_{1}q_{4} e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{2}q_{4} e^{x^2/2} + -32 '
+            'x_{1}^{2}q_{2}q_{4}q_{5}q_{6} e^{x^2/2} + -16 '
+            'x_{1}^{2}q_{2}q_{4} e^{x^2/2} + 16 q_{2}q_{4}q_{5}q_{6} '
+            'e^{x^2/2} + -4 q_{2}q_{4} e^{x^2/2}\n'
+            '-32 x_{1}^{6} e^{x^2/2} + 64 x_{1}^{4}q_{1}q_{2} e^{x^2/2} + 80 '
+            'x_{1}^{4}q_{3}q_{4} e^{x^2/2} + 64 x_{1}^{4}q_{5}q_{6} '
+            'e^{x^2/2} + -96 x_{1}^{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -64 '
+            'x_{1}^{2}q_{1}q_{2}q_{5}q_{6} e^{x^2/2} + -96 '
+            'x_{1}^{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 32 '
+            'q_{1}q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 32 x_{1}^{4} '
+            'e^{x^2/2} + -32 x_{1}^{2}q_{1}q_{2} e^{x^2/2} + -48 '
+            'x_{1}^{2}q_{3}q_{4} e^{x^2/2} + -32 x_{1}^{2}q_{5}q_{6} '
+            'e^{x^2/2} + 16 q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 16 '
+            'q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 8 x_{1}^{2} e^{x^2/2} + -4 '
+            'q_{3}q_{4} e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{1}q_{5} e^{x^2/2} + -32 '
+            'x_{1}^{2}q_{1}q_{3}q_{4}q_{5} e^{x^2/2} + -16 '
+            'x_{1}^{2}q_{1}q_{5} e^{x^2/2} + 16 q_{1}q_{3}q_{4}q_{5} '
+            'e^{x^2/2} + -4 q_{1}q_{5} e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{2}q_{5} e^{x^2/2} + -32 '
+            'x_{1}^{2}q_{2}q_{3}q_{4}q_{5} e^{x^2/2} + -16 '
+            'x_{1}^{2}q_{2}q_{5} e^{x^2/2} + 16 q_{2}q_{3}q_{4}q_{5} '
+            'e^{x^2/2} + -4 q_{2}q_{5} e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{3}q_{5} e^{x^2/2} + -32 '
+            'x_{1}^{2}q_{1}q_{2}q_{3}q_{5} e^{x^2/2} + -16 '
+            'x_{1}^{2}q_{3}q_{5} e^{x^2/2} + 16 q_{1}q_{2}q_{3}q_{5} '
+            'e^{x^2/2} + -4 q_{3}q_{5} e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{4}q_{5} e^{x^2/2} + -32 '
+            'x_{1}^{2}q_{1}q_{2}q_{4}q_{5} e^{x^2/2} + -16 '
+            'x_{1}^{2}q_{4}q_{5} e^{x^2/2} + 16 q_{1}q_{2}q_{4}q_{5} '
+            'e^{x^2/2} + -4 q_{4}q_{5} e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{1}q_{6} e^{x^2/2} + -32 '
+            'x_{1}^{2}q_{1}q_{3}q_{4}q_{6} e^{x^2/2} + -16 '
+            'x_{1}^{2}q_{1}q_{6} e^{x^2/2} + 16 q_{1}q_{3}q_{4}q_{6} '
+            'e^{x^2/2} + -4 q_{1}q_{6} e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{2}q_{6} e^{x^2/2} + -32 '
+            'x_{1}^{2}q_{2}q_{3}q_{4}q_{6} e^{x^2/2} + -16 '
+            'x_{1}^{2}q_{2}q_{6} e^{x^2/2} + 16 q_{2}q_{3}q_{4}q_{6} '
+            'e^{x^2/2} + -4 q_{2}q_{6} e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{3}q_{6} e^{x^2/2} + -32 '
+            'x_{1}^{2}q_{1}q_{2}q_{3}q_{6} e^{x^2/2} + -16 '
+            'x_{1}^{2}q_{3}q_{6} e^{x^2/2} + 16 q_{1}q_{2}q_{3}q_{6} '
+            'e^{x^2/2} + -4 q_{3}q_{6} e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{4}q_{6} e^{x^2/2} + -32 '
+            'x_{1}^{2}q_{1}q_{2}q_{4}q_{6} e^{x^2/2} + -16 '
+            'x_{1}^{2}q_{4}q_{6} e^{x^2/2} + 16 q_{1}q_{2}q_{4}q_{6} '
+            'e^{x^2/2} + -4 q_{4}q_{6} e^{x^2/2}\n'
+            '-32 x_{1}^{6} e^{x^2/2} + 64 x_{1}^{4}q_{1}q_{2} e^{x^2/2} + 64 '
+            'x_{1}^{4}q_{3}q_{4} e^{x^2/2} + 80 x_{1}^{4}q_{5}q_{6} '
+            'e^{x^2/2} + -64 x_{1}^{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -96 '
+            'x_{1}^{2}q_{1}q_{2}q_{5}q_{6} e^{x^2/2} + -96 '
+            'x_{1}^{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 32 '
+            'q_{1}q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 32 x_{1}^{4} '
+            'e^{x^2/2} + -32 x_{1}^{2}q_{1}q_{2} e^{x^2/2} + -32 '
+            'x_{1}^{2}q_{3}q_{4} e^{x^2/2} + -48 x_{1}^{2}q_{5}q_{6} '
+            'e^{x^2/2} + 16 q_{1}q_{2}q_{5}q_{6} e^{x^2/2} + 16 '
+            'q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 8 x_{1}^{2} e^{x^2/2} + -4 '
+            'q_{5}q_{6} e^{x^2/2}',
+        ),
+        (
+            'degree 2: dim nullspace 21, dim formula 21 [ok]',
+            '{"k": 2, "dim_nullspace": 21, "dim_formula": 21, "dims_match": '
+            'true, "product_failures": [], "products_harmonic": true, '
+            '"schema": "supertransform/1", "basis": [{"schema": '
+            '"supertransform/1", "m": 1, "n": 3, "envelope": false, "terms": '
+            '[{"bos": [1], "fer": [1], "coeff": [{"q": [1, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}, {"schema": "supertransform/1", "m": 1, "n": 3, '
+            '"envelope": false, "terms": [{"bos": [1], "fer": [2], "coeff": '
+            '[{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 1, "n": 3, "envelope": false, "terms": '
+            '[{"bos": [1], "fer": [3], "coeff": [{"q": [1, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}, {"schema": "supertransform/1", "m": 1, "n": 3, '
+            '"envelope": false, "terms": [{"bos": [1], "fer": [4], "coeff": '
+            '[{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 1, "n": 3, "envelope": false, "terms": '
+            '[{"bos": [1], "fer": [5], "coeff": [{"q": [1, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}, {"schema": "supertransform/1", "m": 1, "n": 3, '
+            '"envelope": false, "terms": [{"bos": [1], "fer": [6], "coeff": '
+            '[{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 1, "n": 3, "envelope": false, "terms": '
+            '[{"bos": [2], "fer": [], "coeff": [{"q": [-2, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0], "fer": [1, 2], "coeff": [{"q": [1, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}, {"schema": "supertransform/1", '
+            '"m": 1, "n": 3, "envelope": false, "terms": [{"bos": [0], '
+            '"fer": [1, 3], "coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}, {"schema": "supertransform/1", "m": 1, "n": 3, '
+            '"envelope": false, "terms": [{"bos": [0], "fer": [2, 3], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 1, "n": 3, "envelope": false, "terms": '
+            '[{"bos": [0], "fer": [1, 4], "coeff": [{"q": [1, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}, {"schema": "supertransform/1", "m": 1, "n": '
+            '3, "envelope": false, "terms": [{"bos": [0], "fer": [2, 4], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 1, "n": 3, "envelope": false, "terms": '
+            '[{"bos": [2], "fer": [], "coeff": [{"q": [-2, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0], "fer": [3, 4], "coeff": [{"q": [1, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}, {"schema": "supertransform/1", '
+            '"m": 1, "n": 3, "envelope": false, "terms": [{"bos": [0], '
+            '"fer": [1, 5], "coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}, {"schema": "supertransform/1", "m": 1, "n": 3, '
+            '"envelope": false, "terms": [{"bos": [0], "fer": [2, 5], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 1, "n": 3, "envelope": false, "terms": '
+            '[{"bos": [0], "fer": [3, 5], "coeff": [{"q": [1, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}, {"schema": "supertransform/1", "m": 1, "n": '
+            '3, "envelope": false, "terms": [{"bos": [0], "fer": [4, 5], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 1, "n": 3, "envelope": false, "terms": '
+            '[{"bos": [0], "fer": [1, 6], "coeff": [{"q": [1, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}, {"schema": "supertransform/1", "m": 1, "n": '
+            '3, "envelope": false, "terms": [{"bos": [0], "fer": [2, 6], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 1, "n": 3, "envelope": false, "terms": '
+            '[{"bos": [0], "fer": [3, 6], "coeff": [{"q": [1, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}, {"schema": "supertransform/1", "m": 1, "n": '
+            '3, "envelope": false, "terms": [{"bos": [0], "fer": [4, 6], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 1, "n": 3, "envelope": false, "terms": '
+            '[{"bos": [2], "fer": [], "coeff": [{"q": [-2, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0], "fer": [5, 6], "coeff": [{"q": [1, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}]}',
+            'degree 2: dim nullspace 21, dim formula 21 [ok]',
+        ),
+    ),
+    (1, 3, 3): (
+        (
+            '-2/3*x1^3*G + x1*q1q2*G\n'
+            'x1*q1q3*G\n'
+            'x1*q2q3*G\n'
+            'x1*q1q4*G\n'
+            'x1*q2q4*G\n'
+            '-2/3*x1^3*G + x1*q3q4*G\n'
+            'x1*q1q5*G\n'
+            'x1*q2q5*G\n'
+            'x1*q3q5*G\n'
+            'x1*q4q5*G\n'
+            'x1*q1q6*G\n'
+            'x1*q2q6*G\n'
+            'x1*q3q6*G\n'
+            'x1*q4q6*G\n'
+            '-2/3*x1^3*G + x1*q5q6*G\n'
+            '-2*x1^2*q3*G + q1q2q3*G\n'
+            '-2*x1^2*q4*G + q1q2q4*G\n'
+            '-2*x1^2*q1*G + q1q3q4*G\n'
+            '-2*x1^2*q2*G + q2q3q4*G\n'
+            '-2*x1^2*q5*G + q1q2q5*G\n'
+            'q1q3q5*G\n'
+            'q2q3q5*G\n'
+            'q1q4q5*G\n'
+            'q2q4q5*G\n'
+            '-2*x1^2*q5*G + q3q4q5*G\n'
+            '-2*x1^2*q6*G + q1q2q6*G\n'
+            'q1q3q6*G\n'
+            'q2q3q6*G\n'
+            'q1q4q6*G\n'
+            'q2q4q6*G\n'
+            '-2*x1^2*q6*G + q3q4q6*G\n'
+            '-2*x1^2*q1*G + q1q5q6*G\n'
+            '-2*x1^2*q2*G + q2q5q6*G\n'
+            '-2*x1^2*q3*G + q3q5q6*G\n-2*x1^2*q4*G + q4q5q6*G',
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [3], "fer": [], "coeff": [{"q": [-2, 3, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [1, 2], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [1], "fer": [1, 3], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [1], "fer": [2, 3], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [1], "fer": [1, 4], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [1], "fer": [2, 4], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [3], "fer": [], "coeff": [{"q": [-2, 3, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [3, 4], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [1], "fer": [1, 5], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [1], "fer": [2, 5], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [1], "fer": [3, 5], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [1], "fer": [4, 5], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [1], "fer": [1, 6], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [1], "fer": [2, 6], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [1], "fer": [3, 6], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [1], "fer": [4, 6], "coeff": [{"q": [1, '
+            '1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [3], "fer": [], "coeff": [{"q": [-2, 3, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [5, 6], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [3], "coeff": [{"q": [-2, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 2, 3], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [4], "coeff": [{"q": [-2, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 2, 4], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [1], "coeff": [{"q": [-2, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 3, 4], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [2], "coeff": [{"q": [-2, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [2, 3, 4], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [5], "coeff": [{"q": [-2, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 2, 5], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [0], "fer": [1, 3, 5], "coeff": [{"q": '
+            '[1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [0], "fer": [2, 3, 5], "coeff": [{"q": '
+            '[1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [0], "fer": [1, 4, 5], "coeff": [{"q": '
+            '[1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [0], "fer": [2, 4, 5], "coeff": [{"q": '
+            '[1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [5], "coeff": [{"q": [-2, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [3, 4, 5], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [6], "coeff": [{"q": [-2, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 2, 6], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [0], "fer": [1, 3, 6], "coeff": [{"q": '
+            '[1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [0], "fer": [2, 3, 6], "coeff": [{"q": '
+            '[1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [0], "fer": [1, 4, 6], "coeff": [{"q": '
+            '[1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [0], "fer": [2, 4, 6], "coeff": [{"q": '
+            '[1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [6], "coeff": [{"q": [-2, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [3, 4, 6], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [1], "coeff": [{"q": [-2, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 5, 6], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [2], "coeff": [{"q": [-2, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [2, 5, 6], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [3], "coeff": [{"q": [-2, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [3, 5, 6], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [4], "coeff": [{"q": [-2, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [4, 5, 6], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}',
+            '-2/3 x_{1}^{3} e^{x^2/2} + 1 x_{1}q_{1}q_{2} e^{x^2/2}\n'
+            '1 x_{1}q_{1}q_{3} e^{x^2/2}\n'
+            '1 x_{1}q_{2}q_{3} e^{x^2/2}\n'
+            '1 x_{1}q_{1}q_{4} e^{x^2/2}\n'
+            '1 x_{1}q_{2}q_{4} e^{x^2/2}\n'
+            '-2/3 x_{1}^{3} e^{x^2/2} + 1 x_{1}q_{3}q_{4} e^{x^2/2}\n'
+            '1 x_{1}q_{1}q_{5} e^{x^2/2}\n'
+            '1 x_{1}q_{2}q_{5} e^{x^2/2}\n'
+            '1 x_{1}q_{3}q_{5} e^{x^2/2}\n'
+            '1 x_{1}q_{4}q_{5} e^{x^2/2}\n'
+            '1 x_{1}q_{1}q_{6} e^{x^2/2}\n'
+            '1 x_{1}q_{2}q_{6} e^{x^2/2}\n'
+            '1 x_{1}q_{3}q_{6} e^{x^2/2}\n'
+            '1 x_{1}q_{4}q_{6} e^{x^2/2}\n'
+            '-2/3 x_{1}^{3} e^{x^2/2} + 1 x_{1}q_{5}q_{6} e^{x^2/2}\n'
+            '-2 x_{1}^{2}q_{3} e^{x^2/2} + 1 q_{1}q_{2}q_{3} e^{x^2/2}\n'
+            '-2 x_{1}^{2}q_{4} e^{x^2/2} + 1 q_{1}q_{2}q_{4} e^{x^2/2}\n'
+            '-2 x_{1}^{2}q_{1} e^{x^2/2} + 1 q_{1}q_{3}q_{4} e^{x^2/2}\n'
+            '-2 x_{1}^{2}q_{2} e^{x^2/2} + 1 q_{2}q_{3}q_{4} e^{x^2/2}\n'
+            '-2 x_{1}^{2}q_{5} e^{x^2/2} + 1 q_{1}q_{2}q_{5} e^{x^2/2}\n'
+            '1 q_{1}q_{3}q_{5} e^{x^2/2}\n'
+            '1 q_{2}q_{3}q_{5} e^{x^2/2}\n'
+            '1 q_{1}q_{4}q_{5} e^{x^2/2}\n'
+            '1 q_{2}q_{4}q_{5} e^{x^2/2}\n'
+            '-2 x_{1}^{2}q_{5} e^{x^2/2} + 1 q_{3}q_{4}q_{5} e^{x^2/2}\n'
+            '-2 x_{1}^{2}q_{6} e^{x^2/2} + 1 q_{1}q_{2}q_{6} e^{x^2/2}\n'
+            '1 q_{1}q_{3}q_{6} e^{x^2/2}\n'
+            '1 q_{2}q_{3}q_{6} e^{x^2/2}\n'
+            '1 q_{1}q_{4}q_{6} e^{x^2/2}\n'
+            '1 q_{2}q_{4}q_{6} e^{x^2/2}\n'
+            '-2 x_{1}^{2}q_{6} e^{x^2/2} + 1 q_{3}q_{4}q_{6} e^{x^2/2}\n'
+            '-2 x_{1}^{2}q_{1} e^{x^2/2} + 1 q_{1}q_{5}q_{6} e^{x^2/2}\n'
+            '-2 x_{1}^{2}q_{2} e^{x^2/2} + 1 q_{2}q_{5}q_{6} e^{x^2/2}\n'
+            '-2 x_{1}^{2}q_{3} e^{x^2/2} + 1 q_{3}q_{5}q_{6} e^{x^2/2}\n'
+            '-2 x_{1}^{2}q_{4} e^{x^2/2} + 1 q_{4}q_{5}q_{6} e^{x^2/2}',
+        ),
+        (
+            '8/3*x1^5*G - 20/3*x1^3*q1q2*G - 8/3*x1^3*q3q4*G - '
+            '8/3*x1^3*q5q6*G + 4*x1*q1q2q3q4*G + 4*x1*q1q2q5q6*G - '
+            '4/3*x1^3*G + 2*x1*q1q2*G\n'
+            '-4*x1^3*q1q3*G + 4*x1*q1q3q5q6*G + 2*x1*q1q3*G\n'
+            '-4*x1^3*q2q3*G + 4*x1*q2q3q5q6*G + 2*x1*q2q3*G\n'
+            '-4*x1^3*q1q4*G + 4*x1*q1q4q5q6*G + 2*x1*q1q4*G\n'
+            '-4*x1^3*q2q4*G + 4*x1*q2q4q5q6*G + 2*x1*q2q4*G\n'
+            '8/3*x1^5*G - 8/3*x1^3*q1q2*G - 20/3*x1^3*q3q4*G - '
+            '8/3*x1^3*q5q6*G + 4*x1*q1q2q3q4*G + 4*x1*q3q4q5q6*G - '
+            '4/3*x1^3*G + 2*x1*q3q4*G\n'
+            '-4*x1^3*q1q5*G + 4*x1*q1q3q4q5*G + 2*x1*q1q5*G\n'
+            '-4*x1^3*q2q5*G + 4*x1*q2q3q4q5*G + 2*x1*q2q5*G\n'
+            '-4*x1^3*q3q5*G + 4*x1*q1q2q3q5*G + 2*x1*q3q5*G\n'
+            '-4*x1^3*q4q5*G + 4*x1*q1q2q4q5*G + 2*x1*q4q5*G\n'
+            '-4*x1^3*q1q6*G + 4*x1*q1q3q4q6*G + 2*x1*q1q6*G\n'
+            '-4*x1^3*q2q6*G + 4*x1*q2q3q4q6*G + 2*x1*q2q6*G\n'
+            '-4*x1^3*q3q6*G + 4*x1*q1q2q3q6*G + 2*x1*q3q6*G\n'
+            '-4*x1^3*q4q6*G + 4*x1*q1q2q4q6*G + 2*x1*q4q6*G\n'
+            '8/3*x1^5*G - 8/3*x1^3*q1q2*G - 8/3*x1^3*q3q4*G - '
+            '20/3*x1^3*q5q6*G + 4*x1*q1q2q5q6*G + 4*x1*q3q4q5q6*G - '
+            '4/3*x1^3*G + 2*x1*q5q6*G\n'
+            '8*x1^4*q3*G - 12*x1^2*q1q2q3*G - 8*x1^2*q3q5q6*G + '
+            '4*q1q2q3q5q6*G - 4*x1^2*q3*G + 2*q1q2q3*G\n'
+            '8*x1^4*q4*G - 12*x1^2*q1q2q4*G - 8*x1^2*q4q5q6*G + '
+            '4*q1q2q4q5q6*G - 4*x1^2*q4*G + 2*q1q2q4*G\n'
+            '8*x1^4*q1*G - 12*x1^2*q1q3q4*G - 8*x1^2*q1q5q6*G + '
+            '4*q1q3q4q5q6*G - 4*x1^2*q1*G + 2*q1q3q4*G\n'
+            '8*x1^4*q2*G - 12*x1^2*q2q3q4*G - 8*x1^2*q2q5q6*G + '
+            '4*q2q3q4q5q6*G - 4*x1^2*q2*G + 2*q2q3q4*G\n'
+            '8*x1^4*q5*G - 12*x1^2*q1q2q5*G - 8*x1^2*q3q4q5*G + '
+            '4*q1q2q3q4q5*G - 4*x1^2*q5*G + 2*q1q2q5*G\n'
+            '-4*x1^2*q1q3q5*G + 2*q1q3q5*G\n'
+            '-4*x1^2*q2q3q5*G + 2*q2q3q5*G\n'
+            '-4*x1^2*q1q4q5*G + 2*q1q4q5*G\n'
+            '-4*x1^2*q2q4q5*G + 2*q2q4q5*G\n'
+            '8*x1^4*q5*G - 8*x1^2*q1q2q5*G - 12*x1^2*q3q4q5*G + '
+            '4*q1q2q3q4q5*G - 4*x1^2*q5*G + 2*q3q4q5*G\n'
+            '8*x1^4*q6*G - 12*x1^2*q1q2q6*G - 8*x1^2*q3q4q6*G + '
+            '4*q1q2q3q4q6*G - 4*x1^2*q6*G + 2*q1q2q6*G\n'
+            '-4*x1^2*q1q3q6*G + 2*q1q3q6*G\n'
+            '-4*x1^2*q2q3q6*G + 2*q2q3q6*G\n'
+            '-4*x1^2*q1q4q6*G + 2*q1q4q6*G\n'
+            '-4*x1^2*q2q4q6*G + 2*q2q4q6*G\n'
+            '8*x1^4*q6*G - 8*x1^2*q1q2q6*G - 12*x1^2*q3q4q6*G + '
+            '4*q1q2q3q4q6*G - 4*x1^2*q6*G + 2*q3q4q6*G\n'
+            '8*x1^4*q1*G - 8*x1^2*q1q3q4*G - 12*x1^2*q1q5q6*G + '
+            '4*q1q3q4q5q6*G - 4*x1^2*q1*G + 2*q1q5q6*G\n'
+            '8*x1^4*q2*G - 8*x1^2*q2q3q4*G - 12*x1^2*q2q5q6*G + '
+            '4*q2q3q4q5q6*G - 4*x1^2*q2*G + 2*q2q5q6*G\n'
+            '8*x1^4*q3*G - 8*x1^2*q1q2q3*G - 12*x1^2*q3q5q6*G + '
+            '4*q1q2q3q5q6*G - 4*x1^2*q3*G + 2*q3q5q6*G\n'
+            '8*x1^4*q4*G - 8*x1^2*q1q2q4*G - 12*x1^2*q4q5q6*G + '
+            '4*q1q2q4q5q6*G - 4*x1^2*q4*G + 2*q4q5q6*G',
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [5], "fer": [], "coeff": [{"q": [8, 3, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": [1, 2], '
+            '"coeff": [{"q": [-20, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[3], "fer": [3, 4], "coeff": [{"q": [-8, 3, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [3], "fer": [5, 6], "coeff": [{"q": [-8, '
+            '3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [1, 2, 3, '
+            '4], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[1], "fer": [1, 2, 5, 6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [3], "fer": [], "coeff": [{"q": [-4, 3, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [1, 2], "coeff": '
+            '[{"q": [2, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [3], "fer": [1, 3], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [1, 3, '
+            '5, 6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [1], "fer": [1, 3], "coeff": [{"q": [2, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [3], "fer": [2, 3], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [2, 3, '
+            '5, 6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [1], "fer": [2, 3], "coeff": [{"q": [2, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [3], "fer": [1, 4], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [1, 4, '
+            '5, 6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [1], "fer": [1, 4], "coeff": [{"q": [2, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [3], "fer": [2, 4], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [2, 4, '
+            '5, 6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [1], "fer": [2, 4], "coeff": [{"q": [2, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [5], "fer": [], "coeff": [{"q": [8, 3, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": [1, 2], '
+            '"coeff": [{"q": [-8, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[3], "fer": [3, 4], "coeff": [{"q": [-20, 3, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [3], "fer": [5, 6], "coeff": [{"q": [-8, '
+            '3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [1, 2, 3, '
+            '4], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[1], "fer": [3, 4, 5, 6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [3], "fer": [], "coeff": [{"q": [-4, 3, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [3, 4], "coeff": '
+            '[{"q": [2, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [3], "fer": [1, 5], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [1, 3, '
+            '4, 5], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [1], "fer": [1, 5], "coeff": [{"q": [2, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [3], "fer": [2, 5], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [2, 3, '
+            '4, 5], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [1], "fer": [2, 5], "coeff": [{"q": [2, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [3], "fer": [3, 5], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [1, 2, '
+            '3, 5], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [1], "fer": [3, 5], "coeff": [{"q": [2, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [3], "fer": [4, 5], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [1, 2, '
+            '4, 5], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [1], "fer": [4, 5], "coeff": [{"q": [2, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [3], "fer": [1, 6], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [1, 3, '
+            '4, 6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [1], "fer": [1, 6], "coeff": [{"q": [2, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [3], "fer": [2, 6], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [2, 3, '
+            '4, 6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [1], "fer": [2, 6], "coeff": [{"q": [2, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [3], "fer": [3, 6], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [1, 2, '
+            '3, 6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [1], "fer": [3, 6], "coeff": [{"q": [2, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [3], "fer": [4, 6], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [1, 2, '
+            '4, 6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [1], "fer": [4, 6], "coeff": [{"q": [2, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [5], "fer": [], "coeff": [{"q": [8, 3, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": [1, 2], '
+            '"coeff": [{"q": [-8, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[3], "fer": [3, 4], "coeff": [{"q": [-8, 3, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [3], "fer": [5, 6], "coeff": [{"q": [-20, '
+            '3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [1, 2, 5, '
+            '6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[1], "fer": [3, 4, 5, 6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [3], "fer": [], "coeff": [{"q": [-4, 3, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [5, 6], "coeff": '
+            '[{"q": [2, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [3], "coeff": [{"q": [8, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 2, 3], '
+            '"coeff": [{"q": [-12, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2], "fer": [3, 5, 6], "coeff": [{"q": [-8, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0], "fer": [1, 2, 3, 5, 6], "coeff": '
+            '[{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": '
+            '[3], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [1, 2, 3], "coeff": [{"q": [2, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [4], "coeff": [{"q": [8, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 2, 4], '
+            '"coeff": [{"q": [-12, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2], "fer": [4, 5, 6], "coeff": [{"q": [-8, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0], "fer": [1, 2, 4, 5, 6], "coeff": '
+            '[{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": '
+            '[4], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [1, 2, 4], "coeff": [{"q": [2, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [1], "coeff": [{"q": [8, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 3, 4], '
+            '"coeff": [{"q": [-12, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2], "fer": [1, 5, 6], "coeff": [{"q": [-8, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0], "fer": [1, 3, 4, 5, 6], "coeff": '
+            '[{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": '
+            '[1], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [1, 3, 4], "coeff": [{"q": [2, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [2], "coeff": [{"q": [8, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [2, 3, 4], '
+            '"coeff": [{"q": [-12, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2], "fer": [2, 5, 6], "coeff": [{"q": [-8, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0], "fer": [2, 3, 4, 5, 6], "coeff": '
+            '[{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": '
+            '[2], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [2, 3, 4], "coeff": [{"q": [2, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [5], "coeff": [{"q": [8, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 2, 5], '
+            '"coeff": [{"q": [-12, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2], "fer": [3, 4, 5], "coeff": [{"q": [-8, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0], "fer": [1, 2, 3, 4, 5], "coeff": '
+            '[{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": '
+            '[5], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [1, 2, 5], "coeff": [{"q": [2, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [1, 3, 5], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 3, '
+            '5], "coeff": [{"q": [2, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [2, 3, 5], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [2, 3, '
+            '5], "coeff": [{"q": [2, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [1, 4, 5], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 4, '
+            '5], "coeff": [{"q": [2, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [2, 4, 5], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [2, 4, '
+            '5], "coeff": [{"q": [2, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [5], "coeff": [{"q": [8, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 2, 5], '
+            '"coeff": [{"q": [-8, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2], "fer": [3, 4, 5], "coeff": [{"q": [-12, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0], "fer": [1, 2, 3, 4, 5], "coeff": '
+            '[{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": '
+            '[5], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [3, 4, 5], "coeff": [{"q": [2, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [6], "coeff": [{"q": [8, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 2, 6], '
+            '"coeff": [{"q": [-12, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2], "fer": [3, 4, 6], "coeff": [{"q": [-8, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0], "fer": [1, 2, 3, 4, 6], "coeff": '
+            '[{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": '
+            '[6], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [1, 2, 6], "coeff": [{"q": [2, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [1, 3, 6], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 3, '
+            '6], "coeff": [{"q": [2, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [2, 3, 6], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [2, 3, '
+            '6], "coeff": [{"q": [2, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [1, 4, 6], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 4, '
+            '6], "coeff": [{"q": [2, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [2], "fer": [2, 4, 6], "coeff": [{"q": '
+            '[-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [2, 4, '
+            '6], "coeff": [{"q": [2, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [6], "coeff": [{"q": [8, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 2, 6], '
+            '"coeff": [{"q": [-8, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2], "fer": [3, 4, 6], "coeff": [{"q": [-12, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0], "fer": [1, 2, 3, 4, 6], "coeff": '
+            '[{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": '
+            '[6], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [3, 4, 6], "coeff": [{"q": [2, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [1], "coeff": [{"q": [8, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 3, 4], '
+            '"coeff": [{"q": [-8, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2], "fer": [1, 5, 6], "coeff": [{"q": [-12, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0], "fer": [1, 3, 4, 5, 6], "coeff": '
+            '[{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": '
+            '[1], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [1, 5, 6], "coeff": [{"q": [2, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [2], "coeff": [{"q": [8, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [2, 3, 4], '
+            '"coeff": [{"q": [-8, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2], "fer": [2, 5, 6], "coeff": [{"q": [-12, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0], "fer": [2, 3, 4, 5, 6], "coeff": '
+            '[{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": '
+            '[2], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [2, 5, 6], "coeff": [{"q": [2, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [3], "coeff": [{"q": [8, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 2, 3], '
+            '"coeff": [{"q": [-8, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2], "fer": [3, 5, 6], "coeff": [{"q": [-12, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0], "fer": [1, 2, 3, 5, 6], "coeff": '
+            '[{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": '
+            '[3], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [3, 5, 6], "coeff": [{"q": [2, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [4], "coeff": [{"q": [8, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 2, 4], '
+            '"coeff": [{"q": [-8, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[2], "fer": [4, 5, 6], "coeff": [{"q": [-12, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [0], "fer": [1, 2, 4, 5, 6], "coeff": '
+            '[{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": '
+            '[4], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [4, 5, 6], "coeff": [{"q": [2, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}',
+            '8/3 x_{1}^{5} e^{x^2/2} + -20/3 x_{1}^{3}q_{1}q_{2} e^{x^2/2} + '
+            '-8/3 x_{1}^{3}q_{3}q_{4} e^{x^2/2} + -8/3 x_{1}^{3}q_{5}q_{6} '
+            'e^{x^2/2} + 4 x_{1}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 4 '
+            'x_{1}q_{1}q_{2}q_{5}q_{6} e^{x^2/2} + -4/3 x_{1}^{3} e^{x^2/2} '
+            '+ 2 x_{1}q_{1}q_{2} e^{x^2/2}\n'
+            '-4 x_{1}^{3}q_{1}q_{3} e^{x^2/2} + 4 x_{1}q_{1}q_{3}q_{5}q_{6} '
+            'e^{x^2/2} + 2 x_{1}q_{1}q_{3} e^{x^2/2}\n'
+            '-4 x_{1}^{3}q_{2}q_{3} e^{x^2/2} + 4 x_{1}q_{2}q_{3}q_{5}q_{6} '
+            'e^{x^2/2} + 2 x_{1}q_{2}q_{3} e^{x^2/2}\n'
+            '-4 x_{1}^{3}q_{1}q_{4} e^{x^2/2} + 4 x_{1}q_{1}q_{4}q_{5}q_{6} '
+            'e^{x^2/2} + 2 x_{1}q_{1}q_{4} e^{x^2/2}\n'
+            '-4 x_{1}^{3}q_{2}q_{4} e^{x^2/2} + 4 x_{1}q_{2}q_{4}q_{5}q_{6} '
+            'e^{x^2/2} + 2 x_{1}q_{2}q_{4} e^{x^2/2}\n'
+            '8/3 x_{1}^{5} e^{x^2/2} + -8/3 x_{1}^{3}q_{1}q_{2} e^{x^2/2} + '
+            '-20/3 x_{1}^{3}q_{3}q_{4} e^{x^2/2} + -8/3 x_{1}^{3}q_{5}q_{6} '
+            'e^{x^2/2} + 4 x_{1}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 4 '
+            'x_{1}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + -4/3 x_{1}^{3} e^{x^2/2} '
+            '+ 2 x_{1}q_{3}q_{4} e^{x^2/2}\n'
+            '-4 x_{1}^{3}q_{1}q_{5} e^{x^2/2} + 4 x_{1}q_{1}q_{3}q_{4}q_{5} '
+            'e^{x^2/2} + 2 x_{1}q_{1}q_{5} e^{x^2/2}\n'
+            '-4 x_{1}^{3}q_{2}q_{5} e^{x^2/2} + 4 x_{1}q_{2}q_{3}q_{4}q_{5} '
+            'e^{x^2/2} + 2 x_{1}q_{2}q_{5} e^{x^2/2}\n'
+            '-4 x_{1}^{3}q_{3}q_{5} e^{x^2/2} + 4 x_{1}q_{1}q_{2}q_{3}q_{5} '
+            'e^{x^2/2} + 2 x_{1}q_{3}q_{5} e^{x^2/2}\n'
+            '-4 x_{1}^{3}q_{4}q_{5} e^{x^2/2} + 4 x_{1}q_{1}q_{2}q_{4}q_{5} '
+            'e^{x^2/2} + 2 x_{1}q_{4}q_{5} e^{x^2/2}\n'
+            '-4 x_{1}^{3}q_{1}q_{6} e^{x^2/2} + 4 x_{1}q_{1}q_{3}q_{4}q_{6} '
+            'e^{x^2/2} + 2 x_{1}q_{1}q_{6} e^{x^2/2}\n'
+            '-4 x_{1}^{3}q_{2}q_{6} e^{x^2/2} + 4 x_{1}q_{2}q_{3}q_{4}q_{6} '
+            'e^{x^2/2} + 2 x_{1}q_{2}q_{6} e^{x^2/2}\n'
+            '-4 x_{1}^{3}q_{3}q_{6} e^{x^2/2} + 4 x_{1}q_{1}q_{2}q_{3}q_{6} '
+            'e^{x^2/2} + 2 x_{1}q_{3}q_{6} e^{x^2/2}\n'
+            '-4 x_{1}^{3}q_{4}q_{6} e^{x^2/2} + 4 x_{1}q_{1}q_{2}q_{4}q_{6} '
+            'e^{x^2/2} + 2 x_{1}q_{4}q_{6} e^{x^2/2}\n'
+            '8/3 x_{1}^{5} e^{x^2/2} + -8/3 x_{1}^{3}q_{1}q_{2} e^{x^2/2} + '
+            '-8/3 x_{1}^{3}q_{3}q_{4} e^{x^2/2} + -20/3 x_{1}^{3}q_{5}q_{6} '
+            'e^{x^2/2} + 4 x_{1}q_{1}q_{2}q_{5}q_{6} e^{x^2/2} + 4 '
+            'x_{1}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + -4/3 x_{1}^{3} e^{x^2/2} '
+            '+ 2 x_{1}q_{5}q_{6} e^{x^2/2}\n'
+            '8 x_{1}^{4}q_{3} e^{x^2/2} + -12 x_{1}^{2}q_{1}q_{2}q_{3} '
+            'e^{x^2/2} + -8 x_{1}^{2}q_{3}q_{5}q_{6} e^{x^2/2} + 4 '
+            'q_{1}q_{2}q_{3}q_{5}q_{6} e^{x^2/2} + -4 x_{1}^{2}q_{3} '
+            'e^{x^2/2} + 2 q_{1}q_{2}q_{3} e^{x^2/2}\n'
+            '8 x_{1}^{4}q_{4} e^{x^2/2} + -12 x_{1}^{2}q_{1}q_{2}q_{4} '
+            'e^{x^2/2} + -8 x_{1}^{2}q_{4}q_{5}q_{6} e^{x^2/2} + 4 '
+            'q_{1}q_{2}q_{4}q_{5}q_{6} e^{x^2/2} + -4 x_{1}^{2}q_{4} '
+            'e^{x^2/2} + 2 q_{1}q_{2}q_{4} e^{x^2/2}\n'
+            '8 x_{1}^{4}q_{1} e^{x^2/2} + -12 x_{1}^{2}q_{1}q_{3}q_{4} '
+            'e^{x^2/2} + -8 x_{1}^{2}q_{1}q_{5}q_{6} e^{x^2/2} + 4 '
+            'q_{1}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + -4 x_{1}^{2}q_{1} '
+            'e^{x^2/2} + 2 q_{1}q_{3}q_{4} e^{x^2/2}\n'
+            '8 x_{1}^{4}q_{2} e^{x^2/2} + -12 x_{1}^{2}q_{2}q_{3}q_{4} '
+            'e^{x^2/2} + -8 x_{1}^{2}q_{2}q_{5}q_{6} e^{x^2/2} + 4 '
+            'q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + -4 x_{1}^{2}q_{2} '
+            'e^{x^2/2} + 2 q_{2}q_{3}q_{4} e^{x^2/2}\n'
+            '8 x_{1}^{4}q_{5} e^{x^2/2} + -12 x_{1}^{2}q_{1}q_{2}q_{5} '
+            'e^{x^2/2} + -8 x_{1}^{2}q_{3}q_{4}q_{5} e^{x^2/2} + 4 '
+            'q_{1}q_{2}q_{3}q_{4}q_{5} e^{x^2/2} + -4 x_{1}^{2}q_{5} '
+            'e^{x^2/2} + 2 q_{1}q_{2}q_{5} e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{1}q_{3}q_{5} e^{x^2/2} + 2 q_{1}q_{3}q_{5} '
+            'e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{2}q_{3}q_{5} e^{x^2/2} + 2 q_{2}q_{3}q_{5} '
+            'e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{1}q_{4}q_{5} e^{x^2/2} + 2 q_{1}q_{4}q_{5} '
+            'e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{2}q_{4}q_{5} e^{x^2/2} + 2 q_{2}q_{4}q_{5} '
+            'e^{x^2/2}\n'
+            '8 x_{1}^{4}q_{5} e^{x^2/2} + -8 x_{1}^{2}q_{1}q_{2}q_{5} '
+            'e^{x^2/2} + -12 x_{1}^{2}q_{3}q_{4}q_{5} e^{x^2/2} + 4 '
+            'q_{1}q_{2}q_{3}q_{4}q_{5} e^{x^2/2} + -4 x_{1}^{2}q_{5} '
+            'e^{x^2/2} + 2 q_{3}q_{4}q_{5} e^{x^2/2}\n'
+            '8 x_{1}^{4}q_{6} e^{x^2/2} + -12 x_{1}^{2}q_{1}q_{2}q_{6} '
+            'e^{x^2/2} + -8 x_{1}^{2}q_{3}q_{4}q_{6} e^{x^2/2} + 4 '
+            'q_{1}q_{2}q_{3}q_{4}q_{6} e^{x^2/2} + -4 x_{1}^{2}q_{6} '
+            'e^{x^2/2} + 2 q_{1}q_{2}q_{6} e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{1}q_{3}q_{6} e^{x^2/2} + 2 q_{1}q_{3}q_{6} '
+            'e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{2}q_{3}q_{6} e^{x^2/2} + 2 q_{2}q_{3}q_{6} '
+            'e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{1}q_{4}q_{6} e^{x^2/2} + 2 q_{1}q_{4}q_{6} '
+            'e^{x^2/2}\n'
+            '-4 x_{1}^{2}q_{2}q_{4}q_{6} e^{x^2/2} + 2 q_{2}q_{4}q_{6} '
+            'e^{x^2/2}\n'
+            '8 x_{1}^{4}q_{6} e^{x^2/2} + -8 x_{1}^{2}q_{1}q_{2}q_{6} '
+            'e^{x^2/2} + -12 x_{1}^{2}q_{3}q_{4}q_{6} e^{x^2/2} + 4 '
+            'q_{1}q_{2}q_{3}q_{4}q_{6} e^{x^2/2} + -4 x_{1}^{2}q_{6} '
+            'e^{x^2/2} + 2 q_{3}q_{4}q_{6} e^{x^2/2}\n'
+            '8 x_{1}^{4}q_{1} e^{x^2/2} + -8 x_{1}^{2}q_{1}q_{3}q_{4} '
+            'e^{x^2/2} + -12 x_{1}^{2}q_{1}q_{5}q_{6} e^{x^2/2} + 4 '
+            'q_{1}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + -4 x_{1}^{2}q_{1} '
+            'e^{x^2/2} + 2 q_{1}q_{5}q_{6} e^{x^2/2}\n'
+            '8 x_{1}^{4}q_{2} e^{x^2/2} + -8 x_{1}^{2}q_{2}q_{3}q_{4} '
+            'e^{x^2/2} + -12 x_{1}^{2}q_{2}q_{5}q_{6} e^{x^2/2} + 4 '
+            'q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + -4 x_{1}^{2}q_{2} '
+            'e^{x^2/2} + 2 q_{2}q_{5}q_{6} e^{x^2/2}\n'
+            '8 x_{1}^{4}q_{3} e^{x^2/2} + -8 x_{1}^{2}q_{1}q_{2}q_{3} '
+            'e^{x^2/2} + -12 x_{1}^{2}q_{3}q_{5}q_{6} e^{x^2/2} + 4 '
+            'q_{1}q_{2}q_{3}q_{5}q_{6} e^{x^2/2} + -4 x_{1}^{2}q_{3} '
+            'e^{x^2/2} + 2 q_{3}q_{5}q_{6} e^{x^2/2}\n'
+            '8 x_{1}^{4}q_{4} e^{x^2/2} + -8 x_{1}^{2}q_{1}q_{2}q_{4} '
+            'e^{x^2/2} + -12 x_{1}^{2}q_{4}q_{5}q_{6} e^{x^2/2} + 4 '
+            'q_{1}q_{2}q_{4}q_{5}q_{6} e^{x^2/2} + -4 x_{1}^{2}q_{4} '
+            'e^{x^2/2} + 2 q_{4}q_{5}q_{6} e^{x^2/2}',
+        ),
+        (
+            '-32/3*x1^7*G + 112/3*x1^5*q1q2*G + 64/3*x1^5*q3q4*G + '
+            '64/3*x1^5*q5q6*G - 160/3*x1^3*q1q2q3q4*G - '
+            '160/3*x1^3*q1q2q5q6*G - 64/3*x1^3*q3q4q5q6*G + '
+            '32*x1*q1q2q3q4q5q6*G + 32*x1^5*G - 80*x1^3*q1q2*G - '
+            '32*x1^3*q3q4*G - 32*x1^3*q5q6*G + 48*x1*q1q2q3q4*G + '
+            '48*x1*q1q2q5q6*G - 8*x1^3*G + 12*x1*q1q2*G\n'
+            '16*x1^5*q1q3*G - 32*x1^3*q1q3q5q6*G - 48*x1^3*q1q3*G + '
+            '48*x1*q1q3q5q6*G + 12*x1*q1q3*G\n'
+            '16*x1^5*q2q3*G - 32*x1^3*q2q3q5q6*G - 48*x1^3*q2q3*G + '
+            '48*x1*q2q3q5q6*G + 12*x1*q2q3*G\n'
+            '16*x1^5*q1q4*G - 32*x1^3*q1q4q5q6*G - 48*x1^3*q1q4*G + '
+            '48*x1*q1q4q5q6*G + 12*x1*q1q4*G\n'
+            '16*x1^5*q2q4*G - 32*x1^3*q2q4q5q6*G - 48*x1^3*q2q4*G + '
+            '48*x1*q2q4q5q6*G + 12*x1*q2q4*G\n'
+            '-32/3*x1^7*G + 64/3*x1^5*q1q2*G + 112/3*x1^5*q3q4*G + '
+            '64/3*x1^5*q5q6*G - 160/3*x1^3*q1q2q3q4*G - 64/3*x1^3*q1q2q5q6*G '
+            '- 160/3*x1^3*q3q4q5q6*G + 32*x1*q1q2q3q4q5q6*G + 32*x1^5*G - '
+            '32*x1^3*q1q2*G - 80*x1^3*q3q4*G - 32*x1^3*q5q6*G + '
+            '48*x1*q1q2q3q4*G + 48*x1*q3q4q5q6*G - 8*x1^3*G + 12*x1*q3q4*G\n'
+            '16*x1^5*q1q5*G - 32*x1^3*q1q3q4q5*G - 48*x1^3*q1q5*G + '
+            '48*x1*q1q3q4q5*G + 12*x1*q1q5*G\n'
+            '16*x1^5*q2q5*G - 32*x1^3*q2q3q4q5*G - 48*x1^3*q2q5*G + '
+            '48*x1*q2q3q4q5*G + 12*x1*q2q5*G\n'
+            '16*x1^5*q3q5*G - 32*x1^3*q1q2q3q5*G - 48*x1^3*q3q5*G + '
+            '48*x1*q1q2q3q5*G + 12*x1*q3q5*G\n'
+            '16*x1^5*q4q5*G - 32*x1^3*q1q2q4q5*G - 48*x1^3*q4q5*G + '
+            '48*x1*q1q2q4q5*G + 12*x1*q4q5*G\n'
+            '16*x1^5*q1q6*G - 32*x1^3*q1q3q4q6*G - 48*x1^3*q1q6*G + '
+            '48*x1*q1q3q4q6*G + 12*x1*q1q6*G\n'
+            '16*x1^5*q2q6*G - 32*x1^3*q2q3q4q6*G - 48*x1^3*q2q6*G + '
+            '48*x1*q2q3q4q6*G + 12*x1*q2q6*G\n'
+            '16*x1^5*q3q6*G - 32*x1^3*q1q2q3q6*G - 48*x1^3*q3q6*G + '
+            '48*x1*q1q2q3q6*G + 12*x1*q3q6*G\n'
+            '16*x1^5*q4q6*G - 32*x1^3*q1q2q4q6*G - 48*x1^3*q4q6*G + '
+            '48*x1*q1q2q4q6*G + 12*x1*q4q6*G\n'
+            '-32/3*x1^7*G + 64/3*x1^5*q1q2*G + 64/3*x1^5*q3q4*G + '
+            '112/3*x1^5*q5q6*G - 64/3*x1^3*q1q2q3q4*G - '
+            '160/3*x1^3*q1q2q5q6*G - 160/3*x1^3*q3q4q5q6*G + '
+            '32*x1*q1q2q3q4q5q6*G + 32*x1^5*G - 32*x1^3*q1q2*G - '
+            '32*x1^3*q3q4*G - 80*x1^3*q5q6*G + 48*x1*q1q2q5q6*G + '
+            '48*x1*q3q4q5q6*G - 8*x1^3*G + 12*x1*q5q6*G\n'
+            '-32*x1^6*q3*G + 80*x1^4*q1q2q3*G + 64*x1^4*q3q5q6*G - '
+            '96*x1^2*q1q2q3q5q6*G + 96*x1^4*q3*G - 144*x1^2*q1q2q3*G - '
+            '96*x1^2*q3q5q6*G + 48*q1q2q3q5q6*G - 24*x1^2*q3*G + '
+            '12*q1q2q3*G\n'
+            '-32*x1^6*q4*G + 80*x1^4*q1q2q4*G + 64*x1^4*q4q5q6*G - '
+            '96*x1^2*q1q2q4q5q6*G + 96*x1^4*q4*G - 144*x1^2*q1q2q4*G - '
+            '96*x1^2*q4q5q6*G + 48*q1q2q4q5q6*G - 24*x1^2*q4*G + '
+            '12*q1q2q4*G\n'
+            '-32*x1^6*q1*G + 80*x1^4*q1q3q4*G + 64*x1^4*q1q5q6*G - '
+            '96*x1^2*q1q3q4q5q6*G + 96*x1^4*q1*G - 144*x1^2*q1q3q4*G - '
+            '96*x1^2*q1q5q6*G + 48*q1q3q4q5q6*G - 24*x1^2*q1*G + '
+            '12*q1q3q4*G\n'
+            '-32*x1^6*q2*G + 80*x1^4*q2q3q4*G + 64*x1^4*q2q5q6*G - '
+            '96*x1^2*q2q3q4q5q6*G + 96*x1^4*q2*G - 144*x1^2*q2q3q4*G - '
+            '96*x1^2*q2q5q6*G + 48*q2q3q4q5q6*G - 24*x1^2*q2*G + '
+            '12*q2q3q4*G\n'
+            '-32*x1^6*q5*G + 80*x1^4*q1q2q5*G + 64*x1^4*q3q4q5*G - '
+            '96*x1^2*q1q2q3q4q5*G + 96*x1^4*q5*G - 144*x1^2*q1q2q5*G - '
+            '96*x1^2*q3q4q5*G + 48*q1q2q3q4q5*G - 24*x1^2*q5*G + '
+            '12*q1q2q5*G\n'
+            '16*x1^4*q1q3q5*G - 48*x1^2*q1q3q5*G + 12*q1q3q5*G\n'
+            '16*x1^4*q2q3q5*G - 48*x1^2*q2q3q5*G + 12*q2q3q5*G\n'
+            '16*x1^4*q1q4q5*G - 48*x1^2*q1q4q5*G + 12*q1q4q5*G\n'
+            '16*x1^4*q2q4q5*G - 48*x1^2*q2q4q5*G + 12*q2q4q5*G\n'
+            '-32*x1^6*q5*G + 64*x1^4*q1q2q5*G + 80*x1^4*q3q4q5*G - '
+            '96*x1^2*q1q2q3q4q5*G + 96*x1^4*q5*G - 96*x1^2*q1q2q5*G - '
+            '144*x1^2*q3q4q5*G + 48*q1q2q3q4q5*G - 24*x1^2*q5*G + '
+            '12*q3q4q5*G\n'
+            '-32*x1^6*q6*G + 80*x1^4*q1q2q6*G + 64*x1^4*q3q4q6*G - '
+            '96*x1^2*q1q2q3q4q6*G + 96*x1^4*q6*G - 144*x1^2*q1q2q6*G - '
+            '96*x1^2*q3q4q6*G + 48*q1q2q3q4q6*G - 24*x1^2*q6*G + '
+            '12*q1q2q6*G\n'
+            '16*x1^4*q1q3q6*G - 48*x1^2*q1q3q6*G + 12*q1q3q6*G\n'
+            '16*x1^4*q2q3q6*G - 48*x1^2*q2q3q6*G + 12*q2q3q6*G\n'
+            '16*x1^4*q1q4q6*G - 48*x1^2*q1q4q6*G + 12*q1q4q6*G\n'
+            '16*x1^4*q2q4q6*G - 48*x1^2*q2q4q6*G + 12*q2q4q6*G\n'
+            '-32*x1^6*q6*G + 64*x1^4*q1q2q6*G + 80*x1^4*q3q4q6*G - '
+            '96*x1^2*q1q2q3q4q6*G + 96*x1^4*q6*G - 96*x1^2*q1q2q6*G - '
+            '144*x1^2*q3q4q6*G + 48*q1q2q3q4q6*G - 24*x1^2*q6*G + '
+            '12*q3q4q6*G\n'
+            '-32*x1^6*q1*G + 64*x1^4*q1q3q4*G + 80*x1^4*q1q5q6*G - '
+            '96*x1^2*q1q3q4q5q6*G + 96*x1^4*q1*G - 96*x1^2*q1q3q4*G - '
+            '144*x1^2*q1q5q6*G + 48*q1q3q4q5q6*G - 24*x1^2*q1*G + '
+            '12*q1q5q6*G\n'
+            '-32*x1^6*q2*G + 64*x1^4*q2q3q4*G + 80*x1^4*q2q5q6*G - '
+            '96*x1^2*q2q3q4q5q6*G + 96*x1^4*q2*G - 96*x1^2*q2q3q4*G - '
+            '144*x1^2*q2q5q6*G + 48*q2q3q4q5q6*G - 24*x1^2*q2*G + '
+            '12*q2q5q6*G\n'
+            '-32*x1^6*q3*G + 64*x1^4*q1q2q3*G + 80*x1^4*q3q5q6*G - '
+            '96*x1^2*q1q2q3q5q6*G + 96*x1^4*q3*G - 96*x1^2*q1q2q3*G - '
+            '144*x1^2*q3q5q6*G + 48*q1q2q3q5q6*G - 24*x1^2*q3*G + '
+            '12*q3q5q6*G\n'
+            '-32*x1^6*q4*G + 64*x1^4*q1q2q4*G + 80*x1^4*q4q5q6*G - '
+            '96*x1^2*q1q2q4q5q6*G + 96*x1^4*q4*G - 96*x1^2*q1q2q4*G - '
+            '144*x1^2*q4q5q6*G + 48*q1q2q4q5q6*G - 24*x1^2*q4*G + 12*q4q5q6*G',
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [7], "fer": [], "coeff": [{"q": [-32, '
+            '3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [5], "fer": [1, 2], '
+            '"coeff": [{"q": [112, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[5], "fer": [3, 4], "coeff": [{"q": [64, 3, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [5], "fer": [5, 6], "coeff": [{"q": [64, '
+            '3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": [1, 2, 3, '
+            '4], "coeff": [{"q": [-160, 3, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [3], "fer": [1, 2, 5, 6], "coeff": [{"q": [-160, 3, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": [3, 4, 5, 6], '
+            '"coeff": [{"q": [-64, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[1], "fer": [1, 2, 3, 4, 5, 6], "coeff": [{"q": [32, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [5], "fer": [], "coeff": [{"q": '
+            '[32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": [1, 2], '
+            '"coeff": [{"q": [-80, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[3], "fer": [3, 4], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [3], "fer": [5, 6], "coeff": [{"q": [-32, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [1, 2, 3, '
+            '4], "coeff": [{"q": [48, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[1], "fer": [1, 2, 5, 6], "coeff": [{"q": [48, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [3], "fer": [], "coeff": [{"q": [-8, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [1, 2], '
+            '"coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [5], "fer": [1, 3], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": [1, 3, '
+            '5, 6], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [3], "fer": [1, 3], "coeff": [{"q": [-48, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1], "fer": [1, 3, 5, 6], "coeff": '
+            '[{"q": [48, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": '
+            '[1, 3], "coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [5], "fer": [2, 3], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": [2, 3, '
+            '5, 6], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [3], "fer": [2, 3], "coeff": [{"q": [-48, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1], "fer": [2, 3, 5, 6], "coeff": '
+            '[{"q": [48, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": '
+            '[2, 3], "coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [5], "fer": [1, 4], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": [1, 4, '
+            '5, 6], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [3], "fer": [1, 4], "coeff": [{"q": [-48, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1], "fer": [1, 4, 5, 6], "coeff": '
+            '[{"q": [48, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": '
+            '[1, 4], "coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [5], "fer": [2, 4], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": [2, 4, '
+            '5, 6], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [3], "fer": [2, 4], "coeff": [{"q": [-48, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1], "fer": [2, 4, 5, 6], "coeff": '
+            '[{"q": [48, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": '
+            '[2, 4], "coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [7], "fer": [], "coeff": [{"q": [-32, '
+            '3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [5], "fer": [1, 2], '
+            '"coeff": [{"q": [64, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[5], "fer": [3, 4], "coeff": [{"q": [112, 3, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [5], "fer": [5, 6], "coeff": [{"q": [64, '
+            '3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": [1, 2, 3, '
+            '4], "coeff": [{"q": [-160, 3, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [3], "fer": [1, 2, 5, 6], "coeff": [{"q": [-64, 3, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": [3, 4, 5, 6], '
+            '"coeff": [{"q": [-160, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[1], "fer": [1, 2, 3, 4, 5, 6], "coeff": [{"q": [32, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [5], "fer": [], "coeff": [{"q": '
+            '[32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": [1, 2], '
+            '"coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[3], "fer": [3, 4], "coeff": [{"q": [-80, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [3], "fer": [5, 6], "coeff": [{"q": [-32, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [1, 2, 3, '
+            '4], "coeff": [{"q": [48, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[1], "fer": [3, 4, 5, 6], "coeff": [{"q": [48, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [3], "fer": [], "coeff": [{"q": [-8, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [3, 4], '
+            '"coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [5], "fer": [1, 5], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": [1, 3, '
+            '4, 5], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [3], "fer": [1, 5], "coeff": [{"q": [-48, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1], "fer": [1, 3, 4, 5], "coeff": '
+            '[{"q": [48, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": '
+            '[1, 5], "coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [5], "fer": [2, 5], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": [2, 3, '
+            '4, 5], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [3], "fer": [2, 5], "coeff": [{"q": [-48, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1], "fer": [2, 3, 4, 5], "coeff": '
+            '[{"q": [48, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": '
+            '[2, 5], "coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [5], "fer": [3, 5], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": [1, 2, '
+            '3, 5], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [3], "fer": [3, 5], "coeff": [{"q": [-48, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1], "fer": [1, 2, 3, 5], "coeff": '
+            '[{"q": [48, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": '
+            '[3, 5], "coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [5], "fer": [4, 5], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": [1, 2, '
+            '4, 5], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [3], "fer": [4, 5], "coeff": [{"q": [-48, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1], "fer": [1, 2, 4, 5], "coeff": '
+            '[{"q": [48, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": '
+            '[4, 5], "coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [5], "fer": [1, 6], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": [1, 3, '
+            '4, 6], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [3], "fer": [1, 6], "coeff": [{"q": [-48, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1], "fer": [1, 3, 4, 6], "coeff": '
+            '[{"q": [48, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": '
+            '[1, 6], "coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [5], "fer": [2, 6], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": [2, 3, '
+            '4, 6], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [3], "fer": [2, 6], "coeff": [{"q": [-48, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1], "fer": [2, 3, 4, 6], "coeff": '
+            '[{"q": [48, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": '
+            '[2, 6], "coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [5], "fer": [3, 6], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": [1, 2, '
+            '3, 6], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [3], "fer": [3, 6], "coeff": [{"q": [-48, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1], "fer": [1, 2, 3, 6], "coeff": '
+            '[{"q": [48, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": '
+            '[3, 6], "coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [5], "fer": [4, 6], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": [1, 2, '
+            '4, 6], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [3], "fer": [4, 6], "coeff": [{"q": [-48, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [1], "fer": [1, 2, 4, 6], "coeff": '
+            '[{"q": [48, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": '
+            '[4, 6], "coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [7], "fer": [], "coeff": [{"q": [-32, '
+            '3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [5], "fer": [1, 2], '
+            '"coeff": [{"q": [64, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[5], "fer": [3, 4], "coeff": [{"q": [64, 3, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [5], "fer": [5, 6], "coeff": [{"q": [112, '
+            '3, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": [1, 2, 3, '
+            '4], "coeff": [{"q": [-64, 3, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [3], "fer": [1, 2, 5, 6], "coeff": [{"q": [-160, 3, 0, '
+            '1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": [3, 4, 5, 6], '
+            '"coeff": [{"q": [-160, 3, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[1], "fer": [1, 2, 3, 4, 5, 6], "coeff": [{"q": [32, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [5], "fer": [], "coeff": [{"q": '
+            '[32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [3], "fer": [1, 2], '
+            '"coeff": [{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[3], "fer": [3, 4], "coeff": [{"q": [-32, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [3], "fer": [5, 6], "coeff": [{"q": [-80, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [1, 2, 5, '
+            '6], "coeff": [{"q": [48, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[1], "fer": [3, 4, 5, 6], "coeff": [{"q": [48, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [3], "fer": [], "coeff": [{"q": [-8, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [5, 6], '
+            '"coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [6], "fer": [3], "coeff": [{"q": [-32, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4], "fer": [1, 2, 3], '
+            '"coeff": [{"q": [80, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[4], "fer": [3, 5, 6], "coeff": [{"q": [64, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2], "fer": [1, 2, 3, 5, 6], "coeff": '
+            '[{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4], "fer": '
+            '[3], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2], "fer": [1, 2, 3], "coeff": [{"q": [-144, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [2], "fer": [3, 5, 6], "coeff": '
+            '[{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": '
+            '[1, 2, 3, 5, 6], "coeff": [{"q": [48, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [2], "fer": [3], "coeff": [{"q": [-24, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 2, 3], "coeff": '
+            '[{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [6], "fer": [4], "coeff": [{"q": [-32, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4], "fer": [1, 2, 4], '
+            '"coeff": [{"q": [80, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[4], "fer": [4, 5, 6], "coeff": [{"q": [64, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2], "fer": [1, 2, 4, 5, 6], "coeff": '
+            '[{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4], "fer": '
+            '[4], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2], "fer": [1, 2, 4], "coeff": [{"q": [-144, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [2], "fer": [4, 5, 6], "coeff": '
+            '[{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": '
+            '[1, 2, 4, 5, 6], "coeff": [{"q": [48, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [2], "fer": [4], "coeff": [{"q": [-24, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 2, 4], "coeff": '
+            '[{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [6], "fer": [1], "coeff": [{"q": [-32, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4], "fer": [1, 3, 4], '
+            '"coeff": [{"q": [80, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[4], "fer": [1, 5, 6], "coeff": [{"q": [64, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2], "fer": [1, 3, 4, 5, 6], "coeff": '
+            '[{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4], "fer": '
+            '[1], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2], "fer": [1, 3, 4], "coeff": [{"q": [-144, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 5, 6], "coeff": '
+            '[{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": '
+            '[1, 3, 4, 5, 6], "coeff": [{"q": [48, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [2], "fer": [1], "coeff": [{"q": [-24, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 3, 4], "coeff": '
+            '[{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [6], "fer": [2], "coeff": [{"q": [-32, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4], "fer": [2, 3, 4], '
+            '"coeff": [{"q": [80, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[4], "fer": [2, 5, 6], "coeff": [{"q": [64, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2], "fer": [2, 3, 4, 5, 6], "coeff": '
+            '[{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4], "fer": '
+            '[2], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2], "fer": [2, 3, 4], "coeff": [{"q": [-144, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [2], "fer": [2, 5, 6], "coeff": '
+            '[{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": '
+            '[2, 3, 4, 5, 6], "coeff": [{"q": [48, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [2], "fer": [2], "coeff": [{"q": [-24, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0], "fer": [2, 3, 4], "coeff": '
+            '[{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [6], "fer": [5], "coeff": [{"q": [-32, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4], "fer": [1, 2, 5], '
+            '"coeff": [{"q": [80, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[4], "fer": [3, 4, 5], "coeff": [{"q": [64, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2], "fer": [1, 2, 3, 4, 5], "coeff": '
+            '[{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4], "fer": '
+            '[5], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2], "fer": [1, 2, 5], "coeff": [{"q": [-144, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [2], "fer": [3, 4, 5], "coeff": '
+            '[{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": '
+            '[1, 2, 3, 4, 5], "coeff": [{"q": [48, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [2], "fer": [5], "coeff": [{"q": [-24, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 2, 5], "coeff": '
+            '[{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [1, 3, 5], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 3, '
+            '5], "coeff": [{"q": [-48, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [1, 3, 5], "coeff": [{"q": [12, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [2, 3, 5], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [2, 3, '
+            '5], "coeff": [{"q": [-48, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [2, 3, 5], "coeff": [{"q": [12, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [1, 4, 5], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 4, '
+            '5], "coeff": [{"q": [-48, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [1, 4, 5], "coeff": [{"q": [12, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [2, 4, 5], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [2, 4, '
+            '5], "coeff": [{"q": [-48, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [2, 4, 5], "coeff": [{"q": [12, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [6], "fer": [5], "coeff": [{"q": [-32, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4], "fer": [1, 2, 5], '
+            '"coeff": [{"q": [64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[4], "fer": [3, 4, 5], "coeff": [{"q": [80, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2], "fer": [1, 2, 3, 4, 5], "coeff": '
+            '[{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4], "fer": '
+            '[5], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2], "fer": [1, 2, 5], "coeff": [{"q": [-96, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [2], "fer": [3, 4, 5], "coeff": '
+            '[{"q": [-144, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], '
+            '"fer": [1, 2, 3, 4, 5], "coeff": [{"q": [48, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2], "fer": [5], "coeff": [{"q": [-24, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [3, 4, 5], '
+            '"coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [6], "fer": [6], "coeff": [{"q": [-32, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4], "fer": [1, 2, 6], '
+            '"coeff": [{"q": [80, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[4], "fer": [3, 4, 6], "coeff": [{"q": [64, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2], "fer": [1, 2, 3, 4, 6], "coeff": '
+            '[{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4], "fer": '
+            '[6], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2], "fer": [1, 2, 6], "coeff": [{"q": [-144, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [2], "fer": [3, 4, 6], "coeff": '
+            '[{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": '
+            '[1, 2, 3, 4, 6], "coeff": [{"q": [48, 1, 0, 1], "b": 0, "eps": '
+            '0}]}, {"bos": [2], "fer": [6], "coeff": [{"q": [-24, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 2, 6], "coeff": '
+            '[{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [1, 3, 6], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 3, '
+            '6], "coeff": [{"q": [-48, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [1, 3, 6], "coeff": [{"q": [12, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [2, 3, 6], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [2, 3, '
+            '6], "coeff": [{"q": [-48, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [2, 3, 6], "coeff": [{"q": [12, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [1, 4, 6], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 4, '
+            '6], "coeff": [{"q": [-48, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [1, 4, 6], "coeff": [{"q": [12, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [4], "fer": [2, 4, 6], "coeff": [{"q": '
+            '[16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [2], "fer": [2, 4, '
+            '6], "coeff": [{"q": [-48, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [2, 4, 6], "coeff": [{"q": [12, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [6], "fer": [6], "coeff": [{"q": [-32, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4], "fer": [1, 2, 6], '
+            '"coeff": [{"q": [64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[4], "fer": [3, 4, 6], "coeff": [{"q": [80, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2], "fer": [1, 2, 3, 4, 6], "coeff": '
+            '[{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4], "fer": '
+            '[6], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2], "fer": [1, 2, 6], "coeff": [{"q": [-96, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [2], "fer": [3, 4, 6], "coeff": '
+            '[{"q": [-144, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], '
+            '"fer": [1, 2, 3, 4, 6], "coeff": [{"q": [48, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2], "fer": [6], "coeff": [{"q": [-24, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [3, 4, 6], '
+            '"coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [6], "fer": [1], "coeff": [{"q": [-32, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4], "fer": [1, 3, 4], '
+            '"coeff": [{"q": [64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[4], "fer": [1, 5, 6], "coeff": [{"q": [80, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2], "fer": [1, 3, 4, 5, 6], "coeff": '
+            '[{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4], "fer": '
+            '[1], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2], "fer": [1, 3, 4], "coeff": [{"q": [-96, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [2], "fer": [1, 5, 6], "coeff": '
+            '[{"q": [-144, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], '
+            '"fer": [1, 3, 4, 5, 6], "coeff": [{"q": [48, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2], "fer": [1], "coeff": [{"q": [-24, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [1, 5, 6], '
+            '"coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [6], "fer": [2], "coeff": [{"q": [-32, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4], "fer": [2, 3, 4], '
+            '"coeff": [{"q": [64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[4], "fer": [2, 5, 6], "coeff": [{"q": [80, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2], "fer": [2, 3, 4, 5, 6], "coeff": '
+            '[{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4], "fer": '
+            '[2], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2], "fer": [2, 3, 4], "coeff": [{"q": [-96, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [2], "fer": [2, 5, 6], "coeff": '
+            '[{"q": [-144, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], '
+            '"fer": [2, 3, 4, 5, 6], "coeff": [{"q": [48, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2], "fer": [2], "coeff": [{"q": [-24, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [2, 5, 6], '
+            '"coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [6], "fer": [3], "coeff": [{"q": [-32, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4], "fer": [1, 2, 3], '
+            '"coeff": [{"q": [64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[4], "fer": [3, 5, 6], "coeff": [{"q": [80, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2], "fer": [1, 2, 3, 5, 6], "coeff": '
+            '[{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4], "fer": '
+            '[3], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2], "fer": [1, 2, 3], "coeff": [{"q": [-96, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [2], "fer": [3, 5, 6], "coeff": '
+            '[{"q": [-144, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], '
+            '"fer": [1, 2, 3, 5, 6], "coeff": [{"q": [48, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2], "fer": [3], "coeff": [{"q": [-24, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [3, 5, 6], '
+            '"coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}\n'
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'true, "terms": [{"bos": [6], "fer": [4], "coeff": [{"q": [-32, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4], "fer": [1, 2, 4], '
+            '"coeff": [{"q": [64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[4], "fer": [4, 5, 6], "coeff": [{"q": [80, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2], "fer": [1, 2, 4, 5, 6], "coeff": '
+            '[{"q": [-96, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [4], "fer": '
+            '[4], "coeff": [{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [2], "fer": [1, 2, 4], "coeff": [{"q": [-96, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}, {"bos": [2], "fer": [4, 5, 6], "coeff": '
+            '[{"q": [-144, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], '
+            '"fer": [1, 2, 4, 5, 6], "coeff": [{"q": [48, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [2], "fer": [4], "coeff": [{"q": [-24, 1, '
+            '0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [4, 5, 6], '
+            '"coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}',
+            '-32/3 x_{1}^{7} e^{x^2/2} + 112/3 x_{1}^{5}q_{1}q_{2} e^{x^2/2} '
+            '+ 64/3 x_{1}^{5}q_{3}q_{4} e^{x^2/2} + 64/3 x_{1}^{5}q_{5}q_{6} '
+            'e^{x^2/2} + -160/3 x_{1}^{3}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + '
+            '-160/3 x_{1}^{3}q_{1}q_{2}q_{5}q_{6} e^{x^2/2} + -64/3 '
+            'x_{1}^{3}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 32 '
+            'x_{1}q_{1}q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 32 x_{1}^{5} '
+            'e^{x^2/2} + -80 x_{1}^{3}q_{1}q_{2} e^{x^2/2} + -32 '
+            'x_{1}^{3}q_{3}q_{4} e^{x^2/2} + -32 x_{1}^{3}q_{5}q_{6} '
+            'e^{x^2/2} + 48 x_{1}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 48 '
+            'x_{1}q_{1}q_{2}q_{5}q_{6} e^{x^2/2} + -8 x_{1}^{3} e^{x^2/2} + '
+            '12 x_{1}q_{1}q_{2} e^{x^2/2}\n'
+            '16 x_{1}^{5}q_{1}q_{3} e^{x^2/2} + -32 '
+            'x_{1}^{3}q_{1}q_{3}q_{5}q_{6} e^{x^2/2} + -48 '
+            'x_{1}^{3}q_{1}q_{3} e^{x^2/2} + 48 x_{1}q_{1}q_{3}q_{5}q_{6} '
+            'e^{x^2/2} + 12 x_{1}q_{1}q_{3} e^{x^2/2}\n'
+            '16 x_{1}^{5}q_{2}q_{3} e^{x^2/2} + -32 '
+            'x_{1}^{3}q_{2}q_{3}q_{5}q_{6} e^{x^2/2} + -48 '
+            'x_{1}^{3}q_{2}q_{3} e^{x^2/2} + 48 x_{1}q_{2}q_{3}q_{5}q_{6} '
+            'e^{x^2/2} + 12 x_{1}q_{2}q_{3} e^{x^2/2}\n'
+            '16 x_{1}^{5}q_{1}q_{4} e^{x^2/2} + -32 '
+            'x_{1}^{3}q_{1}q_{4}q_{5}q_{6} e^{x^2/2} + -48 '
+            'x_{1}^{3}q_{1}q_{4} e^{x^2/2} + 48 x_{1}q_{1}q_{4}q_{5}q_{6} '
+            'e^{x^2/2} + 12 x_{1}q_{1}q_{4} e^{x^2/2}\n'
+            '16 x_{1}^{5}q_{2}q_{4} e^{x^2/2} + -32 '
+            'x_{1}^{3}q_{2}q_{4}q_{5}q_{6} e^{x^2/2} + -48 '
+            'x_{1}^{3}q_{2}q_{4} e^{x^2/2} + 48 x_{1}q_{2}q_{4}q_{5}q_{6} '
+            'e^{x^2/2} + 12 x_{1}q_{2}q_{4} e^{x^2/2}\n'
+            '-32/3 x_{1}^{7} e^{x^2/2} + 64/3 x_{1}^{5}q_{1}q_{2} e^{x^2/2} '
+            '+ 112/3 x_{1}^{5}q_{3}q_{4} e^{x^2/2} + 64/3 '
+            'x_{1}^{5}q_{5}q_{6} e^{x^2/2} + -160/3 '
+            'x_{1}^{3}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -64/3 '
+            'x_{1}^{3}q_{1}q_{2}q_{5}q_{6} e^{x^2/2} + -160/3 '
+            'x_{1}^{3}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 32 '
+            'x_{1}q_{1}q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 32 x_{1}^{5} '
+            'e^{x^2/2} + -32 x_{1}^{3}q_{1}q_{2} e^{x^2/2} + -80 '
+            'x_{1}^{3}q_{3}q_{4} e^{x^2/2} + -32 x_{1}^{3}q_{5}q_{6} '
+            'e^{x^2/2} + 48 x_{1}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 48 '
+            'x_{1}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + -8 x_{1}^{3} e^{x^2/2} + '
+            '12 x_{1}q_{3}q_{4} e^{x^2/2}\n'
+            '16 x_{1}^{5}q_{1}q_{5} e^{x^2/2} + -32 '
+            'x_{1}^{3}q_{1}q_{3}q_{4}q_{5} e^{x^2/2} + -48 '
+            'x_{1}^{3}q_{1}q_{5} e^{x^2/2} + 48 x_{1}q_{1}q_{3}q_{4}q_{5} '
+            'e^{x^2/2} + 12 x_{1}q_{1}q_{5} e^{x^2/2}\n'
+            '16 x_{1}^{5}q_{2}q_{5} e^{x^2/2} + -32 '
+            'x_{1}^{3}q_{2}q_{3}q_{4}q_{5} e^{x^2/2} + -48 '
+            'x_{1}^{3}q_{2}q_{5} e^{x^2/2} + 48 x_{1}q_{2}q_{3}q_{4}q_{5} '
+            'e^{x^2/2} + 12 x_{1}q_{2}q_{5} e^{x^2/2}\n'
+            '16 x_{1}^{5}q_{3}q_{5} e^{x^2/2} + -32 '
+            'x_{1}^{3}q_{1}q_{2}q_{3}q_{5} e^{x^2/2} + -48 '
+            'x_{1}^{3}q_{3}q_{5} e^{x^2/2} + 48 x_{1}q_{1}q_{2}q_{3}q_{5} '
+            'e^{x^2/2} + 12 x_{1}q_{3}q_{5} e^{x^2/2}\n'
+            '16 x_{1}^{5}q_{4}q_{5} e^{x^2/2} + -32 '
+            'x_{1}^{3}q_{1}q_{2}q_{4}q_{5} e^{x^2/2} + -48 '
+            'x_{1}^{3}q_{4}q_{5} e^{x^2/2} + 48 x_{1}q_{1}q_{2}q_{4}q_{5} '
+            'e^{x^2/2} + 12 x_{1}q_{4}q_{5} e^{x^2/2}\n'
+            '16 x_{1}^{5}q_{1}q_{6} e^{x^2/2} + -32 '
+            'x_{1}^{3}q_{1}q_{3}q_{4}q_{6} e^{x^2/2} + -48 '
+            'x_{1}^{3}q_{1}q_{6} e^{x^2/2} + 48 x_{1}q_{1}q_{3}q_{4}q_{6} '
+            'e^{x^2/2} + 12 x_{1}q_{1}q_{6} e^{x^2/2}\n'
+            '16 x_{1}^{5}q_{2}q_{6} e^{x^2/2} + -32 '
+            'x_{1}^{3}q_{2}q_{3}q_{4}q_{6} e^{x^2/2} + -48 '
+            'x_{1}^{3}q_{2}q_{6} e^{x^2/2} + 48 x_{1}q_{2}q_{3}q_{4}q_{6} '
+            'e^{x^2/2} + 12 x_{1}q_{2}q_{6} e^{x^2/2}\n'
+            '16 x_{1}^{5}q_{3}q_{6} e^{x^2/2} + -32 '
+            'x_{1}^{3}q_{1}q_{2}q_{3}q_{6} e^{x^2/2} + -48 '
+            'x_{1}^{3}q_{3}q_{6} e^{x^2/2} + 48 x_{1}q_{1}q_{2}q_{3}q_{6} '
+            'e^{x^2/2} + 12 x_{1}q_{3}q_{6} e^{x^2/2}\n'
+            '16 x_{1}^{5}q_{4}q_{6} e^{x^2/2} + -32 '
+            'x_{1}^{3}q_{1}q_{2}q_{4}q_{6} e^{x^2/2} + -48 '
+            'x_{1}^{3}q_{4}q_{6} e^{x^2/2} + 48 x_{1}q_{1}q_{2}q_{4}q_{6} '
+            'e^{x^2/2} + 12 x_{1}q_{4}q_{6} e^{x^2/2}\n'
+            '-32/3 x_{1}^{7} e^{x^2/2} + 64/3 x_{1}^{5}q_{1}q_{2} e^{x^2/2} '
+            '+ 64/3 x_{1}^{5}q_{3}q_{4} e^{x^2/2} + 112/3 '
+            'x_{1}^{5}q_{5}q_{6} e^{x^2/2} + -64/3 '
+            'x_{1}^{3}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -160/3 '
+            'x_{1}^{3}q_{1}q_{2}q_{5}q_{6} e^{x^2/2} + -160/3 '
+            'x_{1}^{3}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 32 '
+            'x_{1}q_{1}q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 32 x_{1}^{5} '
+            'e^{x^2/2} + -32 x_{1}^{3}q_{1}q_{2} e^{x^2/2} + -32 '
+            'x_{1}^{3}q_{3}q_{4} e^{x^2/2} + -80 x_{1}^{3}q_{5}q_{6} '
+            'e^{x^2/2} + 48 x_{1}q_{1}q_{2}q_{5}q_{6} e^{x^2/2} + 48 '
+            'x_{1}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + -8 x_{1}^{3} e^{x^2/2} + '
+            '12 x_{1}q_{5}q_{6} e^{x^2/2}\n'
+            '-32 x_{1}^{6}q_{3} e^{x^2/2} + 80 x_{1}^{4}q_{1}q_{2}q_{3} '
+            'e^{x^2/2} + 64 x_{1}^{4}q_{3}q_{5}q_{6} e^{x^2/2} + -96 '
+            'x_{1}^{2}q_{1}q_{2}q_{3}q_{5}q_{6} e^{x^2/2} + 96 '
+            'x_{1}^{4}q_{3} e^{x^2/2} + -144 x_{1}^{2}q_{1}q_{2}q_{3} '
+            'e^{x^2/2} + -96 x_{1}^{2}q_{3}q_{5}q_{6} e^{x^2/2} + 48 '
+            'q_{1}q_{2}q_{3}q_{5}q_{6} e^{x^2/2} + -24 x_{1}^{2}q_{3} '
+            'e^{x^2/2} + 12 q_{1}q_{2}q_{3} e^{x^2/2}\n'
+            '-32 x_{1}^{6}q_{4} e^{x^2/2} + 80 x_{1}^{4}q_{1}q_{2}q_{4} '
+            'e^{x^2/2} + 64 x_{1}^{4}q_{4}q_{5}q_{6} e^{x^2/2} + -96 '
+            'x_{1}^{2}q_{1}q_{2}q_{4}q_{5}q_{6} e^{x^2/2} + 96 '
+            'x_{1}^{4}q_{4} e^{x^2/2} + -144 x_{1}^{2}q_{1}q_{2}q_{4} '
+            'e^{x^2/2} + -96 x_{1}^{2}q_{4}q_{5}q_{6} e^{x^2/2} + 48 '
+            'q_{1}q_{2}q_{4}q_{5}q_{6} e^{x^2/2} + -24 x_{1}^{2}q_{4} '
+            'e^{x^2/2} + 12 q_{1}q_{2}q_{4} e^{x^2/2}\n'
+            '-32 x_{1}^{6}q_{1} e^{x^2/2} + 80 x_{1}^{4}q_{1}q_{3}q_{4} '
+            'e^{x^2/2} + 64 x_{1}^{4}q_{1}q_{5}q_{6} e^{x^2/2} + -96 '
+            'x_{1}^{2}q_{1}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 96 '
+            'x_{1}^{4}q_{1} e^{x^2/2} + -144 x_{1}^{2}q_{1}q_{3}q_{4} '
+            'e^{x^2/2} + -96 x_{1}^{2}q_{1}q_{5}q_{6} e^{x^2/2} + 48 '
+            'q_{1}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + -24 x_{1}^{2}q_{1} '
+            'e^{x^2/2} + 12 q_{1}q_{3}q_{4} e^{x^2/2}\n'
+            '-32 x_{1}^{6}q_{2} e^{x^2/2} + 80 x_{1}^{4}q_{2}q_{3}q_{4} '
+            'e^{x^2/2} + 64 x_{1}^{4}q_{2}q_{5}q_{6} e^{x^2/2} + -96 '
+            'x_{1}^{2}q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 96 '
+            'x_{1}^{4}q_{2} e^{x^2/2} + -144 x_{1}^{2}q_{2}q_{3}q_{4} '
+            'e^{x^2/2} + -96 x_{1}^{2}q_{2}q_{5}q_{6} e^{x^2/2} + 48 '
+            'q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + -24 x_{1}^{2}q_{2} '
+            'e^{x^2/2} + 12 q_{2}q_{3}q_{4} e^{x^2/2}\n'
+            '-32 x_{1}^{6}q_{5} e^{x^2/2} + 80 x_{1}^{4}q_{1}q_{2}q_{5} '
+            'e^{x^2/2} + 64 x_{1}^{4}q_{3}q_{4}q_{5} e^{x^2/2} + -96 '
+            'x_{1}^{2}q_{1}q_{2}q_{3}q_{4}q_{5} e^{x^2/2} + 96 '
+            'x_{1}^{4}q_{5} e^{x^2/2} + -144 x_{1}^{2}q_{1}q_{2}q_{5} '
+            'e^{x^2/2} + -96 x_{1}^{2}q_{3}q_{4}q_{5} e^{x^2/2} + 48 '
+            'q_{1}q_{2}q_{3}q_{4}q_{5} e^{x^2/2} + -24 x_{1}^{2}q_{5} '
+            'e^{x^2/2} + 12 q_{1}q_{2}q_{5} e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{1}q_{3}q_{5} e^{x^2/2} + -48 '
+            'x_{1}^{2}q_{1}q_{3}q_{5} e^{x^2/2} + 12 q_{1}q_{3}q_{5} '
+            'e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{2}q_{3}q_{5} e^{x^2/2} + -48 '
+            'x_{1}^{2}q_{2}q_{3}q_{5} e^{x^2/2} + 12 q_{2}q_{3}q_{5} '
+            'e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{1}q_{4}q_{5} e^{x^2/2} + -48 '
+            'x_{1}^{2}q_{1}q_{4}q_{5} e^{x^2/2} + 12 q_{1}q_{4}q_{5} '
+            'e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{2}q_{4}q_{5} e^{x^2/2} + -48 '
+            'x_{1}^{2}q_{2}q_{4}q_{5} e^{x^2/2} + 12 q_{2}q_{4}q_{5} '
+            'e^{x^2/2}\n'
+            '-32 x_{1}^{6}q_{5} e^{x^2/2} + 64 x_{1}^{4}q_{1}q_{2}q_{5} '
+            'e^{x^2/2} + 80 x_{1}^{4}q_{3}q_{4}q_{5} e^{x^2/2} + -96 '
+            'x_{1}^{2}q_{1}q_{2}q_{3}q_{4}q_{5} e^{x^2/2} + 96 '
+            'x_{1}^{4}q_{5} e^{x^2/2} + -96 x_{1}^{2}q_{1}q_{2}q_{5} '
+            'e^{x^2/2} + -144 x_{1}^{2}q_{3}q_{4}q_{5} e^{x^2/2} + 48 '
+            'q_{1}q_{2}q_{3}q_{4}q_{5} e^{x^2/2} + -24 x_{1}^{2}q_{5} '
+            'e^{x^2/2} + 12 q_{3}q_{4}q_{5} e^{x^2/2}\n'
+            '-32 x_{1}^{6}q_{6} e^{x^2/2} + 80 x_{1}^{4}q_{1}q_{2}q_{6} '
+            'e^{x^2/2} + 64 x_{1}^{4}q_{3}q_{4}q_{6} e^{x^2/2} + -96 '
+            'x_{1}^{2}q_{1}q_{2}q_{3}q_{4}q_{6} e^{x^2/2} + 96 '
+            'x_{1}^{4}q_{6} e^{x^2/2} + -144 x_{1}^{2}q_{1}q_{2}q_{6} '
+            'e^{x^2/2} + -96 x_{1}^{2}q_{3}q_{4}q_{6} e^{x^2/2} + 48 '
+            'q_{1}q_{2}q_{3}q_{4}q_{6} e^{x^2/2} + -24 x_{1}^{2}q_{6} '
+            'e^{x^2/2} + 12 q_{1}q_{2}q_{6} e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{1}q_{3}q_{6} e^{x^2/2} + -48 '
+            'x_{1}^{2}q_{1}q_{3}q_{6} e^{x^2/2} + 12 q_{1}q_{3}q_{6} '
+            'e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{2}q_{3}q_{6} e^{x^2/2} + -48 '
+            'x_{1}^{2}q_{2}q_{3}q_{6} e^{x^2/2} + 12 q_{2}q_{3}q_{6} '
+            'e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{1}q_{4}q_{6} e^{x^2/2} + -48 '
+            'x_{1}^{2}q_{1}q_{4}q_{6} e^{x^2/2} + 12 q_{1}q_{4}q_{6} '
+            'e^{x^2/2}\n'
+            '16 x_{1}^{4}q_{2}q_{4}q_{6} e^{x^2/2} + -48 '
+            'x_{1}^{2}q_{2}q_{4}q_{6} e^{x^2/2} + 12 q_{2}q_{4}q_{6} '
+            'e^{x^2/2}\n'
+            '-32 x_{1}^{6}q_{6} e^{x^2/2} + 64 x_{1}^{4}q_{1}q_{2}q_{6} '
+            'e^{x^2/2} + 80 x_{1}^{4}q_{3}q_{4}q_{6} e^{x^2/2} + -96 '
+            'x_{1}^{2}q_{1}q_{2}q_{3}q_{4}q_{6} e^{x^2/2} + 96 '
+            'x_{1}^{4}q_{6} e^{x^2/2} + -96 x_{1}^{2}q_{1}q_{2}q_{6} '
+            'e^{x^2/2} + -144 x_{1}^{2}q_{3}q_{4}q_{6} e^{x^2/2} + 48 '
+            'q_{1}q_{2}q_{3}q_{4}q_{6} e^{x^2/2} + -24 x_{1}^{2}q_{6} '
+            'e^{x^2/2} + 12 q_{3}q_{4}q_{6} e^{x^2/2}\n'
+            '-32 x_{1}^{6}q_{1} e^{x^2/2} + 64 x_{1}^{4}q_{1}q_{3}q_{4} '
+            'e^{x^2/2} + 80 x_{1}^{4}q_{1}q_{5}q_{6} e^{x^2/2} + -96 '
+            'x_{1}^{2}q_{1}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 96 '
+            'x_{1}^{4}q_{1} e^{x^2/2} + -96 x_{1}^{2}q_{1}q_{3}q_{4} '
+            'e^{x^2/2} + -144 x_{1}^{2}q_{1}q_{5}q_{6} e^{x^2/2} + 48 '
+            'q_{1}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + -24 x_{1}^{2}q_{1} '
+            'e^{x^2/2} + 12 q_{1}q_{5}q_{6} e^{x^2/2}\n'
+            '-32 x_{1}^{6}q_{2} e^{x^2/2} + 64 x_{1}^{4}q_{2}q_{3}q_{4} '
+            'e^{x^2/2} + 80 x_{1}^{4}q_{2}q_{5}q_{6} e^{x^2/2} + -96 '
+            'x_{1}^{2}q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 96 '
+            'x_{1}^{4}q_{2} e^{x^2/2} + -96 x_{1}^{2}q_{2}q_{3}q_{4} '
+            'e^{x^2/2} + -144 x_{1}^{2}q_{2}q_{5}q_{6} e^{x^2/2} + 48 '
+            'q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + -24 x_{1}^{2}q_{2} '
+            'e^{x^2/2} + 12 q_{2}q_{5}q_{6} e^{x^2/2}\n'
+            '-32 x_{1}^{6}q_{3} e^{x^2/2} + 64 x_{1}^{4}q_{1}q_{2}q_{3} '
+            'e^{x^2/2} + 80 x_{1}^{4}q_{3}q_{5}q_{6} e^{x^2/2} + -96 '
+            'x_{1}^{2}q_{1}q_{2}q_{3}q_{5}q_{6} e^{x^2/2} + 96 '
+            'x_{1}^{4}q_{3} e^{x^2/2} + -96 x_{1}^{2}q_{1}q_{2}q_{3} '
+            'e^{x^2/2} + -144 x_{1}^{2}q_{3}q_{5}q_{6} e^{x^2/2} + 48 '
+            'q_{1}q_{2}q_{3}q_{5}q_{6} e^{x^2/2} + -24 x_{1}^{2}q_{3} '
+            'e^{x^2/2} + 12 q_{3}q_{5}q_{6} e^{x^2/2}\n'
+            '-32 x_{1}^{6}q_{4} e^{x^2/2} + 64 x_{1}^{4}q_{1}q_{2}q_{4} '
+            'e^{x^2/2} + 80 x_{1}^{4}q_{4}q_{5}q_{6} e^{x^2/2} + -96 '
+            'x_{1}^{2}q_{1}q_{2}q_{4}q_{5}q_{6} e^{x^2/2} + 96 '
+            'x_{1}^{4}q_{4} e^{x^2/2} + -96 x_{1}^{2}q_{1}q_{2}q_{4} '
+            'e^{x^2/2} + -144 x_{1}^{2}q_{4}q_{5}q_{6} e^{x^2/2} + 48 '
+            'q_{1}q_{2}q_{4}q_{5}q_{6} e^{x^2/2} + -24 x_{1}^{2}q_{4} '
+            'e^{x^2/2} + 12 q_{4}q_{5}q_{6} e^{x^2/2}',
+        ),
+        (
+            'degree 3: dim nullspace 35, dim formula 35 [ok]',
+            '{"k": 3, "dim_nullspace": 35, "dim_formula": 35, "dims_match": '
+            'true, "product_failures": [], "products_harmonic": true, '
+            '"schema": "supertransform/1", "basis": [{"schema": '
+            '"supertransform/1", "m": 1, "n": 3, "envelope": false, "terms": '
+            '[{"bos": [3], "fer": [], "coeff": [{"q": [-2, 3, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1], "fer": [1, 2], "coeff": [{"q": [1, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}, {"schema": "supertransform/1", '
+            '"m": 1, "n": 3, "envelope": false, "terms": [{"bos": [1], '
+            '"fer": [1, 3], "coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}, {"schema": "supertransform/1", "m": 1, "n": 3, '
+            '"envelope": false, "terms": [{"bos": [1], "fer": [2, 3], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 1, "n": 3, "envelope": false, "terms": '
+            '[{"bos": [1], "fer": [1, 4], "coeff": [{"q": [1, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}, {"schema": "supertransform/1", "m": 1, "n": '
+            '3, "envelope": false, "terms": [{"bos": [1], "fer": [2, 4], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 1, "n": 3, "envelope": false, "terms": '
+            '[{"bos": [3], "fer": [], "coeff": [{"q": [-2, 3, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1], "fer": [3, 4], "coeff": [{"q": [1, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}, {"schema": "supertransform/1", '
+            '"m": 1, "n": 3, "envelope": false, "terms": [{"bos": [1], '
+            '"fer": [1, 5], "coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": '
+            '0}]}]}, {"schema": "supertransform/1", "m": 1, "n": 3, '
+            '"envelope": false, "terms": [{"bos": [1], "fer": [2, 5], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 1, "n": 3, "envelope": false, "terms": '
+            '[{"bos": [1], "fer": [3, 5], "coeff": [{"q": [1, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}, {"schema": "supertransform/1", "m": 1, "n": '
+            '3, "envelope": false, "terms": [{"bos": [1], "fer": [4, 5], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 1, "n": 3, "envelope": false, "terms": '
+            '[{"bos": [1], "fer": [1, 6], "coeff": [{"q": [1, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}, {"schema": "supertransform/1", "m": 1, "n": '
+            '3, "envelope": false, "terms": [{"bos": [1], "fer": [2, 6], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 1, "n": 3, "envelope": false, "terms": '
+            '[{"bos": [1], "fer": [3, 6], "coeff": [{"q": [1, 1, 0, 1], "b": '
+            '0, "eps": 0}]}]}, {"schema": "supertransform/1", "m": 1, "n": '
+            '3, "envelope": false, "terms": [{"bos": [1], "fer": [4, 6], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 1, "n": 3, "envelope": false, "terms": '
+            '[{"bos": [3], "fer": [], "coeff": [{"q": [-2, 3, 0, 1], "b": 0, '
+            '"eps": 0}]}, {"bos": [1], "fer": [5, 6], "coeff": [{"q": [1, 1, '
+            '0, 1], "b": 0, "eps": 0}]}]}, {"schema": "supertransform/1", '
+            '"m": 1, "n": 3, "envelope": false, "terms": [{"bos": [2], '
+            '"fer": [3], "coeff": [{"q": [-2, 1, 0, 1], "b": 0, "eps": 0}]}, '
+            '{"bos": [0], "fer": [1, 2, 3], "coeff": [{"q": [1, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}, {"schema": "supertransform/1", "m": 1, '
+            '"n": 3, "envelope": false, "terms": [{"bos": [2], "fer": [4], '
+            '"coeff": [{"q": [-2, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0], "fer": [1, 2, 4], "coeff": [{"q": [1, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}, {"schema": "supertransform/1", "m": 1, "n": 3, '
+            '"envelope": false, "terms": [{"bos": [2], "fer": [1], "coeff": '
+            '[{"q": [-2, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": '
+            '[1, 3, 4], "coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, '
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'false, "terms": [{"bos": [2], "fer": [2], "coeff": [{"q": [-2, '
+            '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [2, 3, 4], '
+            '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 1, "n": 3, "envelope": false, "terms": '
+            '[{"bos": [2], "fer": [5], "coeff": [{"q": [-2, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [0], "fer": [1, 2, 5], "coeff": [{"q": '
+            '[1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 1, "n": 3, "envelope": false, "terms": '
+            '[{"bos": [0], "fer": [1, 3, 5], "coeff": [{"q": [1, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}, {"schema": "supertransform/1", "m": 1, '
+            '"n": 3, "envelope": false, "terms": [{"bos": [0], "fer": [2, 3, '
+            '5], "coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, '
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'false, "terms": [{"bos": [0], "fer": [1, 4, 5], "coeff": [{"q": '
+            '[1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 1, "n": 3, "envelope": false, "terms": '
+            '[{"bos": [0], "fer": [2, 4, 5], "coeff": [{"q": [1, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}, {"schema": "supertransform/1", "m": 1, '
+            '"n": 3, "envelope": false, "terms": [{"bos": [2], "fer": [5], '
+            '"coeff": [{"q": [-2, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
+            '[0], "fer": [3, 4, 5], "coeff": [{"q": [1, 1, 0, 1], "b": 0, '
+            '"eps": 0}]}]}, {"schema": "supertransform/1", "m": 1, "n": 3, '
+            '"envelope": false, "terms": [{"bos": [2], "fer": [6], "coeff": '
+            '[{"q": [-2, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": '
+            '[1, 2, 6], "coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, '
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'false, "terms": [{"bos": [0], "fer": [1, 3, 6], "coeff": [{"q": '
+            '[1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 1, "n": 3, "envelope": false, "terms": '
+            '[{"bos": [0], "fer": [2, 3, 6], "coeff": [{"q": [1, 1, 0, 1], '
+            '"b": 0, "eps": 0}]}]}, {"schema": "supertransform/1", "m": 1, '
+            '"n": 3, "envelope": false, "terms": [{"bos": [0], "fer": [1, 4, '
+            '6], "coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}, '
+            '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
+            'false, "terms": [{"bos": [0], "fer": [2, 4, 6], "coeff": [{"q": '
+            '[1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 1, "n": 3, "envelope": false, "terms": '
+            '[{"bos": [2], "fer": [6], "coeff": [{"q": [-2, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [0], "fer": [3, 4, 6], "coeff": [{"q": '
+            '[1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 1, "n": 3, "envelope": false, "terms": '
+            '[{"bos": [2], "fer": [1], "coeff": [{"q": [-2, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [0], "fer": [1, 5, 6], "coeff": [{"q": '
+            '[1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 1, "n": 3, "envelope": false, "terms": '
+            '[{"bos": [2], "fer": [2], "coeff": [{"q": [-2, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [0], "fer": [2, 5, 6], "coeff": [{"q": '
+            '[1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 1, "n": 3, "envelope": false, "terms": '
+            '[{"bos": [2], "fer": [3], "coeff": [{"q": [-2, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [0], "fer": [3, 5, 6], "coeff": [{"q": '
+            '[1, 1, 0, 1], "b": 0, "eps": 0}]}]}, {"schema": '
+            '"supertransform/1", "m": 1, "n": 3, "envelope": false, "terms": '
+            '[{"bos": [2], "fer": [4], "coeff": [{"q": [-2, 1, 0, 1], "b": '
+            '0, "eps": 0}]}, {"bos": [0], "fer": [4, 5, 6], "coeff": [{"q": '
+            '[1, 1, 0, 1], "b": 0, "eps": 0}]}]}]}',
+            'degree 3: dim nullspace 35, dim formula 35 [ok]',
+        ),
+    ),
+}
+_BASES_SHA256 = {
+    ('hermite', '--j', '0'): (
+        'a1c65870f2b0f487418bf56698eb7d1409ea4de1252b2ede0c551fa1edd6f9c9',
+        'ce0e0c3e97eb49cd1fe0f582d7d00ab749ac088226f528c91c54d9e4ff3ce165',
+        '8a56c3929db73ae9e5bce63e0ee0d2794de12547e52d8fd48a0a6745e51bd3a4',
+    ),
+    ('hermite', '--j', '1'): (
+        'd24e879e52066145252f87cb24a6e281bb148d9f4c25dcbdec68933860fae89d',
+        'ae8f22fcaf8124cd94ce52b4f75e0ee482838dcb45ec567878356b628673c7e2',
+        '3efa542d60e05dfbb5ba338c6c5a8db8be64e18471fe58764a1bf980d6a58fad',
+    ),
+    ('hermite', '--j', '2'): (
+        '6809787aa1c596ffcdd5049e3cb920e5a181e8a226d7fc974e2cb8b624f109ff',
+        '5547d59ba07d955026bc517394a297914a37a852066473e0806c040c8ab8b34b',
+        '84a22f27b71c37e2a6505a4f4c96b1a9bf3d4ac4b8ff1d91c681b1b448cbc691',
+    ),
+    ('decompose',): (
+        'e4f60515f223fc16be4193c388add654386d61be36c7a18d77cb8b60e636038f',
+        'edf7b0d55350f0e12d405c4b7e35233152b414484f6b5aba331b80caf86be487',
+        'e4f60515f223fc16be4193c388add654386d61be36c7a18d77cb8b60e636038f',
+    ),
+}
+
+
+def _bases_stdout(capsys, m, n, fmt, command, k):
+    code = main(["--m", str(m), "--n", str(n), "--format", fmt, *command,
+                 "--k", str(k)])
+    out = capsys.readouterr()
+    assert (code, out.err) == (0, "")
+    return out.out
+
+
+@pytest.mark.parametrize("cmd", range(len(_BASES_COMMANDS)),
+                         ids=[" ".join(c) for c in _BASES_COMMANDS])
+@pytest.mark.parametrize("m, n, k", list(_BASES_GOLDEN))
+def test_cli_bases_golden_outputs(capsys, m, n, k, cmd):
+    for fmt, want in zip(_TRANSFORM_FORMATS, _BASES_GOLDEN[m, n, k][cmd]):
+        assert _bases_stdout(capsys, m, n, fmt, _BASES_COMMANDS[cmd],
+                             k) == want + "\n"
+
+
+@pytest.mark.parametrize("command", list(_BASES_SHA256),
+                         ids=[" ".join(c) for c in _BASES_SHA256])
+def test_cli_bases_benchmark_sized_digests(capsys, command):
+    for fmt, want in zip(_TRANSFORM_FORMATS, _BASES_SHA256[command]):
+        out = _bases_stdout(capsys, 3, 2, fmt, command, 6)
+        assert hashlib.sha256(out.encode()).hexdigest() == want
