@@ -55,7 +55,8 @@ MAX_DIGITS = 1000          # digits of one integer literal or symbol index
 MAX_POWER_DIGITS = 4300    # digits of a scalar power (Python's int str limit)
 MAX_RENDER_DIGITS = 4300   # digits of one rendered integer (output budget)
 MAX_TERM_PAIRS = 50000     # term pairs multiplied in one parse
-MAX_NESTING = 150          # parentheses open at once (the reader recurses)
+MAX_NESTING = 150          # parentheses, or JSON arrays and objects, open
+                           # at once (both readers recurse)
 
 
 def _literal_int(text):
@@ -770,9 +771,24 @@ def _json_scalar(coeff):
     return out
 
 
+# a JSON string (its closing quote may be missing), or one bracket
+_JSON_LEXEME = re.compile(r'"(?:[^"\\]|\\.)*"?|[\[\]{}]', re.DOTALL)
+
+
 def read_json(text, universe):
     """poly_from_json over JSON text; integers pass the MAX_DIGITS budget
-    before conversion."""
+    before conversion, and arrays and objects open at once the
+    MAX_NESTING budget before decoding."""
+    depth = 0
+    for match in _JSON_LEXEME.finditer(text):
+        bracket = match.group()
+        if bracket in ("[", "{"):
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ParseError(f"JSON nests deeper than MAX_NESTING = "
+                                 f"{MAX_NESTING}", match.start())
+        elif bracket in ("]", "}"):
+            depth -= 1
     try:
         js = json.loads(text, parse_int=_literal_int)
     except json.JSONDecodeError as exc:

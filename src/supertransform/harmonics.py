@@ -20,7 +20,7 @@ from ._terms import add_into
 from .operators import laplace, multiply_vector_square
 from .scalars import ExactScalar, gamma_half_integer
 from .superalg import (SuperPolynomial, homogeneous_monomial_count,
-                       homogeneous_monomials, sp_mul)
+                       homogeneous_monomials, integer_parts, sp_mul)
 
 # monomials of degree k in the whole universe that one basis's row
 # reduction may run over (its time grows about like their square)
@@ -106,15 +106,19 @@ def f_poly(k, p, q, universe):
     * xbos^(2k-2i) * xfer^(2i)."""
     u = universe
     n = u.pairs
+    # powers of xbos^2 and xfer^2 from a lane-neutral 1 stay integral
+    bos = [SuperPolynomial(u, {((0,) * u.m, 0): 1})]
+    fer = bos[:]
+    for _ in range(k):
+        bos.append(multiply_vector_square(bos[-1], "bosonic"))
+        fer.append(multiply_vector_square(fer[-1], "fermionic"))
     out = SuperPolynomial.zero(u)
     for i in range(k + 1):
         gamma = gamma_half_integer(u.m + 2 * (p + k - i))
         coeff = (ExactScalar.rational(math.comb(k, i)
                                       * math.factorial(n - q - i))
                  * gamma.inverse())
-        piece = sp_mul(bosonic_square_power(u, k - i),
-                       fermionic_square_power(u, i)).scale(coeff)
-        out = out + piece
+        out = out + sp_mul(bos[k - i], fer[i]).scale(coeff)
     return out
 
 
@@ -128,8 +132,11 @@ def decomposition_check(k, universe):
     """Verify the degree-k decomposition: dimension identity plus
     Laplace-annihilation of every f * H_bos * H_fer product.
 
-    Returns a report dict; failures are recorded, not corrected.  The
-    statement needs m >= 1: at m = 0 the factors 1/Gamma(m/2+p+k-i) of
+    Each product and its Laplacian are formed on the integer parts of
+    the factors (superalg.integer_parts), the denominators dropped: a
+    product fails exactly when one of its parts has a non-zero
+    Laplacian.  Returns a report dict; failures are recorded, not
+    corrected.  The statement needs m >= 1: at m = 0 the factors 1/Gamma(m/2+p+k-i) of
     f_poly hit poles and the dimensions disagree; fischer_fermionic
     covers the purely fermionic case.
     """
@@ -146,15 +153,19 @@ def decomposition_check(k, universe):
                         * harmonic_dimension(i, "fermionic", u))
     product_failures = []
     for j in range(0, min(n, k - 1)):          # j <= min(n, k-1) - 1
+        fermionic = [integer_parts(hf)[1]
+                     for hf in harmonic_basis(j, "fermionic", u)]
         for l in range(1, min(n - j, (k - j) // 2) + 1):
             p = k - 2 * l - j
             dim_formula += (harmonic_dimension(p, "bosonic", u)
                             * harmonic_dimension(j, "fermionic", u))
-            fp = f_poly(l, p, j, u)
+            _, f_parts = integer_parts(f_poly(l, p, j, u))
             for hb in harmonic_basis(p, "bosonic", u):
-                for hf in harmonic_basis(j, "fermionic", u):
-                    prod = sp_mul(fp, sp_mul(hb, hf))
-                    if laplace(prod, "full"):
+                _, b_parts = integer_parts(hb)
+                for hf_parts in fermionic:
+                    prod = _parts_product(f_parts,
+                                          _parts_product(b_parts, hf_parts))
+                    if any(laplace(q, "full") for q in prod.values()):
                         product_failures.append((l, p, j))
     return {
         "k": k,
@@ -164,6 +175,23 @@ def decomposition_check(k, universe):
         "product_failures": product_failures,
         "products_harmonic": not product_failures,
     }
+
+
+def _parts_product(f_parts, g_parts):
+    """Integer parts of the product of two polynomials given by their
+    integer_parts (the common denominator dropped): pi^(b/2) adds, a
+    second sqrt2 folds to 2, and i * i to -1."""
+    out = {}
+    for ((b1, e1), i1), p1 in f_parts.items():
+        for ((b2, e2), i2), p2 in g_parts.items():
+            prod = sp_mul(p1, p2)
+            if e1 and e2:
+                prod = prod.scale(2)
+            if i1 and i2:
+                prod = -prod
+            part = ((b1 + b2, e1 ^ e2), i1 ^ i2)
+            out[part] = out[part] + prod if part in out else prod
+    return out
 
 
 def fischer_fermionic(k, universe):

@@ -13,8 +13,13 @@ and E(t^i h) = (2i+k) t^i h, since Delta through the envelope is
 Delta + 2E + M + x^2 (the conjugation relations stated in operators).
 The recursion is how the family is computed; the Rodrigues route (j
 applications of operators.laplace or operators.scalar_square) is its
-test oracle.  ch_explicit is the displayed closed coefficient formula,
-whose i-th coefficient is 2^(t-i) c~_i (tested).
+test oracle.  Every weight of the series is an integer, so an exact h is
+split once into int numerator polynomials over one denominator, one per
+radical and real or imaginary part (superalg.integer_parts); the
+harmonicity check, the x^2 passes and the weights run on ints, and the
+ring coefficients are rebuilt once per output term.  ch_explicit is the
+displayed closed coefficient formula, whose i-th coefficient is
+2^(t-i) c~_i (tested).
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ from .operators import (bosonic_derivative, fermionic_derivative, laplace,
                         multiply_vector_square)
 from .scalars import ExactScalar, rising_factorial
 from .superalg import (GaussianFunction, SuperPolynomial,
-                       homogeneous_monomial_count, mask_bits)
+                       from_integer_parts, homogeneous_monomial_count,
+                       integer_parts, is_float_lane, mask_bits)
 
 # monomials of the top degree 2j+k of one psi element (output budget)
 MAX_MONOMIALS = 50000
@@ -119,27 +125,41 @@ def _hermite_series(j, h_k, rescaled):
     """sum_i c_i t^i h_k G with the ch_coefficients, times 2^(j+i) for
     psi; h_k must be a homogeneous harmonic, as the recursion assumes.
 
-    Refused before any product when degree 2j+k has more than
-    MAX_MONOMIALS monomials: the output grows with that count."""
+    An exact h_k is split once into int numerator parts over one
+    denominator; the harmonicity check (exact per part, as the radicals
+    times {1, i} are independent over Q), the x^2 passes and the
+    integer weights run on each part, and the ring coefficients are
+    rebuilt once per output term.  A float-lane h_k runs the same loop
+    on itself.  Refused before any product when degree 2j+k has more
+    than MAX_MONOMIALS monomials: the output grows with that count."""
     _check_order(j, "j")
-    if not h_k.is_homogeneous() or laplace(h_k, "full"):
+    float_lane = is_float_lane(h_k)
+    denom, parts = (1, {None: h_k}) if float_lane else integer_parts(h_k)
+    if not h_k.is_homogeneous() or any(laplace(p, "full")
+                                       for p in parts.values()):
         raise ValueError("input is not a homogeneous harmonic")
-    degree = 2 * j + h_k.degree()
-    count = homogeneous_monomial_count(h_k.universe, degree)
+    k = h_k.degree()
+    count = homogeneous_monomial_count(h_k.universe, 2 * j + k)
     if count > MAX_MONOMIALS:
-        raise ValueError(f"degree 2j+k = {degree} spans {count} monomials,"
-                         f" over MAX_MONOMIALS = {MAX_MONOMIALS}")
-    terms = {}
-    power = h_k
-    for i, c in enumerate(ch_coefficients(j, h_k.universe.superdim,
-                                          h_k.degree())):
-        if i:
-            power = multiply_vector_square(power)
-        if not rescaled:
-            c <<= j + i
-        if c:       # the t^i h_k have distinct degrees: no keys collide
-            terms.update((key, v * c) for key, v in power.terms.items())
-    return GaussianFunction(h_k._like(terms))
+        raise ValueError(f"degree 2j+k = {2 * j + k} spans {count} "
+                         f"monomials, over MAX_MONOMIALS = {MAX_MONOMIALS}")
+    weights = [c if rescaled else c << (j + i) for i, c in enumerate(
+        ch_coefficients(j, h_k.universe.superdim, k))]
+
+    def series(power):
+        terms = {}
+        for i, c in enumerate(weights):
+            if i:
+                power = multiply_vector_square(power)
+            if c:   # the t^i h_k have distinct degrees: no keys collide
+                terms.update((key, v * c) for key, v in power.terms.items())
+        return h_k._like(terms)
+
+    if float_lane:
+        return GaussianFunction(series(h_k))
+    return GaussianFunction(from_integer_parts(
+        h_k.universe, denom,
+        {part: series(p) for part, p in parts.items()}))
 
 
 def phi_element(j, m_k):

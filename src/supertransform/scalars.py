@@ -210,6 +210,14 @@ class ExactScalar(TermMap):
         return out
 
     @staticmethod
+    def from_terms(terms):
+        """The scalar of a canonical (b, eps) -> non-zero QQi map, eps in
+        {0, 1}; the map is kept, not copied."""
+        out = _object_new(ExactScalar)
+        out.terms = terms
+        return out
+
+    @staticmethod
     def i():
         return ExactScalar({(0, 0): QQi(0, 1)})
 

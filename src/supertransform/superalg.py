@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 from ._terms import TermMap, add_into, canonical
-from .scalars import ExactScalar
+from .scalars import ExactScalar, QQi
 
 
 class VariableUniverse:
@@ -144,12 +144,12 @@ def homogeneous_monomials(u, k, sector="full"):
 def homogeneous_monomial_count(u, k):
     """len(homogeneous_monomials(u, k)) from binomials, without listing
     them: C(2n, f) masks times C(k-f+m-1, m-1) compositions per f."""
-    nf = len(u.fermionic)
+    nf, m = len(u.fermionic), len(u.bosonic)
     if k < 0:
         return 0
-    if not u.m:
+    if not m:
         return math.comb(nf, k)
-    return sum(math.comb(nf, f) * math.comb(k - f + u.m - 1, u.m - 1)
+    return sum(math.comb(nf, f) * math.comb(k - f + m - 1, m - 1)
                for f in range(min(k, nf) + 1))
 
 
@@ -305,6 +305,53 @@ def is_float_lane(p):
 def scale_exact(p, s):
     """Scale by an ExactScalar, degrading it on the float lane."""
     return p.scale(s.to_complex() if is_float_lane(p) else s)
+
+
+def integer_parts(poly):
+    """(D, parts) with poly = sum over parts of r * P / D: D is the lcm of
+    the exact polynomial's QQi denominators, and parts maps (radical,
+    0 | 1) to the int-coefficient P of the real (0) or imaginary (1)
+    numerators on the basis element r = pi^(b/2) sqrt2^eps (times i).
+
+    Those basis elements are linearly independent over Q, so a linear
+    map with rational weights (a Laplacian, a product by x^2) is zero on
+    poly exactly when it is zero on every part.
+    """
+    denom = 1
+    for c in poly.terms.values():
+        for q in c.terms.values():
+            denom = math.lcm(denom, q.d)
+    parts = {}
+    for key, c in poly.terms.items():
+        for rad, q in c.terms.items():
+            scale = denom // q.d
+            if q.a:
+                parts.setdefault((rad, 0), {})[key] = q.a * scale
+            if q.b:
+                parts.setdefault((rad, 1), {})[key] = q.b * scale
+    return denom, {part: poly._like(terms) for part, terms in parts.items()}
+
+
+def from_integer_parts(universe, denom, parts):
+    """The exact polynomial sum over parts of r * P / denom, inverse of
+    integer_parts; one QQi (one gcd) per output term and radical."""
+    if len(parts) == 1:     # one radical, real or imaginary: nothing merges
+        (((b, eps), imag), p), = parts.items()
+        return p._like({key: ExactScalar.monomial(
+            QQi.reduced(0, v, denom) if imag else QQi.reduced(v, 0, denom),
+            b, eps) for key, v in p.terms.items()})
+    fields = {}
+    for (rad, imag), p in parts.items():
+        for key, v in p.terms.items():
+            numerators = fields.setdefault(key, {}).setdefault(rad, [0, 0])
+            numerators[imag] += v
+    terms = {}
+    for key, by_radical in fields.items():
+        coeff = {rad: QQi.reduced(a, b, denom)
+                 for rad, (a, b) in by_radical.items() if a or b}
+        if coeff:
+            terms[key] = ExactScalar.from_terms(coeff)
+    return SuperPolynomial(universe, terms)
 
 
 def neutral_bosonic_var(u, i, c=Fraction(1)):

@@ -428,6 +428,13 @@ def test_cli_float_lane_json_input_is_a_parse_error(capsys):
     assert code == 2 and "exact-lane coefficients" in err
 
 
+def _nested_json(depth, schema=True):
+    """A payload whose arrays and objects nest `depth` deep."""
+    head = '{"schema": "supertransform/1", "terms": ' if schema \
+        else '{"terms": '
+    return head + "[" * (depth - 1) + "]" * (depth - 1) + "}"
+
+
 @pytest.mark.parametrize("payload, rule", [
     ('{"schema": "supertransform/1", "terms": ', "invalid JSON"),
     ('{"schema": "supertransform/1", "terms": 3}', "list of objects"),
@@ -439,11 +446,30 @@ def test_cli_float_lane_json_input_is_a_parse_error(capsys):
      '[{"q": [1, 0, 0, 1], "b": 0, "eps": 0}]}]}', "denominator"),
     ('{"schema": "supertransform/1", "terms": [{"coeff": [{"q": [1]}]}]}',
      "q = ["),
+    (_nested_json(151), "JSON nests deeper than MAX_NESTING = 150"),
+    (_nested_json(1000), "JSON nests deeper than MAX_NESTING = 150"),
+    (_nested_json(5000), "JSON nests deeper than MAX_NESTING = 150"),
 ])
 def test_cli_malformed_json_input_names_the_rule(capsys, payload, rule):
     code, _, err = _run_cli(capsys, "--m", "1", "--n", "1", "fourier",
                             payload)
     assert code == 2 and rule in err
+
+
+def test_cli_json_nesting_budget_boundary(capsys):
+    # depth 150 is decoded and refused by the schema check; brackets
+    # inside a JSON string do not nest
+    for payload in (_nested_json(150, schema=False),
+                    '{"terms": [], "note": "' + "[" * 5000 + '"}'):
+        code, out, err = _run_cli(capsys, "--m", "1", "--n", "1",
+                                  "normalize", payload)
+        assert (code, out) == (2, "")
+        assert err == "parse error: unknown JSON schema (at position 0)"
+    code, out, err = _run_cli(capsys, "--m", "1", "--n", "1", "normalize",
+                              _nested_json(151, schema=False))
+    assert (code, out) == (2, "")
+    assert err == ("parse error: JSON nests deeper than MAX_NESTING = 150 "
+                   "(at position 159)")
 
 
 @pytest.mark.parametrize("text", ["1/0", "pi^(1/0)", "x1^(2/0)"])

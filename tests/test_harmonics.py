@@ -123,6 +123,32 @@ def test_decomposition_spot_checks_match_theorem():
         assert rep["products_harmonic"], rep
 
 
+@pytest.mark.parametrize("m, n, radical", [(3, 2, (-1, 0)),
+                                            (2, 2, (0, 0))])
+def test_decomposition_check_catches_a_broken_product(monkeypatch, m, n,
+                                                      radical):
+    # one coefficient of f_{1,2,0} doubled: a sqrt(pi) radical at odd m,
+    # a rational at even m; a dropped integer part would pass silently
+    u = VariableUniverse.standard(m, n)
+    assert decomposition_check(4, u)["products_harmonic"]
+    real_f_poly = harmonics.f_poly
+
+    def broken_f_poly(k, p, q, universe):
+        f = real_f_poly(k, p, q, universe)
+        if (k, p, q) != (1, 2, 0):
+            return f
+        (key, c), *_ = f.sorted_terms()
+        assert set(c.terms) == {radical}
+        return f + SuperPolynomial(universe, {key: c})
+
+    monkeypatch.setattr(harmonics, "f_poly", broken_f_poly)
+    report = decomposition_check(4, u)
+    assert not report["products_harmonic"]
+    assert report["dims_match"]
+    assert report["product_failures"] and \
+        set(report["product_failures"]) == {(1, 2, 0)}
+
+
 def test_fischer_family_counts():
     for n in range(1, 4):
         u = VariableUniverse.standard(0, n)

@@ -80,6 +80,52 @@ def test_psi_recursion_equals_scalar_square_powers(h, j):
     assert psi_element(j, h) == want
 
 
+def _rodrigues(h, j, step):
+    """step applied j times to h G: the oracle of the psi families."""
+    out = GaussianFunction(h)
+    for _ in range(j):
+        out = step(out)
+    return out
+
+
+def _laplace_full(g):
+    return laplace(g, "full")
+
+
+# (2,1) has M = 0 and (2,2) has M = -2
+_RING_UNIVERSES = [(1, 1), (2, 1), (2, 2), (3, 1), (1, 3)]
+
+
+@pytest.mark.parametrize("m, n", _RING_UNIVERSES)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_psi_on_ring_coefficients_equals_the_rodrigues_route(m, n, data):
+    # basis elements weighted by sums of two ring scalars: radicals,
+    # complex parts and several denominators in one h
+    u = VariableUniverse.standard(m, n)
+    h = SuperPolynomial.zero(u)
+    for element in harmonic_basis(data.draw(st.integers(0, 3)), "full", u):
+        h = h + element.scale(data.draw(_scalars) + data.draw(_scalars))
+    j = data.draw(st.integers(0, 2))
+    assert psi_element(j, h) == _rodrigues(h, j, scalar_square)
+    assert psi_tilde_element(j, h) == _rodrigues(h, j, _laplace_full)
+
+
+def test_psi_on_a_float_lane_input_equals_the_rodrigues_route():
+    u = VariableUniverse.standard(2, 2)
+    h = SuperPolynomial.zero(u)
+    # integer basis coefficients times dyadic weights: the floats of h
+    # are exact, so its Laplacian is exactly zero, as the check needs
+    for i, element in enumerate(harmonic_basis(2, "full", u)):
+        weight = complex(1 - i / 4, i / 8 - 1)
+        h = h + element.map_coefficients(lambda c: c.to_complex() * weight)
+    for j in range(3):
+        for family, step in ((psi_element, scalar_square),
+                             (psi_tilde_element, _laplace_full)):
+            got, want = family(j, h), _rodrigues(h, j, step)
+            assert relative_deviation(got.poly, want.poly) <= 1e-12
+
+
 @pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (2, 2), (1, 2), (3, 2),
                                   (1, 3), (3, 1)])
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
