@@ -211,8 +211,9 @@ class ExactScalar(TermMap):
 
     @staticmethod
     def from_terms(terms):
-        """The scalar of a canonical (b, eps) -> non-zero QQi map, eps in
-        {0, 1}; the map is kept, not copied."""
+        """The scalar of a (b, eps) -> QQi map already canonical (no zero
+        q, eps in {0, 1}); the map is kept, not copied, so its key tuples
+        can be shared."""
         out = _object_new(ExactScalar)
         out.terms = terms
         return out

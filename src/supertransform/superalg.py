@@ -336,22 +336,19 @@ def from_integer_parts(universe, denom, parts):
     """The exact polynomial sum over parts of r * P / denom, inverse of
     integer_parts; one QQi (one gcd) per output term and radical."""
     if len(parts) == 1:     # one radical, real or imaginary: nothing merges
-        (((b, eps), imag), p), = parts.items()
-        return p._like({key: ExactScalar.monomial(
-            QQi.reduced(0, v, denom) if imag else QQi.reduced(v, 0, denom),
-            b, eps) for key, v in p.terms.items()})
+        ((rad, imag), p), = parts.items()
+        return p._like({key: ExactScalar.from_terms({rad: QQi.reduced(
+            0, v, denom) if imag else QQi.reduced(v, 0, denom)})
+            for key, v in p.terms.items()})
     fields = {}
     for (rad, imag), p in parts.items():
         for key, v in p.terms.items():
             numerators = fields.setdefault(key, {}).setdefault(rad, [0, 0])
             numerators[imag] += v
-    terms = {}
-    for key, by_radical in fields.items():
-        coeff = {rad: QQi.reduced(a, b, denom)
-                 for rad, (a, b) in by_radical.items() if a or b}
-        if coeff:
-            terms[key] = ExactScalar.from_terms(coeff)
-    return SuperPolynomial(universe, terms)
+    return SuperPolynomial(universe, {
+        key: ExactScalar.from_terms({rad: QQi.reduced(a, b, denom)
+                                     for rad, (a, b) in by_radical.items()})
+        for key, by_radical in fields.items()})
 
 
 def neutral_bosonic_var(u, i, c=Fraction(1)):

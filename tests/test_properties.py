@@ -24,7 +24,8 @@ from supertransform.radon import RadonResult, omega_universe, radon, \
     radon_expected_eigenbasis, reduce_mod_sphere
 from supertransform.scalars import ExactScalar, QQi
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
-                                     VariableUniverse, sp_mul)
+                                     VariableUniverse, from_integer_parts,
+                                     integer_parts, sp_mul)
 from tests.oracles import mehler_series, parse_by_tokens, \
     peel_bosonic_fourier, reduce_mod_sphere_per_monomial
 
@@ -78,6 +79,15 @@ def test_psi_recursion_equals_scalar_square_powers(h, j):
     for _ in range(j):
         want = scalar_square(want)
     assert psi_element(j, h) == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_polys(max_m=3, max_n=2))
+def test_integer_parts_rebuild_the_polynomial(f):
+    denom, parts = integer_parts(f)
+    assert all(type(v) is int for p in parts.values()
+               for v in p.terms.values())
+    assert from_integer_parts(f.universe, denom, parts) == f
 
 
 def _rodrigues(h, j, step):
