@@ -133,12 +133,13 @@ def decomposition_check(k, universe):
     Laplace-annihilation of every f * H_bos * H_fer product.
 
     Each product and its Laplacian are formed on the integer parts of
-    the factors (superalg.integer_parts), the denominators dropped: a
-    product fails exactly when one of its parts has a non-zero
-    Laplacian.  Returns a report dict; failures are recorded, not
-    corrected.  The statement needs m >= 1: at m = 0 the factors 1/Gamma(m/2+p+k-i) of
-    f_poly hit poles and the dimensions disagree; fischer_fermionic
-    covers the purely fermionic case.
+    f_poly (superalg.integer_parts) times the int numerators of the
+    rational H_bos and H_fer, the denominators dropped: a product fails
+    exactly when one of its parts has a non-zero Laplacian.  Returns a
+    report dict; failures are recorded, not corrected.  The statement
+    needs m >= 1: at m = 0 the factors 1/Gamma(m/2+p+k-i) of f_poly hit
+    poles and the dimensions disagree; fischer_fermionic covers the
+    purely fermionic case.
     """
     u = universe
     if u.m < 1:
@@ -153,19 +154,19 @@ def decomposition_check(k, universe):
                         * harmonic_dimension(i, "fermionic", u))
     product_failures = []
     for j in range(0, min(n, k - 1)):          # j <= min(n, k-1) - 1
-        fermionic = [integer_parts(hf)[1]
+        fermionic = [_rational_numerator(hf)
                      for hf in harmonic_basis(j, "fermionic", u)]
         for l in range(1, min(n - j, (k - j) // 2) + 1):
             p = k - 2 * l - j
             dim_formula += (harmonic_dimension(p, "bosonic", u)
                             * harmonic_dimension(j, "fermionic", u))
             _, f_parts = integer_parts(f_poly(l, p, j, u))
-            for hb in harmonic_basis(p, "bosonic", u):
-                _, b_parts = integer_parts(hb)
-                for hf_parts in fermionic:
-                    prod = _parts_product(f_parts,
-                                          _parts_product(b_parts, hf_parts))
-                    if any(laplace(q, "full") for q in prod.values()):
+            for hb in map(_rational_numerator,
+                          harmonic_basis(p, "bosonic", u)):
+                for hf in fermionic:
+                    g = sp_mul(hb, hf)
+                    if any(laplace(sp_mul(f, g), "full")
+                           for f in f_parts.values()):
                         product_failures.append((l, p, j))
     return {
         "k": k,
@@ -177,21 +178,12 @@ def decomposition_check(k, universe):
     }
 
 
-def _parts_product(f_parts, g_parts):
-    """Integer parts of the product of two polynomials given by their
-    integer_parts (the common denominator dropped): pi^(b/2) adds, a
-    second sqrt2 folds to 2, and i * i to -1."""
-    out = {}
-    for ((b1, e1), i1), p1 in f_parts.items():
-        for ((b2, e2), i2), p2 in g_parts.items():
-            prod = sp_mul(p1, p2)
-            if e1 and e2:
-                prod = prod.scale(2)
-            if i1 and i2:
-                prod = -prod
-            part = ((b1 + b2, e1 ^ e2), i1 ^ i2)
-            out[part] = out[part] + prod if part in out else prod
-    return out
+def _rational_numerator(h):
+    """The int numerator of a rational h over its common denominator,
+    its one integer part; harmonic bases are rational, as their row
+    reduction runs over Q."""
+    _, parts = integer_parts(h)
+    return parts[(0, 0), 0]
 
 
 def fischer_fermionic(k, universe):
