@@ -106,19 +106,15 @@ def f_poly(k, p, q, universe):
     * xbos^(2k-2i) * xfer^(2i)."""
     u = universe
     n = u.pairs
-    # powers of xbos^2 and xfer^2 from a lane-neutral 1 stay integral
-    bos = [SuperPolynomial(u, {((0,) * u.m, 0): 1})]
-    fer = bos[:]
-    for _ in range(k):
-        bos.append(multiply_vector_square(bos[-1], "bosonic"))
-        fer.append(multiply_vector_square(fer[-1], "fermionic"))
     out = SuperPolynomial.zero(u)
     for i in range(k + 1):
         gamma = gamma_half_integer(u.m + 2 * (p + k - i))
         coeff = (ExactScalar.rational(math.comb(k, i)
                                       * math.factorial(n - q - i))
                  * gamma.inverse())
-        out = out + sp_mul(bos[k - i], fer[i]).scale(coeff)
+        piece = sp_mul(bosonic_square_power(u, k - i),
+                       fermionic_square_power(u, i)).scale(coeff)
+        out = out + piece
     return out
 
 
