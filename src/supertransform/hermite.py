@@ -138,13 +138,13 @@ def _hermite_series(j, h_k, rescaled):
     if not h_k.is_homogeneous() or any(laplace(p, "full")
                                        for p in parts.values()):
         raise ValueError("input is not a homogeneous harmonic")
-    k = h_k.degree()
-    count = homogeneous_monomial_count(h_k.universe, 2 * j + k)
+    degree = 2 * j + h_k.degree()
+    count = homogeneous_monomial_count(h_k.universe, degree)
     if count > MAX_MONOMIALS:
-        raise ValueError(f"degree 2j+k = {2 * j + k} spans {count} "
-                         f"monomials, over MAX_MONOMIALS = {MAX_MONOMIALS}")
+        raise ValueError(f"degree 2j+k = {degree} spans {count} monomials,"
+                         f" over MAX_MONOMIALS = {MAX_MONOMIALS}")
     weights = [c if rescaled else c << (j + i) for i, c in enumerate(
-        ch_coefficients(j, h_k.universe.superdim, k))]
+        ch_coefficients(j, h_k.universe.superdim, h_k.degree()))]
 
     def series(power):
         terms = {}

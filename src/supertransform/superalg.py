@@ -144,12 +144,12 @@ def homogeneous_monomials(u, k, sector="full"):
 def homogeneous_monomial_count(u, k):
     """len(homogeneous_monomials(u, k)) from binomials, without listing
     them: C(2n, f) masks times C(k-f+m-1, m-1) compositions per f."""
-    nf, m = len(u.fermionic), len(u.bosonic)
+    nf = len(u.fermionic)
     if k < 0:
         return 0
-    if not m:
+    if not u.m:
         return math.comb(nf, k)
-    return sum(math.comb(nf, f) * math.comb(k - f + m - 1, m - 1)
+    return sum(math.comb(nf, f) * math.comb(k - f + u.m - 1, u.m - 1)
                for f in range(min(k, nf) + 1))
 
 
@@ -335,11 +335,6 @@ def integer_parts(poly):
 def from_integer_parts(universe, denom, parts):
     """The exact polynomial sum over parts of r * P / denom, inverse of
     integer_parts; one QQi (one gcd) per output term and radical."""
-    if len(parts) == 1:     # one radical, real or imaginary: nothing merges
-        ((rad, imag), p), = parts.items()
-        return p._like({key: ExactScalar.from_terms({rad: QQi.reduced(
-            0, v, denom) if imag else QQi.reduced(v, 0, denom)})
-            for key, v in p.terms.items()})
     fields = {}
     for (rad, imag), p in parts.items():
         for key, v in p.terms.items():
