@@ -8,6 +8,11 @@ the images of one pass of Hermite and pair rows instead.
 `reduce_mod_sphere_per_monomial` rewrites w_m^2 monomial by monomial with
 fresh sphere powers; the package groups the terms by power and builds
 each power once per call.
+`dirac_via_derivatives`, `vector_mul_via_products` and
+`phi_via_derivatives` apply the Dirac operator and the vector variable
+one variable at a time: a derivative through the envelope or a variable
+product, lifted to a CValued and multiplied by its generator; the
+package applies both in one pass over unit words and monomials.
 `TokenParser` reads an expression one character-class token at a time
 and builds each term as one monomial accumulator; the package reads the
 same grammar one lexeme per leaf, with the renderer's complex coefficient
@@ -19,14 +24,18 @@ import re
 from fractions import Fraction
 
 from supertransform import expr
+from supertransform.cliffweyl import CValued, CWElement, _mul_keys
 from supertransform.expr import (_CONSTANTS, _ONE, _PI, _UNIT, ParseError,
                                  _check_exponent, _literal_int, _monomial,
                                  _power_pairs, _scalar)
-from supertransform.operators import bosonic_derivative, laplace
+from supertransform.operators import (bosonic_derivative,
+                                      fermionic_derivative, laplace)
 from supertransform.radon import _sphere_substitution
 from supertransform.scalars import Angle, ExactScalar, to_float
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
-                                     merge_masks, sp_mul)
+                                     merge_masks, neutral_bosonic_var,
+                                     neutral_fermionic_var, scale_exact,
+                                     sp_mul)
 from supertransform._terms import add_into
 
 
@@ -95,6 +104,89 @@ def reduce_mod_sphere_per_monomial(f):
         out = out + sp_mul(sub_power(q), piece)
     return out
 
+
+
+def mul_generator_left(f, gen):
+    """Left multiplication of a CValued by a single CW element."""
+    out = {}
+    for key, p in f.parts.items():
+        for (gkey, gc) in gen.terms.items():
+            for coeff, nkey in _mul_keys(gkey, key, f.npairs):
+                add_into(out, nkey, scale_exact(p, gc * coeff))
+    return f._like(out)
+
+
+def _lift(f):
+    return f if isinstance(f, CValued) else CValued.from_scalar(f)
+
+
+def _through_envelope(f, op, p):
+    """op on the part p of f, through f's envelope when present."""
+    if f.envelope:
+        return op(GaussianFunction(p, True)).poly
+    return op(p)
+
+
+def dirac_via_derivatives(f):
+    """Super Dirac operator 2 sum (E[2p+1] d_{q_{2p}} - E[2p] d_{q_{2p+1}})
+    - sum e_i d_{x_i}, one derivative through the envelope and one
+    generator product per variable."""
+    f = _lift(f)
+    u = f.universe
+    out = CValued(u, {}, f.envelope)
+    for key, p in f.parts.items():
+        for pair in range(u.pairs):
+            d1 = _through_envelope(
+                f, lambda g: fermionic_derivative(g, 2 * pair), p)
+            d2 = _through_envelope(
+                f, lambda g: fermionic_derivative(g, 2 * pair + 1), p)
+            if d1:
+                piece = CValued(u, {key: d1.scale(2)}, f.envelope)
+                out = out + mul_generator_left(
+                    piece, CWElement.eg(u.m, u.pairs, 2 * pair + 1))
+            if d2:
+                piece = CValued(u, {key: d2.scale(-2)}, f.envelope)
+                out = out + mul_generator_left(
+                    piece, CWElement.eg(u.m, u.pairs, 2 * pair))
+        for i in range(u.m):
+            di = _through_envelope(f, lambda g: bosonic_derivative(g, i), p)
+            if di:
+                piece = CValued(u, {key: -di}, f.envelope)
+                out = out + mul_generator_left(
+                    piece, CWElement.e(u.m, u.pairs, i))
+    return out
+
+
+def vector_mul_via_products(f):
+    """Left multiplication by x = sum x_i e_i + sum q_j E[j], one variable
+    product and one generator product per variable."""
+    f = _lift(f)
+    u = f.universe
+    out = CValued(u, {}, f.envelope)
+    for key, p in f.parts.items():
+        for i in range(u.m):
+            xi = sp_mul(neutral_bosonic_var(u, i), p)
+            if xi:
+                out = out + mul_generator_left(
+                    CValued(u, {key: xi}, f.envelope),
+                    CWElement.e(u.m, u.pairs, i))
+        for j in range(len(u.fermionic)):
+            qj = sp_mul(neutral_fermionic_var(u, j), p)
+            if qj:
+                out = out + mul_generator_left(
+                    CValued(u, {key: qj}, f.envelope),
+                    CWElement.eg(u.m, u.pairs, j))
+    return out
+
+
+def phi_via_derivatives(j, m_k):
+    """(d_x + x)^j m_k exp(x^2/2): j rounds of the Dirac operator through
+    the envelope plus the vector variable."""
+    g = _lift(m_k)
+    g = CValued(g.universe, g.parts, envelope=True)
+    for _ in range(j):
+        g = dirac_via_derivatives(g) + vector_mul_via_products(g)
+    return g
 
 # One pattern matches every token, whitespace and, last, any other
 # character, so the matches tile the text.

@@ -7727,3 +7727,86 @@ def test_cli_bases_benchmark_sized_digests(capsys, command):
     for fmt, want in zip(_TRANSFORM_FORMATS, _BASES_SHA256[command]):
         out = _bases_stdout(capsys, 3, 2, fmt, command, 6)
         assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+# Output of dirac while it applied one derivative through the envelope
+# and one generator product per variable; keyed (m, n, text) for every
+# listed input that parses in that universe.  dirac prints text under
+# every --format.  _DIRAC_SHA256 pins a 26 kB output at (3, 2) by the
+# sha256 of stdout.
+_DIRAC_GOLDEN = {
+    (1, 0, 'x1'):
+        '(-1) (x) e1',
+    (1, 0, 'G'):
+        '(x1*G) (x) e1',
+    (0, 1, 'G'):
+        '(q2*G) (x) f2 + (q1*G) (x) f1',
+    (1, 1, 'x1'):
+        '(-1) (x) e1',
+    (1, 1, 'G'):
+        '(q2*G) (x) f2 + (q1*G) (x) f1 + (x1*G) (x) e1',
+    (1, 1, 'x1*q1*G'):
+        '(-x1*q1q2*G + 2*x1*G) (x) f2 + (x1^2*q1*G - q1*G) (x) e1',
+    (1, 1, '(1 + x1 + q1q2)*G'):
+        ('(x1*q2*G + 3*q2*G) (x) f2 + (x1*q1*G + 3*q1*G) (x) f1 + (x1*q1q2*G'
+         ' + x1^2*G + x1*G - G) (x) e1'),
+    (1, 1, 'x1^2*q1 + q2'):
+        '(2*x1^2) (x) f2 + (-2) (x) f1 + (-2*x1*q1) (x) e1',
+    (2, 1, 'x1'):
+        '(-1) (x) e1',
+    (2, 1, 'G'):
+        '(q2*G) (x) f2 + (q1*G) (x) f1 + (x1*G) (x) e1 + (x2*G) (x) e2',
+    (2, 1, 'x1*q1*G'):
+        ('(-x1*q1q2*G + 2*x1*G) (x) f2 + (x1^2*q1*G - q1*G) (x) e1 + (x1*x2*'
+         'q1*G) (x) e2'),
+    (2, 1, '(1 + x1 + q1q2)*G'):
+        ('(x1*q2*G + 3*q2*G) (x) f2 + (x1*q1*G + 3*q1*G) (x) f1 + (x1*q1q2*G'
+         ' + x1^2*G + x1*G - G) (x) e1 + (x2*q1q2*G + x1*x2*G + x2*G) (x) e2'),
+    (2, 1, 'x1^2*q1 + q2'):
+        '(2*x1^2) (x) f2 + (-2) (x) f1 + (-2*x1*q1) (x) e1',
+    (0, 2, 'G'):
+        '(q4*G) (x) f4 + (q3*G) (x) f3 + (q2*G) (x) f2 + (q1*G) (x) f1',
+    (3, 2, 'x1'):
+        '(-1) (x) e1',
+    (3, 2, 'G'):
+        ('(q4*G) (x) f4 + (q3*G) (x) f3 + (q2*G) (x) f2 + (q1*G) (x) f1 + (x'
+         '1*G) (x) e1 + (x2*G) (x) e2 + (x3*G) (x) e3'),
+    (3, 2, 'x1*q1*G'):
+        ('(-x1*q1q4*G) (x) f4 + (-x1*q1q3*G) (x) f3 + (-x1*q1q2*G + 2*x1*G) '
+         '(x) f2 + (x1^2*q1*G - q1*G) (x) e1 + (x1*x2*q1*G) (x) e2 + (x1*x3*'
+         'q1*G) (x) e3'),
+    (3, 2, '(1 + x1 + q1q2)*G'):
+        ('(q1q2q4*G + x1*q4*G + q4*G) (x) f4 + (q1q2q3*G + x1*q3*G + q3*G) ('
+         'x) f3 + (x1*q2*G + 3*q2*G) (x) f2 + (x1*q1*G + 3*q1*G) (x) f1 + (x'
+         '1*q1q2*G + x1^2*G + x1*G - G) (x) e1 + (x2*q1q2*G + x1*x2*G + x2*G'
+         ') (x) e2 + (x3*q1q2*G + x1*x3*G + x3*G) (x) e3'),
+    (3, 2, 'x1^2*q1 + q2'):
+        '(2*x1^2) (x) f2 + (-2) (x) f1 + (-2*x1*q1) (x) e1',
+}
+_DIRAC_SHA256 = {
+    (3, 2, "(x1+x2+x3+q1+q2+q3+q4+1)^5*G"):
+        "c58746dd5ce3ebc9ac1126d75538ce7e69f73176adef40b6c735662b9963f4a1",
+}
+
+
+def _dirac_stdout(capsys, m, n, fmt, text):
+    code = main(["--m", str(m), "--n", str(n), "--format", fmt, "dirac",
+                 text])
+    out = capsys.readouterr()
+    assert (code, out.err) == (0, "")
+    return out.out
+
+
+@pytest.mark.parametrize("fmt", _TRANSFORM_FORMATS)
+@pytest.mark.parametrize("m, n, text", list(_DIRAC_GOLDEN))
+def test_cli_dirac_golden_outputs(capsys, m, n, text, fmt):
+    assert _dirac_stdout(capsys, m, n, fmt, text) == \
+        _DIRAC_GOLDEN[m, n, text] + "\n"
+
+
+@pytest.mark.parametrize("m, n, text", list(_DIRAC_SHA256))
+def test_cli_dirac_large_input_digest(capsys, m, n, text):
+    for fmt in _TRANSFORM_FORMATS:
+        out = _dirac_stdout(capsys, m, n, fmt, text)
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            _DIRAC_SHA256[m, n, text]

@@ -17,7 +17,9 @@ from supertransform.fourier import bosonic_fourier, \
 from supertransform.fracfourier import frac_fermionic_table, frac_fourier, \
     relative_deviation
 from supertransform.harmonics import harmonic_basis
-from supertransform.hermite import psi_element, psi_tilde_element
+from supertransform.cliffweyl import CValued, dirac_apply, vector_mul
+from supertransform.hermite import phi_element, psi_element, \
+    psi_tilde_element
 from supertransform.operators import (euler, laplace, multiply_vector_square,
                                       scalar_square)
 from supertransform.radon import RadonResult, omega_universe, radon, \
@@ -26,8 +28,9 @@ from supertransform.scalars import ExactScalar, QQi
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse, from_integer_parts,
                                      integer_parts, sp_mul)
-from tests.oracles import mehler_series, parse_by_tokens, \
-    peel_bosonic_fourier, reduce_mod_sphere_per_monomial
+from tests.oracles import dirac_via_derivatives, mehler_series, \
+    parse_by_tokens, peel_bosonic_fourier, phi_via_derivatives, \
+    reduce_mod_sphere_per_monomial, vector_mul_via_products
 
 _rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 _scalars = st.builds(
@@ -599,3 +602,32 @@ def test_lexeme_reader_matches_the_token_parser_on_every_pair():
             with patch.object(exprmod, "MAX_TERM_PAIRS", 3):
                 assert _outcome(parse, text, u) == \
                     _outcome(parse_by_tokens, text, u), text
+
+
+@st.composite
+def _cvalued(draw):
+    """C-valued input with unit words beyond the identity, plain or
+    enveloped, on the exact or the float lane."""
+    m, n = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, 1), (0, 2),
+                                 (2, 2), (3, 2)]))
+    u = VariableUniverse.standard(m, n)
+    words = st.tuples(st.integers(0, (1 << m) - 1),
+                      st.tuples(*[st.integers(0, 2)] * (2 * n)))
+    monomials = st.tuples(st.tuples(*[st.integers(0, 2)] * m),
+                          st.integers(0, (1 << 2 * n) - 1))
+    float_lane = draw(st.booleans())
+    parts = {}
+    for word in draw(st.lists(words, min_size=1, max_size=3, unique=True)):
+        p = SuperPolynomial(u, draw(st.dictionaries(monomials, _scalars,
+                                                    min_size=1, max_size=3)))
+        parts[word] = p.map_coefficients(ExactScalar.to_complex) \
+            if float_lane else p
+    return CValued(u, parts, envelope=draw(st.booleans()))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_cvalued(), st.integers(0, 2))
+def test_odd_pass_equals_the_derivative_route(f, j):
+    assert dirac_apply(f) == dirac_via_derivatives(f)
+    assert vector_mul(f) == vector_mul_via_products(f)
+    assert phi_element(j, f) == phi_via_derivatives(j, f)
