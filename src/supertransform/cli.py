@@ -123,21 +123,13 @@ def _render_radon(res, fmt):
     return " + ".join(bits) if bits else "0"
 
 
-def _render_cvalued(cv, fmt):
-    from .superalg import mask_bits
-    bits = []
-    for (emask, w), p in sorted(cv.parts.items()):
-        gens = [f"e{i + 1}" for i in mask_bits(emask)]
-        for j, e in enumerate(w):
-            if e == 1:
-                gens.append(f"f{j + 1}")
-            elif e > 1:
-                gens.append(f"f{j + 1}^{e}")
-        word = " ".join(gens) if gens else "1"
-        shown = render_poly_text(
-            GaussianFunction(p, cv.envelope) if cv.envelope else p)
-        bits.append(f"({shown}) (x) {word}")
-    return " + ".join(bits) if bits else "0"
+def _render_cvalued(cv):
+    """Text in every format: (scalar part) (x) unit word, per word."""
+    from .cliffweyl import word_text
+    return " + ".join(
+        f"({render_poly_text(GaussianFunction(p) if cv.envelope else p)})"
+        f" (x) {word_text(key)}" for key, p in sorted(cv.parts.items())) \
+        or "0"
 
 
 def run(args, source):
@@ -209,7 +201,7 @@ def run(args, source):
         return _render(scalar_square(f), args.format)
     if cmd == "dirac":
         from .cliffweyl import dirac_apply
-        return _render_cvalued(dirac_apply(f), args.format)
+        return _render_cvalued(dirac_apply(f))
     if cmd == "fourier":
         if isinstance(f, GaussianFunction):
             return _render(super_fourier(f, args.sign), args.format)

@@ -7,6 +7,12 @@ e_i anticommuting with every E[j].  All generators commute with all
 variables, so C-valued polynomials split as sums (scalar function) * (unit
 word), with unit words normal ordered e-units first, ascending, then
 symplectic exponent vectors.
+
+The super Dirac operator D = 2 sum (E[2p+1] d_{q_{2p}} - E[2p] d_{q_{2p+1}})
+- sum e_i d_{x_i} and the vector variable x = sum x_i e_i + sum q_j E[j]
+are one pass over the (unit word, monomial) pairs with integer weights,
+the odd companion of the sl2 pass in operators.  Through the envelope
+G = exp(x^2/2) the pass only changes its weights, since G^-1 D G = D + x.
 """
 
 from __future__ import annotations
@@ -17,9 +23,7 @@ from . import operators
 from ._terms import TermMap, add_into, canonical
 from .scalars import ExactScalar
 from .superalg import (GaussianFunction, SuperPolynomial,
-                       homogeneous_monomials, mask_bits,
-                       neutral_bosonic_var, neutral_fermionic_var,
-                       scale_exact, sp_mul)
+                       homogeneous_monomials, mask_bits)
 
 
 def _mul_keys(key1, key2, npairs):
@@ -59,6 +63,15 @@ def _mul_keys(key1, key2, npairs):
         combos = nxt
     for coeff, exps in combos:
         yield coeff, (emask, tuple(exps))
+
+
+def word_text(key):
+    """A normal-ordered unit word as text, e.g. "e1 e3 f2 f4^2", or "1"."""
+    emask, w = key
+    gens = [f"e{i + 1}" for i in mask_bits(emask)]
+    gens += [f"f{j + 1}" if exp == 1 else f"f{j + 1}^{exp}"
+             for j, exp in enumerate(w) if exp]
+    return " ".join(gens) or "1"
 
 
 class CWElement(TermMap):
@@ -109,19 +122,8 @@ class CWElement(TermMap):
                 and self.terms == other.terms)
 
     def render(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (emask, w), c in sorted(self.terms.items()):
-            gens = [f"e{i + 1}" for i in mask_bits(emask)]
-            for j, exp in enumerate(w):
-                if exp == 1:
-                    gens.append(f"f{j + 1}")
-                elif exp > 1:
-                    gens.append(f"f{j + 1}^{exp}")
-            word = " ".join(gens) if gens else "1"
-            bits.append(f"({c.render()})*{word}")
-        return " + ".join(bits)
+        return " + ".join(f"({c.render()})*{word_text(key)}"
+                          for key, c in sorted(self.terms.items())) or "0"
 
     def __repr__(self):
         return f"CWElement<{self.render()}>"
@@ -168,13 +170,10 @@ class CValued(TermMap):
     @staticmethod
     def from_scalar(f):
         """Lift a SuperPolynomial or GaussianFunction to identity value."""
+        key = (0, (0,) * len(f.universe.fermionic))
         if isinstance(f, GaussianFunction):
-            u = f.universe
-            key = (0, (0,) * len(u.fermionic))
-            return CValued(u, {key: f.poly}, envelope=f.envelope)
-        u = f.universe
-        key = (0, (0,) * len(u.fermionic))
-        return CValued(u, {key: f}, envelope=False)
+            return CValued(f.universe, {key: f.poly}, f.envelope)
+        return CValued(f.universe, {key: f})
 
     @property
     def m(self):
@@ -211,80 +210,73 @@ class CValued(TermMap):
             degs.update(sum(b) + mk.bit_count() for (b, mk) in p.terms)
         return len(degs) <= 1
 
-    def _wrap(self, poly):
-        return GaussianFunction(poly, True) if self.envelope else poly
-
-    @staticmethod
-    def _unwrap(f):
-        return f.poly if isinstance(f, GaussianFunction) else f
-
-
-def mul_generator_left(f, gen):
-    """Left multiplication of a CValued by a single CW element."""
-    out = {}
-    for key, p in f.parts.items():
-        for (gkey, gc) in gen.terms.items():
-            for coeff, nkey in _mul_keys(gkey, key, f.npairs):
-                add_into(out, nkey, scale_exact(p, gc * coeff))
-    return f._like(out)
+    def map_parts(self, op):
+        """A scalar operator applied to every part, through the envelope
+        when present."""
+        if not self.envelope:
+            return self._like({key: op(p) for key, p in self.parts.items()})
+        return self._like({key: op(GaussianFunction(p)).poly
+                           for key, p in self.parts.items()})
 
 
 def _lift(f):
-    if isinstance(f, (SuperPolynomial, GaussianFunction)):
-        return CValued.from_scalar(f)
-    return f
+    return f if isinstance(f, CValued) else CValued.from_scalar(f)
+
+
+def _odd_pass(f, lower, rise):
+    """lower*D + rise*x in one pass over the (unit word, monomial) pairs;
+    the integer weights keep it on either lane.  d_{x_i} and x_i meet
+    e_i, d_{q_j} meets the other generator of q_j's pair with weight +2
+    (j even) or -2 (j odd), and q_j meets E[j], each with the Koszul sign
+    of q_j's place in the monomial.  Each generator times each word of f
+    comes from _mul_keys once.  Through the envelope, G^-1 D G = D + x."""
+    f = _lift(f)
+    u = f.universe
+    m, npairs = u.m, u.pairs
+    if f.envelope:
+        rise += lower
+    ident = (0,) * (2 * npairs)
+    gens = [(1 << i, ident) for i in range(m)] + [
+        (0, ident[:j] + (1,) + ident[j + 1:]) for j in range(2 * npairs)]
+    out = {}
+    for word, p in f.parts.items():
+        products = [list(_mul_keys(g, word, npairs)) for g in gens]
+        for (bos, mask), c in p.terms.items():
+            hits = []   # (generator index, monomial, integer weight)
+            for i, e in enumerate(bos):
+                if lower and e:
+                    hits.append((i, (bos[:i] + (e - 1,) + bos[i + 1:], mask),
+                                 -lower * e))
+                if rise:
+                    hits.append((i, (bos[:i] + (e + 1,) + bos[i + 1:], mask),
+                                 rise))
+            for j in range(2 * npairs):
+                bit = 1 << j
+                sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
+                if mask & bit:
+                    if lower:
+                        hits.append((m + (j ^ 1), (bos, mask ^ bit),
+                                     sign * (-2 if j & 1 else 2) * lower))
+                elif rise:
+                    hits.append((m + j, (bos, mask | bit), sign * rise))
+            for g, mono, weight in hits:
+                for coeff, nword in products[g]:
+                    add_into(out.setdefault(nword, {}), mono,
+                             c * (weight * coeff))
+    return CValued(u, {word: SuperPolynomial(u, terms)
+                       for word, terms in out.items()}, f.envelope)
 
 
 def dirac_apply(f):
     """Super Dirac operator 2 sum (E[2p+1] d_{q_{2p}} - E[2p] d_{q_{2p+1}})
     - sum e_i d_{x_i}, acting through the envelope when present."""
-    f = _lift(f)
-    u = f.universe
-    out = CValued(u, {}, f.envelope)
-    for key, p in f.parts.items():
-        wrapped = f._wrap(p)
-        for pair in range(u.pairs):
-            d1 = CValued._unwrap(
-                operators.fermionic_derivative(wrapped, 2 * pair))
-            d2 = CValued._unwrap(
-                operators.fermionic_derivative(wrapped, 2 * pair + 1))
-            if d1:
-                piece = CValued(u, {key: d1.scale(2)}, f.envelope)
-                out = out + mul_generator_left(
-                    piece, CWElement.eg(u.m, u.pairs, 2 * pair + 1))
-            if d2:
-                piece = CValued(u, {key: d2.scale(-2)}, f.envelope)
-                out = out + mul_generator_left(
-                    piece, CWElement.eg(u.m, u.pairs, 2 * pair))
-        for i in range(u.m):
-            di = CValued._unwrap(operators.bosonic_derivative(wrapped, i))
-            if di:
-                piece = CValued(u, {key: -di}, f.envelope)
-                out = out + mul_generator_left(
-                    piece, CWElement.e(u.m, u.pairs, i))
-    return out
+    return _odd_pass(f, 1, 0)
 
 
 def vector_mul(f):
     """Left multiplication by the vector variable x = sum x_i e_i
     + sum q_j E[j]."""
-    f = _lift(f)
-    u = f.universe
-    out = CValued(u, {}, f.envelope)
-    for key, p in f.parts.items():
-        for i in range(u.m):
-            xi = sp_mul(neutral_bosonic_var(u, i), p)
-            if xi:
-                out = out + mul_generator_left(
-                    CValued(u, {key: xi}, f.envelope),
-                    CWElement.e(u.m, u.pairs, i))
-        for j in range(len(u.fermionic)):
-            qj = sp_mul(neutral_fermionic_var(u, j), p)
-            if qj:
-                out = out + mul_generator_left(
-                    CValued(u, {key: qj}, f.envelope),
-                    CWElement.eg(u.m, u.pairs, j))
-    return out
+    return _odd_pass(f, 0, 1)
 
 
 def vector_pow_mul(f, j):
@@ -295,17 +287,11 @@ def vector_pow_mul(f, j):
 
 def laplace_cvalued(f):
     """Scalar Laplacian applied componentwise to a CValued function."""
-    f = _lift(f)
-    return CValued(f.universe, {
-        key: CValued._unwrap(operators.laplace(f._wrap(p), "full"))
-        for key, p in f.parts.items()}, f.envelope)
+    return _lift(f).map_parts(operators.laplace)
 
 
 def euler_cvalued(f):
-    f = _lift(f)
-    return CValued(f.universe, {
-        key: CValued._unwrap(operators.euler(f._wrap(p)))
-        for key, p in f.parts.items()}, f.envelope)
+    return _lift(f).map_parts(operators.euler)
 
 
 def power_rule_check(s, r_k, variant):

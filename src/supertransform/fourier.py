@@ -199,7 +199,7 @@ def _mehler_pass(f, a, sector):
     if sector not in ("bosonic", "fermionic", "full"):
         raise ValueError(f"unknown sector {sector!r}")
     a = Angle(a)
-    if not f.envelope:
+    if not (isinstance(f, GaussianFunction) and f.envelope):
         raise ValueError("envelope missing")
     if a.a == 0:
         return f
@@ -306,10 +306,7 @@ def super_fourier(f, sign):
 def super_fourier_cvalued(f, sign):
     """Componentwise transform of a Clifford-Weyl-valued Gaussian
     function (the generators pass through the integral)."""
-    from .cliffweyl import CValued
-    return CValued(f.universe, {
-        key: super_fourier(GaussianFunction(p, True), sign).poly
-        for key, p in f.parts.items()}, True)
+    return f.map_parts(lambda g: super_fourier(g, sign))
 
 
 @functools.cache

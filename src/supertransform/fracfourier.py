@@ -57,10 +57,7 @@ def frac_fourier(f, a):
 def frac_fourier_cvalued(f, a):
     """Componentwise fractional transform of a Clifford-Weyl-valued
     Gaussian function."""
-    from .cliffweyl import CValued
-    return CValued(f.universe, {
-        key: frac_fourier(GaussianFunction(p, True), a).poly
-        for key, p in f.parts.items()}, True)
+    return f.map_parts(lambda g: frac_fourier(g, a))
 
 
 # -- fractional calculus rules ------------------------------------------
@@ -198,6 +195,7 @@ def general_kernel_check(a, samples, ygrid=None):
     route, and the result compared with the closed-form transform.
 
     Returns the maximum absolute deviation over samples and grid points.
+    Needs scipy, a test dependency (the `test` extra), imported here only.
     """
     from scipy.integrate import quad
     a = Angle(a)

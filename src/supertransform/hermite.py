@@ -130,13 +130,18 @@ def _hermite_series(j, h_k, rescaled):
     times {1, i} are independent over Q), the x^2 passes and the
     integer weights run on each part, and the ring coefficients are
     rebuilt once per output term.  A float-lane h_k runs the same loop
-    on itself.  Refused before any product when degree 2j+k has more
-    than MAX_MONOMIALS monomials: the output grows with that count."""
+    on itself, and is harmonic when no coefficient of its Laplacian
+    passes 1e-10 times its largest coefficient modulus (rounding).
+    Refused before any product when degree 2j+k has more than
+    MAX_MONOMIALS monomials: the output grows with that count."""
     _check_order(j, "j")
     float_lane = is_float_lane(h_k)
     denom, parts = (1, {None: h_k}) if float_lane else integer_parts(h_k)
-    if not h_k.is_homogeneous() or any(laplace(p, "full")
-                                       for p in parts.values()):
+    bound = 1e-10 * max(map(abs, h_k.terms.values()), default=0) \
+        if float_lane else 0
+    if not h_k.is_homogeneous() or any(
+            abs(c) > bound for p in parts.values()
+            for c in laplace(p, "full").terms.values()):
         raise ValueError("input is not a homogeneous harmonic")
     degree = 2 * j + h_k.degree()
     count = homogeneous_monomial_count(h_k.universe, degree)
@@ -164,14 +169,13 @@ def _hermite_series(j, h_k, rescaled):
 
 def phi_element(j, m_k):
     """phi_{j,k,l} = (d_x + x)^j M_k^(l) exp(x^2/2) for a spherical
-    monogenic; Clifford-Weyl-valued, the odd-order pathway."""
-    from .cliffweyl import CValued, dirac_apply, vector_mul
-    g = m_k
-    if not isinstance(g, CValued):
-        g = CValued.from_scalar(g)
+    monogenic; Clifford-Weyl-valued, the odd-order pathway.  Through the
+    envelope d_x + x is the odd pass D + 2x on the polynomial part."""
+    from .cliffweyl import CValued, _odd_pass
+    g = m_k if isinstance(m_k, CValued) else CValued.from_scalar(m_k)
     g = CValued(g.universe, g.parts, envelope=True)
     for _ in range(j):
-        g = dirac_apply(g) + vector_mul(g)
+        g = _odd_pass(g, 1, 1)
     return g
 
 

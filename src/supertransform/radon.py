@@ -1,6 +1,7 @@
 """Super Radon transform via the central-slice pipeline: full Fourier
-transform, ray substitution x -> r*omega, reduction mod (omega^2 + 1),
-and an exact one-dimensional Fourier step in the radius.
+transform, the ray x -> r*omega (a term of degree d becomes r^d times
+the same omega monomial), reduction mod (omega^2 + 1), and an exact
+one-dimensional Fourier step in the radius.
 
 Results live in (omega-polynomial mod the sphere relation) tensor
 (p-polynomial times exp(-p^2/2)); the last omega appears at most to the
@@ -17,9 +18,8 @@ from __future__ import annotations
 from ._terms import TermMap, add_into
 from .fourier import _UNITS, hermite_row, super_fourier
 from .scalars import ExactScalar, QQi
-from .superalg import (SuperPolynomial, VariableUniverse,
-                       homogeneous_monomial_count, sp_mul, sp_rename,
-                       substitute_ray)
+from .superalg import (GaussianFunction, SuperPolynomial, VariableUniverse,
+                       homogeneous_monomial_count, sp_mul, sp_rename)
 
 # result entries (omega monomial, power of p) the terms of one input may
 # make, counted before the transform (output budget)
@@ -210,17 +210,19 @@ def check_result_size(f):
 def radon(f):
     """Central-slice Radon transform of a Gaussian-class function:
     (2 pi)^(M/2-1) integral e^(ipr) [F^-(f)(r omega) mod omega^2+1] dr.
+    A term of F^-(f) of degree d goes to r^d on the ray x = r omega.
     check_result_size runs before the transform."""
+    if not (isinstance(f, GaussianFunction) and f.envelope):
+        raise ValueError("envelope missing")
     u = f.universe
     if u.m < 1:
         raise ValueError("no purely fermionic Radon transform")
     check_result_size(f)
-    ray = substitute_ray(super_fourier(f, "-"))
     uo = omega_universe(u.m, u.pairs)
     # one omega polynomial per radius power, each reduced once
     by_power = {}
-    for (bos, mask), c in ray.poly.terms.items():
-        by_power.setdefault(bos[0], {})[(bos[1:], mask)] = c
+    for (bos, mask), c in super_fourier(f, "-").poly.terms.items():
+        by_power.setdefault(sum(bos) + mask.bit_count(), {})[bos, mask] = c
     by_omega, powers = {}, [SuperPolynomial.one(uo)]
     for rpow, omega in by_power.items():
         reduced = reduce_mod_sphere(SuperPolynomial(uo, omega), powers)

@@ -1,8 +1,11 @@
+import argparse
 import hashlib
 import io
 import json
 import os
 import shlex
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -7810,3 +7813,32 @@ def test_cli_dirac_large_input_digest(capsys, m, n, text):
         out = _dirac_stdout(capsys, m, n, fmt, text)
         assert hashlib.sha256(out.encode()).hexdigest() == \
             _DIRAC_SHA256[m, n, text]
+
+
+# one run of every subcommand at (m, n) = (2, 1)
+_EVERY_SUBCOMMAND = (
+    ("normalize", "x1*q1"), ("fourier", "x1*G"), ("berezin", "q1q2"),
+    ("laplace", "x1^2*G"), ("euler", "x1"), ("d2", "G"), ("dirac", "x1*G"),
+    ("hermite", "--j", "1", "--k", "1"), ("decompose", "--k", "2"),
+    ("fracfourier", "--a", "1/2", "x1*G"), ("radon", "x1*G"), ("fundsol",),
+    ("parseval", "x1*G", "G"))
+
+
+def test_cli_subcommands_do_not_import_scipy():
+    # scipy is a test dependency: no subcommand may need it at run time
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {argv[0] for argv in _EVERY_SUBCOMMAND}
+    script = ("import sys\n"
+              "from supertransform.cli import main\n"
+              f"for argv in {_EVERY_SUBCOMMAND!r}:\n"
+              "    assert main(['--m', '2', '--n', '1', *argv]) == 0, argv\n"
+              "print('scipy' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1] == "False"

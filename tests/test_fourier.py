@@ -10,11 +10,15 @@ from supertransform.fourier import (berezin, convolution_fermionic,
                                     grassmann_shift, kernel_route,
                                     operator_exponential_fourier,
                                     parseval_check, super_fourier,
-                                    super_integral, super_integral_pair)
-from supertransform.fracfourier import max_coeff_deviation
+                                    super_fourier_cvalued, super_integral,
+                                    super_integral_pair)
+from supertransform.cliffweyl import CValued
+from supertransform.fracfourier import (frac_fourier, frac_fourier_cvalued,
+                                        max_coeff_deviation)
 from supertransform.harmonics import (fermionic_square_power, harmonic_basis)
 from supertransform.hermite import psi_span
 from supertransform.operators import laplace
+from supertransform.radon import radon
 from supertransform.scalars import ExactScalar
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse,
@@ -606,3 +610,29 @@ def test_kernel_route_at_exact_orders_refuses_float_lane():
         assert kernel_route(g, 0) is g
         assert max_coeff_deviation(kernel_route(g, 0.5),
                                    frac_fermionic_table(g, 0.5)) < 1e-12
+
+
+def _plain_cvalued(u):
+    return CValued.from_scalar(SuperPolynomial.bosonic_var(u, 0))
+
+
+@pytest.mark.parametrize("transform, lift", [
+    (lambda f: super_fourier(f, "+"), None),
+    (lambda f: bosonic_fourier(f, "-"), None),
+    (lambda f: fermionic_fourier_gaussian(f, "+"), None),
+    (lambda f: frac_fourier(f, 0.5), None),
+    (lambda f: frac_fourier(f, 0), None),
+    (radon, None),
+    (lambda f: super_fourier_cvalued(f, "+"), _plain_cvalued),
+    (lambda f: frac_fourier_cvalued(f, 0.5), _plain_cvalued),
+], ids=["super_fourier", "bosonic_fourier", "fermionic_fourier_gaussian",
+        "frac_fourier", "frac_fourier_zero", "radon", "super_fourier_cvalued",
+        "frac_fourier_cvalued"])
+def test_gaussian_transforms_refuse_input_without_the_envelope(transform,
+                                                               lift):
+    u = VariableUniverse.standard(2, 1)
+    plain = SuperPolynomial.bosonic_var(u, 0)
+    for f in ((lift(u),) if lift else
+              (plain, GaussianFunction(plain, envelope=False))):
+        with pytest.raises(ValueError, match="envelope missing"):
+            transform(f)
