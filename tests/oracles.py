@@ -17,6 +17,11 @@ package applies both in one pass over unit words and monomials.
 and builds each term as one monomial accumulator; the package reads the
 same grammar one lexeme per leaf, with the renderer's complex coefficient
 as one lexeme.
+`gaussian_integral_by_terms` integrates a polynomial against the
+Gaussian envelope term by term in the scalar ring, and
+`super_integral_pair_by_product` applies it to the product polynomial
+f * conj(g); the package pairs the terms of f and g with integer weights
+and never forms the product.
 """
 
 import math
@@ -28,6 +33,7 @@ from supertransform.cliffweyl import CValued, CWElement, _mul_keys
 from supertransform.expr import (_CONSTANTS, _ONE, _PI, _UNIT, ParseError,
                                  _check_exponent, _literal_int, _monomial,
                                  _power_pairs, _scalar)
+from supertransform.fourier import _berezin_row, gaussian_moment
 from supertransform.operators import (bosonic_derivative,
                                       fermionic_derivative, laplace)
 from supertransform.radon import _sphere_substitution
@@ -104,6 +110,36 @@ def reduce_mod_sphere_per_monomial(f):
         out = out + sp_mul(sub_power(q), piece)
     return out
 
+
+def gaussian_integral_by_terms(poly, width):
+    """Integral over the full superspace of poly times the envelope of
+    the given width, term by term: the Berezin weight of each pair's
+    sub-mask and the bosonic moment of each exponent, multiplied in the
+    scalar ring."""
+    row = _berezin_row(width)
+    nf = len(poly.universe.fermionic)
+    total = {}
+    for (bos, mask), c in poly.terms.items():
+        if any(p & 1 for p in bos):
+            continue                       # an odd moment vanishes
+        piece = c
+        for shift in range(0, nf, 2):
+            piece = piece * row[(mask >> shift) & 3]
+        for p in bos:
+            piece = piece * gaussian_moment(p, width)
+        for key, q in piece.terms.items():
+            add_into(total, key, q)
+    return ExactScalar(total)
+
+
+def super_integral_pair_by_product(f, g):
+    """Integral of f * conj(g) for Gaussian-class f and g: the product
+    polynomial first, then its integral at width one, the squared
+    envelope's."""
+    prod = sp_mul(f.poly, g.poly.conjugate())
+    if not all(isinstance(c, ExactScalar) for c in prod.terms.values()):
+        raise ValueError("exact integral requires exact-lane input")
+    return gaussian_integral_by_terms(prod, Fraction(1))
 
 
 def mul_generator_left(f, gen):

@@ -636,3 +636,70 @@ def test_gaussian_transforms_refuse_input_without_the_envelope(transform,
               (plain, GaussianFunction(plain, envelope=False))):
         with pytest.raises(ValueError, match="envelope missing"):
             transform(f)
+
+
+# universes of the integral tests: M = 1, -2, -1, 0, -4, -2, -5, -1
+_INTEGRAL_UNIVERSES = ((1, 0), (0, 1), (1, 1), (2, 1), (0, 2), (2, 2),
+                       (1, 3), (3, 2))
+
+
+def test_gaussian_integrals_equal_the_product_route(rng):
+    # the pairing, the width-one and width-one-half integrals and
+    # super_integral against the product polynomial integrated term by
+    # term; most pairs must integrate to non-zero, so that a pairing
+    # that always returns 0 cannot pass
+    from supertransform.fourier import gaussian_class_integral
+    from tests.oracles import (gaussian_integral_by_terms,
+                               super_integral_pair_by_product)
+    nonzero = cases = 0
+    for m, n in _INTEGRAL_UNIVERSES:
+        u = VariableUniverse.standard(m, n)
+        for _ in range(12):
+            f, g = (GaussianFunction(random_poly(u, rng, degree=4, nterms=6,
+                                                 rational=False))
+                    for _ in range(2))
+            want = super_integral_pair_by_product(f, g)
+            assert super_integral_pair(f, g) == want, (m, n)
+            for width in (Fraction(1), Fraction(1, 2)):
+                assert gaussian_class_integral(f.poly, width) \
+                    == gaussian_integral_by_terms(f.poly, width), (m, n)
+            assert super_integral(f) \
+                == gaussian_integral_by_terms(f.poly, Fraction(1, 2))
+            nonzero += bool(want)
+            cases += 1
+    assert nonzero >= 3 * cases // 4, (nonzero, cases)
+
+
+# (universe, f, g, the text of the integral of f * conj(g)), captured
+# from the product route
+_PAIRING_GOLDEN = (
+    ((1, 0), "G", "G", "sqrtpi"),
+    ((1, 0), "(1 + 2*i)*x1^2*G + 3*G", "x1^2*G - i*G", "(5/4+5*i)*sqrtpi"),
+    ((0, 1), "q1*G", "q2*G", "pi^-1"),
+    ((0, 1), "(2 - i)*G + q1*q2*G", "sqrt2*G + 3*i*q1*q2*G",
+     "(-3-6*i)*pi^-1 + (3-i)*sqrt2*pi^-1"),
+    ((1, 1), "x1*q1*G + pi*x1*G", "x1*q2*G + x1*q1*q2*G",
+     "1/2*pi^(-1/2) + 1/2*sqrtpi"),
+    ((2, 1), "x1*x2*G + (1/3)*x2^2*q1*q2*G",
+     "(1/2 - i)*x1*x2*G + sqrtpi*x2^2*G", "(1/8+1/4*i) + 1/4*sqrtpi"),
+    ((0, 2), "q1*q3*G + q2*q4*G + i*G", "q2*q4*G - q1*q3*G + q1*q2*q3*q4*G",
+     "i*pi^-2"),
+    ((2, 2), "x1^2*q1*q2*G + (1 + i)*x2*q3*G", "x2^2*G + x2*q4*G",
+     "(3/4+1/2*i)*pi^-1"),
+    ((1, 3), "q1*q4*q5*G + x1^3*q2*G", "q2*q3*q6*G + sqrt2*x1*q1*G",
+     "pi^(-5/2) - 3/4*sqrt2*pi^(-5/2)"),
+    ((3, 2), "x1*x2*x3*q1*G + (2/5)*x3^2*G",
+     "x1*x2*x3*q2*G - pi*x3^2*q3*q4*G", "1/8*pi^(-1/2) - 3/10*sqrtpi"),
+    ((2, 1), "x1*G", "x2*G", "0"),
+    ((1, 2), "(1/7 + 2/3*i)*sqrt2*pi*x1^4*q1*q2*q3*q4*G + x1^2*q3*q4*G",
+     "(3 - i)*x1^2*G + x1^4*q1*q2*G",
+     "(33/8+3/4*i)*pi^(-3/2) + (-25/56+225/56*i)*sqrt2*pi^(-1/2)"),
+)
+
+
+@pytest.mark.parametrize("mn, f_text, g_text, want", _PAIRING_GOLDEN)
+def test_super_integral_pair_golden(mn, f_text, g_text, want):
+    from supertransform.expr import parse
+    u = VariableUniverse.standard(*mn)
+    assert super_integral_pair(parse(f_text, u), parse(g_text, u)).render() \
+        == want
