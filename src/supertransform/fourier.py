@@ -14,8 +14,12 @@ the plain class the transform of order a is one closed-form 4x4 table
 per pair.  The fermionic kernel of every order, whose expansion followed
 by the Berezin integral (`kernel_route`) defines the fermionic transform,
 and the peel rule F(x_i g) = -/+ i d_{y_i} F(g) stay as oracles that no
-transform calls.  No analytic integration happens on the exact lane, and
-the exact transforms refuse float-lane input.
+transform calls.  Parseval's integral of f * conj(g) against the
+envelope is one pass over pairs of terms with integer weights (the Koszul
+sign, a Gaussian moment per coordinate and a Berezin weight per pair)
+and the common factor pi^(M/2), with no product polynomial; the
+integral of one Gaussian-class function is the same pass against the
+constant 1.  The exact transforms and integrals refuse float-lane input.
 """
 
 from __future__ import annotations
@@ -30,8 +34,9 @@ from .harmonics import express_in_basis
 from .hermite import psi_span
 from .scalars import Angle, ExactScalar, QQi, to_float
 from .superalg import (GaussianFunction, SuperPolynomial, VariableUniverse,
-                       doubled_universe, fermionic_envelope_poly,
-                       is_float_lane, neutral_fermionic_var, scale_exact,
+                       common_denominator, doubled_universe,
+                       fermionic_envelope_poly, is_float_lane, merge_masks,
+                       neutral_fermionic_var, require_envelope, scale_exact,
                        sp_mul, sp_rename, sp_substitute_fermionic)
 
 
@@ -199,8 +204,7 @@ def _mehler_pass(f, a, sector):
     if sector not in ("bosonic", "fermionic", "full"):
         raise ValueError(f"unknown sector {sector!r}")
     a = Angle(a)
-    if not (isinstance(f, GaussianFunction) and f.envelope):
-        raise ValueError("envelope missing")
+    require_envelope(f)
     if a.a == 0:
         return f
     bos_on = sector != "fermionic"
@@ -306,6 +310,8 @@ def super_fourier(f, sign):
 def super_fourier_cvalued(f, sign):
     """Componentwise transform of a Clifford-Weyl-valued Gaussian
     function (the generators pass through the integral)."""
+    if not f.envelope:
+        raise ValueError("envelope missing")
     return f.map_parts(lambda g: super_fourier(g, sign))
 
 
@@ -333,24 +339,101 @@ def _berezin_row(width):
                  for mono in _PAIR_BASIS)
 
 
+def _rational_part(s):
+    """(numerator, denominator) of the rational q of a scalar q * r with
+    one radical r, (0, 1) for zero."""
+    for q in s.terms.values():
+        return q.a, q.d
+    return 0, 1
+
+
+def _integer_terms(poly, im_sign):
+    """(D, terms): D the lcm of the exact polynomial's QQi denominators
+    and terms a list of (bos, mask, numerators), numerators a tuple of
+    (radical, real int, imaginary int times im_sign) over D."""
+    denom = common_denominator(poly)
+    terms = []
+    for (bos, mask), c in poly.terms.items():
+        nums = []
+        for rad, q in c.terms.items():
+            scale = denom // q.d
+            nums.append((rad, q.a * scale, im_sign * q.b * scale))
+        terms.append((bos, mask, tuple(nums)))
+    return denom, terms
+
+
+def _gaussian_pairing(p, q, width):
+    """Integral over the full superspace of p * conj(q) times the envelope
+    exp(width * x^2-type), one pass over pairs of terms with integer
+    weights; the product polynomial is never formed.
+
+    A pair of terms counts when its bosonic exponents have one parity
+    vector and its masks are disjoint and fill every symbol pair or leave
+    it empty.  Its weight is the Koszul sign of `merge_masks`, the
+    rational part of `gaussian_moment(e, width)` for each summed exponent
+    e and of the `_berezin_row(width)` entry of each pair's sub-mask; the
+    radicals of those factors are one common factor, pi^(M/2) times
+    sqrt2^m at width 1/2.  p and q are split over one denominator each,
+    and conjugation flips the sign of q's imaginary numerators; the
+    scalar is built once at the end.
+    """
+    if p.universe != q.universe:
+        raise ValueError("universe mismatch")
+    _require_exact(p)
+    _require_exact(q)
+    u = p.universe
+    nf = len(u.fermionic)
+    row = [_rational_part(r) for r in _berezin_row(width)]
+    # the common radical: pi^-1 per pair, pi^(1/2) sqrt2^eps per coordinate
+    rad_b, rad_eps = u.m - nf, 0
+    if u.m:
+        (_, eps), = gaussian_moment(0, width).terms
+        rad_eps = u.m * eps
+    moments = {}
+    dp, p_terms = _integer_terms(p, 1)
+    dq, q_terms = _integer_terms(q, -1)
+    by_parity = {}
+    for term in q_terms:
+        by_parity.setdefault(tuple(e & 1 for e in term[0]), []).append(term)
+    low = (4 ** u.pairs - 1) // 3       # the low bit of every symbol pair
+    acc = {}
+    for bos, mask, nums in p_terms:
+        for bos_q, mask_q, nums_q in by_parity.get(
+                tuple(e & 1 for e in bos), ()):
+            merged = merge_masks(mask, mask_q)
+            if merged is None:
+                continue
+            num, union = merged
+            if (union ^ (union >> 1)) & low:
+                continue                 # a pair with one symbol of two
+            den = 1
+            for e in map(sum, zip(bos, bos_q)):
+                if e not in moments:
+                    moments[e] = _rational_part(gaussian_moment(e, width))
+                a, d = moments[e]
+                num, den = num * a, den * d
+            for shift in range(0, nf, 2):
+                a, d = row[(union >> shift) & 3]
+                num, den = num * a, den * d
+            for (b1, e1), re1, im1 in nums:
+                for (b2, e2), re2, im2 in nums_q:
+                    cell = acc.setdefault((b1 + b2, e1 + e2, den), [0, 0])
+                    cell[0] += num * (re1 * re2 - im1 * im2)
+                    cell[1] += num * (re1 * im2 + im1 * re2)
+    out = {}
+    for (b, eps, den), (re, im) in acc.items():
+        eps += rad_eps
+        fold = eps >> 1                  # sqrt2^2 = 2
+        add_into(out, (b + rad_b, eps & 1),
+                 QQi.reduced(re << fold, im << fold, den * dp * dq))
+    return ExactScalar.from_terms(out)
+
+
 def gaussian_class_integral(poly, width):
     """Integral over the full superspace of poly * exp(width * x^2-type
-    envelope): Berezin part pair by pair, bosonic moments in Q*sqrt(pi)."""
-    _require_exact(poly)
-    row = _berezin_row(width)
-    nf = len(poly.universe.fermionic)
-    total = {}
-    for (bos, mask), c in poly.terms.items():
-        if any(p & 1 for p in bos):
-            continue                       # an odd moment vanishes
-        piece = c
-        for shift in range(0, nf, 2):
-            piece = piece * row[(mask >> shift) & 3]
-        for p in bos:
-            piece = piece * gaussian_moment(p, width)
-        for key, q in piece.terms.items():
-            add_into(total, key, q)
-    return ExactScalar(total)
+    envelope): the pairing of poly with the constant 1."""
+    return _gaussian_pairing(poly, SuperPolynomial.one(poly.universe),
+                             width)
 
 
 def super_integral(f):
@@ -368,10 +451,9 @@ def super_integral(f):
 
 def super_integral_pair(f, g):
     """Integral of f * conj(g); the squared envelope gives width one."""
-    if not (f.envelope and g.envelope):
-        raise ValueError("envelope missing")
-    prod = sp_mul(f.poly, g.poly.conjugate())
-    return gaussian_class_integral(prod, Fraction(1))
+    require_envelope(f)
+    require_envelope(g)
+    return _gaussian_pairing(f.poly, g.poly, Fraction(1))
 
 
 def parseval_check(f, g, scope):
@@ -447,8 +529,7 @@ def delta_fourier(universe, sign):
 def operator_exponential_fourier(f, sign, cap=8):
     """Spectral route: expand in the psi family (2j+k <= cap), rotate each
     component by (+/- i)^(2j+k), reassemble."""
-    if not f.envelope:
-        raise ValueError("envelope missing")
+    require_envelope(f)
     u = f.universe
     span = psi_span(u, cap)
     coeffs = express_in_basis(f.poly, [s.poly for (_, _, _, s) in span])

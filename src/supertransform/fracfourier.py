@@ -57,6 +57,8 @@ def frac_fourier(f, a):
 def frac_fourier_cvalued(f, a):
     """Componentwise fractional transform of a Clifford-Weyl-valued
     Gaussian function."""
+    if not f.envelope:
+        raise ValueError("envelope missing")
     return f.map_parts(lambda g: frac_fourier(g, a))
 
 

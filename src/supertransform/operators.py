@@ -136,7 +136,6 @@ def gaussian_expand_fermionic(f):
     Cross-check helper for the envelope product rules: operators applied
     through the envelope must agree with this explicit route.
     """
-    from .superalg import fermionic_envelope_poly
-    if not f.envelope:
-        raise ValueError("envelope missing")
+    from .superalg import fermionic_envelope_poly, require_envelope
+    require_envelope(f)
     return sp_mul(f.poly, fermionic_envelope_poly(f.universe))

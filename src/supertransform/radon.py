@@ -18,8 +18,9 @@ from __future__ import annotations
 from ._terms import TermMap, add_into
 from .fourier import _UNITS, hermite_row, super_fourier
 from .scalars import ExactScalar, QQi
-from .superalg import (GaussianFunction, SuperPolynomial, VariableUniverse,
-                       homogeneous_monomial_count, sp_mul, sp_rename)
+from .superalg import (SuperPolynomial, VariableUniverse,
+                       homogeneous_monomial_count, require_envelope, sp_mul,
+                       sp_rename)
 
 # result entries (omega monomial, power of p) the terms of one input may
 # make, counted before the transform (output budget)
@@ -212,8 +213,7 @@ def radon(f):
     (2 pi)^(M/2-1) integral e^(ipr) [F^-(f)(r omega) mod omega^2+1] dr.
     A term of F^-(f) of degree d goes to r^d on the ray x = r omega.
     check_result_size runs before the transform."""
-    if not (isinstance(f, GaussianFunction) and f.envelope):
-        raise ValueError("envelope missing")
+    require_envelope(f)
     u = f.universe
     if u.m < 1:
         raise ValueError("no purely fermionic Radon transform")

@@ -307,6 +307,15 @@ def scale_exact(p, s):
     return p.scale(s.to_complex() if is_float_lane(p) else s)
 
 
+def common_denominator(poly):
+    """The lcm of the exact polynomial's QQi denominators."""
+    denom = 1
+    for c in poly.terms.values():
+        for q in c.terms.values():
+            denom = math.lcm(denom, q.d)
+    return denom
+
+
 def integer_parts(poly):
     """(D, parts) with poly = sum over parts of r * P / D: D is the lcm of
     the exact polynomial's QQi denominators, and parts maps (radical,
@@ -317,10 +326,7 @@ def integer_parts(poly):
     map with rational weights (a Laplacian, a product by x^2) is zero on
     poly exactly when it is zero on every part.
     """
-    denom = 1
-    for c in poly.terms.values():
-        for q in c.terms.values():
-            denom = math.lcm(denom, q.d)
+    denom = common_denominator(poly)
     parts = {}
     for key, c in poly.terms.items():
         for rad, q in c.terms.items():
@@ -524,6 +530,12 @@ class GaussianFunction:
         return f"GaussianFunction<{self.poly!r}{tail}>"
 
 
+def require_envelope(f):
+    """Refuse anything but a Gaussian function with the envelope."""
+    if not (isinstance(f, GaussianFunction) and f.envelope):
+        raise ValueError("envelope missing")
+
+
 def fermionic_envelope_poly(u, width=Fraction(1, 2), sign=1):
     """exp(sign*width*x`^2) expanded: prod_j (1 + sign*width q_{2j-1}q_{2j})."""
     out = SuperPolynomial.one(u)
@@ -543,8 +555,7 @@ def substitute_ray(f, ray_universe=None):
     w-symbols; the envelope becomes exp(r^2 * w^2 / 2) with w^2 left
     symbolic for the mod (w^2+1) reduction downstream.
     """
-    if not f.envelope:
-        raise ValueError("envelope missing")
+    require_envelope(f)
     u = f.universe
     if ray_universe is None:
         ray_universe = VariableUniverse(

@@ -703,3 +703,136 @@ def test_super_integral_pair_golden(mn, f_text, g_text, want):
     u = VariableUniverse.standard(*mn)
     assert super_integral_pair(parse(f_text, u), parse(g_text, u)).render() \
         == want
+
+
+def test_super_integral_pair_refuses_a_universe_mismatch():
+    f = GaussianFunction(SuperPolynomial.bosonic_var(
+        VariableUniverse.standard(2, 1), 0))
+    g = GaussianFunction(SuperPolynomial.one(VariableUniverse.standard(1, 1)))
+    for a, b in ((f, g), (g, f)):
+        with pytest.raises(ValueError, match="universe mismatch"):
+            super_integral_pair(a, b)
+
+
+def test_super_integral_pair_refuses_float_lane_on_either_side():
+    from supertransform.fracfourier import to_float_gaussian
+    u = VariableUniverse.standard(1, 1)
+    f = GaussianFunction(SuperPolynomial.bosonic_var(u, 0)
+                         + SuperPolynomial.fermionic_var(u, 0))
+    for a, b in ((to_float_gaussian(f), f), (f, to_float_gaussian(f))):
+        with pytest.raises(ValueError, match="exact-lane input"):
+            super_integral_pair(a, b)
+
+
+def test_gaussian_integrals_never_form_the_product(monkeypatch, rng):
+    # the integrals pair terms; a product polynomial coming back would
+    # reach sp_mul (the pair Berezin table is built before patching)
+    from supertransform import fourier, superalg
+    from supertransform.fourier import gaussian_class_integral
+    u = VariableUniverse.standard(2, 1)
+    f, g = (GaussianFunction(random_poly(u, rng, degree=4, nterms=6,
+                                         rational=False)) for _ in range(2))
+
+    def integrals():
+        return (super_integral_pair(f, g), super_integral(f),
+                gaussian_class_integral(f.poly, Fraction(1)),
+                gaussian_class_integral(f.poly, Fraction(1, 2)))
+
+    want = integrals()
+
+    def refuse(*args):
+        raise AssertionError("product polynomial formed")
+
+    monkeypatch.setattr(fourier, "sp_mul", refuse)
+    monkeypatch.setattr(superalg, "sp_mul", refuse)
+    assert integrals() == want
+
+
+def _gaussian_expand_fermionic(f, good):
+    from supertransform.operators import gaussian_expand_fermionic
+    return gaussian_expand_fermionic(f)
+
+
+def _substitute_ray(f, good):
+    from supertransform.superalg import substitute_ray
+    return substitute_ray(f)
+
+
+# entry points that need the envelope, called with an input f without it
+# and an enveloped partner; the Clifford-Weyl ones get a zero CValued,
+# which has no part for the scalar transform to refuse
+_ENVELOPE_CALLS = {
+    "super_integral_pair_left": lambda f, good: super_integral_pair(f, good),
+    "super_integral_pair_right": lambda f, good: super_integral_pair(good, f),
+    "parseval_check_full": lambda f, good: parseval_check(f, good, "full"),
+    "operator_exponential_fourier":
+        lambda f, good: operator_exponential_fourier(f, "+"),
+    "gaussian_expand_fermionic": _gaussian_expand_fermionic,
+    "substitute_ray": _substitute_ray,
+    "super_fourier_cvalued": lambda f, good: super_fourier_cvalued(f, "+"),
+    "frac_fourier_cvalued": lambda f, good: frac_fourier_cvalued(f, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENVELOPE_CALLS))
+def test_envelope_entry_points_refuse_input_without_it(name):
+    u = VariableUniverse.standard(2, 1)
+    plain = SuperPolynomial.bosonic_var(u, 0)
+    good = GaussianFunction(SuperPolynomial.one(u))
+    inputs = ((CValued(u),) if name.endswith("cvalued") else
+              (plain, GaussianFunction(plain, envelope=False)))
+    for f in inputs:
+        with pytest.raises(ValueError, match="envelope missing"):
+            _ENVELOPE_CALLS[name](f, good)
+
+
+def _of_parity(poly, parity):
+    return poly._like({key: c for key, c in poly.terms.items()
+                       if key[1].bit_count() % 2 == parity})
+
+
+def test_super_integral_pair_is_a_graded_hermitian_form(rng):
+    # <g, f> = (-1)^(|f||g|) conj<f, g> for f and g of pure parity, and
+    # <c f, g> = c <f, g>, <f, c g> = conj(c) <f, g>; f and g share their
+    # parity, since a pairing of odd with even terms is 0
+    nonzero = cases = 0
+    for m, n in _INTEGRAL_UNIVERSES:
+        u = VariableUniverse.standard(m, n)
+        for _ in range(15):
+            parity = rng.randint(0, 1) if n else 0
+            f, g = (GaussianFunction(_of_parity(
+                random_poly(u, rng, degree=4, nterms=6, rational=False),
+                parity)) for _ in range(2))
+            fg = super_integral_pair(f, g)
+            swapped = fg.conjugate()
+            assert super_integral_pair(g, f) \
+                == (-swapped if parity else swapped), (m, n)
+            c = random_scalar(rng)
+            assert super_integral_pair(f.scale(c), g) == c * fg
+            assert super_integral_pair(f, g.scale(c)) == c.conjugate() * fg
+            nonzero += bool(fg)
+            cases += 1
+    assert nonzero >= 2 * cases // 3, (nonzero, cases)
+
+
+def test_super_integral_pair_is_positive_on_bosonic_input(rng):
+    # <f, f> for a non-zero purely bosonic f with complex rational
+    # coefficients is a positive rational times pi^(M/2); the Berezin
+    # factor of the empty mask is pi^-1 on each symbol pair
+    from supertransform.scalars import QQi
+    for m, n in _INTEGRAL_UNIVERSES:
+        if not m:
+            continue
+        u = VariableUniverse.standard(m, n)
+        for _ in range(15):
+            terms = {}
+            for _ in range(rng.randint(1, 5)):
+                bos = tuple(rng.randint(0, 3) for _ in range(m))
+                terms[(bos, 0)] = ExactScalar.from_qqi(QQi(
+                    Fraction(rng.randint(-4, 4), rng.randint(1, 4)),
+                    Fraction(rng.randint(-4, 4), rng.randint(1, 4))))
+            f = GaussianFunction(SuperPolynomial(u, terms))
+            if not f:
+                continue
+            (key, q), = super_integral_pair(f, f).terms.items()
+            assert key == (u.superdim, 0) and q.b == 0 and q.a > 0, (m, n)
