@@ -27,7 +27,8 @@ from fractions import Fraction
 
 from ._terms import add_into
 from .superalg import (GaussianFunction, SuperPolynomial,
-                       neutral_bosonic_var, neutral_fermionic_var, sp_mul)
+                       neutral_bosonic_var, neutral_fermionic_var,
+                       require_envelope, sp_mul)
 
 
 def bosonic_derivative(f, i):
@@ -136,6 +137,6 @@ def gaussian_expand_fermionic(f):
     Cross-check helper for the envelope product rules: operators applied
     through the envelope must agree with this explicit route.
     """
-    from .superalg import fermionic_envelope_poly, require_envelope
+    from .superalg import fermionic_envelope_poly
     require_envelope(f)
     return sp_mul(f.poly, fermionic_envelope_poly(f.universe))

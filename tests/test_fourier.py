@@ -17,13 +17,13 @@ from supertransform.fracfourier import (frac_fourier, frac_fourier_cvalued,
                                         max_coeff_deviation)
 from supertransform.harmonics import (fermionic_square_power, harmonic_basis)
 from supertransform.hermite import psi_span
-from supertransform.operators import laplace
+from supertransform.operators import gaussian_expand_fermionic, laplace
 from supertransform.radon import radon
 from supertransform.scalars import ExactScalar
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse,
                                      fermionic_envelope_poly, pairing,
-                                     sp_mul, sp_rename)
+                                     sp_mul, sp_rename, substitute_ray)
 from tests.conftest import random_poly, random_scalar
 
 
@@ -748,16 +748,6 @@ def test_gaussian_integrals_never_form_the_product(monkeypatch, rng):
     assert integrals() == want
 
 
-def _gaussian_expand_fermionic(f, good):
-    from supertransform.operators import gaussian_expand_fermionic
-    return gaussian_expand_fermionic(f)
-
-
-def _substitute_ray(f, good):
-    from supertransform.superalg import substitute_ray
-    return substitute_ray(f)
-
-
 # entry points that need the envelope, called with an input f without it
 # and an enveloped partner; the Clifford-Weyl ones get a zero CValued,
 # which has no part for the scalar transform to refuse
@@ -767,8 +757,8 @@ _ENVELOPE_CALLS = {
     "parseval_check_full": lambda f, good: parseval_check(f, good, "full"),
     "operator_exponential_fourier":
         lambda f, good: operator_exponential_fourier(f, "+"),
-    "gaussian_expand_fermionic": _gaussian_expand_fermionic,
-    "substitute_ray": _substitute_ray,
+    "gaussian_expand_fermionic": lambda f, good: gaussian_expand_fermionic(f),
+    "substitute_ray": lambda f, good: substitute_ray(f),
     "super_fourier_cvalued": lambda f, good: super_fourier_cvalued(f, "+"),
     "frac_fourier_cvalued": lambda f, good: frac_fourier_cvalued(f, 0.5),
 }
