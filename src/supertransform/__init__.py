@@ -5,20 +5,17 @@ Clifford-Hermite eigenbases and the super Laplace fundamental solution."""
 from .scalars import (Angle, ExactScalar, FloatScalar, QQi,
                       gamma_half_integer, to_float)
 from .superalg import (GaussianFunction, SuperPolynomial, VariableUniverse,
-                       pairing, sp_mul, substitute_ray, vector_square)
+                       pairing, sp_mul, vector_square)
 from .operators import euler, laplace, scalar_square
 from .cliffweyl import (CValued, CWElement, cw_mul, dirac_apply,
-                        power_rule_check, monogenic_basis, vector_mul)
+                        monogenic_basis, vector_mul)
 from .harmonics import (HarmonicBasis, decomposition_check, f_poly,
-                        fischer_decompose, fischer_fermionic, harmonic_basis)
-from .hermite import (ch_explicit, ch_rodrigues, ch_rodrigues_rescaled,
-                      psi_element, psi_tilde_element, substhermite_check)
+                        harmonic_basis)
+from .hermite import psi_element, psi_tilde_element
 from .fourier import (berezin, bosonic_fourier, convolution_fermionic,
-                      delta_fourier, fermionic_fourier, kernel_route,
-                      operator_exponential_fourier, parseval_check,
+                      delta_fourier, fermionic_fourier, parseval_check,
                       super_fourier, super_integral)
-from .fracfourier import (frac_calculus_check, frac_fermionic_table,
-                          frac_fourier, general_kernel_check)
+from .fracfourier import frac_fermionic_table, frac_fourier
 from .radon import (RadonResult, hermite_1d, one_dim_fourier, radon,
                     reduce_mod_sphere)
 from .fundsol import (RadialFunction, nu_poly_laplace, radial_laplace,
@@ -30,19 +27,15 @@ __all__ = [
     "Angle", "ExactScalar", "FloatScalar", "QQi", "gamma_half_integer",
     "to_float",
     "GaussianFunction", "SuperPolynomial", "VariableUniverse",
-    "pairing", "sp_mul", "substitute_ray", "vector_square",
+    "pairing", "sp_mul", "vector_square",
     "euler", "laplace", "scalar_square",
-    "CValued", "CWElement", "cw_mul", "dirac_apply", "power_rule_check",
-    "monogenic_basis", "vector_mul",
-    "HarmonicBasis", "decomposition_check", "f_poly", "fischer_decompose",
-    "fischer_fermionic", "harmonic_basis",
-    "ch_explicit", "ch_rodrigues", "ch_rodrigues_rescaled", "psi_element",
-    "psi_tilde_element", "substhermite_check",
+    "CValued", "CWElement", "cw_mul", "dirac_apply", "monogenic_basis",
+    "vector_mul",
+    "HarmonicBasis", "decomposition_check", "f_poly", "harmonic_basis",
+    "psi_element", "psi_tilde_element",
     "berezin", "bosonic_fourier", "convolution_fermionic", "delta_fourier",
-    "fermionic_fourier", "kernel_route", "operator_exponential_fourier",
-    "parseval_check", "super_fourier", "super_integral",
-    "frac_calculus_check", "frac_fermionic_table", "frac_fourier",
-    "general_kernel_check",
+    "fermionic_fourier", "parseval_check", "super_fourier", "super_integral",
+    "frac_fermionic_table", "frac_fourier",
     "RadonResult", "hermite_1d", "one_dim_fourier", "radon",
     "reduce_mod_sphere",
     "RadialFunction", "nu_poly_laplace", "radial_laplace",

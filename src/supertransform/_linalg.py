@@ -1,8 +1,8 @@
 """Exact sparse linear algebra over the rationals and Gaussian rationals.
 
 Rows are dicts column->value.  Everything here is plumbing for nullspace
-(harmonic bases, monogenics) and consistent-system solving (psi-span
-expansion); coefficients stay Fraction or QQi throughout.
+(harmonic bases, monogenics); the echelon form also reduces QQi rows,
+and coefficients stay Fraction or QQi throughout.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._terms import add_into
-from .scalars import QQi
 
 
 class SparseRREF:
@@ -84,30 +83,3 @@ def nullspace(columns, rows_of):
                 vec[pcol] = -v
         null.append(vec)
     return null
-
-
-def solve_rational(columns_rows, rhs, ncols):
-    """Solve A*x = rhs for one particular solution over QQi.
-
-    `columns_rows[j]` is the sparse dict (row -> Fraction) of column j;
-    `rhs` is a sparse dict row -> QQi.  Returns a list of QQi of length
-    ncols (free variables zero) or None if the system is inconsistent.
-    The rhs is carried as an extra column with index ncols, so a pivot
-    landing there means 0 = nonzero.
-    """
-    aug = ncols
-    rows = {}
-    for j in range(ncols):
-        for rkey, val in columns_rows[j].items():
-            rows.setdefault(rkey, {})[j] = QQi(val)
-    for rkey, val in rhs.items():
-        if val:
-            rows.setdefault(rkey, {})[aug] = val
-    rref = SparseRREF()
-    for rkey in sorted(rows):
-        if rref.insert(rows[rkey]) == aug:
-            return None
-    sol = [QQi(0)] * ncols
-    for pcol, prow in rref.pivots.items():
-        sol[pcol] = prow.get(aug, QQi(0))
-    return sol

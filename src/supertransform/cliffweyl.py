@@ -294,50 +294,16 @@ def euler_cvalued(f):
     return _lift(f).map_parts(operators.euler)
 
 
-def power_rule_check(s, r_k, variant):
-    """Exact check of the three basic Dirac/Laplace rules.
-
-    r_k must be homogeneous of degree k; variant selects which of the
-    three identities is tested.  Returns True iff it holds exactly.
-    """
-    r_k = _lift(r_k)
-    if not r_k.is_homogeneous():
-        raise ValueError("input must be homogeneous")
-    u = r_k.universe
-    big_m = u.superdim
-    k = max(r_k.degree(), 0)
-    if variant == "dirac_even":
-        lhs = dirac_apply(vector_pow_mul(r_k, 2 * s))
-        rhs = (vector_pow_mul(r_k, 2 * s - 1).scale(2 * s)
-               if s else CValued(u, {}))
-        rhs = rhs + vector_pow_mul(dirac_apply(r_k), 2 * s)
-        return lhs == rhs
-    if variant == "dirac_odd":
-        lhs = dirac_apply(vector_pow_mul(r_k, 2 * s + 1))
-        rhs = vector_pow_mul(r_k, 2 * s).scale(2 * k + big_m + 2 * s)
-        rhs = rhs - vector_pow_mul(dirac_apply(r_k), 2 * s + 1)
-        return lhs == rhs
-    if variant == "laplace":
-        lhs = laplace_cvalued(vector_pow_mul(r_k, 2 * s))
-        rhs = (vector_pow_mul(r_k, 2 * s - 2)
-               .scale(2 * s * (2 * k + big_m + 2 * s - 2))
-               if s else CValued(u, {}))
-        rhs = rhs + vector_pow_mul(laplace_cvalued(r_k), 2 * s)
-        return lhs == rhs
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def monogenic_basis(k, universe, weyl_cap=None):
+def monogenic_basis(k, universe):
     """Basis of degree-k nullspace of the Dirac operator, CW coefficients
-    capped at the given symplectic order (defaults to k).
+    capped at symplectic order k.
 
     Exercised at small (m, n) and k only; the cap is an artifact choice.
     """
     from ._linalg import nullspace
     u = universe
-    cap = k if weyl_cap is None else weyl_cap
     monos = homogeneous_monomials(u, k)
-    keys = _cw_keys(u.m, u.pairs, cap)
+    keys = _cw_keys(u.m, u.pairs, k)
     columns = [(mono, key) for mono in monos for key in keys]
 
     def image(col):

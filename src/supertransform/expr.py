@@ -635,22 +635,20 @@ def _coeff_text(c):
     return (s if s.startswith("(") else f"({s})"), False
 
 
-def _monomial_text(u, bos, mask, bos_names=None, fer_names=None):
-    bos_names = bos_names or u.bosonic
-    fer_names = fer_names or u.fermionic
+def _monomial_text(u, bos, mask):
     parts = []
     for i, e in enumerate(bos):
         if e == 1:
-            parts.append(bos_names[i])
+            parts.append(u.bosonic[i])
         elif e:
-            parts.append(f"{bos_names[i]}^{e}")
-    fer = "".join(fer_names[j] for j in mask_bits(mask))
+            parts.append(f"{u.bosonic[i]}^{e}")
+    fer = "".join(u.fermionic[j] for j in mask_bits(mask))
     if fer:
         parts.append(fer)
     return "*".join(parts)
 
 
-def render_poly_text(f, bos_names=None, fer_names=None):
+def render_poly_text(f):
     gaussian = isinstance(f, GaussianFunction)
     poly = f.poly if gaussian else f
     check_render_digits(poly.terms.values())
@@ -660,7 +658,7 @@ def render_poly_text(f, bos_names=None, fer_names=None):
     bits = []
     for (bos, mask), c in poly.sorted_terms():
         cs, unit = _coeff_text(c)
-        mono = _monomial_text(u, bos, mask, bos_names, fer_names)
+        mono = _monomial_text(u, bos, mask)
         if gaussian:
             mono = f"{mono}*G" if mono else "G"
         if not mono:
@@ -700,23 +698,21 @@ def _coeff_latex(c):
     return "+".join(bits)
 
 
-def render_poly_latex(f, bos_names=None, fer_names=None):
+def render_poly_latex(f):
     gaussian = isinstance(f, GaussianFunction)
     poly = f.poly if gaussian else f
     check_render_digits(poly.terms.values())
     u = poly.universe
     if not poly.terms:
         return "0"
-    bos_names = bos_names or u.bosonic
-    fer_names = fer_names or u.fermionic
     bits = []
     for (bos, mask), c in poly.sorted_terms():
         mono = ""
         for i, e in enumerate(bos):
-            name = re.sub(r"(\d+)$", r"_{\1}", bos_names[i])
+            name = re.sub(r"(\d+)$", r"_{\1}", u.bosonic[i])
             mono += name if e == 1 else (f"{name}^{{{e}}}" if e else "")
         for j in mask_bits(mask):
-            mono += re.sub(r"(\d+)$", r"_{\1}", fer_names[j])
+            mono += re.sub(r"(\d+)$", r"_{\1}", u.fermionic[j])
         if gaussian:
             mono += r" e^{x^2/2}"
         bits.append(f"{_coeff_latex(c)} {mono}".strip())

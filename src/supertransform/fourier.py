@@ -1,6 +1,6 @@
 """The super Fourier transform of every order on the Gaussian class, the
 plain-class fermionic transform, Berezin integration, Parseval, fermionic
-convolution, the delta constant and the operator-exponential route.
+convolution and the delta constant.
 
 Every order a is one pass over the terms by Mehler's closed form
 F^a(P G) = (zeta^E exp(gamma Delta) P) G, zeta = e^(i a pi/2) and
@@ -11,10 +11,10 @@ q1q2 -> q1q2 - 2.  An image of a degree-d term that lost 2k degrees
 weighs zeta^(d-2k) (2 gamma)^k, which at a = +/-1 is (+/- i)^d, so the
 exact transforms multiply ints only; other orders run on floats.  On
 the plain class the transform of order a is one closed-form 4x4 table
-per pair.  The fermionic kernel of every order, whose expansion followed
-by the Berezin integral (`kernel_route`) defines the fermionic transform,
-and the peel rule F(x_i g) = -/+ i d_{y_i} F(g) stay as oracles that no
-transform calls.  Parseval's integral of f * conj(g) against the
+per pair.  The defining constructions (the fermionic kernel followed by
+the Berezin integral, the peel rule F(x_i g) = -/+ i d_{y_i} F(g) and
+the psi-family expansion) live in the tests as independent oracles; no
+transform calls them.  Parseval's integral of f * conj(g) against the
 envelope is one pass over pairs of terms with integer weights (the Koszul
 sign, a Gaussian moment per coordinate and a Berezin weight per pair)
 and the common factor pi^(M/2), with no product polynomial; the
@@ -26,18 +26,15 @@ from __future__ import annotations
 
 import cmath
 import functools
-import math
 from fractions import Fraction
 
 from ._terms import add_into
-from .harmonics import express_in_basis
-from .hermite import psi_span
 from .scalars import Angle, ExactScalar, QQi, to_float
 from .superalg import (GaussianFunction, SuperPolynomial, VariableUniverse,
                        common_denominator, doubled_universe,
                        fermionic_envelope_poly, is_float_lane, merge_masks,
-                       neutral_fermionic_var, require_envelope, scale_exact,
-                       sp_mul, sp_rename, sp_substitute_fermionic)
+                       require_envelope, scale_exact, sp_mul, sp_rename,
+                       sp_substitute_fermionic)
 
 
 def berezin(f, over=None):
@@ -60,66 +57,6 @@ def berezin(f, over=None):
     target = VariableUniverse(u.bosonic, tuple(u.fermionic[j] for j in keep))
     fer_map = {j: i for i, j in enumerate(keep)}
     return sp_rename(g, target, {i: i for i in range(u.m)}, fer_map)
-
-
-def fermionic_kernel(u, a):
-    """Fermionic kernel of order a (a in [-1, 1], a != 0) in the doubled
-    universe, y block at fermionic indices 2n..4n-1: prod_p exp(s_p) with
-    s_p = c (x_2p y_2p+1 - x_2p+1 y_2p) + d (x_2p x_2p+1 + y_2p y_2p+1),
-    c = -2e/(2 - 2e^2), d = (1 + e^2)/(2 - 2e^2) and e = e^(i alpha).
-
-    Returns (doubled universe, kernel, prefactor (pi (1 - e^2))^n).  At
-    a = +/-1, d = 0 and c = -/+ i/2, the Fourier kernel
-    exp(-/+ i <x,y>_f), exact; other orders are float.
-    """
-    a = Angle(a)
-    if a.a == 0:
-        raise ValueError("kernel degenerates at a = 0")
-    if a.exact:                      # e^2 = -1
-        one = ExactScalar.one()
-        c, d = a.phase(1).scale(Fraction(-1, 2)), ExactScalar.zero()
-        prefactor = ExactScalar.two_pi_half_power(2 * u.pairs)
-    else:
-        one = 1 + 0j
-        e, e2 = a.phase(1), a.phase(2)
-        c, d = -2 * e / (2 - 2 * e2), (1 + e2) / (2 - 2 * e2)
-        prefactor = (math.pi * (1 - e2)) ** u.pairs
-    dbl = doubled_universe(u)
-    n2 = len(u.fermionic)
-    kernel = SuperPolynomial.scalar(dbl, one)
-    for p in range(u.pairs):
-        x0, x1, y0, y1 = (neutral_fermionic_var(dbl, j) for j in
-                          (2 * p, 2 * p + 1, n2 + 2 * p, n2 + 2 * p + 1))
-        s = (sp_mul(x0, y1) - sp_mul(x1, y0)).scale(c) \
-            + (sp_mul(x0, x1) + sp_mul(y0, y1)).scale(d)
-        kernel = sp_mul(kernel, SuperPolynomial.scalar(dbl, one) + s
-                        + sp_mul(s, s).scale(Fraction(1, 2)))
-    return dbl, kernel, prefactor
-
-
-def kernel_route(f, a):
-    """prefactor * Berezin_x of K_a(x,y) f(x): the defining fermionic
-    transform of order a on any universe (bosonic factors pass through),
-    the identity at a = 0 and the oracle of the closed forms.  At a = +/-1,
-    as in the exact transforms, float-lane input is refused.  At
-    non-integral a the kernel's coefficients grow like 1/a while the
-    prefactor shrinks like a, so the float result loses precision like
-    1/a near a = 0: against frac_fermionic_table on a 16-term (0,2) input,
-    the relative deviation is 3.8e-15 at a = 0.01 and 6.2e-13 at 1e-4."""
-    a = Angle(a)
-    if a.a == 0:
-        return f
-    u = f.universe
-    dbl, kernel, prefactor = fermionic_kernel(u, a)
-    if a.exact:
-        _require_exact(f)
-    else:
-        f = f.map_coefficients(to_float)
-    bos = {i: i for i in range(u.m)}
-    fer = {j: j for j in range(len(u.fermionic))}
-    integrated = berezin(sp_mul(kernel, sp_rename(f, dbl, bos, fer)),
-                         over=fer)
-    return sp_rename(integrated.scale(prefactor), u, bos, fer)
 
 
 _PAIR = VariableUniverse((), ("q1", "q2"))
@@ -524,23 +461,3 @@ def delta_fourier(universe, sign):
     if len(ferm.terms) > (1 if const else 0):
         raise AssertionError("fermionic delta transform is not constant")
     return const * ExactScalar.two_pi_half_power(-universe.m)
-
-
-def operator_exponential_fourier(f, sign, cap=8):
-    """Spectral route: expand in the psi family (2j+k <= cap), rotate each
-    component by (+/- i)^(2j+k), reassemble."""
-    require_envelope(f)
-    u = f.universe
-    span = psi_span(u, cap)
-    coeffs = express_in_basis(f.poly, [s.poly for (_, _, _, s) in span])
-    if coeffs is None:
-        raise ValueError("degree cap exceeded")
-    out = GaussianFunction(SuperPolynomial.zero(u), True)
-    for (j, k, _, psi), c in zip(span, coeffs):
-        if not c:
-            continue
-        phase = ExactScalar.i_power(2 * j + k)
-        if sign == "-":
-            phase = phase.conjugate()
-        out = out + psi.scale(c * phase)
-    return out

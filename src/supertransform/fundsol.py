@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from ._terms import TermMap, add_into, canonical
 from .scalars import ExactScalar, gamma_half_integer
-from .superalg import SuperPolynomial, VariableUniverse, sp_mul
 
 
 class RadialFunction(TermMap):
@@ -161,13 +160,16 @@ class SuperRadial:
 
 
 def super_fundamental_solution(m, n):
-    """pi^n sum_k 2^(2k) k!/(n-k)! nu_{2k+2} xfer^(2n-2k)."""
+    """pi^n sum_k 2^(2k) k!/(n-k)! nu_{2k+2} xfer^(2n-2k), with the nu
+    chain carried forward: one radial Poisson solve per k."""
     if m < 1:
         raise ValueError("no purely fermionic fundamental solution")
     parts = {}
+    nu = nu_poly_laplace(1, m)
     for k in range(n + 1):
-        j = n - k
-        parts[j] = nu_poly_laplace(k + 1, m).scale(fundsol_prefactor(k, n))
+        if k:
+            nu = solve_radial_poisson(nu, m)
+        parts[n - k] = nu.scale(fundsol_prefactor(k, n))
     return SuperRadial(n, parts)
 
 
@@ -185,26 +187,3 @@ def verify_harmonic_away_from_origin(sr, m):
         if total:
             return False
     return True
-
-
-def geometric_inverse_check(n):
-    """Symbolic check of (y^2)^-1 = ybos^-2 sum (-1)^k (yfer^2/ybos^2)^k:
-    multiply back by yfer^2 + ybos^2 and confirm the telescope to 1.
-
-    Terms are tracked as {power of ybos^-2: Grassmann polynomial}.
-    """
-    u = VariableUniverse.standard(0, n)
-    fsq = SuperPolynomial.zero(u)
-    for p in range(n):
-        fsq = fsq + SuperPolynomial(
-            u, {((), (1 << 2 * p) | (1 << (2 * p + 1))): ExactScalar.one()})
-    series = {}
-    power = SuperPolynomial.one(u)
-    for k in range(n + 1):
-        series[k + 1] = power.scale(ExactScalar.rational((-1) ** k))
-        power = sp_mul(power, fsq)
-    product = {}
-    for tpow, poly in series.items():
-        add_into(product, tpow, sp_mul(fsq, poly))     # yfer^2 * term
-        add_into(product, tpow - 1, poly)    # ybos^2 * ybos^(-2k) shifts
-    return product == {0: SuperPolynomial.one(u)}

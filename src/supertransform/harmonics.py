@@ -7,7 +7,9 @@ forms.  Each basis is memoized per (degree, sector, universe) and
 shared as an immutable tuple; `harmonic_basis.cache_info()` gives the
 cache's size, hits and misses.  The f_{k,p,q} coupling polynomials and
 the dimension identity of the decomposition are evaluated as stated; a
-failed check is reported in the result, never patched.
+failed check is reported in the result, never patched.  The Fischer
+decomposition of the Grassmann component and the exact expansion in a
+given basis are test oracles, kept with the tests.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from __future__ import annotations
 import functools
 import math
 
-from ._linalg import nullspace, solve_rational
-from ._terms import add_into
+from ._linalg import nullspace
 from .operators import laplace, multiply_vector_square
 from .scalars import ExactScalar, gamma_half_integer
 from .superalg import (SuperPolynomial, homogeneous_monomial_count,
@@ -134,8 +135,7 @@ def decomposition_check(k, universe):
     exactly when one of its parts has a non-zero Laplacian.  Returns a
     report dict; failures are recorded, not corrected.  The statement
     needs m >= 1: at m = 0 the factors 1/Gamma(m/2+p+k-i) of f_poly hit
-    poles and the dimensions disagree; fischer_fermionic covers the
-    purely fermionic case.
+    poles and the dimensions disagree.
     """
     u = universe
     if u.m < 1:
@@ -180,74 +180,3 @@ def _rational_numerator(h):
     reduction runs over Q."""
     _, parts = integer_parts(h)
     return parts[(0, 0), 0]
-
-
-def fischer_fermionic(k, universe):
-    """Spanning family of the degree-k Grassmann component organised as
-    xfer^(2j) * H_fermionic(k-2j).
-
-    Returns (j, harmonic, product) triples; products that vanish by
-    nilpotency (harmonic degree + j beyond the pair count) are dropped,
-    which reproduces the j <= n-k bound of the decomposition.
-    """
-    u = universe
-    if not 0 <= k <= len(u.fermionic):
-        raise ValueError("degree outside Grassmann range")
-    family = []
-    for j in range(k // 2 + 1):
-        power = fermionic_square_power(u, j)
-        for h in harmonic_basis(k - 2 * j, "fermionic", u):
-            prod = sp_mul(power, h)
-            if prod:
-                family.append((j, h, prod))
-    return family
-
-
-def fischer_decompose(f, k=None):
-    """Write a degree-k Grassmann element as sum_j xfer^(2j) h_j.
-
-    Returns list of (j, h_j) with h_j fermionic-harmonic; exact solve
-    against the Fischer family.
-    """
-    u = f.universe
-    if k is None:
-        k = f.degree()
-    if k < 0:
-        return []
-    family = fischer_fermionic(k, u)
-    coeffs = express_in_basis(f, [prod for _, _, prod in family])
-    if coeffs is None:
-        raise ValueError("element is not in the degree-k component")
-    harmonics_by_j = {}
-    for (j, h, _), c in zip(family, coeffs):
-        add_into(harmonics_by_j, j, h.scale(c))
-    return sorted(harmonics_by_j.items())
-
-
-def express_in_basis(target, basis):
-    """Exact coefficients writing `target` in the given rational-coefficient
-    basis, or None if it is outside the span.
-
-    Works with arbitrary ExactScalar targets by solving one rational
-    system per (pi-power, sqrt2) component.
-    """
-    columns = []
-    for el in basis:
-        col = {}
-        for key, c in el.terms.items():
-            col[key] = c.rational_value()
-        columns.append(col)
-    ncols = len(basis)
-    rhs_by_radical = {}
-    for key, c in target.terms.items():
-        for rad, q in c.terms.items():
-            rhs_by_radical.setdefault(rad, {})[key] = q
-    out = [ExactScalar.zero() for _ in range(ncols)]
-    for rad, rhs in rhs_by_radical.items():
-        sol = solve_rational(columns, rhs, ncols)
-        if sol is None:
-            return None
-        for j, q in enumerate(sol):
-            if q:
-                out[j] = out[j] + ExactScalar({rad: q})
-    return out

@@ -13,57 +13,27 @@ and E(t^i h) = (2i+k) t^i h, since Delta through the envelope is
 Delta + 2E + M + x^2 (the conjugation relations stated in operators).
 The recursion is how the family is computed; the Rodrigues route (j
 applications of operators.laplace or operators.scalar_square) is its
-test oracle.  Every weight of the series is an integer, so an exact h is
-split once into int numerator polynomials over one denominator, one per
-radical and real or imaginary part (superalg.integer_parts); the
-harmonicity check, the x^2 passes and the weights run on ints, and the
-ring coefficients are rebuilt once per output term.  ch_explicit is the
-displayed closed coefficient formula, whose i-th coefficient is
-2^(t-i) c~_i (tested).
+test oracle, and the displayed closed coefficient formula, whose i-th
+coefficient is 2^(t-i) c~_i, is another (both in the tests).  Every
+weight of the series is an integer, so an exact h is split once into int
+numerator polynomials over one denominator, one per radical and real or
+imaginary part (superalg.integer_parts); the harmonicity check, the x^2
+passes and the weights run on ints, and the ring coefficients are
+rebuilt once per output term.
 """
 
 from __future__ import annotations
 
 import functools
-import math
-from fractions import Fraction
 
-from ._terms import add_into
 from .harmonics import harmonic_basis
-from .operators import (bosonic_derivative, fermionic_derivative, laplace,
-                        multiply_vector_square)
-from .scalars import ExactScalar, rising_factorial
-from .superalg import (GaussianFunction, SuperPolynomial,
-                       from_integer_parts, homogeneous_monomial_count,
-                       integer_parts, is_float_lane, mask_bits)
+from .operators import laplace, multiply_vector_square
+from .superalg import (GaussianFunction, from_integer_parts,
+                       homogeneous_monomial_count, integer_parts,
+                       is_float_lane)
 
 # monomials of the top degree 2j+k of one psi element (output budget)
 MAX_MONOMIALS = 50000
-
-
-def _check_order(order, name):
-    if order < 0:
-        raise ValueError(f"Hermite order {name} must be non-negative")
-
-
-def ch_rodrigues(t, h_k):
-    """exp(-x^2/2) (d_x+x)^t exp(x^2/2) h_k for even t and harmonic h_k.
-
-    Returns the polynomial CH_{t,M,k} * h_k (envelope stripped).
-    """
-    _check_order(t, "t")
-    if t % 2:
-        raise ValueError("scalar pathway needs even t")
-    return psi_element(t // 2, h_k).poly
-
-
-def ch_rodrigues_rescaled(t, h_k):
-    """exp(-x^2/2) (d_x)^t exp(x^2/2) h_k = Delta^(t/2) through the
-    envelope; the rescaled variant used by the Radon eigenbasis."""
-    _check_order(t, "t")
-    if t % 2:
-        raise ValueError("scalar pathway needs even t")
-    return psi_tilde_element(t // 2, h_k).poly
 
 
 @functools.cache
@@ -80,35 +50,6 @@ def ch_coefficients(j, m_value, k):
             nxt[i + 1] += ci
         c = nxt
     return tuple(c)
-
-
-def ch_explicit(t, m_value, k):
-    """Displayed coefficient formula for CH~_{2t,M,k}; even polynomial in
-    x^2, returned as a list of ExactScalar coefficients of (x^2)^i.
-
-    For M <= -2 even the factorial variant (with n = -M/2) is
-    used; elsewhere the Gamma-ratio form, as a rising factorial so only
-    genuine poles error out.
-    """
-    coeffs = []
-    if m_value <= -2 and m_value % 2 == 0:
-        n = -m_value // 2
-        if n - k - t < 0:
-            raise ValueError("gamma pole")
-        for i in range(t + 1):
-            c = Fraction(4 ** (t - i) * math.comb(t, i)
-                         * math.factorial(n - k - i),
-                         math.factorial(n - k - t))
-            if (t - i) % 2:
-                c = -c
-            coeffs.append(ExactScalar.rational(c))
-        return coeffs
-    base = Fraction(2 * k + m_value, 2)
-    for i in range(t + 1):
-        ratio = rising_factorial(base + i, t - i)
-        c = 4 ** (t - i) * math.comb(t, i) * ratio
-        coeffs.append(ExactScalar.rational(c))
-    return coeffs
 
 
 def psi_element(j, h_k):
@@ -134,7 +75,8 @@ def _hermite_series(j, h_k, rescaled):
     passes 1e-10 times its largest coefficient modulus (rounding).
     Refused before any product when degree 2j+k has more than
     MAX_MONOMIALS monomials: the output grows with that count."""
-    _check_order(j, "j")
+    if j < 0:
+        raise ValueError("Hermite order j must be non-negative")
     float_lane = is_float_lane(h_k)
     denom, parts = (1, {None: h_k}) if float_lane else integer_parts(h_k)
     bound = 1e-10 * max(map(abs, h_k.terms.values()), default=0) \
@@ -194,62 +136,3 @@ def psi_span(universe, cap):
             for l, h in enumerate(basis):
                 out.append((j, k, l, psi_element(j, h)))
     return tuple(out)
-
-
-def substitute_derivatives(h, target):
-    """Apply H(d_x) to a Gaussian-class function, where H(d_x) replaces
-    x_i -> -d/dx_i, q_{2i} -> 2 d/dq_{2i-1}, q_{2i-1} -> -2 d/dq_{2i}.
-
-    Monomial factors act as composed operators in written order (the
-    rightmost factor applies first)."""
-    u = h.universe
-    out = GaussianFunction(SuperPolynomial.zero(u), target.envelope)
-    for (bos, mask), c in h.terms.items():
-        g = target
-        factors = []
-        for i, e in enumerate(bos):
-            factors.extend([("b", i)] * e)
-        for jdx in mask_bits(mask):
-            factors.append(("f", jdx))
-        for kind, idx in reversed(factors):
-            if kind == "b":
-                g = bosonic_derivative(g, idx).scale(-1)
-            elif idx % 2 == 0:
-                g = fermionic_derivative(g, idx + 1).scale(-2)
-            else:
-                g = fermionic_derivative(g, idx - 1).scale(2)
-        out = out + g.scale(c)
-    return out
-
-
-def substhermite_check(k, l, j, m, n):
-    """Exact verdict on the combinatorial identity coupling the two
-    explicit Clifford-Hermite families to f_{k,l-2k-j,j}.
-
-    Both sides are expanded as polynomials in (u, v) = (xbos^2, xfer^2)
-    and compared coefficient-wise.
-    """
-    p = l - 2 * k - j
-    if p < 0 or j > n or k + j > n:
-        raise ValueError("indices outside the identity's ranges")
-    lhs = {}
-    for i in range(k + 1):
-        gamma_inv = _inv_gamma_half(m + 2 * (l - k - j - i))
-        outer = ExactScalar.rational(
-            math.comb(k, i) * math.factorial(n - j - i)) * gamma_inv
-        bos = ch_explicit(k - i, m, l - 2 * k - j)
-        fer = ch_explicit(i, -2 * n, j)
-        for pu, cu in enumerate(bos):
-            for pv, cv in enumerate(fer):
-                add_into(lhs, (pu, pv), outer * cu * cv)
-    rhs = {}
-    for i in range(k + 1):
-        gamma_inv = _inv_gamma_half(m + 2 * (p + k - i))
-        rhs[(k - i, i)] = ExactScalar.rational(
-            math.comb(k, i) * math.factorial(n - j - i)) * gamma_inv
-    return lhs == rhs
-
-
-def _inv_gamma_half(numerator):
-    from .scalars import gamma_half_integer
-    return gamma_half_integer(numerator).inverse()

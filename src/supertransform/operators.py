@@ -27,8 +27,7 @@ from fractions import Fraction
 
 from ._terms import add_into
 from .superalg import (GaussianFunction, SuperPolynomial,
-                       neutral_bosonic_var, neutral_fermionic_var,
-                       require_envelope, sp_mul)
+                       neutral_bosonic_var, neutral_fermionic_var, sp_mul)
 
 
 def bosonic_derivative(f, i):
@@ -128,15 +127,3 @@ def multiply_vector_square(f, sector="full"):
 def scalar_square(f):
     """(d_x + x)^2 = Delta + x^2 + 2E + M as a scalar operator."""
     return _sl2(f, "full", 1, 2, f.universe.superdim, 1)
-
-
-def gaussian_expand_fermionic(f):
-    """Rewrite poly*exp(x^2/2) as (poly * expanded fermionic factor)
-    with only the bosonic envelope left implicit.
-
-    Cross-check helper for the envelope product rules: operators applied
-    through the envelope must agree with this explicit route.
-    """
-    from .superalg import fermionic_envelope_poly
-    require_envelope(f)
-    return sp_mul(f.poly, fermionic_envelope_poly(f.universe))

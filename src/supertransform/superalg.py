@@ -66,16 +66,16 @@ class VariableUniverse:
         return f"VariableUniverse({self.bosonic}, {self.fermionic})"
 
 
-def doubled_universe(u, bos_prefix="y", fer_prefix="s"):
-    """Universe holding u's symbols followed by a renamed second copy.
+def doubled_universe(u):
+    """Universe holding u's symbols followed by a second copy, bosonic
+    y1..ym and fermionic s1..s2n.
 
     The second copy's fermionic block sits at indices 2n..4n-1, which is
     what the transform kernels need.
     """
     return VariableUniverse(
-        u.bosonic + tuple(f"{bos_prefix}{i + 1}" for i in range(u.m)),
-        u.fermionic + tuple(f"{fer_prefix}{j + 1}"
-                            for j in range(len(u.fermionic))),
+        u.bosonic + tuple(f"y{i + 1}" for i in range(u.m)),
+        u.fermionic + tuple(f"s{j + 1}" for j in range(len(u.fermionic))),
     )
 
 
@@ -492,11 +492,15 @@ class GaussianFunction:
         return self.poly.universe
 
     def __add__(self, other):
+        if not isinstance(other, GaussianFunction):
+            return NotImplemented
         if self.envelope != other.envelope:
             raise ValueError("cannot add different envelopes")
         return GaussianFunction(self.poly + other.poly, self.envelope)
 
     def __sub__(self, other):
+        if not isinstance(other, GaussianFunction):
+            return NotImplemented
         if self.envelope != other.envelope:
             raise ValueError("cannot add different envelopes")
         return GaussianFunction(self.poly - other.poly, self.envelope)
@@ -546,40 +550,3 @@ def fermionic_envelope_poly(u, width=Fraction(1, 2), sign=1):
                     ExactScalar.rational(Fraction(sign) * width)})
         out = sp_mul(out, pair)
     return out
-
-
-def substitute_ray(f, ray_universe=None):
-    """Substitute x_i -> r*w_i and q_j -> r*w`_j into a Gaussian function.
-
-    Output lives in a universe with bosonic (r, w1..wm) and the fermionic
-    w-symbols; the envelope becomes exp(r^2 * w^2 / 2) with w^2 left
-    symbolic for the mod (w^2+1) reduction downstream.
-    """
-    require_envelope(f)
-    u = f.universe
-    if ray_universe is None:
-        ray_universe = VariableUniverse(
-            ("r",) + tuple(f"w{i + 1}" for i in range(u.m)),
-            tuple(f"wf{j + 1}" for j in range(len(u.fermionic))))
-    t = ray_universe
-    out = {}
-    for (bos, mask), c in f.poly.terms.items():
-        deg = sum(bos) + mask.bit_count()
-        add_into(out, ((deg,) + bos, mask), c)
-    return RaySubstituted(SuperPolynomial(t, out))
-
-
-class RaySubstituted:
-    """Polynomial in (r, w) carrying the symbolic envelope exp(r^2 w^2/2)."""
-
-    __slots__ = ("poly",)
-
-    def __init__(self, poly):
-        self.poly = poly
-
-    @property
-    def universe(self):
-        return self.poly.universe
-
-    def __repr__(self):
-        return f"RaySubstituted<{self.poly!r} * exp(r^2*w^2/2)>"

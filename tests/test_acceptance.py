@@ -9,16 +9,11 @@ import random
 from fractions import Fraction
 
 from supertransform.cliffweyl import (CValued, dirac_apply, euler_cvalued,
-                                      power_rule_check, vector_mul)
+                                      vector_mul)
 from supertransform.fourier import (convolution_fermionic, delta_fourier,
-                                    fermionic_fourier, fermionic_kernel,
-                                    kernel_route,
-                                    operator_exponential_fourier,
-                                    parseval_check, super_fourier)
-from supertransform.fracfourier import (frac_calculus_check,
-                                        frac_fermionic_table,
-                                        frac_dirac_consequence_check,
-                                        frac_fourier, general_kernel_check,
+                                    fermionic_fourier, parseval_check,
+                                    super_fourier)
+from supertransform.fracfourier import (frac_fermionic_table, frac_fourier,
                                         max_coeff_deviation,
                                         relative_deviation,
                                         to_float_gaussian)
@@ -28,8 +23,7 @@ from supertransform.fundsol import (RadialFunction, fundsol_prefactor,
                                     verify_harmonic_away_from_origin)
 from supertransform.harmonics import (decomposition_check,
                                       fermionic_square_power, harmonic_basis)
-from supertransform.hermite import (psi_span, psi_tilde_element,
-                                    substhermite_check)
+from supertransform.hermite import psi_span, psi_tilde_element
 from supertransform.operators import (bosonic_derivative,
                                       fermionic_derivative)
 from supertransform.radon import radon, radon_expected_eigenbasis
@@ -39,6 +33,13 @@ from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      fermionic_envelope_poly, pairing,
                                      sp_mul, sp_rename,
                                      sp_substitute_fermionic)
+from tests.oracles import (fermionic_kernel, kernel_route,
+                           operator_exponential_fourier)
+from tests.test_cliffweyl import power_rule_check
+from tests.test_fracfourier import (frac_calculus_check,
+                                    frac_dirac_consequence_check,
+                                    general_kernel_check)
+from tests.test_hermite import substhermite_check
 
 FULL_CONFIGS = [(1, 1), (2, 1), (2, 2), (3, 2)]
 

@@ -1,9 +1,9 @@
 import pytest
 
-from supertransform.cliffweyl import (CValued, CWElement, cw_mul, dirac_apply,
-                                      euler_cvalued, power_rule_check,
-                                      monogenic_basis, vector_mul,
-                                      vector_pow_mul)
+from supertransform.cliffweyl import (CValued, CWElement, _lift, cw_mul,
+                                      dirac_apply, euler_cvalued,
+                                      laplace_cvalued, monogenic_basis,
+                                      vector_mul, vector_pow_mul)
 from supertransform.operators import laplace
 from supertransform.scalars import ExactScalar
 from supertransform.superalg import SuperPolynomial, VariableUniverse
@@ -99,6 +99,39 @@ def test_x_squared_scalar_part_is_vector_square():
         one = CValued.from_scalar(SuperPolynomial.one(u))
         xx = vector_pow_mul(one, 2)
         assert xx.scalar_function() == vector_square(u)
+
+
+def power_rule_check(s, r_k, variant):
+    """Exact check of the three basic Dirac/Laplace rules.
+
+    r_k must be homogeneous of degree k; variant selects which of the
+    three identities is tested.  Returns True iff it holds exactly.
+    """
+    r_k = _lift(r_k)
+    if not r_k.is_homogeneous():
+        raise ValueError("input must be homogeneous")
+    u = r_k.universe
+    big_m = u.superdim
+    k = max(r_k.degree(), 0)
+    if variant == "dirac_even":
+        lhs = dirac_apply(vector_pow_mul(r_k, 2 * s))
+        rhs = (vector_pow_mul(r_k, 2 * s - 1).scale(2 * s)
+               if s else CValued(u, {}))
+        rhs = rhs + vector_pow_mul(dirac_apply(r_k), 2 * s)
+        return lhs == rhs
+    if variant == "dirac_odd":
+        lhs = dirac_apply(vector_pow_mul(r_k, 2 * s + 1))
+        rhs = vector_pow_mul(r_k, 2 * s).scale(2 * k + big_m + 2 * s)
+        rhs = rhs - vector_pow_mul(dirac_apply(r_k), 2 * s + 1)
+        return lhs == rhs
+    if variant == "laplace":
+        lhs = laplace_cvalued(vector_pow_mul(r_k, 2 * s))
+        rhs = (vector_pow_mul(r_k, 2 * s - 2)
+               .scale(2 * s * (2 * k + big_m + 2 * s - 2))
+               if s else CValued(u, {}))
+        rhs = rhs + vector_pow_mul(laplace_cvalued(r_k), 2 * s)
+        return lhs == rhs
+    raise ValueError(f"unknown variant {variant!r}")
 
 
 def test_power_rules_all_variants(rng):

@@ -6,9 +6,7 @@ from supertransform.fourier import (berezin, convolution_fermionic,
                                     delta_fourier, fermionic_delta,
                                     fermionic_fourier,
                                     fermionic_fourier_gaussian,
-                                    fermionic_kernel, bosonic_fourier,
-                                    grassmann_shift, kernel_route,
-                                    operator_exponential_fourier,
+                                    bosonic_fourier, grassmann_shift,
                                     parseval_check, super_fourier,
                                     super_fourier_cvalued, super_integral,
                                     super_integral_pair)
@@ -17,14 +15,16 @@ from supertransform.fracfourier import (frac_fourier, frac_fourier_cvalued,
                                         max_coeff_deviation)
 from supertransform.harmonics import (fermionic_square_power, harmonic_basis)
 from supertransform.hermite import psi_span
-from supertransform.operators import gaussian_expand_fermionic, laplace
+from supertransform.operators import laplace
 from supertransform.radon import radon
 from supertransform.scalars import ExactScalar
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse,
                                      fermionic_envelope_poly, pairing,
-                                     sp_mul, sp_rename, substitute_ray)
+                                     sp_mul, sp_rename)
 from tests.conftest import random_poly, random_scalar
+from tests.oracles import (fermionic_kernel, gaussian_expand_fermionic,
+                           kernel_route, operator_exponential_fourier)
 
 
 def _factorial(k):
@@ -758,7 +758,6 @@ _ENVELOPE_CALLS = {
     "operator_exponential_fourier":
         lambda f, good: operator_exponential_fourier(f, "+"),
     "gaussian_expand_fermionic": lambda f, good: gaussian_expand_fermionic(f),
-    "substitute_ray": lambda f, good: substitute_ray(f),
     "super_fourier_cvalued": lambda f, good: super_fourier_cvalued(f, "+"),
     "frac_fourier_cvalued": lambda f, good: frac_fourier_cvalued(f, 0.5),
 }

@@ -2,13 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+from supertransform import fundsol
+from supertransform._terms import add_into
 from supertransform.fundsol import (RadialFunction, SuperRadial,
-                                    fundsol_prefactor,
-                                    geometric_inverse_check, nu_poly_laplace,
+                                    fundsol_prefactor, nu_poly_laplace,
                                     radial_laplace, solve_radial_poisson,
                                     super_fundamental_solution,
                                     verify_harmonic_away_from_origin)
 from supertransform.scalars import ExactScalar
+from supertransform.superalg import (SuperPolynomial, VariableUniverse,
+                                     sp_mul)
 
 
 def test_radial_laplace_harmonic_base_cases():
@@ -116,6 +119,30 @@ def test_super_fundamental_solution_n0():
     assert sr.parts == {0: nu_poly_laplace(1, 3)}
 
 
+def test_super_fundamental_solution_equals_each_nu_scaled():
+    # the carried nu chain against nu_{2k+2} built afresh for every k;
+    # m = 1, 2 and the even m >= 4 hit the log resonances
+    for m in range(1, 7):
+        for n in range(6):
+            want = SuperRadial(n, {n - k: nu_poly_laplace(k + 1, m).scale(
+                fundsol_prefactor(k, n)) for k in range(n + 1)})
+            assert super_fundamental_solution(m, n) == want, (m, n)
+
+
+def test_super_fundamental_solution_solves_once_per_order(monkeypatch):
+    calls = []
+
+    def counted(rhs, m):
+        calls.append(m)
+        return solve_radial_poisson(rhs, m)
+
+    monkeypatch.setattr(fundsol, "solve_radial_poisson", counted)
+    for m, n in [(3, 0), (2, 5), (4, 30)]:
+        calls.clear()
+        super_fundamental_solution(m, n)
+        assert len(calls) == n, (m, n)
+
+
 def test_verify_harmonic_away_from_origin():
     for m in (1, 2, 3, 4):
         for n in (0, 1, 2, 3):
@@ -127,6 +154,29 @@ def test_verify_detects_wrong_constant():
     sr = super_fundamental_solution(3, 1)
     broken = SuperRadial(1, {0: sr.parts[0].scale(2), 1: sr.parts[1]})
     assert not verify_harmonic_away_from_origin(broken, 3)
+
+
+def geometric_inverse_check(n):
+    """Symbolic check of (y^2)^-1 = ybos^-2 sum (-1)^k (yfer^2/ybos^2)^k:
+    multiply back by yfer^2 + ybos^2 and confirm the telescope to 1.
+
+    Terms are tracked as {power of ybos^-2: Grassmann polynomial}.
+    """
+    u = VariableUniverse.standard(0, n)
+    fsq = SuperPolynomial.zero(u)
+    for p in range(n):
+        fsq = fsq + SuperPolynomial(
+            u, {((), (1 << 2 * p) | (1 << (2 * p + 1))): ExactScalar.one()})
+    series = {}
+    power = SuperPolynomial.one(u)
+    for k in range(n + 1):
+        series[k + 1] = power.scale(ExactScalar.rational((-1) ** k))
+        power = sp_mul(power, fsq)
+    product = {}
+    for tpow, poly in series.items():
+        add_into(product, tpow, sp_mul(fsq, poly))     # yfer^2 * term
+        add_into(product, tpow - 1, poly)    # ybos^2 * ybos^(-2k) shifts
+    return product == {0: SuperPolynomial.one(u)}
 
 
 def test_geometric_inverse_series():

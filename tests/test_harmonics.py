@@ -1,14 +1,14 @@
 import pytest
 
 from supertransform import harmonics
-from supertransform.harmonics import (decomposition_check, express_in_basis,
-                                      f_poly, fischer_decompose,
-                                      fischer_fermionic, harmonic_basis,
-                                      harmonic_dimension)
+from supertransform.harmonics import (decomposition_check, f_poly,
+                                      harmonic_basis, harmonic_dimension)
 from supertransform.operators import euler, laplace
 from supertransform.scalars import ExactScalar
 from supertransform.superalg import (SuperPolynomial, VariableUniverse,
                                      fermionic_square, sp_mul, vector_square)
+from tests.oracles import (express_in_basis, fischer_decompose,
+                           fischer_fermionic)
 
 
 def _binom(a, b):

@@ -1,35 +1,33 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from supertransform._linalg import SparseRREF
+from supertransform._terms import add_into
 from supertransform.harmonics import harmonic_basis
-from supertransform.hermite import (ch_coefficients, ch_explicit,
-                                    ch_rodrigues, ch_rodrigues_rescaled,
-                                    psi_element, psi_span,
-                                    psi_tilde_element, substhermite_check,
-                                    substitute_derivatives)
+from supertransform.hermite import (ch_coefficients, psi_element, psi_span,
+                                    psi_tilde_element)
 from supertransform.operators import laplace, scalar_square
-from supertransform.scalars import ExactScalar
+from supertransform.scalars import ExactScalar, gamma_half_integer
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse, sp_mul, vector_square)
+from tests.oracles import ch_explicit, substitute_derivatives
 
 
 def test_ch_rodrigues_t0_identity():
     u = VariableUniverse.standard(2, 1)
     h = SuperPolynomial.bosonic_var(u, 0)
-    assert ch_rodrigues(0, h) == h
+    assert psi_element(0, h).poly == h
     with pytest.raises(ValueError, match="harmonic"):
-        ch_rodrigues(2, SuperPolynomial(u, {((2, 0), 0): ExactScalar.one()}))
-    with pytest.raises(ValueError, match="even"):
-        ch_rodrigues(1, h)
+        psi_element(1, SuperPolynomial(u, {((2, 0), 0): ExactScalar.one()}))
 
 
 def test_ch_rescaled_degree_two():
     # CH~_{2,M,0} = x^2 + M via the Laplacian route
     for m, n in [(1, 0), (2, 1), (1, 1), (3, 2)]:
         u = VariableUniverse.standard(m, n)
-        got = ch_rodrigues_rescaled(2, SuperPolynomial.one(u))
+        got = psi_tilde_element(1, SuperPolynomial.one(u)).poly
         want = vector_square(u) + SuperPolynomial.scalar(u, u.superdim)
         assert got == want
 
@@ -38,7 +36,7 @@ def test_ch_rescaled_degree_two_on_harmonic_of_degree_one():
     # CH~_{2,M,1} = x^2 + 2 + M
     u = VariableUniverse.standard(2, 1)
     h = SuperPolynomial.bosonic_var(u, 1)
-    got = ch_rodrigues_rescaled(2, h)
+    got = psi_tilde_element(1, h).poly
     want = sp_mul(vector_square(u)
                   + SuperPolynomial.scalar(u, 2 + u.superdim), h)
     assert got == want
@@ -63,7 +61,7 @@ def test_explicit_vs_rodrigues_normalization_discrepancy():
     # patched; the operator route (computed by hermite.ch_coefficients)
     # is authoritative everywhere else.
     u = VariableUniverse.standard(1, 0)
-    rod = ch_rodrigues_rescaled(2, SuperPolynomial.one(u))
+    rod = psi_tilde_element(1, SuperPolynomial.one(u)).poly
     # as a polynomial in x^2 = -x1^2: [M, 1]
     assert rod == vector_square(u) + SuperPolynomial.scalar(u, u.superdim)
     exp = ch_explicit(1, 1, 0)
@@ -124,8 +122,7 @@ def test_psi_refuses_inhomogeneous_or_non_harmonic_input():
     not_harmonic = sp_mul(x1, x1)
     inhomogeneous = x1 + SuperPolynomial.one(u)     # a sum of harmonics
     for fn, order in [(psi_element, 1), (psi_tilde_element, 1),
-                      (psi_element, 0), (ch_rodrigues, 2),
-                      (ch_rodrigues_rescaled, 0)]:
+                      (psi_element, 0), (psi_tilde_element, 0)]:
         for h in (not_harmonic, inhomogeneous):
             with pytest.raises(ValueError, match="homogeneous harmonic"):
                 fn(order, h)
@@ -229,6 +226,38 @@ def test_converse_lemma_detects_x2_component():
         assert substitute_derivatives(h, env) == GaussianFunction(h)
 
 
+def substhermite_check(k, l, j, m, n):
+    """Exact verdict on the combinatorial identity coupling the two
+    explicit Clifford-Hermite families to f_{k,l-2k-j,j}.
+
+    Both sides are expanded as polynomials in (u, v) = (xbos^2, xfer^2)
+    and compared coefficient-wise.
+    """
+    p = l - 2 * k - j
+    if p < 0 or j > n or k + j > n:
+        raise ValueError("indices outside the identity's ranges")
+    lhs = {}
+    for i in range(k + 1):
+        gamma_inv = _inv_gamma_half(m + 2 * (l - k - j - i))
+        outer = ExactScalar.rational(
+            math.comb(k, i) * math.factorial(n - j - i)) * gamma_inv
+        bos = ch_explicit(k - i, m, l - 2 * k - j)
+        fer = ch_explicit(i, -2 * n, j)
+        for pu, cu in enumerate(bos):
+            for pv, cv in enumerate(fer):
+                add_into(lhs, (pu, pv), outer * cu * cv)
+    rhs = {}
+    for i in range(k + 1):
+        gamma_inv = _inv_gamma_half(m + 2 * (p + k - i))
+        rhs[(k - i, i)] = ExactScalar.rational(
+            math.comb(k, i) * math.factorial(n - j - i)) * gamma_inv
+    return lhs == rhs
+
+
+def _inv_gamma_half(numerator):
+    return gamma_half_integer(numerator).inverse()
+
+
 def test_substhermite_identity():
     # k=0 collapses to f_{0,l-j,j} on both sides
     assert substhermite_check(0, 2, 1, 2, 1)
@@ -269,7 +298,7 @@ def test_explicit_fermionic_variant_same_ratio():
         for k in (0, 1):
             explicit = ch_explicit(t, -6, k)
             h = harmonic_basis(k, "fermionic", u).elements[0]
-            rod = ch_rodrigues_rescaled(2 * t, h)
+            rod = psi_tilde_element(t, h).poly
             claim = SuperPolynomial.zero(u)
             for i, c in enumerate(explicit):
                 w = c * ExactScalar.rational(2 ** (t - i)).inverse()
@@ -281,8 +310,7 @@ def test_explicit_fermionic_variant_same_ratio():
 @pytest.mark.parametrize("fn, order", [(psi_element, -1),
                                        (psi_element, -2),
                                        (psi_tilde_element, -1),
-                                       (ch_rodrigues, -2),
-                                       (ch_rodrigues_rescaled, -2)])
+                                       (psi_tilde_element, -2)])
 def test_negative_hermite_order_is_refused(fn, order):
     u = VariableUniverse.standard(2, 1)
     h = SuperPolynomial.bosonic_var(u, 0)

@@ -1,0 +1,64 @@
+"""The package's import graph, read from the source by `ast`: the
+transform core stays below the basis layers, and neither scipy nor the
+test oracles reach the package.  Imports inside functions count."""
+
+import ast
+import pathlib
+
+import pytest
+
+import supertransform
+
+PACKAGE = pathlib.Path(supertransform.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+
+# the transform core and what it stands on, against the basis layers
+CORE = ("fourier", "radon", "fracfourier", "operators", "superalg",
+        "scalars")
+BASIS_LAYERS = {"harmonics", "hermite", "cliffweyl", "fundsol"}
+
+
+def imported_modules(name):
+    """Dotted names of every module that the package module `name`
+    imports anywhere in its source; relative imports are resolved
+    against the package."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = ".".join(filter(None, ("supertransform", base)))
+            # `from . import x` and `from pkg import x` may name modules
+            out.add(base)
+            out.update(f"{base}.{alias.name}" for alias in node.names)
+    return out
+
+
+def package_layers(name):
+    """The package modules that module `name` imports."""
+    return {dotted.split(".")[1] for dotted in imported_modules(name)
+            if dotted.startswith("supertransform.")}
+
+
+def test_the_scan_sees_top_level_and_function_level_imports():
+    assert {"superalg", "operators", "harmonics"} <= package_layers("hermite")
+    # hermite.phi_element imports cliffweyl inside the function
+    assert "cliffweyl" in package_layers("hermite")
+    assert "operators" in package_layers("cliffweyl")     # from . import
+    assert "argparse" in imported_modules("cli")
+    assert set(CORE) | BASIS_LAYERS <= set(MODULES)
+
+
+@pytest.mark.parametrize("name", CORE)
+def test_core_modules_do_not_import_the_basis_layers(name):
+    assert not package_layers(name) & BASIS_LAYERS
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_package_module_imports_scipy_or_the_tests(name):
+    roots = {dotted.split(".")[0] for dotted in imported_modules(name)}
+    assert "scipy" not in roots
+    assert "tests" not in roots

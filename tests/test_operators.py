@@ -3,8 +3,7 @@ import pytest
 from supertransform.fracfourier import (relative_deviation,
                                         to_float_gaussian, to_float_poly)
 from supertransform.operators import (bosonic_derivative, euler,
-                                      fermionic_derivative,
-                                      gaussian_expand_fermionic, laplace,
+                                      fermionic_derivative, laplace,
                                       multiply_bosonic_var,
                                       multiply_fermionic_var,
                                       multiply_vector_square, scalar_square)
@@ -15,6 +14,7 @@ from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      fermionic_square, sp_mul,
                                      vector_square)
 from tests.conftest import random_poly
+from tests.oracles import gaussian_expand_fermionic
 
 
 def test_euler_counts_degree():

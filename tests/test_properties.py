@@ -13,7 +13,7 @@ from supertransform.expr import ParseError, _power_pairs, parse, \
     render_poly_text
 
 from supertransform.fourier import bosonic_fourier, \
-    fermionic_fourier_gaussian, kernel_route, parseval_check, super_fourier
+    fermionic_fourier_gaussian, parseval_check, super_fourier
 from supertransform.fracfourier import frac_fermionic_table, frac_fourier, \
     relative_deviation
 from supertransform.harmonics import harmonic_basis
@@ -28,9 +28,10 @@ from supertransform.scalars import ExactScalar, QQi
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse, from_integer_parts,
                                      integer_parts, is_float_lane, sp_mul)
-from tests.oracles import dirac_via_derivatives, mehler_series, \
-    parse_by_tokens, peel_bosonic_fourier, phi_via_derivatives, \
-    reduce_mod_sphere_per_monomial, vector_mul_via_products
+from tests.oracles import dirac_via_derivatives, kernel_route, \
+    mehler_series, parse_by_tokens, peel_bosonic_fourier, \
+    phi_via_derivatives, reduce_mod_sphere_per_monomial, \
+    vector_mul_via_products
 
 _rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 _scalars = st.builds(

@@ -10,8 +10,7 @@ from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      homogeneous_monomials, merge_masks,
                                      pairing,
                                      sp_mul, sp_rename,
-                                     sp_substitute_fermionic, substitute_ray,
-                                     vector_square)
+                                     sp_substitute_fermionic, vector_square)
 from tests.conftest import random_poly
 
 one = ExactScalar.one
@@ -223,26 +222,26 @@ def test_symplectic_invariance_of_pairing(rng):
             assert sp_substitute_fermionic(p, images) == p
 
 
-def test_substitute_ray():
-    u = VariableUniverse.standard(1, 0, bos_prefix="y")
-    f = GaussianFunction(SuperPolynomial.one(u))
-    r = substitute_ray(f)
-    assert r.universe.bosonic == ("r", "w1")
-    assert r.poly == SuperPolynomial.one(r.universe)
-
-    f = GaussianFunction(SuperPolynomial.bosonic_var(u, 0))
-    r = substitute_ray(f)
-    assert r.poly == SuperPolynomial(r.universe, {((1, 1), 0): one()})
-
-    u2 = VariableUniverse.standard(1, 1, bos_prefix="y")
-    f = GaussianFunction(SuperPolynomial.fermionic_var(u2, 0))
-    r = substitute_ray(f)
-    assert r.universe.fermionic == ("wf1", "wf2")
-    assert r.poly == SuperPolynomial(r.universe, {((1, 0), 0b01): one()})
-
-    with pytest.raises(ValueError, match="envelope"):
-        substitute_ray(GaussianFunction(SuperPolynomial.one(u2),
-                                        envelope=False))
+def test_gaussian_function_refuses_other_operands_with_type_error():
+    # the reverse order already fails in TermMap; either order raises
+    # TypeError, never an internal AttributeError
+    u = VariableUniverse.standard(2, 1)
+    g = GaussianFunction(SuperPolynomial.bosonic_var(u, 0))
+    p = SuperPolynomial.fermionic_var(u, 1)
+    for other in (p, 1, Fraction(1, 2), one()):
+        with pytest.raises(TypeError):
+            g + other
+        with pytest.raises(TypeError):
+            g - other
+        with pytest.raises(TypeError):
+            other + g
+        with pytest.raises(TypeError):
+            other - g
+    with pytest.raises(ValueError, match="different envelopes"):
+        g + GaussianFunction(p, envelope=False)
+    with pytest.raises(ValueError, match="different envelopes"):
+        g - GaussianFunction(p, envelope=False)
+    assert g + GaussianFunction(p) - GaussianFunction(p) == g
 
 
 def test_merge_masks_sign():
