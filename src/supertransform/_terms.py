@@ -61,5 +61,10 @@ class TermMap:
         return self._like({key: s for key, v in self.terms.items()
                            if (s := v * c)})
 
+    def map_coefficients(self, fn):
+        """fn applied to every coefficient, dropping the zeros it makes."""
+        return self._like({key: s for key, v in self.terms.items()
+                           if (s := fn(v))})
+
     def __bool__(self):
         return bool(self.terms)

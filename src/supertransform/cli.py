@@ -104,18 +104,17 @@ def _render(result, fmt):
 
 
 def _render_radon(res, fmt):
-    exprmod.check_render_digits(c for ppoly in res.terms.values()
-                                for c in ppoly.values())
+    exprmod.check_render_digits(res.terms.values())
     if fmt == "json":
         js = res.to_json()
         js["schema"] = "supertransform/1"
         return json.dumps(js)
     bits = []
-    for (bos, mask), ppoly in sorted(res.terms.items()):
+    for (bos, mask), ppoly in res.by_omega():
         mono = exprmod._monomial_text(res.universe, bos, mask)
         ptxt = " + ".join(
             f"({c.render()})" + (f"*p^{e}" if e > 1 else "*p" if e else "")
-            for e, c in sorted(ppoly.items()))
+            for e, c in ppoly)
         piece = f"[{ptxt}]*exp(-p^2/2)"
         if mono:
             piece += f" (x) {mono}"
@@ -140,6 +139,8 @@ def run(args, source):
         sr = super_fundamental_solution(args.m, args.n)
         if not verify_harmonic_away_from_origin(sr, args.m):
             raise ValueError("internal telescope check failed")
+        exprmod.check_render_digits(c for r in sr.parts.values()
+                                    for c in r.terms.values())
         return sr.render()
     if cmd == "hermite":
         basis = harmonic_basis(args.k, "full", u)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 
-from . import operators
 from ._terms import TermMap, add_into, canonical
 from .scalars import ExactScalar
 from .superalg import (GaussianFunction, SuperPolynomial,
@@ -277,21 +276,6 @@ def vector_mul(f):
     """Left multiplication by the vector variable x = sum x_i e_i
     + sum q_j E[j]."""
     return _odd_pass(f, 0, 1)
-
-
-def vector_pow_mul(f, j):
-    for _ in range(j):
-        f = vector_mul(f)
-    return f
-
-
-def laplace_cvalued(f):
-    """Scalar Laplacian applied componentwise to a CValued function."""
-    return _lift(f).map_parts(operators.laplace)
-
-
-def euler_cvalued(f):
-    return _lift(f).map_parts(operators.euler)
 
 
 def monogenic_basis(k, universe):

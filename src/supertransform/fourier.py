@@ -148,9 +148,9 @@ def _mehler_pass(f, a, sector):
     nf = len(f.universe.fermionic) if sector != "bosonic" else 0
     out = {}
     if a.exact:
-        _require_exact(f.poly)
+        _require_exact(f)
         turn = int(a.a)
-        for (bos, mask), c in f.poly.terms.items():
+        for (bos, mask), c in f.terms.items():
             d = (sum(bos) if bos_on else 0) + (mask.bit_count() if nf else 0)
             re, im = _UNITS[turn * d % 4]
             fer, bos_images = _images(bos, mask, bos_on, nf)
@@ -159,9 +159,9 @@ def _mehler_pass(f, a, sector):
                 for obos, h in bos_images:
                     add_into(out, (obos, omask),
                              c.scale(QQi.reduced(x * h, y * h, 1)))
-        return GaussianFunction(f.poly._like(out), True)
+        return f._like(out)
     try:
-        for (bos, mask), c in f.poly.terms.items():
+        for (bos, mask), c in f.terms.items():
             e = sum(bos)
             d = (e if bos_on else 0) + (mask.bit_count() if nf else 0)
             c = to_float(c)
@@ -176,8 +176,7 @@ def _mehler_pass(f, a, sector):
     if not all(map(cmath.isfinite, out.values())):
         raise ValueError(_FLOAT_RANGE)
     # + 0j turns the negative zeros of a quarter turn into plain zeros
-    return GaussianFunction(f.poly._like(
-        {key: c + 0j for key, c in out.items()}), True)
+    return f._like({key: c + 0j for key, c in out.items()})
 
 
 def _require_exact(poly):

@@ -1,5 +1,5 @@
-"""Fractional Fourier transform, its float-lane helpers and the
-deviation measures that compare float-lane results.
+"""Fractional Fourier transform and the deviation measures that compare
+float-lane results.
 
 F^a is the sl2 exponential of (Delta, x^2, E); on the Gaussian class it
 is Mehler's closed form F^a(P G) = (e^(i alpha E) exp(gamma Delta) P) G,
@@ -16,15 +16,6 @@ from __future__ import annotations
 from .fourier import (_mehler_pass,
                       frac_fermionic_table)  # noqa: F401  (re-exported)
 from .scalars import to_float
-from .superalg import GaussianFunction
-
-
-def to_float_poly(p):
-    return p.map_coefficients(to_float)
-
-
-def to_float_gaussian(f):
-    return GaussianFunction(to_float_poly(f.poly), f.envelope)
 
 
 def max_coeff_deviation(p, q):

@@ -16,6 +16,10 @@ from fractions import Fraction
 from ._terms import TermMap, add_into, canonical
 from .scalars import ExactScalar, gamma_half_integer
 
+# fermionic pairs n of one fundamental solution: the chain makes n + 1
+# radial parts, and its time grows about like n^2.7 (work budget)
+MAX_FUNDSOL_PAIRS = 1000
+
 
 class RadialFunction(TermMap):
     """Finite sum of c * r^alpha * log(r)^s on r > 0."""
@@ -161,9 +165,13 @@ class SuperRadial:
 
 def super_fundamental_solution(m, n):
     """pi^n sum_k 2^(2k) k!/(n-k)! nu_{2k+2} xfer^(2n-2k), with the nu
-    chain carried forward: one radial Poisson solve per k."""
+    chain carried forward: one radial Poisson solve per k.  Refused
+    before the chain when n passes MAX_FUNDSOL_PAIRS."""
     if m < 1:
         raise ValueError("no purely fermionic fundamental solution")
+    if n > MAX_FUNDSOL_PAIRS:
+        raise ValueError(f"n = {n} pairs exceeds MAX_FUNDSOL_PAIRS = "
+                         f"{MAX_FUNDSOL_PAIRS}")
     parts = {}
     nu = nu_poly_laplace(1, m)
     for k in range(n + 1):

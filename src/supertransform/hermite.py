@@ -25,6 +25,7 @@ rebuilt once per output term.
 from __future__ import annotations
 
 import functools
+import math
 
 from .harmonics import harmonic_basis
 from .operators import laplace, multiply_vector_square
@@ -34,6 +35,37 @@ from .superalg import (GaussianFunction, from_integer_parts,
 
 # monomials of the top degree 2j+k of one psi element (output budget)
 MAX_MONOMIALS = 50000
+# digits the series writes, estimated before any weight is computed:
+# the j^2/2 integers of the ch_coefficients recursion and one weight per
+# output monomial of every degree 2i+k, i <= j (work budget)
+MAX_SERIES_DIGITS = 50_000_000
+
+
+def _weight_digits(j, m_value, k):
+    """Decimal digits of the largest psi weight 2^(j+i) c~_i, estimated
+    as log10 of 16^j prod_{t<j} (t + b), b = (2k + |M| + 2)/4.  It
+    over-estimated the true count in every case checked (|M| <= 12,
+    k <= 40, 5 <= j <= 200), by 6% up to 2.5 times."""
+    b = (2 * k + abs(m_value) + 2) / 4
+    return (j * math.log(16) + math.lgamma(j + b)
+            - math.lgamma(b)) / math.log(10)
+
+
+@functools.cache
+def check_series_digits(j, universe, k):
+    """Refuse psi_{j,k} before its weights when the series would write
+    more than MAX_SERIES_DIGITS digits.  Memoized: a basis runs it once
+    per element with the same (j, universe, k), and a refusal, which is
+    not cached, stops counting at the first monomial past the budget."""
+    digits = _weight_digits(j, universe.superdim, k)
+    total = j * j / 2
+    for i in range(j + 1):
+        total += homogeneous_monomial_count(universe, 2 * i + k)
+        if total * digits > MAX_SERIES_DIGITS:
+            raise ValueError(
+                f"the psi series at j = {j}, k = {k} would write an "
+                f"estimated {total * digits:.3g} digits or more, over "
+                f"MAX_SERIES_DIGITS = {MAX_SERIES_DIGITS}")
 
 
 @functools.cache
@@ -74,7 +106,8 @@ def _hermite_series(j, h_k, rescaled):
     on itself, and is harmonic when no coefficient of its Laplacian
     passes 1e-10 times its largest coefficient modulus (rounding).
     Refused before any product when degree 2j+k has more than
-    MAX_MONOMIALS monomials: the output grows with that count."""
+    MAX_MONOMIALS monomials (the output grows with that count), or when
+    check_series_digits finds the weights too long for the series."""
     if j < 0:
         raise ValueError("Hermite order j must be non-negative")
     float_lane = is_float_lane(h_k)
@@ -85,13 +118,14 @@ def _hermite_series(j, h_k, rescaled):
             abs(c) > bound for p in parts.values()
             for c in laplace(p, "full").terms.values()):
         raise ValueError("input is not a homogeneous harmonic")
-    degree = 2 * j + h_k.degree()
-    count = homogeneous_monomial_count(h_k.universe, degree)
+    k = h_k.degree()
+    count = homogeneous_monomial_count(h_k.universe, 2 * j + k)
     if count > MAX_MONOMIALS:
-        raise ValueError(f"degree 2j+k = {degree} spans {count} monomials,"
-                         f" over MAX_MONOMIALS = {MAX_MONOMIALS}")
+        raise ValueError(f"degree 2j+k = {2 * j + k} spans {count} "
+                         f"monomials, over MAX_MONOMIALS = {MAX_MONOMIALS}")
+    check_series_digits(j, h_k.universe, max(k, 0))
     weights = [c if rescaled else c << (j + i) for i, c in enumerate(
-        ch_coefficients(j, h_k.universe.superdim, h_k.degree()))]
+        ch_coefficients(j, h_k.universe.superdim, k))]
 
     def series(power):
         terms = {}

@@ -74,16 +74,16 @@ def _sl2(f, sector, lower, scale, shift, rise):
     integer weights keep it on either lane."""
     if sector not in ("bosonic", "fermionic", "full"):
         raise ValueError(f"unknown sector {sector!r}")
-    u, p = f.universe, f if isinstance(f, SuperPolynomial) else f.poly
+    u = f.universe
     bos_on, fer_on = sector != "fermionic", sector != "bosonic"
-    if p is not f and f.envelope:
+    if isinstance(f, GaussianFunction) and f.envelope:
         m_s = bos_on * u.m - fer_on * 2 * u.pairs
         lower, scale, shift, rise = (lower, scale + 2 * lower,
                                      shift + lower * m_s, rise + scale + lower)
     bos_idx = range(u.m) if bos_on else ()
     pairs = [3 << (2 * j) for j in range(u.pairs)] if fer_on else ()
     out = {}
-    for (bos, mask), c in p.terms.items():
+    for (bos, mask), c in f.terms.items():
         if d := shift + scale * (bos_on * sum(bos)
                                  + fer_on * mask.bit_count()):
             add_into(out, (bos, mask), c * d)
@@ -100,8 +100,7 @@ def _sl2(f, sector, lower, scale, shift, rise):
                 add_into(out, (bos, mask ^ pair), c * (-4 * lower))
             elif rise and not mask & pair:
                 add_into(out, (bos, mask | pair), c * rise)
-    out = p._like(out)
-    return out if p is f else GaussianFunction(out, f.envelope)
+    return f._like(out)
 
 
 def euler(f):

@@ -7,20 +7,23 @@ Results live in (omega-polynomial mod the sphere relation) tensor
 (p-polynomial times exp(-p^2/2)); the last omega appears at most to the
 first power after reduction.  The ray terms are grouped by radius power
 and each group is reduced once; the powers of the sphere relation are
-built once per `radon` call and shared by its groups.  The radius step
-sends r^k to i^k He_k(p), read from the same cached Hermite rows as the
-bosonic Fourier factor, and the constants (2 pi)^(1/2) of that step and
+memoized per omega universe.  A result is one flat term map keyed by
+(omega monomial, power of p).  The radius step sends r^k to
+i^k He_k(p), read from the same cached Hermite rows as the bosonic
+Fourier factor, and the constants (2 pi)^(1/2) of that step and
 (2 pi)^(M/2-1) of the slice are applied as one (2 pi)^((M-1)/2).
 """
 
 from __future__ import annotations
 
-from ._terms import TermMap, add_into
+import functools
+from itertools import groupby
+
+from ._terms import TermMap, add_into, canonical
 from .fourier import _UNITS, hermite_row, super_fourier
 from .scalars import ExactScalar, QQi
 from .superalg import (SuperPolynomial, VariableUniverse,
-                       homogeneous_monomial_count, require_envelope, sp_mul,
-                       sp_rename)
+                       homogeneous_monomial_count, require_envelope, sp_mul)
 
 # result entries (omega monomial, power of p) the terms of one input may
 # make, counted before the transform (output budget)
@@ -34,20 +37,23 @@ def hermite_1d(k):
     return dict(hermite_row(k))
 
 
-def _line_fourier(rpoly, weight):
-    """weight * sum_k c_k i^k H~_k(p) over the r-polynomial {k: c_k}."""
+def _line_fourier(rterms, weight):
+    """weight * sum c i^k H~_k(p) over the terms {(key, k): c} of an
+    r-polynomial with coefficients indexed by key, as {(key, e): ...}."""
     out = {}
-    for k, c in rpoly.items():
+    for (key, k), c in rterms.items():
         re, im = _UNITS[k % 4]
         for e, h in hermite_row(k):
-            add_into(out, e, c.scale(QQi.reduced(re * h, im * h, 1)))
-    return {e: c * weight for e, c in out.items()}
+            add_into(out, (key, e), c.scale(QQi.reduced(re * h, im * h, 1)))
+    return {ke: c * weight for ke, c in out.items()}
 
 
 def one_dim_fourier(rpoly):
     """Integral of e^(ipr) r^k e^(-r^2/2) dr summed over the given
     r-polynomial: sqrt(2 pi) i^k H~_k(p) per power, exact in the ring."""
-    return _line_fourier(rpoly, ExactScalar.two_pi_half_power(1))
+    out = _line_fourier({((), k): c for k, c in rpoly.items()},
+                        ExactScalar.two_pi_half_power(1))
+    return {e: c for (_, e), c in out.items()}
 
 
 def omega_universe(m, n):
@@ -68,19 +74,30 @@ def _sphere_substitution(u):
     return SuperPolynomial(u, terms)
 
 
-def reduce_mod_sphere(f, powers=None):
+@functools.cache
+def _sphere_powers(u):
+    """[1, s, s^2, ...] for the rewrite image s of w_m^2 on the omega
+    universe u: one list per universe, grown by `_sphere_power`."""
+    return [SuperPolynomial.one(u)]
+
+
+def _sphere_power(u, q):
+    """s^q, memoized: each new power is one product with the one below."""
+    powers = _sphere_powers(u)
+    while len(powers) <= q:
+        powers.append(sp_mul(powers[-1], _sphere_substitution(u)))
+    return powers[q]
+
+
+def reduce_mod_sphere(f):
     """Normal form mod (omega^2 + 1): write each term's w_m^e as
     (w_m^2)^q w_m^s with s < 2, rewrite w_m^2 by the relation, and sum
     the products into one dict; the last omega's degree is then at most
-    one, since the substituted polynomial is w_m-free.  `powers` is the
-    list [1, s, s^2, ...] of the rewrite image s of w_m^2, extended in
-    place, so calls on one universe can share it."""
+    one, since the substituted polynomial is w_m-free."""
     u = f.universe
     if u.m < 1:
         raise ValueError("no purely fermionic sphere relation")
     last = u.m - 1
-    if powers is None:
-        powers = [SuperPolynomial.one(u)]
     by_q = {}
     for (bos, mask), c in f.terms.items():
         q, s = divmod(bos[last], 2)
@@ -88,9 +105,7 @@ def reduce_mod_sphere(f, powers=None):
     out = {}
     for q, piece in by_q.items():
         if q:
-            while len(powers) <= q:
-                powers.append(sp_mul(powers[-1], _sphere_substitution(u)))
-            piece = sp_mul(powers[q],
+            piece = sp_mul(_sphere_power(u, q),
                            SuperPolynomial(u, piece)).terms
         for key, c in piece.items():
             add_into(out, key, c)
@@ -98,99 +113,78 @@ def reduce_mod_sphere(f, powers=None):
 
 
 class RadonResult(TermMap):
-    """Map omega-monomial -> p-polynomial {power: coefficient}, with
-    envelope exp(-p^2/2).
+    """Map (omega monomial, power e of p) -> coefficient of
+    omega-monomial * p^e, with envelope exp(-p^2/2).
 
     Omega monomials are kept in sphere-reduced normal form, so equality
-    of results is equality mod the sphere relation.  Both levels of the
-    nested map stay canonical: no zero coefficient, no empty p-polynomial.
+    of results is equality mod the sphere relation.  Sorted keys come
+    grouped by omega monomial, with the powers of p rising in each group.
     """
 
     __slots__ = ("universe", "terms")
 
     def __init__(self, universe, terms=None):
         self.universe = universe
-        self.terms = _merge_terms({}, terms or {})
+        self.terms = canonical(terms)
 
     def _like(self, terms):
         return RadonResult(self.universe, terms)
+
+    def _check(self, other):
+        if self.universe != other.universe:
+            raise ValueError("universe mismatch")
 
     @staticmethod
     def from_omega_poly(omega_poly, ppoly):
         """Tensor a (reduced) omega polynomial with one p-polynomial."""
         reduced = reduce_mod_sphere(omega_poly)
-        terms = {}
-        for key, c in reduced.terms.items():
-            terms[key] = {e: c * h for e, h in ppoly.items()}
-        return RadonResult(reduced.universe, terms)
-
-    def __add__(self, other):
-        if not isinstance(other, RadonResult):
-            return NotImplemented
-        return self._like(_merge_terms(_merge_terms({}, self.terms),
-                                       other.terms))
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c):
-        return self._like({k: {e: v * c for e, v in p.items()}
-                           for k, p in self.terms.items()})
+        return RadonResult(reduced.universe, {
+            (key, e): c * h for key, c in reduced.terms.items()
+            for e, h in ppoly.items()})
 
     def __eq__(self, other):
         if not isinstance(other, RadonResult):
             return NotImplemented
         return self.universe == other.universe and self.terms == other.terms
 
+    def by_omega(self):
+        """(omega monomial, [(e, coefficient), ...]) in sorted order."""
+        for key, group in groupby(sorted(self.terms.items()),
+                                  lambda item: item[0][0]):
+            yield key, [(e, c) for (_, e), c in group]
+
     def p_derivative(self):
         """d/dp through the envelope: p^e -> e p^(e-1) - p^(e+1)."""
         out = {}
-        for key, ppoly in self.terms.items():
-            npoly = out[key] = {}
-            for e, c in ppoly.items():
-                if e:
-                    add_into(npoly, e - 1, c * e)
-                add_into(npoly, e + 1, -c)
+        for (key, e), c in self.terms.items():
+            if e:
+                add_into(out, (key, e - 1), c * e)
+            add_into(out, (key, e + 1), -c)
         return self._like(out)
 
     def mul_omega(self, h):
         """Multiply by an omega polynomial from the left, re-reducing."""
         out = {}
-        for key, ppoly in self.terms.items():
+        for key, ppoly in self.by_omega():
             mono = SuperPolynomial(self.universe, {key: ExactScalar.one()})
-            prod = reduce_mod_sphere(sp_mul(h, mono))
-            for nkey, c in prod.terms.items():
-                tgt = out.setdefault(nkey, {})
-                for e, v in ppoly.items():
-                    add_into(tgt, e, v * c)
+            for nkey, c in reduce_mod_sphere(sp_mul(h, mono)).terms.items():
+                for e, v in ppoly:
+                    add_into(out, (nkey, e), v * c)
         return self._like(out)
 
     def to_json(self):
         entries = []
-        for (bos, mask), ppoly in sorted(self.terms.items()):
+        for (bos, mask), ppoly in self.by_omega():
             entries.append({
                 "omega_bos": list(bos),
                 "omega_fer": [j + 1 for j in range(
                     len(self.universe.fermionic)) if mask >> j & 1],
-                "p_poly": [[e, c.to_json()]
-                           for e, c in sorted(ppoly.items())],
+                "p_poly": [[e, c.to_json()] for e, c in ppoly],
             })
         return {"envelope": "exp(-p^2/2)", "terms": entries}
 
     def __repr__(self):
-        return f"RadonResult({len(self.terms)} omega terms)"
-
-
-def _merge_terms(acc, terms):
-    """Add the nested terms into `acc` (whose p-polynomials it owns),
-    removing an omega key whose p-polynomial cancels."""
-    for key, ppoly in terms.items():
-        tgt = acc.setdefault(key, {})
-        for e, c in ppoly.items():
-            add_into(tgt, e, c)
-        if not tgt:
-            del acc[key]
-    return acc
+        return f"RadonResult({len(self.terms)} terms)"
 
 
 def check_result_size(f):
@@ -221,25 +215,22 @@ def radon(f):
     uo = omega_universe(u.m, u.pairs)
     # one omega polynomial per radius power, each reduced once
     by_power = {}
-    for (bos, mask), c in super_fourier(f, "-").poly.terms.items():
+    for (bos, mask), c in super_fourier(f, "-").terms.items():
         by_power.setdefault(sum(bos) + mask.bit_count(), {})[bos, mask] = c
-    by_omega, powers = {}, [SuperPolynomial.one(uo)]
+    rterms = {}
     for rpow, omega in by_power.items():
-        reduced = reduce_mod_sphere(SuperPolynomial(uo, omega), powers)
-        for key, c in reduced.terms.items():
-            by_omega.setdefault(key, {})[rpow] = c
+        reduced = reduce_mod_sphere(SuperPolynomial(uo, omega))
+        rterms.update(((key, rpow), c) for key, c in reduced.terms.items())
     weight = ExactScalar.two_pi_half_power(u.superdim - 1)
-    return RadonResult(uo, {key: _line_fourier(rpoly, weight)
-                            for key, rpoly in by_omega.items()})
+    return RadonResult(uo, _line_fourier(rterms, weight))
 
 
 def radon_expected_eigenbasis(j, k, h, universe):
     """Closed form (-1)^j (2 pi)^((M-1)/2) H~_{2j+k}(p) e^(-p^2/2)
-    H_k(omega) for comparison against the pipeline."""
+    H_k(omega) for comparison against the pipeline; h's keys carry over
+    to the omega universe, which has the same shape."""
     u = universe
-    uo = omega_universe(u.m, u.pairs)
-    h_omega = sp_rename(h, uo, {i: i for i in range(u.m)},
-                        {j2: j2 for j2 in range(len(u.fermionic))})
+    h_omega = SuperPolynomial(omega_universe(u.m, u.pairs), h.terms)
     phase = ExactScalar.rational((-1) ** j) \
         * ExactScalar.two_pi_half_power(u.superdim - 1)
     ppoly = {e: phase * c for e, c in hermite_1d(2 * j + k).items()}

@@ -228,10 +228,6 @@ class SuperPolynomial(TermMap):
             return NotImplemented
         return self.universe == other.universe and self.terms == other.terms
 
-    def map_coefficients(self, fn):
-        return self._like({k: s for k, v in self.terms.items()
-                           if (s := fn(v))})
-
     def conjugate(self):
         """Complex conjugation: fixes variables, conjugates scalars."""
         return self.map_coefficients(lambda c: c.conjugate())
@@ -474,11 +470,13 @@ def pairing(u_x, u_y):
     return SuperPolynomial(dbl, terms)
 
 
-class GaussianFunction:
+class GaussianFunction(TermMap):
     """Super polynomial times an optional super-Gaussian envelope.
 
     The envelope exp(x^2/2) is a flag, never a series: operators act
     through it by product rules.  All transforms require the envelope.
+    The terms are the polynomial's, so the linear structure is
+    TermMap's; only equal envelopes can be added.
     """
 
     __slots__ = ("poly", "envelope")
@@ -491,25 +489,17 @@ class GaussianFunction:
     def universe(self):
         return self.poly.universe
 
-    def __add__(self, other):
-        if not isinstance(other, GaussianFunction):
-            return NotImplemented
+    @property
+    def terms(self):
+        return self.poly.terms
+
+    def _like(self, terms):
+        return GaussianFunction(self.poly._like(terms), self.envelope)
+
+    def _check(self, other):
         if self.envelope != other.envelope:
             raise ValueError("cannot add different envelopes")
-        return GaussianFunction(self.poly + other.poly, self.envelope)
-
-    def __sub__(self, other):
-        if not isinstance(other, GaussianFunction):
-            return NotImplemented
-        if self.envelope != other.envelope:
-            raise ValueError("cannot add different envelopes")
-        return GaussianFunction(self.poly - other.poly, self.envelope)
-
-    def __neg__(self):
-        return GaussianFunction(-self.poly, self.envelope)
-
-    def scale(self, c):
-        return GaussianFunction(self.poly.scale(c), self.envelope)
+        self.poly._check(other.poly)
 
     def mul_poly(self, g):
         """Multiply by a plain polynomial from the left."""
@@ -520,14 +510,8 @@ class GaussianFunction:
             return NotImplemented
         return self.envelope == other.envelope and self.poly == other.poly
 
-    def __bool__(self):
-        return bool(self.poly)
-
-    def map_coefficients(self, fn):
-        return GaussianFunction(self.poly.map_coefficients(fn), self.envelope)
-
     def conjugate(self):
-        return GaussianFunction(self.poly.conjugate(), self.envelope)
+        return self.map_coefficients(lambda c: c.conjugate())
 
     def __repr__(self):
         tail = "*G" if self.envelope else ""

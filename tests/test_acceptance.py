@@ -8,15 +8,13 @@ since sample coefficient scales are unbounded.
 import random
 from fractions import Fraction
 
-from supertransform.cliffweyl import (CValued, dirac_apply, euler_cvalued,
-                                      vector_mul)
+from supertransform.cliffweyl import CValued, dirac_apply, vector_mul
 from supertransform.fourier import (convolution_fermionic, delta_fourier,
                                     fermionic_fourier, parseval_check,
                                     super_fourier)
 from supertransform.fracfourier import (frac_fermionic_table, frac_fourier,
                                         max_coeff_deviation,
-                                        relative_deviation,
-                                        to_float_gaussian)
+                                        relative_deviation)
 from supertransform.fundsol import (RadialFunction, fundsol_prefactor,
                                     nu_poly_laplace,
                                     super_fundamental_solution,
@@ -24,10 +22,10 @@ from supertransform.fundsol import (RadialFunction, fundsol_prefactor,
 from supertransform.harmonics import (decomposition_check,
                                       fermionic_square_power, harmonic_basis)
 from supertransform.hermite import psi_span, psi_tilde_element
-from supertransform.operators import (bosonic_derivative,
+from supertransform.operators import (bosonic_derivative, euler,
                                       fermionic_derivative)
 from supertransform.radon import radon, radon_expected_eigenbasis
-from supertransform.scalars import ExactScalar
+from supertransform.scalars import ExactScalar, to_float
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse,
                                      fermionic_envelope_poly, pairing,
@@ -245,7 +243,7 @@ def test_criterion_09_fractional_02_kernel():
     # semigroup and inverse on the psi span
     u11 = VariableUniverse.standard(1, 1)
     for _ in range(5):
-        f = to_float_gaussian(_span_sample(u11, rng, cap=4))
+        f = _span_sample(u11, rng, cap=4).map_coefficients(to_float)
         a = rng.uniform(-0.5, 0.5)
         b = rng.uniform(-0.5, 0.5)
         ab = frac_fourier(frac_fourier(f, b), a)
@@ -384,7 +382,7 @@ def test_criterion_15_structural_identities():
         for _ in range(5):
             f = CValued.from_scalar(_random_poly(uu, rng, 3, 4))
             lhs = vector_mul(dirac_apply(f)) + dirac_apply(vector_mul(f))
-            rhs = euler_cvalued(f).scale(2) + f.scale(uu.superdim)
+            rhs = f.map_parts(euler).scale(2) + f.scale(uu.superdim)
             assert lhs == rhs
     # kernel symmetry
     for n in (1, 2, 3):

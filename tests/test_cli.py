@@ -11,12 +11,13 @@ from fractions import Fraction
 
 import pytest
 
-from supertransform import expr as exprmod
+from supertransform import expr as exprmod, fundsol
 from supertransform.cli import main, run, build_parser
 from supertransform.expr import (ParseError, parse, poly_to_json,
                                  render_poly_latex, render_poly_text)
 from supertransform.fourier import super_fourier
 from supertransform.harmonics import harmonic_basis
+from supertransform.hermite import check_series_digits
 from supertransform.radon import check_result_size
 from supertransform.scalars import ExactScalar, QQi
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
@@ -504,6 +505,54 @@ def test_cli_hermite_order_budget_accepts_j20(capsys):
     code, out, _ = _run_cli(capsys, "--m", "3", "--n", "2", "hermite",
                             "--k", "1", "--l", "0", "--j", "20")
     assert code == 0 and out.endswith("G")
+
+
+@pytest.mark.parametrize("m, j", [("1", "100000"), ("2", "5000")])
+def test_cli_hermite_series_budget_refuses_fast(capsys, m, j):
+    # (1,0) at j = 100000 ran past 120 s; the top degree alone spans one
+    # monomial there, so MAX_MONOMIALS let it through
+    start = time.perf_counter()
+    code, out, err = _run_cli(capsys, "--m", m, "--n", "0", "hermite",
+                              "--j", j, "--k", "0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and not out
+    assert "MAX_SERIES_DIGITS = 50000000" in err
+
+
+def test_series_budget_boundary():
+    # the recursion's j^2/2 integers set the limit at (1,0); at (3,2)
+    # the output monomials do
+    for m, n, k, last in [(1, 0, 0, 312), (3, 2, 1, 36)]:
+        u = VariableUniverse.standard(m, n)
+        check_series_digits(last, u, k)
+        with pytest.raises(ValueError, match="MAX_SERIES_DIGITS"):
+            check_series_digits(last + 1, u, k)
+
+
+@pytest.mark.parametrize("n", ["2000", "10000"])
+def test_cli_fundsol_pair_budget_refuses_fast(capsys, n):
+    # n = 2000 ran 14 s, then leaked Python's integer-printing limit
+    start = time.perf_counter()
+    code, out, err = _run_cli(capsys, "--m", "4", "--n", n, "fundsol")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and not out
+    assert err == (f"error: n = {n} pairs exceeds MAX_FUNDSOL_PAIRS = 1000")
+
+
+def test_fundsol_pair_budget_boundary(monkeypatch):
+    monkeypatch.setattr(fundsol, "MAX_FUNDSOL_PAIRS", 3)
+    assert fundsol.super_fundamental_solution(2, 3).parts
+    with pytest.raises(ValueError, match="MAX_FUNDSOL_PAIRS = 3"):
+        fundsol.super_fundamental_solution(2, 4)
+
+
+def test_cli_fundsol_checks_render_digits(capsys, monkeypatch):
+    # the pair budget keeps coefficients under 3000 digits, so a lower
+    # render bound stands in for a longer chain
+    monkeypatch.setattr(exprmod, "_RENDER_BOUND", 10)
+    code, out, err = _run_cli(capsys, "--m", "4", "--n", "3", "fundsol")
+    assert code == 1 and not out
+    assert "MAX_RENDER_DIGITS" in err
 
 
 @pytest.mark.parametrize("argv, limit", [

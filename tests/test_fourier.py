@@ -17,7 +17,7 @@ from supertransform.harmonics import (fermionic_square_power, harmonic_basis)
 from supertransform.hermite import psi_span
 from supertransform.operators import laplace
 from supertransform.radon import radon
-from supertransform.scalars import ExactScalar
+from supertransform.scalars import ExactScalar, to_float
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse,
                                      fermionic_envelope_poly, pairing,
@@ -582,11 +582,10 @@ def test_super_integral_pair_keeps_the_fermionic_sign():
 
 
 def test_exact_transforms_and_integrals_refuse_float_lane():
-    from supertransform.fracfourier import to_float_gaussian
     u = VariableUniverse.standard(1, 1)
     for f in (GaussianFunction(SuperPolynomial.fermionic_var(u, 0)),
               GaussianFunction(SuperPolynomial.bosonic_var(u, 0))):
-        g = to_float_gaussian(f)
+        g = f.map_coefficients(to_float)
         for sign in ("+", "-"):
             with pytest.raises(ValueError, match="exact-lane input"):
                 super_fourier(g, sign)
@@ -599,11 +598,11 @@ def test_exact_transforms_and_integrals_refuse_float_lane():
 def test_kernel_route_at_exact_orders_refuses_float_lane():
     # the +/-1 kernel is exact, so float-lane input gets the exact
     # transforms' refusal; other orders run on floats and accept it
-    from supertransform.fracfourier import frac_fermionic_table, to_float_poly
+    from supertransform.fracfourier import frac_fermionic_table
     for m, n in [(0, 1), (1, 2)]:
         u = VariableUniverse.standard(m, n)
-        g = to_float_poly(SuperPolynomial.fermionic_var(u, 0)
-                          + SuperPolynomial.one(u))
+        g = (SuperPolynomial.fermionic_var(u, 0)
+             + SuperPolynomial.one(u)).map_coefficients(to_float)
         for a in (1, -1, Fraction(1), Fraction(-1)):
             with pytest.raises(ValueError, match="exact-lane input"):
                 kernel_route(g, a)
@@ -715,11 +714,11 @@ def test_super_integral_pair_refuses_a_universe_mismatch():
 
 
 def test_super_integral_pair_refuses_float_lane_on_either_side():
-    from supertransform.fracfourier import to_float_gaussian
     u = VariableUniverse.standard(1, 1)
     f = GaussianFunction(SuperPolynomial.bosonic_var(u, 0)
                          + SuperPolynomial.fermionic_var(u, 0))
-    for a, b in ((to_float_gaussian(f), f), (f, to_float_gaussian(f))):
+    g = f.map_coefficients(to_float)
+    for a, b in ((g, f), (f, g)):
         with pytest.raises(ValueError, match="exact-lane input"):
             super_integral_pair(a, b)
 

@@ -11,8 +11,7 @@ from supertransform.fourier import fermionic_fourier, super_fourier
 from supertransform.fracfourier import (frac_fermionic_table, frac_fourier,
                                         frac_fourier_cvalued,
                                         max_coeff_deviation,
-                                        relative_deviation,
-                                        to_float_gaussian, to_float_poly)
+                                        relative_deviation)
 from supertransform.hermite import psi_span
 from supertransform.operators import bosonic_derivative, fermionic_derivative
 from supertransform.scalars import Angle, ExactScalar, QQi, to_float
@@ -66,15 +65,16 @@ def test_half_angle_composes_to_fourier(rng):
     u = VariableUniverse.standard(1, 1)
     for k in (0, 1):
         psi = psi_span(u, 2)[k][3]
-        once = frac_fourier(frac_fourier(to_float_gaussian(psi), 0.5), 0.5)
-        target = to_float_gaussian(super_fourier(psi, "+"))
+        once = frac_fourier(
+            frac_fourier(psi.map_coefficients(to_float), 0.5), 0.5)
+        target = super_fourier(psi, "+").map_coefficients(to_float)
         assert relative_deviation(once.poly, target.poly) <= 1e-12
 
 
 def test_semigroup_and_inverse(rng):
     u = VariableUniverse.standard(1, 1)
     for _ in range(5):
-        f = to_float_gaussian(span_sample(u, rng))
+        f = span_sample(u, rng).map_coefficients(to_float)
         a = rng.uniform(-0.5, 0.5)
         b = rng.uniform(-0.5, 0.5)
         ab = frac_fourier(frac_fourier(f, b), a)
@@ -166,7 +166,7 @@ def _rules(u, a):
         isin = 1j * math.sin(a.alpha)
 
     def lane(p):
-        return p if a.exact else to_float_poly(p)
+        return p if a.exact else p.map_coefficients(to_float)
 
     def var_b(i):
         return lambda g: g.mul_poly(lane(SuperPolynomial.bosonic_var(u, i)))
@@ -222,7 +222,7 @@ def frac_calculus_check(a, samples, tol=1e-10):
     ok = True
     for g in samples:
         u = g.universe
-        g_lane = g if a.exact else to_float_gaussian(g)
+        g_lane = g if a.exact else g.map_coefficients(to_float)
         fg = frac_fourier(g_lane, a)
         for _, op_in, op_out in _rules(u, a):
             lhs = frac_fourier(op_in(g_lane), a)
@@ -245,7 +245,7 @@ def frac_dirac_consequence_check(a, samples, tol=1e-10):
     worst = 0.0
     ok = True
     for g in samples:
-        g_lane = g if a.exact else to_float_gaussian(g)
+        g_lane = g if a.exact else g.map_coefficients(to_float)
         lifted = CValued.from_scalar(g_lane)
         lhs = frac_fourier_cvalued(
             dirac_apply(lifted) + vector_mul(lifted), a)
@@ -298,10 +298,10 @@ def general_kernel_check(a, samples, ygrid=None):
         if (u.m, u.pairs) != (1, 1):
             raise ValueError("numeric check is wired for (m,n)=(1,1)")
         closed = frac_fourier(f, a)
-        closed_expanded = sp_mul(to_float_poly(closed.poly),
-                                 to_float_poly(fermionic_envelope_poly(u)))
-        src_expanded = sp_mul(to_float_poly(f.poly),
-                              to_float_poly(fermionic_envelope_poly(u)))
+        envelope = fermionic_envelope_poly(u).map_coefficients(to_float)
+        closed_expanded = sp_mul(closed.poly.map_coefficients(to_float),
+                                 envelope)
+        src_expanded = sp_mul(f.poly.map_coefficients(to_float), envelope)
         # fermionic transform of each mask component
         fer_images = {}
         for mask in (0b00, 0b01, 0b10, 0b11):
@@ -401,7 +401,7 @@ def _spectral(f, a):
     out = SuperPolynomial.zero(f.universe)
     for (j, k, _, psi), c in zip(span, coeffs):
         if c:
-            out = out + to_float_gaussian(psi).poly.scale(
+            out = out + psi.map_coefficients(to_float).poly.scale(
                 to_float(c) * Angle(a).phase(2 * j + k))
     return out
 

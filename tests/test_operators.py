@@ -1,13 +1,12 @@
 import pytest
 
-from supertransform.fracfourier import (relative_deviation,
-                                        to_float_gaussian, to_float_poly)
+from supertransform.fracfourier import relative_deviation
 from supertransform.operators import (bosonic_derivative, euler,
                                       fermionic_derivative, laplace,
                                       multiply_bosonic_var,
                                       multiply_fermionic_var,
                                       multiply_vector_square, scalar_square)
-from supertransform.scalars import ExactScalar
+from supertransform.scalars import ExactScalar, to_float
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse,
                                      fermionic_envelope_poly,
@@ -121,11 +120,11 @@ def test_operators_on_the_float_lane(rng, m, n):
     u = VariableUniverse.standard(m, n)
     for _ in range(4):
         p = random_poly(u, rng, degree=3, nterms=5, rational=False)
-        for f, lift in ((p, to_float_poly),
-                        (GaussianFunction(p), to_float_gaussian)):
+        for f in (p, GaussianFunction(p)):
             for op in (laplace, euler, scalar_square,
                        multiply_vector_square):
-                got, want = op(lift(f)), lift(op(f))
+                got = op(f.map_coefficients(to_float))
+                want = op(f).map_coefficients(to_float)
                 if isinstance(f, GaussianFunction):
                     assert got.envelope
                     got, want = got.poly, want.poly

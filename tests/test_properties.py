@@ -185,6 +185,23 @@ def test_radon_closed_form_on_psi_tilde_combinations(m, n, data):
     assert radon(got) == want
 
 
+# M = 0 at (2,1) and -2 at (2,2)
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)])
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_radon_is_additive_on_the_flat_result_map(m, n, data):
+    u = VariableUniverse.standard(m, n)
+    keys = st.tuples(st.tuples(*[st.integers(0, 3)] * m),
+                     st.integers(0, (1 << 2 * n) - 1))
+    f, g = (GaussianFunction(SuperPolynomial(u, data.draw(
+        st.dictionaries(keys, _scalars, min_size=1, max_size=3))))
+        for _ in range(2))
+    rf = radon(f)
+    assert radon(f + g) == rf + radon(g)
+    assert not rf + radon(-f) and not radon(f - f)
+    assert rf or not f
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(_polys(max_m=3, max_n=2, max_exponent=3))
 def test_sl2_commutators(p):
@@ -338,12 +355,12 @@ def test_batched_sphere_reduction_equals_per_monomial(m, n, data):
     got = reduce_mod_sphere(f)
     assert got == reduce_mod_sphere_per_monomial(f)
     assert all(bos[-1] < 2 for bos, _ in got.terms)
-    # a powers list shared across calls, as radon shares it, changes nothing
-    powers = [SuperPolynomial.one(uo)]
+    # a reduction after other reductions on the same universe (the
+    # memoized sphere powers filled by them) gives the same result
     g = SuperPolynomial(uo, data.draw(st.dictionaries(keys, _scalars,
                                                       max_size=6)))
-    assert reduce_mod_sphere(g, powers) == reduce_mod_sphere_per_monomial(g)
-    assert reduce_mod_sphere(f, powers) == got
+    assert reduce_mod_sphere(g) == reduce_mod_sphere_per_monomial(g)
+    assert reduce_mod_sphere(f) == got
 
 
 # -- the parser against a tree oracle ------------------------------------

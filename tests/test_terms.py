@@ -1,14 +1,19 @@
 """The canonical term-map core shared by every linear-combination type:
 no stored zero coefficient, whatever the arithmetic that produced it."""
 
+import importlib
+import pkgutil
+
 import pytest
 
-from supertransform._terms import add_into
+import supertransform
+from supertransform._terms import TermMap, add_into
 from supertransform.cliffweyl import CValued, CWElement
 from supertransform.fundsol import RadialFunction
 from supertransform.radon import RadonResult, omega_universe
 from supertransform.scalars import ExactScalar, QQi
-from supertransform.superalg import SuperPolynomial, VariableUniverse
+from supertransform.superalg import (GaussianFunction, SuperPolynomial,
+                                     VariableUniverse)
 
 U = VariableUniverse.standard(1, 1)
 UO = omega_universe(2, 1)
@@ -29,6 +34,10 @@ CASES = {
                         {((2,), 0): R(1), ((0,), 0b01): R(-2),
                          ((1,), 0b11): ExactScalar.sqrt2()},
                         ExactScalar.zero()),
+    "GaussianFunction": (lambda t: GaussianFunction(SuperPolynomial(U, t)),
+                         {((2,), 0): R(1), ((0,), 0b01): R(-2),
+                          ((1,), 0b11): ExactScalar.sqrt2()},
+                         ExactScalar.zero()),
     "CWElement": (lambda t: CWElement(1, 1, t),
                   {(0, (0, 0)): R(1), (1, (1, 0)): R(3),
                    (0, (2, 1)): ExactScalar.i()},
@@ -41,10 +50,9 @@ CASES = {
                        {(2, 0): R(1), (-1, 1): R(-4), (0, 2): R(1, 3)},
                        ExactScalar.zero()),
     "RadonResult": (lambda t: RadonResult(UO, t),
-                    {((0, 0), 0): {0: R(1), 2: R(-1)},
-                     ((1, 0), 0b01): {1: ExactScalar.sqrt2()},
-                     ((0, 1), 0b11): {3: R(2)}},
-                    {}),
+                    {(((0, 0), 0), 0): R(1), (((0, 0), 0), 2): R(-1),
+                     (((1, 0), 0b01), 1): ExactScalar.sqrt2()},
+                    ExactScalar.zero()),
 }
 
 
@@ -60,6 +68,26 @@ def test_term_map_keeps_no_zero_coefficient(name):
     rest = x + (-make({key: terms[key]}))
     assert set(rest.terms) == set(terms) - {key}
     assert rest + make({key: terms[key]}) == x
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_term_map_of_the_package_has_a_case():
+    for mod in pkgutil.iter_modules(supertransform.__path__):
+        importlib.import_module(f"supertransform.{mod.name}")
+    names = {sub.__name__ for sub in _subclasses(TermMap)
+             if sub.__module__.startswith("supertransform.")}
+    assert names == set(CASES)
+
+
+def test_radon_results_and_gaussian_functions_inherit_the_arithmetic():
+    for cls in (RadonResult, GaussianFunction):
+        assert not {"__add__", "__sub__", "__neg__", "scale",
+                    "__bool__"} & set(vars(cls)), cls
 
 
 def test_add_into_removes_a_cancelled_key():
