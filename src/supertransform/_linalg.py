@@ -19,18 +19,13 @@ class SparseRREF:
         self.pivots = {}          # pivot column -> reduced row dict
 
     def reduce(self, row):
-        """Reduce `row` (destructively) against the current pivots."""
-        changed = True
-        while changed:
-            changed = False
-            for col in list(row):
-                piv = self.pivots.get(col)
-                if piv is None:
-                    continue
-                factor = row[col]
-                for c, v in piv.items():
-                    add_into(row, c, -factor * v)
-                changed = True
+        """Reduce `row` (destructively) against the current pivots in one
+        pass: `insert` keeps every pivot row free of the other pivot
+        columns, so clearing one pivot column never refills another."""
+        for col in [c for c in row if c in self.pivots]:
+            factor = row[col]
+            for c, v in self.pivots[col].items():
+                add_into(row, c, -factor * v)
         return row
 
     def insert(self, row):

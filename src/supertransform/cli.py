@@ -17,8 +17,9 @@ from .expr import ParseError, parse, poly_to_json, read_json, \
     render_poly_latex, render_poly_text
 from .fourier import berezin, fermionic_fourier, parseval_check, super_fourier
 from .fracfourier import frac_fourier
-from .harmonics import decomposition_check, harmonic_basis
-from .hermite import psi_element
+from .harmonics import check_basis_degree, decomposition_check, \
+    harmonic_basis
+from .hermite import check_psi_orders, psi_element
 from .operators import euler, laplace, scalar_square
 from .radon import radon
 from .fundsol import super_fundamental_solution, \
@@ -131,6 +132,14 @@ def _render_cvalued(cv):
         or "0"
 
 
+def _read(source, u):
+    """One operand: JSON when it starts with '{', an expression
+    otherwise."""
+    if source.lstrip().startswith("{"):
+        return read_json(source, u)
+    return parse(source, u)
+
+
 def run(args, source):
     """Execute one command over one parsed expression source string."""
     u = VariableUniverse.standard(args.m, args.n)
@@ -143,6 +152,9 @@ def run(args, source):
                                     for c in r.terms.values())
         return sr.render()
     if cmd == "hermite":
+        # every refusal on the orders comes before the basis is built
+        check_basis_degree(args.k, u)
+        check_psi_orders(args.j, args.k, u)
         basis = harmonic_basis(args.k, "full", u)
         if args.l is not None:
             if not 0 <= args.l < basis.dimension:
@@ -165,8 +177,7 @@ def run(args, source):
         return (f"degree {rep['k']}: dim nullspace {rep['dim_nullspace']}, "
                 f"dim formula {rep['dim_formula']} [{status}]")
     if cmd == "parseval":
-        f = parse(source[0], u)
-        g = parse(source[1], u)
+        f, g = (_read(text, u) for text in source)
         if isinstance(f, GaussianFunction) != isinstance(g, GaussianFunction):
             raise ValueError("operands must share the Gaussian marker")
         if isinstance(f, GaussianFunction):
@@ -177,17 +188,15 @@ def run(args, source):
             ok = parseval_check(f, g, "fermionic")
         return "true" if ok else "false"
 
-    if source.lstrip().startswith("{"):
-        f = read_json(source, u)
-    else:
-        f = parse(source, u)
-        if cmd in ("fourier", "fracfourier", "radon") and not f \
-                and isinstance(f, SuperPolynomial) \
-                and (args.m or cmd != "fourier"):
-            # "0*G" renders as 0 in text, so a plain zero reads back as
-            # 0*G (JSON keeps its envelope flag); at m = 0 a plain fourier
-            # input is a fermionic transform and stays one
-            f = GaussianFunction(f, True)
+    f = _read(source, u)
+    if cmd in ("fourier", "fracfourier", "radon") and not f \
+            and isinstance(f, SuperPolynomial) \
+            and (args.m or cmd != "fourier") \
+            and not source.lstrip().startswith("{"):
+        # "0*G" renders as 0 in text, so a plain zero reads back as 0*G
+        # (JSON keeps its envelope flag); at m = 0 a plain fourier input
+        # is a fermionic transform and stays one
+        f = GaussianFunction(f, True)
     if cmd == "normalize":
         return _render(f, args.format)
     if cmd == "berezin":

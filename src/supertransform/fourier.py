@@ -19,7 +19,10 @@ envelope is one pass over pairs of terms with integer weights (the Koszul
 sign, a Gaussian moment per coordinate and a Berezin weight per pair)
 and the common factor pi^(M/2), with no product polynomial; the
 integral of one Gaussian-class function is the same pass against the
-constant 1.  The exact transforms and integrals refuse float-lane input.
+constant 1, and the plain Parseval check is the same pass at width 0.
+The Berezin integral and the fermionic convolution are passes over the
+masks too, with no doubled universe or Grassmann substitution.  The
+exact transforms and integrals refuse float-lane input.
 """
 
 from __future__ import annotations
@@ -31,15 +34,17 @@ from fractions import Fraction
 from ._terms import add_into
 from .scalars import Angle, ExactScalar, QQi, to_float
 from .superalg import (GaussianFunction, SuperPolynomial, VariableUniverse,
-                       common_denominator, doubled_universe,
-                       fermionic_envelope_poly, is_float_lane, merge_masks,
-                       require_envelope, scale_exact, sp_mul, sp_rename,
-                       sp_substitute_fermionic)
+                       common_denominator, is_float_lane, mask_bits,
+                       merge_masks, require_envelope, scale_exact)
 
 
 def berezin(f, over=None):
     """Berezin integral pi^(-n') d_{q_last} ... d_{q_first} over a full
-    block of symbol pairs; the integrated symbols leave the universe."""
+    block of symbol pairs; the integrated symbols leave the universe.
+
+    One pass over the masks: a term survives when its mask holds every
+    integrated symbol, and the symbols left close up in order.  No sign
+    arises, as a pair's two derivatives see the same lower symbols."""
     poly = f.poly if isinstance(f, GaussianFunction) else f
     u = poly.universe
     nf = len(u.fermionic)
@@ -49,19 +54,16 @@ def berezin(f, over=None):
     for a in range(0, len(over), 2):
         if over[a] % 2 or over[a + 1] != over[a] + 1:
             raise ValueError("subset must be whole symbol pairs")
-    g = poly
-    for j in over:            # rightmost operator first: ascending indices
-        g = g.fermionic_derivative(j)
-    g = scale_exact(g, ExactScalar.pi_half_power(-len(over)))
-    keep = [j for j in range(nf) if j not in set(over)]
+    block = sum(1 << j for j in over)
+    keep = [j for j in range(nf) if not block >> j & 1]
+    out = {}
+    for (bos, mask), c in poly.terms.items():
+        if mask & block == block:
+            rest = sum(1 << i for i, j in enumerate(keep) if mask >> j & 1)
+            out[(bos, rest)] = c
     target = VariableUniverse(u.bosonic, tuple(u.fermionic[j] for j in keep))
-    fer_map = {j: i for i, j in enumerate(keep)}
-    return sp_rename(g, target, {i: i for i in range(u.m)}, fer_map)
-
-
-_PAIR = VariableUniverse((), ("q1", "q2"))
-_PAIR_BASIS = tuple(SuperPolynomial(_PAIR, {((), sub): ExactScalar.one()})
-                    for sub in range(4))
+    return scale_exact(SuperPolynomial(target, out),
+                       ExactScalar.pi_half_power(-len(over)))
 
 
 def _order(sign):
@@ -266,15 +268,6 @@ def gaussian_moment(p, width):
     raise ValueError("unsupported Gaussian width")
 
 
-@functools.cache
-def _berezin_row(width):
-    """Berezin weights of the four pair sub-masks against the pair's
-    envelope factor exp(width q1q2), read off `berezin` at 0|2."""
-    env = fermionic_envelope_poly(_PAIR, width=width)
-    return tuple(berezin(sp_mul(mono, env)).constant_term()
-                 for mono in _PAIR_BASIS)
-
-
 def _rational_part(s):
     """(numerator, denominator) of the rational q of a scalar q * r with
     one radical r, (0, 1) for zero."""
@@ -307,9 +300,11 @@ def _gaussian_pairing(p, q, width):
     vector and its masks are disjoint and fill every symbol pair or leave
     it empty.  Its weight is the Koszul sign of `merge_masks`, the
     rational part of `gaussian_moment(e, width)` for each summed exponent
-    e and of the `_berezin_row(width)` entry of each pair's sub-mask; the
-    radicals of those factors are one common factor, pi^(M/2) times
-    sqrt2^m at width 1/2.  p and q are split over one denominator each,
+    e and of each pair's Berezin weight against its envelope factor
+    1 + width q1q2, pi^-1 (width, 0, 0, 1) for the sub-masks 1, q1, q2,
+    q1q2 (width 0 pairs plain polynomials at m = 0); the radicals of
+    those factors are one common factor, pi^(M/2) times sqrt2^m at
+    width 1/2.  p and q are split over one denominator each,
     and conjugation flips the sign of q's imaginary numerators; the
     scalar is built once at the end.
     """
@@ -319,7 +314,7 @@ def _gaussian_pairing(p, q, width):
     _require_exact(q)
     u = p.universe
     nf = len(u.fermionic)
-    row = [_rational_part(r) for r in _berezin_row(width)]
+    row = ((width.numerator, width.denominator), (0, 1), (0, 1), (1, 1))
     # the common radical: pi^-1 per pair, pi^(1/2) sqrt2^eps per coordinate
     rad_b, rad_eps = u.m - nf, 0
     if u.m:
@@ -393,56 +388,52 @@ def super_integral_pair(f, g):
 
 
 def parseval_check(f, g, scope):
-    """Exact Parseval equality for either sign; conjugation fixes the
-    variables and conjugates scalars."""
-    if scope == "fermionic":
-        lhs = super_integral(sp_mul(f, g.conjugate()))
-        for sign in ("+", "-"):
-            ff = fermionic_fourier(f, sign)
-            fg = fermionic_fourier(g, sign)
-            if super_integral(sp_mul(ff, fg.conjugate())) != lhs:
-                return False
-        return True
+    """Exact Parseval equality for either sign: the pairing of f and g
+    equals the pairing of their transforms.  The full scope pairs
+    Gaussian functions at width one, the squared envelope; the fermionic
+    scope pairs plain polynomials at m = 0, width zero.  Conjugation
+    fixes the variables and conjugates scalars."""
     if scope == "full":
-        lhs = super_integral_pair(f, g)
-        for sign in ("+", "-"):
-            if super_integral_pair(super_fourier(f, sign),
-                                   super_fourier(g, sign)) != lhs:
-                return False
-        return True
-    raise ValueError(f"unknown scope {scope!r}")
-
-
-def grassmann_shift(f, dbl, block_out, block_in):
-    """f(u - x): embed f on the output block and substitute u_j -> u_j - x_j.
-
-    block_out/block_in are the fermionic index offsets of the u and x
-    blocks inside the doubled universe."""
-    n2 = len(f.universe.fermionic)
-    f_emb = sp_rename(f, dbl, {i: i for i in range(f.universe.m)},
-                      {j: block_out + j for j in range(n2)})
-    images = []
-    for j in range(len(dbl.fermionic)):
-        var = SuperPolynomial.fermionic_var(dbl, j)
-        if block_out <= j < block_out + n2:
-            var = var - SuperPolynomial.fermionic_var(
-                dbl, block_in + (j - block_out))
-        images.append(var)
-    return sp_substitute_fermionic(f_emb, images)
+        require_envelope(f)
+        require_envelope(g)
+        transform, width = super_fourier, Fraction(1)
+    elif scope == "fermionic":
+        if f.universe.m:
+            raise ValueError("non-damped bosonic integrand")
+        transform, width = fermionic_fourier, 0
+    else:
+        raise ValueError(f"unknown scope {scope!r}")
+    lhs = _gaussian_pairing(f, g, width)
+    return all(_gaussian_pairing(transform(f, sign), transform(g, sign),
+                                 width) == lhs for sign in ("+", "-"))
 
 
 def convolution_fermionic(f, g):
-    """f*g(u) = Berezin_x f(u-x) g(x) for purely fermionic f, g."""
+    """f*g(u) = Berezin_x f(u-x) g(x) for purely fermionic f, g, one pass
+    over pairs of terms (q^A, q^B) with no doubled universe.
+
+    Expanding f(u-x) picks -x_j on a subset S of A and u_j on the rest;
+    the Berezin integral keeps S = full & ~B, so a pair counts when
+    A | B is every symbol, and it goes to q^(A & B) with the weight
+    pi^-n (-1)^(|S| + inversions) times the merge sign of (S, B), the
+    inversions being the symbols of A & B above each symbol of S."""
     u = f.universe
     if u.m:
         raise ValueError("convolution implemented fermionically only")
-    n2 = len(u.fermionic)
-    dbl = doubled_universe(u)
-    f_shift = grassmann_shift(f, dbl, block_out=0, block_in=n2)
-    g_emb = sp_rename(g, dbl, {}, {j: n2 + j for j in range(n2)})
-    prod = sp_mul(f_shift, g_emb)
-    integrated = berezin(prod, over=range(n2, 2 * n2))
-    return sp_rename(integrated, u, {}, {j: j for j in range(n2)})
+    full = (1 << len(u.fermionic)) - 1
+    out = {}
+    for (_, a), ca in f.terms.items():
+        for (_, b), cb in g.terms.items():
+            if a | b != full:
+                continue
+            s, t = full & ~b, a & b
+            odd = s.bit_count() + sum((t >> j).bit_count()
+                                      for j in mask_bits(s))
+            sign, _ = merge_masks(s, b)
+            c = ca * cb
+            add_into(out, ((), t), -c if (odd & 1) ^ (sign < 0) else c)
+    return scale_exact(SuperPolynomial(u, out),
+                       ExactScalar.pi_half_power(-len(u.fermionic)))
 
 
 def fermionic_delta(u):

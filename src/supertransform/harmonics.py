@@ -51,6 +51,18 @@ class HarmonicBasis:
                 f"sector={self.sector!r}, dim={self.dimension})")
 
 
+def check_basis_degree(k, universe):
+    """Refuse a negative degree k, or one whose monomials in the whole
+    universe (a bound on any sector's) number more than
+    MAX_BASIS_MONOMIALS."""
+    if k < 0:
+        raise ValueError("degree must be nonnegative")
+    count = homogeneous_monomial_count(universe, k)
+    if count > MAX_BASIS_MONOMIALS:
+        raise ValueError(f"degree k = {k} spans {count} monomials, over "
+                         f"MAX_BASIS_MONOMIALS = {MAX_BASIS_MONOMIALS}")
+
+
 @functools.cache
 def harmonic_basis(k, sector, universe):
     """Exact nullspace of the sector Laplacian on degree-k homogeneous
@@ -58,19 +70,12 @@ def harmonic_basis(k, sector, universe):
 
     Memoized per (degree, sector, universe) (`harmonic_basis.cache_info()`
     gives size, hits and misses): every caller shares the one basis and
-    its tuple of elements.  A refusal raises on every call; a degree
-    whose monomials in the whole universe (a bound on the sector's)
-    number more than MAX_BASIS_MONOMIALS is refused before any row
-    reduction.
+    its tuple of elements.  A refusal raises on every call, before any
+    row reduction (check_basis_degree).
     """
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
+    check_basis_degree(k, universe)
     if sector not in ("bosonic", "fermionic", "full"):
         raise ValueError(f"unknown sector {sector!r}")
-    count = homogeneous_monomial_count(universe, k)
-    if count > MAX_BASIS_MONOMIALS:
-        raise ValueError(f"degree k = {k} spans {count} monomials, over "
-                         f"MAX_BASIS_MONOMIALS = {MAX_BASIS_MONOMIALS}")
     monos = homogeneous_monomials(universe, k, sector)
     if not monos:
         return HarmonicBasis(k, sector, ())

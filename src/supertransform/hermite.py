@@ -68,6 +68,20 @@ def check_series_digits(j, universe, k):
                 f"MAX_SERIES_DIGITS = {MAX_SERIES_DIGITS}")
 
 
+def check_psi_orders(j, k, universe):
+    """Refuse psi_{j,k} on (j, k, universe) alone, before any basis or
+    product: a negative j, a top degree 2j+k with more than
+    MAX_MONOMIALS monomials (the output grows with that count), or
+    weights too long for the series (check_series_digits)."""
+    if j < 0:
+        raise ValueError("Hermite order j must be non-negative")
+    count = homogeneous_monomial_count(universe, 2 * j + k)
+    if count > MAX_MONOMIALS:
+        raise ValueError(f"degree 2j+k = {2 * j + k} spans {count} "
+                         f"monomials, over MAX_MONOMIALS = {MAX_MONOMIALS}")
+    check_series_digits(j, universe, max(k, 0))
+
+
 @functools.cache
 def ch_coefficients(j, m_value, k):
     """Integers c~_0..c~_j with Delta^j (h G) = sum_i c~_i t^i h G for a
@@ -105,11 +119,9 @@ def _hermite_series(j, h_k, rescaled):
     rebuilt once per output term.  A float-lane h_k runs the same loop
     on itself, and is harmonic when no coefficient of its Laplacian
     passes 1e-10 times its largest coefficient modulus (rounding).
-    Refused before any product when degree 2j+k has more than
-    MAX_MONOMIALS monomials (the output grows with that count), or when
-    check_series_digits finds the weights too long for the series."""
-    if j < 0:
-        raise ValueError("Hermite order j must be non-negative")
+    The orders are checked first (check_psi_orders)."""
+    k = h_k.degree()
+    check_psi_orders(j, k, h_k.universe)
     float_lane = is_float_lane(h_k)
     denom, parts = (1, {None: h_k}) if float_lane else integer_parts(h_k)
     bound = 1e-10 * max(map(abs, h_k.terms.values()), default=0) \
@@ -118,12 +130,6 @@ def _hermite_series(j, h_k, rescaled):
             abs(c) > bound for p in parts.values()
             for c in laplace(p, "full").terms.values()):
         raise ValueError("input is not a homogeneous harmonic")
-    k = h_k.degree()
-    count = homogeneous_monomial_count(h_k.universe, 2 * j + k)
-    if count > MAX_MONOMIALS:
-        raise ValueError(f"degree 2j+k = {2 * j + k} spans {count} "
-                         f"monomials, over MAX_MONOMIALS = {MAX_MONOMIALS}")
-    check_series_digits(j, h_k.universe, max(k, 0))
     weights = [c if rescaled else c << (j + i) for i, c in enumerate(
         ch_coefficients(j, h_k.universe.superdim, k))]
 

@@ -66,19 +66,6 @@ class VariableUniverse:
         return f"VariableUniverse({self.bosonic}, {self.fermionic})"
 
 
-def doubled_universe(u):
-    """Universe holding u's symbols followed by a second copy, bosonic
-    y1..ym and fermionic s1..s2n.
-
-    The second copy's fermionic block sits at indices 2n..4n-1, which is
-    what the transform kernels need.
-    """
-    return VariableUniverse(
-        u.bosonic + tuple(f"y{i + 1}" for i in range(u.m)),
-        u.fermionic + tuple(f"s{j + 1}" for j in range(len(u.fermionic))),
-    )
-
-
 def merge_masks(a, b):
     """Sign and union of two fermionic masks, or None on overlap."""
     if a & b:
@@ -403,24 +390,6 @@ def sp_rename(f, target, bos_map, fer_map):
             nmask |= 1 << j
         add_into(out, (tuple(nb), nmask), -c if inv & 1 else c)
     return SuperPolynomial(target, out)
-
-
-def sp_substitute_fermionic(f, images):
-    """Substitute fermionic variable j by the polynomial images[j].
-
-    Images live in f's universe (each must have odd parity for the result
-    to be consistent); bosonic factors pass through untouched.  Used for
-    linear symplectic changes of variables and Grassmann shifts, with the
-    monomial's factors multiplied out in written (ascending) order.
-    """
-    u = f.universe
-    out = SuperPolynomial.zero(u)
-    for (bos, mask), c in f.terms.items():
-        piece = SuperPolynomial(u, {(bos, 0): c})
-        for j in mask_bits(mask):
-            piece = sp_mul(piece, images[j])
-        out = out + piece
-    return out
 
 
 def vector_square(u):

@@ -18,7 +18,8 @@ and builds each term as one monomial accumulator; the package reads the
 same grammar one lexeme per leaf, with the renderer's complex coefficient
 as one lexeme.
 `gaussian_integral_by_terms` integrates a polynomial against the
-Gaussian envelope term by term in the scalar ring, and
+Gaussian envelope term by term in the scalar ring, with the Berezin
+weights of `berezin_row`, and
 `super_integral_pair_by_product` applies it to the product polynomial
 f * conj(g); the package pairs the terms of f and g with integer weights
 and never forms the product.
@@ -26,6 +27,13 @@ and never forms the product.
 universe, and `kernel_route` integrates it against f by the Berezin
 integral: the defining fermionic transform of every order, which the
 package reads off one closed-form row per symbol pair instead.
+`berezin_by_derivatives` integrates by one left derivative per symbol
+and a rename, and `berezin_row` reads the pair's Berezin weights off it;
+`convolution_by_shift` substitutes u - x into f in a doubled universe
+(`doubled_universe`, `grassmann_shift`, `sp_substitute_fermionic`),
+multiplies by g(x) and integrates the x block.  The package integrates
+and convolves by one pass over the masks, and weighs a pair by the
+literal row pi^-1 (width, 0, 0, 1).
 `operator_exponential_fourier` expands a Gaussian-class function in the
 psi family by exact row reduction (`express_in_basis`, `solve_rational`)
 and rotates each component by its eigenvalue; the package transforms
@@ -51,8 +59,7 @@ from supertransform.cliffweyl import CValued, CWElement, _mul_keys
 from supertransform.expr import (_CONSTANTS, _ONE, _PI, _UNIT, ParseError,
                                  _check_exponent, _literal_int, _monomial,
                                  _power_pairs, _scalar)
-from supertransform.fourier import (_berezin_row, _require_exact, berezin,
-                                    gaussian_moment)
+from supertransform.fourier import _require_exact, gaussian_moment
 from supertransform.harmonics import fermionic_square_power, harmonic_basis
 from supertransform.hermite import psi_span
 from supertransform.operators import (bosonic_derivative,
@@ -61,7 +68,7 @@ from supertransform.radon import _sphere_substitution
 from supertransform.scalars import (Angle, ExactScalar, QQi,
                                     rising_factorial, to_float)
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
-                                     doubled_universe,
+                                     VariableUniverse,
                                      fermionic_envelope_poly, mask_bits,
                                      merge_masks, neutral_bosonic_var,
                                      neutral_fermionic_var,
@@ -141,7 +148,7 @@ def gaussian_integral_by_terms(poly, width):
     the given width, term by term: the Berezin weight of each pair's
     sub-mask and the bosonic moment of each exponent, multiplied in the
     scalar ring."""
-    row = _berezin_row(width)
+    row = berezin_row(width)
     nf = len(poly.universe.fermionic)
     total = {}
     for (bos, mask), c in poly.terms.items():
@@ -610,6 +617,100 @@ def parse_by_tokens(src, universe):
     return GaussianFunction(poly, True) if gaussian else poly
 
 
+def doubled_universe(u):
+    """Universe holding u's symbols followed by a second copy, bosonic
+    y1..ym and fermionic s1..s2n; the second fermionic block sits at
+    indices 2n..4n-1, where the kernels and the shift route put it."""
+    return VariableUniverse(
+        u.bosonic + tuple(f"y{i + 1}" for i in range(u.m)),
+        u.fermionic + tuple(f"s{j + 1}" for j in range(len(u.fermionic))),
+    )
+
+
+def sp_substitute_fermionic(f, images):
+    """Substitute fermionic variable j by the polynomial images[j] of f's
+    universe, the monomial's factors multiplied out in written
+    (ascending) order; bosonic factors pass through."""
+    u = f.universe
+    out = SuperPolynomial.zero(u)
+    for (bos, mask), c in f.terms.items():
+        piece = SuperPolynomial(u, {(bos, 0): c})
+        for j in mask_bits(mask):
+            piece = sp_mul(piece, images[j])
+        out = out + piece
+    return out
+
+
+def berezin_by_derivatives(f, over=None):
+    """pi^(-n') d_{q_last} ... d_{q_first} over a block of whole symbol
+    pairs, one left derivative per symbol, then the integrated symbols
+    renamed out of the universe."""
+    poly = f.poly if isinstance(f, GaussianFunction) else f
+    u = poly.universe
+    nf = len(u.fermionic)
+    over = sorted(range(nf) if over is None else over)
+    if len(over) % 2:
+        raise ValueError("odd subset")
+    for a in range(0, len(over), 2):
+        if over[a] % 2 or over[a + 1] != over[a] + 1:
+            raise ValueError("subset must be whole symbol pairs")
+    g = poly
+    for j in over:            # rightmost operator first: ascending indices
+        g = g.fermionic_derivative(j)
+    g = scale_exact(g, ExactScalar.pi_half_power(-len(over)))
+    keep = [j for j in range(nf) if j not in set(over)]
+    target = VariableUniverse(u.bosonic, tuple(u.fermionic[j] for j in keep))
+    fer_map = {j: i for i, j in enumerate(keep)}
+    return sp_rename(g, target, {i: i for i in range(u.m)}, fer_map)
+
+
+_PAIR = VariableUniverse((), ("q1", "q2"))
+
+
+def berezin_row(width):
+    """Berezin weights of the four pair sub-masks against the pair's
+    envelope factor exp(width q1q2), read off the derivative chain at
+    0|2."""
+    env = fermionic_envelope_poly(_PAIR, width=width)
+    return tuple(berezin_by_derivatives(sp_mul(
+        SuperPolynomial(_PAIR, {((), sub): ExactScalar.one()}), env))
+        .constant_term() for sub in range(4))
+
+
+def grassmann_shift(f, dbl, block_out, block_in):
+    """f(u - x): embed f on the output block and substitute u_j -> u_j - x_j.
+
+    block_out/block_in are the fermionic index offsets of the u and x
+    blocks inside the doubled universe."""
+    n2 = len(f.universe.fermionic)
+    f_emb = sp_rename(f, dbl, {i: i for i in range(f.universe.m)},
+                      {j: block_out + j for j in range(n2)})
+    images = []
+    for j in range(len(dbl.fermionic)):
+        var = SuperPolynomial.fermionic_var(dbl, j)
+        if block_out <= j < block_out + n2:
+            var = var - SuperPolynomial.fermionic_var(
+                dbl, block_in + (j - block_out))
+        images.append(var)
+    return sp_substitute_fermionic(f_emb, images)
+
+
+def convolution_by_shift(f, g):
+    """f*g(u) = Berezin_x f(u-x) g(x) for purely fermionic f, g: the
+    shift in a doubled universe, the product and the derivative chain
+    over the x block."""
+    u = f.universe
+    if u.m:
+        raise ValueError("convolution implemented fermionically only")
+    n2 = len(u.fermionic)
+    dbl = doubled_universe(u)
+    f_shift = grassmann_shift(f, dbl, block_out=0, block_in=n2)
+    g_emb = sp_rename(g, dbl, {}, {j: n2 + j for j in range(n2)})
+    prod = sp_mul(f_shift, g_emb)
+    integrated = berezin_by_derivatives(prod, over=range(n2, 2 * n2))
+    return sp_rename(integrated, u, {}, {j: j for j in range(n2)})
+
+
 def fermionic_kernel(u, a):
     """Fermionic kernel of order a (a in [-1, 1], a != 0) in the doubled
     universe, y block at fermionic indices 2n..4n-1: prod_p exp(s_p) with
@@ -665,8 +766,8 @@ def kernel_route(f, a):
         f = f.map_coefficients(to_float)
     bos = {i: i for i in range(u.m)}
     fer = {j: j for j in range(len(u.fermionic))}
-    integrated = berezin(sp_mul(kernel, sp_rename(f, dbl, bos, fer)),
-                         over=fer)
+    integrated = berezin_by_derivatives(
+        sp_mul(kernel, sp_rename(f, dbl, bos, fer)), over=fer)
     return sp_rename(integrated.scale(prefactor), u, bos, fer)
 
 

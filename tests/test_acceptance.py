@@ -29,10 +29,10 @@ from supertransform.scalars import ExactScalar, to_float
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse,
                                      fermionic_envelope_poly, pairing,
-                                     sp_mul, sp_rename,
-                                     sp_substitute_fermionic)
+                                     sp_mul, sp_rename)
 from tests.oracles import (fermionic_kernel, kernel_route,
-                           operator_exponential_fourier)
+                           operator_exponential_fourier,
+                           sp_substitute_fermionic)
 from tests.test_cliffweyl import power_rule_check
 from tests.test_fracfourier import (frac_calculus_check,
                                     frac_dirac_consequence_check,

@@ -224,6 +224,30 @@ def test_cli_parseval(capsys):
     assert code == 0 and out == "true"
 
 
+@pytest.mark.parametrize("m, n, f, g", [
+    (1, 1, "x1*G", "G"),
+    (1, 1, "(1 + 2*i)*x1*q1*G + pi*G", "x1*q2*G - q1*q2*G"),
+    (0, 2, "q1*q3 + 1/2*i", "q2*q4 + q1*q2*q3*q4"),
+    (1, 1, "x1*G", "x1"),
+    (1, 1, "x1", "x1"),
+])
+def test_cli_parseval_reads_json_operands(capsys, m, n, f, g):
+    # each operand may be JSON, as everywhere an expression is expected;
+    # the verdict or the refusal is the text operands'
+    universe = ("--m", str(m), "--n", str(n))
+
+    def as_json(text):
+        code, out, _ = _run_cli(capsys, *universe, "--format", "json",
+                                "normalize", text)
+        assert code == 0
+        return out
+
+    want = _run_cli(capsys, *universe, "parseval", f, g)
+    assert want[0] in (0, 1)
+    for a, b in ((as_json(f), g), (f, as_json(g)), (as_json(f), as_json(g))):
+        assert _run_cli(capsys, *universe, "parseval", a, b) == want
+
+
 def test_cli_json_format(capsys):
     code, out, _ = _run_cli(capsys, "--m", "0", "--n", "1", "--format",
                             "json", "fourier", "1")
@@ -517,6 +541,24 @@ def test_cli_hermite_series_budget_refuses_fast(capsys, m, j):
     assert time.perf_counter() - start < 1.0
     assert code == 1 and not out
     assert "MAX_SERIES_DIGITS = 50000000" in err
+
+
+@pytest.mark.parametrize("m, n, j, k, message", [
+    (3, 2, 100000, 14, "MAX_MONOMIALS = 50000"),
+    (3, 2, -1, 14, "order j must be non-negative"),
+    (1, 0, 100000, 0, "MAX_SERIES_DIGITS = 50000000"),
+    (3, 2, 0, 80, "MAX_BASIS_MONOMIALS = 1500"),
+    (3, 2, -1, -1, "degree must be nonnegative"),
+])
+def test_cli_hermite_order_refusals_build_no_basis(capsys, m, n, j, k,
+                                                   message):
+    # the orders are checked on (j, k, universe) before harmonic_basis is
+    # called; the degree's own refusal comes first
+    before = harmonic_basis.cache_info()
+    code, out, err = _run_cli(capsys, "--m", str(m), "--n", str(n),
+                              "hermite", "--j", str(j), "--k", str(k))
+    assert code == 1 and not out and message in err
+    assert harmonic_basis.cache_info() == before
 
 
 def test_series_budget_boundary():

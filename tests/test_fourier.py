@@ -6,7 +6,7 @@ from supertransform.fourier import (berezin, convolution_fermionic,
                                     delta_fourier, fermionic_delta,
                                     fermionic_fourier,
                                     fermionic_fourier_gaussian,
-                                    bosonic_fourier, grassmann_shift,
+                                    bosonic_fourier,
                                     parseval_check, super_fourier,
                                     super_fourier_cvalued, super_integral,
                                     super_integral_pair)
@@ -24,7 +24,8 @@ from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      sp_mul, sp_rename)
 from tests.conftest import random_poly, random_scalar
 from tests.oracles import (fermionic_kernel, gaussian_expand_fermionic,
-                           kernel_route, operator_exponential_fourier)
+                           grassmann_shift, kernel_route,
+                           operator_exponential_fourier)
 
 
 def _factorial(k):
@@ -724,25 +725,30 @@ def test_super_integral_pair_refuses_float_lane_on_either_side():
 
 
 def test_gaussian_integrals_never_form_the_product(monkeypatch, rng):
-    # the integrals pair terms; a product polynomial coming back would
-    # reach sp_mul (the pair Berezin table is built before patching)
-    from supertransform import fourier, superalg
+    # the integrals, the plain Parseval check and the convolution pair
+    # terms; a product polynomial coming back would reach sp_mul, which
+    # fourier does not import
+    from supertransform import superalg
     from supertransform.fourier import gaussian_class_integral
     u = VariableUniverse.standard(2, 1)
     f, g = (GaussianFunction(random_poly(u, rng, degree=4, nterms=6,
                                          rational=False)) for _ in range(2))
+    u0 = VariableUniverse.standard(0, 2)
+    p, q = (random_poly(u0, rng, degree=4, nterms=6, rational=False)
+            for _ in range(2))
 
     def integrals():
         return (super_integral_pair(f, g), super_integral(f),
                 gaussian_class_integral(f.poly, Fraction(1)),
-                gaussian_class_integral(f.poly, Fraction(1, 2)))
+                gaussian_class_integral(f.poly, Fraction(1, 2)),
+                parseval_check(p, q, "fermionic"), super_integral(p),
+                convolution_fermionic(p, q))
 
     want = integrals()
 
     def refuse(*args):
         raise AssertionError("product polynomial formed")
 
-    monkeypatch.setattr(fourier, "sp_mul", refuse)
     monkeypatch.setattr(superalg, "sp_mul", refuse)
     assert integrals() == want
 

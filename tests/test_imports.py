@@ -62,3 +62,18 @@ def test_no_package_module_imports_scipy_or_the_tests(name):
     roots = {dotted.split(".")[0] for dotted in imported_modules(name)}
     assert "scipy" not in roots
     assert "tests" not in roots
+
+
+def imported_names(name):
+    """Every name that the package module `name` imports from another
+    module, as bound in its namespace."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_fourier_integrates_without_the_product_or_a_doubled_universe():
+    # Berezin, the convolution and Parseval are passes over masks and
+    # term pairs; the general machinery stays in superalg and the tests
+    assert not imported_names("fourier") & {
+        "sp_mul", "sp_rename", "doubled_universe", "sp_substitute_fermionic"}

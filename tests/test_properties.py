@@ -12,7 +12,8 @@ from supertransform import expr as exprmod
 from supertransform.expr import ParseError, _power_pairs, parse, \
     render_poly_text
 
-from supertransform.fourier import bosonic_fourier, \
+from supertransform.fourier import _gaussian_pairing, berezin, \
+    bosonic_fourier, convolution_fermionic, fermionic_delta, \
     fermionic_fourier_gaussian, parseval_check, super_fourier
 from supertransform.fracfourier import frac_fermionic_table, frac_fourier, \
     relative_deviation
@@ -28,7 +29,8 @@ from supertransform.scalars import ExactScalar, QQi
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse, from_integer_parts,
                                      integer_parts, is_float_lane, sp_mul)
-from tests.oracles import dirac_via_derivatives, kernel_route, \
+from tests.oracles import berezin_by_derivatives, convolution_by_shift, \
+    dirac_via_derivatives, kernel_route, \
     mehler_series, parse_by_tokens, peel_bosonic_fourier, \
     phi_via_derivatives, reduce_mod_sphere_per_monomial, \
     vector_mul_via_products
@@ -683,3 +685,67 @@ def test_odd_pass_equals_the_derivative_route(f, j):
     for word in set(got.parts) | set(want.parts):
         assert relative_deviation(got.parts.get(word, zero),
                                   want.parts.get(word, zero)) <= 1e-12
+
+
+@st.composite
+def _berezin_cases(draw):
+    """(f, over): a polynomial at m <= 2, n <= 3 on either lane and a
+    block of whole symbol pairs, or None for every pair."""
+    f = draw(_polys(max_m=2, max_n=3))
+    if draw(st.booleans()):
+        f = f.map_coefficients(ExactScalar.to_complex)
+    chosen = draw(st.lists(st.booleans(), min_size=f.universe.pairs,
+                           max_size=f.universe.pairs))
+    over = [j for p, on in enumerate(chosen) if on
+            for j in (2 * p, 2 * p + 1)]
+    return f, draw(st.sampled_from([over, None]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_berezin_cases())
+def test_berezin_mask_pass_equals_the_derivative_chain(case):
+    f, over = case
+    assert berezin(f, over) == berezin_by_derivatives(f, over)
+
+
+@st.composite
+def _fermionic_operands(draw):
+    """(f, g) on one universe at m = 0, n <= 3; g holds the complements
+    of some of f's masks, so that many pairs of terms fill every symbol,
+    and f is now and then zero or the delta pi^n q1...q2n."""
+    n = draw(st.integers(0, 3))
+    u = VariableUniverse.standard(0, n)
+    full = (1 << 2 * n) - 1
+    masks = st.tuples(st.just(()), st.integers(0, full))
+    f_terms, g_terms = (draw(st.dictionaries(masks, _scalars, max_size=6))
+                        for _ in range(2))
+    for _, mask in f_terms:
+        if draw(st.booleans()):
+            g_terms[(), full ^ mask] = draw(_scalars)
+    f, g = SuperPolynomial(u, f_terms), SuperPolynomial(u, g_terms)
+    special = draw(st.sampled_from([None, "zero", "delta"]))
+    if special == "zero":
+        f = SuperPolynomial.zero(u)
+    elif special == "delta":
+        f = fermionic_delta(u)
+    return f, g
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_fermionic_operands())
+def test_convolution_mask_pass_equals_the_shift_route(fg):
+    f, g = fg
+    got = convolution_fermionic(f, g)
+    assert got == convolution_by_shift(f, g)
+    assert convolution_fermionic(g, f) == convolution_by_shift(g, f)
+    if f == fermionic_delta(f.universe):
+        assert got == g
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_fermionic_operands())
+def test_plain_pairing_equals_the_product_integral(fg):
+    f, g = fg
+    want = berezin_by_derivatives(sp_mul(f, g.conjugate())).constant_term()
+    assert _gaussian_pairing(f, g, 0) == want
+    assert parseval_check(f, g, "fermionic")

@@ -4,14 +4,13 @@ import pytest
 
 from supertransform.scalars import ExactScalar
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
-                                     VariableUniverse, doubled_universe,
-                                     fermionic_square,
+                                     VariableUniverse, fermionic_square,
                                      homogeneous_monomial_count,
                                      homogeneous_monomials, merge_masks,
                                      pairing,
-                                     sp_mul, sp_rename,
-                                     sp_substitute_fermionic, vector_square)
+                                     sp_mul, sp_rename, vector_square)
 from tests.conftest import random_poly
+from tests.oracles import doubled_universe, sp_substitute_fermionic
 
 one = ExactScalar.one
 
