@@ -4,7 +4,10 @@ Every object of the engine is a finite linear combination stored as a
 dict from a key (monomial, unit word, radical exponents, ...) to a
 coefficient.  Exact equality of two objects is equality of their dicts,
 which holds only while no dict keeps a zero coefficient; this module is
-the one place that policy is written.
+the one place that policy is written.  It is also the one place that
+says when two values can meet: a subclass names in `_shape` the fields
+(universe, envelope, Clifford-Weyl shape) two of its values must share
+to be added or equal.
 """
 
 from __future__ import annotations
@@ -27,25 +30,39 @@ def canonical(terms):
 
 
 class TermMap:
-    """Linear structure over `self.terms`, kept canonical.
+    """Linear structure, equality and conjugation over `self.terms`,
+    kept canonical.
 
     A subclass rebuilds itself through `_like(terms)` (canonical terms,
-    same universe, shape or envelope) and refuses an operand it cannot
-    be added to in `_check(other)`.
+    same shape) and names in `_shape` the attributes two operands must
+    share; an operand of another shape is refused by `check_shape`.
     """
 
     __slots__ = ()
 
+    _shape = ()
+
     def _like(self, terms):
         raise NotImplementedError
 
-    def _check(self, other):
-        pass
+    def _same_shape(self, other):
+        for name in self._shape:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if mine is not theirs and mine != theirs:
+                return False
+        return True
+
+    def check_shape(self, other):
+        """Refuse an operand of another shape."""
+        if not self._same_shape(other):
+            raise ValueError("shape mismatch: operands must share "
+                             + " and ".join(self._shape))
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        self._check(other)
+        if self._shape:
+            self.check_shape(other)
         merged = dict(self.terms)
         for key, c in other.terms.items():
             add_into(merged, key, c)
@@ -57,6 +74,11 @@ class TermMap:
     def __sub__(self, other):
         return self + (-other)
 
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._same_shape(other) and self.terms == other.terms
+
     def scale(self, c):
         return self._like({key: s for key, v in self.terms.items()
                            if (s := v * c)})
@@ -65,6 +87,12 @@ class TermMap:
         """fn applied to every coefficient, dropping the zeros it makes."""
         return self._like({key: s for key, v in self.terms.items()
                            if (s := fn(v))})
+
+    def conjugate(self):
+        """Complex conjugation of every coefficient; the variables and
+        generators are fixed, and no coefficient conjugates to zero."""
+        return self._like({key: c.conjugate()
+                           for key, c in self.terms.items()})
 
     def __bool__(self):
         return bool(self.terms)

@@ -196,12 +196,10 @@ def run(args, source):
         # "0*G" renders as 0 in text, so a plain zero reads back as 0*G
         # (JSON keeps its envelope flag); at m = 0 a plain fourier input
         # is a fermionic transform and stays one
-        f = GaussianFunction(f, True)
+        f = GaussianFunction(f)
     if cmd == "normalize":
         return _render(f, args.format)
     if cmd == "berezin":
-        if isinstance(f, GaussianFunction):
-            raise ValueError("berezin expects a plain polynomial")
         return _render(berezin(f), args.format)
     if cmd == "laplace":
         return _render(laplace(f, args.sector), args.format)

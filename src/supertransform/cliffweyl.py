@@ -77,6 +77,7 @@ class CWElement(TermMap):
     """Element of the Clifford-Weyl algebra in normal-ordered form."""
 
     __slots__ = ("m", "npairs", "terms")
+    _shape = ("m", "npairs")
 
     def __init__(self, m, npairs, terms=None):
         self.m = m
@@ -110,16 +111,6 @@ class CWElement(TermMap):
         w[j] = 1
         return CWElement(m, npairs, {(0, tuple(w)): ExactScalar.one()})
 
-    def _check(self, other):
-        if (self.m, self.npairs) != (other.m, other.npairs):
-            raise ValueError("shape mismatch")
-
-    def __eq__(self, other):
-        if not isinstance(other, CWElement):
-            return NotImplemented
-        return ((self.m, self.npairs) == (other.m, other.npairs)
-                and self.terms == other.terms)
-
     def render(self):
         return " + ".join(f"({c.render()})*{word_text(key)}"
                           for key, c in sorted(self.terms.items())) or "0"
@@ -130,7 +121,7 @@ class CWElement(TermMap):
 
 def cw_mul(a, b):
     """Normal-ordered product; Weyl rewriting applied exhaustively."""
-    a._check(b)
+    a.check_shape(b)
     out = {}
     for k1, c1 in a.terms.items():
         for k2, c2 in b.terms.items():
@@ -148,6 +139,7 @@ class CValued(TermMap):
     """
 
     __slots__ = ("universe", "terms", "envelope")
+    _shape = ("universe", "envelope")
 
     def __init__(self, universe, parts=None, envelope=False):
         self.universe = universe
@@ -156,10 +148,6 @@ class CValued(TermMap):
 
     def _like(self, terms):
         return CValued(self.universe, terms, self.envelope)
-
-    def _check(self, other):
-        if self.envelope != other.envelope:
-            raise ValueError("cannot add different envelopes")
 
     @property
     def parts(self):
@@ -171,7 +159,7 @@ class CValued(TermMap):
         """Lift a SuperPolynomial or GaussianFunction to identity value."""
         key = (0, (0,) * len(f.universe.fermionic))
         if isinstance(f, GaussianFunction):
-            return CValued(f.universe, {key: f.poly}, f.envelope)
+            return CValued(f.universe, {key: f.poly}, envelope=True)
         return CValued(f.universe, {key: f})
 
     @property
@@ -182,13 +170,6 @@ class CValued(TermMap):
     def npairs(self):
         return self.universe.pairs
 
-    def __eq__(self, other):
-        if not isinstance(other, CValued):
-            return NotImplemented
-        return (self.universe == other.universe
-                and self.envelope == other.envelope
-                and self.parts == other.parts)
-
     def scalar_function(self):
         """The identity-word component (fails if other words survive)."""
         ident = (0, (0,) * len(self.universe.fermionic))
@@ -197,7 +178,7 @@ class CValued(TermMap):
                 raise ValueError("value is not scalar")
         poly = self.parts.get(ident, SuperPolynomial.zero(self.universe))
         if self.envelope:
-            return GaussianFunction(poly, True)
+            return GaussianFunction(poly)
         return poly
 
     def degree(self):

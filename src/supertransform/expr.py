@@ -49,7 +49,7 @@ from .superalg import (GaussianFunction, SuperPolynomial, mask_bits,
 
 
 # Input budgets of the expression and JSON readers, and the renderers'
-# output budget.
+MAX_EXPONENT = 1000        # |exponent| of '^', JSON bosonic entries, JSON eps
 MAX_EXPONENT = 1000        # |exponent| of '^' and of a JSON bosonic entry
 MAX_DIGITS = 1000          # digits of one integer literal or symbol index
 MAX_POWER_DIGITS = 4300    # digits of a scalar power (Python's int str limit)
@@ -619,7 +619,7 @@ def parse(src, universe):
         _scan_error(src)
         raise
     poly = SuperPolynomial(universe, terms)
-    return GaussianFunction(poly, True) if gaussian else poly
+    return GaussianFunction(poly) if gaussian else poly
 
 
 # -- rendering ----------------------------------------------------------
@@ -762,6 +762,7 @@ def _json_scalar(coeff):
         if not rd or not im_d:
             raise ParseError("JSON coefficient denominator is zero", 0)
         key = (_json_int(t.get("b"), "b"), _json_int(t.get("eps"), "eps"))
+        _check_exponent(key[1])
         out = out + ExactScalar(
             {key: QQi(Fraction(rn, rd), Fraction(im_n, im_d))})
     return out
@@ -825,5 +826,5 @@ def poly_from_json(js, universe):
         add_into(terms, (tuple(bos), mask), _json_scalar(entry.get("coeff")))
     poly = SuperPolynomial(u, terms)
     if js.get("envelope"):
-        return GaussianFunction(poly, True)
+        return GaussianFunction(poly)
     return poly

@@ -45,8 +45,9 @@ def berezin(f, over=None):
     One pass over the masks: a term survives when its mask holds every
     integrated symbol, and the symbols left close up in order.  No sign
     arises, as a pair's two derivatives see the same lower symbols."""
-    poly = f.poly if isinstance(f, GaussianFunction) else f
-    u = poly.universe
+    if isinstance(f, GaussianFunction):
+        raise ValueError("berezin expects a plain polynomial")
+    u = f.universe
     nf = len(u.fermionic)
     over = sorted(range(nf) if over is None else over)
     if len(over) % 2:
@@ -57,7 +58,7 @@ def berezin(f, over=None):
     block = sum(1 << j for j in over)
     keep = [j for j in range(nf) if not block >> j & 1]
     out = {}
-    for (bos, mask), c in poly.terms.items():
+    for (bos, mask), c in f.terms.items():
         if mask & block == block:
             rest = sum(1 << i for i, j in enumerate(keep) if mask >> j & 1)
             out[(bos, rest)] = c
@@ -371,8 +372,6 @@ def super_integral(f):
     """Berezin-then-bosonic integral of a Gaussian-class function (or a
     purely fermionic polynomial, where no damping is needed)."""
     if isinstance(f, GaussianFunction):
-        if not f.envelope:
-            return super_integral(f.poly)
         return gaussian_class_integral(f.poly, Fraction(1, 2))
     if f.universe.m:
         raise ValueError("non-damped bosonic integrand")

@@ -38,11 +38,6 @@ class RadialFunction(TermMap):
             c = ExactScalar.rational(c)
         return RadialFunction({(alpha, s): c})
 
-    def __eq__(self, other):
-        if not isinstance(other, RadialFunction):
-            return NotImplemented
-        return self.terms == other.terms
-
     def render(self):
         if not self.terms:
             return "0"

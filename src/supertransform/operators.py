@@ -34,25 +34,22 @@ def bosonic_derivative(f, i):
     """d/dx_i on either lane (plain polynomial or Gaussian function)."""
     if isinstance(f, SuperPolynomial):
         return f.bosonic_derivative(i)
-    p = f.poly.bosonic_derivative(i)
-    if f.envelope:
-        var = neutral_bosonic_var(f.universe, i, Fraction(-1))
-        p = p + sp_mul(f.poly, var)
-    return GaussianFunction(p, f.envelope)
+    var = neutral_bosonic_var(f.universe, i, Fraction(-1))
+    return GaussianFunction(f.poly.bosonic_derivative(i)
+                            + sp_mul(f.poly, var))
 
 
 def fermionic_derivative(f, j):
-    """Left fermionic derivative d/dq_j, through the envelope if present."""
+    """Left fermionic derivative d/dq_j, through the envelope of a
+    Gaussian function."""
     if isinstance(f, SuperPolynomial):
         return f.fermionic_derivative(j)
-    p = f.poly.fermionic_derivative(j)
-    if f.envelope:
-        if j % 2 == 0:
-            var = neutral_fermionic_var(f.universe, j + 1, Fraction(1, 2))
-        else:
-            var = neutral_fermionic_var(f.universe, j - 1, Fraction(-1, 2))
-        p = p + sp_mul(f.poly.parity_signed(), var)
-    return GaussianFunction(p, f.envelope)
+    if j % 2 == 0:
+        var = neutral_fermionic_var(f.universe, j + 1, Fraction(1, 2))
+    else:
+        var = neutral_fermionic_var(f.universe, j - 1, Fraction(-1, 2))
+    return GaussianFunction(f.poly.fermionic_derivative(j)
+                            + sp_mul(f.poly.parity_signed(), var))
 
 
 def multiply_bosonic_var(f, i):
@@ -66,7 +63,7 @@ def multiply_fermionic_var(f, j):
 def _mul_left(g, f):
     if isinstance(f, SuperPolynomial):
         return sp_mul(g, f)
-    return GaussianFunction(sp_mul(g, f.poly), f.envelope)
+    return f.mul_poly(g)
 
 
 def _sl2(f, sector, lower, scale, shift, rise):
@@ -76,7 +73,7 @@ def _sl2(f, sector, lower, scale, shift, rise):
         raise ValueError(f"unknown sector {sector!r}")
     u = f.universe
     bos_on, fer_on = sector != "fermionic", sector != "bosonic"
-    if isinstance(f, GaussianFunction) and f.envelope:
+    if isinstance(f, GaussianFunction):
         m_s = bos_on * u.m - fer_on * 2 * u.pairs
         lower, scale, shift, rise = (lower, scale + 2 * lower,
                                      shift + lower * m_s, rise + scale + lower)

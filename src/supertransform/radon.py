@@ -122,6 +122,7 @@ class RadonResult(TermMap):
     """
 
     __slots__ = ("universe", "terms")
+    _shape = ("universe",)
 
     def __init__(self, universe, terms=None):
         self.universe = universe
@@ -130,10 +131,6 @@ class RadonResult(TermMap):
     def _like(self, terms):
         return RadonResult(self.universe, terms)
 
-    def _check(self, other):
-        if self.universe != other.universe:
-            raise ValueError("universe mismatch")
-
     @staticmethod
     def from_omega_poly(omega_poly, ppoly):
         """Tensor a (reduced) omega polynomial with one p-polynomial."""
@@ -141,11 +138,6 @@ class RadonResult(TermMap):
         return RadonResult(reduced.universe, {
             (key, e): c * h for key, c in reduced.terms.items()
             for e, h in ppoly.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, RadonResult):
-            return NotImplemented
-        return self.universe == other.universe and self.terms == other.terms
 
     def by_omega(self):
         """(omega monomial, [(e, coefficient), ...]) in sorted order."""

@@ -294,9 +294,6 @@ class ExactScalar(TermMap):
             qinv = qinv * Fraction(1, 2)
         return ExactScalar({(-b, eps): qinv})
 
-    def conjugate(self):
-        return self._like({k: q.conjugate() for k, q in self.terms.items()})
-
     # -- predicates and conversions -----------------------------------
 
     def __eq__(self, other):

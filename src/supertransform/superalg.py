@@ -148,6 +148,7 @@ class SuperPolynomial(TermMap):
     """
 
     __slots__ = ("universe", "terms")
+    _shape = ("universe",)
 
     def __init__(self, universe, terms=None):
         self.universe = universe
@@ -198,10 +199,6 @@ class SuperPolynomial(TermMap):
 
     # -- ring structure ---------------------------------------------------
 
-    def _check(self, other):
-        if self.universe != other.universe:
-            raise ValueError("universe mismatch")
-
     def __mul__(self, other):
         if isinstance(other, SuperPolynomial):
             return sp_mul(self, other)
@@ -209,15 +206,6 @@ class SuperPolynomial(TermMap):
 
     def __rmul__(self, other):
         return self.scale(other)
-
-    def __eq__(self, other):
-        if not isinstance(other, SuperPolynomial):
-            return NotImplemented
-        return self.universe == other.universe and self.terms == other.terms
-
-    def conjugate(self):
-        """Complex conjugation: fixes variables, conjugates scalars."""
-        return self.map_coefficients(lambda c: c.conjugate())
 
     def parity_signed(self):
         """Multiply every term by (-1)^(fermionic degree)."""
@@ -440,19 +428,23 @@ def pairing(u_x, u_y):
 
 
 class GaussianFunction(TermMap):
-    """Super polynomial times an optional super-Gaussian envelope.
+    """Super polynomial times the super-Gaussian envelope G = exp(x^2/2).
 
-    The envelope exp(x^2/2) is a flag, never a series: operators act
-    through it by product rules.  All transforms require the envelope.
-    The terms are the polynomial's, so the linear structure is
-    TermMap's; only equal envelopes can be added.
+    The envelope is implied, never a series: operators act through it by
+    product rules, and a plain polynomial is a SuperPolynomial.  The
+    terms are the polynomial's, so the linear structure is TermMap's.
+    The second argument is kept only for callers that pass True.
     """
 
-    __slots__ = ("poly", "envelope")
+    __slots__ = ("poly",)
+    _shape = ("universe",)
 
     def __init__(self, poly, envelope=True):
+        if envelope is not True:
+            raise ValueError("a Gaussian function always carries the "
+                             "envelope; a plain polynomial is a "
+                             "SuperPolynomial")
         self.poly = poly
-        self.envelope = envelope
 
     @property
     def universe(self):
@@ -463,33 +455,19 @@ class GaussianFunction(TermMap):
         return self.poly.terms
 
     def _like(self, terms):
-        return GaussianFunction(self.poly._like(terms), self.envelope)
-
-    def _check(self, other):
-        if self.envelope != other.envelope:
-            raise ValueError("cannot add different envelopes")
-        self.poly._check(other.poly)
+        return GaussianFunction(self.poly._like(terms))
 
     def mul_poly(self, g):
         """Multiply by a plain polynomial from the left."""
-        return GaussianFunction(sp_mul(g, self.poly), self.envelope)
-
-    def __eq__(self, other):
-        if not isinstance(other, GaussianFunction):
-            return NotImplemented
-        return self.envelope == other.envelope and self.poly == other.poly
-
-    def conjugate(self):
-        return self.map_coefficients(lambda c: c.conjugate())
+        return GaussianFunction(sp_mul(g, self.poly))
 
     def __repr__(self):
-        tail = "*G" if self.envelope else ""
-        return f"GaussianFunction<{self.poly!r}{tail}>"
+        return f"GaussianFunction<{self.poly!r}*G>"
 
 
 def require_envelope(f):
-    """Refuse anything but a Gaussian function with the envelope."""
-    if not (isinstance(f, GaussianFunction) and f.envelope):
+    """Refuse anything but a Gaussian function."""
+    if not isinstance(f, GaussianFunction):
         raise ValueError("envelope missing")
 
 

@@ -925,7 +925,7 @@ def substitute_derivatives(h, target):
     Monomial factors act as composed operators in written order (the
     rightmost factor applies first)."""
     u = h.universe
-    out = GaussianFunction(SuperPolynomial.zero(u), target.envelope)
+    out = GaussianFunction(SuperPolynomial.zero(u))
     for (bos, mask), c in h.terms.items():
         g = target
         factors = []

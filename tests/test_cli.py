@@ -484,6 +484,23 @@ def test_cli_malformed_json_input_names_the_rule(capsys, payload, rule):
     assert code == 2 and rule in err
 
 
+def _json_with_eps(eps):
+    return ('{"schema": "supertransform/1", "terms": [{"bos": [1], '
+            '"coeff": [{"q": [3, 1, 0, 1], "b": 0, "eps": %d}]}]}' % eps)
+
+
+def test_cli_json_eps_budget(capsys):
+    # the sqrt2 exponent is refused before 2^(eps/2) is computed
+    start = time.perf_counter()
+    code, out, err = _run_cli(capsys, "--m", "1", "--n", "1", "normalize",
+                              _json_with_eps(10 ** 12))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "") and "MAX_EXPONENT" in err
+    for eps, want in ((0, "3*x1"), (1, "3*sqrt2*x1"), (2, "6*x1")):
+        assert _run_cli(capsys, "--m", "1", "--n", "1", "normalize",
+                        _json_with_eps(eps)) == (0, want, "")
+
+
 def test_cli_json_nesting_budget_boundary(capsys):
     # depth 150 is decoded and refused by the schema check; brackets
     # inside a JSON string do not nest

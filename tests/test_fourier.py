@@ -48,6 +48,17 @@ def test_berezin_basics():
                 over=[1, 2])
 
 
+def test_berezin_refuses_a_gaussian_function():
+    # the Berezin integral of exp(q1q2/2) is 1/2*pi^-1, not the integral of
+    # its polynomial part; a Gaussian function goes to super_integral
+    u = VariableUniverse.standard(0, 1)
+    g = GaussianFunction(SuperPolynomial.one(u))
+    with pytest.raises(ValueError, match="plain polynomial"):
+        berezin(g)
+    assert super_integral(g) == ExactScalar.rational(1, 2) \
+        * ExactScalar.pi_half_power(-2)
+
+
 def test_berezin_exponential_formula(rng):
     # Berezin of exp(x`^2/2) R equals sum_k (-1)^k (2pi)^-n / (2^k k!)
     # (Delta_f^k R)(0)
@@ -205,7 +216,7 @@ def test_bosonic_fourier_basics():
     assert bosonic_fourier(x1sq, "+") == want
     assert bosonic_fourier(x1sq, "-") == want
     with pytest.raises(ValueError, match="envelope"):
-        bosonic_fourier(GaussianFunction(SuperPolynomial.one(u), False), "+")
+        bosonic_fourier(SuperPolynomial.one(u), "+")
 
 
 def test_closed_form_pair_rows_equal_kernel_route():
@@ -632,10 +643,8 @@ def test_gaussian_transforms_refuse_input_without_the_envelope(transform,
                                                                lift):
     u = VariableUniverse.standard(2, 1)
     plain = SuperPolynomial.bosonic_var(u, 0)
-    for f in ((lift(u),) if lift else
-              (plain, GaussianFunction(plain, envelope=False))):
-        with pytest.raises(ValueError, match="envelope missing"):
-            transform(f)
+    with pytest.raises(ValueError, match="envelope missing"):
+        transform(lift(u) if lift else plain)
 
 
 # universes of the integral tests: M = 1, -2, -1, 0, -4, -2, -5, -1
@@ -773,11 +782,9 @@ def test_envelope_entry_points_refuse_input_without_it(name):
     u = VariableUniverse.standard(2, 1)
     plain = SuperPolynomial.bosonic_var(u, 0)
     good = GaussianFunction(SuperPolynomial.one(u))
-    inputs = ((CValued(u),) if name.endswith("cvalued") else
-              (plain, GaussianFunction(plain, envelope=False)))
-    for f in inputs:
-        with pytest.raises(ValueError, match="envelope missing"):
-            _ENVELOPE_CALLS[name](f, good)
+    f = CValued(u) if name.endswith("cvalued") else plain
+    with pytest.raises(ValueError, match="envelope missing"):
+        _ENVELOPE_CALLS[name](f, good)
 
 
 def _of_parity(poly, parity):

@@ -53,8 +53,7 @@ def test_euler_matches_derivative_sum(rng):
         u = VariableUniverse.standard(m, n)
         for _ in range(6):
             p = random_poly(u, rng, degree=4, nterms=5, rational=False)
-            for f in (p, GaussianFunction(p),
-                      GaussianFunction(p, envelope=False)):
+            for f in (p, GaussianFunction(p)):
                 assert euler(f) == _euler_derivative_sum(f), (m, n)
 
 
@@ -107,8 +106,7 @@ def test_sector_laplace_matches_derivatives(rng, sector):
         u = VariableUniverse.standard(m, n)
         for _ in range(5):
             p = random_poly(u, rng, degree=4, nterms=5, rational=False)
-            for f in (GaussianFunction(p), p,
-                      GaussianFunction(p, envelope=False)):
+            for f in (GaussianFunction(p), p):
                 assert laplace(f, sector) == \
                     _laplace_sector_derivatives(f, sector), (m, n)
 
@@ -126,7 +124,7 @@ def test_operators_on_the_float_lane(rng, m, n):
                 got = op(f.map_coefficients(to_float))
                 want = op(f).map_coefficients(to_float)
                 if isinstance(f, GaussianFunction):
-                    assert got.envelope
+                    assert isinstance(got, GaussianFunction)
                     got, want = got.poly, want.poly
                 assert relative_deviation(got, want) <= 1e-12, op
 
@@ -230,8 +228,7 @@ def _scalar_square_explicit(p):
 def test_gaussian_expand_fermionic_guard():
     u = VariableUniverse.standard(1, 1)
     with pytest.raises(ValueError):
-        gaussian_expand_fermionic(
-            GaussianFunction(SuperPolynomial.one(u), envelope=False))
+        gaussian_expand_fermionic(SuperPolynomial.one(u))
     got = gaussian_expand_fermionic(GaussianFunction(SuperPolynomial.one(u)))
     assert got == fermionic_envelope_poly(u)
 

@@ -236,11 +236,16 @@ def test_gaussian_function_refuses_other_operands_with_type_error():
             other + g
         with pytest.raises(TypeError):
             other - g
-    with pytest.raises(ValueError, match="different envelopes"):
-        g + GaussianFunction(p, envelope=False)
-    with pytest.raises(ValueError, match="different envelopes"):
-        g - GaussianFunction(p, envelope=False)
     assert g + GaussianFunction(p) - GaussianFunction(p) == g
+
+
+def test_a_gaussian_function_always_carries_the_envelope():
+    u = VariableUniverse.standard(2, 1)
+    p = SuperPolynomial.fermionic_var(u, 1)
+    assert GaussianFunction(p, True) == GaussianFunction(p)
+    with pytest.raises(ValueError, match="SuperPolynomial"):
+        GaussianFunction(p, False)
+    assert repr(GaussianFunction(p)).endswith("*G>")
 
 
 def test_merge_masks_sign():

@@ -16,6 +16,7 @@ from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse)
 
 U = VariableUniverse.standard(1, 1)
+UY = VariableUniverse.standard(1, 1, "y", "p")
 UO = omega_universe(2, 1)
 R = ExactScalar.rational
 
@@ -56,6 +57,24 @@ CASES = {
 }
 
 
+def _in_y(t):
+    return {key: SuperPolynomial(UY, p.terms) for key, p in t.items()}
+
+
+# constructors of the same terms in another shape, for every CASES type
+# whose values carry one
+OTHER_SHAPES = {
+    "SuperPolynomial": [lambda t: SuperPolynomial(UY, t)],
+    "GaussianFunction": [lambda t: GaussianFunction(SuperPolynomial(UY, t))],
+    "CWElement": [lambda t: CWElement(2, 1, t),
+                  lambda t: CWElement(1, 2, {(0, (0,) * 4): R(1)})],
+    "CValued": [lambda t: CValued(UY, _in_y(t), envelope=True),
+                lambda t: CValued(U, t, envelope=False)],
+    "RadonResult": [lambda t: RadonResult(VariableUniverse.standard(2, 1),
+                                          t)],
+}
+
+
 @pytest.mark.parametrize("name", list(CASES))
 def test_term_map_keeps_no_zero_coefficient(name):
     make, terms, zero = CASES[name]
@@ -70,24 +89,52 @@ def test_term_map_keeps_no_zero_coefficient(name):
     assert rest + make({key: terms[key]}) == x
 
 
+def test_every_shaped_term_map_has_another_shape():
+    assert set(OTHER_SHAPES) == {name for name, (make, terms, _)
+                                 in CASES.items() if make(terms)._shape}
+
+
+@pytest.mark.parametrize("name", list(OTHER_SHAPES))
+def test_values_of_another_shape_neither_add_nor_compare_equal(name):
+    make, terms, _ = CASES[name]
+    x = make(terms)
+    for other in OTHER_SHAPES[name]:
+        y = other(terms)
+        assert x != y and y != x
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                a + b
+            with pytest.raises(ValueError, match="shape mismatch"):
+                a - b
+
+
 def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub
         yield from _subclasses(sub)
 
 
-def test_every_term_map_of_the_package_has_a_case():
+def _package_term_maps():
     for mod in pkgutil.iter_modules(supertransform.__path__):
         importlib.import_module(f"supertransform.{mod.name}")
-    names = {sub.__name__ for sub in _subclasses(TermMap)
-             if sub.__module__.startswith("supertransform.")}
-    assert names == set(CASES)
+    return [sub for sub in _subclasses(TermMap)
+            if sub.__module__.startswith("supertransform.")]
+
+
+def test_every_term_map_of_the_package_has_a_case():
+    assert {sub.__name__ for sub in _package_term_maps()} == set(CASES)
 
 
 def test_radon_results_and_gaussian_functions_inherit_the_arithmetic():
     for cls in (RadonResult, GaussianFunction):
         assert not {"__add__", "__sub__", "__neg__", "scale",
                     "__bool__"} & set(vars(cls)), cls
+    # equality, the operand check and conjugation are TermMap's alone; a
+    # scalar keeps its own equality, as it also equals an int or Fraction
+    for cls in _package_term_maps():
+        own = {"__eq__", "_check", "conjugate"} & set(vars(cls))
+        assert own == ({"__eq__"} if cls is ExactScalar else set()), cls
+    assert not hasattr(GaussianFunction(SuperPolynomial.one(U)), "envelope")
 
 
 def test_add_into_removes_a_cancelled_key():
