@@ -49,8 +49,8 @@ from .superalg import (GaussianFunction, SuperPolynomial, mask_bits,
 
 
 # Input budgets of the expression and JSON readers, and the renderers'
+# output budget.
 MAX_EXPONENT = 1000        # |exponent| of '^', JSON bosonic entries, JSON eps
-MAX_EXPONENT = 1000        # |exponent| of '^' and of a JSON bosonic entry
 MAX_DIGITS = 1000          # digits of one integer literal or symbol index
 MAX_POWER_DIGITS = 4300    # digits of a scalar power (Python's int str limit)
 MAX_RENDER_DIGITS = 4300   # digits of one rendered integer (output budget)

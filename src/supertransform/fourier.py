@@ -32,7 +32,7 @@ import functools
 from fractions import Fraction
 
 from ._terms import add_into
-from .scalars import Angle, ExactScalar, QQi, to_float
+from .scalars import I_POWERS, Angle, ExactScalar, QQi, to_float
 from .superalg import (GaussianFunction, SuperPolynomial, VariableUniverse,
                        common_denominator, is_float_lane, mask_bits,
                        merge_masks, require_envelope, scale_exact)
@@ -90,8 +90,6 @@ def hermite_row(k):
     return tuple(row)
 
 
-# i^k as a Gaussian integer (re, im), k mod 4
-_UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 # exp(gamma Delta) on one pair's sub-mask as (sub-mask, int, k) images, k
 # the power of 2 gamma: q1q2 -> q1q2 - 2 (2 gamma)
 _PAIR_ROWS = (((0, 1, 0),), ((1, 1, 0),), ((2, 1, 0),),
@@ -155,7 +153,7 @@ def _mehler_pass(f, a, sector):
         turn = int(a.a)
         for (bos, mask), c in f.terms.items():
             d = (sum(bos) if bos_on else 0) + (mask.bit_count() if nf else 0)
-            re, im = _UNITS[turn * d % 4]
+            re, im = I_POWERS[turn * d % 4]
             fer, bos_images = _images(bos, mask, bos_on, nf)
             for omask, n, _ in fer:
                 x, y = re * n, im * n

@@ -8,9 +8,14 @@ series expansion.  The envelope rules of the derivatives:
     d/dq_{2j-1} exp(x^2/2) = +q_{2j}/2  * exp(x^2/2)
     d/dq_{2j}  exp(x^2/2) = -q_{2j-1}/2 * exp(x^2/2)
 
-with the left-derivative Koszul sign on the polynomial factor.  The
-scalar operators are one pass over the terms with the sl2 triple of a
-sector s (bosonic, fermionic or full): Delta_s sends x_i^e to
+with the left-derivative Koszul sign on the polynomial factor.  A
+first-order operator is one pass over the terms: the derivative or the
+left product by a variable, each with the Koszul sign of the symbols
+below it, plus through the envelope the rule's variable as a left
+product, since (-1)^|p| p q' = q' p for an odd q'.
+
+The scalar operators are one pass over the terms with the sl2 triple of
+a sector s (bosonic, fermionic or full): Delta_s sends x_i^e to
 -e(e-1) x_i^(e-2) and a full pair q_{2j-1}q_{2j} to -4, E_s scales a term
 by its sector degree, and x_s^2 sends x_i^e to -x_i^(e+2) and an empty
 pair to +q_{2j-1}q_{2j}.  By those rules, sector by sector,
@@ -26,44 +31,66 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._terms import add_into
-from .superalg import (GaussianFunction, SuperPolynomial,
-                       neutral_bosonic_var, neutral_fermionic_var, sp_mul)
+from .superalg import GaussianFunction
 
 
 def bosonic_derivative(f, i):
-    """d/dx_i on either lane (plain polynomial or Gaussian function)."""
-    if isinstance(f, SuperPolynomial):
-        return f.bosonic_derivative(i)
-    var = neutral_bosonic_var(f.universe, i, Fraction(-1))
-    return GaussianFunction(f.poly.bosonic_derivative(i)
-                            + sp_mul(f.poly, var))
+    """d/dx_i; through the envelope of a Gaussian function the pass also
+    multiplies by -x_i."""
+    return _bosonic_pass(f, i, 1,
+                         -1 if isinstance(f, GaussianFunction) else 0)
 
 
 def fermionic_derivative(f, j):
-    """Left fermionic derivative d/dq_j, through the envelope of a
-    Gaussian function."""
-    if isinstance(f, SuperPolynomial):
-        return f.fermionic_derivative(j)
-    if j % 2 == 0:
-        var = neutral_fermionic_var(f.universe, j + 1, Fraction(1, 2))
-    else:
-        var = neutral_fermionic_var(f.universe, j - 1, Fraction(-1, 2))
-    return GaussianFunction(f.poly.fermionic_derivative(j)
-                            + sp_mul(f.poly.parity_signed(), var))
+    """Left fermionic derivative d/dq_j; through the envelope of a
+    Gaussian function the pass also multiplies from the left by +q_{j+1}/2
+    (j even) or -q_{j-1}/2 (j odd), since (-1)^|p| p q' = q' p."""
+    half = Fraction(-1 if j & 1 else 1, 2)
+    return _fermionic_pass(f, j, 1, j ^ 1,
+                           half if isinstance(f, GaussianFunction) else 0)
 
 
 def multiply_bosonic_var(f, i):
-    return _mul_left(neutral_bosonic_var(f.universe, i), f)
+    return _bosonic_pass(f, i, 0, 1)
 
 
 def multiply_fermionic_var(f, j):
-    return _mul_left(neutral_fermionic_var(f.universe, j), f)
+    return _fermionic_pass(f, j, 0, j, 1)
 
 
-def _mul_left(g, f):
-    if isinstance(f, SuperPolynomial):
-        return sp_mul(g, f)
-    return f.mul_poly(g)
+def _bosonic_pass(f, i, lower, rise):
+    """lower*d/dx_i + rise*x_i in one pass; the integer weights keep it
+    on either lane."""
+    if not 0 <= i < f.universe.m:
+        raise IndexError("bosonic index out of range")
+    out = {}
+    for (bos, mask), c in f.terms.items():
+        e = bos[i]
+        if lower and e:
+            add_into(out, (bos[:i] + (e - 1,) + bos[i + 1:], mask),
+                     c * (lower * e))
+        if rise:
+            add_into(out, (bos[:i] + (e + 1,) + bos[i + 1:], mask),
+                     c * rise)
+    return f._like(out)
+
+
+def _fermionic_pass(f, j, lower, k, rise):
+    """lower*d/dq_j + rise*q_k from the left in one pass, each with the
+    Koszul sign of the symbols below; the int or Fraction(+-1, 2) weights
+    keep it on either lane."""
+    if not 0 <= j < len(f.universe.fermionic):
+        raise IndexError("fermionic index out of range")
+    bit, rbit = 1 << j, 1 << k
+    out = {}
+    for (bos, mask), c in f.terms.items():
+        if lower and mask & bit:
+            odd = (mask & (bit - 1)).bit_count() & 1
+            add_into(out, (bos, mask ^ bit), c * (-lower if odd else lower))
+        if rise and not mask & rbit:
+            odd = (mask & (rbit - 1)).bit_count() & 1
+            add_into(out, (bos, mask | rbit), c * (-rise if odd else rise))
+    return f._like(out)
 
 
 def _sl2(f, sector, lower, scale, shift, rise):

@@ -20,8 +20,8 @@ import functools
 from itertools import groupby
 
 from ._terms import TermMap, add_into, canonical
-from .fourier import _UNITS, hermite_row, super_fourier
-from .scalars import ExactScalar, QQi
+from .fourier import hermite_row, super_fourier
+from .scalars import I_POWERS, ExactScalar, QQi
 from .superalg import (SuperPolynomial, VariableUniverse,
                        homogeneous_monomial_count, require_envelope, sp_mul)
 
@@ -42,7 +42,7 @@ def _line_fourier(rterms, weight):
     r-polynomial with coefficients indexed by key, as {(key, e): ...}."""
     out = {}
     for (key, k), c in rterms.items():
-        re, im = _UNITS[k % 4]
+        re, im = I_POWERS[k % 4]
         for e, h in hermite_row(k):
             add_into(out, (key, e), c.scale(QQi.reduced(re * h, im * h, 1)))
     return {ke: c * weight for ke, c in out.items()}

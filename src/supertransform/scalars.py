@@ -18,6 +18,10 @@ from fractions import Fraction
 
 from ._terms import TermMap, add_into
 
+# i^k as a Gaussian integer (re, im), k mod 4: the one table of the
+# powers of i, exact and float
+I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
 
 class QQi:
     """Complex rational (a + b*i)/d, stored as three ints.
@@ -244,10 +248,7 @@ class ExactScalar(TermMap):
 
     @staticmethod
     def i_power(k):
-        k %= 4
-        re = {0: 1, 1: 0, 2: -1, 3: 0}[k]
-        im = {0: 0, 1: 1, 2: 0, 3: -1}[k]
-        return ExactScalar({(0, 0): QQi(re, im)})
+        return ExactScalar({(0, 0): QQi(*I_POWERS[k % 4])})
 
     # -- ring operations ----------------------------------------------
 
@@ -445,11 +446,6 @@ def to_float(a):
     return a.to_complex() if isinstance(a, ExactScalar) else complex(a)
 
 
-# i^k as exact complex values; -1j would carry a negative zero.
-_QUARTER_TURNS = (complex(1, 0), complex(0, 1), complex(-1, 0),
-                  complex(0, -1))
-
-
 class Angle:
     """Fractional order a in [-1, 1]; alpha = a*pi/2.
 
@@ -487,7 +483,8 @@ class Angle:
         if self.exact:
             return ExactScalar.i_power(int(turns))
         if turns == int(turns):
-            return _QUARTER_TURNS[int(turns) % 4]
+            # from ints, complex(0, -1) carries no negative zero, as -1j does
+            return complex(*I_POWERS[int(turns) % 4])
         return cmath.exp(1j * self.alpha * power)
 
     def __repr__(self):

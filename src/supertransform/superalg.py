@@ -33,13 +33,11 @@ class VariableUniverse:
         self.fermionic = fermionic
 
     @staticmethod
-    def standard(m, n, bos_prefix="x", fer_prefix="q"):
+    def standard(m, n):
         if m < 0 or n < 0:
             raise ValueError("universe sizes m and n must be non-negative")
-        return VariableUniverse(
-            [f"{bos_prefix}{i + 1}" for i in range(m)],
-            [f"{fer_prefix}{j + 1}" for j in range(2 * n)],
-        )
+        return VariableUniverse([f"x{i + 1}" for i in range(m)],
+                                [f"q{j + 1}" for j in range(2 * n)])
 
     @property
     def m(self):
@@ -207,39 +205,6 @@ class SuperPolynomial(TermMap):
     def __rmul__(self, other):
         return self.scale(other)
 
-    def parity_signed(self):
-        """Multiply every term by (-1)^(fermionic degree)."""
-        return self._like({k: (-c if k[1].bit_count() & 1 else c)
-                           for k, c in self.terms.items()})
-
-    # -- calculus ---------------------------------------------------------
-
-    def bosonic_derivative(self, i):
-        u = self.universe
-        if not 0 <= i < u.m:
-            raise IndexError("bosonic index out of range")
-        out = {}
-        for (bos, mask), c in self.terms.items():
-            e = bos[i]
-            if e == 0:
-                continue
-            add_into(out, (bos[:i] + (e - 1,) + bos[i + 1:], mask), c * e)
-        return self._like(out)
-
-    def fermionic_derivative(self, j):
-        """Left derivative: sign (-1)^(# set bits below j)."""
-        u = self.universe
-        if not 0 <= j < len(u.fermionic):
-            raise IndexError("fermionic index out of range")
-        bit = 1 << j
-        out = {}
-        for (bos, mask), c in self.terms.items():
-            if not mask & bit:
-                continue
-            sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
-            add_into(out, (bos, mask ^ bit), c * sign)
-        return self._like(out)
-
     # -- structure info ----------------------------------------------------
 
     def degree(self):
@@ -321,17 +286,6 @@ def from_integer_parts(universe, denom, parts):
         key: ExactScalar.from_terms({rad: QQi.reduced(a, b, denom)
                                      for rad, (a, b) in by_radical.items()})
         for key, by_radical in fields.items()})
-
-
-def neutral_bosonic_var(u, i, c=Fraction(1)):
-    """Variable polynomial with a lane-neutral Fraction coefficient, for
-    product rules that must work on either scalar backend."""
-    exp = tuple(1 if j == i else 0 for j in range(u.m))
-    return SuperPolynomial(u, {(exp, 0): c})
-
-
-def neutral_fermionic_var(u, j, c=Fraction(1)):
-    return SuperPolynomial(u, {((0,) * u.m, 1 << j): c})
 
 
 def sp_mul(f, g):

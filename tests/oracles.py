@@ -47,6 +47,12 @@ package builds the psi family by the integer recursion
 `hermite.ch_coefficients`.  `gaussian_expand_fermionic` writes the
 fermionic envelope out as a polynomial; the package's operators act
 through it by product rules.
+`leibniz_bosonic_derivative`, `leibniz_fermionic_derivative`,
+`leibniz_multiply_bosonic_var` and `leibniz_multiply_fermionic_var` are
+the first-order operators by the Leibniz rule: the polynomial's
+derivative plus a general product with a one-term variable
+(`neutral_bosonic_var`, `neutral_fermionic_var`), parity-signed for the
+fermions; the package applies each in one pass over the terms.
 """
 
 import math
@@ -70,11 +76,87 @@ from supertransform.scalars import (Angle, ExactScalar, QQi,
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse,
                                      fermionic_envelope_poly, mask_bits,
-                                     merge_masks, neutral_bosonic_var,
-                                     neutral_fermionic_var,
-                                     require_envelope, scale_exact, sp_mul,
+                                     merge_masks, require_envelope, scale_exact, sp_mul,
                                      sp_rename)
 from supertransform._terms import add_into
+
+
+def neutral_bosonic_var(u, i, c=Fraction(1)):
+    """Variable polynomial with a lane-neutral Fraction coefficient, for
+    product rules that must work on either scalar backend."""
+    exp = tuple(1 if j == i else 0 for j in range(u.m))
+    return SuperPolynomial(u, {(exp, 0): c})
+
+
+def neutral_fermionic_var(u, j, c=Fraction(1)):
+    return SuperPolynomial(u, {((0,) * u.m, 1 << j): c})
+
+
+def _poly_bosonic_derivative(p, i):
+    if not 0 <= i < p.universe.m:
+        raise IndexError("bosonic index out of range")
+    out = {}
+    for (bos, mask), c in p.terms.items():
+        e = bos[i]
+        if e:
+            add_into(out, (bos[:i] + (e - 1,) + bos[i + 1:], mask), c * e)
+    return p._like(out)
+
+
+def _poly_fermionic_derivative(p, j):
+    """Left derivative: sign (-1)^(# set bits below j)."""
+    if not 0 <= j < len(p.universe.fermionic):
+        raise IndexError("fermionic index out of range")
+    bit = 1 << j
+    out = {}
+    for (bos, mask), c in p.terms.items():
+        if mask & bit:
+            sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
+            add_into(out, (bos, mask ^ bit), c * sign)
+    return p._like(out)
+
+
+def _parity_signed(p):
+    """Every term times (-1)^(fermionic degree)."""
+    return p._like({k: (-c if k[1].bit_count() & 1 else c)
+                    for k, c in p.terms.items()})
+
+
+def leibniz_bosonic_derivative(f, i):
+    """d/dx_i: the polynomial's derivative, plus the product with -x_i
+    from the envelope of a Gaussian function."""
+    if isinstance(f, SuperPolynomial):
+        return _poly_bosonic_derivative(f, i)
+    var = neutral_bosonic_var(f.universe, i, Fraction(-1))
+    return GaussianFunction(_poly_bosonic_derivative(f.poly, i)
+                            + sp_mul(f.poly, var))
+
+
+def leibniz_fermionic_derivative(f, j):
+    """Left d/dq_j: the polynomial's derivative, plus (-1)^|p| p times
+    d/dq_j of the envelope, +q_{j+1}/2 (j even) or -q_{j-1}/2 (j odd)."""
+    if isinstance(f, SuperPolynomial):
+        return _poly_fermionic_derivative(f, j)
+    if j % 2 == 0:
+        var = neutral_fermionic_var(f.universe, j + 1, Fraction(1, 2))
+    else:
+        var = neutral_fermionic_var(f.universe, j - 1, Fraction(-1, 2))
+    return GaussianFunction(_poly_fermionic_derivative(f.poly, j)
+                            + sp_mul(_parity_signed(f.poly), var))
+
+
+def _mul_left(g, f):
+    if isinstance(f, SuperPolynomial):
+        return sp_mul(g, f)
+    return GaussianFunction(sp_mul(g, f.poly))
+
+
+def leibniz_multiply_bosonic_var(f, i):
+    return _mul_left(neutral_bosonic_var(f.universe, i), f)
+
+
+def leibniz_multiply_fermionic_var(f, j):
+    return _mul_left(neutral_fermionic_var(f.universe, j), f)
 
 
 def peel_bosonic_fourier(f, sign):
@@ -656,7 +738,7 @@ def berezin_by_derivatives(f, over=None):
             raise ValueError("subset must be whole symbol pairs")
     g = poly
     for j in over:            # rightmost operator first: ascending indices
-        g = g.fermionic_derivative(j)
+        g = fermionic_derivative(g, j)
     g = scale_exact(g, ExactScalar.pi_half_power(-len(over)))
     keep = [j for j in range(nf) if j not in set(over)]
     target = VariableUniverse(u.bosonic, tuple(u.fermionic[j] for j in keep))

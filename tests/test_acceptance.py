@@ -395,7 +395,7 @@ def test_criterion_15_structural_identities():
     for n in (1, 2):
         n2 = 2 * n
         ux = VariableUniverse.standard(0, n)
-        uy = VariableUniverse.standard(0, n, fer_prefix="s")
+        uy = VariableUniverse([], [f"s{j + 1}" for j in range(2 * n)])
         p = pairing(ux, uy)
         dbl = p.universe
         for _ in range(4):

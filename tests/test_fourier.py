@@ -15,7 +15,7 @@ from supertransform.fracfourier import (frac_fourier, frac_fourier_cvalued,
                                         max_coeff_deviation)
 from supertransform.harmonics import (fermionic_square_power, harmonic_basis)
 from supertransform.hermite import psi_span
-from supertransform.operators import laplace
+from supertransform.operators import fermionic_derivative, laplace
 from supertransform.radon import radon
 from supertransform.scalars import ExactScalar, to_float
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
@@ -502,7 +502,7 @@ def test_super_fourier_matches_defining_integral(rng):
             for mask in (0, 1, 2, 3):
                 mono = SuperPolynomial(dbl, {((0,), mask): ExactScalar.one()})
                 prod = sp_mul(kernel, mono)
-                integ = prod.fermionic_derivative(0).fermionic_derivative(1)
+                integ = fermionic_derivative(fermionic_derivative(prod, 0), 1)
                 integ = integ.scale(ExactScalar.pi_half_power(-2))
                 # remaining content lives on the y block; map s -> q
                 fer_map[mask] = {

@@ -77,3 +77,19 @@ def test_fourier_integrates_without_the_product_or_a_doubled_universe():
     # term pairs; the general machinery stays in superalg and the tests
     assert not imported_names("fourier") & {
         "sp_mul", "sp_rename", "doubled_universe", "sp_substitute_fermionic"}
+
+
+@pytest.mark.parametrize("name", ["operators", "cliffweyl"])
+def test_first_order_passes_bind_no_product_or_neutral_variable(name):
+    # the derivatives and variable products are passes over the terms;
+    # the general product and one-term variables stay out of them
+    assert not imported_names(name) & {
+        "sp_mul", "neutral_bosonic_var", "neutral_fermionic_var"}
+
+
+def test_super_polynomials_carry_no_derivative_copies():
+    from supertransform import superalg
+    assert not {"bosonic_derivative", "fermionic_derivative",
+                "parity_signed"} & set(dir(superalg.SuperPolynomial))
+    assert not {"neutral_bosonic_var", "neutral_fermionic_var"} \
+        & set(dir(superalg))

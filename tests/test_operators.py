@@ -193,7 +193,8 @@ def test_gaussian_product_rules_vs_explicit_expansion(rng):
 
 def _bos_explicit(p, i):
     u = p.universe
-    return p.bosonic_derivative(i) - sp_mul(SuperPolynomial.bosonic_var(u, i), p)
+    return (bosonic_derivative(p, i)
+            - sp_mul(SuperPolynomial.bosonic_var(u, i), p))
 
 
 def _euler_explicit(p):
@@ -204,7 +205,7 @@ def _euler_explicit(p):
                            _bos_explicit(p, i))
     for j in range(len(u.fermionic)):
         out = out + sp_mul(SuperPolynomial.fermionic_var(u, j),
-                           p.fermionic_derivative(j))
+                           fermionic_derivative(p, j))
     return out
 
 
@@ -214,8 +215,8 @@ def _laplace_explicit(p):
     for i in range(u.m):
         out = out - _bos_explicit(_bos_explicit(p, i), i)
     for pr in range(u.pairs):
-        out = out + p.fermionic_derivative(2 * pr + 1) \
-            .fermionic_derivative(2 * pr).scale(4)
+        out = out + fermionic_derivative(
+            fermionic_derivative(p, 2 * pr + 1), 2 * pr).scale(4)
     return out
 
 
@@ -249,8 +250,17 @@ def test_scalar_square_matches_dirac_route():
         assert cw.scalar_function() == spectral
 
 
-def test_derivative_helpers_on_plain_polys(rng):
-    u = VariableUniverse.standard(2, 1)
-    f = random_poly(u, rng)
-    assert bosonic_derivative(f, 0) == f.bosonic_derivative(0)
-    assert fermionic_derivative(f, 1) == f.fermionic_derivative(1)
+@pytest.mark.parametrize("op, kind", [
+    (bosonic_derivative, "bosonic"), (multiply_bosonic_var, "bosonic"),
+    (fermionic_derivative, "fermionic"),
+    (multiply_fermionic_var, "fermionic")])
+def test_first_order_operators_refuse_an_index_out_of_range(op, kind):
+    # at (1,1) the bosonic indices are 0 and the fermionic ones 0 and 1
+    u = VariableUniverse.standard(1, 1)
+    p = SuperPolynomial(u, {((0,), 0): ExactScalar.one(),
+                            ((1,), 0b01): ExactScalar.rational(3)})
+    for f in (p, GaussianFunction(p)):
+        for index in {"bosonic": (-1, 1, 3), "fermionic": (-1, 2, 5)}[kind]:
+            with pytest.raises(IndexError,
+                               match=f"^{kind} index out of range$"):
+                op(f, index)

@@ -21,8 +21,11 @@ from supertransform.harmonics import harmonic_basis
 from supertransform.cliffweyl import CValued, dirac_apply, vector_mul
 from supertransform.hermite import phi_element, psi_element, \
     psi_tilde_element
-from supertransform.operators import (euler, laplace, multiply_vector_square,
-                                      scalar_square)
+from supertransform.operators import (bosonic_derivative, euler,
+                                      fermionic_derivative, laplace,
+                                      multiply_bosonic_var,
+                                      multiply_fermionic_var,
+                                      multiply_vector_square, scalar_square)
 from supertransform.radon import RadonResult, omega_universe, radon, \
     radon_expected_eigenbasis, reduce_mod_sphere
 from supertransform.scalars import ExactScalar, QQi
@@ -30,8 +33,9 @@ from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse, from_integer_parts,
                                      integer_parts, is_float_lane, sp_mul)
 from tests.oracles import berezin_by_derivatives, convolution_by_shift, \
-    dirac_via_derivatives, kernel_route, \
-    mehler_series, parse_by_tokens, peel_bosonic_fourier, \
+    dirac_via_derivatives, kernel_route, leibniz_bosonic_derivative, \
+    leibniz_fermionic_derivative, leibniz_multiply_bosonic_var, \
+    leibniz_multiply_fermionic_var, mehler_series, parse_by_tokens, peel_bosonic_fourier, \
     phi_via_derivatives, reduce_mod_sphere_per_monomial, \
     vector_mul_via_products
 
@@ -65,6 +69,34 @@ def test_kernel_route_equals_pair_table(f, a):
         assert route == table
     else:
         assert relative_deviation(route, table) <= 1e-12
+
+
+
+# every shape with m <= 2 and n <= 3; M = m - 2n <= 0 on all but (1,0)
+# and (2,0)
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(3)
+                                  for n in range(4)])
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_first_order_operators_equal_the_leibniz_route(m, n, data):
+    u = VariableUniverse.standard(m, n)
+    keys = st.tuples(st.tuples(*[st.integers(0, 3)] * m),
+                     st.integers(0, (1 << 2 * n) - 1))
+    p = SuperPolynomial(u, data.draw(st.dictionaries(keys, _scalars,
+                                                     max_size=5)))
+    if data.draw(st.booleans(), label="float lane"):
+        p = p.map_coefficients(ExactScalar.to_complex)
+    for f in (p, GaussianFunction(p)):
+        for i in range(m):
+            assert bosonic_derivative(f, i) \
+                == leibniz_bosonic_derivative(f, i)
+            assert multiply_bosonic_var(f, i) \
+                == leibniz_multiply_bosonic_var(f, i)
+        for j in range(2 * n):
+            assert fermionic_derivative(f, j) \
+                == leibniz_fermionic_derivative(f, j)
+            assert multiply_fermionic_var(f, j) \
+                == leibniz_multiply_fermionic_var(f, j)
 
 
 @st.composite

@@ -16,7 +16,7 @@ from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse)
 
 U = VariableUniverse.standard(1, 1)
-UY = VariableUniverse.standard(1, 1, "y", "p")
+UY = VariableUniverse(["y1"], ["p1", "p2"])
 UO = omega_universe(2, 1)
 R = ExactScalar.rational
 
