@@ -18,10 +18,11 @@ import functools
 import math
 
 from ._linalg import nullspace
-from .operators import laplace, multiply_vector_square
+from .operators import laplace
 from .scalars import ExactScalar, gamma_half_integer
 from .superalg import (SuperPolynomial, homogeneous_monomial_count,
-                       homogeneous_monomials, integer_parts, sp_mul)
+                       homogeneous_monomials, integer_parts, sp_mul,
+                       square_powers)
 
 # monomials of degree k in the whole universe that one basis's row
 # reduction may run over (its time grows about like their square)
@@ -91,43 +92,21 @@ def harmonic_basis(k, sector, universe):
     return HarmonicBasis(k, sector, elements)
 
 
-def bosonic_square_power(u, j):
-    """(x_bos^2)^j = (-sum x_i^2)^j."""
-    out = SuperPolynomial.one(u)
-    for _ in range(j):
-        out = multiply_vector_square(out, "bosonic")
-    return out
-
-
-def fermionic_square_power(u, j):
-    """(x_fer^2)^j = (sum q_{2i-1} q_{2i})^j."""
-    out = SuperPolynomial.one(u)
-    for _ in range(j):
-        out = multiply_vector_square(out, "fermionic")
-    return out
-
-
 def f_poly(k, p, q, universe):
     """Coupling polynomial sum_i C(k,i) (n-q-i)!/Gamma(m/2+p+k-i)
-    * xbos^(2k-2i) * xfer^(2i)."""
+    * xbos^(2k-2i) * xfer^(2i), the powers read off square_powers; the
+    terms of distinct i differ in fermionic degree, so none meet."""
     u = universe
     n = u.pairs
-    out = SuperPolynomial.zero(u)
+    terms = {}
     for i in range(k + 1):
         gamma = gamma_half_integer(u.m + 2 * (p + k - i))
         coeff = (ExactScalar.rational(math.comb(k, i)
                                       * math.factorial(n - q - i))
                  * gamma.inverse())
-        piece = sp_mul(bosonic_square_power(u, k - i),
-                       fermionic_square_power(u, i)).scale(coeff)
-        out = out + piece
-    return out
-
-
-@functools.cache
-def harmonic_dimension(k, sector, universe):
-    """Dimension of the degree-k sector harmonics, memoized."""
-    return harmonic_basis(k, sector, universe).dimension
+        for exp, mask, w in square_powers(u.m, n, k - i, i):
+            terms[exp, mask] = coeff * w
+    return SuperPolynomial(u, terms)
 
 
 def decomposition_check(k, universe):
@@ -151,16 +130,16 @@ def decomposition_check(k, universe):
 
     dim_formula = 0
     for i in range(min(n, k) + 1):
-        dim_formula += (harmonic_dimension(k - i, "bosonic", u)
-                        * harmonic_dimension(i, "fermionic", u))
+        dim_formula += (harmonic_basis(k - i, "bosonic", u).dimension
+                        * harmonic_basis(i, "fermionic", u).dimension)
     product_failures = []
     for j in range(0, min(n, k - 1)):          # j <= min(n, k-1) - 1
         fermionic = [_rational_numerator(hf)
                      for hf in harmonic_basis(j, "fermionic", u)]
         for l in range(1, min(n - j, (k - j) // 2) + 1):
             p = k - 2 * l - j
-            dim_formula += (harmonic_dimension(p, "bosonic", u)
-                            * harmonic_dimension(j, "fermionic", u))
+            dim_formula += (harmonic_basis(p, "bosonic", u).dimension
+                            * harmonic_basis(j, "fermionic", u).dimension)
             _, f_parts = integer_parts(f_poly(l, p, j, u))
             for hb in map(_rational_numerator,
                           harmonic_basis(p, "bosonic", u)):

@@ -5,9 +5,10 @@ one-dimensional Fourier step in the radius.
 
 Results live in (omega-polynomial mod the sphere relation) tensor
 (p-polynomial times exp(-p^2/2)); the last omega appears at most to the
-first power after reduction.  The ray terms are grouped by radius power
-and each group is reduced once; the powers of the sphere relation are
-memoized per omega universe.  A result is one flat term map keyed by
+first power after reduction.  Each ray term goes straight to its images
+under the sphere relation, the multinomial terms of a power of
+w_m^2 = 1 + sum pairs - sum_{i<m} w_i^2 with integer weights (no
+product of polynomials is formed).  A result is one flat term map keyed by
 (omega monomial, power of p).  The radius step sends r^k to
 i^k He_k(p), read from the same cached Hermite rows as the bosonic
 Fourier factor, and the constants (2 pi)^(1/2) of that step and
@@ -16,14 +17,15 @@ Fourier factor, and the constants (2 pi)^(1/2) of that step and
 
 from __future__ import annotations
 
-import functools
+import math
 from itertools import groupby
 
 from ._terms import TermMap, add_into, canonical
 from .fourier import hermite_row, super_fourier
 from .scalars import I_POWERS, ExactScalar, QQi
 from .superalg import (SuperPolynomial, VariableUniverse,
-                       homogeneous_monomial_count, require_envelope, sp_mul)
+                       homogeneous_monomial_count, require_envelope, sp_mul,
+                       square_powers)
 
 # result entries (omega monomial, power of p) the terms of one input may
 # make, counted before the transform (output budget)
@@ -61,54 +63,38 @@ def omega_universe(m, n):
                             tuple(f"wf{j + 1}" for j in range(2 * n)))
 
 
-def _sphere_substitution(u):
-    """1 + sum wf-pairs - sum_{i<m} w_i^2, the rewrite image of w_m^2."""
-    m = u.m
-    terms = {((0,) * m, 0): ExactScalar.one()}
-    for p in range(u.pairs):
-        terms[((0,) * m, (1 << 2 * p) | (1 << (2 * p + 1)))] = \
-            ExactScalar.one()
-    for i in range(m - 1):
-        exp = tuple(2 if t == i else 0 for t in range(m))
-        terms[(exp, 0)] = ExactScalar.rational(-1)
-    return SuperPolynomial(u, terms)
-
-
-@functools.cache
-def _sphere_powers(u):
-    """[1, s, s^2, ...] for the rewrite image s of w_m^2 on the omega
-    universe u: one list per universe, grown by `_sphere_power`."""
-    return [SuperPolynomial.one(u)]
-
-
-def _sphere_power(u, q):
-    """s^q, memoized: each new power is one product with the one below."""
-    powers = _sphere_powers(u)
-    while len(powers) <= q:
-        powers.append(sp_mul(powers[-1], _sphere_substitution(u)))
-    return powers[q]
+def _sphere_images(bos, mask, pairs):
+    """The terms (key, int) of the omega monomial (bos, mask) mod the
+    sphere relation.  Its w_m^(2q+s), s < 2, becomes w_m^s times
+    (1 + sum pairs - sum_{i<m} w_i^2)^q, whose term (-sum w_i^2)^a
+    (sum pairs)^b weighs q!/(a! b! (q-a-b)!); a pair that meets the mask
+    vanishes.  With m = 1 there is no w_i, so only a = 0 contributes."""
+    last = len(bos) - 1
+    q, s = divmod(bos[last], 2)
+    if not q:
+        yield (bos, mask), 1
+        return
+    head = bos[:last]
+    for a in range(q + 1 if last else 1):
+        for b in range(min(q - a, pairs) + 1):
+            n = math.comb(q, a) * math.comb(q - a, b)
+            for exp, pmask, w in square_powers(last, pairs, a, b):
+                if not pmask & mask:
+                    key = tuple(e1 + e2 for e1, e2 in zip(head, exp)) + (s,)
+                    yield (key, mask | pmask), n * w
 
 
 def reduce_mod_sphere(f):
-    """Normal form mod (omega^2 + 1): write each term's w_m^e as
-    (w_m^2)^q w_m^s with s < 2, rewrite w_m^2 by the relation, and sum
-    the products into one dict; the last omega's degree is then at most
-    one, since the substituted polynomial is w_m-free."""
+    """Normal form mod (omega^2 + 1): every term goes to its images under
+    the sphere relation (_sphere_images), summed into one dict; the last
+    omega's degree is then at most one."""
     u = f.universe
     if u.m < 1:
         raise ValueError("no purely fermionic sphere relation")
-    last = u.m - 1
-    by_q = {}
-    for (bos, mask), c in f.terms.items():
-        q, s = divmod(bos[last], 2)
-        by_q.setdefault(q, {})[(bos[:last] + (s,), mask)] = c
     out = {}
-    for q, piece in by_q.items():
-        if q:
-            piece = sp_mul(_sphere_power(u, q),
-                           SuperPolynomial(u, piece)).terms
-        for key, c in piece.items():
-            add_into(out, key, c)
+    for (bos, mask), c in f.terms.items():
+        for key, n in _sphere_images(bos, mask, u.pairs):
+            add_into(out, key, c if n == 1 else c * n)
     return f._like(out)
 
 
@@ -204,17 +190,15 @@ def radon(f):
     if u.m < 1:
         raise ValueError("no purely fermionic Radon transform")
     check_result_size(f)
-    uo = omega_universe(u.m, u.pairs)
-    # one omega polynomial per radius power, each reduced once
-    by_power = {}
-    for (bos, mask), c in super_fourier(f, "-").terms.items():
-        by_power.setdefault(sum(bos) + mask.bit_count(), {})[bos, mask] = c
+    # each ray term, at radius power r^(its degree), goes to its images
     rterms = {}
-    for rpow, omega in by_power.items():
-        reduced = reduce_mod_sphere(SuperPolynomial(uo, omega))
-        rterms.update(((key, rpow), c) for key, c in reduced.terms.items())
+    for (bos, mask), c in super_fourier(f, "-").terms.items():
+        rpow = sum(bos) + mask.bit_count()
+        for key, n in _sphere_images(bos, mask, u.pairs):
+            add_into(rterms, (key, rpow), c if n == 1 else c * n)
     weight = ExactScalar.two_pi_half_power(u.superdim - 1)
-    return RadonResult(uo, _line_fourier(rterms, weight))
+    return RadonResult(omega_universe(u.m, u.pairs),
+                       _line_fourier(rterms, weight))
 
 
 def radon_expected_eigenbasis(j, k, h, universe):

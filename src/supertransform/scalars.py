@@ -427,15 +427,6 @@ def gamma_half_integer(numerator):
     return ExactScalar({(1, 0): QQi(val)})
 
 
-def rising_factorial(base, count):
-    """base*(base+1)*...*(base+count-1) as a Fraction; empty product is 1."""
-    out = Fraction(1)
-    b = Fraction(base)
-    for v in range(count):
-        out *= b + v
-    return out
-
-
 #: Float backend scalar; conversion from ExactScalar is total.
 FloatScalar = complex
 

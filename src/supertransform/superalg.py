@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 from ._terms import TermMap, add_into, canonical
 from .scalars import ExactScalar, QQi
@@ -193,7 +194,18 @@ class SuperPolynomial(TermMap):
 
     @staticmethod
     def monomial(u, bos_exp, fer_mask, coeff):
-        return SuperPolynomial(u, {(tuple(bos_exp), fer_mask): coeff})
+        """coeff times one monomial, its key checked against u: m
+        non-negative exponents and a mask within the 2n symbol bits."""
+        bos_exp = tuple(bos_exp)
+        if len(bos_exp) != u.m:
+            raise ValueError(f"a monomial has m = {u.m} bosonic exponents, "
+                             f"not {len(bos_exp)}")
+        if any(e < 0 for e in bos_exp):
+            raise ValueError("bosonic exponents must be non-negative")
+        if not 0 <= fer_mask < 1 << len(u.fermionic):
+            raise ValueError(f"fermionic mask must lie within the "
+                             f"2n = {len(u.fermionic)} symbol bits")
+        return SuperPolynomial(u, {(bos_exp, fer_mask): coeff})
 
     # -- ring structure ---------------------------------------------------
 
@@ -334,24 +346,30 @@ def sp_rename(f, target, bos_map, fer_map):
     return SuperPolynomial(target, out)
 
 
+def square_powers(r, pairs, a, b):
+    """The terms of (-x_1^2 - ... - x_r^2)^a (sum_j q_{2j-1} q_{2j})^b as
+    (exponents of x_1..x_r, mask, int).
+
+    A symbol pair is even, commutes with everything and squares to zero,
+    so no Koszul sign arises: x^(2g) with |g| = a weighs (-1)^a a!/g!,
+    and each set of b of the `pairs` pairs weighs b!.
+    """
+    masks = [sum(3 << 2 * j for j in js)
+             for js in combinations(range(pairs), b)]
+    top = (-1) ** a * math.factorial(a) * math.factorial(b)
+    for g in compositions(a, r):
+        exp = tuple(2 * e for e in g)
+        w = top // math.prod(map(math.factorial, g))
+        for mask in masks:
+            yield exp, mask, w
+
+
 def vector_square(u):
-    """The polynomial x^2 = sum q_{2j-1} q_{2j} - sum x_i^2."""
-    zero_b = (0,) * u.m
-    terms = {(zero_b, 3 << (2 * p)): ExactScalar.one()
-             for p in range(u.pairs)}
-    for i in range(u.m):
-        terms[(zero_b[:i] + (2,) + zero_b[i + 1:], 0)] = -ExactScalar.one()
-    return SuperPolynomial(u, terms)
-
-
-def fermionic_square(u):
-    """The fermionic part sum q_{2j-1} q_{2j} of x^2."""
-    terms = {}
-    zero_b = (0,) * u.m
-    for p in range(u.pairs):
-        terms[(zero_b, (1 << (2 * p)) | (1 << (2 * p + 1)))] = \
-            ExactScalar.one()
-    return SuperPolynomial(u, terms)
+    """The polynomial x^2 = sum q_{2j-1} q_{2j} - sum x_i^2: the (a, b) =
+    (1, 0) and (0, 1) terms of square_powers."""
+    return SuperPolynomial(u, {
+        (exp, mask): ExactScalar.rational(w) for a, b in ((1, 0), (0, 1))
+        for exp, mask, w in square_powers(u.m, u.pairs, a, b)})
 
 
 def pairing(u_x, u_y):
@@ -423,15 +441,3 @@ def require_envelope(f):
     """Refuse anything but a Gaussian function."""
     if not isinstance(f, GaussianFunction):
         raise ValueError("envelope missing")
-
-
-def fermionic_envelope_poly(u, width=Fraction(1, 2), sign=1):
-    """exp(sign*width*x`^2) expanded: prod_j (1 + sign*width q_{2j-1}q_{2j})."""
-    out = SuperPolynomial.one(u)
-    for p in range(u.pairs):
-        pair = SuperPolynomial(
-            u, {((0,) * u.m, 0): ExactScalar.one(),
-                ((0,) * u.m, (1 << (2 * p)) | (1 << (2 * p + 1))):
-                    ExactScalar.rational(Fraction(sign) * width)})
-        out = sp_mul(out, pair)
-    return out

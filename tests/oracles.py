@@ -6,8 +6,11 @@ same transform off cached Hermite rows.  `mehler_series` sums Mehler's
 closed form of F^a as its series in the Laplacian; the package weighs
 the images of one pass of Hermite and pair rows instead.
 `reduce_mod_sphere_per_monomial` rewrites w_m^2 monomial by monomial with
-fresh sphere powers; the package groups the terms by power and builds
-each power once per call.
+fresh sphere powers (`sphere_substitution`), each one product above the
+last; `f_poly_by_products` builds the coupling polynomials of the
+Fischer decomposition from repeated squares (`bosonic_square_power`,
+`fermionic_square_power`) and `sp_mul`.  The package reads both off the
+multinomial terms of `superalg.square_powers`.
 `dirac_via_derivatives`, `vector_mul_via_products` and
 `phi_via_derivatives` apply the Dirac operator and the vector variable
 one variable at a time: a derivative through the envelope or a variable
@@ -46,7 +49,9 @@ H(d_x) to a Gaussian-class function, one derivative per factor; the
 package builds the psi family by the integer recursion
 `hermite.ch_coefficients`.  `gaussian_expand_fermionic` writes the
 fermionic envelope out as a polynomial; the package's operators act
-through it by product rules.
+through it by product rules.  `fermionic_envelope_poly` is that
+fermionic factor, `fermionic_square` the fermionic part of x^2, and
+`rising_factorial` a product that `ch_explicit` reads.
 `leibniz_bosonic_derivative`, `leibniz_fermionic_derivative`,
 `leibniz_multiply_bosonic_var` and `leibniz_multiply_fermionic_var` are
 the first-order operators by the Leibniz rule: the polynomial's
@@ -66,16 +71,15 @@ from supertransform.expr import (_CONSTANTS, _ONE, _PI, _UNIT, ParseError,
                                  _check_exponent, _literal_int, _monomial,
                                  _power_pairs, _scalar)
 from supertransform.fourier import _require_exact, gaussian_moment
-from supertransform.harmonics import fermionic_square_power, harmonic_basis
+from supertransform.harmonics import harmonic_basis
 from supertransform.hermite import psi_span
 from supertransform.operators import (bosonic_derivative,
-                                      fermionic_derivative, laplace)
-from supertransform.radon import _sphere_substitution
+                                      fermionic_derivative, laplace,
+                                      multiply_vector_square)
 from supertransform.scalars import (Angle, ExactScalar, QQi,
-                                    rising_factorial, to_float)
+                                    gamma_half_integer, to_float)
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
-                                     VariableUniverse,
-                                     fermionic_envelope_poly, mask_bits,
+                                     VariableUniverse, mask_bits,
                                      merge_masks, require_envelope, scale_exact, sp_mul,
                                      sp_rename)
 from supertransform._terms import add_into
@@ -205,11 +209,24 @@ def mehler_series(f, a):
         for key, c in series.terms.items()}), True)
 
 
+def sphere_substitution(u):
+    """1 + sum wf-pairs - sum_{i<m} w_i^2, the rewrite image of w_m^2."""
+    m = u.m
+    terms = {((0,) * m, 0): ExactScalar.one()}
+    for p in range(u.pairs):
+        terms[((0,) * m, (1 << 2 * p) | (1 << (2 * p + 1)))] = \
+            ExactScalar.one()
+    for i in range(m - 1):
+        exp = tuple(2 if t == i else 0 for t in range(m))
+        terms[(exp, 0)] = ExactScalar.rational(-1)
+    return SuperPolynomial(u, terms)
+
+
 def reduce_mod_sphere_per_monomial(f):
     """Normal form mod (omega^2 + 1), one sp_mul and one sum per term."""
     u = f.universe
     last = u.m - 1
-    sub = _sphere_substitution(u)
+    sub = sphere_substitution(u)
     powers = {0: SuperPolynomial.one(u)}
 
     def sub_power(q):
@@ -873,6 +890,41 @@ def operator_exponential_fourier(f, sign, cap=8):
     return out
 
 
+def bosonic_square_power(u, j):
+    """(x_bos^2)^j = (-sum x_i^2)^j, one product by x_bos^2 at a time."""
+    out = SuperPolynomial.one(u)
+    for _ in range(j):
+        out = multiply_vector_square(out, "bosonic")
+    return out
+
+
+def fermionic_square_power(u, j):
+    """(x_fer^2)^j = (sum q_{2i-1} q_{2i})^j, one product by x_fer^2 at a
+    time."""
+    out = SuperPolynomial.one(u)
+    for _ in range(j):
+        out = multiply_vector_square(out, "fermionic")
+    return out
+
+
+def f_poly_by_products(k, p, q, universe):
+    """Coupling polynomial sum_i C(k,i) (n-q-i)!/Gamma(m/2+p+k-i)
+    * xbos^(2k-2i) * xfer^(2i), each power by repeated squares and each
+    product by sp_mul."""
+    u = universe
+    n = u.pairs
+    out = SuperPolynomial.zero(u)
+    for i in range(k + 1):
+        gamma = gamma_half_integer(u.m + 2 * (p + k - i))
+        coeff = (ExactScalar.rational(math.comb(k, i)
+                                      * math.factorial(n - q - i))
+                 * gamma.inverse())
+        piece = sp_mul(bosonic_square_power(u, k - i),
+                       fermionic_square_power(u, i)).scale(coeff)
+        out = out + piece
+    return out
+
+
 def fischer_fermionic(k, universe):
     """Spanning family of the degree-k Grassmann component organised as
     xfer^(2j) * H_fermionic(k-2j).
@@ -971,6 +1023,15 @@ def solve_rational(columns_rows, rhs, ncols):
     return sol
 
 
+def rising_factorial(base, count):
+    """base*(base+1)*...*(base+count-1) as a Fraction; empty product is 1."""
+    out = Fraction(1)
+    b = Fraction(base)
+    for v in range(count):
+        out *= b + v
+    return out
+
+
 def ch_explicit(t, m_value, k):
     """Displayed coefficient formula for CH~_{2t,M,k}; even polynomial in
     x^2, returned as a list of ExactScalar coefficients of (x^2)^i.
@@ -1023,6 +1084,28 @@ def substitute_derivatives(h, target):
             else:
                 g = fermionic_derivative(g, idx - 1).scale(2)
         out = out + g.scale(c)
+    return out
+
+
+def fermionic_square(u):
+    """The fermionic part sum q_{2j-1} q_{2j} of x^2."""
+    terms = {}
+    zero_b = (0,) * u.m
+    for p in range(u.pairs):
+        terms[(zero_b, (1 << (2 * p)) | (1 << (2 * p + 1)))] = \
+            ExactScalar.one()
+    return SuperPolynomial(u, terms)
+
+
+def fermionic_envelope_poly(u, width=Fraction(1, 2), sign=1):
+    """exp(sign*width*x`^2) expanded: prod_j (1 + sign*width q_{2j-1}q_{2j})."""
+    out = SuperPolynomial.one(u)
+    for p in range(u.pairs):
+        pair = SuperPolynomial(
+            u, {((0,) * u.m, 0): ExactScalar.one(),
+                ((0,) * u.m, (1 << (2 * p)) | (1 << (2 * p + 1))):
+                    ExactScalar.rational(Fraction(sign) * width)})
+        out = sp_mul(out, pair)
     return out
 
 

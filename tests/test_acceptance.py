@@ -19,18 +19,17 @@ from supertransform.fundsol import (RadialFunction, fundsol_prefactor,
                                     nu_poly_laplace,
                                     super_fundamental_solution,
                                     verify_harmonic_away_from_origin)
-from supertransform.harmonics import (decomposition_check,
-                                      fermionic_square_power, harmonic_basis)
+from supertransform.harmonics import decomposition_check, harmonic_basis
 from supertransform.hermite import psi_span, psi_tilde_element
 from supertransform.operators import (bosonic_derivative, euler,
                                       fermionic_derivative)
 from supertransform.radon import radon, radon_expected_eigenbasis
 from supertransform.scalars import ExactScalar, to_float
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
-                                     VariableUniverse,
-                                     fermionic_envelope_poly, pairing,
+                                     VariableUniverse, pairing,
                                      sp_mul, sp_rename)
-from tests.oracles import (fermionic_kernel, kernel_route,
+from tests.oracles import (fermionic_envelope_poly, fermionic_kernel,
+                           fermionic_square_power, kernel_route,
                            operator_exponential_fourier,
                            sp_substitute_fermionic)
 from tests.test_cliffweyl import power_rule_check

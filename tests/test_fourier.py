@@ -13,19 +13,19 @@ from supertransform.fourier import (berezin, convolution_fermionic,
 from supertransform.cliffweyl import CValued
 from supertransform.fracfourier import (frac_fourier, frac_fourier_cvalued,
                                         max_coeff_deviation)
-from supertransform.harmonics import (fermionic_square_power, harmonic_basis)
+from supertransform.harmonics import harmonic_basis
 from supertransform.hermite import psi_span
 from supertransform.operators import fermionic_derivative, laplace
 from supertransform.radon import radon
 from supertransform.scalars import ExactScalar, to_float
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
-                                     VariableUniverse,
-                                     fermionic_envelope_poly, pairing,
+                                     VariableUniverse, pairing,
                                      sp_mul, sp_rename)
 from tests.conftest import random_poly, random_scalar
-from tests.oracles import (fermionic_kernel, gaussian_expand_fermionic,
-                           grassmann_shift, kernel_route,
-                           operator_exponential_fourier)
+from tests.oracles import (fermionic_envelope_poly, fermionic_kernel,
+                           fermionic_square_power,
+                           gaussian_expand_fermionic, grassmann_shift,
+                           kernel_route, operator_exponential_fourier)
 
 
 def _factorial(k):

@@ -16,11 +16,10 @@ from supertransform.hermite import psi_span
 from supertransform.operators import bosonic_derivative, fermionic_derivative
 from supertransform.scalars import Angle, ExactScalar, QQi, to_float
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
-                                     VariableUniverse,
-                                     fermionic_envelope_poly, sp_mul,
-                                     sp_rename)
+                                     VariableUniverse, sp_mul, sp_rename)
 from tests.conftest import random_gaussian, random_poly
-from tests.oracles import express_in_basis, fermionic_kernel, kernel_route
+from tests.oracles import (express_in_basis, fermionic_envelope_poly,
+                           fermionic_kernel, kernel_route)
 
 ORDERS = (Fraction(1, 3), Fraction(1, 2), Fraction(-1, 4), Fraction(2, 3))
 # universe shapes (m, n) of the kernel-against-table checks; 0|2 first

@@ -2,12 +2,13 @@ import pytest
 
 from supertransform import harmonics
 from supertransform.harmonics import (decomposition_check, f_poly,
-                                      harmonic_basis, harmonic_dimension)
+                                      harmonic_basis)
 from supertransform.operators import euler, laplace
 from supertransform.scalars import ExactScalar
 from supertransform.superalg import (SuperPolynomial, VariableUniverse,
-                                     fermionic_square, sp_mul, vector_square)
-from tests.oracles import (express_in_basis, fischer_decompose,
+                                     sp_mul, vector_square)
+from tests.oracles import (express_in_basis, f_poly_by_products,
+                           fermionic_square, fischer_decompose,
                            fischer_fermionic)
 
 
@@ -90,6 +91,27 @@ def test_f_poly_small_cases():
     # k=0 collapses to the single i=0 term (n-q)!/Gamma(m/2+p)
     got = f_poly(0, 1, 1, u)
     assert got == SuperPolynomial.scalar(u, 1)   # 0!/Gamma(2) = 1
+
+
+def _decomposition_shapes(n, k_max):
+    """The (l, p, q) at which decomposition_check forms f_poly over the
+    degrees k <= k_max of a universe with n pairs."""
+    for k in range(k_max + 1):
+        for j in range(min(n, k - 1)):
+            for l in range(1, min(n - j, (k - j) // 2) + 1):
+                yield l, k - 2 * l - j, j
+
+
+@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("m", range(1, 5))
+def test_f_poly_equals_the_product_route(m, n):
+    # the grid holds M = 0 at (2,1) and (4,2), M = -2 at (2,2) and (4,3)
+    # and M = -4 at (2,3); k = 0 is the only shape at n = 0
+    u = VariableUniverse.standard(m, n)
+    shapes = {(0, p, 0) for p in range(3)} | set(_decomposition_shapes(n, 8))
+    for l, p, q in sorted(shapes):
+        assert f_poly(l, p, q, u) == f_poly_by_products(l, p, q, u), \
+            (l, p, q)
 
 
 def test_f_poly_gamma_guard():
@@ -199,17 +221,6 @@ def test_decomposition_check_refuses_m_zero():
         decomposition_check(2, VariableUniverse.standard(0, 2))
 
 
-def test_harmonic_dimension_cache_hits_and_rebuilds_equal_output():
-    u = VariableUniverse.standard(2, 1)
-    first = harmonic_dimension(2, "full", u)
-    hits = harmonic_dimension.cache_info().hits
-    assert harmonic_dimension(2, "full", u) == first == 7
-    assert harmonic_dimension.cache_info().hits == hits + 1
-    harmonic_dimension.cache_clear()
-    assert harmonic_dimension.cache_info().currsize == 0
-    assert harmonic_dimension(2, "full", u) == first
-
-
 def test_harmonic_basis_cache_hits_and_rebuilds_equal_output():
     u = VariableUniverse.standard(2, 1)
     first = harmonic_basis(3, "full", u)
@@ -241,7 +252,6 @@ def test_decomposition_check_runs_each_nullspace_once(monkeypatch):
 
     monkeypatch.setattr(harmonics, "nullspace", counting)
     harmonic_basis.cache_clear()
-    harmonic_dimension.cache_clear()
     u = VariableUniverse.standard(3, 2)
     first = decomposition_check(6, u)
     assert len(calls) == 9

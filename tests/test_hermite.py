@@ -12,7 +12,8 @@ from supertransform.operators import laplace, scalar_square
 from supertransform.scalars import ExactScalar, gamma_half_integer
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse, sp_mul, vector_square)
-from tests.oracles import ch_explicit, substitute_derivatives
+from tests.oracles import (ch_explicit, fermionic_square_power,
+                           rising_factorial, substitute_derivatives)
 
 
 def test_ch_rodrigues_t0_identity():
@@ -40,6 +41,11 @@ def test_ch_rescaled_degree_two_on_harmonic_of_degree_one():
     want = sp_mul(vector_square(u)
                   + SuperPolynomial.scalar(u, 2 + u.superdim), h)
     assert got == want
+
+
+def test_rising_factorial():
+    assert rising_factorial(Fraction(1, 2), 3) == Fraction(15, 8)
+    assert rising_factorial(Fraction(5), 0) == 1
 
 
 def test_ch_explicit_values():
@@ -292,7 +298,6 @@ def test_explicit_fermionic_variant_same_ratio():
     # the factorial variant for M=-2n carries the same 2^(t-i) offset
     # against the operator route, per coefficient: the Laplacian route on
     # a fermionic harmonic must equal sum_i explicit_i/2^(t-i) (xfer^2)^i h
-    from supertransform.harmonics import fermionic_square_power
     u = VariableUniverse.standard(0, 3)   # M = -6
     for t in (1, 2):
         for k in (0, 1):

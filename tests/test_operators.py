@@ -8,12 +8,11 @@ from supertransform.operators import (bosonic_derivative, euler,
                                       multiply_vector_square, scalar_square)
 from supertransform.scalars import ExactScalar, to_float
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
-                                     VariableUniverse,
-                                     fermionic_envelope_poly,
-                                     fermionic_square, sp_mul,
+                                     VariableUniverse, sp_mul,
                                      vector_square)
 from tests.conftest import random_poly
-from tests.oracles import gaussian_expand_fermionic
+from tests.oracles import (fermionic_envelope_poly, fermionic_square,
+                           gaussian_expand_fermionic)
 
 
 def test_euler_counts_degree():

@@ -389,12 +389,29 @@ def test_batched_sphere_reduction_equals_per_monomial(m, n, data):
     got = reduce_mod_sphere(f)
     assert got == reduce_mod_sphere_per_monomial(f)
     assert all(bos[-1] < 2 for bos, _ in got.terms)
-    # a reduction after other reductions on the same universe (the
-    # memoized sphere powers filled by them) gives the same result
+    # a reduction after other reductions on the same universe gives the
+    # same result: no state carries over from one reduction to the next
     g = SuperPolynomial(uo, data.draw(st.dictionaries(keys, _scalars,
                                                       max_size=6)))
     assert reduce_mod_sphere(g) == reduce_mod_sphere_per_monomial(g)
     assert reduce_mod_sphere(f) == got
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_sphere_reduction_of_high_powers_equals_per_monomial(m):
+    # last exponents up to 40, so powers of the sphere relation up to 20,
+    # under masks that miss both pairs, meet one pair in one symbol or in
+    # both, or meet both pairs; every mask meets the top two exponents
+    uo = omega_universe(m, 2)
+    masks = (0, 0b0001, 0b0011, 0b0110, 0b1100, 0b1111)
+    keys = {(e, masks[e % len(masks)]) for e in range(41)}
+    keys |= {(e, mask) for e in (39, 40) for mask in masks}
+    f = SuperPolynomial(uo, {
+        (tuple((e + i) % 3 for i in range(m - 1)) + (e,), mask):
+            ExactScalar.rational(e + 1, mask + 1) for e, mask in keys})
+    got = reduce_mod_sphere(f)
+    assert got == reduce_mod_sphere_per_monomial(f)
+    assert all(bos[-1] < 2 for bos, _ in got.terms)
 
 
 # -- the parser against a tree oracle ------------------------------------

@@ -97,7 +97,8 @@ def test_reduce_mod_sphere_examples():
 
 
 def test_sphere_reduction_of_a_high_power():
-    # w1^1401 -> w1: the memoized powers grow in a loop, not by recursion
+    # w1^1401 -> w1: q = 700 reads one image off its multinomial weight,
+    # with no power of the relation built and no recursion
     uo = omega_universe(1, 0)
     f = SuperPolynomial(uo, {((1401,), 0): ExactScalar.one()})
     assert reduce_mod_sphere(f) == SuperPolynomial.bosonic_var(uo, 0)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from supertransform.scalars import (ExactScalar, QQi, gamma_half_integer,
-                                    rising_factorial, to_float)
+                                    to_float)
 from tests.conftest import random_scalar
 
 
@@ -101,11 +101,6 @@ def test_gamma_half_integer():
     with pytest.raises(ValueError):
         gamma_half_integer(0)
     assert abs(to_float(gamma_half_integer(7)) - math.gamma(3.5)) < 1e-12
-
-
-def test_rising_factorial():
-    assert rising_factorial(Fraction(1, 2), 3) == Fraction(15, 8)
-    assert rising_factorial(Fraction(5), 0) == 1
 
 
 def test_power_and_i_power():

@@ -6,13 +6,16 @@ from supertransform.operators import (bosonic_derivative,
                                       fermionic_derivative)
 from supertransform.scalars import ExactScalar
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
-                                     VariableUniverse, fermionic_square,
+                                     VariableUniverse,
                                      homogeneous_monomial_count,
                                      homogeneous_monomials, merge_masks,
                                      pairing,
-                                     sp_mul, sp_rename, vector_square)
+                                     sp_mul, sp_rename, square_powers,
+                                     vector_square)
 from tests.conftest import random_poly
-from tests.oracles import doubled_universe, sp_substitute_fermionic
+from tests.oracles import (bosonic_square_power, doubled_universe,
+                           fermionic_square, fermionic_square_power,
+                           sp_substitute_fermionic)
 
 one = ExactScalar.one
 
@@ -261,6 +264,33 @@ def test_doubled_universe():
     d = doubled_universe(u)
     assert d.bosonic == ("x1", "x2", "y1", "y2")
     assert d.fermionic == ("q1", "q2", "s1", "s2")
+
+
+def test_square_powers_equal_repeated_products():
+    for m in range(4):
+        for n in range(4):
+            u = VariableUniverse.standard(m, n)
+            for a in range(4):
+                for b in range(n + 1):
+                    got = SuperPolynomial(u, {
+                        (exp, mask): ExactScalar.rational(w)
+                        for exp, mask, w in square_powers(m, n, a, b)})
+                    want = sp_mul(bosonic_square_power(u, a),
+                                  fermionic_square_power(u, b))
+                    assert got == want, (m, n, a, b)
+
+
+def test_monomial_refuses_a_key_outside_the_universe():
+    u = VariableUniverse.standard(1, 1)
+    one_ = ExactScalar.one()
+    with pytest.raises(ValueError, match="fermionic mask must lie within"):
+        SuperPolynomial.monomial(u, (0,), 1 << 5, one_)
+    with pytest.raises(ValueError, match="m = 1 bosonic exponents, not 3"):
+        SuperPolynomial.monomial(u, (0, 0, 3), 0, one_)
+    with pytest.raises(ValueError, match="non-negative"):
+        SuperPolynomial.monomial(u, (-1,), 0, one_)
+    assert SuperPolynomial.monomial(u, [2], 0b11, one_) == \
+        SuperPolynomial(u, {((2,), 0b11): one_})
 
 
 def test_universe_mismatch_raises():
