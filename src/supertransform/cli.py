@@ -27,6 +27,14 @@ from .fundsol import super_fundamental_solution, \
 from .superalg import GaussianFunction, SuperPolynomial, VariableUniverse
 
 
+# Universe budgets, checked before any symbol name is built: every
+# subcommand on a one-term input at m = MAX_BOSONIC and n = MAX_PAIRS
+# runs in about two seconds (dirac through the envelope, quadratic in n,
+# is the slowest).
+MAX_BOSONIC = 1000
+MAX_PAIRS = 1000
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="supertransform",
@@ -142,15 +150,22 @@ def _read(source, u):
 
 def run(args, source):
     """Execute one command over one parsed expression source string."""
-    u = VariableUniverse.standard(args.m, args.n)
     cmd = args.command
+    if args.m > MAX_BOSONIC:
+        raise ValueError(f"m = {args.m} bosonic variables exceeds "
+                         f"MAX_BOSONIC = {MAX_BOSONIC}")
     if cmd == "fundsol":
+        # no universe: MAX_FUNDSOL_PAIRS is its pair budget
         sr = super_fundamental_solution(args.m, args.n)
         if not verify_harmonic_away_from_origin(sr, args.m):
             raise ValueError("internal telescope check failed")
         exprmod.check_render_digits(c for r in sr.parts.values()
                                     for c in r.terms.values())
         return sr.render()
+    if args.n > MAX_PAIRS:
+        raise ValueError(f"n = {args.n} pairs exceeds MAX_PAIRS = "
+                         f"{MAX_PAIRS}")
+    u = VariableUniverse.standard(args.m, args.n)
     if cmd == "hermite":
         # every refusal on the orders comes before the basis is built
         check_basis_degree(args.k, u)

@@ -18,10 +18,12 @@ G = exp(x^2/2) the pass only changes its weights, since G^-1 D G = D + x.
 from __future__ import annotations
 
 import math
+from itertools import product
+from operator import add
 
 from ._terms import TermMap, add_into, canonical
 from .scalars import ExactScalar
-from .superalg import (GaussianFunction, SuperPolynomial,
+from .superalg import (GaussianFunction, SuperPolynomial, compositions,
                        homogeneous_monomials, mask_bits)
 
 
@@ -47,21 +49,22 @@ def _mul_keys(key1, key2, npairs):
     if (e1 & e2).bit_count() & 1:
         sign = -sign
     emask = e1 ^ e2
-    # symplectic part: independent one-pair Weyl algebras
-    combos = [(sign, [])]
-    for p in range(npairs):
-        a1, b1 = w1[2 * p], w1[2 * p + 1]
-        a2, b2 = w2[2 * p], w2[2 * p + 1]
-        nxt = []
-        for k in range(min(b1, a2) + 1):
-            c = math.comb(a2, k) * math.comb(b1, k) * math.factorial(k)
-            if k & 1:
-                c = -c
-            for coeff, exps in combos:
-                nxt.append((coeff * c, exps + [a1 + a2 - k, b1 + b2 - k]))
-        combos = nxt
-    for coeff, exps in combos:
-        yield coeff, (emask, tuple(exps))
+    # symplectic part: independent one-pair Weyl algebras; pair p of
+    # exponents (a1, b1) times (a2, b2) contracts k <= min(b1, a2) times,
+    # weighing (-1)^k C(a2,k) C(b1,k) k!, and the last pair's k varies
+    # slowest
+    exps = list(map(add, w1, w2))
+    meets = [(p, w2[2 * p], w1[2 * p + 1]) for p in reversed(range(npairs))
+             if w2[2 * p] and w1[2 * p + 1]]
+    for ks in product(*(range(min(a2, b1) + 1) for _, a2, b1 in meets)):
+        coeff, out = sign, exps[:]
+        for (p, a2, b1), k in zip(meets, ks):
+            if k:
+                coeff *= ((-1) ** k * math.comb(a2, k) * math.comb(b1, k)
+                          * math.factorial(k))
+                out[2 * p] -= k
+                out[2 * p + 1] -= k
+        yield coeff, (emask, tuple(out))
 
 
 def word_text(key):
@@ -208,19 +211,18 @@ def _odd_pass(f, lower, rise):
     the integer weights keep it on either lane.  d_{x_i} and x_i meet
     e_i, d_{q_j} meets the other generator of q_j's pair with weight +2
     (j even) or -2 (j odd), and q_j meets E[j], each with the Koszul sign
-    of q_j's place in the monomial.  Each generator times each word of f
-    comes from _mul_keys once.  Through the envelope, G^-1 D G = D + x."""
+    of q_j's place in the monomial.  A generator times a word of f comes
+    from _mul_keys once, when a term first hits that generator.  Through
+    the envelope, G^-1 D G = D + x."""
     f = _lift(f)
     u = f.universe
     m, npairs = u.m, u.pairs
     if f.envelope:
         rise += lower
     ident = (0,) * (2 * npairs)
-    gens = [(1 << i, ident) for i in range(m)] + [
-        (0, ident[:j] + (1,) + ident[j + 1:]) for j in range(2 * npairs)]
     out = {}
     for word, p in f.parts.items():
-        products = [list(_mul_keys(g, word, npairs)) for g in gens]
+        products = {}   # generator index -> its products with word
         for (bos, mask), c in p.terms.items():
             hits = []   # (generator index, monomial, integer weight)
             for i, e in enumerate(bos):
@@ -240,6 +242,11 @@ def _odd_pass(f, lower, rise):
                 elif rise:
                     hits.append((m + j, (bos, mask | bit), sign * rise))
             for g, mono, weight in hits:
+                if g not in products:
+                    j = g - m
+                    gen = (1 << g, ident) if j < 0 else (
+                        0, ident[:j] + (1,) + ident[j + 1:])
+                    products[g] = list(_mul_keys(gen, word, npairs))
                 for coeff, nword in products[g]:
                     add_into(out.setdefault(nword, {}), mono,
                              c * (weight * coeff))
@@ -296,18 +303,7 @@ def monogenic_basis(k, universe):
 
 
 def _cw_keys(m, npairs, cap):
-    keys = []
-    weyl_exps = list(_bounded_exps(2 * npairs, cap))
-    for emask in range(1 << m):
-        for w in weyl_exps:
-            keys.append((emask, tuple(w)))
-    return keys
-
-
-def _bounded_exps(slots, cap):
-    if slots == 0:
-        yield ()
-        return
-    for first in range(cap + 1):
-        for rest in _bounded_exps(slots - 1, cap - first):
-            yield (first,) + rest
+    """Unit words with symplectic order at most cap: the compositions of
+    cap into 2n + 1 parts, the last one slack."""
+    weyl_exps = [w[:-1] for w in compositions(cap, 2 * npairs + 1)]
+    return [(emask, w) for emask in range(1 << m) for w in weyl_exps]

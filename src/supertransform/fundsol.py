@@ -162,6 +162,8 @@ def super_fundamental_solution(m, n):
     """pi^n sum_k 2^(2k) k!/(n-k)! nu_{2k+2} xfer^(2n-2k), with the nu
     chain carried forward: one radial Poisson solve per k.  Refused
     before the chain when n passes MAX_FUNDSOL_PAIRS."""
+    if m < 0 or n < 0:
+        raise ValueError("universe sizes m and n must be non-negative")
     if m < 1:
         raise ValueError("no purely fermionic fundamental solution")
     if n > MAX_FUNDSOL_PAIRS:

@@ -88,43 +88,35 @@ def mask_bits(mask):
 
 
 def compositions(total, slots):
-    """All tuples of `slots` nonnegative ints summing to `total`."""
+    """All tuples of `slots` nonnegative ints summing to `total`, in
+    lexicographic order: the gaps between slots - 1 bars placed among
+    total + slots - 1 places (stars and bars)."""
     if slots == 0:
         if total == 0:
             yield ()
         return
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, slots - 1):
-            yield (first,) + rest
+    places = total + slots - 1
+    for bars in combinations(range(places), slots - 1):
+        edges = (-1,) + bars + (places,)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 def masks_of_weight(width, weight):
-    if weight == 0:
-        yield 0
-        return
-    for mask in range(1 << width):
-        if mask.bit_count() == weight:
-            yield mask
+    """The masks of `width` bits with `weight` bits set, ascending."""
+    return sorted(sum(1 << b for b in bits)
+                  for bits in combinations(range(width), weight))
 
 
 def homogeneous_monomials(u, k, sector="full"):
     """Monomial keys of total degree k, optionally restricted to a sector."""
-    out = []
     nf = len(u.fermionic)
     if sector == "bosonic":
         return [(bos, 0) for bos in compositions(k, u.m)]
     if sector == "fermionic":
-        if k > nf:
-            return []
         return [((0,) * u.m, mask) for mask in masks_of_weight(nf, k)]
-    for fdeg in range(min(k, nf) + 1):
-        for mask in masks_of_weight(nf, fdeg):
-            for bos in compositions(k - fdeg, u.m):
-                out.append((bos, mask))
-    return out
+    return [(bos, mask) for fdeg in range(min(k, nf) + 1)
+            for mask in masks_of_weight(nf, fdeg)
+            for bos in compositions(k - fdeg, u.m)]
 
 
 def homogeneous_monomial_count(u, k):

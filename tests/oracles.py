@@ -58,6 +58,14 @@ the first-order operators by the Leibniz rule: the polynomial's
 derivative plus a general product with a one-term variable
 (`neutral_bosonic_var`, `neutral_fermionic_var`), parity-signed for the
 fermions; the package applies each in one pass over the terms.
+`compositions_by_recursion`, `masks_of_weight_by_scan` and
+`bounded_exps` enumerate monomial exponents and masks by recursion and
+by testing every mask; the package places bars and bits by
+`itertools.combinations` and must list the same tuples in the same
+order, since the nullspace pivots on the least column.
+`mul_keys_by_combos` multiplies two unit words by growing the list of
+symplectic exponent vectors one pair at a time; the package contracts
+only the pairs that meet and varies their counts by `itertools.product`.
 """
 
 import math
@@ -1118,3 +1126,63 @@ def gaussian_expand_fermionic(f):
     """
     require_envelope(f)
     return sp_mul(f.poly, fermionic_envelope_poly(f.universe))
+
+
+def compositions_by_recursion(total, slots):
+    """All tuples of `slots` nonnegative ints summing to `total`, first
+    entry outermost."""
+    if slots == 0:
+        if total == 0:
+            yield ()
+        return
+    if slots == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions_by_recursion(total - first, slots - 1):
+            yield (first,) + rest
+
+
+def masks_of_weight_by_scan(width, weight):
+    """The masks of `width` bits with `weight` bits set, by testing all
+    2^width masks."""
+    if weight == 0:
+        yield 0
+        return
+    for mask in range(1 << width):
+        if mask.bit_count() == weight:
+            yield mask
+
+
+def bounded_exps(slots, cap):
+    """All tuples of `slots` nonnegative ints summing to at most `cap`."""
+    if slots == 0:
+        yield ()
+        return
+    for first in range(cap + 1):
+        for rest in bounded_exps(slots - 1, cap - first):
+            yield (first,) + rest
+
+
+def mul_keys_by_combos(key1, key2, npairs):
+    """Product of two normal-ordered unit words as (coefficient, key)
+    pairs, each pair's contractions expanded over all partial words."""
+    e1, w1 = key1
+    e2, w2 = key2
+    sign = -1 if (sum(w1) * e2.bit_count()) & 1 else 1
+    inv = sum((e1 >> b + 1).bit_count() for b in mask_bits(e2))
+    if (inv + (e1 & e2).bit_count()) & 1:
+        sign = -sign
+    combos = [(sign, [])]
+    for p in range(npairs):
+        a1, b1 = w1[2 * p], w1[2 * p + 1]
+        a2, b2 = w2[2 * p], w2[2 * p + 1]
+        nxt = []
+        for k in range(min(b1, a2) + 1):
+            c = math.comb(a2, k) * math.comb(b1, k) * math.factorial(k)
+            if k & 1:
+                c = -c
+            for coeff, exps in combos:
+                nxt.append((coeff * c, exps + [a1 + a2 - k, b1 + b2 - k]))
+        combos = nxt
+    return [(coeff, (e1 ^ e2, tuple(exps))) for coeff, exps in combos]

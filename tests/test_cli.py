@@ -598,6 +598,36 @@ def test_cli_fundsol_pair_budget_refuses_fast(capsys, n):
     assert err == (f"error: n = {n} pairs exceeds MAX_FUNDSOL_PAIRS = 1000")
 
 
+@pytest.mark.parametrize("argv, err", [
+    (("--m", "1", "--n", "100000000", "normalize", "1"),
+     "error: n = 100000000 pairs exceeds MAX_PAIRS = 1000"),
+    (("--m", "1", "--n", "1001", "dirac", "q1*G"),
+     "error: n = 1001 pairs exceeds MAX_PAIRS = 1000"),
+    (("--m", "100000000", "--n", "1", "d2", "G"),
+     "error: m = 100000000 bosonic variables exceeds MAX_BOSONIC = 1000"),
+    (("--m", "100000000", "--n", "1", "fundsol"),
+     "error: m = 100000000 bosonic variables exceeds MAX_BOSONIC = 1000"),
+], ids=["normalize-n", "dirac-n", "d2-m", "fundsol-m"])
+def test_cli_universe_budget_refuses_fast(capsys, argv, err):
+    # n = 10^8 ended in a MemoryError traceback while naming the symbols,
+    # and fundsol at m = 10^8 did not finish
+    start = time.perf_counter()
+    assert _run_cli(capsys, *argv) == (1, "", err)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cli_universe_budget_accepts_its_limits(capsys):
+    assert _run_cli(capsys, "--m", "1000", "--n", "1000", "normalize",
+                    "x1000*q2000*G") == (0, "x1000*q2000*G", "")
+
+
+@pytest.mark.parametrize("m, n", [("-1", "1"), ("1", "-1")])
+def test_cli_fundsol_rejects_negative_universe_sizes(capsys, m, n):
+    # fundsol builds no universe, so it checks the sizes itself
+    code, out, err = _run_cli(capsys, "--m", m, "--n", n, "fundsol")
+    assert (code, out) == (1, "") and "non-negative" in err
+
+
 def test_fundsol_pair_budget_boundary(monkeypatch):
     monkeypatch.setattr(fundsol, "MAX_FUNDSOL_PAIRS", 3)
     assert fundsol.super_fundamental_solution(2, 3).parts
@@ -629,6 +659,28 @@ def test_cli_degree_budget_refuses_before_the_basis(capsys, argv, limit):
     assert time.perf_counter() - start < 1.0
     assert code == 1 and not out and limit in err
     assert harmonic_basis.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("--m", "0", "--n", "13", "hermite", "--j", "0", "--k", "1", "--l", "0"),
+    ("--m", "1", "--n", "12", "decompose", "--k", "2"),
+], ids=["hermite-n13", "decompose-n12"])
+def test_cli_small_basis_in_many_pairs_runs_fast(capsys, argv):
+    # 26 and 325 monomials, but listing the masks by testing all 4^n of
+    # them took about 5 s for each
+    start = time.perf_counter()
+    code, out, _ = _run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out
+
+
+def test_cli_dirac_in_many_pairs_builds_only_the_hit_generator(capsys):
+    # q1 hits one generator; building all 2n + m generator products per
+    # unit word took 8.5 s at n = 800
+    start = time.perf_counter()
+    code, out, _ = _run_cli(capsys, "--m", "1", "--n", "800", "dirac", "q1")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (0, "(2) (x) f2")
 
 
 @pytest.mark.parametrize("command", ["hermite", "decompose"])
@@ -7950,3 +8002,31 @@ def test_cli_subcommands_do_not_import_scipy():
                           capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.splitlines()[-1] == "False"
+
+
+_CLI_INPUT_CASES = [
+    (('{"schema": "supertransform/1", "m": 2, "n": 1, "terms": []}',), 2,
+     "", "parse error: JSON shape disagrees with --m/--n (at position 0)"),
+    (('{"schema": "supertransform/1", "terms": [{"bos": [1, 2]}]}',), 2,
+     "", "parse error: bad bosonic exponent vector (at position 0)"),
+    (('{"schema": "supertransform/1", "terms": [{"bos": [1], "fer": 3}]}',),
+     2, "", "parse error: bad fermionic index list (at position 0)"),
+    (('{"schema": "supertransform/1", "terms": [{"bos": [1], "fer": [3]}]}',),
+     2, "", "parse error: bad fermionic index list (at position 0)"),
+    (('{"schema": "supertransform/1", '
+      '"terms": [{"bos": [1], "fer": [1, 1]}]}',),
+     2, "", "parse error: bad fermionic index list (at position 0)"),
+    (("q1^0",), 0, "1", ""),
+    (("q1^1",), 0, "q1", ""),
+    (("(pi)^(1/2)",), 0, "sqrtpi", ""),
+    (("sqrt2^-1",), 0, "1/2*sqrt2", ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", _CLI_INPUT_CASES, ids=[
+    "json-shape", "json-bos", "json-fer-not-list", "json-fer-range",
+    "json-fer-repeat", "q1-pow0", "q1-pow1", "paren-pi-half",
+    "sqrt2-neg-pow"])
+def test_cli_input_branches(capsys, argv, code, out, err):
+    assert _run_cli(capsys, "--m", "1", "--n", "1", "normalize", *argv) == \
+        (code, out, err)

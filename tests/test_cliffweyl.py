@@ -1,12 +1,13 @@
 import pytest
 
-from supertransform.cliffweyl import (CValued, CWElement, _lift, cw_mul,
-                                      dirac_apply, monogenic_basis,
-                                      vector_mul)
+from supertransform.cliffweyl import (CValued, CWElement, _cw_keys, _lift,
+                                      _mul_keys, cw_mul, dirac_apply,
+                                      monogenic_basis, vector_mul)
 from supertransform.operators import euler, laplace
 from supertransform.scalars import ExactScalar
 from supertransform.superalg import SuperPolynomial, VariableUniverse
 from tests.conftest import random_poly
+from tests.oracles import bounded_exps, mul_keys_by_combos
 
 
 def test_orthogonal_square():
@@ -199,3 +200,24 @@ def test_render():
     assert "e1 e2" in el.render()
     el2 = CWElement.eg(0, 1, 0)
     assert "f1" in el2.render()
+
+
+def test_cw_keys_equal_the_bounded_exponent_oracle():
+    # list for list, order included: monogenic_basis's columns follow it
+    for m in range(3):
+        for npairs in range(3):
+            for cap in range(6):
+                want = [(emask, w) for emask in range(1 << m)
+                        for w in bounded_exps(2 * npairs, cap)]
+                assert _cw_keys(m, npairs, cap) == want, (m, npairs, cap)
+
+
+def test_mul_keys_equal_the_pair_by_pair_expansion(rng):
+    # list for list, order included, on words whose pairs meet or not
+    for m, npairs in [(0, 1), (2, 1), (1, 2), (3, 3)]:
+        for _ in range(60):
+            k1, k2 = ((rng.randrange(1 << m),
+                       tuple(rng.randrange(4) for _ in range(2 * npairs)))
+                      for _ in range(2))
+            assert list(_mul_keys(k1, k2, npairs)) == \
+                mul_keys_by_combos(k1, k2, npairs), (k1, k2)

@@ -607,6 +607,27 @@ def test_exact_transforms_and_integrals_refuse_float_lane():
             super_integral(g)
 
 
+def test_super_integral_of_plain_input_is_the_berezin_top_coefficient(rng):
+    # at m = 0 the plain integral is the width-0 pairing with 1, which
+    # must read the Berezin integral's constant term
+    for n in range(4):
+        u = VariableUniverse.standard(0, n)
+        for _ in range(25):
+            f = random_poly(u, rng, degree=2 * n, nterms=6, rational=False)
+            assert super_integral(f) == berezin(f).terms.get(
+                ((), 0), ExactScalar.zero()), n
+
+
+def test_super_integral_refuses_float_lane_plain_input():
+    # Berezin's scale_exact took these and gave a complex float, or
+    # for 1 the exact zero, so the lanes mixed silently
+    u = VariableUniverse.standard(0, 1)
+    q1q2 = SuperPolynomial(u, {((), 0b11): ExactScalar.rational(3)})
+    for f in (q1q2, SuperPolynomial.one(u)):
+        with pytest.raises(ValueError, match="exact-lane input"):
+            super_integral(f.map_coefficients(to_float))
+
+
 def test_kernel_route_at_exact_orders_refuses_float_lane():
     # the +/-1 kernel is exact, so float-lane input gets the exact
     # transforms' refusal; other orders run on floats and accept it

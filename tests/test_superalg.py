@@ -6,15 +6,16 @@ from supertransform.operators import (bosonic_derivative,
                                       fermionic_derivative)
 from supertransform.scalars import ExactScalar
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
-                                     VariableUniverse,
+                                     VariableUniverse, compositions,
                                      homogeneous_monomial_count,
-                                     homogeneous_monomials, merge_masks,
-                                     pairing,
+                                     homogeneous_monomials,
+                                     masks_of_weight, merge_masks, pairing,
                                      sp_mul, sp_rename, square_powers,
                                      vector_square)
 from tests.conftest import random_poly
-from tests.oracles import (bosonic_square_power, doubled_universe,
-                           fermionic_square, fermionic_square_power,
+from tests.oracles import (bosonic_square_power, compositions_by_recursion,
+                           doubled_universe, fermionic_square,
+                           fermionic_square_power, masks_of_weight_by_scan,
                            sp_substitute_fermionic)
 
 one = ExactScalar.one
@@ -278,6 +279,23 @@ def test_square_powers_equal_repeated_products():
                     want = sp_mul(bosonic_square_power(u, a),
                                   fermionic_square_power(u, b))
                     assert got == want, (m, n, a, b)
+
+
+def test_enumerators_equal_the_recursive_and_scanning_oracles():
+    # list for list, order included: the nullspace pivots on the least
+    # column, so every basis depends on this order
+    for slots in range(6):
+        for total in range(8):
+            assert list(compositions(total, slots)) == \
+                list(compositions_by_recursion(total, slots)), (total, slots)
+    assert list(compositions(0, 0)) == [()]
+    assert list(compositions(3, 0)) == []
+    for width in range(9):
+        for weight in range(width + 2):
+            assert list(masks_of_weight(width, weight)) == \
+                list(masks_of_weight_by_scan(width, weight)), (width, weight)
+    assert list(masks_of_weight(4, 0)) == [0]
+    assert list(masks_of_weight(3, 4)) == []
 
 
 def test_monomial_refuses_a_key_outside_the_universe():
