@@ -24,15 +24,8 @@ from .operators import euler, laplace, scalar_square
 from .radon import radon
 from .fundsol import super_fundamental_solution, \
     verify_harmonic_away_from_origin
-from .superalg import GaussianFunction, SuperPolynomial, VariableUniverse
-
-
-# Universe budgets, checked before any symbol name is built: every
-# subcommand on a one-term input at m = MAX_BOSONIC and n = MAX_PAIRS
-# runs in about two seconds (dirac through the envelope, quadratic in n,
-# is the slowest).
-MAX_BOSONIC = 1000
-MAX_PAIRS = 1000
+from .superalg import (MAX_BOSONIC, MAX_PAIRS, GaussianFunction,
+                       SuperPolynomial, VariableUniverse)
 
 
 def build_parser():
@@ -151,6 +144,7 @@ def _read(source, u):
 def run(args, source):
     """Execute one command over one parsed expression source string."""
     cmd = args.command
+    # the universe budgets come before any symbol name is built
     if args.m > MAX_BOSONIC:
         raise ValueError(f"m = {args.m} bosonic variables exceeds "
                          f"MAX_BOSONIC = {MAX_BOSONIC}")

@@ -695,7 +695,9 @@ def _coeff_latex(c):
         if b:
             piece += r"\pi^{%s}" % (Fraction(b, 2))
         bits.append(piece)
-    return "+".join(bits)
+    # a sum of ring terms is parenthesized, as in render_poly_text
+    out = "+".join(bits)
+    return f"({out})" if len(bits) > 1 else out
 
 
 def render_poly_latex(f):

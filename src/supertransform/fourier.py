@@ -34,7 +34,7 @@ from fractions import Fraction
 from ._terms import add_into
 from .scalars import I_POWERS, Angle, ExactScalar, QQi, to_float
 from .superalg import (GaussianFunction, SuperPolynomial, VariableUniverse,
-                       common_denominator, is_float_lane, mask_bits,
+                       common_denominator, mask_bits,
                        merge_masks, require_envelope, scale_exact)
 
 
@@ -191,11 +191,15 @@ def frac_fermionic_table(f, a):
     """The order-a transform of a plain polynomial, one closed-form table
     per pair with zeta = e^(i a pi/2): 1 -> (1 + zeta^2)/2
     + (1 - zeta^2)/4 q1q2, q_j -> zeta q_j, q1q2 -> 1 - zeta^2
-    + (1 + zeta^2)/2 q1q2; bosonic factors pass through.  Exact (QQi
-    entries) at integral a on exact input, float otherwise."""
+    + (1 + zeta^2)/2 q1q2; bosonic factors pass through.  On the lanes of
+    `_mehler_pass`: exact (QQi entries) at a = +/-1, where float input is
+    refused, float at other orders; a = 0 returns f."""
     a = Angle(a)
+    if a.a == 0:
+        return f
     zeta, zeta2 = a.phase(1), a.phase(2)
-    if a.exact and not is_float_lane(f):
+    if a.exact:
+        _require_exact(f)
         zeta, zeta2, one = zeta.qqi_value(), zeta2.qqi_value(), QQi(1)
     else:
         zeta, zeta2, one = to_float(zeta), to_float(zeta2), 1 + 0j
@@ -221,7 +225,6 @@ def frac_fermionic_table(f, a):
 def fermionic_fourier(f, sign):
     """Fermionic transform of a plain polynomial, applied pair by pair:
     1 -> q1q2/2, q_j -> +/- i q_j, q1q2 -> 2 on each pair."""
-    _require_exact(f)
     return frac_fermionic_table(f, _order(sign))
 
 

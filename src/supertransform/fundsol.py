@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from ._terms import TermMap, add_into, canonical
 from .scalars import ExactScalar, gamma_half_integer
+from .superalg import MAX_BOSONIC
 
 # fermionic pairs n of one fundamental solution: the chain makes n + 1
 # radial parts, and its time grows about like n^2.7 (work budget)
@@ -161,11 +162,14 @@ class SuperRadial:
 def super_fundamental_solution(m, n):
     """pi^n sum_k 2^(2k) k!/(n-k)! nu_{2k+2} xfer^(2n-2k), with the nu
     chain carried forward: one radial Poisson solve per k.  Refused
-    before the chain when n passes MAX_FUNDSOL_PAIRS."""
+    before the chain when m passes MAX_BOSONIC or n MAX_FUNDSOL_PAIRS."""
     if m < 0 or n < 0:
         raise ValueError("universe sizes m and n must be non-negative")
     if m < 1:
         raise ValueError("no purely fermionic fundamental solution")
+    if m > MAX_BOSONIC:
+        raise ValueError(f"m = {m} bosonic variables exceeds "
+                         f"MAX_BOSONIC = {MAX_BOSONIC}")
     if n > MAX_FUNDSOL_PAIRS:
         raise ValueError(f"n = {n} pairs exceeds MAX_FUNDSOL_PAIRS = "
                          f"{MAX_FUNDSOL_PAIRS}")

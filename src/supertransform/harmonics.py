@@ -1,15 +1,21 @@
-"""Spherical-harmonic bases via exact nullspaces, and the decomposition
-of the full harmonic space into SO(m) x Sp(2n) pieces.
+"""Spherical-harmonic bases, and the decomposition of the full harmonic
+space into SO(m) x Sp(2n) pieces.
 
-Bases come from rational row reduction of the sector Laplacian on the
-homogeneous component, so representatives are deterministic echelon
-forms.  Each basis is memoized per (degree, sector, universe) and
-shared as an immutable tuple; `harmonic_basis.cache_info()` gives the
-cache's size, hits and misses.  The f_{k,p,q} coupling polynomials and
-the dimension identity of the decomposition are evaluated as stated; a
-failed check is reported in the result, never patched.  The Fischer
-decomposition of the Grassmann component and the exact expansion in a
-given basis are test oracles, kept with the tests.
+At m >= 1 the bosonic and full bases come from the Cauchy-Kovalevskaya
+extension in x_m (De Bie and Sommen, J. Phys. A 40 (2007) 7193): with
+Delta = -d_m^2 + Delta', the datum x_m^e g (e <= 1, g free of x_m)
+extends to the harmonic sum_i x_m^(e+2i) Delta'^i g / (e+2i)!, with no
+Fischer decomposition, so also at M in -2N.  The fermionic sector and
+m = 0 come from rational row reduction of the sector Laplacian.  Both
+give the same deterministic echelon forms, since the reduction pivots on
+the least column and the monomials list x_m-heavy columns first.  Each
+basis is memoized per (degree, sector, universe) and shared as an
+immutable tuple; `harmonic_basis.cache_info()` gives the cache's size,
+hits and misses.  The f_{k,p,q} coupling polynomials and the dimension
+identity of the decomposition are evaluated as stated; a failed check is
+reported in the result, never patched.  The Fischer decomposition of the
+Grassmann component, the exact expansion in a given basis and the row
+reduction at m >= 1 are test oracles, kept with the tests.
 """
 
 from __future__ import annotations
@@ -24,8 +30,8 @@ from .superalg import (SuperPolynomial, homogeneous_monomial_count,
                        homogeneous_monomials, integer_parts, sp_mul,
                        square_powers)
 
-# monomials of degree k in the whole universe that one basis's row
-# reduction may run over (its time grows about like their square)
+# monomials of degree k in the whole universe that one basis may run
+# over (a row reduction's time grows about like their square)
 MAX_BASIS_MONOMIALS = 1500
 
 
@@ -67,19 +73,21 @@ def check_basis_degree(k, universe):
 @functools.cache
 def harmonic_basis(k, sector, universe):
     """Exact nullspace of the sector Laplacian on degree-k homogeneous
-    polynomials of that sector.
+    polynomials of that sector: the Cauchy-Kovalevskaya extension in x_m
+    at m >= 1 outside the fermionic sector, a row reduction otherwise.
 
     Memoized per (degree, sector, universe) (`harmonic_basis.cache_info()`
     gives size, hits and misses): every caller shares the one basis and
     its tuple of elements.  A refusal raises on every call, before any
-    row reduction (check_basis_degree).
+    basis is built (check_basis_degree).
     """
     check_basis_degree(k, universe)
     if sector not in ("bosonic", "fermionic", "full"):
         raise ValueError(f"unknown sector {sector!r}")
     monos = homogeneous_monomials(universe, k, sector)
-    if not monos:
-        return HarmonicBasis(k, sector, ())
+    if universe.m and sector != "fermionic":
+        return HarmonicBasis(k, sector,
+                             tuple(_ck_extension(monos, universe, sector)))
 
     def image(mono):
         # a lane-neutral integer coefficient keeps the image integral
@@ -90,6 +98,26 @@ def harmonic_basis(k, sector, universe):
                                    for ci, val in vec.items()})
         for vec in nullspace(monos, image))
     return HarmonicBasis(k, sector, elements)
+
+
+def _ck_extension(monos, universe, sector):
+    """The harmonic sum_i x_m^(e+2i) Delta^i g / (e+2i)! for each monomial
+    x_m^e g of `monos` with e <= 1, in their order: Delta sends the
+    x_m-free g to Delta' g, and its int weights keep the iterates
+    integral."""
+    for bos, mask in monos:
+        e = bos[-1]
+        if e > 1:
+            continue
+        g = SuperPolynomial(universe, {(bos[:-1] + (0,), mask): 1})
+        terms = {}
+        while g:
+            d = math.factorial(e)
+            for (gb, gm), c in g.terms.items():
+                terms[gb[:-1] + (e,), gm] = ExactScalar.rational(c, d)
+            g = laplace(g, sector)
+            e += 2
+        yield SuperPolynomial(universe, terms)
 
 
 def f_poly(k, p, q, universe):
@@ -160,7 +188,7 @@ def decomposition_check(k, universe):
 
 def _rational_numerator(h):
     """The int numerator of a rational h over its common denominator,
-    its one integer part; harmonic bases are rational, as their row
-    reduction runs over Q."""
+    its one integer part; harmonic bases are rational, as their
+    extension and row reduction run over Q."""
     _, parts = integer_parts(h)
     return parts[(0, 0), 0]

@@ -17,6 +17,13 @@ from ._terms import TermMap, add_into, canonical
 from .scalars import ExactScalar, QQi
 
 
+# Universe budgets: every CLI subcommand on a one-term input at
+# m = MAX_BOSONIC and n = MAX_PAIRS runs in about two seconds (dirac
+# through the envelope, quadratic in n, is the slowest).
+MAX_BOSONIC = 1000
+MAX_PAIRS = 1000
+
+
 class VariableUniverse:
     """Ordered symbol lists; fermionic count must be even."""
 

@@ -58,6 +58,10 @@ the first-order operators by the Leibniz rule: the polynomial's
 derivative plus a general product with a one-term variable
 (`neutral_bosonic_var`, `neutral_fermionic_var`), parity-signed for the
 fermions; the package applies each in one pass over the terms.
+`harmonic_basis_by_nullspace` row-reduces the sector Laplacian on the
+homogeneous monomials; the package extends each x_m-free datum by
+Cauchy-Kovalevskaya at m >= 1 and keeps the row reduction only where no
+bosonic variable enters.
 `compositions_by_recursion`, `masks_of_weight_by_scan` and
 `bounded_exps` enumerate monomial exponents and masks by recursion and
 by testing every mask; the package places bars and bits by
@@ -73,7 +77,7 @@ import re
 from fractions import Fraction
 
 from supertransform import expr
-from supertransform._linalg import SparseRREF
+from supertransform._linalg import SparseRREF, nullspace
 from supertransform.cliffweyl import CValued, CWElement, _mul_keys
 from supertransform.expr import (_CONSTANTS, _ONE, _PI, _UNIT, ParseError,
                                  _check_exponent, _literal_int, _monomial,
@@ -87,7 +91,8 @@ from supertransform.operators import (bosonic_derivative,
 from supertransform.scalars import (Angle, ExactScalar, QQi,
                                     gamma_half_integer, to_float)
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
-                                     VariableUniverse, mask_bits,
+                                     VariableUniverse,
+                                     homogeneous_monomials, mask_bits,
                                      merge_masks, require_envelope, scale_exact, sp_mul,
                                      sp_rename)
 from supertransform._terms import add_into
@@ -973,6 +978,21 @@ def fischer_decompose(f, k=None):
     for (j, h, _), c in zip(family, coeffs):
         add_into(harmonics_by_j, j, h.scale(c))
     return sorted(harmonics_by_j.items())
+
+
+def harmonic_basis_by_nullspace(k, sector, universe):
+    """The degree-k sector harmonics as the echelon nullspace of the
+    sector Laplacian on the homogeneous monomials, a tuple of elements."""
+    monos = homogeneous_monomials(universe, k, sector)
+
+    def image(mono):
+        # a lane-neutral integer coefficient keeps the image integral
+        return laplace(SuperPolynomial(universe, {mono: 1}), sector).terms
+
+    return tuple(
+        SuperPolynomial(universe, {monos[ci]: ExactScalar.rational(val)
+                                   for ci, val in vec.items()})
+        for vec in nullspace(monos, image))
 
 
 def express_in_basis(target, basis):

@@ -146,6 +146,13 @@ def _run_cli(capsys, *argv):
     return code, out.out.strip(), out.err.strip()
 
 
+def test_cli_latex_parenthesizes_a_coefficient_of_two_ring_terms(capsys):
+    # without them the monomial would read as a factor of the last term
+    assert _run_cli(capsys, "--m", "1", "--n", "0", "--format", "latex",
+                    "normalize", "(1 - sqrt2)*x1") == (
+        0, r"(1+-\sqrt{2}) x_{1}", "")
+
+
 def test_cli_fermionic_fourier_of_one(capsys):
     code, out, _ = _run_cli(capsys, "--m", "0", "--n", "1",
                             "fourier", "--sign", "+", "1")
@@ -1139,7 +1146,7 @@ _SCALAR_GOLDEN = {
         '[0, 1, 1, 6], "b": 0, "eps": 0}, {"q": [1, 5, 0, 1], "b": 0, "eps": '
         '1}]}, {"bos": [0], "fer": [], "coeff": [{"q": [-9, 4, 0, 1], "b": '
         '1, "eps": 0}]}]}',
-        '(2/3+-1i) x_{1}^{2}q_{1}q_{2} e^{x^2/2} + 1/6i+1/5\\sqrt{2} x_{1} '
+        '(2/3+-1i) x_{1}^{2}q_{1}q_{2} e^{x^2/2} + (1/6i+1/5\\sqrt{2}) x_{1} '
         'e^{x^2/2} + -9/4\\pi^{1/2}  e^{x^2/2}',
         '(2/3-i)*x1^2*q1q2*G + (-4/3+2*i)*x1^2*G + (-2/3+i)*q1q2*G + (-1/6 + '
         '1/5*i*sqrt2)*x1*G + ((4/3-2*i) - 9/4*sqrtpi)*G',
@@ -1153,8 +1160,8 @@ _SCALAR_GOLDEN = {
         '[{"q": [4, 3, -2, 1], "b": 0, "eps": 0}, {"q": [-9, 4, 0, 1], "b": '
         '1, "eps": 0}]}]}',
         '(2/3+-1i) x_{1}^{2}q_{1}q_{2} e^{x^2/2} + (-4/3+2i) x_{1}^{2} '
-        'e^{x^2/2} + (-2/3+1i) q_{1}q_{2} e^{x^2/2} + -1/6+1/5i\\sqrt{2} '
-        'x_{1} e^{x^2/2} + (4/3+-2i)+-9/4\\pi^{1/2}  e^{x^2/2}',
+        'e^{x^2/2} + (-2/3+1i) q_{1}q_{2} e^{x^2/2} + (-1/6+1/5i\\sqrt{2}) '
+        'x_{1} e^{x^2/2} + ((4/3+-2i)+-9/4\\pi^{1/2})  e^{x^2/2}',
         '[(-9/8*pi^(-1/2)) + ((2/3-i)*pi^-1)*p^2]*exp(-p^2/2) + '
         '[((-1+3/2*i)*pi^-1)*p^2 + ((1/3-1/2*i)*pi^-1)*p^4]*exp(-p^2/2) (x) '
         'wf1wf2 + [(1/12*i*pi^-1 + 1/10*sqrt2*pi^-1)*p]*exp(-p^2/2) (x) w1',

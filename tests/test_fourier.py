@@ -629,8 +629,8 @@ def test_super_integral_refuses_float_lane_plain_input():
 
 
 def test_kernel_route_at_exact_orders_refuses_float_lane():
-    # the +/-1 kernel is exact, so float-lane input gets the exact
-    # transforms' refusal; other orders run on floats and accept it
+    # the +/-1 kernel and table are exact, so float-lane input gets the
+    # exact transforms' refusal; other orders run on floats and accept it
     from supertransform.fracfourier import frac_fermionic_table
     for m, n in [(0, 1), (1, 2)]:
         u = VariableUniverse.standard(m, n)
@@ -639,7 +639,9 @@ def test_kernel_route_at_exact_orders_refuses_float_lane():
         for a in (1, -1, Fraction(1), Fraction(-1)):
             with pytest.raises(ValueError, match="exact-lane input"):
                 kernel_route(g, a)
-        assert kernel_route(g, 0) is g
+            with pytest.raises(ValueError, match="exact-lane input"):
+                frac_fermionic_table(g, a)
+        assert kernel_route(g, 0) is g and frac_fermionic_table(g, 0) is g
         assert max_coeff_deviation(kernel_route(g, 0.5),
                                    frac_fermionic_table(g, 0.5)) < 1e-12
 

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -112,6 +113,15 @@ def test_super_fundamental_solution_m3_n1():
     assert sr.parts[0] == RadialFunction({(1, 0): ExactScalar.rational(-1, 2)})
     with pytest.raises(ValueError):
         super_fundamental_solution(0, 1)
+
+
+def test_super_fundamental_solution_refuses_m_over_the_budget_fast():
+    # the chain took about 2 s at m = 10^5 and did not finish at 10^6
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="m = 1000000 bosonic variables "
+                       "exceeds MAX_BOSONIC = 1000"):
+        super_fundamental_solution(10 ** 6, 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_super_fundamental_solution_n0():

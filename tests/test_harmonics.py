@@ -6,10 +6,11 @@ from supertransform.harmonics import (decomposition_check, f_poly,
 from supertransform.operators import euler, laplace
 from supertransform.scalars import ExactScalar
 from supertransform.superalg import (SuperPolynomial, VariableUniverse,
-                                     sp_mul, vector_square)
+                                     homogeneous_monomial_count, sp_mul,
+                                     vector_square)
 from tests.oracles import (express_in_basis, f_poly_by_products,
                            fermionic_square, fischer_decompose,
-                           fischer_fermionic)
+                           fischer_fermionic, harmonic_basis_by_nullspace)
 
 
 def _binom(a, b):
@@ -243,6 +244,8 @@ def test_harmonic_basis_refusals_raise_on_every_call(k, sector):
 
 
 def test_decomposition_check_runs_each_nullspace_once(monkeypatch):
+    # each of the 9 bases is built once per process; only the 3 fermionic
+    # ones reach the row reduction, the others extend by CK
     calls = []
     real = harmonics.nullspace
 
@@ -254,6 +257,22 @@ def test_decomposition_check_runs_each_nullspace_once(monkeypatch):
     harmonic_basis.cache_clear()
     u = VariableUniverse.standard(3, 2)
     first = decomposition_check(6, u)
-    assert len(calls) == 9
+    assert harmonic_basis.cache_info().misses == 9
+    assert len(calls) == 3
     assert decomposition_check(6, u) == first
-    assert len(calls) == 9
+    assert harmonic_basis.cache_info().misses == 9
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("m", range(1, 5))
+def test_ck_extension_equals_the_nullspace_route(m, n):
+    # the grid holds M = 0 at (2,1) and (4,2), M = -2 at (2,2) and (4,3)
+    # and M = -4 at (2,3); the budget refuses (4,3) at k = 6 and 7
+    u = VariableUniverse.standard(m, n)
+    for k in range(8):
+        if homogeneous_monomial_count(u, k) > harmonics.MAX_BASIS_MONOMIALS:
+            continue
+        for sector in ("bosonic", "full"):
+            assert harmonic_basis(k, sector, u).elements == \
+                harmonic_basis_by_nullspace(k, sector, u), (k, sector)

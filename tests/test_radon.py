@@ -133,9 +133,12 @@ def test_radon_closed_form_spot():
                     assert got == want, (m, n, j, k)
 
 
-def test_radon_derivative_rules(rng):
-    u = VariableUniverse.standard(2, 1)
-    uo = omega_universe(2, 1)
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (2, 2), (3, 2), (2, 3),
+                                  (1, 3)])
+def test_radon_derivative_rules(rng, m, n):
+    # M = -1, 0, -2, -1, -4 and -5, every coordinate and every pair
+    u = VariableUniverse.standard(m, n)
+    uo = omega_universe(m, n)
     for _ in range(6):
         g = GaussianFunction(random_poly(u, rng, degree=3, nterms=4))
         rg = radon(g)
@@ -144,16 +147,18 @@ def test_radon_derivative_rules(rng):
             lhs = radon(bosonic_derivative(g, i))
             wi = SuperPolynomial.bosonic_var(uo, i)
             assert lhs == rg.p_derivative().mul_omega(wi)
-        # paper's d_{x`_{2i}} (internal odd index): +1/2 wf_{2i-1} d_p
-        lhs = radon(fermionic_derivative(g, 1))
-        w_odd = SuperPolynomial.fermionic_var(uo, 0,
-                                              ExactScalar.rational(1, 2))
-        assert lhs == rg.p_derivative().mul_omega(w_odd)
-        # paper's d_{x`_{2i-1}} (internal even index): -1/2 wf_{2i} d_p
-        lhs = radon(fermionic_derivative(g, 0))
-        w_even = SuperPolynomial.fermionic_var(uo, 1,
-                                               ExactScalar.rational(-1, 2))
-        assert lhs == rg.p_derivative().mul_omega(w_even)
+        for j in range(n):
+            # pair j + 1 in the paper's names: d_{x`_{2j+2}} (internal odd
+            # index) is +1/2 wf_{2j+1} d_p
+            lhs = radon(fermionic_derivative(g, 2 * j + 1))
+            w_odd = SuperPolynomial.fermionic_var(
+                uo, 2 * j, ExactScalar.rational(1, 2))
+            assert lhs == rg.p_derivative().mul_omega(w_odd), j
+            # d_{x`_{2j+1}} (internal even index) is -1/2 wf_{2j+2} d_p
+            lhs = radon(fermionic_derivative(g, 2 * j))
+            w_even = SuperPolynomial.fermionic_var(
+                uo, 2 * j + 1, ExactScalar.rational(-1, 2))
+            assert lhs == rg.p_derivative().mul_omega(w_even), j
 
 
 def test_radon_result_algebra():
