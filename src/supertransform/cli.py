@@ -25,7 +25,8 @@ from .radon import radon
 from .fundsol import super_fundamental_solution, \
     verify_harmonic_away_from_origin
 from .superalg import (MAX_BOSONIC, MAX_PAIRS, GaussianFunction,
-                       SuperPolynomial, VariableUniverse)
+                       SuperPolynomial, TEXT, VariableUniverse,
+                       monomial_codec)
 
 
 def build_parser():
@@ -111,9 +112,10 @@ def _render_radon(res, fmt):
         js = res.to_json()
         js["schema"] = "supertransform/1"
         return json.dumps(js)
+    codec = monomial_codec(res.universe)
     bits = []
-    for (bos, mask), ppoly in res.by_omega():
-        mono = exprmod._monomial_text(res.universe, bos, mask)
+    for key, ppoly in res.by_omega():
+        mono = codec[key][TEXT]
         ptxt = " + ".join(
             f"({c.render()})" + (f"*p^{e}" if e > 1 else "*p" if e else "")
             for e, c in ppoly)

@@ -44,8 +44,8 @@ from fractions import Fraction
 
 from ._terms import add_into
 from .scalars import ExactScalar, QQi, rational_text
-from .superalg import (GaussianFunction, SuperPolynomial, mask_bits,
-                       merge_masks, sp_mul)
+from .superalg import (FER, LATEX, TEXT, GaussianFunction, SuperPolynomial,
+                       merge_masks, monomial_codec, sp_mul)
 
 
 # Input budgets of the expression and JSON readers, and the renderers'
@@ -623,29 +623,26 @@ def parse(src, universe):
 
 
 # -- rendering ----------------------------------------------------------
+#
+# Each monomial's text, LaTeX, fermionic symbols and order come from the
+# universe's memoized codec (superalg.monomial_codec); a coefficient is
+# rendered afresh, a real rational by one rational_text call.
 
 
 def _coeff_text(c):
     if isinstance(c, ExactScalar):
+        if len(c.terms) == 1:
+            # a real rational, as every coefficient of a rational basis
+            q = c.terms.get((0, 0))
+            if q is not None and not q.b:
+                s = rational_text(q.a, q.d)
+                return s, s == "1" or s == "-1"
         s = c.render()
         if " + " in s or " - " in s:
             return f"({s})", False
         return s, s == "1" or s == "-1"
     s = str(c)
     return (s if s.startswith("(") else f"({s})"), False
-
-
-def _monomial_text(u, bos, mask):
-    parts = []
-    for i, e in enumerate(bos):
-        if e == 1:
-            parts.append(u.bosonic[i])
-        elif e:
-            parts.append(f"{u.bosonic[i]}^{e}")
-    fer = "".join(u.fermionic[j] for j in mask_bits(mask))
-    if fer:
-        parts.append(fer)
-    return "*".join(parts)
 
 
 def render_poly_text(f):
@@ -655,10 +652,11 @@ def render_poly_text(f):
     u = poly.universe
     if not poly.terms:
         return "0"
+    codec = monomial_codec(u)
     bits = []
-    for (bos, mask), c in poly.sorted_terms():
+    for key, c in poly.sorted_terms():
         cs, unit = _coeff_text(c)
-        mono = _monomial_text(u, bos, mask)
+        mono = codec[key][TEXT]
         if gaussian:
             mono = f"{mono}*G" if mono else "G"
         if not mono:
@@ -707,14 +705,10 @@ def render_poly_latex(f):
     u = poly.universe
     if not poly.terms:
         return "0"
+    codec = monomial_codec(u)
     bits = []
-    for (bos, mask), c in poly.sorted_terms():
-        mono = ""
-        for i, e in enumerate(bos):
-            name = re.sub(r"(\d+)$", r"_{\1}", u.bosonic[i])
-            mono += name if e == 1 else (f"{name}^{{{e}}}" if e else "")
-        for j in mask_bits(mask):
-            mono += re.sub(r"(\d+)$", r"_{\1}", u.fermionic[j])
+    for key, c in poly.sorted_terms():
+        mono = codec[key][LATEX]
         if gaussian:
             mono += r" e^{x^2/2}"
         bits.append(f"{_coeff_latex(c)} {mono}".strip())
@@ -726,12 +720,13 @@ def poly_to_json(f):
     poly = f.poly if gaussian else f
     check_render_digits(poly.terms.values())
     u = poly.universe
+    codec = monomial_codec(u)
     terms = []
-    for (bos, mask), c in poly.sorted_terms():
+    for key, c in poly.sorted_terms():
         coeff = c.to_json() if isinstance(c, ExactScalar) \
             else {"re": c.real, "im": c.imag}
-        terms.append({"bos": list(bos),
-                      "fer": [j + 1 for j in mask_bits(mask)],
+        terms.append({"bos": list(key[0]),
+                      "fer": list(codec[key][FER]),
                       "coeff": coeff})
     return {
         "schema": "supertransform/1",

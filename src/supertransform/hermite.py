@@ -20,6 +20,13 @@ numerator polynomials over one denominator, one per radical and real or
 imaginary part (superalg.integer_parts); the harmonicity check, the x^2
 passes and the weights run on ints, and the ring coefficients are
 rebuilt once per output term.
+
+A basis calls psi_element once per element with the same orders, so the
+checks on (j, k, universe) alone (check_psi_orders: the sign of j and
+the output and work budgets MAX_MONOMIALS and MAX_SERIES_DIGITS) run
+once per (j, k, universe); a refusal is not memoized and raises on
+every call.  The homogeneity and harmonicity of h are checked on every
+call.
 """
 
 from __future__ import annotations
@@ -52,11 +59,23 @@ def _weight_digits(j, m_value, k):
 
 
 @functools.cache
-def check_series_digits(j, universe, k):
-    """Refuse psi_{j,k} before its weights when the series would write
-    more than MAX_SERIES_DIGITS digits.  Memoized: a basis runs it once
-    per element with the same (j, universe, k), and a refusal, which is
-    not cached, stops counting at the first monomial past the budget."""
+def check_psi_orders(j, k, universe):
+    """Refuse psi_{j,k} on (j, k, universe) alone, before any basis or
+    product: a negative j, a top degree 2j+k with more than
+    MAX_MONOMIALS monomials (the output grows with that count), or a
+    series that would write more than MAX_SERIES_DIGITS digits.
+
+    Memoized on (j, k, universe): a basis runs it once per element with
+    the same orders.  A refusal raises on every call, as a raise is not
+    cached, and the digit count stops at the first monomial past the
+    budget."""
+    if j < 0:
+        raise ValueError("Hermite order j must be non-negative")
+    count = homogeneous_monomial_count(universe, 2 * j + k)
+    if count > MAX_MONOMIALS:
+        raise ValueError(f"degree 2j+k = {2 * j + k} spans {count} "
+                         f"monomials, over MAX_MONOMIALS = {MAX_MONOMIALS}")
+    k = max(k, 0)
     digits = _weight_digits(j, universe.superdim, k)
     total = j * j / 2
     for i in range(j + 1):
@@ -66,20 +85,6 @@ def check_series_digits(j, universe, k):
                 f"the psi series at j = {j}, k = {k} would write an "
                 f"estimated {total * digits:.3g} digits or more, over "
                 f"MAX_SERIES_DIGITS = {MAX_SERIES_DIGITS}")
-
-
-def check_psi_orders(j, k, universe):
-    """Refuse psi_{j,k} on (j, k, universe) alone, before any basis or
-    product: a negative j, a top degree 2j+k with more than
-    MAX_MONOMIALS monomials (the output grows with that count), or
-    weights too long for the series (check_series_digits)."""
-    if j < 0:
-        raise ValueError("Hermite order j must be non-negative")
-    count = homogeneous_monomial_count(universe, 2 * j + k)
-    if count > MAX_MONOMIALS:
-        raise ValueError(f"degree 2j+k = {2 * j + k} spans {count} "
-                         f"monomials, over MAX_MONOMIALS = {MAX_MONOMIALS}")
-    check_series_digits(j, universe, max(k, 0))
 
 
 @functools.cache
@@ -119,14 +124,16 @@ def _hermite_series(j, h_k, rescaled):
     rebuilt once per output term.  A float-lane h_k runs the same loop
     on itself, and is harmonic when no coefficient of its Laplacian
     passes 1e-10 times its largest coefficient modulus (rounding).
-    The orders are checked first (check_psi_orders)."""
-    k = h_k.degree()
+    The orders are checked first (check_psi_orders), on the degree
+    read in the same pass over the terms as homogeneity."""
+    degrees = {sum(b) + mask.bit_count() for b, mask in h_k.terms}
+    k = max(degrees, default=-1)
     check_psi_orders(j, k, h_k.universe)
     float_lane = is_float_lane(h_k)
     denom, parts = (1, {None: h_k}) if float_lane else integer_parts(h_k)
     bound = 1e-10 * max(map(abs, h_k.terms.values()), default=0) \
         if float_lane else 0
-    if not h_k.is_homogeneous() or any(
+    if len(degrees) > 1 or any(
             abs(c) > bound for p in parts.values()
             for c in laplace(p, "full").terms.values()):
         raise ValueError("input is not a homogeneous harmonic")

@@ -5,11 +5,18 @@ ordered list of fermionic symbols.  Monomials are (bosonic multi-index,
 fermionic bitmask) pairs with fermionic factors implicitly in ascending
 index order; products carry the Koszul sign of the merge.  Fermionic pair
 j (1-based in rendered names) occupies internal indices (2j-2, 2j-1).
+
+A universe's monomial codec (monomial_codec) is the one owner of a
+monomial's text, LaTeX, JSON symbol list and sort key; it holds at most
+MAX_CODEC_MONOMIALS monomials, and grows only with the distinct
+monomials actually rendered or sorted.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -25,9 +32,13 @@ MAX_PAIRS = 1000
 
 
 class VariableUniverse:
-    """Ordered symbol lists; fermionic count must be even."""
+    """Ordered symbol lists; fermionic count must be even.
 
-    __slots__ = ("bosonic", "fermionic")
+    Immutable by convention, so the hash of the two name tuples is
+    computed once, at construction: every memo keyed on a universe
+    (bases, order checks, the monomial codec) reads it per lookup."""
+
+    __slots__ = ("bosonic", "fermionic", "_hash")
 
     def __init__(self, bosonic, fermionic):
         bosonic = tuple(bosonic)
@@ -39,6 +50,7 @@ class VariableUniverse:
             raise ValueError("universe symbol names must be unique")
         self.bosonic = bosonic
         self.fermionic = fermionic
+        self._hash = hash((bosonic, fermionic))
 
     @staticmethod
     def standard(m, n):
@@ -66,7 +78,7 @@ class VariableUniverse:
                 and self.fermionic == other.fermionic)
 
     def __hash__(self):
-        return hash((self.bosonic, self.fermionic))
+        return self._hash
 
     def __repr__(self):
         return f"VariableUniverse({self.bosonic}, {self.fermionic})"
@@ -92,6 +104,75 @@ def mask_bits(mask):
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+# The monomial codec's bounds: the universes with a codec, and the
+# monomials each codec keeps before it starts afresh (a few thousand
+# cover every benchmark workload).
+MAX_CODEC_UNIVERSES = 16
+MAX_CODEC_MONOMIALS = 4096
+
+# fields of a monomial's codes after its sort key (the first three)
+TEXT, LATEX, FER = 3, 4, 5
+
+# a symbol's trailing digits, its LaTeX subscript: x12 as x_{12}
+_LATEX_INDEX = re.compile(r"(\d+)$")
+
+
+class MonomialCodec(dict):
+    """A universe's monomial codes: codec[(bos, mask)] is the tuple
+    (-degree, negated exponents, mask, text, latex, fer).  Its first
+    three fields identify the monomial and order it as the renderers
+    list it: higher degree first, then higher exponents in symbol order,
+    then the mask; so the codes themselves are the sort key.  TEXT is
+    x1^2*x3*q1q2, LATEX x_{1}^{2}x_{3}q_{1}q_{2}, and FER the 1-based
+    indices of the fermionic symbols.
+
+    Built on the first lookup of each key; at MAX_CODEC_MONOMIALS keys
+    the codec is cleared, so it holds only monomials looked up lately.
+    The codes are tuples of ints and strings, which the garbage
+    collector stops tracking."""
+
+    __slots__ = ("universe", "_bos_latex", "_fer_latex")
+
+    def __init__(self, universe):
+        super().__init__()
+        self.universe = universe
+        self._bos_latex = tuple(_LATEX_INDEX.sub(r"_{\1}", name)
+                                for name in universe.bosonic)
+        self._fer_latex = tuple(_LATEX_INDEX.sub(r"_{\1}", name)
+                                for name in universe.fermionic)
+
+    def __missing__(self, key):
+        if len(self) >= MAX_CODEC_MONOMIALS:
+            self.clear()
+        u = self.universe
+        bos, mask = key
+        bits = mask_bits(mask)
+        text, latex = [], ""
+        for i, e in enumerate(bos):
+            if e:
+                name, tex = u.bosonic[i], self._bos_latex[i]
+                if e == 1:
+                    text.append(name)
+                    latex += tex
+                else:
+                    text.append(f"{name}^{e}")
+                    latex += f"{tex}^{{{e}}}"
+        if bits:
+            text.append("".join([u.fermionic[j] for j in bits]))
+            latex += "".join([self._fer_latex[j] for j in bits])
+        codes = self[key] = (
+            -(sum(bos) + len(bits)), tuple([-e for e in bos]), mask,
+            "*".join(text), latex, tuple([j + 1 for j in bits]))
+        return codes
+
+
+@functools.lru_cache(maxsize=MAX_CODEC_UNIVERSES)
+def monomial_codec(u):
+    """The MonomialCodec of universe u, shared by every renderer and by
+    SuperPolynomial.sorted_terms."""
+    return MonomialCodec(u)
 
 
 def compositions(total, slots):
@@ -232,10 +313,8 @@ class SuperPolynomial(TermMap):
         return self.terms.get(key, ExactScalar.zero())
 
     def sorted_terms(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (-(sum(kv[0][0]) + kv[0][1].bit_count()),
-                            tuple(-e for e in kv[0][0]), kv[0][1]))
+        codec = monomial_codec(self.universe)
+        return sorted(self.terms.items(), key=lambda kv: codec[kv[0]])
 
     def __repr__(self):
         from .expr import render_poly_text
@@ -287,7 +366,14 @@ def integer_parts(poly):
 
 def from_integer_parts(universe, denom, parts):
     """The exact polynomial sum over parts of r * P / denom, inverse of
-    integer_parts; one QQi (one gcd) per output term and radical."""
+    integer_parts; one QQi (one gcd) per output term and radical.  One
+    part, as a rational basis gives, needs no gathering per term."""
+    if len(parts) == 1:
+        ((rad, imag), p), = parts.items()
+        return SuperPolynomial(universe, {
+            key: ExactScalar.from_terms({rad: QQi.reduced(
+                0 if imag else v, v if imag else 0, denom)})
+            for key, v in p.terms.items()})
     fields = {}
     for (rad, imag), p in parts.items():
         for key, v in p.terms.items():

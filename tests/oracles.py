@@ -70,6 +70,10 @@ order, since the nullspace pivots on the least column.
 `mul_keys_by_combos` multiplies two unit words by growing the list of
 symplectic exponent vectors one pair at a time; the package contracts
 only the pairs that meet and varies their counts by `itertools.product`.
+`monomial_text_route`, `monomial_latex_route` and `monomial_order_route`
+build a monomial's text, LaTeX (a symbol's trailing digits as a
+subscript, by regular expression) and sort key afresh on every call;
+the package reads all three from a universe's memoized monomial codec.
 """
 
 import math
@@ -1206,3 +1210,37 @@ def mul_keys_by_combos(key1, key2, npairs):
                 nxt.append((coeff * c, exps + [a1 + a2 - k, b1 + b2 - k]))
         combos = nxt
     return [(coeff, (e1 ^ e2, tuple(exps))) for coeff, exps in combos]
+
+
+def monomial_text_route(u, bos, mask):
+    """x1^2*x3*q1q2: the bosonic powers, then the fermionic symbols in
+    ascending order, joined by '*'."""
+    parts = []
+    for i, e in enumerate(bos):
+        if e == 1:
+            parts.append(u.bosonic[i])
+        elif e:
+            parts.append(f"{u.bosonic[i]}^{e}")
+    fer = "".join(u.fermionic[j] for j in mask_bits(mask))
+    if fer:
+        parts.append(fer)
+    return "*".join(parts)
+
+
+def monomial_latex_route(u, bos, mask):
+    """x_{1}^{2}x_{3}q_{1}q_{2}: each symbol's trailing digits as its
+    subscript."""
+    mono = ""
+    for i, e in enumerate(bos):
+        name = re.sub(r"(\d+)$", r"_{\1}", u.bosonic[i])
+        mono += name if e == 1 else (f"{name}^{{{e}}}" if e else "")
+    for j in mask_bits(mask):
+        mono += re.sub(r"(\d+)$", r"_{\1}", u.fermionic[j])
+    return mono
+
+
+def monomial_order_route(key):
+    """Render order: higher degree first, then higher exponents in
+    symbol order, then the mask."""
+    bos, mask = key
+    return (-(sum(bos) + mask.bit_count()), tuple(-e for e in bos), mask)

@@ -17,7 +17,7 @@ from supertransform.expr import (ParseError, parse, poly_to_json,
                                  render_poly_latex, render_poly_text)
 from supertransform.fourier import super_fourier
 from supertransform.harmonics import harmonic_basis
-from supertransform.hermite import check_series_digits
+from supertransform.hermite import check_psi_orders
 from supertransform.radon import check_result_size
 from supertransform.scalars import ExactScalar, QQi
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
@@ -590,9 +590,9 @@ def test_series_budget_boundary():
     # the output monomials do
     for m, n, k, last in [(1, 0, 0, 312), (3, 2, 1, 36)]:
         u = VariableUniverse.standard(m, n)
-        check_series_digits(last, u, k)
+        check_psi_orders(last, k, u)
         with pytest.raises(ValueError, match="MAX_SERIES_DIGITS"):
-            check_series_digits(last + 1, u, k)
+            check_psi_orders(last + 1, k, u)
 
 
 @pytest.mark.parametrize("n", ["2000", "10000"])

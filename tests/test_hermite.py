@@ -6,7 +6,8 @@ import pytest
 from supertransform._linalg import SparseRREF
 from supertransform._terms import add_into
 from supertransform.harmonics import harmonic_basis
-from supertransform.hermite import (ch_coefficients, psi_element, psi_span,
+from supertransform.hermite import (MAX_MONOMIALS, ch_coefficients,
+                                    check_psi_orders, psi_element, psi_span,
                                     psi_tilde_element)
 from supertransform.operators import laplace, scalar_square
 from supertransform.scalars import ExactScalar, gamma_half_integer
@@ -132,6 +133,25 @@ def test_psi_refuses_inhomogeneous_or_non_harmonic_input():
         for h in (not_harmonic, inhomogeneous):
             with pytest.raises(ValueError, match="homogeneous harmonic"):
                 fn(order, h)
+
+
+def test_memoized_order_check_still_refuses_on_every_call():
+    u = VariableUniverse.standard(3, 2)
+    for j, k, message in [(-1, 2, "must be non-negative"),
+                          (100000, 14, f"MAX_MONOMIALS = {MAX_MONOMIALS}")]:
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                check_psi_orders(j, k, u)
+    # a valid call memoizes (1, 2, u); the harmonicity and homogeneity
+    # checks still run on every element after it
+    u = VariableUniverse.standard(2, 1)
+    x1, x2 = (SuperPolynomial.bosonic_var(u, i) for i in range(2))
+    psi_element(1, sp_mul(x1, x2))
+    hits = check_psi_orders.cache_info().hits
+    for h in (sp_mul(x1, x1), sp_mul(x1, x2) + x1):
+        with pytest.raises(ValueError, match="homogeneous harmonic"):
+            psi_element(1, h)
+    assert check_psi_orders.cache_info().hits == hits + 2
 
 
 def _rescaled_univariate(t, k):

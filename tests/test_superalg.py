@@ -2,21 +2,27 @@ from fractions import Fraction
 
 import pytest
 
+from supertransform.expr import (poly_to_json, render_poly_latex,
+                                 render_poly_text)
+from supertransform.harmonics import harmonic_basis
+from supertransform.hermite import check_psi_orders
 from supertransform.operators import (bosonic_derivative,
                                       fermionic_derivative)
 from supertransform.scalars import ExactScalar
-from supertransform.superalg import (GaussianFunction, SuperPolynomial,
-                                     VariableUniverse, compositions,
+from supertransform.superalg import (MAX_CODEC_MONOMIALS, GaussianFunction,
+                                     SuperPolynomial, VariableUniverse,
+                                     compositions,
                                      homogeneous_monomial_count,
-                                     homogeneous_monomials,
-                                     masks_of_weight, merge_masks, pairing,
-                                     sp_mul, sp_rename, square_powers,
-                                     vector_square)
+                                     homogeneous_monomials, mask_bits,
+                                     masks_of_weight, merge_masks,
+                                     monomial_codec, pairing, sp_mul,
+                                     sp_rename, square_powers, vector_square)
 from tests.conftest import random_poly
 from tests.oracles import (bosonic_square_power, compositions_by_recursion,
                            doubled_universe, fermionic_square,
                            fermionic_square_power, masks_of_weight_by_scan,
-                           sp_substitute_fermionic)
+                           monomial_latex_route, monomial_order_route,
+                           monomial_text_route, sp_substitute_fermionic)
 
 one = ExactScalar.one
 
@@ -36,6 +42,18 @@ def test_universe_validation():
         VariableUniverse(["x1", "x1"], [])
     u = VariableUniverse.standard(2, 1)
     assert u.m == 2 and u.pairs == 1 and u.superdim == 0
+
+
+def test_equal_universes_hash_equal_and_share_memo_entries():
+    a, b = VariableUniverse.standard(2, 1), VariableUniverse.standard(2, 1)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert hash(a) == hash((a.bosonic, a.fermionic))
+    assert harmonic_basis(2, "full", a) is harmonic_basis(2, "full", b)
+    assert monomial_codec(a) is monomial_codec(b)
+    check_psi_orders(1, 2, a)
+    hits = check_psi_orders.cache_info().hits
+    check_psi_orders(1, 2, b)
+    assert check_psi_orders.cache_info().hits == hits + 1
 
 
 def test_standard_universe_rejects_negative_sizes():
@@ -329,3 +347,59 @@ def test_homogeneous_monomial_count_matches_the_listing():
     u = VariableUniverse.standard(3, 2)
     assert homogeneous_monomial_count(u, 41) == 13128
     assert homogeneous_monomial_count(u, 101) == 80808
+
+
+# m = 0, n = 0, and two-digit indices (x10, x11, q10..q12)
+CODEC_GRID = [(0, 1), (0, 2), (1, 0), (3, 0), (2, 1), (1, 2), (3, 2),
+              (11, 0), (0, 6), (11, 6)]
+
+
+@pytest.mark.parametrize("m, n", CODEC_GRID)
+def test_monomial_codec_matches_the_uncached_builders(m, n):
+    u = VariableUniverse.standard(m, n)
+    top = 3 if m + 2 * n < 10 else 2
+    keys = [key for d in range(top + 1)
+            for key in homogeneous_monomials(u, d)]
+    codec = monomial_codec(u)
+    for bos, mask in keys:
+        assert codec[(bos, mask)] == (
+            *monomial_order_route((bos, mask)),
+            monomial_text_route(u, bos, mask),
+            monomial_latex_route(u, bos, mask),
+            tuple(j + 1 for j in mask_bits(mask)))
+    # whole renders: the monomials in route order, each with coefficient
+    # 1 or 2, as text, LaTeX and JSON
+    f = SuperPolynomial(u, {key: ExactScalar.rational(1 + i % 2)
+                            for i, key in enumerate(reversed(keys))})
+    ordered = sorted(f.terms.items(),
+                     key=lambda kv: monomial_order_route(kv[0]))
+    assert f.sorted_terms() == ordered
+    pieces = []
+    for (bos, mask), c in ordered:
+        mono = monomial_text_route(u, bos, mask)
+        coeff = c.render()
+        pieces.append(mono if coeff == "1" and mono
+                      else f"{coeff}*{mono}" if mono else coeff)
+    assert render_poly_text(f) == " + ".join(pieces)
+    assert render_poly_latex(GaussianFunction(f)) == " + ".join(
+        f"{c.render()} {monomial_latex_route(u, bos, mask)} e^{{x^2/2}}"
+        for (bos, mask), c in ordered)
+    js = poly_to_json(f)
+    assert [(t["bos"], t["fer"]) for t in js["terms"]] == [
+        (list(bos), [j + 1 for j in mask_bits(mask)])
+        for (bos, mask), _ in ordered]
+
+
+def test_monomial_codec_stays_within_its_bound():
+    # more distinct monomials than the codec keeps: it starts afresh
+    # when full, and the text is still built right
+    u = VariableUniverse.standard(1, 1)
+    keys = [((e,), mask) for e in range(MAX_CODEC_MONOMIALS // 2 + 50)
+            for mask in (0, 3)]
+    assert len(keys) > MAX_CODEC_MONOMIALS
+    f = SuperPolynomial(u, {key: ExactScalar.one() for key in keys})
+    text = render_poly_text(f)
+    assert 0 < len(monomial_codec(u)) <= MAX_CODEC_MONOMIALS
+    ordered = sorted(keys, key=monomial_order_route)
+    assert text == " + ".join(monomial_text_route(u, *key) or "1"
+                              for key in ordered)
