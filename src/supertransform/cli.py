@@ -155,7 +155,7 @@ def run(args, source):
         sr = super_fundamental_solution(args.m, args.n)
         if not verify_harmonic_away_from_origin(sr, args.m):
             raise ValueError("internal telescope check failed")
-        exprmod.check_render_digits(c for r in sr.parts.values()
+        exprmod.check_render_digits(c for r in sr.printed_parts().values()
                                     for c in r.terms.values())
         return sr.render()
     if args.n > MAX_PAIRS:

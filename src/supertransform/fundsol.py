@@ -131,7 +131,8 @@ def fundsol_prefactor(k, n):
 
 
 class SuperRadial:
-    """Sum over j of RadialFunction tensor xfer^(2j)."""
+    """Sum over j of RadialFunction tensor xfer^(2j); the top power
+    (xfer^2)^n = n! q1...q2n prints as its one monomial."""
 
     __slots__ = ("n", "parts")
 
@@ -144,9 +145,15 @@ class SuperRadial:
             return NotImplemented
         return self.n == other.n and self.parts == other.parts
 
+    def printed_parts(self):
+        """The radial parts as render prints them: the top one times n!,
+        beside q1...q2n."""
+        return {j: r.scale(math.factorial(j)) if j == self.n else r
+                for j, r in self.parts.items()}
+
     def render(self):
         bits = []
-        for j, r in sorted(self.parts.items()):
+        for j, r in sorted(self.printed_parts().items()):
             piece = r.render()
             if j:
                 fer = "".join(f"q{i + 1}" for i in range(2 * j))

@@ -60,13 +60,15 @@ derivative plus a general product with a one-term variable
 fermions; the package applies each in one pass over the terms.
 `harmonic_basis_by_nullspace` row-reduces the sector Laplacian on the
 homogeneous monomials; the package extends each x_m-free datum by
-Cauchy-Kovalevskaya at m >= 1 and keeps the row reduction only where no
-bosonic variable enters.
+Cauchy-Kovalevskaya at m >= 1 and builds the fermionic sector and m = 0
+from cleared products of symbol pairs, the same echelon forms with no
+row reduction.
 `compositions_by_recursion`, `masks_of_weight_by_scan` and
 `bounded_exps` enumerate monomial exponents and masks by recursion and
 by testing every mask; the package places bars and bits by
 `itertools.combinations` and must list the same tuples in the same
-order, since the nullspace pivots on the least column.
+order, since the echelon forms of the harmonic bases and the monogenic
+nullspace rest on it.
 `mul_keys_by_combos` multiplies two unit words by growing the list of
 symplectic exponent vectors one pair at a time; the package contracts
 only the pairs that meet and varies their counts by `itertools.product`.

@@ -173,6 +173,19 @@ def test_cli_fundsol(capsys):
     assert "q1q2" in out and "r^-1" in out
 
 
+@pytest.mark.parametrize("m, line", [
+    ("3", "(-1/3*pi)*r^3 + [(-1/2*pi)*r]*(xfer^2)^1 + "
+          "[(-1/4*pi)*r^-1]*q1q2q3q4"),
+    ("2", "(-3/8*pi)*r^4 + (1/4*pi)*r^4*log(r) + [(-1/2*pi)*r^2 + "
+          "(1/2*pi)*r^2*log(r)]*(xfer^2)^1 + [(1/2*pi)*log(r)]*q1q2q3q4"),
+])
+def test_cli_fundsol_prints_the_top_part_times_n_factorial(capsys, m,
+                                                           line):
+    # (xfer^2)^2 = 2 q1q2q3q4: the part beside q1q2q3q4 is printed twice
+    # over, where it once read -1/8*pi and 1/4*pi
+    assert _run_cli(capsys, "--m", m, "--n", "2", "fundsol") == (0, line, "")
+
+
 def test_cli_exit_codes(capsys):
     code, _, err = _run_cli(capsys, "--m", "1", "--n", "1",
                             "fourier", "x1")

@@ -12,7 +12,7 @@ from supertransform.fundsol import (RadialFunction, SuperRadial,
                                     verify_harmonic_away_from_origin)
 from supertransform.scalars import ExactScalar
 from supertransform.superalg import (SuperPolynomial, VariableUniverse,
-                                     sp_mul)
+                                     sp_mul, vector_square)
 
 
 def test_radial_laplace_harmonic_base_cases():
@@ -198,3 +198,21 @@ def test_render():
     sr = super_fundamental_solution(3, 1)
     text = sr.render()
     assert "r^-1" in text and "q1q2" in text
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_render_prints_the_top_part_as_the_coefficient_of_q1_to_q2n(n):
+    # (xfer^2)^n is a multiple of q1...q2n: the printed part beside it is
+    # parts[n] times that multiple, read off vector_square(u)^n
+    m = 3
+    u = VariableUniverse.standard(m, n)
+    power = SuperPolynomial.one(u)
+    for _ in range(n):
+        power = sp_mul(power, vector_square(u))
+    top = power.terms[(0,) * m, (1 << 2 * n) - 1]
+    sr = super_fundamental_solution(m, n)
+    printed = sr.parts[n].scale(top)
+    assert sr.printed_parts()[n] == printed
+    fer = "".join(f"q{i + 1}" for i in range(2 * n))
+    assert sr.render().endswith(f"[{printed.render()}]*{fer}" if n
+                                else printed.render())

@@ -243,17 +243,17 @@ def test_harmonic_basis_refusals_raise_on_every_call(k, sector):
             harmonic_basis(k, sector, u)
 
 
-def test_decomposition_check_runs_each_nullspace_once(monkeypatch):
-    # each of the 9 bases is built once per process; only the 3 fermionic
-    # ones reach the row reduction, the others extend by CK
+def test_decomposition_check_builds_each_basis_once(monkeypatch):
+    # each of the 9 bases is built once per process; the 3 fermionic ones
+    # are cleared pair products, the others extend by CK
     calls = []
-    real = harmonics.nullspace
+    real = harmonics._pair_products
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(harmonics, "nullspace", counting)
+    monkeypatch.setattr(harmonics, "_pair_products", counting)
     harmonic_basis.cache_clear()
     u = VariableUniverse.standard(3, 2)
     first = decomposition_check(6, u)
@@ -264,15 +264,48 @@ def test_decomposition_check_runs_each_nullspace_once(monkeypatch):
     assert len(calls) == 3
 
 
-@pytest.mark.parametrize("n", range(4))
-@pytest.mark.parametrize("m", range(1, 5))
+def _oracle_shapes():
+    # the CK grid (m 1-4, n 0-3) and the pair-product grid (m 0-2, n 0-6)
+    return sorted({(m, n) for m in range(1, 5) for n in range(4)}
+                  | {(m, n) for m in range(3) for n in range(7)})
+
+
+@pytest.mark.parametrize("m, n", _oracle_shapes())
 def test_ck_extension_equals_the_nullspace_route(m, n):
     # the grid holds M = 0 at (2,1) and (4,2), M = -2 at (2,2) and (4,3)
-    # and M = -4 at (2,3); the budget refuses (4,3) at k = 6 and 7
+    # and M = -4 at (2,3); the budget refuses (4,3) at k = 6 and 7.  The
+    # pair products need their clearing from n = 5 on (first at (0,5),
+    # k = 4), and at m = 0 the bosonic sector is the constant alone
     u = VariableUniverse.standard(m, n)
-    for k in range(8):
+    for k in range(max(8, 2 * n + 2)):
         if homogeneous_monomial_count(u, k) > harmonics.MAX_BASIS_MONOMIALS:
             continue
-        for sector in ("bosonic", "full"):
+        for sector in ("bosonic", "fermionic", "full"):
             assert harmonic_basis(k, sector, u).elements == \
                 harmonic_basis_by_nullspace(k, sector, u), (k, sector)
+
+
+def test_fermionic_dimensions_match_the_binomial_identity():
+    # dim = C(2n,k) - C(2n,k-2) up to k = n and 0 above, past the top
+    # degree 2n too, on every shape (m <= 2, n <= 11) within the budget
+    shapes = 0
+    for m in range(3):
+        for n in range(12):
+            u = VariableUniverse.standard(m, n)
+            for k in range(2 * n + 2):
+                if homogeneous_monomial_count(u, k) > \
+                        harmonics.MAX_BASIS_MONOMIALS:
+                    continue
+                shapes += 1
+                assert harmonic_basis(k, "fermionic", u).dimension == \
+                    classical_dim_fermionic(n, k), (m, n, k)
+    assert shapes == 226
+
+
+@pytest.mark.parametrize("n", range(3))
+def test_bosonic_basis_at_m_zero_is_the_constant_alone(n):
+    u = VariableUniverse.standard(0, n)
+    assert harmonic_basis(0, "bosonic", u).elements == \
+        (SuperPolynomial.one(u),)
+    for k in range(1, 2 * n + 2):
+        assert harmonic_basis(k, "bosonic", u).elements == ()

@@ -3,7 +3,10 @@ transform core stays below the basis layers, and neither scipy nor the
 test oracles reach the package.  Imports inside functions count."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -93,3 +96,24 @@ def test_super_polynomials_carry_no_derivative_copies():
                 "parity_signed"} & set(dir(superalg.SuperPolynomial))
     assert not {"neutral_bosonic_var", "neutral_fermionic_var"} \
         & set(dir(superalg))
+
+
+def test_harmonic_bases_run_no_row_reduction():
+    # every basis is a closed formula (CK or pair products); the row
+    # reduction serves the monogenics and the test oracles alone
+    assert not imported_names("harmonics") & {"nullspace", "SparseRREF"}
+    # a fresh interpreter, as this session imports _linalg via the oracles
+    script = ("import contextlib, io, sys\n"
+              "from supertransform.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    assert main(['--m', '0', '--n', '3', 'hermite', '--j', "
+              "'1', '--k', '2']) == 0\n"
+              "    assert main(['--m', '1', '--n', '2', 'decompose', "
+              "'--k', '4']) == 0\n"
+              "print('supertransform._linalg' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "False\n"

@@ -300,8 +300,8 @@ def test_square_powers_equal_repeated_products():
 
 
 def test_enumerators_equal_the_recursive_and_scanning_oracles():
-    # list for list, order included: the nullspace pivots on the least
-    # column, so every basis depends on this order
+    # list for list, order included: the echelon form of every basis
+    # (and the monogenic nullspace's least-column pivots) rest on it
     for slots in range(6):
         for total in range(8):
             assert list(compositions(total, slots)) == \
