@@ -1,8 +1,9 @@
 """Exact sparse linear algebra over the rationals and Gaussian rationals.
 
-Rows are dicts column->value.  Everything here is plumbing for nullspace
-(harmonic bases, monogenics); the echelon form also reduces QQi rows,
-and coefficients stay Fraction or QQi throughout.
+Rows are dicts column->value.  Everything here is plumbing for nullspace,
+which serves `cliffweyl.monogenic_basis` and the test oracles (the
+harmonic bases come from closed formulas); the echelon form also reduces
+QQi rows, and coefficients stay Fraction or QQi throughout.
 """
 
 from __future__ import annotations

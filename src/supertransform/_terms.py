@@ -7,7 +7,8 @@ which holds only while no dict keeps a zero coefficient; this module is
 the one place that policy is written.  It is also the one place that
 says when two values can meet: a subclass names in `_shape` the fields
 (universe, envelope, Clifford-Weyl shape) two of its values must share
-to be added or equal.
+to be added or equal, and two such values are added only when their
+coefficients are of one kind (one lane: exact or float).
 """
 
 from __future__ import annotations
@@ -35,7 +36,10 @@ class TermMap:
 
     A subclass rebuilds itself through `_like(terms)` (canonical terms,
     same shape) and names in `_shape` the attributes two operands must
-    share; an operand of another shape is refused by `check_shape`.
+    share; an operand of another shape is refused by `check_shape`, and
+    one whose coefficients are of another type (lane) by `_check_lane`.
+    The scalar maps have no shape and one coefficient type, so their
+    sums, the hot path, skip both checks.
     """
 
     __slots__ = ()
@@ -58,11 +62,24 @@ class TermMap:
             raise ValueError("shape mismatch: operands must share "
                              + " and ".join(self._shape))
 
+    def _check_lane(self, other):
+        """Refuse an operand whose coefficients are of another kind, read
+        from the first coefficient of each: a value keeps one lane."""
+        if self.terms and other.terms:
+            mine = type(next(iter(self.terms.values())))
+            theirs = type(next(iter(other.terms.values())))
+            if mine is not theirs:
+                raise ValueError(
+                    f"lane mismatch: cannot add {mine.__name__} and "
+                    f"{theirs.__name__} coefficients (the exact and "
+                    f"float lanes never mix)")
+
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
         if self._shape:
             self.check_shape(other)
+            self._check_lane(other)
         merged = dict(self.terms)
         for key, c in other.terms.items():
             add_into(merged, key, c)

@@ -10,8 +10,9 @@ Grammar:  expr := ('-')? term (('+'|'-') term)*
 Juxtaposed factors multiply in written order, so fermionic products like
 q1q2 keep their sign semantics; fermionic squares are rejected at parse
 time, as are mixed Gaussian/non-Gaussian sums.  Oversized input is
-refused before the arithmetic that would pass a budget below, and
-oversized output before rendering, with a ValueError naming the budget.
+refused before the arithmetic that would pass a budget below, and a
+printed integer longer than MAX_RENDER_DIGITS as it is printed, with a
+ValueError naming the budget.
 
 One regular expression, read by findall, cuts the text into lexemes, one
 per leaf: an integer or rational p/q, a constant, a symbol x<k> or q<k>,
@@ -43,17 +44,18 @@ import re
 from fractions import Fraction
 
 from ._terms import add_into
-from .scalars import ExactScalar, QQi, rational_text
+from .scalars import (MAX_RENDER_DIGITS,  # noqa: F401  (re-exported)
+                      ExactScalar, QQi, rational_text)
 from .superalg import (FER, LATEX, TEXT, GaussianFunction, SuperPolynomial,
                        merge_masks, monomial_codec, sp_mul)
 
 
-# Input budgets of the expression and JSON readers, and the renderers'
-# output budget.
+# Input budgets of the expression and JSON readers; the renderers'
+# output budget, MAX_RENDER_DIGITS, is checked in scalars as each
+# integer is printed.
 MAX_EXPONENT = 1000        # |exponent| of '^', JSON bosonic entries, JSON eps
 MAX_DIGITS = 1000          # digits of one integer literal or symbol index
 MAX_POWER_DIGITS = 4300    # digits of a scalar power (Python's int str limit)
-MAX_RENDER_DIGITS = 4300   # digits of one rendered integer (output budget)
 MAX_TERM_PAIRS = 50000     # term pairs multiplied in one parse
 MAX_NESTING = 150          # parentheses, or JSON arrays and objects, open
                            # at once (both readers recurse)
@@ -98,28 +100,6 @@ def _power_pairs(c, k):
             pairs += size(base) ** 2
             base *= 2
     return pairs
-
-
-def check_render_digits(coeffs):
-    """Refuse, before any text is built, exact coefficients holding an
-    integer of more than MAX_RENDER_DIGITS digits: sums and products of
-    in-budget input can outgrow it.  The printed parts a/d and b/d in
-    lowest terms are no larger than the fields of (a + b*i)/d, so the
-    parts are reduced only when a field reaches the bound."""
-    for c in coeffs:
-        if not isinstance(c, ExactScalar):
-            continue
-        for q in c.terms.values():
-            if max(abs(q.a), abs(q.b), q.d) < _RENDER_BOUND:
-                continue
-            for x in (q.re, q.im):
-                if max(abs(x.numerator), x.denominator) >= _RENDER_BOUND:
-                    raise ValueError(
-                        f"a coefficient exceeds MAX_RENDER_DIGITS = "
-                        f"{MAX_RENDER_DIGITS} digits")
-
-
-_RENDER_BOUND = 10 ** MAX_RENDER_DIGITS
 
 
 class ParseError(Exception):
@@ -648,7 +628,6 @@ def _coeff_text(c):
 def render_poly_text(f):
     gaussian = isinstance(f, GaussianFunction)
     poly = f.poly if gaussian else f
-    check_render_digits(poly.terms.values())
     u = poly.universe
     if not poly.terms:
         return "0"
@@ -701,7 +680,6 @@ def _coeff_latex(c):
 def render_poly_latex(f):
     gaussian = isinstance(f, GaussianFunction)
     poly = f.poly if gaussian else f
-    check_render_digits(poly.terms.values())
     u = poly.universe
     if not poly.terms:
         return "0"
@@ -718,7 +696,6 @@ def render_poly_latex(f):
 def poly_to_json(f):
     gaussian = isinstance(f, GaussianFunction)
     poly = f.poly if gaussian else f
-    check_render_digits(poly.terms.values())
     u = poly.universe
     codec = monomial_codec(u)
     terms = []

@@ -23,9 +23,9 @@ from itertools import groupby
 from ._terms import TermMap, add_into, canonical
 from .fourier import hermite_row, super_fourier
 from .scalars import I_POWERS, ExactScalar, QQi
-from .superalg import (SuperPolynomial, VariableUniverse,
-                       homogeneous_monomial_count, require_envelope, sp_mul,
-                       square_powers)
+from .superalg import (FER, SuperPolynomial, VariableUniverse,
+                       homogeneous_monomial_count, monomial_codec,
+                       require_envelope, sp_mul, square_powers)
 
 # result entries (omega monomial, power of p) the terms of one input may
 # make, counted before the transform (output budget)
@@ -151,14 +151,11 @@ class RadonResult(TermMap):
         return self._like(out)
 
     def to_json(self):
-        entries = []
-        for (bos, mask), ppoly in self.by_omega():
-            entries.append({
-                "omega_bos": list(bos),
-                "omega_fer": [j + 1 for j in range(
-                    len(self.universe.fermionic)) if mask >> j & 1],
-                "p_poly": [[e, c.to_json()] for e, c in ppoly],
-            })
+        codec = monomial_codec(self.universe)
+        entries = [{"omega_bos": list(key[0]),
+                    "omega_fer": list(codec[key][FER]),
+                    "p_poly": [[e, c.to_json()] for e, c in ppoly]}
+                   for key, ppoly in self.by_omega()]
         return {"envelope": "exp(-p^2/2)", "terms": entries}
 
     def __repr__(self):

@@ -22,6 +22,12 @@ from ._terms import TermMap, add_into
 # powers of i, exact and float
 I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
+# digits of one printed integer (output budget): sums and products of
+# in-budget input can outgrow it; `_lowest`, which every printed
+# rational passes through, refuses a longer part
+MAX_RENDER_DIGITS = 4300
+_RENDER_BOUND = 10 ** MAX_RENDER_DIGITS
+
 
 class QQi:
     """Complex rational (a + b*i)/d, stored as three ints.
@@ -365,9 +371,15 @@ class ExactScalar(TermMap):
 
 
 def _lowest(n, d):
-    """n/d (d > 0) in lowest terms, as (numerator, denominator)."""
+    """n/d (d > 0) in lowest terms, as (numerator, denominator); a part
+    of more than MAX_RENDER_DIGITS digits is refused before it is
+    printed."""
     g = math.gcd(n, d)
-    return n // g, d // g
+    n, d = n // g, d // g
+    if d >= _RENDER_BOUND or abs(n) >= _RENDER_BOUND:
+        raise ValueError(f"a coefficient exceeds MAX_RENDER_DIGITS = "
+                         f"{MAX_RENDER_DIGITS} digits")
+    return n, d
 
 
 def rational_text(n, d):

@@ -322,7 +322,8 @@ class SuperPolynomial(TermMap):
 
 
 def is_float_lane(p):
-    """True when the polynomial carries complex (float-backend) scalars."""
+    """True when the polynomial carries complex (float-backend) scalars;
+    sums keep one lane, so the first coefficient tells."""
     for v in p.terms.values():
         return not isinstance(v, ExactScalar)
     return False

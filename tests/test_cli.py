@@ -11,14 +11,17 @@ from fractions import Fraction
 
 import pytest
 
-from supertransform import expr as exprmod, fundsol
+from supertransform import cli, expr as exprmod, fundsol, scalars
 from supertransform.cli import main, run, build_parser
+from supertransform.cliffweyl import CValued, CWElement
 from supertransform.expr import (ParseError, parse, poly_to_json,
                                  render_poly_latex, render_poly_text)
 from supertransform.fourier import super_fourier
+from supertransform.fundsol import RadialFunction, SuperRadial
 from supertransform.harmonics import harmonic_basis
 from supertransform.hermite import check_psi_orders
-from supertransform.radon import check_result_size
+from supertransform.radon import RadonResult, check_result_size, \
+    omega_universe
 from supertransform.scalars import ExactScalar, QQi
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse)
@@ -658,7 +661,7 @@ def test_fundsol_pair_budget_boundary(monkeypatch):
 def test_cli_fundsol_checks_render_digits(capsys, monkeypatch):
     # the pair budget keeps coefficients under 3000 digits, so a lower
     # render bound stands in for a longer chain
-    monkeypatch.setattr(exprmod, "_RENDER_BOUND", 10)
+    monkeypatch.setattr(scalars, "_RENDER_BOUND", 10)
     code, out, err = _run_cli(capsys, "--m", "4", "--n", "3", "fundsol")
     assert code == 1 and not out
     assert "MAX_RENDER_DIGITS" in err
@@ -855,6 +858,58 @@ def test_render_budget_reads_the_printed_parts():
     for render in (render_poly_text, render_poly_latex, poly_to_json):
         with pytest.raises(ValueError, match="MAX_RENDER_DIGITS = 4300"):
             render(big)
+
+
+def _radon_of(c):
+    uo = omega_universe(1, 1)
+    return RadonResult(uo, {(((1,), 0b01), 2): c})
+
+
+def _cvalued_of(c):
+    u = u11()
+    return CValued(u, {(1, (0, 1)): SuperPolynomial.scalar(u, c)},
+                   envelope=True)
+
+
+# every printer of an exact coefficient, as a function of the coefficient
+_PRINTERS = {
+    "poly-text": lambda c: render_poly_text(
+        GaussianFunction(SuperPolynomial.bosonic_var(u11(), 0, c))),
+    "poly-latex": lambda c: render_poly_latex(
+        SuperPolynomial.bosonic_var(u11(), 0, c)),
+    "poly-json": lambda c: json.dumps(poly_to_json(
+        SuperPolynomial.bosonic_var(u11(), 0, c))),
+    "scalar-render": lambda c: c.render(),
+    "scalar-json": lambda c: json.dumps(c.to_json()),
+    "radon-json": lambda c: json.dumps(_radon_of(c).to_json()),
+    "cli-radon-text": lambda c: cli._render_radon(_radon_of(c), "text"),
+    "cli-radon-json": lambda c: cli._render_radon(_radon_of(c), "json"),
+    "radial": lambda c: RadialFunction.monomial(2, 1, c).render(),
+    "super-radial": lambda c: SuperRadial(
+        1, {0: RadialFunction.monomial(0, 0, c),
+            1: RadialFunction.monomial(-1, 0, c)}).render(),
+    "cw-element": lambda c: CWElement.one(1, 1, c).render(),
+    "cli-cvalued": lambda c: cli._render_cvalued(_cvalued_of(c)),
+}
+
+
+@pytest.mark.parametrize("part", [
+    lambda big: QQi(big),
+    lambda big: QQi(Fraction(1, big)),
+    lambda big: QQi(1, Fraction(1, big)),
+], ids=["numerator", "denominator", "imaginary-denominator"])
+@pytest.mark.parametrize("printer", _PRINTERS.values(), ids=_PRINTERS)
+def test_every_printer_checks_the_render_budget(printer, part):
+    # a printed part of 4300 digits prints; one of 4301 digits is refused
+    # with the budget's message, not with Python's int printing limit
+    top = 10 ** exprmod.MAX_RENDER_DIGITS
+    c = ExactScalar.from_qqi(part(top - 1))
+    for fits in (c, c * ExactScalar.sqrt2()):
+        assert str(top - 1) in printer(fits)
+    with pytest.raises(ValueError) as exc:
+        printer(ExactScalar.from_qqi(part(top)))
+    assert "MAX_RENDER_DIGITS = 4300" in str(exc.value)
+    assert "set_int_max_str_digits" not in str(exc.value)
 
 
 @pytest.mark.parametrize("text", [

@@ -297,6 +297,31 @@ def test_super_integral_examples():
         super_integral(SuperPolynomial.one(VariableUniverse.standard(1, 0)))
 
 
+def _heat_constant(p):
+    """[exp(-Delta/2) p](0): the constant term of the finite sum of
+    (-1/2)^k Delta^k p / k!, Delta lowering the degree by two."""
+    total, term, k = ExactScalar.zero(), p, 0
+    while term:
+        total = total + term.constant_term()
+        k += 1
+        term = laplace(term, "full").scale(Fraction(-1, 2 * k))
+    return total
+
+
+@pytest.mark.parametrize("m, n", [(1, 0), (2, 1), (1, 1), (2, 2), (3, 2),
+                                  (1, 3), (2, 3)])
+def test_super_integral_is_the_heat_kernel_at_the_origin(rng, m, n):
+    # int P G = int G * [exp(-Delta/2) P](0), at M = 1, 0, -1, -2, -1, -5
+    # and -4: the Gaussian moments and Berezin weights of the pairing
+    # against the sl2 layer alone
+    u = VariableUniverse.standard(m, n)
+    envelope = super_integral(GaussianFunction(SuperPolynomial.one(u)))
+    for _ in range(30):
+        p = random_poly(u, rng, degree=4, nterms=4)
+        assert super_integral(GaussianFunction(p)) \
+            == envelope * _heat_constant(p)
+
+
 def test_parseval_fermionic_gaussian_pair():
     u = VariableUniverse.standard(0, 1)
     env = fermionic_envelope_poly(u)

@@ -3,7 +3,7 @@ import math
 import pytest
 from scipy.integrate import quad
 
-from supertransform.fourier import hermite_row
+from supertransform.fourier import hermite_row, super_integral
 from supertransform.harmonics import harmonic_basis
 from supertransform.hermite import psi_tilde_element
 from supertransform.operators import bosonic_derivative, fermionic_derivative
@@ -184,3 +184,51 @@ def test_radon_output_reduced():
     res = radon(f)
     last = res.universe.m - 1
     assert all(key[0][0][last] < 2 for key in res.terms)
+
+
+def _p_moments(res, j):
+    """omega monomial -> sum of c * (e + j - 1)!! over the powers p^e of
+    res with e + j even: the j-th p-moment of res over sqrt(2 pi), as
+    the integral of p^k exp(-p^2/2) is sqrt(2 pi) (k - 1)!! at even k."""
+    out = {}
+    for key, ppoly in res.by_omega():
+        total = ExactScalar.zero()
+        for e, c in ppoly:
+            if (e + j) % 2 == 0:
+                total = total + c * math.prod(range(e + j - 1, 0, -2))
+        if total:
+            out[key] = total
+    return out
+
+
+_SLICE_SHAPES = [(1, 0), (2, 0), (1, 1), (2, 1), (2, 2), (3, 2), (2, 3),
+                 (1, 3)]
+
+
+@pytest.mark.parametrize("m, n", _SLICE_SHAPES)
+def test_radon_slice_integral_is_the_super_integral(rng, m, n):
+    # M = 1, 2, -1, 0, -2, -1, -4 and -5: every slice integrates to the
+    # integral of f, so only the constant omega monomial keeps a value,
+    # and it is the one super_integral reads off _gaussian_pairing
+    u = VariableUniverse.standard(m, n)
+    const = ((0,) * m, 0)
+    for _ in range(20):
+        f = GaussianFunction(random_poly(u, rng, degree=3, nterms=3))
+        got = _p_moments(radon(f), 0)
+        want = ExactScalar.two_pi_half_power(-1) * super_integral(f)
+        assert set(got) <= {const}
+        assert got.get(const, ExactScalar.zero()) == want
+
+
+@pytest.mark.parametrize("m, n", _SLICE_SHAPES)
+def test_radon_p_moments_have_bounded_omega_degree(rng, m, n):
+    # the j-th p-moment is a polynomial in omega of degree at most j with
+    # the parity of j
+    u = VariableUniverse.standard(m, n)
+    for _ in range(20):
+        res = radon(GaussianFunction(random_poly(u, rng, degree=3,
+                                                 nterms=3)))
+        for j in range(5):
+            for bos, mask in _p_moments(res, j):
+                degree = sum(bos) + mask.bit_count()
+                assert degree <= j and degree % 2 == j % 2, (j, bos, mask)

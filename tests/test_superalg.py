@@ -1,9 +1,11 @@
+import operator
 from fractions import Fraction
 
 import pytest
 
-from supertransform.expr import (poly_to_json, render_poly_latex,
+from supertransform.expr import (parse, poly_to_json, render_poly_latex,
                                  render_poly_text)
+from supertransform.fracfourier import frac_fourier
 from supertransform.harmonics import harmonic_basis
 from supertransform.hermite import check_psi_orders
 from supertransform.operators import (bosonic_derivative,
@@ -261,6 +263,40 @@ def test_gaussian_function_refuses_other_operands_with_type_error():
         with pytest.raises(TypeError):
             other - g
     assert g + GaussianFunction(p) - GaussianFunction(p) == g
+
+
+@pytest.mark.parametrize("gaussian", [False, True],
+                         ids=["plain", "gaussian"])
+@pytest.mark.parametrize("float_key", [((1,), 0), ((0,), 0b01)],
+                         ids=["shared-monomial", "disjoint-monomials"])
+def test_sums_refuse_mixed_lanes(gaussian, float_key):
+    # an exact-lane and a float-lane operand are refused in either order,
+    # before any term is merged; each lane still adds to itself and to
+    # the lane-less zero
+    u = VariableUniverse.standard(1, 1)
+    exact = SuperPolynomial.bosonic_var(u, 0)
+    flt = SuperPolynomial(u, {float_key: 0.5 - 0.25j})
+    zero = SuperPolynomial.zero(u)
+    if gaussian:
+        exact, flt, zero = (GaussianFunction(p) for p in (exact, flt, zero))
+    for a, b in ((exact, flt), (flt, exact)):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(ValueError, match="lane mismatch") as exc:
+                op(a, b)
+            assert "ExactScalar" in str(exc.value)
+            assert "complex" in str(exc.value)
+    assert exact + exact == exact.scale(2)
+    assert flt - flt == zero
+    assert exact + zero == exact and zero + flt == flt
+
+
+def test_an_exact_input_plus_a_fractional_transform_is_refused():
+    u = VariableUniverse.standard(1, 1)
+    moved = frac_fourier(parse("q1*G", u), 0.5)
+    with pytest.raises(ValueError, match="lane mismatch"):
+        parse("x1*G", u) + moved
+    with pytest.raises(ValueError, match="lane mismatch"):
+        moved - parse("q1*G", u)
 
 
 def test_a_gaussian_function_always_carries_the_envelope():
