@@ -24,7 +24,13 @@ from operator import add
 from ._terms import TermMap, add_into, canonical
 from .scalars import ExactScalar
 from .superalg import (GaussianFunction, SuperPolynomial, compositions,
-                       homogeneous_monomials, mask_bits)
+                       homogeneous_monomial_count, homogeneous_monomials,
+                       mask_bits)
+
+# (monomial, unit word) columns the row reduction of monogenic_basis may
+# run over: (3,1) at k = 3 spans 2000 and takes about 0.5 s, where
+# k = 4 spans 4920 and took 2.2 s, and (3,2) at k = 3 15680 and 16.5 s
+MAX_MONOGENIC_COLUMNS = 2000
 
 
 def _mul_keys(key1, key2, npairs):
@@ -271,9 +277,18 @@ def monogenic_basis(k, universe):
     capped at symplectic order k.
 
     Exercised at small (m, n) and k only; the cap is an artifact choice.
+    A negative k, or one whose columns (monomials times unit words) pass
+    MAX_MONOGENIC_COLUMNS, is refused before any row reduction.
     """
     from ._linalg import nullspace
     u = universe
+    if k < 0:
+        raise ValueError("degree must be nonnegative")
+    count = homogeneous_monomial_count(u, k) * (1 << u.m) \
+        * math.comb(k + 2 * u.pairs, 2 * u.pairs)
+    if count > MAX_MONOGENIC_COLUMNS:
+        raise ValueError(f"degree k = {k} spans {count} columns, over "
+                         f"MAX_MONOGENIC_COLUMNS = {MAX_MONOGENIC_COLUMNS}")
     monos = homogeneous_monomials(u, k)
     keys = _cw_keys(u.m, u.pairs, k)
     columns = [(mono, key) for mono in monos for key in keys]

@@ -14,22 +14,26 @@ refused before the arithmetic that would pass a budget below, and a
 printed integer longer than MAX_RENDER_DIGITS as it is printed, with a
 ValueError naming the budget.
 
-One regular expression, read by findall, cuts the text into lexemes, one
-per leaf: an integer or rational p/q, a constant, a symbol x<k> or q<k>,
-an exponent ^e or ^-e, and the renderer's coefficient (p/q+r/s*i) or
-(p/q), spaces allowed, so that reading printed output back takes one
-match per coefficient; (p/q) after a '^' is the exponent of ^(p/q).
-Every other character is a lexeme of its own: operators, and anything
-unexpected.  The parser walks factors, not characters; where the
-lexemes do not form leaves (a '^' with no exponent, a '/' with no
-denominator) it reads on lexeme by lexeme and gives the refusal a
-token-by-token reading would give.  Each term is built as one monomial:
-a scalar factor multiplies its coefficient, x<k>^e adds to its exponent
-vector and q<k> merges into its fermionic mask with the Koszul sign.
-sp_mul runs only from the first factor with two or more terms, a
-parenthesised sum or a power of one.
+One regular expression, read by findall, cuts the text into lexemes,
+one per factor: a leaf (an integer or rational p/q, a constant, a symbol
+x<k> or q<k>, or the renderer's coefficient (p/q+r/s*i) or (p/q),
+spaces allowed) with its power ^e, ^-e or ^(p/q) fused in, so that
+reading printed output back takes one match per factor.  A power after
+a parenthesised sum is a lexeme of its own, as is every other
+character: operators, and anything unexpected.
+A flat loop per term reads each factor from the lexeme table LEXEMES,
+which maps a lexeme's text to its factor, a few ints and strings decoded
+once from the match groups, and starts afresh at MAX_LEXEMES entries.
+Symbol indices, the budgets and the Gaussian-marker rules are checked on
+every read and never stored.  Where the lexemes do not form factors (a '^'
+with no exponent, a '/' with no denominator), the reader gives the
+refusal a token-by-token reading would give.  Each term is built as one
+monomial: a scalar factor multiplies its coefficient, x<k>^e adds to
+its exponent vector and q<k> merges into its fermionic mask with the
+Koszul sign.  sp_mul runs only from the first factor with two or more
+terms, a parenthesised sum or a power of one.
 
-Errors are positioned only on failure: the walk names the lexeme (and
+Errors are positioned only on failure: the reader names the lexeme (and
 the part of it) at fault, and the position is found by running the
 pattern again with finditer.  The first unexpected character or
 over-long digit run (an integer literal or a symbol index of more than
@@ -41,6 +45,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import threading
 from fractions import Fraction
 
 from ._terms import add_into
@@ -110,52 +115,119 @@ class ParseError(Exception):
         self.pos = pos
 
 
-# One pattern reads each leaf of the grammar as one match, after any
-# whitespace: the renderer's coefficient (p/q+r/s*i) or (p/q), which is
-# also the exponent of ^(p/q), an integer or rational p/q, a constant, a
-# symbol, an exponent ^e or ^-e, an operator and, last, any other
-# character.  findall gives one tuple of the groups below per match; the
-# empty string marks an absent group.
-_LEXEME = re.compile(r"""\s*(?:
-    \( \s* (-?) \s* (\d+) (?: \s*/\s* (\d+) )?
-       (?: \s* ([-+]) \s* (?: (\d+) (?: \s*/\s* (\d+) )? \s* \*? \s* )? i )?
+# One pattern cuts a text into lexemes, each after any whitespace: a
+# factor, that is a leaf (the renderer's coefficient (p/q+r/s*i) or
+# (p/q), an integer or rational p/q, a constant or a symbol) with its
+# power ^e, ^-e or ^(p/q) fused in; a power on its own (after a
+# parenthesised sum); an operator; and, last, any other character.
+# findall gives the text of each lexeme, and _FACTOR, where the leaf is
+# optional, reads the parts of a factor or of a lone power from its
+# named groups.  A (p/q) exponent with a zero denominator makes no
+# power, so that the leaf before it is read, and refused, first.
+_LEAF = r"""(?:
+    \( \s* (?P<c_sign>-?) \s* (?P<c_re>\d+) (?: \s*/\s* (?P<c_red>\d+) )?
+       (?: \s* (?P<c_isign>[-+]) \s*
+           (?: (?P<c_im>\d+) (?: \s*/\s* (?P<c_imd>\d+) )? \s* \*? \s* )? i )?
        \s* \)
-  | (\d+) (?: \s*/\s* (\d+) )?
-  | (sqrtpi|sqrt2|pi|i|G)
-  | ([xq]) (\d+)
-  | \^ \s* (-?) \s* (\d+)
-  | ([-+*/^()])
-  | (\S)
-)""", re.VERBOSE)
-(C_SIGN, C_RE, C_RED, C_ISIGN, C_IM, C_IMD, NUM, DEN, CONST, SYM, INDEX,
- E_SIGN, E_INT, OP, OTHER) = range(15)
-_END = ("",) * 15              # the lexeme after the last, at len(src)
-_DIGIT_GROUPS = (C_RE, C_RED, C_IM, C_IMD, NUM, DEN, INDEX, E_INT)
+  | (?P<num>\d+) (?: \s*/\s* (?P<den>\d+) )?
+  | (?P<const>sqrtpi|sqrt2|pi|i|G)
+  | (?P<sym>[xq]) (?P<index>\d+)
+)"""
+_POW = r"""(?P<pow>\^) \s* (?:
+    (?P<e_sign>-?) \s* (?P<e_num>\d+)
+  | \( \s* (?P<r_sign>-?) \s* (?P<r_num>\d+)
+       (?: \s*/\s* (?P<r_den>0*[1-9]\d*) )? \s* \)
+)"""
+_FACTOR = re.compile(rf"{_LEAF}? (?: \s* {_POW} )?", re.VERBOSE)
+# the same grammar with one group, the lexeme's text
+_LEXEME = re.compile(re.sub(r"\(\?P<\w+>", "(?:", rf"""\s* (
+    [-+*/)] | {_LEAF} (?: \s* {_POW} )? | {_POW} | [(^] | \S )"""),
+                     re.VERBOSE)
+_DIGIT_GROUPS = ("c_re", "c_red", "c_im", "c_imd", "num", "den", "index",
+                 "e_num", "r_num", "r_den")       # in reading order
 # A digit run too long for MAX_DIGITS (as set at import); finding one
 # sends the text to the scan check, which reads whose run it is.
 _LONG_RUN = re.compile(r"(?<!\d)\d{%d}" % (MAX_DIGITS + 1))
 
-# A factor is a tuple tagged by its first entry:
-#   ("scalar", a, b, d, h, s)  (a + b*i)/d * pi^(h/2) * sqrt2^s
-#   ("x", index, exponent)     a power of one bosonic variable
-#   ("q", bit)                 one fermionic variable, as its mask bit
-#   ("G",)                     the Gaussian marker
-#   ("terms", terms, gaussian) a term map: a parenthesised value or a power
-_ONE = ("scalar", 1, 0, 1, 0, 0)
-_CONSTANTS = {"i": ("scalar", 0, 1, 1, 0, 0), "pi": ("scalar", 1, 0, 1, 2, 0),
-              "sqrtpi": ("scalar", 1, 0, 1, 1, 0),
-              "sqrt2": ("scalar", 1, 0, 1, 0, 1), "G": ("G",)}
+_CONSTANTS = {"i": (0, 1, 1, 0, 0), "pi": (1, 0, 1, 2, 0),
+              "sqrtpi": (1, 0, 1, 1, 0), "sqrt2": (1, 0, 1, 0, 1)}
 _PI = ExactScalar.pi_half_power(2)
 _UNIT = ExactScalar.one()
 
+# The lexeme table maps a lexeme's text to its entry, the _FIELDS fields
+#   tag, v1, v2, v3, v4, v5, cost, en, ed, raw, size, marked
+# all ints and strings, where tag is
+#   "scalar"  (v1 + v2*i)/v3 * pi^(v4/2) * sqrt2^v5
+#   "int"     the integer v1 (fields as "scalar") with no power, which
+#             a '/' may not follow
+#   "x", "q"  the symbol named v3, 0-based index v1, to the power v2
+#   "G"       the Gaussian marker
+#   "power"   a power on its own
+#   "op"      an operator, any other character or the end of the text
+# cost is the term pair a coefficient's r/s*i product spends, en/ed the
+# exponent of the lexeme's power in lowest terms (ed = 0 when it has
+# none), size the factor's terms (0 for a zero scalar, else 1) and
+# marked whether it is the Gaussian marker.  The power is folded into
+# the leaf when it needs no check but MAX_EXPONENT: x^k with k >= 0,
+# q^0, q^1, and integer powers of 1, pi, sqrtpi and sqrt2 or
+# half-integer ones of pi.  Any other power is raw: the reader applies
+# it to the leaf, or refuses it, on every read.  So are the other
+# checks, symbol indices against the universe and every budget; a
+# refused lexeme is never stored.
+MAX_LEXEMES = 4096
+_FIELDS = 12
+
+
+class LexemeTable:
+    """The lexeme table, bounded at MAX_LEXEMES entries: len() is its
+    size and clear() empties it.  `pair` is (texts, fields): texts maps
+    a lexeme's text to the offset of its entry in the flat list fields.
+    Entries are runs of one list, not a tuple each, because the
+    collector counts every tuple made towards its next collection, which
+    a few hundred new lexemes would bring forward.  A full or cleared
+    table is replaced by a new pair, never emptied in place, and an
+    entry's fields go in before its text, so a reader that takes the
+    pair once reads whole entries while another thread adds to the table
+    or replaces it; `lock` orders the writers."""
+
+    __slots__ = ("pair", "lock")
+
+    def __init__(self):
+        self.pair = ({}, [])
+        self.lock = threading.Lock()
+
+    def __len__(self):
+        return len(self.pair[0])
+
+    def clear(self):
+        self.pair = ({}, [])
+
+    def add(self, text, entry):
+        with self.lock:
+            texts, fields = self.pair
+            if len(texts) >= MAX_LEXEMES:
+                texts, fields = self.pair = ({}, [])
+            fields.extend(entry)
+            texts[text] = len(fields) - _FIELDS
+
+
+LEXEMES = LexemeTable()
+_LEAVES = frozenset(("scalar", "int", "x", "q", "G"))
+_OP = ("op", 0, 0, 0, 0, 0, 0, 0, 0, False, 1, False)
+
 
 class _Refusal(Exception):
-    """A parse error at lexeme `index`: at the start of its group `group`,
-    else at the lexeme's start.  parse positions it in the text."""
+    """A parse error at lexeme `index`: at the start of its named group
+    `group`, else at the lexeme's start.  parse positions it."""
 
     def __init__(self, message, index, group=None):
         super().__init__(message)
         self.message, self.index, self.group = message, index, group
+
+
+def _parts(text):
+    """The match of a factor or lone power lexeme, or None."""
+    return _FACTOR.fullmatch(text) if text else None
 
 
 def _position(src, index, group):
@@ -163,9 +235,10 @@ def _position(src, index, group):
     running the pattern again; the lexeme after the last is at len(src)."""
     for k, match in enumerate(_LEXEME.finditer(src)):
         if k == index:
+            start = match.start(1)
             if group is not None:
-                return match.start(group + 1)
-            return match.end() - len(match.group().lstrip())
+                start += _parts(match.group(1)).start(group)
+            return start
     return len(src)
 
 
@@ -173,16 +246,106 @@ def _scan_error(src):
     """Raise the first unexpected character or over-long digit run of the
     text, in reading order, if it has one."""
     for match in _LEXEME.finditer(src):
-        other = match.group(OTHER + 1)
-        if other:
-            raise ParseError(f"unexpected character {other!r}",
-                             match.start(OTHER + 1))
-        for g in _DIGIT_GROUPS:
-            digits = len(match.group(g + 1) or "")
+        text = match.group(1)
+        parts = _parts(text)
+        if parts is None:
+            if text not in "-+*/^()":
+                raise ParseError(f"unexpected character {text!r}",
+                                 match.start(1))
+            continue
+        for name in _DIGIT_GROUPS:
+            digits = len(parts[name] or "")
             if digits > MAX_DIGITS:
-                what = "symbol index" if g == INDEX else "integer literal"
+                what = "symbol index" if name == "index" \
+                    else "integer literal"
                 raise ValueError(f"{what} of {digits} digits exceeds "
                                  f"MAX_DIGITS = {MAX_DIGITS}")
+
+
+def _decode(text, k):
+    """The entry of the text of lexeme k, added to LEXEMES; a zero
+    denominator in a leaf is refused and nothing is stored."""
+    parts = _parts(text)
+    if parts is None:
+        entry = _OP
+    elif text[0] == "^":
+        en, ed = _exponent(*parts.groups()[-5:])
+        entry = ("power", 0, 0, 0, 0, 0, 0, en, ed, False, 1, False)
+    else:
+        entry = _factor_entry(k, *parts.groups())
+    LEXEMES.add(text, entry)
+    return entry
+
+
+def _exponent(e_sign, e_num, r_sign, r_num, r_den):
+    """The exponent (en, ed) of a power's groups, in lowest terms."""
+    if e_num is not None:
+        return -int(e_num) if e_sign else int(e_num), 1
+    en, ed = -int(r_num) if r_sign else int(r_num), int(r_den or 1)
+    g = math.gcd(en, ed)
+    return en // g, ed // g
+
+
+def _factor_entry(k, c_sign, c_re, c_red, c_isign, c_im, c_imd, num, den,
+                  const, sym, index, power, *exponent):
+    """The entry of a factor from its groups: its leaf built and refused
+    as a token-by-token reading builds and refuses it, with its power
+    folded in where LEXEMES says."""
+    cost = 0
+    if c_re is not None:
+        re_d = int(c_red) if c_red else 1
+        if not re_d:
+            raise _Refusal("denominator must be non-zero", k, "c_red")
+        v1, v2, v3 = -int(c_re) if c_sign else int(c_re), 0, re_d
+        if c_isign:
+            im_d = int(c_imd) if c_imd else 1
+            if not im_d:
+                raise _Refusal("denominator must be non-zero", k, "c_imd")
+            # r/s*i multiplies two factors: a non-zero r spends one pair
+            im_n = int(c_im) if c_im else 1
+            cost = 1 if c_im and im_n else 0
+            if c_isign == "-":
+                im_n = -im_n
+            v1, v2, v3 = v1 * im_d, im_n * re_d, re_d * im_d
+        tag, v4, v5 = "scalar", 0, 0
+    elif num is not None:
+        tag, v1, v2, v3, v4, v5 = "int", int(num), 0, 1, 0, 0
+        if den:
+            tag, v3 = "scalar", int(den)
+            if not v3:
+                raise _Refusal("denominator must be non-zero", k, "den")
+    elif const == "G":
+        tag, v1, v2, v3, v4, v5 = "G", 0, 0, 0, 0, 0
+    elif const is not None:
+        tag, (v1, v2, v3, v4, v5) = "scalar", _CONSTANTS[const]
+    else:
+        tag, v1, v2, v3, v4, v5 = sym, int(index) - 1, 1, sym + index, 0, 0
+    if not power:
+        return (tag, v1, v2, v3, v4, v5, cost, 0, 0, False,
+                _size(tag, v1, v2), tag == "G")
+    en, ed = _exponent(*exponent)
+    raw = False
+    if tag == "x" or tag == "q":
+        raw = ed != 1 or en < 0 or (tag == "q" and en > 1)
+        v2 = en
+    elif tag == "G" or (v1, v2, v3) != (1, 0, 1):
+        raw = True
+    elif ed == 1:
+        v4, v5 = v4 * en, v5 * en
+    elif ed == 2 and (v4, v5) == (2, 0):
+        v4 = en
+    else:
+        raw = True
+    if tag == "int":
+        tag = "scalar"
+    return (tag, v1, v2, v3, v4, v5, cost, en, ed, raw, _size(tag, v1, v2),
+            tag == "G")
+
+
+def _size(tag, v1, v2):
+    """The terms of a leaf: none for a zero scalar, else one."""
+    return 0 if (tag == "scalar" or tag == "int") and not v1 and not v2 \
+        else 1
 
 
 def _scalar(a, b, d, h, s):
@@ -210,30 +373,56 @@ def _monomial(live, a, b, d, h, s, scalar, bos, mask):
 def _fermionic_exponent(e, at):
     """The exponent 0 or 1 a fermionic variable admits."""
     if e >= 2:
-        raise _Refusal("fermionic square", at)
+        raise _Refusal("fermionic square", *at)
     if e < 0 or e.denominator != 1:
-        raise _Refusal("invalid fermionic power", at)
+        raise _Refusal("invalid fermionic power", *at)
     return int(e)
 
 
-def _ratio(sign, num, den, at, group):
-    """The exponent -num/den (sign set) or num/den of lexeme `at`, an int
-    when integral; a zero den is refused at its group."""
-    n = -int(num) if sign else int(num)
-    if not den:
-        return n
-    d = int(den)
-    if not d:
-        raise _Refusal("denominator must be non-zero", at, group)
-    return n // d if n % d == 0 else Fraction(n, d)
+def _refuse_power(lex, at):
+    """Refuse the '^' lexeme at index `at`.  Every exponent that reads,
+    ^e, ^-e or ^(p/q), makes a power lexeme with the '^', so what follows
+    a lone '^' is refused as a token-by-token reading refuses it."""
+    k = at + 1
+    text = lex[k]
+    parts = _parts(text)
+    if parts is not None and parts["c_re"] is not None:
+        # (p/q+r/s*i), or a (p/q) whose zero q made no power
+        if parts["c_red"] and not int(parts["c_red"]):
+            raise _Refusal("denominator must be non-zero", k, "c_red")
+        raise _Refusal("expected ')'", k, "c_isign")
+    if text == "-":
+        raise _Refusal("expected integer exponent", k + 1)
+    if text != "(":
+        raise _Refusal("expected exponent", k)
+    k += 1
+    if lex[k] == "-":
+        k += 1
+    parts = _parts(lex[k])
+    if parts is None or parts["num"] is None:
+        raise _Refusal("expected rational exponent", k)
+    if not parts["den"] and not parts["pow"] and lex[k + 1] == "/":
+        raise _Refusal("expected exponent denominator", k + 2)
+    if parts["den"] and not int(parts["den"]):
+        raise _Refusal("denominator must be non-zero", k, "den")
+    if parts["pow"]:
+        raise _Refusal("expected ')'", k, "pow")
+    raise _Refusal("expected ')'", k + 1)
+
+
+def _pairs_error():
+    """The refusal of a text past MAX_TERM_PAIRS."""
+    return ValueError(f"expression would multiply more than "
+                      f"MAX_TERM_PAIRS = {MAX_TERM_PAIRS} term pairs")
 
 
 class _Reader:
-    """Recursive descent over the lexemes of one text.  Exponents are ints
-    or Fractions, which share numerator, denominator and comparisons."""
+    """Recursive descent over the lexemes of one text, each factor read
+    from its LEXEMES entry.  Exponents are ints or Fractions, which share
+    numerator, denominator and comparisons."""
 
     def __init__(self, lexemes, universe):
-        self.lex = lexemes          # ends with _END
+        self.lex = lexemes          # ends with "", the end of the text
         self.universe = universe
         self.k = 0
         self.pairs = 0
@@ -243,13 +432,7 @@ class _Reader:
         """Count term pairs against MAX_TERM_PAIRS before multiplying."""
         self.pairs += pairs
         if self.pairs > MAX_TERM_PAIRS:
-            raise ValueError(f"expression would multiply more than "
-                             f"MAX_TERM_PAIRS = {MAX_TERM_PAIRS} term pairs")
-
-    def expect_close(self):
-        if self.lex[self.k][OP] != ")":
-            raise _Refusal("expected ')'", self.k)
-        self.k += 1
+            raise _pairs_error()
 
     def read(self):
         value = self.expr()
@@ -261,13 +444,13 @@ class _Reader:
         """A sum of terms, as (term map, Gaussian flag)."""
         lex = self.lex
         sign = 1
-        if lex[self.k][OP] == "-":
+        if lex[self.k] == "-":
             self.k += 1
             sign = -1
         terms = {}
         gaussian = self.term(sign, terms)
         while True:
-            op = lex[self.k][OP]
+            op = lex[self.k]
             if op != "+" and op != "-":
                 return terms, gaussian
             at = self.k
@@ -280,37 +463,81 @@ class _Reader:
         its Gaussian flag.  Single-term factors multiply into one monomial
         (a + b*i)/d * pi^(h/2) * sqrt2^s * scalar * x^bos * q^mask;
         sp_mul runs only from the first factor with two or more terms.
-        Each product of the written order spends |value|*|factor| pairs."""
+        Each product of the written order spends |value|*|factor| pairs.
+        A factor is a parenthesised sum or one LEXEMES entry, checked in
+        the order a token-by-token reading checks it."""
         lex, u = self.lex, self.universe
+        texts, fields = LEXEMES.pair
+        nbos, nfer = u.m, 2 * u.pairs
         a, b, d, h, s = sign, 0, 1, 0, 0
         scalar = None           # product of the multi-term scalar factors
-        bos = [0] * u.m
+        bos = [0] * nbos
         mask = 0
         live = True             # False once the product is zero
         gaussian = False
         poly = None             # the whole product, from the first sum on
-        f = self.factor()
         first = True
+        k = self.k
         while True:
-            tag = f[0]
-            if tag == "terms":
-                size, marked = len(f[1]), f[2]
+            text = lex[k]
+            if text == "(":
+                self.k = k
+                tag, v1, marked = self.group()
+                size = len(v1)
+                k = self.k
             else:
-                size = 0 if tag == "scalar" and not f[1] and not f[2] else 1
-                marked = tag == "G"
+                i = texts.get(text)
+                (tag, v1, v2, v3, v4, v5, cost, en, ed, raw, size,
+                 marked) = _decode(text, k) if i is None \
+                    else fields[i:i + _FIELDS]
+                if tag == "scalar":
+                    if cost:
+                        self.spend(cost)
+                elif tag == "x":
+                    if not 0 <= v1 < nbos:
+                        raise _Refusal(f"unknown symbol {v3}", k)
+                elif tag == "q":
+                    if not 0 <= v1 < nfer:
+                        raise _Refusal(f"unknown symbol {v3}", k)
+                elif tag == "int":
+                    if lex[k + 1] == "/":
+                        # a digit run after the '/' would have made p/q
+                        raise _Refusal("expected denominator", k + 2)
+                elif tag != "G":
+                    raise _Refusal("expected a value", k)
+                k += 1
+                if ed:
+                    if abs(en) > MAX_EXPONENT * ed:
+                        _check_exponent(Fraction(en, ed))
+                    if raw:
+                        v1 = self.leaf_power(
+                            tag, (v1, v2, v3, v4, v5),
+                            en if ed == 1 else Fraction(en, ed),
+                            (k - 1, "pow"))
+                        tag, size, marked = "terms", len(v1), False
+                    elif tag == "x":
+                        self.spend(v2)
+                elif lex[k] == "^":
+                    _refuse_power(lex, k)
+
             if not first:
                 if gaussian and marked:
                     raise _Refusal("duplicate Gaussian marker", sep)
                 if poly is not None:
                     self.spend(len(poly.terms) * size)
                 elif live:
-                    self.spend(size)
+                    # self.spend(size), inline: nearly every factor is here
+                    self.pairs += size
+                    if self.pairs > MAX_TERM_PAIRS:
+                        raise _pairs_error()
             gaussian = gaussian or marked
 
             if tag == "G":
                 pass
             elif poly is not None or size > 1:
-                rhs = SuperPolynomial(u, self.factor_terms(f))
+                rhs = SuperPolynomial(u, v1 if tag == "terms" else
+                                      self.leaf_terms(tag, v1, v2, v3, v4,
+                                                      v5))
                 if first:
                     poly = rhs if sign > 0 else -rhs
                 else:
@@ -320,28 +547,33 @@ class _Reader:
                     poly = sp_mul(poly, rhs)
             elif not size:
                 live = False
-            elif tag == "scalar":
-                _, fa, fb, fd, fh, fs = f
-                if fb:
-                    a, b = a * fa - b * fb, a * fb + b * fa
+            elif tag == "scalar" or tag == "int":
+                if v2:
+                    a, b = a * v1 - b * v2, a * v2 + b * v1
                 else:
-                    a, b = a * fa, b * fa
-                d, h, s = d * fd, h + fh, s + fs
+                    a, b = a * v1, b * v1
+                d, h, s = d * v3, h + v4, s + v5
             elif tag == "x":
-                bos[f[1]] += f[2]
+                bos[v1] += v2
+            elif tag == "q":
+                if v2 and mask >> v1 & 1:
+                    live = False
+                elif v2:
+                    # the Koszul sign of sorting q into the mask: one
+                    # swap past each later q already in it
+                    if (mask >> v1).bit_count() & 1:
+                        a, b = -a, -b
+                    mask |= 1 << v1
             else:
-                if tag == "q":
-                    fmask = f[1]
+                ((fbos, fmask), c), = v1.items()
+                if any(fbos):
+                    bos = [x + y for x, y in zip(bos, fbos)]
+                if len(c.terms) == 1:
+                    ((fh, fs), q), = c.terms.items()
+                    a, b = a * q.a - b * q.b, a * q.b + b * q.a
+                    d, h, s = d * q.d, h + fh, s + fs
                 else:
-                    ((fbos, fmask), c), = f[1].items()
-                    if any(fbos):
-                        bos = [x + y for x, y in zip(bos, fbos)]
-                    if len(c.terms) == 1:
-                        ((fh, fs), q), = c.terms.items()
-                        a, b = a * q.a - b * q.b, a * q.b + b * q.a
-                        d, h, s = d * q.d, h + fh, s + fs
-                    else:
-                        scalar = c if scalar is None else scalar * c
+                    scalar = c if scalar is None else scalar * c
                 # the Koszul sign of sorting the factor's q into the mask
                 merged = merge_masks(mask, fmask)
                 if merged is None:
@@ -353,110 +585,85 @@ class _Reader:
             first = False
 
             # '*' or the start of a juxtaposed factor continues the product
-            sep = self.k
-            t = lex[sep]
-            op = t[OP]
-            if op == "*":
-                self.k += 1
-            elif op != "(" and not (t[C_RE] or t[NUM] or t[CONST]
-                                    or t[SYM]):
-                break
-            f = self.factor()
-        if poly is None:
-            poly_terms = _monomial(live, a, b, d, h, s, scalar, bos, mask)
-        else:
-            poly_terms = poly.terms
-        for key, c in poly_terms.items():
-            add_into(terms, key, c)
+            sep = k
+            text = lex[k]
+            if text == "*":
+                k += 1
+            elif text != "(":
+                i = texts.get(text)
+                if (_decode(text, k)[0] if i is None
+                        else fields[i]) not in _LEAVES:
+                    break
+        self.k = k
+        if poly is not None:
+            for key, c in poly.terms.items():
+                add_into(terms, key, c)
+        elif live:
+            c = _scalar(a, b, d, h, s)
+            add_into(terms, (tuple(bos), mask),
+                     c if scalar is None else scalar * c)
         return gaussian
 
-    def factor_terms(self, f):
-        """The term map of one factor."""
-        tag = f[0]
-        if tag == "terms":
-            return f[1]
-        u = self.universe
-        zero = (0,) * u.m
+    def group(self):
+        """The parenthesised sum at lexeme self.k, to its power if one
+        follows, as ("terms", term map, Gaussian flag)."""
+        lex = self.lex
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ValueError(f"parentheses nest deeper than "
+                             f"MAX_NESTING = {MAX_NESTING}")
+        self.k += 1
+        terms, gaussian = self.expr()
+        if lex[self.k] != ")":
+            raise _Refusal("expected ')'", self.k)
+        self.k += 1
+        self.depth -= 1
+        at = self.k
+        text = lex[at]
+        if text[:1] != "^":
+            return "terms", terms, gaussian
+        if text == "^":
+            _refuse_power(lex, at)
+        texts, fields = LEXEMES.pair
+        i = texts.get(text)
+        en, ed = _decode(text, at)[7:9] if i is None \
+            else fields[i + 7:i + 9]
+        self.k += 1
+        exponent = en if ed == 1 else Fraction(en, ed)
+        _check_exponent(exponent)
+        if gaussian:
+            raise _Refusal("Gaussian marker cannot be raised to a power",
+                           at)
+        return "terms", self.power_terms(terms, exponent, (at, None)), False
+
+    def leaf_terms(self, tag, v1, v2, v3, v4, v5):
+        """The term map of an "x", "q" or scalar entry's fields."""
+        m = self.universe.m
         if tag == "x":
-            bos = [0] * u.m
-            bos[f[1]] = f[2]
+            bos = [0] * m
+            bos[v1] = v2
             return {(tuple(bos), 0): _UNIT}
+        zero = (0,) * m
         if tag == "q":
-            return {(zero, f[1]): _UNIT}
-        c = _scalar(*f[1:])
+            return {(zero, 1 << v1 if v2 else 0): _UNIT}
+        c = _scalar(v1, v2, v3, v4, v5)
         return {(zero, 0): c} if c else {}
 
-    def factor(self):
-        f = self.atom()
-        at = self.k
-        t = self.lex[at]
-        if t[E_INT]:
-            e = -int(t[E_INT]) if t[E_SIGN] else int(t[E_INT])
-            self.k += 1
-        elif t[OP] == "^":
-            self.k += 1
-            e = self.exponent()
-        else:
-            return f
-        _check_exponent(e)
-        return self.power(f, e, at)
-
-    def exponent(self):
-        """The exponent after a '^' lexeme: (p/q) arrives as a coefficient
-        lexeme.  A digit run right after '^' or '^-' would have made one
-        lexeme ^e, and a whole (p/q) a coefficient, so the rest is read
-        lexeme by lexeme only to be refused."""
-        lex = self.lex
-        at = self.k
-        t = lex[at]
-        self.k += 1
-        if t[C_RE]:
-            # '(' [-] p [/q], then ')' or the sign of an imaginary part
-            e = _ratio(t[C_SIGN], t[C_RE], t[C_RED], at, C_RED)
-            if t[C_ISIGN]:
-                raise _Refusal("expected ')'", at, C_ISIGN)
-            return e
-        if t[OP] == "-":
-            raise _Refusal("expected integer exponent", self.k)
-        if t[OP] != "(":
-            raise _Refusal("expected exponent", at)
-        at = self.k
-        t = lex[at]
-        self.k += 1
-        sign = t[OP] == "-"
-        if sign:
-            at = self.k
-            t = lex[at]
-            self.k += 1
-        if not t[NUM]:
-            raise _Refusal("expected rational exponent", at)
-        if not t[DEN] and lex[self.k][OP] == "/":
-            raise _Refusal("expected exponent denominator", self.k + 1)
-        e = _ratio(sign, t[NUM], t[DEN], at, DEN)
-        self.expect_close()
-        return e
-
-    def power(self, f, exponent, at):
-        tag = f[0]
-        if tag == "G" or (tag == "terms" and f[2]):
-            raise _Refusal("Gaussian marker cannot be raised to a power", at)
+    def leaf_power(self, tag, leaf, exponent, at):
+        """The term map of a leaf to a raw power: refused unless the
+        leaf is a scalar other than 1, pi, sqrtpi or sqrt2, whose
+        integer powers are folded into its entry."""
+        if tag == "G":
+            raise _Refusal("Gaussian marker cannot be raised to a power",
+                           *at)
         if tag == "q":
-            return f if _fermionic_exponent(exponent, at) else _ONE
-        if tag == "x" and exponent.denominator == 1 and exponent >= 0:
-            k = int(exponent)
-            self.spend(k)
-            return ("x", f[1], k) if k else _ONE
-        if tag == "scalar" and f[1:4] == (1, 0, 1):
-            # pi^(h/2) * sqrt2^s; pi admits half-integer exponents
-            h, s = f[4], f[5]
-            if exponent.denominator == 1:
-                k = int(exponent)
-                return ("scalar", 1, 0, 1, h * k, s * k)
-            if exponent.denominator == 2 and (h, s) == (2, 0):
-                return ("scalar", 1, 0, 1, exponent.numerator, 0)
-            raise _Refusal("unsupported fractional power", at)
-        return ("terms", self.power_terms(self.factor_terms(f), exponent,
-                                          at), False)
+            raise _Refusal("fermionic square" if exponent >= 2
+                           else "invalid fermionic power", *at)
+        if tag == "x":
+            raise _Refusal("exponent must be a nonnegative integer", *at)
+        if leaf[:3] == (1, 0, 1):
+            raise _Refusal("unsupported fractional power", *at)
+        return self.power_terms(self.leaf_terms(tag, *leaf), exponent, at)
 
     def power_terms(self, terms, exponent, at):
         """The term map of terms ** exponent."""
@@ -473,9 +680,9 @@ class _Reader:
                 if exponent.denominator == 2 and c == _PI:
                     return {(zero, 0): ExactScalar.pi_half_power(
                         exponent.numerator)}
-                raise _Refusal("unsupported fractional power", at)
+                raise _Refusal("unsupported fractional power", *at)
         if exponent.denominator != 1 or exponent < 0:
-            raise _Refusal("exponent must be a nonnegative integer", at)
+            raise _Refusal("exponent must be a nonnegative integer", *at)
         # P^i * P for i < k makes t*|P^i| <= t*C(i+t-1, t-1) pairs
         t, k = len(terms), int(exponent)
         if t:
@@ -485,7 +692,7 @@ class _Reader:
         if t == 1:
             ((bos, mask), c), = terms.items()
             if mask and k >= 2:
-                raise _Refusal("fermionic square", at)
+                raise _Refusal("fermionic square", *at)
             if len(c.terms) > 1:
                 self.spend(_power_pairs(c, k))
             return {(tuple(e * k for e in bos), mask): c ** k}
@@ -494,7 +701,7 @@ class _Reader:
         for _ in range(k - 1):
             out = sp_mul(out, base)
         if not out and k >= 2 and any(mask for (_, mask) in terms):
-            raise _Refusal("fermionic square", at)
+            raise _Refusal("fermionic square", *at)
         return out.terms
 
     def scalar_power(self, c, k):
@@ -518,67 +725,6 @@ class _Reader:
             self.spend(_power_pairs(c, k))
         return c ** k
 
-    def atom(self):
-        at = self.k
-        t = self.lex[at]
-        self.k += 1
-        if t[C_RE]:
-            return self.coefficient(t, at)
-        if t[NUM]:
-            if t[DEN]:
-                d = int(t[DEN])
-                if not d:
-                    raise _Refusal("denominator must be non-zero", at, DEN)
-                return ("scalar", int(t[NUM]), 0, d, 0, 0)
-            if self.lex[self.k][OP] == "/":
-                # a digit run after the '/' would have made one lexeme p/q
-                raise _Refusal("expected denominator", self.k + 1)
-            return ("scalar", int(t[NUM]), 0, 1, 0, 0)
-        if t[CONST]:
-            return _CONSTANTS[t[CONST]]
-        if t[SYM]:
-            u = self.universe
-            idx = int(t[INDEX]) - 1
-            if t[SYM] == "x":
-                if 0 <= idx < u.m:
-                    return ("x", idx, 1)
-            elif 0 <= idx < len(u.fermionic):
-                return ("q", 1 << idx)
-            raise _Refusal(f"unknown symbol {t[SYM]}{t[INDEX]}", at)
-        if t[OP] == "(":
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise ValueError(f"parentheses nest deeper than "
-                                 f"MAX_NESTING = {MAX_NESTING}")
-            terms, gaussian = self.expr()
-            self.expect_close()
-            self.depth -= 1
-            return ("terms", terms, gaussian)
-        raise _Refusal("expected a value", at)
-
-    def coefficient(self, t, at):
-        """The scalar factor of a lexeme (p/q), (p/q+r/s*i) or (p/q-r/s*i),
-        refused and charged as its tokens would be: r/s*i multiplies two
-        factors, so a non-zero r spends one term pair."""
-        re_d = im_d = 1
-        if t[C_RED]:
-            re_d = int(t[C_RED])
-            if not re_d:
-                raise _Refusal("denominator must be non-zero", at, C_RED)
-        re_n = -int(t[C_RE]) if t[C_SIGN] else int(t[C_RE])
-        if not t[C_ISIGN]:
-            return ("scalar", re_n, 0, re_d, 0, 0)
-        if t[C_IMD]:
-            im_d = int(t[C_IMD])
-            if not im_d:
-                raise _Refusal("denominator must be non-zero", at, C_IMD)
-        im_n = int(t[C_IM]) if t[C_IM] else 1
-        if t[C_IM] and im_n:
-            self.spend(1)
-        if t[C_ISIGN] == "-":
-            im_n = -im_n
-        return ("scalar", re_n * im_d, im_n * re_d, re_d * im_d, 0, 0)
-
 
 def parse(src, universe):
     """Parse to a SuperPolynomial or (with the G marker) GaussianFunction.
@@ -588,7 +734,7 @@ def parse(src, universe):
     if _LONG_RUN.search(src):
         _scan_error(src)
     lexemes = _LEXEME.findall(src)
-    lexemes.append(_END)
+    lexemes.append("")
     try:
         terms, gaussian = _Reader(lexemes, universe).read()
     except _Refusal as exc:

@@ -34,11 +34,13 @@ MAX_PAIRS = 1000
 class VariableUniverse:
     """Ordered symbol lists; fermionic count must be even.
 
-    Immutable by convention, so the hash of the two name tuples is
-    computed once, at construction: every memo keyed on a universe
-    (bases, order checks, the monomial codec) reads it per lookup."""
+    Immutable by convention, so the sizes m, pairs and superdim and the
+    hash of the two name tuples are computed once, at construction: the
+    parser reads the sizes per term, and every memo keyed on a universe
+    (bases, order checks, the monomial codec) reads the hash per
+    lookup."""
 
-    __slots__ = ("bosonic", "fermionic", "_hash")
+    __slots__ = ("bosonic", "fermionic", "m", "pairs", "superdim", "_hash")
 
     def __init__(self, bosonic, fermionic):
         bosonic = tuple(bosonic)
@@ -50,6 +52,9 @@ class VariableUniverse:
             raise ValueError("universe symbol names must be unique")
         self.bosonic = bosonic
         self.fermionic = fermionic
+        self.m = len(bosonic)
+        self.pairs = len(fermionic) // 2
+        self.superdim = self.m - len(fermionic)     # M = m - 2n
         self._hash = hash((bosonic, fermionic))
 
     @staticmethod
@@ -58,19 +63,6 @@ class VariableUniverse:
             raise ValueError("universe sizes m and n must be non-negative")
         return VariableUniverse([f"x{i + 1}" for i in range(m)],
                                 [f"q{j + 1}" for j in range(2 * n)])
-
-    @property
-    def m(self):
-        return len(self.bosonic)
-
-    @property
-    def pairs(self):
-        return len(self.fermionic) // 2
-
-    @property
-    def superdim(self):
-        """The super-dimension M = m - 2n."""
-        return self.m - len(self.fermionic)
 
     def __eq__(self, other):
         return (isinstance(other, VariableUniverse)

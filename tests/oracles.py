@@ -85,9 +85,9 @@ from fractions import Fraction
 from supertransform import expr
 from supertransform._linalg import SparseRREF, nullspace
 from supertransform.cliffweyl import CValued, CWElement, _mul_keys
-from supertransform.expr import (_CONSTANTS, _ONE, _PI, _UNIT, ParseError,
-                                 _check_exponent, _literal_int, _monomial,
-                                 _power_pairs, _scalar)
+from supertransform.expr import (_PI, _UNIT, ParseError, _check_exponent,
+                                 _literal_int, _monomial, _power_pairs,
+                                 _scalar)
 from supertransform.fourier import _require_exact, gaussian_moment
 from supertransform.harmonics import harmonic_basis
 from supertransform.hermite import psi_span
@@ -375,10 +375,20 @@ def phi_via_derivatives(j, m_k):
     return g
 
 # One pattern matches every token, whitespace and, last, any other
-# character, so the matches tile the text.
+# character, so the matches tile the text.  A factor is a tuple tagged
+# by its first entry:
+#   ("scalar", a, b, d, h, s)  (a + b*i)/d * pi^(h/2) * sqrt2^s
+#   ("x", index, exponent)     a power of one bosonic variable
+#   ("q", bit)                 one fermionic variable, as its mask bit
+#   ("G",)                     the Gaussian marker
+#   ("terms", terms, gaussian) a term map: a parenthesised value or a power
 _TOKEN = re.compile(r"\d+|sqrtpi|sqrt2|pi|i|G|[xq]\d+|[-+*/^()]|\s+|.",
                     re.DOTALL)
 
+_ONE = ("scalar", 1, 0, 1, 0, 0)
+_CONSTANTS = {"i": ("scalar", 0, 1, 1, 0, 0), "pi": ("scalar", 1, 0, 1, 2, 0),
+              "sqrtpi": ("scalar", 1, 0, 1, 1, 0),
+              "sqrt2": ("scalar", 1, 0, 1, 0, 1), "G": ("G",)}
 _KINDS = {**{op: op for op in "-+*/^()"}, **dict.fromkeys(_CONSTANTS, "const")}
 _FACTOR_START = frozenset(("num", "const", "x", "q", "("))
 

@@ -1,11 +1,13 @@
 import pytest
 
+from supertransform import _linalg, cliffweyl
 from supertransform.cliffweyl import (CValued, CWElement, _cw_keys, _lift,
                                       _mul_keys, cw_mul, dirac_apply,
                                       monogenic_basis, vector_mul)
 from supertransform.operators import euler, laplace
 from supertransform.scalars import ExactScalar
-from supertransform.superalg import SuperPolynomial, VariableUniverse
+from supertransform.superalg import (SuperPolynomial, VariableUniverse,
+                                     homogeneous_monomials)
 from tests.conftest import random_poly
 from tests.oracles import bounded_exps, mul_keys_by_combos
 
@@ -188,6 +190,49 @@ def test_monogenic_basis_small():
             for b in basis:
                 assert not dirac_apply(b)
                 assert b.is_homogeneous() and b.degree() == k
+
+
+def test_monogenic_basis_refuses_a_negative_degree():
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        monogenic_basis(-1, VariableUniverse.standard(1, 1))
+
+
+def _no_row_reduction(*args):
+    raise AssertionError("the row reduction ran")
+
+
+def test_monogenic_basis_column_budget_boundary(monkeypatch):
+    # (3,1) at k = 3 spans exactly MAX_MONOGENIC_COLUMNS = 2000 columns
+    # and is built; the next shapes up are refused before any row
+    # reduction (k = 4 took 2.2 s, (3,2) at k = 3 16.5 s unrefused)
+    assert cliffweyl.MAX_MONOGENIC_COLUMNS == 2000
+    basis = monogenic_basis(3, VariableUniverse.standard(3, 1))
+    assert basis and all(not dirac_apply(b) for b in basis)
+    monkeypatch.setattr(_linalg, "nullspace", _no_row_reduction)
+    for (m, n, k), count in [((1, 2, 4), 2240), ((3, 1, 4), 4920),
+                             ((3, 2, 3), 15680)]:
+        with pytest.raises(ValueError, match=(
+                f"degree k = {k} spans {count} columns, over "
+                f"MAX_MONOGENIC_COLUMNS = 2000")):
+            monogenic_basis(k, VariableUniverse.standard(m, n))
+
+
+def test_monogenic_basis_counts_its_columns(monkeypatch):
+    # the refusal's count is the listed monomials times the unit words,
+    # read from binomials, and a budget of exactly that count builds
+    monkeypatch.setattr(cliffweyl, "MAX_MONOGENIC_COLUMNS", 0)
+    for m, n, k in [(0, 1, 1), (1, 1, 2), (2, 1, 3), (1, 2, 2), (3, 0, 2),
+                    (0, 2, 3)]:
+        u = VariableUniverse.standard(m, n)
+        count = len(homogeneous_monomials(u, k)) * len(_cw_keys(m, n, k))
+        with pytest.raises(ValueError, match=f"spans {count} columns"):
+            monogenic_basis(k, u)
+    u = VariableUniverse.standard(2, 1)
+    monkeypatch.setattr(cliffweyl, "MAX_MONOGENIC_COLUMNS", 192)
+    assert monogenic_basis(2, u)
+    monkeypatch.setattr(cliffweyl, "MAX_MONOGENIC_COLUMNS", 191)
+    with pytest.raises(ValueError, match="spans 192 columns"):
+        monogenic_basis(2, u)
 
 
 def test_shape_mismatch():

@@ -1,6 +1,9 @@
 """Property tests over random universes, orders and inputs (hypothesis)."""
 
+import gc
 import math
+import sys
+import threading
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -9,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supertransform import expr as exprmod
-from supertransform.expr import ParseError, _power_pairs, parse, \
-    render_poly_text
+from supertransform.expr import LEXEMES, MAX_LEXEMES, ParseError, \
+    _power_pairs, parse, render_poly_text
 
 from supertransform.fourier import _gaussian_pairing, berezin, \
     bosonic_fourier, convolution_fermionic, fermionic_delta, \
@@ -590,7 +593,8 @@ def test_scalar_power_charge_bounds_the_pairs_multiplied(c, k):
 # return equal values or raise the same exception type with the same
 # message (a parse error's message carries its position), also under a
 # budget of 3 term pairs, where the order of the charges decides whether
-# a budget or a parse error comes first.
+# a budget or a parse error comes first.  Each text is read twice, with
+# the lexeme table cleared and then warm from that read.
 
 _UNIVERSES = [(0, 1), (0, 2), (1, 1), (2, 1), (2, 2), (3, 1)]
 # a zero denominator in about one coefficient text of fifty
@@ -674,15 +678,21 @@ def _outcome(read, text, u):
         return type(exc), str(exc)
 
 
+def _agree(text, u):
+    """parse, cold and then warm, against the token parser."""
+    want = _outcome(parse_by_tokens, text, u)
+    LEXEMES.clear()
+    assert _outcome(parse, text, u) == want, text
+    assert _outcome(parse, text, u) == want, text
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_cases())
 def test_lexeme_reader_matches_the_token_parser(case):
     u, text = case
-    assert _outcome(parse, text, u) == _outcome(parse_by_tokens, text, u), \
-        text
+    _agree(text, u)
     with patch.object(exprmod, "MAX_TERM_PAIRS", 3):
-        assert _outcome(parse, text, u) == \
-            _outcome(parse_by_tokens, text, u), text
+        _agree(text, u)
 
 
 def test_lexeme_reader_matches_the_token_parser_on_every_pair():
@@ -691,11 +701,127 @@ def test_lexeme_reader_matches_the_token_parser_on_every_pair():
     for value in _VALUES:
         for tail in _TAILS:
             text = value + tail + value
-            assert _outcome(parse, text, u) == \
-                _outcome(parse_by_tokens, text, u), text
+            _agree(text, u)
             with patch.object(exprmod, "MAX_TERM_PAIRS", 3):
-                assert _outcome(parse, text, u) == \
-                    _outcome(parse_by_tokens, text, u), text
+                _agree(text, u)
+
+
+def test_a_refused_lexeme_is_refused_again_on_a_warm_table():
+    # a refusal is never stored: every read of the text refuses it alike,
+    # and a lexeme refused by its own digits never enters the table
+    u = VariableUniverse.standard(2, 1)
+    LEXEMES.clear()
+    for text, lexeme in [("x1*(1/2 + 3/0*i)", "(1/2 + 3/0*i)"),
+                         ("x1*7/0", "7/0"), ("q1^2", "q1^2"),
+                         ("G^2", "G^2"), ("x1^(1/2)", "x1^(1/2)"),
+                         ("sqrt2^(1/2)", "sqrt2^(1/2)"), ("x1*x9", "x9"),
+                         ("2/x1", "2"), ("x1^(1/0)", "x1")]:
+        first = _outcome(parse, text, u)
+        assert first[0] is ParseError, text
+        assert _outcome(parse, text, u) == first, text
+        assert first == _outcome(parse_by_tokens, text, u), text
+        assert ("/0" not in lexeme) == (lexeme in LEXEMES.pair[0]), text
+
+
+def test_symbol_indices_are_checked_against_each_universe():
+    LEXEMES.clear()
+    for text, pos in [("2*x3^2", 2), ("x1*q3", 3)]:
+        wide = VariableUniverse.standard(3, 2)
+        assert parse(text, wide) == parse_by_tokens(text, wide)
+        narrow = VariableUniverse.standard(2, 1)
+        name = text[pos:pos + 2]
+        with pytest.raises(ParseError, match=rf"^unknown symbol {name} "
+                           rf"\(at position {pos}\)$"):
+            parse(text, narrow)
+
+
+def test_a_stored_power_still_meets_a_lowered_exponent_budget():
+    u = VariableUniverse.standard(1, 1)
+    LEXEMES.clear()
+    assert render_poly_text(parse("x1^5*pi^(9/2)", u)) == "pi^(9/2)*x1^5"
+    assert "x1^5" in LEXEMES.pair[0] and "pi^(9/2)" in LEXEMES.pair[0]
+    with patch.object(exprmod, "MAX_EXPONENT", 4):
+        with pytest.raises(ValueError, match="^exponent 5 exceeds "
+                           "MAX_EXPONENT = 4$"):
+            parse("x1^5", u)
+        with pytest.raises(ValueError, match="^exponent 9/2 exceeds "
+                           "MAX_EXPONENT = 4$"):
+            parse("pi^(9/2)", u)
+    assert render_poly_text(parse("x1^5", u)) == "x1^5"
+
+
+def test_lexeme_table_stays_within_its_bound():
+    # more distinct lexemes than the table keeps: it starts afresh when
+    # full, and every read stays right
+    u = VariableUniverse.standard(1, 1)
+    LEXEMES.clear()
+    sizes = []
+    for j in range(MAX_LEXEMES + 50):
+        text = f"{j}*x1^{j % 5}*q1 + ({j}/7 - 2/3*i)"
+        assert parse(text, u) == parse_by_tokens(text, u), text
+        sizes.append(len(LEXEMES))
+    assert max(sizes) <= MAX_LEXEMES
+    assert any(after < before for before, after in zip(sizes, sizes[1:]))
+
+
+def test_lexeme_table_entries_are_not_tracked_by_the_collector():
+    # an entry is twelve ints and strings in one flat list, not an object
+    # of its own, so filling the table brings no collection forward: 300
+    # new lexemes would add 300 to the collector's count of new objects
+    # as tuples; what moves it here is CPython's tuple free lists
+    u = VariableUniverse.standard(2, 1)
+    LEXEMES.clear()
+    texts = [f"({j}/7 - {j + 1}/3*i)*sqrt2*pi^({j % 5 - 2}/2)*x1^{j % 9}*q1*G"
+             for j in range(300)]
+    parse(texts[0], u)
+    gc.collect()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        for text in texts:
+            parse(text, u)
+        grown = gc.get_count()[0] - before
+    finally:
+        gc.enable()
+    assert len(LEXEMES) > 300 and grown < 60
+    gc.collect()
+    stored, fields = LEXEMES.pair
+    assert not any(gc.is_tracked(field) for field in fields)
+    assert not any(gc.is_tracked(offset) for offset in stored.values())
+
+
+def test_lexeme_table_reads_right_while_other_threads_fill_it():
+    # four threads read texts with many new lexemes through a table of 16
+    # entries, so another thread adds to it or replaces it between most
+    # reads; every value must be the token parser's
+    u = VariableUniverse.standard(2, 1)
+    texts = [f"({j}/7 - {j % 5 + 1}/3*i)*x{j % 2 + 1}^{j % 7}*q{j % 2 + 1}"
+             f"*pi^({j % 3 - 1}/2) + {j}*x2" for j in range(120)]
+    want = [parse_by_tokens(t, u) for t in texts]
+    wrong, done = [], []
+
+    def read(start):
+        for j in range(start, start + len(texts)):
+            j %= len(texts)
+            if parse(texts[j], u) != want[j]:
+                wrong.append(texts[j])
+        done.append(start)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with patch.object(exprmod, "MAX_LEXEMES", 16):
+            LEXEMES.clear()
+            threads = [threading.Thread(target=read, args=(30 * i,))
+                       for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(done) == 4 and not wrong, wrong[:3]
 
 
 @st.composite
