@@ -107,6 +107,24 @@ def _power_pairs(c, k):
     return pairs
 
 
+def _check_power_digits(coeffs, k):
+    """Refuse the k-th power (k >= 0) of a sum with these coefficients
+    before the arithmetic when a numerator or denominator of a
+    coefficient of the result could pass MAX_POWER_DIGITS digits.  Over
+    a common denominator den, (sum of |numerators|, sqrt2 counted
+    twice)^k bounds every numerator of the multinomial expansion, and
+    den^k every denominator.  A complex rational (a + b*i)/d in lowest
+    terms has parts whose denominators have lcm d, so den is the lcm of
+    the d fields."""
+    qs = [(eps, q) for c in coeffs for (_, eps), q in c.terms.items()]
+    den = math.lcm(*(q.d for _, q in qs))
+    num = sum((abs(q.a) + abs(q.b)) * (den // q.d) * (1 + eps)
+              for eps, q in qs)
+    if k * math.log10(max(num, den)) > MAX_POWER_DIGITS:
+        raise ValueError(f"scalar power would exceed MAX_POWER_DIGITS = "
+                         f"{MAX_POWER_DIGITS} digits")
+
+
 class ParseError(Exception):
     """Syntax or semantic rejection, carrying the source position."""
 
@@ -693,9 +711,9 @@ class _Reader:
             ((bos, mask), c), = terms.items()
             if mask and k >= 2:
                 raise _Refusal("fermionic square", *at)
-            if len(c.terms) > 1:
-                self.spend(_power_pairs(c, k))
-            return {(tuple(e * k for e in bos), mask): c ** k}
+            return {(tuple(e * k for e in bos), mask):
+                    self.scalar_power(c, k)}
+        _check_power_digits(terms.values(), k)
         base = SuperPolynomial(u, terms)
         out = base
         for _ in range(k - 1):
@@ -705,22 +723,12 @@ class _Reader:
         return out.terms
 
     def scalar_power(self, c, k):
-        """c ** k, refused before the arithmetic when a numerator or
-        denominator of the result could pass MAX_POWER_DIGITS digits, or
-        when a multi-term c would multiply more term pairs than
-        MAX_TERM_PAIRS allows.  Over a common denominator den, (sum of
-        |numerators|, sqrt2 counted twice)^k bounds every numerator of
-        c^k, and den^k every denominator.  A complex rational
-        (a + b*i)/d in lowest terms has parts whose denominators have lcm
-        d, so den is the lcm of the d fields."""
+        """c ** k, refused before the arithmetic by _check_power_digits,
+        or when a multi-term c would multiply more term pairs than
+        MAX_TERM_PAIRS allows."""
         if k < 0:
             c, k = c.inverse(), -k
-        den = math.lcm(*(q.d for q in c.terms.values()))
-        num = sum((abs(q.a) + abs(q.b)) * (den // q.d) * (1 + eps)
-                  for (_, eps), q in c.terms.items())
-        if k * math.log10(max(num, den)) > MAX_POWER_DIGITS:
-            raise ValueError(f"scalar power would exceed MAX_POWER_DIGITS = "
-                             f"{MAX_POWER_DIGITS} digits")
+        _check_power_digits((c,), k)
         if len(c.terms) > 1:
             self.spend(_power_pairs(c, k))
         return c ** k

@@ -271,11 +271,10 @@ def gaussian_moment(p, width):
 
 
 def _rational_part(s):
-    """(numerator, denominator) of the rational q of a scalar q * r with
-    one radical r, (0, 1) for zero."""
-    for q in s.terms.values():
-        return q.a, q.d
-    return 0, 1
+    """(numerator, denominator) of the rational q of a nonzero scalar
+    q * r with one radical r."""
+    (q,) = s.terms.values()
+    return q.a, q.d
 
 
 def _integer_terms(poly, im_sign):

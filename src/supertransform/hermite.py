@@ -173,8 +173,10 @@ def psi_span(universe, cap):
     """Indexed psi family for 2j+k <= cap: tuple of (j, k, l, function).
 
     Memoized per universe and cap (`psi_span.cache_info()` gives size,
-    hits and misses): transforms expand against it repeatedly, and every
-    caller shares the one immutable tuple.
+    hits and misses), and every caller shares the one immutable tuple.
+    No transform expands against it: the Fourier transform of every
+    order is one Mehler pass, and the psi expansion of a function is a
+    test oracle.
     """
     out = []
     for k in range(cap + 1):

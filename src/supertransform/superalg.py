@@ -296,10 +296,6 @@ class SuperPolynomial(TermMap):
             return -1
         return max(sum(b) + m.bit_count() for (b, m) in self.terms)
 
-    def is_homogeneous(self):
-        degs = {sum(b) + m.bit_count() for (b, m) in self.terms}
-        return len(degs) <= 1
-
     def constant_term(self):
         key = ((0,) * self.universe.m, 0)
         return self.terms.get(key, ExactScalar.zero())

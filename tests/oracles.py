@@ -76,6 +76,10 @@ only the pairs that meet and varies their counts by `itertools.product`.
 build a monomial's text, LaTeX (a symbol's trailing digits as a
 subscript, by regular expression) and sort key afresh on every call;
 the package reads all three from a universe's memoized monomial codec.
+`solve_radial_poisson` solves Delta g = rhs for any finite sum of
+r^alpha log^s r by peeling the leading term off the residual, one radial
+Laplacian per term; the package steps the fundamental solution's chain,
+one power r^alpha (A log r + B) per order, by two divisions.
 """
 
 import math
@@ -89,6 +93,7 @@ from supertransform.expr import (_PI, _UNIT, ParseError, _check_exponent,
                                  _literal_int, _monomial, _power_pairs,
                                  _scalar)
 from supertransform.fourier import _require_exact, gaussian_moment
+from supertransform.fundsol import RadialFunction, radial_laplace
 from supertransform.harmonics import harmonic_basis
 from supertransform.hermite import psi_span
 from supertransform.operators import (bosonic_derivative,
@@ -679,9 +684,9 @@ class TokenParser:
             ((bos, mask), c), = terms.items()
             if mask and k >= 2:
                 raise ParseError("fermionic square", pos)
-            if len(c.terms) > 1:
-                self.spend(_power_pairs(c, k))
-            return {(tuple(e * k for e in bos), mask): c ** k}
+            return {(tuple(e * k for e in bos), mask):
+                    self.scalar_power(c, k)}
+        self.power_digits(terms.values(), k)
         base = SuperPolynomial(u, terms)
         out = base
         for _ in range(k - 1):
@@ -691,25 +696,33 @@ class TokenParser:
         return out.terms
 
     def scalar_power(self, c, k):
-        """c ** k, refused before the arithmetic when a numerator or
-        denominator of the result could pass MAX_POWER_DIGITS digits, or
+        """c ** k, refused before the arithmetic by `power_digits`, or
         when a multi-term c would multiply more term pairs than
-        MAX_TERM_PAIRS allows.  Over a common denominator den, (sum of
-        |numerators|, sqrt2 counted twice)^k bounds every numerator of
-        c^k, and den^k every denominator.  A complex rational
-        (a + b*i)/d in lowest terms has parts whose denominators have lcm
-        d, so den is the lcm of the d fields."""
+        MAX_TERM_PAIRS allows."""
         if k < 0:
             c, k = c.inverse(), -k
-        den = math.lcm(*(q.d for q in c.terms.values()))
-        num = sum((abs(q.a) + abs(q.b)) * (den // q.d) * (1 + eps)
-                  for (_, eps), q in c.terms.items())
-        if k * math.log10(max(num, den)) > expr.MAX_POWER_DIGITS:
-            raise ValueError(f"scalar power would exceed MAX_POWER_DIGITS = "
-                             f"{expr.MAX_POWER_DIGITS} digits")
+        self.power_digits((c,), k)
         if len(c.terms) > 1:
             self.spend(_power_pairs(c, k))
         return c ** k
+
+    @staticmethod
+    def power_digits(coeffs, k):
+        """Refuse the k-th power of a sum with these coefficients when a
+        numerator or denominator of a coefficient of the result could
+        pass MAX_POWER_DIGITS digits.  Over a common denominator den,
+        (sum of |numerators|, sqrt2 counted twice)^k bounds every
+        numerator of the multinomial expansion, and den^k every
+        denominator.  A complex rational (a + b*i)/d in lowest terms has
+        parts whose denominators have lcm d, so den is the lcm of the d
+        fields."""
+        qs = [(eps, q) for c in coeffs for (_, eps), q in c.terms.items()]
+        den = math.lcm(*(q.d for _, q in qs))
+        num = sum((abs(q.a) + abs(q.b)) * (den // q.d) * (1 + eps)
+                  for eps, q in qs)
+        if k * math.log10(max(num, den)) > expr.MAX_POWER_DIGITS:
+            raise ValueError(f"scalar power would exceed MAX_POWER_DIGITS = "
+                             f"{expr.MAX_POWER_DIGITS} digits")
 
     def atom(self):
         kind, val, pos = self.next()
@@ -1256,3 +1269,36 @@ def monomial_order_route(key):
     symbol order, then the mask."""
     bos, mask = key
     return (-(sum(bos) + mask.bit_count()), tuple(-e for e in bos), mask)
+
+
+def solve_radial_poisson(rhs, m):
+    """Particular solution of Delta g = rhs in the radial class.
+
+    Log powers are introduced exactly at the resonances of a(a+m-2);
+    homogeneous solutions are not added (minimal-growth choice).
+    """
+    sol = RadialFunction()
+    remaining = rhs
+    guard = 0
+    while remaining:
+        guard += 1
+        if guard > 10000:
+            raise RuntimeError("radial solve failed to terminate")
+        (alpha, s), c = max(remaining.terms.items(),
+                            key=lambda kv: (kv[0][1], kv[0][0]))
+        a_new = alpha + 2
+        lead0 = a_new * (a_new + m - 2)
+        if lead0:
+            term = RadialFunction.monomial(
+                a_new, s, c * ExactScalar.rational(Fraction(1, lead0)))
+        elif 2 * a_new + m - 2:
+            lead1 = (s + 1) * (2 * a_new + m - 2)
+            term = RadialFunction.monomial(
+                a_new, s + 1, c * ExactScalar.rational(Fraction(1, lead1)))
+        else:
+            lead2 = (s + 2) * (s + 1)
+            term = RadialFunction.monomial(
+                a_new, s + 2, c * ExactScalar.rational(Fraction(1, lead2)))
+        sol = sol + term
+        remaining = remaining - radial_laplace(term, m)
+    return sol

@@ -156,6 +156,16 @@ def test_cli_latex_parenthesizes_a_coefficient_of_two_ring_terms(capsys):
         0, r"(1+-\sqrt{2}) x_{1}", "")
 
 
+def test_cli_latex_prints_float_coefficients_as_python_complex(capsys):
+    # a non-integral order leaves the exact lane, and LaTeX prints each
+    # complex coefficient as Python does
+    assert _run_cli(capsys, "--m", "1", "--n", "1", "--format", "latex",
+                    "fracfourier", "--a", "1/3", "x1*G + q1q2*G") == (
+        0, "(0.5000000000000001+0.8660254037844386j) q_{1}q_{2} e^{x^2/2}"
+        " + (0.8660254037844387+0.49999999999999994j) x_{1} e^{x^2/2}"
+        " + (0.4999999999999999-0.8660254037844386j)  e^{x^2/2}", "")
+
+
 def test_cli_fermionic_fourier_of_one(capsys):
     code, out, _ = _run_cli(capsys, "--m", "0", "--n", "1",
                             "fourier", "--sign", "+", "1")
@@ -819,6 +829,29 @@ def test_cli_input_budgets_refuse_fast(capsys, text, limit):
     assert time.perf_counter() - start < 1.0
     assert code == 1 and not out and limit in err
     assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("text", [
+    "((9^1000*x1)^1000)^1000", "(((2*x1)^1000)^1000)^1000",
+    "(9^1000*x1+1)^100",
+], ids=["monomial-nested", "monomial-tower", "sum"])
+def test_cli_powers_of_monomials_and_sums_refuse_fast(capsys, text):
+    # the coefficient of a monomial's or a sum's power is bounded before
+    # the arithmetic, as a number's is: unbounded, the first ran past
+    # 60 s and the others took 4-10 s before the render budget refused
+    start = time.perf_counter()
+    code, out, err = _run_cli(capsys, "--m", "1", "--n", "1", "normalize",
+                              text)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and not out and "MAX_POWER_DIGITS = 4300" in err
+
+
+@pytest.mark.parametrize("text, line", [
+    ("(2*x1)^3", "8*x1^3"), ("(x1+1)^3", "x1^3 + 3*x1^2 + 3*x1 + 1"),
+])
+def test_cli_small_powers_of_monomials_and_sums_print(capsys, text, line):
+    assert _run_cli(capsys, "--m", "1", "--n", "1", "normalize",
+                    text) == (0, line, "")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "latex"])

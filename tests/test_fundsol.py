@@ -7,12 +7,13 @@ from supertransform import fundsol
 from supertransform._terms import add_into
 from supertransform.fundsol import (RadialFunction, SuperRadial,
                                     fundsol_prefactor, nu_poly_laplace,
-                                    radial_laplace, solve_radial_poisson,
+                                    radial_laplace,
                                     super_fundamental_solution,
                                     verify_harmonic_away_from_origin)
 from supertransform.scalars import ExactScalar
 from supertransform.superalg import (SuperPolynomial, VariableUniverse,
                                      sp_mul, vector_square)
+from tests.oracles import solve_radial_poisson
 
 
 def test_radial_laplace_harmonic_base_cases():
@@ -93,6 +94,20 @@ def test_solve_radial_poisson_resonance_log():
     assert any(s == 2 for (_, s) in g.terms)
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_nu_chain_equals_the_residual_solver(m):
+    # the closed step against l - 1 residual solves from the same base:
+    # m = 1 and 2 start off resonance, odd m never meets one, and even
+    # m >= 4 passes the a = 0 resonance that brings in the log
+    oracle = nu_poly_laplace(1, m)
+    for l in range(1, 13):
+        if l > 1:
+            oracle = solve_radial_poisson(oracle, m)
+        assert nu_poly_laplace(l, m) == oracle, (m, l)
+    if m % 2 == 0 and m >= 4:
+        assert any(s for (_, s) in oracle.terms)
+
+
 def test_fundsol_prefactors():
     # pi^n 2^(2k) k!/(n-k)!
     assert fundsol_prefactor(0, 1) == ExactScalar.pi_half_power(2)
@@ -141,12 +156,13 @@ def test_super_fundamental_solution_equals_each_nu_scaled():
 
 def test_super_fundamental_solution_solves_once_per_order(monkeypatch):
     calls = []
+    step = fundsol._poisson_step
 
     def counted(rhs, m):
         calls.append(m)
-        return solve_radial_poisson(rhs, m)
+        return step(rhs, m)
 
-    monkeypatch.setattr(fundsol, "solve_radial_poisson", counted)
+    monkeypatch.setattr(fundsol, "_poisson_step", counted)
     for m, n in [(3, 0), (2, 5), (4, 30)]:
         calls.clear()
         super_fundamental_solution(m, n)

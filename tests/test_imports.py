@@ -117,3 +117,13 @@ def test_harmonic_bases_run_no_row_reduction():
                           capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == "False\n"
+
+
+def test_fundamental_solution_steps_its_chain_in_closed_form():
+    # each order is one closed Poisson step; the residual-loop solver is
+    # a test oracle, and the package never reaches into the tests
+    from supertransform import fundsol
+    assert not hasattr(fundsol, "solve_radial_poisson")
+    assert "solve_radial_poisson" not in (PACKAGE / "fundsol.py").read_text()
+    assert "tests" not in {dotted.split(".")[0]
+                           for dotted in imported_modules("fundsol")}

@@ -648,14 +648,15 @@ _VALUES = [
     "(1/2 + 3/2*i)", "(-1/2-i)", "(0/3)", "(2/3)", "(1/0 + 2/3*i)",
     "(1/2 + 3/0*i)", "(1/2 - 0*i)", "(5 - 3/2 i)", "(1/2", "sqrt2",
     "sqrtpi", "pi", "i", "x1", "x2", "q1", "q2", "q3", "G", "2", "7/3",
-    "0", "1/x1", "2/", "(x1+1)", "(q1+q2)", ")", "(", "$", "y", "x",
-    "7" * 1001, "x" + "1" * 1001, "q" + "2" * 1001,
+    "0", "1/x1", "2/", "(x1+1)", "(q1+q2)", "(q1)", ")", "(", "$", "y",
+    "x", "7" * 1001, "x" + "1" * 1001, "q" + "2" * 1001,
 ]
 _TAILS = [
     "", "", "", "*", " ", " + ", " - ", "^2", "^-1", "^(1/2)", "^(-3/2)",
     "^(1/0)", "^ ( -1 / 2 )", "^(1/x1)", "^(1 2)", "^(1/2 3)",
     "^(-1/2 + i)", "^(1/0 + i)", "^-(1/2)", "^((1/2))", "^(-x1)", "^",
-    "^-", "^x1", "/", "/3", "/(1/2)", ")", "(", "+", "$",
+    "^-", "^x1", "/", "/3", "/(1/2)", ")", "(", "+", "$", "^0", "^1",
+    "^(1/0+x1)", "^(2^3)",
 ]
 
 
