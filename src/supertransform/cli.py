@@ -23,8 +23,8 @@ from .operators import euler, laplace, scalar_square
 from .radon import radon
 from .fundsol import super_fundamental_solution, \
     verify_harmonic_away_from_origin
-from .superalg import (MAX_BOSONIC, MAX_PAIRS, GaussianFunction,
-                       SuperPolynomial, TEXT, VariableUniverse,
+from .superalg import (MAX_PAIRS, GaussianFunction, SuperPolynomial, TEXT,
+                       VariableUniverse, check_bosonic_count,
                        monomial_codec)
 
 
@@ -143,9 +143,7 @@ def run(args, source):
     """Execute one command over one parsed expression source string."""
     cmd = args.command
     # the universe budgets come before any symbol name is built
-    if args.m > MAX_BOSONIC:
-        raise ValueError(f"m = {args.m} bosonic variables exceeds "
-                         f"MAX_BOSONIC = {MAX_BOSONIC}")
+    check_bosonic_count(args.m)
     if cmd == "fundsol":
         # no universe: MAX_FUNDSOL_PAIRS is its pair budget
         sr = super_fundamental_solution(args.m, args.n)

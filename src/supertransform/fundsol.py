@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from ._terms import TermMap, add_into, canonical
 from .scalars import ExactScalar, gamma_half_integer
-from .superalg import MAX_BOSONIC
+from .superalg import check_bosonic_count
 
 # fermionic pairs n of one fundamental solution: the chain makes n + 1
 # radial parts, and at m = 4 took 0.03, 0.14 and 1.0 s for n = 250, 500
@@ -166,9 +166,7 @@ def super_fundamental_solution(m, n):
         raise ValueError("universe sizes m and n must be non-negative")
     if m < 1:
         raise ValueError("no purely fermionic fundamental solution")
-    if m > MAX_BOSONIC:
-        raise ValueError(f"m = {m} bosonic variables exceeds "
-                         f"MAX_BOSONIC = {MAX_BOSONIC}")
+    check_bosonic_count(m)
     if n > MAX_FUNDSOL_PAIRS:
         raise ValueError(f"n = {n} pairs exceeds MAX_FUNDSOL_PAIRS = "
                          f"{MAX_FUNDSOL_PAIRS}")

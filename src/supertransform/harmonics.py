@@ -13,8 +13,12 @@ forms of a row reduction of the sector Laplacian that pivots on the
 least column, since the monomials list x_m-heavy columns first and the
 masks ascend.  Each basis is memoized per (degree, sector, universe) and
 shared as an immutable tuple; `harmonic_basis.cache_info()` gives the
-cache's size, hits and misses.  The f_{k,p,q} coupling polynomials and
-the dimension identity of the decomposition are evaluated as stated; a
+cache's size, hits and misses.  Each element of a basis so built has one
+record (_ElementRecord), found by the element's identity: its degree,
+its int numerator over one denominator, split once, and the ladder of
+int rungs t^i h (t = x^2) that the psi series of hermite reads, the
+sl2 raising ladder of h.  The f_{k,p,q} coupling polynomials and the
+dimension identity of the decomposition are evaluated as stated; a
 failed check is reported in the result, never patched.  The Fischer
 decomposition of the Grassmann component, the exact expansion in a
 given basis and that row reduction are test oracles, kept with the
@@ -25,9 +29,10 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 
 from ._terms import add_into
-from .operators import laplace
+from .operators import laplace, multiply_vector_square
 from .scalars import ExactScalar, gamma_half_integer
 from .superalg import (SuperPolynomial, homogeneous_monomial_count,
                        homogeneous_monomials, integer_parts,
@@ -37,6 +42,12 @@ from .superalg import (SuperPolynomial, homogeneous_monomial_count,
 # over: they bound its elements and their terms, which hermite prints in
 # full (at (3,2), k = 30 spans 6968 and prints 5 MB in about 2 s)
 MAX_BASIS_MONOMIALS = 1500
+# int entries that the ladders of all element records hold in their
+# rungs t^i h, i >= 1: a ladder about to grow when the count has reached
+# it first drops every ladder back to h, as the monomial codec clears (a
+# full pass of the bases benchmark workload, 750 elements, holds about
+# 4300)
+MAX_LADDER_ENTRIES = 16384
 
 
 class HarmonicBasis:
@@ -62,6 +73,91 @@ class HarmonicBasis:
                 f"sector={self.sector!r}, dim={self.dimension})")
 
 
+class _ElementRecord:
+    """One element h of a basis that harmonic_basis built: its degree,
+    whether it has passed the psi series' homogeneity and harmonicity
+    checks (hermite sets `checked`), and, once split (integer_parts),
+    its common denominator, the key of its one integer part (a basis is
+    rational) and the ladder of int numerators t^i h, grown by one x^2
+    pass per rung as far as a call needs."""
+
+    __slots__ = ("element", "degree", "checked", "denom", "part",
+                 "ladder")
+
+    def __init__(self, element, degree):
+        self.element = element
+        self.degree = degree
+        self.checked = False
+        self.ladder = None
+
+    def numerator(self):
+        """The int numerator of h over `denom`, its one integer part;
+        h is split on the first call only (two threads that split it at
+        once set the same values)."""
+        if self.ladder is None:
+            self.denom, parts = integer_parts(self.element)
+            (self.part, numerator), = parts.items()
+            self.ladder = [numerator]
+        return self.ladder[0]
+
+    def rungs(self, j):
+        """The int numerators of t^i h for i = 0..j over the record's
+        denominator."""
+        self.numerator()
+        ladder = self.ladder
+        if len(ladder) <= j:
+            with _RECORDS.lock:
+                if _RECORDS.entries >= MAX_LADDER_ENTRIES:
+                    _RECORDS.clear_ladders()
+                ladder = self.ladder
+                while len(ladder) <= j:
+                    ladder.append(multiply_vector_square(ladder[-1]))
+                    _RECORDS.entries += len(ladder[-1].terms)
+        return ladder[:j + 1]
+
+
+class _Records(dict):
+    """id(h) -> _ElementRecord for every element harmonic_basis has
+    built, so user input never enters; `entries` counts the int entries
+    of the ladders' rungs above h (MAX_LADDER_ENTRIES bounds it).  A
+    record keeps its element alive, so an id is never reused while it
+    is a key, and it outlives a harmonic_basis.cache_clear().
+
+    A ladder only grows, under `lock`, and a cleared one is replaced by
+    a new list, never cut in place, so a reader that takes a ladder
+    once reads whole rungs while another thread grows or clears it."""
+
+    __slots__ = ("entries", "lock")
+
+    def __init__(self):
+        super().__init__()
+        self.entries = 0
+        self.lock = threading.Lock()
+
+    def clear_ladders(self):
+        for record in self.values():
+            if record.ladder:
+                record.ladder = record.ladder[:1]
+        self.entries = 0
+
+
+_RECORDS = _Records()
+
+
+def _record(h):
+    """The record of h when h is itself (by identity, never equality) an
+    element of a basis that harmonic_basis built, else None."""
+    record = _RECORDS.get(id(h))
+    return record if record is not None and record.element is h else None
+
+
+def _recorded(basis):
+    """Give every element of `basis` a new record; returns the basis."""
+    for h in basis.elements:
+        _RECORDS[id(h)] = _ElementRecord(h, basis.degree)
+    return basis
+
+
 def check_basis_degree(k, universe):
     """Refuse a negative degree k, or one whose monomials in the whole
     universe (a bound on any sector's) number more than
@@ -84,22 +180,23 @@ def harmonic_basis(k, sector, universe):
 
     Memoized per (degree, sector, universe) (`harmonic_basis.cache_info()`
     gives size, hits and misses): every caller shares the one basis and
-    its tuple of elements.  A refusal raises on every call, before any
-    basis is built (check_basis_degree).
+    its tuple of elements, and each element gets its record.  A refusal
+    raises on every call, before any basis is built
+    (check_basis_degree).
     """
     check_basis_degree(k, universe)
     if sector not in ("bosonic", "fermionic", "full"):
         raise ValueError(f"unknown sector {sector!r}")
     if universe.m and sector != "fermionic":
         monos = homogeneous_monomials(universe, k, sector)
-        return HarmonicBasis(k, sector,
-                             tuple(_ck_extension(monos, universe, sector)))
+        return _recorded(HarmonicBasis(
+            k, sector, tuple(_ck_extension(monos, universe, sector))))
     pairs = 0 if sector == "bosonic" else universe.pairs
     zero = (0,) * universe.m
-    return HarmonicBasis(k, sector, tuple(
+    return _recorded(HarmonicBasis(k, sector, tuple(
         SuperPolynomial(universe, {(zero, t): ExactScalar.rational(c)
                                    for t, c in product.items()})
-        for product in _pair_products(pairs, k)))
+        for product in _pair_products(pairs, k))))
 
 
 def _pair_products(pairs, k):
@@ -178,11 +275,11 @@ def decomposition_check(k, universe):
 
     Each product and its Laplacian are formed on the integer parts of
     f_poly (superalg.integer_parts) times the int numerators of the
-    rational H_bos and H_fer, the denominators dropped: a product fails
-    exactly when one of its parts has a non-zero Laplacian.  Returns a
-    report dict; failures are recorded, not corrected.  The statement
-    needs m >= 1: at m = 0 the factors 1/Gamma(m/2+p+k-i) of f_poly hit
-    poles and the dimensions disagree.
+    rational H_bos and H_fer, read from their records, the denominators
+    dropped: a product fails exactly when one of its parts has a
+    non-zero Laplacian.  Returns a report dict; failures are recorded,
+    not corrected.  The statement needs m >= 1: at m = 0 the factors
+    1/Gamma(m/2+p+k-i) of f_poly hit poles and the dimensions disagree.
     """
     u = universe
     if u.m < 1:
@@ -197,17 +294,17 @@ def decomposition_check(k, universe):
                         * harmonic_basis(i, "fermionic", u).dimension)
     product_failures = []
     for j in range(0, min(n, k - 1)):          # j <= min(n, k-1) - 1
-        fermionic = [_rational_numerator(hf)
+        fermionic = [_record(hf).numerator()
                      for hf in harmonic_basis(j, "fermionic", u)]
         for l in range(1, min(n - j, (k - j) // 2) + 1):
             p = k - 2 * l - j
             dim_formula += (harmonic_basis(p, "bosonic", u).dimension
                             * harmonic_basis(j, "fermionic", u).dimension)
             _, f_parts = integer_parts(f_poly(l, p, j, u))
-            for hb in map(_rational_numerator,
-                          harmonic_basis(p, "bosonic", u)):
+            for hb in harmonic_basis(p, "bosonic", u):
+                bosonic = _record(hb).numerator()
                 for hf in fermionic:
-                    g = sp_mul(hb, hf)
+                    g = sp_mul(bosonic, hf)
                     if any(laplace(sp_mul(f, g), "full")
                            for f in f_parts.values()):
                         product_failures.append((l, p, j))
@@ -219,11 +316,3 @@ def decomposition_check(k, universe):
         "product_failures": product_failures,
         "products_harmonic": not product_failures,
     }
-
-
-def _rational_numerator(h):
-    """The int numerator of a rational h over its common denominator,
-    its one integer part; harmonic bases are rational, as the CK
-    extension divides by factorials."""
-    _, parts = integer_parts(h)
-    return parts[(0, 0), 0]

@@ -25,8 +25,12 @@ A basis calls psi_element once per element with the same orders, so the
 checks on (j, k, universe) alone (check_psi_orders: the sign of j and
 the output and work budgets MAX_MONOMIALS and MAX_SERIES_DIGITS) run
 once per (j, k, universe); a refusal is not memoized and raises on
-every call.  The homogeneity and harmonicity of h are checked on every
-call.
+every call.  The homogeneity and harmonicity of h are checked once per
+basis element, on its first call that passes the order checks: an
+element of a basis that harmonic_basis built, recognized by identity,
+keeps its degree, its split and its ladder of int rungs t^i h in its
+record (harmonics._ElementRecord), and its series reads the rungs.  Any
+other h, user input among it, is checked and split on every call.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .harmonics import harmonic_basis
+from .harmonics import _record, harmonic_basis
 from .operators import laplace, multiply_vector_square
 from .superalg import (GaussianFunction, from_integer_parts,
                        homogeneous_monomial_count, integer_parts,
@@ -117,43 +121,72 @@ def _hermite_series(j, h_k, rescaled):
     """sum_i c_i t^i h_k G with the ch_coefficients, times 2^(j+i) for
     psi; h_k must be a homogeneous harmonic, as the recursion assumes.
 
-    An exact h_k is split once into int numerator parts over one
-    denominator; the harmonicity check (exact per part, as the radicals
-    times {1, i} are independent over Q), the x^2 passes and the
-    integer weights run on each part, and the ring coefficients are
-    rebuilt once per output term.  A float-lane h_k runs the same loop
-    on itself, and is harmonic when no coefficient of its Laplacian
-    passes 1e-10 times its largest coefficient modulus (rounding).
-    The orders are checked first (check_psi_orders), on the degree
-    read in the same pass over the terms as homogeneity."""
+    An element of a basis that harmonic_basis built (by identity, read
+    from its record, harmonics._ElementRecord) is checked on its first
+    call only; after that only its orders are, and its series is the
+    weights times the rungs of its int ladder t^i h, grown as far as a
+    call needs.  Any other h_k is checked and split on every call
+    (_checked_parts)."""
+    u = h_k.universe
+    record = _record(h_k)
+    if record is not None and record.checked:
+        k = record.degree
+        check_psi_orders(j, k, u)
+    else:
+        k, denom, parts = _checked_parts(j, h_k, record)
+    if record is not None:
+        denom, ladders = record.denom, {record.part: record.rungs(j)}
+    else:
+        ladders = {}
+        for part, p in parts.items():
+            rungs = ladders[part] = [p]
+            for _ in range(j):
+                rungs.append(multiply_vector_square(rungs[-1]))
+    weights = [c if rescaled else c << (j + i) for i, c in enumerate(
+        ch_coefficients(j, u.superdim, k))]
+    series = {}
+    for part, rungs in ladders.items():
+        terms = {}
+        for c, power in zip(weights, rungs):
+            if c:   # the t^i h_k have distinct degrees: no keys collide
+                terms.update((key, v * c) for key, v in power.terms.items())
+        series[part] = h_k._like(terms)
+    if denom is None:   # the float lane: h_k is its own one part
+        return GaussianFunction(series[None])
+    return GaussianFunction(from_integer_parts(u, denom, series))
+
+
+def _checked_parts(j, h_k, record):
+    """(k, denom, parts) of h_k after its checks: the degree k, read in
+    the same pass over the terms as homogeneity, the orders
+    (check_psi_orders), then homogeneity and harmonicity; a record's
+    `checked` is set only when they pass.
+
+    An exact h_k is split into int numerator parts over one
+    denominator (integer_parts, or its record's one part), and is
+    harmonic when the Laplacian of every part is zero (exact per part,
+    as the radicals times {1, i} are independent over Q).  A float-lane
+    h_k is its own one part over no denominator (denom None), and is
+    harmonic when no coefficient of its Laplacian passes 1e-10 times its
+    largest coefficient modulus (rounding)."""
     degrees = {sum(b) + mask.bit_count() for b, mask in h_k.terms}
     k = max(degrees, default=-1)
     check_psi_orders(j, k, h_k.universe)
-    float_lane = is_float_lane(h_k)
-    denom, parts = (1, {None: h_k}) if float_lane else integer_parts(h_k)
-    bound = 1e-10 * max(map(abs, h_k.terms.values()), default=0) \
-        if float_lane else 0
+    if is_float_lane(h_k):
+        denom, parts = None, {None: h_k}
+        bound = 1e-10 * max(map(abs, h_k.terms.values()))
+    elif record is not None:
+        numerator = record.numerator()
+        denom, parts, bound = record.denom, {record.part: numerator}, 0
+    else:
+        (denom, parts), bound = integer_parts(h_k), 0
     if len(degrees) > 1 or any(
             abs(c) > bound for p in parts.values()
             for c in laplace(p, "full").terms.values()):
         raise ValueError("input is not a homogeneous harmonic")
-    weights = [c if rescaled else c << (j + i) for i, c in enumerate(
-        ch_coefficients(j, h_k.universe.superdim, k))]
-
-    def series(power):
-        terms = {}
-        for i, c in enumerate(weights):
-            if i:
-                power = multiply_vector_square(power)
-            if c:   # the t^i h_k have distinct degrees: no keys collide
-                terms.update((key, v * c) for key, v in power.terms.items())
-        return h_k._like(terms)
-
-    if float_lane:
-        return GaussianFunction(series(h_k))
-    return GaussianFunction(from_integer_parts(
-        h_k.universe, denom,
-        {part: series(p) for part, p in parts.items()}))
+    if record is not None:
+        record.checked = True
+    return k, denom, parts
 
 
 def phi_element(j, m_k):
@@ -174,9 +207,14 @@ def psi_span(universe, cap):
 
     Memoized per universe and cap (`psi_span.cache_info()` gives size,
     hits and misses), and every caller shares the one immutable tuple.
-    No transform expands against it: the Fourier transform of every
-    order is one Mehler pass, and the psi expansion of a function is a
-    test oracle.
+    It runs psi_element on the elements of harmonic_basis, so each
+    element is checked on its first call only, and its series at every
+    j reads the rungs of one ladder, grown to j = (cap - k) // 2.  The
+    records outlive this memo: a rebuild after cache_clear() checks
+    nothing again, and grows no rung unless the ladder bound dropped
+    them.  No transform expands against it: the Fourier transform of
+    every order is one Mehler pass, and the psi expansion of a function
+    is a test oracle.
     """
     out = []
     for k in range(cap + 1):

@@ -31,6 +31,14 @@ MAX_BOSONIC = 1000
 MAX_PAIRS = 1000
 
 
+def check_bosonic_count(m):
+    """Refuse more than MAX_BOSONIC bosonic variables, before any symbol
+    name is built."""
+    if m > MAX_BOSONIC:
+        raise ValueError(f"m = {m} bosonic variables exceeds "
+                         f"MAX_BOSONIC = {MAX_BOSONIC}")
+
+
 class VariableUniverse:
     """Ordered symbol lists; fermionic count must be even.
 

@@ -309,3 +309,22 @@ def test_bosonic_basis_at_m_zero_is_the_constant_alone(n):
         (SuperPolynomial.one(u),)
     for k in range(1, 2 * n + 2):
         assert harmonic_basis(k, "bosonic", u).elements == ()
+
+
+def test_decomposition_check_splits_each_element_once(monkeypatch):
+    # the int numerators come from the elements' records, split on the
+    # first call; a second call splits only the f_poly of each (l, p, j)
+    u = VariableUniverse.standard(3, 2)
+    used = ([harmonic_basis(p, "bosonic", u) for p in (2, 3, 4)]
+            + [harmonic_basis(j, "fermionic", u) for j in (0, 1)])
+    for basis in used:
+        harmonics._recorded(basis)
+    first = decomposition_check(6, u)
+    records = [harmonics._record(h) for basis in used for h in basis]
+    assert all(len(r.ladder) == 1 and not r.checked for r in records)
+    calls = []
+    real = harmonics.integer_parts
+    monkeypatch.setattr(harmonics, "integer_parts",
+                        lambda p: calls.append(p) or real(p))
+    assert decomposition_check(6, u) == first
+    assert len(calls) == 3

@@ -1,8 +1,11 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+from supertransform import harmonics
 from supertransform._linalg import SparseRREF
 from supertransform._terms import add_into
 from supertransform.harmonics import harmonic_basis
@@ -353,3 +356,137 @@ def test_psi_span_cache_hits_and_rebuilds_equal_output():
     assert psi_span.cache_info().currsize == 0
     rebuilt = psi_span(u, 2)
     assert rebuilt is not first and rebuilt == first
+
+
+# shapes for the element records: m = 0, M = 0, -2, -4 at m >= 1, (3, 2)
+_RECORD_SHAPES = [(0, 1), (0, 2), (1, 1), (2, 1), (2, 2), (2, 3), (3, 2)]
+
+
+def _fresh_records(basis):
+    """Give every element of `basis` a new, unchecked record with an
+    empty ladder; returns the records."""
+    harmonics._recorded(basis)
+    return [harmonics._record(h) for h in basis]
+
+
+def test_record_route_equals_the_full_route(monkeypatch):
+    # j out of order, so a ladder grows in the middle of the sequence;
+    # the full route runs on an equal polynomial that no basis built, and
+    # both give the same terms in the same order.  The bound is lifted,
+    # so the ladders that earlier tests grew cannot make these clear
+    monkeypatch.setattr(harmonics, "MAX_LADDER_ENTRIES", 10 ** 9)
+    cases = 0
+    for m, n in _RECORD_SHAPES:
+        u = VariableUniverse.standard(m, n)
+        for k in range(4):
+            basis = harmonic_basis(k, "full", u)
+            records = _fresh_records(basis)
+            reached = 0
+            for j in (2, 0, 4, 1, 3):
+                reached = max(reached, j)
+                for h, record in zip(basis, records):
+                    user = SuperPolynomial(u, dict(h.terms))
+                    assert harmonics._record(user) is None
+                    for fn in (psi_element, psi_tilde_element):
+                        got, want = fn(j, h), fn(j, user)
+                        assert list(got.terms.items()) == \
+                            list(want.terms.items()), (m, n, k, j)
+                        cases += 1
+                    assert record.checked
+                    assert len(record.ladder) == reached + 1
+    assert cases == 2720
+
+
+def test_record_refuses_bad_orders_on_every_call():
+    u = VariableUniverse.standard(3, 2)
+    basis = harmonic_basis(2, "full", u)
+    h = basis.elements[0]
+    record, *_ = _fresh_records(basis)
+    refusals = [(-1, "Hermite order j must be non-negative"),
+                (100000, f"over MAX_MONOMIALS = {MAX_MONOMIALS}")]
+    for checked in (False, True):
+        for fn in (psi_element, psi_tilde_element):
+            for j, message in refusals:
+                for _ in range(2):
+                    with pytest.raises(ValueError, match=message):
+                        fn(j, h)
+        # no refusal marks a record checked or grows its ladder
+        assert record.checked is checked
+        if checked:
+            assert len(record.ladder) == 2
+        else:
+            assert record.ladder is None
+        psi_element(1, h)
+        assert record.checked
+
+
+def test_non_harmonic_input_refused_after_records_exist():
+    u = VariableUniverse.standard(2, 1)
+    for h in harmonic_basis(2, "full", u):
+        psi_element(1, h)
+    x1, x2 = (SuperPolynomial.bosonic_var(u, i) for i in range(2))
+    h = harmonic_basis(2, "full", u).elements[0]
+    for bad in (sp_mul(x1, x1), sp_mul(x1, x2) + x1, h + x1):
+        assert harmonics._record(bad) is None
+        for fn in (psi_element, psi_tilde_element):
+            with pytest.raises(ValueError, match="homogeneous harmonic"):
+                fn(1, bad)
+
+
+def test_ladder_bound_clears_and_results_stay_equal(monkeypatch):
+    u = VariableUniverse.standard(3, 2)
+    basis = harmonic_basis(3, "full", u)
+    records = _fresh_records(basis)
+    want = [[fn(j, SuperPolynomial(u, dict(h.terms))) for h in basis]
+            for j in range(5) for fn in (psi_element, psi_tilde_element)]
+    monkeypatch.setattr(harmonics, "MAX_LADDER_ENTRIES", 40)
+    harmonics._RECORDS.clear_ladders()
+    assert harmonics._RECORDS.entries == 0
+    got = [[fn(j, h) for h in basis]
+           for j in range(5) for fn in (psi_element, psi_tilde_element)]
+    assert got == want
+    # the rungs of any one element up to j = 4 hold more than 40 entries,
+    # so each element's growth to j = 4 cleared the ladders before it
+    assert all(len(r.ladder) == 1 for r in records[:-1])
+    assert len(records[-1].ladder) == 5
+    assert harmonics._RECORDS.entries == sum(
+        len(rung.terms) for rung in records[-1].ladder[1:])
+
+
+def test_records_read_right_while_other_threads_grow_them(monkeypatch):
+    # four threads run psi and psi~ over two bases with fresh records and
+    # a ladder bound of 40 entries, so another thread grows a ladder or
+    # drops every ladder between most calls; every value must be the
+    # full route's
+    u = VariableUniverse.standard(3, 2)
+    bases = [harmonic_basis(k, "full", u) for k in (1, 2)]
+    calls = [(fn, j, h) for basis in bases for h in basis
+             for j in (3, 1, 4, 0, 2)
+             for fn in (psi_element, psi_tilde_element)]
+    want = [fn(j, SuperPolynomial(u, dict(h.terms))) for fn, j, h in calls]
+    for basis in bases:
+        _fresh_records(basis)
+    monkeypatch.setattr(harmonics, "MAX_LADDER_ENTRIES", 40)
+    wrong, done = [], []
+
+    def run(start):
+        for i in range(start, start + len(calls)):
+            i %= len(calls)
+            fn, j, h = calls[i]
+            if fn(j, h) != want[i]:
+                wrong.append(i)
+        done.append(start)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(37 * i,))
+                   for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(done) == 4 and not wrong, wrong[:3]
