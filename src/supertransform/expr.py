@@ -779,7 +779,10 @@ def _coeff_text(c):
     return (s if s.startswith("(") else f"({s})"), False
 
 
-def render_poly_text(f):
+def _render_terms(f, part, coeff, times, envelope):
+    """The terms of f in order, each its coefficient (left out when it is
+    1 or -1) and monomial joined by times, the envelope after a Gaussian
+    function's monomial; a negative term joins with " - "."""
     gaussian = isinstance(f, GaussianFunction)
     poly = f.poly if gaussian else f
     u = poly.universe
@@ -788,16 +791,16 @@ def render_poly_text(f):
     codec = monomial_codec(u)
     bits = []
     for key, c in poly.sorted_terms():
-        cs, unit = _coeff_text(c)
-        mono = codec[key][TEXT]
+        cs, unit = coeff(c)
+        mono = codec[key][part]
         if gaussian:
-            mono = f"{mono}*G" if mono else "G"
+            mono = f"{mono}{times}{envelope}" if mono else envelope
         if not mono:
             piece = cs
         elif unit:
             piece = mono if cs == "1" else f"-{mono}"
         else:
-            piece = f"{cs}*{mono}"
+            piece = f"{cs}{times}{mono}"
         bits.append(piece)
     out = bits[0]
     for b in bits[1:]:
@@ -805,16 +808,20 @@ def render_poly_text(f):
     return out
 
 
+def render_poly_text(f):
+    return _render_terms(f, TEXT, _coeff_text, "*", "G")
+
+
 def _coeff_latex(c):
     if not isinstance(c, ExactScalar):
-        return str(c)
+        return str(c), False
     bits = []
     for (b, eps), q in sorted(c.terms.items()):
         re = rational_text(q.a, q.d)
         if q.b:
             im = rational_text(q.b, q.d)
             piece = f"({re}+{im}i)" if q.a else (
-                "i" if im == "1" else f"{im}i")
+                "i" if im == "1" else "-i" if im == "-1" else f"{im}i")
         else:
             piece = re
         if (eps or b) and piece == "1":
@@ -828,23 +835,13 @@ def _coeff_latex(c):
         bits.append(piece)
     # a sum of ring terms is parenthesized, as in render_poly_text
     out = "+".join(bits)
-    return f"({out})" if len(bits) > 1 else out
+    if len(bits) > 1:
+        return f"({out})", False
+    return out, out == "1" or out == "-1"
 
 
 def render_poly_latex(f):
-    gaussian = isinstance(f, GaussianFunction)
-    poly = f.poly if gaussian else f
-    u = poly.universe
-    if not poly.terms:
-        return "0"
-    codec = monomial_codec(u)
-    bits = []
-    for key, c in poly.sorted_terms():
-        mono = codec[key][LATEX]
-        if gaussian:
-            mono += r" e^{x^2/2}"
-        bits.append(f"{_coeff_latex(c)} {mono}".strip())
-    return " + ".join(bits)
+    return _render_terms(f, LATEX, _coeff_latex, " ", "e^{x^2/2}")
 
 
 def poly_to_json(f):

@@ -50,6 +50,8 @@ def berezin(f, over=None):
     u = f.universe
     nf = len(u.fermionic)
     over = sorted(range(nf) if over is None else over)
+    if over and (over[0] < 0 or over[-1] >= nf):
+        raise ValueError(f"subset must be symbol indices below 2n = {nf}")
     if len(over) % 2:
         raise ValueError("odd subset")
     for a in range(0, len(over), 2):
@@ -416,7 +418,11 @@ def convolution_fermionic(f, g):
     A | B is every symbol, and it goes to q^(A & B) with the weight
     pi^-n (-1)^(|S| + inversions) times the merge sign of (S, B), the
     inversions being the symbols of A & B above each symbol of S."""
+    if isinstance(f, GaussianFunction) or isinstance(g, GaussianFunction):
+        raise ValueError("convolution expects a plain polynomial")
     u = f.universe
+    if g.universe != u:
+        raise ValueError("universe mismatch")
     if u.m:
         raise ValueError("convolution implemented fermionically only")
     full = (1 << len(u.fermionic)) - 1

@@ -2,9 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from supertransform.scalars import ExactScalar, QQi
 from supertransform.superalg import GaussianFunction, SuperPolynomial
+
+# every property test is reproducible and keeps no example database; a
+# test sets only its own max_examples
+settings.register_profile("supertransform", deadline=None, derandomize=True,
+                          database=None)
+settings.load_profile("supertransform")
 
 
 def random_scalar(rng, parts=2, radical=True):

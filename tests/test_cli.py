@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -143,6 +144,26 @@ def test_render_latex_and_json():
     assert js["m"] == 1 and js["n"] == 1 and not js["envelope"]
 
 
+def test_latex_and_text_agree_term_by_term(rng):
+    # the same joiners, and the same leading sign and rational coefficient
+    # in each term: a unit coefficient is left out of both
+    cases = [parse("x1 - x2 + 3*x1^2", VariableUniverse.standard(2, 0)),
+             super_fourier(parse("q1q2*G", u11()), "+"),
+             parse("-i*x1*q1 + i*q2 - 1", u11())]
+    for m, n in [(2, 0), (1, 1), (0, 2)]:
+        u = VariableUniverse.standard(m, n)
+        for _ in range(10):
+            p = random_poly(u, rng, degree=3, nterms=5)
+            cases += [p, GaussianFunction(p)]
+    for f in cases:
+        text = re.split(r" ([+-]) ", render_poly_text(f))
+        latex = re.split(r" ([+-]) ", render_poly_latex(f))
+        assert text[1::2] == latex[1::2]
+        for t, tex in zip(text[::2], latex[::2]):
+            lead = re.compile(r"-?[0-9/]*")
+            assert lead.match(t).group() == lead.match(tex).group(), (t, tex)
+
+
 def _run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -163,7 +184,7 @@ def test_cli_latex_prints_float_coefficients_as_python_complex(capsys):
                     "fracfourier", "--a", "1/3", "x1*G + q1q2*G") == (
         0, "(0.5000000000000001+0.8660254037844386j) q_{1}q_{2} e^{x^2/2}"
         " + (0.8660254037844387+0.49999999999999994j) x_{1} e^{x^2/2}"
-        " + (0.4999999999999999-0.8660254037844386j)  e^{x^2/2}", "")
+        " + (0.4999999999999999-0.8660254037844386j) e^{x^2/2}", "")
 
 
 def test_cli_fermionic_fourier_of_one(capsys):
@@ -1247,8 +1268,8 @@ _SCALAR_GOLDEN = {
         '[0, 1, 1, 6], "b": 0, "eps": 0}, {"q": [1, 5, 0, 1], "b": 0, "eps": '
         '1}]}, {"bos": [0], "fer": [], "coeff": [{"q": [-9, 4, 0, 1], "b": '
         '1, "eps": 0}]}]}',
-        '(2/3+-1i) x_{1}^{2}q_{1}q_{2} e^{x^2/2} + (1/6i+1/5\\sqrt{2}) x_{1} '
-        'e^{x^2/2} + -9/4\\pi^{1/2}  e^{x^2/2}',
+        '(2/3+-1i) x_{1}^{2}q_{1}q_{2} e^{x^2/2} + (1/6i+1/5\\sqrt{2}) x_{1}'
+        ' e^{x^2/2} - 9/4\\pi^{1/2} e^{x^2/2}',
         '(2/3-i)*x1^2*q1q2*G + (-4/3+2*i)*x1^2*G + (-2/3+i)*q1q2*G + (-1/6 + '
         '1/5*i*sqrt2)*x1*G + ((4/3-2*i) - 9/4*sqrtpi)*G',
         '{"schema": "supertransform/1", "m": 1, "n": 1, "envelope": true, '
@@ -1260,9 +1281,9 @@ _SCALAR_GOLDEN = {
         '[0, 1, 1, 5], "b": 0, "eps": 1}]}, {"bos": [0], "fer": [], "coeff": '
         '[{"q": [4, 3, -2, 1], "b": 0, "eps": 0}, {"q": [-9, 4, 0, 1], "b": '
         '1, "eps": 0}]}]}',
-        '(2/3+-1i) x_{1}^{2}q_{1}q_{2} e^{x^2/2} + (-4/3+2i) x_{1}^{2} '
-        'e^{x^2/2} + (-2/3+1i) q_{1}q_{2} e^{x^2/2} + (-1/6+1/5i\\sqrt{2}) '
-        'x_{1} e^{x^2/2} + ((4/3+-2i)+-9/4\\pi^{1/2})  e^{x^2/2}',
+        '(2/3+-1i) x_{1}^{2}q_{1}q_{2} e^{x^2/2} + (-4/3+2i) x_{1}^{2} e^{x^'
+        '2/2} + (-2/3+1i) q_{1}q_{2} e^{x^2/2} + (-1/6+1/5i\\sqrt{2}) x_{1} '
+        'e^{x^2/2} + ((4/3+-2i)+-9/4\\pi^{1/2}) e^{x^2/2}',
         '[(-9/8*pi^(-1/2)) + ((2/3-i)*pi^-1)*p^2]*exp(-p^2/2) + '
         '[((-1+3/2*i)*pi^-1)*p^2 + ((1/3-1/2*i)*pi^-1)*p^4]*exp(-p^2/2) (x) '
         'wf1wf2 + [(1/12*i*pi^-1 + 1/10*sqrt2*pi^-1)*p]*exp(-p^2/2) (x) w1',
@@ -1286,8 +1307,8 @@ _SCALAR_GOLDEN = {
         '1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [], "coeff": [{"q": '
         '[0, 1, 5, 7], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [1, 3], '
         '"coeff": [{"q": [-1, 3, 0, 1], "b": -3, "eps": 1}]}]}',
-        '-1i x_{1}q_{2}q_{4} e^{x^2/2} + 5/7i x_{2}^{2} e^{x^2/2} + '
-        '-1/3\\sqrt{2}\\pi^{-3/2} q_{1}q_{3} e^{x^2/2}',
+        '-i x_{1}q_{2}q_{4} e^{x^2/2} + 5/7i x_{2}^{2} e^{x^2/2} - 1/3\\sqrt'
+        '{2}\\pi^{-3/2} q_{1}q_{3} e^{x^2/2}',
         '-x1*q2q4*G - 5/7*i*x2^2*G + 1/3*sqrt2*pi^(-3/2)*q1q3*G + 5/7*i*G',
         '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": true, '
         '"terms": [{"bos": [1, 0], "fer": [2, 4], "coeff": [{"q": [-1, 1, 0, '
@@ -1295,8 +1316,8 @@ _SCALAR_GOLDEN = {
         '[0, 1, -5, 7], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [1, 3], '
         '"coeff": [{"q": [1, 3, 0, 1], "b": -3, "eps": 1}]}, {"bos": [0, 0], '
         '"fer": [], "coeff": [{"q": [0, 1, 5, 7], "b": 0, "eps": 0}]}]}',
-        '-1 x_{1}q_{2}q_{4} e^{x^2/2} + -5/7i x_{2}^{2} e^{x^2/2} + '
-        '1/3\\sqrt{2}\\pi^{-3/2} q_{1}q_{3} e^{x^2/2} + 5/7i  e^{x^2/2}',
+        '-x_{1}q_{2}q_{4} e^{x^2/2} - 5/7i x_{2}^{2} e^{x^2/2} + 1/3\\sqrt{2'
+        '}\\pi^{-3/2} q_{1}q_{3} e^{x^2/2} + 5/7i e^{x^2/2}',
         '[(5/28*i*sqrt2*pi^(-3/2))*p^2]*exp(-p^2/2) + '
         '[(-5/28*i*sqrt2*pi^(-3/2)) + '
         '(5/28*i*sqrt2*pi^(-3/2))*p^2]*exp(-p^2/2) (x) wf1wf2 + [(1/6*pi^-3) '
@@ -1367,28 +1388,28 @@ _TRANSFORM_GOLDEN = {
             '{"schema": "supertransform/1", "m": 0, "n": 1, "envelope": '
             'true, "terms": [{"bos": [], "fer": [], "coeff": [{"q": [1, 1, '
             '0, 1], "b": 0, "eps": 0}]}]}',
-            '1  e^{x^2/2}',
+            'e^{x^2/2}',
         ),
         (
             'G',
             '{"schema": "supertransform/1", "m": 0, "n": 1, "envelope": '
             'true, "terms": [{"bos": [], "fer": [], "coeff": [{"q": [1, 1, '
             '0, 1], "b": 0, "eps": 0}]}]}',
-            '1  e^{x^2/2}',
+            'e^{x^2/2}',
         ),
         (
             'G',
             '{"schema": "supertransform/1", "m": 0, "n": 1, "envelope": '
             'true, "terms": [{"bos": [], "fer": [], "coeff": [{"q": [1, 1, '
             '0, 1], "b": 0, "eps": 0}]}]}',
-            '1  e^{x^2/2}',
+            'e^{x^2/2}',
         ),
         (
             'G',
             '{"schema": "supertransform/1", "m": 0, "n": 1, "envelope": '
             'true, "terms": [{"bos": [], "fer": [], "coeff": [{"q": [1, 1, '
             '0, 1], "b": 0, "eps": 0}]}]}',
-            '1  e^{x^2/2}',
+            'e^{x^2/2}',
         ),
         (
             'error: no purely fermionic Radon transform',
@@ -1410,8 +1431,7 @@ _TRANSFORM_GOLDEN = {
             '1, -2, 3], "b": 0, "eps": 0}]}, {"bos": [], "fer": [1], '
             '"coeff": [{"q": [0, 1, 1, 1], "b": 0, "eps": 0}]}, {"bos": [], '
             '"fer": [], "coeff": [{"q": [0, 1, 4, 3], "b": 0, "eps": 0}]}]}',
-            '-2/3i q_{1}q_{2} e^{x^2/2} + i q_{1} e^{x^2/2} + 4/3i  '
-            'e^{x^2/2}',
+            '-2/3i q_{1}q_{2} e^{x^2/2} + i q_{1} e^{x^2/2} + 4/3i e^{x^2/2}',
         ),
         (
             '-2/3*i*q1q2*G - i*q1*G + 4/3*i*G',
@@ -1421,8 +1441,7 @@ _TRANSFORM_GOLDEN = {
             '"coeff": [{"q": [0, 1, -1, 1], "b": 0, "eps": 0}]}, {"bos": '
             '[], "fer": [], "coeff": [{"q": [0, 1, 4, 3], "b": 0, "eps": '
             '0}]}]}',
-            '-2/3i q_{1}q_{2} e^{x^2/2} + -1i q_{1} e^{x^2/2} + 4/3i  '
-            'e^{x^2/2}',
+            '-2/3i q_{1}q_{2} e^{x^2/2} - i q_{1} e^{x^2/2} + 4/3i e^{x^2/2}',
         ),
         (
             '-2/3*i*q1q2*G + i*q1*G + 4/3*i*G',
@@ -1431,8 +1450,7 @@ _TRANSFORM_GOLDEN = {
             '1, -2, 3], "b": 0, "eps": 0}]}, {"bos": [], "fer": [1], '
             '"coeff": [{"q": [0, 1, 1, 1], "b": 0, "eps": 0}]}, {"bos": [], '
             '"fer": [], "coeff": [{"q": [0, 1, 4, 3], "b": 0, "eps": 0}]}]}',
-            '-2/3i q_{1}q_{2} e^{x^2/2} + i q_{1} e^{x^2/2} + 4/3i  '
-            'e^{x^2/2}',
+            '-2/3i q_{1}q_{2} e^{x^2/2} + i q_{1} e^{x^2/2} + 4/3i e^{x^2/2}',
         ),
         (
             '-2/3*i*q1q2*G - i*q1*G + 4/3*i*G',
@@ -1442,8 +1460,7 @@ _TRANSFORM_GOLDEN = {
             '"coeff": [{"q": [0, 1, -1, 1], "b": 0, "eps": 0}]}, {"bos": '
             '[], "fer": [], "coeff": [{"q": [0, 1, 4, 3], "b": 0, "eps": '
             '0}]}]}',
-            '-2/3i q_{1}q_{2} e^{x^2/2} + -1i q_{1} e^{x^2/2} + 4/3i  '
-            'e^{x^2/2}',
+            '-2/3i q_{1}q_{2} e^{x^2/2} - i q_{1} e^{x^2/2} + 4/3i e^{x^2/2}',
         ),
         (
             'error: no purely fermionic Radon transform',
@@ -1465,7 +1482,7 @@ _TRANSFORM_GOLDEN = {
             '[1, 2, 0, 1], "b": 0, "eps": 0}]}, {"bos": [], "fer": [1], '
             '"coeff": [{"q": [0, 1, 1, 1], "b": 0, "eps": 0}]}, {"bos": [], '
             '"fer": [], "coeff": [{"q": [-1, 1, 0, 1], "b": 0, "eps": 0}]}]}',
-            '1/2 q_{1}q_{2} + i q_{1} + -1',
+            '1/2 q_{1}q_{2} + i q_{1} - 1',
         ),
         (
             '1/2*q1q2 - i*q1 - 1',
@@ -1475,7 +1492,7 @@ _TRANSFORM_GOLDEN = {
             '"coeff": [{"q": [0, 1, -1, 1], "b": 0, "eps": 0}]}, {"bos": '
             '[], "fer": [], "coeff": [{"q": [-1, 1, 0, 1], "b": 0, "eps": '
             '0}]}]}',
-            '1/2 q_{1}q_{2} + -1i q_{1} + -1',
+            '1/2 q_{1}q_{2} - i q_{1} - 1',
         ),
         (
             'error: fractional transform requires the marker G',
@@ -1506,7 +1523,7 @@ _TRANSFORM_GOLDEN = {
             'true, "terms": [{"bos": [3], "fer": [1], "coeff": [{"q": [1, '
             '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [1], '
             '"coeff": [{"q": [-3, 1, 0, 1], "b": 0, "eps": 0}]}]}',
-            '1 x_{1}^{3}q_{1} e^{x^2/2} + -3 x_{1}q_{1} e^{x^2/2}',
+            'x_{1}^{3}q_{1} e^{x^2/2} - 3 x_{1}q_{1} e^{x^2/2}',
         ),
         (
             'x1^3*q1*G - 3*x1*q1*G',
@@ -1514,7 +1531,7 @@ _TRANSFORM_GOLDEN = {
             'true, "terms": [{"bos": [3], "fer": [1], "coeff": [{"q": [1, '
             '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [1], '
             '"coeff": [{"q": [-3, 1, 0, 1], "b": 0, "eps": 0}]}]}',
-            '1 x_{1}^{3}q_{1} e^{x^2/2} + -3 x_{1}q_{1} e^{x^2/2}',
+            'x_{1}^{3}q_{1} e^{x^2/2} - 3 x_{1}q_{1} e^{x^2/2}',
         ),
         (
             'x1^3*q1*G - 3*x1*q1*G',
@@ -1522,7 +1539,7 @@ _TRANSFORM_GOLDEN = {
             'true, "terms": [{"bos": [3], "fer": [1], "coeff": [{"q": [1, '
             '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [1], '
             '"coeff": [{"q": [-3, 1, 0, 1], "b": 0, "eps": 0}]}]}',
-            '1 x_{1}^{3}q_{1} e^{x^2/2} + -3 x_{1}q_{1} e^{x^2/2}',
+            'x_{1}^{3}q_{1} e^{x^2/2} - 3 x_{1}q_{1} e^{x^2/2}',
         ),
         (
             'x1^3*q1*G - 3*x1*q1*G',
@@ -1530,7 +1547,7 @@ _TRANSFORM_GOLDEN = {
             'true, "terms": [{"bos": [3], "fer": [1], "coeff": [{"q": [1, '
             '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1], "fer": [1], '
             '"coeff": [{"q": [-3, 1, 0, 1], "b": 0, "eps": 0}]}]}',
-            '1 x_{1}^{3}q_{1} e^{x^2/2} + -3 x_{1}q_{1} e^{x^2/2}',
+            'x_{1}^{3}q_{1} e^{x^2/2} - 3 x_{1}q_{1} e^{x^2/2}',
         ),
         (
             '[(-3/2*pi^-1)*p^2 + (1/2*pi^-1)*p^4]*exp(-p^2/2) (x) w1*wf1',
@@ -1559,10 +1576,10 @@ _TRANSFORM_GOLDEN = {
             '"eps": 1}]}, {"bos": [0], "fer": [2], "coeff": [{"q": [0, 1, '
             '1, 3], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [], "coeff": '
             '[{"q": [3, 2, -5, 3], "b": 0, "eps": 1}]}]}',
-            '(3/4+-5/6i)\\sqrt{2} x_{1}^{2}q_{1}q_{2} e^{x^2/2} + '
-            '(-3/2+5/3i)\\sqrt{2} x_{1}^{2} e^{x^2/2} + '
-            '(-3/4+5/6i)\\sqrt{2} q_{1}q_{2} e^{x^2/2} + 1/3i q_{2} '
-            'e^{x^2/2} + (3/2+-5/3i)\\sqrt{2}  e^{x^2/2}',
+            '(3/4+-5/6i)\\sqrt{2} x_{1}^{2}q_{1}q_{2} e^{x^2/2} + (-3/2+5/3i'
+            ')\\sqrt{2} x_{1}^{2} e^{x^2/2} + (-3/4+5/6i)\\sqrt{2} q_{1}q_{2'
+            '} e^{x^2/2} + 1/3i q_{2} e^{x^2/2} + (3/2+-5/3i)\\sqrt{2} e^{x^'
+            '2/2}',
         ),
         (
             '(3/4-5/6*i)*sqrt2*x1^2*q1q2*G + (-3/2+5/3*i)*sqrt2*x1^2*G + '
@@ -1575,10 +1592,10 @@ _TRANSFORM_GOLDEN = {
             '"eps": 1}]}, {"bos": [0], "fer": [2], "coeff": [{"q": [0, 1, '
             '-1, 3], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [], "coeff": '
             '[{"q": [3, 2, -5, 3], "b": 0, "eps": 1}]}]}',
-            '(3/4+-5/6i)\\sqrt{2} x_{1}^{2}q_{1}q_{2} e^{x^2/2} + '
-            '(-3/2+5/3i)\\sqrt{2} x_{1}^{2} e^{x^2/2} + '
-            '(-3/4+5/6i)\\sqrt{2} q_{1}q_{2} e^{x^2/2} + -1/3i q_{2} '
-            'e^{x^2/2} + (3/2+-5/3i)\\sqrt{2}  e^{x^2/2}',
+            '(3/4+-5/6i)\\sqrt{2} x_{1}^{2}q_{1}q_{2} e^{x^2/2} + (-3/2+5/3i'
+            ')\\sqrt{2} x_{1}^{2} e^{x^2/2} + (-3/4+5/6i)\\sqrt{2} q_{1}q_{2'
+            '} e^{x^2/2} - 1/3i q_{2} e^{x^2/2} + (3/2+-5/3i)\\sqrt{2} e^{x^'
+            '2/2}',
         ),
         (
             '(3/4-5/6*i)*sqrt2*x1^2*q1q2*G + (-3/2+5/3*i)*sqrt2*x1^2*G + '
@@ -1591,10 +1608,10 @@ _TRANSFORM_GOLDEN = {
             '"eps": 1}]}, {"bos": [0], "fer": [2], "coeff": [{"q": [0, 1, '
             '1, 3], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [], "coeff": '
             '[{"q": [3, 2, -5, 3], "b": 0, "eps": 1}]}]}',
-            '(3/4+-5/6i)\\sqrt{2} x_{1}^{2}q_{1}q_{2} e^{x^2/2} + '
-            '(-3/2+5/3i)\\sqrt{2} x_{1}^{2} e^{x^2/2} + '
-            '(-3/4+5/6i)\\sqrt{2} q_{1}q_{2} e^{x^2/2} + 1/3i q_{2} '
-            'e^{x^2/2} + (3/2+-5/3i)\\sqrt{2}  e^{x^2/2}',
+            '(3/4+-5/6i)\\sqrt{2} x_{1}^{2}q_{1}q_{2} e^{x^2/2} + (-3/2+5/3i'
+            ')\\sqrt{2} x_{1}^{2} e^{x^2/2} + (-3/4+5/6i)\\sqrt{2} q_{1}q_{2'
+            '} e^{x^2/2} + 1/3i q_{2} e^{x^2/2} + (3/2+-5/3i)\\sqrt{2} e^{x^'
+            '2/2}',
         ),
         (
             '(3/4-5/6*i)*sqrt2*x1^2*q1q2*G + (-3/2+5/3*i)*sqrt2*x1^2*G + '
@@ -1607,10 +1624,10 @@ _TRANSFORM_GOLDEN = {
             '"eps": 1}]}, {"bos": [0], "fer": [2], "coeff": [{"q": [0, 1, '
             '-1, 3], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [], "coeff": '
             '[{"q": [3, 2, -5, 3], "b": 0, "eps": 1}]}]}',
-            '(3/4+-5/6i)\\sqrt{2} x_{1}^{2}q_{1}q_{2} e^{x^2/2} + '
-            '(-3/2+5/3i)\\sqrt{2} x_{1}^{2} e^{x^2/2} + '
-            '(-3/4+5/6i)\\sqrt{2} q_{1}q_{2} e^{x^2/2} + -1/3i q_{2} '
-            'e^{x^2/2} + (3/2+-5/3i)\\sqrt{2}  e^{x^2/2}',
+            '(3/4+-5/6i)\\sqrt{2} x_{1}^{2}q_{1}q_{2} e^{x^2/2} + (-3/2+5/3i'
+            ')\\sqrt{2} x_{1}^{2} e^{x^2/2} + (-3/4+5/6i)\\sqrt{2} q_{1}q_{2'
+            '} e^{x^2/2} - 1/3i q_{2} e^{x^2/2} + (3/2+-5/3i)\\sqrt{2} e^{x^'
+            '2/2}',
         ),
         (
             '[((3/4-5/6*i)*sqrt2*pi^-1)*p^2]*exp(-p^2/2) + '
@@ -1643,7 +1660,7 @@ _TRANSFORM_GOLDEN = {
             'true, "terms": [{"bos": [1, 1], "fer": [], "coeff": [{"q": '
             '[-1, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [1, '
             '2], "coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}',
-            '-1 x_{1}x_{2} e^{x^2/2} + 1 q_{1}q_{2} e^{x^2/2}',
+            '-x_{1}x_{2} e^{x^2/2} + q_{1}q_{2} e^{x^2/2}',
         ),
         (
             '-x1*x2*G + q1q2*G',
@@ -1651,7 +1668,7 @@ _TRANSFORM_GOLDEN = {
             'true, "terms": [{"bos": [1, 1], "fer": [], "coeff": [{"q": '
             '[-1, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [1, '
             '2], "coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}',
-            '-1 x_{1}x_{2} e^{x^2/2} + 1 q_{1}q_{2} e^{x^2/2}',
+            '-x_{1}x_{2} e^{x^2/2} + q_{1}q_{2} e^{x^2/2}',
         ),
         (
             '-x1*x2*G + q1q2*G',
@@ -1659,7 +1676,7 @@ _TRANSFORM_GOLDEN = {
             'true, "terms": [{"bos": [1, 1], "fer": [], "coeff": [{"q": '
             '[-1, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [1, '
             '2], "coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}',
-            '-1 x_{1}x_{2} e^{x^2/2} + 1 q_{1}q_{2} e^{x^2/2}',
+            '-x_{1}x_{2} e^{x^2/2} + q_{1}q_{2} e^{x^2/2}',
         ),
         (
             '-x1*x2*G + q1q2*G',
@@ -1667,7 +1684,7 @@ _TRANSFORM_GOLDEN = {
             'true, "terms": [{"bos": [1, 1], "fer": [], "coeff": [{"q": '
             '[-1, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [1, '
             '2], "coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}',
-            '-1 x_{1}x_{2} e^{x^2/2} + 1 q_{1}q_{2} e^{x^2/2}',
+            '-x_{1}x_{2} e^{x^2/2} + q_{1}q_{2} e^{x^2/2}',
         ),
         (
             '[(1/2*sqrt2*pi^(-1/2)) + '
@@ -1699,7 +1716,7 @@ _TRANSFORM_GOLDEN = {
             'true, "terms": [{"bos": [0, 2], "fer": [2], "coeff": [{"q": '
             '[0, 1, -1, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": '
             '[2], "coeff": [{"q": [0, 1, 1, 1], "b": 0, "eps": 0}]}]}',
-            '-1i x_{2}^{2}q_{2} e^{x^2/2} + i q_{2} e^{x^2/2}',
+            '-i x_{2}^{2}q_{2} e^{x^2/2} + i q_{2} e^{x^2/2}',
         ),
         (
             'i*x2^2*q2*G - i*q2*G',
@@ -1707,7 +1724,7 @@ _TRANSFORM_GOLDEN = {
             'true, "terms": [{"bos": [0, 2], "fer": [2], "coeff": [{"q": '
             '[0, 1, 1, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [2], '
             '"coeff": [{"q": [0, 1, -1, 1], "b": 0, "eps": 0}]}]}',
-            'i x_{2}^{2}q_{2} e^{x^2/2} + -1i q_{2} e^{x^2/2}',
+            'i x_{2}^{2}q_{2} e^{x^2/2} - i q_{2} e^{x^2/2}',
         ),
         (
             '-i*x2^2*q2*G + i*q2*G',
@@ -1715,7 +1732,7 @@ _TRANSFORM_GOLDEN = {
             'true, "terms": [{"bos": [0, 2], "fer": [2], "coeff": [{"q": '
             '[0, 1, -1, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": '
             '[2], "coeff": [{"q": [0, 1, 1, 1], "b": 0, "eps": 0}]}]}',
-            '-1i x_{2}^{2}q_{2} e^{x^2/2} + i q_{2} e^{x^2/2}',
+            '-i x_{2}^{2}q_{2} e^{x^2/2} + i q_{2} e^{x^2/2}',
         ),
         (
             'i*x2^2*q2*G - i*q2*G',
@@ -1723,7 +1740,7 @@ _TRANSFORM_GOLDEN = {
             'true, "terms": [{"bos": [0, 2], "fer": [2], "coeff": [{"q": '
             '[0, 1, 1, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [2], '
             '"coeff": [{"q": [0, 1, -1, 1], "b": 0, "eps": 0}]}]}',
-            'i x_{2}^{2}q_{2} e^{x^2/2} + -1i q_{2} e^{x^2/2}',
+            'i x_{2}^{2}q_{2} e^{x^2/2} - i q_{2} e^{x^2/2}',
         ),
         (
             '[(-sqrt2*pi^(-1/2))*p + (1/2*sqrt2*pi^(-1/2))*p^3]*exp(-p^2/2) '
@@ -1757,8 +1774,8 @@ _TRANSFORM_GOLDEN = {
             '0, "eps": 0}]}, {"bos": [], "fer": [3, 4], "coeff": [{"q": '
             '[-2, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [], "fer": [], '
             '"coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}]}',
-            '1 q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -2 q_{1}q_{2} e^{x^2/2} + i '
-            'q_{2}q_{3} e^{x^2/2} + -2 q_{3}q_{4} e^{x^2/2} + 4  e^{x^2/2}',
+            'q_{1}q_{2}q_{3}q_{4} e^{x^2/2} - 2 q_{1}q_{2} e^{x^2/2} + i q_{'
+            '2}q_{3} e^{x^2/2} - 2 q_{3}q_{4} e^{x^2/2} + 4 e^{x^2/2}',
         ),
         (
             'q1q2q3q4*G - 2*q1q2*G + i*q2q3*G - 2*q3q4*G + 4*G',
@@ -1770,8 +1787,8 @@ _TRANSFORM_GOLDEN = {
             '0, "eps": 0}]}, {"bos": [], "fer": [3, 4], "coeff": [{"q": '
             '[-2, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [], "fer": [], '
             '"coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}]}',
-            '1 q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -2 q_{1}q_{2} e^{x^2/2} + i '
-            'q_{2}q_{3} e^{x^2/2} + -2 q_{3}q_{4} e^{x^2/2} + 4  e^{x^2/2}',
+            'q_{1}q_{2}q_{3}q_{4} e^{x^2/2} - 2 q_{1}q_{2} e^{x^2/2} + i q_{'
+            '2}q_{3} e^{x^2/2} - 2 q_{3}q_{4} e^{x^2/2} + 4 e^{x^2/2}',
         ),
         (
             'q1q2q3q4*G - 2*q1q2*G + i*q2q3*G - 2*q3q4*G + 4*G',
@@ -1783,8 +1800,8 @@ _TRANSFORM_GOLDEN = {
             '0, "eps": 0}]}, {"bos": [], "fer": [3, 4], "coeff": [{"q": '
             '[-2, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [], "fer": [], '
             '"coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}]}',
-            '1 q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -2 q_{1}q_{2} e^{x^2/2} + i '
-            'q_{2}q_{3} e^{x^2/2} + -2 q_{3}q_{4} e^{x^2/2} + 4  e^{x^2/2}',
+            'q_{1}q_{2}q_{3}q_{4} e^{x^2/2} - 2 q_{1}q_{2} e^{x^2/2} + i q_{'
+            '2}q_{3} e^{x^2/2} - 2 q_{3}q_{4} e^{x^2/2} + 4 e^{x^2/2}',
         ),
         (
             'q1q2q3q4*G - 2*q1q2*G + i*q2q3*G - 2*q3q4*G + 4*G',
@@ -1796,8 +1813,8 @@ _TRANSFORM_GOLDEN = {
             '0, "eps": 0}]}, {"bos": [], "fer": [3, 4], "coeff": [{"q": '
             '[-2, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [], "fer": [], '
             '"coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}]}',
-            '1 q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -2 q_{1}q_{2} e^{x^2/2} + i '
-            'q_{2}q_{3} e^{x^2/2} + -2 q_{3}q_{4} e^{x^2/2} + 4  e^{x^2/2}',
+            'q_{1}q_{2}q_{3}q_{4} e^{x^2/2} - 2 q_{1}q_{2} e^{x^2/2} + i q_{'
+            '2}q_{3} e^{x^2/2} - 2 q_{3}q_{4} e^{x^2/2} + 4 e^{x^2/2}',
         ),
         (
             'error: no purely fermionic Radon transform',
@@ -1820,7 +1837,7 @@ _TRANSFORM_GOLDEN = {
             '[2, 3], "coeff": [{"q": [-1, 3, 0, 1], "b": 0, "eps": 0}]}, '
             '{"bos": [], "fer": [], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
             '"eps": 0}]}]}',
-            '-5/4 q_{1}q_{2}q_{3}q_{4} + -1/3 q_{2}q_{3} + 4',
+            '-5/4 q_{1}q_{2}q_{3}q_{4} - 1/3 q_{2}q_{3} + 4',
         ),
         (
             '-5/4*q1q2q3q4 - 1/3*q2q3 + 4',
@@ -1830,7 +1847,7 @@ _TRANSFORM_GOLDEN = {
             '[2, 3], "coeff": [{"q": [-1, 3, 0, 1], "b": 0, "eps": 0}]}, '
             '{"bos": [], "fer": [], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
             '"eps": 0}]}]}',
-            '-5/4 q_{1}q_{2}q_{3}q_{4} + -1/3 q_{2}q_{3} + 4',
+            '-5/4 q_{1}q_{2}q_{3}q_{4} - 1/3 q_{2}q_{3} + 4',
         ),
         (
             'error: fractional transform requires the marker G',
@@ -1900,8 +1917,8 @@ _TRANSFORM_GOLDEN = {
             '3], "coeff": [{"q": [0, 1, -1, 1], "b": 0, "eps": 0}]}, '
             '{"bos": [0, 0], "fer": [2, 4], "coeff": [{"q": [1, 2, 0, 1], '
             '"b": 0, "eps": 0}]}]}',
-            '-1/2 x_{2}^{2}q_{2}q_{4} e^{x^2/2} + -1i x_{1}q_{1}q_{3} '
-            'e^{x^2/2} + 1/2 q_{2}q_{4} e^{x^2/2}',
+            '-1/2 x_{2}^{2}q_{2}q_{4} e^{x^2/2} - i x_{1}q_{1}q_{3} e^{x^2/2'
+            '} + 1/2 q_{2}q_{4} e^{x^2/2}',
         ),
         (
             '-1/2*x2^2*q2q4*G + i*x1*q1q3*G + 1/2*q2q4*G',
@@ -1922,8 +1939,8 @@ _TRANSFORM_GOLDEN = {
             '3], "coeff": [{"q": [0, 1, -1, 1], "b": 0, "eps": 0}]}, '
             '{"bos": [0, 0], "fer": [2, 4], "coeff": [{"q": [1, 2, 0, 1], '
             '"b": 0, "eps": 0}]}]}',
-            '-1/2 x_{2}^{2}q_{2}q_{4} e^{x^2/2} + -1i x_{1}q_{1}q_{3} '
-            'e^{x^2/2} + 1/2 q_{2}q_{4} e^{x^2/2}',
+            '-1/2 x_{2}^{2}q_{2}q_{4} e^{x^2/2} - i x_{1}q_{1}q_{3} e^{x^2/2'
+            '} + 1/2 q_{2}q_{4} e^{x^2/2}',
         ),
         (
             '-1/2*x2^2*q2q4*G + i*x1*q1q3*G + 1/2*q2q4*G',
@@ -1980,9 +1997,8 @@ _TRANSFORM_GOLDEN = {
             '"coeff": [{"q": [0, 1, 1, 1], "b": 1, "eps": 0}]}, {"bos": [0, '
             '0], "fer": [], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
             '0}]}]}',
-            '1 q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -2 q_{1}q_{2} e^{x^2/2} + '
-            '-2 q_{3}q_{4} e^{x^2/2} + i\\pi^{1/2} x_{1} e^{x^2/2} + 4  '
-            'e^{x^2/2}',
+            'q_{1}q_{2}q_{3}q_{4} e^{x^2/2} - 2 q_{1}q_{2} e^{x^2/2} - 2 q_{'
+            '3}q_{4} e^{x^2/2} + i\\pi^{1/2} x_{1} e^{x^2/2} + 4 e^{x^2/2}',
         ),
         (
             'q1q2q3q4*G - 2*q1q2*G - 2*q3q4*G - i*sqrtpi*x1*G + 4*G',
@@ -1995,9 +2011,8 @@ _TRANSFORM_GOLDEN = {
             '"coeff": [{"q": [0, 1, -1, 1], "b": 1, "eps": 0}]}, {"bos": '
             '[0, 0], "fer": [], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
             '"eps": 0}]}]}',
-            '1 q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -2 q_{1}q_{2} e^{x^2/2} + '
-            '-2 q_{3}q_{4} e^{x^2/2} + -1i\\pi^{1/2} x_{1} e^{x^2/2} + 4  '
-            'e^{x^2/2}',
+            'q_{1}q_{2}q_{3}q_{4} e^{x^2/2} - 2 q_{1}q_{2} e^{x^2/2} - 2 q_{'
+            '3}q_{4} e^{x^2/2} - i\\pi^{1/2} x_{1} e^{x^2/2} + 4 e^{x^2/2}',
         ),
         (
             'q1q2q3q4*G - 2*q1q2*G - 2*q3q4*G + i*sqrtpi*x1*G + 4*G',
@@ -2010,9 +2025,8 @@ _TRANSFORM_GOLDEN = {
             '"coeff": [{"q": [0, 1, 1, 1], "b": 1, "eps": 0}]}, {"bos": [0, '
             '0], "fer": [], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
             '0}]}]}',
-            '1 q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -2 q_{1}q_{2} e^{x^2/2} + '
-            '-2 q_{3}q_{4} e^{x^2/2} + i\\pi^{1/2} x_{1} e^{x^2/2} + 4  '
-            'e^{x^2/2}',
+            'q_{1}q_{2}q_{3}q_{4} e^{x^2/2} - 2 q_{1}q_{2} e^{x^2/2} - 2 q_{'
+            '3}q_{4} e^{x^2/2} + i\\pi^{1/2} x_{1} e^{x^2/2} + 4 e^{x^2/2}',
         ),
         (
             'q1q2q3q4*G - 2*q1q2*G - 2*q3q4*G - i*sqrtpi*x1*G + 4*G',
@@ -2025,9 +2039,8 @@ _TRANSFORM_GOLDEN = {
             '"coeff": [{"q": [0, 1, -1, 1], "b": 1, "eps": 0}]}, {"bos": '
             '[0, 0], "fer": [], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
             '"eps": 0}]}]}',
-            '1 q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -2 q_{1}q_{2} e^{x^2/2} + '
-            '-2 q_{3}q_{4} e^{x^2/2} + -1i\\pi^{1/2} x_{1} e^{x^2/2} + 4  '
-            'e^{x^2/2}',
+            'q_{1}q_{2}q_{3}q_{4} e^{x^2/2} - 2 q_{1}q_{2} e^{x^2/2} - 2 q_{'
+            '3}q_{4} e^{x^2/2} - i\\pi^{1/2} x_{1} e^{x^2/2} + 4 e^{x^2/2}',
         ),
         (
             '[(sqrt2*pi^(-3/2))]*exp(-p^2/2) + [(-1/2*sqrt2*pi^(-3/2)) + '
@@ -2099,7 +2112,7 @@ _BASES_GOLDEN = {
             '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
             'true, "terms": [{"bos": [0, 0], "fer": [], "coeff": [{"q": [1, '
             '1, 0, 1], "b": 0, "eps": 0}]}]}',
-            '1  e^{x^2/2}',
+            'e^{x^2/2}',
         ),
         (
             '-4*x1^2*G - 4*x2^2*G + 4*q1q2*G',
@@ -2109,8 +2122,8 @@ _BASES_GOLDEN = {
             '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
             '0], "fer": [1, 2], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
             '0}]}]}',
-            '-4 x_{1}^{2} e^{x^2/2} + -4 x_{2}^{2} e^{x^2/2} + 4 q_{1}q_{2} '
-            'e^{x^2/2}',
+            '-4 x_{1}^{2} e^{x^2/2} - 4 x_{2}^{2} e^{x^2/2} + 4 q_{1}q_{2} e'
+            '^{x^2/2}',
         ),
         (
             '16*x1^4*G + 32*x1^2*x2^2*G - 32*x1^2*q1q2*G + 16*x2^4*G - '
@@ -2127,10 +2140,10 @@ _BASES_GOLDEN = {
             '"eps": 0}]}, {"bos": [0, 2], "fer": [], "coeff": [{"q": [-32, '
             '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [1, 2], '
             '"coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}]}',
-            '16 x_{1}^{4} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{2} e^{x^2/2} + -32 '
-            'x_{1}^{2}q_{1}q_{2} e^{x^2/2} + 16 x_{2}^{4} e^{x^2/2} + -32 '
-            'x_{2}^{2}q_{1}q_{2} e^{x^2/2} + -32 x_{1}^{2} e^{x^2/2} + -32 '
-            'x_{2}^{2} e^{x^2/2} + 32 q_{1}q_{2} e^{x^2/2}',
+            '16 x_{1}^{4} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{2} e^{x^2/2} - 32 x'
+            '_{1}^{2}q_{1}q_{2} e^{x^2/2} + 16 x_{2}^{4} e^{x^2/2} - 32 x_{2'
+            '}^{2}q_{1}q_{2} e^{x^2/2} - 32 x_{1}^{2} e^{x^2/2} - 32 x_{2}^{'
+            '2} e^{x^2/2} + 32 q_{1}q_{2} e^{x^2/2}',
         ),
         (
             'degree 0: dim nullspace 1, dim formula 1 [ok]',
@@ -2158,8 +2171,8 @@ _BASES_GOLDEN = {
             '{"schema": "supertransform/1", "m": 2, "n": 1, "envelope": '
             'true, "terms": [{"bos": [0, 0], "fer": [2], "coeff": [{"q": [1, '
             '1, 0, 1], "b": 0, "eps": 0}]}]}',
-            '1 x_{2} e^{x^2/2}\n'
-            '1 x_{1} e^{x^2/2}\n1 q_{1} e^{x^2/2}\n1 q_{2} e^{x^2/2}',
+            'x_{2} e^{x^2/2}\nx_{1} e^{x^2/2}\nq_{1} e^{x^2/2}\nq_{2} e^{x^2'
+            '/2}',
         ),
         (
             '-4*x1^2*x2*G - 4*x2^3*G + 4*x2*q1q2*G + 4*x2*G\n'
@@ -2192,14 +2205,12 @@ _BASES_GOLDEN = {
             '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
             '0], "fer": [2], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
             '0}]}]}',
-            '-4 x_{1}^{2}x_{2} e^{x^2/2} + -4 x_{2}^{3} e^{x^2/2} + 4 '
-            'x_{2}q_{1}q_{2} e^{x^2/2} + 4 x_{2} e^{x^2/2}\n'
-            '-4 x_{1}^{3} e^{x^2/2} + -4 x_{1}x_{2}^{2} e^{x^2/2} + 4 '
-            'x_{1}q_{1}q_{2} e^{x^2/2} + 4 x_{1} e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{1} e^{x^2/2} + -4 x_{2}^{2}q_{1} e^{x^2/2} + 4 '
-            'q_{1} e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{2} e^{x^2/2} + -4 x_{2}^{2}q_{2} e^{x^2/2} + 4 '
-            'q_{2} e^{x^2/2}',
+            '-4 x_{1}^{2}x_{2} e^{x^2/2} - 4 x_{2}^{3} e^{x^2/2} + 4 x_{2}q_'
+            '{1}q_{2} e^{x^2/2} + 4 x_{2} e^{x^2/2}\n-4 x_{1}^{3} e^{x^2/2} '
+            '- 4 x_{1}x_{2}^{2} e^{x^2/2} + 4 x_{1}q_{1}q_{2} e^{x^2/2} + 4 '
+            'x_{1} e^{x^2/2}\n-4 x_{1}^{2}q_{1} e^{x^2/2} - 4 x_{2}^{2}q_{1}'
+            ' e^{x^2/2} + 4 q_{1} e^{x^2/2}\n-4 x_{1}^{2}q_{2} e^{x^2/2} - 4'
+            ' x_{2}^{2}q_{2} e^{x^2/2} + 4 q_{2} e^{x^2/2}',
         ),
         (
             '16*x1^4*x2*G + 32*x1^2*x2^3*G - 32*x1^2*x2*q1q2*G + 16*x2^5*G - '
@@ -2259,22 +2270,21 @@ _BASES_GOLDEN = {
             '1], "b": 0, "eps": 0}]}, {"bos": [0, 2], "fer": [2], "coeff": '
             '[{"q": [-64, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], '
             '"fer": [2], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}]}',
-            '16 x_{1}^{4}x_{2} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{3} e^{x^2/2} + '
-            '-32 x_{1}^{2}x_{2}q_{1}q_{2} e^{x^2/2} + 16 x_{2}^{5} e^{x^2/2} '
-            '+ -32 x_{2}^{3}q_{1}q_{2} e^{x^2/2} + -64 x_{1}^{2}x_{2} '
-            'e^{x^2/2} + -64 x_{2}^{3} e^{x^2/2} + 64 x_{2}q_{1}q_{2} '
-            'e^{x^2/2} + 32 x_{2} e^{x^2/2}\n'
-            '16 x_{1}^{5} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{2} e^{x^2/2} + -32 '
-            'x_{1}^{3}q_{1}q_{2} e^{x^2/2} + 16 x_{1}x_{2}^{4} e^{x^2/2} + '
-            '-32 x_{1}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + -64 x_{1}^{3} '
-            'e^{x^2/2} + -64 x_{1}x_{2}^{2} e^{x^2/2} + 64 x_{1}q_{1}q_{2} '
-            'e^{x^2/2} + 32 x_{1} e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{1} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{2}q_{1} '
-            'e^{x^2/2} + 16 x_{2}^{4}q_{1} e^{x^2/2} + -64 x_{1}^{2}q_{1} '
-            'e^{x^2/2} + -64 x_{2}^{2}q_{1} e^{x^2/2} + 32 q_{1} e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{2} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{2}q_{2} '
-            'e^{x^2/2} + 16 x_{2}^{4}q_{2} e^{x^2/2} + -64 x_{1}^{2}q_{2} '
-            'e^{x^2/2} + -64 x_{2}^{2}q_{2} e^{x^2/2} + 32 q_{2} e^{x^2/2}',
+            '16 x_{1}^{4}x_{2} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{3} e^{x^2/2} -'
+            ' 32 x_{1}^{2}x_{2}q_{1}q_{2} e^{x^2/2} + 16 x_{2}^{5} e^{x^2/2}'
+            ' - 32 x_{2}^{3}q_{1}q_{2} e^{x^2/2} - 64 x_{1}^{2}x_{2} e^{x^2/'
+            '2} - 64 x_{2}^{3} e^{x^2/2} + 64 x_{2}q_{1}q_{2} e^{x^2/2} + 32'
+            ' x_{2} e^{x^2/2}\n16 x_{1}^{5} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{2'
+            '} e^{x^2/2} - 32 x_{1}^{3}q_{1}q_{2} e^{x^2/2} + 16 x_{1}x_{2}^'
+            '{4} e^{x^2/2} - 32 x_{1}x_{2}^{2}q_{1}q_{2} e^{x^2/2} - 64 x_{1'
+            '}^{3} e^{x^2/2} - 64 x_{1}x_{2}^{2} e^{x^2/2} + 64 x_{1}q_{1}q_'
+            '{2} e^{x^2/2} + 32 x_{1} e^{x^2/2}\n16 x_{1}^{4}q_{1} e^{x^2/2}'
+            ' + 32 x_{1}^{2}x_{2}^{2}q_{1} e^{x^2/2} + 16 x_{2}^{4}q_{1} e^{'
+            'x^2/2} - 64 x_{1}^{2}q_{1} e^{x^2/2} - 64 x_{2}^{2}q_{1} e^{x^2'
+            '/2} + 32 q_{1} e^{x^2/2}\n16 x_{1}^{4}q_{2} e^{x^2/2} + 32 x_{1'
+            '}^{2}x_{2}^{2}q_{2} e^{x^2/2} + 16 x_{2}^{4}q_{2} e^{x^2/2} - 6'
+            '4 x_{1}^{2}q_{2} e^{x^2/2} - 64 x_{2}^{2}q_{2} e^{x^2/2} + 32 q'
+            '_{2} e^{x^2/2}',
         ),
         (
             'degree 1: dim nullspace 4, dim formula 4 [ok]',
@@ -2322,13 +2332,10 @@ _BASES_GOLDEN = {
             'true, "terms": [{"bos": [0, 2], "fer": [], "coeff": [{"q": [-2, '
             '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [1, 2], '
             '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}',
-            '1 x_{1}x_{2} e^{x^2/2}\n'
-            '1 x_{1}^{2} e^{x^2/2} + -1 x_{2}^{2} e^{x^2/2}\n'
-            '1 x_{2}q_{1} e^{x^2/2}\n'
-            '1 x_{1}q_{1} e^{x^2/2}\n'
-            '1 x_{2}q_{2} e^{x^2/2}\n'
-            '1 x_{1}q_{2} e^{x^2/2}\n'
-            '-2 x_{2}^{2} e^{x^2/2} + 1 q_{1}q_{2} e^{x^2/2}',
+            'x_{1}x_{2} e^{x^2/2}\nx_{1}^{2} e^{x^2/2} - x_{2}^{2} e^{x^2/2}'
+            '\nx_{2}q_{1} e^{x^2/2}\nx_{1}q_{1} e^{x^2/2}\nx_{2}q_{2} e^{x^2'
+            '/2}\nx_{1}q_{2} e^{x^2/2}\n-2 x_{2}^{2} e^{x^2/2} + q_{1}q_{2} '
+            'e^{x^2/2}',
         ),
         (
             '-4*x1^3*x2*G - 4*x1*x2^3*G + 4*x1*x2*q1q2*G + 8*x1*x2*G\n'
@@ -2391,22 +2398,19 @@ _BASES_GOLDEN = {
             '[{"q": [-16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], '
             '"fer": [1, 2], "coeff": [{"q": [8, 1, 0, 1], "b": 0, "eps": '
             '0}]}]}',
-            '-4 x_{1}^{3}x_{2} e^{x^2/2} + -4 x_{1}x_{2}^{3} e^{x^2/2} + 4 '
-            'x_{1}x_{2}q_{1}q_{2} e^{x^2/2} + 8 x_{1}x_{2} e^{x^2/2}\n'
-            '-4 x_{1}^{4} e^{x^2/2} + 4 x_{1}^{2}q_{1}q_{2} e^{x^2/2} + 4 '
-            'x_{2}^{4} e^{x^2/2} + -4 x_{2}^{2}q_{1}q_{2} e^{x^2/2} + 8 '
-            'x_{1}^{2} e^{x^2/2} + -8 x_{2}^{2} e^{x^2/2}\n'
-            '-4 x_{1}^{2}x_{2}q_{1} e^{x^2/2} + -4 x_{2}^{3}q_{1} e^{x^2/2} '
-            '+ 8 x_{2}q_{1} e^{x^2/2}\n'
-            '-4 x_{1}^{3}q_{1} e^{x^2/2} + -4 x_{1}x_{2}^{2}q_{1} e^{x^2/2} '
-            '+ 8 x_{1}q_{1} e^{x^2/2}\n'
-            '-4 x_{1}^{2}x_{2}q_{2} e^{x^2/2} + -4 x_{2}^{3}q_{2} e^{x^2/2} '
-            '+ 8 x_{2}q_{2} e^{x^2/2}\n'
-            '-4 x_{1}^{3}q_{2} e^{x^2/2} + -4 x_{1}x_{2}^{2}q_{2} e^{x^2/2} '
-            '+ 8 x_{1}q_{2} e^{x^2/2}\n'
-            '8 x_{1}^{2}x_{2}^{2} e^{x^2/2} + -4 x_{1}^{2}q_{1}q_{2} '
-            'e^{x^2/2} + 8 x_{2}^{4} e^{x^2/2} + -12 x_{2}^{2}q_{1}q_{2} '
-            'e^{x^2/2} + -16 x_{2}^{2} e^{x^2/2} + 8 q_{1}q_{2} e^{x^2/2}',
+            '-4 x_{1}^{3}x_{2} e^{x^2/2} - 4 x_{1}x_{2}^{3} e^{x^2/2} + 4 x_'
+            '{1}x_{2}q_{1}q_{2} e^{x^2/2} + 8 x_{1}x_{2} e^{x^2/2}\n-4 x_{1}'
+            '^{4} e^{x^2/2} + 4 x_{1}^{2}q_{1}q_{2} e^{x^2/2} + 4 x_{2}^{4} '
+            'e^{x^2/2} - 4 x_{2}^{2}q_{1}q_{2} e^{x^2/2} + 8 x_{1}^{2} e^{x^'
+            '2/2} - 8 x_{2}^{2} e^{x^2/2}\n-4 x_{1}^{2}x_{2}q_{1} e^{x^2/2} '
+            '- 4 x_{2}^{3}q_{1} e^{x^2/2} + 8 x_{2}q_{1} e^{x^2/2}\n-4 x_{1}'
+            '^{3}q_{1} e^{x^2/2} - 4 x_{1}x_{2}^{2}q_{1} e^{x^2/2} + 8 x_{1}'
+            'q_{1} e^{x^2/2}\n-4 x_{1}^{2}x_{2}q_{2} e^{x^2/2} - 4 x_{2}^{3}'
+            'q_{2} e^{x^2/2} + 8 x_{2}q_{2} e^{x^2/2}\n-4 x_{1}^{3}q_{2} e^{'
+            'x^2/2} - 4 x_{1}x_{2}^{2}q_{2} e^{x^2/2} + 8 x_{1}q_{2} e^{x^2/'
+            '2}\n8 x_{1}^{2}x_{2}^{2} e^{x^2/2} - 4 x_{1}^{2}q_{1}q_{2} e^{x'
+            '^2/2} + 8 x_{2}^{4} e^{x^2/2} - 12 x_{2}^{2}q_{1}q_{2} e^{x^2/2'
+            '} - 16 x_{2}^{2} e^{x^2/2} + 8 q_{1}q_{2} e^{x^2/2}',
         ),
         (
             '16*x1^5*x2*G + 32*x1^3*x2^3*G - 32*x1^3*x2*q1q2*G + '
@@ -2517,40 +2521,35 @@ _BASES_GOLDEN = {
             '[], "coeff": [{"q": [-192, 1, 0, 1], "b": 0, "eps": 0}]}, '
             '{"bos": [0, 0], "fer": [1, 2], "coeff": [{"q": [96, 1, 0, 1], '
             '"b": 0, "eps": 0}]}]}',
-            '16 x_{1}^{5}x_{2} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{3} e^{x^2/2} + '
-            '-32 x_{1}^{3}x_{2}q_{1}q_{2} e^{x^2/2} + 16 x_{1}x_{2}^{5} '
-            'e^{x^2/2} + -32 x_{1}x_{2}^{3}q_{1}q_{2} e^{x^2/2} + -96 '
-            'x_{1}^{3}x_{2} e^{x^2/2} + -96 x_{1}x_{2}^{3} e^{x^2/2} + 96 '
-            'x_{1}x_{2}q_{1}q_{2} e^{x^2/2} + 96 x_{1}x_{2} e^{x^2/2}\n'
-            '16 x_{1}^{6} e^{x^2/2} + 16 x_{1}^{4}x_{2}^{2} e^{x^2/2} + -32 '
-            'x_{1}^{4}q_{1}q_{2} e^{x^2/2} + -16 x_{1}^{2}x_{2}^{4} '
-            'e^{x^2/2} + -16 x_{2}^{6} e^{x^2/2} + 32 x_{2}^{4}q_{1}q_{2} '
-            'e^{x^2/2} + -96 x_{1}^{4} e^{x^2/2} + 96 x_{1}^{2}q_{1}q_{2} '
-            'e^{x^2/2} + 96 x_{2}^{4} e^{x^2/2} + -96 x_{2}^{2}q_{1}q_{2} '
-            'e^{x^2/2} + 96 x_{1}^{2} e^{x^2/2} + -96 x_{2}^{2} e^{x^2/2}\n'
-            '16 x_{1}^{4}x_{2}q_{1} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{3}q_{1} '
-            'e^{x^2/2} + 16 x_{2}^{5}q_{1} e^{x^2/2} + -96 '
-            'x_{1}^{2}x_{2}q_{1} e^{x^2/2} + -96 x_{2}^{3}q_{1} e^{x^2/2} + '
-            '96 x_{2}q_{1} e^{x^2/2}\n'
-            '16 x_{1}^{5}q_{1} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{2}q_{1} '
-            'e^{x^2/2} + 16 x_{1}x_{2}^{4}q_{1} e^{x^2/2} + -96 '
-            'x_{1}^{3}q_{1} e^{x^2/2} + -96 x_{1}x_{2}^{2}q_{1} e^{x^2/2} + '
-            '96 x_{1}q_{1} e^{x^2/2}\n'
-            '16 x_{1}^{4}x_{2}q_{2} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{3}q_{2} '
-            'e^{x^2/2} + 16 x_{2}^{5}q_{2} e^{x^2/2} + -96 '
-            'x_{1}^{2}x_{2}q_{2} e^{x^2/2} + -96 x_{2}^{3}q_{2} e^{x^2/2} + '
-            '96 x_{2}q_{2} e^{x^2/2}\n'
-            '16 x_{1}^{5}q_{2} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{2}q_{2} '
-            'e^{x^2/2} + 16 x_{1}x_{2}^{4}q_{2} e^{x^2/2} + -96 '
-            'x_{1}^{3}q_{2} e^{x^2/2} + -96 x_{1}x_{2}^{2}q_{2} e^{x^2/2} + '
-            '96 x_{1}q_{2} e^{x^2/2}\n'
-            '-32 x_{1}^{4}x_{2}^{2} e^{x^2/2} + 16 x_{1}^{4}q_{1}q_{2} '
-            'e^{x^2/2} + -64 x_{1}^{2}x_{2}^{4} e^{x^2/2} + 96 '
-            'x_{1}^{2}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + -32 x_{2}^{6} '
-            'e^{x^2/2} + 80 x_{2}^{4}q_{1}q_{2} e^{x^2/2} + 192 '
-            'x_{1}^{2}x_{2}^{2} e^{x^2/2} + -96 x_{1}^{2}q_{1}q_{2} '
-            'e^{x^2/2} + 192 x_{2}^{4} e^{x^2/2} + -288 x_{2}^{2}q_{1}q_{2} '
-            'e^{x^2/2} + -192 x_{2}^{2} e^{x^2/2} + 96 q_{1}q_{2} e^{x^2/2}',
+            '16 x_{1}^{5}x_{2} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{3} e^{x^2/2} -'
+            ' 32 x_{1}^{3}x_{2}q_{1}q_{2} e^{x^2/2} + 16 x_{1}x_{2}^{5} e^{x'
+            '^2/2} - 32 x_{1}x_{2}^{3}q_{1}q_{2} e^{x^2/2} - 96 x_{1}^{3}x_{'
+            '2} e^{x^2/2} - 96 x_{1}x_{2}^{3} e^{x^2/2} + 96 x_{1}x_{2}q_{1}'
+            'q_{2} e^{x^2/2} + 96 x_{1}x_{2} e^{x^2/2}\n16 x_{1}^{6} e^{x^2/'
+            '2} + 16 x_{1}^{4}x_{2}^{2} e^{x^2/2} - 32 x_{1}^{4}q_{1}q_{2} e'
+            '^{x^2/2} - 16 x_{1}^{2}x_{2}^{4} e^{x^2/2} - 16 x_{2}^{6} e^{x^'
+            '2/2} + 32 x_{2}^{4}q_{1}q_{2} e^{x^2/2} - 96 x_{1}^{4} e^{x^2/2'
+            '} + 96 x_{1}^{2}q_{1}q_{2} e^{x^2/2} + 96 x_{2}^{4} e^{x^2/2} -'
+            ' 96 x_{2}^{2}q_{1}q_{2} e^{x^2/2} + 96 x_{1}^{2} e^{x^2/2} - 96'
+            ' x_{2}^{2} e^{x^2/2}\n16 x_{1}^{4}x_{2}q_{1} e^{x^2/2} + 32 x_{'
+            '1}^{2}x_{2}^{3}q_{1} e^{x^2/2} + 16 x_{2}^{5}q_{1} e^{x^2/2} - '
+            '96 x_{1}^{2}x_{2}q_{1} e^{x^2/2} - 96 x_{2}^{3}q_{1} e^{x^2/2} '
+            '+ 96 x_{2}q_{1} e^{x^2/2}\n16 x_{1}^{5}q_{1} e^{x^2/2} + 32 x_{'
+            '1}^{3}x_{2}^{2}q_{1} e^{x^2/2} + 16 x_{1}x_{2}^{4}q_{1} e^{x^2/'
+            '2} - 96 x_{1}^{3}q_{1} e^{x^2/2} - 96 x_{1}x_{2}^{2}q_{1} e^{x^'
+            '2/2} + 96 x_{1}q_{1} e^{x^2/2}\n16 x_{1}^{4}x_{2}q_{2} e^{x^2/2'
+            '} + 32 x_{1}^{2}x_{2}^{3}q_{2} e^{x^2/2} + 16 x_{2}^{5}q_{2} e^'
+            '{x^2/2} - 96 x_{1}^{2}x_{2}q_{2} e^{x^2/2} - 96 x_{2}^{3}q_{2} '
+            'e^{x^2/2} + 96 x_{2}q_{2} e^{x^2/2}\n16 x_{1}^{5}q_{2} e^{x^2/2'
+            '} + 32 x_{1}^{3}x_{2}^{2}q_{2} e^{x^2/2} + 16 x_{1}x_{2}^{4}q_{'
+            '2} e^{x^2/2} - 96 x_{1}^{3}q_{2} e^{x^2/2} - 96 x_{1}x_{2}^{2}q'
+            '_{2} e^{x^2/2} + 96 x_{1}q_{2} e^{x^2/2}\n-32 x_{1}^{4}x_{2}^{2'
+            '} e^{x^2/2} + 16 x_{1}^{4}q_{1}q_{2} e^{x^2/2} - 64 x_{1}^{2}x_'
+            '{2}^{4} e^{x^2/2} + 96 x_{1}^{2}x_{2}^{2}q_{1}q_{2} e^{x^2/2} -'
+            ' 32 x_{2}^{6} e^{x^2/2} + 80 x_{2}^{4}q_{1}q_{2} e^{x^2/2} + 19'
+            '2 x_{1}^{2}x_{2}^{2} e^{x^2/2} - 96 x_{1}^{2}q_{1}q_{2} e^{x^2/'
+            '2} + 192 x_{2}^{4} e^{x^2/2} - 288 x_{2}^{2}q_{1}q_{2} e^{x^2/2'
+            '} - 192 x_{2}^{2} e^{x^2/2} + 96 q_{1}q_{2} e^{x^2/2}',
         ),
         (
             'degree 2: dim nullspace 7, dim formula 7 [ok]',
@@ -2620,14 +2619,12 @@ _BASES_GOLDEN = {
             'true, "terms": [{"bos": [1, 2], "fer": [], "coeff": [{"q": [-2, '
             '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 0], "fer": [1, 2], '
             '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}',
-            '1 x_{1}^{2}x_{2} e^{x^2/2} + -1/3 x_{2}^{3} e^{x^2/2}\n'
-            '1 x_{1}^{3} e^{x^2/2} + -3 x_{1}x_{2}^{2} e^{x^2/2}\n'
-            '1 x_{1}x_{2}q_{1} e^{x^2/2}\n'
-            '1 x_{1}^{2}q_{1} e^{x^2/2} + -1 x_{2}^{2}q_{1} e^{x^2/2}\n'
-            '1 x_{1}x_{2}q_{2} e^{x^2/2}\n'
-            '1 x_{1}^{2}q_{2} e^{x^2/2} + -1 x_{2}^{2}q_{2} e^{x^2/2}\n'
-            '-2/3 x_{2}^{3} e^{x^2/2} + 1 x_{2}q_{1}q_{2} e^{x^2/2}\n'
-            '-2 x_{1}x_{2}^{2} e^{x^2/2} + 1 x_{1}q_{1}q_{2} e^{x^2/2}',
+            'x_{1}^{2}x_{2} e^{x^2/2} - 1/3 x_{2}^{3} e^{x^2/2}\nx_{1}^{3} e'
+            '^{x^2/2} - 3 x_{1}x_{2}^{2} e^{x^2/2}\nx_{1}x_{2}q_{1} e^{x^2/2'
+            '}\nx_{1}^{2}q_{1} e^{x^2/2} - x_{2}^{2}q_{1} e^{x^2/2}\nx_{1}x_'
+            '{2}q_{2} e^{x^2/2}\nx_{1}^{2}q_{2} e^{x^2/2} - x_{2}^{2}q_{2} e'
+            '^{x^2/2}\n-2/3 x_{2}^{3} e^{x^2/2} + x_{2}q_{1}q_{2} e^{x^2/2}'
+            '\n-2 x_{1}x_{2}^{2} e^{x^2/2} + x_{1}q_{1}q_{2} e^{x^2/2}',
         ),
         (
             '-4*x1^4*x2*G - 8/3*x1^2*x2^3*G + 4*x1^2*x2*q1q2*G + 4/3*x2^5*G '
@@ -2710,30 +2707,26 @@ _BASES_GOLDEN = {
             '[{"q": [-24, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [1, 0], '
             '"fer": [1, 2], "coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": '
             '0}]}]}',
-            '-4 x_{1}^{4}x_{2} e^{x^2/2} + -8/3 x_{1}^{2}x_{2}^{3} e^{x^2/2} '
-            '+ 4 x_{1}^{2}x_{2}q_{1}q_{2} e^{x^2/2} + 4/3 x_{2}^{5} '
-            'e^{x^2/2} + -4/3 x_{2}^{3}q_{1}q_{2} e^{x^2/2} + 12 '
-            'x_{1}^{2}x_{2} e^{x^2/2} + -4 x_{2}^{3} e^{x^2/2}\n'
-            '-4 x_{1}^{5} e^{x^2/2} + 8 x_{1}^{3}x_{2}^{2} e^{x^2/2} + 4 '
-            'x_{1}^{3}q_{1}q_{2} e^{x^2/2} + 12 x_{1}x_{2}^{4} e^{x^2/2} + '
-            '-12 x_{1}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + 12 x_{1}^{3} e^{x^2/2} '
-            '+ -36 x_{1}x_{2}^{2} e^{x^2/2}\n'
-            '-4 x_{1}^{3}x_{2}q_{1} e^{x^2/2} + -4 x_{1}x_{2}^{3}q_{1} '
-            'e^{x^2/2} + 12 x_{1}x_{2}q_{1} e^{x^2/2}\n'
-            '-4 x_{1}^{4}q_{1} e^{x^2/2} + 4 x_{2}^{4}q_{1} e^{x^2/2} + 12 '
-            'x_{1}^{2}q_{1} e^{x^2/2} + -12 x_{2}^{2}q_{1} e^{x^2/2}\n'
-            '-4 x_{1}^{3}x_{2}q_{2} e^{x^2/2} + -4 x_{1}x_{2}^{3}q_{2} '
-            'e^{x^2/2} + 12 x_{1}x_{2}q_{2} e^{x^2/2}\n'
-            '-4 x_{1}^{4}q_{2} e^{x^2/2} + 4 x_{2}^{4}q_{2} e^{x^2/2} + 12 '
-            'x_{1}^{2}q_{2} e^{x^2/2} + -12 x_{2}^{2}q_{2} e^{x^2/2}\n'
-            '8/3 x_{1}^{2}x_{2}^{3} e^{x^2/2} + -4 x_{1}^{2}x_{2}q_{1}q_{2} '
-            'e^{x^2/2} + 8/3 x_{2}^{5} e^{x^2/2} + -20/3 x_{2}^{3}q_{1}q_{2} '
-            'e^{x^2/2} + -8 x_{2}^{3} e^{x^2/2} + 12 x_{2}q_{1}q_{2} '
-            'e^{x^2/2}\n'
-            '8 x_{1}^{3}x_{2}^{2} e^{x^2/2} + -4 x_{1}^{3}q_{1}q_{2} '
-            'e^{x^2/2} + 8 x_{1}x_{2}^{4} e^{x^2/2} + -12 '
-            'x_{1}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + -24 x_{1}x_{2}^{2} '
-            'e^{x^2/2} + 12 x_{1}q_{1}q_{2} e^{x^2/2}',
+            '-4 x_{1}^{4}x_{2} e^{x^2/2} - 8/3 x_{1}^{2}x_{2}^{3} e^{x^2/2} '
+            '+ 4 x_{1}^{2}x_{2}q_{1}q_{2} e^{x^2/2} + 4/3 x_{2}^{5} e^{x^2/2'
+            '} - 4/3 x_{2}^{3}q_{1}q_{2} e^{x^2/2} + 12 x_{1}^{2}x_{2} e^{x^'
+            '2/2} - 4 x_{2}^{3} e^{x^2/2}\n-4 x_{1}^{5} e^{x^2/2} + 8 x_{1}^'
+            '{3}x_{2}^{2} e^{x^2/2} + 4 x_{1}^{3}q_{1}q_{2} e^{x^2/2} + 12 x'
+            '_{1}x_{2}^{4} e^{x^2/2} - 12 x_{1}x_{2}^{2}q_{1}q_{2} e^{x^2/2}'
+            ' + 12 x_{1}^{3} e^{x^2/2} - 36 x_{1}x_{2}^{2} e^{x^2/2}\n-4 x_{'
+            '1}^{3}x_{2}q_{1} e^{x^2/2} - 4 x_{1}x_{2}^{3}q_{1} e^{x^2/2} + '
+            '12 x_{1}x_{2}q_{1} e^{x^2/2}\n-4 x_{1}^{4}q_{1} e^{x^2/2} + 4 x'
+            '_{2}^{4}q_{1} e^{x^2/2} + 12 x_{1}^{2}q_{1} e^{x^2/2} - 12 x_{2'
+            '}^{2}q_{1} e^{x^2/2}\n-4 x_{1}^{3}x_{2}q_{2} e^{x^2/2} - 4 x_{1'
+            '}x_{2}^{3}q_{2} e^{x^2/2} + 12 x_{1}x_{2}q_{2} e^{x^2/2}\n-4 x_'
+            '{1}^{4}q_{2} e^{x^2/2} + 4 x_{2}^{4}q_{2} e^{x^2/2} + 12 x_{1}^'
+            '{2}q_{2} e^{x^2/2} - 12 x_{2}^{2}q_{2} e^{x^2/2}\n8/3 x_{1}^{2}'
+            'x_{2}^{3} e^{x^2/2} - 4 x_{1}^{2}x_{2}q_{1}q_{2} e^{x^2/2} + 8/'
+            '3 x_{2}^{5} e^{x^2/2} - 20/3 x_{2}^{3}q_{1}q_{2} e^{x^2/2} - 8 '
+            'x_{2}^{3} e^{x^2/2} + 12 x_{2}q_{1}q_{2} e^{x^2/2}\n8 x_{1}^{3}'
+            'x_{2}^{2} e^{x^2/2} - 4 x_{1}^{3}q_{1}q_{2} e^{x^2/2} + 8 x_{1}'
+            'x_{2}^{4} e^{x^2/2} - 12 x_{1}x_{2}^{2}q_{1}q_{2} e^{x^2/2} - 2'
+            '4 x_{1}x_{2}^{2} e^{x^2/2} + 12 x_{1}q_{1}q_{2} e^{x^2/2}',
         ),
         (
             '16*x1^6*x2*G + 80/3*x1^4*x2^3*G - 32*x1^4*x2*q1q2*G + '
@@ -2883,58 +2876,50 @@ _BASES_GOLDEN = {
             '[], "coeff": [{"q": [-384, 1, 0, 1], "b": 0, "eps": 0}]}, '
             '{"bos": [1, 0], "fer": [1, 2], "coeff": [{"q": [192, 1, 0, 1], '
             '"b": 0, "eps": 0}]}]}',
-            '16 x_{1}^{6}x_{2} e^{x^2/2} + 80/3 x_{1}^{4}x_{2}^{3} e^{x^2/2} '
-            '+ -32 x_{1}^{4}x_{2}q_{1}q_{2} e^{x^2/2} + 16/3 '
-            'x_{1}^{2}x_{2}^{5} e^{x^2/2} + -64/3 '
-            'x_{1}^{2}x_{2}^{3}q_{1}q_{2} e^{x^2/2} + -16/3 x_{2}^{7} '
-            'e^{x^2/2} + 32/3 x_{2}^{5}q_{1}q_{2} e^{x^2/2} + -128 '
-            'x_{1}^{4}x_{2} e^{x^2/2} + -256/3 x_{1}^{2}x_{2}^{3} e^{x^2/2} '
-            '+ 128 x_{1}^{2}x_{2}q_{1}q_{2} e^{x^2/2} + 128/3 x_{2}^{5} '
-            'e^{x^2/2} + -128/3 x_{2}^{3}q_{1}q_{2} e^{x^2/2} + 192 '
-            'x_{1}^{2}x_{2} e^{x^2/2} + -64 x_{2}^{3} e^{x^2/2}\n'
-            '16 x_{1}^{7} e^{x^2/2} + -16 x_{1}^{5}x_{2}^{2} e^{x^2/2} + -32 '
-            'x_{1}^{5}q_{1}q_{2} e^{x^2/2} + -80 x_{1}^{3}x_{2}^{4} '
-            'e^{x^2/2} + 64 x_{1}^{3}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + -48 '
-            'x_{1}x_{2}^{6} e^{x^2/2} + 96 x_{1}x_{2}^{4}q_{1}q_{2} '
-            'e^{x^2/2} + -128 x_{1}^{5} e^{x^2/2} + 256 x_{1}^{3}x_{2}^{2} '
-            'e^{x^2/2} + 128 x_{1}^{3}q_{1}q_{2} e^{x^2/2} + 384 '
-            'x_{1}x_{2}^{4} e^{x^2/2} + -384 x_{1}x_{2}^{2}q_{1}q_{2} '
-            'e^{x^2/2} + 192 x_{1}^{3} e^{x^2/2} + -576 x_{1}x_{2}^{2} '
-            'e^{x^2/2}\n'
-            '16 x_{1}^{5}x_{2}q_{1} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{3}q_{1} '
-            'e^{x^2/2} + 16 x_{1}x_{2}^{5}q_{1} e^{x^2/2} + -128 '
-            'x_{1}^{3}x_{2}q_{1} e^{x^2/2} + -128 x_{1}x_{2}^{3}q_{1} '
-            'e^{x^2/2} + 192 x_{1}x_{2}q_{1} e^{x^2/2}\n'
-            '16 x_{1}^{6}q_{1} e^{x^2/2} + 16 x_{1}^{4}x_{2}^{2}q_{1} '
-            'e^{x^2/2} + -16 x_{1}^{2}x_{2}^{4}q_{1} e^{x^2/2} + -16 '
-            'x_{2}^{6}q_{1} e^{x^2/2} + -128 x_{1}^{4}q_{1} e^{x^2/2} + 128 '
-            'x_{2}^{4}q_{1} e^{x^2/2} + 192 x_{1}^{2}q_{1} e^{x^2/2} + -192 '
-            'x_{2}^{2}q_{1} e^{x^2/2}\n'
-            '16 x_{1}^{5}x_{2}q_{2} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{3}q_{2} '
-            'e^{x^2/2} + 16 x_{1}x_{2}^{5}q_{2} e^{x^2/2} + -128 '
-            'x_{1}^{3}x_{2}q_{2} e^{x^2/2} + -128 x_{1}x_{2}^{3}q_{2} '
-            'e^{x^2/2} + 192 x_{1}x_{2}q_{2} e^{x^2/2}\n'
-            '16 x_{1}^{6}q_{2} e^{x^2/2} + 16 x_{1}^{4}x_{2}^{2}q_{2} '
-            'e^{x^2/2} + -16 x_{1}^{2}x_{2}^{4}q_{2} e^{x^2/2} + -16 '
-            'x_{2}^{6}q_{2} e^{x^2/2} + -128 x_{1}^{4}q_{2} e^{x^2/2} + 128 '
-            'x_{2}^{4}q_{2} e^{x^2/2} + 192 x_{1}^{2}q_{2} e^{x^2/2} + -192 '
-            'x_{2}^{2}q_{2} e^{x^2/2}\n'
-            '-32/3 x_{1}^{4}x_{2}^{3} e^{x^2/2} + 16 '
-            'x_{1}^{4}x_{2}q_{1}q_{2} e^{x^2/2} + -64/3 x_{1}^{2}x_{2}^{5} '
-            'e^{x^2/2} + 160/3 x_{1}^{2}x_{2}^{3}q_{1}q_{2} e^{x^2/2} + '
-            '-32/3 x_{2}^{7} e^{x^2/2} + 112/3 x_{2}^{5}q_{1}q_{2} e^{x^2/2} '
-            '+ 256/3 x_{1}^{2}x_{2}^{3} e^{x^2/2} + -128 '
-            'x_{1}^{2}x_{2}q_{1}q_{2} e^{x^2/2} + 256/3 x_{2}^{5} e^{x^2/2} '
-            '+ -640/3 x_{2}^{3}q_{1}q_{2} e^{x^2/2} + -128 x_{2}^{3} '
-            'e^{x^2/2} + 192 x_{2}q_{1}q_{2} e^{x^2/2}\n'
-            '-32 x_{1}^{5}x_{2}^{2} e^{x^2/2} + 16 x_{1}^{5}q_{1}q_{2} '
-            'e^{x^2/2} + -64 x_{1}^{3}x_{2}^{4} e^{x^2/2} + 96 '
-            'x_{1}^{3}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + -32 x_{1}x_{2}^{6} '
-            'e^{x^2/2} + 80 x_{1}x_{2}^{4}q_{1}q_{2} e^{x^2/2} + 256 '
-            'x_{1}^{3}x_{2}^{2} e^{x^2/2} + -128 x_{1}^{3}q_{1}q_{2} '
-            'e^{x^2/2} + 256 x_{1}x_{2}^{4} e^{x^2/2} + -384 '
-            'x_{1}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + -384 x_{1}x_{2}^{2} '
-            'e^{x^2/2} + 192 x_{1}q_{1}q_{2} e^{x^2/2}',
+            '16 x_{1}^{6}x_{2} e^{x^2/2} + 80/3 x_{1}^{4}x_{2}^{3} e^{x^2/2}'
+            ' - 32 x_{1}^{4}x_{2}q_{1}q_{2} e^{x^2/2} + 16/3 x_{1}^{2}x_{2}^'
+            '{5} e^{x^2/2} - 64/3 x_{1}^{2}x_{2}^{3}q_{1}q_{2} e^{x^2/2} - 1'
+            '6/3 x_{2}^{7} e^{x^2/2} + 32/3 x_{2}^{5}q_{1}q_{2} e^{x^2/2} - '
+            '128 x_{1}^{4}x_{2} e^{x^2/2} - 256/3 x_{1}^{2}x_{2}^{3} e^{x^2/'
+            '2} + 128 x_{1}^{2}x_{2}q_{1}q_{2} e^{x^2/2} + 128/3 x_{2}^{5} e'
+            '^{x^2/2} - 128/3 x_{2}^{3}q_{1}q_{2} e^{x^2/2} + 192 x_{1}^{2}x'
+            '_{2} e^{x^2/2} - 64 x_{2}^{3} e^{x^2/2}\n16 x_{1}^{7} e^{x^2/2}'
+            ' - 16 x_{1}^{5}x_{2}^{2} e^{x^2/2} - 32 x_{1}^{5}q_{1}q_{2} e^{'
+            'x^2/2} - 80 x_{1}^{3}x_{2}^{4} e^{x^2/2} + 64 x_{1}^{3}x_{2}^{2'
+            '}q_{1}q_{2} e^{x^2/2} - 48 x_{1}x_{2}^{6} e^{x^2/2} + 96 x_{1}x'
+            '_{2}^{4}q_{1}q_{2} e^{x^2/2} - 128 x_{1}^{5} e^{x^2/2} + 256 x_'
+            '{1}^{3}x_{2}^{2} e^{x^2/2} + 128 x_{1}^{3}q_{1}q_{2} e^{x^2/2} '
+            '+ 384 x_{1}x_{2}^{4} e^{x^2/2} - 384 x_{1}x_{2}^{2}q_{1}q_{2} e'
+            '^{x^2/2} + 192 x_{1}^{3} e^{x^2/2} - 576 x_{1}x_{2}^{2} e^{x^2/'
+            '2}\n16 x_{1}^{5}x_{2}q_{1} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{3}q_{'
+            '1} e^{x^2/2} + 16 x_{1}x_{2}^{5}q_{1} e^{x^2/2} - 128 x_{1}^{3}'
+            'x_{2}q_{1} e^{x^2/2} - 128 x_{1}x_{2}^{3}q_{1} e^{x^2/2} + 192 '
+            'x_{1}x_{2}q_{1} e^{x^2/2}\n16 x_{1}^{6}q_{1} e^{x^2/2} + 16 x_{'
+            '1}^{4}x_{2}^{2}q_{1} e^{x^2/2} - 16 x_{1}^{2}x_{2}^{4}q_{1} e^{'
+            'x^2/2} - 16 x_{2}^{6}q_{1} e^{x^2/2} - 128 x_{1}^{4}q_{1} e^{x^'
+            '2/2} + 128 x_{2}^{4}q_{1} e^{x^2/2} + 192 x_{1}^{2}q_{1} e^{x^2'
+            '/2} - 192 x_{2}^{2}q_{1} e^{x^2/2}\n16 x_{1}^{5}x_{2}q_{2} e^{x'
+            '^2/2} + 32 x_{1}^{3}x_{2}^{3}q_{2} e^{x^2/2} + 16 x_{1}x_{2}^{5'
+            '}q_{2} e^{x^2/2} - 128 x_{1}^{3}x_{2}q_{2} e^{x^2/2} - 128 x_{1'
+            '}x_{2}^{3}q_{2} e^{x^2/2} + 192 x_{1}x_{2}q_{2} e^{x^2/2}\n16 x'
+            '_{1}^{6}q_{2} e^{x^2/2} + 16 x_{1}^{4}x_{2}^{2}q_{2} e^{x^2/2} '
+            '- 16 x_{1}^{2}x_{2}^{4}q_{2} e^{x^2/2} - 16 x_{2}^{6}q_{2} e^{x'
+            '^2/2} - 128 x_{1}^{4}q_{2} e^{x^2/2} + 128 x_{2}^{4}q_{2} e^{x^'
+            '2/2} + 192 x_{1}^{2}q_{2} e^{x^2/2} - 192 x_{2}^{2}q_{2} e^{x^2'
+            '/2}\n-32/3 x_{1}^{4}x_{2}^{3} e^{x^2/2} + 16 x_{1}^{4}x_{2}q_{1'
+            '}q_{2} e^{x^2/2} - 64/3 x_{1}^{2}x_{2}^{5} e^{x^2/2} + 160/3 x_'
+            '{1}^{2}x_{2}^{3}q_{1}q_{2} e^{x^2/2} - 32/3 x_{2}^{7} e^{x^2/2}'
+            ' + 112/3 x_{2}^{5}q_{1}q_{2} e^{x^2/2} + 256/3 x_{1}^{2}x_{2}^{'
+            '3} e^{x^2/2} - 128 x_{1}^{2}x_{2}q_{1}q_{2} e^{x^2/2} + 256/3 x'
+            '_{2}^{5} e^{x^2/2} - 640/3 x_{2}^{3}q_{1}q_{2} e^{x^2/2} - 128 '
+            'x_{2}^{3} e^{x^2/2} + 192 x_{2}q_{1}q_{2} e^{x^2/2}\n-32 x_{1}^'
+            '{5}x_{2}^{2} e^{x^2/2} + 16 x_{1}^{5}q_{1}q_{2} e^{x^2/2} - 64 '
+            'x_{1}^{3}x_{2}^{4} e^{x^2/2} + 96 x_{1}^{3}x_{2}^{2}q_{1}q_{2} '
+            'e^{x^2/2} - 32 x_{1}x_{2}^{6} e^{x^2/2} + 80 x_{1}x_{2}^{4}q_{1'
+            '}q_{2} e^{x^2/2} + 256 x_{1}^{3}x_{2}^{2} e^{x^2/2} - 128 x_{1}'
+            '^{3}q_{1}q_{2} e^{x^2/2} + 256 x_{1}x_{2}^{4} e^{x^2/2} - 384 x'
+            '_{1}x_{2}^{2}q_{1}q_{2} e^{x^2/2} - 384 x_{1}x_{2}^{2} e^{x^2/2'
+            '} + 192 x_{1}q_{1}q_{2} e^{x^2/2}',
         ),
         (
             'degree 3: dim nullspace 8, dim formula 8 [ok]',
@@ -2979,7 +2964,7 @@ _BASES_GOLDEN = {
             '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
             'true, "terms": [{"bos": [0, 0], "fer": [], "coeff": [{"q": [1, '
             '1, 0, 1], "b": 0, "eps": 0}]}]}',
-            '1  e^{x^2/2}',
+            'e^{x^2/2}',
         ),
         (
             '-4*x1^2*G - 4*x2^2*G + 4*q1q2*G + 4*q3q4*G - 4*G',
@@ -2991,8 +2976,8 @@ _BASES_GOLDEN = {
             '0}]}, {"bos": [0, 0], "fer": [3, 4], "coeff": [{"q": [4, 1, 0, '
             '1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [], "coeff": '
             '[{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}]}',
-            '-4 x_{1}^{2} e^{x^2/2} + -4 x_{2}^{2} e^{x^2/2} + 4 q_{1}q_{2} '
-            'e^{x^2/2} + 4 q_{3}q_{4} e^{x^2/2} + -4  e^{x^2/2}',
+            '-4 x_{1}^{2} e^{x^2/2} - 4 x_{2}^{2} e^{x^2/2} + 4 q_{1}q_{2} e'
+            '^{x^2/2} + 4 q_{3}q_{4} e^{x^2/2} - 4 e^{x^2/2}',
         ),
         (
             '16*x1^4*G + 32*x1^2*x2^2*G - 32*x1^2*q1q2*G - 32*x1^2*q3q4*G + '
@@ -3009,11 +2994,11 @@ _BASES_GOLDEN = {
             '"eps": 0}]}, {"bos": [0, 2], "fer": [3, 4], "coeff": [{"q": '
             '[-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [1, '
             '2, 3, 4], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": 0}]}]}',
-            '16 x_{1}^{4} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{2} e^{x^2/2} + -32 '
-            'x_{1}^{2}q_{1}q_{2} e^{x^2/2} + -32 x_{1}^{2}q_{3}q_{4} '
-            'e^{x^2/2} + 16 x_{2}^{4} e^{x^2/2} + -32 x_{2}^{2}q_{1}q_{2} '
-            'e^{x^2/2} + -32 x_{2}^{2}q_{3}q_{4} e^{x^2/2} + 32 '
-            'q_{1}q_{2}q_{3}q_{4} e^{x^2/2}',
+            '16 x_{1}^{4} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{2} e^{x^2/2} - 32 x'
+            '_{1}^{2}q_{1}q_{2} e^{x^2/2} - 32 x_{1}^{2}q_{3}q_{4} e^{x^2/2}'
+            ' + 16 x_{2}^{4} e^{x^2/2} - 32 x_{2}^{2}q_{1}q_{2} e^{x^2/2} - '
+            '32 x_{2}^{2}q_{3}q_{4} e^{x^2/2} + 32 q_{1}q_{2}q_{3}q_{4} e^{x'
+            '^2/2}',
         ),
         (
             'degree 0: dim nullspace 1, dim formula 1 [ok]',
@@ -3047,10 +3032,8 @@ _BASES_GOLDEN = {
             '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": '
             'true, "terms": [{"bos": [0, 0], "fer": [4], "coeff": [{"q": [1, '
             '1, 0, 1], "b": 0, "eps": 0}]}]}',
-            '1 x_{2} e^{x^2/2}\n'
-            '1 x_{1} e^{x^2/2}\n'
-            '1 q_{1} e^{x^2/2}\n'
-            '1 q_{2} e^{x^2/2}\n1 q_{3} e^{x^2/2}\n1 q_{4} e^{x^2/2}',
+            'x_{2} e^{x^2/2}\nx_{1} e^{x^2/2}\nq_{1} e^{x^2/2}\nq_{2} e^{x^2'
+            '/2}\nq_{3} e^{x^2/2}\nq_{4} e^{x^2/2}',
         ),
         (
             '-4*x1^2*x2*G - 4*x2^3*G + 4*x2*q1q2*G + 4*x2*q3q4*G\n'
@@ -3097,18 +3080,16 @@ _BASES_GOLDEN = {
             '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, '
             '0], "fer": [1, 2, 4], "coeff": [{"q": [4, 1, 0, 1], "b": 0, '
             '"eps": 0}]}]}',
-            '-4 x_{1}^{2}x_{2} e^{x^2/2} + -4 x_{2}^{3} e^{x^2/2} + 4 '
-            'x_{2}q_{1}q_{2} e^{x^2/2} + 4 x_{2}q_{3}q_{4} e^{x^2/2}\n'
-            '-4 x_{1}^{3} e^{x^2/2} + -4 x_{1}x_{2}^{2} e^{x^2/2} + 4 '
-            'x_{1}q_{1}q_{2} e^{x^2/2} + 4 x_{1}q_{3}q_{4} e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{1} e^{x^2/2} + -4 x_{2}^{2}q_{1} e^{x^2/2} + 4 '
-            'q_{1}q_{3}q_{4} e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{2} e^{x^2/2} + -4 x_{2}^{2}q_{2} e^{x^2/2} + 4 '
-            'q_{2}q_{3}q_{4} e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{3} e^{x^2/2} + -4 x_{2}^{2}q_{3} e^{x^2/2} + 4 '
-            'q_{1}q_{2}q_{3} e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{4} e^{x^2/2} + -4 x_{2}^{2}q_{4} e^{x^2/2} + 4 '
-            'q_{1}q_{2}q_{4} e^{x^2/2}',
+            '-4 x_{1}^{2}x_{2} e^{x^2/2} - 4 x_{2}^{3} e^{x^2/2} + 4 x_{2}q_'
+            '{1}q_{2} e^{x^2/2} + 4 x_{2}q_{3}q_{4} e^{x^2/2}\n-4 x_{1}^{3} '
+            'e^{x^2/2} - 4 x_{1}x_{2}^{2} e^{x^2/2} + 4 x_{1}q_{1}q_{2} e^{x'
+            '^2/2} + 4 x_{1}q_{3}q_{4} e^{x^2/2}\n-4 x_{1}^{2}q_{1} e^{x^2/2'
+            '} - 4 x_{2}^{2}q_{1} e^{x^2/2} + 4 q_{1}q_{3}q_{4} e^{x^2/2}\n-'
+            '4 x_{1}^{2}q_{2} e^{x^2/2} - 4 x_{2}^{2}q_{2} e^{x^2/2} + 4 q_{'
+            '2}q_{3}q_{4} e^{x^2/2}\n-4 x_{1}^{2}q_{3} e^{x^2/2} - 4 x_{2}^{'
+            '2}q_{3} e^{x^2/2} + 4 q_{1}q_{2}q_{3} e^{x^2/2}\n-4 x_{1}^{2}q_'
+            '{4} e^{x^2/2} - 4 x_{2}^{2}q_{4} e^{x^2/2} + 4 q_{1}q_{2}q_{4} '
+            'e^{x^2/2}',
         ),
         (
             '16*x1^4*x2*G + 32*x1^2*x2^3*G - 32*x1^2*x2*q1q2*G - '
@@ -3219,41 +3200,36 @@ _BASES_GOLDEN = {
             '[{"q": [-32, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], '
             '"fer": [1, 2, 4], "coeff": [{"q": [32, 1, 0, 1], "b": 0, "eps": '
             '0}]}]}',
-            '16 x_{1}^{4}x_{2} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{3} e^{x^2/2} + '
-            '-32 x_{1}^{2}x_{2}q_{1}q_{2} e^{x^2/2} + -32 '
-            'x_{1}^{2}x_{2}q_{3}q_{4} e^{x^2/2} + 16 x_{2}^{5} e^{x^2/2} + '
-            '-32 x_{2}^{3}q_{1}q_{2} e^{x^2/2} + -32 x_{2}^{3}q_{3}q_{4} '
-            'e^{x^2/2} + 32 x_{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -32 '
-            'x_{1}^{2}x_{2} e^{x^2/2} + -32 x_{2}^{3} e^{x^2/2} + 32 '
-            'x_{2}q_{1}q_{2} e^{x^2/2} + 32 x_{2}q_{3}q_{4} e^{x^2/2}\n'
-            '16 x_{1}^{5} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{2} e^{x^2/2} + -32 '
-            'x_{1}^{3}q_{1}q_{2} e^{x^2/2} + -32 x_{1}^{3}q_{3}q_{4} '
-            'e^{x^2/2} + 16 x_{1}x_{2}^{4} e^{x^2/2} + -32 '
-            'x_{1}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + -32 '
-            'x_{1}x_{2}^{2}q_{3}q_{4} e^{x^2/2} + 32 '
-            'x_{1}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -32 x_{1}^{3} e^{x^2/2} + '
-            '-32 x_{1}x_{2}^{2} e^{x^2/2} + 32 x_{1}q_{1}q_{2} e^{x^2/2} + '
-            '32 x_{1}q_{3}q_{4} e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{1} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{2}q_{1} '
-            'e^{x^2/2} + -32 x_{1}^{2}q_{1}q_{3}q_{4} e^{x^2/2} + 16 '
-            'x_{2}^{4}q_{1} e^{x^2/2} + -32 x_{2}^{2}q_{1}q_{3}q_{4} '
-            'e^{x^2/2} + -32 x_{1}^{2}q_{1} e^{x^2/2} + -32 x_{2}^{2}q_{1} '
-            'e^{x^2/2} + 32 q_{1}q_{3}q_{4} e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{2} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{2}q_{2} '
-            'e^{x^2/2} + -32 x_{1}^{2}q_{2}q_{3}q_{4} e^{x^2/2} + 16 '
-            'x_{2}^{4}q_{2} e^{x^2/2} + -32 x_{2}^{2}q_{2}q_{3}q_{4} '
-            'e^{x^2/2} + -32 x_{1}^{2}q_{2} e^{x^2/2} + -32 x_{2}^{2}q_{2} '
-            'e^{x^2/2} + 32 q_{2}q_{3}q_{4} e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{3} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{2}q_{3} '
-            'e^{x^2/2} + -32 x_{1}^{2}q_{1}q_{2}q_{3} e^{x^2/2} + 16 '
-            'x_{2}^{4}q_{3} e^{x^2/2} + -32 x_{2}^{2}q_{1}q_{2}q_{3} '
-            'e^{x^2/2} + -32 x_{1}^{2}q_{3} e^{x^2/2} + -32 x_{2}^{2}q_{3} '
-            'e^{x^2/2} + 32 q_{1}q_{2}q_{3} e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{4} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{2}q_{4} '
-            'e^{x^2/2} + -32 x_{1}^{2}q_{1}q_{2}q_{4} e^{x^2/2} + 16 '
-            'x_{2}^{4}q_{4} e^{x^2/2} + -32 x_{2}^{2}q_{1}q_{2}q_{4} '
-            'e^{x^2/2} + -32 x_{1}^{2}q_{4} e^{x^2/2} + -32 x_{2}^{2}q_{4} '
-            'e^{x^2/2} + 32 q_{1}q_{2}q_{4} e^{x^2/2}',
+            '16 x_{1}^{4}x_{2} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{3} e^{x^2/2} -'
+            ' 32 x_{1}^{2}x_{2}q_{1}q_{2} e^{x^2/2} - 32 x_{1}^{2}x_{2}q_{3}'
+            'q_{4} e^{x^2/2} + 16 x_{2}^{5} e^{x^2/2} - 32 x_{2}^{3}q_{1}q_{'
+            '2} e^{x^2/2} - 32 x_{2}^{3}q_{3}q_{4} e^{x^2/2} + 32 x_{2}q_{1}'
+            'q_{2}q_{3}q_{4} e^{x^2/2} - 32 x_{1}^{2}x_{2} e^{x^2/2} - 32 x_'
+            '{2}^{3} e^{x^2/2} + 32 x_{2}q_{1}q_{2} e^{x^2/2} + 32 x_{2}q_{3'
+            '}q_{4} e^{x^2/2}\n16 x_{1}^{5} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{2'
+            '} e^{x^2/2} - 32 x_{1}^{3}q_{1}q_{2} e^{x^2/2} - 32 x_{1}^{3}q_'
+            '{3}q_{4} e^{x^2/2} + 16 x_{1}x_{2}^{4} e^{x^2/2} - 32 x_{1}x_{2'
+            '}^{2}q_{1}q_{2} e^{x^2/2} - 32 x_{1}x_{2}^{2}q_{3}q_{4} e^{x^2/'
+            '2} + 32 x_{1}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} - 32 x_{1}^{3} e^{x'
+            '^2/2} - 32 x_{1}x_{2}^{2} e^{x^2/2} + 32 x_{1}q_{1}q_{2} e^{x^2'
+            '/2} + 32 x_{1}q_{3}q_{4} e^{x^2/2}\n16 x_{1}^{4}q_{1} e^{x^2/2}'
+            ' + 32 x_{1}^{2}x_{2}^{2}q_{1} e^{x^2/2} - 32 x_{1}^{2}q_{1}q_{3'
+            '}q_{4} e^{x^2/2} + 16 x_{2}^{4}q_{1} e^{x^2/2} - 32 x_{2}^{2}q_'
+            '{1}q_{3}q_{4} e^{x^2/2} - 32 x_{1}^{2}q_{1} e^{x^2/2} - 32 x_{2'
+            '}^{2}q_{1} e^{x^2/2} + 32 q_{1}q_{3}q_{4} e^{x^2/2}\n16 x_{1}^{'
+            '4}q_{2} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{2}q_{2} e^{x^2/2} - 32 x'
+            '_{1}^{2}q_{2}q_{3}q_{4} e^{x^2/2} + 16 x_{2}^{4}q_{2} e^{x^2/2}'
+            ' - 32 x_{2}^{2}q_{2}q_{3}q_{4} e^{x^2/2} - 32 x_{1}^{2}q_{2} e^'
+            '{x^2/2} - 32 x_{2}^{2}q_{2} e^{x^2/2} + 32 q_{2}q_{3}q_{4} e^{x'
+            '^2/2}\n16 x_{1}^{4}q_{3} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{2}q_{3}'
+            ' e^{x^2/2} - 32 x_{1}^{2}q_{1}q_{2}q_{3} e^{x^2/2} + 16 x_{2}^{'
+            '4}q_{3} e^{x^2/2} - 32 x_{2}^{2}q_{1}q_{2}q_{3} e^{x^2/2} - 32 '
+            'x_{1}^{2}q_{3} e^{x^2/2} - 32 x_{2}^{2}q_{3} e^{x^2/2} + 32 q_{'
+            '1}q_{2}q_{3} e^{x^2/2}\n16 x_{1}^{4}q_{4} e^{x^2/2} + 32 x_{1}^'
+            '{2}x_{2}^{2}q_{4} e^{x^2/2} - 32 x_{1}^{2}q_{1}q_{2}q_{4} e^{x^'
+            '2/2} + 16 x_{2}^{4}q_{4} e^{x^2/2} - 32 x_{2}^{2}q_{1}q_{2}q_{4'
+            '} e^{x^2/2} - 32 x_{1}^{2}q_{4} e^{x^2/2} - 32 x_{2}^{2}q_{4} e'
+            '^{x^2/2} + 32 q_{1}q_{2}q_{4} e^{x^2/2}',
         ),
         (
             'degree 1: dim nullspace 6, dim formula 6 [ok]',
@@ -3343,22 +3319,13 @@ _BASES_GOLDEN = {
             'true, "terms": [{"bos": [0, 2], "fer": [], "coeff": [{"q": [-2, '
             '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [3, 4], '
             '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}',
-            '1 x_{1}x_{2} e^{x^2/2}\n'
-            '1 x_{1}^{2} e^{x^2/2} + -1 x_{2}^{2} e^{x^2/2}\n'
-            '1 x_{2}q_{1} e^{x^2/2}\n'
-            '1 x_{1}q_{1} e^{x^2/2}\n'
-            '1 x_{2}q_{2} e^{x^2/2}\n'
-            '1 x_{1}q_{2} e^{x^2/2}\n'
-            '1 x_{2}q_{3} e^{x^2/2}\n'
-            '1 x_{1}q_{3} e^{x^2/2}\n'
-            '1 x_{2}q_{4} e^{x^2/2}\n'
-            '1 x_{1}q_{4} e^{x^2/2}\n'
-            '-2 x_{2}^{2} e^{x^2/2} + 1 q_{1}q_{2} e^{x^2/2}\n'
-            '1 q_{1}q_{3} e^{x^2/2}\n'
-            '1 q_{2}q_{3} e^{x^2/2}\n'
-            '1 q_{1}q_{4} e^{x^2/2}\n'
-            '1 q_{2}q_{4} e^{x^2/2}\n'
-            '-2 x_{2}^{2} e^{x^2/2} + 1 q_{3}q_{4} e^{x^2/2}',
+            'x_{1}x_{2} e^{x^2/2}\nx_{1}^{2} e^{x^2/2} - x_{2}^{2} e^{x^2/2}'
+            '\nx_{2}q_{1} e^{x^2/2}\nx_{1}q_{1} e^{x^2/2}\nx_{2}q_{2} e^{x^2'
+            '/2}\nx_{1}q_{2} e^{x^2/2}\nx_{2}q_{3} e^{x^2/2}\nx_{1}q_{3} e^{'
+            'x^2/2}\nx_{2}q_{4} e^{x^2/2}\nx_{1}q_{4} e^{x^2/2}\n-2 x_{2}^{2'
+            '} e^{x^2/2} + q_{1}q_{2} e^{x^2/2}\nq_{1}q_{3} e^{x^2/2}\nq_{2}'
+            'q_{3} e^{x^2/2}\nq_{1}q_{4} e^{x^2/2}\nq_{2}q_{4} e^{x^2/2}\n-2'
+            ' x_{2}^{2} e^{x^2/2} + q_{3}q_{4} e^{x^2/2}',
         ),
         (
             '-4*x1^3*x2*G - 4*x1*x2^3*G + 4*x1*x2*q1q2*G + 4*x1*x2*q3q4*G + '
@@ -3505,47 +3472,42 @@ _BASES_GOLDEN = {
             '0, "eps": 0}]}, {"bos": [0, 2], "fer": [], "coeff": [{"q": [-8, '
             '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [3, 4], '
             '"coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": 0}]}]}',
-            '-4 x_{1}^{3}x_{2} e^{x^2/2} + -4 x_{1}x_{2}^{3} e^{x^2/2} + 4 '
-            'x_{1}x_{2}q_{1}q_{2} e^{x^2/2} + 4 x_{1}x_{2}q_{3}q_{4} '
-            'e^{x^2/2} + 4 x_{1}x_{2} e^{x^2/2}\n'
-            '-4 x_{1}^{4} e^{x^2/2} + 4 x_{1}^{2}q_{1}q_{2} e^{x^2/2} + 4 '
-            'x_{1}^{2}q_{3}q_{4} e^{x^2/2} + 4 x_{2}^{4} e^{x^2/2} + -4 '
-            'x_{2}^{2}q_{1}q_{2} e^{x^2/2} + -4 x_{2}^{2}q_{3}q_{4} '
-            'e^{x^2/2} + 4 x_{1}^{2} e^{x^2/2} + -4 x_{2}^{2} e^{x^2/2}\n'
-            '-4 x_{1}^{2}x_{2}q_{1} e^{x^2/2} + -4 x_{2}^{3}q_{1} e^{x^2/2} '
-            '+ 4 x_{2}q_{1}q_{3}q_{4} e^{x^2/2} + 4 x_{2}q_{1} e^{x^2/2}\n'
-            '-4 x_{1}^{3}q_{1} e^{x^2/2} + -4 x_{1}x_{2}^{2}q_{1} e^{x^2/2} '
-            '+ 4 x_{1}q_{1}q_{3}q_{4} e^{x^2/2} + 4 x_{1}q_{1} e^{x^2/2}\n'
-            '-4 x_{1}^{2}x_{2}q_{2} e^{x^2/2} + -4 x_{2}^{3}q_{2} e^{x^2/2} '
-            '+ 4 x_{2}q_{2}q_{3}q_{4} e^{x^2/2} + 4 x_{2}q_{2} e^{x^2/2}\n'
-            '-4 x_{1}^{3}q_{2} e^{x^2/2} + -4 x_{1}x_{2}^{2}q_{2} e^{x^2/2} '
-            '+ 4 x_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 4 x_{1}q_{2} e^{x^2/2}\n'
-            '-4 x_{1}^{2}x_{2}q_{3} e^{x^2/2} + -4 x_{2}^{3}q_{3} e^{x^2/2} '
-            '+ 4 x_{2}q_{1}q_{2}q_{3} e^{x^2/2} + 4 x_{2}q_{3} e^{x^2/2}\n'
-            '-4 x_{1}^{3}q_{3} e^{x^2/2} + -4 x_{1}x_{2}^{2}q_{3} e^{x^2/2} '
-            '+ 4 x_{1}q_{1}q_{2}q_{3} e^{x^2/2} + 4 x_{1}q_{3} e^{x^2/2}\n'
-            '-4 x_{1}^{2}x_{2}q_{4} e^{x^2/2} + -4 x_{2}^{3}q_{4} e^{x^2/2} '
-            '+ 4 x_{2}q_{1}q_{2}q_{4} e^{x^2/2} + 4 x_{2}q_{4} e^{x^2/2}\n'
-            '-4 x_{1}^{3}q_{4} e^{x^2/2} + -4 x_{1}x_{2}^{2}q_{4} e^{x^2/2} '
-            '+ 4 x_{1}q_{1}q_{2}q_{4} e^{x^2/2} + 4 x_{1}q_{4} e^{x^2/2}\n'
-            '8 x_{1}^{2}x_{2}^{2} e^{x^2/2} + -4 x_{1}^{2}q_{1}q_{2} '
-            'e^{x^2/2} + 8 x_{2}^{4} e^{x^2/2} + -12 x_{2}^{2}q_{1}q_{2} '
-            'e^{x^2/2} + -8 x_{2}^{2}q_{3}q_{4} e^{x^2/2} + 4 '
-            'q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -8 x_{2}^{2} e^{x^2/2} + 4 '
-            'q_{1}q_{2} e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{1}q_{3} e^{x^2/2} + -4 x_{2}^{2}q_{1}q_{3} '
-            'e^{x^2/2} + 4 q_{1}q_{3} e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{2}q_{3} e^{x^2/2} + -4 x_{2}^{2}q_{2}q_{3} '
-            'e^{x^2/2} + 4 q_{2}q_{3} e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{1}q_{4} e^{x^2/2} + -4 x_{2}^{2}q_{1}q_{4} '
-            'e^{x^2/2} + 4 q_{1}q_{4} e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{2}q_{4} e^{x^2/2} + -4 x_{2}^{2}q_{2}q_{4} '
-            'e^{x^2/2} + 4 q_{2}q_{4} e^{x^2/2}\n'
-            '8 x_{1}^{2}x_{2}^{2} e^{x^2/2} + -4 x_{1}^{2}q_{3}q_{4} '
-            'e^{x^2/2} + 8 x_{2}^{4} e^{x^2/2} + -8 x_{2}^{2}q_{1}q_{2} '
-            'e^{x^2/2} + -12 x_{2}^{2}q_{3}q_{4} e^{x^2/2} + 4 '
-            'q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -8 x_{2}^{2} e^{x^2/2} + 4 '
-            'q_{3}q_{4} e^{x^2/2}',
+            '-4 x_{1}^{3}x_{2} e^{x^2/2} - 4 x_{1}x_{2}^{3} e^{x^2/2} + 4 x_'
+            '{1}x_{2}q_{1}q_{2} e^{x^2/2} + 4 x_{1}x_{2}q_{3}q_{4} e^{x^2/2}'
+            ' + 4 x_{1}x_{2} e^{x^2/2}\n-4 x_{1}^{4} e^{x^2/2} + 4 x_{1}^{2}'
+            'q_{1}q_{2} e^{x^2/2} + 4 x_{1}^{2}q_{3}q_{4} e^{x^2/2} + 4 x_{2'
+            '}^{4} e^{x^2/2} - 4 x_{2}^{2}q_{1}q_{2} e^{x^2/2} - 4 x_{2}^{2}'
+            'q_{3}q_{4} e^{x^2/2} + 4 x_{1}^{2} e^{x^2/2} - 4 x_{2}^{2} e^{x'
+            '^2/2}\n-4 x_{1}^{2}x_{2}q_{1} e^{x^2/2} - 4 x_{2}^{3}q_{1} e^{x'
+            '^2/2} + 4 x_{2}q_{1}q_{3}q_{4} e^{x^2/2} + 4 x_{2}q_{1} e^{x^2/'
+            '2}\n-4 x_{1}^{3}q_{1} e^{x^2/2} - 4 x_{1}x_{2}^{2}q_{1} e^{x^2/'
+            '2} + 4 x_{1}q_{1}q_{3}q_{4} e^{x^2/2} + 4 x_{1}q_{1} e^{x^2/2}'
+            '\n-4 x_{1}^{2}x_{2}q_{2} e^{x^2/2} - 4 x_{2}^{3}q_{2} e^{x^2/2}'
+            ' + 4 x_{2}q_{2}q_{3}q_{4} e^{x^2/2} + 4 x_{2}q_{2} e^{x^2/2}\n-'
+            '4 x_{1}^{3}q_{2} e^{x^2/2} - 4 x_{1}x_{2}^{2}q_{2} e^{x^2/2} + '
+            '4 x_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 4 x_{1}q_{2} e^{x^2/2}\n-4 x'
+            '_{1}^{2}x_{2}q_{3} e^{x^2/2} - 4 x_{2}^{3}q_{3} e^{x^2/2} + 4 x'
+            '_{2}q_{1}q_{2}q_{3} e^{x^2/2} + 4 x_{2}q_{3} e^{x^2/2}\n-4 x_{1'
+            '}^{3}q_{3} e^{x^2/2} - 4 x_{1}x_{2}^{2}q_{3} e^{x^2/2} + 4 x_{1'
+            '}q_{1}q_{2}q_{3} e^{x^2/2} + 4 x_{1}q_{3} e^{x^2/2}\n-4 x_{1}^{'
+            '2}x_{2}q_{4} e^{x^2/2} - 4 x_{2}^{3}q_{4} e^{x^2/2} + 4 x_{2}q_'
+            '{1}q_{2}q_{4} e^{x^2/2} + 4 x_{2}q_{4} e^{x^2/2}\n-4 x_{1}^{3}q'
+            '_{4} e^{x^2/2} - 4 x_{1}x_{2}^{2}q_{4} e^{x^2/2} + 4 x_{1}q_{1}'
+            'q_{2}q_{4} e^{x^2/2} + 4 x_{1}q_{4} e^{x^2/2}\n8 x_{1}^{2}x_{2}'
+            '^{2} e^{x^2/2} - 4 x_{1}^{2}q_{1}q_{2} e^{x^2/2} + 8 x_{2}^{4} '
+            'e^{x^2/2} - 12 x_{2}^{2}q_{1}q_{2} e^{x^2/2} - 8 x_{2}^{2}q_{3}'
+            'q_{4} e^{x^2/2} + 4 q_{1}q_{2}q_{3}q_{4} e^{x^2/2} - 8 x_{2}^{2'
+            '} e^{x^2/2} + 4 q_{1}q_{2} e^{x^2/2}\n-4 x_{1}^{2}q_{1}q_{3} e^'
+            '{x^2/2} - 4 x_{2}^{2}q_{1}q_{3} e^{x^2/2} + 4 q_{1}q_{3} e^{x^2'
+            '/2}\n-4 x_{1}^{2}q_{2}q_{3} e^{x^2/2} - 4 x_{2}^{2}q_{2}q_{3} e'
+            '^{x^2/2} + 4 q_{2}q_{3} e^{x^2/2}\n-4 x_{1}^{2}q_{1}q_{4} e^{x^'
+            '2/2} - 4 x_{2}^{2}q_{1}q_{4} e^{x^2/2} + 4 q_{1}q_{4} e^{x^2/2}'
+            '\n-4 x_{1}^{2}q_{2}q_{4} e^{x^2/2} - 4 x_{2}^{2}q_{2}q_{4} e^{x'
+            '^2/2} + 4 q_{2}q_{4} e^{x^2/2}\n8 x_{1}^{2}x_{2}^{2} e^{x^2/2} '
+            '- 4 x_{1}^{2}q_{3}q_{4} e^{x^2/2} + 8 x_{2}^{4} e^{x^2/2} - 8 x'
+            '_{2}^{2}q_{1}q_{2} e^{x^2/2} - 12 x_{2}^{2}q_{3}q_{4} e^{x^2/2}'
+            ' + 4 q_{1}q_{2}q_{3}q_{4} e^{x^2/2} - 8 x_{2}^{2} e^{x^2/2} + 4'
+            ' q_{3}q_{4} e^{x^2/2}',
         ),
         (
             '16*x1^5*x2*G + 32*x1^3*x2^3*G - 32*x1^3*x2*q1q2*G - '
@@ -3850,116 +3812,96 @@ _BASES_GOLDEN = {
             '2], "fer": [], "coeff": [{"q": [-64, 1, 0, 1], "b": 0, "eps": '
             '0}]}, {"bos": [0, 0], "fer": [3, 4], "coeff": [{"q": [32, 1, 0, '
             '1], "b": 0, "eps": 0}]}]}',
-            '16 x_{1}^{5}x_{2} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{3} e^{x^2/2} + '
-            '-32 x_{1}^{3}x_{2}q_{1}q_{2} e^{x^2/2} + -32 '
-            'x_{1}^{3}x_{2}q_{3}q_{4} e^{x^2/2} + 16 x_{1}x_{2}^{5} '
-            'e^{x^2/2} + -32 x_{1}x_{2}^{3}q_{1}q_{2} e^{x^2/2} + -32 '
-            'x_{1}x_{2}^{3}q_{3}q_{4} e^{x^2/2} + 32 '
-            'x_{1}x_{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -64 x_{1}^{3}x_{2} '
-            'e^{x^2/2} + -64 x_{1}x_{2}^{3} e^{x^2/2} + 64 '
-            'x_{1}x_{2}q_{1}q_{2} e^{x^2/2} + 64 x_{1}x_{2}q_{3}q_{4} '
-            'e^{x^2/2} + 32 x_{1}x_{2} e^{x^2/2}\n'
-            '16 x_{1}^{6} e^{x^2/2} + 16 x_{1}^{4}x_{2}^{2} e^{x^2/2} + -32 '
-            'x_{1}^{4}q_{1}q_{2} e^{x^2/2} + -32 x_{1}^{4}q_{3}q_{4} '
-            'e^{x^2/2} + -16 x_{1}^{2}x_{2}^{4} e^{x^2/2} + 32 '
-            'x_{1}^{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -16 x_{2}^{6} '
-            'e^{x^2/2} + 32 x_{2}^{4}q_{1}q_{2} e^{x^2/2} + 32 '
-            'x_{2}^{4}q_{3}q_{4} e^{x^2/2} + -32 '
-            'x_{2}^{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -64 x_{1}^{4} '
-            'e^{x^2/2} + 64 x_{1}^{2}q_{1}q_{2} e^{x^2/2} + 64 '
-            'x_{1}^{2}q_{3}q_{4} e^{x^2/2} + 64 x_{2}^{4} e^{x^2/2} + -64 '
-            'x_{2}^{2}q_{1}q_{2} e^{x^2/2} + -64 x_{2}^{2}q_{3}q_{4} '
-            'e^{x^2/2} + 32 x_{1}^{2} e^{x^2/2} + -32 x_{2}^{2} e^{x^2/2}\n'
-            '16 x_{1}^{4}x_{2}q_{1} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{3}q_{1} '
-            'e^{x^2/2} + -32 x_{1}^{2}x_{2}q_{1}q_{3}q_{4} e^{x^2/2} + 16 '
-            'x_{2}^{5}q_{1} e^{x^2/2} + -32 x_{2}^{3}q_{1}q_{3}q_{4} '
-            'e^{x^2/2} + -64 x_{1}^{2}x_{2}q_{1} e^{x^2/2} + -64 '
-            'x_{2}^{3}q_{1} e^{x^2/2} + 64 x_{2}q_{1}q_{3}q_{4} e^{x^2/2} + '
-            '32 x_{2}q_{1} e^{x^2/2}\n'
-            '16 x_{1}^{5}q_{1} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{2}q_{1} '
-            'e^{x^2/2} + -32 x_{1}^{3}q_{1}q_{3}q_{4} e^{x^2/2} + 16 '
-            'x_{1}x_{2}^{4}q_{1} e^{x^2/2} + -32 '
-            'x_{1}x_{2}^{2}q_{1}q_{3}q_{4} e^{x^2/2} + -64 x_{1}^{3}q_{1} '
-            'e^{x^2/2} + -64 x_{1}x_{2}^{2}q_{1} e^{x^2/2} + 64 '
-            'x_{1}q_{1}q_{3}q_{4} e^{x^2/2} + 32 x_{1}q_{1} e^{x^2/2}\n'
-            '16 x_{1}^{4}x_{2}q_{2} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{3}q_{2} '
-            'e^{x^2/2} + -32 x_{1}^{2}x_{2}q_{2}q_{3}q_{4} e^{x^2/2} + 16 '
-            'x_{2}^{5}q_{2} e^{x^2/2} + -32 x_{2}^{3}q_{2}q_{3}q_{4} '
-            'e^{x^2/2} + -64 x_{1}^{2}x_{2}q_{2} e^{x^2/2} + -64 '
-            'x_{2}^{3}q_{2} e^{x^2/2} + 64 x_{2}q_{2}q_{3}q_{4} e^{x^2/2} + '
-            '32 x_{2}q_{2} e^{x^2/2}\n'
-            '16 x_{1}^{5}q_{2} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{2}q_{2} '
-            'e^{x^2/2} + -32 x_{1}^{3}q_{2}q_{3}q_{4} e^{x^2/2} + 16 '
-            'x_{1}x_{2}^{4}q_{2} e^{x^2/2} + -32 '
-            'x_{1}x_{2}^{2}q_{2}q_{3}q_{4} e^{x^2/2} + -64 x_{1}^{3}q_{2} '
-            'e^{x^2/2} + -64 x_{1}x_{2}^{2}q_{2} e^{x^2/2} + 64 '
-            'x_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 32 x_{1}q_{2} e^{x^2/2}\n'
-            '16 x_{1}^{4}x_{2}q_{3} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{3}q_{3} '
-            'e^{x^2/2} + -32 x_{1}^{2}x_{2}q_{1}q_{2}q_{3} e^{x^2/2} + 16 '
-            'x_{2}^{5}q_{3} e^{x^2/2} + -32 x_{2}^{3}q_{1}q_{2}q_{3} '
-            'e^{x^2/2} + -64 x_{1}^{2}x_{2}q_{3} e^{x^2/2} + -64 '
-            'x_{2}^{3}q_{3} e^{x^2/2} + 64 x_{2}q_{1}q_{2}q_{3} e^{x^2/2} + '
-            '32 x_{2}q_{3} e^{x^2/2}\n'
-            '16 x_{1}^{5}q_{3} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{2}q_{3} '
-            'e^{x^2/2} + -32 x_{1}^{3}q_{1}q_{2}q_{3} e^{x^2/2} + 16 '
-            'x_{1}x_{2}^{4}q_{3} e^{x^2/2} + -32 '
-            'x_{1}x_{2}^{2}q_{1}q_{2}q_{3} e^{x^2/2} + -64 x_{1}^{3}q_{3} '
-            'e^{x^2/2} + -64 x_{1}x_{2}^{2}q_{3} e^{x^2/2} + 64 '
-            'x_{1}q_{1}q_{2}q_{3} e^{x^2/2} + 32 x_{1}q_{3} e^{x^2/2}\n'
-            '16 x_{1}^{4}x_{2}q_{4} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{3}q_{4} '
-            'e^{x^2/2} + -32 x_{1}^{2}x_{2}q_{1}q_{2}q_{4} e^{x^2/2} + 16 '
-            'x_{2}^{5}q_{4} e^{x^2/2} + -32 x_{2}^{3}q_{1}q_{2}q_{4} '
-            'e^{x^2/2} + -64 x_{1}^{2}x_{2}q_{4} e^{x^2/2} + -64 '
-            'x_{2}^{3}q_{4} e^{x^2/2} + 64 x_{2}q_{1}q_{2}q_{4} e^{x^2/2} + '
-            '32 x_{2}q_{4} e^{x^2/2}\n'
-            '16 x_{1}^{5}q_{4} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{2}q_{4} '
-            'e^{x^2/2} + -32 x_{1}^{3}q_{1}q_{2}q_{4} e^{x^2/2} + 16 '
-            'x_{1}x_{2}^{4}q_{4} e^{x^2/2} + -32 '
-            'x_{1}x_{2}^{2}q_{1}q_{2}q_{4} e^{x^2/2} + -64 x_{1}^{3}q_{4} '
-            'e^{x^2/2} + -64 x_{1}x_{2}^{2}q_{4} e^{x^2/2} + 64 '
-            'x_{1}q_{1}q_{2}q_{4} e^{x^2/2} + 32 x_{1}q_{4} e^{x^2/2}\n'
-            '-32 x_{1}^{4}x_{2}^{2} e^{x^2/2} + 16 x_{1}^{4}q_{1}q_{2} '
-            'e^{x^2/2} + -64 x_{1}^{2}x_{2}^{4} e^{x^2/2} + 96 '
-            'x_{1}^{2}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + 64 '
-            'x_{1}^{2}x_{2}^{2}q_{3}q_{4} e^{x^2/2} + -32 '
-            'x_{1}^{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -32 x_{2}^{6} '
-            'e^{x^2/2} + 80 x_{2}^{4}q_{1}q_{2} e^{x^2/2} + 64 '
-            'x_{2}^{4}q_{3}q_{4} e^{x^2/2} + -96 '
-            'x_{2}^{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 128 '
-            'x_{1}^{2}x_{2}^{2} e^{x^2/2} + -64 x_{1}^{2}q_{1}q_{2} '
-            'e^{x^2/2} + 128 x_{2}^{4} e^{x^2/2} + -192 x_{2}^{2}q_{1}q_{2} '
-            'e^{x^2/2} + -128 x_{2}^{2}q_{3}q_{4} e^{x^2/2} + 64 '
-            'q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -64 x_{2}^{2} e^{x^2/2} + 32 '
-            'q_{1}q_{2} e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{1}q_{3} e^{x^2/2} + 32 '
-            'x_{1}^{2}x_{2}^{2}q_{1}q_{3} e^{x^2/2} + 16 x_{2}^{4}q_{1}q_{3} '
-            'e^{x^2/2} + -64 x_{1}^{2}q_{1}q_{3} e^{x^2/2} + -64 '
-            'x_{2}^{2}q_{1}q_{3} e^{x^2/2} + 32 q_{1}q_{3} e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{2}q_{3} e^{x^2/2} + 32 '
-            'x_{1}^{2}x_{2}^{2}q_{2}q_{3} e^{x^2/2} + 16 x_{2}^{4}q_{2}q_{3} '
-            'e^{x^2/2} + -64 x_{1}^{2}q_{2}q_{3} e^{x^2/2} + -64 '
-            'x_{2}^{2}q_{2}q_{3} e^{x^2/2} + 32 q_{2}q_{3} e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{1}q_{4} e^{x^2/2} + 32 '
-            'x_{1}^{2}x_{2}^{2}q_{1}q_{4} e^{x^2/2} + 16 x_{2}^{4}q_{1}q_{4} '
-            'e^{x^2/2} + -64 x_{1}^{2}q_{1}q_{4} e^{x^2/2} + -64 '
-            'x_{2}^{2}q_{1}q_{4} e^{x^2/2} + 32 q_{1}q_{4} e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{2}q_{4} e^{x^2/2} + 32 '
-            'x_{1}^{2}x_{2}^{2}q_{2}q_{4} e^{x^2/2} + 16 x_{2}^{4}q_{2}q_{4} '
-            'e^{x^2/2} + -64 x_{1}^{2}q_{2}q_{4} e^{x^2/2} + -64 '
-            'x_{2}^{2}q_{2}q_{4} e^{x^2/2} + 32 q_{2}q_{4} e^{x^2/2}\n'
-            '-32 x_{1}^{4}x_{2}^{2} e^{x^2/2} + 16 x_{1}^{4}q_{3}q_{4} '
-            'e^{x^2/2} + -64 x_{1}^{2}x_{2}^{4} e^{x^2/2} + 64 '
-            'x_{1}^{2}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + 96 '
-            'x_{1}^{2}x_{2}^{2}q_{3}q_{4} e^{x^2/2} + -32 '
-            'x_{1}^{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -32 x_{2}^{6} '
-            'e^{x^2/2} + 64 x_{2}^{4}q_{1}q_{2} e^{x^2/2} + 80 '
-            'x_{2}^{4}q_{3}q_{4} e^{x^2/2} + -96 '
-            'x_{2}^{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 128 '
-            'x_{1}^{2}x_{2}^{2} e^{x^2/2} + -64 x_{1}^{2}q_{3}q_{4} '
-            'e^{x^2/2} + 128 x_{2}^{4} e^{x^2/2} + -128 x_{2}^{2}q_{1}q_{2} '
-            'e^{x^2/2} + -192 x_{2}^{2}q_{3}q_{4} e^{x^2/2} + 64 '
-            'q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -64 x_{2}^{2} e^{x^2/2} + 32 '
-            'q_{3}q_{4} e^{x^2/2}',
+            '16 x_{1}^{5}x_{2} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{3} e^{x^2/2} -'
+            ' 32 x_{1}^{3}x_{2}q_{1}q_{2} e^{x^2/2} - 32 x_{1}^{3}x_{2}q_{3}'
+            'q_{4} e^{x^2/2} + 16 x_{1}x_{2}^{5} e^{x^2/2} - 32 x_{1}x_{2}^{'
+            '3}q_{1}q_{2} e^{x^2/2} - 32 x_{1}x_{2}^{3}q_{3}q_{4} e^{x^2/2} '
+            '+ 32 x_{1}x_{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} - 64 x_{1}^{3}x_{'
+            '2} e^{x^2/2} - 64 x_{1}x_{2}^{3} e^{x^2/2} + 64 x_{1}x_{2}q_{1}'
+            'q_{2} e^{x^2/2} + 64 x_{1}x_{2}q_{3}q_{4} e^{x^2/2} + 32 x_{1}x'
+            '_{2} e^{x^2/2}\n16 x_{1}^{6} e^{x^2/2} + 16 x_{1}^{4}x_{2}^{2} '
+            'e^{x^2/2} - 32 x_{1}^{4}q_{1}q_{2} e^{x^2/2} - 32 x_{1}^{4}q_{3'
+            '}q_{4} e^{x^2/2} - 16 x_{1}^{2}x_{2}^{4} e^{x^2/2} + 32 x_{1}^{'
+            '2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} - 16 x_{2}^{6} e^{x^2/2} + 32 '
+            'x_{2}^{4}q_{1}q_{2} e^{x^2/2} + 32 x_{2}^{4}q_{3}q_{4} e^{x^2/2'
+            '} - 32 x_{2}^{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} - 64 x_{1}^{4} e'
+            '^{x^2/2} + 64 x_{1}^{2}q_{1}q_{2} e^{x^2/2} + 64 x_{1}^{2}q_{3}'
+            'q_{4} e^{x^2/2} + 64 x_{2}^{4} e^{x^2/2} - 64 x_{2}^{2}q_{1}q_{'
+            '2} e^{x^2/2} - 64 x_{2}^{2}q_{3}q_{4} e^{x^2/2} + 32 x_{1}^{2} '
+            'e^{x^2/2} - 32 x_{2}^{2} e^{x^2/2}\n16 x_{1}^{4}x_{2}q_{1} e^{x'
+            '^2/2} + 32 x_{1}^{2}x_{2}^{3}q_{1} e^{x^2/2} - 32 x_{1}^{2}x_{2'
+            '}q_{1}q_{3}q_{4} e^{x^2/2} + 16 x_{2}^{5}q_{1} e^{x^2/2} - 32 x'
+            '_{2}^{3}q_{1}q_{3}q_{4} e^{x^2/2} - 64 x_{1}^{2}x_{2}q_{1} e^{x'
+            '^2/2} - 64 x_{2}^{3}q_{1} e^{x^2/2} + 64 x_{2}q_{1}q_{3}q_{4} e'
+            '^{x^2/2} + 32 x_{2}q_{1} e^{x^2/2}\n16 x_{1}^{5}q_{1} e^{x^2/2}'
+            ' + 32 x_{1}^{3}x_{2}^{2}q_{1} e^{x^2/2} - 32 x_{1}^{3}q_{1}q_{3'
+            '}q_{4} e^{x^2/2} + 16 x_{1}x_{2}^{4}q_{1} e^{x^2/2} - 32 x_{1}x'
+            '_{2}^{2}q_{1}q_{3}q_{4} e^{x^2/2} - 64 x_{1}^{3}q_{1} e^{x^2/2}'
+            ' - 64 x_{1}x_{2}^{2}q_{1} e^{x^2/2} + 64 x_{1}q_{1}q_{3}q_{4} e'
+            '^{x^2/2} + 32 x_{1}q_{1} e^{x^2/2}\n16 x_{1}^{4}x_{2}q_{2} e^{x'
+            '^2/2} + 32 x_{1}^{2}x_{2}^{3}q_{2} e^{x^2/2} - 32 x_{1}^{2}x_{2'
+            '}q_{2}q_{3}q_{4} e^{x^2/2} + 16 x_{2}^{5}q_{2} e^{x^2/2} - 32 x'
+            '_{2}^{3}q_{2}q_{3}q_{4} e^{x^2/2} - 64 x_{1}^{2}x_{2}q_{2} e^{x'
+            '^2/2} - 64 x_{2}^{3}q_{2} e^{x^2/2} + 64 x_{2}q_{2}q_{3}q_{4} e'
+            '^{x^2/2} + 32 x_{2}q_{2} e^{x^2/2}\n16 x_{1}^{5}q_{2} e^{x^2/2}'
+            ' + 32 x_{1}^{3}x_{2}^{2}q_{2} e^{x^2/2} - 32 x_{1}^{3}q_{2}q_{3'
+            '}q_{4} e^{x^2/2} + 16 x_{1}x_{2}^{4}q_{2} e^{x^2/2} - 32 x_{1}x'
+            '_{2}^{2}q_{2}q_{3}q_{4} e^{x^2/2} - 64 x_{1}^{3}q_{2} e^{x^2/2}'
+            ' - 64 x_{1}x_{2}^{2}q_{2} e^{x^2/2} + 64 x_{1}q_{2}q_{3}q_{4} e'
+            '^{x^2/2} + 32 x_{1}q_{2} e^{x^2/2}\n16 x_{1}^{4}x_{2}q_{3} e^{x'
+            '^2/2} + 32 x_{1}^{2}x_{2}^{3}q_{3} e^{x^2/2} - 32 x_{1}^{2}x_{2'
+            '}q_{1}q_{2}q_{3} e^{x^2/2} + 16 x_{2}^{5}q_{3} e^{x^2/2} - 32 x'
+            '_{2}^{3}q_{1}q_{2}q_{3} e^{x^2/2} - 64 x_{1}^{2}x_{2}q_{3} e^{x'
+            '^2/2} - 64 x_{2}^{3}q_{3} e^{x^2/2} + 64 x_{2}q_{1}q_{2}q_{3} e'
+            '^{x^2/2} + 32 x_{2}q_{3} e^{x^2/2}\n16 x_{1}^{5}q_{3} e^{x^2/2}'
+            ' + 32 x_{1}^{3}x_{2}^{2}q_{3} e^{x^2/2} - 32 x_{1}^{3}q_{1}q_{2'
+            '}q_{3} e^{x^2/2} + 16 x_{1}x_{2}^{4}q_{3} e^{x^2/2} - 32 x_{1}x'
+            '_{2}^{2}q_{1}q_{2}q_{3} e^{x^2/2} - 64 x_{1}^{3}q_{3} e^{x^2/2}'
+            ' - 64 x_{1}x_{2}^{2}q_{3} e^{x^2/2} + 64 x_{1}q_{1}q_{2}q_{3} e'
+            '^{x^2/2} + 32 x_{1}q_{3} e^{x^2/2}\n16 x_{1}^{4}x_{2}q_{4} e^{x'
+            '^2/2} + 32 x_{1}^{2}x_{2}^{3}q_{4} e^{x^2/2} - 32 x_{1}^{2}x_{2'
+            '}q_{1}q_{2}q_{4} e^{x^2/2} + 16 x_{2}^{5}q_{4} e^{x^2/2} - 32 x'
+            '_{2}^{3}q_{1}q_{2}q_{4} e^{x^2/2} - 64 x_{1}^{2}x_{2}q_{4} e^{x'
+            '^2/2} - 64 x_{2}^{3}q_{4} e^{x^2/2} + 64 x_{2}q_{1}q_{2}q_{4} e'
+            '^{x^2/2} + 32 x_{2}q_{4} e^{x^2/2}\n16 x_{1}^{5}q_{4} e^{x^2/2}'
+            ' + 32 x_{1}^{3}x_{2}^{2}q_{4} e^{x^2/2} - 32 x_{1}^{3}q_{1}q_{2'
+            '}q_{4} e^{x^2/2} + 16 x_{1}x_{2}^{4}q_{4} e^{x^2/2} - 32 x_{1}x'
+            '_{2}^{2}q_{1}q_{2}q_{4} e^{x^2/2} - 64 x_{1}^{3}q_{4} e^{x^2/2}'
+            ' - 64 x_{1}x_{2}^{2}q_{4} e^{x^2/2} + 64 x_{1}q_{1}q_{2}q_{4} e'
+            '^{x^2/2} + 32 x_{1}q_{4} e^{x^2/2}\n-32 x_{1}^{4}x_{2}^{2} e^{x'
+            '^2/2} + 16 x_{1}^{4}q_{1}q_{2} e^{x^2/2} - 64 x_{1}^{2}x_{2}^{4'
+            '} e^{x^2/2} + 96 x_{1}^{2}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + 64 x_'
+            '{1}^{2}x_{2}^{2}q_{3}q_{4} e^{x^2/2} - 32 x_{1}^{2}q_{1}q_{2}q_'
+            '{3}q_{4} e^{x^2/2} - 32 x_{2}^{6} e^{x^2/2} + 80 x_{2}^{4}q_{1}'
+            'q_{2} e^{x^2/2} + 64 x_{2}^{4}q_{3}q_{4} e^{x^2/2} - 96 x_{2}^{'
+            '2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 128 x_{1}^{2}x_{2}^{2} e^{x^'
+            '2/2} - 64 x_{1}^{2}q_{1}q_{2} e^{x^2/2} + 128 x_{2}^{4} e^{x^2/'
+            '2} - 192 x_{2}^{2}q_{1}q_{2} e^{x^2/2} - 128 x_{2}^{2}q_{3}q_{4'
+            '} e^{x^2/2} + 64 q_{1}q_{2}q_{3}q_{4} e^{x^2/2} - 64 x_{2}^{2} '
+            'e^{x^2/2} + 32 q_{1}q_{2} e^{x^2/2}\n16 x_{1}^{4}q_{1}q_{3} e^{'
+            'x^2/2} + 32 x_{1}^{2}x_{2}^{2}q_{1}q_{3} e^{x^2/2} + 16 x_{2}^{'
+            '4}q_{1}q_{3} e^{x^2/2} - 64 x_{1}^{2}q_{1}q_{3} e^{x^2/2} - 64 '
+            'x_{2}^{2}q_{1}q_{3} e^{x^2/2} + 32 q_{1}q_{3} e^{x^2/2}\n16 x_{'
+            '1}^{4}q_{2}q_{3} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{2}q_{2}q_{3} e^'
+            '{x^2/2} + 16 x_{2}^{4}q_{2}q_{3} e^{x^2/2} - 64 x_{1}^{2}q_{2}q'
+            '_{3} e^{x^2/2} - 64 x_{2}^{2}q_{2}q_{3} e^{x^2/2} + 32 q_{2}q_{'
+            '3} e^{x^2/2}\n16 x_{1}^{4}q_{1}q_{4} e^{x^2/2} + 32 x_{1}^{2}x_'
+            '{2}^{2}q_{1}q_{4} e^{x^2/2} + 16 x_{2}^{4}q_{1}q_{4} e^{x^2/2} '
+            '- 64 x_{1}^{2}q_{1}q_{4} e^{x^2/2} - 64 x_{2}^{2}q_{1}q_{4} e^{'
+            'x^2/2} + 32 q_{1}q_{4} e^{x^2/2}\n16 x_{1}^{4}q_{2}q_{4} e^{x^2'
+            '/2} + 32 x_{1}^{2}x_{2}^{2}q_{2}q_{4} e^{x^2/2} + 16 x_{2}^{4}q'
+            '_{2}q_{4} e^{x^2/2} - 64 x_{1}^{2}q_{2}q_{4} e^{x^2/2} - 64 x_{'
+            '2}^{2}q_{2}q_{4} e^{x^2/2} + 32 q_{2}q_{4} e^{x^2/2}\n-32 x_{1}'
+            '^{4}x_{2}^{2} e^{x^2/2} + 16 x_{1}^{4}q_{3}q_{4} e^{x^2/2} - 64'
+            ' x_{1}^{2}x_{2}^{4} e^{x^2/2} + 64 x_{1}^{2}x_{2}^{2}q_{1}q_{2}'
+            ' e^{x^2/2} + 96 x_{1}^{2}x_{2}^{2}q_{3}q_{4} e^{x^2/2} - 32 x_{'
+            '1}^{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} - 32 x_{2}^{6} e^{x^2/2} +'
+            ' 64 x_{2}^{4}q_{1}q_{2} e^{x^2/2} + 80 x_{2}^{4}q_{3}q_{4} e^{x'
+            '^2/2} - 96 x_{2}^{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 128 x_{1}^'
+            '{2}x_{2}^{2} e^{x^2/2} - 64 x_{1}^{2}q_{3}q_{4} e^{x^2/2} + 128'
+            ' x_{2}^{4} e^{x^2/2} - 128 x_{2}^{2}q_{1}q_{2} e^{x^2/2} - 192 '
+            'x_{2}^{2}q_{3}q_{4} e^{x^2/2} + 64 q_{1}q_{2}q_{3}q_{4} e^{x^2/'
+            '2} - 64 x_{2}^{2} e^{x^2/2} + 32 q_{3}q_{4} e^{x^2/2}',
         ),
         (
             'degree 2: dim nullspace 16, dim formula 16 [ok]',
@@ -4133,32 +4075,24 @@ _BASES_GOLDEN = {
             'true, "terms": [{"bos": [0, 2], "fer": [2], "coeff": [{"q": '
             '[-2, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [2, '
             '3, 4], "coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}',
-            '1 x_{1}^{2}x_{2} e^{x^2/2} + -1/3 x_{2}^{3} e^{x^2/2}\n'
-            '1 x_{1}^{3} e^{x^2/2} + -3 x_{1}x_{2}^{2} e^{x^2/2}\n'
-            '1 x_{1}x_{2}q_{1} e^{x^2/2}\n'
-            '1 x_{1}^{2}q_{1} e^{x^2/2} + -1 x_{2}^{2}q_{1} e^{x^2/2}\n'
-            '1 x_{1}x_{2}q_{2} e^{x^2/2}\n'
-            '1 x_{1}^{2}q_{2} e^{x^2/2} + -1 x_{2}^{2}q_{2} e^{x^2/2}\n'
-            '1 x_{1}x_{2}q_{3} e^{x^2/2}\n'
-            '1 x_{1}^{2}q_{3} e^{x^2/2} + -1 x_{2}^{2}q_{3} e^{x^2/2}\n'
-            '1 x_{1}x_{2}q_{4} e^{x^2/2}\n'
-            '1 x_{1}^{2}q_{4} e^{x^2/2} + -1 x_{2}^{2}q_{4} e^{x^2/2}\n'
-            '-2/3 x_{2}^{3} e^{x^2/2} + 1 x_{2}q_{1}q_{2} e^{x^2/2}\n'
-            '-2 x_{1}x_{2}^{2} e^{x^2/2} + 1 x_{1}q_{1}q_{2} e^{x^2/2}\n'
-            '1 x_{2}q_{1}q_{3} e^{x^2/2}\n'
-            '1 x_{1}q_{1}q_{3} e^{x^2/2}\n'
-            '1 x_{2}q_{2}q_{3} e^{x^2/2}\n'
-            '1 x_{1}q_{2}q_{3} e^{x^2/2}\n'
-            '1 x_{2}q_{1}q_{4} e^{x^2/2}\n'
-            '1 x_{1}q_{1}q_{4} e^{x^2/2}\n'
-            '1 x_{2}q_{2}q_{4} e^{x^2/2}\n'
-            '1 x_{1}q_{2}q_{4} e^{x^2/2}\n'
-            '-2/3 x_{2}^{3} e^{x^2/2} + 1 x_{2}q_{3}q_{4} e^{x^2/2}\n'
-            '-2 x_{1}x_{2}^{2} e^{x^2/2} + 1 x_{1}q_{3}q_{4} e^{x^2/2}\n'
-            '-2 x_{2}^{2}q_{3} e^{x^2/2} + 1 q_{1}q_{2}q_{3} e^{x^2/2}\n'
-            '-2 x_{2}^{2}q_{4} e^{x^2/2} + 1 q_{1}q_{2}q_{4} e^{x^2/2}\n'
-            '-2 x_{2}^{2}q_{1} e^{x^2/2} + 1 q_{1}q_{3}q_{4} e^{x^2/2}\n'
-            '-2 x_{2}^{2}q_{2} e^{x^2/2} + 1 q_{2}q_{3}q_{4} e^{x^2/2}',
+            'x_{1}^{2}x_{2} e^{x^2/2} - 1/3 x_{2}^{3} e^{x^2/2}\nx_{1}^{3} e'
+            '^{x^2/2} - 3 x_{1}x_{2}^{2} e^{x^2/2}\nx_{1}x_{2}q_{1} e^{x^2/2'
+            '}\nx_{1}^{2}q_{1} e^{x^2/2} - x_{2}^{2}q_{1} e^{x^2/2}\nx_{1}x_'
+            '{2}q_{2} e^{x^2/2}\nx_{1}^{2}q_{2} e^{x^2/2} - x_{2}^{2}q_{2} e'
+            '^{x^2/2}\nx_{1}x_{2}q_{3} e^{x^2/2}\nx_{1}^{2}q_{3} e^{x^2/2} -'
+            ' x_{2}^{2}q_{3} e^{x^2/2}\nx_{1}x_{2}q_{4} e^{x^2/2}\nx_{1}^{2}'
+            'q_{4} e^{x^2/2} - x_{2}^{2}q_{4} e^{x^2/2}\n-2/3 x_{2}^{3} e^{x'
+            '^2/2} + x_{2}q_{1}q_{2} e^{x^2/2}\n-2 x_{1}x_{2}^{2} e^{x^2/2} '
+            '+ x_{1}q_{1}q_{2} e^{x^2/2}\nx_{2}q_{1}q_{3} e^{x^2/2}\nx_{1}q_'
+            '{1}q_{3} e^{x^2/2}\nx_{2}q_{2}q_{3} e^{x^2/2}\nx_{1}q_{2}q_{3} '
+            'e^{x^2/2}\nx_{2}q_{1}q_{4} e^{x^2/2}\nx_{1}q_{1}q_{4} e^{x^2/2}'
+            '\nx_{2}q_{2}q_{4} e^{x^2/2}\nx_{1}q_{2}q_{4} e^{x^2/2}\n-2/3 x_'
+            '{2}^{3} e^{x^2/2} + x_{2}q_{3}q_{4} e^{x^2/2}\n-2 x_{1}x_{2}^{2'
+            '} e^{x^2/2} + x_{1}q_{3}q_{4} e^{x^2/2}\n-2 x_{2}^{2}q_{3} e^{x'
+            '^2/2} + q_{1}q_{2}q_{3} e^{x^2/2}\n-2 x_{2}^{2}q_{4} e^{x^2/2} '
+            '+ q_{1}q_{2}q_{4} e^{x^2/2}\n-2 x_{2}^{2}q_{1} e^{x^2/2} + q_{1'
+            '}q_{3}q_{4} e^{x^2/2}\n-2 x_{2}^{2}q_{2} e^{x^2/2} + q_{2}q_{3}'
+            'q_{4} e^{x^2/2}',
         ),
         (
             '-4*x1^4*x2*G - 8/3*x1^2*x2^3*G + 4*x1^2*x2*q1q2*G + '
@@ -4443,99 +4377,80 @@ _BASES_GOLDEN = {
             '[2], "coeff": [{"q": [-16, 1, 0, 1], "b": 0, "eps": 0}]}, '
             '{"bos": [0, 0], "fer": [2, 3, 4], "coeff": [{"q": [8, 1, 0, 1], '
             '"b": 0, "eps": 0}]}]}',
-            '-4 x_{1}^{4}x_{2} e^{x^2/2} + -8/3 x_{1}^{2}x_{2}^{3} e^{x^2/2} '
-            '+ 4 x_{1}^{2}x_{2}q_{1}q_{2} e^{x^2/2} + 4 '
-            'x_{1}^{2}x_{2}q_{3}q_{4} e^{x^2/2} + 4/3 x_{2}^{5} e^{x^2/2} + '
-            '-4/3 x_{2}^{3}q_{1}q_{2} e^{x^2/2} + -4/3 x_{2}^{3}q_{3}q_{4} '
-            'e^{x^2/2} + 8 x_{1}^{2}x_{2} e^{x^2/2} + -8/3 x_{2}^{3} '
-            'e^{x^2/2}\n'
-            '-4 x_{1}^{5} e^{x^2/2} + 8 x_{1}^{3}x_{2}^{2} e^{x^2/2} + 4 '
-            'x_{1}^{3}q_{1}q_{2} e^{x^2/2} + 4 x_{1}^{3}q_{3}q_{4} e^{x^2/2} '
-            '+ 12 x_{1}x_{2}^{4} e^{x^2/2} + -12 x_{1}x_{2}^{2}q_{1}q_{2} '
-            'e^{x^2/2} + -12 x_{1}x_{2}^{2}q_{3}q_{4} e^{x^2/2} + 8 '
-            'x_{1}^{3} e^{x^2/2} + -24 x_{1}x_{2}^{2} e^{x^2/2}\n'
-            '-4 x_{1}^{3}x_{2}q_{1} e^{x^2/2} + -4 x_{1}x_{2}^{3}q_{1} '
-            'e^{x^2/2} + 4 x_{1}x_{2}q_{1}q_{3}q_{4} e^{x^2/2} + 8 '
-            'x_{1}x_{2}q_{1} e^{x^2/2}\n'
-            '-4 x_{1}^{4}q_{1} e^{x^2/2} + 4 x_{1}^{2}q_{1}q_{3}q_{4} '
-            'e^{x^2/2} + 4 x_{2}^{4}q_{1} e^{x^2/2} + -4 '
-            'x_{2}^{2}q_{1}q_{3}q_{4} e^{x^2/2} + 8 x_{1}^{2}q_{1} e^{x^2/2} '
-            '+ -8 x_{2}^{2}q_{1} e^{x^2/2}\n'
-            '-4 x_{1}^{3}x_{2}q_{2} e^{x^2/2} + -4 x_{1}x_{2}^{3}q_{2} '
-            'e^{x^2/2} + 4 x_{1}x_{2}q_{2}q_{3}q_{4} e^{x^2/2} + 8 '
-            'x_{1}x_{2}q_{2} e^{x^2/2}\n'
-            '-4 x_{1}^{4}q_{2} e^{x^2/2} + 4 x_{1}^{2}q_{2}q_{3}q_{4} '
-            'e^{x^2/2} + 4 x_{2}^{4}q_{2} e^{x^2/2} + -4 '
-            'x_{2}^{2}q_{2}q_{3}q_{4} e^{x^2/2} + 8 x_{1}^{2}q_{2} e^{x^2/2} '
-            '+ -8 x_{2}^{2}q_{2} e^{x^2/2}\n'
-            '-4 x_{1}^{3}x_{2}q_{3} e^{x^2/2} + -4 x_{1}x_{2}^{3}q_{3} '
-            'e^{x^2/2} + 4 x_{1}x_{2}q_{1}q_{2}q_{3} e^{x^2/2} + 8 '
-            'x_{1}x_{2}q_{3} e^{x^2/2}\n'
-            '-4 x_{1}^{4}q_{3} e^{x^2/2} + 4 x_{1}^{2}q_{1}q_{2}q_{3} '
-            'e^{x^2/2} + 4 x_{2}^{4}q_{3} e^{x^2/2} + -4 '
-            'x_{2}^{2}q_{1}q_{2}q_{3} e^{x^2/2} + 8 x_{1}^{2}q_{3} e^{x^2/2} '
-            '+ -8 x_{2}^{2}q_{3} e^{x^2/2}\n'
-            '-4 x_{1}^{3}x_{2}q_{4} e^{x^2/2} + -4 x_{1}x_{2}^{3}q_{4} '
-            'e^{x^2/2} + 4 x_{1}x_{2}q_{1}q_{2}q_{4} e^{x^2/2} + 8 '
-            'x_{1}x_{2}q_{4} e^{x^2/2}\n'
-            '-4 x_{1}^{4}q_{4} e^{x^2/2} + 4 x_{1}^{2}q_{1}q_{2}q_{4} '
-            'e^{x^2/2} + 4 x_{2}^{4}q_{4} e^{x^2/2} + -4 '
-            'x_{2}^{2}q_{1}q_{2}q_{4} e^{x^2/2} + 8 x_{1}^{2}q_{4} e^{x^2/2} '
-            '+ -8 x_{2}^{2}q_{4} e^{x^2/2}\n'
-            '8/3 x_{1}^{2}x_{2}^{3} e^{x^2/2} + -4 x_{1}^{2}x_{2}q_{1}q_{2} '
-            'e^{x^2/2} + 8/3 x_{2}^{5} e^{x^2/2} + -20/3 x_{2}^{3}q_{1}q_{2} '
-            'e^{x^2/2} + -8/3 x_{2}^{3}q_{3}q_{4} e^{x^2/2} + 4 '
-            'x_{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -16/3 x_{2}^{3} e^{x^2/2} '
-            '+ 8 x_{2}q_{1}q_{2} e^{x^2/2}\n'
-            '8 x_{1}^{3}x_{2}^{2} e^{x^2/2} + -4 x_{1}^{3}q_{1}q_{2} '
-            'e^{x^2/2} + 8 x_{1}x_{2}^{4} e^{x^2/2} + -12 '
-            'x_{1}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + -8 '
-            'x_{1}x_{2}^{2}q_{3}q_{4} e^{x^2/2} + 4 '
-            'x_{1}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -16 x_{1}x_{2}^{2} '
-            'e^{x^2/2} + 8 x_{1}q_{1}q_{2} e^{x^2/2}\n'
-            '-4 x_{1}^{2}x_{2}q_{1}q_{3} e^{x^2/2} + -4 x_{2}^{3}q_{1}q_{3} '
-            'e^{x^2/2} + 8 x_{2}q_{1}q_{3} e^{x^2/2}\n'
-            '-4 x_{1}^{3}q_{1}q_{3} e^{x^2/2} + -4 x_{1}x_{2}^{2}q_{1}q_{3} '
-            'e^{x^2/2} + 8 x_{1}q_{1}q_{3} e^{x^2/2}\n'
-            '-4 x_{1}^{2}x_{2}q_{2}q_{3} e^{x^2/2} + -4 x_{2}^{3}q_{2}q_{3} '
-            'e^{x^2/2} + 8 x_{2}q_{2}q_{3} e^{x^2/2}\n'
-            '-4 x_{1}^{3}q_{2}q_{3} e^{x^2/2} + -4 x_{1}x_{2}^{2}q_{2}q_{3} '
-            'e^{x^2/2} + 8 x_{1}q_{2}q_{3} e^{x^2/2}\n'
-            '-4 x_{1}^{2}x_{2}q_{1}q_{4} e^{x^2/2} + -4 x_{2}^{3}q_{1}q_{4} '
-            'e^{x^2/2} + 8 x_{2}q_{1}q_{4} e^{x^2/2}\n'
-            '-4 x_{1}^{3}q_{1}q_{4} e^{x^2/2} + -4 x_{1}x_{2}^{2}q_{1}q_{4} '
-            'e^{x^2/2} + 8 x_{1}q_{1}q_{4} e^{x^2/2}\n'
-            '-4 x_{1}^{2}x_{2}q_{2}q_{4} e^{x^2/2} + -4 x_{2}^{3}q_{2}q_{4} '
-            'e^{x^2/2} + 8 x_{2}q_{2}q_{4} e^{x^2/2}\n'
-            '-4 x_{1}^{3}q_{2}q_{4} e^{x^2/2} + -4 x_{1}x_{2}^{2}q_{2}q_{4} '
-            'e^{x^2/2} + 8 x_{1}q_{2}q_{4} e^{x^2/2}\n'
-            '8/3 x_{1}^{2}x_{2}^{3} e^{x^2/2} + -4 x_{1}^{2}x_{2}q_{3}q_{4} '
-            'e^{x^2/2} + 8/3 x_{2}^{5} e^{x^2/2} + -8/3 x_{2}^{3}q_{1}q_{2} '
-            'e^{x^2/2} + -20/3 x_{2}^{3}q_{3}q_{4} e^{x^2/2} + 4 '
-            'x_{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -16/3 x_{2}^{3} e^{x^2/2} '
-            '+ 8 x_{2}q_{3}q_{4} e^{x^2/2}\n'
-            '8 x_{1}^{3}x_{2}^{2} e^{x^2/2} + -4 x_{1}^{3}q_{3}q_{4} '
-            'e^{x^2/2} + 8 x_{1}x_{2}^{4} e^{x^2/2} + -8 '
-            'x_{1}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + -12 '
-            'x_{1}x_{2}^{2}q_{3}q_{4} e^{x^2/2} + 4 '
-            'x_{1}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -16 x_{1}x_{2}^{2} '
-            'e^{x^2/2} + 8 x_{1}q_{3}q_{4} e^{x^2/2}\n'
-            '8 x_{1}^{2}x_{2}^{2}q_{3} e^{x^2/2} + -4 '
-            'x_{1}^{2}q_{1}q_{2}q_{3} e^{x^2/2} + 8 x_{2}^{4}q_{3} e^{x^2/2} '
-            '+ -12 x_{2}^{2}q_{1}q_{2}q_{3} e^{x^2/2} + -16 x_{2}^{2}q_{3} '
-            'e^{x^2/2} + 8 q_{1}q_{2}q_{3} e^{x^2/2}\n'
-            '8 x_{1}^{2}x_{2}^{2}q_{4} e^{x^2/2} + -4 '
-            'x_{1}^{2}q_{1}q_{2}q_{4} e^{x^2/2} + 8 x_{2}^{4}q_{4} e^{x^2/2} '
-            '+ -12 x_{2}^{2}q_{1}q_{2}q_{4} e^{x^2/2} + -16 x_{2}^{2}q_{4} '
-            'e^{x^2/2} + 8 q_{1}q_{2}q_{4} e^{x^2/2}\n'
-            '8 x_{1}^{2}x_{2}^{2}q_{1} e^{x^2/2} + -4 '
-            'x_{1}^{2}q_{1}q_{3}q_{4} e^{x^2/2} + 8 x_{2}^{4}q_{1} e^{x^2/2} '
-            '+ -12 x_{2}^{2}q_{1}q_{3}q_{4} e^{x^2/2} + -16 x_{2}^{2}q_{1} '
-            'e^{x^2/2} + 8 q_{1}q_{3}q_{4} e^{x^2/2}\n'
-            '8 x_{1}^{2}x_{2}^{2}q_{2} e^{x^2/2} + -4 '
-            'x_{1}^{2}q_{2}q_{3}q_{4} e^{x^2/2} + 8 x_{2}^{4}q_{2} e^{x^2/2} '
-            '+ -12 x_{2}^{2}q_{2}q_{3}q_{4} e^{x^2/2} + -16 x_{2}^{2}q_{2} '
-            'e^{x^2/2} + 8 q_{2}q_{3}q_{4} e^{x^2/2}',
+            '-4 x_{1}^{4}x_{2} e^{x^2/2} - 8/3 x_{1}^{2}x_{2}^{3} e^{x^2/2} '
+            '+ 4 x_{1}^{2}x_{2}q_{1}q_{2} e^{x^2/2} + 4 x_{1}^{2}x_{2}q_{3}q'
+            '_{4} e^{x^2/2} + 4/3 x_{2}^{5} e^{x^2/2} - 4/3 x_{2}^{3}q_{1}q_'
+            '{2} e^{x^2/2} - 4/3 x_{2}^{3}q_{3}q_{4} e^{x^2/2} + 8 x_{1}^{2}'
+            'x_{2} e^{x^2/2} - 8/3 x_{2}^{3} e^{x^2/2}\n-4 x_{1}^{5} e^{x^2/'
+            '2} + 8 x_{1}^{3}x_{2}^{2} e^{x^2/2} + 4 x_{1}^{3}q_{1}q_{2} e^{'
+            'x^2/2} + 4 x_{1}^{3}q_{3}q_{4} e^{x^2/2} + 12 x_{1}x_{2}^{4} e^'
+            '{x^2/2} - 12 x_{1}x_{2}^{2}q_{1}q_{2} e^{x^2/2} - 12 x_{1}x_{2}'
+            '^{2}q_{3}q_{4} e^{x^2/2} + 8 x_{1}^{3} e^{x^2/2} - 24 x_{1}x_{2'
+            '}^{2} e^{x^2/2}\n-4 x_{1}^{3}x_{2}q_{1} e^{x^2/2} - 4 x_{1}x_{2'
+            '}^{3}q_{1} e^{x^2/2} + 4 x_{1}x_{2}q_{1}q_{3}q_{4} e^{x^2/2} + '
+            '8 x_{1}x_{2}q_{1} e^{x^2/2}\n-4 x_{1}^{4}q_{1} e^{x^2/2} + 4 x_'
+            '{1}^{2}q_{1}q_{3}q_{4} e^{x^2/2} + 4 x_{2}^{4}q_{1} e^{x^2/2} -'
+            ' 4 x_{2}^{2}q_{1}q_{3}q_{4} e^{x^2/2} + 8 x_{1}^{2}q_{1} e^{x^2'
+            '/2} - 8 x_{2}^{2}q_{1} e^{x^2/2}\n-4 x_{1}^{3}x_{2}q_{2} e^{x^2'
+            '/2} - 4 x_{1}x_{2}^{3}q_{2} e^{x^2/2} + 4 x_{1}x_{2}q_{2}q_{3}q'
+            '_{4} e^{x^2/2} + 8 x_{1}x_{2}q_{2} e^{x^2/2}\n-4 x_{1}^{4}q_{2}'
+            ' e^{x^2/2} + 4 x_{1}^{2}q_{2}q_{3}q_{4} e^{x^2/2} + 4 x_{2}^{4}'
+            'q_{2} e^{x^2/2} - 4 x_{2}^{2}q_{2}q_{3}q_{4} e^{x^2/2} + 8 x_{1'
+            '}^{2}q_{2} e^{x^2/2} - 8 x_{2}^{2}q_{2} e^{x^2/2}\n-4 x_{1}^{3}'
+            'x_{2}q_{3} e^{x^2/2} - 4 x_{1}x_{2}^{3}q_{3} e^{x^2/2} + 4 x_{1'
+            '}x_{2}q_{1}q_{2}q_{3} e^{x^2/2} + 8 x_{1}x_{2}q_{3} e^{x^2/2}\n'
+            '-4 x_{1}^{4}q_{3} e^{x^2/2} + 4 x_{1}^{2}q_{1}q_{2}q_{3} e^{x^2'
+            '/2} + 4 x_{2}^{4}q_{3} e^{x^2/2} - 4 x_{2}^{2}q_{1}q_{2}q_{3} e'
+            '^{x^2/2} + 8 x_{1}^{2}q_{3} e^{x^2/2} - 8 x_{2}^{2}q_{3} e^{x^2'
+            '/2}\n-4 x_{1}^{3}x_{2}q_{4} e^{x^2/2} - 4 x_{1}x_{2}^{3}q_{4} e'
+            '^{x^2/2} + 4 x_{1}x_{2}q_{1}q_{2}q_{4} e^{x^2/2} + 8 x_{1}x_{2}'
+            'q_{4} e^{x^2/2}\n-4 x_{1}^{4}q_{4} e^{x^2/2} + 4 x_{1}^{2}q_{1}'
+            'q_{2}q_{4} e^{x^2/2} + 4 x_{2}^{4}q_{4} e^{x^2/2} - 4 x_{2}^{2}'
+            'q_{1}q_{2}q_{4} e^{x^2/2} + 8 x_{1}^{2}q_{4} e^{x^2/2} - 8 x_{2'
+            '}^{2}q_{4} e^{x^2/2}\n8/3 x_{1}^{2}x_{2}^{3} e^{x^2/2} - 4 x_{1'
+            '}^{2}x_{2}q_{1}q_{2} e^{x^2/2} + 8/3 x_{2}^{5} e^{x^2/2} - 20/3'
+            ' x_{2}^{3}q_{1}q_{2} e^{x^2/2} - 8/3 x_{2}^{3}q_{3}q_{4} e^{x^2'
+            '/2} + 4 x_{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} - 16/3 x_{2}^{3} e^'
+            '{x^2/2} + 8 x_{2}q_{1}q_{2} e^{x^2/2}\n8 x_{1}^{3}x_{2}^{2} e^{'
+            'x^2/2} - 4 x_{1}^{3}q_{1}q_{2} e^{x^2/2} + 8 x_{1}x_{2}^{4} e^{'
+            'x^2/2} - 12 x_{1}x_{2}^{2}q_{1}q_{2} e^{x^2/2} - 8 x_{1}x_{2}^{'
+            '2}q_{3}q_{4} e^{x^2/2} + 4 x_{1}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} '
+            '- 16 x_{1}x_{2}^{2} e^{x^2/2} + 8 x_{1}q_{1}q_{2} e^{x^2/2}\n-4'
+            ' x_{1}^{2}x_{2}q_{1}q_{3} e^{x^2/2} - 4 x_{2}^{3}q_{1}q_{3} e^{'
+            'x^2/2} + 8 x_{2}q_{1}q_{3} e^{x^2/2}\n-4 x_{1}^{3}q_{1}q_{3} e^'
+            '{x^2/2} - 4 x_{1}x_{2}^{2}q_{1}q_{3} e^{x^2/2} + 8 x_{1}q_{1}q_'
+            '{3} e^{x^2/2}\n-4 x_{1}^{2}x_{2}q_{2}q_{3} e^{x^2/2} - 4 x_{2}^'
+            '{3}q_{2}q_{3} e^{x^2/2} + 8 x_{2}q_{2}q_{3} e^{x^2/2}\n-4 x_{1}'
+            '^{3}q_{2}q_{3} e^{x^2/2} - 4 x_{1}x_{2}^{2}q_{2}q_{3} e^{x^2/2}'
+            ' + 8 x_{1}q_{2}q_{3} e^{x^2/2}\n-4 x_{1}^{2}x_{2}q_{1}q_{4} e^{'
+            'x^2/2} - 4 x_{2}^{3}q_{1}q_{4} e^{x^2/2} + 8 x_{2}q_{1}q_{4} e^'
+            '{x^2/2}\n-4 x_{1}^{3}q_{1}q_{4} e^{x^2/2} - 4 x_{1}x_{2}^{2}q_{'
+            '1}q_{4} e^{x^2/2} + 8 x_{1}q_{1}q_{4} e^{x^2/2}\n-4 x_{1}^{2}x_'
+            '{2}q_{2}q_{4} e^{x^2/2} - 4 x_{2}^{3}q_{2}q_{4} e^{x^2/2} + 8 x'
+            '_{2}q_{2}q_{4} e^{x^2/2}\n-4 x_{1}^{3}q_{2}q_{4} e^{x^2/2} - 4 '
+            'x_{1}x_{2}^{2}q_{2}q_{4} e^{x^2/2} + 8 x_{1}q_{2}q_{4} e^{x^2/2'
+            '}\n8/3 x_{1}^{2}x_{2}^{3} e^{x^2/2} - 4 x_{1}^{2}x_{2}q_{3}q_{4'
+            '} e^{x^2/2} + 8/3 x_{2}^{5} e^{x^2/2} - 8/3 x_{2}^{3}q_{1}q_{2}'
+            ' e^{x^2/2} - 20/3 x_{2}^{3}q_{3}q_{4} e^{x^2/2} + 4 x_{2}q_{1}q'
+            '_{2}q_{3}q_{4} e^{x^2/2} - 16/3 x_{2}^{3} e^{x^2/2} + 8 x_{2}q_'
+            '{3}q_{4} e^{x^2/2}\n8 x_{1}^{3}x_{2}^{2} e^{x^2/2} - 4 x_{1}^{3'
+            '}q_{3}q_{4} e^{x^2/2} + 8 x_{1}x_{2}^{4} e^{x^2/2} - 8 x_{1}x_{'
+            '2}^{2}q_{1}q_{2} e^{x^2/2} - 12 x_{1}x_{2}^{2}q_{3}q_{4} e^{x^2'
+            '/2} + 4 x_{1}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} - 16 x_{1}x_{2}^{2}'
+            ' e^{x^2/2} + 8 x_{1}q_{3}q_{4} e^{x^2/2}\n8 x_{1}^{2}x_{2}^{2}q'
+            '_{3} e^{x^2/2} - 4 x_{1}^{2}q_{1}q_{2}q_{3} e^{x^2/2} + 8 x_{2}'
+            '^{4}q_{3} e^{x^2/2} - 12 x_{2}^{2}q_{1}q_{2}q_{3} e^{x^2/2} - 1'
+            '6 x_{2}^{2}q_{3} e^{x^2/2} + 8 q_{1}q_{2}q_{3} e^{x^2/2}\n8 x_{'
+            '1}^{2}x_{2}^{2}q_{4} e^{x^2/2} - 4 x_{1}^{2}q_{1}q_{2}q_{4} e^{'
+            'x^2/2} + 8 x_{2}^{4}q_{4} e^{x^2/2} - 12 x_{2}^{2}q_{1}q_{2}q_{'
+            '4} e^{x^2/2} - 16 x_{2}^{2}q_{4} e^{x^2/2} + 8 q_{1}q_{2}q_{4} '
+            'e^{x^2/2}\n8 x_{1}^{2}x_{2}^{2}q_{1} e^{x^2/2} - 4 x_{1}^{2}q_{'
+            '1}q_{3}q_{4} e^{x^2/2} + 8 x_{2}^{4}q_{1} e^{x^2/2} - 12 x_{2}^'
+            '{2}q_{1}q_{3}q_{4} e^{x^2/2} - 16 x_{2}^{2}q_{1} e^{x^2/2} + 8 '
+            'q_{1}q_{3}q_{4} e^{x^2/2}\n8 x_{1}^{2}x_{2}^{2}q_{2} e^{x^2/2} '
+            '- 4 x_{1}^{2}q_{2}q_{3}q_{4} e^{x^2/2} + 8 x_{2}^{4}q_{2} e^{x^'
+            '2/2} - 12 x_{2}^{2}q_{2}q_{3}q_{4} e^{x^2/2} - 16 x_{2}^{2}q_{2'
+            '} e^{x^2/2} + 8 q_{2}q_{3}q_{4} e^{x^2/2}',
         ),
         (
             '16*x1^6*x2*G + 80/3*x1^4*x2^3*G - 32*x1^4*x2*q1q2*G - '
@@ -5080,222 +4995,179 @@ _BASES_GOLDEN = {
             '{"bos": [0, 2], "fer": [2], "coeff": [{"q": [-192, 1, 0, 1], '
             '"b": 0, "eps": 0}]}, {"bos": [0, 0], "fer": [2, 3, 4], "coeff": '
             '[{"q": [96, 1, 0, 1], "b": 0, "eps": 0}]}]}',
-            '16 x_{1}^{6}x_{2} e^{x^2/2} + 80/3 x_{1}^{4}x_{2}^{3} e^{x^2/2} '
-            '+ -32 x_{1}^{4}x_{2}q_{1}q_{2} e^{x^2/2} + -32 '
-            'x_{1}^{4}x_{2}q_{3}q_{4} e^{x^2/2} + 16/3 x_{1}^{2}x_{2}^{5} '
-            'e^{x^2/2} + -64/3 x_{1}^{2}x_{2}^{3}q_{1}q_{2} e^{x^2/2} + '
-            '-64/3 x_{1}^{2}x_{2}^{3}q_{3}q_{4} e^{x^2/2} + 32 '
-            'x_{1}^{2}x_{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -16/3 x_{2}^{7} '
-            'e^{x^2/2} + 32/3 x_{2}^{5}q_{1}q_{2} e^{x^2/2} + 32/3 '
-            'x_{2}^{5}q_{3}q_{4} e^{x^2/2} + -32/3 '
-            'x_{2}^{3}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -96 x_{1}^{4}x_{2} '
-            'e^{x^2/2} + -64 x_{1}^{2}x_{2}^{3} e^{x^2/2} + 96 '
-            'x_{1}^{2}x_{2}q_{1}q_{2} e^{x^2/2} + 96 '
-            'x_{1}^{2}x_{2}q_{3}q_{4} e^{x^2/2} + 32 x_{2}^{5} e^{x^2/2} + '
-            '-32 x_{2}^{3}q_{1}q_{2} e^{x^2/2} + -32 x_{2}^{3}q_{3}q_{4} '
-            'e^{x^2/2} + 96 x_{1}^{2}x_{2} e^{x^2/2} + -32 x_{2}^{3} '
-            'e^{x^2/2}\n'
-            '16 x_{1}^{7} e^{x^2/2} + -16 x_{1}^{5}x_{2}^{2} e^{x^2/2} + -32 '
-            'x_{1}^{5}q_{1}q_{2} e^{x^2/2} + -32 x_{1}^{5}q_{3}q_{4} '
-            'e^{x^2/2} + -80 x_{1}^{3}x_{2}^{4} e^{x^2/2} + 64 '
-            'x_{1}^{3}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + 64 '
-            'x_{1}^{3}x_{2}^{2}q_{3}q_{4} e^{x^2/2} + 32 '
-            'x_{1}^{3}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -48 x_{1}x_{2}^{6} '
-            'e^{x^2/2} + 96 x_{1}x_{2}^{4}q_{1}q_{2} e^{x^2/2} + 96 '
-            'x_{1}x_{2}^{4}q_{3}q_{4} e^{x^2/2} + -96 '
-            'x_{1}x_{2}^{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -96 x_{1}^{5} '
-            'e^{x^2/2} + 192 x_{1}^{3}x_{2}^{2} e^{x^2/2} + 96 '
-            'x_{1}^{3}q_{1}q_{2} e^{x^2/2} + 96 x_{1}^{3}q_{3}q_{4} '
-            'e^{x^2/2} + 288 x_{1}x_{2}^{4} e^{x^2/2} + -288 '
-            'x_{1}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + -288 '
-            'x_{1}x_{2}^{2}q_{3}q_{4} e^{x^2/2} + 96 x_{1}^{3} e^{x^2/2} + '
-            '-288 x_{1}x_{2}^{2} e^{x^2/2}\n'
-            '16 x_{1}^{5}x_{2}q_{1} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{3}q_{1} '
-            'e^{x^2/2} + -32 x_{1}^{3}x_{2}q_{1}q_{3}q_{4} e^{x^2/2} + 16 '
-            'x_{1}x_{2}^{5}q_{1} e^{x^2/2} + -32 '
-            'x_{1}x_{2}^{3}q_{1}q_{3}q_{4} e^{x^2/2} + -96 '
-            'x_{1}^{3}x_{2}q_{1} e^{x^2/2} + -96 x_{1}x_{2}^{3}q_{1} '
-            'e^{x^2/2} + 96 x_{1}x_{2}q_{1}q_{3}q_{4} e^{x^2/2} + 96 '
-            'x_{1}x_{2}q_{1} e^{x^2/2}\n'
-            '16 x_{1}^{6}q_{1} e^{x^2/2} + 16 x_{1}^{4}x_{2}^{2}q_{1} '
-            'e^{x^2/2} + -32 x_{1}^{4}q_{1}q_{3}q_{4} e^{x^2/2} + -16 '
-            'x_{1}^{2}x_{2}^{4}q_{1} e^{x^2/2} + -16 x_{2}^{6}q_{1} '
-            'e^{x^2/2} + 32 x_{2}^{4}q_{1}q_{3}q_{4} e^{x^2/2} + -96 '
-            'x_{1}^{4}q_{1} e^{x^2/2} + 96 x_{1}^{2}q_{1}q_{3}q_{4} '
-            'e^{x^2/2} + 96 x_{2}^{4}q_{1} e^{x^2/2} + -96 '
-            'x_{2}^{2}q_{1}q_{3}q_{4} e^{x^2/2} + 96 x_{1}^{2}q_{1} '
-            'e^{x^2/2} + -96 x_{2}^{2}q_{1} e^{x^2/2}\n'
-            '16 x_{1}^{5}x_{2}q_{2} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{3}q_{2} '
-            'e^{x^2/2} + -32 x_{1}^{3}x_{2}q_{2}q_{3}q_{4} e^{x^2/2} + 16 '
-            'x_{1}x_{2}^{5}q_{2} e^{x^2/2} + -32 '
-            'x_{1}x_{2}^{3}q_{2}q_{3}q_{4} e^{x^2/2} + -96 '
-            'x_{1}^{3}x_{2}q_{2} e^{x^2/2} + -96 x_{1}x_{2}^{3}q_{2} '
-            'e^{x^2/2} + 96 x_{1}x_{2}q_{2}q_{3}q_{4} e^{x^2/2} + 96 '
-            'x_{1}x_{2}q_{2} e^{x^2/2}\n'
-            '16 x_{1}^{6}q_{2} e^{x^2/2} + 16 x_{1}^{4}x_{2}^{2}q_{2} '
-            'e^{x^2/2} + -32 x_{1}^{4}q_{2}q_{3}q_{4} e^{x^2/2} + -16 '
-            'x_{1}^{2}x_{2}^{4}q_{2} e^{x^2/2} + -16 x_{2}^{6}q_{2} '
-            'e^{x^2/2} + 32 x_{2}^{4}q_{2}q_{3}q_{4} e^{x^2/2} + -96 '
-            'x_{1}^{4}q_{2} e^{x^2/2} + 96 x_{1}^{2}q_{2}q_{3}q_{4} '
-            'e^{x^2/2} + 96 x_{2}^{4}q_{2} e^{x^2/2} + -96 '
-            'x_{2}^{2}q_{2}q_{3}q_{4} e^{x^2/2} + 96 x_{1}^{2}q_{2} '
-            'e^{x^2/2} + -96 x_{2}^{2}q_{2} e^{x^2/2}\n'
-            '16 x_{1}^{5}x_{2}q_{3} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{3}q_{3} '
-            'e^{x^2/2} + -32 x_{1}^{3}x_{2}q_{1}q_{2}q_{3} e^{x^2/2} + 16 '
-            'x_{1}x_{2}^{5}q_{3} e^{x^2/2} + -32 '
-            'x_{1}x_{2}^{3}q_{1}q_{2}q_{3} e^{x^2/2} + -96 '
-            'x_{1}^{3}x_{2}q_{3} e^{x^2/2} + -96 x_{1}x_{2}^{3}q_{3} '
-            'e^{x^2/2} + 96 x_{1}x_{2}q_{1}q_{2}q_{3} e^{x^2/2} + 96 '
-            'x_{1}x_{2}q_{3} e^{x^2/2}\n'
-            '16 x_{1}^{6}q_{3} e^{x^2/2} + 16 x_{1}^{4}x_{2}^{2}q_{3} '
-            'e^{x^2/2} + -32 x_{1}^{4}q_{1}q_{2}q_{3} e^{x^2/2} + -16 '
-            'x_{1}^{2}x_{2}^{4}q_{3} e^{x^2/2} + -16 x_{2}^{6}q_{3} '
-            'e^{x^2/2} + 32 x_{2}^{4}q_{1}q_{2}q_{3} e^{x^2/2} + -96 '
-            'x_{1}^{4}q_{3} e^{x^2/2} + 96 x_{1}^{2}q_{1}q_{2}q_{3} '
-            'e^{x^2/2} + 96 x_{2}^{4}q_{3} e^{x^2/2} + -96 '
-            'x_{2}^{2}q_{1}q_{2}q_{3} e^{x^2/2} + 96 x_{1}^{2}q_{3} '
-            'e^{x^2/2} + -96 x_{2}^{2}q_{3} e^{x^2/2}\n'
-            '16 x_{1}^{5}x_{2}q_{4} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{3}q_{4} '
-            'e^{x^2/2} + -32 x_{1}^{3}x_{2}q_{1}q_{2}q_{4} e^{x^2/2} + 16 '
-            'x_{1}x_{2}^{5}q_{4} e^{x^2/2} + -32 '
-            'x_{1}x_{2}^{3}q_{1}q_{2}q_{4} e^{x^2/2} + -96 '
-            'x_{1}^{3}x_{2}q_{4} e^{x^2/2} + -96 x_{1}x_{2}^{3}q_{4} '
-            'e^{x^2/2} + 96 x_{1}x_{2}q_{1}q_{2}q_{4} e^{x^2/2} + 96 '
-            'x_{1}x_{2}q_{4} e^{x^2/2}\n'
-            '16 x_{1}^{6}q_{4} e^{x^2/2} + 16 x_{1}^{4}x_{2}^{2}q_{4} '
-            'e^{x^2/2} + -32 x_{1}^{4}q_{1}q_{2}q_{4} e^{x^2/2} + -16 '
-            'x_{1}^{2}x_{2}^{4}q_{4} e^{x^2/2} + -16 x_{2}^{6}q_{4} '
-            'e^{x^2/2} + 32 x_{2}^{4}q_{1}q_{2}q_{4} e^{x^2/2} + -96 '
-            'x_{1}^{4}q_{4} e^{x^2/2} + 96 x_{1}^{2}q_{1}q_{2}q_{4} '
-            'e^{x^2/2} + 96 x_{2}^{4}q_{4} e^{x^2/2} + -96 '
-            'x_{2}^{2}q_{1}q_{2}q_{4} e^{x^2/2} + 96 x_{1}^{2}q_{4} '
-            'e^{x^2/2} + -96 x_{2}^{2}q_{4} e^{x^2/2}\n'
-            '-32/3 x_{1}^{4}x_{2}^{3} e^{x^2/2} + 16 '
-            'x_{1}^{4}x_{2}q_{1}q_{2} e^{x^2/2} + -64/3 x_{1}^{2}x_{2}^{5} '
-            'e^{x^2/2} + 160/3 x_{1}^{2}x_{2}^{3}q_{1}q_{2} e^{x^2/2} + 64/3 '
-            'x_{1}^{2}x_{2}^{3}q_{3}q_{4} e^{x^2/2} + -32 '
-            'x_{1}^{2}x_{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -32/3 x_{2}^{7} '
-            'e^{x^2/2} + 112/3 x_{2}^{5}q_{1}q_{2} e^{x^2/2} + 64/3 '
-            'x_{2}^{5}q_{3}q_{4} e^{x^2/2} + -160/3 '
-            'x_{2}^{3}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 64 x_{1}^{2}x_{2}^{3} '
-            'e^{x^2/2} + -96 x_{1}^{2}x_{2}q_{1}q_{2} e^{x^2/2} + 64 '
-            'x_{2}^{5} e^{x^2/2} + -160 x_{2}^{3}q_{1}q_{2} e^{x^2/2} + -64 '
-            'x_{2}^{3}q_{3}q_{4} e^{x^2/2} + 96 x_{2}q_{1}q_{2}q_{3}q_{4} '
-            'e^{x^2/2} + -64 x_{2}^{3} e^{x^2/2} + 96 x_{2}q_{1}q_{2} '
-            'e^{x^2/2}\n'
-            '-32 x_{1}^{5}x_{2}^{2} e^{x^2/2} + 16 x_{1}^{5}q_{1}q_{2} '
-            'e^{x^2/2} + -64 x_{1}^{3}x_{2}^{4} e^{x^2/2} + 96 '
-            'x_{1}^{3}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + 64 '
-            'x_{1}^{3}x_{2}^{2}q_{3}q_{4} e^{x^2/2} + -32 '
-            'x_{1}^{3}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -32 x_{1}x_{2}^{6} '
-            'e^{x^2/2} + 80 x_{1}x_{2}^{4}q_{1}q_{2} e^{x^2/2} + 64 '
-            'x_{1}x_{2}^{4}q_{3}q_{4} e^{x^2/2} + -96 '
-            'x_{1}x_{2}^{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 192 '
-            'x_{1}^{3}x_{2}^{2} e^{x^2/2} + -96 x_{1}^{3}q_{1}q_{2} '
-            'e^{x^2/2} + 192 x_{1}x_{2}^{4} e^{x^2/2} + -288 '
-            'x_{1}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + -192 '
-            'x_{1}x_{2}^{2}q_{3}q_{4} e^{x^2/2} + 96 '
-            'x_{1}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -192 x_{1}x_{2}^{2} '
-            'e^{x^2/2} + 96 x_{1}q_{1}q_{2} e^{x^2/2}\n'
-            '16 x_{1}^{4}x_{2}q_{1}q_{3} e^{x^2/2} + 32 '
-            'x_{1}^{2}x_{2}^{3}q_{1}q_{3} e^{x^2/2} + 16 x_{2}^{5}q_{1}q_{3} '
-            'e^{x^2/2} + -96 x_{1}^{2}x_{2}q_{1}q_{3} e^{x^2/2} + -96 '
-            'x_{2}^{3}q_{1}q_{3} e^{x^2/2} + 96 x_{2}q_{1}q_{3} e^{x^2/2}\n'
-            '16 x_{1}^{5}q_{1}q_{3} e^{x^2/2} + 32 '
-            'x_{1}^{3}x_{2}^{2}q_{1}q_{3} e^{x^2/2} + 16 '
-            'x_{1}x_{2}^{4}q_{1}q_{3} e^{x^2/2} + -96 x_{1}^{3}q_{1}q_{3} '
-            'e^{x^2/2} + -96 x_{1}x_{2}^{2}q_{1}q_{3} e^{x^2/2} + 96 '
-            'x_{1}q_{1}q_{3} e^{x^2/2}\n'
-            '16 x_{1}^{4}x_{2}q_{2}q_{3} e^{x^2/2} + 32 '
-            'x_{1}^{2}x_{2}^{3}q_{2}q_{3} e^{x^2/2} + 16 x_{2}^{5}q_{2}q_{3} '
-            'e^{x^2/2} + -96 x_{1}^{2}x_{2}q_{2}q_{3} e^{x^2/2} + -96 '
-            'x_{2}^{3}q_{2}q_{3} e^{x^2/2} + 96 x_{2}q_{2}q_{3} e^{x^2/2}\n'
-            '16 x_{1}^{5}q_{2}q_{3} e^{x^2/2} + 32 '
-            'x_{1}^{3}x_{2}^{2}q_{2}q_{3} e^{x^2/2} + 16 '
-            'x_{1}x_{2}^{4}q_{2}q_{3} e^{x^2/2} + -96 x_{1}^{3}q_{2}q_{3} '
-            'e^{x^2/2} + -96 x_{1}x_{2}^{2}q_{2}q_{3} e^{x^2/2} + 96 '
-            'x_{1}q_{2}q_{3} e^{x^2/2}\n'
-            '16 x_{1}^{4}x_{2}q_{1}q_{4} e^{x^2/2} + 32 '
-            'x_{1}^{2}x_{2}^{3}q_{1}q_{4} e^{x^2/2} + 16 x_{2}^{5}q_{1}q_{4} '
-            'e^{x^2/2} + -96 x_{1}^{2}x_{2}q_{1}q_{4} e^{x^2/2} + -96 '
-            'x_{2}^{3}q_{1}q_{4} e^{x^2/2} + 96 x_{2}q_{1}q_{4} e^{x^2/2}\n'
-            '16 x_{1}^{5}q_{1}q_{4} e^{x^2/2} + 32 '
-            'x_{1}^{3}x_{2}^{2}q_{1}q_{4} e^{x^2/2} + 16 '
-            'x_{1}x_{2}^{4}q_{1}q_{4} e^{x^2/2} + -96 x_{1}^{3}q_{1}q_{4} '
-            'e^{x^2/2} + -96 x_{1}x_{2}^{2}q_{1}q_{4} e^{x^2/2} + 96 '
-            'x_{1}q_{1}q_{4} e^{x^2/2}\n'
-            '16 x_{1}^{4}x_{2}q_{2}q_{4} e^{x^2/2} + 32 '
-            'x_{1}^{2}x_{2}^{3}q_{2}q_{4} e^{x^2/2} + 16 x_{2}^{5}q_{2}q_{4} '
-            'e^{x^2/2} + -96 x_{1}^{2}x_{2}q_{2}q_{4} e^{x^2/2} + -96 '
-            'x_{2}^{3}q_{2}q_{4} e^{x^2/2} + 96 x_{2}q_{2}q_{4} e^{x^2/2}\n'
-            '16 x_{1}^{5}q_{2}q_{4} e^{x^2/2} + 32 '
-            'x_{1}^{3}x_{2}^{2}q_{2}q_{4} e^{x^2/2} + 16 '
-            'x_{1}x_{2}^{4}q_{2}q_{4} e^{x^2/2} + -96 x_{1}^{3}q_{2}q_{4} '
-            'e^{x^2/2} + -96 x_{1}x_{2}^{2}q_{2}q_{4} e^{x^2/2} + 96 '
-            'x_{1}q_{2}q_{4} e^{x^2/2}\n'
-            '-32/3 x_{1}^{4}x_{2}^{3} e^{x^2/2} + 16 '
-            'x_{1}^{4}x_{2}q_{3}q_{4} e^{x^2/2} + -64/3 x_{1}^{2}x_{2}^{5} '
-            'e^{x^2/2} + 64/3 x_{1}^{2}x_{2}^{3}q_{1}q_{2} e^{x^2/2} + 160/3 '
-            'x_{1}^{2}x_{2}^{3}q_{3}q_{4} e^{x^2/2} + -32 '
-            'x_{1}^{2}x_{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -32/3 x_{2}^{7} '
-            'e^{x^2/2} + 64/3 x_{2}^{5}q_{1}q_{2} e^{x^2/2} + 112/3 '
-            'x_{2}^{5}q_{3}q_{4} e^{x^2/2} + -160/3 '
-            'x_{2}^{3}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 64 x_{1}^{2}x_{2}^{3} '
-            'e^{x^2/2} + -96 x_{1}^{2}x_{2}q_{3}q_{4} e^{x^2/2} + 64 '
-            'x_{2}^{5} e^{x^2/2} + -64 x_{2}^{3}q_{1}q_{2} e^{x^2/2} + -160 '
-            'x_{2}^{3}q_{3}q_{4} e^{x^2/2} + 96 x_{2}q_{1}q_{2}q_{3}q_{4} '
-            'e^{x^2/2} + -64 x_{2}^{3} e^{x^2/2} + 96 x_{2}q_{3}q_{4} '
-            'e^{x^2/2}\n'
-            '-32 x_{1}^{5}x_{2}^{2} e^{x^2/2} + 16 x_{1}^{5}q_{3}q_{4} '
-            'e^{x^2/2} + -64 x_{1}^{3}x_{2}^{4} e^{x^2/2} + 64 '
-            'x_{1}^{3}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + 96 '
-            'x_{1}^{3}x_{2}^{2}q_{3}q_{4} e^{x^2/2} + -32 '
-            'x_{1}^{3}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -32 x_{1}x_{2}^{6} '
-            'e^{x^2/2} + 64 x_{1}x_{2}^{4}q_{1}q_{2} e^{x^2/2} + 80 '
-            'x_{1}x_{2}^{4}q_{3}q_{4} e^{x^2/2} + -96 '
-            'x_{1}x_{2}^{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 192 '
-            'x_{1}^{3}x_{2}^{2} e^{x^2/2} + -96 x_{1}^{3}q_{3}q_{4} '
-            'e^{x^2/2} + 192 x_{1}x_{2}^{4} e^{x^2/2} + -192 '
-            'x_{1}x_{2}^{2}q_{1}q_{2} e^{x^2/2} + -288 '
-            'x_{1}x_{2}^{2}q_{3}q_{4} e^{x^2/2} + 96 '
-            'x_{1}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -192 x_{1}x_{2}^{2} '
-            'e^{x^2/2} + 96 x_{1}q_{3}q_{4} e^{x^2/2}\n'
-            '-32 x_{1}^{4}x_{2}^{2}q_{3} e^{x^2/2} + 16 '
-            'x_{1}^{4}q_{1}q_{2}q_{3} e^{x^2/2} + -64 '
-            'x_{1}^{2}x_{2}^{4}q_{3} e^{x^2/2} + 96 '
-            'x_{1}^{2}x_{2}^{2}q_{1}q_{2}q_{3} e^{x^2/2} + -32 '
-            'x_{2}^{6}q_{3} e^{x^2/2} + 80 x_{2}^{4}q_{1}q_{2}q_{3} '
-            'e^{x^2/2} + 192 x_{1}^{2}x_{2}^{2}q_{3} e^{x^2/2} + -96 '
-            'x_{1}^{2}q_{1}q_{2}q_{3} e^{x^2/2} + 192 x_{2}^{4}q_{3} '
-            'e^{x^2/2} + -288 x_{2}^{2}q_{1}q_{2}q_{3} e^{x^2/2} + -192 '
-            'x_{2}^{2}q_{3} e^{x^2/2} + 96 q_{1}q_{2}q_{3} e^{x^2/2}\n'
-            '-32 x_{1}^{4}x_{2}^{2}q_{4} e^{x^2/2} + 16 '
-            'x_{1}^{4}q_{1}q_{2}q_{4} e^{x^2/2} + -64 '
-            'x_{1}^{2}x_{2}^{4}q_{4} e^{x^2/2} + 96 '
-            'x_{1}^{2}x_{2}^{2}q_{1}q_{2}q_{4} e^{x^2/2} + -32 '
-            'x_{2}^{6}q_{4} e^{x^2/2} + 80 x_{2}^{4}q_{1}q_{2}q_{4} '
-            'e^{x^2/2} + 192 x_{1}^{2}x_{2}^{2}q_{4} e^{x^2/2} + -96 '
-            'x_{1}^{2}q_{1}q_{2}q_{4} e^{x^2/2} + 192 x_{2}^{4}q_{4} '
-            'e^{x^2/2} + -288 x_{2}^{2}q_{1}q_{2}q_{4} e^{x^2/2} + -192 '
-            'x_{2}^{2}q_{4} e^{x^2/2} + 96 q_{1}q_{2}q_{4} e^{x^2/2}\n'
-            '-32 x_{1}^{4}x_{2}^{2}q_{1} e^{x^2/2} + 16 '
-            'x_{1}^{4}q_{1}q_{3}q_{4} e^{x^2/2} + -64 '
-            'x_{1}^{2}x_{2}^{4}q_{1} e^{x^2/2} + 96 '
-            'x_{1}^{2}x_{2}^{2}q_{1}q_{3}q_{4} e^{x^2/2} + -32 '
-            'x_{2}^{6}q_{1} e^{x^2/2} + 80 x_{2}^{4}q_{1}q_{3}q_{4} '
-            'e^{x^2/2} + 192 x_{1}^{2}x_{2}^{2}q_{1} e^{x^2/2} + -96 '
-            'x_{1}^{2}q_{1}q_{3}q_{4} e^{x^2/2} + 192 x_{2}^{4}q_{1} '
-            'e^{x^2/2} + -288 x_{2}^{2}q_{1}q_{3}q_{4} e^{x^2/2} + -192 '
-            'x_{2}^{2}q_{1} e^{x^2/2} + 96 q_{1}q_{3}q_{4} e^{x^2/2}\n'
-            '-32 x_{1}^{4}x_{2}^{2}q_{2} e^{x^2/2} + 16 '
-            'x_{1}^{4}q_{2}q_{3}q_{4} e^{x^2/2} + -64 '
-            'x_{1}^{2}x_{2}^{4}q_{2} e^{x^2/2} + 96 '
-            'x_{1}^{2}x_{2}^{2}q_{2}q_{3}q_{4} e^{x^2/2} + -32 '
-            'x_{2}^{6}q_{2} e^{x^2/2} + 80 x_{2}^{4}q_{2}q_{3}q_{4} '
-            'e^{x^2/2} + 192 x_{1}^{2}x_{2}^{2}q_{2} e^{x^2/2} + -96 '
-            'x_{1}^{2}q_{2}q_{3}q_{4} e^{x^2/2} + 192 x_{2}^{4}q_{2} '
-            'e^{x^2/2} + -288 x_{2}^{2}q_{2}q_{3}q_{4} e^{x^2/2} + -192 '
-            'x_{2}^{2}q_{2} e^{x^2/2} + 96 q_{2}q_{3}q_{4} e^{x^2/2}',
+            '16 x_{1}^{6}x_{2} e^{x^2/2} + 80/3 x_{1}^{4}x_{2}^{3} e^{x^2/2}'
+            ' - 32 x_{1}^{4}x_{2}q_{1}q_{2} e^{x^2/2} - 32 x_{1}^{4}x_{2}q_{'
+            '3}q_{4} e^{x^2/2} + 16/3 x_{1}^{2}x_{2}^{5} e^{x^2/2} - 64/3 x_'
+            '{1}^{2}x_{2}^{3}q_{1}q_{2} e^{x^2/2} - 64/3 x_{1}^{2}x_{2}^{3}q'
+            '_{3}q_{4} e^{x^2/2} + 32 x_{1}^{2}x_{2}q_{1}q_{2}q_{3}q_{4} e^{'
+            'x^2/2} - 16/3 x_{2}^{7} e^{x^2/2} + 32/3 x_{2}^{5}q_{1}q_{2} e^'
+            '{x^2/2} + 32/3 x_{2}^{5}q_{3}q_{4} e^{x^2/2} - 32/3 x_{2}^{3}q_'
+            '{1}q_{2}q_{3}q_{4} e^{x^2/2} - 96 x_{1}^{4}x_{2} e^{x^2/2} - 64'
+            ' x_{1}^{2}x_{2}^{3} e^{x^2/2} + 96 x_{1}^{2}x_{2}q_{1}q_{2} e^{'
+            'x^2/2} + 96 x_{1}^{2}x_{2}q_{3}q_{4} e^{x^2/2} + 32 x_{2}^{5} e'
+            '^{x^2/2} - 32 x_{2}^{3}q_{1}q_{2} e^{x^2/2} - 32 x_{2}^{3}q_{3}'
+            'q_{4} e^{x^2/2} + 96 x_{1}^{2}x_{2} e^{x^2/2} - 32 x_{2}^{3} e^'
+            '{x^2/2}\n16 x_{1}^{7} e^{x^2/2} - 16 x_{1}^{5}x_{2}^{2} e^{x^2/'
+            '2} - 32 x_{1}^{5}q_{1}q_{2} e^{x^2/2} - 32 x_{1}^{5}q_{3}q_{4} '
+            'e^{x^2/2} - 80 x_{1}^{3}x_{2}^{4} e^{x^2/2} + 64 x_{1}^{3}x_{2}'
+            '^{2}q_{1}q_{2} e^{x^2/2} + 64 x_{1}^{3}x_{2}^{2}q_{3}q_{4} e^{x'
+            '^2/2} + 32 x_{1}^{3}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} - 48 x_{1}x_'
+            '{2}^{6} e^{x^2/2} + 96 x_{1}x_{2}^{4}q_{1}q_{2} e^{x^2/2} + 96 '
+            'x_{1}x_{2}^{4}q_{3}q_{4} e^{x^2/2} - 96 x_{1}x_{2}^{2}q_{1}q_{2'
+            '}q_{3}q_{4} e^{x^2/2} - 96 x_{1}^{5} e^{x^2/2} + 192 x_{1}^{3}x'
+            '_{2}^{2} e^{x^2/2} + 96 x_{1}^{3}q_{1}q_{2} e^{x^2/2} + 96 x_{1'
+            '}^{3}q_{3}q_{4} e^{x^2/2} + 288 x_{1}x_{2}^{4} e^{x^2/2} - 288 '
+            'x_{1}x_{2}^{2}q_{1}q_{2} e^{x^2/2} - 288 x_{1}x_{2}^{2}q_{3}q_{'
+            '4} e^{x^2/2} + 96 x_{1}^{3} e^{x^2/2} - 288 x_{1}x_{2}^{2} e^{x'
+            '^2/2}\n16 x_{1}^{5}x_{2}q_{1} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{3}'
+            'q_{1} e^{x^2/2} - 32 x_{1}^{3}x_{2}q_{1}q_{3}q_{4} e^{x^2/2} + '
+            '16 x_{1}x_{2}^{5}q_{1} e^{x^2/2} - 32 x_{1}x_{2}^{3}q_{1}q_{3}q'
+            '_{4} e^{x^2/2} - 96 x_{1}^{3}x_{2}q_{1} e^{x^2/2} - 96 x_{1}x_{'
+            '2}^{3}q_{1} e^{x^2/2} + 96 x_{1}x_{2}q_{1}q_{3}q_{4} e^{x^2/2} '
+            '+ 96 x_{1}x_{2}q_{1} e^{x^2/2}\n16 x_{1}^{6}q_{1} e^{x^2/2} + 1'
+            '6 x_{1}^{4}x_{2}^{2}q_{1} e^{x^2/2} - 32 x_{1}^{4}q_{1}q_{3}q_{'
+            '4} e^{x^2/2} - 16 x_{1}^{2}x_{2}^{4}q_{1} e^{x^2/2} - 16 x_{2}^'
+            '{6}q_{1} e^{x^2/2} + 32 x_{2}^{4}q_{1}q_{3}q_{4} e^{x^2/2} - 96'
+            ' x_{1}^{4}q_{1} e^{x^2/2} + 96 x_{1}^{2}q_{1}q_{3}q_{4} e^{x^2/'
+            '2} + 96 x_{2}^{4}q_{1} e^{x^2/2} - 96 x_{2}^{2}q_{1}q_{3}q_{4} '
+            'e^{x^2/2} + 96 x_{1}^{2}q_{1} e^{x^2/2} - 96 x_{2}^{2}q_{1} e^{'
+            'x^2/2}\n16 x_{1}^{5}x_{2}q_{2} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{3'
+            '}q_{2} e^{x^2/2} - 32 x_{1}^{3}x_{2}q_{2}q_{3}q_{4} e^{x^2/2} +'
+            ' 16 x_{1}x_{2}^{5}q_{2} e^{x^2/2} - 32 x_{1}x_{2}^{3}q_{2}q_{3}'
+            'q_{4} e^{x^2/2} - 96 x_{1}^{3}x_{2}q_{2} e^{x^2/2} - 96 x_{1}x_'
+            '{2}^{3}q_{2} e^{x^2/2} + 96 x_{1}x_{2}q_{2}q_{3}q_{4} e^{x^2/2}'
+            ' + 96 x_{1}x_{2}q_{2} e^{x^2/2}\n16 x_{1}^{6}q_{2} e^{x^2/2} + '
+            '16 x_{1}^{4}x_{2}^{2}q_{2} e^{x^2/2} - 32 x_{1}^{4}q_{2}q_{3}q_'
+            '{4} e^{x^2/2} - 16 x_{1}^{2}x_{2}^{4}q_{2} e^{x^2/2} - 16 x_{2}'
+            '^{6}q_{2} e^{x^2/2} + 32 x_{2}^{4}q_{2}q_{3}q_{4} e^{x^2/2} - 9'
+            '6 x_{1}^{4}q_{2} e^{x^2/2} + 96 x_{1}^{2}q_{2}q_{3}q_{4} e^{x^2'
+            '/2} + 96 x_{2}^{4}q_{2} e^{x^2/2} - 96 x_{2}^{2}q_{2}q_{3}q_{4}'
+            ' e^{x^2/2} + 96 x_{1}^{2}q_{2} e^{x^2/2} - 96 x_{2}^{2}q_{2} e^'
+            '{x^2/2}\n16 x_{1}^{5}x_{2}q_{3} e^{x^2/2} + 32 x_{1}^{3}x_{2}^{'
+            '3}q_{3} e^{x^2/2} - 32 x_{1}^{3}x_{2}q_{1}q_{2}q_{3} e^{x^2/2} '
+            '+ 16 x_{1}x_{2}^{5}q_{3} e^{x^2/2} - 32 x_{1}x_{2}^{3}q_{1}q_{2'
+            '}q_{3} e^{x^2/2} - 96 x_{1}^{3}x_{2}q_{3} e^{x^2/2} - 96 x_{1}x'
+            '_{2}^{3}q_{3} e^{x^2/2} + 96 x_{1}x_{2}q_{1}q_{2}q_{3} e^{x^2/2'
+            '} + 96 x_{1}x_{2}q_{3} e^{x^2/2}\n16 x_{1}^{6}q_{3} e^{x^2/2} +'
+            ' 16 x_{1}^{4}x_{2}^{2}q_{3} e^{x^2/2} - 32 x_{1}^{4}q_{1}q_{2}q'
+            '_{3} e^{x^2/2} - 16 x_{1}^{2}x_{2}^{4}q_{3} e^{x^2/2} - 16 x_{2'
+            '}^{6}q_{3} e^{x^2/2} + 32 x_{2}^{4}q_{1}q_{2}q_{3} e^{x^2/2} - '
+            '96 x_{1}^{4}q_{3} e^{x^2/2} + 96 x_{1}^{2}q_{1}q_{2}q_{3} e^{x^'
+            '2/2} + 96 x_{2}^{4}q_{3} e^{x^2/2} - 96 x_{2}^{2}q_{1}q_{2}q_{3'
+            '} e^{x^2/2} + 96 x_{1}^{2}q_{3} e^{x^2/2} - 96 x_{2}^{2}q_{3} e'
+            '^{x^2/2}\n16 x_{1}^{5}x_{2}q_{4} e^{x^2/2} + 32 x_{1}^{3}x_{2}^'
+            '{3}q_{4} e^{x^2/2} - 32 x_{1}^{3}x_{2}q_{1}q_{2}q_{4} e^{x^2/2}'
+            ' + 16 x_{1}x_{2}^{5}q_{4} e^{x^2/2} - 32 x_{1}x_{2}^{3}q_{1}q_{'
+            '2}q_{4} e^{x^2/2} - 96 x_{1}^{3}x_{2}q_{4} e^{x^2/2} - 96 x_{1}'
+            'x_{2}^{3}q_{4} e^{x^2/2} + 96 x_{1}x_{2}q_{1}q_{2}q_{4} e^{x^2/'
+            '2} + 96 x_{1}x_{2}q_{4} e^{x^2/2}\n16 x_{1}^{6}q_{4} e^{x^2/2} '
+            '+ 16 x_{1}^{4}x_{2}^{2}q_{4} e^{x^2/2} - 32 x_{1}^{4}q_{1}q_{2}'
+            'q_{4} e^{x^2/2} - 16 x_{1}^{2}x_{2}^{4}q_{4} e^{x^2/2} - 16 x_{'
+            '2}^{6}q_{4} e^{x^2/2} + 32 x_{2}^{4}q_{1}q_{2}q_{4} e^{x^2/2} -'
+            ' 96 x_{1}^{4}q_{4} e^{x^2/2} + 96 x_{1}^{2}q_{1}q_{2}q_{4} e^{x'
+            '^2/2} + 96 x_{2}^{4}q_{4} e^{x^2/2} - 96 x_{2}^{2}q_{1}q_{2}q_{'
+            '4} e^{x^2/2} + 96 x_{1}^{2}q_{4} e^{x^2/2} - 96 x_{2}^{2}q_{4} '
+            'e^{x^2/2}\n-32/3 x_{1}^{4}x_{2}^{3} e^{x^2/2} + 16 x_{1}^{4}x_{'
+            '2}q_{1}q_{2} e^{x^2/2} - 64/3 x_{1}^{2}x_{2}^{5} e^{x^2/2} + 16'
+            '0/3 x_{1}^{2}x_{2}^{3}q_{1}q_{2} e^{x^2/2} + 64/3 x_{1}^{2}x_{2'
+            '}^{3}q_{3}q_{4} e^{x^2/2} - 32 x_{1}^{2}x_{2}q_{1}q_{2}q_{3}q_{'
+            '4} e^{x^2/2} - 32/3 x_{2}^{7} e^{x^2/2} + 112/3 x_{2}^{5}q_{1}q'
+            '_{2} e^{x^2/2} + 64/3 x_{2}^{5}q_{3}q_{4} e^{x^2/2} - 160/3 x_{'
+            '2}^{3}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 64 x_{1}^{2}x_{2}^{3} e^'
+            '{x^2/2} - 96 x_{1}^{2}x_{2}q_{1}q_{2} e^{x^2/2} + 64 x_{2}^{5} '
+            'e^{x^2/2} - 160 x_{2}^{3}q_{1}q_{2} e^{x^2/2} - 64 x_{2}^{3}q_{'
+            '3}q_{4} e^{x^2/2} + 96 x_{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} - 64'
+            ' x_{2}^{3} e^{x^2/2} + 96 x_{2}q_{1}q_{2} e^{x^2/2}\n-32 x_{1}^'
+            '{5}x_{2}^{2} e^{x^2/2} + 16 x_{1}^{5}q_{1}q_{2} e^{x^2/2} - 64 '
+            'x_{1}^{3}x_{2}^{4} e^{x^2/2} + 96 x_{1}^{3}x_{2}^{2}q_{1}q_{2} '
+            'e^{x^2/2} + 64 x_{1}^{3}x_{2}^{2}q_{3}q_{4} e^{x^2/2} - 32 x_{1'
+            '}^{3}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} - 32 x_{1}x_{2}^{6} e^{x^2/'
+            '2} + 80 x_{1}x_{2}^{4}q_{1}q_{2} e^{x^2/2} + 64 x_{1}x_{2}^{4}q'
+            '_{3}q_{4} e^{x^2/2} - 96 x_{1}x_{2}^{2}q_{1}q_{2}q_{3}q_{4} e^{'
+            'x^2/2} + 192 x_{1}^{3}x_{2}^{2} e^{x^2/2} - 96 x_{1}^{3}q_{1}q_'
+            '{2} e^{x^2/2} + 192 x_{1}x_{2}^{4} e^{x^2/2} - 288 x_{1}x_{2}^{'
+            '2}q_{1}q_{2} e^{x^2/2} - 192 x_{1}x_{2}^{2}q_{3}q_{4} e^{x^2/2}'
+            ' + 96 x_{1}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} - 192 x_{1}x_{2}^{2} '
+            'e^{x^2/2} + 96 x_{1}q_{1}q_{2} e^{x^2/2}\n16 x_{1}^{4}x_{2}q_{1'
+            '}q_{3} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{3}q_{1}q_{3} e^{x^2/2} + '
+            '16 x_{2}^{5}q_{1}q_{3} e^{x^2/2} - 96 x_{1}^{2}x_{2}q_{1}q_{3} '
+            'e^{x^2/2} - 96 x_{2}^{3}q_{1}q_{3} e^{x^2/2} + 96 x_{2}q_{1}q_{'
+            '3} e^{x^2/2}\n16 x_{1}^{5}q_{1}q_{3} e^{x^2/2} + 32 x_{1}^{3}x_'
+            '{2}^{2}q_{1}q_{3} e^{x^2/2} + 16 x_{1}x_{2}^{4}q_{1}q_{3} e^{x^'
+            '2/2} - 96 x_{1}^{3}q_{1}q_{3} e^{x^2/2} - 96 x_{1}x_{2}^{2}q_{1'
+            '}q_{3} e^{x^2/2} + 96 x_{1}q_{1}q_{3} e^{x^2/2}\n16 x_{1}^{4}x_'
+            '{2}q_{2}q_{3} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{3}q_{2}q_{3} e^{x^'
+            '2/2} + 16 x_{2}^{5}q_{2}q_{3} e^{x^2/2} - 96 x_{1}^{2}x_{2}q_{2'
+            '}q_{3} e^{x^2/2} - 96 x_{2}^{3}q_{2}q_{3} e^{x^2/2} + 96 x_{2}q'
+            '_{2}q_{3} e^{x^2/2}\n16 x_{1}^{5}q_{2}q_{3} e^{x^2/2} + 32 x_{1'
+            '}^{3}x_{2}^{2}q_{2}q_{3} e^{x^2/2} + 16 x_{1}x_{2}^{4}q_{2}q_{3'
+            '} e^{x^2/2} - 96 x_{1}^{3}q_{2}q_{3} e^{x^2/2} - 96 x_{1}x_{2}^'
+            '{2}q_{2}q_{3} e^{x^2/2} + 96 x_{1}q_{2}q_{3} e^{x^2/2}\n16 x_{1'
+            '}^{4}x_{2}q_{1}q_{4} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{3}q_{1}q_{4'
+            '} e^{x^2/2} + 16 x_{2}^{5}q_{1}q_{4} e^{x^2/2} - 96 x_{1}^{2}x_'
+            '{2}q_{1}q_{4} e^{x^2/2} - 96 x_{2}^{3}q_{1}q_{4} e^{x^2/2} + 96'
+            ' x_{2}q_{1}q_{4} e^{x^2/2}\n16 x_{1}^{5}q_{1}q_{4} e^{x^2/2} + '
+            '32 x_{1}^{3}x_{2}^{2}q_{1}q_{4} e^{x^2/2} + 16 x_{1}x_{2}^{4}q_'
+            '{1}q_{4} e^{x^2/2} - 96 x_{1}^{3}q_{1}q_{4} e^{x^2/2} - 96 x_{1'
+            '}x_{2}^{2}q_{1}q_{4} e^{x^2/2} + 96 x_{1}q_{1}q_{4} e^{x^2/2}\n'
+            '16 x_{1}^{4}x_{2}q_{2}q_{4} e^{x^2/2} + 32 x_{1}^{2}x_{2}^{3}q_'
+            '{2}q_{4} e^{x^2/2} + 16 x_{2}^{5}q_{2}q_{4} e^{x^2/2} - 96 x_{1'
+            '}^{2}x_{2}q_{2}q_{4} e^{x^2/2} - 96 x_{2}^{3}q_{2}q_{4} e^{x^2/'
+            '2} + 96 x_{2}q_{2}q_{4} e^{x^2/2}\n16 x_{1}^{5}q_{2}q_{4} e^{x^'
+            '2/2} + 32 x_{1}^{3}x_{2}^{2}q_{2}q_{4} e^{x^2/2} + 16 x_{1}x_{2'
+            '}^{4}q_{2}q_{4} e^{x^2/2} - 96 x_{1}^{3}q_{2}q_{4} e^{x^2/2} - '
+            '96 x_{1}x_{2}^{2}q_{2}q_{4} e^{x^2/2} + 96 x_{1}q_{2}q_{4} e^{x'
+            '^2/2}\n-32/3 x_{1}^{4}x_{2}^{3} e^{x^2/2} + 16 x_{1}^{4}x_{2}q_'
+            '{3}q_{4} e^{x^2/2} - 64/3 x_{1}^{2}x_{2}^{5} e^{x^2/2} + 64/3 x'
+            '_{1}^{2}x_{2}^{3}q_{1}q_{2} e^{x^2/2} + 160/3 x_{1}^{2}x_{2}^{3'
+            '}q_{3}q_{4} e^{x^2/2} - 32 x_{1}^{2}x_{2}q_{1}q_{2}q_{3}q_{4} e'
+            '^{x^2/2} - 32/3 x_{2}^{7} e^{x^2/2} + 64/3 x_{2}^{5}q_{1}q_{2} '
+            'e^{x^2/2} + 112/3 x_{2}^{5}q_{3}q_{4} e^{x^2/2} - 160/3 x_{2}^{'
+            '3}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 64 x_{1}^{2}x_{2}^{3} e^{x^2'
+            '/2} - 96 x_{1}^{2}x_{2}q_{3}q_{4} e^{x^2/2} + 64 x_{2}^{5} e^{x'
+            '^2/2} - 64 x_{2}^{3}q_{1}q_{2} e^{x^2/2} - 160 x_{2}^{3}q_{3}q_'
+            '{4} e^{x^2/2} + 96 x_{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} - 64 x_{'
+            '2}^{3} e^{x^2/2} + 96 x_{2}q_{3}q_{4} e^{x^2/2}\n-32 x_{1}^{5}x'
+            '_{2}^{2} e^{x^2/2} + 16 x_{1}^{5}q_{3}q_{4} e^{x^2/2} - 64 x_{1'
+            '}^{3}x_{2}^{4} e^{x^2/2} + 64 x_{1}^{3}x_{2}^{2}q_{1}q_{2} e^{x'
+            '^2/2} + 96 x_{1}^{3}x_{2}^{2}q_{3}q_{4} e^{x^2/2} - 32 x_{1}^{3'
+            '}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} - 32 x_{1}x_{2}^{6} e^{x^2/2} +'
+            ' 64 x_{1}x_{2}^{4}q_{1}q_{2} e^{x^2/2} + 80 x_{1}x_{2}^{4}q_{3}'
+            'q_{4} e^{x^2/2} - 96 x_{1}x_{2}^{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/'
+            '2} + 192 x_{1}^{3}x_{2}^{2} e^{x^2/2} - 96 x_{1}^{3}q_{3}q_{4} '
+            'e^{x^2/2} + 192 x_{1}x_{2}^{4} e^{x^2/2} - 192 x_{1}x_{2}^{2}q_'
+            '{1}q_{2} e^{x^2/2} - 288 x_{1}x_{2}^{2}q_{3}q_{4} e^{x^2/2} + 9'
+            '6 x_{1}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} - 192 x_{1}x_{2}^{2} e^{x'
+            '^2/2} + 96 x_{1}q_{3}q_{4} e^{x^2/2}\n-32 x_{1}^{4}x_{2}^{2}q_{'
+            '3} e^{x^2/2} + 16 x_{1}^{4}q_{1}q_{2}q_{3} e^{x^2/2} - 64 x_{1}'
+            '^{2}x_{2}^{4}q_{3} e^{x^2/2} + 96 x_{1}^{2}x_{2}^{2}q_{1}q_{2}q'
+            '_{3} e^{x^2/2} - 32 x_{2}^{6}q_{3} e^{x^2/2} + 80 x_{2}^{4}q_{1'
+            '}q_{2}q_{3} e^{x^2/2} + 192 x_{1}^{2}x_{2}^{2}q_{3} e^{x^2/2} -'
+            ' 96 x_{1}^{2}q_{1}q_{2}q_{3} e^{x^2/2} + 192 x_{2}^{4}q_{3} e^{'
+            'x^2/2} - 288 x_{2}^{2}q_{1}q_{2}q_{3} e^{x^2/2} - 192 x_{2}^{2}'
+            'q_{3} e^{x^2/2} + 96 q_{1}q_{2}q_{3} e^{x^2/2}\n-32 x_{1}^{4}x_'
+            '{2}^{2}q_{4} e^{x^2/2} + 16 x_{1}^{4}q_{1}q_{2}q_{4} e^{x^2/2} '
+            '- 64 x_{1}^{2}x_{2}^{4}q_{4} e^{x^2/2} + 96 x_{1}^{2}x_{2}^{2}q'
+            '_{1}q_{2}q_{4} e^{x^2/2} - 32 x_{2}^{6}q_{4} e^{x^2/2} + 80 x_{'
+            '2}^{4}q_{1}q_{2}q_{4} e^{x^2/2} + 192 x_{1}^{2}x_{2}^{2}q_{4} e'
+            '^{x^2/2} - 96 x_{1}^{2}q_{1}q_{2}q_{4} e^{x^2/2} + 192 x_{2}^{4'
+            '}q_{4} e^{x^2/2} - 288 x_{2}^{2}q_{1}q_{2}q_{4} e^{x^2/2} - 192'
+            ' x_{2}^{2}q_{4} e^{x^2/2} + 96 q_{1}q_{2}q_{4} e^{x^2/2}\n-32 x'
+            '_{1}^{4}x_{2}^{2}q_{1} e^{x^2/2} + 16 x_{1}^{4}q_{1}q_{3}q_{4} '
+            'e^{x^2/2} - 64 x_{1}^{2}x_{2}^{4}q_{1} e^{x^2/2} + 96 x_{1}^{2}'
+            'x_{2}^{2}q_{1}q_{3}q_{4} e^{x^2/2} - 32 x_{2}^{6}q_{1} e^{x^2/2'
+            '} + 80 x_{2}^{4}q_{1}q_{3}q_{4} e^{x^2/2} + 192 x_{1}^{2}x_{2}^'
+            '{2}q_{1} e^{x^2/2} - 96 x_{1}^{2}q_{1}q_{3}q_{4} e^{x^2/2} + 19'
+            '2 x_{2}^{4}q_{1} e^{x^2/2} - 288 x_{2}^{2}q_{1}q_{3}q_{4} e^{x^'
+            '2/2} - 192 x_{2}^{2}q_{1} e^{x^2/2} + 96 q_{1}q_{3}q_{4} e^{x^2'
+            '/2}\n-32 x_{1}^{4}x_{2}^{2}q_{2} e^{x^2/2} + 16 x_{1}^{4}q_{2}q'
+            '_{3}q_{4} e^{x^2/2} - 64 x_{1}^{2}x_{2}^{4}q_{2} e^{x^2/2} + 96'
+            ' x_{1}^{2}x_{2}^{2}q_{2}q_{3}q_{4} e^{x^2/2} - 32 x_{2}^{6}q_{2'
+            '} e^{x^2/2} + 80 x_{2}^{4}q_{2}q_{3}q_{4} e^{x^2/2} + 192 x_{1}'
+            '^{2}x_{2}^{2}q_{2} e^{x^2/2} - 96 x_{1}^{2}q_{2}q_{3}q_{4} e^{x'
+            '^2/2} + 192 x_{2}^{4}q_{2} e^{x^2/2} - 288 x_{2}^{2}q_{2}q_{3}q'
+            '_{4} e^{x^2/2} - 192 x_{2}^{2}q_{2} e^{x^2/2} + 96 q_{2}q_{3}q_'
+            '{4} e^{x^2/2}',
         ),
         (
             'degree 3: dim nullspace 26, dim formula 26 [ok]',
@@ -5398,7 +5270,7 @@ _BASES_GOLDEN = {
             '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
             'true, "terms": [{"bos": [0], "fer": [], "coeff": [{"q": [1, 1, '
             '0, 1], "b": 0, "eps": 0}]}]}',
-            '1  e^{x^2/2}',
+            'e^{x^2/2}',
         ),
         (
             '-4*x1^2*G + 4*q1q2*G + 4*q3q4*G + 4*q5q6*G - 10*G',
@@ -5411,7 +5283,7 @@ _BASES_GOLDEN = {
             '"b": 0, "eps": 0}]}, {"bos": [0], "fer": [], "coeff": [{"q": '
             '[-10, 1, 0, 1], "b": 0, "eps": 0}]}]}',
             '-4 x_{1}^{2} e^{x^2/2} + 4 q_{1}q_{2} e^{x^2/2} + 4 q_{3}q_{4} '
-            'e^{x^2/2} + 4 q_{5}q_{6} e^{x^2/2} + -10  e^{x^2/2}',
+            'e^{x^2/2} + 4 q_{5}q_{6} e^{x^2/2} - 10 e^{x^2/2}',
         ),
         (
             '16*x1^4*G - 32*x1^2*q1q2*G - 32*x1^2*q3q4*G - 32*x1^2*q5q6*G + '
@@ -5435,13 +5307,12 @@ _BASES_GOLDEN = {
             '"coeff": [{"q": [-48, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": '
             '[0], "fer": [], "coeff": [{"q": [60, 1, 0, 1], "b": 0, "eps": '
             '0}]}]}',
-            '16 x_{1}^{4} e^{x^2/2} + -32 x_{1}^{2}q_{1}q_{2} e^{x^2/2} + '
-            '-32 x_{1}^{2}q_{3}q_{4} e^{x^2/2} + -32 x_{1}^{2}q_{5}q_{6} '
-            'e^{x^2/2} + 32 q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 32 '
-            'q_{1}q_{2}q_{5}q_{6} e^{x^2/2} + 32 q_{3}q_{4}q_{5}q_{6} '
-            'e^{x^2/2} + 48 x_{1}^{2} e^{x^2/2} + -48 q_{1}q_{2} e^{x^2/2} + '
-            '-48 q_{3}q_{4} e^{x^2/2} + -48 q_{5}q_{6} e^{x^2/2} + 60  '
-            'e^{x^2/2}',
+            '16 x_{1}^{4} e^{x^2/2} - 32 x_{1}^{2}q_{1}q_{2} e^{x^2/2} - 32 '
+            'x_{1}^{2}q_{3}q_{4} e^{x^2/2} - 32 x_{1}^{2}q_{5}q_{6} e^{x^2/2'
+            '} + 32 q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 32 q_{1}q_{2}q_{5}q_{6}'
+            ' e^{x^2/2} + 32 q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 48 x_{1}^{2} e'
+            '^{x^2/2} - 48 q_{1}q_{2} e^{x^2/2} - 48 q_{3}q_{4} e^{x^2/2} - '
+            '48 q_{5}q_{6} e^{x^2/2} + 60 e^{x^2/2}',
         ),
         (
             'degree 0: dim nullspace 1, dim formula 1 [ok]',
@@ -5478,11 +5349,8 @@ _BASES_GOLDEN = {
             '{"schema": "supertransform/1", "m": 1, "n": 3, "envelope": '
             'true, "terms": [{"bos": [0], "fer": [6], "coeff": [{"q": [1, 1, '
             '0, 1], "b": 0, "eps": 0}]}]}',
-            '1 x_{1} e^{x^2/2}\n'
-            '1 q_{1} e^{x^2/2}\n'
-            '1 q_{2} e^{x^2/2}\n'
-            '1 q_{3} e^{x^2/2}\n'
-            '1 q_{4} e^{x^2/2}\n1 q_{5} e^{x^2/2}\n1 q_{6} e^{x^2/2}',
+            'x_{1} e^{x^2/2}\nq_{1} e^{x^2/2}\nq_{2} e^{x^2/2}\nq_{3} e^{x^2'
+            '/2}\nq_{4} e^{x^2/2}\nq_{5} e^{x^2/2}\nq_{6} e^{x^2/2}',
         ),
         (
             '-4*x1^3*G + 4*x1*q1q2*G + 4*x1*q3q4*G + 4*x1*q5q6*G - 6*x1*G\n'
@@ -5542,21 +5410,19 @@ _BASES_GOLDEN = {
             '"fer": [3, 4, 6], "coeff": [{"q": [4, 1, 0, 1], "b": 0, "eps": '
             '0}]}, {"bos": [0], "fer": [6], "coeff": [{"q": [-6, 1, 0, 1], '
             '"b": 0, "eps": 0}]}]}',
-            '-4 x_{1}^{3} e^{x^2/2} + 4 x_{1}q_{1}q_{2} e^{x^2/2} + 4 '
-            'x_{1}q_{3}q_{4} e^{x^2/2} + 4 x_{1}q_{5}q_{6} e^{x^2/2} + -6 '
-            'x_{1} e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{1} e^{x^2/2} + 4 q_{1}q_{3}q_{4} e^{x^2/2} + 4 '
-            'q_{1}q_{5}q_{6} e^{x^2/2} + -6 q_{1} e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{2} e^{x^2/2} + 4 q_{2}q_{3}q_{4} e^{x^2/2} + 4 '
-            'q_{2}q_{5}q_{6} e^{x^2/2} + -6 q_{2} e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{3} e^{x^2/2} + 4 q_{1}q_{2}q_{3} e^{x^2/2} + 4 '
-            'q_{3}q_{5}q_{6} e^{x^2/2} + -6 q_{3} e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{4} e^{x^2/2} + 4 q_{1}q_{2}q_{4} e^{x^2/2} + 4 '
-            'q_{4}q_{5}q_{6} e^{x^2/2} + -6 q_{4} e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{5} e^{x^2/2} + 4 q_{1}q_{2}q_{5} e^{x^2/2} + 4 '
-            'q_{3}q_{4}q_{5} e^{x^2/2} + -6 q_{5} e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{6} e^{x^2/2} + 4 q_{1}q_{2}q_{6} e^{x^2/2} + 4 '
-            'q_{3}q_{4}q_{6} e^{x^2/2} + -6 q_{6} e^{x^2/2}',
+            '-4 x_{1}^{3} e^{x^2/2} + 4 x_{1}q_{1}q_{2} e^{x^2/2} + 4 x_{1}q'
+            '_{3}q_{4} e^{x^2/2} + 4 x_{1}q_{5}q_{6} e^{x^2/2} - 6 x_{1} e^{'
+            'x^2/2}\n-4 x_{1}^{2}q_{1} e^{x^2/2} + 4 q_{1}q_{3}q_{4} e^{x^2/'
+            '2} + 4 q_{1}q_{5}q_{6} e^{x^2/2} - 6 q_{1} e^{x^2/2}\n-4 x_{1}^'
+            '{2}q_{2} e^{x^2/2} + 4 q_{2}q_{3}q_{4} e^{x^2/2} + 4 q_{2}q_{5}'
+            'q_{6} e^{x^2/2} - 6 q_{2} e^{x^2/2}\n-4 x_{1}^{2}q_{3} e^{x^2/2'
+            '} + 4 q_{1}q_{2}q_{3} e^{x^2/2} + 4 q_{3}q_{5}q_{6} e^{x^2/2} -'
+            ' 6 q_{3} e^{x^2/2}\n-4 x_{1}^{2}q_{4} e^{x^2/2} + 4 q_{1}q_{2}q'
+            '_{4} e^{x^2/2} + 4 q_{4}q_{5}q_{6} e^{x^2/2} - 6 q_{4} e^{x^2/2'
+            '}\n-4 x_{1}^{2}q_{5} e^{x^2/2} + 4 q_{1}q_{2}q_{5} e^{x^2/2} + '
+            '4 q_{3}q_{4}q_{5} e^{x^2/2} - 6 q_{5} e^{x^2/2}\n-4 x_{1}^{2}q_'
+            '{6} e^{x^2/2} + 4 q_{1}q_{2}q_{6} e^{x^2/2} + 4 q_{3}q_{4}q_{6}'
+            ' e^{x^2/2} - 6 q_{6} e^{x^2/2}',
         ),
         (
             '16*x1^5*G - 32*x1^3*q1q2*G - 32*x1^3*q3q4*G - 32*x1^3*q5q6*G + '
@@ -5671,43 +5537,38 @@ _BASES_GOLDEN = {
             '"b": 0, "eps": 0}]}, {"bos": [0], "fer": [3, 4, 6], "coeff": '
             '[{"q": [-16, 1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": '
             '[6], "coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}',
-            '16 x_{1}^{5} e^{x^2/2} + -32 x_{1}^{3}q_{1}q_{2} e^{x^2/2} + '
-            '-32 x_{1}^{3}q_{3}q_{4} e^{x^2/2} + -32 x_{1}^{3}q_{5}q_{6} '
-            'e^{x^2/2} + 32 x_{1}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 32 '
-            'x_{1}q_{1}q_{2}q_{5}q_{6} e^{x^2/2} + 32 '
-            'x_{1}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 16 x_{1}^{3} e^{x^2/2} + '
-            '-16 x_{1}q_{1}q_{2} e^{x^2/2} + -16 x_{1}q_{3}q_{4} e^{x^2/2} + '
-            '-16 x_{1}q_{5}q_{6} e^{x^2/2} + 12 x_{1} e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{1} e^{x^2/2} + -32 x_{1}^{2}q_{1}q_{3}q_{4} '
-            'e^{x^2/2} + -32 x_{1}^{2}q_{1}q_{5}q_{6} e^{x^2/2} + 32 '
-            'q_{1}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 16 x_{1}^{2}q_{1} '
-            'e^{x^2/2} + -16 q_{1}q_{3}q_{4} e^{x^2/2} + -16 q_{1}q_{5}q_{6} '
-            'e^{x^2/2} + 12 q_{1} e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{2} e^{x^2/2} + -32 x_{1}^{2}q_{2}q_{3}q_{4} '
-            'e^{x^2/2} + -32 x_{1}^{2}q_{2}q_{5}q_{6} e^{x^2/2} + 32 '
-            'q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 16 x_{1}^{2}q_{2} '
-            'e^{x^2/2} + -16 q_{2}q_{3}q_{4} e^{x^2/2} + -16 q_{2}q_{5}q_{6} '
-            'e^{x^2/2} + 12 q_{2} e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{3} e^{x^2/2} + -32 x_{1}^{2}q_{1}q_{2}q_{3} '
-            'e^{x^2/2} + -32 x_{1}^{2}q_{3}q_{5}q_{6} e^{x^2/2} + 32 '
-            'q_{1}q_{2}q_{3}q_{5}q_{6} e^{x^2/2} + 16 x_{1}^{2}q_{3} '
-            'e^{x^2/2} + -16 q_{1}q_{2}q_{3} e^{x^2/2} + -16 q_{3}q_{5}q_{6} '
-            'e^{x^2/2} + 12 q_{3} e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{4} e^{x^2/2} + -32 x_{1}^{2}q_{1}q_{2}q_{4} '
-            'e^{x^2/2} + -32 x_{1}^{2}q_{4}q_{5}q_{6} e^{x^2/2} + 32 '
-            'q_{1}q_{2}q_{4}q_{5}q_{6} e^{x^2/2} + 16 x_{1}^{2}q_{4} '
-            'e^{x^2/2} + -16 q_{1}q_{2}q_{4} e^{x^2/2} + -16 q_{4}q_{5}q_{6} '
-            'e^{x^2/2} + 12 q_{4} e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{5} e^{x^2/2} + -32 x_{1}^{2}q_{1}q_{2}q_{5} '
-            'e^{x^2/2} + -32 x_{1}^{2}q_{3}q_{4}q_{5} e^{x^2/2} + 32 '
-            'q_{1}q_{2}q_{3}q_{4}q_{5} e^{x^2/2} + 16 x_{1}^{2}q_{5} '
-            'e^{x^2/2} + -16 q_{1}q_{2}q_{5} e^{x^2/2} + -16 q_{3}q_{4}q_{5} '
-            'e^{x^2/2} + 12 q_{5} e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{6} e^{x^2/2} + -32 x_{1}^{2}q_{1}q_{2}q_{6} '
-            'e^{x^2/2} + -32 x_{1}^{2}q_{3}q_{4}q_{6} e^{x^2/2} + 32 '
-            'q_{1}q_{2}q_{3}q_{4}q_{6} e^{x^2/2} + 16 x_{1}^{2}q_{6} '
-            'e^{x^2/2} + -16 q_{1}q_{2}q_{6} e^{x^2/2} + -16 q_{3}q_{4}q_{6} '
-            'e^{x^2/2} + 12 q_{6} e^{x^2/2}',
+            '16 x_{1}^{5} e^{x^2/2} - 32 x_{1}^{3}q_{1}q_{2} e^{x^2/2} - 32 '
+            'x_{1}^{3}q_{3}q_{4} e^{x^2/2} - 32 x_{1}^{3}q_{5}q_{6} e^{x^2/2'
+            '} + 32 x_{1}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 32 x_{1}q_{1}q_{2}'
+            'q_{5}q_{6} e^{x^2/2} + 32 x_{1}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} +'
+            ' 16 x_{1}^{3} e^{x^2/2} - 16 x_{1}q_{1}q_{2} e^{x^2/2} - 16 x_{'
+            '1}q_{3}q_{4} e^{x^2/2} - 16 x_{1}q_{5}q_{6} e^{x^2/2} + 12 x_{1'
+            '} e^{x^2/2}\n16 x_{1}^{4}q_{1} e^{x^2/2} - 32 x_{1}^{2}q_{1}q_{'
+            '3}q_{4} e^{x^2/2} - 32 x_{1}^{2}q_{1}q_{5}q_{6} e^{x^2/2} + 32 '
+            'q_{1}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 16 x_{1}^{2}q_{1} e^{x^2/'
+            '2} - 16 q_{1}q_{3}q_{4} e^{x^2/2} - 16 q_{1}q_{5}q_{6} e^{x^2/2'
+            '} + 12 q_{1} e^{x^2/2}\n16 x_{1}^{4}q_{2} e^{x^2/2} - 32 x_{1}^'
+            '{2}q_{2}q_{3}q_{4} e^{x^2/2} - 32 x_{1}^{2}q_{2}q_{5}q_{6} e^{x'
+            '^2/2} + 32 q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 16 x_{1}^{2}q_'
+            '{2} e^{x^2/2} - 16 q_{2}q_{3}q_{4} e^{x^2/2} - 16 q_{2}q_{5}q_{'
+            '6} e^{x^2/2} + 12 q_{2} e^{x^2/2}\n16 x_{1}^{4}q_{3} e^{x^2/2} '
+            '- 32 x_{1}^{2}q_{1}q_{2}q_{3} e^{x^2/2} - 32 x_{1}^{2}q_{3}q_{5'
+            '}q_{6} e^{x^2/2} + 32 q_{1}q_{2}q_{3}q_{5}q_{6} e^{x^2/2} + 16 '
+            'x_{1}^{2}q_{3} e^{x^2/2} - 16 q_{1}q_{2}q_{3} e^{x^2/2} - 16 q_'
+            '{3}q_{5}q_{6} e^{x^2/2} + 12 q_{3} e^{x^2/2}\n16 x_{1}^{4}q_{4}'
+            ' e^{x^2/2} - 32 x_{1}^{2}q_{1}q_{2}q_{4} e^{x^2/2} - 32 x_{1}^{'
+            '2}q_{4}q_{5}q_{6} e^{x^2/2} + 32 q_{1}q_{2}q_{4}q_{5}q_{6} e^{x'
+            '^2/2} + 16 x_{1}^{2}q_{4} e^{x^2/2} - 16 q_{1}q_{2}q_{4} e^{x^2'
+            '/2} - 16 q_{4}q_{5}q_{6} e^{x^2/2} + 12 q_{4} e^{x^2/2}\n16 x_{'
+            '1}^{4}q_{5} e^{x^2/2} - 32 x_{1}^{2}q_{1}q_{2}q_{5} e^{x^2/2} -'
+            ' 32 x_{1}^{2}q_{3}q_{4}q_{5} e^{x^2/2} + 32 q_{1}q_{2}q_{3}q_{4'
+            '}q_{5} e^{x^2/2} + 16 x_{1}^{2}q_{5} e^{x^2/2} - 16 q_{1}q_{2}q'
+            '_{5} e^{x^2/2} - 16 q_{3}q_{4}q_{5} e^{x^2/2} + 12 q_{5} e^{x^2'
+            '/2}\n16 x_{1}^{4}q_{6} e^{x^2/2} - 32 x_{1}^{2}q_{1}q_{2}q_{6} '
+            'e^{x^2/2} - 32 x_{1}^{2}q_{3}q_{4}q_{6} e^{x^2/2} + 32 q_{1}q_{'
+            '2}q_{3}q_{4}q_{6} e^{x^2/2} + 16 x_{1}^{2}q_{6} e^{x^2/2} - 16 '
+            'q_{1}q_{2}q_{6} e^{x^2/2} - 16 q_{3}q_{4}q_{6} e^{x^2/2} + 12 q'
+            '_{6} e^{x^2/2}',
         ),
         (
             'degree 1: dim nullspace 7, dim formula 7 [ok]',
@@ -5819,27 +5680,15 @@ _BASES_GOLDEN = {
             'true, "terms": [{"bos": [2], "fer": [], "coeff": [{"q": [-2, 1, '
             '0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [5, 6], '
             '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}',
-            '1 x_{1}q_{1} e^{x^2/2}\n'
-            '1 x_{1}q_{2} e^{x^2/2}\n'
-            '1 x_{1}q_{3} e^{x^2/2}\n'
-            '1 x_{1}q_{4} e^{x^2/2}\n'
-            '1 x_{1}q_{5} e^{x^2/2}\n'
-            '1 x_{1}q_{6} e^{x^2/2}\n'
-            '-2 x_{1}^{2} e^{x^2/2} + 1 q_{1}q_{2} e^{x^2/2}\n'
-            '1 q_{1}q_{3} e^{x^2/2}\n'
-            '1 q_{2}q_{3} e^{x^2/2}\n'
-            '1 q_{1}q_{4} e^{x^2/2}\n'
-            '1 q_{2}q_{4} e^{x^2/2}\n'
-            '-2 x_{1}^{2} e^{x^2/2} + 1 q_{3}q_{4} e^{x^2/2}\n'
-            '1 q_{1}q_{5} e^{x^2/2}\n'
-            '1 q_{2}q_{5} e^{x^2/2}\n'
-            '1 q_{3}q_{5} e^{x^2/2}\n'
-            '1 q_{4}q_{5} e^{x^2/2}\n'
-            '1 q_{1}q_{6} e^{x^2/2}\n'
-            '1 q_{2}q_{6} e^{x^2/2}\n'
-            '1 q_{3}q_{6} e^{x^2/2}\n'
-            '1 q_{4}q_{6} e^{x^2/2}\n'
-            '-2 x_{1}^{2} e^{x^2/2} + 1 q_{5}q_{6} e^{x^2/2}',
+            'x_{1}q_{1} e^{x^2/2}\nx_{1}q_{2} e^{x^2/2}\nx_{1}q_{3} e^{x^2/2'
+            '}\nx_{1}q_{4} e^{x^2/2}\nx_{1}q_{5} e^{x^2/2}\nx_{1}q_{6} e^{x^'
+            '2/2}\n-2 x_{1}^{2} e^{x^2/2} + q_{1}q_{2} e^{x^2/2}\nq_{1}q_{3}'
+            ' e^{x^2/2}\nq_{2}q_{3} e^{x^2/2}\nq_{1}q_{4} e^{x^2/2}\nq_{2}q_'
+            '{4} e^{x^2/2}\n-2 x_{1}^{2} e^{x^2/2} + q_{3}q_{4} e^{x^2/2}\nq'
+            '_{1}q_{5} e^{x^2/2}\nq_{2}q_{5} e^{x^2/2}\nq_{3}q_{5} e^{x^2/2}'
+            '\nq_{4}q_{5} e^{x^2/2}\nq_{1}q_{6} e^{x^2/2}\nq_{2}q_{6} e^{x^2'
+            '/2}\nq_{3}q_{6} e^{x^2/2}\nq_{4}q_{6} e^{x^2/2}\n-2 x_{1}^{2} e'
+            '^{x^2/2} + q_{5}q_{6} e^{x^2/2}',
         ),
         (
             '-4*x1^3*q1*G + 4*x1*q1q3q4*G + 4*x1*q1q5q6*G - 2*x1*q1*G\n'
@@ -6017,56 +5866,47 @@ _BASES_GOLDEN = {
             '1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [5, 6], "coeff": '
             '[{"q": [-2, 1, 0, 1], "b": 0, "eps": 0}]}]}',
             '-4 x_{1}^{3}q_{1} e^{x^2/2} + 4 x_{1}q_{1}q_{3}q_{4} e^{x^2/2} '
-            '+ 4 x_{1}q_{1}q_{5}q_{6} e^{x^2/2} + -2 x_{1}q_{1} e^{x^2/2}\n'
-            '-4 x_{1}^{3}q_{2} e^{x^2/2} + 4 x_{1}q_{2}q_{3}q_{4} e^{x^2/2} '
-            '+ 4 x_{1}q_{2}q_{5}q_{6} e^{x^2/2} + -2 x_{1}q_{2} e^{x^2/2}\n'
-            '-4 x_{1}^{3}q_{3} e^{x^2/2} + 4 x_{1}q_{1}q_{2}q_{3} e^{x^2/2} '
-            '+ 4 x_{1}q_{3}q_{5}q_{6} e^{x^2/2} + -2 x_{1}q_{3} e^{x^2/2}\n'
-            '-4 x_{1}^{3}q_{4} e^{x^2/2} + 4 x_{1}q_{1}q_{2}q_{4} e^{x^2/2} '
-            '+ 4 x_{1}q_{4}q_{5}q_{6} e^{x^2/2} + -2 x_{1}q_{4} e^{x^2/2}\n'
-            '-4 x_{1}^{3}q_{5} e^{x^2/2} + 4 x_{1}q_{1}q_{2}q_{5} e^{x^2/2} '
-            '+ 4 x_{1}q_{3}q_{4}q_{5} e^{x^2/2} + -2 x_{1}q_{5} e^{x^2/2}\n'
-            '-4 x_{1}^{3}q_{6} e^{x^2/2} + 4 x_{1}q_{1}q_{2}q_{6} e^{x^2/2} '
-            '+ 4 x_{1}q_{3}q_{4}q_{6} e^{x^2/2} + -2 x_{1}q_{6} e^{x^2/2}\n'
-            '8 x_{1}^{4} e^{x^2/2} + -12 x_{1}^{2}q_{1}q_{2} e^{x^2/2} + -8 '
-            'x_{1}^{2}q_{3}q_{4} e^{x^2/2} + -8 x_{1}^{2}q_{5}q_{6} '
-            'e^{x^2/2} + 4 q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 4 '
-            'q_{1}q_{2}q_{5}q_{6} e^{x^2/2} + 4 x_{1}^{2} e^{x^2/2} + -2 '
-            'q_{1}q_{2} e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{1}q_{3} e^{x^2/2} + 4 q_{1}q_{3}q_{5}q_{6} '
-            'e^{x^2/2} + -2 q_{1}q_{3} e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{2}q_{3} e^{x^2/2} + 4 q_{2}q_{3}q_{5}q_{6} '
-            'e^{x^2/2} + -2 q_{2}q_{3} e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{1}q_{4} e^{x^2/2} + 4 q_{1}q_{4}q_{5}q_{6} '
-            'e^{x^2/2} + -2 q_{1}q_{4} e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{2}q_{4} e^{x^2/2} + 4 q_{2}q_{4}q_{5}q_{6} '
-            'e^{x^2/2} + -2 q_{2}q_{4} e^{x^2/2}\n'
-            '8 x_{1}^{4} e^{x^2/2} + -8 x_{1}^{2}q_{1}q_{2} e^{x^2/2} + -12 '
-            'x_{1}^{2}q_{3}q_{4} e^{x^2/2} + -8 x_{1}^{2}q_{5}q_{6} '
-            'e^{x^2/2} + 4 q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 4 '
-            'q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 4 x_{1}^{2} e^{x^2/2} + -2 '
-            'q_{3}q_{4} e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{1}q_{5} e^{x^2/2} + 4 q_{1}q_{3}q_{4}q_{5} '
-            'e^{x^2/2} + -2 q_{1}q_{5} e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{2}q_{5} e^{x^2/2} + 4 q_{2}q_{3}q_{4}q_{5} '
-            'e^{x^2/2} + -2 q_{2}q_{5} e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{3}q_{5} e^{x^2/2} + 4 q_{1}q_{2}q_{3}q_{5} '
-            'e^{x^2/2} + -2 q_{3}q_{5} e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{4}q_{5} e^{x^2/2} + 4 q_{1}q_{2}q_{4}q_{5} '
-            'e^{x^2/2} + -2 q_{4}q_{5} e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{1}q_{6} e^{x^2/2} + 4 q_{1}q_{3}q_{4}q_{6} '
-            'e^{x^2/2} + -2 q_{1}q_{6} e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{2}q_{6} e^{x^2/2} + 4 q_{2}q_{3}q_{4}q_{6} '
-            'e^{x^2/2} + -2 q_{2}q_{6} e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{3}q_{6} e^{x^2/2} + 4 q_{1}q_{2}q_{3}q_{6} '
-            'e^{x^2/2} + -2 q_{3}q_{6} e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{4}q_{6} e^{x^2/2} + 4 q_{1}q_{2}q_{4}q_{6} '
-            'e^{x^2/2} + -2 q_{4}q_{6} e^{x^2/2}\n'
-            '8 x_{1}^{4} e^{x^2/2} + -8 x_{1}^{2}q_{1}q_{2} e^{x^2/2} + -8 '
-            'x_{1}^{2}q_{3}q_{4} e^{x^2/2} + -12 x_{1}^{2}q_{5}q_{6} '
-            'e^{x^2/2} + 4 q_{1}q_{2}q_{5}q_{6} e^{x^2/2} + 4 '
-            'q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 4 x_{1}^{2} e^{x^2/2} + -2 '
-            'q_{5}q_{6} e^{x^2/2}',
+            '+ 4 x_{1}q_{1}q_{5}q_{6} e^{x^2/2} - 2 x_{1}q_{1} e^{x^2/2}\n-4'
+            ' x_{1}^{3}q_{2} e^{x^2/2} + 4 x_{1}q_{2}q_{3}q_{4} e^{x^2/2} + '
+            '4 x_{1}q_{2}q_{5}q_{6} e^{x^2/2} - 2 x_{1}q_{2} e^{x^2/2}\n-4 x'
+            '_{1}^{3}q_{3} e^{x^2/2} + 4 x_{1}q_{1}q_{2}q_{3} e^{x^2/2} + 4 '
+            'x_{1}q_{3}q_{5}q_{6} e^{x^2/2} - 2 x_{1}q_{3} e^{x^2/2}\n-4 x_{'
+            '1}^{3}q_{4} e^{x^2/2} + 4 x_{1}q_{1}q_{2}q_{4} e^{x^2/2} + 4 x_'
+            '{1}q_{4}q_{5}q_{6} e^{x^2/2} - 2 x_{1}q_{4} e^{x^2/2}\n-4 x_{1}'
+            '^{3}q_{5} e^{x^2/2} + 4 x_{1}q_{1}q_{2}q_{5} e^{x^2/2} + 4 x_{1'
+            '}q_{3}q_{4}q_{5} e^{x^2/2} - 2 x_{1}q_{5} e^{x^2/2}\n-4 x_{1}^{'
+            '3}q_{6} e^{x^2/2} + 4 x_{1}q_{1}q_{2}q_{6} e^{x^2/2} + 4 x_{1}q'
+            '_{3}q_{4}q_{6} e^{x^2/2} - 2 x_{1}q_{6} e^{x^2/2}\n8 x_{1}^{4} '
+            'e^{x^2/2} - 12 x_{1}^{2}q_{1}q_{2} e^{x^2/2} - 8 x_{1}^{2}q_{3}'
+            'q_{4} e^{x^2/2} - 8 x_{1}^{2}q_{5}q_{6} e^{x^2/2} + 4 q_{1}q_{2'
+            '}q_{3}q_{4} e^{x^2/2} + 4 q_{1}q_{2}q_{5}q_{6} e^{x^2/2} + 4 x_'
+            '{1}^{2} e^{x^2/2} - 2 q_{1}q_{2} e^{x^2/2}\n-4 x_{1}^{2}q_{1}q_'
+            '{3} e^{x^2/2} + 4 q_{1}q_{3}q_{5}q_{6} e^{x^2/2} - 2 q_{1}q_{3}'
+            ' e^{x^2/2}\n-4 x_{1}^{2}q_{2}q_{3} e^{x^2/2} + 4 q_{2}q_{3}q_{5'
+            '}q_{6} e^{x^2/2} - 2 q_{2}q_{3} e^{x^2/2}\n-4 x_{1}^{2}q_{1}q_{'
+            '4} e^{x^2/2} + 4 q_{1}q_{4}q_{5}q_{6} e^{x^2/2} - 2 q_{1}q_{4} '
+            'e^{x^2/2}\n-4 x_{1}^{2}q_{2}q_{4} e^{x^2/2} + 4 q_{2}q_{4}q_{5}'
+            'q_{6} e^{x^2/2} - 2 q_{2}q_{4} e^{x^2/2}\n8 x_{1}^{4} e^{x^2/2}'
+            ' - 8 x_{1}^{2}q_{1}q_{2} e^{x^2/2} - 12 x_{1}^{2}q_{3}q_{4} e^{'
+            'x^2/2} - 8 x_{1}^{2}q_{5}q_{6} e^{x^2/2} + 4 q_{1}q_{2}q_{3}q_{'
+            '4} e^{x^2/2} + 4 q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 4 x_{1}^{2} e'
+            '^{x^2/2} - 2 q_{3}q_{4} e^{x^2/2}\n-4 x_{1}^{2}q_{1}q_{5} e^{x^'
+            '2/2} + 4 q_{1}q_{3}q_{4}q_{5} e^{x^2/2} - 2 q_{1}q_{5} e^{x^2/2'
+            '}\n-4 x_{1}^{2}q_{2}q_{5} e^{x^2/2} + 4 q_{2}q_{3}q_{4}q_{5} e^'
+            '{x^2/2} - 2 q_{2}q_{5} e^{x^2/2}\n-4 x_{1}^{2}q_{3}q_{5} e^{x^2'
+            '/2} + 4 q_{1}q_{2}q_{3}q_{5} e^{x^2/2} - 2 q_{3}q_{5} e^{x^2/2}'
+            '\n-4 x_{1}^{2}q_{4}q_{5} e^{x^2/2} + 4 q_{1}q_{2}q_{4}q_{5} e^{'
+            'x^2/2} - 2 q_{4}q_{5} e^{x^2/2}\n-4 x_{1}^{2}q_{1}q_{6} e^{x^2/'
+            '2} + 4 q_{1}q_{3}q_{4}q_{6} e^{x^2/2} - 2 q_{1}q_{6} e^{x^2/2}'
+            '\n-4 x_{1}^{2}q_{2}q_{6} e^{x^2/2} + 4 q_{2}q_{3}q_{4}q_{6} e^{'
+            'x^2/2} - 2 q_{2}q_{6} e^{x^2/2}\n-4 x_{1}^{2}q_{3}q_{6} e^{x^2/'
+            '2} + 4 q_{1}q_{2}q_{3}q_{6} e^{x^2/2} - 2 q_{3}q_{6} e^{x^2/2}'
+            '\n-4 x_{1}^{2}q_{4}q_{6} e^{x^2/2} + 4 q_{1}q_{2}q_{4}q_{6} e^{'
+            'x^2/2} - 2 q_{4}q_{6} e^{x^2/2}\n8 x_{1}^{4} e^{x^2/2} - 8 x_{1'
+            '}^{2}q_{1}q_{2} e^{x^2/2} - 8 x_{1}^{2}q_{3}q_{4} e^{x^2/2} - 1'
+            '2 x_{1}^{2}q_{5}q_{6} e^{x^2/2} + 4 q_{1}q_{2}q_{5}q_{6} e^{x^2'
+            '/2} + 4 q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 4 x_{1}^{2} e^{x^2/2} '
+            '- 2 q_{5}q_{6} e^{x^2/2}',
         ),
         (
             '16*x1^5*q1*G - 32*x1^3*q1q3q4*G - 32*x1^3*q1q5q6*G + '
@@ -6363,117 +6203,93 @@ _BASES_GOLDEN = {
             '0, "eps": 0}]}, {"bos": [2], "fer": [], "coeff": [{"q": [8, 1, '
             '0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [5, 6], '
             '"coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}]}',
-            '16 x_{1}^{5}q_{1} e^{x^2/2} + -32 x_{1}^{3}q_{1}q_{3}q_{4} '
-            'e^{x^2/2} + -32 x_{1}^{3}q_{1}q_{5}q_{6} e^{x^2/2} + 32 '
-            'x_{1}q_{1}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + -16 x_{1}^{3}q_{1} '
-            'e^{x^2/2} + 16 x_{1}q_{1}q_{3}q_{4} e^{x^2/2} + 16 '
-            'x_{1}q_{1}q_{5}q_{6} e^{x^2/2} + -4 x_{1}q_{1} e^{x^2/2}\n'
-            '16 x_{1}^{5}q_{2} e^{x^2/2} + -32 x_{1}^{3}q_{2}q_{3}q_{4} '
-            'e^{x^2/2} + -32 x_{1}^{3}q_{2}q_{5}q_{6} e^{x^2/2} + 32 '
-            'x_{1}q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + -16 x_{1}^{3}q_{2} '
-            'e^{x^2/2} + 16 x_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 16 '
-            'x_{1}q_{2}q_{5}q_{6} e^{x^2/2} + -4 x_{1}q_{2} e^{x^2/2}\n'
-            '16 x_{1}^{5}q_{3} e^{x^2/2} + -32 x_{1}^{3}q_{1}q_{2}q_{3} '
-            'e^{x^2/2} + -32 x_{1}^{3}q_{3}q_{5}q_{6} e^{x^2/2} + 32 '
-            'x_{1}q_{1}q_{2}q_{3}q_{5}q_{6} e^{x^2/2} + -16 x_{1}^{3}q_{3} '
-            'e^{x^2/2} + 16 x_{1}q_{1}q_{2}q_{3} e^{x^2/2} + 16 '
-            'x_{1}q_{3}q_{5}q_{6} e^{x^2/2} + -4 x_{1}q_{3} e^{x^2/2}\n'
-            '16 x_{1}^{5}q_{4} e^{x^2/2} + -32 x_{1}^{3}q_{1}q_{2}q_{4} '
-            'e^{x^2/2} + -32 x_{1}^{3}q_{4}q_{5}q_{6} e^{x^2/2} + 32 '
-            'x_{1}q_{1}q_{2}q_{4}q_{5}q_{6} e^{x^2/2} + -16 x_{1}^{3}q_{4} '
-            'e^{x^2/2} + 16 x_{1}q_{1}q_{2}q_{4} e^{x^2/2} + 16 '
-            'x_{1}q_{4}q_{5}q_{6} e^{x^2/2} + -4 x_{1}q_{4} e^{x^2/2}\n'
-            '16 x_{1}^{5}q_{5} e^{x^2/2} + -32 x_{1}^{3}q_{1}q_{2}q_{5} '
-            'e^{x^2/2} + -32 x_{1}^{3}q_{3}q_{4}q_{5} e^{x^2/2} + 32 '
-            'x_{1}q_{1}q_{2}q_{3}q_{4}q_{5} e^{x^2/2} + -16 x_{1}^{3}q_{5} '
-            'e^{x^2/2} + 16 x_{1}q_{1}q_{2}q_{5} e^{x^2/2} + 16 '
-            'x_{1}q_{3}q_{4}q_{5} e^{x^2/2} + -4 x_{1}q_{5} e^{x^2/2}\n'
-            '16 x_{1}^{5}q_{6} e^{x^2/2} + -32 x_{1}^{3}q_{1}q_{2}q_{6} '
-            'e^{x^2/2} + -32 x_{1}^{3}q_{3}q_{4}q_{6} e^{x^2/2} + 32 '
-            'x_{1}q_{1}q_{2}q_{3}q_{4}q_{6} e^{x^2/2} + -16 x_{1}^{3}q_{6} '
-            'e^{x^2/2} + 16 x_{1}q_{1}q_{2}q_{6} e^{x^2/2} + 16 '
-            'x_{1}q_{3}q_{4}q_{6} e^{x^2/2} + -4 x_{1}q_{6} e^{x^2/2}\n'
-            '-32 x_{1}^{6} e^{x^2/2} + 80 x_{1}^{4}q_{1}q_{2} e^{x^2/2} + 64 '
-            'x_{1}^{4}q_{3}q_{4} e^{x^2/2} + 64 x_{1}^{4}q_{5}q_{6} '
-            'e^{x^2/2} + -96 x_{1}^{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -96 '
-            'x_{1}^{2}q_{1}q_{2}q_{5}q_{6} e^{x^2/2} + -64 '
-            'x_{1}^{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 32 '
-            'q_{1}q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 32 x_{1}^{4} '
-            'e^{x^2/2} + -48 x_{1}^{2}q_{1}q_{2} e^{x^2/2} + -32 '
-            'x_{1}^{2}q_{3}q_{4} e^{x^2/2} + -32 x_{1}^{2}q_{5}q_{6} '
-            'e^{x^2/2} + 16 q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 16 '
-            'q_{1}q_{2}q_{5}q_{6} e^{x^2/2} + 8 x_{1}^{2} e^{x^2/2} + -4 '
-            'q_{1}q_{2} e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{1}q_{3} e^{x^2/2} + -32 '
-            'x_{1}^{2}q_{1}q_{3}q_{5}q_{6} e^{x^2/2} + -16 '
-            'x_{1}^{2}q_{1}q_{3} e^{x^2/2} + 16 q_{1}q_{3}q_{5}q_{6} '
-            'e^{x^2/2} + -4 q_{1}q_{3} e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{2}q_{3} e^{x^2/2} + -32 '
-            'x_{1}^{2}q_{2}q_{3}q_{5}q_{6} e^{x^2/2} + -16 '
-            'x_{1}^{2}q_{2}q_{3} e^{x^2/2} + 16 q_{2}q_{3}q_{5}q_{6} '
-            'e^{x^2/2} + -4 q_{2}q_{3} e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{1}q_{4} e^{x^2/2} + -32 '
-            'x_{1}^{2}q_{1}q_{4}q_{5}q_{6} e^{x^2/2} + -16 '
-            'x_{1}^{2}q_{1}q_{4} e^{x^2/2} + 16 q_{1}q_{4}q_{5}q_{6} '
-            'e^{x^2/2} + -4 q_{1}q_{4} e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{2}q_{4} e^{x^2/2} + -32 '
-            'x_{1}^{2}q_{2}q_{4}q_{5}q_{6} e^{x^2/2} + -16 '
-            'x_{1}^{2}q_{2}q_{4} e^{x^2/2} + 16 q_{2}q_{4}q_{5}q_{6} '
-            'e^{x^2/2} + -4 q_{2}q_{4} e^{x^2/2}\n'
-            '-32 x_{1}^{6} e^{x^2/2} + 64 x_{1}^{4}q_{1}q_{2} e^{x^2/2} + 80 '
-            'x_{1}^{4}q_{3}q_{4} e^{x^2/2} + 64 x_{1}^{4}q_{5}q_{6} '
-            'e^{x^2/2} + -96 x_{1}^{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -64 '
-            'x_{1}^{2}q_{1}q_{2}q_{5}q_{6} e^{x^2/2} + -96 '
-            'x_{1}^{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 32 '
-            'q_{1}q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 32 x_{1}^{4} '
-            'e^{x^2/2} + -32 x_{1}^{2}q_{1}q_{2} e^{x^2/2} + -48 '
-            'x_{1}^{2}q_{3}q_{4} e^{x^2/2} + -32 x_{1}^{2}q_{5}q_{6} '
-            'e^{x^2/2} + 16 q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 16 '
-            'q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 8 x_{1}^{2} e^{x^2/2} + -4 '
-            'q_{3}q_{4} e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{1}q_{5} e^{x^2/2} + -32 '
-            'x_{1}^{2}q_{1}q_{3}q_{4}q_{5} e^{x^2/2} + -16 '
-            'x_{1}^{2}q_{1}q_{5} e^{x^2/2} + 16 q_{1}q_{3}q_{4}q_{5} '
-            'e^{x^2/2} + -4 q_{1}q_{5} e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{2}q_{5} e^{x^2/2} + -32 '
-            'x_{1}^{2}q_{2}q_{3}q_{4}q_{5} e^{x^2/2} + -16 '
-            'x_{1}^{2}q_{2}q_{5} e^{x^2/2} + 16 q_{2}q_{3}q_{4}q_{5} '
-            'e^{x^2/2} + -4 q_{2}q_{5} e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{3}q_{5} e^{x^2/2} + -32 '
-            'x_{1}^{2}q_{1}q_{2}q_{3}q_{5} e^{x^2/2} + -16 '
-            'x_{1}^{2}q_{3}q_{5} e^{x^2/2} + 16 q_{1}q_{2}q_{3}q_{5} '
-            'e^{x^2/2} + -4 q_{3}q_{5} e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{4}q_{5} e^{x^2/2} + -32 '
-            'x_{1}^{2}q_{1}q_{2}q_{4}q_{5} e^{x^2/2} + -16 '
-            'x_{1}^{2}q_{4}q_{5} e^{x^2/2} + 16 q_{1}q_{2}q_{4}q_{5} '
-            'e^{x^2/2} + -4 q_{4}q_{5} e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{1}q_{6} e^{x^2/2} + -32 '
-            'x_{1}^{2}q_{1}q_{3}q_{4}q_{6} e^{x^2/2} + -16 '
-            'x_{1}^{2}q_{1}q_{6} e^{x^2/2} + 16 q_{1}q_{3}q_{4}q_{6} '
-            'e^{x^2/2} + -4 q_{1}q_{6} e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{2}q_{6} e^{x^2/2} + -32 '
-            'x_{1}^{2}q_{2}q_{3}q_{4}q_{6} e^{x^2/2} + -16 '
-            'x_{1}^{2}q_{2}q_{6} e^{x^2/2} + 16 q_{2}q_{3}q_{4}q_{6} '
-            'e^{x^2/2} + -4 q_{2}q_{6} e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{3}q_{6} e^{x^2/2} + -32 '
-            'x_{1}^{2}q_{1}q_{2}q_{3}q_{6} e^{x^2/2} + -16 '
-            'x_{1}^{2}q_{3}q_{6} e^{x^2/2} + 16 q_{1}q_{2}q_{3}q_{6} '
-            'e^{x^2/2} + -4 q_{3}q_{6} e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{4}q_{6} e^{x^2/2} + -32 '
-            'x_{1}^{2}q_{1}q_{2}q_{4}q_{6} e^{x^2/2} + -16 '
-            'x_{1}^{2}q_{4}q_{6} e^{x^2/2} + 16 q_{1}q_{2}q_{4}q_{6} '
-            'e^{x^2/2} + -4 q_{4}q_{6} e^{x^2/2}\n'
-            '-32 x_{1}^{6} e^{x^2/2} + 64 x_{1}^{4}q_{1}q_{2} e^{x^2/2} + 64 '
-            'x_{1}^{4}q_{3}q_{4} e^{x^2/2} + 80 x_{1}^{4}q_{5}q_{6} '
-            'e^{x^2/2} + -64 x_{1}^{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -96 '
-            'x_{1}^{2}q_{1}q_{2}q_{5}q_{6} e^{x^2/2} + -96 '
-            'x_{1}^{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 32 '
-            'q_{1}q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 32 x_{1}^{4} '
-            'e^{x^2/2} + -32 x_{1}^{2}q_{1}q_{2} e^{x^2/2} + -32 '
-            'x_{1}^{2}q_{3}q_{4} e^{x^2/2} + -48 x_{1}^{2}q_{5}q_{6} '
-            'e^{x^2/2} + 16 q_{1}q_{2}q_{5}q_{6} e^{x^2/2} + 16 '
-            'q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 8 x_{1}^{2} e^{x^2/2} + -4 '
-            'q_{5}q_{6} e^{x^2/2}',
+            '16 x_{1}^{5}q_{1} e^{x^2/2} - 32 x_{1}^{3}q_{1}q_{3}q_{4} e^{x^'
+            '2/2} - 32 x_{1}^{3}q_{1}q_{5}q_{6} e^{x^2/2} + 32 x_{1}q_{1}q_{'
+            '3}q_{4}q_{5}q_{6} e^{x^2/2} - 16 x_{1}^{3}q_{1} e^{x^2/2} + 16 '
+            'x_{1}q_{1}q_{3}q_{4} e^{x^2/2} + 16 x_{1}q_{1}q_{5}q_{6} e^{x^2'
+            '/2} - 4 x_{1}q_{1} e^{x^2/2}\n16 x_{1}^{5}q_{2} e^{x^2/2} - 32 '
+            'x_{1}^{3}q_{2}q_{3}q_{4} e^{x^2/2} - 32 x_{1}^{3}q_{2}q_{5}q_{6'
+            '} e^{x^2/2} + 32 x_{1}q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} - 16 '
+            'x_{1}^{3}q_{2} e^{x^2/2} + 16 x_{1}q_{2}q_{3}q_{4} e^{x^2/2} + '
+            '16 x_{1}q_{2}q_{5}q_{6} e^{x^2/2} - 4 x_{1}q_{2} e^{x^2/2}\n16 '
+            'x_{1}^{5}q_{3} e^{x^2/2} - 32 x_{1}^{3}q_{1}q_{2}q_{3} e^{x^2/2'
+            '} - 32 x_{1}^{3}q_{3}q_{5}q_{6} e^{x^2/2} + 32 x_{1}q_{1}q_{2}q'
+            '_{3}q_{5}q_{6} e^{x^2/2} - 16 x_{1}^{3}q_{3} e^{x^2/2} + 16 x_{'
+            '1}q_{1}q_{2}q_{3} e^{x^2/2} + 16 x_{1}q_{3}q_{5}q_{6} e^{x^2/2}'
+            ' - 4 x_{1}q_{3} e^{x^2/2}\n16 x_{1}^{5}q_{4} e^{x^2/2} - 32 x_{'
+            '1}^{3}q_{1}q_{2}q_{4} e^{x^2/2} - 32 x_{1}^{3}q_{4}q_{5}q_{6} e'
+            '^{x^2/2} + 32 x_{1}q_{1}q_{2}q_{4}q_{5}q_{6} e^{x^2/2} - 16 x_{'
+            '1}^{3}q_{4} e^{x^2/2} + 16 x_{1}q_{1}q_{2}q_{4} e^{x^2/2} + 16 '
+            'x_{1}q_{4}q_{5}q_{6} e^{x^2/2} - 4 x_{1}q_{4} e^{x^2/2}\n16 x_{'
+            '1}^{5}q_{5} e^{x^2/2} - 32 x_{1}^{3}q_{1}q_{2}q_{5} e^{x^2/2} -'
+            ' 32 x_{1}^{3}q_{3}q_{4}q_{5} e^{x^2/2} + 32 x_{1}q_{1}q_{2}q_{3'
+            '}q_{4}q_{5} e^{x^2/2} - 16 x_{1}^{3}q_{5} e^{x^2/2} + 16 x_{1}q'
+            '_{1}q_{2}q_{5} e^{x^2/2} + 16 x_{1}q_{3}q_{4}q_{5} e^{x^2/2} - '
+            '4 x_{1}q_{5} e^{x^2/2}\n16 x_{1}^{5}q_{6} e^{x^2/2} - 32 x_{1}^'
+            '{3}q_{1}q_{2}q_{6} e^{x^2/2} - 32 x_{1}^{3}q_{3}q_{4}q_{6} e^{x'
+            '^2/2} + 32 x_{1}q_{1}q_{2}q_{3}q_{4}q_{6} e^{x^2/2} - 16 x_{1}^'
+            '{3}q_{6} e^{x^2/2} + 16 x_{1}q_{1}q_{2}q_{6} e^{x^2/2} + 16 x_{'
+            '1}q_{3}q_{4}q_{6} e^{x^2/2} - 4 x_{1}q_{6} e^{x^2/2}\n-32 x_{1}'
+            '^{6} e^{x^2/2} + 80 x_{1}^{4}q_{1}q_{2} e^{x^2/2} + 64 x_{1}^{4'
+            '}q_{3}q_{4} e^{x^2/2} + 64 x_{1}^{4}q_{5}q_{6} e^{x^2/2} - 96 x'
+            '_{1}^{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} - 96 x_{1}^{2}q_{1}q_{2}'
+            'q_{5}q_{6} e^{x^2/2} - 64 x_{1}^{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/'
+            '2} + 32 q_{1}q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 32 x_{1}^{4}'
+            ' e^{x^2/2} - 48 x_{1}^{2}q_{1}q_{2} e^{x^2/2} - 32 x_{1}^{2}q_{'
+            '3}q_{4} e^{x^2/2} - 32 x_{1}^{2}q_{5}q_{6} e^{x^2/2} + 16 q_{1}'
+            'q_{2}q_{3}q_{4} e^{x^2/2} + 16 q_{1}q_{2}q_{5}q_{6} e^{x^2/2} +'
+            ' 8 x_{1}^{2} e^{x^2/2} - 4 q_{1}q_{2} e^{x^2/2}\n16 x_{1}^{4}q_'
+            '{1}q_{3} e^{x^2/2} - 32 x_{1}^{2}q_{1}q_{3}q_{5}q_{6} e^{x^2/2}'
+            ' - 16 x_{1}^{2}q_{1}q_{3} e^{x^2/2} + 16 q_{1}q_{3}q_{5}q_{6} e'
+            '^{x^2/2} - 4 q_{1}q_{3} e^{x^2/2}\n16 x_{1}^{4}q_{2}q_{3} e^{x^'
+            '2/2} - 32 x_{1}^{2}q_{2}q_{3}q_{5}q_{6} e^{x^2/2} - 16 x_{1}^{2'
+            '}q_{2}q_{3} e^{x^2/2} + 16 q_{2}q_{3}q_{5}q_{6} e^{x^2/2} - 4 q'
+            '_{2}q_{3} e^{x^2/2}\n16 x_{1}^{4}q_{1}q_{4} e^{x^2/2} - 32 x_{1'
+            '}^{2}q_{1}q_{4}q_{5}q_{6} e^{x^2/2} - 16 x_{1}^{2}q_{1}q_{4} e^'
+            '{x^2/2} + 16 q_{1}q_{4}q_{5}q_{6} e^{x^2/2} - 4 q_{1}q_{4} e^{x'
+            '^2/2}\n16 x_{1}^{4}q_{2}q_{4} e^{x^2/2} - 32 x_{1}^{2}q_{2}q_{4'
+            '}q_{5}q_{6} e^{x^2/2} - 16 x_{1}^{2}q_{2}q_{4} e^{x^2/2} + 16 q'
+            '_{2}q_{4}q_{5}q_{6} e^{x^2/2} - 4 q_{2}q_{4} e^{x^2/2}\n-32 x_{'
+            '1}^{6} e^{x^2/2} + 64 x_{1}^{4}q_{1}q_{2} e^{x^2/2} + 80 x_{1}^'
+            '{4}q_{3}q_{4} e^{x^2/2} + 64 x_{1}^{4}q_{5}q_{6} e^{x^2/2} - 96'
+            ' x_{1}^{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} - 64 x_{1}^{2}q_{1}q_{'
+            '2}q_{5}q_{6} e^{x^2/2} - 96 x_{1}^{2}q_{3}q_{4}q_{5}q_{6} e^{x^'
+            '2/2} + 32 q_{1}q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 32 x_{1}^{'
+            '4} e^{x^2/2} - 32 x_{1}^{2}q_{1}q_{2} e^{x^2/2} - 48 x_{1}^{2}q'
+            '_{3}q_{4} e^{x^2/2} - 32 x_{1}^{2}q_{5}q_{6} e^{x^2/2} + 16 q_{'
+            '1}q_{2}q_{3}q_{4} e^{x^2/2} + 16 q_{3}q_{4}q_{5}q_{6} e^{x^2/2}'
+            ' + 8 x_{1}^{2} e^{x^2/2} - 4 q_{3}q_{4} e^{x^2/2}\n16 x_{1}^{4}'
+            'q_{1}q_{5} e^{x^2/2} - 32 x_{1}^{2}q_{1}q_{3}q_{4}q_{5} e^{x^2/'
+            '2} - 16 x_{1}^{2}q_{1}q_{5} e^{x^2/2} + 16 q_{1}q_{3}q_{4}q_{5}'
+            ' e^{x^2/2} - 4 q_{1}q_{5} e^{x^2/2}\n16 x_{1}^{4}q_{2}q_{5} e^{'
+            'x^2/2} - 32 x_{1}^{2}q_{2}q_{3}q_{4}q_{5} e^{x^2/2} - 16 x_{1}^'
+            '{2}q_{2}q_{5} e^{x^2/2} + 16 q_{2}q_{3}q_{4}q_{5} e^{x^2/2} - 4'
+            ' q_{2}q_{5} e^{x^2/2}\n16 x_{1}^{4}q_{3}q_{5} e^{x^2/2} - 32 x_'
+            '{1}^{2}q_{1}q_{2}q_{3}q_{5} e^{x^2/2} - 16 x_{1}^{2}q_{3}q_{5} '
+            'e^{x^2/2} + 16 q_{1}q_{2}q_{3}q_{5} e^{x^2/2} - 4 q_{3}q_{5} e^'
+            '{x^2/2}\n16 x_{1}^{4}q_{4}q_{5} e^{x^2/2} - 32 x_{1}^{2}q_{1}q_'
+            '{2}q_{4}q_{5} e^{x^2/2} - 16 x_{1}^{2}q_{4}q_{5} e^{x^2/2} + 16'
+            ' q_{1}q_{2}q_{4}q_{5} e^{x^2/2} - 4 q_{4}q_{5} e^{x^2/2}\n16 x_'
+            '{1}^{4}q_{1}q_{6} e^{x^2/2} - 32 x_{1}^{2}q_{1}q_{3}q_{4}q_{6} '
+            'e^{x^2/2} - 16 x_{1}^{2}q_{1}q_{6} e^{x^2/2} + 16 q_{1}q_{3}q_{'
+            '4}q_{6} e^{x^2/2} - 4 q_{1}q_{6} e^{x^2/2}\n16 x_{1}^{4}q_{2}q_'
+            '{6} e^{x^2/2} - 32 x_{1}^{2}q_{2}q_{3}q_{4}q_{6} e^{x^2/2} - 16'
+            ' x_{1}^{2}q_{2}q_{6} e^{x^2/2} + 16 q_{2}q_{3}q_{4}q_{6} e^{x^2'
+            '/2} - 4 q_{2}q_{6} e^{x^2/2}\n16 x_{1}^{4}q_{3}q_{6} e^{x^2/2} '
+            '- 32 x_{1}^{2}q_{1}q_{2}q_{3}q_{6} e^{x^2/2} - 16 x_{1}^{2}q_{3'
+            '}q_{6} e^{x^2/2} + 16 q_{1}q_{2}q_{3}q_{6} e^{x^2/2} - 4 q_{3}q'
+            '_{6} e^{x^2/2}\n16 x_{1}^{4}q_{4}q_{6} e^{x^2/2} - 32 x_{1}^{2}'
+            'q_{1}q_{2}q_{4}q_{6} e^{x^2/2} - 16 x_{1}^{2}q_{4}q_{6} e^{x^2/'
+            '2} + 16 q_{1}q_{2}q_{4}q_{6} e^{x^2/2} - 4 q_{4}q_{6} e^{x^2/2}'
+            '\n-32 x_{1}^{6} e^{x^2/2} + 64 x_{1}^{4}q_{1}q_{2} e^{x^2/2} + '
+            '64 x_{1}^{4}q_{3}q_{4} e^{x^2/2} + 80 x_{1}^{4}q_{5}q_{6} e^{x^'
+            '2/2} - 64 x_{1}^{2}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} - 96 x_{1}^{2'
+            '}q_{1}q_{2}q_{5}q_{6} e^{x^2/2} - 96 x_{1}^{2}q_{3}q_{4}q_{5}q_'
+            '{6} e^{x^2/2} + 32 q_{1}q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 3'
+            '2 x_{1}^{4} e^{x^2/2} - 32 x_{1}^{2}q_{1}q_{2} e^{x^2/2} - 32 x'
+            '_{1}^{2}q_{3}q_{4} e^{x^2/2} - 48 x_{1}^{2}q_{5}q_{6} e^{x^2/2}'
+            ' + 16 q_{1}q_{2}q_{5}q_{6} e^{x^2/2} + 16 q_{3}q_{4}q_{5}q_{6} '
+            'e^{x^2/2} + 8 x_{1}^{2} e^{x^2/2} - 4 q_{5}q_{6} e^{x^2/2}',
         ),
         (
             'degree 2: dim nullspace 21, dim formula 21 [ok]',
@@ -6696,41 +6512,28 @@ _BASES_GOLDEN = {
             'true, "terms": [{"bos": [2], "fer": [4], "coeff": [{"q": [-2, '
             '1, 0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [4, 5, 6], '
             '"coeff": [{"q": [1, 1, 0, 1], "b": 0, "eps": 0}]}]}',
-            '-2/3 x_{1}^{3} e^{x^2/2} + 1 x_{1}q_{1}q_{2} e^{x^2/2}\n'
-            '1 x_{1}q_{1}q_{3} e^{x^2/2}\n'
-            '1 x_{1}q_{2}q_{3} e^{x^2/2}\n'
-            '1 x_{1}q_{1}q_{4} e^{x^2/2}\n'
-            '1 x_{1}q_{2}q_{4} e^{x^2/2}\n'
-            '-2/3 x_{1}^{3} e^{x^2/2} + 1 x_{1}q_{3}q_{4} e^{x^2/2}\n'
-            '1 x_{1}q_{1}q_{5} e^{x^2/2}\n'
-            '1 x_{1}q_{2}q_{5} e^{x^2/2}\n'
-            '1 x_{1}q_{3}q_{5} e^{x^2/2}\n'
-            '1 x_{1}q_{4}q_{5} e^{x^2/2}\n'
-            '1 x_{1}q_{1}q_{6} e^{x^2/2}\n'
-            '1 x_{1}q_{2}q_{6} e^{x^2/2}\n'
-            '1 x_{1}q_{3}q_{6} e^{x^2/2}\n'
-            '1 x_{1}q_{4}q_{6} e^{x^2/2}\n'
-            '-2/3 x_{1}^{3} e^{x^2/2} + 1 x_{1}q_{5}q_{6} e^{x^2/2}\n'
-            '-2 x_{1}^{2}q_{3} e^{x^2/2} + 1 q_{1}q_{2}q_{3} e^{x^2/2}\n'
-            '-2 x_{1}^{2}q_{4} e^{x^2/2} + 1 q_{1}q_{2}q_{4} e^{x^2/2}\n'
-            '-2 x_{1}^{2}q_{1} e^{x^2/2} + 1 q_{1}q_{3}q_{4} e^{x^2/2}\n'
-            '-2 x_{1}^{2}q_{2} e^{x^2/2} + 1 q_{2}q_{3}q_{4} e^{x^2/2}\n'
-            '-2 x_{1}^{2}q_{5} e^{x^2/2} + 1 q_{1}q_{2}q_{5} e^{x^2/2}\n'
-            '1 q_{1}q_{3}q_{5} e^{x^2/2}\n'
-            '1 q_{2}q_{3}q_{5} e^{x^2/2}\n'
-            '1 q_{1}q_{4}q_{5} e^{x^2/2}\n'
-            '1 q_{2}q_{4}q_{5} e^{x^2/2}\n'
-            '-2 x_{1}^{2}q_{5} e^{x^2/2} + 1 q_{3}q_{4}q_{5} e^{x^2/2}\n'
-            '-2 x_{1}^{2}q_{6} e^{x^2/2} + 1 q_{1}q_{2}q_{6} e^{x^2/2}\n'
-            '1 q_{1}q_{3}q_{6} e^{x^2/2}\n'
-            '1 q_{2}q_{3}q_{6} e^{x^2/2}\n'
-            '1 q_{1}q_{4}q_{6} e^{x^2/2}\n'
-            '1 q_{2}q_{4}q_{6} e^{x^2/2}\n'
-            '-2 x_{1}^{2}q_{6} e^{x^2/2} + 1 q_{3}q_{4}q_{6} e^{x^2/2}\n'
-            '-2 x_{1}^{2}q_{1} e^{x^2/2} + 1 q_{1}q_{5}q_{6} e^{x^2/2}\n'
-            '-2 x_{1}^{2}q_{2} e^{x^2/2} + 1 q_{2}q_{5}q_{6} e^{x^2/2}\n'
-            '-2 x_{1}^{2}q_{3} e^{x^2/2} + 1 q_{3}q_{5}q_{6} e^{x^2/2}\n'
-            '-2 x_{1}^{2}q_{4} e^{x^2/2} + 1 q_{4}q_{5}q_{6} e^{x^2/2}',
+            '-2/3 x_{1}^{3} e^{x^2/2} + x_{1}q_{1}q_{2} e^{x^2/2}\nx_{1}q_{1'
+            '}q_{3} e^{x^2/2}\nx_{1}q_{2}q_{3} e^{x^2/2}\nx_{1}q_{1}q_{4} e^'
+            '{x^2/2}\nx_{1}q_{2}q_{4} e^{x^2/2}\n-2/3 x_{1}^{3} e^{x^2/2} + '
+            'x_{1}q_{3}q_{4} e^{x^2/2}\nx_{1}q_{1}q_{5} e^{x^2/2}\nx_{1}q_{2'
+            '}q_{5} e^{x^2/2}\nx_{1}q_{3}q_{5} e^{x^2/2}\nx_{1}q_{4}q_{5} e^'
+            '{x^2/2}\nx_{1}q_{1}q_{6} e^{x^2/2}\nx_{1}q_{2}q_{6} e^{x^2/2}\n'
+            'x_{1}q_{3}q_{6} e^{x^2/2}\nx_{1}q_{4}q_{6} e^{x^2/2}\n-2/3 x_{1'
+            '}^{3} e^{x^2/2} + x_{1}q_{5}q_{6} e^{x^2/2}\n-2 x_{1}^{2}q_{3} '
+            'e^{x^2/2} + q_{1}q_{2}q_{3} e^{x^2/2}\n-2 x_{1}^{2}q_{4} e^{x^2'
+            '/2} + q_{1}q_{2}q_{4} e^{x^2/2}\n-2 x_{1}^{2}q_{1} e^{x^2/2} + '
+            'q_{1}q_{3}q_{4} e^{x^2/2}\n-2 x_{1}^{2}q_{2} e^{x^2/2} + q_{2}q'
+            '_{3}q_{4} e^{x^2/2}\n-2 x_{1}^{2}q_{5} e^{x^2/2} + q_{1}q_{2}q_'
+            '{5} e^{x^2/2}\nq_{1}q_{3}q_{5} e^{x^2/2}\nq_{2}q_{3}q_{5} e^{x^'
+            '2/2}\nq_{1}q_{4}q_{5} e^{x^2/2}\nq_{2}q_{4}q_{5} e^{x^2/2}\n-2 '
+            'x_{1}^{2}q_{5} e^{x^2/2} + q_{3}q_{4}q_{5} e^{x^2/2}\n-2 x_{1}^'
+            '{2}q_{6} e^{x^2/2} + q_{1}q_{2}q_{6} e^{x^2/2}\nq_{1}q_{3}q_{6}'
+            ' e^{x^2/2}\nq_{2}q_{3}q_{6} e^{x^2/2}\nq_{1}q_{4}q_{6} e^{x^2/2'
+            '}\nq_{2}q_{4}q_{6} e^{x^2/2}\n-2 x_{1}^{2}q_{6} e^{x^2/2} + q_{'
+            '3}q_{4}q_{6} e^{x^2/2}\n-2 x_{1}^{2}q_{1} e^{x^2/2} + q_{1}q_{5'
+            '}q_{6} e^{x^2/2}\n-2 x_{1}^{2}q_{2} e^{x^2/2} + q_{2}q_{5}q_{6}'
+            ' e^{x^2/2}\n-2 x_{1}^{2}q_{3} e^{x^2/2} + q_{3}q_{5}q_{6} e^{x^'
+            '2/2}\n-2 x_{1}^{2}q_{4} e^{x^2/2} + q_{4}q_{5}q_{6} e^{x^2/2}',
         ),
         (
             '8/3*x1^5*G - 20/3*x1^3*q1q2*G - 8/3*x1^3*q3q4*G - '
@@ -7046,109 +6849,87 @@ _BASES_GOLDEN = {
             '[4], "coeff": [{"q": [-4, 1, 0, 1], "b": 0, "eps": 0}]}, '
             '{"bos": [0], "fer": [4, 5, 6], "coeff": [{"q": [2, 1, 0, 1], '
             '"b": 0, "eps": 0}]}]}',
-            '8/3 x_{1}^{5} e^{x^2/2} + -20/3 x_{1}^{3}q_{1}q_{2} e^{x^2/2} + '
-            '-8/3 x_{1}^{3}q_{3}q_{4} e^{x^2/2} + -8/3 x_{1}^{3}q_{5}q_{6} '
-            'e^{x^2/2} + 4 x_{1}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 4 '
-            'x_{1}q_{1}q_{2}q_{5}q_{6} e^{x^2/2} + -4/3 x_{1}^{3} e^{x^2/2} '
-            '+ 2 x_{1}q_{1}q_{2} e^{x^2/2}\n'
-            '-4 x_{1}^{3}q_{1}q_{3} e^{x^2/2} + 4 x_{1}q_{1}q_{3}q_{5}q_{6} '
-            'e^{x^2/2} + 2 x_{1}q_{1}q_{3} e^{x^2/2}\n'
-            '-4 x_{1}^{3}q_{2}q_{3} e^{x^2/2} + 4 x_{1}q_{2}q_{3}q_{5}q_{6} '
-            'e^{x^2/2} + 2 x_{1}q_{2}q_{3} e^{x^2/2}\n'
-            '-4 x_{1}^{3}q_{1}q_{4} e^{x^2/2} + 4 x_{1}q_{1}q_{4}q_{5}q_{6} '
-            'e^{x^2/2} + 2 x_{1}q_{1}q_{4} e^{x^2/2}\n'
-            '-4 x_{1}^{3}q_{2}q_{4} e^{x^2/2} + 4 x_{1}q_{2}q_{4}q_{5}q_{6} '
-            'e^{x^2/2} + 2 x_{1}q_{2}q_{4} e^{x^2/2}\n'
-            '8/3 x_{1}^{5} e^{x^2/2} + -8/3 x_{1}^{3}q_{1}q_{2} e^{x^2/2} + '
-            '-20/3 x_{1}^{3}q_{3}q_{4} e^{x^2/2} + -8/3 x_{1}^{3}q_{5}q_{6} '
-            'e^{x^2/2} + 4 x_{1}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 4 '
-            'x_{1}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + -4/3 x_{1}^{3} e^{x^2/2} '
-            '+ 2 x_{1}q_{3}q_{4} e^{x^2/2}\n'
-            '-4 x_{1}^{3}q_{1}q_{5} e^{x^2/2} + 4 x_{1}q_{1}q_{3}q_{4}q_{5} '
-            'e^{x^2/2} + 2 x_{1}q_{1}q_{5} e^{x^2/2}\n'
-            '-4 x_{1}^{3}q_{2}q_{5} e^{x^2/2} + 4 x_{1}q_{2}q_{3}q_{4}q_{5} '
-            'e^{x^2/2} + 2 x_{1}q_{2}q_{5} e^{x^2/2}\n'
-            '-4 x_{1}^{3}q_{3}q_{5} e^{x^2/2} + 4 x_{1}q_{1}q_{2}q_{3}q_{5} '
-            'e^{x^2/2} + 2 x_{1}q_{3}q_{5} e^{x^2/2}\n'
-            '-4 x_{1}^{3}q_{4}q_{5} e^{x^2/2} + 4 x_{1}q_{1}q_{2}q_{4}q_{5} '
-            'e^{x^2/2} + 2 x_{1}q_{4}q_{5} e^{x^2/2}\n'
-            '-4 x_{1}^{3}q_{1}q_{6} e^{x^2/2} + 4 x_{1}q_{1}q_{3}q_{4}q_{6} '
-            'e^{x^2/2} + 2 x_{1}q_{1}q_{6} e^{x^2/2}\n'
-            '-4 x_{1}^{3}q_{2}q_{6} e^{x^2/2} + 4 x_{1}q_{2}q_{3}q_{4}q_{6} '
-            'e^{x^2/2} + 2 x_{1}q_{2}q_{6} e^{x^2/2}\n'
-            '-4 x_{1}^{3}q_{3}q_{6} e^{x^2/2} + 4 x_{1}q_{1}q_{2}q_{3}q_{6} '
-            'e^{x^2/2} + 2 x_{1}q_{3}q_{6} e^{x^2/2}\n'
-            '-4 x_{1}^{3}q_{4}q_{6} e^{x^2/2} + 4 x_{1}q_{1}q_{2}q_{4}q_{6} '
-            'e^{x^2/2} + 2 x_{1}q_{4}q_{6} e^{x^2/2}\n'
-            '8/3 x_{1}^{5} e^{x^2/2} + -8/3 x_{1}^{3}q_{1}q_{2} e^{x^2/2} + '
-            '-8/3 x_{1}^{3}q_{3}q_{4} e^{x^2/2} + -20/3 x_{1}^{3}q_{5}q_{6} '
-            'e^{x^2/2} + 4 x_{1}q_{1}q_{2}q_{5}q_{6} e^{x^2/2} + 4 '
-            'x_{1}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + -4/3 x_{1}^{3} e^{x^2/2} '
-            '+ 2 x_{1}q_{5}q_{6} e^{x^2/2}\n'
-            '8 x_{1}^{4}q_{3} e^{x^2/2} + -12 x_{1}^{2}q_{1}q_{2}q_{3} '
-            'e^{x^2/2} + -8 x_{1}^{2}q_{3}q_{5}q_{6} e^{x^2/2} + 4 '
-            'q_{1}q_{2}q_{3}q_{5}q_{6} e^{x^2/2} + -4 x_{1}^{2}q_{3} '
-            'e^{x^2/2} + 2 q_{1}q_{2}q_{3} e^{x^2/2}\n'
-            '8 x_{1}^{4}q_{4} e^{x^2/2} + -12 x_{1}^{2}q_{1}q_{2}q_{4} '
-            'e^{x^2/2} + -8 x_{1}^{2}q_{4}q_{5}q_{6} e^{x^2/2} + 4 '
-            'q_{1}q_{2}q_{4}q_{5}q_{6} e^{x^2/2} + -4 x_{1}^{2}q_{4} '
-            'e^{x^2/2} + 2 q_{1}q_{2}q_{4} e^{x^2/2}\n'
-            '8 x_{1}^{4}q_{1} e^{x^2/2} + -12 x_{1}^{2}q_{1}q_{3}q_{4} '
-            'e^{x^2/2} + -8 x_{1}^{2}q_{1}q_{5}q_{6} e^{x^2/2} + 4 '
-            'q_{1}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + -4 x_{1}^{2}q_{1} '
-            'e^{x^2/2} + 2 q_{1}q_{3}q_{4} e^{x^2/2}\n'
-            '8 x_{1}^{4}q_{2} e^{x^2/2} + -12 x_{1}^{2}q_{2}q_{3}q_{4} '
-            'e^{x^2/2} + -8 x_{1}^{2}q_{2}q_{5}q_{6} e^{x^2/2} + 4 '
-            'q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + -4 x_{1}^{2}q_{2} '
-            'e^{x^2/2} + 2 q_{2}q_{3}q_{4} e^{x^2/2}\n'
-            '8 x_{1}^{4}q_{5} e^{x^2/2} + -12 x_{1}^{2}q_{1}q_{2}q_{5} '
-            'e^{x^2/2} + -8 x_{1}^{2}q_{3}q_{4}q_{5} e^{x^2/2} + 4 '
-            'q_{1}q_{2}q_{3}q_{4}q_{5} e^{x^2/2} + -4 x_{1}^{2}q_{5} '
-            'e^{x^2/2} + 2 q_{1}q_{2}q_{5} e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{1}q_{3}q_{5} e^{x^2/2} + 2 q_{1}q_{3}q_{5} '
-            'e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{2}q_{3}q_{5} e^{x^2/2} + 2 q_{2}q_{3}q_{5} '
-            'e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{1}q_{4}q_{5} e^{x^2/2} + 2 q_{1}q_{4}q_{5} '
-            'e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{2}q_{4}q_{5} e^{x^2/2} + 2 q_{2}q_{4}q_{5} '
-            'e^{x^2/2}\n'
-            '8 x_{1}^{4}q_{5} e^{x^2/2} + -8 x_{1}^{2}q_{1}q_{2}q_{5} '
-            'e^{x^2/2} + -12 x_{1}^{2}q_{3}q_{4}q_{5} e^{x^2/2} + 4 '
-            'q_{1}q_{2}q_{3}q_{4}q_{5} e^{x^2/2} + -4 x_{1}^{2}q_{5} '
-            'e^{x^2/2} + 2 q_{3}q_{4}q_{5} e^{x^2/2}\n'
-            '8 x_{1}^{4}q_{6} e^{x^2/2} + -12 x_{1}^{2}q_{1}q_{2}q_{6} '
-            'e^{x^2/2} + -8 x_{1}^{2}q_{3}q_{4}q_{6} e^{x^2/2} + 4 '
-            'q_{1}q_{2}q_{3}q_{4}q_{6} e^{x^2/2} + -4 x_{1}^{2}q_{6} '
-            'e^{x^2/2} + 2 q_{1}q_{2}q_{6} e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{1}q_{3}q_{6} e^{x^2/2} + 2 q_{1}q_{3}q_{6} '
-            'e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{2}q_{3}q_{6} e^{x^2/2} + 2 q_{2}q_{3}q_{6} '
-            'e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{1}q_{4}q_{6} e^{x^2/2} + 2 q_{1}q_{4}q_{6} '
-            'e^{x^2/2}\n'
-            '-4 x_{1}^{2}q_{2}q_{4}q_{6} e^{x^2/2} + 2 q_{2}q_{4}q_{6} '
-            'e^{x^2/2}\n'
-            '8 x_{1}^{4}q_{6} e^{x^2/2} + -8 x_{1}^{2}q_{1}q_{2}q_{6} '
-            'e^{x^2/2} + -12 x_{1}^{2}q_{3}q_{4}q_{6} e^{x^2/2} + 4 '
-            'q_{1}q_{2}q_{3}q_{4}q_{6} e^{x^2/2} + -4 x_{1}^{2}q_{6} '
-            'e^{x^2/2} + 2 q_{3}q_{4}q_{6} e^{x^2/2}\n'
-            '8 x_{1}^{4}q_{1} e^{x^2/2} + -8 x_{1}^{2}q_{1}q_{3}q_{4} '
-            'e^{x^2/2} + -12 x_{1}^{2}q_{1}q_{5}q_{6} e^{x^2/2} + 4 '
-            'q_{1}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + -4 x_{1}^{2}q_{1} '
-            'e^{x^2/2} + 2 q_{1}q_{5}q_{6} e^{x^2/2}\n'
-            '8 x_{1}^{4}q_{2} e^{x^2/2} + -8 x_{1}^{2}q_{2}q_{3}q_{4} '
-            'e^{x^2/2} + -12 x_{1}^{2}q_{2}q_{5}q_{6} e^{x^2/2} + 4 '
-            'q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + -4 x_{1}^{2}q_{2} '
-            'e^{x^2/2} + 2 q_{2}q_{5}q_{6} e^{x^2/2}\n'
-            '8 x_{1}^{4}q_{3} e^{x^2/2} + -8 x_{1}^{2}q_{1}q_{2}q_{3} '
-            'e^{x^2/2} + -12 x_{1}^{2}q_{3}q_{5}q_{6} e^{x^2/2} + 4 '
-            'q_{1}q_{2}q_{3}q_{5}q_{6} e^{x^2/2} + -4 x_{1}^{2}q_{3} '
-            'e^{x^2/2} + 2 q_{3}q_{5}q_{6} e^{x^2/2}\n'
-            '8 x_{1}^{4}q_{4} e^{x^2/2} + -8 x_{1}^{2}q_{1}q_{2}q_{4} '
-            'e^{x^2/2} + -12 x_{1}^{2}q_{4}q_{5}q_{6} e^{x^2/2} + 4 '
-            'q_{1}q_{2}q_{4}q_{5}q_{6} e^{x^2/2} + -4 x_{1}^{2}q_{4} '
-            'e^{x^2/2} + 2 q_{4}q_{5}q_{6} e^{x^2/2}',
+            '8/3 x_{1}^{5} e^{x^2/2} - 20/3 x_{1}^{3}q_{1}q_{2} e^{x^2/2} - '
+            '8/3 x_{1}^{3}q_{3}q_{4} e^{x^2/2} - 8/3 x_{1}^{3}q_{5}q_{6} e^{'
+            'x^2/2} + 4 x_{1}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 4 x_{1}q_{1}q_'
+            '{2}q_{5}q_{6} e^{x^2/2} - 4/3 x_{1}^{3} e^{x^2/2} + 2 x_{1}q_{1'
+            '}q_{2} e^{x^2/2}\n-4 x_{1}^{3}q_{1}q_{3} e^{x^2/2} + 4 x_{1}q_{'
+            '1}q_{3}q_{5}q_{6} e^{x^2/2} + 2 x_{1}q_{1}q_{3} e^{x^2/2}\n-4 x'
+            '_{1}^{3}q_{2}q_{3} e^{x^2/2} + 4 x_{1}q_{2}q_{3}q_{5}q_{6} e^{x'
+            '^2/2} + 2 x_{1}q_{2}q_{3} e^{x^2/2}\n-4 x_{1}^{3}q_{1}q_{4} e^{'
+            'x^2/2} + 4 x_{1}q_{1}q_{4}q_{5}q_{6} e^{x^2/2} + 2 x_{1}q_{1}q_'
+            '{4} e^{x^2/2}\n-4 x_{1}^{3}q_{2}q_{4} e^{x^2/2} + 4 x_{1}q_{2}q'
+            '_{4}q_{5}q_{6} e^{x^2/2} + 2 x_{1}q_{2}q_{4} e^{x^2/2}\n8/3 x_{'
+            '1}^{5} e^{x^2/2} - 8/3 x_{1}^{3}q_{1}q_{2} e^{x^2/2} - 20/3 x_{'
+            '1}^{3}q_{3}q_{4} e^{x^2/2} - 8/3 x_{1}^{3}q_{5}q_{6} e^{x^2/2} '
+            '+ 4 x_{1}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 4 x_{1}q_{3}q_{4}q_{5'
+            '}q_{6} e^{x^2/2} - 4/3 x_{1}^{3} e^{x^2/2} + 2 x_{1}q_{3}q_{4} '
+            'e^{x^2/2}\n-4 x_{1}^{3}q_{1}q_{5} e^{x^2/2} + 4 x_{1}q_{1}q_{3}'
+            'q_{4}q_{5} e^{x^2/2} + 2 x_{1}q_{1}q_{5} e^{x^2/2}\n-4 x_{1}^{3'
+            '}q_{2}q_{5} e^{x^2/2} + 4 x_{1}q_{2}q_{3}q_{4}q_{5} e^{x^2/2} +'
+            ' 2 x_{1}q_{2}q_{5} e^{x^2/2}\n-4 x_{1}^{3}q_{3}q_{5} e^{x^2/2} '
+            '+ 4 x_{1}q_{1}q_{2}q_{3}q_{5} e^{x^2/2} + 2 x_{1}q_{3}q_{5} e^{'
+            'x^2/2}\n-4 x_{1}^{3}q_{4}q_{5} e^{x^2/2} + 4 x_{1}q_{1}q_{2}q_{'
+            '4}q_{5} e^{x^2/2} + 2 x_{1}q_{4}q_{5} e^{x^2/2}\n-4 x_{1}^{3}q_'
+            '{1}q_{6} e^{x^2/2} + 4 x_{1}q_{1}q_{3}q_{4}q_{6} e^{x^2/2} + 2 '
+            'x_{1}q_{1}q_{6} e^{x^2/2}\n-4 x_{1}^{3}q_{2}q_{6} e^{x^2/2} + 4'
+            ' x_{1}q_{2}q_{3}q_{4}q_{6} e^{x^2/2} + 2 x_{1}q_{2}q_{6} e^{x^2'
+            '/2}\n-4 x_{1}^{3}q_{3}q_{6} e^{x^2/2} + 4 x_{1}q_{1}q_{2}q_{3}q'
+            '_{6} e^{x^2/2} + 2 x_{1}q_{3}q_{6} e^{x^2/2}\n-4 x_{1}^{3}q_{4}'
+            'q_{6} e^{x^2/2} + 4 x_{1}q_{1}q_{2}q_{4}q_{6} e^{x^2/2} + 2 x_{'
+            '1}q_{4}q_{6} e^{x^2/2}\n8/3 x_{1}^{5} e^{x^2/2} - 8/3 x_{1}^{3}'
+            'q_{1}q_{2} e^{x^2/2} - 8/3 x_{1}^{3}q_{3}q_{4} e^{x^2/2} - 20/3'
+            ' x_{1}^{3}q_{5}q_{6} e^{x^2/2} + 4 x_{1}q_{1}q_{2}q_{5}q_{6} e^'
+            '{x^2/2} + 4 x_{1}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} - 4/3 x_{1}^{3}'
+            ' e^{x^2/2} + 2 x_{1}q_{5}q_{6} e^{x^2/2}\n8 x_{1}^{4}q_{3} e^{x'
+            '^2/2} - 12 x_{1}^{2}q_{1}q_{2}q_{3} e^{x^2/2} - 8 x_{1}^{2}q_{3'
+            '}q_{5}q_{6} e^{x^2/2} + 4 q_{1}q_{2}q_{3}q_{5}q_{6} e^{x^2/2} -'
+            ' 4 x_{1}^{2}q_{3} e^{x^2/2} + 2 q_{1}q_{2}q_{3} e^{x^2/2}\n8 x_'
+            '{1}^{4}q_{4} e^{x^2/2} - 12 x_{1}^{2}q_{1}q_{2}q_{4} e^{x^2/2} '
+            '- 8 x_{1}^{2}q_{4}q_{5}q_{6} e^{x^2/2} + 4 q_{1}q_{2}q_{4}q_{5}'
+            'q_{6} e^{x^2/2} - 4 x_{1}^{2}q_{4} e^{x^2/2} + 2 q_{1}q_{2}q_{4'
+            '} e^{x^2/2}\n8 x_{1}^{4}q_{1} e^{x^2/2} - 12 x_{1}^{2}q_{1}q_{3'
+            '}q_{4} e^{x^2/2} - 8 x_{1}^{2}q_{1}q_{5}q_{6} e^{x^2/2} + 4 q_{'
+            '1}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} - 4 x_{1}^{2}q_{1} e^{x^2/2} +'
+            ' 2 q_{1}q_{3}q_{4} e^{x^2/2}\n8 x_{1}^{4}q_{2} e^{x^2/2} - 12 x'
+            '_{1}^{2}q_{2}q_{3}q_{4} e^{x^2/2} - 8 x_{1}^{2}q_{2}q_{5}q_{6} '
+            'e^{x^2/2} + 4 q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} - 4 x_{1}^{2}'
+            'q_{2} e^{x^2/2} + 2 q_{2}q_{3}q_{4} e^{x^2/2}\n8 x_{1}^{4}q_{5}'
+            ' e^{x^2/2} - 12 x_{1}^{2}q_{1}q_{2}q_{5} e^{x^2/2} - 8 x_{1}^{2'
+            '}q_{3}q_{4}q_{5} e^{x^2/2} + 4 q_{1}q_{2}q_{3}q_{4}q_{5} e^{x^2'
+            '/2} - 4 x_{1}^{2}q_{5} e^{x^2/2} + 2 q_{1}q_{2}q_{5} e^{x^2/2}'
+            '\n-4 x_{1}^{2}q_{1}q_{3}q_{5} e^{x^2/2} + 2 q_{1}q_{3}q_{5} e^{'
+            'x^2/2}\n-4 x_{1}^{2}q_{2}q_{3}q_{5} e^{x^2/2} + 2 q_{2}q_{3}q_{'
+            '5} e^{x^2/2}\n-4 x_{1}^{2}q_{1}q_{4}q_{5} e^{x^2/2} + 2 q_{1}q_'
+            '{4}q_{5} e^{x^2/2}\n-4 x_{1}^{2}q_{2}q_{4}q_{5} e^{x^2/2} + 2 q'
+            '_{2}q_{4}q_{5} e^{x^2/2}\n8 x_{1}^{4}q_{5} e^{x^2/2} - 8 x_{1}^'
+            '{2}q_{1}q_{2}q_{5} e^{x^2/2} - 12 x_{1}^{2}q_{3}q_{4}q_{5} e^{x'
+            '^2/2} + 4 q_{1}q_{2}q_{3}q_{4}q_{5} e^{x^2/2} - 4 x_{1}^{2}q_{5'
+            '} e^{x^2/2} + 2 q_{3}q_{4}q_{5} e^{x^2/2}\n8 x_{1}^{4}q_{6} e^{'
+            'x^2/2} - 12 x_{1}^{2}q_{1}q_{2}q_{6} e^{x^2/2} - 8 x_{1}^{2}q_{'
+            '3}q_{4}q_{6} e^{x^2/2} + 4 q_{1}q_{2}q_{3}q_{4}q_{6} e^{x^2/2} '
+            '- 4 x_{1}^{2}q_{6} e^{x^2/2} + 2 q_{1}q_{2}q_{6} e^{x^2/2}\n-4 '
+            'x_{1}^{2}q_{1}q_{3}q_{6} e^{x^2/2} + 2 q_{1}q_{3}q_{6} e^{x^2/2'
+            '}\n-4 x_{1}^{2}q_{2}q_{3}q_{6} e^{x^2/2} + 2 q_{2}q_{3}q_{6} e^'
+            '{x^2/2}\n-4 x_{1}^{2}q_{1}q_{4}q_{6} e^{x^2/2} + 2 q_{1}q_{4}q_'
+            '{6} e^{x^2/2}\n-4 x_{1}^{2}q_{2}q_{4}q_{6} e^{x^2/2} + 2 q_{2}q'
+            '_{4}q_{6} e^{x^2/2}\n8 x_{1}^{4}q_{6} e^{x^2/2} - 8 x_{1}^{2}q_'
+            '{1}q_{2}q_{6} e^{x^2/2} - 12 x_{1}^{2}q_{3}q_{4}q_{6} e^{x^2/2}'
+            ' + 4 q_{1}q_{2}q_{3}q_{4}q_{6} e^{x^2/2} - 4 x_{1}^{2}q_{6} e^{'
+            'x^2/2} + 2 q_{3}q_{4}q_{6} e^{x^2/2}\n8 x_{1}^{4}q_{1} e^{x^2/2'
+            '} - 8 x_{1}^{2}q_{1}q_{3}q_{4} e^{x^2/2} - 12 x_{1}^{2}q_{1}q_{'
+            '5}q_{6} e^{x^2/2} + 4 q_{1}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} - 4 x'
+            '_{1}^{2}q_{1} e^{x^2/2} + 2 q_{1}q_{5}q_{6} e^{x^2/2}\n8 x_{1}^'
+            '{4}q_{2} e^{x^2/2} - 8 x_{1}^{2}q_{2}q_{3}q_{4} e^{x^2/2} - 12 '
+            'x_{1}^{2}q_{2}q_{5}q_{6} e^{x^2/2} + 4 q_{2}q_{3}q_{4}q_{5}q_{6'
+            '} e^{x^2/2} - 4 x_{1}^{2}q_{2} e^{x^2/2} + 2 q_{2}q_{5}q_{6} e^'
+            '{x^2/2}\n8 x_{1}^{4}q_{3} e^{x^2/2} - 8 x_{1}^{2}q_{1}q_{2}q_{3'
+            '} e^{x^2/2} - 12 x_{1}^{2}q_{3}q_{5}q_{6} e^{x^2/2} + 4 q_{1}q_'
+            '{2}q_{3}q_{5}q_{6} e^{x^2/2} - 4 x_{1}^{2}q_{3} e^{x^2/2} + 2 q'
+            '_{3}q_{5}q_{6} e^{x^2/2}\n8 x_{1}^{4}q_{4} e^{x^2/2} - 8 x_{1}^'
+            '{2}q_{1}q_{2}q_{4} e^{x^2/2} - 12 x_{1}^{2}q_{4}q_{5}q_{6} e^{x'
+            '^2/2} + 4 q_{1}q_{2}q_{4}q_{5}q_{6} e^{x^2/2} - 4 x_{1}^{2}q_{4'
+            '} e^{x^2/2} + 2 q_{4}q_{5}q_{6} e^{x^2/2}',
         ),
         (
             '-32/3*x1^7*G + 112/3*x1^5*q1q2*G + 64/3*x1^5*q3q4*G + '
@@ -7640,197 +7421,155 @@ _BASES_GOLDEN = {
             '"eps": 0}]}, {"bos": [2], "fer": [4], "coeff": [{"q": [-24, 1, '
             '0, 1], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [4, 5, 6], '
             '"coeff": [{"q": [12, 1, 0, 1], "b": 0, "eps": 0}]}]}',
-            '-32/3 x_{1}^{7} e^{x^2/2} + 112/3 x_{1}^{5}q_{1}q_{2} e^{x^2/2} '
-            '+ 64/3 x_{1}^{5}q_{3}q_{4} e^{x^2/2} + 64/3 x_{1}^{5}q_{5}q_{6} '
-            'e^{x^2/2} + -160/3 x_{1}^{3}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + '
-            '-160/3 x_{1}^{3}q_{1}q_{2}q_{5}q_{6} e^{x^2/2} + -64/3 '
-            'x_{1}^{3}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 32 '
-            'x_{1}q_{1}q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 32 x_{1}^{5} '
-            'e^{x^2/2} + -80 x_{1}^{3}q_{1}q_{2} e^{x^2/2} + -32 '
-            'x_{1}^{3}q_{3}q_{4} e^{x^2/2} + -32 x_{1}^{3}q_{5}q_{6} '
-            'e^{x^2/2} + 48 x_{1}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 48 '
-            'x_{1}q_{1}q_{2}q_{5}q_{6} e^{x^2/2} + -8 x_{1}^{3} e^{x^2/2} + '
-            '12 x_{1}q_{1}q_{2} e^{x^2/2}\n'
-            '16 x_{1}^{5}q_{1}q_{3} e^{x^2/2} + -32 '
-            'x_{1}^{3}q_{1}q_{3}q_{5}q_{6} e^{x^2/2} + -48 '
-            'x_{1}^{3}q_{1}q_{3} e^{x^2/2} + 48 x_{1}q_{1}q_{3}q_{5}q_{6} '
-            'e^{x^2/2} + 12 x_{1}q_{1}q_{3} e^{x^2/2}\n'
-            '16 x_{1}^{5}q_{2}q_{3} e^{x^2/2} + -32 '
-            'x_{1}^{3}q_{2}q_{3}q_{5}q_{6} e^{x^2/2} + -48 '
-            'x_{1}^{3}q_{2}q_{3} e^{x^2/2} + 48 x_{1}q_{2}q_{3}q_{5}q_{6} '
-            'e^{x^2/2} + 12 x_{1}q_{2}q_{3} e^{x^2/2}\n'
-            '16 x_{1}^{5}q_{1}q_{4} e^{x^2/2} + -32 '
-            'x_{1}^{3}q_{1}q_{4}q_{5}q_{6} e^{x^2/2} + -48 '
-            'x_{1}^{3}q_{1}q_{4} e^{x^2/2} + 48 x_{1}q_{1}q_{4}q_{5}q_{6} '
-            'e^{x^2/2} + 12 x_{1}q_{1}q_{4} e^{x^2/2}\n'
-            '16 x_{1}^{5}q_{2}q_{4} e^{x^2/2} + -32 '
-            'x_{1}^{3}q_{2}q_{4}q_{5}q_{6} e^{x^2/2} + -48 '
-            'x_{1}^{3}q_{2}q_{4} e^{x^2/2} + 48 x_{1}q_{2}q_{4}q_{5}q_{6} '
-            'e^{x^2/2} + 12 x_{1}q_{2}q_{4} e^{x^2/2}\n'
-            '-32/3 x_{1}^{7} e^{x^2/2} + 64/3 x_{1}^{5}q_{1}q_{2} e^{x^2/2} '
-            '+ 112/3 x_{1}^{5}q_{3}q_{4} e^{x^2/2} + 64/3 '
-            'x_{1}^{5}q_{5}q_{6} e^{x^2/2} + -160/3 '
-            'x_{1}^{3}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -64/3 '
-            'x_{1}^{3}q_{1}q_{2}q_{5}q_{6} e^{x^2/2} + -160/3 '
-            'x_{1}^{3}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 32 '
-            'x_{1}q_{1}q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 32 x_{1}^{5} '
-            'e^{x^2/2} + -32 x_{1}^{3}q_{1}q_{2} e^{x^2/2} + -80 '
-            'x_{1}^{3}q_{3}q_{4} e^{x^2/2} + -32 x_{1}^{3}q_{5}q_{6} '
-            'e^{x^2/2} + 48 x_{1}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + 48 '
-            'x_{1}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + -8 x_{1}^{3} e^{x^2/2} + '
-            '12 x_{1}q_{3}q_{4} e^{x^2/2}\n'
-            '16 x_{1}^{5}q_{1}q_{5} e^{x^2/2} + -32 '
-            'x_{1}^{3}q_{1}q_{3}q_{4}q_{5} e^{x^2/2} + -48 '
-            'x_{1}^{3}q_{1}q_{5} e^{x^2/2} + 48 x_{1}q_{1}q_{3}q_{4}q_{5} '
-            'e^{x^2/2} + 12 x_{1}q_{1}q_{5} e^{x^2/2}\n'
-            '16 x_{1}^{5}q_{2}q_{5} e^{x^2/2} + -32 '
-            'x_{1}^{3}q_{2}q_{3}q_{4}q_{5} e^{x^2/2} + -48 '
-            'x_{1}^{3}q_{2}q_{5} e^{x^2/2} + 48 x_{1}q_{2}q_{3}q_{4}q_{5} '
-            'e^{x^2/2} + 12 x_{1}q_{2}q_{5} e^{x^2/2}\n'
-            '16 x_{1}^{5}q_{3}q_{5} e^{x^2/2} + -32 '
-            'x_{1}^{3}q_{1}q_{2}q_{3}q_{5} e^{x^2/2} + -48 '
-            'x_{1}^{3}q_{3}q_{5} e^{x^2/2} + 48 x_{1}q_{1}q_{2}q_{3}q_{5} '
-            'e^{x^2/2} + 12 x_{1}q_{3}q_{5} e^{x^2/2}\n'
-            '16 x_{1}^{5}q_{4}q_{5} e^{x^2/2} + -32 '
-            'x_{1}^{3}q_{1}q_{2}q_{4}q_{5} e^{x^2/2} + -48 '
-            'x_{1}^{3}q_{4}q_{5} e^{x^2/2} + 48 x_{1}q_{1}q_{2}q_{4}q_{5} '
-            'e^{x^2/2} + 12 x_{1}q_{4}q_{5} e^{x^2/2}\n'
-            '16 x_{1}^{5}q_{1}q_{6} e^{x^2/2} + -32 '
-            'x_{1}^{3}q_{1}q_{3}q_{4}q_{6} e^{x^2/2} + -48 '
-            'x_{1}^{3}q_{1}q_{6} e^{x^2/2} + 48 x_{1}q_{1}q_{3}q_{4}q_{6} '
-            'e^{x^2/2} + 12 x_{1}q_{1}q_{6} e^{x^2/2}\n'
-            '16 x_{1}^{5}q_{2}q_{6} e^{x^2/2} + -32 '
-            'x_{1}^{3}q_{2}q_{3}q_{4}q_{6} e^{x^2/2} + -48 '
-            'x_{1}^{3}q_{2}q_{6} e^{x^2/2} + 48 x_{1}q_{2}q_{3}q_{4}q_{6} '
-            'e^{x^2/2} + 12 x_{1}q_{2}q_{6} e^{x^2/2}\n'
-            '16 x_{1}^{5}q_{3}q_{6} e^{x^2/2} + -32 '
-            'x_{1}^{3}q_{1}q_{2}q_{3}q_{6} e^{x^2/2} + -48 '
-            'x_{1}^{3}q_{3}q_{6} e^{x^2/2} + 48 x_{1}q_{1}q_{2}q_{3}q_{6} '
-            'e^{x^2/2} + 12 x_{1}q_{3}q_{6} e^{x^2/2}\n'
-            '16 x_{1}^{5}q_{4}q_{6} e^{x^2/2} + -32 '
-            'x_{1}^{3}q_{1}q_{2}q_{4}q_{6} e^{x^2/2} + -48 '
-            'x_{1}^{3}q_{4}q_{6} e^{x^2/2} + 48 x_{1}q_{1}q_{2}q_{4}q_{6} '
-            'e^{x^2/2} + 12 x_{1}q_{4}q_{6} e^{x^2/2}\n'
-            '-32/3 x_{1}^{7} e^{x^2/2} + 64/3 x_{1}^{5}q_{1}q_{2} e^{x^2/2} '
-            '+ 64/3 x_{1}^{5}q_{3}q_{4} e^{x^2/2} + 112/3 '
-            'x_{1}^{5}q_{5}q_{6} e^{x^2/2} + -64/3 '
-            'x_{1}^{3}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} + -160/3 '
-            'x_{1}^{3}q_{1}q_{2}q_{5}q_{6} e^{x^2/2} + -160/3 '
-            'x_{1}^{3}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 32 '
-            'x_{1}q_{1}q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 32 x_{1}^{5} '
-            'e^{x^2/2} + -32 x_{1}^{3}q_{1}q_{2} e^{x^2/2} + -32 '
-            'x_{1}^{3}q_{3}q_{4} e^{x^2/2} + -80 x_{1}^{3}q_{5}q_{6} '
-            'e^{x^2/2} + 48 x_{1}q_{1}q_{2}q_{5}q_{6} e^{x^2/2} + 48 '
-            'x_{1}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + -8 x_{1}^{3} e^{x^2/2} + '
-            '12 x_{1}q_{5}q_{6} e^{x^2/2}\n'
-            '-32 x_{1}^{6}q_{3} e^{x^2/2} + 80 x_{1}^{4}q_{1}q_{2}q_{3} '
-            'e^{x^2/2} + 64 x_{1}^{4}q_{3}q_{5}q_{6} e^{x^2/2} + -96 '
-            'x_{1}^{2}q_{1}q_{2}q_{3}q_{5}q_{6} e^{x^2/2} + 96 '
-            'x_{1}^{4}q_{3} e^{x^2/2} + -144 x_{1}^{2}q_{1}q_{2}q_{3} '
-            'e^{x^2/2} + -96 x_{1}^{2}q_{3}q_{5}q_{6} e^{x^2/2} + 48 '
-            'q_{1}q_{2}q_{3}q_{5}q_{6} e^{x^2/2} + -24 x_{1}^{2}q_{3} '
-            'e^{x^2/2} + 12 q_{1}q_{2}q_{3} e^{x^2/2}\n'
-            '-32 x_{1}^{6}q_{4} e^{x^2/2} + 80 x_{1}^{4}q_{1}q_{2}q_{4} '
-            'e^{x^2/2} + 64 x_{1}^{4}q_{4}q_{5}q_{6} e^{x^2/2} + -96 '
-            'x_{1}^{2}q_{1}q_{2}q_{4}q_{5}q_{6} e^{x^2/2} + 96 '
-            'x_{1}^{4}q_{4} e^{x^2/2} + -144 x_{1}^{2}q_{1}q_{2}q_{4} '
-            'e^{x^2/2} + -96 x_{1}^{2}q_{4}q_{5}q_{6} e^{x^2/2} + 48 '
-            'q_{1}q_{2}q_{4}q_{5}q_{6} e^{x^2/2} + -24 x_{1}^{2}q_{4} '
-            'e^{x^2/2} + 12 q_{1}q_{2}q_{4} e^{x^2/2}\n'
-            '-32 x_{1}^{6}q_{1} e^{x^2/2} + 80 x_{1}^{4}q_{1}q_{3}q_{4} '
-            'e^{x^2/2} + 64 x_{1}^{4}q_{1}q_{5}q_{6} e^{x^2/2} + -96 '
-            'x_{1}^{2}q_{1}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 96 '
-            'x_{1}^{4}q_{1} e^{x^2/2} + -144 x_{1}^{2}q_{1}q_{3}q_{4} '
-            'e^{x^2/2} + -96 x_{1}^{2}q_{1}q_{5}q_{6} e^{x^2/2} + 48 '
-            'q_{1}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + -24 x_{1}^{2}q_{1} '
-            'e^{x^2/2} + 12 q_{1}q_{3}q_{4} e^{x^2/2}\n'
-            '-32 x_{1}^{6}q_{2} e^{x^2/2} + 80 x_{1}^{4}q_{2}q_{3}q_{4} '
-            'e^{x^2/2} + 64 x_{1}^{4}q_{2}q_{5}q_{6} e^{x^2/2} + -96 '
-            'x_{1}^{2}q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 96 '
-            'x_{1}^{4}q_{2} e^{x^2/2} + -144 x_{1}^{2}q_{2}q_{3}q_{4} '
-            'e^{x^2/2} + -96 x_{1}^{2}q_{2}q_{5}q_{6} e^{x^2/2} + 48 '
-            'q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + -24 x_{1}^{2}q_{2} '
-            'e^{x^2/2} + 12 q_{2}q_{3}q_{4} e^{x^2/2}\n'
-            '-32 x_{1}^{6}q_{5} e^{x^2/2} + 80 x_{1}^{4}q_{1}q_{2}q_{5} '
-            'e^{x^2/2} + 64 x_{1}^{4}q_{3}q_{4}q_{5} e^{x^2/2} + -96 '
-            'x_{1}^{2}q_{1}q_{2}q_{3}q_{4}q_{5} e^{x^2/2} + 96 '
-            'x_{1}^{4}q_{5} e^{x^2/2} + -144 x_{1}^{2}q_{1}q_{2}q_{5} '
-            'e^{x^2/2} + -96 x_{1}^{2}q_{3}q_{4}q_{5} e^{x^2/2} + 48 '
-            'q_{1}q_{2}q_{3}q_{4}q_{5} e^{x^2/2} + -24 x_{1}^{2}q_{5} '
-            'e^{x^2/2} + 12 q_{1}q_{2}q_{5} e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{1}q_{3}q_{5} e^{x^2/2} + -48 '
-            'x_{1}^{2}q_{1}q_{3}q_{5} e^{x^2/2} + 12 q_{1}q_{3}q_{5} '
-            'e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{2}q_{3}q_{5} e^{x^2/2} + -48 '
-            'x_{1}^{2}q_{2}q_{3}q_{5} e^{x^2/2} + 12 q_{2}q_{3}q_{5} '
-            'e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{1}q_{4}q_{5} e^{x^2/2} + -48 '
-            'x_{1}^{2}q_{1}q_{4}q_{5} e^{x^2/2} + 12 q_{1}q_{4}q_{5} '
-            'e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{2}q_{4}q_{5} e^{x^2/2} + -48 '
-            'x_{1}^{2}q_{2}q_{4}q_{5} e^{x^2/2} + 12 q_{2}q_{4}q_{5} '
-            'e^{x^2/2}\n'
-            '-32 x_{1}^{6}q_{5} e^{x^2/2} + 64 x_{1}^{4}q_{1}q_{2}q_{5} '
-            'e^{x^2/2} + 80 x_{1}^{4}q_{3}q_{4}q_{5} e^{x^2/2} + -96 '
-            'x_{1}^{2}q_{1}q_{2}q_{3}q_{4}q_{5} e^{x^2/2} + 96 '
-            'x_{1}^{4}q_{5} e^{x^2/2} + -96 x_{1}^{2}q_{1}q_{2}q_{5} '
-            'e^{x^2/2} + -144 x_{1}^{2}q_{3}q_{4}q_{5} e^{x^2/2} + 48 '
-            'q_{1}q_{2}q_{3}q_{4}q_{5} e^{x^2/2} + -24 x_{1}^{2}q_{5} '
-            'e^{x^2/2} + 12 q_{3}q_{4}q_{5} e^{x^2/2}\n'
-            '-32 x_{1}^{6}q_{6} e^{x^2/2} + 80 x_{1}^{4}q_{1}q_{2}q_{6} '
-            'e^{x^2/2} + 64 x_{1}^{4}q_{3}q_{4}q_{6} e^{x^2/2} + -96 '
-            'x_{1}^{2}q_{1}q_{2}q_{3}q_{4}q_{6} e^{x^2/2} + 96 '
-            'x_{1}^{4}q_{6} e^{x^2/2} + -144 x_{1}^{2}q_{1}q_{2}q_{6} '
-            'e^{x^2/2} + -96 x_{1}^{2}q_{3}q_{4}q_{6} e^{x^2/2} + 48 '
-            'q_{1}q_{2}q_{3}q_{4}q_{6} e^{x^2/2} + -24 x_{1}^{2}q_{6} '
-            'e^{x^2/2} + 12 q_{1}q_{2}q_{6} e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{1}q_{3}q_{6} e^{x^2/2} + -48 '
-            'x_{1}^{2}q_{1}q_{3}q_{6} e^{x^2/2} + 12 q_{1}q_{3}q_{6} '
-            'e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{2}q_{3}q_{6} e^{x^2/2} + -48 '
-            'x_{1}^{2}q_{2}q_{3}q_{6} e^{x^2/2} + 12 q_{2}q_{3}q_{6} '
-            'e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{1}q_{4}q_{6} e^{x^2/2} + -48 '
-            'x_{1}^{2}q_{1}q_{4}q_{6} e^{x^2/2} + 12 q_{1}q_{4}q_{6} '
-            'e^{x^2/2}\n'
-            '16 x_{1}^{4}q_{2}q_{4}q_{6} e^{x^2/2} + -48 '
-            'x_{1}^{2}q_{2}q_{4}q_{6} e^{x^2/2} + 12 q_{2}q_{4}q_{6} '
-            'e^{x^2/2}\n'
-            '-32 x_{1}^{6}q_{6} e^{x^2/2} + 64 x_{1}^{4}q_{1}q_{2}q_{6} '
-            'e^{x^2/2} + 80 x_{1}^{4}q_{3}q_{4}q_{6} e^{x^2/2} + -96 '
-            'x_{1}^{2}q_{1}q_{2}q_{3}q_{4}q_{6} e^{x^2/2} + 96 '
-            'x_{1}^{4}q_{6} e^{x^2/2} + -96 x_{1}^{2}q_{1}q_{2}q_{6} '
-            'e^{x^2/2} + -144 x_{1}^{2}q_{3}q_{4}q_{6} e^{x^2/2} + 48 '
-            'q_{1}q_{2}q_{3}q_{4}q_{6} e^{x^2/2} + -24 x_{1}^{2}q_{6} '
-            'e^{x^2/2} + 12 q_{3}q_{4}q_{6} e^{x^2/2}\n'
-            '-32 x_{1}^{6}q_{1} e^{x^2/2} + 64 x_{1}^{4}q_{1}q_{3}q_{4} '
-            'e^{x^2/2} + 80 x_{1}^{4}q_{1}q_{5}q_{6} e^{x^2/2} + -96 '
-            'x_{1}^{2}q_{1}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 96 '
-            'x_{1}^{4}q_{1} e^{x^2/2} + -96 x_{1}^{2}q_{1}q_{3}q_{4} '
-            'e^{x^2/2} + -144 x_{1}^{2}q_{1}q_{5}q_{6} e^{x^2/2} + 48 '
-            'q_{1}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + -24 x_{1}^{2}q_{1} '
-            'e^{x^2/2} + 12 q_{1}q_{5}q_{6} e^{x^2/2}\n'
-            '-32 x_{1}^{6}q_{2} e^{x^2/2} + 64 x_{1}^{4}q_{2}q_{3}q_{4} '
-            'e^{x^2/2} + 80 x_{1}^{4}q_{2}q_{5}q_{6} e^{x^2/2} + -96 '
-            'x_{1}^{2}q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 96 '
-            'x_{1}^{4}q_{2} e^{x^2/2} + -96 x_{1}^{2}q_{2}q_{3}q_{4} '
-            'e^{x^2/2} + -144 x_{1}^{2}q_{2}q_{5}q_{6} e^{x^2/2} + 48 '
-            'q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + -24 x_{1}^{2}q_{2} '
-            'e^{x^2/2} + 12 q_{2}q_{5}q_{6} e^{x^2/2}\n'
-            '-32 x_{1}^{6}q_{3} e^{x^2/2} + 64 x_{1}^{4}q_{1}q_{2}q_{3} '
-            'e^{x^2/2} + 80 x_{1}^{4}q_{3}q_{5}q_{6} e^{x^2/2} + -96 '
-            'x_{1}^{2}q_{1}q_{2}q_{3}q_{5}q_{6} e^{x^2/2} + 96 '
-            'x_{1}^{4}q_{3} e^{x^2/2} + -96 x_{1}^{2}q_{1}q_{2}q_{3} '
-            'e^{x^2/2} + -144 x_{1}^{2}q_{3}q_{5}q_{6} e^{x^2/2} + 48 '
-            'q_{1}q_{2}q_{3}q_{5}q_{6} e^{x^2/2} + -24 x_{1}^{2}q_{3} '
-            'e^{x^2/2} + 12 q_{3}q_{5}q_{6} e^{x^2/2}\n'
-            '-32 x_{1}^{6}q_{4} e^{x^2/2} + 64 x_{1}^{4}q_{1}q_{2}q_{4} '
-            'e^{x^2/2} + 80 x_{1}^{4}q_{4}q_{5}q_{6} e^{x^2/2} + -96 '
-            'x_{1}^{2}q_{1}q_{2}q_{4}q_{5}q_{6} e^{x^2/2} + 96 '
-            'x_{1}^{4}q_{4} e^{x^2/2} + -96 x_{1}^{2}q_{1}q_{2}q_{4} '
-            'e^{x^2/2} + -144 x_{1}^{2}q_{4}q_{5}q_{6} e^{x^2/2} + 48 '
-            'q_{1}q_{2}q_{4}q_{5}q_{6} e^{x^2/2} + -24 x_{1}^{2}q_{4} '
-            'e^{x^2/2} + 12 q_{4}q_{5}q_{6} e^{x^2/2}',
+            '-32/3 x_{1}^{7} e^{x^2/2} + 112/3 x_{1}^{5}q_{1}q_{2} e^{x^2/2}'
+            ' + 64/3 x_{1}^{5}q_{3}q_{4} e^{x^2/2} + 64/3 x_{1}^{5}q_{5}q_{6'
+            '} e^{x^2/2} - 160/3 x_{1}^{3}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} - 1'
+            '60/3 x_{1}^{3}q_{1}q_{2}q_{5}q_{6} e^{x^2/2} - 64/3 x_{1}^{3}q_'
+            '{3}q_{4}q_{5}q_{6} e^{x^2/2} + 32 x_{1}q_{1}q_{2}q_{3}q_{4}q_{5'
+            '}q_{6} e^{x^2/2} + 32 x_{1}^{5} e^{x^2/2} - 80 x_{1}^{3}q_{1}q_'
+            '{2} e^{x^2/2} - 32 x_{1}^{3}q_{3}q_{4} e^{x^2/2} - 32 x_{1}^{3}'
+            'q_{5}q_{6} e^{x^2/2} + 48 x_{1}q_{1}q_{2}q_{3}q_{4} e^{x^2/2} +'
+            ' 48 x_{1}q_{1}q_{2}q_{5}q_{6} e^{x^2/2} - 8 x_{1}^{3} e^{x^2/2}'
+            ' + 12 x_{1}q_{1}q_{2} e^{x^2/2}\n16 x_{1}^{5}q_{1}q_{3} e^{x^2/'
+            '2} - 32 x_{1}^{3}q_{1}q_{3}q_{5}q_{6} e^{x^2/2} - 48 x_{1}^{3}q'
+            '_{1}q_{3} e^{x^2/2} + 48 x_{1}q_{1}q_{3}q_{5}q_{6} e^{x^2/2} + '
+            '12 x_{1}q_{1}q_{3} e^{x^2/2}\n16 x_{1}^{5}q_{2}q_{3} e^{x^2/2} '
+            '- 32 x_{1}^{3}q_{2}q_{3}q_{5}q_{6} e^{x^2/2} - 48 x_{1}^{3}q_{2'
+            '}q_{3} e^{x^2/2} + 48 x_{1}q_{2}q_{3}q_{5}q_{6} e^{x^2/2} + 12 '
+            'x_{1}q_{2}q_{3} e^{x^2/2}\n16 x_{1}^{5}q_{1}q_{4} e^{x^2/2} - 3'
+            '2 x_{1}^{3}q_{1}q_{4}q_{5}q_{6} e^{x^2/2} - 48 x_{1}^{3}q_{1}q_'
+            '{4} e^{x^2/2} + 48 x_{1}q_{1}q_{4}q_{5}q_{6} e^{x^2/2} + 12 x_{'
+            '1}q_{1}q_{4} e^{x^2/2}\n16 x_{1}^{5}q_{2}q_{4} e^{x^2/2} - 32 x'
+            '_{1}^{3}q_{2}q_{4}q_{5}q_{6} e^{x^2/2} - 48 x_{1}^{3}q_{2}q_{4}'
+            ' e^{x^2/2} + 48 x_{1}q_{2}q_{4}q_{5}q_{6} e^{x^2/2} + 12 x_{1}q'
+            '_{2}q_{4} e^{x^2/2}\n-32/3 x_{1}^{7} e^{x^2/2} + 64/3 x_{1}^{5}'
+            'q_{1}q_{2} e^{x^2/2} + 112/3 x_{1}^{5}q_{3}q_{4} e^{x^2/2} + 64'
+            '/3 x_{1}^{5}q_{5}q_{6} e^{x^2/2} - 160/3 x_{1}^{3}q_{1}q_{2}q_{'
+            '3}q_{4} e^{x^2/2} - 64/3 x_{1}^{3}q_{1}q_{2}q_{5}q_{6} e^{x^2/2'
+            '} - 160/3 x_{1}^{3}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 32 x_{1}q_{'
+            '1}q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 32 x_{1}^{5} e^{x^2/2} '
+            '- 32 x_{1}^{3}q_{1}q_{2} e^{x^2/2} - 80 x_{1}^{3}q_{3}q_{4} e^{'
+            'x^2/2} - 32 x_{1}^{3}q_{5}q_{6} e^{x^2/2} + 48 x_{1}q_{1}q_{2}q'
+            '_{3}q_{4} e^{x^2/2} + 48 x_{1}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} - '
+            '8 x_{1}^{3} e^{x^2/2} + 12 x_{1}q_{3}q_{4} e^{x^2/2}\n16 x_{1}^'
+            '{5}q_{1}q_{5} e^{x^2/2} - 32 x_{1}^{3}q_{1}q_{3}q_{4}q_{5} e^{x'
+            '^2/2} - 48 x_{1}^{3}q_{1}q_{5} e^{x^2/2} + 48 x_{1}q_{1}q_{3}q_'
+            '{4}q_{5} e^{x^2/2} + 12 x_{1}q_{1}q_{5} e^{x^2/2}\n16 x_{1}^{5}'
+            'q_{2}q_{5} e^{x^2/2} - 32 x_{1}^{3}q_{2}q_{3}q_{4}q_{5} e^{x^2/'
+            '2} - 48 x_{1}^{3}q_{2}q_{5} e^{x^2/2} + 48 x_{1}q_{2}q_{3}q_{4}'
+            'q_{5} e^{x^2/2} + 12 x_{1}q_{2}q_{5} e^{x^2/2}\n16 x_{1}^{5}q_{'
+            '3}q_{5} e^{x^2/2} - 32 x_{1}^{3}q_{1}q_{2}q_{3}q_{5} e^{x^2/2} '
+            '- 48 x_{1}^{3}q_{3}q_{5} e^{x^2/2} + 48 x_{1}q_{1}q_{2}q_{3}q_{'
+            '5} e^{x^2/2} + 12 x_{1}q_{3}q_{5} e^{x^2/2}\n16 x_{1}^{5}q_{4}q'
+            '_{5} e^{x^2/2} - 32 x_{1}^{3}q_{1}q_{2}q_{4}q_{5} e^{x^2/2} - 4'
+            '8 x_{1}^{3}q_{4}q_{5} e^{x^2/2} + 48 x_{1}q_{1}q_{2}q_{4}q_{5} '
+            'e^{x^2/2} + 12 x_{1}q_{4}q_{5} e^{x^2/2}\n16 x_{1}^{5}q_{1}q_{6'
+            '} e^{x^2/2} - 32 x_{1}^{3}q_{1}q_{3}q_{4}q_{6} e^{x^2/2} - 48 x'
+            '_{1}^{3}q_{1}q_{6} e^{x^2/2} + 48 x_{1}q_{1}q_{3}q_{4}q_{6} e^{'
+            'x^2/2} + 12 x_{1}q_{1}q_{6} e^{x^2/2}\n16 x_{1}^{5}q_{2}q_{6} e'
+            '^{x^2/2} - 32 x_{1}^{3}q_{2}q_{3}q_{4}q_{6} e^{x^2/2} - 48 x_{1'
+            '}^{3}q_{2}q_{6} e^{x^2/2} + 48 x_{1}q_{2}q_{3}q_{4}q_{6} e^{x^2'
+            '/2} + 12 x_{1}q_{2}q_{6} e^{x^2/2}\n16 x_{1}^{5}q_{3}q_{6} e^{x'
+            '^2/2} - 32 x_{1}^{3}q_{1}q_{2}q_{3}q_{6} e^{x^2/2} - 48 x_{1}^{'
+            '3}q_{3}q_{6} e^{x^2/2} + 48 x_{1}q_{1}q_{2}q_{3}q_{6} e^{x^2/2}'
+            ' + 12 x_{1}q_{3}q_{6} e^{x^2/2}\n16 x_{1}^{5}q_{4}q_{6} e^{x^2/'
+            '2} - 32 x_{1}^{3}q_{1}q_{2}q_{4}q_{6} e^{x^2/2} - 48 x_{1}^{3}q'
+            '_{4}q_{6} e^{x^2/2} + 48 x_{1}q_{1}q_{2}q_{4}q_{6} e^{x^2/2} + '
+            '12 x_{1}q_{4}q_{6} e^{x^2/2}\n-32/3 x_{1}^{7} e^{x^2/2} + 64/3 '
+            'x_{1}^{5}q_{1}q_{2} e^{x^2/2} + 64/3 x_{1}^{5}q_{3}q_{4} e^{x^2'
+            '/2} + 112/3 x_{1}^{5}q_{5}q_{6} e^{x^2/2} - 64/3 x_{1}^{3}q_{1}'
+            'q_{2}q_{3}q_{4} e^{x^2/2} - 160/3 x_{1}^{3}q_{1}q_{2}q_{5}q_{6}'
+            ' e^{x^2/2} - 160/3 x_{1}^{3}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 32'
+            ' x_{1}q_{1}q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 32 x_{1}^{5} e'
+            '^{x^2/2} - 32 x_{1}^{3}q_{1}q_{2} e^{x^2/2} - 32 x_{1}^{3}q_{3}'
+            'q_{4} e^{x^2/2} - 80 x_{1}^{3}q_{5}q_{6} e^{x^2/2} + 48 x_{1}q_'
+            '{1}q_{2}q_{5}q_{6} e^{x^2/2} + 48 x_{1}q_{3}q_{4}q_{5}q_{6} e^{'
+            'x^2/2} - 8 x_{1}^{3} e^{x^2/2} + 12 x_{1}q_{5}q_{6} e^{x^2/2}\n'
+            '-32 x_{1}^{6}q_{3} e^{x^2/2} + 80 x_{1}^{4}q_{1}q_{2}q_{3} e^{x'
+            '^2/2} + 64 x_{1}^{4}q_{3}q_{5}q_{6} e^{x^2/2} - 96 x_{1}^{2}q_{'
+            '1}q_{2}q_{3}q_{5}q_{6} e^{x^2/2} + 96 x_{1}^{4}q_{3} e^{x^2/2} '
+            '- 144 x_{1}^{2}q_{1}q_{2}q_{3} e^{x^2/2} - 96 x_{1}^{2}q_{3}q_{'
+            '5}q_{6} e^{x^2/2} + 48 q_{1}q_{2}q_{3}q_{5}q_{6} e^{x^2/2} - 24'
+            ' x_{1}^{2}q_{3} e^{x^2/2} + 12 q_{1}q_{2}q_{3} e^{x^2/2}\n-32 x'
+            '_{1}^{6}q_{4} e^{x^2/2} + 80 x_{1}^{4}q_{1}q_{2}q_{4} e^{x^2/2}'
+            ' + 64 x_{1}^{4}q_{4}q_{5}q_{6} e^{x^2/2} - 96 x_{1}^{2}q_{1}q_{'
+            '2}q_{4}q_{5}q_{6} e^{x^2/2} + 96 x_{1}^{4}q_{4} e^{x^2/2} - 144'
+            ' x_{1}^{2}q_{1}q_{2}q_{4} e^{x^2/2} - 96 x_{1}^{2}q_{4}q_{5}q_{'
+            '6} e^{x^2/2} + 48 q_{1}q_{2}q_{4}q_{5}q_{6} e^{x^2/2} - 24 x_{1'
+            '}^{2}q_{4} e^{x^2/2} + 12 q_{1}q_{2}q_{4} e^{x^2/2}\n-32 x_{1}^'
+            '{6}q_{1} e^{x^2/2} + 80 x_{1}^{4}q_{1}q_{3}q_{4} e^{x^2/2} + 64'
+            ' x_{1}^{4}q_{1}q_{5}q_{6} e^{x^2/2} - 96 x_{1}^{2}q_{1}q_{3}q_{'
+            '4}q_{5}q_{6} e^{x^2/2} + 96 x_{1}^{4}q_{1} e^{x^2/2} - 144 x_{1'
+            '}^{2}q_{1}q_{3}q_{4} e^{x^2/2} - 96 x_{1}^{2}q_{1}q_{5}q_{6} e^'
+            '{x^2/2} + 48 q_{1}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} - 24 x_{1}^{2}'
+            'q_{1} e^{x^2/2} + 12 q_{1}q_{3}q_{4} e^{x^2/2}\n-32 x_{1}^{6}q_'
+            '{2} e^{x^2/2} + 80 x_{1}^{4}q_{2}q_{3}q_{4} e^{x^2/2} + 64 x_{1'
+            '}^{4}q_{2}q_{5}q_{6} e^{x^2/2} - 96 x_{1}^{2}q_{2}q_{3}q_{4}q_{'
+            '5}q_{6} e^{x^2/2} + 96 x_{1}^{4}q_{2} e^{x^2/2} - 144 x_{1}^{2}'
+            'q_{2}q_{3}q_{4} e^{x^2/2} - 96 x_{1}^{2}q_{2}q_{5}q_{6} e^{x^2/'
+            '2} + 48 q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} - 24 x_{1}^{2}q_{2}'
+            ' e^{x^2/2} + 12 q_{2}q_{3}q_{4} e^{x^2/2}\n-32 x_{1}^{6}q_{5} e'
+            '^{x^2/2} + 80 x_{1}^{4}q_{1}q_{2}q_{5} e^{x^2/2} + 64 x_{1}^{4}'
+            'q_{3}q_{4}q_{5} e^{x^2/2} - 96 x_{1}^{2}q_{1}q_{2}q_{3}q_{4}q_{'
+            '5} e^{x^2/2} + 96 x_{1}^{4}q_{5} e^{x^2/2} - 144 x_{1}^{2}q_{1}'
+            'q_{2}q_{5} e^{x^2/2} - 96 x_{1}^{2}q_{3}q_{4}q_{5} e^{x^2/2} + '
+            '48 q_{1}q_{2}q_{3}q_{4}q_{5} e^{x^2/2} - 24 x_{1}^{2}q_{5} e^{x'
+            '^2/2} + 12 q_{1}q_{2}q_{5} e^{x^2/2}\n16 x_{1}^{4}q_{1}q_{3}q_{'
+            '5} e^{x^2/2} - 48 x_{1}^{2}q_{1}q_{3}q_{5} e^{x^2/2} + 12 q_{1}'
+            'q_{3}q_{5} e^{x^2/2}\n16 x_{1}^{4}q_{2}q_{3}q_{5} e^{x^2/2} - 4'
+            '8 x_{1}^{2}q_{2}q_{3}q_{5} e^{x^2/2} + 12 q_{2}q_{3}q_{5} e^{x^'
+            '2/2}\n16 x_{1}^{4}q_{1}q_{4}q_{5} e^{x^2/2} - 48 x_{1}^{2}q_{1}'
+            'q_{4}q_{5} e^{x^2/2} + 12 q_{1}q_{4}q_{5} e^{x^2/2}\n16 x_{1}^{'
+            '4}q_{2}q_{4}q_{5} e^{x^2/2} - 48 x_{1}^{2}q_{2}q_{4}q_{5} e^{x^'
+            '2/2} + 12 q_{2}q_{4}q_{5} e^{x^2/2}\n-32 x_{1}^{6}q_{5} e^{x^2/'
+            '2} + 64 x_{1}^{4}q_{1}q_{2}q_{5} e^{x^2/2} + 80 x_{1}^{4}q_{3}q'
+            '_{4}q_{5} e^{x^2/2} - 96 x_{1}^{2}q_{1}q_{2}q_{3}q_{4}q_{5} e^{'
+            'x^2/2} + 96 x_{1}^{4}q_{5} e^{x^2/2} - 96 x_{1}^{2}q_{1}q_{2}q_'
+            '{5} e^{x^2/2} - 144 x_{1}^{2}q_{3}q_{4}q_{5} e^{x^2/2} + 48 q_{'
+            '1}q_{2}q_{3}q_{4}q_{5} e^{x^2/2} - 24 x_{1}^{2}q_{5} e^{x^2/2} '
+            '+ 12 q_{3}q_{4}q_{5} e^{x^2/2}\n-32 x_{1}^{6}q_{6} e^{x^2/2} + '
+            '80 x_{1}^{4}q_{1}q_{2}q_{6} e^{x^2/2} + 64 x_{1}^{4}q_{3}q_{4}q'
+            '_{6} e^{x^2/2} - 96 x_{1}^{2}q_{1}q_{2}q_{3}q_{4}q_{6} e^{x^2/2'
+            '} + 96 x_{1}^{4}q_{6} e^{x^2/2} - 144 x_{1}^{2}q_{1}q_{2}q_{6} '
+            'e^{x^2/2} - 96 x_{1}^{2}q_{3}q_{4}q_{6} e^{x^2/2} + 48 q_{1}q_{'
+            '2}q_{3}q_{4}q_{6} e^{x^2/2} - 24 x_{1}^{2}q_{6} e^{x^2/2} + 12 '
+            'q_{1}q_{2}q_{6} e^{x^2/2}\n16 x_{1}^{4}q_{1}q_{3}q_{6} e^{x^2/2'
+            '} - 48 x_{1}^{2}q_{1}q_{3}q_{6} e^{x^2/2} + 12 q_{1}q_{3}q_{6} '
+            'e^{x^2/2}\n16 x_{1}^{4}q_{2}q_{3}q_{6} e^{x^2/2} - 48 x_{1}^{2}'
+            'q_{2}q_{3}q_{6} e^{x^2/2} + 12 q_{2}q_{3}q_{6} e^{x^2/2}\n16 x_'
+            '{1}^{4}q_{1}q_{4}q_{6} e^{x^2/2} - 48 x_{1}^{2}q_{1}q_{4}q_{6} '
+            'e^{x^2/2} + 12 q_{1}q_{4}q_{6} e^{x^2/2}\n16 x_{1}^{4}q_{2}q_{4'
+            '}q_{6} e^{x^2/2} - 48 x_{1}^{2}q_{2}q_{4}q_{6} e^{x^2/2} + 12 q'
+            '_{2}q_{4}q_{6} e^{x^2/2}\n-32 x_{1}^{6}q_{6} e^{x^2/2} + 64 x_{'
+            '1}^{4}q_{1}q_{2}q_{6} e^{x^2/2} + 80 x_{1}^{4}q_{3}q_{4}q_{6} e'
+            '^{x^2/2} - 96 x_{1}^{2}q_{1}q_{2}q_{3}q_{4}q_{6} e^{x^2/2} + 96'
+            ' x_{1}^{4}q_{6} e^{x^2/2} - 96 x_{1}^{2}q_{1}q_{2}q_{6} e^{x^2/'
+            '2} - 144 x_{1}^{2}q_{3}q_{4}q_{6} e^{x^2/2} + 48 q_{1}q_{2}q_{3'
+            '}q_{4}q_{6} e^{x^2/2} - 24 x_{1}^{2}q_{6} e^{x^2/2} + 12 q_{3}q'
+            '_{4}q_{6} e^{x^2/2}\n-32 x_{1}^{6}q_{1} e^{x^2/2} + 64 x_{1}^{4'
+            '}q_{1}q_{3}q_{4} e^{x^2/2} + 80 x_{1}^{4}q_{1}q_{5}q_{6} e^{x^2'
+            '/2} - 96 x_{1}^{2}q_{1}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 96 x_{1'
+            '}^{4}q_{1} e^{x^2/2} - 96 x_{1}^{2}q_{1}q_{3}q_{4} e^{x^2/2} - '
+            '144 x_{1}^{2}q_{1}q_{5}q_{6} e^{x^2/2} + 48 q_{1}q_{3}q_{4}q_{5'
+            '}q_{6} e^{x^2/2} - 24 x_{1}^{2}q_{1} e^{x^2/2} + 12 q_{1}q_{5}q'
+            '_{6} e^{x^2/2}\n-32 x_{1}^{6}q_{2} e^{x^2/2} + 64 x_{1}^{4}q_{2'
+            '}q_{3}q_{4} e^{x^2/2} + 80 x_{1}^{4}q_{2}q_{5}q_{6} e^{x^2/2} -'
+            ' 96 x_{1}^{2}q_{2}q_{3}q_{4}q_{5}q_{6} e^{x^2/2} + 96 x_{1}^{4}'
+            'q_{2} e^{x^2/2} - 96 x_{1}^{2}q_{2}q_{3}q_{4} e^{x^2/2} - 144 x'
+            '_{1}^{2}q_{2}q_{5}q_{6} e^{x^2/2} + 48 q_{2}q_{3}q_{4}q_{5}q_{6'
+            '} e^{x^2/2} - 24 x_{1}^{2}q_{2} e^{x^2/2} + 12 q_{2}q_{5}q_{6} '
+            'e^{x^2/2}\n-32 x_{1}^{6}q_{3} e^{x^2/2} + 64 x_{1}^{4}q_{1}q_{2'
+            '}q_{3} e^{x^2/2} + 80 x_{1}^{4}q_{3}q_{5}q_{6} e^{x^2/2} - 96 x'
+            '_{1}^{2}q_{1}q_{2}q_{3}q_{5}q_{6} e^{x^2/2} + 96 x_{1}^{4}q_{3}'
+            ' e^{x^2/2} - 96 x_{1}^{2}q_{1}q_{2}q_{3} e^{x^2/2} - 144 x_{1}^'
+            '{2}q_{3}q_{5}q_{6} e^{x^2/2} + 48 q_{1}q_{2}q_{3}q_{5}q_{6} e^{'
+            'x^2/2} - 24 x_{1}^{2}q_{3} e^{x^2/2} + 12 q_{3}q_{5}q_{6} e^{x^'
+            '2/2}\n-32 x_{1}^{6}q_{4} e^{x^2/2} + 64 x_{1}^{4}q_{1}q_{2}q_{4'
+            '} e^{x^2/2} + 80 x_{1}^{4}q_{4}q_{5}q_{6} e^{x^2/2} - 96 x_{1}^'
+            '{2}q_{1}q_{2}q_{4}q_{5}q_{6} e^{x^2/2} + 96 x_{1}^{4}q_{4} e^{x'
+            '^2/2} - 96 x_{1}^{2}q_{1}q_{2}q_{4} e^{x^2/2} - 144 x_{1}^{2}q_'
+            '{4}q_{5}q_{6} e^{x^2/2} + 48 q_{1}q_{2}q_{4}q_{5}q_{6} e^{x^2/2'
+            '} - 24 x_{1}^{2}q_{4} e^{x^2/2} + 12 q_{4}q_{5}q_{6} e^{x^2/2}',
         ),
         (
             'degree 3: dim nullspace 35, dim formula 35 [ok]',
@@ -7955,17 +7694,17 @@ _BASES_SHA256 = {
     ('hermite', '--j', '0'): (
         'a1c65870f2b0f487418bf56698eb7d1409ea4de1252b2ede0c551fa1edd6f9c9',
         'ce0e0c3e97eb49cd1fe0f582d7d00ab749ac088226f528c91c54d9e4ff3ce165',
-        '8a56c3929db73ae9e5bce63e0ee0d2794de12547e52d8fd48a0a6745e51bd3a4',
+        '286a462510268a38585e0abb760128d5847e5745c07d0a11a385454b23d901f8',
     ),
     ('hermite', '--j', '1'): (
         'd24e879e52066145252f87cb24a6e281bb148d9f4c25dcbdec68933860fae89d',
         'ae8f22fcaf8124cd94ce52b4f75e0ee482838dcb45ec567878356b628673c7e2',
-        '3efa542d60e05dfbb5ba338c6c5a8db8be64e18471fe58764a1bf980d6a58fad',
+        '51180b51e7bd2ee4e4e370465258b637a100d12a867f0148fd8e7039acd6acb7',
     ),
     ('hermite', '--j', '2'): (
         '6809787aa1c596ffcdd5049e3cb920e5a181e8a226d7fc974e2cb8b624f109ff',
         '5547d59ba07d955026bc517394a297914a37a852066473e0806c040c8ab8b34b',
-        '84a22f27b71c37e2a6505a4f4c96b1a9bf3d4ac4b8ff1d91c681b1b448cbc691',
+        '789e4fd28c41188c3204569efbcb5df500672f6155acb944ccb37c0f6f3d94f8',
     ),
     ('decompose',): (
         'e4f60515f223fc16be4193c388add654386d61be36c7a18d77cb8b60e636038f',

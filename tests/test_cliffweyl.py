@@ -4,7 +4,7 @@ from supertransform import _linalg, cliffweyl
 from supertransform.cliffweyl import (CValued, CWElement, _cw_keys, _lift,
                                       _mul_keys, cw_mul, dirac_apply,
                                       monogenic_basis, vector_mul)
-from supertransform.operators import euler, laplace
+from supertransform.operators import laplace
 from supertransform.scalars import ExactScalar
 from supertransform.superalg import (SuperPolynomial, VariableUniverse,
                                      homogeneous_monomials)
@@ -57,50 +57,12 @@ def test_normal_ordering_confluent(rng):
         assert left == right
 
 
-def test_dirac_on_x_gives_superdimension():
-    for m, n in [(1, 0), (0, 1), (1, 1), (2, 1), (3, 2)]:
-        u = VariableUniverse.standard(m, n)
-        one = CValued.from_scalar(SuperPolynomial.one(u))
-        got = dirac_apply(vector_mul(one))
-        want = one.scale(u.superdim) if u.superdim else CValued(u, {})
-        assert got == want
-
-
-def test_dirac_squared_is_laplace(rng):
-    for m, n in [(1, 1), (2, 2)]:
-        u = VariableUniverse.standard(m, n)
-        for _ in range(10):
-            f = random_poly(u, rng, degree=4, nterms=4)
-            twice = dirac_apply(dirac_apply(f))
-            assert twice.scalar_function() == laplace(f, "full")
-
-
-def test_anticommutator_x_dirac(rng):
-    # x d_x + d_x x = 2E + M on random C-valued polynomials
-    for m, n in [(1, 1), (2, 1)]:
-        u = VariableUniverse.standard(m, n)
-        for _ in range(8):
-            f = CValued.from_scalar(random_poly(u, rng, degree=3, nterms=4))
-            lhs = vector_mul(dirac_apply(f)) + dirac_apply(vector_mul(f))
-            rhs = f.map_parts(euler).scale(2) + f.scale(u.superdim)
-            assert lhs == rhs
-
-
 def test_dirac_of_x_squared():
     # Lemma with s=1, k=0: d_x(x^2 * 1) = 2x
     u = VariableUniverse.standard(2, 1)
     one = CValued.from_scalar(SuperPolynomial.one(u))
     got = dirac_apply(vector_pow_mul(one, 2))
     assert got == vector_mul(one).scale(2)
-
-
-def test_x_squared_scalar_part_is_vector_square():
-    from supertransform.superalg import vector_square
-    for m, n in [(1, 1), (2, 2)]:
-        u = VariableUniverse.standard(m, n)
-        one = CValued.from_scalar(SuperPolynomial.one(u))
-        xx = vector_pow_mul(one, 2)
-        assert xx.scalar_function() == vector_square(u)
 
 
 def vector_pow_mul(f, j):

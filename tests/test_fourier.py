@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from supertransform.fourier import (berezin, convolution_fermionic,
-                                    delta_fourier, fermionic_delta,
                                     fermionic_fourier,
                                     fermionic_fourier_gaussian,
                                     bosonic_fourier,
@@ -13,7 +12,6 @@ from supertransform.fourier import (berezin, convolution_fermionic,
 from supertransform.cliffweyl import CValued
 from supertransform.fracfourier import (frac_fourier, frac_fourier_cvalued,
                                         max_coeff_deviation)
-from supertransform.harmonics import harmonic_basis
 from supertransform.hermite import psi_span
 from supertransform.operators import fermionic_derivative, laplace
 from supertransform.radon import radon
@@ -23,7 +21,6 @@ from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      sp_mul, sp_rename)
 from tests.conftest import random_poly, random_scalar
 from tests.oracles import (fermionic_envelope_poly, fermionic_kernel,
-                           fermionic_square_power,
                            gaussian_expand_fermionic, grassmann_shift,
                            kernel_route, operator_exponential_fourier)
 
@@ -80,34 +77,12 @@ def test_berezin_exponential_formula(rng):
             assert lhs_const == rhs
 
 
-def test_fermionic_power_formula():
-    # F(x`^(2k)) = 2^(2k-n) k!/(n-k)! y`^(2n-2k), both signs, n <= 4
-    for n in range(1, 5):
-        u = VariableUniverse.standard(0, n)
-        for k in range(n + 1):
-            f = fermionic_square_power(u, k)
-            want = fermionic_square_power(u, n - k).scale(
-                ExactScalar.rational(
-                    Fraction(2 ** (2 * k) * _factorial(k),
-                             2 ** n * _factorial(n - k))))
-            for sign in ("+", "-"):
-                assert fermionic_fourier(f, sign) == want, (n, k, sign)
-
-
 def test_fermionic_transform_of_one_n1():
     u = VariableUniverse.standard(0, 1)
     got = fermionic_fourier(SuperPolynomial.one(u), "+")
     want = SuperPolynomial(u, {((), 0b11): ExactScalar.rational(1, 2)})
     assert got == want
     assert fermionic_fourier(SuperPolynomial.one(u), "-") == want
-
-
-def test_gaussian_invariance_fermionic():
-    for n in range(1, 5):
-        u = VariableUniverse.standard(0, n)
-        env = fermionic_envelope_poly(u)
-        for sign in ("+", "-"):
-            assert fermionic_fourier(env, sign) == env
 
 
 def test_kernel_symmetry():
@@ -152,53 +127,6 @@ def test_homogeneity_flip():
             degs = {mk.bit_count() for (_, mk) in img.terms}
             assert degs in ({n2 - mask.bit_count()}, set())
             assert img, mask   # transform never kills a monomial
-
-
-def test_fermionic_inversion_all_monomials():
-    for n in (1, 2, 3):
-        u = VariableUniverse.standard(0, n)
-        for mask in range(1 << (2 * n)):
-            f = SuperPolynomial(u, {((), mask): ExactScalar.one()})
-            assert fermionic_fourier(fermionic_fourier(f, "-"), "+") == f
-            assert fermionic_fourier(fermionic_fourier(f, "+"), "-") == f
-
-
-def test_fermionic_eigen_theorem():
-    # F(H_l exp) = (+/- i)^l H_l exp for every fermionic harmonic, l <= 2n
-    for n in (1, 2, 3):
-        u = VariableUniverse.standard(0, n)
-        env = fermionic_envelope_poly(u)
-        for l in range(2 * n + 1):
-            for h in harmonic_basis(l, "fermionic", u):
-                f = sp_mul(h, env)
-                for sign in ("+", "-"):
-                    phase = ExactScalar.i_power(l)
-                    if sign == "-":
-                        phase = phase.conjugate()
-                    assert fermionic_fourier(f, sign) == \
-                        sp_mul(h, env).scale(phase), (n, l, sign)
-
-
-def test_power_times_harmonic_theorem():
-    # F(x`^(2k) H_l) = (+/-i)^l 2^(2k+l-n) k!/(n-k-l)! y`^(2n-2k-2l) H_l
-    for n in (1, 2, 3):
-        u = VariableUniverse.standard(0, n)
-        for l in range(n + 1):
-            basis = harmonic_basis(l, "fermionic", u)
-            for k in range(n - l + 1):
-                power = fermionic_square_power(u, k)
-                opower = fermionic_square_power(u, n - k - l)
-                factor = ExactScalar.rational(
-                    Fraction(2 ** (2 * k + l) * _factorial(k),
-                             2 ** n * _factorial(n - k - l)))
-                for h in basis:
-                    f = sp_mul(power, h)
-                    for sign in ("+", "-"):
-                        phase = ExactScalar.i_power(l)
-                        if sign == "-":
-                            phase = phase.conjugate()
-                        want = sp_mul(opower, h).scale(factor * phase)
-                        assert fermionic_fourier(f, sign) == want
 
 
 def test_bosonic_fourier_basics():
@@ -249,32 +177,6 @@ def test_super_fourier_composition_orders_agree(rng):
                 assert super_fourier(f, sign) == a
 
 
-def test_gaussian_invariance_full():
-    for m, n in [(1, 1), (2, 1), (2, 2), (3, 2)]:
-        u = VariableUniverse.standard(m, n)
-        env = GaussianFunction(SuperPolynomial.one(u))
-        for sign in ("+", "-"):
-            assert super_fourier(env, sign) == env
-
-
-def test_super_fourier_psi_phases():
-    u = VariableUniverse.standard(2, 1)
-    for (j, k, _, psi) in psi_span(u, 3):
-        for sign in ("+", "-"):
-            phase = ExactScalar.i_power(2 * j + k)
-            if sign == "-":
-                phase = phase.conjugate()
-            assert super_fourier(psi, sign) == psi.scale(phase)
-
-
-def test_super_fourier_inversion_random(rng):
-    for m, n in [(1, 1), (2, 2)]:
-        u = VariableUniverse.standard(m, n)
-        for _ in range(5):
-            f = GaussianFunction(random_poly(u, rng, degree=4, nterms=4))
-            assert super_fourier(super_fourier(f, "-"), "+") == f
-
-
 def test_super_integral_examples():
     # int e^{-x^2} over one bosonic variable: sqrt(pi)
     u = VariableUniverse.standard(1, 0)
@@ -297,79 +199,6 @@ def test_super_integral_examples():
         super_integral(SuperPolynomial.one(VariableUniverse.standard(1, 0)))
 
 
-def _heat_constant(p):
-    """[exp(-Delta/2) p](0): the constant term of the finite sum of
-    (-1/2)^k Delta^k p / k!, Delta lowering the degree by two."""
-    total, term, k = ExactScalar.zero(), p, 0
-    while term:
-        total = total + term.constant_term()
-        k += 1
-        term = laplace(term, "full").scale(Fraction(-1, 2 * k))
-    return total
-
-
-@pytest.mark.parametrize("m, n", [(1, 0), (2, 1), (1, 1), (2, 2), (3, 2),
-                                  (1, 3), (2, 3)])
-def test_super_integral_is_the_heat_kernel_at_the_origin(rng, m, n):
-    # int P G = int G * [exp(-Delta/2) P](0), at M = 1, 0, -1, -2, -1, -5
-    # and -4: the Gaussian moments and Berezin weights of the pairing
-    # against the sl2 layer alone
-    u = VariableUniverse.standard(m, n)
-    envelope = super_integral(GaussianFunction(SuperPolynomial.one(u)))
-    for _ in range(30):
-        p = random_poly(u, rng, degree=4, nterms=4)
-        assert super_integral(GaussianFunction(p)) \
-            == envelope * _heat_constant(p)
-
-
-def test_parseval_fermionic_gaussian_pair():
-    u = VariableUniverse.standard(0, 1)
-    env = fermionic_envelope_poly(u)
-    assert parseval_check(env, env, "fermionic")
-
-
-def test_parseval_fermionic_random(rng):
-    for n in (1, 2, 3):
-        u = VariableUniverse.standard(0, n)
-        for _ in range(25):
-            f = random_poly(u, rng, degree=2 * n, nterms=5, rational=False)
-            g = random_poly(u, rng, degree=2 * n, nterms=5, rational=False)
-            assert parseval_check(f, g, "fermionic")
-
-
-def test_parseval_full(rng):
-    u = VariableUniverse.standard(1, 1)
-    env = GaussianFunction(SuperPolynomial.one(u))
-    assert parseval_check(env, env, "full")
-    for _ in range(10):
-        f = GaussianFunction(random_poly(u, rng, degree=3, nterms=4))
-        g = GaussianFunction(random_poly(u, rng, degree=3, nterms=4))
-        assert parseval_check(f, g, "full")
-
-
-def test_delta_convolution_is_identity(rng):
-    u = VariableUniverse.standard(0, 1)
-    delta = fermionic_delta(u)
-    for _ in range(10):
-        g = random_poly(u, rng, degree=2, nterms=4)
-        assert convolution_fermionic(delta, g) == g
-
-
-def test_convolution_theorem(rng):
-    # F(f*g) = (2 pi)^(M/2) F(f) F(g) with M = -2n
-    for n in (1, 2):
-        u = VariableUniverse.standard(0, n)
-        for _ in range(25):
-            f = random_poly(u, rng, degree=2 * n, nterms=4)
-            g = random_poly(u, rng, degree=2 * n, nterms=4)
-            for sign in ("+", "-"):
-                lhs = fermionic_fourier(convolution_fermionic(f, g), sign)
-                rhs = sp_mul(fermionic_fourier(f, sign),
-                             fermionic_fourier(g, sign)).scale(
-                    ExactScalar.two_pi_half_power(-2 * n))
-                assert lhs == rhs
-
-
 def test_convolution_order_identity(rng):
     # int f(u-x) g(x) = int f(y) g(u-y)
     for n in (1, 2):
@@ -387,16 +216,6 @@ def test_convolution_order_identity(rng):
             rhs = sp_rename(berezin(prod, over=range(n2, 2 * n2)),
                             u, {}, {j: j for j in range(n2)})
             assert lhs == rhs
-
-
-def test_delta_fourier():
-    for m, n in [(1, 0), (0, 1), (1, 1), (3, 1)]:
-        u = VariableUniverse.standard(m, n)
-        want = ExactScalar.two_pi_half_power(-(m - 2 * n))
-        for sign in ("+", "-"):
-            assert delta_fourier(u, sign) == want
-    assert delta_fourier(VariableUniverse.standard(0, 1), "+") == \
-        ExactScalar.rational(2) * ExactScalar.pi_half_power(2)
 
 
 def test_operator_exponential_matches_transform(rng):
@@ -426,66 +245,6 @@ def test_operator_exponential_cap_exceeded():
     f = GaussianFunction(SuperPolynomial(u, {((3,), 0): ExactScalar.one()}))
     with pytest.raises(ValueError, match="cap"):
         operator_exponential_fourier(f, "+", cap=2)
-
-
-def test_full_transform_calculus_rules(rng):
-    # the variable/derivative exchange rules of the full transform, plus
-    # the Dirac/Laplace consequences, exact on random Gaussian inputs
-    from supertransform.cliffweyl import CValued, dirac_apply, vector_mul
-    from supertransform.fourier import super_fourier_cvalued
-    from supertransform.operators import (bosonic_derivative,
-                                          fermionic_derivative, laplace,
-                                          multiply_bosonic_var,
-                                          multiply_fermionic_var,
-                                          multiply_vector_square)
-    for m, n in [(1, 1), (2, 2)]:
-        u = VariableUniverse.standard(m, n)
-        for _ in range(4):
-            g = GaussianFunction(random_poly(u, rng, degree=3, nterms=4))
-            for sign in ("+", "-"):
-                s = 1 if sign == "+" else -1
-                fg = super_fourier(g, sign)
-                i_s = ExactScalar.i_power(1 if s > 0 else 3)
-                for i in range(m):
-                    # F(d_{x_i} g) = -/+ i y_i F(g)
-                    assert super_fourier(bosonic_derivative(g, i), sign) \
-                        == multiply_bosonic_var(fg, i).scale(-i_s)
-                    # F(x_i g) = -/+ i d_{y_i} F(g)
-                    assert super_fourier(multiply_bosonic_var(g, i), sign) \
-                        == bosonic_derivative(fg, i).scale(-i_s)
-                half = ExactScalar.rational(1, 2)
-                for p in range(n):
-                    odd, even = 2 * p, 2 * p + 1
-                    # F(d_{q_even} g) = -/+ (i/2) q_odd F(g)
-                    assert super_fourier(fermionic_derivative(g, even),
-                                         sign) == \
-                        multiply_fermionic_var(fg, odd).scale(-i_s * half)
-                    # F(d_{q_odd} g) = +/- (i/2) q_even F(g)
-                    assert super_fourier(fermionic_derivative(g, odd),
-                                         sign) == \
-                        multiply_fermionic_var(fg, even).scale(i_s * half)
-                    # F(q_even g) = +/- 2i d_{q_odd} F(g)
-                    assert super_fourier(multiply_fermionic_var(g, even),
-                                         sign) == \
-                        fermionic_derivative(fg, odd).scale(
-                            i_s * ExactScalar.rational(2))
-                    # F(q_odd g) = -/+ 2i d_{q_even} F(g)
-                    assert super_fourier(multiply_fermionic_var(g, odd),
-                                         sign) == \
-                        fermionic_derivative(fg, even).scale(
-                            -(i_s * ExactScalar.rational(2)))
-                # F(Delta g) = -y^2 F(g) and F(x^2 g) = -Delta F(g)
-                assert super_fourier(laplace(g), sign) == \
-                    multiply_vector_square(fg).scale(-1)
-                assert super_fourier(multiply_vector_square(g), sign) == \
-                    laplace(fg).scale(-1)
-                # F(d_x g) = +/- i y F(g) and F(x g) = +/- i d_y F(g)
-                lifted = CValued.from_scalar(g)
-                flifted = CValued.from_scalar(fg)
-                assert super_fourier_cvalued(dirac_apply(lifted), sign) \
-                    == vector_mul(flifted).scale(i_s)
-                assert super_fourier_cvalued(vector_mul(lifted), sign) \
-                    == dirac_apply(flifted).scale(i_s)
 
 
 def test_super_fourier_matches_defining_integral(rng):

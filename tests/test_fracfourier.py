@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from supertransform.cliffweyl import CValued, dirac_apply, vector_mul
-from supertransform.fourier import fermionic_fourier, super_fourier
+from supertransform.fourier import fermionic_fourier
 from supertransform.fracfourier import (frac_fermionic_table, frac_fourier,
                                         frac_fourier_cvalued,
                                         max_coeff_deviation,
@@ -17,7 +17,7 @@ from supertransform.operators import bosonic_derivative, fermionic_derivative
 from supertransform.scalars import Angle, ExactScalar, QQi, to_float
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse, sp_mul, sp_rename)
-from tests.conftest import random_gaussian, random_poly
+from tests.conftest import random_gaussian
 from tests.oracles import (express_in_basis, fermionic_envelope_poly,
                            fermionic_kernel, kernel_route)
 
@@ -50,39 +50,6 @@ def test_angle_validation():
     assert Angle(1.0).exact and Angle(0).exact and Angle(-1).exact
     assert not Angle(0.5).exact and not Angle(Fraction(1, 3)).exact
     assert Angle(1).phase(3) == ExactScalar.i_power(3)
-
-
-def test_frac_zero_is_identity_and_pm1_is_fourier(rng):
-    u = VariableUniverse.standard(1, 1)
-    f = span_sample(u, rng)
-    assert frac_fourier(f, 0) == f
-    assert frac_fourier(f, 1) == super_fourier(f, "+")
-    assert frac_fourier(f, -1) == super_fourier(f, "-")
-
-
-def test_half_angle_composes_to_fourier(rng):
-    u = VariableUniverse.standard(1, 1)
-    for k in (0, 1):
-        psi = psi_span(u, 2)[k][3]
-        once = frac_fourier(
-            frac_fourier(psi.map_coefficients(to_float), 0.5), 0.5)
-        target = super_fourier(psi, "+").map_coefficients(to_float)
-        assert relative_deviation(once.poly, target.poly) <= 1e-12
-
-
-def test_semigroup_and_inverse(rng):
-    u = VariableUniverse.standard(1, 1)
-    for _ in range(5):
-        f = span_sample(u, rng).map_coefficients(to_float)
-        a = rng.uniform(-0.5, 0.5)
-        b = rng.uniform(-0.5, 0.5)
-        ab = frac_fourier(frac_fourier(f, b), a)
-        ba = frac_fourier(frac_fourier(f, a), b)
-        direct = frac_fourier(f, a + b)
-        assert relative_deviation(ab.poly, direct.poly) <= 1e-12
-        assert relative_deviation(ba.poly, direct.poly) <= 1e-12
-        inv = frac_fourier(frac_fourier(f, a), -a)
-        assert relative_deviation(inv.poly, f.poly) <= 1e-12
 
 
 def test_frac02_table_values():
@@ -414,39 +381,3 @@ def test_closed_form_matches_psi_expansion(m, n):
         f = random_gaussian(u, rng, degree=4, nterms=5)
         got = frac_fourier(f, a)
         assert relative_deviation(got.poly, _spectral(f, a)) <= 1e-12
-
-
-def _off_span_inputs(u, seed, count=3):
-    """Gaussian-class inputs of degree <= 6 with ring coefficients,
-    drawn monomial by monomial rather than from the psi span."""
-    rng = random.Random(seed)
-    return [GaussianFunction(random_poly(u, rng, degree=6, nterms=5,
-                                         rational=False))
-            for _ in range(count)]
-
-
-@pytest.mark.parametrize("m, n", [(2, 1), (2, 2), (1, 3)])
-def test_index_law_against_peel_and_kernel(m, n):
-    """F^(s-a) F^a f = F^s f with s = sign(a) (so s - a = 1 - a for
-    a > 0), against the exact transform; covers M = 0 and M = -2."""
-    u = VariableUniverse.standard(m, n)
-    for f in _off_span_inputs(u, 8000 + 10 * m + n):
-        for a in ORDERS:
-            s = 1 if a > 0 else -1
-            want = super_fourier(f, "+" if s > 0 else "-")
-            got = frac_fourier(frac_fourier(f, a), s - a)
-            assert relative_deviation(got.poly, want.poly) <= 1e-12, a
-
-
-@pytest.mark.parametrize("m, n", [(2, 1), (2, 2), (1, 3)])
-def test_semigroup_off_the_psi_span(m, n):
-    u = VariableUniverse.standard(m, n)
-    for f in _off_span_inputs(u, 9000 + 10 * m + n):
-        for a in ORDERS:
-            for b in ORDERS:
-                if abs(a + b) > 1:
-                    continue
-                direct = frac_fourier(f, a + b)
-                composed = frac_fourier(frac_fourier(f, b), a)
-                assert relative_deviation(composed.poly,
-                                          direct.poly) <= 1e-12, (a, b)

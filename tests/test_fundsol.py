@@ -68,24 +68,6 @@ def test_nu_recursion_m3():
     assert got == want
 
 
-def test_nu_recursion_satisfies_poisson():
-    for m in (1, 2, 3, 4):
-        for l in range(2, 5):
-            nu = nu_poly_laplace(l, m)
-            prev = nu_poly_laplace(l - 1, m)
-            assert radial_laplace(nu, m) == prev
-
-
-def test_nu_iterated_laplace_vanishes():
-    # Delta^l nu_{2l} = 0 off the origin, l <= 4, m <= 4
-    for m in (1, 2, 3, 4):
-        for l in range(1, 5):
-            f = nu_poly_laplace(l, m)
-            for _ in range(l):
-                f = radial_laplace(f, m)
-            assert not f, (m, l)
-
-
 def test_solve_radial_poisson_resonance_log():
     # Delta g = r^(-2) at m=2 resonates twice: g picks up log^2
     rhs = RadialFunction.monomial(-2, 0, 1)
@@ -167,13 +149,6 @@ def test_super_fundamental_solution_solves_once_per_order(monkeypatch):
         calls.clear()
         super_fundamental_solution(m, n)
         assert len(calls) == n, (m, n)
-
-
-def test_verify_harmonic_away_from_origin():
-    for m in (1, 2, 3, 4):
-        for n in (0, 1, 2, 3):
-            sr = super_fundamental_solution(m, n)
-            assert verify_harmonic_away_from_origin(sr, m), (m, n)
 
 
 def test_verify_detects_wrong_constant():

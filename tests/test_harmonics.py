@@ -139,13 +139,6 @@ def test_decomposition_small_cases():
         assert rep["dim_nullspace"] == classical_dim_bosonic(3, k)
 
 
-def test_decomposition_spot_checks_match_theorem():
-    for m, n, k in [(1, 1, 3), (2, 2, 4), (3, 1, 5)]:
-        rep = decomposition_check(k, VariableUniverse.standard(m, n))
-        assert rep["dims_match"], rep
-        assert rep["products_harmonic"], rep
-
-
 @pytest.mark.parametrize("m, n, radical", [(3, 2, (-1, 0)),
                                             (2, 2, (0, 0))])
 def test_decomposition_check_catches_a_broken_product(monkeypatch, m, n,

@@ -176,20 +176,6 @@ def _rescaled_univariate(t, k):
             for i in range(t + 1)]
 
 
-def test_psi_oscillator_eigenfunctions():
-    # (Delta - x^2)/2 psi_{j,k,l} = (M/2 + 2j + k) psi_{j,k,l}
-    for m, n in [(1, 1), (2, 1), (2, 2), (3, 2)]:
-        u = VariableUniverse.standard(m, n)
-        for k in range(7):
-            basis = harmonic_basis(k, "full", u)
-            for j in range((6 - k) // 2 + 1):
-                for h in basis.elements[:3]:
-                    psi = psi_element(j, h)
-                    lhs = laplace(psi) - psi.mul_poly(vector_square(u))
-                    # twice the eigenvalue M/2 + 2j + k
-                    assert lhs == psi.scale(u.superdim + 4 * j + 2 * k)
-
-
 def test_psi_tilde_differs_from_psi():
     u = VariableUniverse.standard(1, 1)
     h = SuperPolynomial.one(u)

@@ -56,15 +56,6 @@ def test_euler_matches_derivative_sum(rng):
                 assert euler(f) == _euler_derivative_sum(f), (m, n)
 
 
-def test_laplace_vector_square_is_twice_superdim():
-    for m, n in [(1, 0), (0, 1), (2, 1), (3, 2), (2, 2)]:
-        u = VariableUniverse.standard(m, n)
-        got = laplace(vector_square(u))
-        want = SuperPolynomial.scalar(u, 2 * u.superdim) \
-            if u.superdim else SuperPolynomial.zero(u)
-        assert got == want
-
-
 def test_fermionic_laplace_sign():
     u = VariableUniverse.standard(0, 1)
     q1q2 = SuperPolynomial(u, {((), 0b11): ExactScalar.one()})

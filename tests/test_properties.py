@@ -24,13 +24,11 @@ from supertransform.harmonics import harmonic_basis
 from supertransform.cliffweyl import CValued, dirac_apply, vector_mul
 from supertransform.hermite import phi_element, psi_element, \
     psi_tilde_element
-from supertransform.operators import (bosonic_derivative, euler,
+from supertransform.operators import (bosonic_derivative,
                                       fermionic_derivative, laplace,
                                       multiply_bosonic_var,
-                                      multiply_fermionic_var,
-                                      multiply_vector_square, scalar_square)
-from supertransform.radon import RadonResult, omega_universe, radon, \
-    radon_expected_eigenbasis, reduce_mod_sphere
+                                      multiply_fermionic_var, scalar_square)
+from supertransform.radon import omega_universe, radon, reduce_mod_sphere
 from supertransform.scalars import ExactScalar, QQi
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse, from_integer_parts,
@@ -64,7 +62,7 @@ def _polys(draw, max_m=2, max_n=3, max_exponent=2):
                                                    max_size=4)))
 
 
-@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@settings(max_examples=50)
 @given(_polys(), _orders)
 def test_kernel_route_equals_pair_table(f, a):
     route, table = kernel_route(f, a), frac_fermionic_table(f, a)
@@ -79,7 +77,7 @@ def test_kernel_route_equals_pair_table(f, a):
 # and (2,0)
 @pytest.mark.parametrize("m, n", [(m, n) for m in range(3)
                                   for n in range(4)])
-@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@settings(max_examples=8)
 @given(st.data())
 def test_first_order_operators_equal_the_leibniz_route(m, n, data):
     u = VariableUniverse.standard(m, n)
@@ -113,7 +111,7 @@ def _harmonic_combinations(draw, ms=st.integers(0, 3), ns=st.integers(0, 2),
     return h
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(_harmonic_combinations(), st.integers(0, 2))
 def test_psi_recursion_equals_scalar_square_powers(h, j):
     want = GaussianFunction(h)
@@ -122,7 +120,7 @@ def test_psi_recursion_equals_scalar_square_powers(h, j):
     assert psi_element(j, h) == want
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(_polys(max_m=3, max_n=2))
 def test_integer_parts_rebuild_the_polynomial(f):
     denom, parts = integer_parts(f)
@@ -148,7 +146,7 @@ _RING_UNIVERSES = [(1, 1), (2, 1), (2, 2), (3, 1), (1, 3)]
 
 
 @pytest.mark.parametrize("m, n", _RING_UNIVERSES)
-@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@settings(max_examples=15)
 @given(st.data())
 def test_psi_on_ring_coefficients_equals_the_rodrigues_route(m, n, data):
     # basis elements weighted by sums of two ring scalars: radicals,
@@ -202,29 +200,9 @@ def test_psi_refuses_a_float_lane_non_harmonic(family, text):
         family(1, h.map_coefficients(ExactScalar.to_complex))
 
 
-@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (2, 2), (1, 2), (3, 2),
-                                  (1, 3), (3, 1)])
-@settings(max_examples=12, deadline=None, derandomize=True, database=None)
-@given(st.data())
-def test_radon_closed_form_on_psi_tilde_combinations(m, n, data):
-    # (2,1) has M = 0 and (2,2) has M = -2
-    u = VariableUniverse.standard(m, n)
-    got = GaussianFunction(SuperPolynomial.zero(u))
-    want = RadonResult(omega_universe(m, n))
-    for _ in range(data.draw(st.integers(1, 3))):
-        h = data.draw(_harmonic_combinations(st.just(m), st.just(n))
-                      .filter(bool))
-        k = h.degree()
-        j = data.draw(st.integers(0, (4 - k) // 2))
-        c = data.draw(_scalars)
-        got = got + psi_tilde_element(j, h).scale(c)
-        want = want + radon_expected_eigenbasis(j, k, h, u).scale(c)
-    assert radon(got) == want
-
-
 # M = 0 at (2,1) and -2 at (2,2)
 @pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)])
-@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@settings(max_examples=12)
 @given(st.data())
 def test_radon_is_additive_on_the_flat_result_map(m, n, data):
     u = VariableUniverse.standard(m, n)
@@ -237,17 +215,6 @@ def test_radon_is_additive_on_the_flat_result_map(m, n, data):
     assert radon(f + g) == rf + radon(g)
     assert not rf + radon(-f) and not radon(f - f)
     assert rf or not f
-
-
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(_polys(max_m=3, max_n=2, max_exponent=3))
-def test_sl2_commutators(p):
-    # [Delta, x^2] = 4E + 2M, [E, Delta] = -2 Delta, [E, x^2] = 2 x^2
-    square, superdim = multiply_vector_square, p.universe.superdim
-    assert laplace(square(p)) - square(laplace(p)) == \
-        euler(p).scale(4) + p.scale(2 * superdim)
-    assert euler(laplace(p)) - laplace(euler(p)) == laplace(p).scale(-2)
-    assert euler(square(p)) - square(euler(p)) == square(p).scale(2)
 
 
 # -- the complex rationals against a Fraction-pair oracle ---------------
@@ -275,7 +242,7 @@ def _pair_mul(x, y):
     return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(st.tuples(_parts, _parts), st.tuples(_parts, _parts),
        st.one_of(_big, _parts))
 def test_qqi_matches_the_fraction_pair_oracle(x, y, k):
@@ -299,32 +266,7 @@ def test_qqi_matches_the_fraction_pair_oracle(x, y, k):
         _check_qqi(p * p.inverse(), (Fraction(1), Fraction(0)))
 
 
-# -- transform identities on the scalar ring -----------------------------
-
-# nine universe shapes; M = m - 2n lies in -2N at (0,1), (0,2), (2,2), (4,2)
-_SHAPES = [(1, 0), (2, 0), (0, 1), (0, 2), (1, 1), (2, 1), (2, 2), (4, 2),
-           (1, 2)]
-
-
-@st.composite
-def _gaussian_pairs(draw):
-    m, n = draw(st.sampled_from(_SHAPES))
-    u = VariableUniverse.standard(m, n)
-    keys = st.tuples(st.tuples(*[st.integers(0, 2)] * m),
-                     st.integers(0, (1 << 2 * n) - 1))
-    f, g = (GaussianFunction(SuperPolynomial(
-        u, draw(st.dictionaries(keys, _scalars, min_size=1, max_size=2))))
-        for _ in range(2))
-    return f, g
-
-
-@settings(max_examples=45, deadline=None, derandomize=True, database=None)
-@given(_gaussian_pairs())
-def test_fourier_inversion_and_parseval(fg):
-    f, g = fg
-    assert super_fourier(super_fourier(f, "+"), "-") == f
-    assert parseval_check(f, g, "full")
-
+# -- the transform passes against their oracles on the scalar ring -------
 
 @st.composite
 def _gaussian_inputs(draw, m, n):
@@ -340,7 +282,7 @@ def _gaussian_inputs(draw, m, n):
 @pytest.mark.parametrize("sign", ["+", "-"])
 @pytest.mark.parametrize("m, n", [(0, 2), (1, 1), (2, 1), (2, 2), (3, 2),
                                   (4, 2)])
-@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@settings(max_examples=10)
 @given(st.data())
 def test_hermite_pass_equals_peel_rule(m, n, sign, data):
     f = data.draw(_gaussian_inputs(m, n))
@@ -369,7 +311,7 @@ def _mehler_inputs(draw):
         u, draw(st.dictionaries(keys, _scalars, max_size=4))))
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(_mehler_inputs(), _mehler_orders)
 def test_mehler_pass_equals_laplacian_series(f, a):
     got, want = frac_fourier(f, a), mehler_series(f, a)
@@ -381,7 +323,7 @@ def test_mehler_pass_equals_laplacian_series(f, a):
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (2, 2), (3, 2)])
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(st.data())
 def test_batched_sphere_reduction_equals_per_monomial(m, n, data):
     uo = omega_universe(m, n)
@@ -538,7 +480,7 @@ def _expressions(draw):
     return u, draw(_sums(u, draw(st.integers(0, 2)), gaussian)), gaussian
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(_expressions())
 def test_parse_matches_the_tree_oracle(case):
     u, tree, gaussian = case
@@ -562,7 +504,7 @@ _multi_scalars = st.builds(
         lambda c: len(c.terms) > 1)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(_multi_scalars, st.integers(0, 24))
 def test_scalar_power_charge_bounds_the_pairs_multiplied(c, k):
     pairs = [0]
@@ -687,7 +629,7 @@ def _agree(text, u):
     assert _outcome(parse, text, u) == want, text
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400)
 @given(_cases())
 def test_lexeme_reader_matches_the_token_parser(case):
     u, text = case
@@ -846,7 +788,7 @@ def _cvalued(draw):
     return CValued(u, parts, envelope=draw(st.booleans()))
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@settings(max_examples=120)
 @given(_cvalued(), st.integers(0, 2))
 def test_odd_pass_equals_the_derivative_route(f, j):
     assert dirac_apply(f) == dirac_via_derivatives(f)
@@ -877,7 +819,7 @@ def _berezin_cases(draw):
     return f, draw(st.sampled_from([over, None]))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(_berezin_cases())
 def test_berezin_mask_pass_equals_the_derivative_chain(case):
     f, over = case
@@ -907,7 +849,7 @@ def _fermionic_operands(draw):
     return f, g
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(_fermionic_operands())
 def test_convolution_mask_pass_equals_the_shift_route(fg):
     f, g = fg
@@ -918,7 +860,7 @@ def test_convolution_mask_pass_equals_the_shift_route(fg):
         assert got == g
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(_fermionic_operands())
 def test_plain_pairing_equals_the_product_integral(fg):
     f, g = fg

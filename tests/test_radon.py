@@ -3,18 +3,12 @@ import math
 import pytest
 from scipy.integrate import quad
 
-from supertransform.fourier import hermite_row, super_integral
-from supertransform.harmonics import harmonic_basis
-from supertransform.hermite import psi_tilde_element
-from supertransform.operators import bosonic_derivative, fermionic_derivative
+from supertransform.fourier import hermite_row
 from supertransform.radon import (RadonResult, hermite_1d, omega_universe,
-                                  one_dim_fourier, radon,
-                                  radon_expected_eigenbasis,
-                                  reduce_mod_sphere)
+                                  one_dim_fourier, radon, reduce_mod_sphere)
 from supertransform.scalars import ExactScalar, to_float
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse, vector_square)
-from tests.conftest import random_poly
 
 
 def test_hermite_1d_small():
@@ -122,45 +116,6 @@ def test_radon_of_gaussian():
         assert got == want
 
 
-def test_radon_closed_form_spot():
-    for m, n in [(1, 1), (2, 1)]:
-        u = VariableUniverse.standard(m, n)
-        for k in (0, 1, 2):
-            for j in range((4 - k) // 2 + 1):
-                for h in harmonic_basis(k, "full", u).elements[:2]:
-                    got = radon(psi_tilde_element(j, h))
-                    want = radon_expected_eigenbasis(j, k, h, u)
-                    assert got == want, (m, n, j, k)
-
-
-@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (2, 2), (3, 2), (2, 3),
-                                  (1, 3)])
-def test_radon_derivative_rules(rng, m, n):
-    # M = -1, 0, -2, -1, -4 and -5, every coordinate and every pair
-    u = VariableUniverse.standard(m, n)
-    uo = omega_universe(m, n)
-    for _ in range(6):
-        g = GaussianFunction(random_poly(u, rng, degree=3, nterms=4))
-        rg = radon(g)
-        # bosonic: R(d_{ x_i } g) = w_i d_p R(g)
-        for i in range(u.m):
-            lhs = radon(bosonic_derivative(g, i))
-            wi = SuperPolynomial.bosonic_var(uo, i)
-            assert lhs == rg.p_derivative().mul_omega(wi)
-        for j in range(n):
-            # pair j + 1 in the paper's names: d_{x`_{2j+2}} (internal odd
-            # index) is +1/2 wf_{2j+1} d_p
-            lhs = radon(fermionic_derivative(g, 2 * j + 1))
-            w_odd = SuperPolynomial.fermionic_var(
-                uo, 2 * j, ExactScalar.rational(1, 2))
-            assert lhs == rg.p_derivative().mul_omega(w_odd), j
-            # d_{x`_{2j+1}} (internal even index) is -1/2 wf_{2j+2} d_p
-            lhs = radon(fermionic_derivative(g, 2 * j))
-            w_even = SuperPolynomial.fermionic_var(
-                uo, 2 * j + 1, ExactScalar.rational(-1, 2))
-            assert lhs == rg.p_derivative().mul_omega(w_even), j
-
-
 def test_radon_result_algebra():
     uo = omega_universe(1, 0)
     one = SuperPolynomial.one(uo)
@@ -184,51 +139,3 @@ def test_radon_output_reduced():
     res = radon(f)
     last = res.universe.m - 1
     assert all(key[0][0][last] < 2 for key in res.terms)
-
-
-def _p_moments(res, j):
-    """omega monomial -> sum of c * (e + j - 1)!! over the powers p^e of
-    res with e + j even: the j-th p-moment of res over sqrt(2 pi), as
-    the integral of p^k exp(-p^2/2) is sqrt(2 pi) (k - 1)!! at even k."""
-    out = {}
-    for key, ppoly in res.by_omega():
-        total = ExactScalar.zero()
-        for e, c in ppoly:
-            if (e + j) % 2 == 0:
-                total = total + c * math.prod(range(e + j - 1, 0, -2))
-        if total:
-            out[key] = total
-    return out
-
-
-_SLICE_SHAPES = [(1, 0), (2, 0), (1, 1), (2, 1), (2, 2), (3, 2), (2, 3),
-                 (1, 3)]
-
-
-@pytest.mark.parametrize("m, n", _SLICE_SHAPES)
-def test_radon_slice_integral_is_the_super_integral(rng, m, n):
-    # M = 1, 2, -1, 0, -2, -1, -4 and -5: every slice integrates to the
-    # integral of f, so only the constant omega monomial keeps a value,
-    # and it is the one super_integral reads off _gaussian_pairing
-    u = VariableUniverse.standard(m, n)
-    const = ((0,) * m, 0)
-    for _ in range(20):
-        f = GaussianFunction(random_poly(u, rng, degree=3, nterms=3))
-        got = _p_moments(radon(f), 0)
-        want = ExactScalar.two_pi_half_power(-1) * super_integral(f)
-        assert set(got) <= {const}
-        assert got.get(const, ExactScalar.zero()) == want
-
-
-@pytest.mark.parametrize("m, n", _SLICE_SHAPES)
-def test_radon_p_moments_have_bounded_omega_degree(rng, m, n):
-    # the j-th p-moment is a polynomial in omega of degree at most j with
-    # the parity of j
-    u = VariableUniverse.standard(m, n)
-    for _ in range(20):
-        res = radon(GaussianFunction(random_poly(u, rng, degree=3,
-                                                 nterms=3)))
-        for j in range(5):
-            for bos, mask in _p_moments(res, j):
-                degree = sum(bos) + mask.bit_count()
-                assert degree <= j and degree % 2 == j % 2, (j, bos, mask)

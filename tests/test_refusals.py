@@ -4,8 +4,9 @@ error type with its message, and builds nothing first."""
 import pytest
 
 from supertransform.cliffweyl import CValued, CWElement, vector_mul
-from supertransform.fourier import (convolution_fermionic, gaussian_moment,
-                                    parseval_check, super_fourier)
+from supertransform.fourier import (berezin, convolution_fermionic,
+                                    gaussian_moment, parseval_check,
+                                    super_fourier)
 from supertransform.scalars import ExactScalar, QQi
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse, sp_rename)
@@ -30,6 +31,20 @@ REFUSALS = [
      ValueError, "unknown scope 'bosonic'"),
     ("convolution-at-m1", lambda: convolution_fermionic(X1, X1),
      ValueError, "convolution implemented fermionically only"),
+    ("convolution-universe-mismatch",
+     lambda: convolution_fermionic(
+         SuperPolynomial.fermionic_var(U01, 0),
+         SuperPolynomial.monomial(VariableUniverse.standard(0, 2), (), 0b10,
+                                  ExactScalar.one())),
+     ValueError, "universe mismatch"),
+    ("convolution-gaussian",
+     lambda: convolution_fermionic(GaussianFunction(Q1Q2),
+                                   GaussianFunction(Q1Q2)),
+     ValueError, "convolution expects a plain polynomial"),
+    ("berezin-over-past-the-symbols", lambda: berezin(Q1Q2, over=[2, 3]),
+     ValueError, "subset must be symbol indices below 2n = 2"),
+    ("berezin-over-negative", lambda: berezin(Q1Q2, over=[-2, -1]),
+     ValueError, "subset must be symbol indices below 2n = 2"),
     ("bosonic_var-range", lambda: SuperPolynomial.bosonic_var(U11, 1),
      IndexError, "bosonic index out of range"),
     ("fermionic_var-range", lambda: SuperPolynomial.fermionic_var(U11, 2),

@@ -410,16 +410,17 @@ def test_monomial_codec_matches_the_uncached_builders(m, n):
     ordered = sorted(f.terms.items(),
                      key=lambda kv: monomial_order_route(kv[0]))
     assert f.sorted_terms() == ordered
-    pieces = []
+    pieces, latex = [], []
     for (bos, mask), c in ordered:
         mono = monomial_text_route(u, bos, mask)
+        tex = " ".join(filter(None, (monomial_latex_route(u, bos, mask),
+                                     "e^{x^2/2}")))
         coeff = c.render()
         pieces.append(mono if coeff == "1" and mono
                       else f"{coeff}*{mono}" if mono else coeff)
+        latex.append(tex if coeff == "1" else f"{coeff} {tex}")
     assert render_poly_text(f) == " + ".join(pieces)
-    assert render_poly_latex(GaussianFunction(f)) == " + ".join(
-        f"{c.render()} {monomial_latex_route(u, bos, mask)} e^{{x^2/2}}"
-        for (bos, mask), c in ordered)
+    assert render_poly_latex(GaussianFunction(f)) == " + ".join(latex)
     js = poly_to_json(f)
     assert [(t["bos"], t["fer"]) for t in js["terms"]] == [
         (list(bos), [j + 1 for j in mask_bits(mask)])
