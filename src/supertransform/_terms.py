@@ -24,6 +24,14 @@ def add_into(acc, key, value):
         del acc[key]
 
 
+def lane_mismatch(verb, mine, theirs):
+    """The refusal to `verb` coefficients of the types mine and theirs,
+    which are of two lanes."""
+    return ValueError(f"lane mismatch: cannot {verb} {mine.__name__} and "
+                      f"{theirs.__name__} coefficients (the exact and "
+                      f"float lanes never mix)")
+
+
 def canonical(terms):
     """Constructor normal form of a key -> coefficient dict: the keys of
     a dict are distinct, so only zero coefficients need dropping."""
@@ -69,10 +77,7 @@ class TermMap:
             mine = type(next(iter(self.terms.values())))
             theirs = type(next(iter(other.terms.values())))
             if mine is not theirs:
-                raise ValueError(
-                    f"lane mismatch: cannot add {mine.__name__} and "
-                    f"{theirs.__name__} coefficients (the exact and "
-                    f"float lanes never mix)")
+                raise lane_mismatch("add", mine, theirs)
 
     def __add__(self, other):
         if not isinstance(other, type(self)):

@@ -49,10 +49,12 @@ import threading
 from fractions import Fraction
 
 from ._terms import add_into
-from .scalars import (MAX_RENDER_DIGITS,  # noqa: F401  (re-exported)
-                      ExactScalar, QQi, rational_text)
-from .superalg import (FER, LATEX, TEXT, GaussianFunction, SuperPolynomial,
-                       merge_masks, monomial_codec, sp_mul)
+from .scalars import (LATEX_NOTATION,
+                      MAX_RENDER_DIGITS,  # noqa: F401  (re-exported)
+                      TEXT_NOTATION, ExactScalar, QQi, rational_text,
+                      render_ring, signed_join, times_factor)
+from .superalg import (FER, GaussianFunction, SuperPolynomial, merge_masks,
+                       monomial_codec, sp_mul)
 
 
 # Input budgets of the expression and JSON readers; the renderers'
@@ -760,88 +762,52 @@ def parse(src, universe):
 #
 # Each monomial's text, LaTeX, fermionic symbols and order come from the
 # universe's memoized codec (superalg.monomial_codec); a coefficient is
-# rendered afresh, a real rational by one rational_text call.
+# rendered afresh by scalars.render_ring in the notation's spellings, a
+# real rational by one rational_text call.
 
 
-def _coeff_text(c):
-    if isinstance(c, ExactScalar):
-        if len(c.terms) == 1:
-            # a real rational, as every coefficient of a rational basis
-            q = c.terms.get((0, 0))
-            if q is not None and not q.b:
-                s = rational_text(q.a, q.d)
-                return s, s == "1" or s == "-1"
-        s = c.render()
-        if " + " in s or " - " in s:
-            return f"({s})", False
-        return s, s == "1" or s == "-1"
-    s = str(c)
-    return (s if s.startswith("(") else f"({s})"), False
+def _coeff(c, nt):
+    """A coefficient in notation nt: a ring sum parenthesized, a float as
+    Python prints a complex."""
+    if not isinstance(c, ExactScalar):
+        s = str(c)
+        return f"({s})" if nt.float_parens and s[0] != "(" else s
+    terms = c.terms
+    if len(terms) > 1:
+        return f"({render_ring(terms, nt)})"
+    # a real rational, as every coefficient of a rational basis
+    q = terms.get((0, 0))
+    if q is not None and not q.b:
+        return rational_text(q.a, q.d)
+    return render_ring(terms, nt)
 
 
-def _render_terms(f, part, coeff, times, envelope):
-    """The terms of f in order, each its coefficient (left out when it is
-    1 or -1) and monomial joined by times, the envelope after a Gaussian
-    function's monomial; a negative term joins with " - "."""
+def _render_terms(f, nt):
+    """The terms of f in order, each its coefficient times its monomial
+    in nt's spellings, the envelope after a Gaussian function's monomial;
+    a negative term joins with " - "."""
     gaussian = isinstance(f, GaussianFunction)
     poly = f.poly if gaussian else f
-    u = poly.universe
     if not poly.terms:
         return "0"
-    codec = monomial_codec(u)
+    codec = monomial_codec(poly.universe)
+    field, times, envelope = nt.codec, nt.term_times, nt.envelope
     bits = []
     for key, c in poly.sorted_terms():
-        cs, unit = coeff(c)
-        mono = codec[key][part]
+        cs = _coeff(c, nt)
+        mono = codec[key][field]
         if gaussian:
             mono = f"{mono}{times}{envelope}" if mono else envelope
-        if not mono:
-            piece = cs
-        elif unit:
-            piece = mono if cs == "1" else f"-{mono}"
-        else:
-            piece = f"{cs}{times}{mono}"
-        bits.append(piece)
-    out = bits[0]
-    for b in bits[1:]:
-        out += f" - {b[1:]}" if b.startswith("-") else f" + {b}"
-    return out
+        bits.append(times_factor(cs, times, mono) if mono else cs)
+    return signed_join(bits, " + ", " - ")
 
 
 def render_poly_text(f):
-    return _render_terms(f, TEXT, _coeff_text, "*", "G")
-
-
-def _coeff_latex(c):
-    if not isinstance(c, ExactScalar):
-        return str(c), False
-    bits = []
-    for (b, eps), q in sorted(c.terms.items()):
-        re = rational_text(q.a, q.d)
-        if q.b:
-            im = rational_text(q.b, q.d)
-            piece = f"({re}+{im}i)" if q.a else (
-                "i" if im == "1" else "-i" if im == "-1" else f"{im}i")
-        else:
-            piece = re
-        if (eps or b) and piece == "1":
-            piece = ""
-        elif (eps or b) and piece == "-1":
-            piece = "-"
-        if eps:
-            piece += r"\sqrt{2}"
-        if b:
-            piece += r"\pi^{%s}" % (Fraction(b, 2))
-        bits.append(piece)
-    # a sum of ring terms is parenthesized, as in render_poly_text
-    out = "+".join(bits)
-    if len(bits) > 1:
-        return f"({out})", False
-    return out, out == "1" or out == "-1"
+    return _render_terms(f, TEXT_NOTATION)
 
 
 def render_poly_latex(f):
-    return _render_terms(f, LATEX, _coeff_latex, " ", "e^{x^2/2}")
+    return _render_terms(f, LATEX_NOTATION)
 
 
 def poly_to_json(f):

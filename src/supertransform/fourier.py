@@ -22,7 +22,9 @@ integral of one Gaussian-class function is the same pass against the
 constant 1, and the plain Parseval check is the same pass at width 0.
 The Berezin integral and the fermionic convolution are passes over the
 masks too, with no doubled universe or Grassmann substitution.  The
-exact transforms and integrals refuse float-lane input.
+exact transforms and integrals refuse float-lane input.  A transform
+counts its images, term by term in closed form, and refuses before it
+starts when they pass MAX_TRANSFORM_TERMS.
 """
 
 from __future__ import annotations
@@ -97,6 +99,10 @@ def hermite_row(k):
 _PAIR_ROWS = (((0, 1, 0),), ((1, 1, 0),), ((2, 1, 0),),
               ((3, 1, 0), (0, -2, 1)))
 
+# terms one Mehler pass or pair table may make (output budget): the
+# images of every input term, counted before the pass
+MAX_TRANSFORM_TERMS = 50000
+
 _FLOAT_RANGE = ("float lane: every coefficient must convert to a finite "
                 "complex float")
 
@@ -109,6 +115,14 @@ def _float_weights(a, d):
     two_gamma = (a.phase(2) - 1) / 2
     return tuple(a.phase(d - 2 * k) * two_gamma ** k
                  for k in range(d // 2 + 1))
+
+
+def _check_images(total):
+    """Refuse a pass before it starts when the images of its input terms
+    number more than MAX_TRANSFORM_TERMS."""
+    if total > MAX_TRANSFORM_TERMS:
+        raise ValueError(f"the transform could make {total} terms, over "
+                         f"MAX_TRANSFORM_TERMS = {MAX_TRANSFORM_TERMS}")
 
 
 def _images(bos, mask, bos_on, nf):
@@ -149,6 +163,17 @@ def _mehler_pass(f, a, sector):
         return f
     bos_on = sector != "fermionic"
     nf = len(f.universe.fermionic) if sector != "bosonic" else 0
+    # x^a q^S has prod_i (a_i // 2 + 1) images on the Hermite rows, times
+    # two per full pair
+    low = (4 ** (nf >> 1) - 1) // 3     # the low bit of every symbol pair
+    total = 0
+    for bos, mask in f.terms:
+        n = 1 << (mask & mask >> 1 & low).bit_count()
+        if bos_on:
+            for e in bos:
+                n *= (e >> 1) + 1
+        total += n
+    _check_images(total)
     out = {}
     if a.exact:
         _require_exact(f)
@@ -199,6 +224,12 @@ def frac_fermionic_table(f, a):
     a = Angle(a)
     if a.a == 0:
         return f
+    # two images per empty or full pair at a non-integral order, one per
+    # term at +/-1
+    pairs = 0 if a.exact else f.universe.pairs
+    low = (4 ** pairs - 1) // 3
+    _check_images(sum(1 << pairs - ((mask ^ mask >> 1) & low).bit_count()
+                      for _, mask in f.terms))
     zeta, zeta2 = a.phase(1), a.phase(2)
     if a.exact:
         _require_exact(f)

@@ -7,7 +7,9 @@ Every constant appearing in the transforms lives in the ring of finite sums
 with q a complex rational, eps in {0, 1} and b an integer.  The basis
 {pi^(b/2) * sqrt2^eps} is linearly independent over the complex rationals,
 so keeping term maps canonical (no zero coefficients, sqrt2^2 folded into q)
-gives decidable exact equality.
+gives decidable exact equality.  One printer, `render_ring`, writes an
+element in either notation, text or LaTeX; a notation is a table of
+spellings.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 from ._terms import TermMap, add_into
 
@@ -348,18 +351,7 @@ class ExactScalar(TermMap):
     # -- rendering ------------------------------------------------------
 
     def render(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (b, eps), q in sorted(self.terms.items()):
-            parts.append(_render_term(b, eps, q))
-        out = parts[0]
-        for p in parts[1:]:
-            if p.startswith("-"):
-                out += " - " + p[1:]
-            else:
-                out += " + " + p
-        return out
+        return render_ring(self.terms, TEXT_NOTATION)
 
     def to_json(self):
         return [{"q": [*_lowest(t.a, t.d), *_lowest(t.b, t.d)],
@@ -388,38 +380,75 @@ def rational_text(n, d):
     return str(n) if d == 1 else f"{n}/{d}"
 
 
-def _render_qqi(q):
-    """Render a complex rational; parenthesize genuine sums."""
-    a, b, d = q.a, q.b, q.d
-    if not b:
-        return rational_text(a, d)
-    im = "i" if b == d else ("-i" if b == -d
-                             else f"{rational_text(b, d)}*i")
-    if not a:
-        return im
-    sep = "+" if not im.startswith("-") else ""
-    return f"({rational_text(a, d)}{sep}{im})"
+class Notation(NamedTuple):
+    """The spellings of one notation, read by the one set of rules in
+    `render_ring` and `expr._render_terms`; pi holds pi^(1/2), pi, and
+    the %-formats of pi^k and pi^(b/2)."""
+
+    times: str          # inside a ring term
+    i: str              # the imaginary unit after a rational
+    sqrt2: str
+    pi: tuple
+    plus: str           # a ring sum's joiners
+    minus: str
+    codec: int          # the monomial codes' field (superalg.TEXT, LATEX)
+    term_times: str     # before a monomial and before the envelope
+    envelope: str
+    float_parens: bool  # a float coefficient printed as one factor
 
 
-def _render_term(b, eps, q):
-    radicals = []
-    if eps:
-        radicals.append("sqrt2")
-    if b:
-        if b == 1:
-            radicals.append("sqrtpi")
-        elif b % 2 == 0:
-            radicals.append(f"pi^{b // 2}" if b != 2 else "pi")
+TEXT_NOTATION = Notation("*", "*i", "sqrt2",
+                         ("sqrtpi", "pi", "pi^%d", "pi^(%d/2)"),
+                         " + ", " - ", 3, "*", "G", True)
+LATEX_NOTATION = Notation("", "i", r"\sqrt{2}",
+                          (r"\pi^{1/2}", r"\pi^{1}", r"\pi^{%d}",
+                           r"\pi^{%d/2}"),
+                          "+", "-", 4, " ", "e^{x^2/2}", False)
+
+
+def signed_join(parts, plus, minus):
+    """The parts joined by plus, or by minus in place of a part's leading
+    '-'."""
+    out = parts[0]
+    for p in parts[1:]:
+        out += minus + p[1:] if p[0] == "-" else plus + p
+    return out
+
+
+def times_factor(c, times, factor):
+    """The text c times factor, c left out when it is 1 and a bare '-'
+    when -1."""
+    return (factor if c == "1" else "-" + factor if c == "-1"
+            else c + times + factor)
+
+
+def render_ring(terms, nt):
+    """The ring element of a canonical (b, eps) -> QQi map in notation
+    nt: each term q * sqrt2^eps * pi^(b/2) in (b, eps) order, a complex q
+    parenthesized, the terms joined by nt's signs."""
+    if not terms:
+        return "0"
+    times, unit_i, sqrt2, (pi_half, pi_one, pi_even, pi_odd) = nt[:4]
+    parts = []
+    for (b, eps), q in (sorted(terms.items()) if len(terms) > 1
+                        else terms.items()):
+        a, qb, d = q.a, q.b, q.d
+        if not qb:
+            qs = rational_text(a, d)
         else:
-            radicals.append(f"pi^({b}/2)")
-    qs = _render_qqi(q)
-    if not radicals:
-        return qs
-    if qs == "1":
-        return "*".join(radicals)
-    if qs == "-1":
-        return "-" + "*".join(radicals)
-    return "*".join([qs] + radicals)
+            qs = ("i" if qb == d else "-i" if qb == -d
+                  else rational_text(qb, d) + unit_i)
+            if a:
+                sep = "" if qs[0] == "-" else "+"
+                qs = f"({rational_text(a, d)}{sep}{qs})"
+        rad = sqrt2 if eps else ""
+        if b:
+            pi = (pi_half if b == 1 else pi_one if b == 2
+                  else pi_odd % b if b & 1 else pi_even % (b >> 1))
+            rad = rad + times + pi if eps else pi
+        parts.append(times_factor(qs, times, rad) if rad else qs)
+    return parts[0] if len(parts) == 1 else signed_join(parts, nt.plus,
+                                                         nt.minus)
 
 
 # -- gamma at half-integer steps ---------------------------------------

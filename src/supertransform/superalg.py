@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 from itertools import combinations
 
-from ._terms import TermMap, add_into, canonical
+from ._terms import TermMap, add_into, canonical, lane_mismatch
 from .scalars import ExactScalar, QQi
 
 
@@ -382,10 +382,22 @@ def from_integer_parts(universe, denom, parts):
         for key, by_radical in fields.items()})
 
 
+# the coefficient types of the exact and the float lane; int and Fraction
+# coefficients (integer parts, oracles) are of neither and multiply with
+# both
+_LANES = (ExactScalar, complex)
+
+
 def sp_mul(f, g):
-    """Product with the Koszul sign convention on fermionic merges."""
+    """Product with the Koszul sign convention on fermionic merges; a
+    product of the two lanes is refused."""
     if f.universe != g.universe:
         raise ValueError("universe mismatch")
+    if f.terms and g.terms:
+        mine = type(next(iter(f.terms.values())))
+        theirs = type(next(iter(g.terms.values())))
+        if mine is not theirs and mine in _LANES and theirs in _LANES:
+            raise lane_mismatch("multiply", mine, theirs)
     out = {}
     for (b1, m1), c1 in f.terms.items():
         for (b2, m2), c2 in g.terms.items():

@@ -24,8 +24,9 @@ from supertransform.hermite import check_psi_orders
 from supertransform.radon import RadonResult, check_result_size, \
     omega_universe
 from supertransform.scalars import ExactScalar, QQi
-from supertransform.superalg import (GaussianFunction, SuperPolynomial,
-                                     VariableUniverse)
+from supertransform.superalg import (LATEX, TEXT, GaussianFunction,
+                                     SuperPolynomial, VariableUniverse,
+                                     monomial_codec)
 from tests.conftest import random_poly
 
 
@@ -144,24 +145,87 @@ def test_render_latex_and_json():
     assert js["m"] == 1 and js["n"] == 1 and not js["envelope"]
 
 
+# the text spellings inside a coefficient and their LaTeX ones: pi's
+# powers, sqrt2, the imaginary unit after a rational, the product sign
+# and a ring sum's joiners
+_LATEX_WORDS = {"sqrtpi": r"\pi^{1/2}", "pi": r"\pi^{1}",
+                "sqrt2": r"\sqrt{2}", "*i": "i", "*": ""}
+_TEXT_WORD = re.compile(
+    r"sqrtpi|pi\^\((-?\d+)/2\)|pi\^(-?\d+)|pi|sqrt2|\*i|\*| ([+-]) ")
+
+
+def _latex_spelling(coeff):
+    """A text coefficient spelled as LaTeX spells it."""
+    def spell(m):
+        half, whole, sign = m.groups()
+        if half or whole:
+            return r"\pi^{%s}" % (f"{half}/2" if half else whole)
+        return sign or _LATEX_WORDS[m.group()]
+    return _TEXT_WORD.sub(spell, coeff)
+
+
+def _split_terms(printed):
+    """(joiners, terms) of a printed polynomial: a " + " or " - " inside
+    a parenthesized coefficient joins ring terms, not polynomial terms."""
+    parts = re.split(r" ([+-]) ", printed)
+    terms, joiners = [parts[0]], []
+    for sign, piece in zip(parts[1::2], parts[2::2]):
+        if terms[-1].count("(") > terms[-1].count(")"):
+            terms[-1] += f" {sign} {piece}"
+        else:
+            joiners.append(sign)
+            terms.append(piece)
+    return joiners, terms
+
+
+def _coefficient_of(term, mono, times):
+    """The coefficient printed before a monomial (envelope included):
+    "1" or "-1" where it is left out."""
+    if not mono:
+        return term
+    if term in (mono, "-" + mono):
+        return term[:-len(mono)] + "1"
+    assert term.endswith(times + mono), (term, mono)
+    return term[:-len(times + mono)]
+
+
 def test_latex_and_text_agree_term_by_term(rng):
-    # the same joiners, and the same leading sign and rational coefficient
-    # in each term: a unit coefficient is left out of both
+    # the same joiners, and in each term the text coefficient spelled as
+    # LaTeX spells it: a unit coefficient is left out of both, and a
+    # complex or ring coefficient follows the same sign rules
     cases = [parse("x1 - x2 + 3*x1^2", VariableUniverse.standard(2, 0)),
              super_fourier(parse("q1q2*G", u11()), "+"),
-             parse("-i*x1*q1 + i*q2 - 1", u11())]
+             parse("-i*x1*q1 + i*q2 - 1", u11()),
+             parse("(2/3 - i)*x1 + (1 - sqrt2)*q1 + (-1/2 + i)*sqrtpi*q2"
+                   " - pi^(-3/2)*q1q2 + (pi - 2*i*pi^-1)", u11())]
     for m, n in [(2, 0), (1, 1), (0, 2)]:
         u = VariableUniverse.standard(m, n)
-        for _ in range(10):
-            p = random_poly(u, rng, degree=3, nterms=5)
-            cases += [p, GaussianFunction(p)]
+        for rational in (True, False):
+            for _ in range(10):
+                p = random_poly(u, rng, degree=3, nterms=5,
+                                rational=rational)
+                cases += [p, GaussianFunction(p)]
     for f in cases:
-        text = re.split(r" ([+-]) ", render_poly_text(f))
-        latex = re.split(r" ([+-]) ", render_poly_latex(f))
-        assert text[1::2] == latex[1::2]
-        for t, tex in zip(text[::2], latex[::2]):
-            lead = re.compile(r"-?[0-9/]*")
-            assert lead.match(t).group() == lead.match(tex).group(), (t, tex)
+        gaussian = isinstance(f, GaussianFunction)
+        poly = f.poly if gaussian else f
+        codec = monomial_codec(poly.universe)
+        text_joiners, text = _split_terms(render_poly_text(f))
+        latex_joiners, latex = _split_terms(render_poly_latex(f))
+        assert text_joiners == latex_joiners
+        assert len(text) == len(latex) == len(poly.terms)
+        for (key, _), t, tex in zip(poly.sorted_terms(), text, latex):
+            mono, mono_tex = codec[key][TEXT], codec[key][LATEX]
+            if gaussian:
+                mono = f"{mono}*G" if mono else "G"
+                mono_tex = f"{mono_tex} e^{{x^2/2}}" if mono_tex \
+                    else "e^{x^2/2}"
+            assert _latex_spelling(_coefficient_of(t, mono, "*")) == \
+                _coefficient_of(tex, mono_tex, " "), (t, tex)
+
+
+def test_each_notation_reads_its_own_codec_field():
+    assert (scalars.TEXT_NOTATION.codec, scalars.LATEX_NOTATION.codec) == \
+        (TEXT, LATEX)
 
 
 def _run_cli(capsys, *argv):
@@ -174,7 +238,7 @@ def test_cli_latex_parenthesizes_a_coefficient_of_two_ring_terms(capsys):
     # without them the monomial would read as a factor of the last term
     assert _run_cli(capsys, "--m", "1", "--n", "0", "--format", "latex",
                     "normalize", "(1 - sqrt2)*x1") == (
-        0, r"(1+-\sqrt{2}) x_{1}", "")
+        0, r"(1-\sqrt{2}) x_{1}", "")
 
 
 def test_cli_latex_prints_float_coefficients_as_python_complex(capsys):
@@ -593,6 +657,39 @@ def test_cli_hermite_order_budget_refuses_fast(capsys, j):
                               "--k", "1", "--l", "0", "--j", j)
     assert time.perf_counter() - start < 1.0
     assert code == 1 and not out and "MAX_MONOMIALS = 50000" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["fourier"], ["fracfourier", "--a", "1/3"], ["parseval", "G"]],
+    ids=["fourier", "fracfourier", "parseval"])
+@pytest.mark.parametrize("m, n, text, images", [
+    # 27.5 s and 408 MB of output before the budget
+    ("2", "1", "x1^1000*x2^1000*G", 251001),
+    # 44.2 s: two images for each of 20 full pairs
+    ("0", "20", "".join(f"q{i}" for i in range(1, 41)) + "*G", 2 ** 20),
+    ("3", "2", "x1^60*x2^60*x3^60*q1q2q3q4*G", 31 ** 3 * 4),
+], ids=["m2-e1000", "n20-full", "m3n2-e60"])
+def test_cli_transform_budget_refuses_fast(capsys, command, m, n, text,
+                                           images):
+    start = time.perf_counter()
+    code, out, err = _run_cli(capsys, "--m", m, "--n", n, *command, text)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == (f"error: the transform could make {images} terms, over "
+                   f"MAX_TRANSFORM_TERMS = 50000")
+
+
+def test_cli_transform_budget_accepts_its_limit(capsys, monkeypatch):
+    # x1^5*x2^4*q1q2 has 3 * 3 * 2 images: a limit of 18 builds them all
+    from supertransform import fourier
+    text = "x1^5*x2^4*q1q2*G"
+    monkeypatch.setattr(fourier, "MAX_TRANSFORM_TERMS", 18)
+    code, out, _ = _run_cli(capsys, "--m", "2", "--n", "1", "fourier", text)
+    assert code == 0 and out.count(" + ") + out.count(" - ") == 17
+    monkeypatch.setattr(fourier, "MAX_TRANSFORM_TERMS", 17)
+    assert _run_cli(capsys, "--m", "2", "--n", "1", "fourier", text) == (
+        1, "", "error: the transform could make 18 terms, over "
+               "MAX_TRANSFORM_TERMS = 17")
 
 
 def test_cli_hermite_order_budget_accepts_j20(capsys):
@@ -1223,7 +1320,7 @@ _SCALAR_GOLDEN = {
         '{"schema": "supertransform/1", "m": 1, "n": 1, "envelope": true, '
         '"terms": [{"bos": [1], "fer": [1], "coeff": [{"q": [3, 4, -5, 6], '
         '"b": -1, "eps": 1}]}]}',
-        '(3/4+-5/6i)\\sqrt{2}\\pi^{-1/2} x_{1}q_{1} e^{x^2/2}',
+        '(3/4-5/6i)\\sqrt{2}\\pi^{-1/2} x_{1}q_{1} e^{x^2/2}',
         '(-3/4+5/6*i)*sqrt2*pi^(-1/2)*x1*q1*G',
         '{"schema": "supertransform/1", "m": 1, "n": 1, "envelope": true, '
         '"terms": [{"bos": [1], "fer": [1], "coeff": [{"q": [-3, 4, 5, 6], '
@@ -1244,7 +1341,7 @@ _SCALAR_GOLDEN = {
         '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": true, '
         '"terms": [{"bos": [1, 0], "fer": [1], "coeff": [{"q": [3, 4, -5, '
         '6], "b": -1, "eps": 1}]}]}',
-        '(3/4+-5/6i)\\sqrt{2}\\pi^{-1/2} x_{1}q_{1} e^{x^2/2}',
+        '(3/4-5/6i)\\sqrt{2}\\pi^{-1/2} x_{1}q_{1} e^{x^2/2}',
         '(-3/4+5/6*i)*sqrt2*pi^(-1/2)*x1*q1*G',
         '{"schema": "supertransform/1", "m": 2, "n": 2, "envelope": true, '
         '"terms": [{"bos": [1, 0], "fer": [1], "coeff": [{"q": [-3, 4, 5, '
@@ -1268,7 +1365,7 @@ _SCALAR_GOLDEN = {
         '[0, 1, 1, 6], "b": 0, "eps": 0}, {"q": [1, 5, 0, 1], "b": 0, "eps": '
         '1}]}, {"bos": [0], "fer": [], "coeff": [{"q": [-9, 4, 0, 1], "b": '
         '1, "eps": 0}]}]}',
-        '(2/3+-1i) x_{1}^{2}q_{1}q_{2} e^{x^2/2} + (1/6i+1/5\\sqrt{2}) x_{1}'
+        '(2/3-i) x_{1}^{2}q_{1}q_{2} e^{x^2/2} + (1/6i+1/5\\sqrt{2}) x_{1}'
         ' e^{x^2/2} - 9/4\\pi^{1/2} e^{x^2/2}',
         '(2/3-i)*x1^2*q1q2*G + (-4/3+2*i)*x1^2*G + (-2/3+i)*q1q2*G + (-1/6 + '
         '1/5*i*sqrt2)*x1*G + ((4/3-2*i) - 9/4*sqrtpi)*G',
@@ -1281,9 +1378,9 @@ _SCALAR_GOLDEN = {
         '[0, 1, 1, 5], "b": 0, "eps": 1}]}, {"bos": [0], "fer": [], "coeff": '
         '[{"q": [4, 3, -2, 1], "b": 0, "eps": 0}, {"q": [-9, 4, 0, 1], "b": '
         '1, "eps": 0}]}]}',
-        '(2/3+-1i) x_{1}^{2}q_{1}q_{2} e^{x^2/2} + (-4/3+2i) x_{1}^{2} e^{x^'
-        '2/2} + (-2/3+1i) q_{1}q_{2} e^{x^2/2} + (-1/6+1/5i\\sqrt{2}) x_{1} '
-        'e^{x^2/2} + ((4/3+-2i)+-9/4\\pi^{1/2}) e^{x^2/2}',
+        '(2/3-i) x_{1}^{2}q_{1}q_{2} e^{x^2/2} + (-4/3+2i) x_{1}^{2} e^{x^'
+        '2/2} + (-2/3+i) q_{1}q_{2} e^{x^2/2} + (-1/6+1/5i\\sqrt{2}) x_{1} '
+        'e^{x^2/2} + ((4/3-2i)-9/4\\pi^{1/2}) e^{x^2/2}',
         '[(-9/8*pi^(-1/2)) + ((2/3-i)*pi^-1)*p^2]*exp(-p^2/2) + '
         '[((-1+3/2*i)*pi^-1)*p^2 + ((1/3-1/2*i)*pi^-1)*p^4]*exp(-p^2/2) (x) '
         'wf1wf2 + [(1/12*i*pi^-1 + 1/10*sqrt2*pi^-1)*p]*exp(-p^2/2) (x) w1',
@@ -1576,9 +1673,9 @@ _TRANSFORM_GOLDEN = {
             '"eps": 1}]}, {"bos": [0], "fer": [2], "coeff": [{"q": [0, 1, '
             '1, 3], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [], "coeff": '
             '[{"q": [3, 2, -5, 3], "b": 0, "eps": 1}]}]}',
-            '(3/4+-5/6i)\\sqrt{2} x_{1}^{2}q_{1}q_{2} e^{x^2/2} + (-3/2+5/3i'
+            '(3/4-5/6i)\\sqrt{2} x_{1}^{2}q_{1}q_{2} e^{x^2/2} + (-3/2+5/3i'
             ')\\sqrt{2} x_{1}^{2} e^{x^2/2} + (-3/4+5/6i)\\sqrt{2} q_{1}q_{2'
-            '} e^{x^2/2} + 1/3i q_{2} e^{x^2/2} + (3/2+-5/3i)\\sqrt{2} e^{x^'
+            '} e^{x^2/2} + 1/3i q_{2} e^{x^2/2} + (3/2-5/3i)\\sqrt{2} e^{x^'
             '2/2}',
         ),
         (
@@ -1592,9 +1689,9 @@ _TRANSFORM_GOLDEN = {
             '"eps": 1}]}, {"bos": [0], "fer": [2], "coeff": [{"q": [0, 1, '
             '-1, 3], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [], "coeff": '
             '[{"q": [3, 2, -5, 3], "b": 0, "eps": 1}]}]}',
-            '(3/4+-5/6i)\\sqrt{2} x_{1}^{2}q_{1}q_{2} e^{x^2/2} + (-3/2+5/3i'
+            '(3/4-5/6i)\\sqrt{2} x_{1}^{2}q_{1}q_{2} e^{x^2/2} + (-3/2+5/3i'
             ')\\sqrt{2} x_{1}^{2} e^{x^2/2} + (-3/4+5/6i)\\sqrt{2} q_{1}q_{2'
-            '} e^{x^2/2} - 1/3i q_{2} e^{x^2/2} + (3/2+-5/3i)\\sqrt{2} e^{x^'
+            '} e^{x^2/2} - 1/3i q_{2} e^{x^2/2} + (3/2-5/3i)\\sqrt{2} e^{x^'
             '2/2}',
         ),
         (
@@ -1608,9 +1705,9 @@ _TRANSFORM_GOLDEN = {
             '"eps": 1}]}, {"bos": [0], "fer": [2], "coeff": [{"q": [0, 1, '
             '1, 3], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [], "coeff": '
             '[{"q": [3, 2, -5, 3], "b": 0, "eps": 1}]}]}',
-            '(3/4+-5/6i)\\sqrt{2} x_{1}^{2}q_{1}q_{2} e^{x^2/2} + (-3/2+5/3i'
+            '(3/4-5/6i)\\sqrt{2} x_{1}^{2}q_{1}q_{2} e^{x^2/2} + (-3/2+5/3i'
             ')\\sqrt{2} x_{1}^{2} e^{x^2/2} + (-3/4+5/6i)\\sqrt{2} q_{1}q_{2'
-            '} e^{x^2/2} + 1/3i q_{2} e^{x^2/2} + (3/2+-5/3i)\\sqrt{2} e^{x^'
+            '} e^{x^2/2} + 1/3i q_{2} e^{x^2/2} + (3/2-5/3i)\\sqrt{2} e^{x^'
             '2/2}',
         ),
         (
@@ -1624,9 +1721,9 @@ _TRANSFORM_GOLDEN = {
             '"eps": 1}]}, {"bos": [0], "fer": [2], "coeff": [{"q": [0, 1, '
             '-1, 3], "b": 0, "eps": 0}]}, {"bos": [0], "fer": [], "coeff": '
             '[{"q": [3, 2, -5, 3], "b": 0, "eps": 1}]}]}',
-            '(3/4+-5/6i)\\sqrt{2} x_{1}^{2}q_{1}q_{2} e^{x^2/2} + (-3/2+5/3i'
+            '(3/4-5/6i)\\sqrt{2} x_{1}^{2}q_{1}q_{2} e^{x^2/2} + (-3/2+5/3i'
             ')\\sqrt{2} x_{1}^{2} e^{x^2/2} + (-3/4+5/6i)\\sqrt{2} q_{1}q_{2'
-            '} e^{x^2/2} - 1/3i q_{2} e^{x^2/2} + (3/2+-5/3i)\\sqrt{2} e^{x^'
+            '} e^{x^2/2} - 1/3i q_{2} e^{x^2/2} + (3/2-5/3i)\\sqrt{2} e^{x^'
             '2/2}',
         ),
         (

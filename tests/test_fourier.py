@@ -1,11 +1,13 @@
+import time
 from fractions import Fraction
 
 import pytest
 
+from supertransform.expr import parse
 from supertransform.fourier import (berezin, convolution_fermionic,
                                     fermionic_fourier,
                                     fermionic_fourier_gaussian,
-                                    bosonic_fourier,
+                                    bosonic_fourier, frac_fermionic_table,
                                     parseval_check, super_fourier,
                                     super_fourier_cvalued, super_integral,
                                     super_integral_pair)
@@ -644,3 +646,76 @@ def test_super_integral_pair_is_positive_on_bosonic_input(rng):
                 continue
             (key, q), = super_integral_pair(f, f).terms.items()
             assert key == (u.superdim, 0) and q.b == 0 and q.a > 0, (m, n)
+
+
+# (m, n, monomial text, the images of the one term under the Mehler pass
+# on the bosonic, fermionic and full sector): prod (a_i // 2 + 1) Hermite
+# images times 2 per full pair
+_IMAGE_COUNTS = [
+    (2, 1, "x1^5*x2^4*q1q2*G", (9, 2, 18)),
+    (3, 2, "x1^2*x2^3*x3*q1q2q3*G", (4, 2, 8)),
+    (1, 2, "x1^6*q1q2q3q4*G", (4, 4, 16)),
+    (0, 3, "q1q2q4q5q6*G", (1, 4, 4)),
+]
+
+
+@pytest.mark.parametrize("m, n, text, counts", _IMAGE_COUNTS)
+def test_the_mehler_budget_counts_each_image_of_a_monomial(
+        monkeypatch, m, n, text, counts):
+    # a single monomial meets its count exactly: a limit of the count
+    # builds it, one less refuses it before the pass, on every sector and
+    # lane
+    from supertransform import fourier
+    u = VariableUniverse.standard(m, n)
+    f = parse(text, u)
+    passes = [lambda g: bosonic_fourier(g, "+"),
+              lambda g: fermionic_fourier_gaussian(g, "-"),
+              lambda g: super_fourier(g, "-"),
+              lambda g: frac_fourier(g, Fraction(1, 3))]
+    for transform, count in zip(passes, counts + (counts[2],)):
+        monkeypatch.setattr(fourier, "MAX_TRANSFORM_TERMS", count)
+        assert len(transform(f).terms) == count
+        monkeypatch.setattr(fourier, "MAX_TRANSFORM_TERMS", count - 1)
+        with pytest.raises(ValueError, match=(
+                f"the transform could make {count} terms, over "
+                f"MAX_TRANSFORM_TERMS = {count - 1}")):
+            transform(f)
+
+
+def test_the_mehler_budget_sums_the_input_terms(monkeypatch):
+    # 3 + 2 + 1 images at (1,1); radon's and parseval's transforms are
+    # counted too
+    from supertransform import fourier
+    u = VariableUniverse.standard(1, 1)
+    f = parse("x1^4*G + x1*q1q2*G + q1*G", u)
+    monkeypatch.setattr(fourier, "MAX_TRANSFORM_TERMS", 6)
+    assert len(super_fourier(f, "+").terms) == 6
+    monkeypatch.setattr(fourier, "MAX_TRANSFORM_TERMS", 5)
+    for call in (lambda: super_fourier(f, "+"), lambda: radon(f),
+                 lambda: parseval_check(f, f, "full")):
+        with pytest.raises(ValueError, match="MAX_TRANSFORM_TERMS = 5"):
+            call()
+
+
+def test_the_pair_table_budget(monkeypatch):
+    # two images per empty or full pair at a non-integral order, one per
+    # term at +/-1; at n = 25 the constant 1 would make 2^25 terms
+    from supertransform import fourier
+    u = VariableUniverse.standard(1, 3)
+    f = parse("x1*q1q2q3q5 + 2*q3q4q5", u)    # 2 + 4 images at a = 1/2
+    monkeypatch.setattr(fourier, "MAX_TRANSFORM_TERMS", 6)
+    assert len(frac_fermionic_table(f, Fraction(1, 2)).terms) == 6
+    monkeypatch.setattr(fourier, "MAX_TRANSFORM_TERMS", 5)
+    with pytest.raises(ValueError, match="MAX_TRANSFORM_TERMS = 5"):
+        frac_fermionic_table(f, Fraction(1, 2))
+    monkeypatch.setattr(fourier, "MAX_TRANSFORM_TERMS", 2)
+    assert len(fermionic_fourier(f, "+").terms) == 2
+    monkeypatch.setattr(fourier, "MAX_TRANSFORM_TERMS", 1)
+    with pytest.raises(ValueError, match="could make 2 terms"):
+        frac_fermionic_table(f, -1)
+    monkeypatch.undo()
+    wide = SuperPolynomial.one(VariableUniverse.standard(0, 25))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="could make 33554432 terms"):
+        frac_fermionic_table(wide, 0.5)
+    assert time.perf_counter() - start < 1.0

@@ -290,6 +290,44 @@ def test_sums_refuse_mixed_lanes(gaussian, float_key):
     assert exact + zero == exact and zero + flt == flt
 
 
+@pytest.mark.parametrize("float_first", [False, True],
+                         ids=["exact-times-float", "float-times-exact"])
+def test_products_refuse_mixed_lanes(float_first):
+    # sp_mul and mul_poly name both lanes, in operand order, where the
+    # coefficient product would raise a TypeError
+    u = VariableUniverse.standard(1, 1)
+    exact = parse("x1 + q1", u)
+    flt = SuperPolynomial(u, {((1,), 0b10): 0.5 - 0.25j})
+    lanes = ["ExactScalar", "complex"]
+    a, b = exact, flt
+    if float_first:
+        a, b = b, a
+        lanes.reverse()
+    message = (f"lane mismatch: cannot multiply {lanes[0]} and {lanes[1]} "
+               f"coefficients")
+    with pytest.raises(ValueError, match=message):
+        sp_mul(a, b)
+    with pytest.raises(ValueError, match=message):
+        GaussianFunction(b).mul_poly(a)
+
+
+def test_int_and_fraction_coefficients_multiply_with_either_lane():
+    # the integer parts of an exact polynomial and the oracles' weights
+    # belong to no lane
+    u = VariableUniverse.standard(1, 1)
+    ints = SuperPolynomial(u, {((1,), 0): 2, ((0,), 0b01): Fraction(1, 3)})
+    exact = parse("x1 + i*q2", u)
+    flt = SuperPolynomial(u, {((1,), 0b10): 0.5 - 0.25j})
+    assert sp_mul(ints, exact) == parse(
+        "2*x1^2 + 2*i*x1*q2 + 1/3*x1*q1 + 1/3*i*q1q2", u)
+    assert sp_mul(exact, ints) == parse(
+        "2*x1^2 + 2*i*x1*q2 + 1/3*x1*q1 - 1/3*i*q1q2", u)
+    assert sp_mul(ints, flt).terms == {((2,), 0b10): 1 - 0.5j,
+                                      ((1,), 0b11): (0.5 - 0.25j) / 3}
+    assert sp_mul(flt, ints).terms == {((2,), 0b10): 1 - 0.5j,
+                                      ((1,), 0b11): -(0.5 - 0.25j) / 3}
+
+
 def test_an_exact_input_plus_a_fractional_transform_is_refused():
     u = VariableUniverse.standard(1, 1)
     moved = frac_fourier(parse("q1*G", u), 0.5)
