@@ -1,5 +1,5 @@
-"""psi_element over whole harmonic bases: user copies, cold records and
-warm records.
+"""psi_element over whole harmonic bases: user copies, cold records, and
+warm records with and without their stored series.
 
 Run from the repository root:
 
@@ -10,10 +10,17 @@ For each (j, k, universe) of the bases benchmark workload
 element h of the degree-k full basis.  The user column runs the pass on
 equal polynomials that no basis built, so every call checks and splits
 its input; cold gives every element a fresh record first, as a one-shot
-command-line call finds it; warm repeats the pass with the records and
-ladders the cold pass left.  Each is the best of --repeats passes.  The
-last column is the int entries of the basis's ladder rungs above h after
-the passes.
+command-line call finds it, so every call checks its element and grows
+its ladder; warm repeats the pass on those records, so every call builds
+its series from the rungs and stores it; series repeats it again, so
+every call returns its stored series; ladder looks up no stored series
+and stores none, so every call builds its series from the rungs, the
+warm route before the series were stored.  The host's speed drifts over
+minutes, so the columns are interleaved: each round runs one pass of
+each, in that order, and each column is the best of --repeats rounds.
+The last column is the entries the basis's records count towards
+harmonics.MAX_LADDER_ENTRIES after a warm pass: ladder rungs above h
+plus stored series terms.
 """
 
 import argparse
@@ -29,37 +36,58 @@ from supertransform.hermite import psi_element  # noqa: E402
 from supertransform.superalg import (SuperPolynomial,  # noqa: E402
                                      VariableUniverse)
 
+COLUMNS = ("user", "cold", "warm", "series", "ladder")
 
-def one_pass(j, elements, cold=None):
-    if cold is not None:
-        harmonics._recorded(cold)
+
+def one_pass(j, elements):
     start = time.perf_counter()
     for h in elements:
         psi_element(j, h)
     return time.perf_counter() - start
 
 
+def ladder_pass(j, basis):
+    """A pass that finds no stored series and stores none."""
+    record = harmonics._ElementRecord
+    stored, store = record.stored, record.store
+    record.stored = lambda self, key: None
+    record.store = lambda self, key, f: f
+    try:
+        return one_pass(j, basis)
+    finally:
+        record.stored, record.store = stored, store
+
+
+def one_round(j, basis, users):
+    """One pass of each column, in COLUMNS order."""
+    user = one_pass(j, users)
+    harmonics._recorded(basis)
+    cold = one_pass(j, basis)
+    warm = one_pass(j, basis)
+    entries = sum(sum(harmonics._record(h).entries()) for h in basis)
+    series = one_pass(j, basis)
+    return (user, cold, warm, series, ladder_pass(j, basis)), entries
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
-    print("| universe | j | k | dim | user | cold | warm | ladder |")
-    print("| --- | --- | --- | --- | --- | --- | --- | --- |")
+    print("| universe | j | k | dim | " + " | ".join(COLUMNS)
+          + " | entries |")
+    print("| --- " * (len(COLUMNS) + 5) + "|")
     for m, n in inputs.BASES_UNIVERSES:
         u = VariableUniverse.standard(m, n)
         for j, k in inputs.HERMITE_PAIRS:
             basis = harmonics.harmonic_basis(k, "full", u)
             users = [SuperPolynomial(u, dict(h.terms)) for h in basis]
-            user, cold, warm = (
-                min(one_pass(j, elements, fresh)
-                    for _ in range(args.repeats))
-                for elements, fresh in [(users, None), (basis, basis),
-                                        (basis, None)])
-            ladder = sum(len(rung.terms) for h in basis
-                         for rung in harmonics._record(h).ladder[1:])
+            best = [float("inf")] * len(COLUMNS)
+            for _ in range(args.repeats):
+                times, entries = one_round(j, basis, users)
+                best = list(map(min, best, times))
+            cells = " | ".join(f"{1000 * t:.2f} ms" for t in best)
             print(f"| ({m},{n}) | {j} | {k} | {basis.dimension} | "
-                  f"{1000 * user:.2f} ms | {1000 * cold:.2f} ms | "
-                  f"{1000 * warm:.2f} ms | {ladder} |")
+                  f"{cells} | {entries} |")
 
 
 if __name__ == "__main__":

@@ -29,8 +29,12 @@ every call.  The homogeneity and harmonicity of h are checked once per
 basis element, on its first call that passes the order checks: an
 element of a basis that harmonic_basis built, recognized by identity,
 keeps its degree, its split and its ladder of int rungs t^i h in its
-record (harmonics._ElementRecord), and its series reads the rungs.  Any
-other h, user input among it, is checked and split on every call.
+record (harmonics._ElementRecord), and its series reads the rungs.  Each
+later call stores its finished series in the record, keyed by the
+order and psi or psi~, so a repeated call is one lookup that returns the
+same object; the rungs and the series share one bound,
+harmonics.MAX_LADDER_ENTRIES.  Any other h, user input among it, is
+checked and split on every call, and nothing of it is stored.
 """
 
 from __future__ import annotations
@@ -123,15 +127,22 @@ def _hermite_series(j, h_k, rescaled):
 
     An element of a basis that harmonic_basis built (by identity, read
     from its record, harmonics._ElementRecord) is checked on its first
-    call only; after that only its orders are, and its series is the
-    weights times the rungs of its int ladder t^i h, grown as far as a
-    call needs.  Any other h_k is checked and split on every call
-    (_checked_parts)."""
+    call only, and that call's series is not stored.  After that only
+    its orders are checked, and its series is the one stored in the
+    record at (j, rescaled), shared by every later call, or on a miss
+    the weights times the rungs of its int ladder t^i h, grown as far as
+    the call needs, then stored.  Any other h_k, a copy equal to an
+    element included, is checked and split on every call
+    (_checked_parts), and nothing is stored."""
     u = h_k.universe
     record = _record(h_k)
-    if record is not None and record.checked:
+    warm = record is not None and record.checked
+    if warm:
         k = record.degree
         check_psi_orders(j, k, u)
+        f = record.stored((j, rescaled))
+        if f is not None:
+            return f
     else:
         k, denom, parts = _checked_parts(j, h_k, record)
     if record is not None:
@@ -153,7 +164,8 @@ def _hermite_series(j, h_k, rescaled):
         series[part] = h_k._like(terms)
     if denom is None:   # the float lane: h_k is its own one part
         return GaussianFunction(series[None])
-    return GaussianFunction(from_integer_parts(u, denom, series))
+    f = GaussianFunction(from_integer_parts(u, denom, series))
+    return record.store((j, rescaled), f) if warm else f
 
 
 def _checked_parts(j, h_k, record):
@@ -211,10 +223,11 @@ def psi_span(universe, cap):
     element is checked on its first call only, and its series at every
     j reads the rungs of one ladder, grown to j = (cap - k) // 2.  The
     records outlive this memo: a rebuild after cache_clear() checks
-    nothing again, and grows no rung unless the ladder bound dropped
-    them.  No transform expands against it: the Fourier transform of
-    every order is one Mehler pass, and the psi expansion of a function
-    is a test oracle.
+    nothing again, grows no rung unless the ladder bound dropped them,
+    and shares the series the first build stored (all but those of
+    each element's first call).  No transform expands against it: the
+    Fourier transform of every order is one Mehler pass, and the psi
+    expansion of a function is a test oracle.
     """
     out = []
     for k in range(cap + 1):

@@ -16,6 +16,7 @@ from supertransform.operators import laplace, scalar_square
 from supertransform.scalars import ExactScalar, gamma_half_integer
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse, sp_mul, vector_square)
+from tests.identities import GRID
 from tests.oracles import (ch_explicit, fermionic_square_power,
                            rising_factorial, substitute_derivatives)
 
@@ -432,11 +433,176 @@ def test_ladder_bound_clears_and_results_stay_equal(monkeypatch):
            for j in range(5) for fn in (psi_element, psi_tilde_element)]
     assert got == want
     # the rungs of any one element up to j = 4 hold more than 40 entries,
-    # so each element's growth to j = 4 cleared the ladders before it
-    assert all(len(r.ladder) == 1 for r in records[:-1])
-    assert len(records[-1].ladder) == 5
-    assert harmonics._RECORDS.entries == sum(
-        len(rung.terms) for rung in records[-1].ladder[1:])
+    # so each element's growth to j = 4 dropped every rung and stored
+    # series before it, and the count that growth left refused to store
+    # the series of every later call, the last one's included
+    assert all(len(r.ladder) == 1 and not r.series for r in records[:-1])
+    assert len(records[-1].ladder) == 5 and not records[-1].series
+    assert harmonics._RECORDS.entries == _live_entries(records) > 40
+
+
+def _live_entries(records):
+    """The rung entries above h and the stored series terms of records,
+    counted from the records themselves."""
+    return sum(len(p.terms) for r in records
+               for p in [*(r.ladder or ())[1:], *r.series.values()])
+
+
+def test_stored_series_equal_the_full_route_on_every_shape(monkeypatch):
+    # the first call checks and stores nothing, the second builds and
+    # stores, the third returns the stored object; all three give the
+    # full route's terms in its order on an equal user copy
+    monkeypatch.setattr(harmonics, "MAX_LADDER_ENTRIES", 10 ** 9)
+    cases = 0
+    for m, n in GRID:
+        u = VariableUniverse.standard(m, n)
+        for k in range(4):
+            basis = harmonic_basis(k, "full", u)
+            records = _fresh_records(basis)
+            for j in (1, 0, 2):
+                for fn, rescaled in ((psi_element, False),
+                                     (psi_tilde_element, True)):
+                    for h, record in zip(basis, records):
+                        want = fn(j, SuperPolynomial(u, dict(h.terms)))
+                        first, second, third = fn(j, h), fn(j, h), fn(j, h)
+                        assert third is second is record.series[j, rescaled]
+                        for got in (first, second):
+                            assert list(got.terms.items()) == \
+                                list(want.terms.items()), (m, n, k, j)
+                        cases += 1
+    assert cases == 6198
+
+
+def test_user_copies_refusals_and_first_calls_store_nothing():
+    u = VariableUniverse.standard(2, 2)
+    basis = harmonic_basis(2, "full", u)
+    records = _fresh_records(basis)
+    for h in basis:
+        user = SuperPolynomial(u, dict(h.terms))
+        for fn in (psi_element, psi_tilde_element):
+            fn(1, user)
+            fn(1, user)
+            with pytest.raises(ValueError, match="must be non-negative"):
+                fn(-1, h)
+    assert not any(r.checked or r.series for r in records)
+    for fn in (psi_element, psi_tilde_element):
+        for h in basis:
+            fn(2, h)        # psi: the first call; psi~: stored
+    assert all(r.checked and list(r.series) == [(2, True)]
+               for r in records)
+    for h in basis:
+        with pytest.raises(ValueError, match="over MAX_MONOMIALS"):
+            psi_element(100000, h)
+    assert all(list(r.series) == [(2, True)] for r in records)
+
+
+def test_the_bound_drops_series_first_and_rungs_when_they_reach_it(
+        monkeypatch):
+    u = VariableUniverse.standard(3, 2)
+    warm, cold = (harmonic_basis(k, "full", u) for k in (2, 3))
+    records = _fresh_records(warm) + _fresh_records(cold)
+    held = records[:warm.dimension]
+    harmonics._RECORDS.clear_ladders()
+
+    def both(fn, j, h):
+        # the value by the record route, checked against the full route
+        got = fn(j, h)
+        assert got == fn(j, SuperPolynomial(u, dict(h.terms)))
+        return got
+
+    for fn in (psi_element, psi_element, psi_tilde_element):
+        for h in warm:
+            both(fn, 2, h)
+    ladders = [r.ladder for r in held]
+    assert all(list(r.series) == [(2, False), (2, True)] for r in held)
+    # the count reaches the bound, the rungs alone do not: a series is
+    # not stored, and the next rung growth drops the stored series alone
+    # and stores none until the rungs are dropped too
+    monkeypatch.setattr(harmonics, "MAX_LADDER_ENTRIES",
+                        harmonics._RECORDS.entries)
+    clears = harmonics.records_info().clears
+    both(psi_tilde_element, 1, warm.elements[0])
+    assert (1, True) not in held[0].series
+    assert harmonics.records_info().clears == clears
+    h = cold.elements[0]
+    both(psi_element, 1, h)              # grows the ladder of h
+    assert harmonics.records_info().clears == clears + 1
+    assert not any(r.series for r in records)
+    assert all(r.ladder is ladder for r, ladder in zip(held, ladders))
+    both(psi_element, 1, h)
+    for fn in (psi_element, psi_tilde_element):
+        both(fn, 2, warm.elements[0])
+    assert not any(r.series for r in records)
+    assert harmonics._RECORDS.entries == _live_entries(records)
+    # the rungs alone reach the bound: the next growth drops them all,
+    # and stores series again
+    monkeypatch.setattr(harmonics, "MAX_LADDER_ENTRIES",
+                        harmonics._RECORDS.rung_entries)
+    h = cold.elements[1]
+    both(psi_element, 1, h)
+    assert harmonics.records_info().clears == clears + 2
+    assert all(len(r.ladder) == 1 for r in held)
+    both(psi_element, 2, h)
+    f = both(psi_element, 2, h)
+    assert records[warm.dimension + 1].series == {(2, False): f}
+    assert harmonics._RECORDS.entries == _live_entries(records) > 0
+
+
+def test_re_recording_takes_the_old_entries_off_the_count(monkeypatch):
+    # a replaced record's rungs and series leave the count with it, so
+    # the count stays the live entries however often a basis is
+    # re-recorded
+    monkeypatch.setattr(harmonics, "MAX_LADDER_ENTRIES", 10 ** 9)
+    u = VariableUniverse.standard(3, 2)
+    basis = harmonic_basis(4, "full", u)
+    harmonics._RECORDS.clear_ladders()
+    counts = []
+    for _ in range(4):
+        records = _fresh_records(basis)
+        assert harmonics._RECORDS.entries == 0
+        for fn in (psi_element, psi_element, psi_tilde_element):
+            for h in basis:
+                fn(3, h)
+        counts.append(harmonics._RECORDS.entries)
+        assert counts[-1] == _live_entries(records)
+    assert len(set(counts)) == 1 and counts[0] > 0
+
+
+def test_records_info_reads_a_cold_and_a_warm_pass(monkeypatch):
+    monkeypatch.setattr(harmonics, "MAX_LADDER_ENTRIES", 10 ** 9)
+    u = VariableUniverse.standard(2, 1)
+    basis = harmonic_basis(3, "full", u)
+    dim = basis.dimension
+    harmonics._RECORDS.clear_ladders()
+    start = harmonics.records_info()
+    records = _fresh_records(basis)
+
+    def one_pass():
+        for j in (0, 1):
+            for h in basis:
+                psi_element(j, h)
+        return harmonics.records_info()
+
+    # cold: each element's first call (j = 0) checks it and stores
+    # nothing, its j = 1 call misses and stores
+    cold = one_pass()
+    assert (cold.records, cold.series) == (start.records, dim)
+    assert (cold.hits, cold.misses, cold.clears) == \
+        (start.hits, start.misses + dim, start.clears)
+    assert cold.entries == _live_entries(records) > 0
+    # warm: j = 0 misses once more and stores, j = 1 hits
+    warm = one_pass()
+    assert (warm.series, warm.hits, warm.misses) == \
+        (2 * dim, cold.hits + dim, cold.misses + dim)
+    assert warm.entries == _live_entries(records) > cold.entries
+    again = one_pass()
+    assert (again.series, again.entries, again.misses) == \
+        (warm.series, warm.entries, warm.misses)
+    assert again.hits == warm.hits + 2 * dim
+    harmonics._RECORDS.clear_ladders()
+    cleared = harmonics.records_info()
+    assert (cleared.entries, cleared.series, cleared.clears) == \
+        (0, 0, again.clears + 1)
 
 
 def test_records_read_right_while_other_threads_grow_them(monkeypatch):
