@@ -1,5 +1,6 @@
 """psi_element over whole harmonic bases: user copies, cold records, and
-warm records with and without their stored series.
+warm records with and without their stored series, and the text of the
+stored series.
 
 Run from the repository root:
 
@@ -10,17 +11,21 @@ For each (j, k, universe) of the bases benchmark workload
 element h of the degree-k full basis.  The user column runs the pass on
 equal polynomials that no basis built, so every call checks and splits
 its input; cold gives every element a fresh record first, as a one-shot
-command-line call finds it, so every call checks its element and grows
-its ladder; warm repeats the pass on those records, so every call builds
-its series from the rungs and stores it; series repeats it again, so
-every call returns its stored series; ladder looks up no stored series
-and stores none, so every call builds its series from the rungs, the
-warm route before the series were stored.  The host's speed drifts over
-minutes, so the columns are interleaved: each round runs one pass of
-each, in that order, and each column is the best of --repeats rounds.
-The last column is the entries the basis's records count towards
-harmonics.MAX_LADDER_ENTRIES after a warm pass: ladder rungs above h
-plus stored series terms.
+command-line call finds it, so every call checks its element, grows its
+ladder and stores its series; warm repeats the pass on those records
+with their stored series dropped, so every call builds its series from
+the rungs and stores it; series repeats it again, so every call returns
+its stored series; ladder looks up no stored series and stores none, so
+every call builds its series from the rungs, the warm route before the
+series were stored.  The print column renders every stored series in
+text with the printer itself (`expr._render_terms`), as a first render
+does; text renders them with `render_poly_text` after one untimed
+render, so every call reads the text the series keeps.  The host's
+speed drifts over minutes, so the columns are interleaved: each round
+runs one pass of each, in that order, and each column is the best of
+--repeats rounds.  The last column is the entries the basis's records
+count towards harmonics.MAX_LADDER_ENTRIES after a warm pass: ladder
+rungs above h plus stored series terms.
 """
 
 import argparse
@@ -31,18 +36,36 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from benchmarks import inputs  # noqa: E402
-from supertransform import harmonics  # noqa: E402
+from supertransform import expr, harmonics  # noqa: E402
 from supertransform.hermite import psi_element  # noqa: E402
+from supertransform.scalars import TEXT_NOTATION  # noqa: E402
 from supertransform.superalg import (SuperPolynomial,  # noqa: E402
                                      VariableUniverse)
 
-COLUMNS = ("user", "cold", "warm", "series", "ladder")
+COLUMNS = ("user", "cold", "warm", "series", "ladder", "print", "text")
 
 
 def one_pass(j, elements):
     start = time.perf_counter()
     for h in elements:
         psi_element(j, h)
+    return time.perf_counter() - start
+
+
+def drop_series(basis):
+    """Drop the stored series of the basis's records, taken off the
+    count; their checks and ladders stay."""
+    with harmonics._RECORDS.lock:
+        for h in basis:
+            record = harmonics._record(h)
+            harmonics._RECORDS.series_terms -= record.entries()[1]
+            record.series = {}
+
+
+def render_pass(render, series):
+    start = time.perf_counter()
+    for f in series:
+        render(f)
     return time.perf_counter() - start
 
 
@@ -63,10 +86,17 @@ def one_round(j, basis, users):
     user = one_pass(j, users)
     harmonics._recorded(basis)
     cold = one_pass(j, basis)
+    drop_series(basis)
     warm = one_pass(j, basis)
     entries = sum(sum(harmonics._record(h).entries()) for h in basis)
     series = one_pass(j, basis)
-    return (user, cold, warm, series, ladder_pass(j, basis)), entries
+    ladder = ladder_pass(j, basis)
+    stored = [psi_element(j, h) for h in basis]
+    printed = render_pass(lambda f: expr._render_terms(f, TEXT_NOTATION),
+                          stored)
+    render_pass(expr.render_poly_text, stored)
+    text = render_pass(expr.render_poly_text, stored)
+    return (user, cold, warm, series, ladder, printed, text), entries
 
 
 def main():
@@ -85,7 +115,7 @@ def main():
             for _ in range(args.repeats):
                 times, entries = one_round(j, basis, users)
                 best = list(map(min, best, times))
-            cells = " | ".join(f"{1000 * t:.2f} ms" for t in best)
+            cells = " | ".join(f"{1000 * t:.3f} ms" for t in best)
             print(f"| ({m},{n}) | {j} | {k} | {basis.dimension} | "
                   f"{cells} | {entries} |")
 

@@ -803,7 +803,13 @@ def _render_terms(f, nt):
 
 
 def render_poly_text(f):
-    return _render_terms(f, TEXT_NOTATION)
+    """The text of f; a Gaussian function keeps it in its `text` slot,
+    so a second render of the same object is one attribute read."""
+    if not isinstance(f, GaussianFunction):
+        return _render_terms(f, TEXT_NOTATION)
+    if f.text is None:
+        f.text = _render_terms(f, TEXT_NOTATION)
+    return f.text
 
 
 def render_poly_latex(f):

@@ -18,7 +18,9 @@ record (_ElementRecord), found by the element's identity: its degree,
 its int numerator over one denominator, split once, the ladder of int
 rungs t^i h (t = x^2) that the psi series of hermite reads, the sl2
 raising ladder of h, and the finished psi and psi~ series of hermite,
-kept whole; `records_info()` reports them.  The f_{k,p,q} coupling
+kept whole from the element's first checked call on, each keeping its
+text once printed (superalg.GaussianFunction.text); `records_info()`
+reports them.  The f_{k,p,q} coupling
 polynomials and the dimension identity of the decomposition are
 evaluated as stated; a failed check is reported in the result, never
 patched.  The Fischer decomposition of the Grassmann component, the
@@ -88,8 +90,9 @@ class _ElementRecord:
     rational) and the ladder of int numerators t^i h, grown by one x^2
     pass per rung as far as a call needs.  `series` maps (j, rescaled)
     to the finished psi (rescaled False) or psi~ series of hermite that
-    a call after the checked one built, stored whole and never
-    mutated."""
+    a call built once h passed its checks, the checked call included,
+    stored whole and never mutated; a series keeps its text once printed
+    (superalg.GaussianFunction.text)."""
 
     __slots__ = ("element", "degree", "checked", "denom", "part",
                  "ladder", "series")

@@ -30,11 +30,15 @@ basis element, on its first call that passes the order checks: an
 element of a basis that harmonic_basis built, recognized by identity,
 keeps its degree, its split and its ladder of int rungs t^i h in its
 record (harmonics._ElementRecord), and its series reads the rungs.  Each
-later call stores its finished series in the record, keyed by the
-order and psi or psi~, so a repeated call is one lookup that returns the
-same object; the rungs and the series share one bound,
-harmonics.MAX_LADDER_ENTRIES.  Any other h, user input among it, is
-checked and split on every call, and nothing of it is stored.
+call that builds a series for it, the checked first call included,
+stores the finished series in the record, keyed by the order and psi or
+psi~, so a repeated call is one lookup that returns the same object, and
+that object keeps its text once printed (GaussianFunction.text), so a
+repeated render is one attribute read; the rungs and the series share
+one bound, harmonics.MAX_LADDER_ENTRIES.  A one-shot command-line call
+uses each element once and gains nothing.  Any other h, user input
+among it, is checked and split on every call, and nothing of it is
+stored.
 """
 
 from __future__ import annotations
@@ -127,13 +131,14 @@ def _hermite_series(j, h_k, rescaled):
 
     An element of a basis that harmonic_basis built (by identity, read
     from its record, harmonics._ElementRecord) is checked on its first
-    call only, and that call's series is not stored.  After that only
-    its orders are checked, and its series is the one stored in the
-    record at (j, rescaled), shared by every later call, or on a miss
-    the weights times the rungs of its int ladder t^i h, grown as far as
-    the call needs, then stored.  Any other h_k, a copy equal to an
-    element included, is checked and split on every call
-    (_checked_parts), and nothing is stored."""
+    call only, and the series of that call, once its checks pass, is
+    stored in the record at (j, rescaled).  After that only its orders
+    are checked, and its series is the one stored there, shared by every
+    later call, or on a miss the weights times the rungs of its int
+    ladder t^i h, grown as far as the call needs, then stored.  A
+    refusal stores nothing, and neither does any other h_k, a copy equal
+    to an element included, which is checked and split on every call
+    (_checked_parts)."""
     u = h_k.universe
     record = _record(h_k)
     warm = record is not None and record.checked
@@ -165,7 +170,7 @@ def _hermite_series(j, h_k, rescaled):
     if denom is None:   # the float lane: h_k is its own one part
         return GaussianFunction(series[None])
     f = GaussianFunction(from_integer_parts(u, denom, series))
-    return record.store((j, rescaled), f) if warm else f
+    return f if record is None else record.store((j, rescaled), f)
 
 
 def _checked_parts(j, h_k, record):
@@ -224,8 +229,7 @@ def psi_span(universe, cap):
     j reads the rungs of one ladder, grown to j = (cap - k) // 2.  The
     records outlive this memo: a rebuild after cache_clear() checks
     nothing again, grows no rung unless the ladder bound dropped them,
-    and shares the series the first build stored (all but those of
-    each element's first call).  No transform expands against it: the
+    and shares the series the first build stored.  No transform expands against it: the
     Fourier transform of every order is one Mehler pass, and the psi
     expansion of a function is a test oracle.
     """

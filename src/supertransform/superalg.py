@@ -500,9 +500,15 @@ class GaussianFunction(TermMap):
     product rules, and a plain polynomial is a SuperPolynomial.  The
     terms are the polynomial's, so the linear structure is TermMap's.
     The second argument is kept only for callers that pass True.
+
+    `text` is the plain-text rendering, filled by expr.render_poly_text
+    on the first render and read back after that; it takes no part in
+    equality, repr, LaTeX or JSON.  That is sound because nothing
+    changes a term map or rebinds `poly` after construction, which the
+    psi series that harmonics records share already rely on.
     """
 
-    __slots__ = ("poly",)
+    __slots__ = ("poly", "text")
     _shape = ("universe",)
 
     def __init__(self, poly, envelope=True):
@@ -511,6 +517,7 @@ class GaussianFunction(TermMap):
                              "envelope; a plain polynomial is a "
                              "SuperPolynomial")
         self.poly = poly
+        self.text = None
 
     @property
     def universe(self):

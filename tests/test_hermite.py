@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from supertransform import harmonics
+from supertransform.expr import _render_terms, render_poly_text
 from supertransform._linalg import SparseRREF
 from supertransform._terms import add_into
 from supertransform.harmonics import harmonic_basis
@@ -13,7 +14,8 @@ from supertransform.hermite import (MAX_MONOMIALS, ch_coefficients,
                                     check_psi_orders, psi_element, psi_span,
                                     psi_tilde_element)
 from supertransform.operators import laplace, scalar_square
-from supertransform.scalars import ExactScalar, gamma_half_integer
+from supertransform.scalars import (TEXT_NOTATION, ExactScalar,
+                                    gamma_half_integer)
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse, sp_mul, vector_square)
 from tests.identities import GRID
@@ -449,9 +451,9 @@ def _live_entries(records):
 
 
 def test_stored_series_equal_the_full_route_on_every_shape(monkeypatch):
-    # the first call checks and stores nothing, the second builds and
-    # stores, the third returns the stored object; all three give the
-    # full route's terms in its order on an equal user copy
+    # the first call checks, builds and stores, the second and third
+    # return the stored object; all three give the full route's terms in
+    # its order on an equal user copy
     monkeypatch.setattr(harmonics, "MAX_LADDER_ENTRIES", 10 ** 9)
     cases = 0
     for m, n in GRID:
@@ -473,7 +475,38 @@ def test_stored_series_equal_the_full_route_on_every_shape(monkeypatch):
     assert cases == 6198
 
 
-def test_user_copies_refusals_and_first_calls_store_nothing():
+def _fresh_copy(f):
+    """A Gaussian function equal to f that shares nothing with it."""
+    return GaussianFunction(SuperPolynomial(f.universe, dict(f.terms)))
+
+
+def test_stored_series_keep_the_text_the_printer_writes(monkeypatch):
+    # the text a stored series keeps is the printer's on an equal fresh
+    # copy, and a repeated call renders to the identical string
+    monkeypatch.setattr(harmonics, "MAX_LADDER_ENTRIES", 10 ** 9)
+    cases = 0
+    for m, n in GRID:
+        u = VariableUniverse.standard(m, n)
+        for k in range(4):
+            basis = harmonic_basis(k, "full", u)
+            records = _fresh_records(basis)
+            for j in (1, 0, 2):
+                for fn, rescaled in ((psi_element, False),
+                                     (psi_tilde_element, True)):
+                    for h, record in zip(basis, records):
+                        f = fn(j, h)
+                        assert f is record.series[j, rescaled]
+                        assert f.text is None
+                        text = render_poly_text(f)
+                        assert text == _render_terms(_fresh_copy(f),
+                                                     TEXT_NOTATION)
+                        assert f.text is text
+                        assert render_poly_text(fn(j, h)) is text
+                        cases += 1
+    assert cases == 6198
+
+
+def test_user_copies_and_refusals_store_nothing_first_calls_store():
     u = VariableUniverse.standard(2, 2)
     basis = harmonic_basis(2, "full", u)
     records = _fresh_records(basis)
@@ -485,15 +518,17 @@ def test_user_copies_refusals_and_first_calls_store_nothing():
             with pytest.raises(ValueError, match="must be non-negative"):
                 fn(-1, h)
     assert not any(r.checked or r.series for r in records)
-    for fn in (psi_element, psi_tilde_element):
-        for h in basis:
-            fn(2, h)        # psi: the first call; psi~: stored
-    assert all(r.checked and list(r.series) == [(2, True)]
-               for r in records)
+    for h, record in zip(basis, records):
+        f = psi_element(2, h)      # the first call: checks and stores
+        assert record.checked and record.series == {(2, False): f}
+        assert psi_element(2, h) is f
+    for h in basis:
+        psi_tilde_element(2, h)    # checked: misses and stores
+    assert all(list(r.series) == [(2, False), (2, True)] for r in records)
     for h in basis:
         with pytest.raises(ValueError, match="over MAX_MONOMIALS"):
             psi_element(100000, h)
-    assert all(list(r.series) == [(2, True)] for r in records)
+    assert all(list(r.series) == [(2, False), (2, True)] for r in records)
 
 
 def test_the_bound_drops_series_first_and_rungs_when_they_reach_it(
@@ -510,9 +545,9 @@ def test_the_bound_drops_series_first_and_rungs_when_they_reach_it(
         assert got == fn(j, SuperPolynomial(u, dict(h.terms)))
         return got
 
-    for fn in (psi_element, psi_element, psi_tilde_element):
-        for h in warm:
-            both(fn, 2, h)
+    for fn in (psi_element, psi_tilde_element):
+        for h in warm:      # the first call stores, the second hits
+            assert both(fn, 2, h) is fn(2, h)
     ladders = [r.ladder for r in held]
     assert all(list(r.series) == [(2, False), (2, True)] for r in held)
     # the count reaches the bound, the rungs alone do not: a series is
@@ -535,16 +570,17 @@ def test_the_bound_drops_series_first_and_rungs_when_they_reach_it(
     assert not any(r.series for r in records)
     assert harmonics._RECORDS.entries == _live_entries(records)
     # the rungs alone reach the bound: the next growth drops them all,
-    # and stores series again
+    # and stores series again, from that first call on
     monkeypatch.setattr(harmonics, "MAX_LADDER_ENTRIES",
                         harmonics._RECORDS.rung_entries)
     h = cold.elements[1]
-    both(psi_element, 1, h)
+    g = both(psi_element, 1, h)
     assert harmonics.records_info().clears == clears + 2
     assert all(len(r.ladder) == 1 for r in held)
-    both(psi_element, 2, h)
     f = both(psi_element, 2, h)
-    assert records[warm.dimension + 1].series == {(2, False): f}
+    assert both(psi_element, 2, h) is f
+    assert records[warm.dimension + 1].series == {(1, False): g,
+                                                  (2, False): f}
     assert harmonics._RECORDS.entries == _live_entries(records) > 0
 
 
@@ -583,18 +619,18 @@ def test_records_info_reads_a_cold_and_a_warm_pass(monkeypatch):
                 psi_element(j, h)
         return harmonics.records_info()
 
-    # cold: each element's first call (j = 0) checks it and stores
-    # nothing, its j = 1 call misses and stores
+    # cold: each element's first call (j = 0) checks it and stores its
+    # series, and is no lookup; its j = 1 call misses and stores
     cold = one_pass()
-    assert (cold.records, cold.series) == (start.records, dim)
+    assert (cold.records, cold.series) == (start.records, 2 * dim)
     assert (cold.hits, cold.misses, cold.clears) == \
         (start.hits, start.misses + dim, start.clears)
     assert cold.entries == _live_entries(records) > 0
-    # warm: j = 0 misses once more and stores, j = 1 hits
+    # warm: both orders hit, and nothing more is stored
     warm = one_pass()
     assert (warm.series, warm.hits, warm.misses) == \
-        (2 * dim, cold.hits + dim, cold.misses + dim)
-    assert warm.entries == _live_entries(records) > cold.entries
+        (2 * dim, cold.hits + 2 * dim, cold.misses)
+    assert warm.entries == _live_entries(records) == cold.entries
     again = one_pass()
     assert (again.series, again.entries, again.misses) == \
         (warm.series, warm.entries, warm.misses)

@@ -265,6 +265,27 @@ def test_gaussian_function_refuses_other_operands_with_type_error():
     assert g + GaussianFunction(p) - GaussianFunction(p) == g
 
 
+def test_gaussian_text_is_kept_and_read_by_the_text_printer_alone():
+    # render_poly_text fills the slot once and reads it back; equality,
+    # repr, LaTeX and JSON never read it, even when it is wrong
+    u = VariableUniverse.standard(2, 1)
+    f = parse("(3/2 - x1*q1) * G + x2^2 * q1*q2 * G", u)
+    g = GaussianFunction(SuperPolynomial(u, dict(f.terms)))
+    assert f.text is None
+    text = render_poly_text(f)
+    assert text == render_poly_text(g) and f.text is text
+    assert render_poly_text(f) is text
+    g.text = "not the text"
+    assert render_poly_text(g) == "not the text"
+    assert f == g and not f != g
+    assert repr(f) == repr(g)
+    assert render_poly_latex(f) == render_poly_latex(g)
+    assert poly_to_json(f) == poly_to_json(g)
+    # a value built from f starts with no text of its own
+    assert (f + f).text is None and (-f).text is None
+    assert render_poly_text(-f) != text
+
+
 @pytest.mark.parametrize("gaussian", [False, True],
                          ids=["plain", "gaussian"])
 @pytest.mark.parametrize("float_key", [((1,), 0), ((0,), 0b01)],
