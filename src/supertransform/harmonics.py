@@ -20,12 +20,12 @@ rungs t^i h (t = x^2) that the psi series of hermite reads, the sl2
 raising ladder of h, and the finished psi and psi~ series of hermite,
 kept whole from the element's first checked call on, each keeping its
 text once printed (superalg.GaussianFunction.text); `records_info()`
-reports them.  The f_{k,p,q} coupling
-polynomials and the dimension identity of the decomposition are
-evaluated as stated; a failed check is reported in the result, never
-patched.  The Fischer decomposition of the Grassmann component, the
-exact expansion in a given basis and that row reduction are test
-oracles, kept with the tests.
+reports them.  The coupling polynomials f_{k,p,q} are built from exact
+coefficients that the decomposition check tests by a closed sl2 rule,
+forming no product, beside the dimension identity; a failure is
+reported, never patched.  That check's product route, the Fischer
+decomposition of the Grassmann component, the exact expansion in a
+given basis and that row reduction are test oracles, kept with tests.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .operators import laplace, multiply_vector_square
 from .scalars import ExactScalar, gamma_half_integer
 from .superalg import (SuperPolynomial, homogeneous_monomial_count,
                        homogeneous_monomials, integer_parts,
-                       masks_of_weight, sp_mul, square_powers)
+                       masks_of_weight, square_powers)
 
 # monomials of degree k in the whole universe that one basis may run
 # over: they bound its elements and their terms, which hermite prints in
@@ -347,40 +347,46 @@ def _ck_extension(monos, universe, sector):
         yield SuperPolynomial(universe, terms)
 
 
+def f_coefficients(l, p, j, universe):
+    """The c_i = C(l,i) (n-j-i)!/Gamma(m/2+p+l-i), i = 0..l, of f_poly."""
+    m, n = universe.m, universe.pairs
+    return [ExactScalar.rational(math.comb(l, i) * math.factorial(n - j - i))
+            * gamma_half_integer(m + 2 * (p + l - i)).inverse()
+            for i in range(l + 1)]
+
+
 def f_poly(k, p, q, universe):
-    """Coupling polynomial sum_i C(k,i) (n-q-i)!/Gamma(m/2+p+k-i)
-    * xbos^(2k-2i) * xfer^(2i), the powers read off square_powers; the
-    terms of distinct i differ in fermionic degree, so none meet."""
+    """Coupling polynomial sum_i c_i xbos^(2k-2i) xfer^(2i) (f_coefficients,
+    square_powers); distinct i differ in fermionic degree, so none meet."""
     u = universe
-    n = u.pairs
     terms = {}
-    for i in range(k + 1):
-        gamma = gamma_half_integer(u.m + 2 * (p + k - i))
-        coeff = (ExactScalar.rational(math.comb(k, i)
-                                      * math.factorial(n - q - i))
-                 * gamma.inverse())
-        for exp, mask, w in square_powers(u.m, n, k - i, i):
+    for i, coeff in enumerate(f_coefficients(k, p, q, u)):
+        for exp, mask, w in square_powers(u.m, u.pairs, k - i, i):
             terms[exp, mask] = coeff * w
     return SuperPolynomial(u, terms)
 
 
 def decomposition_check(k, universe):
     """Verify the degree-k decomposition: dimension identity plus
-    Laplace-annihilation of every f * H_bos * H_fer product.
-
-    Each product and its Laplacian are formed on the integer parts of
-    f_poly (superalg.integer_parts) times the int numerators of the
-    rational H_bos and H_fer, read from their records, the denominators
-    dropped: a product fails exactly when one of its parts has a
-    non-zero Laplacian.  Returns a report dict; failures are recorded,
-    not corrected.  The statement needs m >= 1: at m = 0 the factors
-    1/Gamma(m/2+p+k-i) of f_poly hit poles and the dimensions disagree.
+    Laplace-annihilation of every f * H_bos * H_fer product, by the sl2
+    rule Delta(r^2a theta^2b H_b H_f) = 2a(2a+2p+m-2) r^(2a-2) theta^2b
+    H_b H_f + 2b(2b+2j-2n-2) r^2a theta^(2b-2) H_b H_f (H_b, H_f of
+    degrees p, j; no term vanishes at b <= n-j): f_{l,p,j} H_b H_f is
+    harmonic exactly when the c_i of f_coefficients meet
+    c_(i-1) 2(l-i+1)(2(l-i)+2p+m) + c_i 2i(2i+2j-2n-2) = 0, i = 1..l.
+    So no product is formed, and the check proves the products harmonic
+    given harmonic bases, whose polynomials
+    test_basis_elements_are_harmonic_and_homogeneous and the product
+    route (tests/oracles.py) pin.  Returns a report dict, a failure
+    listed once per (H_b, H_f) pair, never corrected; needs m >= 1, as
+    at m = 0 the factors 1/Gamma(m/2+p+k-i) of f_poly hit poles and the
+    dimensions disagree.
     """
     u = universe
     if u.m < 1:
         raise ValueError("harmonic decomposition needs m >= 1 (its Gamma "
                          "factors have poles at m = 0)")
-    n = u.pairs
+    m, n = u.m, u.pairs
     dim_nullspace = harmonic_basis(k, "full", u).dimension
 
     dim_formula = 0
@@ -389,20 +395,16 @@ def decomposition_check(k, universe):
                         * harmonic_basis(i, "fermionic", u).dimension)
     product_failures = []
     for j in range(0, min(n, k - 1)):          # j <= min(n, k-1) - 1
-        fermionic = [_record(hf).numerator()
-                     for hf in harmonic_basis(j, "fermionic", u)]
+        dim_fermionic = harmonic_basis(j, "fermionic", u).dimension
         for l in range(1, min(n - j, (k - j) // 2) + 1):
             p = k - 2 * l - j
-            dim_formula += (harmonic_basis(p, "bosonic", u).dimension
-                            * harmonic_basis(j, "fermionic", u).dimension)
-            _, f_parts = integer_parts(f_poly(l, p, j, u))
-            for hb in harmonic_basis(p, "bosonic", u):
-                bosonic = _record(hb).numerator()
-                for hf in fermionic:
-                    g = sp_mul(bosonic, hf)
-                    if any(laplace(sp_mul(f, g), "full")
-                           for f in f_parts.values()):
-                        product_failures.append((l, p, j))
+            pairs = harmonic_basis(p, "bosonic", u).dimension * dim_fermionic
+            dim_formula += pairs
+            c = f_coefficients(l, p, j, u)
+            if any(c[i - 1] * (2 * (l - i + 1) * (2 * (l - i + p) + m))
+                   + c[i] * (2 * i * (2 * (i + j - n) - 2))
+                   for i in range(1, l + 1)):
+                product_failures += [(l, p, j)] * pairs
     return {
         "k": k,
         "dim_nullspace": dim_nullspace,

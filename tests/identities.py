@@ -30,7 +30,8 @@ from supertransform.fracfourier import frac_fourier, relative_deviation
 from supertransform.fundsol import (nu_poly_laplace, radial_laplace,
                                     super_fundamental_solution,
                                     verify_harmonic_away_from_origin)
-from supertransform.harmonics import decomposition_check, harmonic_basis
+from supertransform.harmonics import (MAX_BASIS_MONOMIALS,
+                                      decomposition_check, harmonic_basis)
 from supertransform.hermite import psi_element, psi_tilde_element
 from supertransform.operators import (bosonic_derivative, euler,
                                       fermionic_derivative, laplace,
@@ -41,9 +42,11 @@ from supertransform.radon import (RadonResult, omega_universe, radon,
                                   radon_expected_eigenbasis)
 from supertransform.scalars import ExactScalar
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
-                                     sp_mul, vector_square)
+                                     homogeneous_monomial_count, sp_mul,
+                                     vector_square)
 from tests.conftest import random_poly, random_scalar
-from tests.oracles import fermionic_envelope_poly, fermionic_square_power
+from tests.oracles import (decomposition_check_by_products,
+                           fermionic_envelope_poly, fermionic_square_power)
 
 # every shape with m <= 4 and n <= 3: m = 0 in the first column, and at
 # m >= 1 the superdimension M = m - 2n meets 0 at (2,1) and (4,2), -2 at
@@ -375,6 +378,23 @@ def decomposition(u, rng):
     for k in range(6):
         report = decomposition_check(k, u)
         assert report["dims_match"] and report["products_harmonic"], k
+
+
+@identity("decomposition-closed-rule", bosonic,
+          lambda u: decomposition_check(0, u), "needs m >= 1")
+def decomposition_closed_rule(u, rng):
+    """The closed sl2 rule of decomposition_check and the product route
+    (decomposition_check_by_products) give equal reports at every degree
+    k <= 6 within MAX_BASIS_MONOMIALS; beyond it both refuse."""
+    for k in range(7):
+        if homogeneous_monomial_count(u, k) > MAX_BASIS_MONOMIALS:
+            for check in (decomposition_check,
+                          decomposition_check_by_products):
+                with pytest.raises(ValueError, match="MAX_BASIS_MONOMIALS"):
+                    check(k, u)
+            continue
+        assert decomposition_check(k, u) == \
+            decomposition_check_by_products(k, u), k
 
 
 @identity("fundsol-telescope", bosonic,

@@ -11,6 +11,9 @@ last; `f_poly_by_products` builds the coupling polynomials of the
 Fischer decomposition from repeated squares (`bosonic_square_power`,
 `fermionic_square_power`) and `sp_mul`.  The package reads both off the
 multinomial terms of `superalg.square_powers`.
+`decomposition_check_by_products` forms every product f * H_bos * H_fer
+of the decomposition check and takes its Laplacian; the package tests
+the coefficients of f by the closed sl2 rule and forms no product.
 `dirac_via_derivatives`, `vector_mul_via_products` and
 `phi_via_derivatives` apply the Dirac operator and the vector variable
 one variable at a time: a derivative through the envelope or a variable
@@ -86,7 +89,7 @@ import math
 import re
 from fractions import Fraction
 
-from supertransform import expr
+from supertransform import expr, harmonics
 from supertransform._linalg import SparseRREF, nullspace
 from supertransform.cliffweyl import CValued, CWElement, _mul_keys
 from supertransform.expr import (_PI, _UNIT, ParseError, _check_exponent,
@@ -103,7 +106,8 @@ from supertransform.scalars import (Angle, ExactScalar, QQi,
                                     gamma_half_integer, to_float)
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse,
-                                     homogeneous_monomials, mask_bits,
+                                     homogeneous_monomials, integer_parts,
+                                     mask_bits,
                                      merge_masks, require_envelope, scale_exact, sp_mul,
                                      sp_rename)
 from supertransform._terms import add_into
@@ -965,6 +969,56 @@ def f_poly_by_products(k, p, q, universe):
                        fermionic_square_power(u, i)).scale(coeff)
         out = out + piece
     return out
+
+
+def _numerator(h):
+    """The int numerator of the rational polynomial h, its one integer
+    part (integer_parts), the denominator dropped."""
+    _, parts = integer_parts(h)
+    (numerator,) = parts.values()
+    return numerator
+
+
+def decomposition_check_by_products(k, universe):
+    """harmonics.decomposition_check with every f * H_bos * H_fer product
+    formed: each product and its Laplacian are taken on the integer parts
+    of harmonics.f_poly (read at call time) times the int numerators of
+    H_bos and H_fer, split here, the denominators dropped, so a product
+    fails exactly when one of its parts has a non-zero Laplacian."""
+    u = universe
+    if u.m < 1:
+        raise ValueError("harmonic decomposition needs m >= 1 (its Gamma "
+                         "factors have poles at m = 0)")
+    n = u.pairs
+    dim_nullspace = harmonic_basis(k, "full", u).dimension
+    dim_formula = 0
+    for i in range(min(n, k) + 1):
+        dim_formula += (harmonic_basis(k - i, "bosonic", u).dimension
+                        * harmonic_basis(i, "fermionic", u).dimension)
+    product_failures = []
+    for j in range(0, min(n, k - 1)):
+        fermionic = [_numerator(hf)
+                     for hf in harmonic_basis(j, "fermionic", u)]
+        for l in range(1, min(n - j, (k - j) // 2) + 1):
+            p = k - 2 * l - j
+            dim_formula += (harmonic_basis(p, "bosonic", u).dimension
+                            * len(fermionic))
+            _, f_parts = integer_parts(harmonics.f_poly(l, p, j, u))
+            for hb in harmonic_basis(p, "bosonic", u):
+                bosonic = _numerator(hb)
+                for hf in fermionic:
+                    g = sp_mul(bosonic, hf)
+                    if any(laplace(sp_mul(f, g), "full")
+                           for f in f_parts.values()):
+                        product_failures.append((l, p, j))
+    return {
+        "k": k,
+        "dim_nullspace": dim_nullspace,
+        "dim_formula": dim_formula,
+        "dims_match": dim_nullspace == dim_formula,
+        "product_failures": product_failures,
+        "products_harmonic": not product_failures,
+    }
 
 
 def fischer_fermionic(k, universe):

@@ -2196,7 +2196,9 @@ def test_cli_transform_golden_outputs(capsys, m, n, text, partner, cmd):
 
 # Output of hermite and decompose while psi_element summed the
 # Clifford-Hermite series and decomposition_check formed its products in
-# ExactScalar arithmetic: a change to either must keep these bytes.  Per
+# ExactScalar arithmetic.  decomposition_check now tests the f_poly
+# coefficients by the closed sl2 rule and forms no product, and these
+# bytes stayed; a change to either must keep them.  Per
 # (m, n, k), in the order of _BASES_COMMANDS, one output per format of
 # _TRANSFORM_FORMATS.  _BASES_SHA256 pins the benchmark-sized degree
 # k = 6 at (3, 2) by the sha256 of stdout, per command and format.

@@ -1,6 +1,6 @@
 import pytest
 
-from supertransform import harmonics
+from supertransform import harmonics, operators, superalg
 from supertransform.harmonics import (decomposition_check, f_poly,
                                       harmonic_basis)
 from supertransform.operators import euler, laplace
@@ -8,7 +8,8 @@ from supertransform.scalars import ExactScalar
 from supertransform.superalg import (SuperPolynomial, VariableUniverse,
                                      homogeneous_monomial_count, sp_mul,
                                      vector_square)
-from tests.oracles import (express_in_basis, f_poly_by_products,
+from tests.oracles import (decomposition_check_by_products,
+                           express_in_basis, f_poly_by_products,
                            fermionic_square, fischer_decompose,
                            fischer_fermionic, harmonic_basis_by_nullspace)
 
@@ -139,14 +140,45 @@ def test_decomposition_small_cases():
         assert rep["dim_nullspace"] == classical_dim_bosonic(3, k)
 
 
-@pytest.mark.parametrize("m, n, radical", [(3, 2, (-1, 0)),
-                                            (2, 2, (0, 0))])
+_BROKEN = [(3, 2, (-1, 0)), (2, 2, (0, 0)), (4, 3, (0, 0))]
+
+
+@pytest.mark.parametrize("m, n, radical", _BROKEN)
 def test_decomposition_check_catches_a_broken_product(monkeypatch, m, n,
                                                       radical):
-    # one coefficient of f_{1,2,0} doubled: a sqrt(pi) radical at odd m,
-    # a rational at even m; a dropped integer part would pass silently
+    # c_1 of f_{1,2,0} doubled: a sqrt(pi) radical at odd m, a rational
+    # at even m.  The closed rule and the product oracle both read it, so
+    # both list (1, 2, 0) once per (H_bos, H_fer) pair: 5 at (3,2), 2 at
+    # (2,2) and 9 at (4,3)
     u = VariableUniverse.standard(m, n)
     assert decomposition_check(4, u)["products_harmonic"]
+    real = harmonics.f_coefficients
+
+    def broken(l, p, j, universe):
+        c = real(l, p, j, universe)
+        if (l, p, j) == (1, 2, 0):
+            assert set(c[1].terms) == {radical}
+            c[1] = c[1] * 2
+        return c
+
+    monkeypatch.setattr(harmonics, "f_coefficients", broken)
+    report = decomposition_check(4, u)
+    assert report == decomposition_check_by_products(4, u)
+    assert not report["products_harmonic"]
+    assert report["dims_match"]
+    assert report["product_failures"] == \
+        [(1, 2, 0)] * harmonic_basis(2, "bosonic", u).dimension
+
+
+@pytest.mark.parametrize("m, n, radical", _BROKEN)
+def test_product_oracle_catches_a_broken_monomial(monkeypatch, m, n,
+                                                  radical):
+    # one monomial of f_{1,2,0} doubled: the product route parts f by
+    # radical, and a dropped integer part would pass silently.  The
+    # closed rule reads coefficients, not monomials; how f_poly assembles
+    # its monomials is pinned by test_f_poly_equals_the_product_route
+    u = VariableUniverse.standard(m, n)
+    assert decomposition_check_by_products(4, u)["products_harmonic"]
     real_f_poly = harmonics.f_poly
 
     def broken_f_poly(k, p, q, universe):
@@ -158,7 +190,7 @@ def test_decomposition_check_catches_a_broken_product(monkeypatch, m, n,
         return f + SuperPolynomial(universe, {key: c})
 
     monkeypatch.setattr(harmonics, "f_poly", broken_f_poly)
-    report = decomposition_check(4, u)
+    report = decomposition_check_by_products(4, u)
     assert not report["products_harmonic"]
     assert report["dims_match"]
     assert report["product_failures"] and \
@@ -304,20 +336,21 @@ def test_bosonic_basis_at_m_zero_is_the_constant_alone(n):
         assert harmonic_basis(k, "bosonic", u).elements == ()
 
 
-def test_decomposition_check_splits_each_element_once(monkeypatch):
-    # the int numerators come from the elements' records, split on the
-    # first call; a second call splits only the f_poly of each (l, p, j)
+def test_decomposition_check_forms_no_product(monkeypatch):
+    # on warm bases the coupling is checked on the f_poly coefficients
+    # alone: no Laplacian, no product and no read of an element record
     u = VariableUniverse.standard(3, 2)
-    used = ([harmonic_basis(p, "bosonic", u) for p in (2, 3, 4)]
-            + [harmonic_basis(j, "fermionic", u) for j in (0, 1)])
-    for basis in used:
-        harmonics._recorded(basis)
     first = decomposition_check(6, u)
-    records = [harmonics._record(h) for basis in used for h in basis]
-    assert all(len(r.ladder) == 1 and not r.checked for r in records)
+    misses = harmonic_basis.cache_info().misses
     calls = []
-    real = harmonics.integer_parts
-    monkeypatch.setattr(harmonics, "integer_parts",
-                        lambda p: calls.append(p) or real(p))
+
+    def counting(name):
+        return lambda *args, **kwargs: calls.append(name)
+
+    for module, name in ((operators, "laplace"), (harmonics, "laplace"),
+                         (superalg, "sp_mul")):
+        monkeypatch.setattr(module, name, counting(name))
+    monkeypatch.setattr(harmonics, "_RECORDS", None)
     assert decomposition_check(6, u) == first
-    assert len(calls) == 3
+    assert calls == []
+    assert harmonic_basis.cache_info().misses == misses
