@@ -21,32 +21,28 @@ imaginary part (superalg.integer_parts); the harmonicity check, the x^2
 passes and the weights run on ints, and the ring coefficients are
 rebuilt once per output term.
 
-A basis calls psi_element once per element with the same orders, so the
-checks on (j, k, universe) alone (check_psi_orders: the sign of j and
-the output and work budgets MAX_MONOMIALS and MAX_SERIES_DIGITS) run
-once per (j, k, universe); a refusal is not memoized and raises on
-every call.  The homogeneity and harmonicity of h are checked once per
-basis element, on its first call that passes the order checks: an
-element of a basis that harmonic_basis built, recognized by identity,
-keeps its degree, its split and its ladder of int rungs t^i h in its
-record (harmonics._ElementRecord), and its series reads the rungs.  Each
-call that builds a series for it, the checked first call included,
-stores the finished series in the record, keyed by the order and psi or
-psi~, so a repeated call is one lookup that returns the same object, and
-that object keeps its text once printed (GaussianFunction.text), so a
-repeated render is one attribute read; the rungs and the series share
-one bound, harmonics.MAX_LADDER_ENTRIES.  A one-shot command-line call
-uses each element once and gains nothing.  Any other h, user input
-among it, is checked and split on every call, and nothing of it is
-stored.
+The orders are checked on (j, k, universe) alone (check_psi_orders: the
+sign of j and the budgets MAX_MONOMIALS and MAX_SERIES_DIGITS), memoized,
+as a basis calls psi_element once per element with the same orders; a
+refusal raises on every call.  An element of a basis that harmonic_basis
+built (harmonics.basis_place, by identity) is harmonic and homogeneous
+by construction and is not checked: its series comes from one store
+keyed by (j, k, sector, l, universe, rescaled), so a repeated call is
+one lookup returning the same object, which keeps its text once printed
+(GaussianFunction.text).  The store holds at most
+MAX_STORED_TERMS terms and series_info() reports it.  Any other h, user
+input and copies equal to an element among it, is checked and split on
+every call, and nothing of it is stored.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
+from collections import namedtuple
 
-from .harmonics import _record, harmonic_basis
+from .harmonics import basis_place, harmonic_basis
 from .operators import laplace, multiply_vector_square
 from .superalg import (GaussianFunction, from_integer_parts,
                        homogeneous_monomial_count, integer_parts,
@@ -58,6 +54,9 @@ MAX_MONOMIALS = 50000
 # the j^2/2 integers of the ch_coefficients recursion and one weight per
 # output monomial of every degree 2i+k, i <= j (work budget)
 MAX_SERIES_DIGITS = 50_000_000
+# terms of all the psi series the store holds; a series that would pass
+# it clears the store first, and one larger than it is not stored
+MAX_STORED_TERMS = 16384
 
 
 def _weight_digits(j, m_value, k):
@@ -128,81 +127,107 @@ def psi_tilde_element(j, h_k):
 def _hermite_series(j, h_k, rescaled):
     """sum_i c_i t^i h_k G with the ch_coefficients, times 2^(j+i) for
     psi; h_k must be a homogeneous harmonic, as the recursion assumes.
+    A basis element is read from the series store, with one key tuple
+    and one lookup once stored; any other h_k is checked
+    (_checked_parts) and built on every call."""
+    place = basis_place(h_k)
+    if place is not None:
+        k, sector, l = place
+        return _SERIES[j, k, sector, l, h_k.universe, rescaled]
+    return _series(j, h_k, rescaled, *_checked_parts(j, h_k))
 
-    An element of a basis that harmonic_basis built (by identity, read
-    from its record, harmonics._ElementRecord) is checked on its first
-    call only, and the series of that call, once its checks pass, is
-    stored in the record at (j, rescaled).  After that only its orders
-    are checked, and its series is the one stored there, shared by every
-    later call, or on a miss the weights times the rungs of its int
-    ladder t^i h, grown as far as the call needs, then stored.  A
-    refusal stores nothing, and neither does any other h_k, a copy equal
-    to an element included, which is checked and split on every call
-    (_checked_parts)."""
+
+def _series(j, h_k, rescaled, k, denom, parts):
+    """The series from the int numerator parts of h_k over denom (None
+    in the float lane): weights times j passes of x^2 on each part."""
     u = h_k.universe
-    record = _record(h_k)
-    warm = record is not None and record.checked
-    if warm:
-        k = record.degree
-        check_psi_orders(j, k, u)
-        f = record.stored((j, rescaled))
-        if f is not None:
-            return f
-    else:
-        k, denom, parts = _checked_parts(j, h_k, record)
-    if record is not None:
-        denom, ladders = record.denom, {record.part: record.rungs(j)}
-    else:
-        ladders = {}
-        for part, p in parts.items():
-            rungs = ladders[part] = [p]
-            for _ in range(j):
-                rungs.append(multiply_vector_square(rungs[-1]))
     weights = [c if rescaled else c << (j + i) for i, c in enumerate(
         ch_coefficients(j, u.superdim, k))]
     series = {}
-    for part, rungs in ladders.items():
+    for part, power in parts.items():
         terms = {}
-        for c, power in zip(weights, rungs):
+        for i, c in enumerate(weights):
+            if i:
+                power = multiply_vector_square(power)
             if c:   # the t^i h_k have distinct degrees: no keys collide
                 terms.update((key, v * c) for key, v in power.terms.items())
         series[part] = h_k._like(terms)
     if denom is None:   # the float lane: h_k is its own one part
         return GaussianFunction(series[None])
-    f = GaussianFunction(from_integer_parts(u, denom, series))
-    return f if record is None else record.store((j, rescaled), f)
+    return GaussianFunction(from_integer_parts(u, denom, series))
 
 
-def _checked_parts(j, h_k, record):
-    """(k, denom, parts) of h_k after its checks: the degree k, read in
-    the same pass over the terms as homogeneity, the orders
-    (check_psi_orders), then homogeneity and harmonicity; a record's
-    `checked` is set only when they pass.
+class _SeriesStore(dict):
+    """(j, k, sector, l, universe, rescaled) -> the psi or psi~ series of
+    harmonic_basis(k, sector, universe).elements[l], built on a miss
+    after check_psi_orders (a refusal stores nothing).  The miss path
+    counts the terms held under `lock` and clears the store when a new
+    series would pass MAX_STORED_TERMS, as the monomial codec clears
+    when full; a series larger than the bound is not stored."""
 
-    An exact h_k is split into int numerator parts over one
-    denominator (integer_parts, or its record's one part), and is
-    harmonic when the Laplacian of every part is zero (exact per part,
-    as the radicals times {1, i} are independent over Q).  A float-lane
-    h_k is its own one part over no denominator (denom None), and is
-    harmonic when no coefficient of its Laplacian passes 1e-10 times its
-    largest coefficient modulus (rounding)."""
+    __slots__ = ("lock", "terms", "builds", "clears")
+
+    def __init__(self):
+        super().__init__()
+        self.lock = threading.RLock()
+        self.terms = self.builds = self.clears = 0
+
+    def __missing__(self, key):
+        j, k, sector, l, u, rescaled = key
+        check_psi_orders(j, k, u)
+        h = harmonic_basis(k, sector, u).elements[l]
+        f = _series(j, h, rescaled, k, *integer_parts(h))
+        size = len(f.terms)
+        with self.lock:
+            self.builds += 1
+            if key not in self and size <= MAX_STORED_TERMS:
+                if self.terms + size > MAX_STORED_TERMS:
+                    self.clear()
+                self[key] = f
+                self.terms += size
+            return self.get(key, f)   # a racing thread's, if it won
+
+    def clear(self):
+        with self.lock:
+            super().clear()
+            self.terms = 0
+            self.clears += 1
+
+
+_SERIES = _SeriesStore()
+
+SeriesInfo = namedtuple("SeriesInfo", "series terms builds clears")
+
+
+def series_info():
+    """The series store's report in the style of cache_info(): series
+    stored, terms held, series built by misses, and clears."""
+    with _SERIES.lock:
+        return SeriesInfo(len(_SERIES), _SERIES.terms, _SERIES.builds,
+                          _SERIES.clears)
+
+
+def _checked_parts(j, h_k):
+    """(k, denom, parts) of h_k after its checks: its degree k, read in
+    the same pass as homogeneity, the orders (check_psi_orders), then
+    homogeneity and harmonicity.  An exact h_k is harmonic when the
+    Laplacian of each int numerator part over one denominator
+    (integer_parts) is zero, as the radicals times {1, i} are
+    independent over Q; a float-lane h_k is its own one part (denom
+    None), harmonic when no coefficient of its Laplacian passes 1e-10
+    times its largest coefficient modulus (rounding)."""
     degrees = {sum(b) + mask.bit_count() for b, mask in h_k.terms}
     k = max(degrees, default=-1)
     check_psi_orders(j, k, h_k.universe)
     if is_float_lane(h_k):
         denom, parts = None, {None: h_k}
         bound = 1e-10 * max(map(abs, h_k.terms.values()))
-    elif record is not None:
-        numerator = record.numerator()
-        denom, parts, bound = record.denom, {record.part: numerator}, 0
     else:
         (denom, parts), bound = integer_parts(h_k), 0
     if len(degrees) > 1 or any(
             abs(c) > bound for p in parts.values()
             for c in laplace(p, "full").terms.values()):
         raise ValueError("input is not a homogeneous harmonic")
-    if record is not None:
-        record.checked = True
     return k, denom, parts
 
 
@@ -224,14 +249,12 @@ def psi_span(universe, cap):
 
     Memoized per universe and cap (`psi_span.cache_info()` gives size,
     hits and misses), and every caller shares the one immutable tuple.
-    It runs psi_element on the elements of harmonic_basis, so each
-    element is checked on its first call only, and its series at every
-    j reads the rungs of one ladder, grown to j = (cap - k) // 2.  The
-    records outlive this memo: a rebuild after cache_clear() checks
-    nothing again, grows no rung unless the ladder bound dropped them,
-    and shares the series the first build stored.  No transform expands against it: the
-    Fourier transform of every order is one Mehler pass, and the psi
-    expansion of a function is a test oracle.
+    It runs psi_element on the elements of harmonic_basis, so every
+    series is read from the series store, which outlives this memo: a
+    rebuild after cache_clear() shares the series the first build
+    stored, unless MAX_STORED_TERMS cleared them.  No transform expands
+    against it: the Fourier transform of every order is one Mehler pass,
+    and the psi expansion of a function is a test oracle.
     """
     out = []
     for k in range(cap + 1):

@@ -505,7 +505,7 @@ class GaussianFunction(TermMap):
     on the first render and read back after that; it takes no part in
     equality, repr, LaTeX or JSON.  That is sound because nothing
     changes a term map or rebinds `poly` after construction, which the
-    psi series that harmonics records share already rely on.
+    psi series that the store of hermite shares already rely on.
     """
 
     __slots__ = ("poly", "text")

@@ -1,13 +1,14 @@
 import pytest
 
 from supertransform import harmonics, operators, superalg
-from supertransform.harmonics import (decomposition_check, f_poly,
-                                      harmonic_basis)
+from supertransform.harmonics import (basis_place, decomposition_check,
+                                      f_poly, harmonic_basis)
 from supertransform.operators import euler, laplace
 from supertransform.scalars import ExactScalar
 from supertransform.superalg import (SuperPolynomial, VariableUniverse,
                                      homogeneous_monomial_count, sp_mul,
                                      vector_square)
+from tests.identities import GRID
 from tests.oracles import (decomposition_check_by_products,
                            express_in_basis, f_poly_by_products,
                            fermionic_square, fischer_decompose,
@@ -65,12 +66,20 @@ def test_sector_dimensions_match_classical_formulas():
 
 
 def test_basis_elements_are_harmonic_and_homogeneous():
-    u = VariableUniverse.standard(2, 1)
-    for k in range(5):
-        for sector in ("bosonic", "fermionic", "full"):
-            for h in harmonic_basis(k, sector, u):
-                assert not laplace(h, sector)
-                assert euler(h) == h.scale(k)
+    # hermite trusts every element harmonic_basis builds and never checks
+    # it, so this pins the trust on every grid shape and sector (every
+    # k <= 4 there is under MAX_BASIS_MONOMIALS)
+    cases = 0
+    for m, n in GRID:
+        u = VariableUniverse.standard(m, n)
+        for k in range(5):
+            for sector in ("bosonic", "fermionic", "full"):
+                for h in harmonic_basis(k, sector, u):
+                    assert not laplace(h, sector)
+                    assert not laplace(h, "full")
+                    assert euler(h) == h.scale(k)
+                    cases += 1
+    assert cases == 2746
 
 
 def test_f_poly_small_cases():
@@ -260,6 +269,21 @@ def test_harmonic_basis_cache_hits_and_rebuilds_equal_output():
     assert rebuilt is not first and rebuilt.elements == first.elements
 
 
+def test_basis_place_is_by_identity_and_outlives_a_cache_clear():
+    u = VariableUniverse.standard(2, 1)
+    first = harmonic_basis(3, "bosonic", u)
+    for l, h in enumerate(first):
+        assert basis_place(h) == (3, "bosonic", l)
+        assert basis_place(SuperPolynomial(u, dict(h.terms))) is None
+    harmonic_basis.cache_clear()
+    rebuilt = harmonic_basis(3, "bosonic", u)
+    # both the old and the rebuilt elements keep their one place
+    for l, (old, new) in enumerate(zip(first, rebuilt)):
+        assert old is not new and old == new
+        assert basis_place(old) == basis_place(new) == (3, "bosonic", l)
+    assert basis_place(vector_square(u)) is None
+
+
 @pytest.mark.parametrize("k, sector", [(-1, "full"), (2, "mixed")])
 def test_harmonic_basis_refusals_raise_on_every_call(k, sector):
     u = VariableUniverse.standard(2, 1)
@@ -338,7 +362,7 @@ def test_bosonic_basis_at_m_zero_is_the_constant_alone(n):
 
 def test_decomposition_check_forms_no_product(monkeypatch):
     # on warm bases the coupling is checked on the f_poly coefficients
-    # alone: no Laplacian, no product and no read of an element record
+    # alone: no Laplacian, no product and no read of an element's place
     u = VariableUniverse.standard(3, 2)
     first = decomposition_check(6, u)
     misses = harmonic_basis.cache_info().misses
@@ -350,7 +374,7 @@ def test_decomposition_check_forms_no_product(monkeypatch):
     for module, name in ((operators, "laplace"), (harmonics, "laplace"),
                          (superalg, "sp_mul")):
         monkeypatch.setattr(module, name, counting(name))
-    monkeypatch.setattr(harmonics, "_RECORDS", None)
+    monkeypatch.setattr(harmonics, "_PLACES", None)
     assert decomposition_check(6, u) == first
     assert calls == []
     assert harmonic_basis.cache_info().misses == misses

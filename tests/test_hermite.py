@@ -5,14 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from supertransform import harmonics
+from supertransform import hermite
 from supertransform.expr import _render_terms, render_poly_text
 from supertransform._linalg import SparseRREF
 from supertransform._terms import add_into
-from supertransform.harmonics import harmonic_basis
+from supertransform.harmonics import basis_place, harmonic_basis
 from supertransform.hermite import (MAX_MONOMIALS, ch_coefficients,
                                     check_psi_orders, psi_element, psi_span,
-                                    psi_tilde_element)
+                                    psi_tilde_element, series_info)
 from supertransform.operators import laplace, scalar_square
 from supertransform.scalars import (TEXT_NOTATION, ExactScalar,
                                     gamma_half_integer)
@@ -347,132 +347,47 @@ def test_psi_span_cache_hits_and_rebuilds_equal_output():
     assert rebuilt is not first and rebuilt == first
 
 
-# shapes for the element records: m = 0, M = 0, -2, -4 at m >= 1, (3, 2)
-_RECORD_SHAPES = [(0, 1), (0, 2), (1, 1), (2, 1), (2, 2), (2, 3), (3, 2)]
+def _cold_store(monkeypatch, bound=10 ** 9):
+    """Set hermite.MAX_STORED_TERMS to `bound` and empty the series
+    store, so a test starts cold whatever earlier tests stored."""
+    monkeypatch.setattr(hermite, "MAX_STORED_TERMS", bound)
+    hermite._SERIES.clear()
 
 
-def _fresh_records(basis):
-    """Give every element of `basis` a new, unchecked record with an
-    empty ladder; returns the records."""
-    harmonics._recorded(basis)
-    return [harmonics._record(h) for h in basis]
+def _user_copy(h):
+    """A polynomial equal to h that no basis built."""
+    return SuperPolynomial(h.universe, dict(h.terms))
 
 
-def test_record_route_equals_the_full_route(monkeypatch):
-    # j out of order, so a ladder grows in the middle of the sequence;
-    # the full route runs on an equal polynomial that no basis built, and
-    # both give the same terms in the same order.  The bound is lifted,
-    # so the ladders that earlier tests grew cannot make these clear
-    monkeypatch.setattr(harmonics, "MAX_LADDER_ENTRIES", 10 ** 9)
-    cases = 0
-    for m, n in _RECORD_SHAPES:
-        u = VariableUniverse.standard(m, n)
-        for k in range(4):
-            basis = harmonic_basis(k, "full", u)
-            records = _fresh_records(basis)
-            reached = 0
-            for j in (2, 0, 4, 1, 3):
-                reached = max(reached, j)
-                for h, record in zip(basis, records):
-                    user = SuperPolynomial(u, dict(h.terms))
-                    assert harmonics._record(user) is None
-                    for fn in (psi_element, psi_tilde_element):
-                        got, want = fn(j, h), fn(j, user)
-                        assert list(got.terms.items()) == \
-                            list(want.terms.items()), (m, n, k, j)
-                        cases += 1
-                    assert record.checked
-                    assert len(record.ladder) == reached + 1
-    assert cases == 2720
+def _held_terms():
+    """The terms of every series in the store, counted from the store."""
+    return sum(len(f.terms) for f in hermite._SERIES.values())
 
 
-def test_record_refuses_bad_orders_on_every_call():
-    u = VariableUniverse.standard(3, 2)
-    basis = harmonic_basis(2, "full", u)
-    h = basis.elements[0]
-    record, *_ = _fresh_records(basis)
-    refusals = [(-1, "Hermite order j must be non-negative"),
-                (100000, f"over MAX_MONOMIALS = {MAX_MONOMIALS}")]
-    for checked in (False, True):
-        for fn in (psi_element, psi_tilde_element):
-            for j, message in refusals:
-                for _ in range(2):
-                    with pytest.raises(ValueError, match=message):
-                        fn(j, h)
-        # no refusal marks a record checked or grows its ladder
-        assert record.checked is checked
-        if checked:
-            assert len(record.ladder) == 2
-        else:
-            assert record.ladder is None
-        psi_element(1, h)
-        assert record.checked
-
-
-def test_non_harmonic_input_refused_after_records_exist():
-    u = VariableUniverse.standard(2, 1)
-    for h in harmonic_basis(2, "full", u):
-        psi_element(1, h)
-    x1, x2 = (SuperPolynomial.bosonic_var(u, i) for i in range(2))
-    h = harmonic_basis(2, "full", u).elements[0]
-    for bad in (sp_mul(x1, x1), sp_mul(x1, x2) + x1, h + x1):
-        assert harmonics._record(bad) is None
-        for fn in (psi_element, psi_tilde_element):
-            with pytest.raises(ValueError, match="homogeneous harmonic"):
-                fn(1, bad)
-
-
-def test_ladder_bound_clears_and_results_stay_equal(monkeypatch):
-    u = VariableUniverse.standard(3, 2)
-    basis = harmonic_basis(3, "full", u)
-    records = _fresh_records(basis)
-    want = [[fn(j, SuperPolynomial(u, dict(h.terms))) for h in basis]
-            for j in range(5) for fn in (psi_element, psi_tilde_element)]
-    monkeypatch.setattr(harmonics, "MAX_LADDER_ENTRIES", 40)
-    harmonics._RECORDS.clear_ladders()
-    assert harmonics._RECORDS.entries == 0
-    got = [[fn(j, h) for h in basis]
-           for j in range(5) for fn in (psi_element, psi_tilde_element)]
-    assert got == want
-    # the rungs of any one element up to j = 4 hold more than 40 entries,
-    # so each element's growth to j = 4 dropped every rung and stored
-    # series before it, and the count that growth left refused to store
-    # the series of every later call, the last one's included
-    assert all(len(r.ladder) == 1 and not r.series for r in records[:-1])
-    assert len(records[-1].ladder) == 5 and not records[-1].series
-    assert harmonics._RECORDS.entries == _live_entries(records) > 40
-
-
-def _live_entries(records):
-    """The rung entries above h and the stored series terms of records,
-    counted from the records themselves."""
-    return sum(len(p.terms) for r in records
-               for p in [*(r.ladder or ())[1:], *r.series.values()])
-
-
-def test_stored_series_equal_the_full_route_on_every_shape(monkeypatch):
-    # the first call checks, builds and stores, the second and third
-    # return the stored object; all three give the full route's terms in
-    # its order on an equal user copy
-    monkeypatch.setattr(harmonics, "MAX_LADDER_ENTRIES", 10 ** 9)
+def test_store_route_equals_the_user_copy_route_on_every_shape(monkeypatch):
+    # the first call builds and stores, the second returns the stored
+    # object; both give the terms of the user copy's route in its order.
+    # The copy, equal to the element, has no place, so it is checked and
+    # built on every call
+    _cold_store(monkeypatch)
     cases = 0
     for m, n in GRID:
         u = VariableUniverse.standard(m, n)
         for k in range(4):
-            basis = harmonic_basis(k, "full", u)
-            records = _fresh_records(basis)
-            for j in (1, 0, 2):
-                for fn, rescaled in ((psi_element, False),
-                                     (psi_tilde_element, True)):
-                    for h, record in zip(basis, records):
-                        want = fn(j, SuperPolynomial(u, dict(h.terms)))
-                        first, second, third = fn(j, h), fn(j, h), fn(j, h)
-                        assert third is second is record.series[j, rescaled]
-                        for got in (first, second):
-                            assert list(got.terms.items()) == \
-                                list(want.terms.items()), (m, n, k, j)
-                        cases += 1
-    assert cases == 6198
+            for sector in ("bosonic", "fermionic", "full"):
+                for l, h in enumerate(harmonic_basis(k, sector, u)):
+                    user = _user_copy(h)
+                    assert basis_place(h) == (k, sector, l)
+                    assert basis_place(user) is None
+                    for j in (1, 0, 2):
+                        for fn in (psi_element, psi_tilde_element):
+                            want = list(fn(j, user).terms.items())
+                            first = fn(j, h)
+                            assert fn(j, h) is first
+                            assert list(first.terms.items()) == want, \
+                                (m, n, k, sector, j)
+                            cases += 1
+    assert cases == 9012
 
 
 def _fresh_copy(f):
@@ -480,181 +395,192 @@ def _fresh_copy(f):
     return GaussianFunction(SuperPolynomial(f.universe, dict(f.terms)))
 
 
-def test_stored_series_keep_the_text_the_printer_writes(monkeypatch):
-    # the text a stored series keeps is the printer's on an equal fresh
-    # copy, and a repeated call renders to the identical string
-    monkeypatch.setattr(harmonics, "MAX_LADDER_ENTRIES", 10 ** 9)
+def test_stored_series_are_shared_and_keep_the_printers_text(monkeypatch):
+    # a repeated call returns the stored object, whose text is the
+    # printer's on an equal fresh copy and renders to the identical string
+    _cold_store(monkeypatch)
     cases = 0
     for m, n in GRID:
         u = VariableUniverse.standard(m, n)
         for k in range(4):
-            basis = harmonic_basis(k, "full", u)
-            records = _fresh_records(basis)
-            for j in (1, 0, 2):
-                for fn, rescaled in ((psi_element, False),
-                                     (psi_tilde_element, True)):
-                    for h, record in zip(basis, records):
+            for h in harmonic_basis(k, "full", u):
+                for j in (1, 0, 2):
+                    for fn in (psi_element, psi_tilde_element):
                         f = fn(j, h)
-                        assert f is record.series[j, rescaled]
                         assert f.text is None
                         text = render_poly_text(f)
                         assert text == _render_terms(_fresh_copy(f),
                                                      TEXT_NOTATION)
                         assert f.text is text
+                        assert fn(j, h) is f
                         assert render_poly_text(fn(j, h)) is text
                         cases += 1
     assert cases == 6198
 
 
-def test_user_copies_and_refusals_store_nothing_first_calls_store():
+def test_store_route_equals_the_user_copy_route_at_orders_out_of_turn(
+        monkeypatch):
+    # j out of turn and up to 4, psi and psi~ interleaved on each element,
+    # so a later order is built while lower ones are already stored
+    _cold_store(monkeypatch)
+    cases = 0
+    for m, n in [(0, 1), (0, 2), (1, 1), (2, 1), (2, 2), (2, 3), (3, 2)]:
+        u = VariableUniverse.standard(m, n)
+        for k in range(4):
+            basis = harmonic_basis(k, "full", u)
+            for j in (2, 0, 4, 1, 3):
+                for h in basis:
+                    user = _user_copy(h)
+                    for fn in (psi_element, psi_tilde_element):
+                        got, want = fn(j, h), fn(j, user)
+                        assert list(got.terms.items()) == \
+                            list(want.terms.items()), (m, n, k, j)
+                        cases += 1
+    assert cases == 2720
+    assert series_info().series == cases
+
+
+_REFUSALS = [(-1, "Hermite order j must be non-negative"),
+             (100000, f"over MAX_MONOMIALS = {MAX_MONOMIALS}")]
+
+
+def _refuse_all(basis):
+    for h in basis:
+        for fn in (psi_element, psi_tilde_element):
+            for j, message in _REFUSALS:
+                for _ in range(2):
+                    with pytest.raises(ValueError, match=message):
+                        fn(j, h)
+
+
+def test_refusals_raise_on_every_call_and_store_nothing(monkeypatch):
+    u = VariableUniverse.standard(3, 2)
+    basis = harmonic_basis(2, "full", u)
+    _cold_store(monkeypatch)
+    start = series_info()
+    _refuse_all(basis)
+    assert series_info() == start and start.series == 0
+    stored = [psi_element(2, h) for h in basis]
+    _refuse_all(basis)   # still raises once the orders' series are stored
+    info = series_info()
+    assert (info.series, info.builds) == (basis.dimension,
+                                          start.builds + basis.dimension)
+    assert all(psi_element(2, h) is f for h, f in zip(basis, stored))
+
+
+def test_user_copies_and_refusals_store_nothing_first_calls_store(
+        monkeypatch):
     u = VariableUniverse.standard(2, 2)
     basis = harmonic_basis(2, "full", u)
-    records = _fresh_records(basis)
+    _cold_store(monkeypatch)
+    start = series_info()
     for h in basis:
-        user = SuperPolynomial(u, dict(h.terms))
+        user = _user_copy(h)
         for fn in (psi_element, psi_tilde_element):
-            fn(1, user)
-            fn(1, user)
+            assert fn(1, user) is not fn(1, user)
             with pytest.raises(ValueError, match="must be non-negative"):
                 fn(-1, h)
-    assert not any(r.checked or r.series for r in records)
-    for h, record in zip(basis, records):
-        f = psi_element(2, h)      # the first call: checks and stores
-        assert record.checked and record.series == {(2, False): f}
-        assert psi_element(2, h) is f
+    assert series_info() == start and start.series == 0
     for h in basis:
-        psi_tilde_element(2, h)    # checked: misses and stores
-    assert all(list(r.series) == [(2, False), (2, True)] for r in records)
+        f = psi_element(2, h)      # the first call builds and stores
+        assert psi_element(2, h) is f
+    assert series_info().series == basis.dimension
+    for h in basis:
+        psi_tilde_element(2, h)    # another key: misses and stores
+    after = series_info()
+    assert after.series == 2 * basis.dimension
     for h in basis:
         with pytest.raises(ValueError, match="over MAX_MONOMIALS"):
             psi_element(100000, h)
-    assert all(list(r.series) == [(2, False), (2, True)] for r in records)
+    assert series_info() == after
 
 
-def test_the_bound_drops_series_first_and_rungs_when_they_reach_it(
+def test_non_harmonic_input_refused_after_series_are_stored():
+    u = VariableUniverse.standard(2, 1)
+    basis = harmonic_basis(2, "full", u)
+    for h in basis:
+        psi_element(1, h)
+    x1, x2 = (SuperPolynomial.bosonic_var(u, i) for i in range(2))
+    for bad in (sp_mul(x1, x1), sp_mul(x1, x2) + x1, basis.elements[0] + x1):
+        assert basis_place(bad) is None
+        for fn in (psi_element, psi_tilde_element):
+            with pytest.raises(ValueError, match="homogeneous harmonic"):
+                fn(1, bad)
+
+
+def test_basis_elements_take_no_laplacian_user_input_does(monkeypatch):
+    # a cold pass over a basis runs no Laplacian, as harmonic_basis builds
+    # its elements harmonic; user input is still checked on every call
+    u = VariableUniverse.standard(3, 2)
+    basis = harmonic_basis(3, "full", u)
+    x1, x2 = (SuperPolynomial.bosonic_var(u, i) for i in range(2))
+    calls = [(fn, j, h) for j in (2, 0, 1)
+             for fn in (psi_element, psi_tilde_element) for h in basis]
+
+    def no_laplace(*args):
+        raise AssertionError("a Laplacian on the psi route")
+
+    _cold_store(monkeypatch)
+    with monkeypatch.context() as patch:
+        patch.setattr(hermite, "laplace", no_laplace)
+        got = [fn(j, h) for fn, j, h in calls]
+        assert series_info().series == len(calls)
+        # refused by homogeneity before any Laplacian
+        with pytest.raises(ValueError, match="homogeneous harmonic"):
+            psi_element(1, sp_mul(x1, x2) + x1)
+        # a copy equal to an element is checked
+        with pytest.raises(AssertionError, match="psi route"):
+            psi_element(1, _user_copy(basis.elements[0]))
+    assert got == [fn(j, _user_copy(h)) for fn, j, h in calls]
+    with pytest.raises(ValueError, match="homogeneous harmonic"):
+        psi_element(1, sp_mul(x1, x1))
+
+
+def test_store_bound_clears_and_results_stay_equal(monkeypatch):
+    u = VariableUniverse.standard(3, 2)
+    basis = harmonic_basis(3, "full", u)
+    calls = [(fn, j, h) for j in range(5)
+             for fn in (psi_element, psi_tilde_element) for h in basis]
+    want = [fn(j, _user_copy(h)) for fn, j, h in calls]
+    _cold_store(monkeypatch, 40)
+    clears = series_info().clears
+    got = []
+    for fn, j, h in calls:
+        got.append(fn(j, h))
+        assert series_info().terms == _held_terms() <= 40
+    assert got == want
+    assert series_info().clears > clears
+
+
+def test_a_series_over_the_bound_is_built_on_every_call_not_stored(
         monkeypatch):
     u = VariableUniverse.standard(3, 2)
-    warm, cold = (harmonic_basis(k, "full", u) for k in (2, 3))
-    records = _fresh_records(warm) + _fresh_records(cold)
-    held = records[:warm.dimension]
-    harmonics._RECORDS.clear_ladders()
-
-    def both(fn, j, h):
-        # the value by the record route, checked against the full route
-        got = fn(j, h)
-        assert got == fn(j, SuperPolynomial(u, dict(h.terms)))
-        return got
-
-    for fn in (psi_element, psi_tilde_element):
-        for h in warm:      # the first call stores, the second hits
-            assert both(fn, 2, h) is fn(2, h)
-    ladders = [r.ladder for r in held]
-    assert all(list(r.series) == [(2, False), (2, True)] for r in held)
-    # the count reaches the bound, the rungs alone do not: a series is
-    # not stored, and the next rung growth drops the stored series alone
-    # and stores none until the rungs are dropped too
-    monkeypatch.setattr(harmonics, "MAX_LADDER_ENTRIES",
-                        harmonics._RECORDS.entries)
-    clears = harmonics.records_info().clears
-    both(psi_tilde_element, 1, warm.elements[0])
-    assert (1, True) not in held[0].series
-    assert harmonics.records_info().clears == clears
-    h = cold.elements[0]
-    both(psi_element, 1, h)              # grows the ladder of h
-    assert harmonics.records_info().clears == clears + 1
-    assert not any(r.series for r in records)
-    assert all(r.ladder is ladder for r, ladder in zip(held, ladders))
-    both(psi_element, 1, h)
-    for fn in (psi_element, psi_tilde_element):
-        both(fn, 2, warm.elements[0])
-    assert not any(r.series for r in records)
-    assert harmonics._RECORDS.entries == _live_entries(records)
-    # the rungs alone reach the bound: the next growth drops them all,
-    # and stores series again, from that first call on
-    monkeypatch.setattr(harmonics, "MAX_LADDER_ENTRIES",
-                        harmonics._RECORDS.rung_entries)
-    h = cold.elements[1]
-    g = both(psi_element, 1, h)
-    assert harmonics.records_info().clears == clears + 2
-    assert all(len(r.ladder) == 1 for r in held)
-    f = both(psi_element, 2, h)
-    assert both(psi_element, 2, h) is f
-    assert records[warm.dimension + 1].series == {(1, False): g,
-                                                  (2, False): f}
-    assert harmonics._RECORDS.entries == _live_entries(records) > 0
+    h = harmonic_basis(3, "full", u).elements[0]
+    want = psi_element(4, _user_copy(h))
+    _cold_store(monkeypatch, 40)
+    start = series_info()
+    big = psi_element(4, h)
+    assert len(big.terms) > 40 and big == want
+    again = psi_element(4, h)
+    assert again is not big and again == want
+    info = series_info()
+    assert (info.series, info.terms, info.clears) == (0, 0, start.clears)
+    assert info.builds == start.builds + 2
 
 
-def test_re_recording_takes_the_old_entries_off_the_count(monkeypatch):
-    # a replaced record's rungs and series leave the count with it, so
-    # the count stays the live entries however often a basis is
-    # re-recorded
-    monkeypatch.setattr(harmonics, "MAX_LADDER_ENTRIES", 10 ** 9)
-    u = VariableUniverse.standard(3, 2)
-    basis = harmonic_basis(4, "full", u)
-    harmonics._RECORDS.clear_ladders()
-    counts = []
-    for _ in range(4):
-        records = _fresh_records(basis)
-        assert harmonics._RECORDS.entries == 0
-        for fn in (psi_element, psi_element, psi_tilde_element):
-            for h in basis:
-                fn(3, h)
-        counts.append(harmonics._RECORDS.entries)
-        assert counts[-1] == _live_entries(records)
-    assert len(set(counts)) == 1 and counts[0] > 0
-
-
-def test_records_info_reads_a_cold_and_a_warm_pass(monkeypatch):
-    monkeypatch.setattr(harmonics, "MAX_LADDER_ENTRIES", 10 ** 9)
-    u = VariableUniverse.standard(2, 1)
-    basis = harmonic_basis(3, "full", u)
-    dim = basis.dimension
-    harmonics._RECORDS.clear_ladders()
-    start = harmonics.records_info()
-    records = _fresh_records(basis)
-
-    def one_pass():
-        for j in (0, 1):
-            for h in basis:
-                psi_element(j, h)
-        return harmonics.records_info()
-
-    # cold: each element's first call (j = 0) checks it and stores its
-    # series, and is no lookup; its j = 1 call misses and stores
-    cold = one_pass()
-    assert (cold.records, cold.series) == (start.records, 2 * dim)
-    assert (cold.hits, cold.misses, cold.clears) == \
-        (start.hits, start.misses + dim, start.clears)
-    assert cold.entries == _live_entries(records) > 0
-    # warm: both orders hit, and nothing more is stored
-    warm = one_pass()
-    assert (warm.series, warm.hits, warm.misses) == \
-        (2 * dim, cold.hits + 2 * dim, cold.misses)
-    assert warm.entries == _live_entries(records) == cold.entries
-    again = one_pass()
-    assert (again.series, again.entries, again.misses) == \
-        (warm.series, warm.entries, warm.misses)
-    assert again.hits == warm.hits + 2 * dim
-    harmonics._RECORDS.clear_ladders()
-    cleared = harmonics.records_info()
-    assert (cleared.entries, cleared.series, cleared.clears) == \
-        (0, 0, again.clears + 1)
-
-
-def test_records_read_right_while_other_threads_grow_them(monkeypatch):
-    # four threads run psi and psi~ over two bases with fresh records and
-    # a ladder bound of 40 entries, so another thread grows a ladder or
-    # drops every ladder between most calls; every value must be the
-    # full route's
+def test_store_reads_right_while_other_threads_fill_and_clear_it(
+        monkeypatch):
+    # four threads run psi and psi~ over two bases with a store bound of
+    # 40 terms, so another thread stores a series or clears the store
+    # between most calls; every value must be the user copy's
     u = VariableUniverse.standard(3, 2)
     bases = [harmonic_basis(k, "full", u) for k in (1, 2)]
     calls = [(fn, j, h) for basis in bases for h in basis
              for j in (3, 1, 4, 0, 2)
              for fn in (psi_element, psi_tilde_element)]
-    want = [fn(j, SuperPolynomial(u, dict(h.terms))) for fn, j, h in calls]
-    for basis in bases:
-        _fresh_records(basis)
-    monkeypatch.setattr(harmonics, "MAX_LADDER_ENTRIES", 40)
+    want = [fn(j, _user_copy(h)) for fn, j, h in calls]
+    _cold_store(monkeypatch, 40)
+    clears = series_info().clears
     wrong, done = [], []
 
     def run(start):
@@ -678,3 +604,30 @@ def test_records_read_right_while_other_threads_grow_them(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert len(done) == 4 and not wrong, wrong[:3]
+    assert series_info().terms == _held_terms() <= 40
+    assert series_info().clears > clears
+
+
+def test_series_info_reads_a_cold_and_a_warm_pass(monkeypatch):
+    u = VariableUniverse.standard(2, 1)
+    basis = harmonic_basis(3, "full", u)
+    dim = basis.dimension
+    _cold_store(monkeypatch)
+    start = series_info()
+    assert (start.series, start.terms) == (0, 0)
+
+    def one_pass():
+        for j in (0, 1):
+            for h in basis:
+                psi_element(j, h)
+        return series_info()
+
+    # cold: every call misses, builds and stores; warm: every call hits,
+    # and a hit counts nothing
+    cold = one_pass()
+    assert cold == (2 * dim, _held_terms(), start.builds + 2 * dim,
+                    start.clears)
+    assert cold.terms > 0
+    assert one_pass() == cold
+    hermite._SERIES.clear()
+    assert series_info() == (0, 0, cold.builds, cold.clears + 1)
