@@ -9,9 +9,15 @@ pair: x_i^e goes to the integer Hermite row of He_e (one cached row per
 degree) and each pair's sub-mask to the integer row 1 -> 1, q_j -> q_j,
 q1q2 -> q1q2 - 2.  An image of a degree-d term that lost 2k degrees
 weighs zeta^(d-2k) (2 gamma)^k, which at a = +/-1 is (+/- i)^d, so the
-exact transforms multiply ints only; other orders run on floats.  On
-the plain class the transform of order a is one closed-form 4x4 table
-per pair.  The defining constructions (the fermionic kernel followed by
+exact transforms run on integer numerators: the input is split once
+over one common denominator D into Gaussian-integer numerators per
+(monomial, radical), every image adds int products into them, and one
+QQi and one scalar per output term are built at the end
+(`superalg.numerators`, `superalg.from_numerators`).  `radon` and
+`parseval_check` read those numerators straight from
+`fourier_numerators`, with no scalar between the steps; other orders run
+on floats.  On the plain class the transform of order a is one
+closed-form 4x4 table per pair.  The defining constructions (the fermionic kernel followed by
 the Berezin integral, the peel rule F(x_i g) = -/+ i d_{y_i} F(g) and
 the psi-family expansion) live in the tests as independent oracles; no
 transform calls them.  Parseval's integral of f * conj(g) against the
@@ -36,8 +42,8 @@ from fractions import Fraction
 from ._terms import add_into
 from .scalars import I_POWERS, Angle, ExactScalar, QQi, to_float
 from .superalg import (GaussianFunction, SuperPolynomial, VariableUniverse,
-                       common_denominator, mask_bits,
-                       merge_masks, require_envelope, scale_exact)
+                       from_numerators, mask_bits, merge_masks, numerators,
+                       require_envelope, scale_exact)
 
 
 def berezin(f, over=None):
@@ -94,11 +100,6 @@ def hermite_row(k):
     return tuple(row)
 
 
-# exp(gamma Delta) on one pair's sub-mask as (sub-mask, int, k) images, k
-# the power of 2 gamma: q1q2 -> q1q2 - 2 (2 gamma)
-_PAIR_ROWS = (((0, 1, 0),), ((1, 1, 0),), ((2, 1, 0),),
-              ((3, 1, 0), (0, -2, 1)))
-
 # terms one Mehler pass or pair table may make (output budget): the
 # images of every input term, counted before the pass
 MAX_TRANSFORM_TERMS = 50000
@@ -125,23 +126,96 @@ def _check_images(total):
                          f"MAX_TRANSFORM_TERMS = {MAX_TRANSFORM_TERMS}")
 
 
-def _images(bos, mask, bos_on, nf):
-    """The images of x^bos q^mask under the sector's order-free rows: a
-    list of (sub-mask, int, k) from one pair row per symbol pair, k the
-    factors 2 gamma, and a list of (exponents, int) from one Hermite row
-    per coordinate, which lowers the degree by 2 per factor 2 gamma."""
-    fer = [(0, 1, 0)] if nf else [(mask, 1, 0)]
-    for shift in range(0, nf, 2):
-        row = _PAIR_ROWS[(mask >> shift) & 3]
-        fer = [(acc | (sub << shift), n * t, k + j) for acc, n, k in fer
-               for sub, t, j in row]
-    if not bos_on:
-        return fer, [(bos, 1)]
-    out = [((), 1)]
-    for e in bos:
-        row = hermite_row(e)
-        out = [(acc + (p,), h * t) for acc, h in out for p, t in row]
-    return fer, out
+def _images(bos, mask, full, bos_on):
+    """The images of x^bos q^mask under the sector's order-free rows, as
+    (key, int, k) with k the factors 2 gamma: the pair rows 1 -> 1,
+    q_j -> q_j and q1q2 -> q1q2 - 2 (2 gamma) on the full pairs of the
+    sector (`full` holds their low bits), then one Hermite row per
+    coordinate, whose j-th entry lowers the degree by 2j."""
+    images = [((bos, mask), 1, 0)]
+    while full:
+        low = full & -full
+        full ^= low
+        images += [((b, m ^ 3 * low), -2 * n, k + 1)
+                   for (b, m), n, k in images]
+    if bos_on:
+        for i, e in enumerate(bos):
+            if e > 1:                   # x^0 and x^1 are their own rows
+                images = [((b[:i] + (p,) + b[i + 1:], m), n * t, k + j)
+                          for (b, m), n, k in images
+                          for j, (p, t) in enumerate(hermite_row(e))]
+    return images
+
+
+def _sector(f, sector):
+    """(bos_on, low) of the sector for the Gaussian-class f: whether the
+    Hermite rows act, and the low bit of every symbol pair the pair rows
+    act on.  f is refused first when its images pass
+    MAX_TRANSFORM_TERMS."""
+    bos_on = sector != "fermionic"
+    nf = len(f.universe.fermionic) if sector != "bosonic" else 0
+    low = (4 ** (nf >> 1) - 1) // 3
+    # x^a q^S has prod_i (a_i // 2 + 1) images on the Hermite rows, times
+    # two per full pair
+    total = 0
+    for bos, mask in f.terms:
+        n = 1 << (mask & mask >> 1 & low).bit_count()
+        if bos_on:
+            for e in bos:
+                n *= (e >> 1) + 1
+        total += n
+    _check_images(total)
+    return bos_on, low
+
+
+def turned(nums, k):
+    """The numerator map {radical: [re, im]} times i^k, as a list of
+    (radical, re, im)."""
+    re, im = I_POWERS[k % 4]
+    return [(rad, x * re - y * im, x * im + y * re)
+            for rad, (x, y) in nums.items()]
+
+
+def add_images(acc, images, nums):
+    """acc[key] += w * nums for each (key, int w) of images, on numerator
+    maps {radical: [re, im]}; nums is a list of (radical, re, im)."""
+    for key, w in images:
+        cell = acc.get(key)
+        if cell is None:
+            acc[key] = {rad: [x * w, y * w] for rad, x, y in nums}
+            continue
+        for rad, x, y in nums:
+            v = cell.get(rad)
+            if v is None:
+                cell[rad] = [x * w, y * w]
+            else:
+                v[0] += x * w
+                v[1] += y * w
+
+
+def _exact_images(f, turn, bos_on, low):
+    """(D, numerator maps) of the exact Mehler pass at a = turn = +/-1:
+    f split once over D by `numerators`, each term's numerators turned
+    by (+/- i)^d, and every image of the term, its int weight times
+    them, added into the numerators of its output monomial."""
+    denom, terms = numerators(f.terms)
+    acc = {}
+    for (bos, mask), nums in terms.items():
+        d = (sum(bos) if bos_on else 0) + (mask.bit_count() if low else 0)
+        add_images(acc, [(key, n) for key, n, _ in
+                         _images(bos, mask, mask & mask >> 1 & low, bos_on)],
+                   turned(nums, turn * d))
+    return denom, acc
+
+
+def fourier_numerators(f, sign):
+    """super_fourier(f, sign) as (D, numerator maps) for the steps that
+    read on (`radon`, `parseval_check`), with the refusals of the
+    transform: no envelope, too many images, float-lane input."""
+    require_envelope(f)
+    bos_on, low = _sector(f, "full")
+    _require_exact(f)
+    return _exact_images(f, _order(sign), bos_on, low)
 
 
 def _mehler_pass(f, a, sector):
@@ -151,54 +225,31 @@ def _mehler_pass(f, a, sector):
     2 gamma = (zeta^2 - 1)/2, one pass over the terms.  A term of sector
     degree d goes to the products of its `_images`; one that lost 2k
     degrees is weighted zeta^(d-2k) (2 gamma)^k.  At a = +/-1 that
-    weight is (+/- i)^d for every image, so the exact lane folds it into
-    the ints and scales the term's coefficient once per image; other
-    orders run on floats, with zeta^j exact at quarter turns.  a = 0
-    returns f."""
+    weight is (+/- i)^d for every image, so the exact lane adds int
+    products into Gaussian-integer numerators over one denominator and
+    builds each output coefficient once (`_exact_images`); other orders
+    run on floats, with zeta^j exact at quarter turns.  a = 0 returns
+    f."""
     if sector not in ("bosonic", "fermionic", "full"):
         raise ValueError(f"unknown sector {sector!r}")
     a = Angle(a)
     require_envelope(f)
     if a.a == 0:
         return f
-    bos_on = sector != "fermionic"
-    nf = len(f.universe.fermionic) if sector != "bosonic" else 0
-    # x^a q^S has prod_i (a_i // 2 + 1) images on the Hermite rows, times
-    # two per full pair
-    low = (4 ** (nf >> 1) - 1) // 3     # the low bit of every symbol pair
-    total = 0
-    for bos, mask in f.terms:
-        n = 1 << (mask & mask >> 1 & low).bit_count()
-        if bos_on:
-            for e in bos:
-                n *= (e >> 1) + 1
-        total += n
-    _check_images(total)
-    out = {}
+    bos_on, low = _sector(f, sector)
     if a.exact:
         _require_exact(f)
-        turn = int(a.a)
-        for (bos, mask), c in f.terms.items():
-            d = (sum(bos) if bos_on else 0) + (mask.bit_count() if nf else 0)
-            re, im = I_POWERS[turn * d % 4]
-            fer, bos_images = _images(bos, mask, bos_on, nf)
-            for omask, n, _ in fer:
-                x, y = re * n, im * n
-                for obos, h in bos_images:
-                    add_into(out, (obos, omask),
-                             c.scale(QQi.reduced(x * h, y * h, 1)))
-        return f._like(out)
+        return f._like(from_numerators(
+            *_exact_images(f, int(a.a), bos_on, low)))
+    out = {}
     try:
         for (bos, mask), c in f.terms.items():
-            e = sum(bos)
-            d = (e if bos_on else 0) + (mask.bit_count() if nf else 0)
+            d = (sum(bos) if bos_on else 0) + (mask.bit_count() if low else 0)
             c = to_float(c)
             weights = [c * w for w in _float_weights(a.a, d)]
-            fer, bos_images = _images(bos, mask, bos_on, nf)
-            for omask, x, k in fer:
-                for obos, h in bos_images:
-                    add_into(out, (obos, omask),
-                             x * h * weights[k + ((e - sum(obos)) >> 1)])
+            for key, x, k in _images(bos, mask, mask & mask >> 1 & low,
+                                     bos_on):
+                add_into(out, key, x * weights[k])
     except OverflowError:
         raise ValueError(_FLOAT_RANGE) from None
     if not all(map(cmath.isfinite, out.values())):
@@ -303,32 +354,22 @@ def gaussian_moment(p, width):
     raise ValueError("unsupported Gaussian width")
 
 
-def _rational_part(s):
-    """(numerator, denominator) of the rational q of a nonzero scalar
-    q * r with one radical r."""
-    (q,) = s.terms.values()
-    return q.a, q.d
-
-
-def _integer_terms(poly, im_sign):
-    """(D, terms): D the lcm of the exact polynomial's QQi denominators
-    and terms a list of (bos, mask, numerators), numerators a tuple of
-    (radical, real int, imaginary int times im_sign) over D."""
-    denom = common_denominator(poly)
-    terms = []
-    for (bos, mask), c in poly.terms.items():
-        nums = []
-        for rad, q in c.terms.items():
-            scale = denom // q.d
-            nums.append((rad, q.a * scale, im_sign * q.b * scale))
-        terms.append((bos, mask, tuple(nums)))
-    return denom, terms
-
-
 def _gaussian_pairing(p, q, width):
     """Integral over the full superspace of p * conj(q) times the envelope
-    exp(width * x^2-type), one pass over pairs of terms with integer
-    weights; the product polynomial is never formed.
+    exp(width * x^2-type): p and q split into numerators, then paired by
+    `_pair_numerators`."""
+    if p.universe != q.universe:
+        raise ValueError("universe mismatch")
+    _require_exact(p)
+    _require_exact(q)
+    return _pair_numerators(p.universe, numerators(p.terms),
+                            numerators(q.terms), width)
+
+
+def _pair_numerators(u, p, q, width):
+    """The pairing of p and q, each (D, numerator maps) as `numerators`
+    or `fourier_numerators` gives it, one pass over pairs of terms with
+    integer weights; the product polynomial is never formed.
 
     A pair of terms counts when its bosonic exponents have one parity
     vector and its masks are disjoint and fill every symbol pair or leave
@@ -336,55 +377,50 @@ def _gaussian_pairing(p, q, width):
     rational part of `gaussian_moment(e, width)` for each summed exponent
     e and of each pair's Berezin weight against its envelope factor
     1 + width q1q2, pi^-1 (width, 0, 0, 1) for the sub-masks 1, q1, q2,
-    q1q2 (width 0 pairs plain polynomials at m = 0); the radicals of
-    those factors are one common factor, pi^(M/2) times sqrt2^m at
-    width 1/2.  p and q are split over one denominator each,
-    and conjugation flips the sign of q's imaginary numerators; the
-    scalar is built once at the end.
+    q1q2, so width^k for k empty pairs (width 0 pairs plain polynomials
+    at m = 0); the radicals of those factors are one common factor,
+    pi^(M/2) times sqrt2^m at width 1/2.  Conjugation flips the sign of
+    q's imaginary numerators; the scalar is built once at the end.
     """
-    if p.universe != q.universe:
-        raise ValueError("universe mismatch")
-    _require_exact(p)
-    _require_exact(q)
-    u = p.universe
     nf = len(u.fermionic)
-    row = ((width.numerator, width.denominator), (0, 1), (0, 1), (1, 1))
+    # the Berezin weight (numerator, denominator) by the filled pairs
+    empty = [(width.numerator ** k, width.denominator ** k)
+             for k in range(u.pairs, -1, -1)]
     # the common radical: pi^-1 per pair, pi^(1/2) sqrt2^eps per coordinate
     rad_b, rad_eps = u.m - nf, 0
     if u.m:
         (_, eps), = gaussian_moment(0, width).terms
         rad_eps = u.m * eps
     moments = {}
-    dp, p_terms = _integer_terms(p, 1)
-    dq, q_terms = _integer_terms(q, -1)
+    (dp, p_terms), (dq, q_terms) = p, q
     by_parity = {}
-    for term in q_terms:
-        by_parity.setdefault(tuple(e & 1 for e in term[0]), []).append(term)
+    for (bos, mask), nums in q_terms.items():
+        by_parity.setdefault(tuple(e & 1 for e in bos), []).append(
+            (bos, mask, nums.items()))
     low = (4 ** u.pairs - 1) // 3       # the low bit of every symbol pair
     acc = {}
-    for bos, mask, nums in p_terms:
+    for (bos, mask), nums in p_terms.items():
+        nums = nums.items()
         for bos_q, mask_q, nums_q in by_parity.get(
                 tuple(e & 1 for e in bos), ()):
-            merged = merge_masks(mask, mask_q)
-            if merged is None:
+            union = mask | mask_q
+            if mask & mask_q or (union ^ (union >> 1)) & low:
+                continue        # a shared symbol, or a pair with one of two
+            num, den = empty[union.bit_count() >> 1]
+            if not num:
                 continue
-            num, union = merged
-            if (union ^ (union >> 1)) & low:
-                continue                 # a pair with one symbol of two
-            den = 1
+            num *= merge_masks(mask, mask_q)[0]
             for e in map(sum, zip(bos, bos_q)):
                 if e not in moments:
-                    moments[e] = _rational_part(gaussian_moment(e, width))
+                    (moment,) = gaussian_moment(e, width).terms.values()
+                    moments[e] = moment.a, moment.d
                 a, d = moments[e]
                 num, den = num * a, den * d
-            for shift in range(0, nf, 2):
-                a, d = row[(union >> shift) & 3]
-                num, den = num * a, den * d
-            for (b1, e1), re1, im1 in nums:
-                for (b2, e2), re2, im2 in nums_q:
+            for (b1, e1), (re1, im1) in nums:
+                for (b2, e2), (re2, im2) in nums_q:
                     cell = acc.setdefault((b1 + b2, e1 + e2, den), [0, 0])
-                    cell[0] += num * (re1 * re2 - im1 * im2)
-                    cell[1] += num * (re1 * im2 + im1 * re2)
+                    cell[0] += num * (re1 * re2 + im1 * im2)
+                    cell[1] += num * (im1 * re2 - re1 * im2)
     out = {}
     for (b, eps, den), (re, im) in acc.items():
         eps += rad_eps
@@ -416,28 +452,31 @@ def super_integral_pair(f, g):
     """Integral of f * conj(g); the squared envelope gives width one."""
     require_envelope(f)
     require_envelope(g)
-    return _gaussian_pairing(f.poly, g.poly, Fraction(1))
+    return _gaussian_pairing(f.poly, g.poly, 1)
 
 
 def parseval_check(f, g, scope):
     """Exact Parseval equality for either sign: the pairing of f and g
     equals the pairing of their transforms.  The full scope pairs
-    Gaussian functions at width one, the squared envelope; the fermionic
-    scope pairs plain polynomials at m = 0, width zero.  Conjugation
-    fixes the variables and conjugates scalars."""
+    Gaussian functions at width one, the squared envelope, and pairs the
+    transforms' numerators (`fourier_numerators`) as the pass leaves
+    them; the fermionic scope pairs plain polynomials at m = 0, width
+    zero.  Conjugation fixes the variables and conjugates scalars."""
     if scope == "full":
         require_envelope(f)
         require_envelope(g)
-        transform, width = super_fourier, Fraction(1)
-    elif scope == "fermionic":
-        if f.universe.m:
-            raise ValueError("non-damped bosonic integrand")
-        transform, width = fermionic_fourier, 0
-    else:
+        lhs = _gaussian_pairing(f, g, 1)
+        return all(_pair_numerators(f.universe, fourier_numerators(f, sign),
+                                    fourier_numerators(g, sign), 1) == lhs
+                   for sign in ("+", "-"))
+    if scope != "fermionic":
         raise ValueError(f"unknown scope {scope!r}")
-    lhs = _gaussian_pairing(f, g, width)
-    return all(_gaussian_pairing(transform(f, sign), transform(g, sign),
-                                 width) == lhs for sign in ("+", "-"))
+    if f.universe.m:
+        raise ValueError("non-damped bosonic integrand")
+    lhs = _gaussian_pairing(f, g, 0)
+    return all(_gaussian_pairing(fermionic_fourier(f, sign),
+                                 fermionic_fourier(g, sign), 0) == lhs
+               for sign in ("+", "-"))
 
 
 def convolution_fermionic(f, g):

@@ -13,6 +13,13 @@ product of polynomials is formed).  A result is one flat term map keyed by
 i^k He_k(p), read from the same cached Hermite rows as the bosonic
 Fourier factor, and the constants (2 pi)^(1/2) of that step and
 (2 pi)^(M/2-1) of the slice are applied as one (2 pi)^((M-1)/2).
+
+The whole pipeline runs on the integer numerators of
+`fourier.fourier_numerators`: the Mehler images, the sphere images and
+the radius step add int products into Gaussian-integer numerators over
+one denominator, and (2 pi)^((M-1)/2) is a shift of each radical with
+a power of 2 (`superalg.from_numerators`), so each result entry is built
+once.  `one_dim_fourier` runs the same radius step.
 """
 
 from __future__ import annotations
@@ -21,11 +28,12 @@ import math
 from itertools import groupby
 
 from ._terms import TermMap, add_into, canonical
-from .fourier import hermite_row, super_fourier
-from .scalars import I_POWERS, ExactScalar, QQi
+from .fourier import add_images, fourier_numerators, hermite_row, turned
+from .scalars import ExactScalar
 from .superalg import (FER, SuperPolynomial, VariableUniverse,
-                       homogeneous_monomial_count, monomial_codec,
-                       require_envelope, sp_mul, square_powers)
+                       from_numerators, homogeneous_monomial_count,
+                       monomial_codec, numerators, require_envelope, sp_mul,
+                       square_powers)
 
 # result entries (omega monomial, power of p) the terms of one input may
 # make, counted before the transform (output budget)
@@ -39,23 +47,24 @@ def hermite_1d(k):
     return dict(hermite_row(k))
 
 
-def _line_fourier(rterms, weight):
-    """weight * sum c i^k H~_k(p) over the terms {(key, k): c} of an
-    r-polynomial with coefficients indexed by key, as {(key, e): ...}."""
-    out = {}
-    for (key, k), c in rterms.items():
-        re, im = I_POWERS[k % 4]
-        for e, h in hermite_row(k):
-            add_into(out, (key, e), c.scale(QQi.reduced(re * h, im * h, 1)))
-    return {ke: c * weight for ke, c in out.items()}
+def _line_step(out, images, nums, k):
+    """The radius step r^k -> i^k H~_k(p) on the numerator map nums of
+    r^k: for each (key, n) of images, n i^k H~_k(p) nums is added into
+    out at (key, e) for each power p^e, by int products of the Hermite
+    row."""
+    row = hermite_row(k)
+    add_images(out, [((key, e), n * h) for key, n in images for e, h in row],
+               turned(nums, k))
 
 
 def one_dim_fourier(rpoly):
     """Integral of e^(ipr) r^k e^(-r^2/2) dr summed over the given
     r-polynomial: sqrt(2 pi) i^k H~_k(p) per power, exact in the ring."""
-    out = _line_fourier({((), k): c for k, c in rpoly.items()},
-                        ExactScalar.two_pi_half_power(1))
-    return {e: c for (_, e), c in out.items()}
+    denom, terms = numerators(rpoly)
+    out = {}
+    for k, nums in terms.items():
+        _line_step(out, (((), 1),), nums, k)
+    return {e: c for (_, e), c in from_numerators(denom, out, 1).items()}
 
 
 def omega_universe(m, n):
@@ -187,15 +196,15 @@ def radon(f):
     if u.m < 1:
         raise ValueError("no purely fermionic Radon transform")
     check_result_size(f)
-    # each ray term, at radius power r^(its degree), goes to its images
-    rterms = {}
-    for (bos, mask), c in super_fourier(f, "-").terms.items():
-        rpow = sum(bos) + mask.bit_count()
-        for key, n in _sphere_images(bos, mask, u.pairs):
-            add_into(rterms, (key, rpow), c if n == 1 else c * n)
-    weight = ExactScalar.two_pi_half_power(u.superdim - 1)
+    denom, terms = fourier_numerators(f, "-")
+    # each ray term, at radius power r^(its degree), goes to its sphere
+    # images, and each of those through the radius step
+    out = {}
+    for (bos, mask), nums in terms.items():
+        _line_step(out, _sphere_images(bos, mask, u.pairs), nums,
+                   sum(bos) + mask.bit_count())
     return RadonResult(omega_universe(u.m, u.pairs),
-                       _line_fourier(rterms, weight))
+                       from_numerators(denom, out, u.superdim - 1))
 
 
 def radon_expected_eigenbasis(j, k, h, universe):

@@ -54,8 +54,16 @@ class QQi:
 
     @staticmethod
     def reduced(a, b, d):
-        """(a + b*i)/d for ints a, b and d > 0, in canonical fields."""
-        return _qqi(a, b, d)
+        """(a + b*i)/d for ints a, b and d > 0 (every caller passes a
+        product of denominators or a sum of squares), brought to the
+        canonical fields by one three-way gcd."""
+        g = math.gcd(a, b, d)
+        out = _object_new(QQi)
+        if g == 1:
+            out.a, out.b, out.d = a, b, d
+        else:
+            out.a, out.b, out.d = a // g, b // g, d // g
+        return out
 
     @property
     def re(self):
@@ -151,13 +159,8 @@ def _new(a, b, d):
     return out
 
 
-def _qqi(a, b, d):
-    """QQi (a + b*i)/d brought to the canonical fields; d > 0, as every
-    caller passes a product of denominators or a sum of squares."""
-    g = math.gcd(a, b, d)
-    if g != 1:
-        a, b, d = a // g, b // g, d // g
-    return _new(a, b, d)
+# the canonical constructor, read as a module function by the operations
+_qqi = QQi.reduced
 
 
 def _as_qqi(v):

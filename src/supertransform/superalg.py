@@ -330,13 +330,9 @@ def scale_exact(p, s):
     return p.scale(s.to_complex() if is_float_lane(p) else s)
 
 
-def common_denominator(poly):
-    """The lcm of the exact polynomial's QQi denominators."""
-    denom = 1
-    for c in poly.terms.values():
-        for q in c.terms.values():
-            denom = math.lcm(denom, q.d)
-    return denom
+def common_denominator(terms):
+    """The lcm of the QQi denominators of a key -> ExactScalar map."""
+    return math.lcm(*(q.d for c in terms.values() for q in c.terms.values()))
 
 
 def integer_parts(poly):
@@ -349,7 +345,7 @@ def integer_parts(poly):
     map with rational weights (a Laplacian, a product by x^2) is zero on
     poly exactly when it is zero on every part.
     """
-    denom = common_denominator(poly)
+    denom = common_denominator(poly.terms)
     parts = {}
     for key, c in poly.terms.items():
         for rad, q in c.terms.items():
@@ -374,12 +370,43 @@ def from_integer_parts(universe, denom, parts):
     fields = {}
     for (rad, imag), p in parts.items():
         for key, v in p.terms.items():
-            numerators = fields.setdefault(key, {}).setdefault(rad, [0, 0])
-            numerators[imag] += v
-    return SuperPolynomial(universe, {
-        key: ExactScalar.from_terms({rad: QQi.reduced(a, b, denom)
-                                     for rad, (a, b) in by_radical.items()})
-        for key, by_radical in fields.items()})
+            fields.setdefault(key, {}).setdefault(rad, [0, 0])[imag] += v
+    return SuperPolynomial(universe, from_numerators(denom, fields))
+
+
+def numerators(terms):
+    """(D, {key: {radical: [re, im]}}) for a key -> ExactScalar map: D the
+    lcm of its QQi denominators and each coefficient's Gaussian-integer
+    numerators over D, radical by radical."""
+    denom = common_denominator(terms)
+    return denom, {key: {rad: [q.a * (denom // q.d), q.b * (denom // q.d)]
+                         for rad, q in c.terms.items()}
+                   for key, c in terms.items()}
+
+
+def from_numerators(denom, terms, shift=0):
+    """{key: ExactScalar} of the numerator maps {radical: [re, im]} over
+    denom, inverse of `numerators`, each times (2 pi)^(shift/2): the
+    radical pi^(b/2) sqrt2^eps moves to pi^((b+shift)/2)
+    sqrt2^((eps+shift) mod 2), and the 2^((eps+shift) div 2) it leaves
+    goes into the numerators or into D.  One QQi (one gcd) and one scalar
+    per output term; zero numerators are dropped."""
+    # per eps: the new eps, the numerators' factor and the denominator
+    moves = []
+    for eps in (0, 1):
+        two = (eps + shift) >> 1
+        moves.append(((eps + shift) & 1, 1 << max(two, 0),
+                      denom << max(-two, 0)))
+    out = {}
+    for key, nums in terms.items():
+        c = {}
+        for (b, eps), (x, y) in nums.items():
+            if x or y:
+                e, two, den = moves[eps]
+                c[(b + shift, e)] = QQi.reduced(x * two, y * two, den)
+        if c:
+            out[key] = ExactScalar.from_terms(c)
+    return out
 
 
 # the coefficient types of the exact and the float lane; int and Fraction

@@ -22,8 +22,10 @@ from fractions import Fraction
 import pytest
 
 from supertransform.cliffweyl import CValued, dirac_apply, vector_mul
-from supertransform.fourier import (convolution_fermionic, delta_fourier,
-                                    fermionic_delta, fermionic_fourier,
+from supertransform.fourier import (bosonic_fourier, convolution_fermionic,
+                                    delta_fourier, fermionic_delta,
+                                    fermionic_fourier,
+                                    fermionic_fourier_gaussian,
                                     parseval_check, super_fourier,
                                     super_fourier_cvalued, super_integral)
 from supertransform.fracfourier import frac_fourier, relative_deviation
@@ -46,7 +48,8 @@ from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      vector_square)
 from tests.conftest import random_poly, random_scalar
 from tests.oracles import (decomposition_check_by_products,
-                           fermionic_envelope_poly, fermionic_square_power)
+                           fermionic_envelope_poly, fermionic_square_power,
+                           mehler_pass_by_scalars, radon_by_scalars)
 
 # every shape with m <= 4 and n <= 3: m = 0 in the first column, and at
 # m >= 1 the superdimension M = m - 2n meets 0 at (2,1) and (4,2), -2 at
@@ -123,6 +126,29 @@ def gaussian_invariance(u, rng):
     for sign in ("+", "-"):
         assert super_fourier(envelope, sign) == envelope
         assert fermionic_fourier(fermionic, sign) == fermionic
+
+
+@identity("numerator-lane")
+def numerator_lane(u, rng):
+    """The exact transforms on integer numerators equal the scalar-ring
+    route (tests/oracles.py): the full, bosonic and fermionic Mehler
+    passes at both signs, and radon where m >= 1; at m = 0 both radon
+    routes refuse."""
+    for f in _gaussians(u, rng, count=6, nterms=6):
+        for sign, a in (("+", 1), ("-", -1)):
+            assert super_fourier(f, sign) == \
+                mehler_pass_by_scalars(f, a, "full")
+            assert bosonic_fourier(f, sign) == \
+                mehler_pass_by_scalars(f, a, "bosonic")
+            assert fermionic_fourier_gaussian(f, sign) == \
+                mehler_pass_by_scalars(f, a, "fermionic")
+        if u.m:
+            assert radon(f) == radon_by_scalars(f)
+        else:
+            for route in (radon, radon_by_scalars):
+                with pytest.raises(ValueError,
+                                   match="no purely fermionic Radon"):
+                    route(f)
 
 
 @identity("parseval-full")

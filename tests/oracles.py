@@ -5,6 +5,12 @@ from F(G) = G, one derivative per unit of degree; the package reads the
 same transform off cached Hermite rows.  `mehler_series` sums Mehler's
 closed form of F^a as its series in the Laplacian; the package weighs
 the images of one pass of Hermite and pair rows instead.
+`mehler_pass_by_scalars` is that pass at a = +/-1 in the scalar ring,
+one scaled ExactScalar per image, with the literal pair rows
+(`_images_by_rows`), and `radon_by_scalars` the Radon pipeline on it,
+one scaled scalar per sphere image and Hermite row entry; the package
+runs both on integer numerators over one denominator and builds each
+output coefficient once.
 `reduce_mod_sphere_per_monomial` rewrites w_m^2 monomial by monomial with
 fresh sphere powers (`sphere_substitution`), each one product above the
 last; `f_poly_by_products` builds the coupling polynomials of the
@@ -95,14 +101,17 @@ from supertransform.cliffweyl import CValued, CWElement, _mul_keys
 from supertransform.expr import (_PI, _UNIT, ParseError, _check_exponent,
                                  _literal_int, _monomial, _power_pairs,
                                  _scalar)
-from supertransform.fourier import _require_exact, gaussian_moment
+from supertransform.fourier import (_require_exact, gaussian_moment,
+                                    hermite_row)
 from supertransform.fundsol import RadialFunction, radial_laplace
 from supertransform.harmonics import harmonic_basis
 from supertransform.hermite import psi_span
 from supertransform.operators import (bosonic_derivative,
                                       fermionic_derivative, laplace,
                                       multiply_vector_square)
-from supertransform.scalars import (Angle, ExactScalar, QQi,
+from supertransform.radon import (RadonResult, _sphere_images,
+                                  check_result_size, omega_universe)
+from supertransform.scalars import (I_POWERS, Angle, ExactScalar, QQi,
                                     gamma_half_integer, to_float)
 from supertransform.superalg import (GaussianFunction, SuperPolynomial,
                                      VariableUniverse,
@@ -235,6 +244,77 @@ def mehler_series(f, a):
     return GaussianFunction(SuperPolynomial(f.universe, {
         key: c * phases[sum(key[0]) + key[1].bit_count()] + zero
         for key, c in series.terms.items()}), True)
+
+
+# exp(gamma Delta) on one pair's sub-mask as (sub-mask, int, k) images, k
+# the power of 2 gamma: q1q2 -> q1q2 - 2 (2 gamma)
+_PAIR_ROWS = (((0, 1, 0),), ((1, 1, 0),), ((2, 1, 0),),
+              ((3, 1, 0), (0, -2, 1)))
+
+
+def _images_by_rows(bos, mask, bos_on, nf):
+    """The images of x^bos q^mask as the lists of (sub-mask, int, k) and
+    (exponents, int), one literal pair row per symbol pair and one
+    Hermite row per coordinate."""
+    fer = [(0, 1, 0)] if nf else [(mask, 1, 0)]
+    for shift in range(0, nf, 2):
+        row = _PAIR_ROWS[(mask >> shift) & 3]
+        fer = [(acc | (sub << shift), n * t, k + j) for acc, n, k in fer
+               for sub, t, j in row]
+    if not bos_on:
+        return fer, [(bos, 1)]
+    out = [((), 1)]
+    for e in bos:
+        row = hermite_row(e)
+        out = [(acc + (p,), h * t) for acc, h in out for p, t in row]
+    return fer, out
+
+
+def mehler_pass_by_scalars(f, a, sector):
+    """The exact Mehler pass at a = +/-1 in the scalar ring: each image
+    of a term scales its ExactScalar by the QQi (+/- i)^d times its int
+    weight, and the scaled scalars are summed per output monomial."""
+    require_envelope(f)
+    _require_exact(f)
+    bos_on = sector != "fermionic"
+    nf = len(f.universe.fermionic) if sector != "bosonic" else 0
+    out = {}
+    for (bos, mask), c in f.terms.items():
+        d = (sum(bos) if bos_on else 0) + (mask.bit_count() if nf else 0)
+        re, im = I_POWERS[a * d % 4]
+        fer, bos_images = _images_by_rows(bos, mask, bos_on, nf)
+        for omask, n, _ in fer:
+            x, y = re * n, im * n
+            for obos, h in bos_images:
+                add_into(out, (obos, omask),
+                         c.scale(QQi.reduced(x * h, y * h, 1)))
+    return f._like(out)
+
+
+def radon_by_scalars(f):
+    """The central-slice Radon pipeline in the scalar ring: F^-(f) by
+    `mehler_pass_by_scalars`, each ray term's sphere images summed as
+    scalars, then the radius step r^k -> i^k H~_k(p), one scaled scalar
+    per Hermite row entry, and the weight (2 pi)^((M-1)/2) multiplied
+    into every entry."""
+    require_envelope(f)
+    u = f.universe
+    if u.m < 1:
+        raise ValueError("no purely fermionic Radon transform")
+    check_result_size(f)
+    rterms = {}
+    for (bos, mask), c in mehler_pass_by_scalars(f, -1, "full").terms.items():
+        rpow = sum(bos) + mask.bit_count()
+        for key, n in _sphere_images(bos, mask, u.pairs):
+            add_into(rterms, (key, rpow), c if n == 1 else c * n)
+    out = {}
+    for (key, k), c in rterms.items():
+        re, im = I_POWERS[k % 4]
+        for e, h in hermite_row(k):
+            add_into(out, (key, e), c.scale(QQi.reduced(re * h, im * h, 1)))
+    weight = ExactScalar.two_pi_half_power(u.superdim - 1)
+    return RadonResult(omega_universe(u.m, u.pairs),
+                       {ke: c * weight for ke, c in out.items()})
 
 
 def sphere_substitution(u):
